@@ -9,22 +9,26 @@ package core
 //
 // The coordinator consumes events (RegisterWorker, HandleReply, Tick,
 // WorkerLost, EvalDone, LossObserved) and emits commands (Dispatch,
-// Evaluate, ObserveLoss, AdvanceClock, Checkpoint, Done) that a driver
-// executes. Three drivers exist:
+// Evaluate, ObserveLoss, AdvanceClock, Pause, Done). One interpreter,
+// core.Drive (drive.go), executes them against a Backend; the executors
+// are its backends:
 //
-//   - core.Run: the in-process synchronous simulator (parallel local
-//     solves, optional virtual-time accounting),
-//   - core.runAsyncVTime (vsim.go): the deterministic discrete-event
-//     executor of the asynchronous modes on the internal/vtime clock,
-//   - internal/fednet.Server: the TCP runtime (sync and async), where
+//   - simBackend (run.go): the in-process synchronous simulator (parallel
+//     local solves, optional virtual-time accounting) — also sync replay
+//     and every tier aggregator of RunTiered, by swapping its reply
+//     source,
+//   - vtimeBackend (vsim.go): the deterministic discrete-event executor
+//     of the asynchronous modes on the internal/vtime clock, and async
+//     replay,
+//   - internal/fednet: the TCP runtime (sync, async, tier edge), where
 //     Dispatch becomes a TrainRequest and Evaluate an EvalRequest.
 //
 // Because all aggregation arithmetic and every environment-stream draw
 // happens here, cross-executor equivalence (same seed ⇒ bit-identical
-// History) holds by construction: the drivers only translate transport
+// History) holds by construction: the backends only translate transport
 // events and cannot drift from each other.
 //
-// Event methods return the commands the driver must execute, in order.
+// Event methods return the commands Drive must execute, in order.
 // At most one "waiting" command (Evaluate, ObserveLoss) is in flight at a
 // time; replies delivered while an evaluation is pending are queued and
 // processed after EvalDone, mirroring the fednet aggregator's stash.
@@ -160,19 +164,13 @@ type ObserveLoss struct{ Params []float64 }
 
 func (ObserveLoss) isCommand() {}
 
-// AdvanceClock instructs a virtual-time driver to charge Seconds to its
-// clock (a synchronous round's critical path). Drivers without a clock
-// ignore it.
+// AdvanceClock instructs a virtual-time backend to charge Seconds to its
+// clock (a synchronous round's critical path). It is emitted only for
+// rounds whose replies were Timed, so a backend without a clock never
+// sees it.
 type AdvanceClock struct{ Seconds float64 }
 
 func (AdvanceClock) isCommand() {}
-
-// Checkpoint reports that the coordinator persisted resumable state
-// through round NextRound-1. Purely informational; the save already
-// happened.
-type Checkpoint struct{ NextRound int }
-
-func (Checkpoint) isCommand() {}
 
 // Pause reports that a stepped coordinator (CoordinatorOptions.Stepped)
 // finished its work up to round NextRound and is waiting for Resume
@@ -1143,7 +1141,6 @@ func (c *Coordinator) afterObserve(out *roundOutcome) ([]Command, error) {
 // afterRecord finishes round t: persists a checkpoint when due and opens
 // the next round.
 func (c *Coordinator) afterRecord(t int) ([]Command, error) {
-	var pre []Command
 	if c.cfg.Checkpointer != nil && ((t+1)%c.ckptEvery == 0 || t == c.cfg.Rounds-1) {
 		state, err := c.snapshotState()
 		if err != nil {
@@ -1153,11 +1150,9 @@ func (c *Coordinator) afterRecord(t int) ([]Command, error) {
 			return nil, fmt.Errorf("core: checkpoint save: %w", err)
 		}
 		c.emit(obs.Event{Kind: obs.KindCheckpoint, Round: t + 1})
-		pre = append(pre, Checkpoint{NextRound: t + 1})
 	}
 	c.t = t + 1
-	more, err := c.nextRound()
-	return append(pre, more...), err
+	return c.nextRound()
 }
 
 // coordinatorState is the gob envelope of the opaque checkpoint bytes:

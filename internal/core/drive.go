@@ -1,0 +1,121 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+)
+
+// Backend is what differs between executors of the one protocol loop:
+// how a dispatch is shipped, how the model is measured, what the clock
+// is, and where replies come from. Everything else — the order commands
+// run in, which event answers which command, when the run ends — is
+// Drive's.
+//
+// A backend owns the coordinator's inbound events that originate outside
+// the command stream (late replies, WorkerLost, mid-run RegisterWorker,
+// Tick, DispatchSent): it feeds them itself and hands the commands they
+// provoke to Drive through Wait. A method whose command the executor
+// cannot run returns errors.ErrUnsupported; Drive turns that into an
+// error naming the backend and the command.
+type Backend interface {
+	// Dispatch ships a run of consecutive Dispatch commands — a
+	// synchronous round's cohort, or what one asynchronous fill issued —
+	// after every command queued ahead of them ran, so each is stamped
+	// with the clock as of its place in the queue. A backend whose
+	// replies are in hand when it returns (in-process solves, a lock-step
+	// wire round) returns them in dispatch order and Drive feeds them;
+	// one whose replies arrive later returns none and feeds them in Wait.
+	Dispatch([]Dispatch) ([]Reply, error)
+	// Evaluate measures the model; Drive delivers the result as EvalDone.
+	Evaluate(Evaluate) (EvalResult, error)
+	// ObserveLoss measures the training loss; Drive delivers it as
+	// LossObserved.
+	ObserveLoss(ObserveLoss) (float64, error)
+	// AdvanceClock charges a synchronous round's critical path.
+	AdvanceClock(seconds float64) error
+	// Wait is called when the command queue is empty: block for (or step
+	// to) the next arrival, feed it, and return the commands it provoked.
+	// Returning none means nothing is in flight either — the run stalled.
+	Wait() ([]Command, error)
+}
+
+// errStalled reports a coordinator that wants nothing run while its
+// backend has nothing in flight — a protocol bug, never a normal end.
+var errStalled = errors.New("core: coordinator stalled: no commands queued and no replies in flight")
+
+// Drive is the command interpreter every executor shares: it runs cmds
+// (what Start, Resume, or an event method returned) and everything they
+// provoke, strictly FIFO, against b, until the coordinator reports Done
+// — or Pause, for a stepped coordinator, whose driver re-bases it and
+// calls Drive again with Resume's commands. The ending command is
+// returned; commands queued behind it are not run.
+func Drive(coord *Coordinator, b Backend, cmds []Command) (end Command, err error) {
+	for {
+		for len(cmds) == 0 {
+			if cmds, err = b.Wait(); err != nil {
+				return nil, err
+			}
+			if len(cmds) == 0 {
+				return nil, errStalled
+			}
+		}
+		cmd := cmds[0]
+		cmds = cmds[1:]
+		var more []Command
+		switch v := cmd.(type) {
+		case Dispatch:
+			batch := []Dispatch{v}
+			for len(cmds) > 0 {
+				d, ok := cmds[0].(Dispatch)
+				if !ok {
+					break
+				}
+				batch, cmds = append(batch, d), cmds[1:]
+			}
+			var replies []Reply
+			replies, err = b.Dispatch(batch)
+			for i := 0; i < len(replies) && err == nil; i++ {
+				var provoked []Command
+				provoked, err = coord.HandleReply(replies[i])
+				more = append(more, provoked...)
+			}
+		case Evaluate:
+			var res EvalResult
+			if res, err = b.Evaluate(v); err == nil {
+				more, err = coord.EvalDone(res)
+			}
+		case ObserveLoss:
+			var loss float64
+			if loss, err = b.ObserveLoss(v); err == nil {
+				more, err = coord.LossObserved(loss)
+			}
+		case AdvanceClock:
+			err = b.AdvanceClock(v.Seconds)
+		case Pause, Done:
+			return cmd, nil
+		default:
+			err = fmt.Errorf("core: Drive: unknown command %T", cmd)
+		}
+		// Only the bare sentinel: a transport error that merely wraps
+		// ErrUnsupported (ENOTSUP from a socket) is the backend's own.
+		if err == errors.ErrUnsupported {
+			err = fmt.Errorf("core: backend %T cannot execute a %T command: %w", b, cmd, err)
+		}
+		if err != nil {
+			return nil, err
+		}
+		cmds = append(cmds, more...)
+	}
+}
+
+// runToDone starts coord and drives it on b through its whole schedule.
+func runToDone(coord *Coordinator, b Backend) (*History, error) {
+	cmds, err := coord.Start()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := Drive(coord, b, cmds); err != nil {
+		return nil, err
+	}
+	return coord.History(), nil
+}

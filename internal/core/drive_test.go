@@ -1,0 +1,176 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// scriptBackend is a scripted fake Backend: it logs every call in order,
+// answers Dispatch with zero-delta replies when echo is set, and hands
+// out waits one entry per Wait call.
+type scriptBackend struct {
+	log    []string
+	echo   bool
+	waits  [][]Command
+	failOn string // the call that returns fail
+	fail   error
+}
+
+func (b *scriptBackend) call(name string) error {
+	b.log = append(b.log, name)
+	if name == b.failOn {
+		return b.fail
+	}
+	return nil
+}
+
+func (b *scriptBackend) Dispatch(ds []Dispatch) ([]Reply, error) {
+	seqs := make([]int, len(ds))
+	var replies []Reply
+	for i, d := range ds {
+		seqs[i] = d.Seq
+		if b.echo {
+			replies = append(replies, Reply{Device: d.Device, Params: append([]float64(nil), d.View...), EpochsDone: d.Epochs})
+		}
+	}
+	return replies, b.call(fmt.Sprint("dispatch ", seqs))
+}
+
+func (b *scriptBackend) Evaluate(Evaluate) (EvalResult, error) {
+	return EvalResult{Loss: math.NaN(), Acc: math.NaN()}, b.call("eval")
+}
+
+func (b *scriptBackend) ObserveLoss(ObserveLoss) (float64, error) { return 0, b.call("loss") }
+
+func (b *scriptBackend) AdvanceClock(s float64) error { return b.call(fmt.Sprint("clock ", s)) }
+
+func (b *scriptBackend) Wait() ([]Command, error) {
+	if err := b.call("wait"); err != nil || len(b.waits) == 0 {
+		return nil, err
+	}
+	next := b.waits[0]
+	b.waits = b.waits[1:]
+	return next, nil
+}
+
+// TestDriveRunsFIFO: commands run strictly in queue order, a run of
+// consecutive Dispatches ships as one batch, and Wait is only consulted
+// once the queue is empty.
+func TestDriveRunsFIFO(t *testing.T) {
+	b := &scriptBackend{waits: [][]Command{{AdvanceClock{3}, Done{}}}}
+	end, err := Drive(nil, b, []Command{
+		AdvanceClock{1}, Dispatch{Seq: 0}, Dispatch{Seq: 1}, AdvanceClock{2}, Dispatch{Seq: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := end.(Done); !ok {
+		t.Fatalf("ended on %T, want Done", end)
+	}
+	want := []string{"clock 1", "dispatch [0 1]", "clock 2", "dispatch [2]", "wait", "clock 3"}
+	if !reflect.DeepEqual(b.log, want) {
+		t.Fatalf("call order %q, want %q", b.log, want)
+	}
+}
+
+// TestDriveStalls: an empty queue whose Wait yields nothing is the stall
+// error, not a spin.
+func TestDriveStalls(t *testing.T) {
+	b := &scriptBackend{}
+	if _, err := Drive(nil, b, []Command{Dispatch{}}); !errors.Is(err, errStalled) {
+		t.Fatalf("err = %v, want the stall error", err)
+	}
+	if want := []string{"dispatch [0]", "wait"}; !reflect.DeepEqual(b.log, want) {
+		t.Fatalf("call order %q, want %q", b.log, want)
+	}
+}
+
+// TestDriveStopsOnBackendError: a backend error ends the loop at the
+// failing command and comes back matchable with errors.Is.
+func TestDriveStopsOnBackendError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, failOn := range []string{"dispatch [0]", "clock 1", "wait"} {
+		b := &scriptBackend{failOn: failOn, fail: boom}
+		_, err := Drive(nil, b, []Command{Dispatch{}, AdvanceClock{1}})
+		if !errors.Is(err, boom) {
+			t.Fatalf("fail on %q: err = %v, want boom", failOn, err)
+		}
+		if last := b.log[len(b.log)-1]; last != failOn {
+			t.Fatalf("fail on %q: loop went on to %q", failOn, last)
+		}
+	}
+}
+
+// TestDrivePauseLeavesTheRest: Pause ends Drive without running what is
+// queued behind it.
+func TestDrivePauseLeavesTheRest(t *testing.T) {
+	b := &scriptBackend{}
+	end, err := Drive(nil, b, []Command{Pause{NextRound: 4}, AdvanceClock{1}, Done{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := end.(Pause); !ok || p.NextRound != 4 {
+		t.Fatalf("ended on %#v, want Pause{4}", end)
+	}
+	if len(b.log) != 0 {
+		t.Fatalf("commands behind Pause ran: %q", b.log)
+	}
+}
+
+type bogusCommand struct{}
+
+func (bogusCommand) isCommand() {}
+
+// TestDriveUnsupportedCommand: a command the backend cannot execute, or
+// one Drive does not know, is an error naming it — never skipped.
+func TestDriveUnsupportedCommand(t *testing.T) {
+	b := &scriptBackend{failOn: "loss", fail: errors.ErrUnsupported}
+	_, err := Drive(nil, b, []Command{ObserveLoss{}, Done{}})
+	if !errors.Is(err, errors.ErrUnsupported) {
+		t.Fatalf("err = %v, want ErrUnsupported", err)
+	}
+	for _, name := range []string{"*core.scriptBackend", "core.ObserveLoss"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+	if _, err := Drive(nil, b, []Command{bogusCommand{}, Done{}}); err == nil || !strings.Contains(err.Error(), "core.bogusCommand") {
+		t.Fatalf("unknown command: err = %v", err)
+	}
+}
+
+// TestDriveFeedsCoordinator drives a real coordinator with the fake: the
+// results of Evaluate and the replies Dispatch returns reach it, and what
+// they provoke is queued behind what was already there.
+func TestDriveFeedsCoordinator(t *testing.T) {
+	mdl, fed := tinyWorkload()
+	cfg := FedProx(2, 3, 1, 0.01, 1)
+	cfg.EvalEvery = 1
+	coord, err := NewCoordinator(mdl, cfg, CoordinatorOptions{NumDevices: fed.NumDevices()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := make([]DeviceReg, fed.NumDevices())
+	for i := range regs {
+		regs[i] = DeviceReg{ID: i, TrainSize: fed.Fleet().TrainSize(i)}
+	}
+	if _, err := coord.RegisterWorker(regs); err != nil {
+		t.Fatal(err)
+	}
+	b := &scriptBackend{echo: true}
+	hist, err := runToDone(coord, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"eval", "dispatch [0 1 2]", "eval", "dispatch [0 1 2]", "eval"}
+	if !reflect.DeepEqual(b.log, want) {
+		t.Fatalf("call order %q, want %q", b.log, want)
+	}
+	if len(hist.Points) != 3 || hist.Final().Participants != 3 {
+		t.Fatalf("history %+v", hist.Points)
+	}
+}

@@ -199,23 +199,50 @@ func Replay(mdl model.Model, fl Fleet, cfg Config, recorded []obs.Event) (*Histo
 	vt := newVtimer(cfg.VTime, int64(mdl.NumParams()*8))
 	coord.Tick(vt.eng.Now())
 
-	if cfg.Async.Enabled() {
-		return replayAsync(coord, fl, vt, src, wes)
+	if !cfg.Async.Enabled() {
+		if len(wes) > 0 {
+			return nil, errors.New("core: trace carries worker-lost events but cfg is synchronous — the sync protocol cannot lose workers")
+		}
+		// The sim backend with the tape as its reply source: reply in
+		// dispatch order with the per-transfer sequence numbers the
+		// recording's driver allocated (one global counter across rounds)
+		// so the arrival race sorts identically.
+		return runToDone(coord, &simBackend{inProcess: inProcess{coord: coord, vt: vt, eval: nanEval}, serve: func(ds []Dispatch) ([]Reply, error) {
+			replies := make([]Reply, len(ds))
+			for i, d := range ds {
+				replies[i] = zeroDeltaReply(d, vt.seq, src.next(d.Device))
+				vt.seq++
+			}
+			return replies, nil
+		}})
 	}
-	if len(wes) > 0 {
-		return nil, errors.New("core: trace carries worker-lost events but cfg is synchronous — the sync protocol cannot lose workers")
-	}
-	return replaySync(coord, vt, src)
-}
 
-// replayEval is the evaluation result replay reports: the model was
-// never trained, so there is nothing truthful to measure.
-func replayEval(v Evaluate) EvalResult {
-	res := EvalResult{Loss: math.NaN(), Acc: math.NaN()}
-	if v.TrackDissimilarity {
-		res.GradVar, res.B = math.NaN(), math.NaN()
+	// The vtime backend with the tape as its reply source: each Dispatch
+	// schedules its zero-delta reply at the recorded relative latency,
+	// and recorded worker losses/re-admissions fire at their recorded
+	// times.
+	vb := &vtimeBackend{inProcess: inProcess{coord: coord, vt: vt, eval: nanEval}, launch: func(v Dispatch) (float64, func() (Reply, error)) {
+		ent := src.next(v.Device)
+		if !ent.replied {
+			// The recorded worker died before replying; the scheduled
+			// worker-lost event clears the pending dispatch exactly as
+			// the original run did.
+			return 0, nil
+		}
+		r := zeroDeltaReply(v, v.Seq, ent)
+		return vt.eng.Now() + ent.rel, func() (Reply, error) { return r, nil }
+	}}
+	for _, we := range wes {
+		vt.eng.Schedule(we.t, func() {
+			coord.Tick(vt.eng.Now())
+			if we.lost {
+				vb.deliver(coord.WorkerLost([]int{we.device}))
+			} else {
+				vb.deliver(coord.RegisterWorker([]DeviceReg{{ID: we.device, TrainSize: fl.TrainSize(we.device)}}))
+			}
+		})
 	}
-	return res
+	return runToDone(coord, vb)
 }
 
 // zeroDeltaReply synthesizes the reply replay feeds for one dispatch:
@@ -244,142 +271,5 @@ func zeroDeltaReply(d Dispatch, seq int, ent *replayEntry) Reply {
 		Seq:        seq,
 		Rel:        rel,
 		Lost:       lost,
-	}
-}
-
-// replaySync mirrors RunFleet's synchronous command loop with the
-// solve/eval work replaced by recorded arrivals and NaN evaluations.
-func replaySync(coord *Coordinator, vt *vtimer, src *replaySource) (*History, error) {
-	cmds, err := coord.Start()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var dispatches []Dispatch
-		var next []Command
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case Dispatch:
-				dispatches = append(dispatches, v)
-			case Evaluate:
-				vt.chargeEval(v.WireBytes)
-				coord.Tick(vt.eng.Now())
-				more, err := coord.EvalDone(replayEval(v))
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case ObserveLoss:
-				return nil, errors.New("core: replay cannot observe losses (adaptive-mu is rejected up front)")
-			case AdvanceClock:
-				vt.eng.Advance(v.Seconds)
-				coord.Tick(vt.eng.Now())
-			case Checkpoint:
-				// Never emitted: Validate rejects checkpointers under vtime.
-			case Done:
-				return coord.History(), nil
-			}
-		}
-		if len(dispatches) > 0 {
-			// Reply in dispatch order with the per-transfer sequence
-			// numbers the recording's driver allocated (one global counter
-			// across rounds) so the arrival race sorts identically.
-			for _, d := range dispatches {
-				ent := src.next(d.Device)
-				seq := vt.seq
-				vt.seq++
-				more, err := coord.HandleReply(zeroDeltaReply(d, seq, ent))
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			}
-		} else if len(next) == 0 {
-			return nil, errors.New("core: replay stalled with no commands")
-		}
-		cmds = next
-	}
-}
-
-// replayAsync mirrors runAsyncVTime's event loop: each Dispatch
-// schedules its zero-delta reply at the recorded relative latency, and
-// recorded worker losses/re-admissions fire at their recorded times.
-func replayAsync(coord *Coordinator, fl Fleet, vt *vtimer, src *replaySource, wes []replayWorkerEvent) (*History, error) {
-	var (
-		queue  []Command
-		runErr error
-		done   bool
-	)
-	queue, err := coord.Start()
-	if err != nil {
-		return nil, err
-	}
-	for _, we := range wes {
-		vt.eng.Schedule(we.t, func() {
-			coord.Tick(vt.eng.Now())
-			var more []Command
-			var err error
-			if we.lost {
-				more, err = coord.WorkerLost([]int{we.device})
-			} else {
-				more, err = coord.RegisterWorker([]DeviceReg{{ID: we.device, TrainSize: fl.TrainSize(we.device)}})
-			}
-			if err != nil && runErr == nil {
-				runErr = err
-				return
-			}
-			queue = append(queue, more...)
-		})
-	}
-	for {
-		for len(queue) > 0 && runErr == nil {
-			cmd := queue[0]
-			queue = queue[1:]
-			switch v := cmd.(type) {
-			case Dispatch:
-				coord.DispatchSent(v.Device)
-				ent := src.next(v.Device)
-				if !ent.replied {
-					// The recorded worker died before replying; the
-					// scheduled worker-lost event clears the pending
-					// dispatch exactly as the original run did.
-					continue
-				}
-				seq := v.Seq
-				arrive := vt.eng.Now() + ent.rel
-				r := zeroDeltaReply(v, seq, ent)
-				vt.eng.Schedule(arrive, func() {
-					coord.Tick(vt.eng.Now())
-					more, err := coord.HandleReply(r)
-					if err != nil && runErr == nil {
-						runErr = err
-						return
-					}
-					queue = append(queue, more...)
-				})
-			case Evaluate:
-				vt.chargeEval(v.WireBytes)
-				coord.Tick(vt.eng.Now())
-				more, err := coord.EvalDone(replayEval(v))
-				if err != nil {
-					runErr = err
-					break
-				}
-				queue = append(queue, more...)
-			case Done:
-				done = true
-			case Checkpoint, ObserveLoss, AdvanceClock:
-				// Never emitted for asynchronous schedules.
-			}
-		}
-		if runErr != nil {
-			return nil, runErr
-		}
-		if done {
-			return coord.History(), nil
-		}
-		if !vt.eng.Step() {
-			return nil, errors.New("core: replay stalled with no replies in flight")
-		}
 	}
 }

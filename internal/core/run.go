@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -36,11 +37,12 @@ func Run(m model.Model, fed *data.Federated, cfg Config) (*History, error) {
 // core.Device: the coordinator makes every server-side decision
 // (selection, straggler policies, aggregation, accounting) and one
 // Device hosting every fleet device serves the device side (decode,
-// solve, privacy, encode). This loop only moves events between the two —
-// parallel HandleDispatch calls for Dispatch, metric passes for
-// Evaluate/ObserveLoss, and virtual-clock charges for AdvanceClock when
-// a latency model is attached. Per-round memory is O(cohort): shards
-// are materialized per dispatch and evaluation streams over the fleet.
+// solve, privacy, encode). The simBackend under core.Drive only moves
+// events between the two — parallel HandleDispatch calls for Dispatch,
+// metric passes for Evaluate/ObserveLoss, and virtual-clock charges for
+// AdvanceClock when a latency model is attached. Per-round memory is
+// O(cohort): shards are materialized per dispatch and evaluation streams
+// over the fleet.
 func RunFleet(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -56,73 +58,80 @@ func RunFleet(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	if err != nil {
 		return nil, err
 	}
+	b := &simBackend{inProcess: inProcess{
+		coord: coord,
+		eval:  func(v Evaluate) EvalResult { return simEval(m, fl, v) },
+		loss:  func(params []float64) float64 { return metrics.FleetLoss(m, fl, params) },
+	}}
 	// With a virtual-time model the synchronous protocol gains duration
 	// semantics: every round charges its critical path to the clock and
 	// the clock-native straggler policies apply.
-	var vt *vtimer
 	if cfg.VTime.Enabled() {
-		vt = newVtimer(cfg.VTime, int64(m.NumParams()*8))
-		coord.Tick(vt.eng.Now())
+		b.vt = newVtimer(cfg.VTime, int64(m.NumParams()*8))
+		coord.Tick(b.vt.eng.Now())
 	}
+	b.serve = func(ds []Dispatch) ([]Reply, error) { return runDispatches(dev, cfg.Parallelism, b.vt, ds) }
+	return runToDone(coord, b)
+}
 
-	cmds, err := coord.Start()
-	if err != nil {
-		return nil, err
+// simBackend is the synchronous in-process Backend: sim, sync replay and
+// every tier aggregator are this type with a different reply source. A
+// round's replies are in hand as soon as its cohort was served, so
+// nothing is ever in flight between commands.
+type simBackend struct {
+	inProcess
+	// serve is the reply source: it answers one round's dispatches, in
+	// dispatch order.
+	serve func([]Dispatch) ([]Reply, error)
+}
+
+func (b *simBackend) Dispatch(ds []Dispatch) ([]Reply, error) { return b.serve(ds) }
+func (b *simBackend) Wait() ([]Command, error)                { return nil, nil }
+
+// inProcess is the half of Backend the in-process backends (simBackend,
+// vtimeBackend) share: the evaluators and the virtual clock.
+type inProcess struct {
+	coord *Coordinator
+	vt    *vtimer // nil without a latency model
+	// eval is the evaluator. Nil marks a tier aggregator below the root:
+	// it broadcasts nothing and measures nothing, so its evaluations are
+	// NaN stubs that cost no clock.
+	eval func(Evaluate) EvalResult
+	// loss answers ObserveLoss; nil where adaptive-μ cannot run (replay,
+	// tiers, asynchronous schedules).
+	loss func(params []float64) float64
+}
+
+func (b *inProcess) Evaluate(v Evaluate) (EvalResult, error) {
+	if b.eval == nil {
+		return nanEval(v), nil
 	}
-	for {
-		var dispatches []Dispatch
-		var next []Command
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case Dispatch:
-				dispatches = append(dispatches, v)
-			case Evaluate:
-				if vt != nil {
-					// Eval traffic is charged on the virtual clock too, so
-					// eval cadence affects deadlines consistently with the
-					// analytic byte accounting.
-					vt.chargeEval(v.WireBytes)
-					coord.Tick(vt.eng.Now())
-				}
-				more, err := coord.EvalDone(simEval(m, fl, v))
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case ObserveLoss:
-				more, err := coord.LossObserved(metrics.FleetLoss(m, fl, v.Params))
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case AdvanceClock:
-				if vt != nil {
-					vt.eng.Advance(v.Seconds)
-					coord.Tick(vt.eng.Now())
-				}
-			case Checkpoint:
-				// Persisted by the coordinator; nothing to execute.
-			case Done:
-				return coord.History(), nil
-			}
-		}
-		if len(dispatches) > 0 {
-			replies, err := runDispatches(dev, cfg.Parallelism, vt, dispatches)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range replies {
-				more, err := coord.HandleReply(r)
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			}
-		} else if len(next) == 0 {
-			return nil, errors.New("core: coordinator stalled with no commands")
-		}
-		cmds = next
+	if b.vt != nil {
+		// Eval traffic is charged on the virtual clock too, so eval
+		// cadence affects deadlines consistently with the analytic byte
+		// accounting.
+		b.vt.chargeEval(v.WireBytes)
+		b.coord.Tick(b.vt.eng.Now())
 	}
+	return b.eval(v), nil
+}
+
+func (b *inProcess) ObserveLoss(v ObserveLoss) (float64, error) {
+	if b.loss == nil {
+		return 0, errors.ErrUnsupported
+	}
+	return b.loss(v.Params), nil
+}
+
+// AdvanceClock is only ever emitted for timed replies, which only a
+// backend with a clock produces.
+func (b *inProcess) AdvanceClock(seconds float64) error {
+	if b.vt == nil {
+		return errors.ErrUnsupported
+	}
+	b.vt.eng.Advance(seconds)
+	b.coord.Tick(b.vt.eng.Now())
+	return nil
 }
 
 // newSimPair builds the two halves of an in-process run: a coordinator
@@ -170,6 +179,15 @@ func simEval(m model.Model, fl Fleet, v Evaluate) EvalResult {
 		res.GradVar, res.B = metrics.FleetDissimilarity(m, fl, v.Params)
 	}
 	return res
+}
+
+// nanEval answers an Evaluate where there is nothing truthful to
+// measure: trace replay never trained the model, and tier aggregators
+// below the root never measure the network (only the root does), so
+// their points carry NaNs.
+func nanEval(Evaluate) EvalResult {
+	nan := math.NaN()
+	return EvalResult{Loss: nan, Acc: nan, GradVar: nan, B: nan}
 }
 
 // runDispatches serves one synchronous round's dispatches in parallel on

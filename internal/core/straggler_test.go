@@ -1,0 +1,49 @@
+package core
+
+import (
+	"testing"
+
+	"fedprox/internal/vtime"
+)
+
+// TestAsyncOutpacesSyncUnderStraggler is the asynchronous modes'
+// acceptance claim, on the virtual clock so it is bit-deterministic: with
+// a quarter of the fleet computing 10x slower, AsyncTotal completes the
+// same total device work at least 2x faster than the synchronous
+// protocol while landing within 5% of its final loss. (The fednet test of
+// the same name only checks that both real deployments complete; the
+// wall-clock envelope lives in bench-smoke's ext-async.)
+func TestAsyncOutpacesSyncUnderStraggler(t *testing.T) {
+	mdl, fed := tinyWorkload()
+	cfg := FedProx(20, 4, 2, 0.01, 1)
+	cfg.EvalEvery = 10
+	// Compute-only latency: the slow tail holds every synchronous round
+	// it is selected in hostage, exactly as fednet's delayed worker does.
+	cfg.VTime = VTimeConfig{Model: vtime.MustModel(
+		vtime.UniformCompute{SecondsPerEpoch: 0.003, Speed: vtime.SlowTail(fed.NumDevices(), 0.25, 10)},
+		vtime.Net{},
+		1,
+	)}
+	sync, err := Run(mdl, fed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Async = AsyncConfig{Mode: AsyncTotal}
+	async, err := Run(mdl, fed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ss, as := sync.VirtualDuration(), async.VirtualDuration()
+	sl, al := sync.Final().TrainLoss, async.Final().TrainLoss
+	t.Logf("sync %.3fs (loss %.4f) vs async %.3fs (loss %.4f)", ss, sl, as, al)
+	if ratio := ss / as; !(ratio >= 2) {
+		t.Errorf("async speedup %.2fx < 2x (sync %.3fs, async %.3fs virtual)", ratio, ss, as)
+	}
+	// Within 5% of sync's final loss: async may not regress the model
+	// quality it buys its speed with (ending below sync is fine — more
+	// sequential folds per unit work often win on this workload).
+	if !(al <= sl*1.05) {
+		t.Errorf("async final loss %.4f is %.1f%% above sync %.4f (budget 5%%)", al, 100*(al-sl)/sl, sl)
+	}
+}

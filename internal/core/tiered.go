@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"fedprox/internal/frand"
@@ -87,53 +86,7 @@ func RunTiered(m model.Model, fl Fleet, cfg Config, topo tier.Topology) (*Histor
 	if d.timed {
 		root.coord.Tick(root.vt.eng.Now())
 	}
-	cmds, err := root.coord.Start()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var next []Command
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case Dispatch:
-				// Child windows run sequentially in dispatch order (the
-				// determinism rule); virtual time still overlaps them,
-				// since every leg is priced relative to the window start.
-				r, err := d.serveChild(root, v)
-				if err != nil {
-					return nil, err
-				}
-				more, err := root.coord.HandleReply(r)
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case Evaluate:
-				// Only the root measures: the global eval broadcast rides
-				// the device-leg model exactly as in the flat drivers.
-				if d.timed {
-					root.vt.chargeEval(v.WireBytes)
-					root.coord.Tick(root.vt.eng.Now())
-				}
-				more, err := root.coord.EvalDone(simEval(m, fl, v))
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case AdvanceClock:
-				if d.timed {
-					root.vt.eng.Advance(v.Seconds)
-					root.coord.Tick(root.vt.eng.Now())
-				}
-			case Done:
-				return root.coord.History(), nil
-			}
-		}
-		if len(next) == 0 {
-			return nil, errors.New("core: tiered coordinator stalled with no commands")
-		}
-		cmds = next
-	}
+	return runToDone(root.coord, root.b)
 }
 
 // tierNode is one aggregator in the tree: its coordinator, its children
@@ -147,6 +100,7 @@ type tierNode struct {
 	size     int     // subtree training examples (the node's fold weight)
 	uid      int     // unique node index: topo.Model's "device" stream key
 	vt       *vtimer // per-node engine (timed runs only)
+	b        *simBackend
 }
 
 // tieredRun is the driver state shared across the tree.
@@ -209,6 +163,9 @@ func (d *tieredRun) buildRoot() (*tierNode, error) {
 	if d.timed {
 		nd.vt = newVtimer(rc.VTime, int64(d.m.NumParams()*8))
 	}
+	// Only the root measures: the global eval broadcast rides the
+	// device-leg model exactly as in the flat drivers.
+	d.attach(nd, func(v Evaluate) EvalResult { return simEval(d.m, d.fl, v) })
 	return nd, nil
 }
 
@@ -290,10 +247,42 @@ func (d *tieredRun) buildNode(depth int) (*tierNode, error) {
 		}
 		nd.vt = newVtimer(vc, int64(d.m.NumParams()*8))
 	}
-	if err := d.drainStart(nd); err != nil {
+	d.attach(nd, nil)
+	// Run the stepped aggregator to its first Pause: the round-0
+	// evaluation chain, answered with the stub.
+	cmds, err := coord.Start()
+	if err != nil {
 		return nil, err
 	}
+	if end, err := Drive(coord, nd.b, cmds); err != nil {
+		return nil, err
+	} else if _, paused := end.(Pause); !paused {
+		return nil, errors.New("core: tiered aggregator finished before its first window")
+	}
 	return nd, nil
+}
+
+// attach gives nd its backend: the sim backend whose reply source is the
+// node's children — child windows for an aggregator, local solves on the
+// shared fleet device for a leaf. A tier edge is just a backend whose
+// dispatch is a child Drive.
+func (d *tieredRun) attach(nd *tierNode, eval func(Evaluate) EvalResult) {
+	nd.b = &simBackend{inProcess: inProcess{coord: nd.coord, vt: nd.vt, eval: eval}, serve: func(ds []Dispatch) ([]Reply, error) {
+		if nd.leaf {
+			return d.solveLeaf(nd, ds)
+		}
+		// Child windows run sequentially in dispatch order (the
+		// determinism rule); virtual time still overlaps them, since
+		// every leg is priced relative to the window start.
+		replies := make([]Reply, len(ds))
+		for i, v := range ds {
+			var err error
+			if replies[i], err = d.serveChild(nd, v); err != nil {
+				return nil, err
+			}
+		}
+		return replies, nil
+	}}
 }
 
 // registerChildren registers nd's child aggregators as its coordinator's
@@ -306,44 +295,6 @@ func (d *tieredRun) registerChildren(nd *tierNode) error {
 	}
 	_, err := nd.coord.RegisterWorker(regs)
 	return err
-}
-
-// evalStub answers an aggregator's Evaluate command: edges never
-// measure the network (only the root does), so their recorded points
-// carry NaNs and are discarded with their Histories.
-func evalStub() EvalResult {
-	nan := math.NaN()
-	return EvalResult{Loss: nan, Acc: nan, GradVar: nan, B: nan}
-}
-
-// drainStart starts a stepped aggregator and runs it to its first
-// Pause: the round-0 evaluation chain, answered with the stub.
-func (d *tieredRun) drainStart(nd *tierNode) error {
-	cmds, err := nd.coord.Start()
-	if err != nil {
-		return err
-	}
-	for {
-		var next []Command
-		for _, cmd := range cmds {
-			switch cmd.(type) {
-			case Evaluate:
-				more, err := nd.coord.EvalDone(evalStub())
-				if err != nil {
-					return err
-				}
-				next = append(next, more...)
-			case Pause:
-				return nil
-			default:
-				return fmt.Errorf("core: tiered aggregator issued %T before its first window", cmd)
-			}
-		}
-		if len(next) == 0 {
-			return errors.New("core: tiered aggregator stalled before its first window")
-		}
-		cmds = next
-	}
 }
 
 // serveChild executes one parent dispatch against a child aggregator:
@@ -414,57 +365,13 @@ func (d *tieredRun) runWindow(nd *tierNode, view []float64, start float64) (floa
 	if err != nil {
 		return 0, err
 	}
-	for {
-		var dispatches []Dispatch
-		var next []Command
-		ended := false
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case Dispatch:
-				if nd.leaf {
-					dispatches = append(dispatches, v)
-					continue
-				}
-				r, err := d.serveChild(nd, v)
-				if err != nil {
-					return 0, err
-				}
-				more, err := nd.coord.HandleReply(r)
-				if err != nil {
-					return 0, err
-				}
-				next = append(next, more...)
-			case Evaluate:
-				more, err := nd.coord.EvalDone(evalStub())
-				if err != nil {
-					return 0, err
-				}
-				next = append(next, more...)
-			case AdvanceClock:
-				if d.timed {
-					nd.vt.eng.Advance(v.Seconds)
-					nd.coord.Tick(nd.vt.eng.Now())
-				}
-			case Pause, Done:
-				ended = true
-			}
-		}
-		if len(dispatches) > 0 {
-			if err := d.solveLeaf(nd, dispatches, &next); err != nil {
-				return 0, err
-			}
-		}
-		if ended {
-			if d.timed {
-				return nd.vt.eng.Now() - start, nil
-			}
-			return math.NaN(), nil
-		}
-		if len(next) == 0 {
-			return 0, errors.New("core: tiered window stalled with no commands")
-		}
-		cmds = next
+	if _, err := Drive(nd.coord, nd.b, cmds); err != nil {
+		return 0, err
 	}
+	if d.timed {
+		return nd.vt.eng.Now() - start, nil
+	}
+	return math.NaN(), nil
 }
 
 // solveLeaf serves a leaf window's dispatches on the shared fleet
@@ -473,23 +380,15 @@ func (d *tieredRun) runWindow(nd *tierNode, view []float64, start float64) (floa
 // so dispatches are remapped up and replies back down. The mapping is
 // fixed for the run, so the edge-side and device-side codec chains of a
 // device stay in lockstep.
-func (d *tieredRun) solveLeaf(nd *tierNode, ds []Dispatch, next *[]Command) error {
+func (d *tieredRun) solveLeaf(nd *tierNode, ds []Dispatch) ([]Reply, error) {
 	global := make([]Dispatch, len(ds))
 	for i, v := range ds {
 		v.Device += nd.lo
 		global[i] = v
 	}
 	replies, err := runDispatches(d.dev, d.cfg.Parallelism, nd.vt, global)
-	if err != nil {
-		return err
+	for i := range replies {
+		replies[i].Device -= nd.lo
 	}
-	for _, r := range replies {
-		r.Device -= nd.lo
-		more, err := nd.coord.HandleReply(r)
-		if err != nil {
-			return err
-		}
-		*next = append(*next, more...)
-	}
-	return nil
+	return replies, err
 }

@@ -110,10 +110,10 @@ func runAsyncVTime(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	// only sound because every codec's encoded size is a pure function
 	// of the parameter count (asserted against the realized reply at
 	// arrival below).
-	predictedUp := vt.paramBytes
+	up := vt.paramBytes
 	if cfg.Codec.Enabled() {
-		_, up := cfg.CommSpecs()
-		predictedUp = up.WireSize(m.NumParams())
+		_, spec := cfg.CommSpecs()
+		up = spec.WireSize(m.NumParams())
 	}
 
 	workers := cfg.Parallelism
@@ -123,104 +123,95 @@ func runAsyncVTime(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	pool := newSolvePool(workers, cfg.Async.WithDefaults(cfg.ClientsPerRound).MaxInFlight+workers)
 	defer pool.close()
 
-	var (
-		queue  []Command
-		runErr error
-		done   bool
-	)
-	queue, err = coord.Start()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		for len(queue) > 0 && runErr == nil {
-			cmd := queue[0]
-			queue = queue[1:]
-			switch v := cmd.(type) {
-			case Dispatch:
-				// The local solve is handed to the worker pool — the
-				// simulator will know the answer before it is due — and
-				// the reply's arrival is scheduled immediately from the
-				// dispatch alone. In-process shipping cannot fail, so
-				// the transfer is confirmed immediately. The compute leg
-				// charges the epochs the device will actually run: the
-				// budget truncation is deterministic device-side
-				// arithmetic, mirrored here.
-				coord.DispatchSent(v.Device)
-				epochs := v.Epochs
-				if v.EpochBudget > 0 && v.EpochBudget < epochs {
-					epochs = v.EpochBudget
-				}
-				up := predictedUp
-				fut := pool.submit(func() (Reply, error) { return dev.HandleDispatch(v) })
-				sent := vt.eng.Now()
-				arrive := sent +
-					lat.DownlinkSeconds(v.Seq, v.Device, v.DownBytes) +
-					lat.ComputeSeconds(v.Seq, v.Device, epochs) +
-					lat.UplinkSeconds(v.Seq, v.Device, up)
-				// Stamp the reply's own latency: the deadline policy must
-				// judge it, not the clock delta at arrival (an eval charge
-				// can overtake the scheduled arrival time).
-				rel := arrive - sent
-				lost := lat.Dropped(v.Seq, v.Device)
-				seq := v.Seq
-				vt.eng.Schedule(arrive, func() {
-					r, err := fut.wait()
-					if err != nil {
-						if runErr == nil {
-							runErr = err
-						}
-						return
-					}
-					if r.EpochsDone != epochs || vt.uplinkBytes(r) != up {
-						if runErr == nil {
-							runErr = fmt.Errorf("core: vtime arrival charged %d epochs/%d uplink bytes but device %d realized %d/%d",
-								epochs, up, r.Device, r.EpochsDone, vt.uplinkBytes(r))
-						}
-						return
-					}
-					r.Timed = true
-					r.Seq = seq
-					r.Rel = rel
-					r.Lost = lost
-					coord.Tick(vt.eng.Now())
-					more, err := coord.HandleReply(r)
-					if err != nil && runErr == nil {
-						runErr = err
-						return
-					}
-					queue = append(queue, more...)
-				})
-			case Evaluate:
-				// Eval traffic is charged on the virtual clock too, so eval
-				// cadence affects deadlines consistently with the analytic
-				// byte accounting.
-				vt.chargeEval(v.WireBytes)
-				coord.Tick(vt.eng.Now())
-				more, err := coord.EvalDone(simEval(m, fl, v))
-				if err != nil {
-					runErr = err
-					break
-				}
-				queue = append(queue, more...)
-			case Done:
-				done = true
-			case Checkpoint, ObserveLoss, AdvanceClock:
-				// Never emitted for asynchronous schedules.
+	// The local solve is handed to the worker pool — the simulator will
+	// know the answer before it is due — and the reply's arrival is
+	// scheduled immediately from the dispatch alone. The compute leg
+	// charges the epochs the device will actually run: the budget
+	// truncation is deterministic device-side arithmetic, mirrored here.
+	launch := func(v Dispatch) (float64, func() (Reply, error)) {
+		epochs := expectedEpochs(v.EpochBudget, v.Epochs)
+		fut := pool.submit(func() (Reply, error) { return dev.HandleDispatch(v) })
+		sent := vt.eng.Now()
+		arrive := sent +
+			lat.DownlinkSeconds(v.Seq, v.Device, v.DownBytes) +
+			lat.ComputeSeconds(v.Seq, v.Device, epochs) +
+			lat.UplinkSeconds(v.Seq, v.Device, up)
+		lost := lat.Dropped(v.Seq, v.Device)
+		return arrive, func() (Reply, error) {
+			r, err := fut.wait()
+			if err != nil {
+				return r, err
 			}
-		}
-		if runErr != nil {
-			return nil, runErr
-		}
-		if done {
-			return coord.History(), nil
-		}
-		// Drain semantics: replies arriving after the schedule completed
-		// are waste, recorded in the arrival trace but not the evaluated
-		// history — the coordinator emits Done only once the last
-		// in-flight reply has landed.
-		if !vt.eng.Step() {
-			return nil, errors.New("core: vtime async stalled with no replies in flight")
+			if r.EpochsDone != epochs || vt.uplinkBytes(r) != up {
+				return r, fmt.Errorf("core: vtime arrival charged %d epochs/%d uplink bytes but device %d realized %d/%d",
+					epochs, up, r.Device, r.EpochsDone, vt.uplinkBytes(r))
+			}
+			// Stamp the reply's own latency: the deadline policy must
+			// judge it, not the clock delta at arrival (an eval charge
+			// can overtake the scheduled arrival time).
+			r.Timed, r.Seq, r.Rel, r.Lost = true, v.Seq, arrive-sent, lost
+			return r, nil
 		}
 	}
+	eval := func(v Evaluate) EvalResult { return simEval(m, fl, v) }
+	return runToDone(coord, &vtimeBackend{inProcess: inProcess{coord: coord, vt: vt, eval: eval}, launch: launch})
+}
+
+// vtimeBackend is the asynchronous in-process Backend: every Dispatch
+// becomes an arrival event on the seeded virtual-time queue, and Wait
+// steps the queue to the next one. Live runs and async replay differ
+// only in launch (where a reply comes from) and eval.
+type vtimeBackend struct {
+	inProcess
+	// launch starts one dispatch's round trip at the current virtual time
+	// and returns when its reply arrives and how to join it (already
+	// stamped Timed/Seq/Rel/Lost). A nil join means no reply ever comes.
+	launch func(Dispatch) (arrive float64, join func() (Reply, error))
+	// arrived and err collect what fired events provoked, for Wait to
+	// hand to Drive.
+	arrived []Command
+	err     error
+}
+
+func (b *vtimeBackend) Dispatch(ds []Dispatch) ([]Reply, error) {
+	for _, v := range ds {
+		// In-process shipping cannot fail, so the transfer is confirmed
+		// immediately.
+		b.coord.DispatchSent(v.Device)
+		arrive, join := b.launch(v)
+		if join == nil {
+			continue
+		}
+		b.vt.eng.Schedule(arrive, func() {
+			r, err := join()
+			if err != nil {
+				b.deliver(nil, err)
+				return
+			}
+			b.coord.Tick(b.vt.eng.Now())
+			b.deliver(b.coord.HandleReply(r))
+		})
+	}
+	return nil, nil
+}
+
+// deliver records the outcome of one fired event's coordinator call.
+func (b *vtimeBackend) deliver(more []Command, err error) {
+	if b.err == nil {
+		b.err = err
+	}
+	b.arrived = append(b.arrived, more...)
+}
+
+// Wait steps the event queue until an arrival provokes commands. Drain
+// semantics: replies arriving after the schedule completed are waste,
+// recorded in the arrival trace but not the evaluated history — the
+// coordinator emits Done only once the last in-flight reply has landed.
+// An exhausted queue returns nothing, which Drive reports as a stall.
+func (b *vtimeBackend) Wait() ([]Command, error) {
+	for len(b.arrived) == 0 && b.err == nil && b.vt.eng.Step() {
+	}
+	cmds := b.arrived
+	b.arrived = nil
+	return cmds, b.err
 }

@@ -60,8 +60,11 @@ type connState struct {
 	dead    bool
 }
 
-// asyncDriver owns the transport state of one asynchronous run.
+// asyncDriver owns the transport state of one asynchronous run and is
+// its core.Backend: core.Drive executes the coordinator's commands, and
+// Wait blocks for the next transport event and translates it.
 type asyncDriver struct {
+	wireOnly
 	s        *Server
 	conns    map[*conn]*connState
 	inflight map[int]time.Time // device -> dispatch time, for timeouts
@@ -69,6 +72,9 @@ type asyncDriver struct {
 	regCh    chan regMsg
 	done     chan struct{}
 	stash    []asyncMsg
+	// pending holds commands provoked outside Drive's queue (an eviction
+	// during a dispatch or evaluation) until the next Wait.
+	pending []core.Command
 }
 
 // trainAsync runs the asynchronous schedule. The listener stays open so
@@ -94,7 +100,7 @@ func (s *Server) trainAsync(ln net.Listener) (*core.History, error) {
 		d.startReader(c)
 	}
 	go d.acceptLoop(ln)
-	return d.run()
+	return s.drive(d)
 }
 
 // startReader routes every inbound envelope of one connection (train and
@@ -152,85 +158,61 @@ func (d *asyncDriver) acceptLoop(ln net.Listener) {
 	}
 }
 
-// run is the aggregator loop: execute coordinator commands, then block
-// for the next transport event and translate it.
-func (d *asyncDriver) run() (*core.History, error) {
-	s := d.s
-	queue, err := s.coord.Start()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		for len(queue) > 0 {
-			cmd := queue[0]
-			queue = queue[1:]
-			switch v := cmd.(type) {
-			case core.Dispatch:
-				more, err := d.dispatch(v)
-				if err != nil {
-					return nil, err
-				}
-				queue = append(queue, more...)
-			case core.Evaluate:
-				res, lost, err := d.evaluate(v)
-				for _, devs := range lost {
-					more, werr := s.coord.WorkerLost(devs)
-					if werr != nil {
-						return nil, werr
-					}
-					queue = append(queue, more...)
-				}
-				if err != nil {
-					return nil, err
-				}
-				more, err := s.coord.EvalDone(res)
-				if err != nil {
-					return nil, err
-				}
-				queue = append(queue, more...)
-			case core.Done:
-				return s.coord.History(), nil
-			default:
-				// Checkpoint/ObserveLoss/AdvanceClock are never emitted
-				// for fednet configurations (rejected by NewServer).
-			}
+// Dispatch ships one TrainRequest per dispatch. A send failure means the
+// worker is gone: its devices are evicted (the coordinator charges the
+// in-flight work as waste) and aggregation continues.
+func (d *asyncDriver) Dispatch(ds []core.Dispatch) ([]core.Reply, error) {
+	for _, v := range ds {
+		cs := d.conns[d.s.devices[v.Device].conn]
+		req := trainRequest(v)
+		var err error
+		switch {
+		case cs.dead:
+			err = d.provoked(d.s.coord.WorkerLost([]int{v.Device}))
+		case cs.c.send(Envelope{TrainRequest: &req}) != nil:
+			err = d.provoked(d.failConn(cs))
+		default:
+			// Only a confirmed send is billed as traffic and device work.
+			d.s.coord.DispatchSent(v.Device)
+			d.inflight[v.Device] = time.Now()
 		}
-		more, err := d.waitEvent()
 		if err != nil {
 			return nil, err
 		}
-		queue = more
 	}
+	return nil, nil
 }
 
-// dispatch ships one TrainRequest. A send failure means the worker is
-// gone: its devices are evicted (the coordinator charges the in-flight
-// work as waste) and aggregation continues.
-func (d *asyncDriver) dispatch(v core.Dispatch) ([]core.Command, error) {
-	cs := d.conns[d.s.devices[v.Device].conn]
-	req := TrainRequest{
-		Round:        v.Round,
-		Version:      v.Version,
-		Device:       v.Device,
-		Update:       *v.Update,
-		Epochs:       v.Epochs,
-		EpochBudget:  v.EpochBudget,
-		Mu:           v.Mu,
-		LearningRate: v.LearningRate,
-		BatchSize:    v.BatchSize,
-		BatchSeed:    v.BatchSeed,
-		PrivacyTag:   v.PrivacyTag,
+// provoked queues the commands an eviction returned for the next Wait.
+func (d *asyncDriver) provoked(cmds []core.Command, err error) error {
+	d.pending = append(d.pending, cmds...)
+	return err
+}
+
+// Evaluate runs one evaluation broadcast and reports the connections it
+// lost on the way to the coordinator, however the evaluation ended.
+func (d *asyncDriver) Evaluate(v core.Evaluate) (core.EvalResult, error) {
+	res, lost, err := d.evalBroadcast(v)
+	for _, devs := range lost {
+		if werr := d.provoked(d.s.coord.WorkerLost(devs)); werr != nil {
+			return res, werr
+		}
 	}
-	if cs.dead {
-		return d.s.coord.WorkerLost([]int{v.Device})
+	return res, err
+}
+
+// Wait blocks until a transport event provokes coordinator commands.
+func (d *asyncDriver) Wait() ([]core.Command, error) {
+	for len(d.pending) == 0 {
+		cmds, err := d.waitEvent()
+		if err != nil {
+			return nil, err
+		}
+		d.pending = cmds
 	}
-	if err := cs.c.send(Envelope{TrainRequest: &req}); err != nil {
-		return d.failConn(cs)
-	}
-	// Only a confirmed send is billed as traffic and device work.
-	d.s.coord.DispatchSent(v.Device)
-	d.inflight[v.Device] = time.Now()
-	return nil, nil
+	cmds := d.pending
+	d.pending = nil
+	return cmds, nil
 }
 
 // failConn evicts a connection: closes it, clears its devices' in-flight
@@ -368,11 +350,11 @@ func (d *asyncDriver) admit(reg regMsg) ([]core.Command, error) {
 	return cmds, nil
 }
 
-// evaluate runs one evaluation broadcast over the live conns, stashing
+// evalBroadcast runs one evaluation broadcast over the live conns, stashing
 // any train replies that arrive meanwhile for the aggregator to process
 // afterwards. Connections that fail mid-evaluation are evicted; their
 // device lists are returned for WorkerLost delivery.
-func (d *asyncDriver) evaluate(v core.Evaluate) (core.EvalResult, [][]int, error) {
+func (d *asyncDriver) evalBroadcast(v core.Evaluate) (core.EvalResult, [][]int, error) {
 	s := d.s
 	defer obs.StartSpan(s.trace, obs.Event{Label: "fednet-eval", Device: -1}).End()
 	var lost [][]int

@@ -120,14 +120,16 @@ func TestAsyncWithCodec(t *testing.T) {
 	}
 }
 
-// TestAsyncOutpacesSyncUnderStraggler is the tentpole's acceptance
-// criterion: with one worker delayed 10x, the asynchronous coordinator
-// completes the same total device work at least 2x faster than the
-// synchronous one while landing within 5% of its final loss.
+// TestAsyncOutpacesSyncUnderStraggler deploys the straggler scenario for
+// real — one worker delayed 10x, the same total device work under the
+// synchronous and the asynchronous coordinator — and checks only what
+// the wall clock cannot flake: both deployments complete with the same
+// evaluation layout, and the asynchronous History carries staleness
+// columns. The claim itself (>=2x faster, final loss within 5%) is
+// asserted bit-deterministically on the virtual clock by the core test
+// of the same name; its wall-clock envelope lives in bench-smoke's
+// ext-async.
 func TestAsyncOutpacesSyncUnderStraggler(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock comparison")
-	}
 	fed, mdl := testWorkload()
 
 	base := core.FedProx(20, 4, 2, 0.01, 1)
@@ -141,38 +143,24 @@ func TestAsyncOutpacesSyncUnderStraggler(t *testing.T) {
 		solver.Delayed{Inner: solver.SGDSolver{}, Delay: baseDelay},
 		solver.Delayed{Inner: solver.SGDSolver{}, Delay: baseDelay},
 	}
-	deploy := func(cfg core.Config) (*core.History, time.Duration) {
-		start := time.Now()
+	deploy := func(cfg core.Config) *core.History {
 		h, err := RunLoopback(mdl, fed, ServerConfig{Training: cfg, ExpectDevices: fed.NumDevices()}, solvers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return h, time.Since(start)
+		return h
 	}
 
-	sync_, syncSecs := deploy(base)
+	sync_ := deploy(base)
 	acfg := base
 	acfg.Async = core.AsyncConfig{Mode: core.AsyncTotal}
-	async, asyncSecs := deploy(acfg)
+	async := deploy(acfg)
 
-	t.Logf("sync %v (loss %.4f) vs async %v (loss %.4f)",
-		syncSecs, sync_.Final().TrainLoss, asyncSecs, async.Final().TrainLoss)
-	// Race instrumentation multiplies the compute share of wall-clock,
-	// shrinking the sleep-dominated gap; only demand the full 2x on
-	// uninstrumented builds.
-	want := 2.0
-	if raceEnabled {
-		want = 1.3
+	if len(sync_.Points) != len(async.Points) {
+		t.Errorf("sync recorded %d points, async %d", len(sync_.Points), len(async.Points))
 	}
-	if ratio := float64(syncSecs) / float64(asyncSecs); ratio < want {
-		t.Errorf("async speedup %.2fx < %gx (sync %v, async %v)", ratio, want, syncSecs, asyncSecs)
-	}
-	// Within 5% of sync's final loss: async may not regress the model
-	// quality it buys its speed with (ending below sync is fine — more
-	// sequential folds per unit work often win on this workload).
-	sl, al := sync_.Final().TrainLoss, async.Final().TrainLoss
-	if al > sl*1.05 {
-		t.Errorf("async final loss %.4f is %.1f%% above sync %.4f (budget 5%%)", al, 100*(al-sl)/sl, sl)
+	if sync_.TracksStaleness() || !async.TracksStaleness() {
+		t.Errorf("staleness columns: sync %v, async %v; want false, true", sync_.TracksStaleness(), async.TracksStaleness())
 	}
 }
 

@@ -60,6 +60,7 @@ type EdgeConfig struct {
 type Edge struct {
 	srv *Server
 	cfg EdgeConfig
+	b   *syncBackend
 }
 
 // NewEdge builds an edge aggregator.
@@ -92,7 +93,14 @@ func NewEdge(mdl model.Model, cfg EdgeConfig) (*Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Edge{srv: srv, cfg: cfg}, nil
+	// The parent owns real evaluation (it reaches this subtree through
+	// EvalRequest forwarding); the edge-local schedule's own evaluations
+	// are answered with NaN so its History never pretends to hold global
+	// metrics.
+	stub := func(core.Evaluate) (core.EvalResult, error) {
+		return core.EvalResult{Loss: math.NaN(), Acc: math.NaN()}, nil
+	}
+	return &Edge{srv: srv, cfg: cfg, b: &syncBackend{s: srv, eval: stub}}, nil
 }
 
 // BytesOnWire reports the child-facing wire traffic, as Server's does.
@@ -132,9 +140,9 @@ func (e *Edge) RunWithConns(ln net.Listener, parent *conn) error {
 	if err != nil {
 		return err
 	}
-	if done, err := e.window(cmds); err != nil {
+	if end, err := core.Drive(e.srv.coord, e.b, cmds); err != nil {
 		return err
-	} else if done {
+	} else if _, paused := end.(core.Pause); !paused {
 		return errors.New("fednet: edge coordinator finished before its first window")
 	}
 
@@ -242,67 +250,15 @@ func (e *Edge) train(links *comm.LinkState, req *TrainRequest) TrainReply {
 		reply.Err = err.Error()
 		return reply
 	}
-	if _, err := e.window(cmds); err != nil {
+	// One window: until the coordinator pauses for the next parent
+	// broadcast (or finishes its schedule).
+	if _, err := core.Drive(e.srv.coord, e.b, cmds); err != nil {
 		reply.Err = err.Error()
 		return reply
 	}
 	reply.Update = *up.Encode(e.srv.coord.Params(), view)
 	reply.EpochsDone = req.Epochs
 	return reply
-}
-
-// window drives the edge coordinator until it pauses for the next
-// parent broadcast (or finishes its schedule): child dispatches become
-// TrainRequest round-trips, edge-local evaluations are stubbed.
-func (e *Edge) window(cmds []core.Command) (finished bool, err error) {
-	for {
-		var dispatches []core.Dispatch
-		var next []core.Command
-		ended := false
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case core.Dispatch:
-				dispatches = append(dispatches, v)
-			case core.Evaluate:
-				// The parent owns real evaluation (it reaches this subtree
-				// through EvalRequest forwarding); the edge-local schedule's
-				// own evaluations are answered with NaN so its History never
-				// pretends to hold global metrics.
-				more, err := e.srv.coord.EvalDone(core.EvalResult{Loss: math.NaN(), Acc: math.NaN()})
-				if err != nil {
-					return false, err
-				}
-				next = append(next, more...)
-			case core.Pause:
-				ended = true
-			case core.Done:
-				ended, finished = true, true
-			default:
-				// Checkpoint/ObserveLoss/AdvanceClock are never emitted for
-				// edge configurations (rejected or disabled by NewEdge).
-			}
-		}
-		if len(dispatches) > 0 {
-			replies, err := e.srv.roundTripAll(dispatches)
-			if err != nil {
-				return false, err
-			}
-			for _, r := range replies {
-				more, err := e.srv.coord.HandleReply(r)
-				if err != nil {
-					return false, err
-				}
-				next = append(next, more...)
-			}
-		}
-		if ended {
-			return finished, nil
-		}
-		if len(next) == 0 && len(dispatches) == 0 {
-			return false, errors.New("fednet: edge coordinator stalled with no commands")
-		}
-		cmds = next
-	}
 }
 
 // eval serves one parent EvalRequest: decode the broadcast on the

@@ -196,7 +196,10 @@ func (s *Server) RunWithListener(ln net.Listener) (*core.History, error) {
 	if s.cfg.Training.Async.Enabled() {
 		return s.trainAsync(ln)
 	}
-	return s.train()
+	// The synchronous path never renormalizes: all devices report or the
+	// run fails, and dividing by the full weight sum would perturb the
+	// bit-reproducible trajectory.
+	return s.drive(&syncBackend{s: s, eval: func(v core.Evaluate) (core.EvalResult, error) { return s.evaluate(v, false) }})
 }
 
 // acceptAll accepts worker connections until every expected device has
@@ -306,59 +309,64 @@ func (s *Server) shutdownWorkers() {
 	}
 }
 
-// train drives the coordinator's synchronous schedule: each batch of
-// Dispatch commands becomes one round of concurrent TrainRequest
-// round-trips, and Evaluate commands become distributed evaluation
-// broadcasts. Any worker failure fails the run — the synchronous
-// protocol cannot continue without its devices.
-func (s *Server) train() (*core.History, error) {
+// drive starts the coordinator and runs its whole schedule on b.
+func (s *Server) drive(b core.Backend) (*core.History, error) {
 	cmds, err := s.coord.Start()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var dispatches []core.Dispatch
-		var next []core.Command
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case core.Dispatch:
-				dispatches = append(dispatches, v)
-			case core.Evaluate:
-				// The synchronous path never renormalizes: all devices
-				// report or the run fails, and dividing by the full weight
-				// sum would perturb the bit-reproducible trajectory.
-				res, err := s.evaluate(v, false)
-				if err != nil {
-					return nil, err
-				}
-				more, err := s.coord.EvalDone(res)
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case core.Done:
-				return s.coord.History(), nil
-			default:
-				// Checkpoint/ObserveLoss/AdvanceClock are never emitted
-				// for fednet configurations (rejected by NewServer).
-			}
-		}
-		if len(dispatches) > 0 {
-			replies, err := s.roundTripAll(dispatches)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range replies {
-				more, err := s.coord.HandleReply(r)
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			}
-		} else if len(next) == 0 {
-			return nil, errors.New("fednet: coordinator stalled with no commands")
-		}
-		cmds = next
+	if _, err := core.Drive(s.coord, b, cmds); err != nil {
+		return nil, err
+	}
+	return s.coord.History(), nil
+}
+
+// syncBackend is the synchronous wire backend of core.Drive, shared by
+// the flat server and the tier edge's child-facing half: each round's
+// batch of Dispatch commands becomes one round of concurrent
+// TrainRequest round-trips whose replies come back in dispatch order,
+// and Evaluate goes to eval (a distributed evaluation broadcast, or the
+// edge's stub). Any worker failure fails the run — the synchronous
+// protocol cannot continue without its devices.
+type syncBackend struct {
+	wireOnly
+	s    *Server
+	eval func(core.Evaluate) (core.EvalResult, error)
+}
+
+func (b *syncBackend) Dispatch(ds []core.Dispatch) ([]core.Reply, error) {
+	return b.s.roundTripAll(ds)
+}
+
+func (b *syncBackend) Evaluate(v core.Evaluate) (core.EvalResult, error) { return b.eval(v) }
+
+// Wait has nothing to wait for: a lock-step round leaves no reply in
+// flight.
+func (b *syncBackend) Wait() ([]core.Command, error) { return nil, nil }
+
+// wireOnly is the half of core.Backend no wire backend can execute:
+// ObserveLoss and AdvanceClock belong to configurations NewServer rejects
+// (adaptive mu, virtual time).
+type wireOnly struct{}
+
+func (wireOnly) ObserveLoss(core.ObserveLoss) (float64, error) { return 0, errors.ErrUnsupported }
+func (wireOnly) AdvanceClock(float64) error                    { return errors.ErrUnsupported }
+
+// trainRequest is the wire form of a Dispatch — the one place a Dispatch
+// field is wired to the network, for the sync and async paths alike.
+func trainRequest(d core.Dispatch) TrainRequest {
+	return TrainRequest{
+		Round:        d.Round,
+		Version:      d.Version,
+		Device:       d.Device,
+		Update:       *d.Update,
+		Epochs:       d.Epochs,
+		EpochBudget:  d.EpochBudget,
+		Mu:           d.Mu,
+		LearningRate: d.LearningRate,
+		BatchSize:    d.BatchSize,
+		BatchSeed:    d.BatchSeed,
+		PrivacyTag:   d.PrivacyTag,
 	}
 }
 
@@ -376,21 +384,8 @@ func (s *Server) roundTripAll(dispatches []core.Dispatch) ([]core.Reply, error) 
 		wg.Add(1)
 		go func(i int, d core.Dispatch) {
 			defer wg.Done()
-			dev := s.devices[d.Device]
-			req := TrainRequest{
-				Round:        d.Round,
-				Version:      d.Version,
-				Device:       d.Device,
-				Update:       *d.Update,
-				Epochs:       d.Epochs,
-				EpochBudget:  d.EpochBudget,
-				Mu:           d.Mu,
-				LearningRate: d.LearningRate,
-				BatchSize:    d.BatchSize,
-				BatchSeed:    d.BatchSeed,
-				PrivacyTag:   d.PrivacyTag,
-			}
-			env, err := s.roundTrip(dev.conn, Envelope{TrainRequest: &req})
+			req := trainRequest(d)
+			env, err := s.roundTrip(s.devices[d.Device].conn, Envelope{TrainRequest: &req})
 			if err != nil {
 				results[i] = result{err: err}
 				return
