@@ -41,7 +41,7 @@ func main() {
 		tolerance  = flag.Float64("tolerance", 0.15, "relative ns/op budget for -baseline (0.15 = 15%)")
 		scaleArg   = flag.String("scale", "", "comma-separated device counts to scale-run, or \"all\" for the committed sweep sizes")
 		scaleOut   = flag.String("scale-out", "", "write the measured BENCH_scale.json to this file")
-		scaleBase  = flag.String("scale-baseline", "", "compare against a committed BENCH_scale.json and exit non-zero on throughput/footprint regressions")
+		scaleBase  = flag.String("scale-baseline", "", "compare against a committed BENCH_scale.json and exit non-zero on throughput/footprint regressions or a diverged final loss")
 		scaleTol   = flag.Float64("scale-tolerance", 0.5, "relative budget for -scale-baseline (0.5 = 50%; the gate targets order-of-magnitude O(N) regressions, not jitter)")
 		scaleTrace = flag.String("scale-trace", "", "stream the JSONL event trace of the scale runs to this file (see internal/obs)")
 	)

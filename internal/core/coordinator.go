@@ -966,7 +966,7 @@ func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64, drop []DropR
 		if reason != ArrivalFolded {
 			stale = -1
 		}
-		c.hist.Arrivals = append(c.hist.Arrivals, Arrival{
+		c.recordArrival(c.cfg.Rounds*len(r.selected), Arrival{
 			Device:      r.selected[l.i],
 			Seq:         l.seq,
 			Sent:        start,
@@ -978,6 +978,18 @@ func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64, drop []DropR
 		})
 	}
 	return duration, drop
+}
+
+// recordArrival appends one contact to the Arrivals trace. The first
+// contact sizes the trace to planned, the number of contacts the
+// configuration fixes for a run that loses no reply, so such a run never
+// regrows it; re-dispatched losses overflow through append, and a
+// resumed run keeps appending to the trace its checkpoint restored.
+func (c *Coordinator) recordArrival(planned int, a Arrival) {
+	if c.hist.Arrivals == nil {
+		c.hist.Arrivals = make([]Arrival, 0, planned)
+	}
+	c.hist.Arrivals = append(c.hist.Arrivals, a)
 }
 
 // completeRound closes the in-flight round: applies the virtual-time cut
@@ -1521,7 +1533,7 @@ func (c *Coordinator) handleAsyncReply(r Reply) ([]Command, error) {
 	tensor.PutVec(wk)
 	tensor.PutVec(in.view)
 	if c.timed() {
-		c.hist.Arrivals = append(c.hist.Arrivals, Arrival{
+		c.recordArrival(c.target, Arrival{
 			Device:      in.device,
 			Seq:         in.seq,
 			Sent:        in.sentAt,

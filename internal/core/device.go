@@ -41,6 +41,7 @@ import (
 	"fedprox/internal/comm"
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
+	"fedprox/internal/metrics"
 	"fedprox/internal/model"
 	"fedprox/internal/obs"
 	"fedprox/internal/privacy"
@@ -557,17 +558,8 @@ func (dv *Device) HandleEval(e EvalRequest) (EvalReply, error) {
 		if err != nil {
 			return EvalReply{}, err
 		}
-		ev := DeviceEval{
-			Device:    id,
-			TrainLoss: dv.mdl.Loss(view, s.Train),
-			TrainN:    len(s.Train),
-			TestN:     len(s.Test),
-		}
-		for _, ex := range s.Test {
-			if dv.mdl.Predict(view, ex) == ex.Y {
-				ev.Correct++
-			}
-		}
+		ev := DeviceEval{Device: id, TrainN: len(s.Train), TestN: len(s.Test)}
+		ev.TrainLoss, ev.Correct = metrics.ShardEval(dv.mdl, view, s)
 		if releaseShard != nil {
 			releaseShard()
 		}

@@ -1,0 +1,139 @@
+package core
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"fedprox/internal/data"
+	"fedprox/internal/data/synthetic"
+	"fedprox/internal/frand"
+	"fedprox/internal/metrics"
+	"fedprox/internal/model/linear"
+	"fedprox/internal/tier"
+)
+
+// countingFleet counts every device's shard materializations and
+// releases, those of dispatches and those of evaluations alike.
+type countingFleet struct {
+	data.Fleet
+	shards, releases []atomic.Int64
+}
+
+func newCountingFleet(fl data.Fleet) *countingFleet {
+	n := fl.NumDevices()
+	return &countingFleet{Fleet: fl, shards: make([]atomic.Int64, n), releases: make([]atomic.Int64, n)}
+}
+
+func (c *countingFleet) Shard(device int) *data.Shard {
+	c.shards[device].Add(1)
+	return c.Fleet.Shard(device)
+}
+
+func (c *countingFleet) Release(device int) {
+	c.releases[device].Add(1)
+	c.Fleet.Release(device)
+}
+
+// TestEvaluateVisitsEachShardOnce: an Evaluate costs exactly one Shard
+// and one Release per device on every in-process executor — on a lazy
+// fleet a visit is a shard synthesis, and the two-pass evaluation paid
+// two. A dispatch is one visit of its device, so device k's visits must
+// equal its contacts plus the number of evaluated points; the counted
+// run's History must equal the uncounted run's.
+func TestEvaluateVisitsEachShardOnce(t *testing.T) {
+	m, fed := tinyWorkload()
+	n := fed.NumDevices()
+	// Full participation: every device is contacted once per round.
+	syncAll := FedProx(4, n, 2, 0.01, 1)
+	syncAll.EvalEvery = 2
+	everyRound := func(*History) []int {
+		contacts := make([]int, n)
+		for k := range contacts {
+			contacts[k] = syncAll.Rounds
+		}
+		return contacts
+	}
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		run      func(fl Fleet, cfg Config) (*History, error)
+		contacts func(h *History) []int
+	}{
+		{"RunFleet sync", syncAll, func(fl Fleet, cfg Config) (*History, error) { return RunFleet(m, fl, cfg) }, everyRound},
+		{
+			"RunFleet AsyncTotal on vtime", vtimeAsyncConfig(AsyncTotal, n),
+			func(fl Fleet, cfg Config) (*History, error) { return RunFleet(m, fl, cfg) },
+			// No reply is lost under this latency model, so the arrival
+			// trace lists every dispatch.
+			func(h *History) []int {
+				contacts := make([]int, n)
+				for _, a := range h.Arrivals {
+					contacts[a.Device]++
+				}
+				return contacts
+			},
+		},
+		{
+			// 15 leaf edges of 2 devices each, all selected every window.
+			"RunTiered", syncAll,
+			func(fl Fleet, cfg Config) (*History, error) {
+				return RunTiered(m, fl, cfg, tier.Topology{FanOut: 2, Depth: 1})
+			},
+			everyRound,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := tc.run(fed.Fleet(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl := newCountingFleet(fed.Fleet())
+			got, err := tc.run(fl, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !historiesEqual(got, want) {
+				t.Fatal("counting the fleet's calls changed the History")
+			}
+			contacts := tc.contacts(got)
+			for k := 0; k < n; k++ {
+				visits := int64(contacts[k] + len(got.Points))
+				if s, r := fl.shards[k].Load(), fl.releases[k].Load(); s != visits || r != visits {
+					t.Fatalf("device %d: %d Shard / %d Release calls, want %d each (%d contacts + %d evaluations)",
+						k, s, r, visits, contacts[k], len(got.Points))
+				}
+			}
+		})
+	}
+}
+
+// TestHandleEvalMatchesShardEval: the wire evaluation's per-device
+// contributions are metrics.ShardEval's, on shard-hosting and on
+// fleet-hosting runtimes, so the in-process evaluation (FleetEval, the
+// same kernel) and the fednet one cannot drift.
+func TestHandleEvalMatchesShardEval(t *testing.T) {
+	cfg := synthetic.Default(1, 1).Scaled(0.1)
+	fed := synthetic.Generate(cfg)
+	mdl := linear.ForDataset(fed)
+	w := mdl.InitParams(frand.New(5))
+	for name, dev := range map[string]*Device{
+		"shards": NewDevice(mdl, fed.Shards, DeviceOptions{}),
+		"fleet":  NewFleetDevice(mdl, synthetic.NewFleet(cfg), DeviceOptions{}),
+	} {
+		reply, err := dev.HandleEval(EvalRequest{Seq: 1, Params: w})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(reply.Devices) != fed.NumDevices() {
+			t.Fatalf("%s: eval reported %d devices, want %d", name, len(reply.Devices), fed.NumDevices())
+		}
+		for _, ev := range reply.Devices {
+			s := fed.Shards[ev.Device]
+			loss, correct := metrics.ShardEval(mdl, w, s)
+			if ev.TrainLoss != loss || ev.Correct != correct || ev.TrainN != len(s.Train) || ev.TestN != len(s.Test) {
+				t.Fatalf("%s: device %d: HandleEval = %+v, ShardEval = (%v, %d) over %d/%d examples",
+					name, ev.Device, ev, loss, correct, len(s.Train), len(s.Test))
+			}
+		}
+	}
+}

@@ -166,15 +166,14 @@ func newSimPair(m model.Model, fl Fleet, cfg Config) (*Coordinator, *Device, err
 	return coord, dev, nil
 }
 
-// simEval answers an Evaluate command with in-process metric passes over
-// the whole network, at the (possibly codec-decoded) eval broadcast
-// view. The passes stream over the fleet, so evaluation memory is
-// O(workers × shard).
+// simEval answers an Evaluate command with one in-process pass over the
+// whole network, at the (possibly codec-decoded) eval broadcast view:
+// one visit per shard per evaluation measures loss and accuracy together
+// (a visit is a shard synthesis on a lazy fleet). The pass streams over
+// the fleet, so evaluation memory is O(workers × shard).
 func simEval(m model.Model, fl Fleet, v Evaluate) EvalResult {
-	res := EvalResult{
-		Loss: metrics.FleetLoss(m, fl, v.Params),
-		Acc:  metrics.FleetAccuracy(m, fl, v.Params),
-	}
+	var res EvalResult
+	res.Loss, res.Acc = metrics.FleetEval(m, fl, v.Params)
 	if v.TrackDissimilarity {
 		res.GradVar, res.B = metrics.FleetDissimilarity(m, fl, v.Params)
 	}

@@ -58,8 +58,6 @@ func Run(m model.Model, fed *data.Federated, cfg Config) (*core.History, error) 
 	record := func(round, participants int) {
 		p := core.Point{
 			Round:          round,
-			TrainLoss:      metrics.GlobalLoss(m, fed, w),
-			TestAcc:        metrics.TestAccuracy(m, fed, w),
 			GradVar:        math.NaN(),
 			B:              math.NaN(),
 			Mu:             ecfg.Mu,
@@ -69,6 +67,7 @@ func Run(m model.Model, fed *data.Federated, cfg Config) (*core.History, error) 
 			MaxStaleness:   math.NaN(),
 			VirtualSeconds: math.NaN(),
 		}
+		p.TrainLoss, p.TestAcc = metrics.Eval(m, fed, w)
 		if ecfg.TrackDissimilarity {
 			p.GradVar, p.B = metrics.Dissimilarity(m, fed, w)
 		}

@@ -15,12 +15,19 @@
 // property that lets a 10^6-device run afford its milestone evaluations.
 // The *data.Federated forms delegate through the eager Fleet adapter and
 // return bit-identical results.
+//
+// An evaluation is one visit per shard: on a lazy fleet a visit is a
+// shard synthesis, the dominant cost, so FleetEval measures loss and
+// accuracy in the same visit and ShardEval is the one per-shard kernel
+// every evaluator (in-process and wire) runs. FleetLoss and
+// FleetAccuracy remain for callers that need one quantity alone.
 package metrics
 
 import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"fedprox/internal/data"
 	"fedprox/internal/model"
@@ -50,6 +57,53 @@ func FleetLoss(m model.Model, fl data.Fleet, w []float64) float64 {
 		total += weights[k] * l
 	}
 	return total
+}
+
+// ShardEval measures one shard at w: the mean training loss F_k(w) and
+// the number of correctly predicted test examples. It is the body every
+// evaluator runs per device — FleetEval in process, core.Device.HandleEval
+// behind the wire — so the two cannot drift.
+func ShardEval(m model.Model, w []float64, s *data.Shard) (loss float64, correct int) {
+	loss = m.Loss(w, s.Train)
+	for _, ex := range s.Test {
+		if m.Predict(w, ex) == ex.Y {
+			correct++
+		}
+	}
+	return loss, correct
+}
+
+// Eval returns GlobalLoss and TestAccuracy from one pass over the shards.
+func Eval(m model.Model, fed *data.Federated, w []float64) (loss, acc float64) {
+	return FleetEval(m, fed.Fleet(), w)
+}
+
+// FleetEval is FleetLoss and FleetAccuracy fused into one visit per
+// shard: each device is materialized once, measured by ShardEval, and
+// released. The weighted loss is summed in ascending device order and the
+// accuracy is total correct over total test examples, so both results are
+// bit-identical to the separate passes at any worker count.
+func FleetEval(m model.Model, fl data.Fleet, w []float64) (loss, acc float64) {
+	weights := data.FleetWeights(fl)
+	losses := make([]float64, fl.NumDevices())
+	// Integer sums are order-independent, so the accuracy counts need no
+	// per-device slot: the pass holds one float per device, as FleetLoss.
+	var correct, total atomic.Int64
+	forEachShard(len(losses), func(k int) {
+		s := fl.Shard(k)
+		l, c := ShardEval(m, w, s)
+		losses[k] = l
+		correct.Add(int64(c))
+		total.Add(int64(len(s.Test)))
+		fl.Release(k)
+	})
+	for k, l := range losses {
+		loss += weights[k] * l
+	}
+	if total.Load() == 0 {
+		return loss, 0
+	}
+	return loss, float64(correct.Load()) / float64(total.Load())
 }
 
 // TestAccuracy returns the network-wide test accuracy: total correct

@@ -2,10 +2,14 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"fedprox/internal/data"
+	"fedprox/internal/data/mnistsim"
+	"fedprox/internal/data/synthetic"
 	"fedprox/internal/frand"
+	"fedprox/internal/model"
 	"fedprox/internal/model/linear"
 )
 
@@ -200,5 +204,58 @@ func TestForEachShardSmallN(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("index %d ran %d times", k, c)
 		}
+	}
+}
+
+// TestFleetEvalMatchesSeparatePasses: the fused pass returns exactly
+// (FleetLoss, FleetAccuracy) — compared with ==, not a tolerance — on an
+// eager fleet, a lazy one, and a fleet with no test examples (accuracy
+// 0), sequentially and on the worker pool.
+func TestFleetEvalMatchesSeparatePasses(t *testing.T) {
+	mnist := mnistsim.GenerateScaled(0.05)
+	lazyCfg := synthetic.Default(1, 1).Scaled(0.05)
+	lazyCfg.Devices = 64
+	noTest := &data.Federated{Name: "no-test", NumClasses: 2, FeatureDim: 4}
+	for _, s := range skewedShards().Shards {
+		noTest.Shards = append(noTest.Shards, &data.Shard{ID: s.ID, Train: s.Train})
+	}
+	cases := []struct {
+		name    string
+		m       model.Model
+		fl      data.Fleet
+		zeroAcc bool
+	}{
+		{"eager-mnistsim", linear.ForDataset(mnist), mnist.Fleet(), false},
+		{"lazy-synthetic", linear.New(lazyCfg.Dim, lazyCfg.Classes), synthetic.NewFleet(lazyCfg), false},
+		{"no-test-examples", linear.ForDataset(noTest), noTest.Fleet(), true},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range cases {
+			w := frand.New(29).NormVec(make([]float64, tc.m.NumParams()), 0, 0.1)
+			loss, acc := FleetEval(tc.m, tc.fl, w)
+			if want := FleetLoss(tc.m, tc.fl, w); loss != want {
+				t.Errorf("%s procs=%d: FleetEval loss = %v, FleetLoss = %v", tc.name, procs, loss, want)
+			}
+			if want := FleetAccuracy(tc.m, tc.fl, w); acc != want {
+				t.Errorf("%s procs=%d: FleetEval acc = %v, FleetAccuracy = %v", tc.name, procs, acc, want)
+			}
+			if tc.zeroAcc != (acc == 0) {
+				t.Errorf("%s procs=%d: acc = %v, want zero: %v", tc.name, procs, acc, tc.zeroAcc)
+			}
+		}
+	}
+}
+
+// TestEvalMatchesEagerPair: the *data.Federated wrapper is the fused
+// form of GlobalLoss + TestAccuracy.
+func TestEvalMatchesEagerPair(t *testing.T) {
+	fed := skewedShards()
+	m := linear.ForDataset(fed)
+	w := frand.New(31).NormVec(make([]float64, m.NumParams()), 0, 0.5)
+	loss, acc := Eval(m, fed, w)
+	if loss != GlobalLoss(m, fed, w) || acc != TestAccuracy(m, fed, w) {
+		t.Fatalf("Eval = (%v, %v), want (%v, %v)", loss, acc, GlobalLoss(m, fed, w), TestAccuracy(m, fed, w))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // ScalePoint is one population-scale run measurement — the unit of the
@@ -35,9 +36,10 @@ type ScalePoint struct {
 	// WallSeconds is the measured wall-clock duration, informational.
 	WallSeconds float64 `json:"wall_seconds"`
 	// FinalLoss is the run's final evaluated global loss — a
-	// determinism tripwire, not a gated number: the run is seeded, so
-	// any change here means the scale path diverged from the reference
-	// semantics, not that the model got worse.
+	// determinism tripwire rather than a performance number: the run is
+	// seeded, so any change here means the scale path diverged from the
+	// reference semantics, not that the model got worse. CompareScale
+	// reports a difference beyond finalLossTol.
 	FinalLoss float64 `json:"final_loss"`
 }
 
@@ -58,10 +60,18 @@ func ReadScale(r io.Reader) ([]ScalePoint, error) {
 	return pts, nil
 }
 
+// finalLossTol is the relative difference in FinalLoss CompareScale
+// tolerates: the run is bit-deterministic on one platform, and the slack
+// only absorbs a differently fused multiply-add on another.
+const finalLossTol = 1e-9
+
 // CompareScale checks current against baseline and returns one message
 // per regression: a measured point whose throughput fell below
-// baseline·(1−tol) or whose per-device footprint rose above
-// baseline·(1+tol). An empty result means the gate passes.
+// baseline·(1−tol), whose per-device footprint rose above
+// baseline·(1+tol), or whose final loss differs from the baseline's by
+// more than finalLossTol relative (tol does not apply: a seeded run that
+// lands elsewhere took a different path). An empty result means the gate
+// passes.
 //
 // Unlike CompareSpeed, baseline points missing from current are NOT
 // regressions: the committed file carries every population size the
@@ -90,6 +100,12 @@ func CompareScale(current, baseline []ScalePoint, tol float64) []string {
 				"%s: %.0f bytes/device exceeds baseline %.0f by %.1f%% (budget %.0f%%)",
 				c.Name, c.BytesPerDevice, b.BytesPerDevice,
 				100*(c.BytesPerDevice-b.BytesPerDevice)/b.BytesPerDevice, 100*tol))
+		}
+		// Negated so a NaN loss trips too.
+		if !(math.Abs(c.FinalLoss-b.FinalLoss) <= finalLossTol*math.Abs(b.FinalLoss)) {
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: final loss %v differs from baseline %v: the seeded run diverged",
+				c.Name, c.FinalLoss, b.FinalLoss))
 		}
 	}
 	return regressions

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,29 +26,40 @@ func TestScaleRoundTripAndGate(t *testing.T) {
 		t.Fatalf("round trip: %+v", got)
 	}
 
-	// Within budget: 30% slower and 30% fatter under a 50% tolerance.
-	cur := []ScalePoint{{Name: "scale-100000", DispatchesPerSec: 280, BytesPerDevice: 286}}
-	if msgs := CompareScale(cur, pts, 0.5); len(msgs) != 0 {
-		t.Fatalf("unexpected regressions: %v", msgs)
+	// Every row gates one scale-100000 measurement (plus extras)
+	// against pts at a 50% tolerance; want lists a fragment of each
+	// expected message, in order.
+	at := func(perSec, bytesPerDevice, loss float64) ScalePoint {
+		return ScalePoint{Name: "scale-100000", DispatchesPerSec: perSec, BytesPerDevice: bytesPerDevice, FinalLoss: loss}
 	}
-	// Throughput below floor AND footprint above ceiling both flag.
-	cur = []ScalePoint{{Name: "scale-100000", DispatchesPerSec: 100, BytesPerDevice: 400}}
-	msgs := CompareScale(cur, pts, 0.5)
-	if len(msgs) != 2 {
-		t.Fatalf("want 2 regressions, got %v", msgs)
-	}
-	if !strings.Contains(msgs[0], "dispatches/sec") || !strings.Contains(msgs[1], "bytes/device") {
-		t.Fatalf("regression messages lack the gated dimensions: %v", msgs)
-	}
-	// Unlike CompareSpeed, a baseline point the current run skipped is
-	// NOT a regression — CI smoke re-measures only the sizes in budget.
-	cur = []ScalePoint{{Name: "scale-100000", DispatchesPerSec: 400, BytesPerDevice: 220}}
-	if msgs := CompareScale(cur, pts, 0.5); len(msgs) != 0 {
-		t.Fatalf("skipped baseline size flagged: %v", msgs)
-	}
-	// A size new to current ratchets in silently.
-	cur = append(cur, ScalePoint{Name: "scale-10000000", DispatchesPerSec: 1, BytesPerDevice: 999})
-	if msgs := CompareScale(cur, pts, 0.5); len(msgs) != 0 {
-		t.Fatalf("new size flagged: %v", msgs)
+	for _, tc := range []struct {
+		name string
+		cur  []ScalePoint
+		want []string
+	}{
+		{"30% slower and 30% fatter is within budget", []ScalePoint{at(280, 286, 1.61)}, nil},
+		{"throughput below floor and footprint above ceiling both flag", []ScalePoint{at(100, 400, 1.61)},
+			[]string{"dispatches/sec", "bytes/device"}},
+		// Unlike CompareSpeed, a baseline point the current run skipped
+		// is NOT a regression — CI smoke re-measures only the sizes in
+		// budget.
+		{"skipped baseline size passes", []ScalePoint{at(400, 220, 1.61)}, nil},
+		{"a size new to current ratchets in silently",
+			[]ScalePoint{at(400, 220, 1.61), {Name: "scale-10000000", DispatchesPerSec: 1, BytesPerDevice: 999}}, nil},
+		// The seeded run's loss is a tripwire with its own tolerance:
+		// the gate's 50% does not apply to it.
+		{"final loss off in the sixth digit flags", []ScalePoint{at(400, 220, 1.61001)}, []string{"final loss"}},
+		{"final loss within 1e-9 relative passes", []ScalePoint{at(400, 220, 1.61*(1+1e-10))}, nil},
+		{"NaN final loss flags", []ScalePoint{at(400, 220, math.NaN())}, []string{"final loss"}},
+	} {
+		msgs := CompareScale(tc.cur, pts, 0.5)
+		if len(msgs) != len(tc.want) {
+			t.Fatalf("%s: want %d regressions, got %v", tc.name, len(tc.want), msgs)
+		}
+		for i, frag := range tc.want {
+			if !strings.Contains(msgs[i], frag) {
+				t.Fatalf("%s: message %d lacks %q: %v", tc.name, i, frag, msgs)
+			}
+		}
 	}
 }
