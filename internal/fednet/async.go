@@ -3,7 +3,6 @@ package fednet
 import (
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"fedprox/internal/core"
@@ -26,9 +25,10 @@ import (
 // Dispatch/Evaluate commands become pipelined TrainRequests and
 // broadcast EvalRequests.
 //
-// Failure is a round trip, not a one-way door: the listener keeps
-// accepting for the whole run, so an evicted worker can reconnect. Its
-// Hello is re-validated (same devices, same sizes, codec offer) and the
+// Failure is a round trip, not a one-way door: the accept loop
+// (Server.listen) runs for the whole run, so an evicted worker can
+// reconnect. Its Hello is re-validated (same devices, same sizes, codec
+// offer) and the
 // coordinator re-admits the devices with reset link state on both
 // endpoints — the re-admission Welcome carries the shared eval chain's
 // current base so the rejoining worker decodes the next evaluation
@@ -47,12 +47,6 @@ type asyncMsg struct {
 	err error
 }
 
-// regMsg is a mid-run registration attempt from a reconnecting worker.
-type regMsg struct {
-	c     *conn
-	hello *Hello
-}
-
 // connState is the aggregator's bookkeeping for one worker connection.
 type connState struct {
 	c       *conn
@@ -67,9 +61,9 @@ type asyncDriver struct {
 	wireOnly
 	s        *Server
 	conns    map[*conn]*connState
-	inflight map[int]time.Time // device -> dispatch time, for timeouts
+	inflight map[int]sent // device -> its outstanding TrainRequest
 	replyCh  chan asyncMsg
-	regCh    chan regMsg
+	regCh    <-chan regMsg // mid-run registrations from Server.listen
 	done     chan struct{}
 	stash    []asyncMsg
 	// pending holds commands provoked outside Drive's queue (an eviction
@@ -77,19 +71,25 @@ type asyncDriver struct {
 	pending []core.Command
 }
 
-// trainAsync runs the asynchronous schedule. The listener stays open so
-// evicted workers can reconnect; it is closed when the run ends.
-func (s *Server) trainAsync(ln net.Listener) (*core.History, error) {
+// sent is one outstanding TrainRequest: when it went out (for
+// RequestTimeout) and the Version its reply must echo.
+type sent struct {
+	at      time.Time
+	version int
+}
+
+// trainAsync runs the asynchronous schedule, admitting the reconnecting
+// workers regs delivers for as long as it runs.
+func (s *Server) trainAsync(regs <-chan regMsg) (*core.History, error) {
 	d := &asyncDriver{
 		s:        s,
 		conns:    make(map[*conn]*connState, len(s.conns)),
-		inflight: make(map[int]time.Time),
+		inflight: make(map[int]sent),
 		replyCh:  make(chan asyncMsg, len(s.conns)+64),
-		regCh:    make(chan regMsg, 4),
+		regCh:    regs,
 		done:     make(chan struct{}),
 	}
 	defer close(d.done)
-	defer ln.Close() // stops the re-admission accept loop
 	for _, c := range s.conns {
 		d.conns[c] = &connState{c: c}
 	}
@@ -99,7 +99,6 @@ func (s *Server) trainAsync(ln net.Listener) (*core.History, error) {
 	for _, c := range s.conns {
 		d.startReader(c)
 	}
-	go d.acceptLoop(ln)
 	return s.drive(d)
 }
 
@@ -123,41 +122,6 @@ func (d *asyncDriver) startReader(c *conn) {
 	}()
 }
 
-// acceptLoop admits reconnecting workers for the whole run: each
-// accepted connection gets a handshake goroutine (so a rogue connection
-// that never sends a Hello cannot block further accepts) whose Hello is
-// handed to the aggregator for validation and re-admission.
-func (d *asyncDriver) acceptLoop(ln net.Listener) {
-	for {
-		raw, err := ln.Accept()
-		if err != nil {
-			return // listener closed: run over
-		}
-		c := d.s.newMeteredConn(raw)
-		go func() {
-			// The Hello read is deadline-bounded: a connection that never
-			// registers must release its goroutine and socket instead of
-			// leaking for the life of the process.
-			handshake := d.s.cfg.RequestTimeout
-			if handshake <= 0 {
-				handshake = 30 * time.Second
-			}
-			c.armRecvDeadline(handshake)
-			env, err := c.recv()
-			c.armRecvDeadline(0)
-			if err != nil || env.Hello == nil {
-				_ = c.close()
-				return
-			}
-			select {
-			case d.regCh <- regMsg{c: c, hello: env.Hello}:
-			case <-d.done:
-				_ = c.close()
-			}
-		}()
-	}
-}
-
 // Dispatch ships one TrainRequest per dispatch. A send failure means the
 // worker is gone: its devices are evicted (the coordinator charges the
 // in-flight work as waste) and aggregation continues.
@@ -174,7 +138,7 @@ func (d *asyncDriver) Dispatch(ds []core.Dispatch) ([]core.Reply, error) {
 		default:
 			// Only a confirmed send is billed as traffic and device work.
 			d.s.coord.DispatchSent(v.Device)
-			d.inflight[v.Device] = time.Now()
+			d.inflight[v.Device] = sent{at: time.Now(), version: v.Version}
 		}
 		if err != nil {
 			return nil, err
@@ -245,8 +209,8 @@ func (d *asyncDriver) waitEvent() ([]core.Command, error) {
 		var timeout <-chan time.Time
 		if s.cfg.RequestTimeout > 0 && len(d.inflight) > 0 {
 			earliest := time.Time{}
-			for _, at := range d.inflight {
-				dl := at.Add(s.cfg.RequestTimeout)
+			for _, req := range d.inflight {
+				dl := req.at.Add(s.cfg.RequestTimeout)
 				if earliest.IsZero() || dl.Before(earliest) {
 					earliest = dl
 				}
@@ -260,8 +224,8 @@ func (d *asyncDriver) waitEvent() ([]core.Command, error) {
 		case <-timeout:
 			var cmds []core.Command
 			now := time.Now()
-			for id, at := range d.inflight {
-				if now.Sub(at) >= s.cfg.RequestTimeout {
+			for id, req := range d.inflight {
+				if now.Sub(req.at) >= s.cfg.RequestTimeout {
 					more, err := d.failConn(d.conns[s.devices[id].conn])
 					if err != nil {
 						return nil, err
@@ -285,8 +249,11 @@ func (d *asyncDriver) waitEvent() ([]core.Command, error) {
 		return nil, nil
 	case m.env.TrainReply != nil:
 		reply := m.env.TrainReply
-		if _, ok := d.inflight[reply.Device]; !ok {
-			return nil, nil // an evicted worker's late reply: drop
+		req, ok := d.inflight[reply.Device]
+		if misrouted(reply, ok && s.devices[reply.Device].conn == m.c, req.version) != nil {
+			// A live worker answering for a device it was not asked about
+			// cannot be trusted with the ones it was: evict it.
+			return d.failConn(cs)
 		}
 		delete(d.inflight, reply.Device)
 		if reply.Err != "" {
@@ -310,6 +277,9 @@ func (d *asyncDriver) waitEvent() ([]core.Command, error) {
 // lockstep. A rejected worker gets a Welcome.Err and the run continues.
 func (d *asyncDriver) admit(reg regMsg) ([]core.Command, error) {
 	s := d.s
+	if reg.err != nil {
+		return nil, nil // the listener closed under the run: no more re-admissions
+	}
 	if msg := s.codecOfferError(reg.hello); msg != "" {
 		_ = reg.c.send(Envelope{Welcome: &Welcome{Err: msg}})
 		_ = reg.c.close()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"slices"
 	"sort"
 	"time"
 
@@ -106,32 +105,43 @@ func NewEdge(mdl model.Model, cfg EdgeConfig) (*Edge, error) {
 // BytesOnWire reports the child-facing wire traffic, as Server's does.
 func (e *Edge) BytesOnWire() (read, written int64) { return e.srv.BytesOnWire() }
 
-// Run listens for children on addr, dials the parent coordinator, and
-// serves both sides until the parent shuts the deployment down.
+// Run listens for children on addr and, once they have all registered,
+// dials the parent coordinator and serves both sides until the parent
+// shuts the deployment down. The parent is dialed late because its
+// handshake window opens at connect, and the Hello cannot be sent before
+// the children are counted.
 func (e *Edge) Run(addr, parent string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("fednet: listen %s: %w", addr, err)
 	}
-	defer ln.Close()
-	raw, err := net.Dial("tcp", parent)
-	if err != nil {
-		return fmt.Errorf("fednet: dial parent %s: %w", parent, err)
-	}
-	pc := newConn(raw)
-	defer pc.close()
-	return e.RunWithConns(ln, pc)
+	return e.run(ln, func() (*conn, error) {
+		raw, err := net.Dial("tcp", parent)
+		if err != nil {
+			return nil, fmt.Errorf("fednet: dial parent %s: %w", parent, err)
+		}
+		return newConn(raw), nil
+	})
 }
 
 // RunWithConns is Run over caller-provided connections (tests use
-// loopback listeners and pipes). Order matters: the children must all
-// register before the edge says Hello upstream, because the Hello
-// carries the subtree's total sample count.
+// loopback listeners and pipes).
 func (e *Edge) RunWithConns(ln net.Listener, parent *conn) error {
+	return e.run(ln, func() (*conn, error) { return parent, nil })
+}
+
+// run serves children from ln (closed on return) and the parent from
+// dialParent's connection. Order matters: the children must all register
+// before the edge says Hello upstream, because the Hello carries the
+// subtree's total sample count.
+func (e *Edge) run(ln net.Listener, dialParent func() (*conn, error)) error {
 	defer e.srv.shutdownWorkers()
-	if err := e.srv.acceptAll(ln); err != nil {
+	regs, stop := e.srv.listen(ln)
+	defer stop()
+	if err := e.srv.acceptAll(regs); err != nil {
 		return err
 	}
+	stop() // the edge's roster is synchronous: full means closed
 	e.srv.weights = e.srv.deviceWeights()
 
 	// Run the stepped coordinator to its first Pause: it snapshots the
@@ -147,32 +157,22 @@ func (e *Edge) RunWithConns(ln net.Listener, parent *conn) error {
 	}
 
 	// Join the parent as one pseudo-device covering the subtree.
+	parent, err := dialParent()
+	if err != nil {
+		return err
+	}
+	defer parent.close()
+	params := e.srv.mdl.NumParams()
 	total := 0
 	for _, d := range e.srv.devices {
 		total += d.trainSize
 	}
-	hello := Hello{
+	welcome, err := register(parent, &Hello{
 		Devices: []DeviceInfo{{ID: e.cfg.DeviceID, TrainSize: total}},
 		Codecs:  comm.Names(),
-	}
-	if err := parent.send(Envelope{Hello: &hello}); err != nil {
-		return err
-	}
-	env, err := parent.recv()
+	}, params)
 	if err != nil {
 		return err
-	}
-	welcome := env.Welcome
-	if welcome == nil {
-		return fmt.Errorf("fednet: expected Welcome, got %+v", env)
-	}
-	if welcome.Err != "" {
-		return errors.New(welcome.Err)
-	}
-	for _, name := range []string{welcome.Downlink.Name, welcome.Uplink.Name} {
-		if !slices.Contains(hello.Codecs, name) {
-			return fmt.Errorf("fednet: parent selected codec %q, but this edge offered only %v", name, hello.Codecs)
-		}
 	}
 	if welcome.EvalPrev != nil {
 		// Mid-run re-admission would need the edge to also resynchronize

@@ -1,7 +1,10 @@
 package fednet
 
 import (
+	"errors"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +22,9 @@ type stubMode int
 const (
 	stubDisconnect stubMode = iota // close the conn after the first TrainRequest arrives
 	stubSilent                     // read requests forever, never reply
+	stubMislabel                   // answer every TrainRequest under the next hosted device's ID
+	stubStale                      // answer with a Version the request did not carry
+	stubOversized                  // answer with a length prefix over any bound, keep reading
 )
 
 func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMode) {
@@ -49,10 +55,32 @@ func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMod
 		}
 		switch {
 		case env.TrainRequest != nil:
-			if mode == stubDisconnect {
+			// The well-formed reply echoes the broadcast back as the
+			// "solution"; each mode then breaks one thing about it.
+			req := env.TrainRequest
+			reply := TrainReply{Round: req.Round, Version: req.Version, Device: req.Device, Update: req.Update, EpochsDone: req.Epochs}
+			switch mode {
+			case stubDisconnect:
 				return // deferred close: vanish mid-round
+			case stubSilent:
+				continue // swallow the request
+			case stubMislabel:
+				for i, s := range shards {
+					if s.ID == req.Device {
+						reply.Device = shards[(i+1)%len(shards)].ID
+					}
+				}
+			case stubStale:
+				reply.Version++
+			case stubOversized:
+				if _, err := raw.Write([]byte{0xFF, 0xFF, 0xFF, 0x7F, kindTrainReply}); err != nil {
+					return
+				}
+				continue
 			}
-			// stubSilent: swallow the request.
+			if err := c.send(Envelope{TrainReply: &reply}); err != nil {
+				return
+			}
 		case env.EvalRequest != nil:
 			// Both stubs answer evals so the run reaches the training
 			// phase before the failure bites.
@@ -149,6 +177,145 @@ func TestSyncWorkerTimeoutFailsRound(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 8*time.Second {
 		t.Fatalf("timeout took %v — deadline not applied", elapsed)
+	}
+}
+
+// TestSyncBadReplyFailsRound: a reply that answers no outstanding request
+// (another device's ID, a Version the request did not carry) or is not a
+// frame at all (a length prefix over the bound, from a worker that stays
+// connected) fails the synchronous round by name instead of being folded
+// under the asked device's ID or read into memory — and releases every
+// other worker.
+func TestSyncBadReplyFailsRound(t *testing.T) {
+	for _, mode := range []stubMode{stubMislabel, stubStale, stubOversized} {
+		err := launchWithStub(t, syncCfg(), 0, mode)
+		if err == nil || !strings.Contains(err.Error(), "round ") || !strings.Contains(err.Error(), " device ") {
+			t.Errorf("stub mode %d: got %v, want an error naming the round and device", mode, err)
+		}
+		if mode == stubOversized && !errors.Is(err, ErrFrame) {
+			t.Errorf("oversized frame surfaced as %v, want ErrFrame", err)
+		}
+	}
+}
+
+// TestAsyncBadReplyEvicted: the same three misbehaviours cost an
+// asynchronous deployment that worker only — it is evicted and the run
+// finishes on the others.
+func TestAsyncBadReplyEvicted(t *testing.T) {
+	for _, mode := range []stubMode{stubMislabel, stubStale, stubOversized} {
+		if err := launchWithStub(t, asyncCfg(), 0, mode); err != nil {
+			t.Errorf("stub mode %d: async coordinator did not survive: %v", mode, err)
+		}
+	}
+}
+
+// TestRegistrationSurvivesSilentAndGarbageDialers: a connection that
+// never speaks and one whose first bytes are not a Hello frame reach the
+// coordinator before the real workers; registration closes or outwaits
+// them on their own goroutines and the run completes.
+func TestRegistrationSurvivesSilentAndGarbageDialers(t *testing.T) {
+	fed, mdl := testWorkload()
+	srv, err := NewServer(mdl, ServerConfig{Training: syncCfg(), ExpectDevices: fed.NumDevices()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	garbage, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer garbage.Close()
+	if _, err := garbage.Write([]byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, part := range splitShards(fed, 2) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := NewWorker(mdl, part, nil).Run(addr); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	done := make(chan error, 1)
+	go func() { _, err := srv.RunWithListener(ln); done <- err }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run failed: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("registration is blocked behind a connection that never said Hello")
+	}
+	wg.Wait()
+	// The garbage dialer's socket was closed on its malformed first frame.
+	_ = garbage.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := garbage.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("garbage dialer still connected (read: %v)", err)
+	}
+}
+
+// TestSyncRefusesLateWorker: once a synchronous deployment's roster is
+// full nothing consumes registrations, so a late or duplicate worker must
+// be turned away at once — not left waiting for a Welcome until the run
+// ends.
+func TestSyncRefusesLateWorker(t *testing.T) {
+	fed, mdl := testWorkload()
+	srv, err := NewServer(mdl, ServerConfig{Training: syncCfg(), ExpectDevices: fed.NumDevices()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	done := make(chan error, 1)
+	go func() { _, err := srv.RunWithListener(ln); done <- err }()
+
+	// The whole roster registers on one connection that then goes quiet,
+	// which holds the run open in its round-0 evaluation.
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster := newConn(raw)
+	hello := NewWorker(mdl, fed.Shards, nil).hello()
+	if err := roster.send(Envelope{Hello: &hello}); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := roster.recv(); err != nil || env.Welcome == nil || env.Welcome.Err != "" {
+		t.Fatalf("roster registration: %+v, %v", env, err)
+	}
+
+	late := make(chan error, 1)
+	go func() { late <- NewWorker(mdl, fed.Shards[:2], nil).Run(addr) }()
+	select {
+	case err := <-late:
+		if err == nil {
+			t.Error("a worker joined a deployment whose roster was full")
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("late worker is still waiting for a Welcome")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the run ended (%v) before the late worker was judged", err)
+	default:
+	}
+	_ = roster.close()
+	if err := <-done; err == nil {
+		t.Error("the run survived losing its only worker")
 	}
 }
 

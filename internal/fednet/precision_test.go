@@ -8,6 +8,8 @@ import (
 	"fedprox/internal/comm"
 	"fedprox/internal/core"
 	"fedprox/internal/data"
+	"fedprox/internal/data/synthetic"
+	"fedprox/internal/model/linear"
 	"fedprox/internal/tensor"
 )
 
@@ -52,6 +54,29 @@ func TestF32MatchesSimulatorOverLoopback(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestF32EvalBroadcastFitsTheWorkersBound: an f32 raw deployment's
+// EvalRequests travel at full width (comm.NewEvalLink strips the
+// precision), so they are 8·N bytes where its TrainRequests are 4·N. The
+// worker must bound its frames by the larger of the two; with more than
+// 1024 parameters the difference exceeds the bound's slack.
+func TestF32EvalBroadcastFitsTheWorkersBound(t *testing.T) {
+	gen := synthetic.Default(1, 1).Scaled(0.12)
+	gen.Dim = 300
+	fed := synthetic.Generate(gen)
+	mdl := linear.ForDataset(fed)
+	if mdl.NumParams() <= 1024 {
+		t.Fatalf("the model has %d parameters; the test needs more than 1024", mdl.NumParams())
+	}
+	for _, codec := range []string{"raw", "delta", "delta+qsgd"} {
+		cfg := core.FedProx(2, 3, 1, 0.01, 1)
+		cfg.Codec = comm.Spec{Name: codec, Bits: 8}
+		cfg.Precision = tensor.F32
+		if _, err := launch(t, fed, mdl, cfg, 2); err != nil {
+			t.Errorf("%s: %v", codec, err)
+		}
 	}
 }
 

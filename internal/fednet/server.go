@@ -163,8 +163,9 @@ func (s *Server) emit(e obs.Event) {
 
 // BytesOnWire returns the actual serialized bytes moved over all worker
 // connections so far: read is worker→coordinator traffic (uplink),
-// written is coordinator→worker (downlink). Both include gob framing and
-// evaluation messages, which the analytic Cost accounting excludes.
+// written is coordinator→worker (downlink). Both include frame headers
+// and the handshake and evaluation messages, which the analytic Cost
+// accounting excludes.
 func (s *Server) BytesOnWire() (read, written int64) {
 	return s.bytesIn.Load(), s.bytesOut.Load()
 }
@@ -181,60 +182,125 @@ func (s *Server) Run(addr string) (*core.History, error) {
 }
 
 // RunWithListener is Run over a caller-provided listener (tests use an
-// ephemeral loopback listener). Workers that registered are always shut
-// down, including when registration itself fails partway (e.g. a
+// ephemeral loopback listener), which it closes: a synchronous run once
+// every device has registered, an asynchronous one when it ends — it
+// keeps admitting for the whole run, so an evicted worker can reconnect
+// and be re-admitted. Workers that registered are always shut down,
+// including when registration itself fails partway (e.g. a
 // later-connecting worker refuses the codec) — otherwise the
-// already-welcomed workers would block in recv forever. Asynchronous
-// runs keep accepting on the listener for the whole run, so an evicted
-// worker can reconnect and be re-admitted, and close it when done.
+// already-welcomed workers would block in recv forever.
 func (s *Server) RunWithListener(ln net.Listener) (*core.History, error) {
 	defer s.shutdownWorkers()
-	if err := s.acceptAll(ln); err != nil {
+	regs, stop := s.listen(ln)
+	defer stop()
+	if err := s.acceptAll(regs); err != nil {
 		return nil, err
 	}
 	s.weights = s.deviceWeights()
 	if s.cfg.Training.Async.Enabled() {
-		return s.trainAsync(ln)
+		return s.trainAsync(regs)
 	}
+	// A synchronous roster never changes and nothing reads regs from here
+	// on: a late or duplicate worker is refused at connect (or
+	// mid-handshake) instead of waiting for a Welcome until the run ends.
+	stop()
 	// The synchronous path never renormalizes: all devices report or the
 	// run fails, and dividing by the full weight sum would perturb the
 	// bit-reproducible trajectory.
 	return s.drive(&syncBackend{s: s, eval: func(v core.Evaluate) (core.EvalResult, error) { return s.evaluate(v, false) }})
 }
 
-// acceptAll accepts worker connections until every expected device has
-// registered, feeding each registration to the coordinator.
-func (s *Server) acceptAll(ln net.Listener) error {
+// regMsg is one registration attempt: a connection whose first frame was
+// a valid Hello, or the Accept error that ended the accept loop.
+type regMsg struct {
+	c     *conn
+	hello *Hello
+	err   error
+}
+
+// listen starts the accept loop that serves ln until stop closes it:
+// every accepted connection gets its own handshake goroutine, so one that
+// never speaks (or speaks garbage) costs a socket for the handshake
+// window and nothing else, and each valid Hello is delivered on regs.
+// After stop (idempotent), handshakes still in flight close their sockets.
+func (s *Server) listen(ln net.Listener) (regs <-chan regMsg, stop func()) {
+	ch := make(chan regMsg)
+	done := make(chan struct{})
+	deliver := func(m regMsg) bool {
+		select {
+		case ch <- m:
+			return true
+		case <-done:
+			return false
+		}
+	}
+	go func() {
+		for {
+			raw, err := ln.Accept()
+			if err != nil {
+				deliver(regMsg{err: err})
+				return
+			}
+			c := s.newMeteredConn(raw)
+			go func() {
+				hello, err := s.handshake(c)
+				if err != nil || !deliver(regMsg{c: c, hello: hello}) {
+					_ = c.close()
+				}
+			}()
+		}
+	}()
+	return ch, sync.OnceFunc(func() { close(done); ln.Close() })
+}
+
+// handshake reads a new connection's first frame, which must be a Hello
+// no larger than ExpectDevices entries, within RequestTimeout (30 s when
+// unset), and then sizes the connection for the session's replies.
+func (s *Server) handshake(c *conn) (*Hello, error) {
+	wait := s.cfg.RequestTimeout
+	if wait <= 0 {
+		wait = 30 * time.Second
+	}
+	c.limit = frameLimit(16 * int64(s.cfg.ExpectDevices))
+	c.armRecvDeadline(wait)
+	env, err := c.recv()
+	c.armRecvDeadline(0)
+	if err != nil {
+		return nil, err
+	}
+	if env.Hello == nil {
+		return nil, fmt.Errorf("%w: first frame is not a Hello", ErrFrame)
+	}
+	c.limit = frameLimit(s.upSpec.WireSize(s.mdl.NumParams()), 40*int64(s.cfg.ExpectDevices))
+	return env.Hello, nil
+}
+
+// acceptAll admits workers until every expected device has registered,
+// feeding each registration to the coordinator.
+func (s *Server) acceptAll(regs <-chan regMsg) error {
 	registered := 0
 	for registered < s.cfg.ExpectDevices {
-		raw, err := ln.Accept()
-		if err != nil {
-			return fmt.Errorf("fednet: accept: %w", err)
+		reg := <-regs
+		if reg.err != nil {
+			return fmt.Errorf("fednet: accept: %w", reg.err)
 		}
-		c := s.newMeteredConn(raw)
-		env, err := c.recv()
-		if err != nil {
-			return err
-		}
-		if env.Hello == nil {
-			return fmt.Errorf("fednet: expected Hello, got %+v", env)
-		}
+		c, hello := reg.c, reg.hello
 		s.conns = append(s.conns, c)
-		if err := s.checkCodecOffer(c, env.Hello); err != nil {
+		if err := s.checkCodecOffer(c, hello); err != nil {
 			return err
 		}
 		if err := c.send(Envelope{Welcome: &Welcome{Downlink: s.downSpec, Uplink: s.upSpec}}); err != nil {
 			return err
 		}
-		regs := make([]core.DeviceReg, 0, len(env.Hello.Devices))
-		for _, d := range env.Hello.Devices {
-			regs = append(regs, core.DeviceReg{ID: d.ID, TrainSize: d.TrainSize})
+		devs := make([]core.DeviceReg, 0, len(hello.Devices))
+		for _, d := range hello.Devices {
+			devs = append(devs, core.DeviceReg{ID: d.ID, TrainSize: d.TrainSize})
 		}
-		if _, err := s.coord.RegisterWorker(regs); err != nil {
+		if _, err := s.coord.RegisterWorker(devs); err != nil {
 			return fmt.Errorf("fednet: %w", err)
 		}
-		s.emit(obs.Event{Kind: obs.KindWorkerJoin, N: len(env.Hello.Devices)})
-		for _, d := range env.Hello.Devices {
+		s.emit(obs.Event{Kind: obs.KindWorkerJoin, N: len(hello.Devices)})
+		for _, d := range hello.Devices {
 			s.devices[d.ID] = &device{conn: c, trainSize: d.TrainSize}
 			registered++
 		}
@@ -244,8 +310,7 @@ func (s *Server) acceptAll(ln net.Listener) error {
 
 // newMeteredConn wraps an accepted connection with byte metering and the
 // send timeout: a worker that stops reading must surface as a send
-// error, not block the coordinator in gob Encode with its TCP buffers
-// full.
+// error, not block the coordinator in Write with its TCP buffers full.
 func (s *Server) newMeteredConn(raw net.Conn) *conn {
 	c := newConn(meteredConn{Conn: raw, read: &s.bytesIn, written: &s.bytesOut})
 	c.sendTimeout = s.cfg.RequestTimeout
@@ -323,8 +388,8 @@ func (s *Server) drive(b core.Backend) (*core.History, error) {
 
 // syncBackend is the synchronous wire backend of core.Drive, shared by
 // the flat server and the tier edge's child-facing half: each round's
-// batch of Dispatch commands becomes one round of concurrent
-// TrainRequest round-trips whose replies come back in dispatch order,
+// batch of Dispatch commands becomes one pipelined exchange per
+// connection whose replies come back in dispatch order,
 // and Evaluate goes to eval (a distributed evaluation broadcast, or the
 // edge's stub). Any worker failure fails the run — the synchronous
 // protocol cannot continue without its devices.
@@ -370,67 +435,103 @@ func trainRequest(d core.Dispatch) TrainRequest {
 	}
 }
 
-// roundTripAll executes one round's dispatches concurrently (one
-// goroutine per device, serialized per shared connection by the conn's
-// round-trip lock) and returns the replies in dispatch order.
-func (s *Server) roundTripAll(dispatches []core.Dispatch) ([]core.Reply, error) {
-	type result struct {
-		reply core.Reply
-		err   error
+// roundTripAll executes one round's dispatches as one pipelined exchange
+// per connection and returns the replies in dispatch order, whatever
+// order they arrived in. A failure fails the round by name.
+func (s *Server) roundTripAll(ds []core.Dispatch) ([]core.Reply, error) {
+	reqs := make(map[*conn][]Envelope)
+	slot := make(map[int]int, len(ds)) // device -> its index in ds, while its request is outstanding
+	for i, d := range ds {
+		req := trainRequest(d)
+		c := s.devices[d.Device].conn
+		reqs[c] = append(reqs[c], Envelope{TrainRequest: &req})
+		slot[d.Device] = i
 	}
-	results := make([]result, len(dispatches))
-	var wg sync.WaitGroup
-	for i, d := range dispatches {
-		wg.Add(1)
-		go func(i int, d core.Dispatch) {
-			defer wg.Done()
-			req := trainRequest(d)
-			env, err := s.roundTrip(s.devices[d.Device].conn, Envelope{TrainRequest: &req})
-			if err != nil {
-				results[i] = result{err: err}
-				return
-			}
-			reply := env.TrainReply
-			if reply == nil {
-				results[i] = result{err: fmt.Errorf("fednet: expected TrainReply, got %+v", env)}
-				return
-			}
-			if reply.Err != "" {
-				results[i] = result{err: errors.New(reply.Err)}
-				return
-			}
-			results[i] = result{reply: core.Reply{Device: d.Device, Update: &reply.Update, EpochsDone: reply.EpochsDone}}
-		}(i, d)
-	}
-	wg.Wait()
-	replies := make([]core.Reply, 0, len(dispatches))
-	for i, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("fednet: round %d device %d: %w", dispatches[i].Round, dispatches[i].Device, r.err)
+	replies := make([]core.Reply, len(ds))
+	var mu sync.Mutex // guards slot
+	failed, err := s.exchange(reqs, func(c *conn, env Envelope) error {
+		r := env.TrainReply
+		if r == nil {
+			return fmt.Errorf("fednet: expected TrainReply, got %+v", env)
 		}
-		replies = append(replies, r.reply)
+		mu.Lock()
+		defer mu.Unlock()
+		i, ok := slot[r.Device]
+		if err := misrouted(r, ok && s.devices[r.Device].conn == c, ds[i].Version); err != nil {
+			return err
+		}
+		if r.Err != "" {
+			return fmt.Errorf("device %d: %s", r.Device, r.Err)
+		}
+		delete(slot, r.Device)
+		replies[i] = core.Reply{Device: r.Device, Update: &r.Update, EpochsDone: r.EpochsDone}
+		return nil
+	})
+	if err == nil {
+		return replies, nil
 	}
-	return replies, nil
+	for _, d := range ds { // name the first dispatch the failed connection still owed
+		if _, owed := slot[d.Device]; owed && s.devices[d.Device].conn == failed {
+			err = fmt.Errorf("fednet: round %d device %d: %w", d.Round, d.Device, err)
+			break
+		}
+	}
+	return nil, err
 }
 
-// roundTrip serializes one request/response exchange on a connection.
-// The connection's send lock plus the strict request/response protocol
-// per device make concurrent exchanges from different devices on the same
-// worker safe only if serialized — the per-conn reply lock does that.
-// With a RequestTimeout configured the reply wait is bounded: a worker
-// that never answers surfaces as an i/o timeout instead of hanging the
-// deployment.
-func (s *Server) roundTrip(c *conn, e Envelope) (Envelope, error) {
-	c.rtMu.Lock()
-	defer c.rtMu.Unlock()
-	if err := c.send(e); err != nil {
-		return Envelope{}, err
+// misrouted reports why r cannot answer a request in flight: outstanding
+// says whether r.Device has one on the connection r arrived on, version
+// is that request's stamp. Folding such a reply would credit one device
+// with another's solution, or a stale solve with a fresh version.
+func misrouted(r *TrainReply, outstanding bool, version int) error {
+	switch {
+	case !outstanding:
+		return fmt.Errorf("fednet: reply for device %d, which has no request outstanding on this connection", r.Device)
+	case r.Version != version:
+		return fmt.Errorf("fednet: reply for device %d echoes version %d, its request was stamped %d", r.Device, r.Version, version)
 	}
-	if s.cfg.RequestTimeout > 0 {
-		c.armRecvDeadline(s.cfg.RequestTimeout)
-		defer c.armRecvDeadline(0)
+	return nil
+}
+
+// exchange runs one pipelined exchange per connection, all concurrently:
+// the connection's requests go out back to back, then got is called (on
+// that connection's goroutine) with each of the as many frames that come
+// back, in whatever order the worker finishes them. A worker's serve
+// loop never blocks on a send, so writing every request before reading
+// any reply cannot deadlock on full TCP buffers. RequestTimeout bounds
+// the wait for each next reply. The first error — send, receive, timeout
+// or got's — ends that connection's exchange; exchange returns one such
+// connection and its error once every connection is done.
+func (s *Server) exchange(reqs map[*conn][]Envelope, got func(*conn, Envelope) error) (*conn, error) {
+	type outcome struct {
+		c   *conn
+		err error
 	}
-	return c.recv()
+	done := make(chan outcome, len(reqs))
+	for c, batch := range reqs {
+		go func() {
+			var err error
+			for i := 0; i < len(batch) && err == nil; i++ {
+				err = c.send(batch[i])
+			}
+			for i := 0; i < len(batch) && err == nil; i++ {
+				c.armRecvDeadline(s.cfg.RequestTimeout)
+				var env Envelope
+				if env, err = c.recv(); err == nil {
+					err = got(c, env)
+				}
+			}
+			c.armRecvDeadline(0)
+			done <- outcome{c, err}
+		}()
+	}
+	var first outcome
+	for range reqs {
+		if o := <-done; o.err != nil && first.err == nil {
+			first = o
+		}
+	}
+	return first.c, first.err
 }
 
 // evaluate gathers distributed metrics for one Evaluate command and
@@ -452,46 +553,30 @@ func (s *Server) evaluate(v core.Evaluate, renormalize bool) (core.EvalResult, e
 }
 
 // gatherEvals broadcasts one Evaluate to every connection and collects
-// the raw per-device contributions — the tier edge folds these into a
-// single pseudo-device report instead of combining them into a scalar.
+// the raw per-device contributions (in no particular order) — the tier
+// edge folds these into a single pseudo-device report instead of
+// combining them into a scalar.
 func (s *Server) gatherEvals(v core.Evaluate) ([]DeviceEval, error) {
 	defer obs.StartSpan(s.trace, obs.Event{Label: "fednet-eval", Device: -1}).End()
-	type shardEval struct {
-		evals []DeviceEval
-		err   error
+	reqs := make(map[*conn][]Envelope, len(s.conns))
+	for _, c := range s.conns {
+		reqs[c] = []Envelope{{EvalRequest: &EvalRequest{Seq: v.Seq, Update: *v.Update}}}
 	}
-	out := make([]shardEval, len(s.conns))
-	var wg sync.WaitGroup
-	for i, c := range s.conns {
-		wg.Add(1)
-		go func(i int, c *conn) {
-			defer wg.Done()
-			env, err := s.roundTrip(c, Envelope{EvalRequest: &EvalRequest{Seq: v.Seq, Update: *v.Update}})
-			if err != nil {
-				out[i] = shardEval{err: err}
-				return
-			}
-			if env.EvalReply == nil {
-				out[i] = shardEval{err: fmt.Errorf("fednet: expected EvalReply, got %+v", env)}
-				return
-			}
-			if env.EvalReply.Err != "" {
-				out[i] = shardEval{err: errors.New(env.EvalReply.Err)}
-				return
-			}
-			out[i] = shardEval{evals: env.EvalReply.Devices}
-		}(i, c)
-	}
-	wg.Wait()
-
+	var mu sync.Mutex // guards all
 	var all []DeviceEval
-	for _, o := range out {
-		if o.err != nil {
-			return nil, o.err
+	_, err := s.exchange(reqs, func(_ *conn, env Envelope) error {
+		if env.EvalReply == nil {
+			return fmt.Errorf("fednet: expected EvalReply, got %+v", env)
 		}
-		all = append(all, o.evals...)
-	}
-	return all, nil
+		if env.EvalReply.Err != "" {
+			return errors.New(env.EvalReply.Err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		all = append(all, env.EvalReply.Devices...)
+		return nil
+	})
+	return all, err
 }
 
 // combineEvals folds per-device metric contributions into the global

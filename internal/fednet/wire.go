@@ -3,15 +3,50 @@
 // own the data — the deployment shape federated learning actually has,
 // where raw examples never leave the device.
 //
-// The protocol is length-unframed gob over TCP. Each worker registers the
-// devices (shards) it hosts and the update codecs it supports; the
-// coordinator answers with a Welcome carrying the codec specs the
-// deployment will use (negotiated at Hello time). Every round the
-// coordinator selects devices, ships the encoded global parameters with
-// the round's subproblem hyperparameters and a batch-order seed, and
+// The protocol is length-prefixed binary frames over TCP (frame.go). Each
+// worker registers the devices (shards) it hosts and the update codecs it
+// supports; the coordinator answers with a Welcome carrying the codec
+// specs the deployment will use (negotiated at Hello time). Every round
+// the coordinator selects devices, ships the encoded global parameters
+// with the round's subproblem hyperparameters and a batch-order seed, and
 // aggregates the decoded returned models. Evaluation is also distributed:
 // workers report per-device loss and accuracy sums and the coordinator
 // combines them, so the server never touches data.
+//
+// A frame is [u32 payload length][u8 kind][header][payload], all
+// little-endian: ints and floats are 8 bytes, a string is a u16 length
+// and its bytes (cut at 1 KiB), a list is a u32 count and its elements.
+// The three hot kinds end with their comm.Update — codec string, N, a
+// shape byte (none, dense f64, dense f32, packed with an f64 or f32 scale,
+// sparse), Bits when packed, then the payload slices verbatim, exactly
+// Update.WireBytes() of them — so the bytes on the socket are the bytes
+// Cost prices plus a header that is constant per kind and codec name:
+//
+//	kind            header, then payload                 frame − WireBytes  receiver's bound (+ 4 KiB)
+//	1 Hello         version byte 0xF1; list of (ID,      —                  16·ExpectDevices
+//	                TrainSize); lists of codec and
+//	                precision names
+//	2 Welcome       Downlink and Uplink specs (Name      —                  8·N
+//	                Bits TopK Seed Precision), Err, a
+//	                byte: 1 = EvalPrev's floats follow
+//	3 TrainRequest  Round Version Device Epochs          96 + len(codec)    max(downlink, f64 eval
+//	                EpochBudget BatchSize PrivacyTag                        link) WireSize(N)
+//	                Mu LearningRate BatchSeed; Update
+//	4 TrainReply    Round Version Device EpochsDone      50 + len(codec)    max(uplink WireSize(N),
+//	                Err; Update                          (+ 8 if packed)    40·ExpectDevices)
+//	5 EvalRequest   Seq; Update                          24 + len(codec)    as TrainRequest
+//	6 EvalReply     Seq Err; list of (Device TrainN      —                  as TrainReply
+//	                Correct TestN TrainLoss)
+//	7 Shutdown      nothing                              —                  any
+//
+// A receiver checks the declared length against its bound before it
+// reads or allocates the body, and every payload length and list count
+// against the bytes left in the frame before the make; an over-long
+// frame, an unknown kind or version, a short or inconsistent body or
+// trailing bytes is ErrFrame, which fails the round (sync) or evicts the
+// worker (async) like any connection error. The version byte is the only
+// negotiation: a peer from before the framed wire fails registration on
+// its first frame.
 //
 // The environment streams (selection, stragglers, batch order, init)
 // come from the shared core.Coordinator — this package is a transport
@@ -19,19 +54,21 @@
 // seed and configuration reproduces the simulator's trajectory bit for
 // bit by construction (asserted in fednet_test.go).
 //
-// Aggregation disciplines: under the default synchronous protocol the
-// coordinator keeps at most one exchange outstanding per connection
-// (strict request/response). Under core.AsyncTotal / core.Buffered it
-// pipelines TrainRequests — several may be outstanding on one
-// connection, though never more than one per device — and a per-conn
-// reader routes the interleaved replies. Workers therefore serve every
-// TrainRequest in its own goroutine; replies carry the model-version
-// stamp of the broadcast they trained from so the coordinator can damp
-// stale contributions.
+// Both aggregation disciplines pipeline: several TrainRequests may be
+// outstanding on one connection (never more than one per device, and
+// workers serve each in its own goroutine), and every reply is routed by
+// TrainReply.Device and checked against the request it answers — device
+// outstanding on that connection, Version echoed. A synchronous round
+// sends a connection's requests back to back, collects that many replies
+// and hands them to the coordinator in dispatch order, so the trajectory
+// does not depend on arrival order; under core.AsyncTotal / core.Buffered
+// a per-conn reader feeds the aggregator as replies arrive, and the
+// version stamp lets it damp stale contributions. Evaluation is one
+// request and one reply per connection.
 package fednet
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -179,9 +216,9 @@ type Envelope struct {
 }
 
 // meteredConn counts the raw bytes crossing a net.Conn, so the
-// coordinator can report actual serialized wire traffic (gob framing and
-// evaluation messages included) alongside the codecs' analytic
-// accounting.
+// coordinator can report actual serialized wire traffic (frame headers,
+// handshake and evaluation messages included) alongside the codecs'
+// analytic accounting.
 type meteredConn struct {
 	net.Conn
 	read, written *atomic.Int64
@@ -199,43 +236,48 @@ func (m meteredConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// conn wraps a net.Conn with gob codecs and two locks: mu guards the
-// encoder for interleaved sends, and rtMu serializes whole
-// request/response exchanges so multiple device goroutines can share one
-// worker connection. sendTimeout, when positive, bounds each send —
-// without it a peer that stops reading (full TCP buffers) would block
-// the sender in gob Encode forever.
+// conn moves Envelopes over a net.Conn as frames. Any number of
+// goroutines may send (mu serializes them: each frame is built in wbuf
+// and issued as one Write); one goroutine at a time may recv. limit is
+// the largest payload recv accepts — each endpoint sets it from what it
+// knows it can be owed (frameLimit). sendTimeout, when positive, bounds
+// each send — without it a peer that stops reading (full TCP buffers)
+// would block the sender in Write forever.
 type conn struct {
 	raw         net.Conn
-	enc         *gob.Encoder
-	dec         *gob.Decoder
+	br          *bufio.Reader
+	limit       int
 	sendTimeout time.Duration
-	mu          sync.Mutex // guards enc
-	rtMu        sync.Mutex // serializes request/response round-trips
+	mu          sync.Mutex // guards wbuf and the write
+	wbuf        []byte
+	rbuf        []byte // the receiving goroutine's frame buffer
 }
 
 func newConn(raw net.Conn) *conn {
-	return &conn{raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(raw)}
+	return &conn{raw: raw, br: bufio.NewReader(raw), limit: defaultFrameLimit}
 }
 
 func (c *conn) send(e Envelope) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.wbuf = appendFrame(c.wbuf[:0], e)
 	if c.sendTimeout > 0 {
 		_ = c.raw.SetWriteDeadline(time.Now().Add(c.sendTimeout))
 		defer c.raw.SetWriteDeadline(time.Time{})
 	}
-	if err := c.enc.Encode(&e); err != nil {
+	if _, err := c.raw.Write(c.wbuf); err != nil {
 		return fmt.Errorf("fednet: send: %w", err)
 	}
 	return nil
 }
 
-// recv decodes the next envelope. Callers own sequencing: the protocol is
-// strictly request/response per connection from the coordinator's side.
+// recv reads and decodes the next frame. Callers own sequencing: one
+// reader per connection. The Envelope shares no memory with the
+// connection's buffers.
 func (c *conn) recv() (Envelope, error) {
-	var e Envelope
-	if err := c.dec.Decode(&e); err != nil {
+	e, buf, err := readFrame(c.br, c.limit, c.rbuf)
+	c.rbuf = buf
+	if err != nil {
 		return Envelope{}, fmt.Errorf("fednet: recv: %w", err)
 	}
 	return e, nil

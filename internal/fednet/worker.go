@@ -27,6 +27,9 @@ import (
 // the worker.
 type Worker struct {
 	dev *core.Device
+	// params is the model's parameter count, which sizes the frames this
+	// worker accepts.
+	params int
 
 	// Offer restricts which update codecs this worker advertises in its
 	// Hello; nil advertises every codec comm registers. The coordinator
@@ -73,7 +76,7 @@ func NewWorkerWithOptions(mdl model.Model, shards []*data.Shard, opts core.Devic
 	if err := dev.InstallLinks(raw, raw); err != nil {
 		panic(err) // the raw spec is statically valid
 	}
-	return &Worker{dev: dev, trace: opts.Trace}
+	return &Worker{dev: dev, params: mdl.NumParams(), trace: opts.Trace}
 }
 
 // Run connects to the coordinator at addr, registers, and serves until
@@ -96,9 +99,9 @@ func (w *Worker) ServeConn(raw net.Conn) error {
 	return w.Serve(c)
 }
 
-// Serve registers over c, completes the codec negotiation, and processes
-// requests until Shutdown.
-func (w *Worker) Serve(c *conn) error {
+// hello is this worker's registration: the shards it hosts and the
+// codecs and widths it offers.
+func (w *Worker) hello() Hello {
 	hello := Hello{Codecs: w.Offer}
 	if hello.Codecs == nil {
 		hello.Codecs = comm.Names()
@@ -118,27 +121,52 @@ func (w *Worker) Serve(c *conn) error {
 	for _, reg := range w.dev.Hosted() {
 		hello.Devices = append(hello.Devices, DeviceInfo{ID: reg.ID, TrainSize: reg.TrainSize})
 	}
-	if err := c.send(Envelope{Hello: &hello}); err != nil {
-		return err
+	return hello
+}
+
+// register says hello over c and returns the coordinator's Welcome, once
+// it accepts the registration and honours the offer: a coordinator
+// (version-skewed or misbehaving) must not be able to install a codec the
+// hello declined to advertise. params is the model's parameter count,
+// which sizes the frames c accepts from here on.
+func register(c *conn, hello *Hello, params int) (*Welcome, error) {
+	if err := c.send(Envelope{Hello: hello}); err != nil {
+		return nil, err
 	}
+	// The largest Welcome is a re-admission's, with the eval chain's base.
+	c.limit = frameLimit(8 * int64(params))
 	env, err := c.recv()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	welcome := env.Welcome
 	if welcome == nil {
-		return fmt.Errorf("fednet: expected Welcome, got %+v", env)
+		return nil, fmt.Errorf("fednet: expected Welcome, got %+v", env)
 	}
 	if welcome.Err != "" {
-		return errors.New(welcome.Err)
+		return nil, errors.New(welcome.Err)
 	}
-	// Honour our own offer: a coordinator (version-skewed or
-	// misbehaving) must not be able to install a codec this worker
-	// explicitly declined to advertise.
 	for _, name := range []string{welcome.Downlink.Name, welcome.Uplink.Name} {
 		if !slices.Contains(hello.Codecs, name) {
-			return fmt.Errorf("fednet: coordinator selected codec %q, but this worker offered only %v", name, hello.Codecs)
+			return nil, fmt.Errorf("fednet: coordinator selected codec %q, but only %v were offered", name, hello.Codecs)
 		}
+	}
+	// The session's largest frame is a TrainRequest on the downlink or an
+	// EvalRequest on the eval link, which comm.NewEvalLink runs at full
+	// width whatever the downlink's precision.
+	eval := welcome.Downlink
+	eval.Precision = tensor.F64
+	c.limit = frameLimit(welcome.Downlink.WireSize(params), eval.WireSize(params))
+	return welcome, nil
+}
+
+// Serve registers over c, completes the codec negotiation, and processes
+// requests until Shutdown.
+func (w *Worker) Serve(c *conn) error {
+	hello := w.hello()
+	welcome, err := register(c, &hello, w.params)
+	if err != nil {
+		return err
 	}
 	for _, p := range []tensor.Precision{welcome.Downlink.Precision, welcome.Uplink.Precision} {
 		if !slices.Contains(hello.Precisions, p.String()) {
@@ -152,12 +180,13 @@ func (w *Worker) Serve(c *conn) error {
 	// this worker decodes the next broadcast in lockstep with the
 	// evaluators that never left.
 	w.dev.SeedEvalPrev(welcome.EvalPrev)
-	// Each TrainRequest is served in its own goroutine so an
-	// asynchronous coordinator can pipeline work for several hosted
-	// devices over one connection (it never has more than one request
-	// outstanding per device, so per-device link state stays
-	// single-owner). A send failure inside a handler means the
-	// connection is broken; the serve loop's next recv surfaces it.
+	// Each TrainRequest is served in its own goroutine so the coordinator
+	// can pipeline work for several hosted devices over one connection
+	// (it never has more than one request outstanding per device, so
+	// per-device link state stays single-owner) and this loop never
+	// blocks on a send while requests are still arriving. A send failure
+	// inside a handler means the connection is broken; the serve loop's
+	// next recv surfaces it.
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	for {
