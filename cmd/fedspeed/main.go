@@ -69,51 +69,27 @@ func runMicro(out, baseline string, tolerance float64) {
 	// benchmarks share machine conditions. The committed point for each
 	// benchmark is its best rep — ns/op only ever reads high under
 	// interference (scheduler, turbo, cache pollution), so the minimum is
-	// the noise-robust estimate of the true cost — while the speedup-ratio
-	// gates are checked per rep and hold on the median, which cancels the
-	// common-mode noise a ratio of two independently-picked minima
-	// doubles up on.
+	// the noise-robust estimate of the true cost.
 	const reps = 3
-	repPts := make([][]obs.BenchPoint, reps)
+	pts := make([]obs.BenchPoint, len(speed.Benchmarks))
 	for rep := 0; rep < reps; rep++ {
-		for _, bm := range speed.Benchmarks {
+		for i, bm := range speed.Benchmarks {
 			runtime.GC() // isolate each benchmark from its predecessors' garbage
 			r := testing.Benchmark(bm.Fn)
-			repPts[rep] = append(repPts[rep], obs.BenchPoint{
-				Name:        bm.Name,
-				NsPerOp:     nsPerOp(r),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				Iterations:  r.N,
-			})
-		}
-	}
-	pts := make([]obs.BenchPoint, 0, len(speed.Benchmarks))
-	for i := range speed.Benchmarks {
-		best := repPts[0][i]
-		for rep := 1; rep < reps; rep++ {
-			if p := repPts[rep][i]; p.NsPerOp < best.NsPerOp {
-				best = p
+			if p := nsPerOp(r); rep == 0 || p < pts[i].NsPerOp {
+				pts[i] = obs.BenchPoint{
+					Name:        bm.Name,
+					NsPerOp:     p,
+					AllocsPerOp: r.AllocsPerOp(),
+					BytesPerOp:  r.AllocedBytesPerOp(),
+					Iterations:  r.N,
+				}
 			}
 		}
+	}
+	for _, best := range pts {
 		fmt.Printf("%-20s %12.0f ns/op %8d B/op %6d allocs/op  (%d iterations)\n",
 			best.Name, best.NsPerOp, best.BytesPerOp, best.AllocsPerOp, best.Iterations)
-		pts = append(pts, best)
-	}
-
-	// The declared speedup ratios hold on every run — both when gating
-	// against a committed baseline and when regenerating it, so a
-	// baseline that no longer backs the repository's claims can never be
-	// written in the first place.
-	if violations := obs.CheckRatios(repPts, speed.Ratios); len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "fedspeed: %d speedup-ratio violation(s):\n", len(violations))
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "  %s\n", v)
-		}
-		os.Exit(1)
-	}
-	for _, g := range speed.Ratios {
-		fmt.Printf("ratio gate passed: %s/%s >= %.1fx\n", g.Slow, g.Fast, g.Min)
 	}
 
 	if out != "" {

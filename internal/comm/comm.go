@@ -77,11 +77,13 @@ type Spec struct {
 	Seed uint64
 	// Precision is the arithmetic width of the link's payloads. The zero
 	// value (tensor.F64) keeps the historical dense-float64 wire. With
-	// tensor.F32 the dense codecs ship float32 (half the bytes) and the
-	// qsgd family quantizes straight from float32 input with a float32
-	// scale — the codecs then satisfy Codec32 and endpoints use the
-	// Encode32/Decode32 fast path. topk does not support f32 (its
-	// error-feedback residual is f64 state); Validate rejects the combo.
+	// tensor.F32, ForDevice builds a codec that computes in float32
+	// behind the same float64 Codec interface: Encode narrows its inputs
+	// (exact when they came off an f32 path), the dense codecs ship
+	// float32 (half the bytes), the qsgd family quantizes with a float32
+	// scale, and Decode widens its result. topk does not support f32
+	// (its error-feedback residual is f64 state); Validate rejects the
+	// combo.
 	Precision tensor.Precision
 }
 
@@ -229,21 +231,30 @@ func (s Spec) ForDevice(direction string, device int) (Codec, error) {
 		return nil, err
 	}
 	s = s.WithDefaults()
+	if s.Name == "topk" {
+		return &topkCodec{frac: s.TopK, ef: direction == Uplink}, nil
+	}
 	rng := frand.New(s.Seed).Split("comm/" + direction).SplitIndex(device)
+	if s.Precision == tensor.F32 {
+		return wire[float32]{newBody[float32](s, rng)}, nil
+	}
+	return wire[float64]{newBody[float64](s, rng)}, nil
+}
+
+// newBody builds the width-T body of a validated dense or quantizing
+// spec.
+func newBody[T tensor.Float](s Spec, rng *frand.Source) body[T] {
 	switch s.Name {
 	case "raw":
-		return rawCodec{}, nil
+		return rawCodec[T]{}
 	case "delta":
-		return &deltaCodec{name: "delta", inner: rawCodec{}}, nil
+		return &deltaCodec[T]{name: "delta", inner: rawCodec[T]{}}
 	case "qsgd":
-		return &qsgdCodec{name: "qsgd", bits: s.Bits, rng: rng}, nil
+		return &qsgdCodec[T]{name: "qsgd", bits: s.Bits, rng: rng}
 	case "delta+qsgd":
-		return &deltaCodec{name: "delta+qsgd", inner: &qsgdCodec{name: "qsgd", bits: s.Bits, rng: rng}}, nil
-	case "topk":
-		return &topkCodec{frac: s.TopK, ef: direction == Uplink}, nil
-	default:
-		return nil, fmt.Errorf("comm: unknown codec %q", s.Name)
+		return &deltaCodec[T]{name: "delta+qsgd", inner: &qsgdCodec[T]{name: "qsgd", bits: s.Bits, rng: rng}}
 	}
+	panic("comm: newBody on codec " + s.Name)
 }
 
 // Codec compresses the parameter transfers of one directed link.
@@ -317,7 +328,7 @@ func (u *Update) WireBytes() int64 {
 }
 
 // check validates the envelope fields every decoder shares.
-func (u *Update) check(codec string, prev []float64) error {
+func check[T tensor.Float](u *Update, codec string, prev []T) error {
 	if u.Codec != codec {
 		return fmt.Errorf("comm: update encoded with %q, decoding with %q", u.Codec, codec)
 	}
@@ -327,145 +338,139 @@ func (u *Update) check(codec string, prev []float64) error {
 	return nil
 }
 
-// Codec32 is the float32 fast path a Codec may implement: encode
-// straight from (and decode straight to) float32 vectors, with no
-// widening copy in between. The raw, delta, and qsgd families implement
-// it; an f32 Spec only ever constructs codecs that do (Validate rejects
-// the rest), which is what As32 relies on.
-type Codec32 interface {
-	Codec
-	// Encode32 is Encode from a float32 vector; the resulting Update
-	// carries the f32 payload family (Dense32, or Packed with an f32
-	// scale).
-	Encode32(params, prev []float32) *Update
-	// Decode32 is Decode into a pooled float32 vector (hand back with
-	// tensor.PutVec32 when not retained).
-	Decode32(u *Update, prev []float32) ([]float32, error)
+// body is a codec at one arithmetic width: raw, delta and qsgd are each
+// written once over T and instantiated at the link's precision.
+type body[T tensor.Float] interface {
+	Name() string
+	encode(params, prev []T) *Update
+	// decode returns a pooled vector.
+	decode(u *Update, prev []T) ([]T, error)
+	// rounding returns the stochastic-rounding stream the body draws
+	// from — its only mutable state — or nil.
+	rounding() *frand.Source
 }
 
-// As32 returns c's float32 fast path, or an error naming the codec when
-// it has none.
-func As32(c Codec) (Codec32, error) {
-	if c32, ok := c.(Codec32); ok {
-		return c32, nil
-	}
-	return nil, fmt.Errorf("comm: codec %q has no f32 path", c.Name())
+// wire presents a width-T body as a Codec: values cross to T on the way
+// in and back to float64 on the way out, so nothing outside this package
+// handles a second width. At T = float64 nothing is copied.
+type wire[T tensor.Float] struct{ body[T] }
+
+func (c wire[T]) Encode(params, prev []float64) *Update {
+	p, pv := narrowed[T](params), narrowed[T](prev)
+	u := c.encode(p, pv)
+	release(p)
+	release(pv)
+	return u
 }
 
-// check32 validates the envelope fields every f32 decoder shares.
-func (u *Update) check32(codec string, prev []float32) error {
-	if u.Codec != codec {
-		return fmt.Errorf("comm: update encoded with %q, decoding with %q", u.Codec, codec)
-	}
-	if prev != nil && len(prev) != u.N {
-		return fmt.Errorf("comm: update has %d params, link state has %d", u.N, len(prev))
-	}
-	return nil
-}
-
-// rawCodec ships float64 parameters verbatim.
-type rawCodec struct{}
-
-func (rawCodec) Name() string { return "raw" }
-
-func (rawCodec) Encode(params, _ []float64) *Update {
-	return &Update{Codec: "raw", N: len(params), Dense: append([]float64(nil), params...)}
-}
-
-func (rawCodec) Decode(u *Update, prev []float64) ([]float64, error) {
-	if err := u.check("raw", prev); err != nil {
+func (c wire[T]) Decode(u *Update, prev []float64) ([]float64, error) {
+	pv := narrowed[T](prev)
+	out, err := c.decode(u, pv)
+	release(pv)
+	if err != nil {
 		return nil, err
 	}
-	if len(u.Dense) != u.N {
-		return nil, fmt.Errorf("comm: raw payload has %d values, header says %d", len(u.Dense), u.N)
+	if same, ok := any(out).([]float64); ok {
+		return same, nil
 	}
-	out := tensor.GetVec(u.N)
-	copy(out, u.Dense)
-	return out, nil
+	w := tensor.Converted[float64](out)
+	tensor.PutVec(out)
+	return w, nil
 }
 
-func (rawCodec) Encode32(params, _ []float32) *Update {
-	return &Update{Codec: "raw", N: len(params), Dense32: append([]float32(nil), params...)}
+// narrowed returns v at width T: v itself at float64, otherwise a pooled
+// copy for release to recycle. nil (no previous transfer) stays nil.
+func narrowed[T tensor.Float](v []float64) []T {
+	if same, ok := any(v).([]T); ok || v == nil {
+		return same
+	}
+	return tensor.Converted[T](v)
 }
 
-func (rawCodec) Decode32(u *Update, prev []float32) ([]float32, error) {
-	if err := u.check32("raw", prev); err != nil {
+// release recycles a narrowed copy; the caller's own slice is left alone.
+func release[T tensor.Float](v []T) {
+	if _, own := any(v).([]float64); !own {
+		tensor.PutVec(v)
+	}
+}
+
+// dense returns u's dense payload of width T (nil when u carries the
+// other width).
+func dense[T tensor.Float](u *Update) []T {
+	if v, ok := any(u.Dense32).([]T); ok {
+		return v
+	}
+	v, _ := any(u.Dense).([]T)
+	return v
+}
+
+// rawCodec ships parameters verbatim at width T.
+type rawCodec[T tensor.Float] struct{}
+
+func (rawCodec[T]) Name() string { return "raw" }
+
+func (rawCodec[T]) rounding() *frand.Source { return nil }
+
+func (rawCodec[T]) encode(params, _ []T) *Update {
+	u := &Update{Codec: "raw", N: len(params)}
+	switch v := any(append([]T(nil), params...)).(type) {
+	case []float32:
+		u.Dense32 = v
+	case []float64:
+		u.Dense = v
+	}
+	return u
+}
+
+func (rawCodec[T]) decode(u *Update, prev []T) ([]T, error) {
+	if err := check(u, "raw", prev); err != nil {
 		return nil, err
 	}
-	if len(u.Dense32) != u.N {
-		return nil, fmt.Errorf("comm: raw f32 payload has %d values, header says %d", len(u.Dense32), u.N)
+	payload := dense[T](u)
+	if len(payload) != u.N {
+		return nil, fmt.Errorf("comm: raw payload has %d values, header says %d", len(payload), u.N)
 	}
-	out := tensor.GetVec32(u.N)
-	copy(out, u.Dense32)
+	out := tensor.GetVec[T](u.N)
+	copy(out, payload)
 	return out, nil
 }
 
 // deltaCodec applies an inner codec to the difference params − prev
 // (prev nil ⇒ zeros), so lossy inner codecs operate on the small
 // round-over-round transition instead of the full model.
-type deltaCodec struct {
+type deltaCodec[T tensor.Float] struct {
 	name  string
-	inner Codec
+	inner body[T]
 }
 
-func (c *deltaCodec) Name() string { return c.name }
+func (c *deltaCodec[T]) Name() string { return c.name }
 
-func (c *deltaCodec) Encode(params, prev []float64) *Update {
+func (c *deltaCodec[T]) rounding() *frand.Source { return c.inner.rounding() }
+
+func (c *deltaCodec[T]) encode(params, prev []T) *Update {
 	// The difference is pure scratch: inner codecs never retain their
-	// input (raw copies it, qsgd/topk extract packed payloads), so it
-	// goes back to the pool before returning.
-	d := tensor.GetVec(len(params))
+	// input (raw copies it, qsgd extracts a packed payload), so it goes
+	// back to the pool before returning.
+	d := tensor.GetVec[T](len(params))
 	copy(d, params)
 	if prev != nil {
 		for i, p := range prev {
 			d[i] -= p
 		}
 	}
-	u := c.inner.Encode(d, nil)
+	u := c.inner.encode(d, nil)
 	u.Codec = c.name
 	tensor.PutVec(d)
 	return u
 }
 
-func (c *deltaCodec) Decode(u *Update, prev []float64) ([]float64, error) {
-	if err := u.check(c.name, prev); err != nil {
+func (c *deltaCodec[T]) decode(u *Update, prev []T) ([]T, error) {
+	if err := check(u, c.name, prev); err != nil {
 		return nil, err
 	}
 	iu := *u
 	iu.Codec = c.inner.Name()
-	d, err := c.inner.Decode(&iu, nil)
-	if err != nil {
-		return nil, err
-	}
-	if prev != nil {
-		for i, p := range prev {
-			d[i] += p
-		}
-	}
-	return d, nil
-}
-
-func (c *deltaCodec) Encode32(params, prev []float32) *Update {
-	d := tensor.GetVec32(len(params))
-	copy(d, params)
-	if prev != nil {
-		for i, p := range prev {
-			d[i] -= p
-		}
-	}
-	u := c.inner.(Codec32).Encode32(d, nil)
-	u.Codec = c.name
-	tensor.PutVec32(d)
-	return u
-}
-
-func (c *deltaCodec) Decode32(u *Update, prev []float32) ([]float32, error) {
-	if err := u.check32(c.name, prev); err != nil {
-		return nil, err
-	}
-	iu := *u
-	iu.Codec = c.inner.Name()
-	d, err := c.inner.(Codec32).Decode32(&iu, nil)
+	d, err := c.inner.decode(&iu, nil)
 	if err != nil {
 		return nil, err
 	}

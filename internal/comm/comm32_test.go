@@ -9,20 +9,22 @@ import (
 	"fedprox/internal/tensor"
 )
 
-func testVec32(n int, seed uint64) []float32 {
-	v64 := testVec(n, seed)
-	v := make([]float32, n)
-	tensor.Narrow(v, v64)
+// testVec32 is testVec rounded to float32-representable values — what an
+// f32 link's inputs are in a deployment, so its codec narrows them
+// exactly.
+func testVec32(n int, seed uint64) []float64 {
+	v := testVec(n, seed)
+	for i, x := range v {
+		v[i] = float64(float32(x))
+	}
 	return v
 }
 
-func mustCodec32(t *testing.T, s Spec) Codec32 {
+// mustCodec32 is mustCodec at Precision f32.
+func mustCodec32(t *testing.T, s Spec) Codec {
 	t.Helper()
-	c32, err := As32(mustCodec(t, s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c32
+	s.Precision = tensor.F32
+	return mustCodec(t, s)
 }
 
 // TestLevelStreamRoundTrip drives the level writer/reader pair across
@@ -84,29 +86,32 @@ func TestByteFastPathMatchesBitPacking(t *testing.T) {
 
 // TestQSGD32RoundTrip checks the f32 quantizer against the same error
 // bound the f64 one carries (‖v−decode‖∞ ≤ scale/s), and that its
-// payload round-trips exactly through Decode32.
+// payload round-trips through Decode.
 func TestQSGD32RoundTrip(t *testing.T) {
 	for _, bits := range []int{2, 3, 4, 8, 16} {
 		v := testVec32(257, uint64(bits))
 		enc := mustCodec32(t, Spec{Name: "qsgd", Bits: bits, Seed: 5})
 		dec := mustCodec32(t, Spec{Name: "qsgd", Bits: bits, Seed: 5})
-		u := enc.Encode32(v, nil)
+		u := enc.Encode(v, nil)
 		if !u.F32 {
-			t.Fatal("Encode32 did not mark the update f32")
+			t.Fatal("the f32 encoder did not mark the update f32")
 		}
-		got, err := dec.Decode32(u, nil)
+		got, err := dec.Decode(u, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var scale float64
 		for _, x := range v {
-			if a := math.Abs(float64(x)); a > scale {
+			if a := math.Abs(x); a > scale {
 				scale = a
 			}
 		}
 		unit := scale / float64(levels(bits))
 		for i := range v {
-			if d := math.Abs(float64(v[i]) - float64(got[i])); d > unit+1e-6 {
+			if got[i] != float64(float32(got[i])) {
+				t.Fatalf("bits %d index %d: decoded %v is not float32-representable", bits, i, got[i])
+			}
+			if d := math.Abs(v[i] - got[i]); d > unit+1e-6 {
 				t.Fatalf("bits %d index %d: |%v - %v| = %g exceeds unit %g", bits, i, v[i], got[i], d, unit)
 			}
 		}
@@ -123,7 +128,7 @@ func TestQSGDCrossWidthDecode(t *testing.T) {
 	u := enc.Encode(v64, nil)
 
 	dec32 := mustCodec32(t, Spec{Name: "qsgd", Bits: 8, Seed: 7})
-	got32, err := dec32.Decode32(u, nil)
+	got32, err := dec32.Decode(u, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +138,7 @@ func TestQSGDCrossWidthDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range got64 {
-		if d := math.Abs(float64(got32[i]) - got64[i]); d > 1e-5*math.Abs(got64[i])+1e-7 {
+		if d := math.Abs(got32[i] - got64[i]); d > 1e-5*math.Abs(got64[i])+1e-7 {
 			t.Fatalf("index %d: f32 decode %v vs f64 decode %v", i, got32[i], got64[i])
 		}
 	}
@@ -144,19 +149,19 @@ func TestQSGDCrossWidthDecode(t *testing.T) {
 // on.
 func TestQSGD32Deterministic(t *testing.T) {
 	v := testVec32(200, 8)
-	a := mustCodec32(t, Spec{Name: "qsgd", Bits: 4, Seed: 21}).Encode32(v, nil)
-	b := mustCodec32(t, Spec{Name: "qsgd", Bits: 4, Seed: 21}).Encode32(v, nil)
+	a := mustCodec32(t, Spec{Name: "qsgd", Bits: 4, Seed: 21}).Encode(v, nil)
+	b := mustCodec32(t, Spec{Name: "qsgd", Bits: 4, Seed: 21}).Encode(v, nil)
 	if !bytes.Equal(a.Packed, b.Packed) || a.Scale != b.Scale {
 		t.Fatal("same seed and input produced different payloads")
 	}
 }
 
 // TestF32PathRejections: the sparsifier has no f32 path — both the
-// runtime cast and the spec validation must say so, because a silent
-// fall back to f64 would change the wire format mid-link.
+// codec constructor and the spec validation must say so, because a
+// silent fall back to f64 would change the wire format mid-link.
 func TestF32PathRejections(t *testing.T) {
-	if _, err := As32(mustCodec(t, Spec{Name: "topk"})); err == nil {
-		t.Fatal("As32 accepted the topk codec")
+	if _, err := (Spec{Name: "topk", Precision: tensor.F32}).ForDevice(Uplink, 0); err == nil {
+		t.Fatal("ForDevice built a topk codec at f32")
 	}
 	if err := (Spec{Name: "topk", Precision: tensor.F32}).Validate(); err == nil {
 		t.Fatal("Validate accepted a topk spec at f32")

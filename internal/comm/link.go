@@ -24,7 +24,6 @@ type LinkState struct {
 	mu       sync.Mutex
 	down, up map[int]Codec
 	prev     map[int][]float64
-	prev32   map[int][]float32
 }
 
 // NewLinkState validates the per-direction specs and returns empty state.
@@ -45,7 +44,6 @@ func NewLinkState(down, up Spec) (*LinkState, error) {
 		down:      make(map[int]Codec),
 		up:        make(map[int]Codec),
 		prev:      make(map[int][]float64),
-		prev32:    make(map[int][]float32),
 	}, nil
 }
 
@@ -82,7 +80,8 @@ func (l *LinkState) Prev(device int) []float64 {
 // endpoints of a link must call it with the same decoded value to stay
 // in lockstep. The view is copied into a per-device buffer the link
 // retains, so callers keep ownership of the slice they pass (and may
-// recycle it).
+// recycle it). On an f32 link the decoded value is float32-representable,
+// so this float64 shadow holds the link's f32 chain exactly.
 func (l *LinkState) SetPrev(device int, view []float64) {
 	if l.trackPrev {
 		l.mu.Lock()
@@ -93,32 +92,6 @@ func (l *LinkState) SetPrev(device int, view []float64) {
 		p = p[:len(view)]
 		copy(p, view)
 		l.prev[device] = p
-		l.mu.Unlock()
-	}
-}
-
-// Prev32 is Prev for an f32 link: the last decoded float32 broadcast on
-// the device's downlink. An endpoint uses either the f64 or the f32
-// chain, never both — the chains are kept separate so a precision can
-// never silently mix into the other's lockstep state.
-func (l *LinkState) Prev32(device int) []float32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.prev32[device]
-}
-
-// SetPrev32 is SetPrev for an f32 link; the view is copied into a
-// retained per-device buffer.
-func (l *LinkState) SetPrev32(device int, view []float32) {
-	if l.trackPrev {
-		l.mu.Lock()
-		p := l.prev32[device]
-		if cap(p) < len(view) {
-			p = make([]float32, len(view))
-		}
-		p = p[:len(view)]
-		copy(p, view)
-		l.prev32[device] = p
 		l.mu.Unlock()
 	}
 }

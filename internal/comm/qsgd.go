@@ -15,13 +15,15 @@ import (
 // per coordinate — except at the narrow widths (see packedLen), where
 // plain bit-packing wastes a fraction of every field and levels are
 // radix-packed instead.
-type qsgdCodec struct {
+type qsgdCodec[T tensor.Float] struct {
 	name string
 	bits int
 	rng  *frand.Source
 }
 
-func (c *qsgdCodec) Name() string { return c.name }
+func (c *qsgdCodec[T]) Name() string { return c.name }
+
+func (c *qsgdCodec[T]) rounding() *frand.Source { return c.rng }
 
 // levels returns s, the number of positive quantization levels at the
 // given width: values are integers in [−s, s], stored offset-binary.
@@ -193,87 +195,13 @@ func (r *levelReader) next() uint32 {
 	return q
 }
 
-func (c *qsgdCodec) Encode(v, _ []float64) *Update {
+// encode quantizes v. The max-magnitude scale is a T — on an f32 link it
+// ships in 4 bytes — and each coordinate costs one rng draw at either
+// width.
+func (c *qsgdCodec[T]) encode(v, _ []T) *Update {
 	n := len(v)
 	s := levels(c.bits)
-	scale := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > scale {
-			scale = a
-		}
-	}
-	u := &Update{
-		Codec:  c.name,
-		N:      n,
-		Bits:   c.bits,
-		Scale:  scale,
-		Packed: make([]byte, packedLen(n, c.bits)),
-	}
-	if scale == 0 {
-		// All-zero vector: Decode short-circuits on Scale == 0, so the
-		// level payload is never read — leave Packed zeroed.
-		return u
-	}
-	w := newLevelWriter(u.Packed, c.bits)
-	for _, x := range v {
-		t := x / scale * float64(s) // in [−s, s]
-		f := math.Floor(t)
-		q := int(f)
-		if c.rng.Float64() < t-f {
-			q++
-		}
-		if q < -s {
-			q = -s
-		}
-		if q > s {
-			q = s
-		}
-		w.put(uint32(q + s))
-	}
-	w.finish()
-	return u
-}
-
-func (c *qsgdCodec) checkPacked(u *Update) error {
-	if u.Bits != c.bits {
-		return fmt.Errorf("comm: qsgd update at %d bits, link configured for %d", u.Bits, c.bits)
-	}
-	if want := packedLen(u.N, u.Bits); len(u.Packed) != want {
-		return fmt.Errorf("comm: qsgd payload has %d bytes, want %d", len(u.Packed), want)
-	}
-	return nil
-}
-
-func (c *qsgdCodec) Decode(u *Update, prev []float64) ([]float64, error) {
-	if err := u.check(c.name, prev); err != nil {
-		return nil, err
-	}
-	if err := c.checkPacked(u); err != nil {
-		return nil, err
-	}
-	s := levels(u.Bits)
-	out := tensor.GetVec(u.N)
-	if u.Scale == 0 {
-		tensor.Zero(out)
-		return out, nil
-	}
-	unit := u.Scale / float64(s)
-	r := newLevelReader(u.Packed, u.Bits, u.N)
-	for i := range out {
-		q := int(r.next()) - s
-		out[i] = float64(q) * unit
-	}
-	return out, nil
-}
-
-// Encode32 quantizes straight from a float32 vector: same level stream
-// draws as Encode (one rng draw per coordinate), but the max-magnitude
-// scale is itself a float32 — it ships in 4 bytes — and no widening copy
-// of the input is ever made.
-func (c *qsgdCodec) Encode32(v, _ []float32) *Update {
-	n := len(v)
-	s := levels(c.bits)
-	var scale float32
+	var scale T
 	for _, x := range v {
 		a := x
 		if a < 0 {
@@ -283,19 +211,22 @@ func (c *qsgdCodec) Encode32(v, _ []float32) *Update {
 			scale = a
 		}
 	}
+	_, f32 := any(scale).(float32)
 	u := &Update{
 		Codec:  c.name,
 		N:      n,
 		Bits:   c.bits,
 		Scale:  float64(scale),
-		F32:    true,
+		F32:    f32,
 		Packed: make([]byte, packedLen(n, c.bits)),
 	}
 	if scale == 0 {
+		// All-zero vector: decode short-circuits on Scale == 0, so the
+		// level payload is never read — leave Packed zeroed.
 		return u
 	}
 	w := newLevelWriter(u.Packed, c.bits)
-	invUnit := float32(s) / scale
+	invUnit := T(s) / scale
 	for _, x := range v {
 		t := float64(x * invUnit) // in [−s, s]
 		f := math.Floor(t)
@@ -315,27 +246,30 @@ func (c *qsgdCodec) Encode32(v, _ []float32) *Update {
 	return u
 }
 
-// Decode32 reconstructs the quantized vector in float32. The level
-// payload is width-exact either way, so it accepts updates from both
-// Encode32 and Encode (the scale merely narrows on the way in).
-func (c *qsgdCodec) Decode32(u *Update, prev []float32) ([]float32, error) {
-	if err := u.check32(c.name, prev); err != nil {
+// decode reconstructs the quantized vector at width T. The level payload
+// is width-exact either way, so an update quantized at the other width
+// decodes too (its scale merely converts on the way in).
+func (c *qsgdCodec[T]) decode(u *Update, prev []T) ([]T, error) {
+	if err := check(u, c.name, prev); err != nil {
 		return nil, err
 	}
-	if err := c.checkPacked(u); err != nil {
-		return nil, err
+	if u.Bits != c.bits {
+		return nil, fmt.Errorf("comm: qsgd update at %d bits, link configured for %d", u.Bits, c.bits)
+	}
+	if want := packedLen(u.N, u.Bits); len(u.Packed) != want {
+		return nil, fmt.Errorf("comm: qsgd payload has %d bytes, want %d", len(u.Packed), want)
 	}
 	s := levels(u.Bits)
-	out := tensor.GetVec32(u.N)
+	out := tensor.GetVec[T](u.N)
 	if u.Scale == 0 {
-		tensor.Zero32(out)
+		tensor.Zero(out)
 		return out, nil
 	}
-	unit := float32(u.Scale) / float32(s)
+	unit := T(u.Scale) / T(s)
 	r := newLevelReader(u.Packed, u.Bits, u.N)
 	for i := range out {
 		q := int(r.next()) - s
-		out[i] = float32(q) * unit
+		out[i] = T(q) * unit
 	}
 	return out, nil
 }

@@ -27,18 +27,17 @@ type CodecState struct {
 // codecs (raw, delta) snapshot to the zero CodecState.
 func SnapshotCodec(c Codec) (CodecState, error) {
 	switch v := c.(type) {
-	case rawCodec:
-		return CodecState{}, nil
-	case *deltaCodec:
-		return SnapshotCodec(v.inner)
-	case *qsgdCodec:
-		return CodecState{RNG: v.rng.State(), HasRNG: true}, nil
 	case *topkCodec:
 		var res []float64
 		if v.residual != nil {
 			res = append([]float64(nil), v.residual...)
 		}
 		return CodecState{Residual: res}, nil
+	case interface{ rounding() *frand.Source }: // wire[T], either width
+		if rng := v.rounding(); rng != nil {
+			return CodecState{RNG: rng.State(), HasRNG: true}, nil
+		}
+		return CodecState{}, nil
 	default:
 		return CodecState{}, fmt.Errorf("comm: cannot snapshot codec %q", c.Name())
 	}
@@ -48,22 +47,22 @@ func SnapshotCodec(c Codec) (CodecState, error) {
 // the same codec.
 func RestoreCodec(c Codec, st CodecState) error {
 	switch v := c.(type) {
-	case rawCodec:
-		return nil
-	case *deltaCodec:
-		return RestoreCodec(v.inner, st)
-	case *qsgdCodec:
-		if !st.HasRNG {
-			return fmt.Errorf("comm: qsgd snapshot carries no rounding stream")
-		}
-		v.rng = frand.New(st.RNG)
-		return nil
 	case *topkCodec:
 		if st.Residual == nil {
 			v.residual = nil
 		} else {
 			v.residual = append([]float64(nil), st.Residual...)
 		}
+		return nil
+	case interface{ rounding() *frand.Source }:
+		rng := v.rounding()
+		if rng == nil {
+			return nil
+		}
+		if !st.HasRNG {
+			return fmt.Errorf("comm: qsgd snapshot carries no rounding stream")
+		}
+		*rng = *frand.New(st.RNG)
 		return nil
 	default:
 		return fmt.Errorf("comm: cannot restore codec %q", c.Name())
@@ -74,7 +73,6 @@ func RestoreCodec(c Codec, st CodecState) error {
 type DeviceLinkState struct {
 	Down, Up CodecState
 	Prev     []float64
-	Prev32   []float32
 }
 
 // LinkSnapshot is the serializable state of a LinkState endpoint.
@@ -100,11 +98,7 @@ func (l *LinkState) Snapshot() (LinkSnapshot, error) {
 		if p := l.prev[dev]; p != nil {
 			prev = append([]float64(nil), p...)
 		}
-		var prev32 []float32
-		if p := l.prev32[dev]; p != nil {
-			prev32 = append([]float32(nil), p...)
-		}
-		snap.Devices[dev] = DeviceLinkState{Down: ds, Up: us, Prev: prev, Prev32: prev32}
+		snap.Devices[dev] = DeviceLinkState{Down: ds, Up: us, Prev: prev}
 	}
 	return snap, nil
 }
@@ -117,7 +111,6 @@ func (l *LinkState) Restore(snap LinkSnapshot) error {
 	l.down = make(map[int]Codec, len(snap.Devices))
 	l.up = make(map[int]Codec, len(snap.Devices))
 	l.prev = make(map[int][]float64, len(snap.Devices))
-	l.prev32 = make(map[int][]float32, len(snap.Devices))
 	for dev, st := range snap.Devices {
 		down, err := l.downSpec.ForDevice(Downlink, dev)
 		if err != nil {
@@ -137,9 +130,6 @@ func (l *LinkState) Restore(snap LinkSnapshot) error {
 		if l.trackPrev && st.Prev != nil {
 			l.prev[dev] = append([]float64(nil), st.Prev...)
 		}
-		if l.trackPrev && st.Prev32 != nil {
-			l.prev32[dev] = append([]float32(nil), st.Prev32...)
-		}
 	}
 	return nil
 }
@@ -153,7 +143,6 @@ func (l *LinkState) Reset(device int) {
 	delete(l.down, device)
 	delete(l.up, device)
 	delete(l.prev, device)
-	delete(l.prev32, device)
 }
 
 // EvalLinkSnapshot is the serializable state of a shared eval link.

@@ -36,7 +36,7 @@ func (c *topkCodec) Encode(params, prev []float64) *Update {
 	// d is the transition this call owes the peer: params − prev, plus
 	// whatever earlier rounds left in the residual. It is pure scratch —
 	// everything the Update carries is copied out of it.
-	d := tensor.GetVec(n)
+	d := tensor.GetVec[float64](n)
 	copy(d, params)
 	if prev != nil {
 		for i, p := range prev {
@@ -137,13 +137,13 @@ func selectTopK(d []float64, order []int, k int) {
 }
 
 func (c *topkCodec) Decode(u *Update, prev []float64) ([]float64, error) {
-	if err := u.check("topk", prev); err != nil {
+	if err := check(u, "topk", prev); err != nil {
 		return nil, err
 	}
 	if len(u.Indices) != len(u.Values) {
 		return nil, fmt.Errorf("comm: topk has %d indices but %d values", len(u.Indices), len(u.Values))
 	}
-	out := tensor.GetVec(u.N)
+	out := tensor.GetVec[float64](u.N)
 	if prev != nil {
 		copy(out, prev)
 	} else {

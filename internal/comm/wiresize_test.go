@@ -47,8 +47,8 @@ func TestWireSizeMatchesRealizedEncodes(t *testing.T) {
 
 // TestWireSize32MatchesRealizedEncodes is the same contract on the
 // float32 wire: a spec stamped Precision f32 must predict the realized
-// WireBytes of an Encode32 — raw/delta at 4-byte coordinates, qsgd
-// with its 4-byte scale — for every codec that has an f32 path.
+// WireBytes of its codec's Encode — raw/delta at 4-byte coordinates,
+// qsgd with its 4-byte scale — for every codec that has an f32 path.
 func TestWireSize32MatchesRealizedEncodes(t *testing.T) {
 	specs := []Spec{
 		{Name: "raw", Precision: tensor.F32},
@@ -64,11 +64,11 @@ func TestWireSize32MatchesRealizedEncodes(t *testing.T) {
 			params := testVec32(n, 11)
 			prev := testVec32(n, 12)
 			c := mustCodec32(t, s)
-			u := c.Encode32(params, prev)
+			u := c.Encode(params, prev)
 			if got, want := u.WireBytes(), s.WireSize(n); got != want {
 				t.Errorf("%v n=%d: realized %d bytes, WireSize predicts %d", s, n, got, want)
 			}
-			u = c.Encode32(prev, params)
+			u = c.Encode(prev, params)
 			if got, want := u.WireBytes(), s.WireSize(n); got != want {
 				t.Errorf("%v n=%d second encode: realized %d, predicted %d", s, n, got, want)
 			}

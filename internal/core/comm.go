@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"fedprox/internal/comm"
-	"fedprox/internal/tensor"
 )
 
 // commLinks is the coordinator's view of the network codec state: one
@@ -22,11 +21,6 @@ type commLinks struct {
 	// — exactly what the fednet workers compute their metrics from — and
 	// its encoded size lands in Cost.EvalBytes.
 	eval *comm.EvalLink
-	// f32 marks an f32-precision deployment: training transfers move
-	// float32 payloads and both endpoints advance the f32 prev chains.
-	// The eval link is exempt (NewEvalLink strips precision), so
-	// evaluation stays at full width.
-	f32 bool
 }
 
 func newCommLinks(downSpec, upSpec comm.Spec) (*commLinks, error) {
@@ -42,7 +36,7 @@ func newCommLinks(downSpec, upSpec comm.Spec) (*commLinks, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &commLinks{state: state, eval: eval, f32: downSpec.Precision == tensor.F32}, nil
+	return &commLinks{state: state, eval: eval}, nil
 }
 
 // evalBroadcast encodes wt on the shared eval link and returns the
@@ -71,32 +65,9 @@ func (l *commLinks) broadcast(k int, wt []float64) (*comm.Update, []float64, int
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("core: device %d: %w", k, err)
 	}
-	if l.f32 {
-		// f32 deployment: the wire carries float32 payloads and the prev
-		// chain lives in float32. The coordinator's own bookkeeping (the
-		// pendingDispatch view the fold subtracts against) stays float64:
-		// widening an f32 view is exact, and narrowing it back reproduces
-		// the original bits, so the f64 shadow is bit-locked with the
-		// device's f32 view.
-		e32, err := comm.As32(enc)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: device %d: %w", k, err)
-		}
-		w32 := tensor.GetVec32(len(wt))
-		tensor.Narrow(w32, wt)
-		prev := l.state.Prev32(k)
-		u := e32.Encode32(w32, prev)
-		view32, err := e32.Decode32(u, prev)
-		tensor.PutVec32(w32)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: downlink decode for device %d: %w", k, err)
-		}
-		l.state.SetPrev32(k, view32)
-		view := tensor.GetVec(len(wt))
-		tensor.Widen(view, view32)
-		tensor.PutVec32(view32)
-		return u, view, u.WireBytes(), nil
-	}
+	// On an f32 deployment the codec narrows wt on its way in and the view
+	// it decodes is float32-representable, so the pendingDispatch view the
+	// fold subtracts against is bit-locked with the device's.
 	prev := l.state.Prev(k)
 	u := enc.Encode(wt, prev)
 	view, err := enc.Decode(u, prev)
@@ -120,46 +91,12 @@ func (l *commLinks) uplinkEncode(k int, wk, view []float64) (*comm.Update, error
 	return enc.Encode(wk, view), nil
 }
 
-// uplinkEncode32 is uplinkEncode for an f32 deployment: the device's f32
-// solution is encoded directly against the f32 view it trained from — no
-// widening copy sits between the solve and the wire.
-func (l *commLinks) uplinkEncode32(k int, wk, view tensor.Vec32) (*comm.Update, error) {
-	_, enc, err := l.state.Link(k)
-	if err != nil {
-		return nil, fmt.Errorf("core: device %d: %w", k, err)
-	}
-	e32, err := comm.As32(enc)
-	if err != nil {
-		return nil, fmt.Errorf("core: device %d: %w", k, err)
-	}
-	return e32.Encode32(wk, view), nil
-}
-
 // uplinkDecode reconstructs a device's uplink reply against the
 // broadcast view it trained from. Decoding is stateless.
 func (l *commLinks) uplinkDecode(k int, u *comm.Update, view []float64) ([]float64, error) {
 	_, dec, err := l.state.Link(k)
 	if err != nil {
 		return nil, fmt.Errorf("core: device %d: %w", k, err)
-	}
-	if l.f32 {
-		// The f64 view is an exact widening of the f32 view the device
-		// encoded against; narrowing recovers it bit-for-bit.
-		d32, err := comm.As32(dec)
-		if err != nil {
-			return nil, fmt.Errorf("core: device %d: %w", k, err)
-		}
-		p32 := tensor.GetVec32(len(view))
-		tensor.Narrow(p32, view)
-		got32, err := d32.Decode32(u, p32)
-		tensor.PutVec32(p32)
-		if err != nil {
-			return nil, fmt.Errorf("core: uplink decode for device %d: %w", k, err)
-		}
-		got := tensor.GetVec(len(got32))
-		tensor.Widen(got, got32)
-		tensor.PutVec32(got32)
-		return got, nil
 	}
 	got, err := dec.Decode(u, view)
 	if err != nil {

@@ -259,21 +259,24 @@ type Config struct {
 	Trace obs.Sink
 	// Precision selects the arithmetic width of the device-side hot path.
 	// The zero value (tensor.F64) is the framework's float64 contract.
-	// tensor.F32 routes the whole per-dispatch pipeline through the
-	// float32 kernels: parameters are narrowed once on arrival, the local
-	// solve (prox term and γ probe included) runs on batched f32 kernels,
-	// and the uplink encodes straight from the f32 solution — wire scales
-	// and dense payloads ship at 4 bytes per word. Results are widened
-	// exactly once at the reply boundary, and evaluation always happens at
-	// full width (the eval link strips precision on both endpoints), so an
-	// f32 run's loss is measured in the same arithmetic as its f64
-	// baseline.
+	// Under tensor.F32 the local solve (prox term and γ probe included)
+	// and the wire codecs run the same width-generic bodies at float32:
+	// the device hands the setting to the solver as
+	// solver.Config.Precision and CommSpecs stamps it into both
+	// comm.Specs, so wire scales and dense payloads ship at 4 bytes per
+	// word. Every interface in between stays float64 — solver and codec
+	// narrow on the way in and widen, exactly, on the way out — and
+	// evaluation always happens at full width (the eval link strips
+	// precision on both endpoints), so an f32 run's loss is measured in
+	// the same arithmetic as its f64 baseline. What f32 buys is the wire:
+	// both widths run the same batched kernels.
 	//
-	// F32 requires an f32-capable model (model.Model32) and local solver
-	// (solver.LocalSolver32; nil selects SGD, which is capable), no
-	// Privacy mechanism (the DP hook runs at full width), and no topk
-	// codec — the run is rejected up front rather than silently falling
-	// back, because the wire format is part of the negotiated protocol.
+	// F32 requires a model with a float32 gradient (model.Model32: linear
+	// and mlp, not lstm), a local solver that honours
+	// solver.Config.Precision (SGD, the nil default, or GD), no Privacy
+	// mechanism (the DP hook runs at full width), and no topk codec — the
+	// run is rejected up front rather than silently falling back, because
+	// the wire format is part of the negotiated protocol.
 	Precision tensor.Precision
 	// VTime, when enabled (non-nil Model), runs the simulation on the
 	// internal/vtime virtual clock: synchronous rounds are charged their

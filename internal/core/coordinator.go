@@ -280,7 +280,7 @@ func (w *workStats) add(done, target int) {
 }
 
 func foldStaleDeltas(w []float64, batch []StaleDelta, version int, sampling SamplingScheme, alpha, p float64, st *foldStats) bool {
-	num := tensor.GetVec(len(w))
+	num := tensor.GetVec[float64](len(w))
 	defer tensor.PutVec(num)
 	tensor.Zero(num)
 	den := 0.0
@@ -1329,7 +1329,7 @@ func (c *Coordinator) asyncDispatch() (Dispatch, error) {
 		// concurrently with later model folds, so the device must see the
 		// version it was dispatched, not a racing c.w. Pooled — the copy
 		// is recycled when the reply resolves (or the worker is lost).
-		view = tensor.GetVec(len(c.w))
+		view = tensor.GetVec[float64](len(c.w))
 		copy(view, c.w)
 	}
 	c.idle.remove(id)
@@ -1477,7 +1477,7 @@ func (c *Coordinator) handleAsyncReply(r Reply) ([]Command, error) {
 	case ArrivalFolded:
 		c.cost.UplinkBytes += upWire
 		c.windowBytes += roundTrip
-		delta := tensor.GetVec(len(wk))
+		delta := tensor.GetVec[float64](len(wk))
 		for i := range wk {
 			delta[i] = wk[i] - in.view[i]
 		}

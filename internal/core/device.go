@@ -100,13 +100,14 @@ type DeviceOptions struct {
 	// which is also why the deterministic simulators leave this nil and
 	// trace only the coordinator.
 	Trace obs.Sink
-	// Precision selects the dispatch hot path's arithmetic width (see
-	// Config.Precision). tensor.F32 requires a model.Model32 model, a
-	// solver.LocalSolver32 solver, and no Privacy mechanism — the
-	// constructors panic otherwise rather than silently running wide.
-	// InstallLinks overrides it with the wire specs' negotiated
-	// precision: once links exist, the wire format is the single truth
-	// both endpoints must agree on.
+	// Precision selects the arithmetic width of the local solve and the
+	// γ probe (see Config.Precision); it is handed to the solver as
+	// solver.Config.Precision. tensor.F32 requires what f32Ready checks —
+	// a model.Model32 model, a solver that honours the setting (SGD or
+	// GD) and no Privacy mechanism — and the constructors panic otherwise
+	// rather than silently running wide. InstallLinks overrides it with
+	// the wire specs' negotiated precision: once links exist, the wire
+	// format is the single truth both endpoints must agree on.
 	Precision tensor.Precision
 }
 
@@ -151,7 +152,7 @@ func NewDevice(mdl model.Model, shards []*data.Shard, opts DeviceOptions) *Devic
 	if local == nil {
 		local = solver.SGDSolver{}
 	}
-	checkPrecision(mdl, local, opts)
+	mustRunAt(opts.Precision, mdl, local, opts.Privacy)
 	byID := make(map[int]*data.Shard, len(shards))
 	ids := make([]int, 0, len(shards))
 	for _, s := range shards {
@@ -171,25 +172,35 @@ func NewDevice(mdl model.Model, shards []*data.Shard, opts DeviceOptions) *Devic
 	}
 }
 
-// checkPrecision enforces the f32 hot path's prerequisites at
-// construction time: a silent fall-back to float64 would desynchronize a
-// wire deployment (the negotiated format is part of the protocol), so an
-// impossible combination is a programming error, not a runtime choice.
-func checkPrecision(mdl model.Model, local solver.LocalSolver, opts DeviceOptions) {
-	if opts.Precision != tensor.F32 {
-		if err := opts.Precision.Validate(); err != nil {
-			panic("core: " + err.Error())
-		}
-		return
-	}
+// f32Ready is the one decision of whether a runtime can execute at
+// float32, shared by the constructors, InstallLinks and
+// SupportsPrecision: the model has a float32 gradient, the solver runs
+// at solver.Config.Precision, and no privacy hook sits between solve and
+// encode. It returns what is missing, or nil.
+func f32Ready(mdl model.Model, local solver.LocalSolver, priv *privacy.Mechanism) error {
 	if _, ok := mdl.(model.Model32); !ok {
-		panic("core: Precision f32 needs a model implementing model.Model32")
+		return errors.New("Precision f32 needs a model with a float32 gradient (model.Model32)")
 	}
-	if _, ok := local.(solver.LocalSolver32); !ok {
-		panic("core: Precision f32 needs a solver implementing solver.LocalSolver32")
+	if !solver.HonoursPrecision(local) {
+		return fmt.Errorf("Precision f32 needs a solver that runs at solver.Config.Precision (sgd, gd), not %q", local.Name())
 	}
-	if opts.Privacy != nil {
-		panic("core: Precision f32 cannot be combined with a privacy mechanism (the DP hook runs at full width)")
+	if priv != nil {
+		return errors.New("Precision f32 cannot be combined with a privacy mechanism (the DP hook runs at full width)")
+	}
+	return nil
+}
+
+// mustRunAt enforces a precision's prerequisites at construction time: a
+// silent fall-back to float64 would desynchronize a wire deployment (the
+// negotiated format is part of the protocol), so an impossible
+// combination is a programming error, not a runtime choice.
+func mustRunAt(p tensor.Precision, mdl model.Model, local solver.LocalSolver, priv *privacy.Mechanism) {
+	err := p.Validate()
+	if err == nil && p == tensor.F32 {
+		err = f32Ready(mdl, local, priv)
+	}
+	if err != nil {
+		panic("core: " + err.Error())
 	}
 }
 
@@ -206,7 +217,7 @@ func NewFleetDevice(mdl model.Model, fl data.Fleet, opts DeviceOptions) *Device 
 	if local == nil {
 		local = solver.SGDSolver{}
 	}
-	checkPrecision(mdl, local, opts)
+	mustRunAt(opts.Precision, mdl, local, opts.Privacy)
 	return &Device{
 		mdl:   mdl,
 		fleet: fl,
@@ -260,14 +271,8 @@ func (dv *Device) InstallLinks(down, up comm.Spec) error {
 	// this runtime cannot execute is a negotiation error, reported here
 	// rather than on the first dispatch.
 	if down.Precision == tensor.F32 {
-		if _, ok := dv.mdl.(model.Model32); !ok {
-			return errors.New("core: f32 link specs on a model without a float32 path (model.Model32)")
-		}
-		if _, ok := dv.local.(solver.LocalSolver32); !ok {
-			return errors.New("core: f32 link specs on a solver without a float32 path (solver.LocalSolver32)")
-		}
-		if dv.priv != nil {
-			return errors.New("core: f32 link specs on a runtime with a privacy mechanism (the DP hook runs at full width)")
+		if err := f32Ready(dv.mdl, dv.local, dv.priv); err != nil {
+			return fmt.Errorf("core: f32 link specs: %w", err)
 		}
 	}
 	dv.prec = down.Precision
@@ -277,15 +282,12 @@ func (dv *Device) InstallLinks(down, up comm.Spec) error {
 
 // SupportsPrecision reports whether this runtime can execute dispatches
 // at the given width — what a fednet worker consults to build its Hello
-// precision offer. F32 needs the complete float32 path: a Model32 model,
-// a LocalSolver32 solver, and no privacy mechanism.
+// precision offer.
 func (dv *Device) SupportsPrecision(p tensor.Precision) bool {
 	if p != tensor.F32 {
 		return p.Validate() == nil
 	}
-	_, mok := dv.mdl.(model.Model32)
-	_, sok := dv.local.(solver.LocalSolver32)
-	return mok && sok && dv.priv == nil
+	return f32Ready(dv.mdl, dv.local, dv.priv) == nil
 }
 
 // SeedEvalPrev installs an eval chain base received from the server — a
@@ -335,9 +337,6 @@ func (d Dispatch) SolverConfig() solver.Config {
 // runtimes, the raw solution otherwise, and always reports the epochs
 // actually run in EpochsDone.
 func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
-	if dv.prec == tensor.F32 {
-		return dv.handleDispatch32(d)
-	}
 	shard, releaseShard, err := dv.shardFor(d.Device)
 	if err != nil {
 		return Reply{}, err
@@ -379,6 +378,7 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 		epochs = d.EpochBudget
 	}
 	scfg := d.SolverConfig()
+	scfg.Precision = dv.prec
 	wk := dv.local.Solve(dv.mdl, shard.Train, view, scfg, epochs, frand.New(d.BatchSeed))
 	if dv.priv != nil {
 		dv.priv.Apply(wk, view, d.PrivacyTag, d.Device)
@@ -422,104 +422,6 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 	if dv.links != nil {
 		tensor.PutVec(wk)
 	}
-	return r, nil
-}
-
-// handleDispatch32 is HandleDispatch on the float32 fast path: the
-// broadcast is decoded (or narrowed) into a Vec32 once, the whole solve —
-// prox term and γ probe included — runs on the f32 kernels, and the
-// uplink encodes straight from the f32 solution. The only widening is at
-// the reply boundary of link-less runtimes, where Reply.Params keeps its
-// float64 contract.
-func (dv *Device) handleDispatch32(d Dispatch) (Reply, error) {
-	m32, mok := dv.mdl.(model.Model32)
-	s32, sok := dv.local.(solver.LocalSolver32)
-	if !mok || !sok || dv.priv != nil {
-		// Unreachable through the constructors/InstallLinks guards; kept
-		// as a defensive check for direct field manipulation in tests.
-		return Reply{}, errors.New("core: f32 dispatch on a runtime without a complete float32 path")
-	}
-	shard, releaseShard, err := dv.shardFor(d.Device)
-	if err != nil {
-		return Reply{}, err
-	}
-	if releaseShard != nil {
-		defer releaseShard()
-	}
-	var view32 tensor.Vec32
-	switch {
-	case d.Update != nil:
-		if dv.links == nil {
-			return Reply{}, fmt.Errorf("core: encoded dispatch for device %d on a runtime without links", d.Device)
-		}
-		dec, _, err := dv.links.state.Link(d.Device)
-		if err != nil {
-			return Reply{}, err
-		}
-		d32, err := comm.As32(dec)
-		if err != nil {
-			return Reply{}, err
-		}
-		v, err := d32.Decode32(d.Update, dv.links.state.Prev32(d.Device))
-		if err != nil {
-			return Reply{}, err
-		}
-		view32 = v
-	case d.View != nil:
-		// In-process dispatch: narrow the driver's f64 view once; every
-		// step downstream runs at f32.
-		view32 = tensor.GetVec32(len(d.View))
-		tensor.Narrow(view32, d.View)
-	default:
-		return Reply{}, errors.New("core: dispatch carries neither an encoded update nor a decoded view")
-	}
-	if len(view32) != dv.mdl.NumParams() {
-		tensor.PutVec32(view32)
-		return Reply{}, fmt.Errorf("core: parameter length %d != model %d", len(view32), dv.mdl.NumParams())
-	}
-	if d.Update != nil {
-		dv.links.state.SetPrev32(d.Device, view32)
-	}
-
-	epochs := d.Epochs
-	if d.EpochBudget > 0 && d.EpochBudget < epochs {
-		epochs = d.EpochBudget
-	}
-	scfg := d.SolverConfig()
-	scfg.Precision = tensor.F32
-	wk32 := s32.Solve32(m32, shard.Train, view32, scfg, epochs, frand.New(d.BatchSeed))
-	r := Reply{Device: d.Device, EpochsDone: epochs}
-	if dv.links != nil {
-		u, err := dv.links.uplinkEncode32(d.Device, wk32, view32)
-		if err != nil {
-			return Reply{}, err
-		}
-		r.Update = u
-	} else {
-		// The reply boundary is the one widening of the path.
-		out := tensor.GetVec(len(wk32))
-		tensor.Widen(out, wk32)
-		r.Params = out
-	}
-	if dv.gamma {
-		r.Gamma = solver.Gamma32(m32, shard.Train, wk32, view32, scfg)
-	}
-	if dv.trace != nil {
-		down := d.DownBytes
-		if d.Update != nil {
-			down = d.Update.WireBytes()
-		}
-		var up int64
-		if r.Update != nil {
-			up = r.Update.WireBytes()
-		}
-		dv.emit(obs.Event{
-			Kind: obs.KindDeviceDispatch, Round: d.Round, Seq: d.Seq, Device: d.Device,
-			EpochsDone: epochs, BytesUp: up, BytesDown: down,
-		})
-	}
-	tensor.PutVec32(view32)
-	tensor.PutVec32(wk32)
 	return r, nil
 }
 

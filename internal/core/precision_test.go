@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/model"
+	"fedprox/internal/model/lstm"
 	"fedprox/internal/privacy"
+	"fedprox/internal/solver"
 	"fedprox/internal/tensor"
 )
 
@@ -101,18 +104,93 @@ func TestF32ConfigRejections(t *testing.T) {
 	}
 }
 
-// TestF32DeviceConstructorPanics: wiring an f32 device around a runtime
-// that cannot execute the width is a programming error, caught at
-// construction.
+// TestF32DeviceConstructorPanics: a runtime that cannot execute at float32 — a
+// privacy hook, a model without a float32 gradient, a solver that
+// ignores solver.Config.Precision — is refused the same way at every
+// entry point, because one predicate (f32Ready) decides all four: the
+// constructors panic (a programming error), InstallLinks returns the
+// negotiation error, and SupportsPrecision keeps f32 out of a worker's
+// Hello offer.
 func TestF32DeviceConstructorPanics(t *testing.T) {
 	mdl, fed := tinyWorkload()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewDevice accepted f32 with a privacy mechanism")
+	seq := lstm.New(lstm.Config{Vocab: 5, Embed: 2, Hidden: 2, Layers: 1, Classes: 2})
+	for _, tc := range []struct {
+		name string
+		mdl  model.Model
+		opts DeviceOptions
+	}{
+		{"privacy hook", mdl, DeviceOptions{Privacy: &privacy.Mechanism{ClipNorm: 1, NoiseStd: 0.1, Seed: 2}}},
+		{"lstm", seq, DeviceOptions{}},
+		{"momentum solver", mdl, DeviceOptions{Solver: solver.MomentumSolver{Beta: 0.9}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts32 := tc.opts
+			opts32.Precision = tensor.F32
+			for name, build := range map[string]func(){
+				"NewDevice":      func() { NewDevice(tc.mdl, fed.Shards[:1], opts32) },
+				"NewFleetDevice": func() { NewFleetDevice(tc.mdl, fed.Fleet(), opts32) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s accepted f32", name)
+						}
+					}()
+					build()
+				}()
+			}
+			dev := NewDevice(tc.mdl, fed.Shards[:1], tc.opts)
+			if dev.SupportsPrecision(tensor.F32) || !dev.SupportsPrecision(tensor.F64) {
+				t.Error("SupportsPrecision: want f64 only")
+			}
+			spec := comm.Spec{Name: "raw", Precision: tensor.F32}
+			if err := dev.InstallLinks(spec, spec); err == nil {
+				t.Error("InstallLinks accepted f32 link specs")
+			}
+		})
+	}
+	if dev := NewDevice(mdl, fed.Shards[:1], DeviceOptions{Solver: solver.GDSolver{}}); !dev.SupportsPrecision(tensor.F32) {
+		t.Error("a linear model under GD must support f32")
+	}
+}
+
+// TestF32GoldenBits pins the f32 path to the bits it produced before the
+// float32 twin stack was folded into width-generic bodies: the final
+// loss, the mean γ and the uplink byte total of a short run with no wire,
+// a raw wire and a delta+qsgd8 wire. The constants were captured at the
+// last commit that carried the hand-written f32 kernels, solvers and
+// codecs, so a change to an accumulation order, a conversion site or the
+// rounding-stream draws of the f32 path shows here.
+func TestF32GoldenBits(t *testing.T) {
+	mdl, fed := tinyWorkload()
+	for _, tc := range []struct {
+		codec       comm.Spec
+		loss, gamma uint64
+		uplink      int64
+	}{
+		{comm.Spec{}, 0x3ff8026415f79e1c, 0x3fd6060d36349697, 73200},
+		{comm.Spec{Name: "raw"}, 0x3ff8026415f79e1c, 0x3fd6060d36349697, 73200},
+		{comm.Spec{Name: "delta+qsgd", Bits: 8}, 0x3ff802f82dc19ec4, 0x3fd601e469c2365e, 18420},
+	} {
+		cfg := FedProx(6, 5, 3, 0.01, 1)
+		cfg.StragglerFraction = 0.5
+		cfg.EvalEvery = 2
+		cfg.TrackGamma = true
+		cfg.Codec = tc.codec
+		cfg.Precision = tensor.F32
+		h, err := Run(mdl, fed, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	NewDevice(mdl, fed.Shards[:1], DeviceOptions{
-		Precision: tensor.F32,
-		Privacy:   &privacy.Mechanism{ClipNorm: 1, NoiseStd: 0.1, Seed: 2},
-	})
+		f := h.Final()
+		if got := math.Float64bits(f.TrainLoss); got != tc.loss {
+			t.Errorf("%v: final loss %v (%#x), want bits %#x", tc.codec, f.TrainLoss, got, tc.loss)
+		}
+		if got := math.Float64bits(f.MeanGamma); got != tc.gamma {
+			t.Errorf("%v: mean gamma %v (%#x), want bits %#x", tc.codec, f.MeanGamma, got, tc.gamma)
+		}
+		if f.Cost.UplinkBytes != tc.uplink {
+			t.Errorf("%v: uplink %d bytes, want %d", tc.codec, f.Cost.UplinkBytes, tc.uplink)
+		}
+	}
 }

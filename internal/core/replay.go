@@ -252,7 +252,7 @@ func Replay(mdl model.Model, fl Fleet, cfg Config, recorded []obs.Event) (*Histo
 // copied because the folds' accumulators zero their destination (the
 // live parameter vector) before reading inputs.
 func zeroDeltaReply(d Dispatch, seq int, ent *replayEntry) Reply {
-	params := tensor.GetVec(len(d.View))
+	params := tensor.GetVec[float64](len(d.View))
 	copy(params, d.View)
 	rel, lost := ent.rel, ent.lost
 	if !ent.replied {

@@ -10,22 +10,22 @@ import (
 )
 
 func init() {
-	register("ext-precision", "float32 fast path: same-seed f64 vs f32 runs, loss parity gated at 2%, raw wire traffic halved", extPrecision)
+	register("ext-precision", "float32 precision: same-seed f64 vs f32 runs, loss parity gated at 2%, raw wire traffic halved", extPrecision)
 }
 
 // precisionLossTol is the in-experiment acceptance bound: a float32 run
 // must land within this relative distance of the same-seed float64
-// run's final loss, in every pairing. The f32 path exists to make
-// devices faster and updates smaller — not to change what is learned.
+// run's final loss, in every pairing. Precision f32 exists to make
+// updates smaller — not to change what is learned.
 const precisionLossTol = 0.02
 
-// extPrecision exercises the float32 end-to-end fast path against the
+// extPrecision exercises Precision f32 end to end against the
 // full-width reference, on Synthetic(1,1) with FedProx's tuned μ. Each
 // f64/f32 pair shares seed, schedule, and hyperparameters, so the only
-// difference is the arithmetic width of the device hot loop (batched
-// f32 kernels, f32 prox and γ-probe) and — when a codec is on — the
-// wire encoding (raw ships 4-byte coordinates; qsgd quantizes straight
-// from f32 with no widening copy).
+// difference is the arithmetic width of the device hot loop (the same
+// batched kernels, prox term and γ-probe, instantiated at float32) and —
+// when a codec is on — the wire encoding (raw ships 4-byte coordinates;
+// qsgd quantizes in float32 with a 4-byte scale).
 //
 // Three pairings:
 //
@@ -39,7 +39,7 @@ const precisionLossTol = 0.02
 // The experiment fails (rather than noting) when a f32 final loss
 // drifts more than precisionLossTol from its f64 partner, or when the
 // raw-wire f32 run fails to cut uplink traffic by at least 1.9x —
-// these are the acceptance bounds the fast path was built against.
+// these are the acceptance bounds the f32 path was built against.
 func extPrecision(o Options) (*Result, error) {
 	w := o.syntheticWorkload(1, 1, false)
 	base := o.base(w)
@@ -63,7 +63,7 @@ func extPrecision(o Options) (*Result, error) {
 
 	res := &Result{
 		ID:    "ext-precision",
-		Title: "float32 end-to-end fast path vs the float64 reference (same seed, same schedule)",
+		Title: "Precision f32 end to end vs the float64 reference (same seed, same schedule)",
 	}
 	sec := Section{Name: w.fed.Name + " f64 vs f32"}
 	var rawUp64, rawUp32 int64
@@ -117,7 +117,7 @@ func extPrecision(o Options) (*Result, error) {
 		"deterministic: the same seed reproduces every number above bit for bit;",
 		"expected shape: every f32 run tracks its f64 partner within the 2% bound —",
 		"the device hot loop (batched kernels, prox term, gamma probe) runs at half",
-		"width, results widen exactly once at the reply boundary, and evaluation",
+		"width, solver and codec widen exactly at their own boundaries, and evaluation",
 		"always runs at full width so the losses compare like for like")
 	res.Sections = append(res.Sections, sec)
 	return res, nil

@@ -25,10 +25,8 @@ func wireUpdates(t testing.TB) map[string]*comm.Update {
 	const n = 37
 	rng := frand.New(9)
 	w, prev := make([]float64, n), make([]float64, n)
-	w32, prev32 := make([]float32, n), make([]float32, n)
 	for i := range w {
 		w[i], prev[i] = rng.Float64()-0.5, rng.Float64()-0.5
-		w32[i], prev32[i] = float32(w[i]), float32(prev[i])
 	}
 	out := make(map[string]*comm.Update)
 	for _, spec := range []comm.Spec{
@@ -39,15 +37,7 @@ func wireUpdates(t testing.TB) map[string]*comm.Update {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spec.Precision == tensor.F32 {
-			c32, err := comm.As32(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[spec.Name+"/f32"] = c32.Encode32(w32, prev32)
-		} else {
-			out[spec.Name+"/f64"] = c.Encode(w, prev)
-		}
+		out[spec.Name+"/"+spec.Precision.String()] = c.Encode(w, prev)
 	}
 	return out
 }

@@ -5,7 +5,7 @@
 //
 // Parameters are laid out flat as [W row-major (classes×dim) | b
 // (classes)]. The loss is mean softmax cross-entropy; the gradient is the
-// standard (p − onehot(y)) ⊗ x rank-one form.
+// standard (p − onehot(y)) ⊗ x form, accumulated a minibatch at a time.
 package linear
 
 import (
@@ -23,7 +23,7 @@ type Model struct {
 	Classes int
 }
 
-var _ model.Model = (*Model)(nil)
+var _ model.Model32 = (*Model)(nil)
 
 // New returns a multinomial logistic regression model.
 func New(dim, classes int) *Model {
@@ -52,7 +52,7 @@ func (m *Model) InitParams(rng *frand.Source) []float64 {
 }
 
 // split returns the weight-matrix and bias views of w.
-func (m *Model) split(w []float64) (tensor.Mat, []float64) {
+func split[T tensor.Float](m *Model, w []T) (tensor.Matrix[T], []T) {
 	W := tensor.MatView(w[:m.Classes*m.Dim], m.Classes, m.Dim)
 	return W, w[m.Classes*m.Dim:]
 }
@@ -62,7 +62,7 @@ func (m *Model) Loss(w []float64, batch []data.Example) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	W, b := m.split(w)
+	W, b := split(m, w)
 	logits := make([]float64, m.Classes)
 	total := 0.0
 	for _, ex := range batch {
@@ -75,6 +75,20 @@ func (m *Model) Loss(w []float64, batch []data.Example) float64 {
 // Grad writes the mean cross-entropy gradient into dst and returns the
 // mean loss.
 func (m *Model) Grad(dst, w []float64, batch []data.Example) float64 {
+	return grad(m, dst, w, batch)
+}
+
+// Grad32 implements model.Model32.
+func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
+	return grad(m, dst, w, batch)
+}
+
+// grad is the batched gradient at either width: the minibatch is gathered
+// into a row-major B×Dim panel once, the forward pass is one panel·Wᵀ
+// multiply, softmax and loss share a single exp pass per example, and
+// the weight gradient accumulates each of its rows across the whole
+// batch while the row is hot (AddOuterPanel).
+func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	if len(dst) != m.NumParams() {
 		panic("linear: gradient buffer size mismatch")
 	}
@@ -82,27 +96,38 @@ func (m *Model) Grad(dst, w []float64, batch []data.Example) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	W, b := m.split(w)
-	gW, gb := m.split(dst)
-	scratch := tensor.GetVec(2 * m.Classes)
-	defer tensor.PutVec(scratch)
-	logits, probs := scratch[:m.Classes], scratch[m.Classes:]
-	total := 0.0
-	inv := 1 / float64(len(batch))
-	for _, ex := range batch {
-		tensor.MatVecAdd(logits, W, ex.X, b)
-		total += tensor.LogSumExp(logits) - logits[ex.Y]
-		tensor.Softmax(probs, logits)
-		probs[ex.Y] -= 1 // p − onehot(y)
-		tensor.AddOuter(gW, inv, probs, ex.X)
-		tensor.Axpy(inv, probs, gb)
+	B := len(batch)
+	W, b := split(m, w)
+	gW, gb := split(m, dst)
+
+	xbuf := tensor.GetVec[T](B * m.Dim)
+	X := tensor.MatView(xbuf, B, m.Dim)
+	for e, ex := range batch {
+		tensor.Convert(X.Row(e), ex.X)
 	}
+	pbuf := tensor.GetVec[T](B * m.Classes)
+	P := tensor.MatView(pbuf, B, m.Classes)
+
+	tensor.MatMulNT(P, X, W, b) // logits panel
+	var total T
+	for e, ex := range batch {
+		row := P.Row(e)
+		total += tensor.CrossEntropySoftmax(row, row, ex.Y)
+		row[ex.Y] -= 1 // p − onehot(y)
+	}
+	inv := 1 / T(B)
+	tensor.AddOuterPanel(gW, inv, P, X)
+	for e := 0; e < B; e++ {
+		tensor.Axpy(inv, P.Row(e), gb)
+	}
+	tensor.PutVec(pbuf)
+	tensor.PutVec(xbuf)
 	return total * inv
 }
 
 // Predict returns argmax over class logits.
 func (m *Model) Predict(w []float64, ex data.Example) int {
-	W, b := m.split(w)
+	W, b := split(m, w)
 	logits := make([]float64, m.Classes)
 	tensor.MatVecAdd(logits, W, ex.X, b)
 	return tensor.ArgMax(logits)

@@ -7,6 +7,7 @@ import (
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
 	"fedprox/internal/model"
+	"fedprox/internal/tensor"
 )
 
 func randBatch(rng *frand.Source, n, dim, classes int) []data.Example {
@@ -49,40 +50,47 @@ func TestInitParamsZero(t *testing.T) {
 }
 
 // TestGradMatchesNumerical verifies the analytic gradient against central
-// finite differences on a random batch.
+// finite differences on random batches whose sizes leave the batched
+// body's four-example block empty (1, 3) and full with a remainder (5).
 func TestGradMatchesNumerical(t *testing.T) {
 	rng := frand.New(7)
 	m := New(6, 4)
-	batch := randBatch(rng, 5, 6, 4)
-	w := rng.NormVec(make([]float64, m.NumParams()), 0, 0.5)
-	grad := make([]float64, m.NumParams())
-	m.Grad(grad, w, batch)
+	for _, n := range []int{1, 3, 5} {
+		batch := randBatch(rng, n, 6, 4)
+		w := rng.NormVec(make([]float64, m.NumParams()), 0, 0.5)
+		grad := make([]float64, m.NumParams())
+		m.Grad(grad, w, batch)
 
-	const h = 1e-6
-	for i := 0; i < m.NumParams(); i++ {
-		orig := w[i]
-		w[i] = orig + h
-		up := m.Loss(w, batch)
-		w[i] = orig - h
-		down := m.Loss(w, batch)
-		w[i] = orig
-		num := (up - down) / (2 * h)
-		if math.Abs(num-grad[i]) > 1e-5*(1+math.Abs(num)) {
-			t.Fatalf("grad[%d] = %g, numerical %g", i, grad[i], num)
+		const h = 1e-6
+		for i := 0; i < m.NumParams(); i++ {
+			orig := w[i]
+			w[i] = orig + h
+			up := m.Loss(w, batch)
+			w[i] = orig - h
+			down := m.Loss(w, batch)
+			w[i] = orig
+			num := (up - down) / (2 * h)
+			if math.Abs(num-grad[i]) > 1e-5*(1+math.Abs(num)) {
+				t.Fatalf("batch %d: grad[%d] = %g, numerical %g", n, i, grad[i], num)
+			}
 		}
 	}
 }
 
+// TestGradReturnsLoss: the loss Grad returns is the loss of the batch at
+// w — at both widths, since solver.SubproblemGrad reports it.
 func TestGradReturnsLoss(t *testing.T) {
 	rng := frand.New(9)
 	m := New(4, 3)
 	batch := randBatch(rng, 8, 4, 3)
 	w := rng.NormVec(make([]float64, m.NumParams()), 0, 1)
-	grad := make([]float64, m.NumParams())
-	gl := m.Grad(grad, w, batch)
 	l := m.Loss(w, batch)
-	if math.Abs(gl-l) > 1e-12 {
+	if gl := m.Grad(make([]float64, m.NumParams()), w, batch); math.Abs(gl-l) > 1e-12 {
 		t.Fatalf("Grad loss %g != Loss %g", gl, l)
+	}
+	w32 := tensor.Converted[float32](w)
+	if gl := m.Grad32(make([]float32, m.NumParams()), w32, batch); math.Abs(float64(gl)-l) > 1e-5*l {
+		t.Fatalf("Grad32 loss %g != Loss %g", gl, l)
 	}
 }
 

@@ -33,7 +33,7 @@ type layerOffsets struct {
 	in, out int
 }
 
-var _ model.Model = (*Model)(nil)
+var _ model.Model32 = (*Model)(nil)
 
 // New returns an MLP with the given layer sizes: input dimension, one or
 // more hidden widths, and the class count last.
@@ -86,17 +86,16 @@ func (m *Model) InitParams(rng *frand.Source) []float64 {
 	return w
 }
 
-func (m *Model) layer(w []float64, l int) (tensor.Mat, []float64) {
+func layer[T tensor.Float](m *Model, w []T, l int) (tensor.Matrix[T], []T) {
 	lo := m.offsets[l]
 	return tensor.MatView(w[lo.w:lo.w+lo.in*lo.out], lo.out, lo.in), w[lo.b : lo.b+lo.out]
 }
 
-// forward computes logits; when acts is non-nil it records the
-// post-activation output of every hidden layer (acts[0] is the input).
-func (m *Model) forward(w []float64, x []float64, acts [][]float64, logits []float64) {
+// forward computes one example's logits.
+func (m *Model) forward(w []float64, x []float64, logits []float64) {
 	cur := x
 	for l := 0; l < len(m.offsets); l++ {
-		W, b := m.layer(w, l)
+		W, b := layer(m, w, l)
 		last := l == len(m.offsets)-1
 		var out []float64
 		if last {
@@ -109,9 +108,6 @@ func (m *Model) forward(w []float64, x []float64, acts [][]float64, logits []flo
 			for i := range out {
 				out[i] = math.Tanh(out[i])
 			}
-		}
-		if acts != nil {
-			acts[l] = cur
 		}
 		cur = out
 	}
@@ -128,7 +124,7 @@ func (m *Model) Loss(w []float64, batch []data.Example) float64 {
 	logits := make([]float64, m.sizes[len(m.sizes)-1])
 	total := 0.0
 	for _, ex := range batch {
-		m.forward(w, ex.X, nil, logits)
+		m.forward(w, ex.X, logits)
 		total += tensor.LogSumExp(logits) - logits[ex.Y]
 	}
 	return total / float64(len(batch))
@@ -136,6 +132,19 @@ func (m *Model) Loss(w []float64, batch []data.Example) float64 {
 
 // Grad writes the mean gradient into dst and returns the mean loss.
 func (m *Model) Grad(dst, w []float64, batch []data.Example) float64 {
+	return grad(m, dst, w, batch)
+}
+
+// Grad32 implements model.Model32.
+func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
+	return grad(m, dst, w, batch)
+}
+
+// grad is the batched backpropagation at either width: one activation
+// panel per layer (B×width, pooled), forward as panel·Wᵀ multiplies, and
+// the backward pass pushing a whole B×width delta panel through each
+// layer — so every weight row is streamed against the full minibatch.
+func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	if len(dst) != m.nParams {
 		panic("mlp: gradient buffer size mismatch")
 	}
@@ -143,38 +152,70 @@ func (m *Model) Grad(dst, w []float64, batch []data.Example) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	classes := m.sizes[len(m.sizes)-1]
-	logits := make([]float64, classes)
-	probs := make([]float64, classes)
-	nLayers := len(m.offsets)
-	acts := make([][]float64, nLayers)
-	total := 0.0
-	inv := 1 / float64(len(batch))
-	for _, ex := range batch {
-		m.forward(w, ex.X, acts, logits)
-		total += tensor.LogSumExp(logits) - logits[ex.Y]
-		tensor.Softmax(probs, logits)
-		probs[ex.Y] -= 1
+	B := len(batch)
+	L := len(m.offsets)
 
-		// Backprop: delta starts as dL/dlogits.
-		delta := probs
-		for l := nLayers - 1; l >= 0; l-- {
-			W, _ := m.layer(w, l)
-			gW, gb := m.layer(dst, l)
-			tensor.AddOuter(gW, inv, delta, acts[l])
-			tensor.Axpy(inv, delta, gb)
-			if l == 0 {
-				break
+	// A[l] holds the layer-l activations for the whole batch: A[0] the
+	// inputs, A[1..L-1] tanh outputs, A[L] logits-then-probs.
+	bufs := make([][]T, L+1)
+	A := make([]tensor.Matrix[T], L+1)
+	for l := 0; l <= L; l++ {
+		bufs[l] = tensor.GetVec[T](B * m.sizes[l])
+		A[l] = tensor.MatView(bufs[l], B, m.sizes[l])
+	}
+	for e, ex := range batch {
+		tensor.Convert(A[0].Row(e), ex.X)
+	}
+	for l := 0; l < L; l++ {
+		W, b := layer(m, w, l)
+		tensor.MatMulNT(A[l+1], A[l], W, b)
+		if l < L-1 {
+			out := bufs[l+1]
+			for i, v := range out {
+				out[i] = tensor.Tanh(v)
 			}
-			// dL/d(activation of layer l-1) through Wᵀ, then through tanh'.
-			prev := make([]float64, m.offsets[l].in)
-			tensor.MatTVec(prev, W, delta)
-			h := acts[l] // tanh outputs of layer l-1
-			for i := range prev {
-				prev[i] *= 1 - h[i]*h[i]
-			}
-			delta = prev
 		}
+	}
+
+	var total T
+	for e, ex := range batch {
+		row := A[L].Row(e)
+		total += tensor.CrossEntropySoftmax(row, row, ex.Y)
+		row[ex.Y] -= 1
+	}
+
+	inv := 1 / T(B)
+	delta := A[L] // dL/dlogits panel; aliases bufs[L]
+	var spent []T
+	for l := L - 1; l >= 0; l-- {
+		W, _ := layer(m, w, l)
+		gW, gb := layer(m, dst, l)
+		tensor.AddOuterPanel(gW, inv, delta, A[l])
+		for e := 0; e < B; e++ {
+			tensor.Axpy(inv, delta.Row(e), gb)
+		}
+		if l == 0 {
+			break
+		}
+		// dL/d(activation of layer l-1): delta·W, then through tanh'.
+		next := tensor.GetVec[T](B * m.offsets[l].in)
+		D := tensor.MatView(next, B, m.offsets[l].in)
+		tensor.MatMul(D, delta, W)
+		h := bufs[l] // tanh outputs of layer l-1, same B×in layout
+		for i, v := range next {
+			next[i] = v * (1 - h[i]*h[i])
+		}
+		if spent != nil {
+			tensor.PutVec(spent)
+		}
+		spent = next
+		delta = D
+	}
+	if spent != nil {
+		tensor.PutVec(spent)
+	}
+	for l := range bufs {
+		tensor.PutVec(bufs[l])
 	}
 	return total * inv
 }
@@ -182,6 +223,6 @@ func (m *Model) Grad(dst, w []float64, batch []data.Example) float64 {
 // Predict returns the argmax class for one example.
 func (m *Model) Predict(w []float64, ex data.Example) int {
 	logits := make([]float64, m.sizes[len(m.sizes)-1])
-	m.forward(w, ex.X, nil, logits)
+	m.forward(w, ex.X, logits)
 	return tensor.ArgMax(logits)
 }

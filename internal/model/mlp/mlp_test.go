@@ -7,6 +7,7 @@ import (
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
 	"fedprox/internal/model"
+	"fedprox/internal/tensor"
 )
 
 func randBatch(rng *frand.Source, n, dim, classes int) []data.Example {
@@ -41,37 +42,47 @@ func TestNewPanics(t *testing.T) {
 }
 
 // TestGradMatchesNumerical validates the backprop against central finite
-// differences for a 2-hidden-layer network.
+// differences for a 2-hidden-layer network, on batches whose sizes leave
+// the batched body's four-example block empty (1, 3) and full with a
+// remainder (5).
 func TestGradMatchesNumerical(t *testing.T) {
 	rng := frand.New(71)
 	m := New(5, 6, 4, 3)
-	batch := randBatch(rng, 4, 5, 3)
-	w := m.InitParams(rng)
-	grad := make([]float64, m.NumParams())
-	m.Grad(grad, w, batch)
-	const h = 1e-6
-	for i := 0; i < m.NumParams(); i++ {
-		orig := w[i]
-		w[i] = orig + h
-		up := m.Loss(w, batch)
-		w[i] = orig - h
-		down := m.Loss(w, batch)
-		w[i] = orig
-		num := (up - down) / (2 * h)
-		if math.Abs(num-grad[i]) > 1e-4*(1+math.Abs(num)) {
-			t.Fatalf("grad[%d] = %g, numerical %g", i, grad[i], num)
+	for _, n := range []int{1, 3, 5} {
+		batch := randBatch(rng, n, 5, 3)
+		w := m.InitParams(rng)
+		grad := make([]float64, m.NumParams())
+		m.Grad(grad, w, batch)
+		const h = 1e-6
+		for i := 0; i < m.NumParams(); i++ {
+			orig := w[i]
+			w[i] = orig + h
+			up := m.Loss(w, batch)
+			w[i] = orig - h
+			down := m.Loss(w, batch)
+			w[i] = orig
+			num := (up - down) / (2 * h)
+			if math.Abs(num-grad[i]) > 1e-4*(1+math.Abs(num)) {
+				t.Fatalf("batch %d: grad[%d] = %g, numerical %g", n, i, grad[i], num)
+			}
 		}
 	}
 }
 
+// TestGradReturnsLoss: the loss Grad returns is the loss of the batch at
+// w — at both widths, since solver.SubproblemGrad reports it.
 func TestGradReturnsLoss(t *testing.T) {
 	rng := frand.New(73)
 	m := New(4, 5, 3)
 	batch := randBatch(rng, 6, 4, 3)
 	w := m.InitParams(rng)
-	grad := make([]float64, m.NumParams())
-	if gl, l := m.Grad(grad, w, batch), m.Loss(w, batch); math.Abs(gl-l) > 1e-12 {
+	l := m.Loss(w, batch)
+	if gl := m.Grad(make([]float64, m.NumParams()), w, batch); math.Abs(gl-l) > 1e-12 {
 		t.Fatalf("Grad loss %g != Loss %g", gl, l)
+	}
+	w32 := tensor.Converted[float32](w)
+	if gl := m.Grad32(make([]float32, m.NumParams()), w32, batch); math.Abs(float64(gl)-l) > 1e-5*l {
+		t.Fatalf("Grad32 loss %g != Loss %g", gl, l)
 	}
 }
 

@@ -35,21 +35,26 @@ type Model interface {
 	Predict(w []float64, ex data.Example) int
 }
 
-// Model32 is the optional float32 fast path a Model may implement. The
-// f32 solvers type-assert for it: when present (and the run opts into
-// tensor.F32 precision), local SGD/GD steps call Grad32 on narrowed
-// parameters and only widen once at the reply boundary.
-//
-// Implementations are expected to batch: Grad32 should walk the whole
-// minibatch per call (gathering examples into row-major panels) rather
-// than re-entering a per-example inner loop, since the f32 mode exists
-// for hot-path speed. The f64 Grad stays the reference semantics; Grad32
-// must compute the same mean gradient up to float32 rounding.
+// Model32 is the one width constraint left in the repository: a Model
+// that can also compute its gradient in float32. linear and mlp satisfy
+// it by instantiating the same generic body Grad runs at float64; a
+// model without it (lstm) is float64-only, and a run at tensor.F32 over
+// it is refused up front.
 type Model32 interface {
 	Model
-	// Grad32 writes the mean gradient of the loss over the batch into
-	// dst (overwriting it) and returns the mean loss, all in float32.
+	// Grad32 is Grad in float32: same batch, same mean gradient and
+	// loss, up to float32 rounding.
 	Grad32(dst, w tensor.Vec32, batch []data.Example) float32
+}
+
+// Grad calls m's gradient at the width of dst and w: Grad for float64,
+// Grad32 for float32 (m must then be a Model32). It is how the
+// width-generic solver bodies reach a model.
+func Grad[T tensor.Float](m Model, dst, w []T, batch []data.Example) T {
+	if d32, ok := any(dst).([]float32); ok {
+		return T(m.(Model32).Grad32(d32, any(w).([]float32), batch))
+	}
+	return T(m.Grad(any(dst).([]float64), any(w).([]float64), batch))
 }
 
 // Accuracy returns the fraction of examples in batch that m predicts

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // BenchPoint is one hot-path micro-benchmark measurement — the unit of
@@ -73,73 +72,4 @@ func CompareSpeed(current, baseline []BenchPoint, tol float64) []string {
 		}
 	}
 	return regressions
-}
-
-// RatioGate declares a required speedup between two benchmarks measured
-// in the same run: the Fast benchmark's ns/op must be at least Min
-// times lower than the Slow one's. These gate the claims an
-// optimization was built on (e.g. "the f32 dispatch path is ≥1.5x the
-// f64 one"), so they hold absolutely rather than relative to a
-// baseline file — a refactor that quietly erases the speedup fails CI
-// even if both sides got faster.
-type RatioGate struct {
-	Slow string  // the baseline benchmark's name
-	Fast string  // the optimized benchmark's name
-	Min  float64 // required Slow/Fast ns-per-op ratio
-}
-
-// CheckRatios verifies each gate against one or more measurement
-// repetitions and returns one message per violation (or per gate whose
-// benchmarks are missing from a repetition). Each repetition is a full
-// suite run, so the two sides of a gate were measured under the same
-// machine conditions; the gate holds on the median of the per-rep
-// ratios, which cancels the common-mode noise (turbo, scheduler,
-// neighbor load) that a ratio of two independently-picked numbers
-// doubles up on. An empty result means every declared speedup still
-// holds.
-func CheckRatios(reps [][]BenchPoint, gates []RatioGate) []string {
-	var violations []string
-	for _, g := range gates {
-		ratios := make([]float64, 0, len(reps))
-		bad := false
-		for _, pts := range reps {
-			var slow, fast *BenchPoint
-			for i := range pts {
-				switch pts[i].Name {
-				case g.Slow:
-					slow = &pts[i]
-				case g.Fast:
-					fast = &pts[i]
-				}
-			}
-			if slow == nil || fast == nil {
-				violations = append(violations, fmt.Sprintf(
-					"ratio %s/%s: benchmark missing from results", g.Slow, g.Fast))
-				bad = true
-				break
-			}
-			if fast.NsPerOp <= 0 {
-				violations = append(violations, fmt.Sprintf(
-					"ratio %s/%s: non-positive ns/op %.0f", g.Slow, g.Fast, fast.NsPerOp))
-				bad = true
-				break
-			}
-			ratios = append(ratios, slow.NsPerOp/fast.NsPerOp)
-		}
-		if bad {
-			continue
-		}
-		if len(ratios) == 0 {
-			violations = append(violations, fmt.Sprintf(
-				"ratio %s/%s: no measurements", g.Slow, g.Fast))
-			continue
-		}
-		sort.Float64s(ratios)
-		if med := ratios[len(ratios)/2]; med < g.Min {
-			violations = append(violations, fmt.Sprintf(
-				"ratio %s/%s = %.2f (median of %d reps), below required %.2fx",
-				g.Slow, g.Fast, med, len(ratios), g.Min))
-		}
-	}
-	return violations
 }

@@ -210,40 +210,3 @@ func TestSpeedRoundTripAndGate(t *testing.T) {
 		t.Fatalf("want 1 alloc regression, got %v", msgs)
 	}
 }
-
-func TestCheckRatios(t *testing.T) {
-	gates := []RatioGate{
-		{Slow: "SolvePerExample", Fast: "SolveBatched", Min: 2.0},
-	}
-	// Holds: 2.5x in a single rep.
-	pts := []BenchPoint{{Name: "SolvePerExample", NsPerOp: 2500}, {Name: "SolveBatched", NsPerOp: 1000}}
-	if v := CheckRatios([][]BenchPoint{pts}, gates); len(v) != 0 {
-		t.Fatalf("unexpected violations: %v", v)
-	}
-	// Violated: 1.5x against a 2x requirement.
-	pts = []BenchPoint{{Name: "SolvePerExample", NsPerOp: 1500}, {Name: "SolveBatched", NsPerOp: 1000}}
-	v := CheckRatios([][]BenchPoint{pts}, gates)
-	if len(v) != 1 || !strings.Contains(v[0], "below required") {
-		t.Fatalf("want 1 ratio violation, got %v", v)
-	}
-	// The gate holds on the median rep: one noisy dip below the line
-	// among three repetitions does not flag...
-	reps := [][]BenchPoint{
-		{{Name: "SolvePerExample", NsPerOp: 2400}, {Name: "SolveBatched", NsPerOp: 1000}},
-		{{Name: "SolvePerExample", NsPerOp: 1900}, {Name: "SolveBatched", NsPerOp: 1000}},
-		{{Name: "SolvePerExample", NsPerOp: 2200}, {Name: "SolveBatched", NsPerOp: 1000}},
-	}
-	if v := CheckRatios(reps, gates); len(v) != 0 {
-		t.Fatalf("median 2.2 flagged against a 2x gate: %v", v)
-	}
-	// ...but a majority below it does.
-	reps[2][0].NsPerOp = 1800
-	v = CheckRatios(reps, gates)
-	if len(v) != 1 || !strings.Contains(v[0], "median") {
-		t.Fatalf("want 1 median-ratio violation, got %v", v)
-	}
-	// A gate over missing benchmarks flags rather than silently passing.
-	if v := CheckRatios([][]BenchPoint{nil}, gates); len(v) != 1 {
-		t.Fatalf("want 1 missing-benchmark violation, got %v", v)
-	}
-}

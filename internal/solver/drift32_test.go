@@ -12,14 +12,21 @@ import (
 
 // relDrift returns ‖a−b‖/(‖b‖+1), a relative L2 distance that stays
 // meaningful near the origin.
-func relDrift(a tensor.Vec32, b []float64) float64 {
+func relDrift(a, b []float64) float64 {
 	var num, den float64
 	for i := range b {
-		d := float64(a[i]) - b[i]
+		d := a[i] - b[i]
 		num += d * d
 		den += b[i] * b[i]
 	}
 	return math.Sqrt(num) / (math.Sqrt(den) + 1)
+}
+
+// at32 is cfg at Precision f32: the same float64 entry points then
+// narrow their inputs, compute at float32 and widen the result.
+func at32(cfg Config) Config {
+	cfg.Precision = tensor.F32
+	return cfg
 }
 
 // TestF32DriftAgainstF64 runs the float32 solve against the float64
@@ -34,8 +41,6 @@ func TestF32DriftAgainstF64(t *testing.T) {
 	m := linear.New(4, 2)
 	train := trainSet(rng, 60)
 	w0 := rng.NormVec(make([]float64, m.NumParams()), 0, 0.5)
-	w032 := make(tensor.Vec32, len(w0))
-	tensor.Narrow(w032, w0)
 
 	cases := []struct {
 		name   string
@@ -56,7 +61,7 @@ func TestF32DriftAgainstF64(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w64 := SGD(m, train, w0, tc.cfg, tc.epochs, frand.New(42))
-			w32 := SGD32(m, train, w032, tc.cfg, tc.epochs, frand.New(42))
+			w32 := SGD(m, train, w0, at32(tc.cfg), tc.epochs, frand.New(42))
 			if d := relDrift(w32, w64); d > tc.tol {
 				t.Fatalf("f32 solution drifted %.2e from f64 (tol %.0e)", d, tc.tol)
 			}
@@ -64,7 +69,7 @@ func TestF32DriftAgainstF64(t *testing.T) {
 			// device's claim about how inexact its work was, and the
 			// coordinator's partial-work policy keys off it.
 			g64 := Gamma(m, train, w64, w0, tc.cfg)
-			g32 := Gamma32(m, train, w32, w032, tc.cfg)
+			g32 := Gamma(m, train, w32, w0, at32(tc.cfg))
 			if math.Abs(g64-g32) > 1e-3 {
 				t.Fatalf("gamma drifted: f64 %.6f vs f32 %.6f", g64, g32)
 			}
@@ -82,12 +87,11 @@ func TestF32GammaZeroGradient(t *testing.T) {
 	x := []float64{0.5, -1, 2}
 	train := []data.Example{{X: x, Y: 0}, {X: x, Y: 1}}
 	w0 := make([]float64, m.NumParams())
-	w032 := make(tensor.Vec32, len(w0))
 
 	for _, mu := range []float64{0, 1e-8, 1} {
 		cfg := Config{LearningRate: 0.1, BatchSize: 2, Mu: mu}
 		g64 := Gamma(m, train, w0, w0, cfg)
-		g32 := Gamma32(m, train, w032, w032, cfg)
+		g32 := Gamma(m, train, w0, w0, at32(cfg))
 		if math.IsNaN(g64) || math.IsNaN(g32) {
 			t.Fatalf("mu=%g: gamma is NaN at a zero-gradient start (f64 %v, f32 %v)", mu, g64, g32)
 		}
@@ -107,17 +111,13 @@ func TestF32SubproblemGradMatches(t *testing.T) {
 	train := trainSet(rng, 40)
 	w0 := rng.NormVec(make([]float64, m.NumParams()), 0, 0.5)
 	w := rng.NormVec(make([]float64, m.NumParams()), 0, 0.5)
-	w032 := make(tensor.Vec32, len(w0))
-	w32 := make(tensor.Vec32, len(w))
-	tensor.Narrow(w032, w0)
-	tensor.Narrow(w32, w)
 
 	for _, mu := range []float64{0, 1e-8, 1, 10} {
 		cfg := Config{Mu: mu}
 		g64 := make([]float64, len(w))
 		SubproblemGrad(g64, m, train, w, w0, cfg)
-		g32 := make(tensor.Vec32, len(w))
-		SubproblemGrad32(g32, m, train, w32, w032, cfg)
+		g32 := make([]float64, len(w))
+		SubproblemGrad(g32, m, train, w, w0, at32(cfg))
 		if d := relDrift(g32, g64); d > 1e-5 {
 			t.Fatalf("mu=%g: subproblem gradient drifted %.2e", mu, d)
 		}
@@ -131,8 +131,8 @@ func TestF32SubproblemGradMatches(t *testing.T) {
 	cfg := Config{Mu: 2}
 	g64 := make([]float64, len(w))
 	SubproblemGrad(g64, m, sym, w, w0, cfg)
-	g32 := make(tensor.Vec32, len(w))
-	SubproblemGrad32(g32, m, sym, w32, w032, cfg)
+	g32 := make([]float64, len(w))
+	SubproblemGrad(g32, m, sym, w, w0, at32(cfg))
 	if d := relDrift(g32, g64); d > 1e-5 {
 		t.Fatalf("prox-only gradient drifted %.2e", d)
 	}

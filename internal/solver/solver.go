@@ -34,11 +34,26 @@ type Config struct {
 	// stochastic gradient (the FedDane gradient-correction term). It must
 	// have the model's parameter length.
 	Correction []float64
-	// Precision selects the arithmetic width of the local solve.
-	// tensor.F32 routes SGD/GD through the float32 kernel path when the
-	// model implements model.Model32 (and Correction is nil — FedDane
-	// stays full-width); anything else runs the float64 reference path.
+	// Precision selects the arithmetic width SGD, GD, SubproblemGrad and
+	// Gamma compute at. Their signatures are float64 either way: under
+	// tensor.F32 they narrow their inputs, run the same generic body at
+	// float32 and widen the result, provided the model is a model.Model32
+	// and Correction is nil (FedDane stays full-width); otherwise they
+	// run at float64.
 	Precision tensor.Precision
+}
+
+// narrow reports whether a solve of m under c runs at float32.
+func (c Config) narrow(m model.Model) bool {
+	_, ok := m.(model.Model32)
+	return ok && c.Precision == tensor.F32 && c.Correction == nil
+}
+
+// widened returns v at float64 in a pooled vector and recycles v.
+func widened(v []float32) []float64 {
+	out := tensor.Converted[float64](v)
+	tensor.PutVec(v)
+	return out
 }
 
 // SGD runs epochs passes of mini-batch SGD on the device subproblem
@@ -52,15 +67,25 @@ type Config struct {
 // tensor pool, and callers that do not retain it should hand it back
 // with tensor.PutVec.
 func SGD(m model.Model, train []data.Example, w0 []float64, cfg Config, epochs int, rng *frand.Source) []float64 {
+	if cfg.narrow(m) {
+		n0 := tensor.Converted[float32](w0)
+		w := sgd(m, train, n0, cfg, epochs, rng)
+		tensor.PutVec(n0)
+		return widened(w)
+	}
+	return sgd(m, train, w0, cfg, epochs, rng)
+}
+
+func sgd[T tensor.Float](m model.Model, train []data.Example, w0 []T, cfg Config, epochs int, rng *frand.Source) []T {
 	if epochs < 0 {
 		panic("solver: negative epochs")
 	}
 	if cfg.BatchSize <= 0 {
 		panic("data: non-positive batch size")
 	}
-	w := tensor.GetVec(len(w0))
+	w := tensor.GetVec[T](len(w0))
 	copy(w, w0)
-	grad := tensor.GetVec(m.NumParams())
+	grad := tensor.GetVec[T](m.NumParams())
 	batch := batchPool.get(cfg.BatchSize)[:0]
 	perm := permPool.get(len(train))
 	// Batch windows are sliced straight off the epoch permutation —
@@ -81,7 +106,7 @@ func SGD(m model.Model, train []data.Example, w0 []float64, cfg Config, epochs i
 			for _, i := range perm[start:end] {
 				batch = append(batch, train[i])
 			}
-			m.Grad(grad, w, batch)
+			model.Grad(m, grad, w, batch)
 			applyStep(w, grad, w0, cfg)
 		}
 	}
@@ -95,22 +120,39 @@ func SGD(m model.Model, train []data.Example, w0 []float64, cfg Config, epochs i
 // subproblem and returns the resulting parameters. It is the deterministic
 // local solver used to exercise the framework's solver-agnosticism.
 func GD(m model.Model, train []data.Example, w0 []float64, cfg Config, steps int) []float64 {
-	w := tensor.GetVec(len(w0))
+	if cfg.narrow(m) {
+		n0 := tensor.Converted[float32](w0)
+		w := gd(m, train, n0, cfg, steps)
+		tensor.PutVec(n0)
+		return widened(w)
+	}
+	return gd(m, train, w0, cfg, steps)
+}
+
+func gd[T tensor.Float](m model.Model, train []data.Example, w0 []T, cfg Config, steps int) []T {
+	w := tensor.GetVec[T](len(w0))
 	copy(w, w0)
-	grad := tensor.GetVec(m.NumParams())
+	grad := tensor.GetVec[T](m.NumParams())
 	for s := 0; s < steps; s++ {
-		m.Grad(grad, w, train)
+		model.Grad(m, grad, w, train)
 		applyStep(w, grad, w0, cfg)
 	}
 	tensor.PutVec(grad)
 	return w
 }
 
+// correction returns cfg.Correction at width T. It is nil at float32:
+// narrow keeps a corrected solve at full width.
+func correction[T tensor.Float](cfg Config) []T {
+	corr, _ := any(cfg.Correction).([]T)
+	return corr
+}
+
 // applyStep performs w ← w − η·(grad + μ(w − w0) + correction) in place.
-func applyStep(w, grad, w0 []float64, cfg Config) {
-	eta := cfg.LearningRate
-	mu := cfg.Mu
-	corr := cfg.Correction
+func applyStep[T tensor.Float](w, grad, w0 []T, cfg Config) {
+	eta := T(cfg.LearningRate)
+	mu := T(cfg.Mu)
+	corr := correction[T](cfg)
 	for i := range w {
 		g := grad[i] + mu*(w[i]-w0[i])
 		if corr != nil {
@@ -124,16 +166,29 @@ func applyStep(w, grad, w0 []float64, cfg Config) {
 // full local training set into dst and returns the subproblem loss
 // F(w) + (μ/2)‖w − w0‖² (+ ⟨correction, w⟩ when present).
 func SubproblemGrad(dst []float64, m model.Model, train []data.Example, w, w0 []float64, cfg Config) float64 {
-	loss := m.Grad(dst, w, train)
-	for i := range dst {
-		dst[i] += cfg.Mu * (w[i] - w0[i])
-		if cfg.Correction != nil {
-			dst[i] += cfg.Correction[i]
-		}
+	if cfg.narrow(m) {
+		d, nw, nw0 := tensor.GetVec[float32](len(dst)), tensor.Converted[float32](w), tensor.Converted[float32](w0)
+		loss := subproblemGrad(d, m, train, nw, nw0, cfg)
+		tensor.Convert(dst, d)
+		tensor.PutVec(d)
+		tensor.PutVec(nw)
+		tensor.PutVec(nw0)
+		return float64(loss)
 	}
-	loss += 0.5 * cfg.Mu * tensor.SqDist(w, w0)
-	if cfg.Correction != nil {
-		loss += tensor.Dot(cfg.Correction, w)
+	return subproblemGrad(dst, m, train, w, w0, cfg)
+}
+
+func subproblemGrad[T tensor.Float](dst []T, m model.Model, train []data.Example, w, w0 []T, cfg Config) T {
+	loss := model.Grad(m, dst, w, train)
+	if mu := T(cfg.Mu); mu != 0 {
+		for i := range dst {
+			dst[i] += mu * (w[i] - w0[i])
+		}
+		loss += 0.5 * mu * tensor.SqDist(w, w0)
+	}
+	if corr := correction[T](cfg); corr != nil {
+		tensor.Axpy(1, corr, dst)
+		loss += tensor.Dot(corr, w)
 	}
 	return loss
 }
@@ -146,15 +201,27 @@ func SubproblemGrad(dst []float64, m model.Model, train []data.Example, w, w0 []
 // A device that did no work returns γ = 1; an exact minimizer returns
 // γ = 0. When the starting point is already stationary (denominator ≈ 0)
 // Gamma returns 0, matching the convention that no further progress is
-// required there.
+// required there. Norms are finished in float64 at either width, so the
+// denominator guard keeps one scale.
 func Gamma(m model.Model, train []data.Example, w, w0 []float64, cfg Config) float64 {
-	grad := tensor.GetVec(m.NumParams())
+	if cfg.narrow(m) {
+		nw, nw0 := tensor.Converted[float32](w), tensor.Converted[float32](w0)
+		g := gamma(m, train, nw, nw0, cfg)
+		tensor.PutVec(nw)
+		tensor.PutVec(nw0)
+		return g
+	}
+	return gamma(m, train, w, w0, cfg)
+}
+
+func gamma[T tensor.Float](m model.Model, train []data.Example, w, w0 []T, cfg Config) float64 {
+	grad := tensor.GetVec[T](m.NumParams())
 	defer tensor.PutVec(grad)
-	SubproblemGrad(grad, m, train, w0, w0, cfg)
+	subproblemGrad(grad, m, train, w0, w0, cfg)
 	denom := tensor.Norm2(grad)
 	if denom < 1e-12 {
 		return 0
 	}
-	SubproblemGrad(grad, m, train, w, w0, cfg)
+	subproblemGrad(grad, m, train, w, w0, cfg)
 	return tensor.Norm2(grad) / denom
 }

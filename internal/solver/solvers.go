@@ -26,17 +26,16 @@ type LocalSolver interface {
 	Solve(m model.Model, train []data.Example, w0 []float64, cfg Config, epochs int, rng *frand.Source) []float64
 }
 
-// LocalSolver32 is the optional float32 fast path a LocalSolver may
-// implement. The device runtime type-asserts for it when a run opts into
-// tensor.F32: parameters arrive narrowed, the whole solve runs on the
-// f32 kernels, and the returned pooled Vec32 feeds the codec encode
-// directly — no widening copy between solve and wire. Solvers that don't
-// implement it simply keep the float64 path under every precision.
-type LocalSolver32 interface {
-	LocalSolver
-	// Solve32 is Solve on narrowed parameters, returning a pooled Vec32
-	// (hand back with tensor.PutVec32 when not retained).
-	Solve32(m model.Model32, train []data.Example, w0 tensor.Vec32, cfg Config, epochs int, rng *frand.Source) tensor.Vec32
+// HonoursPrecision reports whether s solves at Config.Precision. SGD and
+// GD run the width-generic bodies; every other solver computes in
+// float64 whatever the config says, so the device runtime refuses to
+// pair one with an f32 deployment.
+func HonoursPrecision(s LocalSolver) bool {
+	switch s.(type) {
+	case SGDSolver, GDSolver:
+		return true
+	}
+	return false
 }
 
 // SGDSolver is plain mini-batch SGD — the paper's local solver for both
@@ -47,28 +46,9 @@ type SGDSolver struct{}
 // Name implements LocalSolver.
 func (SGDSolver) Name() string { return "sgd" }
 
-// Solve implements LocalSolver. Under cfg.Precision == tensor.F32 (with
-// an f32-capable model) the solve itself runs on the float32 kernels and
-// only the returned vector is widened — direct callers get the f64
-// contract either way; the device runtime avoids even that widening by
-// calling Solve32.
+// Solve implements LocalSolver.
 func (SGDSolver) Solve(m model.Model, train []data.Example, w0 []float64, cfg Config, epochs int, rng *frand.Source) []float64 {
-	if m32, ok := F32Capable(m, cfg); ok {
-		n0 := tensor.GetVec32(len(w0))
-		tensor.Narrow(n0, w0)
-		w32 := SGD32(m32, train, n0, cfg, epochs, rng)
-		tensor.PutVec32(n0)
-		out := tensor.GetVec(len(w0))
-		tensor.Widen(out, w32)
-		tensor.PutVec32(w32)
-		return out
-	}
 	return SGD(m, train, w0, cfg, epochs, rng)
-}
-
-// Solve32 implements LocalSolver32.
-func (SGDSolver) Solve32(m model.Model32, train []data.Example, w0 tensor.Vec32, cfg Config, epochs int, rng *frand.Source) tensor.Vec32 {
-	return SGD32(m, train, w0, cfg, epochs, rng)
 }
 
 // GDSolver is full-batch gradient descent with StepsPerEpoch descent steps
@@ -89,26 +69,7 @@ func (s GDSolver) Solve(m model.Model, train []data.Example, w0 []float64, cfg C
 	if per <= 0 {
 		per = 1
 	}
-	if m32, ok := F32Capable(m, cfg); ok {
-		n0 := tensor.GetVec32(len(w0))
-		tensor.Narrow(n0, w0)
-		w32 := GD32(m32, train, n0, cfg, epochs*per)
-		tensor.PutVec32(n0)
-		out := tensor.GetVec(len(w0))
-		tensor.Widen(out, w32)
-		tensor.PutVec32(w32)
-		return out
-	}
 	return GD(m, train, w0, cfg, epochs*per)
-}
-
-// Solve32 implements LocalSolver32.
-func (s GDSolver) Solve32(m model.Model32, train []data.Example, w0 tensor.Vec32, cfg Config, epochs int, rng *frand.Source) tensor.Vec32 {
-	per := s.StepsPerEpoch
-	if per <= 0 {
-		per = 1
-	}
-	return GD32(m, train, w0, cfg, epochs*per)
 }
 
 // MomentumSolver is SGD with classical (heavy-ball) momentum.

@@ -1,19 +1,80 @@
-// Package tensor provides the dense float64 vector and matrix kernels that
-// every model and solver in this repository is built on.
+// Package tensor provides the dense vector and matrix kernels that every
+// model and solver in this repository is built on.
 //
-// All state lives in flat []float64 slices. Matrices are row-major views
-// over a flat slice, which lets a whole model's parameters occupy one
+// All state lives in flat slices. Matrices are row-major views over a
+// flat slice, which lets a whole model's parameters occupy one
 // contiguous vector — the representation the federated server aggregates,
 // and the representation the proximal term ‖w − wᵗ‖² is computed over.
+//
+// The kernels on the solve and wire hot path (Dot, SqDist, Axpy, the
+// panel kernels, CrossEntropySoftmax, the vector pool) are written once
+// over [T Float]; Go stencils one copy per width, so float32 and
+// float64 run the same loops in the same accumulation order. Everything
+// the protocol itself computes with — aggregation, evaluation, the
+// interfaces between packages — is float64 (Vec).
 package tensor
 
 import (
 	"fmt"
 	"math"
+	"sync"
+	"unsafe"
 )
+
+// Float is the set of arithmetic widths the kernels are stencilled for.
+type Float interface{ ~float32 | ~float64 }
 
 // Vec is a dense float64 vector.
 type Vec = []float64
+
+// Vec32 is a dense float32 vector.
+type Vec32 = []float32
+
+// Precision selects the arithmetic width of the device-side hot path
+// (local solve, γ-probe, codec encode/decode). The zero value is float64
+// — the historical default — so Precision is omittable everywhere it
+// appears (configs, wire Specs, gob snapshots).
+type Precision string
+
+const (
+	// F64 is full-width execution, the default.
+	F64 Precision = ""
+	// F32 runs the local solve and the wire in float32; every value
+	// crosses back to float64 (exactly) before it leaves the solver or
+	// the codec, so aggregation math stays f64.
+	F32 Precision = "f32"
+)
+
+// Precisions lists the supported precision names in negotiation form
+// (the fednet Hello offer vocabulary). The zero Precision is spelled
+// "f64" on the wire.
+func Precisions() []string { return []string{"f64", "f32"} }
+
+// ParsePrecision maps a flag/wire spelling to a Precision. "" and "f64"
+// both mean full width.
+func ParsePrecision(s string) (Precision, error) {
+	switch s {
+	case "", "f64":
+		return F64, nil
+	case "f32":
+		return F32, nil
+	}
+	return F64, fmt.Errorf("tensor: unknown precision %q (want f64 or f32)", s)
+}
+
+// Validate rejects anything but the two supported widths.
+func (p Precision) Validate() error {
+	_, err := ParsePrecision(string(p))
+	return err
+}
+
+// String spells the zero value as "f64".
+func (p Precision) String() string {
+	if p == F64 {
+		return "f64"
+	}
+	return string(p)
+}
 
 // NewVec returns a zero vector of length n.
 func NewVec(n int) Vec { return make(Vec, n) }
@@ -26,7 +87,7 @@ func Clone(v Vec) Vec {
 }
 
 // Zero sets every element of v to 0.
-func Zero(v Vec) {
+func Zero[T Float](v []T) {
 	for i := range v {
 		v[i] = 0
 	}
@@ -39,37 +100,97 @@ func Fill(v Vec, c float64) {
 	}
 }
 
-// Dot returns the inner product of a and b. It panics on length mismatch.
-func Dot(a, b Vec) float64 {
-	mustSameLen(a, b)
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
+// Convert copies src into dst element-wise at dst's width — the one
+// crossing between the two widths. Widening is exact; narrowing rounds
+// to nearest, and is exact too for values that were widened from
+// float32, which is what lets float64 interfaces carry an f32 path's
+// values without changing a bit.
+func Convert[D, S Float](dst []D, src []S) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: Convert length mismatch %d vs %d", len(dst), len(src)))
 	}
-	return s
+	// Unrolled: the convert sits on the panel-gather path of every batched
+	// gradient, where the loop-carried bounds checks otherwise cost as
+	// much as the conversions.
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		s := src[i : i+4 : i+4]
+		d := dst[i : i+4 : i+4]
+		d[0] = D(s[0])
+		d[1] = D(s[1])
+		d[2] = D(s[2])
+		d[3] = D(s[3])
+	}
+	for ; i < len(src); i++ {
+		dst[i] = D(src[i])
+	}
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v Vec) float64 {
-	return math.Sqrt(Dot(v, v))
+// Converted returns src at width D in a pooled vector (hand back with
+// PutVec when not retained).
+func Converted[D, S Float](src []S) []D {
+	dst := GetVec[D](len(src))
+	Convert(dst, src)
+	return dst
+}
+
+// Dot returns the inner product of a and b. It panics on length
+// mismatch. Four independent accumulators keep the multiply-adds
+// pipelined instead of serialized on one register's latency chain.
+func Dot[T Float](a, b []T) T {
+	mustSameLen(a, b)
+	var s0, s1, s2, s3 T
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		aa, bb := a[i:i+4:i+4], b[i:i+4:i+4]
+		s0 += aa[0] * bb[0]
+		s1 += aa[1] * bb[1]
+		s2 += aa[2] * bb[2]
+		s3 += aa[3] * bb[3]
+	}
+	for ; i < len(a); i++ {
+		s0 += a[i] * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// Norm2 returns the Euclidean norm of v, accumulated at v's width and
+// finished in float64.
+func Norm2[T Float](v []T) float64 {
+	return math.Sqrt(float64(Dot(v, v)))
 }
 
 // SqDist returns ‖a − b‖², the squared Euclidean distance — the quantity
 // scaled by μ/2 in the FedProx subproblem.
-func SqDist(a, b Vec) float64 {
+func SqDist[T Float](a, b []T) T {
 	mustSameLen(a, b)
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
+	var s0, s1 T
+	i := 0
+	for ; i+2 <= len(a); i += 2 {
+		d0 := a[i] - b[i]
+		d1 := a[i+1] - b[i+1]
+		s0 += d0 * d0
+		s1 += d1 * d1
 	}
-	return s
+	if i < len(a) {
+		d := a[i] - b[i]
+		s0 += d * d
+	}
+	return s0 + s1
 }
 
 // Axpy computes y ← y + alpha·x in place.
-func Axpy(alpha float64, x, y Vec) {
+func Axpy[T Float](alpha T, x, y []T) {
 	mustSameLen(x, y)
-	for i := range x {
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		xx, yy := x[i:i+4:i+4], y[i:i+4:i+4]
+		yy[0] += alpha * xx[0]
+		yy[1] += alpha * xx[1]
+		yy[2] += alpha * xx[2]
+		yy[3] += alpha * xx[3]
+	}
+	for ; i < len(x); i++ {
 		y[i] += alpha * x[i]
 	}
 }
@@ -177,6 +298,31 @@ func LogSumExp(v Vec) float64 {
 	return max + math.Log(sum)
 }
 
+// CrossEntropySoftmax writes the stable softmax of logits into probs
+// (which may alias logits) and returns the cross-entropy loss −log p_y.
+// One exp pass serves both outputs, where LogSumExp followed by Softmax
+// exponentiates every logit twice.
+func CrossEntropySoftmax[T Float](probs, logits []T, y int) T {
+	max := logits[0]
+	for _, v := range logits[1:] {
+		if v > max {
+			max = v
+		}
+	}
+	ly := logits[y] // read before probs, which may alias logits, is written
+	var sum T
+	for i, v := range logits {
+		e := T(math.Exp(float64(v - max)))
+		probs[i] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for i := range probs {
+		probs[i] *= inv
+	}
+	return T(math.Log(float64(sum))) + max - ly
+}
+
 // ArgMax returns the index of the largest element of v.
 func ArgMax(v Vec) int {
 	best := 0
@@ -200,19 +346,23 @@ func Sigmoid(x float64) float64 {
 }
 
 // Tanh returns the hyperbolic tangent of x.
-func Tanh(x float64) float64 { return math.Tanh(x) }
+func Tanh[T Float](x T) T { return T(math.Tanh(float64(x))) }
 
-func mustSameLen(a, b Vec) {
+func mustSameLen[T Float](a, b []T) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: length mismatch %d vs %d", len(a), len(b)))
 	}
 }
 
-// Mat is a dense row-major matrix view over a flat vector.
-type Mat struct {
+// Matrix is a dense row-major matrix view over a flat vector.
+type Matrix[T Float] struct {
 	Rows, Cols int
-	Data       Vec // len == Rows*Cols
+	Data       []T // len == Rows*Cols
 }
+
+// Mat is the float64 Matrix, the width every interface between packages
+// uses.
+type Mat = Matrix[float64]
 
 // NewMat returns a zero matrix of the given shape backed by fresh storage.
 func NewMat(rows, cols int) Mat {
@@ -221,21 +371,21 @@ func NewMat(rows, cols int) Mat {
 
 // MatView wraps an existing slice as a rows×cols matrix. It panics if the
 // slice has the wrong length.
-func MatView(data Vec, rows, cols int) Mat {
+func MatView[T Float](data []T, rows, cols int) Matrix[T] {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: MatView %dx%d over %d elements", rows, cols, len(data)))
 	}
-	return Mat{Rows: rows, Cols: cols, Data: data}
+	return Matrix[T]{Rows: rows, Cols: cols, Data: data}
 }
 
 // At returns element (i, j).
-func (m Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m Matrix[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
-func (m Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m Matrix[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a view (mutations are visible in m).
-func (m Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m Matrix[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // MatVec computes dst ← M·x. It panics on shape mismatch.
 func MatVec(dst Vec, m Mat, x Vec) {
@@ -292,4 +442,199 @@ func AddOuter(m Mat, alpha float64, y, x Vec) {
 			row[j] += ayi * x[j]
 		}
 	}
+}
+
+// The panel kernels below are what let the linear and mlp gradients walk
+// a whole minibatch per call: examples are gathered into a row-major B×D
+// panel and every weight row streams through the panel once, instead of
+// re-entering a per-example GEMV with cold accumulators.
+
+// MatMulNT computes dst ← a·bᵀ (+ bias broadcast over rows when bias
+// is non-nil): dst is B×C, a is the B×D example panel, b is the C×D
+// weight matrix. This is the batched forward pass — each weight row is
+// streamed against every example before moving on, so it is read from
+// cache C·B times but fetched once.
+func MatMulNT[T Float](dst, a, b Matrix[T], bias []T) {
+	if dst.Rows != a.Rows || dst.Cols != b.Rows || a.Cols != b.Cols {
+		panic("tensor: MatMulNT shape mismatch")
+	}
+	if bias != nil && len(bias) != b.Rows {
+		panic("tensor: MatMulNT bias length mismatch")
+	}
+	d := a.Cols
+	i := 0
+	// Register-block two weight rows per pass: each example element is
+	// loaded once and feeds both rows' accumulators, halving the panel
+	// traffic per output relative to row-at-a-time dots.
+	for ; i+2 <= b.Rows; i += 2 {
+		w0, w1 := b.Row(i)[:d], b.Row(i + 1)[:d]
+		var off0, off1 T
+		if bias != nil {
+			off0, off1 = bias[i], bias[i+1]
+		}
+		for e := 0; e < a.Rows; e++ {
+			ar := a.Row(e)[:d]
+			var s0, s1, t0, t1 T
+			k := 0
+			for ; k+4 <= d; k += 4 {
+				aa, u0, u1 := ar[k:k+4:k+4], w0[k:k+4:k+4], w1[k:k+4:k+4]
+				s0 += aa[0]*u0[0] + aa[2]*u0[2]
+				t0 += aa[1]*u0[1] + aa[3]*u0[3]
+				s1 += aa[0]*u1[0] + aa[2]*u1[2]
+				t1 += aa[1]*u1[1] + aa[3]*u1[3]
+			}
+			for ; k < d; k++ {
+				a0 := ar[k]
+				s0 += a0 * w0[k]
+				s1 += a0 * w1[k]
+			}
+			out := dst.Row(e)
+			out[i] = s0 + t0 + off0
+			out[i+1] = s1 + t1 + off1
+		}
+	}
+	if i < b.Rows {
+		w := b.Row(i)
+		var off T
+		if bias != nil {
+			off = bias[i]
+		}
+		for e := 0; e < a.Rows; e++ {
+			dst.Data[e*dst.Cols+i] = Dot(a.Row(e), w) + off
+		}
+	}
+}
+
+// MatMul computes dst ← a·b: dst is B×N, a is B×M, b is M×N. Used by
+// the batched backward pass to push a delta panel through Wᵀ… spelled as
+// row-panel axpys so the inner loop is contiguous in both b and dst.
+func MatMul[T Float](dst, a, b Matrix[T]) {
+	if dst.Rows != a.Rows || a.Cols != b.Rows || dst.Cols != b.Cols {
+		panic("tensor: MatMul shape mismatch")
+	}
+	for e := 0; e < a.Rows; e++ {
+		out := dst.Row(e)
+		Zero(out)
+		ar := a.Row(e)
+		for i, c := range ar {
+			if c != 0 {
+				Axpy(c, b.Row(i), out)
+			}
+		}
+	}
+}
+
+// AddOuterPanel computes m ← m + alpha·(yᵀ·x), the batched rank-B
+// generalization of AddOuter: m is C×D, y is the B×C coefficient panel
+// (one softmax/delta row per example), x is the B×D example panel. Each
+// destination row accumulates across the whole batch while it is hot.
+func AddOuterPanel[T Float](m Matrix[T], alpha T, y, x Matrix[T]) {
+	if y.Rows != x.Rows || m.Rows != y.Cols || m.Cols != x.Cols {
+		panic("tensor: AddOuterPanel shape mismatch")
+	}
+	d := m.Cols
+	bn := y.Rows
+	yc := y.Cols
+	i := 0
+	// Register-block two destination rows and four examples per pass. The
+	// naive form is a read-modify-write on a weight row per example — one
+	// store per multiply-add, which is what bounds the kernel. Folding
+	// four examples' contributions into each destination element before it
+	// is written back cuts the store traffic 4x while every stream (both
+	// rows, all four example rows) stays sequential.
+	for ; i+2 <= m.Rows; i += 2 {
+		r0, r1 := m.Row(i)[:d], m.Row(i + 1)[:d]
+		e := 0
+		for ; e+4 <= bn; e += 4 {
+			c00, c01 := alpha*y.Data[e*yc+i], alpha*y.Data[(e+1)*yc+i]
+			c02, c03 := alpha*y.Data[(e+2)*yc+i], alpha*y.Data[(e+3)*yc+i]
+			c10, c11 := alpha*y.Data[e*yc+i+1], alpha*y.Data[(e+1)*yc+i+1]
+			c12, c13 := alpha*y.Data[(e+2)*yc+i+1], alpha*y.Data[(e+3)*yc+i+1]
+			x0, x1 := x.Row(e)[:d], x.Row(e + 1)[:d]
+			x2, x3 := x.Row(e + 2)[:d], x.Row(e + 3)[:d]
+			for k := 0; k < d; k++ {
+				xv0, xv1, xv2, xv3 := x0[k], x1[k], x2[k], x3[k]
+				r0[k] += c00*xv0 + c01*xv1 + c02*xv2 + c03*xv3
+				r1[k] += c10*xv0 + c11*xv1 + c12*xv2 + c13*xv3
+			}
+		}
+		for ; e < bn; e++ {
+			c0 := alpha * y.Data[e*yc+i]
+			c1 := alpha * y.Data[e*yc+i+1]
+			xr := x.Row(e)[:d]
+			for k := 0; k < d; k++ {
+				x0 := xr[k]
+				r0[k] += c0 * x0
+				r1[k] += c1 * x0
+			}
+		}
+	}
+	if i < m.Rows {
+		row := m.Row(i)
+		for e := 0; e < bn; e++ {
+			c := alpha * y.Data[e*yc+i]
+			if c != 0 {
+				Axpy(c, x.Row(e), row)
+			}
+		}
+	}
+}
+
+// vecPool recycles parameter-length scratch across the hot per-dispatch
+// paths (solver gradients, panel and codec scratch, decoded views,
+// broadcast copies). Within one run every vector is model-sized, so a
+// pool converges on a small set of buffers and steady-state allocation
+// becomes O(model), independent of how many dispatches a run serves —
+// the property the DeviceDispatch allocs/op gate holds.
+type vecPool struct {
+	vecs sync.Pool // *[]T boxes holding a pooled vector
+	// boxes recycles the *[]T boxes themselves: storing a slice in a
+	// sync.Pool needs a heap box for the header, and allocating a fresh
+	// box per PutVec would put one allocation right back on the path the
+	// pool exists to clear. Boxes shuttle between the two pools instead.
+	boxes sync.Pool
+}
+
+// pools holds one pool per width, so float32 and float64 buffers never
+// mix capacities.
+var pools [2]vecPool
+
+func poolOf[T Float]() *vecPool {
+	var z T
+	return &pools[unsafe.Sizeof(z)/8]
+}
+
+// GetVec returns a length-n vector with unspecified contents. Callers
+// must fully overwrite it (or Zero it) before reading. The vector may
+// be handed to PutVec when the caller is done; never Put a vector that
+// something else still references.
+func GetVec[T Float](n int) []T {
+	pool := poolOf[T]()
+	if p, ok := pool.vecs.Get().(*[]T); ok {
+		v := *p
+		*p = nil
+		pool.boxes.Put(p)
+		if cap(v) >= n {
+			return v[:n]
+		}
+	}
+	return make([]T, n)
+}
+
+// PutVec returns a vector to the pool. The caller must not touch v
+// afterwards. Put only vectors with exclusive ownership — a slice that
+// escaped into a retained structure (a Reply, a link's prev shadow)
+// must be dropped to the garbage collector instead.
+func PutVec[T Float](v []T) {
+	if cap(v) == 0 {
+		return
+	}
+	v = v[:cap(v)]
+	pool := poolOf[T]()
+	p, ok := pool.boxes.Get().(*[]T)
+	if !ok {
+		p = new([]T)
+	}
+	*p = v
+	pool.vecs.Put(p)
 }
