@@ -332,6 +332,9 @@ func check[T tensor.Float](u *Update, codec string, prev []T) error {
 	if u.Codec != codec {
 		return fmt.Errorf("comm: update encoded with %q, decoding with %q", u.Codec, codec)
 	}
+	if u.N < 0 {
+		return fmt.Errorf("comm: update declares %d params", u.N)
+	}
 	if prev != nil && len(prev) != u.N {
 		return fmt.Errorf("comm: update has %d params, link state has %d", u.N, len(prev))
 	}
@@ -452,12 +455,10 @@ func (c *deltaCodec[T]) encode(params, prev []T) *Update {
 	// input (raw copies it, qsgd extracts a packed payload), so it goes
 	// back to the pool before returning.
 	d := tensor.GetVec[T](len(params))
-	copy(d, params)
-	if prev != nil {
-		for i, p := range prev {
-			d[i] -= p
-		}
+	for i, p := range prev {
+		d[i] = params[i] - p
 	}
+	copy(d[len(prev):], params[len(prev):]) // all of it when prev is nil
 	u := c.inner.encode(d, nil)
 	u.Codec = c.name
 	tensor.PutVec(d)

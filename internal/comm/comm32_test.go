@@ -28,8 +28,8 @@ func mustCodec32(t *testing.T, s Spec) Codec {
 }
 
 // TestLevelStreamRoundTrip drives the level writer/reader pair across
-// every packing regime — radix (bits 2 and 3), the byte-aligned fast
-// path (bits 8), and shift/mask bit-packing (4, 5, 11, 16) — at counts
+// both packing regimes — radix (bits 2 and 3) and shift/mask bit-packing
+// (4, 5, 8, 11, 16; the codec itself bypasses the stream at 8) — at counts
 // chosen to land on, before, and after the radix group boundaries
 // (groups of 40 at 2 bits, 22 at 3).
 func TestLevelStreamRoundTrip(t *testing.T) {
@@ -57,31 +57,134 @@ func TestLevelStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestByteFastPathMatchesBitPacking pins the 8-bit specialization to
-// the generic shift/mask layout: the payload bytes must be identical,
-// or a mixed-version fleet (one side on the fast path, one not) would
-// disagree about the stream.
+// TestByteFastPathMatchesBitPacking pins the quantizer's byte-aligned
+// loops — at 8 bits encode and decode run straight over Packed — to a
+// reference written here from putBits/getBits at the same width: the
+// payload bytes, the rounding stream's position afterwards and every
+// decoded value must agree bit for bit, at both arithmetic widths, or a
+// mixed-version fleet (one side on the byte loops, one not) would disagree
+// about the stream. Widths 4 (shift/mask) and 3 (radix) ride the same
+// table so the level-stream path the other widths take stays held to the
+// same reference.
 func TestByteFastPathMatchesBitPacking(t *testing.T) {
-	const n, width = 53, 8
-	rng := frand.New(99)
-	vals := make([]uint32, n)
-	fast := make([]byte, packedLen(n, width))
-	generic := make([]byte, packedLen(n, width))
-	w := newLevelWriter(fast, width)
-	for i := range vals {
-		vals[i] = uint32(rng.Intn(1 << width))
-		w.put(vals[i])
-		putBits(generic, i*width, width, vals[i])
-	}
-	w.finish()
-	if !bytes.Equal(fast, generic) {
-		t.Fatal("8-bit fast path produced a different payload than putBits")
-	}
-	for i, want := range vals {
-		if got := getBits(fast, i*width, width); got != want {
-			t.Fatalf("getBits cannot read the fast-path payload at %d: got %d want %d", i, got, want)
+	clamp := testVec(64, 5)
+	for i := range clamp { // every third coordinate sits at ±scale
+		if i%3 == 0 {
+			clamp[i] = float64(1-2*(i%2)) * 8
 		}
 	}
+	vectors := []struct {
+		name string
+		v    []float64
+	}{
+		{"n=0", nil},
+		{"n=1", testVec(1, 1)},
+		{"n=7", testVec(7, 2)},
+		{"n=1000", testVec(1000, 3)},
+		{"all zero", make([]float64, 33)},
+		{"at ±scale", clamp},
+	}
+	for _, bits := range []int{8, 4, 3} {
+		for _, tc := range vectors {
+			checkAgainstReference[float64](t, bits, tc.name, tc.v)
+			checkAgainstReference[float32](t, bits, tc.name, tc.v)
+		}
+	}
+}
+
+// checkAgainstReference encodes and decodes v on a width-T qsgd link and
+// compares with the reference quantizer below, run on a copy of the
+// link's rounding stream.
+func checkAgainstReference[T tensor.Float](t *testing.T, bits int, name string, v []float64) {
+	t.Helper()
+	spec := Spec{Name: "qsgd", Bits: bits, Seed: 17}
+	if _, f32 := any(T(0)).(float32); f32 {
+		spec.Precision = tensor.F32
+	}
+	c := mustCodec(t, spec)
+	before, err := SnapshotCodec(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := frand.New(before.RNG)
+	want, scale, decoded := referenceQSGD(tensor.Converted[T](v), bits, rng)
+
+	u := c.Encode(v, nil)
+	after, _ := SnapshotCodec(c)
+	if u.Scale != float64(scale) || !bytes.Equal(u.Packed, want) {
+		t.Errorf("%d bits, %T, %s: payload differs from the reference", bits, scale, name)
+	}
+	if after.RNG != rng.State() {
+		t.Errorf("%d bits, %T, %s: rounding stream at %#x after encode, reference at %#x", bits, scale, name, after.RNG, rng.State())
+	}
+	got, err := c.Decode(u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(decoded) {
+		t.Fatalf("%d bits, %T, %s: decoded %d values, want %d", bits, scale, name, len(got), len(decoded))
+	}
+	for i, w := range decoded {
+		if math.Float64bits(got[i]) != math.Float64bits(float64(w)) {
+			t.Fatalf("%d bits, %T, %s: decoded[%d] = %v, reference %v", bits, scale, name, i, got[i], w)
+		}
+	}
+}
+
+// referenceQSGD is the quantizer spelled out one level at a time: the
+// max-magnitude scale, one stochastic rounding draw per coordinate
+// (none for an all-zero vector), the level clamped to [−s, s] and stored
+// offset-binary — with putBits at the bit-packed widths, through the level
+// stream at the radix ones — then read back (getBits) and rescaled.
+func referenceQSGD[T tensor.Float](v []T, bits int, rng *frand.Source) (packed []byte, scale T, decoded []T) {
+	s := levels(bits)
+	for _, x := range v {
+		if x < 0 {
+			x = -x
+		}
+		if x > scale {
+			scale = x
+		}
+	}
+	packed = make([]byte, packedLen(len(v), bits))
+	decoded = make([]T, len(v))
+	if scale == 0 {
+		return packed, scale, decoded
+	}
+	invUnit := T(s) / scale
+	w := newLevelWriter(packed, bits)
+	for i, x := range v {
+		tt := float64(x * invUnit)
+		f := math.Floor(tt)
+		q := int(f)
+		if rng.Float64() < tt-f {
+			q++
+		}
+		if q < -s {
+			q = -s
+		}
+		if q > s {
+			q = s
+		}
+		if bits > maxRadixBits {
+			putBits(packed, i*bits, bits, uint32(q+s))
+		} else {
+			w.put(uint32(q + s))
+		}
+	}
+	w.finish()
+	unit := scale / T(s)
+	r := newLevelReader(packed, bits, len(v))
+	for i := range decoded {
+		var q uint32
+		if bits > maxRadixBits {
+			q = getBits(packed, i*bits, bits)
+		} else {
+			q = r.next()
+		}
+		decoded[i] = T(int(q)-s) * unit
+	}
+	return packed, scale, decoded
 }
 
 // TestQSGD32RoundTrip checks the f32 quantizer against the same error

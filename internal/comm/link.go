@@ -82,18 +82,23 @@ func (l *LinkState) Prev(device int) []float64 {
 // retains, so callers keep ownership of the slice they pass (and may
 // recycle it). On an f32 link the decoded value is float32-representable,
 // so this float64 shadow holds the link's f32 chain exactly.
+//
+// The lock guards the map only: a device's shadow is single-owner like
+// its codecs, so the model-sized copy runs outside it and goroutines
+// advancing distinct devices do not queue on each other's copies.
 func (l *LinkState) SetPrev(device int, view []float64) {
-	if l.trackPrev {
-		l.mu.Lock()
-		p := l.prev[device]
-		if cap(p) < len(view) {
-			p = make([]float64, len(view))
-		}
-		p = p[:len(view)]
-		copy(p, view)
-		l.prev[device] = p
-		l.mu.Unlock()
+	if !l.trackPrev {
+		return
 	}
+	p := l.Prev(device)
+	if cap(p) < len(view) {
+		p = make([]float64, len(view))
+	}
+	p = p[:len(view)]
+	copy(p, view)
+	l.mu.Lock()
+	l.prev[device] = p
+	l.mu.Unlock()
 }
 
 // EvalLink is the shared evaluation-broadcast link: a single chained

@@ -104,14 +104,6 @@ func newLevelWriter(buf []byte, bits int) levelWriter {
 }
 
 func (w *levelWriter) put(q uint32) {
-	if w.bits == 8 {
-		// Byte-aligned width: a level is exactly one payload byte, no
-		// shifting or masking. This is the default qsgd width, so the
-		// dispatch hot path takes this branch.
-		w.buf[w.pos>>3] = byte(q)
-		w.pos += 8
-		return
-	}
 	if w.radix == 0 {
 		putBits(w.buf, w.pos, w.bits, q)
 		w.pos += w.bits
@@ -165,11 +157,6 @@ func newLevelReader(buf []byte, bits, n int) levelReader {
 }
 
 func (r *levelReader) next() uint32 {
-	if r.bits == 8 {
-		q := uint32(r.buf[r.pos>>3])
-		r.pos += 8
-		return q
-	}
 	if r.radix == 0 {
 		q := getBits(r.buf, r.pos, r.bits)
 		r.pos += r.bits
@@ -193,6 +180,23 @@ func (r *levelReader) next() uint32 {
 	r.cnt--
 	r.remaining--
 	return q
+}
+
+// byteBits is the width at which a level is exactly one payload byte:
+// encode and decode then loop straight over Packed, with no level stream
+// between them and the payload. It is the default width (DefaultBits), so
+// this is the loop a default deployment runs per coordinate.
+const byteBits = 8
+
+// level stochastically rounds t ∈ [−s, s] to one of the 2s+1 integer
+// levels (one rng draw, unbiased) and returns it offset-binary.
+func level(t float64, s int, rng *frand.Source) uint32 {
+	f := math.Floor(t)
+	q := int(f)
+	if rng.Float64() < t-f {
+		q++
+	}
+	return uint32(min(max(q, -s), s) + s)
 }
 
 // encode quantizes v. The max-magnitude scale is a T — on an f32 link it
@@ -225,24 +229,23 @@ func (c *qsgdCodec[T]) encode(v, _ []T) *Update {
 		// level payload is never read — leave Packed zeroed.
 		return u
 	}
-	w := newLevelWriter(u.Packed, c.bits)
-	invUnit := T(s) / scale
-	for _, x := range v {
-		t := float64(x * invUnit) // in [−s, s]
-		f := math.Floor(t)
-		q := int(f)
-		if c.rng.Float64() < t-f {
-			q++
+	invUnit := T(s) / scale // x·invUnit is in [−s, s]
+	// The rounding stream lives in a local for the loop (a register, not a
+	// load and store through c.rng per draw) and is stored back after.
+	rng := *c.rng
+	if c.bits == byteBits {
+		packed := u.Packed[:n]
+		for i, x := range v {
+			packed[i] = byte(level(float64(x*invUnit), s, &rng))
 		}
-		if q < -s {
-			q = -s
+	} else {
+		w := newLevelWriter(u.Packed, c.bits)
+		for _, x := range v {
+			w.put(level(float64(x*invUnit), s, &rng))
 		}
-		if q > s {
-			q = s
-		}
-		w.put(uint32(q + s))
+		w.finish()
 	}
-	w.finish()
+	*c.rng = rng
 	return u
 }
 
@@ -256,6 +259,12 @@ func (c *qsgdCodec[T]) decode(u *Update, prev []T) ([]T, error) {
 	if u.Bits != c.bits {
 		return nil, fmt.Errorf("comm: qsgd update at %d bits, link configured for %d", u.Bits, c.bits)
 	}
+	// A coordinate never packs into less than a bit, so a count beyond
+	// this is malformed — and must not reach packedLen, whose n·bits could
+	// wrap around to the payload's length.
+	if u.N > 8*len(u.Packed) {
+		return nil, fmt.Errorf("comm: qsgd payload of %d bytes cannot hold %d levels", len(u.Packed), u.N)
+	}
 	if want := packedLen(u.N, u.Bits); len(u.Packed) != want {
 		return nil, fmt.Errorf("comm: qsgd payload has %d bytes, want %d", len(u.Packed), want)
 	}
@@ -266,6 +275,12 @@ func (c *qsgdCodec[T]) decode(u *Update, prev []T) ([]T, error) {
 		return out, nil
 	}
 	unit := T(u.Scale) / T(s)
+	if u.Bits == byteBits {
+		for i, b := range u.Packed {
+			out[i] = T(int(b)-s) * unit
+		}
+		return out, nil
+	}
 	r := newLevelReader(u.Packed, u.Bits, u.N)
 	for i := range out {
 		q := int(r.next()) - s

@@ -6,15 +6,11 @@ import (
 	"fedprox/internal/tensor"
 )
 
-// TestWireSizeMatchesRealizedEncodes is the contract the virtual-time
-// driver leans on: Spec.WireSize(n) equals the realized WireBytes of an
-// actual n-parameter encode, for every registered codec at several
-// knob settings and sizes (including n=1 and bit widths that don't
-// divide a byte). The driver charges a reply's uplink before the solve
-// produces the payload, so a drift here silently skews every virtual
-// clock.
-func TestWireSizeMatchesRealizedEncodes(t *testing.T) {
-	specs := []Spec{
+// The wire-size corpus: every registered codec at several knob settings,
+// and sizes including n=1 and counts that do not fill a byte or a radix
+// group. FuzzDecode seeds itself with the encodes of the same corpus.
+var (
+	wireSizeSpecs = []Spec{
 		{Name: "raw"},
 		{Name: "delta"},
 		{Name: "qsgd"},
@@ -26,8 +22,28 @@ func TestWireSizeMatchesRealizedEncodes(t *testing.T) {
 		{Name: "topk", TopK: 0.33},
 		{Name: "topk", TopK: 1},
 	}
-	for _, s := range specs {
-		for _, n := range []int{1, 2, 7, 64, 257} {
+	wireSize32Specs = []Spec{
+		{Name: "raw", Precision: tensor.F32},
+		{Name: "delta", Precision: tensor.F32},
+		{Name: "qsgd", Precision: tensor.F32},
+		{Name: "qsgd", Bits: 2, Precision: tensor.F32},
+		{Name: "qsgd", Bits: 5, Precision: tensor.F32},
+		{Name: "delta+qsgd", Bits: 3, Precision: tensor.F32},
+		{Name: "delta+qsgd", Bits: 8, Precision: tensor.F32},
+	}
+	wireSizeNs = []int{1, 2, 7, 64, 257}
+)
+
+// TestWireSizeMatchesRealizedEncodes is the contract the virtual-time
+// driver leans on: Spec.WireSize(n) equals the realized WireBytes of an
+// actual n-parameter encode, for every registered codec at several
+// knob settings and sizes (including n=1 and bit widths that don't
+// divide a byte). The driver charges a reply's uplink before the solve
+// produces the payload, so a drift here silently skews every virtual
+// clock.
+func TestWireSizeMatchesRealizedEncodes(t *testing.T) {
+	for _, s := range wireSizeSpecs {
+		for _, n := range wireSizeNs {
 			params := testVec(n, 11)
 			prev := testVec(n, 12)
 			c := mustCodec(t, s)
@@ -50,17 +66,8 @@ func TestWireSizeMatchesRealizedEncodes(t *testing.T) {
 // WireBytes of its codec's Encode — raw/delta at 4-byte coordinates,
 // qsgd with its 4-byte scale — for every codec that has an f32 path.
 func TestWireSize32MatchesRealizedEncodes(t *testing.T) {
-	specs := []Spec{
-		{Name: "raw", Precision: tensor.F32},
-		{Name: "delta", Precision: tensor.F32},
-		{Name: "qsgd", Precision: tensor.F32},
-		{Name: "qsgd", Bits: 2, Precision: tensor.F32},
-		{Name: "qsgd", Bits: 5, Precision: tensor.F32},
-		{Name: "delta+qsgd", Bits: 3, Precision: tensor.F32},
-		{Name: "delta+qsgd", Bits: 8, Precision: tensor.F32},
-	}
-	for _, s := range specs {
-		for _, n := range []int{1, 2, 7, 64, 257} {
+	for _, s := range wireSize32Specs {
+		for _, n := range wireSizeNs {
 			params := testVec32(n, 11)
 			prev := testVec32(n, 12)
 			c := mustCodec32(t, s)

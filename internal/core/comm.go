@@ -58,8 +58,13 @@ func (l *commLinks) evalPrev() []float64 { return l.eval.PrevView() }
 // broadcast encodes wt for device k's downlink, decodes it as the device
 // will, and returns the encoded update, the device's view of the global
 // model, and the wire bytes moved. It also creates the device's uplink
-// codec on first contact, so a parallel solve phase only ever reads the
-// link maps — call broadcast sequentially.
+// codec on first contact, so the solve phase only ever reads the link
+// maps. Safe to call concurrently for distinct devices (a round's cohort
+// is; beginRound does): LinkState guards its maps, and the codecs, the
+// rounding stream and the broadcast shadow it advances are device k's
+// alone. wt is only read. The returned view is a pooled vector the caller
+// owns: the coordinator keeps it as the uplink decode base and hands it
+// back with tensor.PutVec once the device's reply has been decoded.
 func (l *commLinks) broadcast(k int, wt []float64) (*comm.Update, []float64, int64, error) {
 	enc, _, err := l.state.Link(k)
 	if err != nil {
@@ -92,7 +97,10 @@ func (l *commLinks) uplinkEncode(k int, wk, view []float64) (*comm.Update, error
 }
 
 // uplinkDecode reconstructs a device's uplink reply against the
-// broadcast view it trained from. Decoding is stateless.
+// broadcast view it trained from. Decoding is stateless. The result is a
+// pooled vector the caller owns: a synchronous round holds it until its
+// fold and recycles it there, the asynchronous path once the reply's
+// disposition is settled.
 func (l *commLinks) uplinkDecode(k int, u *comm.Update, view []float64) ([]float64, error) {
 	_, dec, err := l.state.Link(k)
 	if err != nil {

@@ -165,8 +165,12 @@ type Config struct {
 	TrackGamma bool
 	// Seed drives every random draw of the simulated environment.
 	Seed uint64
-	// Parallelism bounds concurrent local solves within a round;
-	// 0 selects GOMAXPROCS.
+	// Parallelism bounds the concurrent per-device work of a synchronous
+	// round — the in-process local solves and, under a codec, the
+	// coordinator's downlink encodes (on every executor, fednet included);
+	// 0 selects GOMAXPROCS. History, Cost and the trace are identical at
+	// any value: each device's work reads and advances only that device's
+	// seeded streams, and results are consumed in selection order.
 	Parallelism int
 	// Solver is the local solver devices run on their subproblems; nil
 	// selects mini-batch SGD (the paper's choice). The framework is

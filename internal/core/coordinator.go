@@ -325,10 +325,14 @@ type pendingDispatch struct {
 	// waste) and the realized-work clamp use it so a dispatch that never
 	// returns is still billed what the device could have run, matching
 	// the sync path's budget-clamped counterfactual.
-	expected  int
-	budget    int // the raw EpochBudget on the dispatch (0 = unlimited)
-	version   int
-	view      []float64 // the decoded broadcast view (uplink decode base)
+	expected int
+	budget   int // the raw EpochBudget on the dispatch (0 = unlimited)
+	version  int
+	// view is the decoded broadcast view, the uplink decode base. Under
+	// codec links (and for every async dispatch) it is a pooled vector this
+	// record owns, recycled when the reply resolves; on a sync run without
+	// links it is c.w itself and never recycled.
+	view      []float64
 	downBytes int64
 	sentAt    float64 // clock at dispatch (async arrival accounting)
 	charged   bool    // async: DispatchSent confirmed the transfer
@@ -338,6 +342,7 @@ type pendingDispatch struct {
 // round completes so aggregation order stays the selection order.
 type syncReply struct {
 	wk      []float64
+	pooled  bool // wk came from uplinkDecode (not the caller's Reply.Params): recycled after the fold
 	nk      float64
 	done    int // realized local epochs (== dispatched without a budget)
 	budget  int // the dispatch's raw EpochBudget (0 = unlimited)
@@ -814,10 +819,32 @@ func (c *Coordinator) realizedEpochs(dispatched, reported int) int {
 	return reported
 }
 
+// policyDropped reports whether the round's i-th selected device is a
+// straggler the drop policy never contacts.
+func (c *Coordinator) policyDropped(r *syncRound, i int) bool {
+	return c.cfg.Straggler == DropStragglers && r.straggler[i]
+}
+
+// downcast is one contacted device's encoded broadcast: what
+// commLinks.broadcast returned for it.
+type downcast struct {
+	u    *comm.Update
+	view []float64
+	db   int64
+	err  error
+}
+
 // beginRound opens round c.t: selects devices, plans stragglers, encodes
-// broadcasts (advancing per-device link state sequentially, exactly as
-// every executor always has), and emits the round's Dispatches. A round
-// whose every device is policy-dropped completes immediately.
+// the contacted devices' broadcasts on Config.Parallelism workers, and
+// emits the round's Dispatches. Only the encodes run concurrently — each
+// advances one device's link state (its codecs, rounding stream and
+// broadcast shadow) into its own slot; pending records, events and
+// commands are then built serially in selection order, so the History and
+// the trace do not depend on Parallelism, and a failing round reports the
+// error of its lowest selection index. Each pendingDispatch owns its
+// decoded view (a pooled vector) until HandleReply has decoded the reply
+// against it. A round whose every device is policy-dropped completes
+// immediately.
 func (c *Coordinator) beginRound() ([]Command, error) {
 	if c.t >= c.cfg.Rounds {
 		c.finished = true
@@ -842,24 +869,32 @@ func (c *Coordinator) beginRound() ([]Command, error) {
 	}
 	c.round = r
 	c.emit(obs.Event{Kind: obs.KindRoundOpen, Round: t, N: len(selected)})
+	var casts []downcast
+	if c.links != nil {
+		casts = make([]downcast, len(selected))
+		parallelFor(len(selected), c.cfg.Parallelism, func(i int) {
+			if !c.policyDropped(r, i) {
+				b := &casts[i]
+				b.u, b.view, b.db, b.err = c.links.broadcast(selected[i], c.w)
+			}
+		})
+	}
 	var cmds []Command
 	for i, k := range selected {
-		if c.cfg.Straggler == DropStragglers && straggler[i] {
+		if c.policyDropped(r, i) {
 			// Never contacted; accounted at round completion.
 			c.emit(obs.Event{Kind: obs.KindDrop, Round: t, Device: k, Disposition: DropPolicy.String()})
 			continue
 		}
-		view := c.w
-		var u *comm.Update
-		db := c.paramBytes
-		if c.links != nil {
-			var err error
-			u, view, db, err = c.links.broadcast(k, c.w)
-			if err != nil {
-				return nil, err
-			}
+		// Without links the device trains from c.w itself.
+		b := downcast{view: c.w, db: c.paramBytes}
+		if casts != nil {
+			b = casts[i]
 		}
-		r.downBytes[i] = db
+		if b.err != nil {
+			return nil, b.err
+		}
+		r.downBytes[i] = b.db
 		budget := c.deviceBudget(t, k, epochs[i])
 		c.pending[k] = &pendingDispatch{
 			device:    k,
@@ -868,13 +903,13 @@ func (c *Coordinator) beginRound() ([]Command, error) {
 			expected:  expectedEpochs(budget, epochs[i]),
 			budget:    budget,
 			version:   t,
-			view:      view,
-			downBytes: db,
+			view:      b.view,
+			downBytes: b.db,
 		}
 		r.outstanding++
 		c.emit(obs.Event{
 			Kind: obs.KindDispatch, Round: t, Seq: i, Device: k, Version: t,
-			Epochs: epochs[i], Budget: budget, BytesDown: db,
+			Epochs: epochs[i], Budget: budget, BytesDown: b.db,
 		})
 		cmds = append(cmds, Dispatch{
 			Seq:          i,
@@ -888,9 +923,9 @@ func (c *Coordinator) beginRound() ([]Command, error) {
 			BatchSize:    c.cfg.BatchSize,
 			BatchSeed:    c.batchRoot.SplitIndex(t).SplitIndex(k).State(),
 			PrivacyTag:   t,
-			Update:       u,
-			View:         view,
-			DownBytes:    db,
+			Update:       b.u,
+			View:         b.view,
+			DownBytes:    b.db,
 		})
 	}
 	if r.outstanding == 0 {
@@ -1017,7 +1052,6 @@ func (c *Coordinator) completeRound() ([]Command, error) {
 		pre = append(pre, AdvanceClock{Seconds: duration})
 	}
 
-	dropped := func(i int) bool { return c.cfg.Straggler == DropStragglers && r.straggler[i] }
 	vDropped := func(i int) bool {
 		return vdrop != nil && r.replies[i] != nil && vdrop[i] != ArrivalFolded
 	}
@@ -1031,7 +1065,7 @@ func (c *Coordinator) completeRound() ([]Command, error) {
 	// reply's realized work — less than the dispatched target when a
 	// device-side budget truncated the solve).
 	for i := range r.selected {
-		if dropped(i) {
+		if c.policyDropped(r, i) {
 			if c.legacy {
 				// The counterfactual charge follows the realized-work
 				// rule: a never-contacted device modeled as running
@@ -1101,6 +1135,12 @@ func (c *Coordinator) completeRound() ([]Command, error) {
 	if len(params) > 0 {
 		aggregate(c.w, params, nks, c.cfg.Sampling)
 		c.emit(obs.Event{Kind: obs.KindFold, Round: r.t, Version: r.t + 1, N: len(params)})
+	}
+	// Folded or cut, every decoded solution of the round is dead now.
+	for _, rep := range r.replies {
+		if rep != nil && rep.pooled {
+			tensor.PutVec(rep.wk)
+		}
 	}
 	c.emit(obs.Event{Kind: obs.KindRoundClose, Round: r.t, N: len(params), Seconds: roundSecs})
 
@@ -1633,8 +1673,14 @@ func (c *Coordinator) HandleReply(r Reply) ([]Command, error) {
 	if err != nil {
 		return nil, err
 	}
+	if c.links != nil {
+		// The broadcast view was this reply's decode base and nothing else:
+		// the fold reads wk only. (Without links view is c.w itself.)
+		tensor.PutVec(in.view)
+	}
 	c.round.replies[in.index] = &syncReply{
 		wk:      wk,
+		pooled:  r.Update != nil,
 		nk:      c.sizes[r.Device],
 		done:    c.realizedEpochs(in.expected, r.EpochsDone),
 		budget:  in.budget,
