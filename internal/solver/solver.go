@@ -153,12 +153,12 @@ func applyStep[T tensor.Float](w, grad, w0 []T, cfg Config) {
 	eta := T(cfg.LearningRate)
 	mu := T(cfg.Mu)
 	corr := correction[T](cfg)
+	if corr == nil {
+		tensor.ProxStep(w, grad, w0, eta, mu)
+		return
+	}
 	for i := range w {
-		g := grad[i] + mu*(w[i]-w0[i])
-		if corr != nil {
-			g += corr[i]
-		}
-		w[i] -= eta * g
+		w[i] -= eta * (grad[i] + mu*(w[i]-w0[i]) + corr[i])
 	}
 }
 

@@ -193,6 +193,36 @@ func TestCorrectionTermApplied(t *testing.T) {
 	}
 }
 
+// TestApplyStepCorrectionKeepsGoLoop: tensor.ProxStep (and the assembly
+// under it) has no correction term, so a corrected step must stay on
+// applyStep's own loop — every element, through any vector body and its
+// tail, carries exactly w − η·((g + μ(w − w0)) + corr) — while the
+// uncorrected step is tensor.ProxStep's bits.
+func TestApplyStepCorrectionKeepsGoLoop(t *testing.T) {
+	rng := frand.New(16)
+	const n, eta, mu = 13, 0.1, 0.5
+	draw := func() []float64 { return rng.NormVec(make([]float64, n), 0, 1) }
+	w, grad, w0, corr := draw(), draw(), draw(), draw()
+
+	got := tensor.Clone(w)
+	applyStep(got, grad, w0, Config{LearningRate: eta, Mu: mu, Correction: corr})
+	for i := range got {
+		want := w[i] - eta*((grad[i]+mu*(w[i]-w0[i]))+corr[i])
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("corrected step[%d] = %v, want %v", i, got[i], want)
+		}
+	}
+
+	plain, prox := tensor.Clone(w), tensor.Clone(w)
+	applyStep(plain, grad, w0, Config{LearningRate: eta, Mu: mu})
+	tensor.ProxStep(prox, grad, w0, eta, mu)
+	for i := range plain {
+		if math.Float64bits(plain[i]) != math.Float64bits(prox[i]) || plain[i] == got[i] {
+			t.Fatalf("plain step[%d] = %v, ProxStep %v, corrected %v", i, plain[i], prox[i], got[i])
+		}
+	}
+}
+
 func TestSGDPanicsOnNegativeEpochs(t *testing.T) {
 	m := linear.New(2, 2)
 	defer func() {

@@ -138,15 +138,17 @@ func kernelsMatchNaive[T Float](t *testing.T, tol float64) {
 
 // TestConvertRoundTrip: widening is exact, and narrowing a widened
 // float32 returns the same bits — the identity the float64 interfaces
-// over an f32 path rest on — across the unrolled body and its tail.
+// over an f32 path rest on — across the unrolled body and its tail; a
+// same-width Convert (the f64 panel gather) is a plain copy.
 func TestConvertRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 4, 5, 8, 11} {
 		src := randT[float32](frand.New(uint64(n)), n)
 		wide := Converted[float64](src)
 		back := Converted[float32](wide)
+		same := Converted[float64](wide)
 		for i := range src {
-			if wide[i] != float64(src[i]) || back[i] != src[i] {
-				t.Fatalf("n=%d [%d]: %v -> %v -> %v", n, i, src[i], wide[i], back[i])
+			if wide[i] != float64(src[i]) || back[i] != src[i] || same[i] != wide[i] {
+				t.Fatalf("n=%d [%d]: %v -> %v -> %v (copied %v)", n, i, src[i], wide[i], back[i], same[i])
 			}
 		}
 	}

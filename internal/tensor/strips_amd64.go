@@ -1,0 +1,90 @@
+package tensor
+
+import "unsafe"
+
+// hasAVX gates every strip: set once from CPUID/XGETBV, never written
+// again.
+var hasAVX = cpuHasAVX()
+
+func cpuHasAVX() bool
+
+// The strips (strips_amd64.s). Each takes element pointers and lengths,
+// touches exactly the index range of the Go loop it stands in for, and
+// checks nothing: shapes, d == 0 and empty batches are the callers'.
+
+//go:noescape
+func matMulNT2x4F64(out unsafe.Pointer, stride int, a, w0, w1 unsafe.Pointer, d int, off0, off1 float64)
+
+//go:noescape
+func matMulNT2x1F64(out, a, w0, w1 unsafe.Pointer, d int, off0, off1 float64)
+
+//go:noescape
+func matMulNT2x4F32(out unsafe.Pointer, stride int, a, w0, w1 unsafe.Pointer, d int, off0, off1 float32)
+
+//go:noescape
+func matMulNT2x1F32(out, a, w0, w1 unsafe.Pointer, d int, off0, off1 float32)
+
+//go:noescape
+func addOuter2x4F64(r0, r1, x unsafe.Pointer, d int, c unsafe.Pointer)
+
+//go:noescape
+func addOuter2x1F64(r0, r1, x unsafe.Pointer, d int, c0, c1 float64)
+
+//go:noescape
+func addOuter2x4F32(r0, r1, x unsafe.Pointer, d int, c unsafe.Pointer)
+
+//go:noescape
+func addOuter2x1F32(r0, r1, x unsafe.Pointer, d int, c0, c1 float32)
+
+//go:noescape
+func proxStepF64(w, grad, w0 unsafe.Pointer, n int, eta, mu float64)
+
+//go:noescape
+func proxStepF32(w, grad, w0 unsafe.Pointer, n int, eta, mu float32)
+
+// The wrappers below pick a strip by element size (see stripSize, which
+// has already established that T is exactly float64 or float32, so the
+// scalar conversions are identities). Slices are rows of at least the
+// length the strip walks; a 2x4 strip's a or x is four rows back to back.
+
+func ptr[T Float](s []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(s)) }
+
+func matMulNT2x4[T Float](size int, out []T, stride int, a, w0, w1 []T, off0, off1 T) {
+	if size == 8 {
+		matMulNT2x4F64(ptr(out), stride, ptr(a), ptr(w0), ptr(w1), len(w0), float64(off0), float64(off1))
+	} else {
+		matMulNT2x4F32(ptr(out), stride, ptr(a), ptr(w0), ptr(w1), len(w0), float32(off0), float32(off1))
+	}
+}
+
+func matMulNT2x1[T Float](size int, out, a, w0, w1 []T, off0, off1 T) {
+	if size == 8 {
+		matMulNT2x1F64(ptr(out), ptr(a), ptr(w0), ptr(w1), len(w0), float64(off0), float64(off1))
+	} else {
+		matMulNT2x1F32(ptr(out), ptr(a), ptr(w0), ptr(w1), len(w0), float32(off0), float32(off1))
+	}
+}
+
+func addOuter2x4[T Float](size int, r0, r1, x []T, c *[8]T) {
+	if size == 8 {
+		addOuter2x4F64(ptr(r0), ptr(r1), ptr(x), len(r0), unsafe.Pointer(c))
+	} else {
+		addOuter2x4F32(ptr(r0), ptr(r1), ptr(x), len(r0), unsafe.Pointer(c))
+	}
+}
+
+func addOuter2x1[T Float](size int, r0, r1, x []T, c0, c1 T) {
+	if size == 8 {
+		addOuter2x1F64(ptr(r0), ptr(r1), ptr(x), len(r0), float64(c0), float64(c1))
+	} else {
+		addOuter2x1F32(ptr(r0), ptr(r1), ptr(x), len(r0), float32(c0), float32(c1))
+	}
+}
+
+func proxStep[T Float](size int, w, g, w0 []T, eta, mu T) {
+	if size == 8 {
+		proxStepF64(ptr(w), ptr(g), ptr(w0), len(w), float64(eta), float64(mu))
+	} else {
+		proxStepF32(ptr(w), ptr(g), ptr(w0), len(w), float32(eta), float32(mu))
+	}
+}

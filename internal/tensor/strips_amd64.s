@@ -1,0 +1,574 @@
+// AVX strips under MatMulNT, AddOuterPanel and ProxStep (see the package
+// comment in tensor.go for the contract). Every strip performs, per
+// element, exactly the multiplies, adds and subtracts of the Go loop it
+// replaces, in that loop's order, each rounded on its own: packed and
+// scalar AVX arithmetic only, never a fused multiply-add. Each loop body
+// is written once as a macro and instantiated for the vector step and
+// for the scalar tail at both widths, so the four cannot drift apart.
+//
+// Go operand order: OP src2, src1, dst computes dst = src1 OP src2.
+
+#include "textflag.h"
+
+// func cpuHasAVX() bool
+//
+// AVX is usable when CPUID.1:ECX reports AVX and OSXSAVE and XCR0 says the
+// OS saves both the SSE and the AVX register state.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  noavx
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx:
+	MOVB $0, ret+0(FP)
+	RET
+
+// ---- MatMulNT: two weight rows against four examples, or one ----
+//
+// Register use: R9, R10 the weight rows, SI, R11, R12, R13 the example
+// rows, AX the element index k, CX d, DX d rounded down to a multiple of
+// four. Through the four-wide loop one even-numbered register per example
+// holds both rows' accumulator pairs, (s0, t0 | s1, t1); the split after
+// the loop moves row 1's pair to the odd register beside it, and the tail
+// and the final sums work on a row's (s, t) in the two low lanes of its
+// own register.
+
+// DOT4F64 folds one four-element block of example row P into ACC: the two
+// 256-bit products are (p0, p1, p2, p3) and (q0, q1, q2, q3), regrouped
+// as (p0, p1 | q0, q1) + (p2, p3 | q2, q3) = both rows' (x0+x2, x1+x3).
+#define DOT4F64(P, ACC) \
+	VMOVUPD    (P)(AX*8), Y10       \
+	VMULPD     Y8, Y10, Y11         \
+	VMULPD     Y9, Y10, Y12         \
+	VPERM2F128 $0x20, Y12, Y11, Y13 \
+	VPERM2F128 $0x31, Y12, Y11, Y14 \
+	VADDPD     Y14, Y13, Y13        \
+	VADDPD     Y13, ACC, ACC
+
+// DOT4F32 is the same block at float32, where four elements and so both
+// rows' pairs fit one 128-bit register.
+#define DOT4F32(P, ACC) \
+	VMOVUPS   (P)(AX*4), X10 \
+	VMULPS    X8, X10, X11   \
+	VMULPS    X9, X10, X12   \
+	VMOVLHPS  X12, X11, X13  \
+	VUNPCKHPD X12, X11, X14  \
+	VADDPS    X14, X13, X13  \
+	VADDPS    X13, ACC, ACC
+
+// DOT1 is one tail element: s += a·w in lane 0, t untouched.
+#define DOT1(MOV, MUL, ADD, SZ, P, A0, A1) \
+	MOV (P)(AX*SZ), X10 \
+	MUL X8, X10, X11    \
+	MUL X9, X10, X12    \
+	ADD X11, A0, A0     \
+	ADD X12, A1, A1
+
+// FIN64 and FIN32 store (s + t) + off for both rows of one example at
+// OUT; X14 and X15 hold the two offsets.
+#define FIN64(A0, A1, OUT) \
+	VUNPCKHPD A0, A0, X10   \
+	VUNPCKHPD A1, A1, X11   \
+	VADDSD    X10, A0, X10  \
+	VADDSD    X11, A1, X11  \
+	VADDSD    X14, X10, X10 \
+	VADDSD    X15, X11, X11 \
+	VMOVSD    X10, (OUT)    \
+	VMOVSD    X11, 8(OUT)
+
+#define FIN32(A0, A1, OUT) \
+	VMOVSHDUP A0, X10       \
+	VMOVSHDUP A1, X11       \
+	VADDSS    X10, A0, X10  \
+	VADDSS    X11, A1, X11  \
+	VADDSS    X14, X10, X10 \
+	VADDSS    X15, X11, X11 \
+	VMOVSS    X10, (OUT)    \
+	VMOVSS    X11, 4(OUT)
+
+// func matMulNT2x4F64(out unsafe.Pointer, stride int, a, w0, w1 unsafe.Pointer, d int, off0, off1 float64)
+TEXT ·matMulNT2x4F64(SB), NOSPLIT, $0-64
+	MOVQ   out+0(FP), DI
+	MOVQ   stride+8(FP), R8
+	MOVQ   a+16(FP), SI
+	MOVQ   w0+24(FP), R9
+	MOVQ   w1+32(FP), R10
+	MOVQ   d+40(FP), CX
+	LEAQ   (SI)(CX*8), R11
+	LEAQ   (R11)(CX*8), R12
+	LEAQ   (R12)(CX*8), R13
+	VXORPD Y0, Y0, Y0
+	VXORPD Y2, Y2, Y2
+	VXORPD Y4, Y4, Y4
+	VXORPD Y6, Y6, Y6
+	XORQ   AX, AX
+	MOVQ   CX, DX
+	ANDQ   $-4, DX
+
+nt4f64loop:
+	CMPQ    AX, DX
+	JGE     nt4f64split
+	VMOVUPD (R9)(AX*8), Y8
+	VMOVUPD (R10)(AX*8), Y9
+	DOT4F64(SI, Y0)
+	DOT4F64(R11, Y2)
+	DOT4F64(R12, Y4)
+	DOT4F64(R13, Y6)
+	ADDQ    $4, AX
+	JMP     nt4f64loop
+
+nt4f64split:
+	VEXTRACTF128 $1, Y0, X1
+	VEXTRACTF128 $1, Y2, X3
+	VEXTRACTF128 $1, Y4, X5
+	VEXTRACTF128 $1, Y6, X7
+
+nt4f64tail:
+	CMPQ   AX, CX
+	JGE    nt4f64done
+	VMOVSD (R9)(AX*8), X8
+	VMOVSD (R10)(AX*8), X9
+	DOT1(VMOVSD, VMULSD, VADDSD, 8, SI, X0, X1)
+	DOT1(VMOVSD, VMULSD, VADDSD, 8, R11, X2, X3)
+	DOT1(VMOVSD, VMULSD, VADDSD, 8, R12, X4, X5)
+	DOT1(VMOVSD, VMULSD, VADDSD, 8, R13, X6, X7)
+	INCQ   AX
+	JMP    nt4f64tail
+
+nt4f64done:
+	VMOVSD off0+48(FP), X14
+	VMOVSD off1+56(FP), X15
+	SHLQ   $3, R8
+	FIN64(X0, X1, DI)
+	ADDQ   R8, DI
+	FIN64(X2, X3, DI)
+	ADDQ   R8, DI
+	FIN64(X4, X5, DI)
+	ADDQ   R8, DI
+	FIN64(X6, X7, DI)
+	VZEROUPPER
+	RET
+
+// func matMulNT2x1F64(out, a, w0, w1 unsafe.Pointer, d int, off0, off1 float64)
+TEXT ·matMulNT2x1F64(SB), NOSPLIT, $0-56
+	MOVQ   out+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   w0+16(FP), R9
+	MOVQ   w1+24(FP), R10
+	MOVQ   d+32(FP), CX
+	VXORPD Y0, Y0, Y0
+	XORQ   AX, AX
+	MOVQ   CX, DX
+	ANDQ   $-4, DX
+
+nt1f64loop:
+	CMPQ    AX, DX
+	JGE     nt1f64split
+	VMOVUPD (R9)(AX*8), Y8
+	VMOVUPD (R10)(AX*8), Y9
+	DOT4F64(SI, Y0)
+	ADDQ    $4, AX
+	JMP     nt1f64loop
+
+nt1f64split:
+	VEXTRACTF128 $1, Y0, X1
+
+nt1f64tail:
+	CMPQ   AX, CX
+	JGE    nt1f64done
+	VMOVSD (R9)(AX*8), X8
+	VMOVSD (R10)(AX*8), X9
+	DOT1(VMOVSD, VMULSD, VADDSD, 8, SI, X0, X1)
+	INCQ   AX
+	JMP    nt1f64tail
+
+nt1f64done:
+	VMOVSD off0+40(FP), X14
+	VMOVSD off1+48(FP), X15
+	FIN64(X0, X1, DI)
+	VZEROUPPER
+	RET
+
+// The float32 MatMulNT strips use 128-bit registers only (VEX encoded, so
+// the upper halves stay clean and there is nothing for VZEROUPPER to do).
+
+// func matMulNT2x4F32(out unsafe.Pointer, stride int, a, w0, w1 unsafe.Pointer, d int, off0, off1 float32)
+TEXT ·matMulNT2x4F32(SB), NOSPLIT, $0-56
+	MOVQ   out+0(FP), DI
+	MOVQ   stride+8(FP), R8
+	MOVQ   a+16(FP), SI
+	MOVQ   w0+24(FP), R9
+	MOVQ   w1+32(FP), R10
+	MOVQ   d+40(FP), CX
+	LEAQ   (SI)(CX*4), R11
+	LEAQ   (R11)(CX*4), R12
+	LEAQ   (R12)(CX*4), R13
+	VXORPS X0, X0, X0
+	VXORPS X2, X2, X2
+	VXORPS X4, X4, X4
+	VXORPS X6, X6, X6
+	XORQ   AX, AX
+	MOVQ   CX, DX
+	ANDQ   $-4, DX
+
+nt4f32loop:
+	CMPQ    AX, DX
+	JGE     nt4f32split
+	VMOVUPS (R9)(AX*4), X8
+	VMOVUPS (R10)(AX*4), X9
+	DOT4F32(SI, X0)
+	DOT4F32(R11, X2)
+	DOT4F32(R12, X4)
+	DOT4F32(R13, X6)
+	ADDQ    $4, AX
+	JMP     nt4f32loop
+
+nt4f32split:
+	VMOVHLPS X0, X0, X1
+	VMOVHLPS X2, X2, X3
+	VMOVHLPS X4, X4, X5
+	VMOVHLPS X6, X6, X7
+
+nt4f32tail:
+	CMPQ   AX, CX
+	JGE    nt4f32done
+	VMOVSS (R9)(AX*4), X8
+	VMOVSS (R10)(AX*4), X9
+	DOT1(VMOVSS, VMULSS, VADDSS, 4, SI, X0, X1)
+	DOT1(VMOVSS, VMULSS, VADDSS, 4, R11, X2, X3)
+	DOT1(VMOVSS, VMULSS, VADDSS, 4, R12, X4, X5)
+	DOT1(VMOVSS, VMULSS, VADDSS, 4, R13, X6, X7)
+	INCQ   AX
+	JMP    nt4f32tail
+
+nt4f32done:
+	VMOVSS off0+48(FP), X14
+	VMOVSS off1+52(FP), X15
+	SHLQ   $2, R8
+	FIN32(X0, X1, DI)
+	ADDQ   R8, DI
+	FIN32(X2, X3, DI)
+	ADDQ   R8, DI
+	FIN32(X4, X5, DI)
+	ADDQ   R8, DI
+	FIN32(X6, X7, DI)
+	RET
+
+// func matMulNT2x1F32(out, a, w0, w1 unsafe.Pointer, d int, off0, off1 float32)
+TEXT ·matMulNT2x1F32(SB), NOSPLIT, $0-48
+	MOVQ   out+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   w0+16(FP), R9
+	MOVQ   w1+24(FP), R10
+	MOVQ   d+32(FP), CX
+	VXORPS X0, X0, X0
+	XORQ   AX, AX
+	MOVQ   CX, DX
+	ANDQ   $-4, DX
+
+nt1f32loop:
+	CMPQ    AX, DX
+	JGE     nt1f32split
+	VMOVUPS (R9)(AX*4), X8
+	VMOVUPS (R10)(AX*4), X9
+	DOT4F32(SI, X0)
+	ADDQ    $4, AX
+	JMP     nt1f32loop
+
+nt1f32split:
+	VMOVHLPS X0, X0, X1
+
+nt1f32tail:
+	CMPQ   AX, CX
+	JGE    nt1f32done
+	VMOVSS (R9)(AX*4), X8
+	VMOVSS (R10)(AX*4), X9
+	DOT1(VMOVSS, VMULSS, VADDSS, 4, SI, X0, X1)
+	INCQ   AX
+	JMP    nt1f32tail
+
+nt1f32done:
+	VMOVSS off0+40(FP), X14
+	VMOVSS off1+44(FP), X15
+	FIN32(X0, X1, DI)
+	RET
+
+// ---- AddOuterPanel: two destination rows, four examples or one ----
+//
+// Register use: DI, SI the destination rows r0, r1; R8..R11 the example
+// rows; AX the element index k, CX d, BX d rounded down to the lane count.
+// Registers 0-3 hold row 0's coefficients in every lane, 4-7 row 1's.
+
+// OUTER4 is one step of r0[k] += ((c00·x0 + c01·x1) + c02·x2) + c03·x3
+// and the same for r1; the register arguments pick the lane count.
+#define OUTER4(MOV, MUL, ADD, SZ, C00, C01, C02, C03, C10, C11, C12, C13, V0, V1, V2, V3, S, T) \
+	MOV (R8)(AX*SZ), V0     \
+	MOV (R9)(AX*SZ), V1     \
+	MOV (R10)(AX*SZ), V2    \
+	MOV (R11)(AX*SZ), V3    \
+	MUL V0, C00, S          \
+	MUL V1, C01, T          \
+	ADD T, S, S             \
+	MUL V2, C02, T          \
+	ADD T, S, S             \
+	MUL V3, C03, T          \
+	ADD T, S, S             \
+	ADD (DI)(AX*SZ), S, S   \
+	MOV S, (DI)(AX*SZ)      \
+	MUL V0, C10, S          \
+	MUL V1, C11, T          \
+	ADD T, S, S             \
+	MUL V2, C12, T          \
+	ADD T, S, S             \
+	MUL V3, C13, T          \
+	ADD T, S, S             \
+	ADD (SI)(AX*SZ), S, S   \
+	MOV S, (SI)(AX*SZ)
+
+// OUTER1 is one step of r0[k] += c0·x, r1[k] += c1·x.
+#define OUTER1(MOV, MUL, ADD, SZ, C0, C1, V, S, T) \
+	MOV (R8)(AX*SZ), V    \
+	MUL V, C0, S          \
+	MUL V, C1, T          \
+	ADD (DI)(AX*SZ), S, S \
+	ADD (SI)(AX*SZ), T, T \
+	MOV S, (DI)(AX*SZ)    \
+	MOV T, (SI)(AX*SZ)
+
+// func addOuter2x4F64(r0, r1, x unsafe.Pointer, d int, c unsafe.Pointer)
+TEXT ·addOuter2x4F64(SB), NOSPLIT, $0-40
+	MOVQ r0+0(FP), DI
+	MOVQ r1+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ d+24(FP), CX
+	MOVQ c+32(FP), DX
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	LEAQ (R10)(CX*8), R11
+	VBROADCASTSD 0(DX), Y0
+	VBROADCASTSD 8(DX), Y1
+	VBROADCASTSD 16(DX), Y2
+	VBROADCASTSD 24(DX), Y3
+	VBROADCASTSD 32(DX), Y4
+	VBROADCASTSD 40(DX), Y5
+	VBROADCASTSD 48(DX), Y6
+	VBROADCASTSD 56(DX), Y7
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-4, BX
+
+ao4f64loop:
+	CMPQ AX, BX
+	JGE  ao4f64tail
+	OUTER4(VMOVUPD, VMULPD, VADDPD, 8, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13)
+	ADDQ $4, AX
+	JMP  ao4f64loop
+
+ao4f64tail:
+	CMPQ AX, CX
+	JGE  ao4f64done
+	OUTER4(VMOVSD, VMULSD, VADDSD, 8, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13)
+	INCQ AX
+	JMP  ao4f64tail
+
+ao4f64done:
+	VZEROUPPER
+	RET
+
+// func addOuter2x1F64(r0, r1, x unsafe.Pointer, d int, c0, c1 float64)
+TEXT ·addOuter2x1F64(SB), NOSPLIT, $0-48
+	MOVQ r0+0(FP), DI
+	MOVQ r1+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ d+24(FP), CX
+	VBROADCASTSD c0+32(FP), Y0
+	VBROADCASTSD c1+40(FP), Y1
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-4, BX
+
+ao1f64loop:
+	CMPQ AX, BX
+	JGE  ao1f64tail
+	OUTER1(VMOVUPD, VMULPD, VADDPD, 8, Y0, Y1, Y8, Y12, Y13)
+	ADDQ $4, AX
+	JMP  ao1f64loop
+
+ao1f64tail:
+	CMPQ AX, CX
+	JGE  ao1f64done
+	OUTER1(VMOVSD, VMULSD, VADDSD, 8, X0, X1, X8, X12, X13)
+	INCQ AX
+	JMP  ao1f64tail
+
+ao1f64done:
+	VZEROUPPER
+	RET
+
+// func addOuter2x4F32(r0, r1, x unsafe.Pointer, d int, c unsafe.Pointer)
+TEXT ·addOuter2x4F32(SB), NOSPLIT, $0-40
+	MOVQ r0+0(FP), DI
+	MOVQ r1+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ d+24(FP), CX
+	MOVQ c+32(FP), DX
+	LEAQ (R8)(CX*4), R9
+	LEAQ (R9)(CX*4), R10
+	LEAQ (R10)(CX*4), R11
+	VBROADCASTSS 0(DX), Y0
+	VBROADCASTSS 4(DX), Y1
+	VBROADCASTSS 8(DX), Y2
+	VBROADCASTSS 12(DX), Y3
+	VBROADCASTSS 16(DX), Y4
+	VBROADCASTSS 20(DX), Y5
+	VBROADCASTSS 24(DX), Y6
+	VBROADCASTSS 28(DX), Y7
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+
+ao4f32loop:
+	CMPQ AX, BX
+	JGE  ao4f32half
+	OUTER4(VMOVUPS, VMULPS, VADDPS, 4, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13)
+	ADDQ $8, AX
+	JMP  ao4f32loop
+
+ao4f32half:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  ao4f32tail
+	OUTER4(VMOVUPS, VMULPS, VADDPS, 4, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13)
+	MOVQ BX, AX
+
+ao4f32tail:
+	CMPQ AX, CX
+	JGE  ao4f32done
+	OUTER4(VMOVSS, VMULSS, VADDSS, 4, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13)
+	INCQ AX
+	JMP  ao4f32tail
+
+ao4f32done:
+	VZEROUPPER
+	RET
+
+// func addOuter2x1F32(r0, r1, x unsafe.Pointer, d int, c0, c1 float32)
+TEXT ·addOuter2x1F32(SB), NOSPLIT, $0-40
+	MOVQ r0+0(FP), DI
+	MOVQ r1+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ d+24(FP), CX
+	VBROADCASTSS c0+32(FP), Y0
+	VBROADCASTSS c1+36(FP), Y1
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+
+ao1f32loop:
+	CMPQ AX, BX
+	JGE  ao1f32half
+	OUTER1(VMOVUPS, VMULPS, VADDPS, 4, Y0, Y1, Y8, Y12, Y13)
+	ADDQ $8, AX
+	JMP  ao1f32loop
+
+ao1f32half:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  ao1f32tail
+	OUTER1(VMOVUPS, VMULPS, VADDPS, 4, X0, X1, X8, X12, X13)
+	MOVQ BX, AX
+
+ao1f32tail:
+	CMPQ AX, CX
+	JGE  ao1f32done
+	OUTER1(VMOVSS, VMULSS, VADDSS, 4, X0, X1, X8, X12, X13)
+	INCQ AX
+	JMP  ao1f32tail
+
+ao1f32done:
+	VZEROUPPER
+	RET
+
+// ---- ProxStep: w ← w − η·(g + μ·(w − w⁰)) ----
+//
+// Register use: DI w, SI g, DX w⁰, AX the index, CX n, BX n rounded down
+// to the lane count; register 0 holds η in every lane, 1 μ.
+
+#define PROX(MOV, MUL, ADD, SUB, SZ, ETA, MU, W, G) \
+	MOV (DI)(AX*SZ), W    \
+	SUB (DX)(AX*SZ), W, G \
+	MUL G, MU, G          \
+	ADD (SI)(AX*SZ), G, G \
+	MUL G, ETA, G         \
+	SUB G, W, W           \
+	MOV W, (DI)(AX*SZ)
+
+// func proxStepF64(w, grad, w0 unsafe.Pointer, n int, eta, mu float64)
+TEXT ·proxStepF64(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ w0+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD eta+32(FP), Y0
+	VBROADCASTSD mu+40(FP), Y1
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-4, BX
+
+proxf64loop:
+	CMPQ AX, BX
+	JGE  proxf64tail
+	PROX(VMOVUPD, VMULPD, VADDPD, VSUBPD, 8, Y0, Y1, Y2, Y3)
+	ADDQ $4, AX
+	JMP  proxf64loop
+
+proxf64tail:
+	CMPQ AX, CX
+	JGE  proxf64done
+	PROX(VMOVSD, VMULSD, VADDSD, VSUBSD, 8, X0, X1, X2, X3)
+	INCQ AX
+	JMP  proxf64tail
+
+proxf64done:
+	VZEROUPPER
+	RET
+
+// func proxStepF32(w, grad, w0 unsafe.Pointer, n int, eta, mu float32)
+TEXT ·proxStepF32(SB), NOSPLIT, $0-40
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ w0+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSS eta+32(FP), Y0
+	VBROADCASTSS mu+36(FP), Y1
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+
+proxf32loop:
+	CMPQ AX, BX
+	JGE  proxf32tail
+	PROX(VMOVUPS, VMULPS, VADDPS, VSUBPS, 4, Y0, Y1, Y2, Y3)
+	ADDQ $8, AX
+	JMP  proxf32loop
+
+proxf32tail:
+	CMPQ AX, CX
+	JGE  proxf32done
+	PROX(VMOVSS, VMULSS, VADDSS, VSUBSS, 4, X0, X1, X2, X3)
+	INCQ AX
+	JMP  proxf32tail
+
+proxf32done:
+	VZEROUPPER
+	RET

@@ -1,0 +1,220 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+	"unsafe"
+
+	"fedprox/internal/frand"
+)
+
+// ref64 and ref32 instantiate the same generic bodies as float64 and
+// float32 — same shape, same compiled loops — but a []ref64 is not a
+// []float64, so stripSize answers 0 for them and the Go loop runs: the
+// oracle and the strips run side by side in one process, with no switch.
+type (
+	ref64 float64
+	ref32 float32
+)
+
+// bitsOf is v's IEEE bit pattern at its own width.
+func bitsOf[T Float](v T) uint64 {
+	if unsafe.Sizeof(v) == 8 {
+		return math.Float64bits(float64(v))
+	}
+	return uint64(math.Float32bits(float32(v)))
+}
+
+const canary = -98765.4321
+
+// arena lays operands out in one backing array of canaries, every
+// operand starting at an odd index (so no vector load or store is
+// aligned) with canaries either side. Two arenas filled by the same
+// takes hold the same values at the same indices, so comparing them
+// whole after a kernel ran on each checks the results, that the inputs
+// were not written, and that nothing either side of any operand was.
+type arena[T Float] struct {
+	buf []T
+	off int
+}
+
+func newArena[T Float](n int) *arena[T] {
+	a := &arena[T]{buf: make([]T, n)}
+	for i := range a.buf {
+		a.buf[i] = T(canary)
+	}
+	return a
+}
+
+func (a *arena[T]) take(vals []float64) []T {
+	a.off += 3 + a.off%2 // ≥ 3 canaries, then an odd start
+	s := a.buf[a.off : a.off+len(vals) : a.off+len(vals)]
+	for i, v := range vals {
+		s[i] = T(v)
+	}
+	a.off += len(vals)
+	return s
+}
+
+// sameBits reports whether the two arenas hold the same bits, logging the
+// first index where they do not.
+func sameBits[T, R Float](t *testing.T, what string, got []T, want []R) bool {
+	t.Helper()
+	for i := range got {
+		if g, w := bitsOf(got[i]), bitsOf(want[i]); g != w {
+			t.Errorf("%s: arena[%d] = %v (%#x), generic body has %v (%#x)", what, i, got[i], g, want[i], w)
+			return false
+		}
+	}
+	return true
+}
+
+// operand draws n values for a strip test. kind 0 is standard normals;
+// kind 1 mixes in ±0 and subnormals of both widths; kind 2 adds ±Inf
+// (and with them the NaNs that Inf − Inf and 0·Inf produce downstream).
+func operand(rng *frand.Source, n, kind int) []float64 {
+	v := rng.NormVec(make([]float64, n), 0, 1)
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, 1e-40, -1e-45, math.Inf(1), math.Inf(-1)}
+	if kind == 1 {
+		specials = specials[:6]
+	}
+	for i := 0; kind > 0 && i < n; i += 1 + rng.Intn(4) {
+		v[i] = specials[rng.Intn(len(specials))]
+	}
+	return v
+}
+
+var (
+	stripDims    = []int{1, 3, 4, 5, 7, 8, 9, 13, 784}
+	stripBatches = []int{1, 3, 4, 5, 8, 10}
+	stripRows    = []int{1, 2, 3, 10}
+)
+
+// stripTable names, per kernel, the assembly strips its case drives (CI
+// checks that every TEXT symbol in the package is listed here or is the
+// CPUID stub) and the case at each width.
+var stripTable = []struct {
+	kernel   string
+	strips   []string
+	f64, f32 func(*testing.T)
+}{
+	{"MatMulNT", []string{"matMulNT2x4F64", "matMulNT2x1F64", "matMulNT2x4F32", "matMulNT2x1F32"},
+		matMulNTBits[float64, ref64], matMulNTBits[float32, ref32]},
+	{"AddOuterPanel", []string{"addOuter2x4F64", "addOuter2x1F64", "addOuter2x4F32", "addOuter2x1F32"},
+		addOuterPanelBits[float64, ref64], addOuterPanelBits[float32, ref32]},
+	{"ProxStep", []string{"proxStepF64", "proxStepF32"},
+		proxStepBits[float64, ref64], proxStepBits[float32, ref32]},
+}
+
+// TestStripsMatchGenericBits runs every kernel that has assembly strips
+// on []float64/[]float32 (strips) and on []ref64/[]ref32 (the generic Go
+// body) over identical arenas and requires the arenas to come out
+// bit-identical: zero differing bits in any result, any input, any
+// canary.
+func TestStripsMatchGenericBits(t *testing.T) {
+	if !hasAVX {
+		t.Skip("no AVX on this machine: the generic bodies are the only path, there is nothing to compare")
+	}
+	if stripSize([]float64{1}, 1) != 8 || stripSize([]float32{1}, 1) != 4 || stripSize([]ref64{1}, 1) != 0 || stripSize([]ref32{1}, 1) != 0 {
+		t.Fatal("stripSize must pick strips for float64/float32 and the Go loop for the ref types")
+	}
+	for _, c := range stripTable {
+		t.Logf("%s drives %v", c.kernel, c.strips)
+		t.Run(c.kernel+"/f64", c.f64)
+		t.Run(c.kernel+"/f32", c.f32)
+	}
+}
+
+func matMulNTBits[T, R Float](t *testing.T) {
+	rng := frand.New(7)
+	for _, d := range stripDims {
+		for _, bn := range stripBatches {
+			for _, rows := range stripRows {
+				for kind := 0; kind < 3; kind++ {
+					for _, withBias := range []bool{false, true} {
+						n := bn*d + rows*d + rows + bn*rows + 32
+						at, ar := newArena[T](n), newArena[R](n)
+						x, w, b, out := operand(rng, bn*d, kind), operand(rng, rows*d, kind), operand(rng, rows, kind), make([]float64, bn*rows)
+						xt, wt, bt, ot := at.take(x), at.take(w), at.take(b), at.take(out)
+						xr, wr, br, or := ar.take(x), ar.take(w), ar.take(b), ar.take(out)
+						if !withBias {
+							bt, br = nil, nil
+						}
+						MatMulNT(MatView(ot, bn, rows), MatView(xt, bn, d), MatView(wt, rows, d), bt)
+						MatMulNT(MatView(or, bn, rows), MatView(xr, bn, d), MatView(wr, rows, d), br)
+						if !sameBits(t, "MatMulNT", at.buf, ar.buf) {
+							t.Fatalf("at d=%d batch=%d rows=%d kind=%d bias=%v", d, bn, rows, kind, withBias)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func addOuterPanelBits[T, R Float](t *testing.T) {
+	rng := frand.New(8)
+	for _, d := range stripDims {
+		for _, bn := range stripBatches {
+			for _, rows := range stripRows {
+				for kind := 0; kind < 3; kind++ {
+					n := bn*d + rows*d + bn*rows + 32
+					at, ar := newArena[T](n), newArena[R](n)
+					x, m, y := operand(rng, bn*d, kind), operand(rng, rows*d, kind), operand(rng, bn*rows, kind)
+					xt, mt, yt := at.take(x), at.take(m), at.take(y)
+					xr, mr, yr := ar.take(x), ar.take(m), ar.take(y)
+					AddOuterPanel(MatView(mt, rows, d), T(0.1), MatView(yt, bn, rows), MatView(xt, bn, d))
+					AddOuterPanel(MatView(mr, rows, d), R(0.1), MatView(yr, bn, rows), MatView(xr, bn, d))
+					if !sameBits(t, "AddOuterPanel", at.buf, ar.buf) {
+						t.Fatalf("at d=%d batch=%d rows=%d kind=%d", d, bn, rows, kind)
+					}
+				}
+			}
+		}
+	}
+}
+
+func proxStepBits[T, R Float](t *testing.T) {
+	rng := frand.New(9)
+	for _, n := range append([]int{0, 7850}, stripDims...) {
+		for kind := 0; kind < 3; kind++ {
+			for _, mu := range []float64{0, 0.5} {
+				at, ar := newArena[T](3*n+32), newArena[R](3*n+32)
+				w, g, w0 := operand(rng, n, kind), operand(rng, n, kind), operand(rng, n, kind)
+				wt, gt, w0t := at.take(w), at.take(g), at.take(w0)
+				wr, gr, w0r := ar.take(w), ar.take(g), ar.take(w0)
+				ProxStep(wt, gt, w0t, T(0.03), T(mu))
+				ProxStep(wr, gr, w0r, R(0.03), R(mu))
+				if !sameBits(t, "ProxStep", at.buf, ar.buf) {
+					t.Fatalf("at n=%d kind=%d mu=%v", n, kind, mu)
+				}
+			}
+		}
+	}
+}
+
+// TestMatVecMatchesSequential: the four-row MatVec gives every row the
+// bits of a plain left-to-right dot product, through the four-row block
+// and its remainder.
+func TestMatVecMatchesSequential(t *testing.T) {
+	rng := frand.New(10)
+	for rows := 1; rows <= 9; rows++ {
+		for _, d := range []int{1, 3, 4, 7, 60} {
+			for kind := 0; kind < 3; kind++ {
+				m := MatView(operand(rng, rows*d, kind), rows, d)
+				x := operand(rng, d, kind)
+				dst := make(Vec, rows)
+				MatVec(dst, m, x)
+				for i := range dst {
+					want := 0.0
+					for j, v := range m.Row(i) {
+						want += v * x[j]
+					}
+					if math.Float64bits(dst[i]) != math.Float64bits(want) {
+						t.Fatalf("MatVec %dx%d kind %d row %d = %v, sequential dot is %v", rows, d, kind, i, dst[i], want)
+					}
+				}
+			}
+		}
+	}
+}

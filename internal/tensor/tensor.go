@@ -12,6 +12,45 @@
 // float64 run the same loops in the same accumulation order. Everything
 // the protocol itself computes with — aggregation, evaluation, the
 // interfaces between packages — is float64 (Vec).
+//
+// # Assembly strips
+//
+// Three loops — the ones a profile of a local solve names — also exist as
+// hand-written AVX assembly on amd64 (strips_amd64.s), at both widths:
+// the two-weight-row inner loops of MatMulNT (against four examples and
+// against one), the two-destination-row inner loops of AddOuterPanel
+// (four examples and one), and ProxStep. Nothing else has assembly, and
+// no assembly lives outside this package.
+//
+// The generic Go bodies are the specification. A strip performs, element
+// by element, exactly the multiplies, adds and subtracts its Go loop
+// performs, in that loop's order, each rounded on its own — AVX packed and
+// scalar arithmetic only, never a fused multiply-add, which rounds once
+// where the Go loop rounds twice. So a strip's results are the Go loop's
+// bit for bit (±0, subnormals, infinities and the NaNs they produce
+// included), every golden, baseline and cross-executor parity value in
+// the repository holds on either path, and speed is the only difference.
+// A strip takes pointers and lengths and touches exactly the index range
+// its Go loop touches; shape checks, empty batches and zero-length rows
+// never reach one.
+//
+// Which path runs is decided inside the generic function: stripSize
+// asserts the slice to []float64 or []float32 and consults hasAVX, set
+// once at init from CPUID and XGETBV. There is no flag, environment
+// variable, build tag or exported switch; other architectures, and amd64
+// parts without AVX, run the Go bodies alone. The oracle test needs no
+// switch either: TestStripsMatchGenericBits instantiates the same
+// generic functions over locally defined float64- and float32-based types,
+// which fail that assertion and so take the Go loop, and compares the two
+// paths' whole operand arenas (canaries around every operand included)
+// with math.Float64bits and math.Float32bits.
+//
+// The Go bodies round every product and sum separately only as long as
+// the compiler does not fuse them itself. On amd64 that is the default
+// (GOAMD64=v1), which is what every committed golden was captured at;
+// building with GOAMD64=v3 lets the compiler fuse multiply-adds in the Go
+// bodies — the loops without strips, and the oracle — and those values
+// then differ from the goldens whether or not the strips exist.
 package tensor
 
 import (
@@ -108,6 +147,10 @@ func Fill(v Vec, c float64) {
 func Convert[D, S Float](dst []D, src []S) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: Convert length mismatch %d vs %d", len(dst), len(src)))
+	}
+	if same, ok := any(src).([]D); ok { // one width: nothing to convert
+		copy(dst, same)
+		return
 	}
 	// Unrolled: the convert sits on the panel-gather path of every batched
 	// gradient, where the loop-carried bounds checks otherwise cost as
@@ -392,10 +435,26 @@ func MatVec(dst Vec, m Mat, x Vec) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic("tensor: MatVec shape mismatch")
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
+	n := len(x) // m.Cols, spelled so that the row reads below go unchecked
+	i := 0
+	// Four rows per pass, one accumulator each: a row's sum keeps its
+	// left-to-right order (so every logit is the bits it always was), but
+	// four independent chains hide the add latency one chain waits out,
+	// and each x[j] is loaded once for four rows.
+	for ; i+4 <= m.Rows; i += 4 {
+		r0, r1, r2, r3 := m.Row(i)[:n], m.Row(i + 1)[:n], m.Row(i + 2)[:n], m.Row(i + 3)[:n]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
 		s := 0.0
-		for j, v := range row {
+		for j, v := range m.Row(i) {
 			s += v * x[j]
 		}
 		dst[i] = s
@@ -462,6 +521,7 @@ func MatMulNT[T Float](dst, a, b Matrix[T], bias []T) {
 		panic("tensor: MatMulNT bias length mismatch")
 	}
 	d := a.Cols
+	size := stripSize(a.Data, d)
 	i := 0
 	// Register-block two weight rows per pass: each example element is
 	// loaded once and feeds both rows' accumulators, halving the panel
@@ -472,7 +532,17 @@ func MatMulNT[T Float](dst, a, b Matrix[T], bias []T) {
 		if bias != nil {
 			off0, off1 = bias[i], bias[i+1]
 		}
-		for e := 0; e < a.Rows; e++ {
+		e := 0
+		if size != 0 { // assembly strips: the loop below, four examples abreast
+			for ; e+4 <= a.Rows; e += 4 {
+				out := dst.Data[e*dst.Cols+i : (e+3)*dst.Cols+i+2] // first to last element written
+				matMulNT2x4(size, out, dst.Cols, a.Data[e*d:(e+4)*d], w0, w1, off0, off1)
+			}
+			for ; e < a.Rows; e++ {
+				matMulNT2x1(size, dst.Row(e)[i:], a.Row(e), w0, w1, off0, off1)
+			}
+		}
+		for ; e < a.Rows; e++ {
 			ar := a.Row(e)[:d]
 			var s0, s1, t0, t1 T
 			k := 0
@@ -535,6 +605,7 @@ func AddOuterPanel[T Float](m Matrix[T], alpha T, y, x Matrix[T]) {
 	d := m.Cols
 	bn := y.Rows
 	yc := y.Cols
+	size := stripSize(m.Data, d)
 	i := 0
 	// Register-block two destination rows and four examples per pass. The
 	// naive form is a read-modify-write on a weight row per example — one
@@ -550,6 +621,10 @@ func AddOuterPanel[T Float](m Matrix[T], alpha T, y, x Matrix[T]) {
 			c02, c03 := alpha*y.Data[(e+2)*yc+i], alpha*y.Data[(e+3)*yc+i]
 			c10, c11 := alpha*y.Data[e*yc+i+1], alpha*y.Data[(e+1)*yc+i+1]
 			c12, c13 := alpha*y.Data[(e+2)*yc+i+1], alpha*y.Data[(e+3)*yc+i+1]
+			if size != 0 {
+				addOuter2x4(size, r0, r1, x.Data[e*d:(e+4)*d], &[8]T{c00, c01, c02, c03, c10, c11, c12, c13})
+				continue
+			}
 			x0, x1 := x.Row(e)[:d], x.Row(e + 1)[:d]
 			x2, x3 := x.Row(e + 2)[:d], x.Row(e + 3)[:d]
 			for k := 0; k < d; k++ {
@@ -562,6 +637,10 @@ func AddOuterPanel[T Float](m Matrix[T], alpha T, y, x Matrix[T]) {
 			c0 := alpha * y.Data[e*yc+i]
 			c1 := alpha * y.Data[e*yc+i+1]
 			xr := x.Row(e)[:d]
+			if size != 0 {
+				addOuter2x1(size, r0, r1, xr, c0, c1)
+				continue
+			}
 			for k := 0; k < d; k++ {
 				x0 := xr[k]
 				r0[k] += c0 * x0
@@ -578,6 +657,38 @@ func AddOuterPanel[T Float](m Matrix[T], alpha T, y, x Matrix[T]) {
 			}
 		}
 	}
+}
+
+// ProxStep performs w ← w − η·(g + μ·(w − w0)) in place: one FedProx
+// subproblem step with no correction term. g and w0 must be at least as
+// long as w.
+func ProxStep[T Float](w, g, w0 []T, eta, mu T) {
+	g, w0 = g[:len(w)], w0[:len(w)]
+	if size := stripSize(w, len(w)); size != 0 {
+		proxStep(size, w, g, w0, eta, mu)
+		return
+	}
+	for i := range w {
+		w[i] -= eta * (g[i] + mu*(w[i]-w0[i]))
+	}
+}
+
+// stripSize returns the element size of the assembly strips that serve a
+// kernel over v with inner length d — 8 for []float64, 4 for []float32 —
+// or 0 when the generic Go loop must run: no AVX, nothing to walk, or an
+// element type that merely has float64 or float32 underneath (the strip
+// tests' oracle).
+func stripSize[T Float](v []T, d int) int {
+	if !hasAVX || d == 0 {
+		return 0
+	}
+	switch any(v).(type) {
+	case []float64:
+		return 8
+	case []float32:
+		return 4
+	}
+	return 0
 }
 
 // vecPool recycles parameter-length scratch across the hot per-dispatch
