@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"fedprox/internal/frand"
 	"fedprox/internal/tensor"
@@ -327,6 +328,33 @@ func (u *Update) WireBytes() int64 {
 	}
 }
 
+// Release hands u's payload back to the pools the encoders and fednet's
+// frame decoder draw it from. An Update has one owner at a time, who may
+// release once: the endpoint that decodes u, after the decode; one that
+// encoded u for a socket, after the write. Nothing may read the payload
+// afterwards (WireBytes prices by its length). Never releasing is safe.
+func (u *Update) Release() {
+	tensor.PutVec(u.Dense)
+	tensor.PutVec(u.Dense32)
+	tensor.PutVec(u.Values)
+	if cap(u.Packed) > 0 {
+		p := u.Packed[:cap(u.Packed)]
+		packedPool.Put(&p)
+	}
+	u.Dense, u.Dense32, u.Values, u.Packed = nil, nil, nil, nil
+}
+
+// packedPool recycles Packed payloads, as tensor's pools do dense ones.
+var packedPool sync.Pool
+
+// GetPacked returns n bytes of unspecified contents for an Update's Packed.
+func GetPacked(n int) []byte {
+	if p, ok := packedPool.Get().(*[]byte); ok && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]byte, n)
+}
+
 // check validates the envelope fields every decoder shares.
 func check[T tensor.Float](u *Update, codec string, prev []T) error {
 	if u.Codec != codec {
@@ -416,7 +444,9 @@ func (rawCodec[T]) rounding() *frand.Source { return nil }
 
 func (rawCodec[T]) encode(params, _ []T) *Update {
 	u := &Update{Codec: "raw", N: len(params)}
-	switch v := any(append([]T(nil), params...)).(type) {
+	v := tensor.GetVec[T](len(params)) // Release recycles it
+	copy(v, params)
+	switch v := any(v).(type) {
 	case []float32:
 		u.Dense32 = v
 	case []float64:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fedprox/internal/frand"
+	"fedprox/internal/tensor"
 )
 
 func testVec(n int, seed uint64) []float64 {
@@ -353,6 +354,35 @@ func TestSelectTopKMatchesSort(t *testing.T) {
 		sort.Ints(sel)
 		if !reflect.DeepEqual(sel, want) {
 			t.Fatalf("trial %d (n=%d k=%d): quickselect %v != sort %v", trial, n, k, sel, want)
+		}
+	}
+}
+
+// TestReleaseIsOnceOnly: an Update's payload goes back to the pool on the
+// first Release and the Update lets go of it, so a second Release (the one
+// unsafe thing besides a read after the first) puts nothing back twice:
+// two vectors drawn afterwards are two vectors.
+func TestReleaseIsOnceOnly(t *testing.T) {
+	for _, spec := range []Spec{{Name: "raw"}, {Name: "raw", Precision: tensor.F32}, {Name: "qsgd"}, {Name: "topk"}} {
+		c, err := spec.ForDevice(Uplink, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := c.Encode(testVec32(64, 3), testVec32(64, 4))
+		price := u.WireBytes()
+		u.Release()
+		if u.Dense != nil || u.Dense32 != nil || u.Packed != nil || u.Values != nil {
+			t.Fatalf("%v: Release left a payload slice behind", spec)
+		}
+		u.Release()
+		a, b := tensor.GetVec[float64](64), tensor.GetVec[float64](64)
+		a32, b32 := tensor.GetVec[float32](64), tensor.GetVec[float32](64)
+		p, q := GetPacked(64), GetPacked(64)
+		if &a[0] == &b[0] || &a32[0] == &b32[0] || &p[0] == &q[0] {
+			t.Fatalf("%v: a released payload came out of the pool twice", spec)
+		}
+		if price != spec.WireSize(64) {
+			t.Fatalf("%v: priced %d before the release, want %d", spec, price, spec.WireSize(64))
 		}
 	}
 }

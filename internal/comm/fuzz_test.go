@@ -9,23 +9,26 @@ import (
 	"fedprox/internal/tensor"
 )
 
-// fuzzCodecs are the codecs FuzzDecode drives: every dense and quantizing
-// one, the decoders an encoded comm.Update off the wire reaches.
-var fuzzCodecs = []string{"raw", "delta", "qsgd", "delta+qsgd"}
+// fuzzCodecs are the codecs FuzzDecode drives: every decoder an encoded
+// comm.Update off the wire reaches.
+var fuzzCodecs = []string{"raw", "delta", "qsgd", "delta+qsgd", "topk"}
 
-// FuzzDecode hands each dense and quantizing decoder, at both arithmetic
-// widths, an arbitrary Update — the shape a frame from a peer the
+// FuzzDecode hands each decoder, at both arithmetic widths (topk has
+// one), an arbitrary Update — the shape a frame from a peer the
 // coordinator does not control decodes into. Decode must not panic, must
 // refuse any update whose payload length does not match its declared N
-// (and Bits), and on success must return exactly N values. The seeds are
-// the real encodes of the wire-size corpus.
+// (and Bits), and on success must return exactly N values, N being either
+// the link state's length or bounded by the payload received. topk's
+// sparse payload bounds nothing, so a first-contact decode is the one
+// case the caller must check N for (core.Device does, against the model):
+// the harness skips a topk update with no link state whose N is not a
+// model size it could have been checked against (16 bits here). Its
+// indices ride in packed and its values in dense. The seeds are the real
+// encodes of the wire-size corpus.
 func FuzzDecode(f *testing.F) {
 	for _, specs := range [][]Spec{wireSizeSpecs, wireSize32Specs} {
 		for _, s := range specs {
 			ci := slices.Index(fuzzCodecs, s.Name)
-			if ci < 0 {
-				continue // topk
-			}
 			s = s.WithDefaults()
 			for _, n := range wireSizeNs {
 				c, err := s.ForDevice(Uplink, 0)
@@ -40,8 +43,15 @@ func FuzzDecode(f *testing.F) {
 				for _, x := range u.Dense32 {
 					dense = binary.LittleEndian.AppendUint32(dense, math.Float32bits(x))
 				}
+				for _, x := range u.Values {
+					dense = binary.LittleEndian.AppendUint64(dense, math.Float64bits(x))
+				}
+				packed := u.Packed
+				for _, i := range u.Indices {
+					packed = binary.LittleEndian.AppendUint32(packed, uint32(i))
+				}
 				f32 := s.Precision == tensor.F32
-				f.Add(uint8(ci), f32, uint8(s.Bits-2), true, int64(u.N), dense, f32, u.Packed, int64(u.Bits), u.Scale, u.F32, uint16(n))
+				f.Add(uint8(ci), f32, uint8(s.Bits-2), true, int64(u.N), dense, f32, packed, int64(u.Bits), u.Scale, u.F32, uint16(n))
 			}
 		}
 	}
@@ -49,10 +59,14 @@ func FuzzDecode(f *testing.F) {
 	// present, and an N whose n·bits wraps around to the empty payload.
 	f.Add(uint8(2), false, uint8(3-2), true, int64(-1), []byte(nil), false, []byte{0}, int64(3), 1.0, false, uint16(0))
 	f.Add(uint8(2), false, uint8(8-2), true, int64(1)<<61, []byte(nil), false, []byte{}, int64(8), 1.0, false, uint16(0))
+	// topk: an index past N on a first contact, and one past the link state.
+	f.Add(uint8(4), false, uint8(0), true, int64(3), []byte{0, 0, 0, 0, 0, 0, 0, 0}, false, []byte{3, 0, 0, 0}, int64(0), 0.0, false, uint16(3))
+	f.Add(uint8(4), false, uint8(0), true, int64(3), []byte{0, 0, 0, 0, 0, 0, 0, 0}, false, []byte{0xFF, 0xFF, 0xFF, 0xFF}, int64(0), 0.0, false, uint16(0))
 	f.Fuzz(func(t *testing.T, codec uint8, f32 bool, specBits uint8, named bool, n int64,
 		dense []byte, dense32 bool, packed []byte, bits int64, scale float64, scaleF32 bool, prevN uint16) {
 		spec := Spec{Name: fuzzCodecs[int(codec)%len(fuzzCodecs)], Bits: 2 + int(specBits)%15}
-		if f32 {
+		topk := spec.Name == "topk"
+		if f32 = f32 && !topk; f32 {
 			spec.Precision = tensor.F32
 		}
 		c, err := spec.ForDevice(Uplink, 0)
@@ -63,7 +77,15 @@ func FuzzDecode(f *testing.F) {
 		if named {
 			u.Codec = spec.Name
 		}
-		if dense32 {
+		if topk {
+			u.Packed, u.Indices, u.Values = nil, []int32{}, []float64{}
+			for ; len(packed) >= 4; packed = packed[4:] {
+				u.Indices = append(u.Indices, int32(binary.LittleEndian.Uint32(packed)))
+			}
+			for ; len(dense) >= 8; dense = dense[8:] {
+				u.Values = append(u.Values, math.Float64frombits(binary.LittleEndian.Uint64(dense)))
+			}
+		} else if dense32 {
 			for ; len(dense) >= 4; dense = dense[4:] {
 				u.Dense32 = append(u.Dense32, math.Float32frombits(binary.LittleEndian.Uint32(dense)))
 			}
@@ -76,6 +98,9 @@ func FuzzDecode(f *testing.F) {
 		if prevN > 0 {
 			prev = make([]float64, prevN)
 		}
+		if topk && prev == nil && u.N != int(uint16(n)) {
+			return // the first-contact check that is the caller's
+		}
 		out, err := c.Decode(u, prev)
 		if err != nil {
 			return
@@ -85,6 +110,10 @@ func FuzzDecode(f *testing.F) {
 		}
 		payload, want := len(u.Dense), u.N
 		switch {
+		case topk:
+			if payload, want = len(u.Indices), len(u.Values); prev != nil && u.N != len(prev) {
+				t.Fatalf("topk decoded %d params against a link state of %d", u.N, len(prev))
+			}
 		case spec.Name == "qsgd" || spec.Name == "delta+qsgd":
 			if u.Bits != spec.Bits {
 				t.Fatalf("%v decoded an update at %d bits", spec, u.Bits)

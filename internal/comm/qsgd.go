@@ -222,8 +222,9 @@ func (c *qsgdCodec[T]) encode(v, _ []T) *Update {
 		Bits:   c.bits,
 		Scale:  float64(scale),
 		F32:    f32,
-		Packed: make([]byte, packedLen(n, c.bits)),
+		Packed: GetPacked(packedLen(n, c.bits)),
 	}
+	clear(u.Packed) // the level writers OR into it
 	if scale == 0 {
 		// All-zero vector: decode short-circuits on Scale == 0, so the
 		// level payload is never read — leave Packed zeroed.

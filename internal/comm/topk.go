@@ -74,7 +74,7 @@ func (c *topkCodec) Encode(params, prev []float64) *Update {
 		Codec:   "topk",
 		N:       n,
 		Indices: make([]int32, k),
-		Values:  make([]float64, k),
+		Values:  tensor.GetVec[float64](k), // every entry is written below; Release recycles it
 	}
 	if c.ef {
 		copy(c.residual, d)
@@ -151,6 +151,7 @@ func (c *topkCodec) Decode(u *Update, prev []float64) ([]float64, error) {
 	}
 	for j, i := range u.Indices {
 		if i < 0 || int(i) >= u.N {
+			tensor.PutVec(out)
 			return nil, fmt.Errorf("comm: topk index %d outside [0,%d)", i, u.N)
 		}
 		out[i] += u.Values[j]

@@ -1641,11 +1641,13 @@ func (c *Coordinator) decodeReply(in *pendingDispatch, r Reply) (wk []float64, u
 		if c.links == nil {
 			return nil, 0, errors.New("core: encoded reply on a run without codec links")
 		}
+		upWire = r.Update.WireBytes() // before the Release: it reads the payload's length
 		wk, err = c.links.uplinkDecode(in.device, r.Update, in.view)
 		if err != nil {
 			return nil, 0, err
 		}
-		return wk, r.Update.WireBytes(), nil
+		r.Update.Release() // the decoding endpoint is the owner (comm.Update.Release)
+		return wk, upWire, nil
 	}
 	return r.Params, c.paramBytes, nil
 }

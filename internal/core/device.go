@@ -349,6 +349,10 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 		if dv.links == nil {
 			return Reply{}, fmt.Errorf("core: encoded dispatch for device %d on a runtime without links", d.Device)
 		}
+		// Before the decode: a first-contact topk decode allocates N words.
+		if d.Update.N != dv.mdl.NumParams() {
+			return Reply{}, fmt.Errorf("core: parameter length %d != model %d", d.Update.N, dv.mdl.NumParams())
+		}
 		dec, _, err := dv.links.state.Link(d.Device)
 		if err != nil {
 			return Reply{}, err
@@ -357,7 +361,9 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 		if err != nil {
 			return Reply{}, err
 		}
-		view = v
+		// The decoding endpoint releases (comm.Update.Release), once priced.
+		view, d.DownBytes = v, d.Update.WireBytes()
+		d.Update.Release()
 	}
 	if view == nil {
 		return Reply{}, errors.New("core: dispatch carries neither an encoded update nor a decoded view")
@@ -399,17 +405,13 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 		r.Gamma = solver.Gamma(dv.mdl, shard.Train, wk, view, scfg)
 	}
 	if dv.trace != nil {
-		down := d.DownBytes
-		if d.Update != nil {
-			down = d.Update.WireBytes()
-		}
 		var up int64
 		if r.Update != nil {
 			up = r.Update.WireBytes()
 		}
 		dv.emit(obs.Event{
 			Kind: obs.KindDeviceDispatch, Round: d.Round, Seq: d.Seq, Device: d.Device,
-			EpochsDone: epochs, BytesUp: up, BytesDown: down,
+			EpochsDone: epochs, BytesUp: up, BytesDown: d.DownBytes,
 		})
 	}
 	// Recycle per-dispatch scratch. A locally decoded view is dead here
@@ -433,6 +435,9 @@ func (dv *Device) HandleEval(e EvalRequest) (EvalReply, error) {
 	if e.Update != nil {
 		if dv.links == nil {
 			return EvalReply{}, errors.New("core: encoded eval broadcast on a runtime without links")
+		}
+		if e.Update.N != dv.mdl.NumParams() { // before the decode, as HandleDispatch
+			return EvalReply{}, fmt.Errorf("core: parameter length %d != model %d", e.Update.N, dv.mdl.NumParams())
 		}
 		v, err := dv.links.eval.Receive(e.Update)
 		if err != nil {

@@ -182,6 +182,30 @@ func TestDeviceBudgetAsyncVTimeDeterministic(t *testing.T) {
 	}
 }
 
+// TestDeviceChecksNBeforeDecode: an Update's N is the peer's word, and on a
+// first contact a topk decode sizes its result by it (the dense and
+// quantized payloads bound it themselves). Both decode sites refuse an N
+// that is not the model's before decoding, not after a terabyte-sized
+// GetVec.
+func TestDeviceChecksNBeforeDecode(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.1))
+	mdl := linear.ForDataset(fed)
+	dev := NewDevice(mdl, fed.Shards, DeviceOptions{})
+	spec := comm.Spec{Name: "topk"}.WithDefaults()
+	if err := dev.InstallLinks(spec, spec); err != nil {
+		t.Fatal(err)
+	}
+	hostile := func() *comm.Update {
+		return &comm.Update{Codec: "topk", N: 1 << 40, Indices: []int32{0}, Values: []float64{1}}
+	}
+	if _, err := dev.HandleDispatch(Dispatch{Device: fed.Shards[0].ID, Epochs: 1, LearningRate: 0.01, BatchSize: 10, Update: hostile()}); err == nil {
+		t.Error("HandleDispatch decoded an update declaring 2^40 parameters")
+	}
+	if _, err := dev.HandleEval(EvalRequest{Seq: 1, Update: hostile()}); err == nil {
+		t.Error("HandleEval decoded an update declaring 2^40 parameters")
+	}
+}
+
 // TestDeviceHandleEvalSortedOrder: eval replies list hosted devices in
 // ascending ID order regardless of shard registration order, so the wire
 // output is deterministic run to run.

@@ -137,6 +137,7 @@ func (d *asyncDriver) Dispatch(ds []core.Dispatch) ([]core.Reply, error) {
 			err = d.provoked(d.failConn(cs))
 		default:
 			// Only a confirmed send is billed as traffic and device work.
+			req.Update.Release()
 			d.s.coord.DispatchSent(v.Device)
 			d.inflight[v.Device] = sent{at: time.Now(), version: v.Version}
 		}
@@ -373,7 +374,9 @@ func (d *asyncDriver) evalBroadcast(v core.Evaluate) (core.EvalResult, [][]int, 
 				if m.env.EvalReply.Err != "" {
 					return core.EvalResult{}, lost, errors.New(m.env.EvalReply.Err)
 				}
-				if !cs.dead {
+				if s.checkEvalRows(m.c, m.env.EvalReply.Devices) != nil {
+					fail(cs) // malformed, like a misrouted TrainReply: evict
+				} else if !cs.dead {
 					all = append(all, m.env.EvalReply.Devices...)
 				}
 			default:

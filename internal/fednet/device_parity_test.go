@@ -100,11 +100,8 @@ func TestDeviceDispatchParityWithWorker(t *testing.T) {
 					BatchSeed:    frand.New(uint64(100 + round)).State(),
 					Update:       u,
 				}
-				simReply, err := simDev.HandleDispatch(d)
-				if err != nil {
-					t.Fatal(err)
-				}
-
+				// The worker goes first: the sim device releases d.Update once
+				// it has decoded it (comm.Update.Release), and the two share it.
 				req := TrainRequest{
 					Round: d.Round, Version: d.Version, Device: d.Device,
 					Update: *d.Update, Epochs: d.Epochs, EpochBudget: d.EpochBudget,
@@ -120,6 +117,10 @@ func TestDeviceDispatchParityWithWorker(t *testing.T) {
 				}
 				if renv.TrainReply == nil || renv.TrainReply.Err != "" {
 					t.Fatalf("bad train reply: %+v", renv)
+				}
+				simReply, err := simDev.HandleDispatch(d)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if got, want := renv.TrainReply.EpochsDone, 2; got != want {
 					t.Fatalf("round %d: worker ran %d epochs, want the budget %d", round, got, want)

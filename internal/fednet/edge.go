@@ -221,7 +221,11 @@ func (e *Edge) run(ln net.Listener, dialParent func() (*conn, error)) error {
 		if e.cfg.LegLatency > 0 {
 			time.Sleep(e.cfg.LegLatency)
 		}
-		if err := parent.send(reply); err != nil {
+		err = parent.send(reply)
+		if reply.TrainReply != nil {
+			reply.TrainReply.Update.Release()
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -234,6 +238,10 @@ func (e *Edge) run(ln net.Listener, dialParent func() (*conn, error)) error {
 // parent's realized-work accounting sees a complete solve.
 func (e *Edge) train(links *comm.LinkState, req *TrainRequest) TrainReply {
 	reply := TrainReply{Round: req.Round, Version: req.Version, Device: req.Device}
+	if n := e.srv.mdl.NumParams(); req.Update.N != n { // before the decode, as core.Device
+		reply.Err = fmt.Sprintf("fednet: parameter length %d != model %d", req.Update.N, n)
+		return reply
+	}
 	down, up, err := links.Link(req.Device)
 	if err != nil {
 		reply.Err = err.Error()
@@ -244,6 +252,7 @@ func (e *Edge) train(links *comm.LinkState, req *TrainRequest) TrainReply {
 		reply.Err = err.Error()
 		return reply
 	}
+	req.Update.Release()
 	links.SetPrev(req.Device, view)
 	cmds, err := e.srv.coord.Resume(view)
 	if err != nil {
@@ -268,6 +277,10 @@ func (e *Edge) train(links *comm.LinkState, req *TrainRequest) TrainReply {
 // its raw test counts, so the parent's combination is exact.
 func (e *Edge) eval(parentEval, childEval *comm.EvalLink, req *EvalRequest) EvalReply {
 	reply := EvalReply{Seq: req.Seq}
+	if n := e.srv.mdl.NumParams(); req.Update.N != n { // before the decode, as core.Device
+		reply.Err = fmt.Sprintf("fednet: parameter length %d != model %d", req.Update.N, n)
+		return reply
+	}
 	params, err := parentEval.Receive(&req.Update)
 	if err != nil {
 		reply.Err = err.Error()

@@ -2,6 +2,7 @@ package fednet
 
 import (
 	"errors"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -20,11 +21,15 @@ import (
 type stubMode int
 
 const (
-	stubDisconnect stubMode = iota // close the conn after the first TrainRequest arrives
-	stubSilent                     // read requests forever, never reply
-	stubMislabel                   // answer every TrainRequest under the next hosted device's ID
-	stubStale                      // answer with a Version the request did not carry
-	stubOversized                  // answer with a length prefix over any bound, keep reading
+	stubDisconnect  stubMode = iota // close the conn after the first TrainRequest arrives
+	stubSilent                      // read requests forever, never reply
+	stubMislabel                    // answer every TrainRequest under the next hosted device's ID
+	stubStale                       // answer with a Version the request did not carry
+	stubOversized                   // answer with a length prefix over any bound, keep reading
+	stubEvalRange                   // report an evaluation of device 1<<40
+	stubEvalForeign                 // report an evaluation of a device another worker hosts
+	stubEvalTwice                   // report the first hosted device's evaluation twice
+	stubEvalNaN                     // report a NaN training loss
 )
 
 func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMode) {
@@ -90,6 +95,16 @@ func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMod
 			}
 			if mode == stubSilent && env.EvalRequest.Seq > 1 {
 				continue // after round 0 the silent stub goes fully dark
+			}
+			switch row := &reply.Devices[0]; mode {
+			case stubEvalRange:
+				row.Device = 1 << 40
+			case stubEvalForeign:
+				row.Device = shards[0].ID + 1 // splitShards deals round-robin: the next worker's
+			case stubEvalTwice:
+				reply.Devices = append(reply.Devices, *row)
+			case stubEvalNaN:
+				row.TrainLoss = math.NaN()
 			}
 			if err := c.send(Envelope{EvalReply: &reply}); err != nil {
 				return
@@ -203,6 +218,23 @@ func TestSyncBadReplyFailsRound(t *testing.T) {
 // finishes on the others.
 func TestAsyncBadReplyEvicted(t *testing.T) {
 	for _, mode := range []stubMode{stubMislabel, stubStale, stubOversized} {
+		if err := launchWithStub(t, asyncCfg(), 0, mode); err != nil {
+			t.Errorf("stub mode %d: async coordinator did not survive: %v", mode, err)
+		}
+	}
+}
+
+// TestBadEvalRowsFailOrEvict: an EvalReply is a peer's word too. A row for
+// a device outside the roster (which used to index the weights and panic
+// the coordinator), for another worker's device, a duplicate, or a NaN
+// loss fails a synchronous evaluation by connection and device, and costs
+// an asynchronous deployment that worker only.
+func TestBadEvalRowsFailOrEvict(t *testing.T) {
+	for _, mode := range []stubMode{stubEvalRange, stubEvalForeign, stubEvalTwice, stubEvalNaN} {
+		err := launchWithStub(t, syncCfg(), 0, mode)
+		if err == nil || !strings.Contains(err.Error(), "127.0.0.1:") || !strings.Contains(err.Error(), " device ") {
+			t.Errorf("stub mode %d: got %v, want an error naming the connection and device", mode, err)
+		}
 		if err := launchWithStub(t, asyncCfg(), 0, mode); err != nil {
 			t.Errorf("stub mode %d: async coordinator did not survive: %v", mode, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 
 	"fedprox/internal/comm"
 	"fedprox/internal/tensor"
@@ -59,6 +60,22 @@ func frameLimit(sizes ...int64) int { return int(slices.Max(sizes)) + frameSlack
 
 var le = binary.LittleEndian
 
+// hostLE: a float slice lies in this host's memory as on the wire, so a
+// dense payload moves by one copy. Detected, not configured; where it is
+// false (a big-endian host, a test that clears it) the per-element loops
+// run, which are the specification the bulk path is held to.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wireBytes returns v's own memory as the wire's bytes for it, or nil
+// where the per-element loops must run.
+func wireBytes[T tensor.Float](v []T) []byte {
+	if !hostLE {
+		return nil
+	}
+	var z T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(z)))
+}
+
 func appendInts(b []byte, vs ...int) []byte {
 	for _, v := range vs {
 		b = le.AppendUint64(b, uint64(v))
@@ -96,16 +113,18 @@ func appendSpec(b []byte, s comm.Spec) []byte {
 // payload family u carries (chosen as Update.WireBytes chooses its
 // price), verbatim and unprefixed — the rest of the frame is the
 // payload, so its bytes are exactly u.WireBytes(): the scale and the
-// sparse count are the priced 8/4 and 4 bytes.
-func appendUpdate(b []byte, u *comm.Update) []byte {
+// sparse count are the priced 8/4 and 4 bytes. A dense or packed payload
+// that lies in memory as the wire wants it is not copied: it is the tail
+// the caller writes after b.
+func appendUpdate(b []byte, u *comm.Update) (head, tail []byte) {
 	b = appendInts(appendString(b, u.Codec), u.N)
 	switch {
 	case u.Packed != nil && u.F32:
 		b = appendInts(append(b, shapePacked32), u.Bits)
-		b = append(le.AppendUint32(b, math.Float32bits(float32(u.Scale))), u.Packed...)
+		b, tail = le.AppendUint32(b, math.Float32bits(float32(u.Scale))), u.Packed
 	case u.Packed != nil:
 		b = appendInts(append(b, shapePacked), u.Bits)
-		b = append(appendFloats(b, u.Scale), u.Packed...)
+		b, tail = appendFloats(b, u.Scale), u.Packed
 	case u.Indices != nil:
 		b = slices.Grow(le.AppendUint32(append(b, shapeSparse), uint32(len(u.Indices))), 12*len(u.Indices))
 		for _, i := range u.Indices {
@@ -113,22 +132,36 @@ func appendUpdate(b []byte, u *comm.Update) []byte {
 		}
 		b = appendFloats(b, u.Values...)
 	case u.Dense32 != nil:
-		b = slices.Grow(append(b, shapeDense32), 4*len(u.Dense32))
-		for _, v := range u.Dense32 {
-			b = le.AppendUint32(b, math.Float32bits(v))
+		b = append(b, shapeDense32)
+		if tail = wireBytes(u.Dense32); tail == nil {
+			b = slices.Grow(b, 4*len(u.Dense32))
+			for _, v := range u.Dense32 {
+				b = le.AppendUint32(b, math.Float32bits(v))
+			}
 		}
 	case u.Dense != nil:
-		b = appendFloats(append(b, shapeDense), u.Dense...)
+		b = append(b, shapeDense)
+		if tail = wireBytes(u.Dense); tail == nil {
+			b = appendFloats(b, u.Dense...)
+		}
 	default:
 		b = append(b, shapeNone)
 	}
-	return b
+	return b, tail
 }
 
 // appendFrame appends e, which must have exactly one field set, to b as
 // one frame: [u32 payload length][payload]. It validates nothing — a
-// payload inconsistent with its N is the receiver's ErrFrame.
+// payload inconsistent with its N is the receiver's ErrFrame. This is the
+// byte-level specification conn.send's two-part write is held to.
 func appendFrame(b []byte, e Envelope) []byte {
+	head, tail := appendVectored(b, e)
+	return append(head, tail...)
+}
+
+// appendVectored is appendFrame with an Update's payload left where it
+// lies (appendUpdate): head ‖ tail is the frame, the prefix counts both.
+func appendVectored(b []byte, e Envelope) (head, tail []byte) {
 	start := len(b)
 	b = append(b, 0, 0, 0, 0)
 	switch {
@@ -136,13 +169,13 @@ func appendFrame(b []byte, e Envelope) []byte {
 		r := e.TrainRequest
 		b = appendInts(append(b, kindTrainRequest), r.Round, r.Version, r.Device, r.Epochs, r.EpochBudget, r.BatchSize, r.PrivacyTag)
 		b = le.AppendUint64(appendFloats(b, r.Mu, r.LearningRate), r.BatchSeed)
-		b = appendUpdate(b, &r.Update)
+		b, tail = appendUpdate(b, &r.Update)
 	case e.TrainReply != nil:
 		r := e.TrainReply
 		b = appendInts(append(b, kindTrainReply), r.Round, r.Version, r.Device, r.EpochsDone)
-		b = appendUpdate(appendString(b, r.Err), &r.Update)
+		b, tail = appendUpdate(appendString(b, r.Err), &r.Update)
 	case e.EvalRequest != nil:
-		b = appendUpdate(appendInts(append(b, kindEvalRequest), e.EvalRequest.Seq), &e.EvalRequest.Update)
+		b, tail = appendUpdate(appendInts(append(b, kindEvalRequest), e.EvalRequest.Seq), &e.EvalRequest.Update)
 	case e.Hello != nil:
 		h := e.Hello
 		b = le.AppendUint32(append(b, kindHello, wireVersion), uint32(len(h.Devices)))
@@ -167,8 +200,8 @@ func appendFrame(b []byte, e Envelope) []byte {
 	default:
 		b = append(b, kindShutdown)
 	}
-	le.PutUint32(b[start:], uint32(len(b)-start-4))
-	return b
+	le.PutUint32(b[start:], uint32(len(b)-start-4+len(tail)))
+	return b, tail
 }
 
 // frameReader walks one frame's payload. The first read past the end
@@ -224,21 +257,33 @@ func (r *frameReader) spec() comm.Spec {
 	return comm.Spec{Name: r.str(), Bits: r.int(), TopK: r.float(), Seed: r.u64(), Precision: tensor.Precision(r.str())}
 }
 
-// floats decodes the rest of the frame, which must be n float64s.
-func (r *frameReader) floats(n int) []float64 {
+// words decodes the rest of the frame, which must be n words of T, into a
+// pooled vector: by one copy where wireBytes allows, per element elsewhere.
+func words[T tensor.Float](r *frameReader, n int) []T {
+	var z T
+	w := int(unsafe.Sizeof(z))
 	b := r.take(len(r.b))
-	if r.bad = r.bad || len(b)%8 != 0 || len(b)/8 != n; r.bad {
+	if r.bad = r.bad || len(b)%w != 0 || len(b)/w != n; r.bad {
 		return nil
 	}
-	out := make([]float64, n)
+	out := tensor.GetVec[T](n)
+	if dst := wireBytes(out); dst != nil {
+		copy(dst, b)
+		return out
+	}
 	for i := range out {
-		out[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+		if w == 8 {
+			out[i] = T(math.Float64frombits(le.Uint64(b[8*i:])))
+		} else {
+			out[i] = T(math.Float32frombits(le.Uint32(b[4*i:])))
+		}
 	}
 	return out
 }
 
-// update decodes the Update that ends the frame into fresh slices
-// (nothing aliases the connection's read buffer). A dense payload must be
+// update decodes the Update that ends the frame into pooled slices the
+// receiver owns and Releases once decoded (the package comment has the
+// rule); nothing aliases the read buffer. A dense payload must be
 // exactly N words and a sparse one exactly k pairs; a packed payload's
 // length is comm's to check against N and Bits at decode.
 func (r *frameReader) update() (u comm.Update) {
@@ -246,16 +291,9 @@ func (r *frameReader) update() (u comm.Update) {
 	switch shape := r.u8(); shape {
 	case shapeNone:
 	case shapeDense:
-		u.Dense = r.floats(u.N)
+		u.Dense = words[float64](r, u.N)
 	case shapeDense32:
-		b := r.take(len(r.b))
-		if r.bad = r.bad || len(b)%4 != 0 || len(b)/4 != u.N; r.bad {
-			break
-		}
-		u.Dense32 = make([]float32, u.N)
-		for i := range u.Dense32 {
-			u.Dense32[i] = math.Float32frombits(le.Uint32(b[4*i:]))
-		}
+		u.Dense32 = words[float32](r, u.N)
 	case shapePacked, shapePacked32:
 		u.Bits, u.F32 = r.int(), shape == shapePacked32
 		if u.F32 {
@@ -263,7 +301,9 @@ func (r *frameReader) update() (u comm.Update) {
 		} else {
 			u.Scale = r.float()
 		}
-		u.Packed = append([]byte{}, r.take(len(r.b))...)
+		b := r.take(len(r.b))
+		u.Packed = comm.GetPacked(len(b))
+		copy(u.Packed, b)
 	case shapeSparse:
 		k := int(r.u32())
 		if r.bad = r.bad || len(r.b)%12 != 0 || len(r.b)/12 != k; r.bad {
@@ -273,7 +313,7 @@ func (r *frameReader) update() (u comm.Update) {
 		for i, b := 0, r.take(4*k); i < k; i++ {
 			u.Indices[i] = int32(le.Uint32(b[4*i:]))
 		}
-		u.Values = r.floats(k)
+		u.Values = words[float64](r, k)
 	default:
 		r.bad = true
 	}
@@ -303,7 +343,7 @@ func parseFrame(p []byte) (Envelope, error) {
 	case kindWelcome:
 		w := &Welcome{Downlink: r.spec(), Uplink: r.spec(), Err: r.str()}
 		if resync := r.u8(); resync == 1 {
-			w.EvalPrev = r.floats(len(r.b) / 8)
+			w.EvalPrev = words[float64](r, len(r.b)/8)
 		} else {
 			r.bad = r.bad || resync != 0
 		}
@@ -348,9 +388,7 @@ func readFrame(r io.Reader, limit int, buf []byte) (Envelope, []byte, error) {
 	if n < 0 || n > limit {
 		return Envelope{}, buf, fmt.Errorf("%w: declared length %d exceeds the %d-byte bound", ErrFrame, n, limit)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
+	buf = slices.Grow(buf[:0], n)
 	if _, err := io.ReadFull(r, buf[:n]); err != nil {
 		return Envelope{}, buf, err
 	}

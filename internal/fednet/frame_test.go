@@ -357,8 +357,9 @@ func (r iotestErr) Read([]byte) (int, error) {
 
 // FuzzFrame feeds the frame reader arbitrary streams under a tight
 // bound: it must not panic, must answer ErrFrame (or the stream's own
-// EOF) or a message, and must not allocate past the bound whatever
-// lengths and counts the bytes declare. The seeds are a real frame of
+// EOF) or a message, must not allocate past the bound whatever
+// lengths and counts the bytes declare, and must hand back a message that
+// shares nothing with the read buffer. The seeds are a real frame of
 // each kind × codec × width (TestFrameRoundTrip holds each to
 // parse(append(e)) == e).
 func FuzzFrame(f *testing.F) {
@@ -371,7 +372,7 @@ func FuzzFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		e, _, err := readFrame(bytes.NewReader(stream), limit, nil)
+		e, rbuf, err := readFrame(bytes.NewReader(stream), limit, nil)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*limit {
 			t.Fatalf("parsing %d bytes under a %d-byte bound allocated %d bytes", len(stream), limit, grew)
@@ -386,8 +387,17 @@ func FuzzFrame(f *testing.F) {
 		// nothing the encoder cannot express. (Equality is the seeds'
 		// property, TestFrameRoundTrip: NaNs and over-long strings are
 		// legal input that does not compare equal to itself re-encoded.)
-		if _, _, err := readFrame(bytes.NewReader(appendFrame(nil, e)), 1<<30, nil); err != nil {
+		frame := appendFrame(nil, e)
+		if _, _, err := readFrame(bytes.NewReader(frame), 1<<30, nil); err != nil {
 			t.Fatalf("a parsed frame does not re-encode to a valid one: %v\n%+v", err, e)
+		}
+		// The connection reuses its read buffer for the next frame: nothing
+		// in the message may alias it (bulk-copied payloads least of all).
+		for i := range rbuf[:cap(rbuf)] {
+			rbuf[:cap(rbuf)][i] ^= 0xA5
+		}
+		if !bytes.Equal(appendFrame(nil, e), frame) {
+			t.Fatalf("the message changed when the read buffer was overwritten\n%+v", e)
 		}
 	})
 }

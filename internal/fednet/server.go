@@ -513,6 +513,9 @@ func (s *Server) exchange(reqs map[*conn][]Envelope, got func(*conn, Envelope) e
 			var err error
 			for i := 0; i < len(batch) && err == nil; i++ {
 				err = c.send(batch[i])
+				if r := batch[i].TrainRequest; r != nil {
+					r.Update.Release() // this socket's alone; an EvalRequest's is every connection's
+				}
 			}
 			for i := 0; i < len(batch) && err == nil; i++ {
 				c.armRecvDeadline(s.cfg.RequestTimeout)
@@ -564,12 +567,15 @@ func (s *Server) gatherEvals(v core.Evaluate) ([]DeviceEval, error) {
 	}
 	var mu sync.Mutex // guards all
 	var all []DeviceEval
-	_, err := s.exchange(reqs, func(_ *conn, env Envelope) error {
+	_, err := s.exchange(reqs, func(c *conn, env Envelope) error {
 		if env.EvalReply == nil {
 			return fmt.Errorf("fednet: expected EvalReply, got %+v", env)
 		}
 		if env.EvalReply.Err != "" {
 			return errors.New(env.EvalReply.Err)
+		}
+		if err := s.checkEvalRows(c, env.EvalReply.Devices); err != nil {
+			return err
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -577,6 +583,24 @@ func (s *Server) gatherEvals(v core.Evaluate) ([]DeviceEval, error) {
 		return nil
 	})
 	return all, err
+}
+
+// checkEvalRows is the one ingest point of a worker's evaluation rows,
+// sync and async. Combining them acts on a peer's word; what makes that
+// unsafe is a device outside the roster (combineEvals indexes weights by
+// it) or not hosted by c, the connection the reply came on, a repeated
+// device (rows ascend, as core.EvalReply says), a non-finite loss, or a
+// correct count outside [0, TestN].
+func (s *Server) checkEvalRows(c *conn, rows []DeviceEval) error {
+	last := -1
+	for _, ev := range rows {
+		if d, ok := s.devices[ev.Device]; !ok || d.conn != c || ev.Device <= last ||
+			math.IsNaN(ev.TrainLoss) || math.IsInf(ev.TrainLoss, 0) || ev.Correct < 0 || ev.Correct > ev.TestN {
+			return fmt.Errorf("fednet: %v sent an evaluation it cannot have of device %d: %+v", c.raw.RemoteAddr(), ev.Device, ev)
+		}
+		last = ev.Device
+	}
+	return nil
 }
 
 // combineEvals folds per-device metric contributions into the global

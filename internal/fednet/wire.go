@@ -41,12 +41,25 @@
 //
 // A receiver checks the declared length against its bound before it
 // reads or allocates the body, and every payload length and list count
-// against the bytes left in the frame before the make; an over-long
+// against the bytes left in the frame before it sizes anything; an over-long
 // frame, an unknown kind or version, a short or inconsistent body or
 // trailing bytes is ErrFrame, which fails the round (sync) or evicts the
 // worker (async) like any connection error. The version byte is the only
 // negotiation: a peer from before the framed wire fails registration on
 // its first frame.
+//
+// No model-sized payload is allocated or copied in user space beyond one
+// copy in: send writes the header from a per-connection buffer and the
+// payload from the Update's own memory (one writev), recv decodes into
+// pooled slices. One rule says who hands them back (comm.Update.Release).
+// An Update has one owner at a time: the endpoint that decodes it releases
+// it right after the decode (core.Device.HandleDispatch and Edge.train a
+// request, Coordinator.decodeReply a reply), and the endpoint that encoded
+// it for a socket once the write has returned (the server a TrainRequest,
+// a worker or edge a TrainReply). An eval broadcast's Update is every
+// connection's and is left to the garbage collector, as is everything on
+// an error, eviction or timeout path: only a second Release, or a read
+// after the first, is unsafe.
 //
 // The environment streams (selection, stragglers, batch order, init)
 // come from the shared core.Coordinator — this package is a transport
@@ -236,9 +249,25 @@ func (m meteredConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// writeBuffers writes v to raw as one writev where there is one.
+// net.Buffers reaches it only on net's own conn types, so a meteredConn
+// forwards the vector to the conn it wraps and meters what went out —
+// else every server-side frame is two writes and, under TCP_NODELAY, two
+// segments. Anything else (net.Pipe, a test's tap) gets sequential Writes.
+func writeBuffers(raw net.Conn, v *net.Buffers) error {
+	if m, ok := raw.(meteredConn); ok {
+		n, err := v.WriteTo(m.Conn)
+		m.written.Add(n)
+		return err
+	}
+	_, err := v.WriteTo(raw)
+	return err
+}
+
 // conn moves Envelopes over a net.Conn as frames. Any number of
-// goroutines may send (mu serializes them: each frame is built in wbuf
-// and issued as one Write); one goroutine at a time may recv. limit is
+// goroutines may send (mu serializes them: each frame's header is built
+// in wbuf and goes out with the Update's payload, from the Update's own
+// memory, as one vectored write); one goroutine at a time may recv. limit is
 // the largest payload recv accepts — each endpoint sets it from what it
 // knows it can be owed (frameLimit). sendTimeout, when positive, bounds
 // each send — without it a peer that stops reading (full TCP buffers)
@@ -248,9 +277,11 @@ type conn struct {
 	br          *bufio.Reader
 	limit       int
 	sendTimeout time.Duration
-	mu          sync.Mutex // guards wbuf and the write
+	mu          sync.Mutex // guards wbuf, iov, vec and the write
 	wbuf        []byte
-	rbuf        []byte // the receiving goroutine's frame buffer
+	iov         [2][]byte   // vec's backing: a frame's head and tail
+	vec         net.Buffers // what send hands to writeBuffers, which consumes it
+	rbuf        []byte      // the receiving goroutine's frame buffer
 }
 
 func newConn(raw net.Conn) *conn {
@@ -260,12 +291,17 @@ func newConn(raw net.Conn) *conn {
 func (c *conn) send(e Envelope) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wbuf = appendFrame(c.wbuf[:0], e)
+	var tail []byte
+	c.wbuf, tail = appendVectored(c.wbuf[:0], e)
+	c.vec = append(c.iov[:0], c.wbuf)
+	if len(tail) > 0 { // an empty Write can block a net.Pipe
+		c.vec = append(c.vec, tail)
+	}
 	if c.sendTimeout > 0 {
 		_ = c.raw.SetWriteDeadline(time.Now().Add(c.sendTimeout))
 		defer c.raw.SetWriteDeadline(time.Time{})
 	}
-	if _, err := c.raw.Write(c.wbuf); err != nil {
+	if err := writeBuffers(c.raw, &c.vec); err != nil {
 		return fmt.Errorf("fednet: send: %w", err)
 	}
 	return nil
@@ -273,7 +309,7 @@ func (c *conn) send(e Envelope) error {
 
 // recv reads and decodes the next frame. Callers own sequencing: one
 // reader per connection. The Envelope shares no memory with the
-// connection's buffers.
+// connection's buffers; an Update in it is the caller's to Release.
 func (c *conn) recv() (Envelope, error) {
 	e, buf, err := readFrame(c.br, c.limit, c.rbuf)
 	c.rbuf = buf

@@ -202,6 +202,7 @@ func (w *Worker) Serve(c *conn) error {
 				defer handlers.Done()
 				reply := w.train(req)
 				_ = c.send(Envelope{TrainReply: &reply})
+				reply.Update.Release()
 			}()
 		case env.EvalRequest != nil:
 			// Eval broadcasts are strictly sequential per deployment and

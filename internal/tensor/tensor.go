@@ -732,6 +732,11 @@ func GetVec[T Float](n int) []T {
 	return make([]T, n)
 }
 
+// poisonPuts is a test mode (go test -tags poolpoison sets it): PutVec
+// fills what it is handed with NaNs, so a read after a Put breaks the
+// bit-parity test running over it instead of some later run.
+var poisonPuts bool
+
 // PutVec returns a vector to the pool. The caller must not touch v
 // afterwards. Put only vectors with exclusive ownership — a slice that
 // escaped into a retained structure (a Reply, a link's prev shadow)
@@ -741,6 +746,11 @@ func PutVec[T Float](v []T) {
 		return
 	}
 	v = v[:cap(v)]
+	if poisonPuts {
+		for i := range v {
+			v[i] = T(math.NaN())
+		}
+	}
 	pool := poolOf[T]()
 	p, ok := pool.boxes.Get().(*[]T)
 	if !ok {
