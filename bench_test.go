@@ -21,7 +21,6 @@ import (
 	"fedprox/internal/frand"
 	"fedprox/internal/model/linear"
 	"fedprox/internal/solver"
-	"fedprox/internal/speed"
 )
 
 // benchOptions are small enough that the full bench suite completes in a
@@ -347,17 +346,3 @@ func BenchmarkLocalSolverGD(b *testing.B) {
 		solver.GD(mdl, train, w0, cfg, 5)
 	}
 }
-
-// BenchmarkCoordinatorFold and BenchmarkDeviceDispatch are the gated
-// hot-path benchmarks: their bodies live in internal/speed so
-// cmd/fedspeed can run the same code via testing.Benchmark to regenerate
-// and gate the committed BENCH_speed.json.
-func BenchmarkCoordinatorFold(b *testing.B) { speed.CoordinatorFold(b) }
-
-func BenchmarkDeviceDispatch(b *testing.B) { speed.DeviceDispatch(b) }
-
-func BenchmarkDeviceDispatchF32(b *testing.B) { speed.DeviceDispatchF32(b) }
-
-func BenchmarkSolvePerExample(b *testing.B) { speed.SolvePerExample(b) }
-
-func BenchmarkSolveBatched(b *testing.B) { speed.SolveBatched(b) }

@@ -7,7 +7,7 @@
 //
 //  2. Secure aggregation: devices upload pairwise-masked weighted models;
 //     the server recovers only the weighted average, never an individual
-//     update (internal/secagg).
+//     update (examples/private/secagg).
 //
 //     go run ./examples/private
 package main
@@ -17,12 +17,12 @@ import (
 	"log"
 	"math"
 
+	"fedprox/examples/private/secagg"
 	"fedprox/internal/core"
 	"fedprox/internal/data/synthetic"
 	"fedprox/internal/frand"
 	"fedprox/internal/model/linear"
 	"fedprox/internal/privacy"
-	"fedprox/internal/secagg"
 	"fedprox/internal/tensor"
 )
 

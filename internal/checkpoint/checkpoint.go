@@ -5,9 +5,9 @@
 // A checkpoint carries the global model parameters, the round cursor, the
 // full evaluated history, and the configuration fingerprint used to
 // detect mismatched resumes. The format is gob with a magic header and a
-// version byte; all state is self-contained (no external references), so
-// a checkpoint written by the simulator can seed a fednet deployment and
-// vice versa.
+// version byte; all state is self-contained (no external references).
+// Only the in-process simulator writes and resumes checkpoints:
+// fednet.NewServer and virtual-time runs reject a Checkpointer.
 package checkpoint
 
 import (

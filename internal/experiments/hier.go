@@ -45,10 +45,10 @@ func extHier(o Options) (*Result, error) {
 	if devices < 8*hierClientsPerRound {
 		devices = 8 * hierClientsPerRound
 	}
-	// The scale recipe of internal/speed: a narrow model and small
-	// shards keep the two full-fleet evaluations (round 0 and final)
-	// proportionate, while the fleet stays lazy — shards exist only
-	// while a dispatch or an evaluation reads them.
+	// The recipe of the scale test (scale_test.go): a narrow model and
+	// small shards keep the two full-fleet evaluations (round 0 and
+	// final) proportionate, while the fleet stays lazy — shards exist
+	// only while a dispatch or an evaluation reads them.
 	sc := synthetic.Config{
 		Alpha: 1, Beta: 1,
 		Devices:    devices,

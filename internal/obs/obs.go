@@ -1,8 +1,8 @@
 // Package obs is the observability spine of the repo: one flat event
 // vocabulary for every protocol decision the sans-I/O cores make, a
 // Sink interface those cores emit into, and a small set of concrete
-// sinks (a deterministic JSONL trace writer, a Prometheus-text
-// counter/histogram registry, and the BENCH_speed.json bench points).
+// sinks (a deterministic JSONL trace writer and a Prometheus-text
+// counter/histogram registry).
 //
 // The package is deliberately dependency-free: it imports only the
 // standard library and nothing from the rest of the module, so

@@ -168,45 +168,3 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("Render is not deterministic")
 	}
 }
-
-func TestSpeedRoundTripAndGate(t *testing.T) {
-	pts := []BenchPoint{
-		{Name: "CoordinatorFold", NsPerOp: 1000, AllocsPerOp: 3, BytesPerOp: 128, Iterations: 100},
-		{Name: "DeviceDispatch", NsPerOp: 5000, AllocsPerOp: 10, BytesPerOp: 4096},
-	}
-	var buf bytes.Buffer
-	if err := WriteSpeed(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSpeed(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != pts[0] || got[1] != pts[1] {
-		t.Fatalf("round trip: %+v", got)
-	}
-
-	// Within budget: 10% slower under a 15% tolerance.
-	cur := []BenchPoint{{Name: "CoordinatorFold", NsPerOp: 1100}, {Name: "DeviceDispatch", NsPerOp: 5000}}
-	if msgs := CompareSpeed(cur, pts, 0.15); len(msgs) != 0 {
-		t.Fatalf("unexpected regressions: %v", msgs)
-	}
-	// Over budget and missing both flag.
-	cur = []BenchPoint{{Name: "CoordinatorFold", NsPerOp: 1200}}
-	msgs := CompareSpeed(cur, pts, 0.15)
-	if len(msgs) != 2 {
-		t.Fatalf("want 2 regressions, got %v", msgs)
-	}
-	// New benchmarks in current never flag.
-	cur = []BenchPoint{{Name: "CoordinatorFold", NsPerOp: 900}, {Name: "DeviceDispatch", NsPerOp: 4000}, {Name: "New", NsPerOp: 1}}
-	if msgs := CompareSpeed(cur, pts, 0.15); len(msgs) != 0 {
-		t.Fatalf("unexpected regressions: %v", msgs)
-	}
-	// Allocations get no tolerance: one alloc over the committed floor
-	// flags even when ns/op improved.
-	cur = []BenchPoint{{Name: "CoordinatorFold", NsPerOp: 900, AllocsPerOp: 4}, {Name: "DeviceDispatch", NsPerOp: 4000, AllocsPerOp: 10}}
-	msgs = CompareSpeed(cur, pts, 0.15)
-	if len(msgs) != 1 || !strings.Contains(msgs[0], "allocs/op") {
-		t.Fatalf("want 1 alloc regression, got %v", msgs)
-	}
-}
