@@ -58,7 +58,7 @@ func main() {
 		drop       = flag.Bool("drop", false, "drop stragglers (FedAvg) instead of aggregating partial work")
 		evalEvery  = flag.Int("eval-every", 5, "evaluation interval in rounds")
 		seed       = flag.Uint64("seed", 7, "environment seed (must match workers' -data-seed usage)")
-		reqTimeout = flag.Duration("request-timeout", 0, "per-reply timeout before a worker is declared dead (0 = wait forever)")
+		reqTimeout = flag.Duration("request-timeout", 0, "how long one request may stay unanswered, from its send, before its worker is declared dead: sync fails the run, async evicts (0 = wait forever)")
 		parent     = flag.String("parent", "", "parent coordinator address (with -tier edge)")
 		index      = flag.Int("index", 0, "this edge's index among the tree's edges (with -tier edge)")
 

@@ -714,23 +714,6 @@ func (c *Coordinator) startSync() ([]Command, error) {
 			startRound = next
 			if savedHist != nil {
 				c.hist.Points = append(c.hist.Points, savedHist.Points...)
-				// Checkpointed histories are always synchronous and
-				// clock-free (Validate rejects async and vtime runs with a
-				// checkpointer); checkpoints written before the staleness
-				// and virtual-time columns existed decode them as 0, which
-				// would masquerade as tracked values.
-				for i := range c.hist.Points {
-					c.hist.Points[i].MeanStaleness = math.NaN()
-					c.hist.Points[i].MaxStaleness = math.NaN()
-					c.hist.Points[i].VirtualSeconds = math.NaN()
-					if c.cfg.DeviceBudget == nil {
-						// Same defence for the work columns — but only
-						// when untracked: a budget run's checkpoints
-						// carry real values.
-						c.hist.Points[i].MeanEpochsDone = math.NaN()
-						c.hist.Points[i].PartialFraction = math.NaN()
-					}
-				}
 			}
 			if err := c.restoreState(state); err != nil {
 				return nil, err
@@ -1434,11 +1417,12 @@ func (c *Coordinator) fillAsync() ([]Command, error) {
 // charged, so a dispatch whose send failed (dead worker) is billed as
 // neither traffic nor compute. Drivers call it right after shipping the
 // request — in-process drivers, where shipping cannot fail,
-// immediately. Synchronous rounds account at round completion instead
-// and never call it.
+// immediately. On a synchronous coordinator it does nothing: rounds
+// account at round completion, and a wire backend, which confirms every
+// send without knowing the mode, would otherwise charge them twice.
 func (c *Coordinator) DispatchSent(device int) {
 	in, ok := c.pending[device]
-	if !ok || in.charged {
+	if !c.isAsync || !ok || in.charged {
 		return
 	}
 	in.charged = true

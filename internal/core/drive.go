@@ -22,9 +22,9 @@ type Backend interface {
 	// synchronous round's cohort, or what one asynchronous fill issued —
 	// after every command queued ahead of them ran, so each is stamped
 	// with the clock as of its place in the queue. A backend whose
-	// replies are in hand when it returns (in-process solves, a lock-step
-	// wire round) returns them in dispatch order and Drive feeds them;
-	// one whose replies arrive later returns none and feeds them in Wait.
+	// replies are in hand when it returns (in-process solves) returns
+	// them in dispatch order and Drive feeds them; one whose replies
+	// arrive later (the wire) returns none and feeds them in Wait.
 	Dispatch([]Dispatch) ([]Reply, error)
 	// Evaluate measures the model; Drive delivers the result as EvalDone.
 	Evaluate(Evaluate) (EvalResult, error)

@@ -3,7 +3,6 @@ package fednet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"time"
@@ -59,7 +58,7 @@ type EdgeConfig struct {
 type Edge struct {
 	srv *Server
 	cfg EdgeConfig
-	b   *syncBackend
+	b   *wireBackend // the child-facing transport, once run has the roster
 }
 
 // NewEdge builds an edge aggregator.
@@ -92,14 +91,7 @@ func NewEdge(mdl model.Model, cfg EdgeConfig) (*Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The parent owns real evaluation (it reaches this subtree through
-	// EvalRequest forwarding); the edge-local schedule's own evaluations
-	// are answered with NaN so its History never pretends to hold global
-	// metrics.
-	stub := func(core.Evaluate) (core.EvalResult, error) {
-		return core.EvalResult{Loss: math.NaN(), Acc: math.NaN()}, nil
-	}
-	return &Edge{srv: srv, cfg: cfg, b: &syncBackend{s: srv, eval: stub}}, nil
+	return &Edge{srv: srv, cfg: cfg}, nil
 }
 
 // BytesOnWire reports the child-facing wire traffic, as Server's does.
@@ -135,22 +127,21 @@ func (e *Edge) RunWithConns(ln net.Listener, parent *conn) error {
 // before the edge says Hello upstream, because the Hello carries the
 // subtree's total sample count.
 func (e *Edge) run(ln net.Listener, dialParent func() (*conn, error)) error {
-	defer e.srv.shutdownWorkers()
-	regs, stop := e.srv.listen(ln)
-	defer stop()
-	if err := e.srv.acceptAll(regs); err != nil {
-		return err
-	}
-	stop() // the edge's roster is synchronous: full means closed
-	e.srv.weights = e.srv.deviceWeights()
-
-	// Run the stepped coordinator to its first Pause: it snapshots the
-	// initial parameters and answers its round-0 evaluation with a stub.
-	cmds, err := e.srv.coord.Start()
+	b, err := e.srv.serve(ln)
 	if err != nil {
 		return err
 	}
-	if end, err := core.Drive(e.srv.coord, e.b, cmds); err != nil {
+	defer b.close()
+	// The parent owns real evaluation (it reaches this subtree through
+	// EvalRequest forwarding); the edge-local schedule's own evaluations
+	// are answered with NaN so its History never pretends to hold global
+	// metrics.
+	b.stubEval = true
+	e.b = b
+
+	// Run the stepped coordinator to its first Pause: it snapshots the
+	// initial parameters and answers its round-0 evaluation with the stub.
+	if end, err := b.run(); err != nil {
 		return err
 	} else if _, paused := end.(core.Pause); !paused {
 		return errors.New("fednet: edge coordinator finished before its first window")
@@ -291,7 +282,7 @@ func (e *Edge) eval(parentEval, childEval *comm.EvalLink, req *EvalRequest) Eval
 		reply.Err = err.Error()
 		return reply
 	}
-	evals, err := e.srv.gatherEvals(core.Evaluate{Seq: req.Seq, Update: u})
+	evals, err := e.b.gather(core.Evaluate{Seq: req.Seq, Update: u})
 	if err != nil {
 		reply.Err = err.Error()
 		return reply

@@ -30,6 +30,8 @@ const (
 	stubEvalForeign                 // report an evaluation of a device another worker hosts
 	stubEvalTwice                   // report the first hosted device's evaluation twice
 	stubEvalNaN                     // report a NaN training loss
+	stubEvalSeq                     // answer evaluation n with the reply to n-1
+	stubVanish                      // close the conn right after the Welcome, before round 0
 )
 
 func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMode) {
@@ -51,6 +53,9 @@ func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMod
 	}
 	if _, err := c.recv(); err != nil { // Welcome
 		t.Errorf("stub worker welcome: %v", err)
+		return
+	}
+	if mode == stubVanish {
 		return
 	}
 	for {
@@ -105,6 +110,8 @@ func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMod
 				reply.Devices = append(reply.Devices, *row)
 			case stubEvalNaN:
 				row.TrainLoss = math.NaN()
+			case stubEvalSeq:
+				reply.Seq--
 			}
 			if err := c.send(Envelope{EvalReply: &reply}); err != nil {
 				return
@@ -226,11 +233,13 @@ func TestAsyncBadReplyEvicted(t *testing.T) {
 
 // TestBadEvalRowsFailOrEvict: an EvalReply is a peer's word too. A row for
 // a device outside the roster (which used to index the weights and panic
-// the coordinator), for another worker's device, a duplicate, or a NaN
-// loss fails a synchronous evaluation by connection and device, and costs
-// an asynchronous deployment that worker only.
+// the coordinator), for another worker's device, a duplicate, a NaN loss,
+// or rows that answer an earlier evaluation (metrics of a different
+// model, which used to be averaged in) fail a synchronous evaluation by
+// connection and device, and cost an asynchronous deployment that worker
+// only.
 func TestBadEvalRowsFailOrEvict(t *testing.T) {
-	for _, mode := range []stubMode{stubEvalRange, stubEvalForeign, stubEvalTwice, stubEvalNaN} {
+	for _, mode := range []stubMode{stubEvalRange, stubEvalForeign, stubEvalTwice, stubEvalNaN, stubEvalSeq} {
 		err := launchWithStub(t, syncCfg(), 0, mode)
 		if err == nil || !strings.Contains(err.Error(), "127.0.0.1:") || !strings.Contains(err.Error(), " device ") {
 			t.Errorf("stub mode %d: got %v, want an error naming the connection and device", mode, err)
@@ -238,6 +247,20 @@ func TestBadEvalRowsFailOrEvict(t *testing.T) {
 		if err := launchWithStub(t, asyncCfg(), 0, mode); err != nil {
 			t.Errorf("stub mode %d: async coordinator did not survive: %v", mode, err)
 		}
+	}
+}
+
+// TestWorkerLostBeforeRoundZero: a worker that registers and closes its
+// connection before the first request is read from admission on, so it
+// fails a synchronous run by name at the first evaluation and costs an
+// asynchronous run that worker only.
+func TestWorkerLostBeforeRoundZero(t *testing.T) {
+	err := launchWithStub(t, syncCfg(), 0, stubVanish)
+	if err == nil || !strings.Contains(err.Error(), "worker 127.0.0.1:") || !strings.Contains(err.Error(), "cannot continue without its workers") {
+		t.Errorf("sync: got %v, want the coordinator's refusal to continue without the named worker", err)
+	}
+	if err := launchWithStub(t, asyncCfg(), 0, stubVanish); err != nil {
+		t.Errorf("async coordinator did not survive: %v", err)
 	}
 }
 

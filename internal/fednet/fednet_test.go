@@ -3,6 +3,7 @@ package fednet
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"fedprox/internal/comm"
 	"fedprox/internal/core"
@@ -10,6 +11,7 @@ import (
 	"fedprox/internal/data/synthetic"
 	"fedprox/internal/model/linear"
 	"fedprox/internal/solver"
+	"fedprox/internal/syshet"
 )
 
 func testWorkload() (*data.Federated, *linear.Model) {
@@ -27,35 +29,74 @@ func launch(t *testing.T, fed *data.Federated, mdl *linear.Model, cfg core.Confi
 
 // TestDistributedMatchesSimulator is the package's defining guarantee:
 // a fednet run reproduces the simulator's trajectory bit for bit under
-// the same configuration and seed.
+// the same configuration and seed — under designated stragglers, under a
+// capability fleet's server-side epoch plan with either straggler policy
+// (the plan reaches a worker as TrainRequest.Epochs like any other), and
+// under a lossy chained codec when one slow worker makes every round's
+// replies reach the coordinator out of dispatch order: the coordinator
+// slots a reply by its selection index, so arrival order is free.
 func TestDistributedMatchesSimulator(t *testing.T) {
 	fed, mdl := testWorkload()
-	cfg := core.FedProx(6, 5, 3, 0.01, 1)
-	cfg.StragglerFraction = 0.5
-	cfg.EvalEvery = 2
-
-	sim, err := core.Run(mdl, fed, cfg)
-	if err != nil {
-		t.Fatal(err)
+	base := core.FedProx(6, 5, 3, 0.01, 1)
+	base.EvalEvery = 2
+	sizes, mean := fed.TrainSizes(), 0
+	for _, n := range sizes {
+		mean += n / len(sizes)
 	}
-	dist, err := launch(t, fed, mdl, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
+	// Two hardware tiers under a deadline only the fast one meets.
+	fleet := syshet.NewFleet(syshet.Config{
+		Deadline:  syshet.DeadlineFor(base.LocalEpochs, mean, base.BatchSize, 10),
+		Tiers:     []syshet.Tier{{Name: "fast", Share: 0.4, Speed: 40}, {Name: "slow", Share: 0.6, Speed: 4}},
+		BatchSize: base.BatchSize,
+		Seed:      5,
+	}, sizes)
+	slowest := []solver.LocalSolver{nil, solver.Delayed{Inner: solver.SGDSolver{}, Delay: 2 * time.Millisecond}, nil}
+	cases := []struct {
+		name    string
+		tweak   func(*core.Config)
+		solvers []solver.LocalSolver
+	}{
+		{"designated stragglers", func(c *core.Config) { c.StragglerFraction = 0.5 }, make([]solver.LocalSolver, 3)},
+		{"capability fleet, partial work aggregated", func(c *core.Config) { c.Capability = fleet }, make([]solver.LocalSolver, 3)},
+		{"capability fleet, stragglers dropped", func(c *core.Config) { c.Capability = fleet; c.Straggler = core.DropStragglers }, make([]solver.LocalSolver, 3)},
+		{"delta+qsgd, replies out of dispatch order", func(c *core.Config) { c.Codec = comm.Spec{Name: "delta+qsgd", Bits: 8} }, slowest},
 	}
-	if len(sim.Points) != len(dist.Points) {
-		t.Fatalf("point counts differ: sim %d, dist %d", len(sim.Points), len(dist.Points))
-	}
-	for i := range sim.Points {
-		sp, dp := sim.Points[i], dist.Points[i]
-		if sp.TrainLoss != dp.TrainLoss {
-			t.Fatalf("round %d: sim loss %.17g != dist loss %.17g", sp.Round, sp.TrainLoss, dp.TrainLoss)
-		}
-		if sp.TestAcc != dp.TestAcc {
-			t.Fatalf("round %d: sim acc %g != dist acc %g", sp.Round, sp.TestAcc, dp.TestAcc)
-		}
-		if sp.Participants != dp.Participants {
-			t.Fatalf("round %d: participants %d != %d", sp.Round, sp.Participants, dp.Participants)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.tweak(&cfg)
+			sim, err := core.Run(mdl, fed, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, err := RunLoopback(mdl, fed, ServerConfig{Training: cfg, ExpectDevices: fed.NumDevices()}, tc.solvers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sim.Points) != len(dist.Points) {
+				t.Fatalf("point counts differ: sim %d, dist %d", len(sim.Points), len(dist.Points))
+			}
+			for i := range sim.Points {
+				sp, dp := sim.Points[i], dist.Points[i]
+				if sp.TrainLoss != dp.TrainLoss {
+					t.Fatalf("round %d: sim loss %.17g != dist loss %.17g", sp.Round, sp.TrainLoss, dp.TrainLoss)
+				}
+				if sp.TestAcc != dp.TestAcc {
+					t.Fatalf("round %d: sim acc %g != dist acc %g", sp.Round, sp.TestAcc, dp.TestAcc)
+				}
+				if sp.Participants != dp.Participants {
+					t.Fatalf("round %d: participants %d != %d", sp.Round, sp.Participants, dp.Participants)
+				}
+				if sp.Cost.DeviceEpochs != dp.Cost.DeviceEpochs || sp.Cost.UplinkBytes != dp.Cost.UplinkBytes {
+					t.Fatalf("round %d: accounting diverged: sim %+v, dist %+v", sp.Round, sp.Cost, dp.Cost)
+				}
+			}
+			if cfg.Capability != nil && cfg.Straggler == core.DropStragglers {
+				if got := dist.Final().Participants; got == 0 || got == cfg.ClientsPerRound {
+					t.Fatalf("%d of %d participants: the fleet's plan dropped nobody or everybody", got, cfg.ClientsPerRound)
+				}
+			}
+		})
 	}
 }
 

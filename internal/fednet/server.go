@@ -20,8 +20,8 @@ import (
 // ServerConfig parameterizes a coordinator.
 type ServerConfig struct {
 	// Training carries the federated hyperparameters. TrackDissimilarity,
-	// TrackGamma, Capability, AdaptiveMu, and Solver are simulator-only
-	// features and must be unset (workers choose their own local solver).
+	// TrackGamma, AdaptiveMu, and Solver are simulator-only features and
+	// must be unset (workers choose their own local solver).
 	// Training.Async selects the aggregation discipline: the default
 	// synchronous rounds reproduce the simulator bit for bit; AsyncTotal
 	// and Buffered trade that determinism for straggler tolerance.
@@ -31,12 +31,14 @@ type ServerConfig struct {
 	// exactly 0..ExpectDevices-1 so the environment streams line up with
 	// the simulator's.
 	ExpectDevices int
-	// RequestTimeout bounds how long the coordinator waits for any reply
-	// on a connection — and how long any single send may block, so a
-	// worker that stops reading is also caught — before declaring the
-	// worker dead (zero waits forever). The synchronous protocol fails
-	// the run on a timed-out worker; the asynchronous modes evict the
-	// worker's devices and keep aggregating from the rest.
+	// RequestTimeout bounds how long one request (a TrainRequest, an
+	// evaluation broadcast) may stay unanswered, measured from its send,
+	// and how long any single send may block, before the worker is
+	// declared dead (zero waits forever). It is per request, not per
+	// connection: a live worker that answers its other devices but drops
+	// one request is caught too, as is one that stops reading. The
+	// synchronous protocol fails the run on a timed-out worker; the
+	// asynchronous modes evict its devices and aggregate from the rest.
 	RequestTimeout time.Duration
 	// Tier is 1 + this coordinator's depth in a hierarchical deployment
 	// (1 = the tree's root, whose devices are edge aggregators); 0 is an
@@ -68,7 +70,6 @@ type Server struct {
 	// connections.
 	bytesIn, bytesOut atomic.Int64
 
-	conns   []*conn
 	devices map[int]*device // device ID -> hosting connection + size
 	weights []float64       // p_k, for combining distributed evaluations
 
@@ -109,9 +110,6 @@ func newServerWithOptions(mdl model.Model, cfg ServerConfig, opts core.Coordinat
 	}
 	if cfg.Training.AdaptiveMu {
 		return nil, errors.New("fednet: adaptive mu is simulator-only")
-	}
-	if cfg.Training.Capability != nil {
-		return nil, errors.New("fednet: capability models are simulator-only")
 	}
 	if cfg.Training.Solver != nil {
 		return nil, errors.New("fednet: local solvers are chosen by workers")
@@ -185,29 +183,17 @@ func (s *Server) Run(addr string) (*core.History, error) {
 // ephemeral loopback listener), which it closes: a synchronous run once
 // every device has registered, an asynchronous one when it ends — it
 // keeps admitting for the whole run, so an evicted worker can reconnect
-// and be re-admitted. Workers that registered are always shut down,
-// including when registration itself fails partway (e.g. a
-// later-connecting worker refuses the codec) — otherwise the
-// already-welcomed workers would block in recv forever.
+// and be re-admitted. Workers that registered are always shut down.
 func (s *Server) RunWithListener(ln net.Listener) (*core.History, error) {
-	defer s.shutdownWorkers()
-	regs, stop := s.listen(ln)
-	defer stop()
-	if err := s.acceptAll(regs); err != nil {
+	b, err := s.serve(ln)
+	if err != nil {
 		return nil, err
 	}
-	s.weights = s.deviceWeights()
-	if s.cfg.Training.Async.Enabled() {
-		return s.trainAsync(regs)
+	defer b.close()
+	if _, err := b.run(); err != nil {
+		return nil, err
 	}
-	// A synchronous roster never changes and nothing reads regs from here
-	// on: a late or duplicate worker is refused at connect (or
-	// mid-handshake) instead of waiting for a Welcome until the run ends.
-	stop()
-	// The synchronous path never renormalizes: all devices report or the
-	// run fails, and dividing by the full weight sum would perturb the
-	// bit-reproducible trajectory.
-	return s.drive(&syncBackend{s: s, eval: func(v core.Evaluate) (core.EvalResult, error) { return s.evaluate(v, false) }})
+	return s.coord.History(), nil
 }
 
 // regMsg is one registration attempt: a connection whose first frame was
@@ -275,39 +261,6 @@ func (s *Server) handshake(c *conn) (*Hello, error) {
 	return env.Hello, nil
 }
 
-// acceptAll admits workers until every expected device has registered,
-// feeding each registration to the coordinator.
-func (s *Server) acceptAll(regs <-chan regMsg) error {
-	registered := 0
-	for registered < s.cfg.ExpectDevices {
-		reg := <-regs
-		if reg.err != nil {
-			return fmt.Errorf("fednet: accept: %w", reg.err)
-		}
-		c, hello := reg.c, reg.hello
-		s.conns = append(s.conns, c)
-		if err := s.checkCodecOffer(c, hello); err != nil {
-			return err
-		}
-		if err := c.send(Envelope{Welcome: &Welcome{Downlink: s.downSpec, Uplink: s.upSpec}}); err != nil {
-			return err
-		}
-		devs := make([]core.DeviceReg, 0, len(hello.Devices))
-		for _, d := range hello.Devices {
-			devs = append(devs, core.DeviceReg{ID: d.ID, TrainSize: d.TrainSize})
-		}
-		if _, err := s.coord.RegisterWorker(devs); err != nil {
-			return fmt.Errorf("fednet: %w", err)
-		}
-		s.emit(obs.Event{Kind: obs.KindWorkerJoin, N: len(hello.Devices)})
-		for _, d := range hello.Devices {
-			s.devices[d.ID] = &device{conn: c, trainSize: d.TrainSize}
-			registered++
-		}
-	}
-	return nil
-}
-
 // newMeteredConn wraps an accepted connection with byte metering and the
 // send timeout: a worker that stops reading must surface as a send
 // error, not block the coordinator in Write with its TCP buffers full.
@@ -319,9 +272,7 @@ func (s *Server) newMeteredConn(raw net.Conn) *conn {
 
 // codecOfferError is the single codec-negotiation rule: the worker must
 // offer both directions' codecs (an empty offer means raw only). It
-// returns the rejection message, or "" when the offer is acceptable —
-// callers decide whether a rejection is fatal (initial registration) or
-// survivable (mid-run re-admission).
+// returns the rejection message, or "" when the offer is acceptable.
 func (s *Server) codecOfferError(hello *Hello) string {
 	offered := hello.Codecs
 	if len(offered) == 0 {
@@ -342,16 +293,6 @@ func (s *Server) codecOfferError(hello *Hello) string {
 	return ""
 }
 
-// checkCodecOffer enforces codecOfferError fatally, telling the worker
-// why before failing the registration.
-func (s *Server) checkCodecOffer(c *conn, hello *Hello) error {
-	if msg := s.codecOfferError(hello); msg != "" {
-		_ = c.send(Envelope{Welcome: &Welcome{Err: msg}})
-		return errors.New(msg)
-	}
-	return nil
-}
-
 // deviceWeights returns p_k = n_k/n over the registered devices, the
 // combination weights for distributed evaluation.
 func (s *Server) deviceWeights() []float64 {
@@ -367,58 +308,8 @@ func (s *Server) deviceWeights() []float64 {
 	return weights
 }
 
-func (s *Server) shutdownWorkers() {
-	for _, c := range s.conns {
-		_ = c.send(Envelope{Shutdown: &Shutdown{}})
-		_ = c.close()
-	}
-}
-
-// drive starts the coordinator and runs its whole schedule on b.
-func (s *Server) drive(b core.Backend) (*core.History, error) {
-	cmds, err := s.coord.Start()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := core.Drive(s.coord, b, cmds); err != nil {
-		return nil, err
-	}
-	return s.coord.History(), nil
-}
-
-// syncBackend is the synchronous wire backend of core.Drive, shared by
-// the flat server and the tier edge's child-facing half: each round's
-// batch of Dispatch commands becomes one pipelined exchange per
-// connection whose replies come back in dispatch order,
-// and Evaluate goes to eval (a distributed evaluation broadcast, or the
-// edge's stub). Any worker failure fails the run — the synchronous
-// protocol cannot continue without its devices.
-type syncBackend struct {
-	wireOnly
-	s    *Server
-	eval func(core.Evaluate) (core.EvalResult, error)
-}
-
-func (b *syncBackend) Dispatch(ds []core.Dispatch) ([]core.Reply, error) {
-	return b.s.roundTripAll(ds)
-}
-
-func (b *syncBackend) Evaluate(v core.Evaluate) (core.EvalResult, error) { return b.eval(v) }
-
-// Wait has nothing to wait for: a lock-step round leaves no reply in
-// flight.
-func (b *syncBackend) Wait() ([]core.Command, error) { return nil, nil }
-
-// wireOnly is the half of core.Backend no wire backend can execute:
-// ObserveLoss and AdvanceClock belong to configurations NewServer rejects
-// (adaptive mu, virtual time).
-type wireOnly struct{}
-
-func (wireOnly) ObserveLoss(core.ObserveLoss) (float64, error) { return 0, errors.ErrUnsupported }
-func (wireOnly) AdvanceClock(float64) error                    { return errors.ErrUnsupported }
-
 // trainRequest is the wire form of a Dispatch — the one place a Dispatch
-// field is wired to the network, for the sync and async paths alike.
+// field is wired to the network.
 func trainRequest(d core.Dispatch) TrainRequest {
 	return TrainRequest{
 		Round:        d.Round,
@@ -435,50 +326,6 @@ func trainRequest(d core.Dispatch) TrainRequest {
 	}
 }
 
-// roundTripAll executes one round's dispatches as one pipelined exchange
-// per connection and returns the replies in dispatch order, whatever
-// order they arrived in. A failure fails the round by name.
-func (s *Server) roundTripAll(ds []core.Dispatch) ([]core.Reply, error) {
-	reqs := make(map[*conn][]Envelope)
-	slot := make(map[int]int, len(ds)) // device -> its index in ds, while its request is outstanding
-	for i, d := range ds {
-		req := trainRequest(d)
-		c := s.devices[d.Device].conn
-		reqs[c] = append(reqs[c], Envelope{TrainRequest: &req})
-		slot[d.Device] = i
-	}
-	replies := make([]core.Reply, len(ds))
-	var mu sync.Mutex // guards slot
-	failed, err := s.exchange(reqs, func(c *conn, env Envelope) error {
-		r := env.TrainReply
-		if r == nil {
-			return fmt.Errorf("fednet: expected TrainReply, got %+v", env)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		i, ok := slot[r.Device]
-		if err := misrouted(r, ok && s.devices[r.Device].conn == c, ds[i].Version); err != nil {
-			return err
-		}
-		if r.Err != "" {
-			return fmt.Errorf("device %d: %s", r.Device, r.Err)
-		}
-		delete(slot, r.Device)
-		replies[i] = core.Reply{Device: r.Device, Update: &r.Update, EpochsDone: r.EpochsDone}
-		return nil
-	})
-	if err == nil {
-		return replies, nil
-	}
-	for _, d := range ds { // name the first dispatch the failed connection still owed
-		if _, owed := slot[d.Device]; owed && s.devices[d.Device].conn == failed {
-			err = fmt.Errorf("fednet: round %d device %d: %w", d.Round, d.Device, err)
-			break
-		}
-	}
-	return nil, err
-}
-
 // misrouted reports why r cannot answer a request in flight: outstanding
 // says whether r.Device has one on the connection r arrived on, version
 // is that request's stamp. Folding such a reply would credit one device
@@ -493,110 +340,19 @@ func misrouted(r *TrainReply, outstanding bool, version int) error {
 	return nil
 }
 
-// exchange runs one pipelined exchange per connection, all concurrently:
-// the connection's requests go out back to back, then got is called (on
-// that connection's goroutine) with each of the as many frames that come
-// back, in whatever order the worker finishes them. A worker's serve
-// loop never blocks on a send, so writing every request before reading
-// any reply cannot deadlock on full TCP buffers. RequestTimeout bounds
-// the wait for each next reply. The first error — send, receive, timeout
-// or got's — ends that connection's exchange; exchange returns one such
-// connection and its error once every connection is done.
-func (s *Server) exchange(reqs map[*conn][]Envelope, got func(*conn, Envelope) error) (*conn, error) {
-	type outcome struct {
-		c   *conn
-		err error
-	}
-	done := make(chan outcome, len(reqs))
-	for c, batch := range reqs {
-		go func() {
-			var err error
-			for i := 0; i < len(batch) && err == nil; i++ {
-				err = c.send(batch[i])
-				if r := batch[i].TrainRequest; r != nil {
-					r.Update.Release() // this socket's alone; an EvalRequest's is every connection's
-				}
-			}
-			for i := 0; i < len(batch) && err == nil; i++ {
-				c.armRecvDeadline(s.cfg.RequestTimeout)
-				var env Envelope
-				if env, err = c.recv(); err == nil {
-					err = got(c, env)
-				}
-			}
-			c.armRecvDeadline(0)
-			done <- outcome{c, err}
-		}()
-	}
-	var first outcome
-	for range reqs {
-		if o := <-done; o.err != nil && first.err == nil {
-			first = o
-		}
-	}
-	return first.c, first.err
-}
-
-// evaluate gathers distributed metrics for one Evaluate command and
-// combines them exactly as internal/metrics does (ascending-device
-// weighted sum), so losses match the simulator bit for bit. The global
-// model travels encoded on the shared eval link. With renormalize set,
-// the per-device weights are rescaled by the reporting mass, which keeps
-// the metrics meaningful when the asynchronous modes lose workers
-// mid-run.
-func (s *Server) evaluate(v core.Evaluate, renormalize bool) (core.EvalResult, error) {
-	all, err := s.gatherEvals(v)
-	if err != nil {
-		return core.EvalResult{}, err
-	}
-	loss, acc := combineEvals(all, s.weights, renormalize)
-	res := core.EvalResult{Loss: loss, Acc: acc}
-	res.WireUplinkBytes, res.WireDownlinkBytes = s.BytesOnWire()
-	return res, nil
-}
-
-// gatherEvals broadcasts one Evaluate to every connection and collects
-// the raw per-device contributions (in no particular order) — the tier
-// edge folds these into a single pseudo-device report instead of
-// combining them into a scalar.
-func (s *Server) gatherEvals(v core.Evaluate) ([]DeviceEval, error) {
-	defer obs.StartSpan(s.trace, obs.Event{Label: "fednet-eval", Device: -1}).End()
-	reqs := make(map[*conn][]Envelope, len(s.conns))
-	for _, c := range s.conns {
-		reqs[c] = []Envelope{{EvalRequest: &EvalRequest{Seq: v.Seq, Update: *v.Update}}}
-	}
-	var mu sync.Mutex // guards all
-	var all []DeviceEval
-	_, err := s.exchange(reqs, func(c *conn, env Envelope) error {
-		if env.EvalReply == nil {
-			return fmt.Errorf("fednet: expected EvalReply, got %+v", env)
-		}
-		if env.EvalReply.Err != "" {
-			return errors.New(env.EvalReply.Err)
-		}
-		if err := s.checkEvalRows(c, env.EvalReply.Devices); err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		all = append(all, env.EvalReply.Devices...)
-		return nil
-	})
-	return all, err
-}
-
-// checkEvalRows is the one ingest point of a worker's evaluation rows,
-// sync and async. Combining them acts on a peer's word; what makes that
-// unsafe is a device outside the roster (combineEvals indexes weights by
-// it) or not hosted by c, the connection the reply came on, a repeated
-// device (rows ascend, as core.EvalReply says), a non-finite loss, or a
-// correct count outside [0, TestN].
-func (s *Server) checkEvalRows(c *conn, rows []DeviceEval) error {
+// checkEvalRows is the one ingest point of a worker's evaluation rows.
+// Combining them acts on a peer's word; what makes that unsafe is a reply
+// to another evaluation than seq (its rows measure a different model), a
+// device outside the roster (combineEvals indexes weights by it) or not
+// hosted by c, the connection the reply came on, a repeated device (rows
+// ascend, as core.EvalReply says), a non-finite loss, or a correct count
+// outside [0, TestN].
+func (s *Server) checkEvalRows(c *conn, r *EvalReply, seq int) error {
 	last := -1
-	for _, ev := range rows {
-		if d, ok := s.devices[ev.Device]; !ok || d.conn != c || ev.Device <= last ||
+	for _, ev := range r.Devices {
+		if d, ok := s.devices[ev.Device]; r.Seq != seq || !ok || d.conn != c || ev.Device <= last ||
 			math.IsNaN(ev.TrainLoss) || math.IsInf(ev.TrainLoss, 0) || ev.Correct < 0 || ev.Correct > ev.TestN {
-			return fmt.Errorf("fednet: %v sent an evaluation it cannot have of device %d: %+v", c.raw.RemoteAddr(), ev.Device, ev)
+			return fmt.Errorf("fednet: %v answered evaluation %d with one it cannot have of device %d: seq %d, %+v", c.raw.RemoteAddr(), seq, ev.Device, r.Seq, ev)
 		}
 		last = ev.Device
 	}
@@ -605,8 +361,12 @@ func (s *Server) checkEvalRows(c *conn, rows []DeviceEval) error {
 
 // combineEvals folds per-device metric contributions into the global
 // training loss and test accuracy, in ascending device order so the
-// float summation matches internal/metrics exactly.
-func combineEvals(all []DeviceEval, weights []float64, renormalize bool) (loss, acc float64) {
+// float summation matches internal/metrics exactly. When rows are missing
+// (evicted workers) the loss is rescaled by the reporting weight mass,
+// which keeps it meaningful; a full roster never is — its weights sum to
+// 1 only to within an ulp, and the division would perturb the
+// bit-reproducible trajectory.
+func combineEvals(all []DeviceEval, weights []float64) (loss, acc float64) {
 	sort.Slice(all, func(i, j int) bool { return all[i].Device < all[j].Device })
 	correct, testN := 0, 0
 	wsum := 0.0
@@ -616,7 +376,7 @@ func combineEvals(all []DeviceEval, weights []float64, renormalize bool) (loss, 
 		correct += ev.Correct
 		testN += ev.TestN
 	}
-	if renormalize && wsum > 0 {
+	if len(all) < len(weights) && wsum > 0 {
 		loss /= wsum
 	}
 	if testN > 0 {

@@ -43,8 +43,8 @@
 // reads or allocates the body, and every payload length and list count
 // against the bytes left in the frame before it sizes anything; an over-long
 // frame, an unknown kind or version, a short or inconsistent body or
-// trailing bytes is ErrFrame, which fails the round (sync) or evicts the
-// worker (async) like any connection error. The version byte is the only
+// trailing bytes is ErrFrame, which loses the worker like any connection
+// error (backend.go: a synchronous run fails, an asynchronous one evicts). The version byte is the only
 // negotiation: a peer from before the framed wire fails registration on
 // its first frame.
 //
@@ -67,17 +67,17 @@
 // seed and configuration reproduces the simulator's trajectory bit for
 // bit by construction (asserted in fednet_test.go).
 //
-// Both aggregation disciplines pipeline: several TrainRequests may be
-// outstanding on one connection (never more than one per device, and
-// workers serve each in its own goroutine), and every reply is routed by
-// TrainReply.Device and checked against the request it answers — device
-// outstanding on that connection, Version echoed. A synchronous round
-// sends a connection's requests back to back, collects that many replies
-// and hands them to the coordinator in dispatch order, so the trajectory
-// does not depend on arrival order; under core.AsyncTotal / core.Buffered
-// a per-conn reader feeds the aggregator as replies arrive, and the
-// version stamp lets it damp stale contributions. Evaluation is one
-// request and one reply per connection.
+// Both aggregation disciplines pipeline over the one backend
+// (backend.go): several TrainRequests may be outstanding on one
+// connection (never more than one per device, and workers serve each in
+// its own goroutine), a per-conn reader feeds the coordinator as replies
+// arrive, and every reply is routed by TrainReply.Device and checked
+// against the request it answers — device outstanding on that
+// connection, Version echoed. A synchronous coordinator slots replies by
+// selection index, so its trajectory does not depend on arrival order;
+// under core.AsyncTotal / core.Buffered the version stamp lets it damp
+// stale contributions. Evaluation is one request and one reply per
+// connection, the reply echoing the request's Seq.
 package fednet
 
 import (
@@ -320,7 +320,8 @@ func (c *conn) recv() (Envelope, error) {
 }
 
 // armRecvDeadline sets (d > 0) or clears (d <= 0) the connection's read
-// deadline — the coordinator's guard against workers that never reply.
+// deadline — the coordinator's guard against a dialer that never says
+// Hello (a session's requests are timed from their send, backend.go).
 func (c *conn) armRecvDeadline(d time.Duration) {
 	if d <= 0 {
 		_ = c.raw.SetReadDeadline(time.Time{})
