@@ -16,15 +16,18 @@
 //     and the only codec that reconstructs bit for bit.
 //   - delta: w − w_prev as dense float64. Exact up to one float64
 //     rounding step per coordinate and the same size as raw on its own;
-//     it exists to compose (the difference between consecutive
-//     broadcasts is much smaller in magnitude than the model, so lossy
-//     codecs applied to it lose less).
+//     it is the transform the lossy codecs build in (the difference
+//     between consecutive broadcasts is much smaller in magnitude than
+//     the model, so a lossy codec applied to it loses less).
 //   - qsgd: stochastic uniform quantization à la QSGD (Alistarh et al.)
 //     at a configurable bit width. Rounding randomness comes from a
 //     frand stream derived from (seed, direction, device), so runs are
 //     bit-reproducible and the simulator and the distributed runtime
 //     draw identical streams.
-//   - delta+qsgd: quantize the difference instead of the model.
+//   - delta+qsgd: quantize the difference instead of the model. Not a
+//     wrapper: the quantizer works against the link base in place — one
+//     read-only pass for the scale, one that subtracts, scales, rounds
+//     and packs; decoding dequantizes and adds the base in one.
 //   - topk: keep only the k = ⌈TopK·n⌉ largest-magnitude coordinates of
 //     the transition w − w_prev, carrying the untransmitted remainder in
 //     a per-link error-feedback residual (Stich et al.) so every
@@ -38,6 +41,14 @@
 // link may hold distinct instances. Both endpoints must agree on the
 // previous delivered value (`prev`) — callers track the last decoded
 // transfer per link and feed it back on both sides.
+//
+// The base is applied per coordinate, by whichever codec uses it, with no
+// difference vector in between, under two rules the fused loops keep from
+// the composition they replaced. A difference of zero is still added: a
+// −0 in the base decodes to +0. And a base whose length is not the
+// vector's — the shadow of another model — counts as no base to an
+// encoder (linkBase), so no encode indexes past either; the decoder,
+// which sees the same base, refuses the update by name (check).
 package comm
 
 import (
@@ -246,14 +257,10 @@ func (s Spec) ForDevice(direction string, device int) (Codec, error) {
 // spec.
 func newBody[T tensor.Float](s Spec, rng *frand.Source) body[T] {
 	switch s.Name {
-	case "raw":
-		return rawCodec[T]{}
-	case "delta":
-		return &deltaCodec[T]{name: "delta", inner: rawCodec[T]{}}
-	case "qsgd":
-		return &qsgdCodec[T]{name: "qsgd", bits: s.Bits, rng: rng}
-	case "delta+qsgd":
-		return &deltaCodec[T]{name: "delta+qsgd", inner: &qsgdCodec[T]{name: "qsgd", bits: s.Bits, rng: rng}}
+	case "raw", "delta":
+		return denseCodec[T]{name: s.Name, delta: s.UsesPrev()}
+	case "qsgd", "delta+qsgd":
+		return &qsgdCodec[T]{name: s.Name, bits: s.Bits, delta: s.UsesPrev(), rng: rng}
 	}
 	panic("comm: newBody on codec " + s.Name)
 }
@@ -435,17 +442,42 @@ func dense[T tensor.Float](u *Update) []T {
 	return v
 }
 
-// rawCodec ships parameters verbatim at width T.
-type rawCodec[T tensor.Float] struct{}
+// denseCodec ships parameters dense at width T: verbatim ("raw"), or
+// under delta the difference params − prev.
+type denseCodec[T tensor.Float] struct {
+	name  string
+	delta bool
+}
 
-func (rawCodec[T]) Name() string { return "raw" }
+func (c denseCodec[T]) Name() string { return c.name }
 
-func (rawCodec[T]) rounding() *frand.Source { return nil }
+func (denseCodec[T]) rounding() *frand.Source { return nil }
 
-func (rawCodec[T]) encode(params, _ []T) *Update {
-	u := &Update{Codec: "raw", N: len(params)}
-	v := tensor.GetVec[T](len(params)) // Release recycles it
-	copy(v, params)
+// linkBase returns the base an encode of v works against under delta:
+// prev when the link has delivered a vector of v's length, nil (zeros)
+// otherwise. A base of the wrong length — a shadow restored from another
+// model's snapshot — is thereby never indexed, shorter or longer; the
+// update still declares len(v) params, and the decoder's check names the
+// mismatch.
+func linkBase[T tensor.Float](delta bool, v, prev []T) []T {
+	if !delta || len(prev) != len(v) {
+		return nil
+	}
+	return prev
+}
+
+// encode writes the payload once — the copy, or the difference — straight
+// into the pooled vector Release recycles.
+func (c denseCodec[T]) encode(params, prev []T) *Update {
+	u := &Update{Codec: c.name, N: len(params)}
+	v := tensor.GetVec[T](len(params))
+	if base := linkBase(c.delta, params, prev); base == nil {
+		copy(v, params)
+	} else {
+		for i, p := range base {
+			v[i] = params[i] - p
+		}
+	}
 	switch v := any(v).(type) {
 	case []float32:
 		u.Dense32 = v
@@ -455,60 +487,23 @@ func (rawCodec[T]) encode(params, _ []T) *Update {
 	return u
 }
 
-func (rawCodec[T]) decode(u *Update, prev []T) ([]T, error) {
-	if err := check(u, "raw", prev); err != nil {
+// decode adds the base, under delta, in the pass that copies the payload
+// out.
+func (c denseCodec[T]) decode(u *Update, prev []T) ([]T, error) {
+	if err := check(u, c.name, prev); err != nil {
 		return nil, err
 	}
 	payload := dense[T](u)
 	if len(payload) != u.N {
-		return nil, fmt.Errorf("comm: raw payload has %d values, header says %d", len(payload), u.N)
+		return nil, fmt.Errorf("comm: %s payload has %d values, header says %d", c.name, len(payload), u.N)
 	}
 	out := tensor.GetVec[T](u.N)
-	copy(out, payload)
-	return out, nil
-}
-
-// deltaCodec applies an inner codec to the difference params − prev
-// (prev nil ⇒ zeros), so lossy inner codecs operate on the small
-// round-over-round transition instead of the full model.
-type deltaCodec[T tensor.Float] struct {
-	name  string
-	inner body[T]
-}
-
-func (c *deltaCodec[T]) Name() string { return c.name }
-
-func (c *deltaCodec[T]) rounding() *frand.Source { return c.inner.rounding() }
-
-func (c *deltaCodec[T]) encode(params, prev []T) *Update {
-	// The difference is pure scratch: inner codecs never retain their
-	// input (raw copies it, qsgd extracts a packed payload), so it goes
-	// back to the pool before returning.
-	d := tensor.GetVec[T](len(params))
-	for i, p := range prev {
-		d[i] = params[i] - p
-	}
-	copy(d[len(prev):], params[len(prev):]) // all of it when prev is nil
-	u := c.inner.encode(d, nil)
-	u.Codec = c.name
-	tensor.PutVec(d)
-	return u
-}
-
-func (c *deltaCodec[T]) decode(u *Update, prev []T) ([]T, error) {
-	if err := check(u, c.name, prev); err != nil {
-		return nil, err
-	}
-	iu := *u
-	iu.Codec = c.inner.Name()
-	d, err := c.inner.decode(&iu, nil)
-	if err != nil {
-		return nil, err
-	}
-	if prev != nil {
+	if !c.delta || prev == nil {
+		copy(out, payload)
+	} else {
 		for i, p := range prev {
-			d[i] += p
+			out[i] = payload[i] + p
 		}
 	}
-	return d, nil
+	return out, nil
 }

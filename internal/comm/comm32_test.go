@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"fedprox/internal/frand"
@@ -271,5 +272,99 @@ func TestF32PathRejections(t *testing.T) {
 	}
 	if err := (Spec{Name: "raw", Precision: "f16"}).Validate(); err == nil {
 		t.Fatal("Validate accepted an unknown precision")
+	}
+}
+
+// TestDeltaQSGDMatchesComposition holds the quantizer's in-place base
+// handling to the composition it replaced, kept here as the oracle:
+// materialise v − prev at the link's width, quantize it with
+// referenceQSGD, decode, add prev. Payload bytes, scale and its width, the
+// rounding stream's position and every decoded bit must agree, at every
+// bit width and both precisions, over consecutive transfers of one chained
+// link: no base yet, a base, a base holding −0, and a vector equal to its
+// base (scale 0 — where the −0 must still decode to +0).
+func TestDeltaQSGDMatchesComposition(t *testing.T) {
+	for bits := 2; bits <= 16; bits++ {
+		deltaQSGDAgainstComposition[float64](t, bits)
+		deltaQSGDAgainstComposition[float32](t, bits)
+	}
+}
+
+func deltaQSGDAgainstComposition[T tensor.Float](t *testing.T, bits int) {
+	t.Helper()
+	const n, negZeroAt = 77, 3 // two radix groups and a strip tail
+	spec := Spec{Name: "delta+qsgd", Bits: bits, Seed: 23}
+	_, f32 := any(T(0)).(float32)
+	if f32 {
+		spec.Precision = tensor.F32
+	}
+	c := mustCodec(t, spec)
+	st, err := SnapshotCodec(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := frand.New(st.RNG)
+	var prev []float64
+	for step := 0; step < 5; step++ {
+		v := testVec32(n, uint64(100*bits+step))
+		if step >= 2 {
+			prev[negZeroAt] = math.Copysign(0, -1)
+		}
+		if step == 3 {
+			copy(v, prev)
+		}
+		d, base := tensor.Converted[T](v), tensor.Converted[T](prev)
+		for i, p := range base {
+			d[i] -= p
+		}
+		packed, scale, want := referenceQSGD(d, bits, rng)
+		for i, p := range base {
+			want[i] += p
+		}
+
+		u := c.Encode(v, prev)
+		after, _ := SnapshotCodec(c)
+		if u.Codec != "delta+qsgd" || u.N != n || u.Bits != bits || u.F32 != f32 || u.Scale != float64(scale) || !bytes.Equal(u.Packed, packed) {
+			t.Fatalf("%d bits, %T, transfer %d: update differs from the composition's (scale %v vs %v)", bits, scale, step, u.Scale, scale)
+		}
+		if after.RNG != rng.State() {
+			t.Fatalf("%d bits, %T, transfer %d: rounding stream at %#x, composition at %#x", bits, scale, step, after.RNG, rng.State())
+		}
+		got, err := c.Decode(u, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(float64(w)) {
+				t.Fatalf("%d bits, %T, transfer %d: decoded[%d] = %v, composition %v", bits, scale, step, i, got[i], w)
+			}
+		}
+		if step == 3 && (scale != 0 || math.Float64bits(got[negZeroAt]) != 0) {
+			t.Fatalf("%d bits, %T: scale %v, −0 in the base decoded to %#x; want scale 0 and +0", bits, scale, scale, math.Float64bits(got[negZeroAt]))
+		}
+		prev = got
+	}
+}
+
+// TestWrongLengthBaseFailsByName: a link base shorter or longer than the
+// vector — a shadow restored from another model — never panics an
+// encoder; the update declares the vector's length and the decoder names
+// the mismatch.
+func TestWrongLengthBaseFailsByName(t *testing.T) {
+	v := testVec32(20, 31)
+	for _, spec := range []Spec{
+		{Name: "delta"}, {Name: "delta+qsgd", Bits: 8}, {Name: "delta+qsgd", Bits: 5},
+		{Name: "delta", Precision: tensor.F32}, {Name: "delta+qsgd", Precision: tensor.F32},
+	} {
+		for _, m := range []int{3, 21, 64} {
+			c, prev := mustCodec(t, spec), testVec32(m, 32)
+			u := c.Encode(v, prev)
+			if u.N != len(v) {
+				t.Errorf("%s, base of %d: update declares %d params, want %d", spec, m, u.N, len(v))
+			}
+			if _, err := c.Decode(u, prev); err == nil || !strings.Contains(err.Error(), "link state has") {
+				t.Errorf("%s, base of %d: decode error %v, want the link-state length mismatch", spec, m, err)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"math"
 
 	"fedprox/internal/frand"
 	"fedprox/internal/tensor"
@@ -15,10 +14,15 @@ import (
 // per coordinate — except at the narrow widths (see packedLen), where
 // plain bit-packing wastes a fraction of every field and levels are
 // radix-packed instead.
+//
+// Under delta ("delta+qsgd") the quantized vector is the difference from
+// the link base, which encode and decode apply in place — there is no
+// wrapper codec and no materialised difference.
 type qsgdCodec[T tensor.Float] struct {
-	name string
-	bits int
-	rng  *frand.Source
+	name  string
+	bits  int
+	delta bool
+	rng   *frand.Source
 }
 
 func (c *qsgdCodec[T]) Name() string { return c.name }
@@ -183,38 +187,23 @@ func (r *levelReader) next() uint32 {
 }
 
 // byteBits is the width at which a level is exactly one payload byte:
-// encode and decode then loop straight over Packed, with no level stream
-// between them and the payload. It is the default width (DefaultBits), so
-// this is the loop a default deployment runs per coordinate.
+// encode and decode then run tensor's byte-quantiser loops straight over
+// Packed, with no level stream between them and the payload. It is the
+// default width (DefaultBits), so those are the loops a default deployment
+// runs per coordinate — and the ones with AVX2 strips under them.
 const byteBits = 8
 
-// level stochastically rounds t ∈ [−s, s] to one of the 2s+1 integer
-// levels (one rng draw, unbiased) and returns it offset-binary.
-func level(t float64, s int, rng *frand.Source) uint32 {
-	f := math.Floor(t)
-	q := int(f)
-	if rng.Float64() < t-f {
-		q++
-	}
-	return uint32(min(max(q, -s), s) + s)
-}
-
-// encode quantizes v. The max-magnitude scale is a T — on an f32 link it
-// ships in 4 bytes — and each coordinate costs one rng draw at either
-// width.
-func (c *qsgdCodec[T]) encode(v, _ []T) *Update {
+// encode quantizes v, or under delta the difference v − prev, in two
+// passes over the operands and none over a scratch copy: one read-only for
+// the max-magnitude scale, one that scales, rounds and packs. The scale is
+// a T — on an f32 link it ships in 4 bytes — and each coordinate costs one
+// rng draw at either width (tensor.RoundLevel is the rounding step of
+// every width). A prev of the wrong length counts as none (linkBase).
+func (c *qsgdCodec[T]) encode(v, prev []T) *Update {
 	n := len(v)
 	s := levels(c.bits)
-	var scale T
-	for _, x := range v {
-		a := x
-		if a < 0 {
-			a = -a
-		}
-		if a > scale {
-			scale = a
-		}
-	}
+	base := linkBase(c.delta, v, prev)
+	scale := tensor.MaxAbsDiff(v, base)
 	_, f32 := any(scale).(float32)
 	u := &Update{
 		Codec:  c.name,
@@ -224,35 +213,37 @@ func (c *qsgdCodec[T]) encode(v, _ []T) *Update {
 		F32:    f32,
 		Packed: GetPacked(packedLen(n, c.bits)),
 	}
-	clear(u.Packed) // the level writers OR into it
 	if scale == 0 {
-		// All-zero vector: decode short-circuits on Scale == 0, so the
-		// level payload is never read — leave Packed zeroed.
+		// Nothing to quantize: decode short-circuits on Scale == 0 and
+		// never reads the level payload, which ships zeroed.
+		clear(u.Packed)
 		return u
 	}
-	invUnit := T(s) / scale // x·invUnit is in [−s, s]
+	invUnit := T(s) / scale // a difference times invUnit is in [−s, s]
+	if c.bits == byteBits {
+		tensor.QuantizeBytes(u.Packed, v, base, invUnit, s, c.rng) // stores every byte
+		return u
+	}
+	clear(u.Packed) // the level writers OR into it
 	// The rounding stream lives in a local for the loop (a register, not a
 	// load and store through c.rng per draw) and is stored back after.
 	rng := *c.rng
-	if c.bits == byteBits {
-		packed := u.Packed[:n]
-		for i, x := range v {
-			packed[i] = byte(level(float64(x*invUnit), s, &rng))
+	w := newLevelWriter(u.Packed, c.bits)
+	for i, x := range v {
+		if base != nil {
+			x -= base[i]
 		}
-	} else {
-		w := newLevelWriter(u.Packed, c.bits)
-		for _, x := range v {
-			w.put(level(float64(x*invUnit), s, &rng))
-		}
-		w.finish()
+		w.put(tensor.RoundLevel(float64(x*invUnit), s, &rng))
 	}
+	w.finish()
 	*c.rng = rng
 	return u
 }
 
-// decode reconstructs the quantized vector at width T. The level payload
-// is width-exact either way, so an update quantized at the other width
-// decodes too (its scale merely converts on the way in).
+// decode reconstructs the quantized vector at width T, adding the link
+// base under delta in the same pass. The level payload is width-exact
+// either way, so an update quantized at the other width decodes too (its
+// scale merely converts on the way in).
 func (c *qsgdCodec[T]) decode(u *Update, prev []T) ([]T, error) {
 	if err := check(u, c.name, prev); err != nil {
 		return nil, err
@@ -269,23 +260,34 @@ func (c *qsgdCodec[T]) decode(u *Update, prev []T) ([]T, error) {
 	if want := packedLen(u.N, u.Bits); len(u.Packed) != want {
 		return nil, fmt.Errorf("comm: qsgd payload has %d bytes, want %d", len(u.Packed), want)
 	}
+	if !c.delta {
+		prev = nil
+	}
 	s := levels(u.Bits)
 	out := tensor.GetVec[T](u.N)
 	if u.Scale == 0 {
+		// Every difference is +0, and it is added, not skipped: a −0 in
+		// the base decodes to +0, as the sum has always made it.
 		tensor.Zero(out)
+		for i, p := range prev {
+			out[i] += p
+		}
 		return out, nil
 	}
 	unit := T(u.Scale) / T(s)
 	if u.Bits == byteBits {
-		for i, b := range u.Packed {
-			out[i] = T(int(b)-s) * unit
-		}
+		tensor.DequantizeBytes(out, u.Packed, prev, unit, s)
 		return out, nil
 	}
 	r := newLevelReader(u.Packed, u.Bits, u.N)
 	for i := range out {
-		q := int(r.next()) - s
-		out[i] = T(q) * unit
+		// The conversion rounds the product before the base is added: no
+		// architecture may fuse the two (see tensor.DequantizeBytes).
+		d := T(T(int(r.next())-s) * unit)
+		if prev != nil {
+			d += prev[i]
+		}
+		out[i] = d
 	}
 	return out, nil
 }

@@ -31,8 +31,8 @@ var hotPaths = []struct {
 	floor float64
 }{
 	{"CoordinatorFold", foldStep, 0},
-	{"DeviceDispatchF64", dispatchStepF64, 4},
-	{"DeviceDispatchF32", dispatchStepF32, 4},
+	{"DeviceDispatchF64", dispatchStepF64, 3},
+	{"DeviceDispatchF32", dispatchStepF32, 3},
 	{"SolveEpochF64", solveEpochStepF64, 0},
 	{"SolveEpochF32", solveEpochStepF32, 0},
 }
@@ -44,8 +44,9 @@ func solveEpochStepF32(tb testing.TB, _ int) func() { return solveEpochStep(tb, 
 
 // TestHotPathAllocFloors pins each hot path's allocations per iteration
 // at its floor: the fold and a solver epoch allocate nothing, a device
-// dispatch under delta+qsgd allocates four small objects (update headers;
-// every model-sized vector and payload comes from a pool). One
+// dispatch under delta+qsgd allocates three small objects (update headers;
+// every model-sized vector and payload comes from a pool, and the decoder
+// applies the link base itself, with no re-labelled header copy). One
 // tensor.GetVec turned back into a make is one more object per iteration
 // and fails here by name.
 func TestHotPathAllocFloors(t *testing.T) {

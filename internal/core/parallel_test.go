@@ -149,7 +149,11 @@ func TestBroadcastParallelismParity(t *testing.T) {
 // round reports the failure of the lowest selection index at any
 // Parallelism, not of whichever worker finished first.
 func broadcastFirstError(t *testing.T) {
-	for _, par := range []int{1, 2, 4} {
+	sized, _ := tinyWorkload()
+	// The last case's shadow is longer than the model: the encoder used to
+	// index past the vector there, a panic inside the broadcast's workers.
+	for _, tc := range []struct{ par, shadow int }{{1, 3}, {2, 3}, {4, 3}, {2, sized.NumParams() + 3}} {
+		par, shadow := tc.par, tc.shadow
 		mdl, fed := tinyWorkload()
 		cfg := FedProx(2, 6, 1, 0.01, 1)
 		cfg.Codec = comm.Spec{Name: "delta+qsgd", Bits: 8}
@@ -161,7 +165,7 @@ func broadcastFirstError(t *testing.T) {
 		// Start builds the links and returns round 0's evaluation; the
 		// round's broadcasts are encoded when Drive answers it. A broadcast
 		// shadow of the wrong length makes the downlink decode of exactly
-		// these two devices fail.
+		// these two devices fail — and must not panic their encode.
 		cmds, err := coord.Start()
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +173,7 @@ func broadcastFirstError(t *testing.T) {
 		selected := coord.selectDevices(0)
 		first, last := selected[0], selected[len(selected)-1]
 		for _, k := range []int{first, last} {
-			coord.links.state.SetPrev(k, make([]float64, 3))
+			coord.links.state.SetPrev(k, make([]float64, shadow))
 		}
 		b := &simBackend{inProcess: inProcess{
 			coord: coord,

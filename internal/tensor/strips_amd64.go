@@ -2,11 +2,11 @@ package tensor
 
 import "unsafe"
 
-// hasAVX gates every strip: set once from CPUID/XGETBV, never written
-// again.
-var hasAVX = cpuHasAVX()
+// hasAVX gates the solve strips and hasAVX2 the byte quantiser's: set
+// once from CPUID/XGETBV, never written again.
+var hasAVX, hasAVX2 = cpuAVX()
 
-func cpuHasAVX() bool
+func cpuAVX() (avx, avx2 bool)
 
 // The strips (strips_amd64.s). Each takes element pointers and lengths,
 // touches exactly the index range of the Go loop it stands in for, and
@@ -41,6 +41,18 @@ func proxStepF64(w, grad, w0 unsafe.Pointer, n int, eta, mu float64)
 
 //go:noescape
 func proxStepF32(w, grad, w0 unsafe.Pointer, n int, eta, mu float32)
+
+// The byte quantiser's strips: float64 only, AVX2, over slices of one
+// length, a positive multiple of four (quantPrefix's).
+
+//go:noescape
+func maxAbsDiffF64(v, base []float64) float64
+
+//go:noescape
+func quantizeBytesF64(dst []byte, v, base []float64, invUnit float64, s int, state uint64) uint64
+
+//go:noescape
+func dequantizeBytesF64(out []float64, q []byte, base []float64, unit float64, s int)
 
 // The wrappers below pick a strip by element size (see stripSize, which
 // has already established that T is exactly float64 or float32, so the

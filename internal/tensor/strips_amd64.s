@@ -1,5 +1,6 @@
-// AVX strips under MatMulNT, AddOuterPanel and ProxStep (see the package
-// comment in tensor.go for the contract). Every strip performs, per
+// AVX strips under MatMulNT, AddOuterPanel and ProxStep, and AVX2 strips
+// under the byte quantiser's three loops (see the package comment in
+// tensor.go for the contract). Every strip performs, per
 // element, exactly the multiplies, adds and subtracts of the Go loop it
 // replaces, in that loop's order, each rounded on its own: packed and
 // scalar AVX arithmetic only, never a fused multiply-add. Each loop body
@@ -10,27 +11,34 @@
 
 #include "textflag.h"
 
-// func cpuHasAVX() bool
+// func cpuAVX() (avx, avx2 bool)
 //
 // AVX is usable when CPUID.1:ECX reports AVX and OSXSAVE and XCR0 says the
-// OS saves both the SSE and the AVX register state.
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+// OS saves both the SSE and the AVX register state; AVX2 when CPUID.7:EBX
+// reports it on top (AVX implies leaf 13, so leaf 7 exists). The one CPUID.
+TEXT ·cpuAVX(SB), NOSPLIT, $0-2
+	MOVB $0, avx+0(FP)
+	MOVB $0, avx2+1(FP)
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
 	ANDL $0x18000000, CX
 	CMPL CX, $0x18000000
-	JNE  noavx
+	JNE  cpudone
 	XORL CX, CX
 	XGETBV
 	ANDL $6, AX
 	CMPL AX, $6
-	JNE  noavx
-	MOVB $1, ret+0(FP)
-	RET
+	JNE  cpudone
+	MOVB $1, avx+0(FP)
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $5, BX
+	JCC  cpudone
+	MOVB $1, avx2+1(FP)
 
-noavx:
-	MOVB $0, ret+0(FP)
+cpudone:
 	RET
 
 // ---- MatMulNT: two weight rows against four examples, or one ----
@@ -570,5 +578,165 @@ proxf32tail:
 	JMP  proxf32tail
 
 proxf32done:
+	VZEROUPPER
+	RET
+
+// ---- The byte quantiser: MaxAbsDiff, QuantizeBytes, DequantizeBytes ----
+//
+// AVX2, float64 slices of one length n, a positive multiple of four.
+// Register use: DI the destination, SI the source, DX the base, AX the
+// index, CX n.
+
+DATA quant<>+0(SB)/8, $0x9e3779b97f4a7c15  // γ, SplitMix64's increment
+DATA quant<>+8(SB)/8, $0x3c6ef372fe94f82a  // 2γ
+DATA quant<>+16(SB)/8, $0xdaa66d2c7ddf743f // 3γ
+DATA quant<>+24(SB)/8, $0x78dde6e5fd29f054 // 4γ
+DATA quant<>+32(SB)/8, $0xbf58476d1ce4e5b9 // mix's first multiplier
+DATA quant<>+40(SB)/8, $0x94d049bb133111eb // mix's second multiplier
+DATA quant<>+48(SB)/8, $0x3fe0000000000000 // 2⁻¹, i.e. 2⁵²·2⁻⁵³
+DATA quant<>+56(SB)/8, $0x41e0000000000000 // 2³¹, i.e. 2⁸⁴·2⁻⁵³
+DATA quant<>+64(SB)/8, $0x41e0000000100000 // 2³¹ + 2⁻¹
+DATA quant<>+72(SB)/8, $0x3ff0000000000000 // 1
+DATA quant<>+80(SB)/8, $0x7fffffffffffffff // all but the sign bit
+DATA quant<>+88(SB)/8, $0x808080800c080400 // VPSHUFB: byte 0 of each dword
+DATA quant<>+96(SB)/8, $0x8080808080808080
+GLOBL quant<>(SB), RODATA|NOPTR, $104
+
+// func maxAbsDiffF64(v, base []float64) float64
+//
+// The running maximum is VMAXPD's second source (Go's first operand),
+// which it returns when the other is a NaN, as the Go loop's a > m skips
+// one. No lane is ever a NaN or −0, so the folding order cannot show.
+TEXT ·maxAbsDiffF64(SB), NOSPLIT, $0-56
+	MOVQ         v_base+0(FP), SI
+	MOVQ         v_len+8(FP), CX
+	MOVQ         base_base+24(FP), DX
+	VBROADCASTSD quant<>+80(SB), Y2
+	VXORPD       Y0, Y0, Y0
+	XORQ         AX, AX
+
+maxdiffloop:
+	VMOVUPD (SI)(AX*8), Y1
+	VSUBPD  (DX)(AX*8), Y1, Y1
+	VANDPD  Y2, Y1, Y1
+	VMAXPD  Y0, Y1, Y0
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     maxdiffloop
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPD       X1, X0, X0
+	VUNPCKHPD    X0, X0, X1
+	VMAXSD       X1, X0, X0
+	VMOVSD       X0, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// MUL64 multiplies A's four uint64 lanes by the constant in C's (CH holds
+// it >> 32): lo(a)·lo(c) + ((hi(a)·lo(c) + lo(a)·hi(c)) << 32), mod 2⁶⁴.
+#define MUL64(A, C, CH, T1, T2) \
+	VPSRLQ   $32, A, T1 \
+	VPMULUDQ C, T1, T1   \
+	VPMULUDQ CH, A, T2   \
+	VPADDQ   T2, T1, T1  \
+	VPSLLQ   $32, T1, T1 \
+	VPMULUDQ C, A, A     \
+	VPADDQ   T1, A, A
+
+// func quantizeBytesF64(dst []byte, v, base []float64, invUnit float64, s int, state uint64) uint64
+//
+// Four lanes holding state + γ·{1,2,3,4} and stepping by 4γ make
+// frand.Source's draws, in order. Y12 holds the lanes, Y11 4γ, Y10/Y9 and
+// Y8/Y7 mix's multipliers and their high halves, Y6 and Y5 2⁻¹ and 2³¹,
+// Y15 invUnit, X14 and X13 s and −s as int32 lanes. Returns state + n·γ,
+// the state of a Source that made the same n draws.
+TEXT ·quantizeBytesF64(SB), NOSPLIT, $0-104
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         v_base+24(FP), SI
+	MOVQ         v_len+32(FP), CX
+	MOVQ         base_base+48(FP), DX
+	VBROADCASTSD invUnit+72(FP), Y15
+	VPBROADCASTD s+80(FP), X14
+	VPXOR        X13, X13, X13
+	VPSUBD       X14, X13, X13
+	VPBROADCASTQ state+88(FP), Y12
+	VPADDQ       quant<>+0(SB), Y12, Y12
+	VPBROADCASTQ quant<>+24(SB), Y11
+	VPBROADCASTQ quant<>+32(SB), Y10
+	VPSRLQ       $32, Y10, Y9
+	VPBROADCASTQ quant<>+40(SB), Y8
+	VPSRLQ       $32, Y8, Y7
+	VPBROADCASTQ quant<>+48(SB), Y6
+	VPBROADCASTQ quant<>+56(SB), Y5
+	XORQ         AX, AX
+
+quantloop:
+	// z = mix(lanes); lanes += 4γ
+	VPSRLQ $30, Y12, Y0
+	VPXOR  Y12, Y0, Y0
+	VPADDQ Y11, Y12, Y12
+	MUL64(Y0, Y10, Y9, Y1, Y2)
+	VPSRLQ $27, Y0, Y1
+	VPXOR  Y1, Y0, Y0
+	MUL64(Y0, Y8, Y7, Y1, Y2)
+	VPSRLQ $31, Y0, Y1
+	VPXOR  Y1, Y0, Y0
+	// r = float64(z >> 11) / 2⁵³, exactly: the 53 bits split into a low
+	// 32 under the exponent of 2⁵² and a high 21 under that of 2⁸⁴, both
+	// scaled by 2⁻⁵³, and (hi − (2³¹ + 2⁻¹)) + lo has no rounding to do.
+	VPSRLQ       $11, Y0, Y0
+	VPSRLQ       $32, Y0, Y1
+	VPBLENDD     $0xaa, Y6, Y0, Y0
+	VPOR         Y5, Y1, Y1
+	VBROADCASTSD quant<>+64(SB), Y2
+	VSUBPD       Y2, Y1, Y1
+	VADDPD       Y0, Y1, Y0
+	// t = (v − base)·invUnit, f = floor(t), q = f + 1 where r < t − f
+	VMOVUPD      (SI)(AX*8), Y3
+	VSUBPD       (DX)(AX*8), Y3, Y3
+	VMULPD       Y15, Y3, Y3
+	VROUNDPD     $9, Y3, Y4
+	VSUBPD       Y4, Y3, Y3
+	VCMPPD       $1, Y3, Y0, Y0
+	VBROADCASTSD quant<>+72(SB), Y2
+	VANDPD       Y2, Y0, Y0
+	VADDPD       Y0, Y4, Y4
+	// int32 (a NaN or ±Inf becomes the minimum, as Go's int() makes it
+	// on amd64), clamp to [−s, s], offset, one byte each
+	VCVTTPD2DQY Y4, X4
+	VPMAXSD     X13, X4, X4
+	VPMINSD     X14, X4, X4
+	VPADDD      X14, X4, X4
+	VPSHUFB     quant<>+88(SB), X4, X4
+	VMOVD       X4, (DI)(AX*1)
+	ADDQ        $4, AX
+	CMPQ        AX, CX
+	JLT         quantloop
+	// lane 0 is state + (n+1)·γ
+	VMOVQ X12, AX
+	SUBQ  quant<>+0(SB), AX
+	MOVQ  AX, ret+96(FP)
+	VZEROUPPER
+	RET
+
+// func dequantizeBytesF64(out []float64, q []byte, base []float64, unit float64, s int)
+TEXT ·dequantizeBytesF64(SB), NOSPLIT, $0-88
+	MOVQ         out_base+0(FP), DI
+	MOVQ         out_len+8(FP), CX
+	MOVQ         q_base+24(FP), SI
+	MOVQ         base_base+48(FP), DX
+	VBROADCASTSD unit+72(FP), Y15
+	VPBROADCASTD s+80(FP), X14
+	XORQ         AX, AX
+
+dequantloop:
+	VPMOVZXBD (SI)(AX*1), X0
+	VPSUBD    X14, X0, X0
+	VCVTDQ2PD X0, Y0
+	VMULPD    Y15, Y0, Y0
+	VADDPD    (DX)(AX*8), Y0, Y0
+	VMOVUPD   Y0, (DI)(AX*8)
+	ADDQ      $4, AX
+	CMPQ      AX, CX
+	JLT       dequantloop
 	VZEROUPPER
 	RET

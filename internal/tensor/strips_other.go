@@ -2,12 +2,18 @@
 
 package tensor
 
-// No strips off amd64: hasAVX is constant false, stripSize answers 0 and
-// the generic bodies are the only path; these are never called.
-const hasAVX = false
+// No strips off amd64: hasAVX and hasAVX2 are constant false, stripSize
+// and quantPrefix answer 0 and the generic bodies are the only path; these
+// are never called.
+const hasAVX, hasAVX2 = false, false
 
 func matMulNT2x4[T Float](size int, out []T, stride int, a, w0, w1 []T, off0, off1 T) {}
 func matMulNT2x1[T Float](size int, out, a, w0, w1 []T, off0, off1 T)                 {}
 func addOuter2x4[T Float](size int, r0, r1, x []T, c *[8]T)                           {}
 func addOuter2x1[T Float](size int, r0, r1, x []T, c0, c1 T)                          {}
 func proxStep[T Float](size int, w, g, w0 []T, eta, mu T)                             {}
+func maxAbsDiffF64(v, base []float64) float64                                         { return 0 }
+func dequantizeBytesF64(out []float64, q []byte, base []float64, unit float64, s int) {}
+func quantizeBytesF64(dst []byte, v, base []float64, invUnit float64, s int, state uint64) uint64 {
+	return 0
+}

@@ -92,7 +92,8 @@ var (
 
 // stripTable names, per kernel, the assembly strips its case drives (CI
 // checks that every TEXT symbol in the package is listed here or is the
-// CPUID stub) and the case at each width.
+// CPUID stub) and the case at each width (nil where the kernel has no
+// strip at that width).
 var stripTable = []struct {
 	kernel   string
 	strips   []string
@@ -104,6 +105,7 @@ var stripTable = []struct {
 		addOuterPanelBits[float64, ref64], addOuterPanelBits[float32, ref32]},
 	{"ProxStep", []string{"proxStepF64", "proxStepF32"},
 		proxStepBits[float64, ref64], proxStepBits[float32, ref32]},
+	{"ByteQuantizer", []string{"maxAbsDiffF64", "quantizeBytesF64", "dequantizeBytesF64"}, byteQuantizerBits, nil},
 }
 
 // TestStripsMatchGenericBits runs every kernel that has assembly strips
@@ -121,7 +123,9 @@ func TestStripsMatchGenericBits(t *testing.T) {
 	for _, c := range stripTable {
 		t.Logf("%s drives %v", c.kernel, c.strips)
 		t.Run(c.kernel+"/f64", c.f64)
-		t.Run(c.kernel+"/f32", c.f32)
+		if c.f32 != nil {
+			t.Run(c.kernel+"/f32", c.f32)
+		}
 	}
 }
 
@@ -188,6 +192,167 @@ func proxStepBits[T, R Float](t *testing.T) {
 				if !sameBits(t, "ProxStep", at.buf, ar.buf) {
 					t.Fatalf("at n=%d kind=%d mu=%v", n, kind, mu)
 				}
+			}
+		}
+	}
+}
+
+// quantOperands draws a vector and its base for the byte quantiser's
+// strips. Kinds 0–2 are operand's (a base plus a small step; ±0 and
+// subnormals; ±Inf, and NaNs put in by hand); 3 is v = base, a scale of 0;
+// 4 has integer differences in [−s, s], which under a scale of s land
+// exactly on a level (t − f = 0); 5 has subnormal differences, so s/scale
+// overflows and every t is ±Inf or NaN.
+func quantOperands(rng *frand.Source, n, kind, s int) (v, base []float64) {
+	base = operand(rng, n, min(kind, 2))
+	v = make([]float64, n)
+	for i := range v {
+		switch kind {
+		case 0:
+			v[i] = base[i] + 0.01*rng.Norm()
+		case 1, 2:
+			v[i] = base[i]
+			if rng.Intn(3) > 0 {
+				v[i] = operand(rng, 1, kind)[0]
+			}
+			if kind == 2 && rng.Intn(8) == 0 {
+				v[i] = math.NaN()
+			}
+		case 3:
+			v[i] = base[i]
+		case 4:
+			base[i] = float64(rng.IntRange(-1000, 1000))
+			v[i] = base[i] + float64(rng.IntRange(-s, s))
+			if i == 0 {
+				v[i] = base[i] + float64(s)
+			}
+		case 5:
+			base[i] = 0
+			v[i] = 5e-324 * float64(rng.IntRange(-40, 40))
+		}
+	}
+	return v, base
+}
+
+const (
+	quantLevels = 127 // s at 8 bits
+	byteCanary  = 0xa5
+)
+
+// canaried returns a byte buffer of canaries and the n-byte window at an
+// odd offset inside it.
+func canaried(n int) (buf, window []byte) {
+	buf = make([]byte, n+16)
+	for i := range buf {
+		buf[i] = byteCanary
+	}
+	return buf, buf[5 : 5+n : 5+n]
+}
+
+var quantLens = []int{0, 1, 3, 4, 5, 7, 8, 9, 31, 32, 33, 7850}
+
+// byteQuantizerBits drives the byte quantiser's three loops the way comm's
+// codec chains them — the maximum sets the scale, the scale the quantiser's
+// invUnit and the dequantiser's unit — on []float64 (strips) and []ref64
+// (the Go loops): the maxima, the level bytes and their canaries, the
+// rounding stream's final state and the whole operand arenas must agree
+// bit for bit.
+func byteQuantizerBits(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2 on this machine: the Go loops are the quantiser's only path")
+	}
+	t.Run("stream continuity", quantizeStreamContinuity)
+	rng := frand.New(11)
+	const s = quantLevels
+	for _, n := range quantLens {
+		for kind := 0; kind < 6; kind++ {
+			at, ar := newArena[float64](3*n+32), newArena[ref64](3*n+32)
+			v, base := quantOperands(rng, n, kind, s)
+			vt, bt, ot := at.take(v), at.take(base), at.take(make([]float64, n))
+			vr, br, or := ar.take(v), ar.take(base), ar.take(make([]float64, n))
+
+			scale, want := MaxAbsDiff(vt, bt), MaxAbsDiff(vr, br)
+			if bitsOf(scale) != bitsOf(want) {
+				t.Fatalf("MaxAbsDiff n=%d kind=%d: %v, generic body has %v", n, kind, scale, want)
+			}
+			if kind == 3 && scale != 0 || kind == 5 && n > 8 && !math.IsInf(quantLevels/scale, 1) {
+				t.Fatalf("n=%d kind=%d: scale %v is not the case the kind is for", n, kind, scale)
+			}
+			invUnit := 1.0 // what a zero scale leaves nothing to divide
+			if scale != 0 {
+				invUnit = s / scale
+			}
+			const state = 0xfeedface
+			st, sr := frand.New(state), frand.New(state)
+			buft, qt := canaried(n)
+			bufr, qr := canaried(n)
+			QuantizeBytes(qt, vt, bt, invUnit, s, st)
+			QuantizeBytes(qr, vr, br, ref64(invUnit), s, sr)
+			if string(buft) != string(bufr) || st.State() != sr.State() {
+				t.Fatalf("QuantizeBytes n=%d kind=%d: bytes %v state %#x, generic body has %v, %#x", n, kind, buft, st.State(), bufr, sr.State())
+			}
+			// Every byte value, not just the ones this vector rounded to.
+			for i := range qt {
+				if i%2 == 1 {
+					qt[i] = byte(rng.Intn(256))
+				}
+			}
+			DequantizeBytes(ot, qt, bt, scale/s, s)
+			DequantizeBytes(or, qt, br, ref64(scale/s), s)
+			if !sameBits(t, "quantiser", at.buf, ar.buf) {
+				t.Fatalf("at n=%d kind=%d", n, kind)
+			}
+		}
+	}
+}
+
+// quantizeStreamContinuity: the quantiser's strip makes frand.Source's
+// draws, in order, and hands the stream back where a Source that made them
+// would be. Its first draws are pinned against Source.Float64 itself — a
+// coordinate equal to its own draw must not round up (r < r is false), the
+// next float64 above it must — and for every split point k the strip on
+// [0, k) followed by the Go loop on [k, n) gives the bytes and the final
+// state of the Go loop on [0, n).
+func quantizeStreamContinuity(t *testing.T) {
+	const s, state, n = quantLevels, 0x5eed, 37
+	src := frand.New(state)
+	draws, above, zeros := make([]float64, 8), make([]float64, 8), make([]float64, 8)
+	for i := range draws {
+		draws[i] = src.Float64()
+		above[i] = math.Nextafter(draws[i], 2)
+	}
+	for up, v := range [][]float64{draws, above} {
+		st, q := frand.New(state), make([]byte, len(v))
+		QuantizeBytes(q, v, zeros, 1, s, st)
+		for i, b := range q {
+			if int(b) != s+up {
+				t.Fatalf("draw %d: level %d for a coordinate %d ulp above frand's draw %v, want %d", i, int(b)-s, up, draws[i], up)
+			}
+		}
+		if st.State() != src.State() {
+			t.Fatalf("stream at %#x after %d draws, frand.Source is at %#x", st.State(), len(v), src.State())
+		}
+	}
+
+	rng := frand.New(12)
+	for kind := 0; kind < 6; kind++ {
+		v, base := quantOperands(rng, n, kind, s)
+		invUnit := 1.0
+		if scale := MaxAbsDiff(v, base); scale != 0 {
+			invUnit = s / scale
+		}
+		vr, br := make([]ref64, n), make([]ref64, n)
+		for i := range v {
+			vr[i], br[i] = ref64(v[i]), ref64(base[i])
+		}
+		want, wantSt := make([]byte, n), frand.New(state)
+		QuantizeBytes(want, vr, br, ref64(invUnit), s, wantSt)
+		for k := 0; k <= n; k++ {
+			got, st := make([]byte, n), frand.New(state)
+			QuantizeBytes(got[:k], v[:k], base[:k], invUnit, s, st)
+			QuantizeBytes(got[k:], vr[k:], br[k:], ref64(invUnit), s, st)
+			if string(got) != string(want) || st.State() != wantSt.State() {
+				t.Fatalf("kind %d split at %d: bytes %v state %#x, one Go loop has %v, %#x", kind, k, got, st.State(), want, wantSt.State())
 			}
 		}
 	}

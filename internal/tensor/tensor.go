@@ -19,8 +19,10 @@
 // hand-written AVX assembly on amd64 (strips_amd64.s), at both widths:
 // the two-weight-row inner loops of MatMulNT (against four examples and
 // against one), the two-destination-row inner loops of AddOuterPanel
-// (four examples and one), and ProxStep. Nothing else has assembly, and
-// no assembly lives outside this package.
+// (four examples and one), and ProxStep. Three more — the ones a profile
+// of a codec round names — exist as AVX2 assembly at float64 only, against
+// a non-nil base: quant.go's MaxAbsDiff, QuantizeBytes and DequantizeBytes.
+// Nothing else has assembly, and no assembly lives outside this package.
 //
 // The generic Go bodies are the specification. A strip performs, element
 // by element, exactly the multiplies, adds and subtracts its Go loop
@@ -32,18 +34,26 @@
 // the repository holds on either path, and speed is the only difference.
 // A strip takes pointers and lengths and touches exactly the index range
 // its Go loop touches; shape checks, empty batches and zero-length rows
-// never reach one.
+// never reach one. The quantiser's strips take the multiple-of-four prefix
+// of a vector and the Go loop finishes the tail in the same order.
+//
+// QuantizeBytes draws from a frand.Source, once per coordinate in index
+// order, and frand stays the definition of that stream: SplitMix64 is
+// counter-based (draw i is mix(state + i·γ)), so the strip makes four
+// draws in four lanes and leaves the Source at state + n·γ, where n scalar
+// draws would — the tail, the next encode, a stream restored from a
+// checkpoint continue the same sequence.
 //
 // Which path runs is decided inside the generic function: stripSize
-// asserts the slice to []float64 or []float32 and consults hasAVX, set
-// once at init from CPUID and XGETBV. There is no flag, environment
-// variable, build tag or exported switch; other architectures, and amd64
-// parts without AVX, run the Go bodies alone. The oracle test needs no
-// switch either: TestStripsMatchGenericBits instantiates the same
-// generic functions over locally defined float64- and float32-based types,
-// which fail that assertion and so take the Go loop, and compares the two
-// paths' whole operand arenas (canaries around every operand included)
-// with math.Float64bits and math.Float32bits.
+// asserts the slice to []float64 or []float32 and consults hasAVX (and
+// quantPrefix hasAVX2), set once at init from CPUID and XGETBV. There is
+// no flag, environment variable, build tag or exported switch; other
+// architectures, and amd64 parts without AVX (AVX2), run the Go bodies
+// alone. The oracle test needs no switch either: TestStripsMatchGenericBits
+// instantiates the same generic functions over locally defined float64-
+// and float32-based types, which fail that assertion and so take the Go
+// loop, and compares the two paths' whole operand arenas (canaries around
+// every operand included) with math.Float64bits and math.Float32bits.
 //
 // The Go bodies round every product and sum separately only as long as
 // the compiler does not fuse them itself. On amd64 that is the default
