@@ -40,7 +40,6 @@ import (
 	"fedprox/internal/core"
 	"fedprox/internal/experiments"
 	"fedprox/internal/fednet"
-	"fedprox/internal/frand"
 	"fedprox/internal/obs"
 	"fedprox/internal/tier"
 )
@@ -141,9 +140,9 @@ func main() {
 			fail(fmt.Errorf("-index %d outside [0,%d)", *index, edges))
 		}
 		lo, hi := tier.Partition(w.Fed.NumDevices(), edges, *index)
-		// Each edge runs its own selection streams: decorrelate them the
-		// way the simulator's tiered driver seeds its nodes.
-		cfg.Seed = frand.New(*seed).Split("tier").SplitIndex(*index).State()
+		// Each edge runs its own selection streams, seeded as the simulator
+		// seeds the same node: the root is node 0, so edge i is node i+1.
+		cfg.Seed = tier.NodeSeed(*seed, *index+1)
 		edge, err := fednet.NewEdge(w.Model, fednet.EdgeConfig{
 			Training:       cfg,
 			ExpectDevices:  hi - lo,

@@ -365,9 +365,9 @@ func cmdSummary(args []string) {
 		case obs.KindEval:
 			totEvals++
 			// An eval stamps the most recent closed row when it follows
-			// the close (sync cadence), else the open window. Stepped
-			// edges answer the eval command with a NaN placeholder — only
-			// finite losses land in the table.
+			// the close (sync cadence), else the open window. A replayed
+			// trace's evals are NaN placeholders (replay trains nothing) —
+			// only finite losses land in the table.
 			if math.IsNaN(e.Loss) {
 				break
 			}

@@ -83,19 +83,6 @@ func (l *commLinks) broadcast(k int, wt []float64) (*comm.Update, []float64, int
 	return u, view, u.WireBytes(), nil
 }
 
-// uplinkEncode encodes the device's local solution against the broadcast
-// view it trained from, exactly as the worker-side encoder does
-// (advancing the same rounding stream / error-feedback residual). Safe
-// to call concurrently for distinct devices once broadcast has created
-// their codecs.
-func (l *commLinks) uplinkEncode(k int, wk, view []float64) (*comm.Update, error) {
-	_, enc, err := l.state.Link(k)
-	if err != nil {
-		return nil, fmt.Errorf("core: device %d: %w", k, err)
-	}
-	return enc.Encode(wk, view), nil
-}
-
 // uplinkDecode reconstructs a device's uplink reply against the
 // broadcast view it trained from. Decoding is stateless. The result is a
 // pooled vector the caller owns: a synchronous round holds it until its

@@ -9,19 +9,23 @@ package core
 //
 // The coordinator consumes events (RegisterWorker, HandleReply, Tick,
 // WorkerLost, EvalDone, LossObserved) and emits commands (Dispatch,
-// Evaluate, ObserveLoss, AdvanceClock, Pause, Done). One interpreter,
-// core.Drive (drive.go), executes them against a Backend; the executors
-// are its backends:
+// Evaluate, ObserveLoss, AdvanceClock, Done). One interpreter, core.Drive
+// (drive.go), executes them against a Backend; the executors are its
+// backends:
 //
 //   - simBackend (run.go): the in-process synchronous simulator (parallel
 //     local solves, optional virtual-time accounting) — also sync replay
-//     and every tier aggregator of RunTiered, by swapping its reply
-//     source,
+//     and every node of RunTiered, by swapping its reply source,
 //   - vtimeBackend (vsim.go): the deterministic discrete-event executor
 //     of the asynchronous modes on the internal/vtime clock, and async
 //     replay,
-//   - internal/fednet: the TCP runtime (sync, async, tier edge), where
-//     Dispatch becomes a TrainRequest and Evaluate an EvalRequest.
+//   - internal/fednet: the TCP runtime (sync, async, a tier edge's
+//     children), where Dispatch becomes a TrainRequest and Evaluate an
+//     EvalRequest.
+//
+// A tier edge is not a fourth executor but a device runtime (edge.go):
+// core.Edge owns a coordinator on one of the backends above and runs it a
+// round at a time, one window per dispatch its parent sends.
 //
 // Because all aggregation arithmetic and every environment-stream draw
 // happens here, cross-executor equivalence (same seed ⇒ bit-identical
@@ -68,14 +72,6 @@ type CoordinatorOptions struct {
 	WireEncoded bool
 	// LabelSuffix is appended to the History label (fednet: " [fednet]").
 	LabelSuffix string
-	// Stepped makes the synchronous protocol pause between rounds: after
-	// a round (and its evaluation/checkpoint chain) completes, the
-	// coordinator emits Pause{NextRound} instead of opening the next
-	// round, and waits for Resume. A tiered driver uses this to re-base
-	// an edge coordinator's global model on the parent's view before the
-	// next window's broadcasts are encoded, keeping codec link chains
-	// and environment streams alive across windows. Synchronous only.
-	Stepped bool
 	// Tier is 1 + the coordinator's depth in a tiered topology (1 =
 	// root, 2 = its children, ...); 0 means untiered. Events emitted by
 	// a tiered coordinator carry Tier-1 in obs.Event.Tier, so traces
@@ -172,13 +168,11 @@ type AdvanceClock struct{ Seconds float64 }
 
 func (AdvanceClock) isCommand() {}
 
-// Pause reports that a stepped coordinator (CoordinatorOptions.Stepped)
-// finished its work up to round NextRound and is waiting for Resume
-// before opening it. The driver may read Params, re-base the model, and
-// must call Resume to continue.
-type Pause struct{ NextRound int }
+// pause ends a windowed coordinator's Drive between rounds: the round it
+// was asked for is folded and the next opens with Edge's next window.
+type pause struct{}
 
-func (Pause) isCommand() {}
+func (pause) isCommand() {}
 
 // Done reports that the schedule is complete and History() is final.
 type Done struct{}
@@ -436,7 +430,10 @@ type Coordinator struct {
 	round     *syncRound
 	outcome   *roundOutcome
 	ckptEvery int
-	paused    bool // stepped: a Pause is outstanding, awaiting Resume
+	// windowed marks an Edge's inner coordinator: it opens a round only
+	// when window is called, measures nothing (its parent owns evaluation)
+	// and pauses between rounds; paused says it is waiting for a window.
+	windowed, paused bool
 
 	// asynchronous state
 	isAsync       bool
@@ -464,9 +461,6 @@ func NewCoordinator(mdl model.Model, cfg Config, opts CoordinatorOptions) (*Coor
 	}
 	if opts.NumDevices <= 0 {
 		return nil, errors.New("core: coordinator needs a positive NumDevices")
-	}
-	if opts.Stepped && cfg.Async.Enabled() {
-		return nil, errors.New("core: stepped execution applies only to synchronous rounds")
 	}
 	if opts.Tier < 0 {
 		return nil, fmt.Errorf("core: Tier must be non-negative, got %d", opts.Tier)
@@ -537,30 +531,19 @@ func (c *Coordinator) BindDevice(d *Device) { c.dev = d }
 // History returns the run's trajectory (final once Done was emitted).
 func (c *Coordinator) History() *History { return c.hist }
 
-// Params returns a copy of the current global model parameters. A tiered
-// driver reads an edge coordinator's fold here while it is paused, to
-// present it upstream as that edge's device reply.
-func (c *Coordinator) Params() []float64 {
-	out := make([]float64, len(c.w))
-	copy(out, c.w)
-	return out
-}
-
-// Resume continues a stepped coordinator past an outstanding Pause,
-// optionally re-basing the global model on view first (nil keeps the
-// current parameters). The re-base happens before the next round's
-// broadcasts are encoded, so codec link chains stay consistent; this is
-// how a tiered driver folds the parent's aggregate back into an edge.
-func (c *Coordinator) Resume(view []float64) ([]Command, error) {
+// window opens a windowed coordinator's next round with the global model
+// re-based on view, the parent's broadcast. The re-base happens before the
+// round's broadcasts are encoded, so codec link chains and environment
+// streams carry over from window to window. Driving the returned commands
+// ends on pause (or Done, after the last round) with the fold in c.w.
+func (c *Coordinator) window(view []float64) ([]Command, error) {
 	if !c.paused {
-		return nil, errors.New("core: Resume without an outstanding Pause")
+		return nil, errors.New("core: a window needs a started edge with no window outstanding")
 	}
-	if view != nil {
-		if len(view) != len(c.w) {
-			return nil, fmt.Errorf("core: Resume view has %d params, model has %d", len(view), len(c.w))
-		}
-		copy(c.w, view)
+	if len(view) != len(c.w) {
+		return nil, fmt.Errorf("core: window view has %d params, model has %d", len(view), len(c.w))
 	}
+	copy(c.w, view)
 	c.paused = false
 	return c.beginRound()
 }
@@ -725,18 +708,18 @@ func (c *Coordinator) startSync() ([]Command, error) {
 		c.ckptEvery = c.cfg.EvalEvery
 	}
 	c.t = startRound
-	if startRound == 0 {
+	if startRound == 0 && !c.windowed {
 		return c.beginEval(0, c.cfg.Mu, math.NaN(), 0, c.nextRound)
 	}
 	return c.nextRound()
 }
 
-// nextRound opens round c.t — or, on a stepped coordinator with rounds
-// remaining, pauses and waits for Resume to open it.
+// nextRound opens round c.t — or, on a windowed coordinator with rounds
+// remaining, pauses until window opens it.
 func (c *Coordinator) nextRound() ([]Command, error) {
-	if c.opts.Stepped && c.t < c.cfg.Rounds {
+	if c.windowed && c.t < c.cfg.Rounds {
 		c.paused = true
-		return []Command{Pause{NextRound: c.t}}, nil
+		return []Command{pause{}}, nil
 	}
 	return c.beginRound()
 }
@@ -1165,7 +1148,7 @@ func (c *Coordinator) LossObserved(loss float64) ([]Command, error) {
 func (c *Coordinator) afterObserve(out *roundOutcome) ([]Command, error) {
 	t := out.t
 	needEval := (t+1)%c.cfg.EvalEvery == 0 || t == c.cfg.Rounds-1
-	if needEval {
+	if needEval && !c.windowed {
 		return c.beginEval(t+1, out.mu, out.gamma, out.participants, func() ([]Command, error) {
 			return c.afterRecord(t)
 		})

@@ -16,14 +16,21 @@ package core
 //     error-feedback residuals,
 //
 // behind HandleDispatch/HandleEval, with no I/O, no clocks, and no
-// goroutines of its own. Three executors drive the same type:
+// goroutines of its own. Every executor drives the same type:
 //
 //   - core.Run hosts one Device over every shard and serves each round's
 //     Dispatch commands in parallel against it,
 //   - the virtual-time driver (vsim.go) solves each Dispatch eagerly on
 //     the same Device and defers only the reply's arrival,
 //   - fednet.Worker wraps one Device per hosted shard set and translates
-//     TrainRequest/EvalRequest wire messages into these events.
+//     TrainRequest/EvalRequest wire messages into these events,
+//   - every leaf edge of RunTiered serves its windows on one Device shared
+//     across the tree.
+//
+// An aggregator is the same shape from above: Edge (edge.go) answers the
+// same four calls — Hosted, InstallLinks, HandleDispatch, HandleEval — with
+// a coordinator window where Device runs a solver, and shares this file's
+// decode and reply-encode halves.
 //
 // Because the solve, the truncation, the privacy hook, and both codec
 // endpoints run through this one type, device-side behavior cannot drift
@@ -291,11 +298,13 @@ func (dv *Device) SupportsPrecision(p tensor.Precision) bool {
 }
 
 // SeedEvalPrev installs an eval chain base received from the server — a
-// re-admitted worker joins an eval chain already in progress.
-func (dv *Device) SeedEvalPrev(prev []float64) {
+// re-admitted worker joins an eval chain already in progress. A Device
+// always can (the error is Edge's, which cannot).
+func (dv *Device) SeedEvalPrev(prev []float64) error {
 	if dv.links != nil {
 		dv.links.eval.SeedPrev(prev)
 	}
+	return nil
 }
 
 // Hosted returns the hosted devices as registration entries, in
@@ -344,35 +353,9 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 	if releaseShard != nil {
 		defer releaseShard()
 	}
-	view := d.View
-	if d.Update != nil {
-		if dv.links == nil {
-			return Reply{}, fmt.Errorf("core: encoded dispatch for device %d on a runtime without links", d.Device)
-		}
-		// Before the decode: a first-contact topk decode allocates N words.
-		if d.Update.N != dv.mdl.NumParams() {
-			return Reply{}, fmt.Errorf("core: parameter length %d != model %d", d.Update.N, dv.mdl.NumParams())
-		}
-		dec, _, err := dv.links.state.Link(d.Device)
-		if err != nil {
-			return Reply{}, err
-		}
-		v, err := dec.Decode(d.Update, dv.links.state.Prev(d.Device))
-		if err != nil {
-			return Reply{}, err
-		}
-		// The decoding endpoint releases (comm.Update.Release), once priced.
-		view, d.DownBytes = v, d.Update.WireBytes()
-		d.Update.Release()
-	}
-	if view == nil {
-		return Reply{}, errors.New("core: dispatch carries neither an encoded update nor a decoded view")
-	}
-	if len(view) != dv.mdl.NumParams() {
-		return Reply{}, fmt.Errorf("core: parameter length %d != model %d", len(view), dv.mdl.NumParams())
-	}
-	if d.Update != nil {
-		dv.links.state.SetPrev(d.Device, view)
+	view, err := receiveBroadcast(dv.links, &d, dv.mdl.NumParams())
+	if err != nil {
+		return Reply{}, err
 	}
 
 	// Variable local work: the device, not the server, decides how much
@@ -389,15 +372,9 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 	if dv.priv != nil {
 		dv.priv.Apply(wk, view, d.PrivacyTag, d.Device)
 	}
-	r := Reply{Device: d.Device, EpochsDone: epochs}
-	if dv.links != nil {
-		u, err := dv.links.uplinkEncode(d.Device, wk, view)
-		if err != nil {
-			return Reply{}, err
-		}
-		r.Update = u
-	} else {
-		r.Params = wk
+	r, err := uplinkReply(dv.links, d.Device, epochs, wk, view)
+	if err != nil {
+		return Reply{}, err
 	}
 	if dv.gamma {
 		// γ measures the (post-privacy) local solution against the
@@ -425,6 +402,60 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 		tensor.PutVec(wk)
 	}
 	return r, nil
+}
+
+// receiveBroadcast is the one decode rule of a device runtime, Device and
+// Edge alike. An encoded broadcast is checked against the model's size
+// (before the decode: a first-contact topk decode allocates N words),
+// decoded against this endpoint's shadow of device d.Device's downlink
+// chain, priced into d.DownBytes, released — the decoding endpoint is the
+// owner (comm.Update.Release) — and recorded as the chain's new base; the
+// view is then a pooled vector the caller recycles. Without one the
+// dispatch's decoded View is what the device trains from.
+func receiveBroadcast(links *commLinks, d *Dispatch, n int) ([]float64, error) {
+	view := d.View
+	if d.Update != nil {
+		if links == nil {
+			return nil, fmt.Errorf("core: encoded dispatch for device %d on a runtime without links", d.Device)
+		}
+		if d.Update.N != n {
+			return nil, fmt.Errorf("core: parameter length %d != model %d", d.Update.N, n)
+		}
+		dec, _, err := links.state.Link(d.Device)
+		if err != nil {
+			return nil, err
+		}
+		if view, err = dec.Decode(d.Update, links.state.Prev(d.Device)); err != nil {
+			return nil, err
+		}
+		d.DownBytes = d.Update.WireBytes()
+		d.Update.Release()
+	}
+	if view == nil {
+		return nil, errors.New("core: dispatch carries neither an encoded update nor a decoded view")
+	}
+	if len(view) != n {
+		return nil, fmt.Errorf("core: parameter length %d != model %d", len(view), n)
+	}
+	if d.Update != nil {
+		links.state.SetPrev(d.Device, view)
+	}
+	return view, nil
+}
+
+// uplinkReply is the other half: device k's reply carrying wk, the
+// solution it reached from view — encoded against view on the device's
+// stateful uplink encoder (its rounding stream, its error-feedback
+// residual) on a runtime with links, raw otherwise.
+func uplinkReply(links *commLinks, k, epochs int, wk, view []float64) (Reply, error) {
+	if links == nil {
+		return Reply{Device: k, EpochsDone: epochs, Params: wk}, nil
+	}
+	_, enc, err := links.state.Link(k)
+	if err != nil {
+		return Reply{}, fmt.Errorf("core: device %d: %w", k, err)
+	}
+	return Reply{Device: k, EpochsDone: epochs, Update: enc.Encode(wk, view)}, nil
 }
 
 // HandleEval serves one evaluation broadcast: decode it on the shared

@@ -44,11 +44,11 @@ type Backend interface {
 var errStalled = errors.New("core: coordinator stalled: no commands queued and no replies in flight")
 
 // Drive is the command interpreter every executor shares: it runs cmds
-// (what Start, Resume, or an event method returned) and everything they
-// provoke, strictly FIFO, against b, until the coordinator reports Done
-// — or Pause, for a stepped coordinator, whose driver re-bases it and
-// calls Drive again with Resume's commands. The ending command is
-// returned; commands queued behind it are not run.
+// (what Start or an event method returned) and everything they provoke,
+// strictly FIFO, against b, until the coordinator reports Done — or, for
+// the windowed coordinator inside an Edge, pauses between rounds; Edge
+// calls Drive again with its next window's commands. The ending command
+// is returned; commands queued behind it are not run.
 func Drive(coord *Coordinator, b Backend, cmds []Command) (end Command, err error) {
 	for {
 		for len(cmds) == 0 {
@@ -91,7 +91,7 @@ func Drive(coord *Coordinator, b Backend, cmds []Command) (end Command, err erro
 			}
 		case AdvanceClock:
 			err = b.AdvanceClock(v.Seconds)
-		case Pause, Done:
+		case pause, Done:
 			return cmd, nil
 		default:
 			err = fmt.Errorf("core: Drive: unknown command %T", cmd)

@@ -105,19 +105,19 @@ func TestDriveStopsOnBackendError(t *testing.T) {
 	}
 }
 
-// TestDrivePauseLeavesTheRest: Pause ends Drive without running what is
-// queued behind it.
+// TestDrivePauseLeavesTheRest: a windowed coordinator's pause ends Drive
+// without running what is queued behind it.
 func TestDrivePauseLeavesTheRest(t *testing.T) {
 	b := &scriptBackend{}
-	end, err := Drive(nil, b, []Command{Pause{NextRound: 4}, AdvanceClock{1}, Done{}})
+	end, err := Drive(nil, b, []Command{pause{}, AdvanceClock{1}, Done{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := end.(Pause); !ok || p.NextRound != 4 {
-		t.Fatalf("ended on %#v, want Pause{4}", end)
+	if _, ok := end.(pause); !ok {
+		t.Fatalf("ended on %#v, want pause", end)
 	}
 	if len(b.log) != 0 {
-		t.Fatalf("commands behind Pause ran: %q", b.log)
+		t.Fatalf("commands behind pause ran: %q", b.log)
 	}
 }
 

@@ -75,7 +75,7 @@ func RunFleet(m model.Model, fl Fleet, cfg Config) (*History, error) {
 }
 
 // simBackend is the synchronous in-process Backend: sim, sync replay and
-// every tier aggregator are this type with a different reply source. A
+// every node of RunTiered are this type with a different reply source. A
 // round's replies are in hand as soon as its cohort was served, so
 // nothing is ever in flight between commands.
 type simBackend struct {
@@ -93,9 +93,8 @@ func (b *simBackend) Wait() ([]Command, error)                { return nil, nil 
 type inProcess struct {
 	coord *Coordinator
 	vt    *vtimer // nil without a latency model
-	// eval is the evaluator. Nil marks a tier aggregator below the root:
-	// it broadcasts nothing and measures nothing, so its evaluations are
-	// NaN stubs that cost no clock.
+	// eval is the evaluator; nil under a tier edge, whose windowed
+	// coordinator plans no evaluation.
 	eval func(Evaluate) EvalResult
 	// loss answers ObserveLoss; nil where adaptive-μ cannot run (replay,
 	// tiers, asynchronous schedules).
@@ -104,7 +103,7 @@ type inProcess struct {
 
 func (b *inProcess) Evaluate(v Evaluate) (EvalResult, error) {
 	if b.eval == nil {
-		return nanEval(v), nil
+		return EvalResult{}, errors.ErrUnsupported
 	}
 	if b.vt != nil {
 		// Eval traffic is charged on the virtual clock too, so eval
@@ -181,9 +180,8 @@ func simEval(m model.Model, fl Fleet, v Evaluate) EvalResult {
 }
 
 // nanEval answers an Evaluate where there is nothing truthful to
-// measure: trace replay never trained the model, and tier aggregators
-// below the root never measure the network (only the root does), so
-// their points carry NaNs.
+// measure: trace replay never trained the model, so its points carry
+// NaNs.
 func nanEval(Evaluate) EvalResult {
 	nan := math.NaN()
 	return EvalResult{Loss: nan, Acc: nan, GradVar: nan, B: nan}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,10 +195,17 @@ func TestTieredRejectsUnsupportedAxes(t *testing.T) {
 	}
 }
 
+// TestSteppedCoordinatorPauseResume drives one Edge by hand: what its
+// inner coordinator's windowing refuses, what a window broadcasts, and
+// what comes back upstream.
 func TestSteppedCoordinatorPauseResume(t *testing.T) {
 	m, fed := tinyWorkload()
 	cfg := tieredConfig(2)
-	coord, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: fed.NumDevices(), Stepped: true})
+	coord, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: fed.NumDevices()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := NewEdge(coord, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,63 +213,67 @@ func TestSteppedCoordinatorPauseResume(t *testing.T) {
 	if _, err := coord.RegisterWorker(dev.Hosted()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Resume(nil); err == nil {
-		t.Fatal("Resume before Start accepted")
-	}
-	cmds, err := coord.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round 0's evaluation completes into a Pause rather than a round.
-	ev, ok := cmds[0].(Evaluate)
-	if !ok {
-		t.Fatalf("first command %T, want Evaluate", cmds[0])
-	}
-	cmds, err = coord.EvalDone(simEval(m, fed.Fleet(), ev))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pause, ok := cmds[len(cmds)-1].(Pause)
-	if !ok || pause.NextRound != 0 {
-		t.Fatalf("after eval: %T %+v, want Pause{0}", cmds[len(cmds)-1], cmds[len(cmds)-1])
-	}
-	if _, err := coord.Resume(make([]float64, 1)); err == nil {
-		t.Fatal("Resume with mismatched view accepted")
-	}
-	// Re-base on a fresh view: the next round's broadcasts carry it.
 	view := make([]float64, m.NumParams())
 	for i := range view {
 		view[i] = float64(i%7) * 0.01
 	}
-	cmds, err = coord.Resume(view)
-	if err != nil {
+	if _, err := edge.HandleDispatch(Dispatch{Device: 3, Epochs: 2, View: view}); err == nil {
+		t.Fatal("window before Start accepted")
+	}
+	sent, rebased := 0, true
+	b := &simBackend{inProcess: inProcess{coord: coord}, serve: func(ds []Dispatch) ([]Reply, error) {
+		for _, d := range ds { // without links View is the model itself: compare before the fold
+			sent++
+			rebased = rebased && slices.Equal(d.View, view)
+		}
+		return runDispatches(dev, 1, nil, ds)
+	}}
+	if err := edge.Start(b, nil); err != nil {
 		t.Fatal(err)
 	}
-	var sent int
-	for _, cmd := range cmds {
-		d, ok := cmd.(Dispatch)
-		if !ok {
-			t.Fatalf("post-Resume command %T, want Dispatch", cmd)
-		}
-		for i, v := range d.View {
-			if v != view[i] {
-				t.Fatal("broadcast view not re-based on the Resume view")
-			}
-		}
-		sent++
+	if _, err := edge.HandleDispatch(Dispatch{Device: 3, Epochs: 2, View: make([]float64, 1)}); err == nil || !strings.Contains(err.Error(), "parameter length 1") {
+		t.Fatalf("window with a mismatched view: %v, want the length named", err)
+	}
+	// Re-based on the parent's view: the window's broadcasts carry it, and
+	// the fold comes back as pseudo-device 3's full-target solution.
+	r, err := edge.HandleDispatch(Dispatch{Device: 3, Epochs: 2, View: view})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if sent != cfg.ClientsPerRound {
 		t.Fatalf("dispatches %d, want %d", sent, cfg.ClientsPerRound)
 	}
-	if _, err := coord.Resume(nil); err == nil {
-		t.Fatal("Resume without an outstanding Pause accepted")
+	if !rebased {
+		t.Fatal("broadcast view not re-based on the parent's view")
 	}
-	// Stepped is a synchronous-protocol option only.
+	if r.Device != 3 || r.EpochsDone != 2 || len(r.Params) != len(view) || slices.Equal(r.Params, view) {
+		t.Fatalf("reply %+v, want device 3's trained fold at the dispatched target", r)
+	}
+	// An edge measures nothing: no point was recorded, and in process no
+	// evaluation is forwarded through it either.
+	if n := len(coord.History().Points); n != 0 {
+		t.Fatalf("windowed coordinator recorded %d points", n)
+	}
+	if _, err := edge.HandleEval(EvalRequest{Params: view}); err == nil {
+		t.Fatal("in-process edge accepted an evaluation")
+	}
+	// One window at a time.
+	if _, err := coord.window(view); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.window(view); err == nil {
+		t.Fatal("second window opened while one is outstanding")
+	}
+	// An edge is windowed by its parent's rounds: synchronous only.
 	async := cfg
 	async.Async = AsyncConfig{Mode: AsyncTotal}
 	async.VTime = VTimeConfig{Model: vtimeModel(fed.NumDevices(), 3)}
-	if _, err := NewCoordinator(m, async, CoordinatorOptions{NumDevices: 4, Stepped: true}); err == nil {
-		t.Fatal("stepped async coordinator accepted")
+	ac, err := NewCoordinator(m, async, CoordinatorOptions{NumDevices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEdge(ac, 0); err == nil || !strings.Contains(err.Error(), "root-only") {
+		t.Fatalf("asynchronous edge: %v, want a root-only refusal", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package fednet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"time"
 
@@ -13,16 +12,16 @@ import (
 
 // This file is the package's one core.Backend: the transport under every
 // coordinator that runs over real connections — a Server's synchronous
-// rounds, its asynchronous modes (core.AsyncTotal, core.Buffered) and a
-// tier Edge's child-facing windows. All protocol logic lives in
-// core.Coordinator; the backend only owns the sockets. Dispatch and
-// Evaluate commands become pipelined TrainRequests and broadcast
-// EvalRequests, one reader goroutine per connection routes whatever comes
-// back to the goroutine driving the coordinator, and every way a worker
-// can fail — a receive error, a malformed frame, a request unanswered for
-// RequestTimeout, a reply nothing asked for, evaluation rows it cannot
-// have, a send that does not complete — ends in failConn and
-// Coordinator.WorkerLost. What that costs is the coordinator's answer
+// rounds, its asynchronous modes (core.AsyncTotal, core.Buffered) and the
+// windows a tier Edge's core.Edge runs over its children. All protocol
+// logic lives in core.Coordinator; the backend only owns the sockets.
+// Dispatch and Evaluate commands become pipelined TrainRequests and
+// broadcast EvalRequests, one reader goroutine per connection routes
+// whatever comes back to the goroutine driving the coordinator, and every
+// way a worker can fail — a receive error, a malformed frame, a request
+// unanswered for RequestTimeout, a reply nothing asked for, evaluation
+// rows it cannot have, a send that does not complete — ends in failConn
+// and Coordinator.WorkerLost. What that costs is the coordinator's answer
 // alone: a synchronous run cannot continue without its workers and fails
 // by name, an asynchronous one charges the in-flight work as waste and
 // aggregates on from the survivors.
@@ -60,11 +59,7 @@ type connState struct {
 // the coordinator's commands on it, and Wait blocks for the next
 // transport event and translates it.
 type wireBackend struct {
-	s *Server
-	// stubEval answers the coordinator's own Evaluate commands with NaN:
-	// a tier edge's parent owns real evaluation and reaches the children
-	// through gather.
-	stubEval bool
+	s        *Server
 	conns    map[*conn]*connState
 	inflight map[int]sent // device -> its outstanding TrainRequest
 	replyCh  chan wireMsg
@@ -134,16 +129,6 @@ func (b *wireBackend) close() {
 		_ = c.send(Envelope{Shutdown: &Shutdown{}})
 		_ = c.close()
 	}
-}
-
-// run starts the coordinator and drives it on b to the command that ends
-// the drive: Done, or a stepped coordinator's first Pause.
-func (b *wireBackend) run() (core.Command, error) {
-	cmds, err := b.s.coord.Start()
-	if err != nil {
-		return nil, err
-	}
-	return core.Drive(b.s.coord, b, cmds)
 }
 
 // admit processes one registration, before or during the run: the codec
@@ -250,11 +235,9 @@ func (b *wireBackend) provoked(cmds []core.Command, err error) error {
 }
 
 // Evaluate gathers distributed metrics for one Evaluate command and
-// combines them (combineEvals).
+// combines them (combineEvals). A tier Edge's coordinator plans none: its
+// parent's evaluations reach the children through gather alone.
 func (b *wireBackend) Evaluate(v core.Evaluate) (core.EvalResult, error) {
-	if b.stubEval {
-		return core.EvalResult{Loss: math.NaN(), Acc: math.NaN()}, nil
-	}
 	rows, err := b.gather(v)
 	if err != nil {
 		return core.EvalResult{}, err

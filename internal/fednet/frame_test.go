@@ -173,6 +173,7 @@ type tapListener struct {
 
 type tapConn struct {
 	net.Conn
+	mu      sync.Mutex   // a backend reader may still be recording its EOF when the test parses
 	in, out bytes.Buffer // one reader, and writers the conn's send lock serializes
 }
 
@@ -190,14 +191,25 @@ func (l *tapListener) Accept() (net.Conn, error) {
 
 func (c *tapConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
+	c.mu.Lock()
 	c.in.Write(p[:n])
+	c.mu.Unlock()
 	return n, err
 }
 
 func (c *tapConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
+	c.mu.Lock()
 	c.out.Write(p[:n])
+	c.mu.Unlock()
 	return n, err
+}
+
+// snapshot copies one of the conn's recorded streams for parsing.
+func (c *tapConn) snapshot(b *bytes.Buffer) *bytes.Buffer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return bytes.NewBuffer(bytes.Clone(b.Bytes()))
 }
 
 // TestLoopbackWireBytesAreFrameBytes: the bytes a synchronous loopback
@@ -274,14 +286,14 @@ func TestLoopbackWireBytesAreFrameBytes(t *testing.T) {
 	raw := &comm.Update{Codec: "raw"}
 	read, written := srv.BytesOnWire()
 
-	msgs, total, headers := count(func(tc *tapConn) *bytes.Buffer { return &tc.in })
+	msgs, total, headers := count(func(tc *tapConn) *bytes.Buffer { return tc.snapshot(&tc.in) })
 	if want := map[string]int{"Hello": workers, "TrainReply": rounds * k, "EvalReply": evals * workers}; !reflect.DeepEqual(msgs, want) {
 		t.Errorf("server read %v, want %v", msgs, want)
 	}
 	if total != read || headers != rounds*k*updateHeader(kindTrainReply, raw) {
 		t.Errorf("inbound frames total %d bytes (%d of update headers), BytesOnWire read %d", total, headers, read)
 	}
-	msgs, total, headers = count(func(tc *tapConn) *bytes.Buffer { return &tc.out })
+	msgs, total, headers = count(func(tc *tapConn) *bytes.Buffer { return tc.snapshot(&tc.out) })
 	if want := map[string]int{"Welcome": workers, "TrainRequest": rounds * k, "EvalRequest": evals * workers, "Shutdown": workers}; !reflect.DeepEqual(msgs, want) {
 		t.Errorf("server wrote %v, want %v", msgs, want)
 	}

@@ -87,21 +87,6 @@ type device struct {
 
 // NewServer builds a coordinator for the given model and configuration.
 func NewServer(mdl model.Model, cfg ServerConfig) (*Server, error) {
-	return newServerWithOptions(mdl, cfg, core.CoordinatorOptions{
-		NumDevices: cfg.ExpectDevices,
-		Tier:       cfg.Tier,
-		// The wire protocol always carries encoded updates; no codec
-		// means raw, which reproduces the uncompressed trajectory bit
-		// for bit.
-		WireEncoded: true,
-		LabelSuffix: " [fednet]",
-	})
-}
-
-// newServerWithOptions is NewServer with the coordinator options under
-// the caller's control — the tier edge builds its child-facing half
-// here with a stepped, tier-stamped coordinator.
-func newServerWithOptions(mdl model.Model, cfg ServerConfig, opts core.CoordinatorOptions) (*Server, error) {
 	if err := cfg.Training.Validate(); err != nil {
 		return nil, err
 	}
@@ -133,7 +118,19 @@ func newServerWithOptions(mdl model.Model, cfg ServerConfig, opts core.Coordinat
 	if cfg.ExpectDevices <= 0 {
 		return nil, errors.New("fednet: ExpectDevices must be positive")
 	}
-	coord, err := core.NewCoordinator(mdl, cfg.Training, opts)
+	suffix := " [fednet]"
+	if cfg.Tier > 1 { // the child-facing half of a tier Edge
+		suffix = " [fednet edge]"
+	}
+	coord, err := core.NewCoordinator(mdl, cfg.Training, core.CoordinatorOptions{
+		NumDevices: cfg.ExpectDevices,
+		Tier:       cfg.Tier,
+		// The wire protocol always carries encoded updates; no codec
+		// means raw, which reproduces the uncompressed trajectory bit
+		// for bit.
+		WireEncoded: true,
+		LabelSuffix: suffix,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +187,11 @@ func (s *Server) RunWithListener(ln net.Listener) (*core.History, error) {
 		return nil, err
 	}
 	defer b.close()
-	if _, err := b.run(); err != nil {
+	cmds, err := s.coord.Start()
+	if err == nil {
+		_, err = core.Drive(s.coord, b, cmds)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return s.coord.History(), nil

@@ -11,19 +11,25 @@ import (
 	"fedprox/internal/core"
 	"fedprox/internal/data"
 	"fedprox/internal/model/linear"
+	"fedprox/internal/solver"
+	"fedprox/internal/tensor"
 	"fedprox/internal/tier"
 )
 
-// launchTree deploys a two-tier process tree over loopback TCP: a root
-// coordinator, edges = clients/fanOut edge aggregators each owning a
+// launchTree deploys cfg as a two-tier process tree over loopback TCP: a
+// root coordinator, edges = clients/fanOut edge aggregators each owning a
 // contiguous slice of the fleet, and one worker per edge hosting that
 // slice under edge-local device IDs. Everything runs in-process on real
 // sockets — the exact topology `fedserver -tier root` + `fedserver
-// -tier edge` + `fedworker -tier edge` builds across machines.
-func launchTree(t *testing.T, fed *data.Federated, mdl *linear.Model, rootCfg, edgeCfg core.Config, fanOut int) (*core.History, error) {
+// -tier edge` + `fedworker -tier edge` builds across machines, the root
+// contacting every edge every round with no stragglers of its own and
+// edge i seeded nodeSeed(i).
+func launchTree(t *testing.T, fed *data.Federated, mdl *linear.Model, cfg core.Config, fanOut int, nodeSeed func(edge int) uint64) (*core.History, error) {
 	t.Helper()
-	edges := rootCfg.ClientsPerRound / fanOut
+	edges := cfg.ClientsPerRound / fanOut
+	rootCfg := cfg
 	rootCfg.ClientsPerRound = edges
+	rootCfg.StragglerFraction = 0
 	srv, err := NewServer(mdl, ServerConfig{Training: rootCfg, ExpectDevices: edges})
 	if err != nil {
 		return nil, err
@@ -38,10 +44,10 @@ func launchTree(t *testing.T, fed *data.Federated, mdl *linear.Model, rootCfg, e
 	workerErrs := make([]error, edges)
 	for i := 0; i < edges; i++ {
 		lo, hi := tier.Partition(fed.NumDevices(), edges, i)
-		cfg := edgeCfg
-		cfg.Seed = edgeCfg.Seed + uint64(i)*1009
+		edgeCfg := cfg
+		edgeCfg.Seed = nodeSeed(i)
 		edge, err := NewEdge(mdl, EdgeConfig{
-			Training:      cfg,
+			Training:      edgeCfg,
 			ExpectDevices: hi - lo,
 			DeviceID:      i,
 			FanOut:        fanOut,
@@ -95,6 +101,13 @@ func launchTree(t *testing.T, fed *data.Federated, mdl *linear.Model, rootCfg, e
 	return hist, nil
 }
 
+// simulatorSeeds is the derivation core.RunTiered and `fedserver -tier
+// edge` share: the root is node 0 of the depth-1 tree, so edge i is node
+// i+1.
+func simulatorSeeds(seed uint64) func(int) uint64 {
+	return func(edge int) uint64 { return tier.NodeSeed(seed, edge+1) }
+}
+
 // TestTieredProcessTree is the fednet face of the tentpole: a root and
 // two edge aggregators train a real fleet over sockets, the root only
 // ever sees edges=2 pseudo-device replies per round, and the distributed
@@ -102,12 +115,11 @@ func launchTree(t *testing.T, fed *data.Federated, mdl *linear.Model, rootCfg, e
 func TestTieredProcessTree(t *testing.T) {
 	fed, mdl := testWorkload()
 	const fanOut = 4
-	rootCfg := core.FedProx(6, 8, 3, 0.01, 1) // 8/4 = 2 edges
-	rootCfg.EvalEvery = 2
-	edgeCfg := core.FedProx(6, fanOut, 3, 0.01, 1)
-	edgeCfg.Seed = 21
+	cfg := core.FedProx(6, 8, 3, 0.01, 1) // 8/4 = 2 edges
+	cfg.EvalEvery = 2
+	cfg.Seed = 21
 
-	hist, err := launchTree(t, fed, mdl, rootCfg, edgeCfg, fanOut)
+	hist, err := launchTree(t, fed, mdl, cfg, fanOut, simulatorSeeds(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,15 +150,12 @@ func TestTieredProcessTree(t *testing.T) {
 func TestTieredProcessTreeCodec(t *testing.T) {
 	fed, mdl := testWorkload()
 	const fanOut = 4
-	spec := comm.Spec{Name: "qsgd", Bits: 8}
-	rootCfg := core.FedProx(4, 8, 3, 0.01, 1)
-	rootCfg.EvalEvery = 2
-	rootCfg.Codec = spec
-	edgeCfg := core.FedProx(4, fanOut, 3, 0.01, 1)
-	edgeCfg.Seed = 33
-	edgeCfg.Codec = spec
+	cfg := core.FedProx(4, 8, 3, 0.01, 1)
+	cfg.EvalEvery = 2
+	cfg.Seed = 33
+	cfg.Codec = comm.Spec{Name: "qsgd", Bits: 8}
 
-	hist, err := launchTree(t, fed, mdl, rootCfg, edgeCfg, fanOut)
+	hist, err := launchTree(t, fed, mdl, cfg, fanOut, simulatorSeeds(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +167,176 @@ func TestTieredProcessTreeCodec(t *testing.T) {
 	if fin.Cost.UplinkBytes <= 0 || fin.Cost.UplinkBytes >= raw {
 		t.Fatalf("root ingress %d not compressed below raw %d", fin.Cost.UplinkBytes, raw)
 	}
+}
+
+// TestTieredProcessTreeMatchesRunTiered is cross-executor parity for the
+// tier: a process tree and core.RunTiered run the same core.Edge, one
+// over sockets and one over function calls, so under the simulator's node
+// seeds they produce the same trajectory — with and without stragglers at
+// the leaves, on a raw wire and on a chained deterministic codec.
+func TestTieredProcessTreeMatchesRunTiered(t *testing.T) {
+	fed, mdl := testWorkload()
+	const fanOut = 4
+	topo := tier.Topology{FanOut: fanOut, Depth: 1}
+	for _, codec := range []comm.Spec{{}, {Name: "delta"}} {
+		for _, stragglers := range []float64{0, 0.5} {
+			cfg := core.FedProx(6, 8, 3, 0.01, 1)
+			cfg.EvalEvery = 2
+			cfg.Seed = 77
+			cfg.Codec = codec
+			cfg.StragglerFraction = stragglers
+			sim, err := core.RunTiered(mdl, fed.Fleet(), cfg, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := launchTree(t, fed, mdl, cfg, fanOut, simulatorSeeds(cfg.Seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tree.Points) != len(sim.Points) {
+				t.Fatalf("codec %q stragglers %g: tree recorded %d points, simulator %d", codec.Name, stragglers, len(tree.Points), len(sim.Points))
+			}
+			for i, want := range sim.Points {
+				got := tree.Points[i]
+				if got.Round != want.Round || got.TestAcc != want.TestAcc || got.Participants != want.Participants ||
+					got.Cost.UplinkBytes != want.Cost.UplinkBytes || got.Cost.DownlinkBytes != want.Cost.DownlinkBytes ||
+					got.Cost.DeviceEpochs != want.Cost.DeviceEpochs {
+					t.Errorf("codec %q stragglers %g point %d: tree %+v, simulator %+v", codec.Name, stragglers, i, got, want)
+				}
+				// Not 0: the same per-device losses are summed, but an edge
+				// pre-folds its subtree's into one row before the root adds
+				// the edges', where the simulator's root sums the fleet in
+				// one pass — the additions associate differently.
+				if d := int64(math.Float64bits(got.TrainLoss) - math.Float64bits(want.TrainLoss)); d < -2 || d > 2 {
+					t.Errorf("codec %q stragglers %g point %d: tree loss %v, simulator %v: more than 2 ulp apart", codec.Name, stragglers, i, got.TrainLoss, want.TrainLoss)
+				}
+			}
+		}
+	}
+}
+
+// TestTieredProcessTreeQSGD pins what holds between the two tiers under a
+// stochastic codec today: both train, and the root's ingress is equal
+// byte for byte. The trajectories are not bit-equal, for two reasons: in
+// process the leaves key their uplink rounding streams by global device id
+// on the one fleet Device where a tree's workers key them by edge-local
+// id, and a tree re-quantises the evaluation broadcast at the edge hop.
+func TestTieredProcessTreeQSGD(t *testing.T) {
+	fed, mdl := testWorkload()
+	const fanOut = 4
+	cfg := core.FedProx(6, 8, 3, 0.01, 1)
+	cfg.EvalEvery = 2
+	cfg.Seed = 77
+	cfg.Codec = comm.Spec{Name: "qsgd", Bits: 8}
+	sim, err := core.RunTiered(mdl, fed.Fleet(), cfg, tier.Topology{FanOut: fanOut, Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := launchTree(t, fed, mdl, cfg, fanOut, simulatorSeeds(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*core.History{sim, tree} {
+		if first, fin := h.Points[0].TrainLoss, h.Final().TrainLoss; math.IsNaN(fin) || fin >= first {
+			t.Errorf("%s did not train: loss %v -> %v", h.Label, first, fin)
+		}
+	}
+	if got, want := tree.Final().Cost.UplinkBytes, sim.Final().Cost.UplinkBytes; got != want {
+		t.Errorf("root ingress: tree %d bytes, simulator %d", got, want)
+	}
+}
+
+// TestTieredProcessTreeRefusesF32Root: an edge hands its float64 fold
+// upstream as it is, so a root whose links would narrow it is refused at
+// registration, by name, rather than left to disagree with RunTiered.
+func TestTieredProcessTreeRefusesF32Root(t *testing.T) {
+	fed, mdl := testWorkload()
+	cfg := core.FedProx(2, 8, 1, 0.01, 1)
+	cfg.Precision = tensor.F32
+	_, err := launchTree(t, fed, mdl, cfg, 4, simulatorSeeds(cfg.Seed))
+	if err == nil || !strings.Contains(err.Error(), `requires precision "f32"`) {
+		t.Fatalf("f32 root over edges: %v, want the precision refusal", err)
+	}
+}
+
+// TestEdgeEvalRequestMidWindow sends an edge an EvalRequest while its
+// window is still in flight, as an asynchronous root's milestone
+// evaluation can: the Worker loop answers evaluations inline beside the
+// goroutine running the window, and both need the one child-facing
+// backend. core.Edge serialises them — run under -race, which is what
+// fails if it stops — so both are answered, neither with the other's
+// replies.
+func TestEdgeEvalRequestMidWindow(t *testing.T) {
+	fed, mdl := testWorkload()
+	edge, err := NewEdge(mdl, EdgeConfig{Training: core.FedProx(2, 4, 1, 0.01, 1), ExpectDevices: fed.NumDevices(), DeviceID: 5, FanOut: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The children's first solve holds the window open until released.
+	entered, release := make(chan struct{}), make(chan struct{})
+	held := &hookedSolver{inner: solver.SGDSolver{}, onFirst: func() { close(entered); <-release }}
+	rootSide, edgeSide := net.Pipe()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if err := edge.RunWithConns(ln, newConn(edgeSide)); err != nil {
+			t.Errorf("edge: %v", err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		if err := NewWorker(mdl, fed.Shards, held).Run(ln.Addr().String()); err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}()
+
+	// The test is the root.
+	root := newConn(rootSide)
+	defer root.close()
+	send := func(e Envelope) {
+		t.Helper()
+		if err := root.send(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hello, err := root.recv()
+	if err != nil || hello.Hello == nil || len(hello.Hello.Devices) != 1 || hello.Hello.Devices[0].ID != 5 {
+		t.Fatalf("edge hello %+v, %v: want pseudo-device 5", hello, err)
+	}
+	raw := comm.Spec{Name: "raw"}.WithDefaults()
+	send(Envelope{Welcome: &Welcome{Downlink: raw, Uplink: raw}})
+	w0 := make([]float64, mdl.NumParams())
+	down, _ := raw.ForDevice(comm.Downlink, 5)
+	send(Envelope{TrainRequest: &TrainRequest{Device: 5, Update: *down.Encode(w0, nil), Epochs: 1, Mu: 1, LearningRate: 0.01, BatchSize: 10}})
+	<-entered
+	evalLink, _ := comm.NewEvalLink(raw)
+	u, _, _ := evalLink.Broadcast(w0)
+	send(Envelope{EvalRequest: &EvalRequest{Seq: 1, Update: *u}}) // returns once the edge has read it
+	close(release)
+	var trained, evaluated bool
+	for i := 0; i < 2; i++ {
+		env, err := root.recv()
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case env.TrainReply != nil && env.TrainReply.Err == "" && env.TrainReply.Device == 5:
+			trained = true
+		case env.EvalReply != nil && env.EvalReply.Err == "" && len(env.EvalReply.Devices) == 1 && env.EvalReply.Devices[0].Device == 5:
+			evaluated = env.EvalReply.Devices[0].TrainN == hello.Hello.Devices[0].TrainSize
+		default:
+			t.Fatalf("edge answered %+v", env)
+		}
+	}
+	if !trained || !evaluated {
+		t.Fatalf("window answered %v, evaluation over the whole subtree answered %v", trained, evaluated)
+	}
+	send(Envelope{Shutdown: &Shutdown{}})
+	wg.Wait()
 }
 
 // TestNewEdgeRejections pins the edge's configuration guard rails.

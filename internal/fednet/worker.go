@@ -16,9 +16,9 @@ import (
 	"fedprox/internal/tensor"
 )
 
-// Worker is the transport shell around one core.Device: it registers the
-// hosted shards, completes the codec negotiation, and translates
-// TrainRequest/EvalRequest wire messages into the device runtime's
+// Worker is the transport shell around one device runtime: it registers
+// what the runtime hosts, completes the codec negotiation, and translates
+// TrainRequest/EvalRequest wire messages into the runtime's
 // HandleDispatch/HandleEval events. All device-side protocol — downlink
 // decode and link state, the local solve with compute-budget truncation,
 // the uplink encode, the eval receive chain — lives in the runtime,
@@ -26,7 +26,7 @@ import (
 // behavior cannot drift from the simulator's. Raw examples never leave
 // the worker.
 type Worker struct {
-	dev *core.Device
+	dev deviceRuntime
 	// params is the model's parameter count, which sizes the frames this
 	// worker accepts.
 	params int
@@ -49,6 +49,19 @@ type Worker struct {
 	// dispatch so the wall cost of the local solve (decode + SGD + encode)
 	// is visible per device.
 	trace obs.Sink
+}
+
+// deviceRuntime is the device half of the protocol as Worker drives it. A
+// *core.Device answers a dispatch with a local solve on a hosted shard; a
+// *core.Edge, the runtime under a tier Edge's parent-facing Worker,
+// answers it with one window over its own children.
+type deviceRuntime interface {
+	Hosted() []core.DeviceReg
+	SupportsPrecision(tensor.Precision) bool
+	InstallLinks(down, up comm.Spec) error
+	SeedEvalPrev(prev []float64) error
+	HandleDispatch(core.Dispatch) (core.Reply, error)
+	HandleEval(core.EvalRequest) (core.EvalReply, error)
 }
 
 // NewWorker builds a worker hosting the given shards. A nil localSolver
@@ -179,7 +192,9 @@ func (w *Worker) Serve(c *conn) error {
 	// A re-admission Welcome carries the eval chain's current base so
 	// this worker decodes the next broadcast in lockstep with the
 	// evaluators that never left.
-	w.dev.SeedEvalPrev(welcome.EvalPrev)
+	if err := w.dev.SeedEvalPrev(welcome.EvalPrev); err != nil {
+		return err
+	}
 	// Each TrainRequest is served in its own goroutine so the coordinator
 	// can pipeline work for several hosted devices over one connection
 	// (it never has more than one request outstanding per device, so

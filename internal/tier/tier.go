@@ -17,6 +17,7 @@ package tier
 import (
 	"fmt"
 
+	"fedprox/internal/frand"
 	"fedprox/internal/vtime"
 )
 
@@ -116,6 +117,17 @@ func Partition(n, parts, i int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
+}
+
+// NodeSeed derives aggregator uid's seed from the run seed: the node's
+// index under the "tier" split, so edge selection and straggler streams
+// are independent of each other and of the root's (which keeps the run
+// seed itself). Uids count the tree depth-first from the root's 0, so
+// edge i of a depth-1 tree — `fedserver -tier edge -index i` — is node
+// i+1. core.RunTiered and the process tree both seed through here, which
+// is what makes a deployed tree the simulated one.
+func NodeSeed(seed uint64, uid int) uint64 {
+	return frand.New(seed).Split("tier").SplitIndex(uid).State()
 }
 
 func min(a, b int) int {
