@@ -117,14 +117,6 @@ type tierStats struct {
 	rels       []float64
 }
 
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
 func fmtSecs(s float64) string {
 	if math.IsNaN(s) {
 		return "-"
@@ -183,9 +175,10 @@ func cmdSummary(args []string) {
 			if !math.IsNaN(r.loss) {
 				loss = fmt.Sprintf("%.4f", r.loss)
 			}
+			q := core.Quantiles(r.rels, 0.5, 0.9, 0.99)
 			fmt.Printf("%-6d %5d %6d %6d %8s %8s %8s %11d %11d %8s %9s\n",
 				r.round, r.dispatches, r.dispo["folded"], dropped,
-				fmtSecs(quantile(r.rels, 0.5)), fmtSecs(quantile(r.rels, 0.9)), fmtSecs(quantile(r.rels, 0.99)),
+				fmtSecs(q[0]), fmtSecs(q[1]), fmtSecs(q[2]),
 				r.bytesDown, r.bytesUp, fmtSecs(r.secs), loss)
 		}
 		fmt.Printf("totals: %d bytes down, %d bytes up, %d evals\n", totDown, totUp, totEvals)
@@ -209,9 +202,10 @@ func cmdSummary(args []string) {
 					continue
 				}
 				sort.Float64s(ts.rels)
+				q := core.Quantiles(ts.rels, 0.5, 0.9, 0.99)
 				fmt.Printf("%-6d %5d %6d %6d %6d %8s %8s %8s %11d %11d\n",
 					t, ts.dispatches, ts.folded, ts.dropped, ts.folds,
-					fmtSecs(quantile(ts.rels, 0.5)), fmtSecs(quantile(ts.rels, 0.9)), fmtSecs(quantile(ts.rels, 0.99)),
+					fmtSecs(q[0]), fmtSecs(q[1]), fmtSecs(q[2]),
 					ts.bytesDown, ts.bytesUp)
 			}
 		}

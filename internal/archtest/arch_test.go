@@ -1,6 +1,7 @@
-// Package archtest holds the architecture rules that keep a deleted twin
-// from growing back, as tests over the parsed source: they fail where the
-// work is done (`go test ./...`) with the sentence that says why.
+// Package archtest holds the architecture rules — the ones that keep a
+// deleted twin from growing back, and the ones over the import graph — as
+// tests over the parsed source: they fail where the work is done
+// (`go test ./...`, no subprocess) with the sentence that says why.
 package archtest
 
 import (
@@ -8,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -20,26 +22,83 @@ type source struct {
 	file *ast.File
 }
 
-// parse returns every non-test Go file under the given repo directories.
-func parse(t *testing.T, dirs ...string) []source {
+// goFiles calls fn with the slash path, from the repo root, of every Go
+// file under the given repo directories, tests included.
+func goFiles(t *testing.T, dirs []string, fn func(rel, p string) error) {
 	t.Helper()
-	var out []source
-	fset := token.NewFileSet()
+	root := filepath.Join("..", "..")
 	for _, dir := range dirs {
-		err := filepath.WalkDir(filepath.Join("..", "..", dir), func(p string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") {
 				return err
 			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-			rel, _ := filepath.Rel(filepath.Join("..", ".."), p)
-			out = append(out, source{filepath.ToSlash(rel), f})
-			return err
+			rel, _ := filepath.Rel(root, p)
+			return fn(filepath.ToSlash(rel), p)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// parse returns every non-test Go file under the given repo directories.
+func parse(t *testing.T, dirs ...string) []source {
+	t.Helper()
+	var out []source
+	fset := token.NewFileSet()
+	goFiles(t, dirs, func(rel, p string) error {
+		if strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		out = append(out, source{rel, f})
+		return err
+	})
 	return out
+}
+
+// module is go.mod's module path: "fedprox/internal/x" is the directory
+// internal/x.
+const module = "fedprox/"
+
+// imported is the import path an import spec names, or "" for any other
+// node.
+func imported(n ast.Node) string {
+	if im, ok := n.(*ast.ImportSpec); ok {
+		return strings.Trim(im.Path.Value, `"`)
+	}
+	return ""
+}
+
+// reach returns the package directories the packages under the root
+// directories depend on, themselves included: the transitive closure of
+// the module's own imports over the parsed (non-test) files, which is what
+// `go list -deps` prints of this module.
+func reach(srcs []source, roots ...string) map[string]bool {
+	deps := map[string][]string{}
+	for _, s := range srcs {
+		for _, im := range s.file.Imports {
+			if dir, ok := strings.CutPrefix(imported(im), module); ok {
+				deps[path.Dir(s.path)] = append(deps[path.Dir(s.path)], dir)
+			}
+		}
+	}
+	seen := map[string]bool{}
+	var visit func(pkg string)
+	visit = func(pkg string) {
+		if !seen[pkg] {
+			seen[pkg] = true
+			for _, d := range deps[pkg] {
+				visit(d)
+			}
+		}
+	}
+	for pkg := range deps {
+		if slices.ContainsFunc(roots, func(r string) bool { return pkg == r || strings.HasPrefix(pkg, r+"/") }) {
+			visit(pkg)
+		}
+	}
+	return seen
 }
 
 // name is the identifier an expression ends in: Done for core.Done and Done.
@@ -69,8 +128,26 @@ func where(srcs []source, visit func(path string, n ast.Node) bool) []string {
 
 var commands = []string{"Dispatch", "Evaluate", "ObserveLoss", "AdvanceClock", "pause", "Done"}
 
+// coreAllowed is the closed list of fedprox packages internal/core may
+// depend on, directly or through one another.
+var coreAllowed = []string{
+	"internal/comm", "internal/data", "internal/frand", "internal/metrics", "internal/model", "internal/obs",
+	"internal/privacy", "internal/solver", "internal/tensor", "internal/tier", "internal/vtime",
+}
+
 func TestArchitecture(t *testing.T) {
 	all := parse(t, "internal", "cmd", "examples")
+	coreDeps := reach(all, "internal/core")
+	// Every directory of internal/ holding Go files, tests included, that
+	// no binary or example reaches.
+	var unreachable []string
+	used := reach(all, "cmd", "examples")
+	goFiles(t, []string{"internal"}, func(rel, _ string) error {
+		if dir := path.Dir(rel); !used[dir] && !slices.Contains(unreachable, dir) {
+			unreachable = append(unreachable, dir)
+		}
+		return nil
+	})
 	for _, rule := range []struct {
 		name, why string
 		got, want []string
@@ -116,6 +193,49 @@ hand-written tier loop growing back; outside core the only ending command is Don
 			return false
 		}),
 		want: []string{"internal/core/edge.go"},
+	}, {
+		name: "obs stays dependency-free",
+		why: `internal/obs is the contract that lets every layer emit events: it must never import another fedprox
+package (stdlib only), or core <-> obs import cycles and hidden coupling creep in.`,
+		got: where(all, func(p string, n ast.Node) bool {
+			return path.Dir(p) == "internal/obs" && strings.HasPrefix(imported(n), module)
+		}),
+	}, {
+		name: "core gains no new non-stdlib deps",
+		why: `internal/core is the sans-I/O protocol kernel; its fedprox dependency set is a closed list (the pure leaf
+packages it computes with). Anything new — a CLI, network, or storage import, by core or by a package core
+depends on — is layering leaking into the kernel and must be argued into this allowlist explicitly.`,
+		got: where(all, func(p string, n ast.Node) bool {
+			dir, local := strings.CutPrefix(imported(n), module)
+			return local && coreDeps[path.Dir(p)] && !slices.Contains(coreAllowed, dir)
+		}),
+	}, {
+		name: "core is sans-I/O, no clocks",
+		why: `internal/core decides; its drivers move bytes and tell time. No file of it imports os, io, net, time or
+encoding/…: a run's resumable state leaves as a typed core.Snapshot for its Checkpointer to encode (once,
+internal/checkpoint), wire messages are fednet's, and the only clock is the driver's Tick.`,
+		got: where(all, func(p string, n ast.Node) bool {
+			root, _, _ := strings.Cut(imported(n), "/")
+			return path.Dir(p) == "internal/core" && slices.Contains([]string{"os", "io", "net", "time", "encoding"}, root)
+		}),
+	}, {
+		name: "no gob on the socket",
+		why: `fednet's wire is length-prefixed frames (internal/fednet/frame.go) whose every length and count is checked
+against a bound before anything is allocated. A gob codec reads ahead of the message it decodes and allocates
+what its input declares — on a net.Conn or inside a frame alike — so the package does not import it. And a
+conn with a round-trip lock (rtMu) is the serial per-device exchange growing back beside the pipelined one.`,
+		got: where(all, func(p string, n ast.Node) bool {
+			id, _ := n.(*ast.Ident)
+			return path.Dir(p) == "internal/fednet" && (imported(n) == "encoding/gob" || id != nil && id.Name == "rtMu")
+		}),
+	}, {
+		name: "internal/ is reachable",
+		why: `internal/ holds what a binary, an example or another internal package uses: every package under it is a
+dependency of ./cmd/... or ./examples/.... A package only its own tests import is a subsystem nobody runs; it
+moves beside its one user or goes. The two exceptions: internal/checkpoint until fedbench grows -checkpoint
+(ROADMAP item 8), and internal/archtest, these lints, test-only by design.`,
+		got:  unreachable,
+		want: []string{"internal/archtest", "internal/checkpoint"},
 	}} {
 		if !slices.Equal(rule.got, rule.want) {
 			t.Errorf("%s: found in %v, want exactly %v\n%s", rule.name, rule.got, rule.want, rule.why)

@@ -181,8 +181,8 @@ func TestCodecResumeMatchesUninterruptedRun(t *testing.T) {
 }
 
 // TestCodecRefusesLinklessCheckpoint: a codec run must not resume from a
-// checkpoint that carries no link state (e.g. written by a pre-link-state
-// build) — silently restarting the streams would corrupt the chain.
+// checkpoint that carries no link state — silently restarting the streams
+// would corrupt the chain.
 func TestCodecRefusesLinklessCheckpoint(t *testing.T) {
 	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
 	mdl := linear.ForDataset(fed)
@@ -198,13 +198,13 @@ func TestCodecRefusesLinklessCheckpoint(t *testing.T) {
 	if _, err := core.Run(mdl, fed, half); err != nil {
 		t.Fatal(err)
 	}
-	// Strip the link state, as an old-format checkpoint would decode.
-	st, err := LoadFile(path)
+	// Strip the coordinator's link state.
+	snap, err := File(path, fp).Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Coordinator = nil
-	if err := SaveFile(path, st); err != nil {
+	snap.Links = nil
+	if err := File(path, fp).Save(snap); err != nil {
 		t.Fatal(err)
 	}
 	full := base

@@ -154,8 +154,8 @@ func TestLossyCodecsCompressWithoutDivergence(t *testing.T) {
 }
 
 // TestCodecAcceptsCheckpointing: link state (residuals, rounding
-// streams, broadcast shadows) is serialized into the coordinator's
-// checkpoint, so synchronous codec runs may checkpoint — the
+// streams, broadcast shadows) rides the coordinator's Snapshot, so
+// synchronous codec runs may checkpoint — the
 // resume-equivalence test lives in internal/checkpoint.
 func TestCodecAcceptsCheckpointing(t *testing.T) {
 	cfg := FedProx(2, 2, 1, 0.01, 1)
@@ -168,5 +168,5 @@ func TestCodecAcceptsCheckpointing(t *testing.T) {
 
 type nopCheckpointer struct{}
 
-func (nopCheckpointer) Load() (int, []float64, *History, []byte, error) { return 0, nil, nil, nil, nil }
-func (nopCheckpointer) Save(int, []float64, *History, []byte) error     { return nil }
+func (nopCheckpointer) Load() (*Snapshot, error) { return nil, nil }
+func (nopCheckpointer) Save(*Snapshot) error     { return nil }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"fedprox/internal/comm"
@@ -106,16 +104,10 @@ func (l *commLinks) uplinkDecode(k int, u *comm.Update, view []float64) ([]float
 // endpoint starts fresh too.
 func (l *commLinks) reset(k int) { l.state.Reset(k) }
 
-// linksSnapshot is the gob envelope of a commLinks checkpoint.
-type linksSnapshot struct {
-	State comm.LinkSnapshot
-	Eval  comm.EvalLinkSnapshot
-}
-
-// snapshot serializes every per-device codec state (rounding-stream
+// snapshot captures every per-device codec state (rounding-stream
 // positions, error-feedback residuals, broadcast shadows) and the eval
 // chain, so a checkpointed run can resume with bit-identical streams.
-func (l *commLinks) snapshot() ([]byte, error) {
+func (l *commLinks) snapshot() (*LinkSnapshot, error) {
 	st, err := l.state.Snapshot()
 	if err != nil {
 		return nil, err
@@ -124,20 +116,12 @@ func (l *commLinks) snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(linksSnapshot{State: st, Eval: ev}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return &LinkSnapshot{State: st, Eval: ev}, nil
 }
 
 // restore rebuilds the link state from a snapshot taken by an equally
 // configured run.
-func (l *commLinks) restore(data []byte) error {
-	var snap linksSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return err
-	}
+func (l *commLinks) restore(snap *LinkSnapshot) error {
 	if err := l.state.Restore(snap.State); err != nil {
 		return err
 	}

@@ -180,9 +180,9 @@ type Config struct {
 	// aggregation (the DP composition point of footnote 1).
 	Privacy *privacy.Mechanism
 	// Checkpointer, when non-nil, enables crash-safe persistence: the run
-	// resumes from the checkpointer's saved state if one exists and saves
-	// every CheckpointEvery rounds (see internal/checkpoint for the file
-	// implementation).
+	// resumes from the checkpointer's saved Snapshot if one exists and
+	// saves one every CheckpointEvery rounds (see internal/checkpoint for
+	// the file implementation).
 	Checkpointer Checkpointer
 	// CheckpointEvery is the checkpoint interval in rounds; 0 selects
 	// EvalEvery.
@@ -340,23 +340,58 @@ func (v VTimeConfig) Validate() error {
 	return nil
 }
 
-// Checkpointer persists and restores a run's resumable state. Load
-// returning all zero values means "no checkpoint yet — start fresh".
-// Implementations live outside this package (internal/checkpoint) so the
-// core stays dependency-free.
-//
-// state is the coordinator's opaque resumable extras — cumulative cost
-// counters plus, for codec runs, the serialized link state (rounding
-// streams, error-feedback residuals, broadcast shadows). Implementations
-// persist it verbatim; a codec run refuses to resume from a checkpoint
-// without it.
+// Checkpointer persists and restores a run's resumable state. The
+// coordinator hands Save a Snapshot as a typed value and does no encoding
+// of its own: whoever persists the snapshot encodes it, once
+// (internal/checkpoint writes it as one gob value). Implementations live
+// outside this package so the core stays free of I/O.
 type Checkpointer interface {
-	// Load returns the next round to execute, the global parameters, the
-	// history so far, and the opaque coordinator state, or zero values
-	// when nothing is saved.
-	Load() (nextRound int, params []float64, hist *History, state []byte, err error)
-	// Save persists the state reached after round nextRound-1.
-	Save(nextRound int, params []float64, hist *History, state []byte) error
+	// Load returns the saved snapshot, or nil when nothing is saved yet
+	// and the run starts fresh.
+	Load() (*Snapshot, error)
+	// Save persists the state reached after round s.NextRound-1. The
+	// snapshot aliases nothing live: it is the Checkpointer's to keep.
+	Save(s *Snapshot) error
+}
+
+// Snapshot is everything a synchronous run carries from one round to the
+// next — the environment draws are pure functions of (seed, round,
+// device), so this is all of it.
+type Snapshot struct {
+	// NextRound is the first round that has not yet executed.
+	NextRound int
+	// Params is the global model wᵗ at NextRound.
+	Params []float64
+	// Points is the evaluated trajectory so far.
+	Points []Point
+	// Cost is the cumulative resource accounting, so a resumed run's
+	// Points continue the same counters instead of restarting at zero.
+	Cost Cost
+	// Work is the realized-work accumulator since the last evaluated point
+	// (Config.DeviceBudget runs): a checkpoint cadence misaligned with
+	// EvalEvery must not lose the rounds before the save from the next
+	// Point's MeanEpochsDone/PartialFraction.
+	Work workStats
+	// AdaptiveMu is the adaptive-μ controller's state (nil unless
+	// Config.AdaptiveMu), so a resumed run continues the controller's
+	// streak instead of restarting at Config.Mu.
+	AdaptiveMu *muState
+	// Links is the coordinator endpoint's codec link state and
+	// DeviceLinks the device endpoint's (both nil without a codec). The
+	// coordinator fills and reads Links only; the in-process pair
+	// (newSimPair) adds the device runtime's half, which owns the uplink
+	// rounding streams and error-feedback residuals. A codec run refuses a
+	// snapshot missing either: restarting a stream mid-chain would corrupt
+	// it silently.
+	Links, DeviceLinks *LinkSnapshot
+}
+
+// LinkSnapshot is one endpoint's codec link state: per device, both
+// codecs' rounding-stream positions and error-feedback residuals and the
+// broadcast shadow; and the shared evaluation chain.
+type LinkSnapshot struct {
+	State comm.LinkSnapshot
+	Eval  comm.EvalLinkSnapshot
 }
 
 // CapabilityModel yields per-(round, device) epoch budgets for the

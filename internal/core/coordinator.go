@@ -5,7 +5,10 @@ package core
 // synchronous aggregation, the staleness-damped asynchronous folds,
 // adaptive-μ control, codec link state, privacy hooks, and History/Cost
 // accounting — lives here, behind an event-driven API with no I/O, no
-// clocks, and no goroutines.
+// clocks, no serialization and no goroutines (internal/archtest holds the
+// package to it: no file here imports os, io, net, time or encoding/…; a
+// run's resumable state leaves as a typed Snapshot, config.go, for its
+// Checkpointer to encode).
 //
 // The coordinator consumes events (RegisterWorker, HandleReply, Tick,
 // WorkerLost, EvalDone, LossObserved) and emits commands (Dispatch,
@@ -38,11 +41,10 @@ package core
 // processed after EvalDone, mirroring the fednet aggregator's stash.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fedprox/internal/comm"
@@ -256,9 +258,7 @@ type foldStats struct {
 // workStats accumulates realized-local-work statistics across the
 // updates aggregated between evaluated points (only maintained when
 // Config.DeviceBudget is set). Fields are exported because the struct
-// rides the gob checkpoint envelope: a checkpoint between evaluations
-// must carry the partially accumulated counters for exact resume
-// equivalence.
+// rides Snapshot, which a Checkpointer encodes by reflection.
 type workStats struct {
 	Done    int // epochs actually run
 	Partial int // updates truncated below their dispatched target
@@ -404,13 +404,6 @@ type Coordinator struct {
 	links *commLinks
 	muc   *muController
 
-	// dev is the in-process device runtime bound for checkpointing: its
-	// codec link state (downlink chains, uplink rounding streams and
-	// residuals, the eval receive chain) is part of the resumable state.
-	// Wire deployments have no access to device state and reject
-	// checkpointing instead.
-	dev *Device
-
 	hist  *History
 	cost  Cost
 	work  workStats
@@ -523,13 +516,16 @@ func (c *Coordinator) CommSpecs() (down, up comm.Spec) {
 	return down, up
 }
 
-// BindDevice attaches the in-process device runtime so checkpoints also
-// capture the device half of the codec link state. In-process drivers
-// call it before Start (the checkpoint load happens there).
-func (c *Coordinator) BindDevice(d *Device) { c.dev = d }
-
 // History returns the run's trajectory (final once Done was emitted).
 func (c *Coordinator) History() *History { return c.hist }
+
+// finish ends the run: History is final from here on.
+func (c *Coordinator) finish() Done {
+	c.finished = true
+	c.hist.FinalParams = c.w
+	c.emit(obs.Event{Kind: obs.KindRunDone})
+	return Done{}
+}
 
 // window opens a windowed coordinator's next round with the global model
 // re-based on view, the parent's broadcast. The re-base happens before the
@@ -547,9 +543,6 @@ func (c *Coordinator) window(view []float64) ([]Command, error) {
 	c.paused = false
 	return c.beginRound()
 }
-
-// InFlight returns the number of outstanding dispatches.
-func (c *Coordinator) InFlight() int { return len(c.pending) }
 
 // Tick synchronizes the coordinator's virtual clock with the driver's.
 // Virtual-time drivers call it after every clock movement; drivers
@@ -685,22 +678,15 @@ func (c *Coordinator) Start() ([]Command, error) {
 func (c *Coordinator) startSync() ([]Command, error) {
 	startRound := 0
 	if c.cfg.Checkpointer != nil {
-		next, saved, savedHist, state, err := c.cfg.Checkpointer.Load()
+		saved, err := c.cfg.Checkpointer.Load()
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint load: %w", err)
 		}
 		if saved != nil {
-			if len(saved) != len(c.w) {
-				return nil, fmt.Errorf("core: checkpoint has %d params, model has %d", len(saved), len(c.w))
-			}
-			copy(c.w, saved)
-			startRound = next
-			if savedHist != nil {
-				c.hist.Points = append(c.hist.Points, savedHist.Points...)
-			}
-			if err := c.restoreState(state); err != nil {
+			if err := c.restore(saved); err != nil {
 				return nil, err
 			}
+			startRound = saved.NextRound
 		}
 	}
 	c.ckptEvery = c.cfg.CheckpointEvery
@@ -813,9 +799,7 @@ type downcast struct {
 // immediately.
 func (c *Coordinator) beginRound() ([]Command, error) {
 	if c.t >= c.cfg.Rounds {
-		c.finished = true
-		c.emit(obs.Event{Kind: obs.KindRunDone})
-		return []Command{Done{}}, nil
+		return []Command{c.finish()}, nil
 	}
 	t := c.t
 	mu := c.cfg.Mu
@@ -984,8 +968,7 @@ func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64, drop []DropR
 // recordArrival appends one contact to the Arrivals trace. The first
 // contact sizes the trace to planned, the number of contacts the
 // configuration fixes for a run that loses no reply, so such a run never
-// regrows it; re-dispatched losses overflow through append, and a
-// resumed run keeps appending to the trace its checkpoint restored.
+// regrows it; re-dispatched losses overflow through append.
 func (c *Coordinator) recordArrival(planned int, a Arrival) {
 	if c.hist.Arrivals == nil {
 		c.hist.Arrivals = make([]Arrival, 0, planned)
@@ -1160,11 +1143,11 @@ func (c *Coordinator) afterObserve(out *roundOutcome) ([]Command, error) {
 // the next round.
 func (c *Coordinator) afterRecord(t int) ([]Command, error) {
 	if c.cfg.Checkpointer != nil && ((t+1)%c.ckptEvery == 0 || t == c.cfg.Rounds-1) {
-		state, err := c.snapshotState()
+		snap, err := c.snapshot(t + 1)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.cfg.Checkpointer.Save(t+1, c.w, c.hist, state); err != nil {
+		if err := c.cfg.Checkpointer.Save(snap); err != nil {
 			return nil, fmt.Errorf("core: checkpoint save: %w", err)
 		}
 		c.emit(obs.Event{Kind: obs.KindCheckpoint, Round: t + 1})
@@ -1173,94 +1156,50 @@ func (c *Coordinator) afterRecord(t int) ([]Command, error) {
 	return c.nextRound()
 }
 
-// coordinatorState is the gob envelope of the opaque checkpoint bytes:
-// everything resumable beyond the parameters and the history.
-type coordinatorState struct {
-	// Cost is the cumulative resource accounting at save time, so a
-	// resumed run's Points continue the same counters instead of
-	// restarting at zero.
-	Cost Cost
-	// Links is the serialized codec link state (nil without codecs).
-	Links []byte
-	// Device is the serialized device-side link state of the bound
-	// in-process device runtime — downlink chains, uplink rounding
-	// streams and error-feedback residuals, the eval receive chain (nil
-	// without codecs). Since the device runtime owns the uplink encoder
-	// state, a codec run cannot resume bit-identically without it.
-	Device []byte
-	// AdaptiveMu is the adaptive-μ controller's state (nil unless
-	// Config.AdaptiveMu), so a resumed adaptive run continues the
-	// controller's streak instead of restarting at Config.Mu.
-	AdaptiveMu *muState
-	// Work is the realized-work accumulator since the last evaluated
-	// point (Config.DeviceBudget runs). Without it a checkpoint whose
-	// cadence is misaligned with EvalEvery would resume with the next
-	// Point's MeanEpochsDone/PartialFraction covering only post-resume
-	// rounds.
-	Work workStats
-}
-
-// snapshotState serializes the coordinator's resumable extras.
-func (c *Coordinator) snapshotState() ([]byte, error) {
-	st := coordinatorState{Cost: c.cost, Work: c.work}
+// snapshot captures the resumable state with round nextRound about to
+// open. Every slice in it is a copy: the snapshot is the Checkpointer's to
+// keep.
+func (c *Coordinator) snapshot(nextRound int) (*Snapshot, error) {
+	s := &Snapshot{
+		NextRound: nextRound,
+		Params:    slices.Clone(c.w),
+		Points:    slices.Clone(c.hist.Points),
+		Cost:      c.cost,
+		Work:      c.work,
+	}
 	if c.muc != nil {
 		ms := c.muc.snapshot()
-		st.AdaptiveMu = &ms
+		s.AdaptiveMu = &ms
 	}
 	if c.links != nil {
 		var err error
-		if st.Links, err = c.links.snapshot(); err != nil {
+		if s.Links, err = c.links.snapshot(); err != nil {
 			return nil, fmt.Errorf("core: checkpoint link state: %w", err)
 		}
 	}
-	if c.dev != nil {
-		var err error
-		if st.Device, err = c.dev.snapshotLinks(); err != nil {
-			return nil, fmt.Errorf("core: checkpoint device link state: %w", err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("core: checkpoint state: %w", err)
-	}
-	return buf.Bytes(), nil
+	return s, nil
 }
 
-// restoreState replays a snapshotState blob. An empty blob (a checkpoint
-// written before coordinator state existed) is tolerated for plain runs
-// — their cost counters restart at zero — but refused for codec runs,
-// whose rounding streams and residuals cannot be reconstructed.
-func (c *Coordinator) restoreState(state []byte) error {
-	if len(state) == 0 {
-		if c.links != nil {
-			return errors.New("core: checkpoint carries no codec link state (saved by an older run?)")
-		}
-		return nil
+// restore resumes from a snapshot. A codec run refuses one without link
+// state: its rounding streams and residuals cannot be reconstructed.
+func (c *Coordinator) restore(s *Snapshot) error {
+	if len(s.Params) != len(c.w) {
+		return fmt.Errorf("core: checkpoint has %d params, model has %d", len(s.Params), len(c.w))
 	}
-	var st coordinatorState
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&st); err != nil {
-		return fmt.Errorf("core: checkpoint state: %w", err)
-	}
-	c.cost = st.Cost
+	copy(c.w, s.Params)
+	c.hist.Points = append(c.hist.Points, s.Points...)
+	c.cost = s.Cost
 	c.cost.WireUplinkBytes, c.cost.WireDownlinkBytes = 0, 0
-	c.work = st.Work
-	if c.muc != nil && st.AdaptiveMu != nil {
-		c.muc.restore(*st.AdaptiveMu)
+	c.work = s.Work
+	if c.muc != nil && s.AdaptiveMu != nil {
+		c.muc.restore(*s.AdaptiveMu)
 	}
 	if c.links != nil {
-		if len(st.Links) == 0 {
-			return errors.New("core: checkpoint carries no codec link state (saved by an older run?)")
+		if s.Links == nil {
+			return errors.New("core: checkpoint carries no codec link state")
 		}
-		if err := c.links.restore(st.Links); err != nil {
+		if err := c.links.restore(s.Links); err != nil {
 			return fmt.Errorf("core: checkpoint link state: %w", err)
-		}
-	}
-	if c.dev != nil && c.dev.links != nil {
-		if len(st.Device) == 0 {
-			return errors.New("core: checkpoint carries no device link state (saved by an older run?)")
-		}
-		if err := c.dev.restoreLinks(st.Device); err != nil {
-			return fmt.Errorf("core: checkpoint device link state: %w", err)
 		}
 	}
 	return nil
@@ -1388,9 +1327,7 @@ func (c *Coordinator) fillAsync() ([]Command, error) {
 		cmds = append(cmds, d)
 	}
 	if c.folded >= c.target && len(c.pending) == 0 && !c.finished {
-		c.finished = true
-		c.emit(obs.Event{Kind: obs.KindRunDone})
-		cmds = append(cmds, Done{})
+		cmds = append(cmds, c.finish())
 	}
 	return cmds, nil
 }

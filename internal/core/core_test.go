@@ -398,21 +398,12 @@ func TestHistoryHelpers(t *testing.T) {
 	if got := h.BestAccuracy(); got != 0.6 {
 		t.Fatalf("BestAccuracy = %g", got)
 	}
-	if !h.Converged(1e-4) {
-		t.Fatal("Converged missed the flat step")
-	}
 	if h.Diverged(0.5, 1) {
 		t.Fatal("Diverged on a decreasing series")
 	}
 	up := &History{Points: []Point{{TrainLoss: 1}, {TrainLoss: 1.2}, {TrainLoss: 2.6}}}
 	if !up.Diverged(1.0, 2) {
 		t.Fatal("Diverged missed a 1.6 rise over 2 points")
-	}
-	if got, want := len(h.Losses()), 3; got != want {
-		t.Fatalf("Losses len = %d", got)
-	}
-	if got := h.Accuracies()[1]; got != 0.5 {
-		t.Fatalf("Accuracies[1] = %g", got)
 	}
 	if h.String() == "" {
 		t.Fatal("empty history string")
@@ -478,14 +469,6 @@ func TestCostAccounting(t *testing.T) {
 	// Aggregate uploads from all 10; drop only from the 5 non-stragglers.
 	if agg.UplinkBytes != 2*drop.UplinkBytes {
 		t.Fatalf("uplink: agg %d, drop %d (want 2x)", agg.UplinkBytes, drop.UplinkBytes)
-	}
-}
-
-func TestCostAdd(t *testing.T) {
-	c := Cost{UplinkBytes: 1, DownlinkBytes: 2, DeviceEpochs: 3, WastedEpochs: 4}
-	c.Add(Cost{UplinkBytes: 10, DownlinkBytes: 20, DeviceEpochs: 30, WastedEpochs: 40})
-	if c.UplinkBytes != 11 || c.DownlinkBytes != 22 || c.DeviceEpochs != 33 || c.WastedEpochs != 44 {
-		t.Fatalf("Cost.Add wrong: %+v", c)
 	}
 }
 

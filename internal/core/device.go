@@ -506,21 +506,3 @@ func (dv *Device) HandleEval(e EvalRequest) (EvalReply, error) {
 	dv.emit(obs.Event{Kind: obs.KindDeviceEval, Seq: e.Seq, N: len(hosted)})
 	return reply, nil
 }
-
-// snapshotLinks serializes the device half of the codec link state
-// (downlink chains, uplink rounding streams and residuals, the eval
-// receive chain) for checkpointing; nil without links.
-func (dv *Device) snapshotLinks() ([]byte, error) {
-	if dv.links == nil {
-		return nil, nil
-	}
-	return dv.links.snapshot()
-}
-
-// restoreLinks replays a snapshotLinks blob into this runtime's links.
-func (dv *Device) restoreLinks(state []byte) error {
-	if dv.links == nil {
-		return errors.New("core: device link snapshot on a runtime without links")
-	}
-	return dv.links.restore(state)
-}

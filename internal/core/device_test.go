@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"fedprox/internal/comm"
@@ -285,37 +286,50 @@ func TestDeviceBudgetCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestCodecResumeRefusesMissingLinkState: the one resume that must stay
+// refused — a codec run provided a snapshot that is missing a part. Either
+// endpoint's link state gone is named, never silently restarted.
+func TestCodecResumeRefusesMissingLinkState(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	mdl := linear.ForDataset(fed)
+	cfg := FedProx(4, 5, 2, 0.01, 1)
+	cfg.Codec = comm.Spec{Name: "qsgd", Bits: 8}
+	cfg.CheckpointEvery = 1
+	ck := &memCheckpointer{failAfterSaves: 1}
+	cfg.Checkpointer = ck
+	if _, err := Run(mdl, fed, cfg); err == nil {
+		t.Fatal("expected the interrupted run to fail at the injected stop")
+	}
+	ck.failAfterSaves = 0
+	for want, strip := range map[string]func(*Snapshot){
+		"no codec link state":     func(s *Snapshot) { s.Links = nil },
+		"no device link state":    func(s *Snapshot) { s.DeviceLinks = nil },
+		"checkpoint has 1 params": func(s *Snapshot) { s.Params = s.Params[:1] },
+	} {
+		saved := *ck.snap
+		strip(ck.snap)
+		if _, err := Run(mdl, fed, cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("want a %q refusal, got %v", want, err)
+		}
+		*ck.snap = saved
+	}
+	if _, err := Run(mdl, fed, cfg); err != nil {
+		t.Fatalf("the intact snapshot does not resume: %v", err)
+	}
+}
+
 // memCheckpointer persists in memory and can fail the run after a set
 // number of saves (simulating a crash just past a checkpoint).
 type memCheckpointer struct {
-	next           int
-	params         []float64
-	hist           *History
-	state          []byte
+	snap           *Snapshot
 	saves          int
 	failAfterSaves int
 }
 
-func (m *memCheckpointer) Load() (int, []float64, *History, []byte, error) {
-	if m.params == nil {
-		return 0, nil, nil, nil, nil
-	}
-	var h *History
-	if m.hist != nil {
-		cp := *m.hist
-		cp.Points = append([]Point(nil), m.hist.Points...)
-		h = &cp
-	}
-	return m.next, append([]float64(nil), m.params...), h, append([]byte(nil), m.state...), nil
-}
+func (m *memCheckpointer) Load() (*Snapshot, error) { return m.snap, nil }
 
-func (m *memCheckpointer) Save(next int, params []float64, hist *History, state []byte) error {
-	m.next = next
-	m.params = append(m.params[:0], params...)
-	cp := *hist
-	cp.Points = append([]Point(nil), hist.Points...)
-	m.hist = &cp
-	m.state = append(m.state[:0], state...)
+func (m *memCheckpointer) Save(s *Snapshot) error {
+	m.snap = s
 	m.saves++
 	if m.failAfterSaves > 0 && m.saves >= m.failAfterSaves {
 		return errInjectedStop

@@ -81,17 +81,6 @@ type Cost struct {
 	WastedEpochs int
 }
 
-// Add accumulates o into c.
-func (c *Cost) Add(o Cost) {
-	c.UplinkBytes += o.UplinkBytes
-	c.DownlinkBytes += o.DownlinkBytes
-	c.WireUplinkBytes += o.WireUplinkBytes
-	c.WireDownlinkBytes += o.WireDownlinkBytes
-	c.EvalBytes += o.EvalBytes
-	c.DeviceEpochs += o.DeviceEpochs
-	c.WastedEpochs += o.WastedEpochs
-}
-
 // Arrival is one transmitted device reply of a virtual-time run: when
 // the broadcast was dispatched, when the reply reached (or would have
 // reached) the coordinator, and what the coordinator did with it. The
@@ -173,6 +162,10 @@ type History struct {
 	// Arrivals is the per-contact trace of a virtual-time run, in
 	// dispatch order; empty otherwise.
 	Arrivals []Arrival
+	// FinalParams is the global model the schedule ended on, set when the
+	// coordinator emits Done (nil before). It aliases the coordinator's
+	// vector, which nothing writes after Done.
+	FinalParams []float64
 }
 
 // Final returns the last evaluated point. It panics on an empty history.
@@ -181,24 +174,6 @@ func (h *History) Final() Point {
 		panic("core: empty history")
 	}
 	return h.Points[len(h.Points)-1]
-}
-
-// Losses returns the training-loss series.
-func (h *History) Losses() []float64 {
-	out := make([]float64, len(h.Points))
-	for i, p := range h.Points {
-		out[i] = p.TrainLoss
-	}
-	return out
-}
-
-// Accuracies returns the test-accuracy series.
-func (h *History) Accuracies() []float64 {
-	out := make([]float64, len(h.Points))
-	for i, p := range h.Points {
-		out[i] = p.TestAcc
-	}
-	return out
 }
 
 // BestAccuracy returns the maximum test accuracy over the run.
@@ -210,18 +185,6 @@ func (h *History) BestAccuracy() float64 {
 		}
 	}
 	return best
-}
-
-// Converged reports whether the loss series meets the paper's convergence
-// criterion: the difference between two consecutive evaluations drops
-// below tol (the paper uses 1e-4 on consecutive rounds).
-func (h *History) Converged(tol float64) bool {
-	for i := 1; i < len(h.Points); i++ {
-		if math.Abs(h.Points[i].TrainLoss-h.Points[i-1].TrainLoss) < tol {
-			return true
-		}
-	}
-	return false
 }
 
 // Diverged reports whether the loss series meets the paper's divergence
@@ -305,32 +268,29 @@ func (h *History) VirtualDuration() float64 {
 // result is all-NaN when the run recorded no arrivals (any run without a
 // virtual clock).
 func (h *History) ReplyLatencyQuantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(h.Arrivals) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
 	lat := make([]float64, len(h.Arrivals))
 	for i, a := range h.Arrivals {
 		lat[i] = a.Arrived - a.Sent
 	}
 	sort.Float64s(lat)
+	return Quantiles(lat, qs...)
+}
+
+// Quantiles returns the given quantiles (each in [0,1]) of an ascending
+// sample, interpolating linearly between order statistics: q = 1 is the
+// largest value. A quantile of an empty sample, or outside [0,1], is NaN.
+func Quantiles(sorted []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
 	for i, q := range qs {
-		switch {
-		case math.IsNaN(q) || q < 0 || q > 1:
+		if len(sorted) == 0 || math.IsNaN(q) || q < 0 || q > 1 {
 			out[i] = math.NaN()
-		default:
-			pos := q * float64(len(lat)-1)
-			lo := int(pos)
-			hi := lo
-			if lo+1 < len(lat) {
-				hi = lo + 1
-			}
-			frac := pos - float64(lo)
-			out[i] = lat[lo]*(1-frac) + lat[hi]*frac
+			continue
 		}
+		pos := q * float64(len(sorted)-1)
+		lo := int(pos)
+		hi := min(lo+1, len(sorted)-1)
+		frac := pos - float64(lo)
+		out[i] = sorted[lo]*(1-frac) + sorted[hi]*frac
 	}
 	return out
 }

@@ -139,13 +139,10 @@ func (b *inProcess) AdvanceClock(seconds float64) error {
 // the fednet workers wrap, so device-side behavior cannot drift between
 // the simulator and the deployment. With a codec configured the device
 // gets its own link endpoint (the simulator's link state lives where the
-// deployment's does), and the pair is bound so checkpoints capture both
-// endpoints' codec state.
+// deployment's does), and a configured Checkpointer is wrapped here, where
+// both endpoints are in hand, so snapshots carry the device's half too:
+// the coordinator never learns a Device exists.
 func newSimPair(m model.Model, fl Fleet, cfg Config) (*Coordinator, *Device, error) {
-	coord, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: fl.NumDevices()})
-	if err != nil {
-		return nil, nil, err
-	}
 	dev := NewFleetDevice(m, fl, DeviceOptions{
 		Solver:     cfg.Solver,
 		Privacy:    cfg.Privacy,
@@ -157,12 +154,48 @@ func newSimPair(m model.Model, fl Fleet, cfg Config) (*Coordinator, *Device, err
 		if err := dev.InstallLinks(down, up); err != nil {
 			return nil, nil, err
 		}
+		if cfg.Checkpointer != nil {
+			cfg.Checkpointer = pairCheckpointer{cfg.Checkpointer, dev.links}
+		}
 	}
-	coord.BindDevice(dev)
+	coord, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: fl.NumDevices()})
+	if err != nil {
+		return nil, nil, err
+	}
 	if _, err := coord.RegisterWorker(dev.Hosted()); err != nil {
 		return nil, nil, err
 	}
 	return coord, dev, nil
+}
+
+// pairCheckpointer adds the device endpoint's link state to every
+// snapshot an in-process codec run saves and restores it from every one
+// it loads. The device runtime owns the uplink rounding streams and
+// error-feedback residuals, so a snapshot without its half is refused.
+type pairCheckpointer struct {
+	inner  Checkpointer
+	device *commLinks
+}
+
+func (p pairCheckpointer) Load() (*Snapshot, error) {
+	s, err := p.inner.Load()
+	if err != nil || s == nil {
+		return s, err
+	}
+	if s.DeviceLinks == nil {
+		return nil, errors.New("snapshot carries no device link state")
+	}
+	if err := p.device.restore(s.DeviceLinks); err != nil {
+		return nil, fmt.Errorf("device link state: %w", err)
+	}
+	return s, nil
+}
+
+func (p pairCheckpointer) Save(s *Snapshot) (err error) {
+	if s.DeviceLinks, err = p.device.snapshot(); err != nil {
+		return fmt.Errorf("device link state: %w", err)
+	}
+	return p.inner.Save(s)
 }
 
 // simEval answers an Evaluate command with one in-process pass over the

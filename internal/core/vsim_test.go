@@ -90,10 +90,8 @@ func TestAsyncRequiresLatencyModel(t *testing.T) {
 
 type nullCheckpointer struct{}
 
-func (nullCheckpointer) Load() (int, []float64, *History, []byte, error) {
-	return 0, nil, nil, nil, nil
-}
-func (nullCheckpointer) Save(int, []float64, *History, []byte) error { return nil }
+func (nullCheckpointer) Load() (*Snapshot, error) { return nil, nil }
+func (nullCheckpointer) Save(*Snapshot) error     { return nil }
 
 // TestVTimeAsyncDeterministic is the tentpole's reproducibility
 // criterion: two virtual-time async runs under the same seed produce

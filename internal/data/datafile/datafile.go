@@ -5,107 +5,47 @@
 // A file carries the complete data.Federated value — shards, splits, and
 // task metadata — so expensive generation runs once, every process in a
 // distributed deployment reads identical bytes, and experiment inputs can
-// be archived next to their outputs. The format is gob behind a magic
-// header and version byte, like internal/checkpoint.
+// be archived next to their outputs. The container, internal/gobfile, runs
+// Federated.Validate before every write and after every read.
 package datafile
 
 import (
-	"bufio"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"fedprox/internal/data"
+	"fedprox/internal/gobfile"
 )
 
-const magic = "FEDPROXDATA"
+var format = gobfile.Format{Magic: "FEDPROXDATA", Version: 1}
 
-const version = 1
-
-type header struct {
-	Magic   string
-	Version int
-}
-
-// Write serializes the dataset to w. It validates first so no malformed
-// dataset is ever persisted.
-func Write(w io.Writer, fed *data.Federated) error {
-	if err := fed.Validate(); err != nil {
-		return fmt.Errorf("datafile: refusing to write invalid dataset: %w", err)
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: magic, Version: version}); err != nil {
-		return fmt.Errorf("datafile: write header: %w", err)
-	}
-	if err := enc.Encode(fed); err != nil {
-		return fmt.Errorf("datafile: write dataset: %w", err)
+func wrap(err error) error {
+	if err != nil {
+		return fmt.Errorf("datafile: %w", err)
 	}
 	return nil
 }
 
+// Write serializes the dataset to w.
+func Write(w io.Writer, fed *data.Federated) error { return wrap(format.Encode(w, fed)) }
+
 // Read deserializes a dataset from r, verifying header and structure.
 func Read(r io.Reader) (*data.Federated, error) {
-	dec := gob.NewDecoder(r)
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("datafile: read header: %w", err)
-	}
-	if h.Magic != magic {
-		return nil, errors.New("datafile: bad magic (not a dataset file)")
-	}
-	if h.Version != version {
-		return nil, fmt.Errorf("datafile: version %d not supported (want %d)", h.Version, version)
-	}
 	var fed data.Federated
-	if err := dec.Decode(&fed); err != nil {
-		return nil, fmt.Errorf("datafile: read dataset: %w", err)
-	}
-	if err := fed.Validate(); err != nil {
-		return nil, fmt.Errorf("datafile: file contains invalid dataset: %w", err)
+	if err := format.Decode(r, &fed); err != nil {
+		return nil, wrap(err)
 	}
 	return &fed, nil
 }
 
 // WriteFile writes the dataset to path atomically (temp file + rename).
-func WriteFile(path string, fed *data.Federated) error {
-	dir := "."
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			dir = path[:i]
-			break
-		}
-	}
-	tmp, err := os.CreateTemp(dir, ".data-*")
-	if err != nil {
-		return fmt.Errorf("datafile: temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := Write(bw, fed); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("datafile: flush: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("datafile: close temp: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("datafile: rename: %w", err)
-	}
-	return nil
-}
+func WriteFile(path string, fed *data.Federated) error { return wrap(format.WriteFile(path, fed)) }
 
 // ReadFile reads a dataset from path.
 func ReadFile(path string) (*data.Federated, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("datafile: open: %w", err)
+	var fed data.Federated
+	if err := format.ReadFile(path, &fed); err != nil {
+		return nil, wrap(err)
 	}
-	defer f.Close()
-	return Read(bufio.NewReaderSize(f, 1<<20))
+	return &fed, nil
 }

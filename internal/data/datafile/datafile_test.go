@@ -2,7 +2,10 @@ package datafile
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fedprox/internal/data"
@@ -67,11 +70,28 @@ func TestWriteRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestReadRejectsGarbage: Read hands back the container's refusal of
+// bytes that are no file of this format, and adds its own of a
+// well-formed file whose dataset is not valid.
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("garbage bytes here"))); err == nil {
-		t.Fatal("garbage accepted")
+	var invalid bytes.Buffer
+	if err := format.Encode(&invalid, &unchecked{Name: "broken"}); err != nil {
+		t.Fatal(err)
+	}
+	for want, in := range map[string][]byte{
+		"read header":   []byte("garbage bytes here"),
+		"invalid value": invalid.Bytes(),
+	} {
+		if _, err := Read(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("want a %q refusal, got %v", want, err)
+		}
 	}
 }
+
+// unchecked is a dataset the container will write whatever it holds.
+type unchecked data.Federated
+
+func (*unchecked) Validate() error { return nil }
 
 func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ds.fed")
@@ -86,10 +106,29 @@ func TestFileRoundTrip(t *testing.T) {
 	if got.TotalSamples() != want.TotalSamples() {
 		t.Fatal("file round trip lost samples")
 	}
+	if err := WriteFile(path, &data.Federated{Name: "broken"}); err == nil {
+		t.Fatal("invalid dataset written to a file")
+	}
 }
 
 func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.fed")); err == nil {
-		t.Fatal("missing file accepted")
+	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.fed")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: %v, want os.ErrNotExist", err)
 	}
+}
+
+// FuzzRead: whatever the bytes, Read answers an error or a dataset that
+// passes Validate — never a panic. The committed seeds
+// (testdata/fuzz/FuzzRead) are a valid file, the same cut at the header
+// boundary, and a header followed by a message that declares 1 GiB.
+func FuzzRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fed, err := Read(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if err := fed.Validate(); err != nil {
+			t.Fatalf("Read returned a dataset that fails Validate: %v", err)
+		}
+	})
 }

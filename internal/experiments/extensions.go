@@ -71,16 +71,13 @@ func extBias(o Options) (*Result, error) {
 	for _, policy := range []core.StragglerPolicy{core.DropStragglers, core.AggregatePartial} {
 		cfg := base
 		cfg.Straggler = policy
-		cap := &captureCheckpointer{}
-		cfg.Checkpointer = cap
-		cfg.CheckpointEvery = cfg.Rounds
 		h, err := core.Run(w.mdl, w.fed, cfg)
 		if err != nil {
 			return nil, err
 		}
 		h.Label = policy.String()
 		sec.Runs = append(sec.Runs, h)
-		acc, _ := metrics.PerClassAccuracy(w.mdl, w.fed, cap.params)
+		acc, _ := metrics.PerClassAccuracy(w.mdl, w.fed, h.FinalParams)
 		mean01 := (acc[0] + acc[1]) / 2
 		rest := 0.0
 		for c := 2; c < len(acc); c++ {
@@ -95,18 +92,6 @@ func extBias(o Options) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"expected shape: under drop, classes 0-1 lag the others; aggregation closes the gap")
 	return res, nil
-}
-
-// captureCheckpointer records the last saved parameters in memory.
-type captureCheckpointer struct{ params []float64 }
-
-func (c *captureCheckpointer) Load() (int, []float64, *core.History, []byte, error) {
-	return 0, nil, nil, nil, nil
-}
-
-func (c *captureCheckpointer) Save(_ int, params []float64, _ *core.History, _ []byte) error {
-	c.params = append(c.params[:0], params...)
-	return nil
 }
 
 // biasedDataset builds an image dataset where devices holding classes 0-1

@@ -34,14 +34,9 @@ import (
 	"fedprox/internal/tensor"
 )
 
-// GlobalLoss returns f(w) = Σ_k p_k F_k(w) with p_k = n_k/n over local
-// training sets.
-func GlobalLoss(m model.Model, fed *data.Federated, w []float64) float64 {
-	return FleetLoss(m, fed.Fleet(), w)
-}
-
-// FleetLoss is GlobalLoss over a lazy fleet: shards are materialized,
-// measured, and released one at a time per worker. The weighted sum is
+// FleetLoss returns f(w) = Σ_k p_k F_k(w) with p_k = n_k/n over local
+// training sets. Shards of a lazy fleet are materialized, measured, and
+// released one at a time per worker. The weighted sum is
 // accumulated in ascending device order, so the result is bit-identical
 // across worker counts and to the eager path.
 func FleetLoss(m model.Model, fl data.Fleet, w []float64) float64 {
@@ -73,7 +68,7 @@ func ShardEval(m model.Model, w []float64, s *data.Shard) (loss float64, correct
 	return loss, correct
 }
 
-// Eval returns GlobalLoss and TestAccuracy from one pass over the shards.
+// Eval returns FleetLoss and TestAccuracy from one pass over the shards.
 func Eval(m model.Model, fed *data.Federated, w []float64) (loss, acc float64) {
 	return FleetEval(m, fed.Fleet(), w)
 }
@@ -176,19 +171,10 @@ func PerClassAccuracy(m model.Model, fed *data.Federated, w []float64) (acc []fl
 	return acc, counts
 }
 
-// GradVariance returns the empirical dissimilarity measure the paper plots
-// (Figures 2, 6, 8, 12):
-//
-//	E_k ‖∇F_k(w) − ∇f(w)‖²  with E_k weighted by p_k = n_k/n,
-//
-// which lower-bounds the B-dissimilarity via Corollary 10.
-func GradVariance(m model.Model, fed *data.Federated, w []float64) float64 {
-	v, _ := Dissimilarity(m, fed, w)
-	return v
-}
-
-// Dissimilarity returns the gradient variance E_k‖∇F_k(w) − ∇f(w)‖² and
-// the B(w) estimate of Definition 3,
+// Dissimilarity returns the gradient variance E_k‖∇F_k(w) − ∇f(w)‖² (E_k
+// weighted by p_k = n_k/n), the empirical dissimilarity measure the paper
+// plots (Figures 2, 6, 8, 12) and a lower bound on the B-dissimilarity
+// via Corollary 10, and the B(w) estimate of Definition 3,
 //
 //	B(w) = sqrt( E_k‖∇F_k(w)‖² / ‖∇f(w)‖² ),
 //

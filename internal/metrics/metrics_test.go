@@ -53,8 +53,8 @@ func TestGlobalLossWeighted(t *testing.T) {
 	w := make([]float64, m.NumParams())
 	// All shards identical ⇒ global loss equals any single shard's loss.
 	want := m.Loss(w, fed.Shards[0].Train)
-	if got := GlobalLoss(m, fed, w); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("GlobalLoss = %g, want %g", got, want)
+	if got := FleetLoss(m, fed.Fleet(), w); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("FleetLoss = %g, want %g", got, want)
 	}
 }
 
@@ -78,8 +78,8 @@ func TestGlobalLossRespectsWeights(t *testing.T) {
 	l0 := m.Loss(w, fed.Shards[0].Train)
 	l1 := m.Loss(w, fed.Shards[1].Train)
 	want := 0.9*l0 + 0.1*l1
-	if got := GlobalLoss(m, fed, w); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("GlobalLoss = %g, want %g", got, want)
+	if got := FleetLoss(m, fed.Fleet(), w); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("FleetLoss = %g, want %g", got, want)
 	}
 }
 
@@ -135,17 +135,6 @@ func TestDissimilarityGrowsWithSkew(t *testing.T) {
 	}
 	if bSkew < 1 {
 		t.Fatalf("B(w) = %g, want >= 1", bSkew)
-	}
-}
-
-func TestGradVarianceMatchesDissimilarity(t *testing.T) {
-	fed := skewedShards()
-	m := linear.ForDataset(fed)
-	w := make([]float64, m.NumParams())
-	v1 := GradVariance(m, fed, w)
-	v2, _ := Dissimilarity(m, fed, w)
-	if v1 != v2 {
-		t.Fatalf("GradVariance %g != Dissimilarity variance %g", v1, v2)
 	}
 }
 
@@ -249,13 +238,13 @@ func TestFleetEvalMatchesSeparatePasses(t *testing.T) {
 }
 
 // TestEvalMatchesEagerPair: the *data.Federated wrapper is the fused
-// form of GlobalLoss + TestAccuracy.
+// form of FleetLoss + TestAccuracy.
 func TestEvalMatchesEagerPair(t *testing.T) {
 	fed := skewedShards()
 	m := linear.ForDataset(fed)
 	w := frand.New(31).NormVec(make([]float64, m.NumParams()), 0, 0.5)
 	loss, acc := Eval(m, fed, w)
-	if loss != GlobalLoss(m, fed, w) || acc != TestAccuracy(m, fed, w) {
-		t.Fatalf("Eval = (%v, %v), want (%v, %v)", loss, acc, GlobalLoss(m, fed, w), TestAccuracy(m, fed, w))
+	if loss != FleetLoss(m, fed.Fleet(), w) || acc != TestAccuracy(m, fed, w) {
+		t.Fatalf("Eval = (%v, %v), want (%v, %v)", loss, acc, FleetLoss(m, fed.Fleet(), w), TestAccuracy(m, fed, w))
 	}
 }

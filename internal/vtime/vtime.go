@@ -63,9 +63,6 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // Schedule registers fn to fire at absolute virtual time at. Times in the
 // past clamp to Now: an event can never fire before the present, so the
 // clock is monotone.
