@@ -310,8 +310,7 @@ func foldStaleDeltas(w []float64, batch []StaleDelta, version int, sampling Samp
 // Dispatch.
 type pendingDispatch struct {
 	device int
-	seq    int // async dispatch sequence
-	index  int // sync: position within the round's selection
+	seq    int // the Dispatch's Seq: dispatch sequence (async), selection index (sync)
 	epochs int // the dispatched epoch target
 	// expected is the work the device will actually perform:
 	// min(epochs, EpochBudget) when a device-side budget rode the
@@ -328,24 +327,23 @@ type pendingDispatch struct {
 	// links it is c.w itself and never recycled.
 	view      []float64
 	downBytes int64
-	sentAt    float64 // clock at dispatch (async arrival accounting)
-	charged   bool    // async: DispatchSent confirmed the transfer
+	sentAt    float64 // clock at dispatch: the Arrival's Sent
+	charged   bool    // DispatchSent confirmed the transfer
 }
 
 // syncReply is one buffered synchronous-round result, held until the
 // round completes so aggregation order stays the selection order.
 type syncReply struct {
+	in      *pendingDispatch // its view is dead once the reply is decoded
 	wk      []float64
 	pooled  bool // wk came from uplinkDecode (not the caller's Reply.Params): recycled after the fold
-	nk      float64
-	done    int // realized local epochs (== dispatched without a budget)
-	budget  int // the dispatch's raw EpochBudget (0 = unlimited)
+	done    int  // realized local epochs (== dispatched without a budget)
 	gamma   float64
 	upBytes int64
-	seq     int
-	rel     float64
+	seq     int     // the transfer sequence of a timed reply
+	rel     float64 // latency since the round's broadcast; NaN when untimed
 	lost    bool
-	timed   bool
+	verdict DropReason // the cut's judgement; ArrivalFolded when untimed
 }
 
 // syncRound is the state of the in-flight synchronous round.
@@ -355,7 +353,6 @@ type syncRound struct {
 	selected    []int
 	epochs      []int
 	straggler   []bool
-	downBytes   []int64
 	replies     []*syncReply
 	outstanding int
 }
@@ -417,6 +414,11 @@ type Coordinator struct {
 	finished bool
 
 	pending map[int]*pendingDispatch
+	// version is the global model version: the round in synchronous runs.
+	version int
+	// windowBytes is what judge has charged to the byte-budget window, per
+	// round (sync) or per milestone (async).
+	windowBytes int64
 
 	// synchronous state
 	t         int
@@ -430,7 +432,6 @@ type Coordinator struct {
 
 	// asynchronous state
 	isAsync       bool
-	version       int
 	folded        int
 	dispatchSeq   int
 	maxDispatches int
@@ -439,7 +440,6 @@ type Coordinator struct {
 	roundSize     int
 	buffer        []StaleDelta
 	idle          *idleSet
-	windowBytes   int64
 	stats         foldStats
 
 	// wait states
@@ -671,9 +671,8 @@ func (c *Coordinator) Start() ([]Command, error) {
 	return c.startSync()
 }
 
-// ---------------------------------------------------------------------
-// Synchronous protocol
-// ---------------------------------------------------------------------
+// The synchronous protocol: rounds, the arrival-order cut, completion,
+// adaptive-μ observation, and checkpoint snapshot/restore.
 
 func (c *Coordinator) startSync() ([]Command, error) {
 	startRound := 0
@@ -733,14 +732,7 @@ func (c *Coordinator) deviceBudget(tag, device, epochs int) int {
 	if c.cfg.DeviceBudget == nil {
 		return 0
 	}
-	b := c.cfg.DeviceBudget.EpochBudget(tag, device, epochs)
-	if b < 1 {
-		b = 1
-	}
-	if b > epochs {
-		b = epochs
-	}
-	return b
+	return min(max(c.cfg.DeviceBudget.EpochBudget(tag, device, epochs), 1), epochs)
 }
 
 // expectedEpochs resolves the work a device will perform for a
@@ -752,23 +744,6 @@ func expectedEpochs(budget, epochs int) int {
 		return budget
 	}
 	return epochs
-}
-
-// realizedEpochs resolves the epochs a reply's device actually ran.
-// Without a budget model the dispatched target is authoritative (legacy
-// replies need not report EpochsDone); with one, the device's report is,
-// clamped to [0, dispatched].
-func (c *Coordinator) realizedEpochs(dispatched, reported int) int {
-	if c.cfg.DeviceBudget == nil {
-		return dispatched
-	}
-	if reported < 0 {
-		return 0
-	}
-	if reported > dispatched {
-		return dispatched
-	}
-	return reported
 }
 
 // policyDropped reports whether the round's i-th selected device is a
@@ -802,6 +777,7 @@ func (c *Coordinator) beginRound() ([]Command, error) {
 		return []Command{c.finish()}, nil
 	}
 	t := c.t
+	c.version = t
 	mu := c.cfg.Mu
 	if c.muc != nil {
 		mu = c.muc.Mu()
@@ -814,7 +790,6 @@ func (c *Coordinator) beginRound() ([]Command, error) {
 		selected:  selected,
 		epochs:    epochs,
 		straggler: straggler,
-		downBytes: make([]int64, len(selected)),
 		replies:   make([]*syncReply, len(selected)),
 	}
 	c.round = r
@@ -844,39 +819,8 @@ func (c *Coordinator) beginRound() ([]Command, error) {
 		if b.err != nil {
 			return nil, b.err
 		}
-		r.downBytes[i] = b.db
-		budget := c.deviceBudget(t, k, epochs[i])
-		c.pending[k] = &pendingDispatch{
-			device:    k,
-			index:     i,
-			epochs:    epochs[i],
-			expected:  expectedEpochs(budget, epochs[i]),
-			budget:    budget,
-			version:   t,
-			view:      b.view,
-			downBytes: b.db,
-		}
 		r.outstanding++
-		c.emit(obs.Event{
-			Kind: obs.KindDispatch, Round: t, Seq: i, Device: k, Version: t,
-			Epochs: epochs[i], Budget: budget, BytesDown: b.db,
-		})
-		cmds = append(cmds, Dispatch{
-			Seq:          i,
-			Round:        t,
-			Version:      t,
-			Device:       k,
-			Epochs:       epochs[i],
-			EpochBudget:  budget,
-			Mu:           mu,
-			LearningRate: c.cfg.LearningRate,
-			BatchSize:    c.cfg.BatchSize,
-			BatchSeed:    c.batchRoot.SplitIndex(t).SplitIndex(k).State(),
-			PrivacyTag:   t,
-			Update:       b.u,
-			View:         b.view,
-			DownBytes:    b.db,
-		})
+		cmds = append(cmds, c.dispatch(i, t, t, k, epochs[i], mu, b))
 	}
 	if r.outstanding == 0 {
 		return c.completeRound()
@@ -885,27 +829,16 @@ func (c *Coordinator) beginRound() ([]Command, error) {
 }
 
 // cutSyncRound applies the clock-native straggler policies to a timed
-// round: replies race in (arrival, seq) order, the deadline and
-// byte-budget cut the tail, the round's critical path becomes its
-// duration, and every transmitted reply lands in the Arrivals trace.
-func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64, drop []DropReason) {
-	start := c.now
-	type leg struct {
-		i     int
-		seq   int
-		rel   float64
-		bytes int64
-		lost  bool
-	}
-	legs := make([]leg, 0, len(r.selected))
-	drop = make([]DropReason, len(r.selected))
-	for i := range r.selected {
-		rep := r.replies[i]
-		if rep == nil {
-			drop[i] = DropPolicy
-			continue
+// round: replies race in (arrival, seq) order and judge gives each its
+// verdict against a byte window opened with the round, the round's
+// critical path becomes its duration, and every transmitted reply lands
+// in the Arrivals trace.
+func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64) {
+	legs := make([]*syncReply, 0, len(r.replies))
+	for _, rep := range r.replies {
+		if rep != nil {
+			legs = append(legs, rep)
 		}
-		legs = append(legs, leg{i: i, seq: rep.seq, rel: rep.rel, bytes: r.downBytes[i] + rep.upBytes, lost: rep.lost})
 	}
 	sort.Slice(legs, func(a, b int) bool {
 		if legs[a].rel != legs[b].rel {
@@ -914,21 +847,9 @@ func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64, drop []DropR
 		return legs[a].seq < legs[b].seq
 	})
 	deadline := c.cfg.VTime.DeadlineSeconds
-	var cum int64
-	for _, l := range legs {
-		// The window budget is consumed in arrival order by every
-		// transfer — including replies later lost or late; their bytes
-		// moved on the wire too.
-		cum += l.bytes
-		reason := ArrivalFolded
-		switch {
-		case l.lost:
-			reason = DropLost
-		case deadline > 0 && l.rel > deadline:
-			reason = DropDeadline
-		case c.cfg.VTime.RoundBytes > 0 && cum > c.cfg.VTime.RoundBytes:
-			reason = DropBudget
-		}
+	c.windowBytes = 0
+	for _, rep := range legs {
+		rep.verdict = c.judge(rep.rel, rep.lost, false, rep.in.downBytes, rep.upBytes)
 		// Server occupancy: an accepted reply holds the round until it
 		// arrives; a late reply holds it until the deadline closes the
 		// round; a lost reply until its expected arrival (the server's
@@ -936,142 +857,64 @@ func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64, drop []DropR
 		// budget-dropped reply holds nothing — budget drops are the
 		// arrival-order tail, so the budget was spent (and the round
 		// closed) before it arrived.
-		occ := l.rel
+		occ := rep.rel
 		switch {
-		case reason == DropBudget:
+		case rep.verdict == DropBudget:
 			occ = 0
-		case deadline > 0 && (reason == DropDeadline || (reason == DropLost && deadline < occ)):
+		case deadline > 0 && (rep.verdict == DropDeadline || (rep.verdict == DropLost && deadline < occ)):
 			occ = deadline
 		}
 		if occ > duration {
 			duration = occ
 		}
-		drop[l.i] = reason
-		stale := 0
-		if reason != ArrivalFolded {
-			stale = -1
-		}
-		c.recordArrival(c.cfg.Rounds*len(r.selected), Arrival{
-			Device:      r.selected[l.i],
-			Seq:         l.seq,
-			Sent:        start,
-			Arrived:     start + l.rel,
-			Staleness:   stale,
-			Drop:        reason,
-			EpochBudget: r.replies[l.i].budget,
-			EpochsDone:  r.replies[l.i].done,
-		})
+		c.recordArrival(c.cfg.Rounds*len(r.selected), rep.in, rep.seq, rep.in.sentAt+rep.rel, rep.verdict, rep.done)
 	}
-	return duration, drop
-}
-
-// recordArrival appends one contact to the Arrivals trace. The first
-// contact sizes the trace to planned, the number of contacts the
-// configuration fixes for a run that loses no reply, so such a run never
-// regrows it; re-dispatched losses overflow through append.
-func (c *Coordinator) recordArrival(planned int, a Arrival) {
-	if c.hist.Arrivals == nil {
-		c.hist.Arrivals = make([]Arrival, 0, planned)
-	}
-	c.hist.Arrivals = append(c.hist.Arrivals, a)
+	return duration
 }
 
 // completeRound closes the in-flight round: applies the virtual-time cut
-// when the replies are timed, performs the resource accounting, folds
-// the surviving updates, and walks the post-round sequence (adaptive-μ
-// observation, evaluation, checkpointing, next round).
+// when the replies are timed, settles every reply in selection order,
+// folds the surviving updates, and walks the post-round sequence
+// (adaptive-μ observation, evaluation, checkpointing, next round).
 func (c *Coordinator) completeRound() ([]Command, error) {
 	r := c.round
 	c.round = nil
 
 	var pre []Command
-	var vdrop []DropReason
 	roundSecs := math.NaN()
-	timedRound := false
-	for _, rep := range r.replies {
-		if rep != nil && rep.timed {
-			timedRound = true
-			break
-		}
-	}
-	if timedRound {
-		duration, drop := c.cutSyncRound(r)
-		vdrop = drop
-		roundSecs = duration
-		pre = append(pre, AdvanceClock{Seconds: duration})
+	if slices.ContainsFunc(r.replies, func(rep *syncReply) bool { return rep != nil && !math.IsNaN(rep.rel) }) {
+		roundSecs = c.cutSyncRound(r)
+		pre = append(pre, AdvanceClock{Seconds: roundSecs})
 	}
 
-	vDropped := func(i int) bool {
-		return vdrop != nil && r.replies[i] != nil && vdrop[i] != ArrivalFolded
-	}
-
-	// Resource accounting. Under the legacy (no-codec) model every
-	// selected device downloads wᵗ and performs its epoch budget (real
-	// devices can't know in advance they'll be dropped) and dropped
-	// stragglers' epochs are wasted work. With a codec the link is
-	// explicit: only contacted devices move bytes or spend epochs.
-	// Contacted devices are charged the epochs they actually ran (the
-	// reply's realized work — less than the dispatched target when a
-	// device-side budget truncated the solve).
+	// Under the legacy (no-codec) accounting a never-contacted straggler
+	// is still charged a full-model download and its epochs, all wasted:
+	// real devices can't know in advance they'll be dropped. The
+	// counterfactual follows the realized-work rule — a device modeled as
+	// running anyway would still have stopped at its compute budget.
+	// Contacted devices were charged by DispatchSent and realize.
 	for i := range r.selected {
-		if c.policyDropped(r, i) {
-			if c.legacy {
-				// The counterfactual charge follows the realized-work
-				// rule: a never-contacted device modeled as running
-				// anyway would still have stopped at its compute budget.
-				ep := expectedEpochs(c.deviceBudget(r.t, r.selected[i], r.epochs[i]), r.epochs[i])
-				c.cost.DownlinkBytes += c.paramBytes
-				c.cost.DeviceEpochs += ep
-				c.cost.WastedEpochs += ep
-			}
-			continue
+		if c.legacy && c.policyDropped(r, i) {
+			ep := expectedEpochs(c.deviceBudget(r.t, r.selected[i], r.epochs[i]), r.epochs[i])
+			c.cost.DownlinkBytes += c.paramBytes
+			c.cost.DeviceEpochs += ep
+			c.cost.WastedEpochs += ep
 		}
-		c.cost.DownlinkBytes += r.downBytes[i]
-		ep := r.epochs[i]
-		if rep := r.replies[i]; rep != nil {
-			ep = rep.done
-		}
-		c.cost.DeviceEpochs += ep
 	}
 
 	var params [][]float64
 	var nks []float64
 	gammaSum, gammaN := 0.0, 0
-	for i, rep := range r.replies {
+	for _, rep := range r.replies {
 		if rep == nil {
 			continue
 		}
-		if c.trace != nil {
-			disp, stale := ArrivalFolded, 0
-			if vDropped(i) {
-				disp, stale = vdrop[i], -1
-			}
-			rel := math.NaN()
-			if rep.timed {
-				rel = rep.rel
-			}
-			c.emit(obs.Event{
-				Kind: obs.KindReply, Seq: i, Device: r.selected[i], Version: r.t,
-				Staleness: stale, EpochsDone: rep.done, BytesUp: rep.upBytes,
-				BytesDown: r.downBytes[i], Seconds: rel, Disposition: disp.String(),
-			})
-		}
-		if vDropped(i) {
-			// Replies cut by a virtual-time policy keep their transfer
-			// charges — the bytes moved — except a lost reply's uplink,
-			// which never reached the server.
-			c.cost.WastedEpochs += rep.done
-			if vdrop[i] != DropLost {
-				c.cost.UplinkBytes += rep.upBytes
-			}
+		c.settle(rep.in, rep.verdict, rep.done, rep.upBytes, rep.rel)
+		if rep.verdict != ArrivalFolded {
 			continue
 		}
-		c.cost.UplinkBytes += rep.upBytes
 		params = append(params, rep.wk)
-		nks = append(nks, c.foldWeight(rep.nk, rep.done))
-		if c.cfg.DeviceBudget != nil {
-			c.work.add(rep.done, r.epochs[i])
-		}
+		nks = append(nks, c.foldWeight(c.sizes[rep.in.device], rep.done))
 		if c.cfg.TrackGamma {
 			gammaSum += rep.gamma
 			gammaN++
@@ -1205,9 +1048,8 @@ func (c *Coordinator) restore(s *Snapshot) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// Asynchronous protocol
-// ---------------------------------------------------------------------
+// The asynchronous protocol: the staleness-damped folds, keeping
+// MaxInFlight devices busy, the fold buffer, and lost workers.
 
 func (c *Coordinator) startAsync() ([]Command, error) {
 	c.async = c.cfg.Async.WithDefaults(c.cfg.ClientsPerRound)
@@ -1256,59 +1098,23 @@ func (c *Coordinator) asyncDispatch() (Dispatch, error) {
 			epochs = srng.IntRange(1, c.cfg.LocalEpochs)
 		}
 	}
-	batchSeed := c.batchRoot.SplitIndex(c.dispatchSeq).SplitIndex(id).State()
 	seq := c.dispatchSeq
 	c.dispatchSeq++
-	budget := c.deviceBudget(seq, id, epochs)
-
-	view := c.w
-	var u *comm.Update
-	db := c.paramBytes
+	var b downcast
 	if c.links != nil {
-		var err error
-		if u, view, db, err = c.links.broadcast(id, c.w); err != nil {
-			return Dispatch{}, err
+		if b.u, b.view, b.db, b.err = c.links.broadcast(id, c.w); b.err != nil {
+			return Dispatch{}, b.err
 		}
 	} else {
 		// Freeze the broadcast at dispatch time: the solve may run
 		// concurrently with later model folds, so the device must see the
 		// version it was dispatched, not a racing c.w. Pooled — the copy
 		// is recycled when the reply resolves (or the worker is lost).
-		view = tensor.GetVec[float64](len(c.w))
-		copy(view, c.w)
+		b = downcast{view: tensor.GetVec[float64](len(c.w)), db: c.paramBytes}
+		copy(b.view, c.w)
 	}
 	c.idle.remove(id)
-	c.pending[id] = &pendingDispatch{
-		device:    id,
-		seq:       seq,
-		epochs:    epochs,
-		expected:  expectedEpochs(budget, epochs),
-		budget:    budget,
-		version:   c.version,
-		view:      view,
-		downBytes: db,
-		sentAt:    c.now,
-	}
-	c.emit(obs.Event{
-		Kind: obs.KindDispatch, Round: c.folded / c.roundSize, Seq: seq, Device: id,
-		Version: c.version, Epochs: epochs, Budget: budget, BytesDown: db,
-	})
-	return Dispatch{
-		Seq:          seq,
-		Round:        c.folded / c.roundSize,
-		Version:      c.version,
-		Device:       id,
-		Epochs:       epochs,
-		EpochBudget:  budget,
-		Mu:           c.cfg.Mu,
-		LearningRate: c.cfg.LearningRate,
-		BatchSize:    c.cfg.BatchSize,
-		BatchSeed:    batchSeed,
-		PrivacyTag:   seq,
-		Update:       u,
-		View:         view,
-		DownBytes:    db,
-	}, nil
+	return c.dispatch(seq, seq, c.folded/c.roundSize, id, epochs, c.cfg.Mu, b), nil
 }
 
 // fillAsync keeps MaxInFlight devices busy while the schedule has work
@@ -1332,103 +1138,27 @@ func (c *Coordinator) fillAsync() ([]Command, error) {
 	return cmds, nil
 }
 
-// DispatchSent confirms that an asynchronous Dispatch actually left the
-// coordinator: only then are its downlink bytes and device epochs
-// charged, so a dispatch whose send failed (dead worker) is billed as
-// neither traffic nor compute. Drivers call it right after shipping the
-// request — in-process drivers, where shipping cannot fail,
-// immediately. On a synchronous coordinator it does nothing: rounds
-// account at round completion, and a wire backend, which confirms every
-// send without knowing the mode, would otherwise charge them twice.
-func (c *Coordinator) DispatchSent(device int) {
-	in, ok := c.pending[device]
-	if !c.isAsync || !ok || in.charged {
-		return
+// handleAsyncReply judges, settles and folds (or discards) one arrived
+// reply at once: the device's model delta, damped by its staleness
+// alpha/(1+s)^p, enters the aggregation buffer; the model advances one
+// version per flush; every roundSize folds is a milestone, evaluated on
+// the sync cadence.
+func (c *Coordinator) handleAsyncReply(in *pendingDispatch, wk []float64, up int64, done int, rel float64, lost bool) ([]Command, error) {
+	if c.live[in.device] {
+		c.idle.add(in.device)
 	}
-	in.charged = true
-	c.cost.DownlinkBytes += in.downBytes
-	c.cost.DeviceEpochs += in.expected
-}
-
-// handleAsyncReply folds (or discards) one arrived reply: the device's
-// model delta, damped by its staleness alpha/(1+s)^p, enters the
-// aggregation buffer; the model advances one version per flush; every
-// roundSize folds is a milestone, evaluated on the sync cadence.
-func (c *Coordinator) handleAsyncReply(r Reply) ([]Command, error) {
-	in, ok := c.pending[r.Device]
-	if !ok {
-		return nil, nil // an evicted worker's late reply: drop
+	reason := c.judge(rel, lost, c.folded >= c.target, in.downBytes, up)
+	c.settle(in, reason, done, up, rel)
+	if c.timed() {
+		c.recordArrival(c.target, in, in.seq, c.now, reason, done)
 	}
-	delete(c.pending, r.Device)
-	if c.live[r.Device] {
-		c.idle.add(r.Device)
-	}
-	wk, upWire, err := c.decodeReply(in, r)
-	if err != nil {
-		return nil, err
-	}
-	// DispatchSent charged the expected (budget-clamped) work; the
-	// device's reply reports the realized work — adjust the charge on
-	// any residual difference.
-	done := c.realizedEpochs(in.expected, r.EpochsDone)
-	if in.charged && done != in.expected {
-		c.cost.DeviceEpochs += done - in.expected
-	}
-
-	// The deadline judges the reply's own network+compute latency, which
-	// the driver stamps in Rel. The clock delta c.now-in.sentAt is NOT
-	// equivalent: an evaluation charge can Advance the engine past a
-	// scheduled arrival, which then fires "at the present" — inflating
-	// the observed delta and dropping a reply that was in time.
-	rel := math.NaN()
-	if r.Timed {
-		rel = r.Rel
-	}
-	reason := ArrivalFolded
-	staleness := c.version - in.version
-	switch {
-	case r.Lost:
-		reason = DropLost
-	case c.cfg.VTime.DeadlineSeconds > 0 && rel > c.cfg.VTime.DeadlineSeconds:
-		reason = DropDeadline
-	}
-	if reason == ArrivalFolded && c.folded >= c.target {
-		reason = DropDrain
-	}
-	// The byte-budget window consumes each reply's full round-trip
-	// (downlink + uplink) in arrival order — a dispatch's downlink is
-	// charged to the window its reply lands in, not the window it was
-	// sent from.
-	roundTrip := in.downBytes + upWire
-	if reason == ArrivalFolded && c.cfg.VTime.RoundBytes > 0 && c.windowBytes+roundTrip > c.cfg.VTime.RoundBytes {
-		reason = DropBudget
-	}
-
-	if c.trace != nil {
-		stale := staleness
-		if reason != ArrivalFolded {
-			stale = -1
-		}
-		c.emit(obs.Event{
-			Kind: obs.KindReply, Seq: in.seq, Device: in.device, Version: in.version,
-			Staleness: stale, EpochsDone: done, BytesUp: upWire, BytesDown: in.downBytes,
-			Seconds: rel, Disposition: reason.String(),
-		})
-	}
-
 	var cmds []Command
-	switch reason {
-	case ArrivalFolded:
-		c.cost.UplinkBytes += upWire
-		c.windowBytes += roundTrip
+	if reason == ArrivalFolded {
 		delta := tensor.GetVec[float64](len(wk))
 		for i := range wk {
 			delta[i] = wk[i] - in.view[i]
 		}
-		c.buffer = append(c.buffer, StaleDelta{Delta: delta, Weight: c.foldWeight(c.sizes[r.Device], done), Version: in.version})
-		if c.cfg.DeviceBudget != nil {
-			c.work.add(done, in.epochs)
-		}
+		c.buffer = append(c.buffer, StaleDelta{Delta: delta, Weight: c.foldWeight(c.sizes[in.device], done), Version: in.version})
 		c.folded++
 		if len(c.buffer) >= c.flushSize {
 			if foldStaleDeltas(c.w, c.buffer, c.version, c.cfg.Sampling, c.async.Alpha, c.async.StalenessExponent, &c.stats) {
@@ -1457,37 +1187,11 @@ func (c *Coordinator) handleAsyncReply(r Reply) ([]Command, error) {
 				cmds = append(cmds, more...)
 			}
 		}
-	case DropLost:
-		// The reply vanished in transit: its uplink never reached the
-		// coordinator, so no uplink bytes — only its downlink consumed
-		// the window, and its work is waste.
-		c.windowBytes += in.downBytes
-		c.cost.WastedEpochs += done
-		staleness = -1
-	default: // DropDeadline, DropBudget, DropDrain
-		// The transfer happened; the coordinator ignored it.
-		c.cost.UplinkBytes += upWire
-		c.windowBytes += roundTrip
-		c.cost.WastedEpochs += done
-		staleness = -1
 	}
-	// Past the disposition switch both the decoded solution and the
-	// frozen broadcast view are dead (a fold copied what it needed into
-	// its delta); recycle them.
+	// Both the decoded solution and the frozen broadcast view are dead
+	// now (a fold copied what it needed into its delta); recycle them.
 	tensor.PutVec(wk)
 	tensor.PutVec(in.view)
-	if c.timed() {
-		c.recordArrival(c.target, Arrival{
-			Device:      in.device,
-			Seq:         in.seq,
-			Sent:        in.sentAt,
-			Arrived:     c.now,
-			Staleness:   staleness,
-			Drop:        reason,
-			EpochBudget: in.budget,
-			EpochsDone:  done,
-		})
-	}
 	if c.evalWait == nil {
 		more, err := c.fillAsync()
 		if err != nil {
@@ -1533,9 +1237,136 @@ func (c *Coordinator) WorkerLost(devices []int) ([]Command, error) {
 	return c.fillAsync()
 }
 
-// ---------------------------------------------------------------------
-// Shared reply and evaluation machinery
-// ---------------------------------------------------------------------
+// dispatch records one outstanding dispatch of device k, traces it, and
+// returns its command. seq is the Dispatch's Seq (the selection index in
+// a synchronous round, the dispatch sequence in asynchronous runs); tag
+// keys the device's budget, batch-order and privacy streams (the round,
+// or the dispatch sequence); round is the round or milestone it belongs
+// to; b is the device's broadcast.
+func (c *Coordinator) dispatch(seq, tag, round, k, epochs int, mu float64, b downcast) Dispatch {
+	budget := c.deviceBudget(tag, k, epochs)
+	c.pending[k] = &pendingDispatch{device: k, seq: seq, epochs: epochs, expected: expectedEpochs(budget, epochs),
+		budget: budget, version: c.version, view: b.view, downBytes: b.db, sentAt: c.now}
+	c.emit(obs.Event{
+		Kind: obs.KindDispatch, Round: round, Seq: seq, Device: k, Version: c.version,
+		Epochs: epochs, Budget: budget, BytesDown: b.db,
+	})
+	return Dispatch{
+		Seq:          seq,
+		Round:        round,
+		Version:      c.version,
+		Device:       k,
+		Epochs:       epochs,
+		EpochBudget:  budget,
+		Mu:           mu,
+		LearningRate: c.cfg.LearningRate,
+		BatchSize:    c.cfg.BatchSize,
+		BatchSeed:    c.batchRoot.SplitIndex(tag).SplitIndex(k).State(),
+		PrivacyTag:   tag,
+		Update:       b.u,
+		View:         b.view,
+		DownBytes:    b.db,
+	}
+}
+
+// DispatchSent confirms that a Dispatch actually left the coordinator:
+// only then are its downlink bytes and expected (budget-clamped) epochs
+// charged, so a dispatch whose send failed (dead worker) is billed as
+// neither traffic nor compute; realize moves the epoch charge to what the
+// device reports it ran. Every backend calls it right after shipping the
+// request — in-process ones, where shipping cannot fail, before serving
+// it.
+func (c *Coordinator) DispatchSent(device int) {
+	in, ok := c.pending[device]
+	if !ok || in.charged {
+		return
+	}
+	in.charged = true
+	c.cost.DownlinkBytes += in.downBytes
+	c.cost.DeviceEpochs += in.expected
+}
+
+// realize resolves the epochs a reply's device actually ran and moves a
+// confirmed dispatch's epoch charge to them. Without a budget model the
+// dispatched work is authoritative (legacy replies need not report
+// EpochsDone); with one, the device's report is, clamped to [0, expected].
+func (c *Coordinator) realize(in *pendingDispatch, reported int) int {
+	done := in.expected
+	if c.cfg.DeviceBudget != nil {
+		done = min(max(reported, 0), in.expected)
+	}
+	if in.charged {
+		c.cost.DeviceEpochs += done - in.expected
+	}
+	return done
+}
+
+// judge gives one reply its verdict under the clock-native straggler
+// policies, in precedence order: lost in transit, past the deadline (rel
+// is the reply's own latency; NaN never is), drained (an asynchronous
+// schedule already has its folds), over the byte budget. The budget
+// window is consumed in arrival order by what Cost charges: a reply's
+// round trip (down + up), or only the downlink of a lost one, whose
+// uplink never reached the server.
+func (c *Coordinator) judge(rel float64, lost, drained bool, down, up int64) (reason DropReason) {
+	switch {
+	case lost:
+		reason = DropLost
+		up = 0
+	case c.cfg.VTime.DeadlineSeconds > 0 && rel > c.cfg.VTime.DeadlineSeconds:
+		reason = DropDeadline
+	case drained:
+		reason = DropDrain
+	case c.cfg.VTime.RoundBytes > 0 && c.windowBytes+down+up > c.cfg.VTime.RoundBytes:
+		reason = DropBudget
+	}
+	c.windowBytes += down + up
+	return reason
+}
+
+// staleness is a judged reply's model-version staleness: -1 unless it is
+// folded (always 0 within a synchronous round).
+func (c *Coordinator) staleness(in *pendingDispatch, reason DropReason) int {
+	if reason != ArrivalFolded {
+		return -1
+	}
+	return c.version - in.version
+}
+
+// settle charges one judged reply and traces it: a reply that is not
+// folded wastes the work it realized, every reply but a lost one moved
+// its uplink, and a folded one enters the realized-work statistics. The
+// downlink and the work were charged when the dispatch was sent.
+func (c *Coordinator) settle(in *pendingDispatch, reason DropReason, done int, up int64, rel float64) {
+	if reason != ArrivalFolded {
+		c.cost.WastedEpochs += done
+	} else if c.cfg.DeviceBudget != nil {
+		c.work.add(done, in.epochs)
+	}
+	if reason != DropLost {
+		c.cost.UplinkBytes += up
+	}
+	if c.trace != nil {
+		c.emit(obs.Event{
+			Kind: obs.KindReply, Seq: in.seq, Device: in.device, Version: in.version,
+			Staleness: c.staleness(in, reason), EpochsDone: done, BytesUp: up, BytesDown: in.downBytes,
+			Seconds: rel, Disposition: reason.String(),
+		})
+	}
+}
+
+// recordArrival appends one transmitted reply to the Arrivals trace: seq
+// is its transfer sequence and arrived the clock it reached the server
+// at. The first contact sizes the trace to planned, the number of
+// contacts the configuration fixes for a run that loses no reply, so such
+// a run never regrows it; re-dispatched losses overflow through append.
+func (c *Coordinator) recordArrival(planned int, in *pendingDispatch, seq int, arrived float64, reason DropReason, done int) {
+	if c.hist.Arrivals == nil {
+		c.hist.Arrivals = make([]Arrival, 0, planned)
+	}
+	c.hist.Arrivals = append(c.hist.Arrivals, Arrival{Device: in.device, Seq: seq, Sent: in.sentAt, Arrived: arrived,
+		Staleness: c.staleness(in, reason), Drop: reason, EpochBudget: in.budget, EpochsDone: done})
+}
 
 // decodeReply recovers the device's solution from a Reply: encoded
 // uplinks decode against the exact broadcast view the device trained
@@ -1567,36 +1398,38 @@ func (c *Coordinator) HandleReply(r Reply) ([]Command, error) {
 		c.queued = append(c.queued, r)
 		return nil, nil
 	}
-	if c.isAsync {
-		return c.handleAsyncReply(r)
-	}
 	in, ok := c.pending[r.Device]
 	if !ok {
+		if c.isAsync {
+			return nil, nil // an evicted worker's late reply: drop
+		}
 		return nil, fmt.Errorf("core: reply from device %d with no outstanding dispatch", r.Device)
 	}
 	delete(c.pending, r.Device)
-	wk, upWire, err := c.decodeReply(in, r)
+	wk, up, err := c.decodeReply(in, r)
 	if err != nil {
 		return nil, err
+	}
+	done := c.realize(in, r.EpochsDone)
+	// The deadline judges the reply's own network+compute latency, which
+	// the driver stamps in Rel. The clock delta c.now-in.sentAt is NOT
+	// equivalent: an evaluation charge can Advance the engine past a
+	// scheduled arrival, which then fires "at the present" — inflating
+	// the observed delta and dropping a reply that was in time.
+	rel := math.NaN()
+	if r.Timed {
+		rel = r.Rel
+	}
+	if c.isAsync {
+		return c.handleAsyncReply(in, wk, up, done, rel, r.Lost)
 	}
 	if c.links != nil {
 		// The broadcast view was this reply's decode base and nothing else:
 		// the fold reads wk only. (Without links view is c.w itself.)
 		tensor.PutVec(in.view)
 	}
-	c.round.replies[in.index] = &syncReply{
-		wk:      wk,
-		pooled:  r.Update != nil,
-		nk:      c.sizes[r.Device],
-		done:    c.realizedEpochs(in.expected, r.EpochsDone),
-		budget:  in.budget,
-		gamma:   r.Gamma,
-		upBytes: upWire,
-		seq:     r.Seq,
-		rel:     r.Rel,
-		lost:    r.Lost,
-		timed:   r.Timed,
-	}
+	c.round.replies[in.seq] = &syncReply{in: in, wk: wk, pooled: r.Update != nil, done: done, gamma: r.Gamma,
+		upBytes: up, seq: r.Seq, rel: rel, lost: r.Lost}
 	c.round.outstanding--
 	if c.round.outstanding > 0 {
 		return nil, nil

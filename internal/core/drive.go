@@ -21,7 +21,9 @@ type Backend interface {
 	// Dispatch ships a run of consecutive Dispatch commands — a
 	// synchronous round's cohort, or what one asynchronous fill issued —
 	// after every command queued ahead of them ran, so each is stamped
-	// with the clock as of its place in the queue. A backend whose
+	// with the clock as of its place in the queue. Every send that left
+	// is confirmed with Coordinator.DispatchSent, in either mode — it is
+	// what charges the dispatch's downlink and work. A backend whose
 	// replies are in hand when it returns (in-process solves) returns
 	// them in dispatch order and Drive feeds them; one whose replies
 	// arrive later (the wire) returns none and feeds them in Wait.

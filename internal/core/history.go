@@ -91,7 +91,10 @@ type Cost struct {
 type Arrival struct {
 	// Device is the contacted device index.
 	Device int
-	// Seq is the dispatch sequence number (unique, increasing).
+	// Seq is the reply's transfer sequence number: the dispatch sequence
+	// in the asynchronous modes, the driver's per-transfer counter in the
+	// synchronous protocol (the arrival race's tiebreak). Unique within a
+	// run, but the trace is in arrival order, not Seq order.
 	Seq int
 	// Sent is the virtual time the broadcast left the coordinator.
 	Sent float64
@@ -118,8 +121,8 @@ const (
 	ArrivalFolded DropReason = iota
 	// DropPolicy: a designated or capability straggler discarded under
 	// DropStragglers. Such devices never transmit a reply, so this
-	// reason marks them in the round planner's bookkeeping but never
-	// appears in the Arrivals trace.
+	// reason marks their trace drop event but never appears in the
+	// Arrivals trace.
 	DropPolicy
 	// DropDeadline: the reply arrived after VTimeConfig.DeadlineSeconds.
 	DropDeadline
@@ -159,8 +162,9 @@ type History struct {
 	Label string
 	// Points are in increasing round order.
 	Points []Point
-	// Arrivals is the per-contact trace of a virtual-time run, in
-	// dispatch order; empty otherwise.
+	// Arrivals is the per-contact trace of a virtual-time run, in arrival
+	// order (within each round for the synchronous protocol, as replies
+	// land for the asynchronous modes); empty otherwise.
 	Arrivals []Arrival
 	// FinalParams is the global model the schedule ended on, set when the
 	// coordinator emits Done (nil before). It aliases the coordinator's

@@ -85,8 +85,16 @@ type simBackend struct {
 	serve func([]Dispatch) ([]Reply, error)
 }
 
-func (b *simBackend) Dispatch(ds []Dispatch) ([]Reply, error) { return b.serve(ds) }
-func (b *simBackend) Wait() ([]Command, error)                { return nil, nil }
+// Dispatch confirms every send — in process, shipping cannot fail — and
+// serves the cohort.
+func (b *simBackend) Dispatch(ds []Dispatch) ([]Reply, error) {
+	for _, v := range ds {
+		b.coord.DispatchSent(v.Device)
+	}
+	return b.serve(ds)
+}
+
+func (b *simBackend) Wait() ([]Command, error) { return nil, nil }
 
 // inProcess is the half of Backend the in-process backends (simBackend,
 // vtimeBackend) share: the evaluators and the virtual clock.
