@@ -1,0 +1,407 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+
+	"fedprox/internal/obs"
+	"fedprox/internal/tensor"
+)
+
+// The synchronous protocol: rounds, the arrival-order cut, completion,
+// adaptive-μ observation, and checkpoint snapshot/restore.
+
+// syncReply is one buffered synchronous-round result, held until the
+// round completes so aggregation order stays the selection order.
+type syncReply struct {
+	in      *pendingDispatch // its view is dead once the reply is decoded
+	wk      []float64
+	pooled  bool // wk came from uplinkDecode (not the caller's Reply.Params): recycled after the fold
+	done    int  // realized local epochs (== dispatched without a budget)
+	gamma   float64
+	upBytes int64
+	seq     int     // the transfer sequence of a timed reply
+	rel     float64 // latency since the round's broadcast; NaN when untimed
+	lost    bool
+	verdict DropReason // the cut's judgement; ArrivalFolded when untimed
+}
+
+// syncRound is the state of the in-flight synchronous round.
+type syncRound struct {
+	t           int
+	mu          float64
+	selected    []int
+	epochs      []int
+	straggler   []bool
+	replies     []*syncReply
+	outstanding int
+}
+
+// window opens a windowed coordinator's next round with the global model
+// re-based on view, the parent's broadcast. The re-base happens before the
+// round's broadcasts are encoded, so codec link chains and environment
+// streams carry over from window to window. Driving the returned commands
+// ends on pause (or Done, after the last round) with the fold in c.w.
+func (c *Coordinator) window(view []float64) ([]Command, error) {
+	if !c.paused {
+		return nil, errors.New("core: a window needs a started edge with no window outstanding")
+	}
+	if len(view) != len(c.w) {
+		return nil, fmt.Errorf("core: window view has %d params, model has %d", len(view), len(c.w))
+	}
+	copy(c.w, view)
+	c.paused = false
+	return c.beginRound()
+}
+
+func (c *Coordinator) startSync() ([]Command, error) {
+	startRound := 0
+	if c.cfg.Checkpointer != nil {
+		saved, err := c.cfg.Checkpointer.Load()
+		if err != nil {
+			return nil, fmt.Errorf("core: checkpoint load: %w", err)
+		}
+		if saved != nil {
+			if err := c.restore(saved); err != nil {
+				return nil, err
+			}
+			startRound = saved.NextRound
+		}
+	}
+	c.ckptEvery = c.cfg.CheckpointEvery
+	if c.ckptEvery <= 0 {
+		c.ckptEvery = c.cfg.EvalEvery
+	}
+	c.t = startRound
+	if startRound == 0 && !c.windowed {
+		return c.beginEval(0, c.cfg.Mu, math.NaN(), 0, c.nextRound)
+	}
+	return c.nextRound()
+}
+
+// nextRound opens round c.t — or, on a windowed coordinator with rounds
+// remaining, pauses until window opens it.
+func (c *Coordinator) nextRound() ([]Command, error) {
+	if c.windowed && c.t < c.cfg.Rounds {
+		c.paused = true
+		return []Command{pause{}}, nil
+	}
+	return c.beginRound()
+}
+
+// selectDevices and stragglerPlan share the Env draw implementations
+// (env.go), so the coordinator and Env-driven baselines see identical
+// environments under the same seed.
+func (c *Coordinator) selectDevices(round int) []int {
+	return drawSelection(c.cfg, c.selRoot.SplitIndex(round), c.weights, c.n)
+}
+
+func (c *Coordinator) stragglerPlan(round int, selected []int) (epochs []int, straggler []bool) {
+	return drawStragglerPlan(c.cfg, c.stragRoot.SplitIndex(round), round, selected)
+}
+
+// policyDropped reports whether the round's i-th selected device is a
+// straggler the drop policy never contacts.
+func (c *Coordinator) policyDropped(r *syncRound, i int) bool {
+	return c.cfg.Straggler == DropStragglers && r.straggler[i]
+}
+
+// beginRound opens round c.t: selects devices, plans stragglers, encodes
+// the contacted devices' broadcasts on Config.Parallelism workers, and
+// emits the round's Dispatches. Only the encodes run concurrently — each
+// advances one device's link state (its codecs, rounding stream and
+// broadcast shadow) into its own slot; pending records, events and
+// commands are then built serially in selection order, so the History and
+// the trace do not depend on Parallelism, and a failing round reports the
+// error of its lowest selection index. Each pendingDispatch owns its
+// decoded view (a pooled vector) until HandleReply has decoded the reply
+// against it. A round whose every device is policy-dropped completes
+// immediately.
+func (c *Coordinator) beginRound() ([]Command, error) {
+	if c.t >= c.cfg.Rounds {
+		return []Command{c.finish()}, nil
+	}
+	t := c.t
+	c.version = t
+	mu := c.cfg.Mu
+	if c.muc != nil {
+		mu = c.muc.Mu()
+	}
+	selected := c.selectDevices(t)
+	epochs, straggler := c.stragglerPlan(t, selected)
+	r := &syncRound{
+		t:         t,
+		mu:        mu,
+		selected:  selected,
+		epochs:    epochs,
+		straggler: straggler,
+		replies:   make([]*syncReply, len(selected)),
+	}
+	c.round = r
+	c.emit(obs.Event{Kind: obs.KindRoundOpen, Round: t, N: len(selected)})
+	var casts []downcast
+	if c.links != nil {
+		casts = make([]downcast, len(selected))
+		parallelFor(len(selected), c.cfg.Parallelism, func(i int) {
+			if !c.policyDropped(r, i) {
+				b := &casts[i]
+				b.u, b.view, b.db, b.err = c.links.broadcast(selected[i], c.w)
+			}
+		})
+	}
+	var cmds []Command
+	for i, k := range selected {
+		if c.policyDropped(r, i) {
+			// Never contacted; accounted at round completion.
+			c.emit(obs.Event{Kind: obs.KindDrop, Round: t, Device: k, Disposition: DropPolicy.String()})
+			continue
+		}
+		// Without links the device trains from c.w itself.
+		b := downcast{view: c.w, db: c.paramBytes}
+		if casts != nil {
+			b = casts[i]
+		}
+		if b.err != nil {
+			return nil, b.err
+		}
+		r.outstanding++
+		cmds = append(cmds, c.dispatch(i, t, t, k, epochs[i], mu, b))
+	}
+	if r.outstanding == 0 {
+		return c.completeRound()
+	}
+	return cmds, nil
+}
+
+// cutSyncRound applies the clock-native straggler policies to a timed
+// round: replies race in (arrival, seq) order and judge gives each its
+// verdict against a byte window opened with the round, the round's
+// critical path becomes its duration, and every transmitted reply lands
+// in the Arrivals trace.
+func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64) {
+	legs := make([]*syncReply, 0, len(r.replies))
+	for _, rep := range r.replies {
+		if rep != nil {
+			legs = append(legs, rep)
+		}
+	}
+	sort.Slice(legs, func(a, b int) bool {
+		if legs[a].rel != legs[b].rel {
+			return legs[a].rel < legs[b].rel
+		}
+		return legs[a].seq < legs[b].seq
+	})
+	deadline := c.cfg.VTime.DeadlineSeconds
+	c.windowBytes = 0
+	for _, rep := range legs {
+		rep.verdict = c.judge(rep.rel, rep.lost, false, rep.in.downBytes, rep.upBytes)
+		// Server occupancy: an accepted reply holds the round until it
+		// arrives; a late reply holds it until the deadline closes the
+		// round; a lost reply until its expected arrival (the server's
+		// detection point) or the deadline, whichever is earlier. A
+		// budget-dropped reply holds nothing — budget drops are the
+		// arrival-order tail, so the budget was spent (and the round
+		// closed) before it arrived.
+		occ := rep.rel
+		switch {
+		case rep.verdict == DropBudget:
+			occ = 0
+		case deadline > 0 && (rep.verdict == DropDeadline || (rep.verdict == DropLost && deadline < occ)):
+			occ = deadline
+		}
+		if occ > duration {
+			duration = occ
+		}
+		c.recordArrival(c.cfg.Rounds*len(r.selected), rep.in, rep.seq, rep.in.sentAt+rep.rel, rep.verdict, rep.done)
+	}
+	return duration
+}
+
+// completeRound closes the in-flight round: applies the virtual-time cut
+// when the replies are timed, settles every reply in selection order,
+// folds the surviving updates, and walks the post-round sequence
+// (adaptive-μ observation, evaluation, checkpointing, next round).
+func (c *Coordinator) completeRound() ([]Command, error) {
+	r := c.round
+	c.round = nil
+
+	var pre []Command
+	roundSecs := math.NaN()
+	if slices.ContainsFunc(r.replies, func(rep *syncReply) bool { return rep != nil && !math.IsNaN(rep.rel) }) {
+		roundSecs = c.cutSyncRound(r)
+		pre = append(pre, AdvanceClock{Seconds: roundSecs})
+	}
+
+	// Under the legacy (no-codec) accounting a never-contacted straggler
+	// is still charged a full-model download and its epochs, all wasted:
+	// real devices can't know in advance they'll be dropped. The
+	// counterfactual follows the realized-work rule — a device modeled as
+	// running anyway would still have stopped at its compute budget.
+	// Contacted devices were charged by DispatchSent and realize.
+	for i := range r.selected {
+		if c.legacy && c.policyDropped(r, i) {
+			ep := expectedEpochs(c.deviceBudget(r.t, r.selected[i], r.epochs[i]), r.epochs[i])
+			c.cost.DownlinkBytes += c.paramBytes
+			c.cost.DeviceEpochs += ep
+			c.cost.WastedEpochs += ep
+		}
+	}
+
+	var params [][]float64
+	var nks []float64
+	gammaSum, gammaN := 0.0, 0
+	for _, rep := range r.replies {
+		if rep == nil {
+			continue
+		}
+		c.settle(rep.in, rep.verdict, rep.done, rep.upBytes, rep.rel)
+		if rep.verdict != ArrivalFolded {
+			continue
+		}
+		params = append(params, rep.wk)
+		nks = append(nks, c.foldWeight(c.sizes[rep.in.device], rep.done))
+		if c.cfg.TrackGamma {
+			gammaSum += rep.gamma
+			gammaN++
+		}
+	}
+	gamma := math.NaN()
+	if gammaN > 0 {
+		gamma = gammaSum / float64(gammaN)
+	}
+	if len(params) > 0 {
+		aggregate(c.w, params, nks, c.cfg.Sampling)
+		c.emit(obs.Event{Kind: obs.KindFold, Round: r.t, Version: r.t + 1, N: len(params)})
+	}
+	// Folded or cut, every decoded solution of the round is dead now.
+	for _, rep := range r.replies {
+		if rep != nil && rep.pooled {
+			tensor.PutVec(rep.wk)
+		}
+	}
+	c.emit(obs.Event{Kind: obs.KindRoundClose, Round: r.t, N: len(params), Seconds: roundSecs})
+
+	outcome := &roundOutcome{t: r.t, mu: r.mu, gamma: gamma, participants: len(params)}
+	if c.muc != nil {
+		// The adaptive-μ controller observes the loss every round; other
+		// configurations only pay for evaluation on recorded rounds.
+		c.outcome = outcome
+		return append(pre, ObserveLoss{Params: c.w}), nil
+	}
+	more, err := c.afterObserve(outcome)
+	return append(pre, more...), err
+}
+
+// roundOutcome carries a completed round's recording inputs across the
+// adaptive-μ wait state.
+type roundOutcome struct {
+	t            int
+	mu           float64
+	gamma        float64
+	participants int
+}
+
+// LossObserved answers an ObserveLoss command with the global training
+// loss at the requested parameters.
+func (c *Coordinator) LossObserved(loss float64) ([]Command, error) {
+	if c.muc == nil || c.outcome == nil {
+		return nil, errors.New("core: unexpected LossObserved")
+	}
+	c.muc.Observe(loss)
+	out := c.outcome
+	c.outcome = nil
+	return c.afterObserve(out)
+}
+
+// afterObserve continues a completed round past the adaptive-μ
+// observation: evaluation if the round is recorded, then checkpointing
+// and the next round.
+func (c *Coordinator) afterObserve(out *roundOutcome) ([]Command, error) {
+	t := out.t
+	needEval := (t+1)%c.cfg.EvalEvery == 0 || t == c.cfg.Rounds-1
+	if needEval && !c.windowed {
+		return c.beginEval(t+1, out.mu, out.gamma, out.participants, func() ([]Command, error) {
+			return c.afterRecord(t)
+		})
+	}
+	return c.afterRecord(t)
+}
+
+// afterRecord finishes round t: persists a checkpoint when due and opens
+// the next round.
+func (c *Coordinator) afterRecord(t int) ([]Command, error) {
+	if c.cfg.Checkpointer != nil && ((t+1)%c.ckptEvery == 0 || t == c.cfg.Rounds-1) {
+		snap, err := c.snapshot(t + 1)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.cfg.Checkpointer.Save(snap); err != nil {
+			return nil, fmt.Errorf("core: checkpoint save: %w", err)
+		}
+		c.emit(obs.Event{Kind: obs.KindCheckpoint, Round: t + 1})
+	}
+	c.t = t + 1
+	return c.nextRound()
+}
+
+// snapshot captures the resumable state with round nextRound about to
+// open. Every slice in it is a copy: the snapshot is the Checkpointer's to
+// keep.
+func (c *Coordinator) snapshot(nextRound int) (*Snapshot, error) {
+	s := &Snapshot{
+		NextRound: nextRound,
+		Params:    slices.Clone(c.w),
+		Points:    slices.Clone(c.hist.Points),
+		Cost:      c.cost,
+		Work:      c.work,
+	}
+	if c.muc != nil {
+		ms := c.muc.snapshot()
+		s.AdaptiveMu = &ms
+	}
+	if c.links != nil {
+		var err error
+		if s.Links, err = c.links.snapshot(); err != nil {
+			return nil, fmt.Errorf("core: checkpoint link state: %w", err)
+		}
+	}
+	return s, nil
+}
+
+// restore resumes from a snapshot. A codec run refuses one without link
+// state: its rounding streams and residuals cannot be reconstructed.
+func (c *Coordinator) restore(s *Snapshot) error {
+	if len(s.Params) != len(c.w) {
+		return fmt.Errorf("core: checkpoint has %d params, model has %d", len(s.Params), len(c.w))
+	}
+	copy(c.w, s.Params)
+	c.hist.Points = append(c.hist.Points, s.Points...)
+	c.cost = s.Cost
+	c.cost.WireUplinkBytes, c.cost.WireDownlinkBytes = 0, 0
+	c.work = s.Work
+	if c.muc != nil && s.AdaptiveMu != nil {
+		c.muc.restore(*s.AdaptiveMu)
+	}
+	if c.links != nil {
+		if s.Links == nil {
+			return errors.New("core: checkpoint carries no codec link state")
+		}
+		if err := c.links.restore(s.Links); err != nil {
+			return fmt.Errorf("core: checkpoint link state: %w", err)
+		}
+	}
+	return nil
+}
+
+// aggregate folds a synchronous round's updates into w in place.
+func aggregate(w []float64, params [][]float64, nks []float64, scheme SamplingScheme) {
+	switch scheme {
+	case WeightedSimpleAvg:
+		tensor.Mean(w, params)
+	default:
+		tensor.WeightedMean(w, params, nks)
+	}
+}

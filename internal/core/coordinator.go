@@ -44,8 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"fedprox/internal/comm"
 	"fedprox/internal/frand"
@@ -222,39 +220,6 @@ type EvalResult struct {
 	WireDownlinkBytes int64
 }
 
-// StaleDelta is one device contribution to a staleness-damped fold: the
-// model delta the device computed, its aggregation weight n_k, and the
-// model version of the broadcast snapshot it trained from.
-type StaleDelta struct {
-	Delta   []float64
-	Weight  float64
-	Version int
-}
-
-// FoldStaleDeltas applies the coordinator's asynchronous update rule,
-// FedBuff style: each delta is damped by its own staleness at fold time,
-// alpha_k = alpha/(1+s)^p with s = version − Version, and the damped
-// deltas combine under the run's sampling scheme,
-//
-//	w ← w + Σ n_k·alpha_k·Δ_k / Σ n_k   (uniform sampling)
-//	w ← w + Σ alpha_k·Δ_k / |B|         (weighted sampling)
-//
-// With fresh replies (s = 0, alpha = 1, views = w) this reproduces the
-// synchronous round update exactly; for a single-entry batch it is the
-// delta form of the FedAsync fold. It reports whether the model advanced
-// a version (false on an empty batch).
-func FoldStaleDeltas(w []float64, batch []StaleDelta, version int, sampling SamplingScheme, alpha, p float64) bool {
-	return foldStaleDeltas(w, batch, version, sampling, alpha, p, nil)
-}
-
-// foldStats accumulates staleness statistics across folds between
-// evaluated points.
-type foldStats struct {
-	sum float64
-	max float64
-	n   int
-}
-
 // workStats accumulates realized-local-work statistics across the
 // updates aggregated between evaluated points (only maintained when
 // Config.DeviceBudget is set). Fields are exported because the struct
@@ -271,39 +236,6 @@ func (w *workStats) add(done, target int) {
 		w.Partial++
 	}
 	w.N++
-}
-
-func foldStaleDeltas(w []float64, batch []StaleDelta, version int, sampling SamplingScheme, alpha, p float64, st *foldStats) bool {
-	num := tensor.GetVec[float64](len(w))
-	defer tensor.PutVec(num)
-	tensor.Zero(num)
-	den := 0.0
-	for _, e := range batch {
-		s := float64(version - e.Version)
-		a := alpha / math.Pow(1+s, p)
-		if st != nil {
-			st.sum += s
-			st.n++
-			if s > st.max {
-				st.max = s
-			}
-		}
-		cw := 1.0
-		if sampling != WeightedSimpleAvg {
-			cw = e.Weight
-		}
-		den += cw
-		for i, v := range e.Delta {
-			num[i] += cw * a * v
-		}
-	}
-	if den == 0 {
-		return false
-	}
-	for i := range w {
-		w[i] += num[i] / den
-	}
-	return true
 }
 
 // pendingDispatch is the coordinator's record of one outstanding
@@ -329,32 +261,6 @@ type pendingDispatch struct {
 	downBytes int64
 	sentAt    float64 // clock at dispatch: the Arrival's Sent
 	charged   bool    // DispatchSent confirmed the transfer
-}
-
-// syncReply is one buffered synchronous-round result, held until the
-// round completes so aggregation order stays the selection order.
-type syncReply struct {
-	in      *pendingDispatch // its view is dead once the reply is decoded
-	wk      []float64
-	pooled  bool // wk came from uplinkDecode (not the caller's Reply.Params): recycled after the fold
-	done    int  // realized local epochs (== dispatched without a budget)
-	gamma   float64
-	upBytes int64
-	seq     int     // the transfer sequence of a timed reply
-	rel     float64 // latency since the round's broadcast; NaN when untimed
-	lost    bool
-	verdict DropReason // the cut's judgement; ArrivalFolded when untimed
-}
-
-// syncRound is the state of the in-flight synchronous round.
-type syncRound struct {
-	t           int
-	mu          float64
-	selected    []int
-	epochs      []int
-	straggler   []bool
-	replies     []*syncReply
-	outstanding int
 }
 
 // evalPending is a recorded-point skeleton awaiting its EvalResult.
@@ -527,23 +433,6 @@ func (c *Coordinator) finish() Done {
 	return Done{}
 }
 
-// window opens a windowed coordinator's next round with the global model
-// re-based on view, the parent's broadcast. The re-base happens before the
-// round's broadcasts are encoded, so codec link chains and environment
-// streams carry over from window to window. Driving the returned commands
-// ends on pause (or Done, after the last round) with the fold in c.w.
-func (c *Coordinator) window(view []float64) ([]Command, error) {
-	if !c.paused {
-		return nil, errors.New("core: a window needs a started edge with no window outstanding")
-	}
-	if len(view) != len(c.w) {
-		return nil, fmt.Errorf("core: window view has %d params, model has %d", len(view), len(c.w))
-	}
-	copy(c.w, view)
-	c.paused = false
-	return c.beginRound()
-}
-
 // Tick synchronizes the coordinator's virtual clock with the driver's.
 // Virtual-time drivers call it after every clock movement; drivers
 // without a clock never do, and every Point records VirtualSeconds NaN.
@@ -671,55 +560,6 @@ func (c *Coordinator) Start() ([]Command, error) {
 	return c.startSync()
 }
 
-// The synchronous protocol: rounds, the arrival-order cut, completion,
-// adaptive-μ observation, and checkpoint snapshot/restore.
-
-func (c *Coordinator) startSync() ([]Command, error) {
-	startRound := 0
-	if c.cfg.Checkpointer != nil {
-		saved, err := c.cfg.Checkpointer.Load()
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint load: %w", err)
-		}
-		if saved != nil {
-			if err := c.restore(saved); err != nil {
-				return nil, err
-			}
-			startRound = saved.NextRound
-		}
-	}
-	c.ckptEvery = c.cfg.CheckpointEvery
-	if c.ckptEvery <= 0 {
-		c.ckptEvery = c.cfg.EvalEvery
-	}
-	c.t = startRound
-	if startRound == 0 && !c.windowed {
-		return c.beginEval(0, c.cfg.Mu, math.NaN(), 0, c.nextRound)
-	}
-	return c.nextRound()
-}
-
-// nextRound opens round c.t — or, on a windowed coordinator with rounds
-// remaining, pauses until window opens it.
-func (c *Coordinator) nextRound() ([]Command, error) {
-	if c.windowed && c.t < c.cfg.Rounds {
-		c.paused = true
-		return []Command{pause{}}, nil
-	}
-	return c.beginRound()
-}
-
-// selectDevices and stragglerPlan share the Env draw implementations
-// (env.go), so the coordinator and Env-driven baselines see identical
-// environments under the same seed.
-func (c *Coordinator) selectDevices(round int) []int {
-	return drawSelection(c.cfg, c.selRoot.SplitIndex(round), c.weights, c.n)
-}
-
-func (c *Coordinator) stragglerPlan(round int, selected []int) (epochs []int, straggler []bool) {
-	return drawStragglerPlan(c.cfg, c.stragRoot.SplitIndex(round), round, selected)
-}
-
 // deviceBudget draws the device-side compute budget for one dispatch:
 // Config.DeviceBudget's allowance for (tag, device), clamped to
 // [1, epochs] — a contacted device always completes at least one epoch
@@ -746,12 +586,6 @@ func expectedEpochs(budget, epochs int) int {
 	return epochs
 }
 
-// policyDropped reports whether the round's i-th selected device is a
-// straggler the drop policy never contacts.
-func (c *Coordinator) policyDropped(r *syncRound, i int) bool {
-	return c.cfg.Straggler == DropStragglers && r.straggler[i]
-}
-
 // downcast is one contacted device's encoded broadcast: what
 // commLinks.broadcast returned for it.
 type downcast struct {
@@ -759,482 +593,6 @@ type downcast struct {
 	view []float64
 	db   int64
 	err  error
-}
-
-// beginRound opens round c.t: selects devices, plans stragglers, encodes
-// the contacted devices' broadcasts on Config.Parallelism workers, and
-// emits the round's Dispatches. Only the encodes run concurrently — each
-// advances one device's link state (its codecs, rounding stream and
-// broadcast shadow) into its own slot; pending records, events and
-// commands are then built serially in selection order, so the History and
-// the trace do not depend on Parallelism, and a failing round reports the
-// error of its lowest selection index. Each pendingDispatch owns its
-// decoded view (a pooled vector) until HandleReply has decoded the reply
-// against it. A round whose every device is policy-dropped completes
-// immediately.
-func (c *Coordinator) beginRound() ([]Command, error) {
-	if c.t >= c.cfg.Rounds {
-		return []Command{c.finish()}, nil
-	}
-	t := c.t
-	c.version = t
-	mu := c.cfg.Mu
-	if c.muc != nil {
-		mu = c.muc.Mu()
-	}
-	selected := c.selectDevices(t)
-	epochs, straggler := c.stragglerPlan(t, selected)
-	r := &syncRound{
-		t:         t,
-		mu:        mu,
-		selected:  selected,
-		epochs:    epochs,
-		straggler: straggler,
-		replies:   make([]*syncReply, len(selected)),
-	}
-	c.round = r
-	c.emit(obs.Event{Kind: obs.KindRoundOpen, Round: t, N: len(selected)})
-	var casts []downcast
-	if c.links != nil {
-		casts = make([]downcast, len(selected))
-		parallelFor(len(selected), c.cfg.Parallelism, func(i int) {
-			if !c.policyDropped(r, i) {
-				b := &casts[i]
-				b.u, b.view, b.db, b.err = c.links.broadcast(selected[i], c.w)
-			}
-		})
-	}
-	var cmds []Command
-	for i, k := range selected {
-		if c.policyDropped(r, i) {
-			// Never contacted; accounted at round completion.
-			c.emit(obs.Event{Kind: obs.KindDrop, Round: t, Device: k, Disposition: DropPolicy.String()})
-			continue
-		}
-		// Without links the device trains from c.w itself.
-		b := downcast{view: c.w, db: c.paramBytes}
-		if casts != nil {
-			b = casts[i]
-		}
-		if b.err != nil {
-			return nil, b.err
-		}
-		r.outstanding++
-		cmds = append(cmds, c.dispatch(i, t, t, k, epochs[i], mu, b))
-	}
-	if r.outstanding == 0 {
-		return c.completeRound()
-	}
-	return cmds, nil
-}
-
-// cutSyncRound applies the clock-native straggler policies to a timed
-// round: replies race in (arrival, seq) order and judge gives each its
-// verdict against a byte window opened with the round, the round's
-// critical path becomes its duration, and every transmitted reply lands
-// in the Arrivals trace.
-func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64) {
-	legs := make([]*syncReply, 0, len(r.replies))
-	for _, rep := range r.replies {
-		if rep != nil {
-			legs = append(legs, rep)
-		}
-	}
-	sort.Slice(legs, func(a, b int) bool {
-		if legs[a].rel != legs[b].rel {
-			return legs[a].rel < legs[b].rel
-		}
-		return legs[a].seq < legs[b].seq
-	})
-	deadline := c.cfg.VTime.DeadlineSeconds
-	c.windowBytes = 0
-	for _, rep := range legs {
-		rep.verdict = c.judge(rep.rel, rep.lost, false, rep.in.downBytes, rep.upBytes)
-		// Server occupancy: an accepted reply holds the round until it
-		// arrives; a late reply holds it until the deadline closes the
-		// round; a lost reply until its expected arrival (the server's
-		// detection point) or the deadline, whichever is earlier. A
-		// budget-dropped reply holds nothing — budget drops are the
-		// arrival-order tail, so the budget was spent (and the round
-		// closed) before it arrived.
-		occ := rep.rel
-		switch {
-		case rep.verdict == DropBudget:
-			occ = 0
-		case deadline > 0 && (rep.verdict == DropDeadline || (rep.verdict == DropLost && deadline < occ)):
-			occ = deadline
-		}
-		if occ > duration {
-			duration = occ
-		}
-		c.recordArrival(c.cfg.Rounds*len(r.selected), rep.in, rep.seq, rep.in.sentAt+rep.rel, rep.verdict, rep.done)
-	}
-	return duration
-}
-
-// completeRound closes the in-flight round: applies the virtual-time cut
-// when the replies are timed, settles every reply in selection order,
-// folds the surviving updates, and walks the post-round sequence
-// (adaptive-μ observation, evaluation, checkpointing, next round).
-func (c *Coordinator) completeRound() ([]Command, error) {
-	r := c.round
-	c.round = nil
-
-	var pre []Command
-	roundSecs := math.NaN()
-	if slices.ContainsFunc(r.replies, func(rep *syncReply) bool { return rep != nil && !math.IsNaN(rep.rel) }) {
-		roundSecs = c.cutSyncRound(r)
-		pre = append(pre, AdvanceClock{Seconds: roundSecs})
-	}
-
-	// Under the legacy (no-codec) accounting a never-contacted straggler
-	// is still charged a full-model download and its epochs, all wasted:
-	// real devices can't know in advance they'll be dropped. The
-	// counterfactual follows the realized-work rule — a device modeled as
-	// running anyway would still have stopped at its compute budget.
-	// Contacted devices were charged by DispatchSent and realize.
-	for i := range r.selected {
-		if c.legacy && c.policyDropped(r, i) {
-			ep := expectedEpochs(c.deviceBudget(r.t, r.selected[i], r.epochs[i]), r.epochs[i])
-			c.cost.DownlinkBytes += c.paramBytes
-			c.cost.DeviceEpochs += ep
-			c.cost.WastedEpochs += ep
-		}
-	}
-
-	var params [][]float64
-	var nks []float64
-	gammaSum, gammaN := 0.0, 0
-	for _, rep := range r.replies {
-		if rep == nil {
-			continue
-		}
-		c.settle(rep.in, rep.verdict, rep.done, rep.upBytes, rep.rel)
-		if rep.verdict != ArrivalFolded {
-			continue
-		}
-		params = append(params, rep.wk)
-		nks = append(nks, c.foldWeight(c.sizes[rep.in.device], rep.done))
-		if c.cfg.TrackGamma {
-			gammaSum += rep.gamma
-			gammaN++
-		}
-	}
-	gamma := math.NaN()
-	if gammaN > 0 {
-		gamma = gammaSum / float64(gammaN)
-	}
-	if len(params) > 0 {
-		aggregate(c.w, params, nks, c.cfg.Sampling)
-		c.emit(obs.Event{Kind: obs.KindFold, Round: r.t, Version: r.t + 1, N: len(params)})
-	}
-	// Folded or cut, every decoded solution of the round is dead now.
-	for _, rep := range r.replies {
-		if rep != nil && rep.pooled {
-			tensor.PutVec(rep.wk)
-		}
-	}
-	c.emit(obs.Event{Kind: obs.KindRoundClose, Round: r.t, N: len(params), Seconds: roundSecs})
-
-	outcome := &roundOutcome{t: r.t, mu: r.mu, gamma: gamma, participants: len(params)}
-	if c.muc != nil {
-		// The adaptive-μ controller observes the loss every round; other
-		// configurations only pay for evaluation on recorded rounds.
-		c.outcome = outcome
-		return append(pre, ObserveLoss{Params: c.w}), nil
-	}
-	more, err := c.afterObserve(outcome)
-	return append(pre, more...), err
-}
-
-// roundOutcome carries a completed round's recording inputs across the
-// adaptive-μ wait state.
-type roundOutcome struct {
-	t            int
-	mu           float64
-	gamma        float64
-	participants int
-}
-
-// LossObserved answers an ObserveLoss command with the global training
-// loss at the requested parameters.
-func (c *Coordinator) LossObserved(loss float64) ([]Command, error) {
-	if c.muc == nil || c.outcome == nil {
-		return nil, errors.New("core: unexpected LossObserved")
-	}
-	c.muc.Observe(loss)
-	out := c.outcome
-	c.outcome = nil
-	return c.afterObserve(out)
-}
-
-// afterObserve continues a completed round past the adaptive-μ
-// observation: evaluation if the round is recorded, then checkpointing
-// and the next round.
-func (c *Coordinator) afterObserve(out *roundOutcome) ([]Command, error) {
-	t := out.t
-	needEval := (t+1)%c.cfg.EvalEvery == 0 || t == c.cfg.Rounds-1
-	if needEval && !c.windowed {
-		return c.beginEval(t+1, out.mu, out.gamma, out.participants, func() ([]Command, error) {
-			return c.afterRecord(t)
-		})
-	}
-	return c.afterRecord(t)
-}
-
-// afterRecord finishes round t: persists a checkpoint when due and opens
-// the next round.
-func (c *Coordinator) afterRecord(t int) ([]Command, error) {
-	if c.cfg.Checkpointer != nil && ((t+1)%c.ckptEvery == 0 || t == c.cfg.Rounds-1) {
-		snap, err := c.snapshot(t + 1)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.cfg.Checkpointer.Save(snap); err != nil {
-			return nil, fmt.Errorf("core: checkpoint save: %w", err)
-		}
-		c.emit(obs.Event{Kind: obs.KindCheckpoint, Round: t + 1})
-	}
-	c.t = t + 1
-	return c.nextRound()
-}
-
-// snapshot captures the resumable state with round nextRound about to
-// open. Every slice in it is a copy: the snapshot is the Checkpointer's to
-// keep.
-func (c *Coordinator) snapshot(nextRound int) (*Snapshot, error) {
-	s := &Snapshot{
-		NextRound: nextRound,
-		Params:    slices.Clone(c.w),
-		Points:    slices.Clone(c.hist.Points),
-		Cost:      c.cost,
-		Work:      c.work,
-	}
-	if c.muc != nil {
-		ms := c.muc.snapshot()
-		s.AdaptiveMu = &ms
-	}
-	if c.links != nil {
-		var err error
-		if s.Links, err = c.links.snapshot(); err != nil {
-			return nil, fmt.Errorf("core: checkpoint link state: %w", err)
-		}
-	}
-	return s, nil
-}
-
-// restore resumes from a snapshot. A codec run refuses one without link
-// state: its rounding streams and residuals cannot be reconstructed.
-func (c *Coordinator) restore(s *Snapshot) error {
-	if len(s.Params) != len(c.w) {
-		return fmt.Errorf("core: checkpoint has %d params, model has %d", len(s.Params), len(c.w))
-	}
-	copy(c.w, s.Params)
-	c.hist.Points = append(c.hist.Points, s.Points...)
-	c.cost = s.Cost
-	c.cost.WireUplinkBytes, c.cost.WireDownlinkBytes = 0, 0
-	c.work = s.Work
-	if c.muc != nil && s.AdaptiveMu != nil {
-		c.muc.restore(*s.AdaptiveMu)
-	}
-	if c.links != nil {
-		if s.Links == nil {
-			return errors.New("core: checkpoint carries no codec link state")
-		}
-		if err := c.links.restore(s.Links); err != nil {
-			return fmt.Errorf("core: checkpoint link state: %w", err)
-		}
-	}
-	return nil
-}
-
-// The asynchronous protocol: the staleness-damped folds, keeping
-// MaxInFlight devices busy, the fold buffer, and lost workers.
-
-func (c *Coordinator) startAsync() ([]Command, error) {
-	c.async = c.cfg.Async.WithDefaults(c.cfg.ClientsPerRound)
-	c.flushSize, c.roundSize = 1, c.cfg.ClientsPerRound
-	if c.async.Mode == Buffered {
-		c.flushSize = c.async.BufferK
-		c.roundSize = c.async.BufferK
-	}
-	c.target = c.cfg.Rounds * c.roundSize
-	// Safety valve: virtual-time policies that drop every reply (a byte
-	// budget below one round-trip, a deadline below the fastest latency)
-	// would otherwise dispatch forever.
-	c.maxDispatches = 64*c.target + 1024
-	c.idle = newIdleSet(c.n)
-	c.idle.fill()
-	return c.beginEval(0, c.cfg.Mu, math.NaN(), 0, c.fillAsync)
-}
-
-// asyncDispatch ships one dispatch to an idle device chosen by the
-// environment streams (uniform or size-weighted over the sorted idle
-// set). Selection, straggler budgets, and batch orders are split per
-// dispatch sequence — the same derivation every async executor has
-// always used. The uniform mode draws rank-then-select on the idle
-// set's Fenwick tree, O(log N) per dispatch, consuming exactly the draw
-// the old sort-the-idle-slice implementation consumed; the weighted
-// mode still walks the ordered idle population because its float prefix
-// scan is not tree-decomposable without perturbing the draw.
-func (c *Coordinator) asyncDispatch() (Dispatch, error) {
-	rng := c.selRoot.SplitIndex(c.dispatchSeq)
-	var id int
-	if c.cfg.Sampling == WeightedSimpleAvg {
-		ids := make([]int, 0, c.idle.len())
-		ws := make([]float64, 0, c.idle.len())
-		c.idle.ascending(func(d int) {
-			ids = append(ids, d)
-			ws = append(ws, c.weights[d])
-		})
-		id = ids[rng.WeightedChoice(ws, 1)[0]]
-	} else {
-		id = c.idle.kth(rng.Intn(c.idle.len()))
-	}
-	epochs := c.cfg.LocalEpochs
-	if c.cfg.StragglerFraction > 0 {
-		srng := c.stragRoot.SplitIndex(c.dispatchSeq)
-		if srng.Bernoulli(c.cfg.StragglerFraction) {
-			epochs = srng.IntRange(1, c.cfg.LocalEpochs)
-		}
-	}
-	seq := c.dispatchSeq
-	c.dispatchSeq++
-	var b downcast
-	if c.links != nil {
-		if b.u, b.view, b.db, b.err = c.links.broadcast(id, c.w); b.err != nil {
-			return Dispatch{}, b.err
-		}
-	} else {
-		// Freeze the broadcast at dispatch time: the solve may run
-		// concurrently with later model folds, so the device must see the
-		// version it was dispatched, not a racing c.w. Pooled — the copy
-		// is recycled when the reply resolves (or the worker is lost).
-		b = downcast{view: tensor.GetVec[float64](len(c.w)), db: c.paramBytes}
-		copy(b.view, c.w)
-	}
-	c.idle.remove(id)
-	return c.dispatch(seq, seq, c.folded/c.roundSize, id, epochs, c.cfg.Mu, b), nil
-}
-
-// fillAsync keeps MaxInFlight devices busy while the schedule has work
-// left, and emits Done once every fold landed and the last reply
-// drained.
-func (c *Coordinator) fillAsync() ([]Command, error) {
-	var cmds []Command
-	for c.folded+len(c.pending) < c.target && len(c.pending) < c.async.MaxInFlight && c.idle.len() > 0 {
-		if c.cfg.VTime.Enabled() && c.dispatchSeq >= c.maxDispatches {
-			return nil, fmt.Errorf("core: async schedule made no progress after %d dispatches — the deadline/byte-budget policy drops every reply", c.dispatchSeq)
-		}
-		d, err := c.asyncDispatch()
-		if err != nil {
-			return nil, err
-		}
-		cmds = append(cmds, d)
-	}
-	if c.folded >= c.target && len(c.pending) == 0 && !c.finished {
-		cmds = append(cmds, c.finish())
-	}
-	return cmds, nil
-}
-
-// handleAsyncReply judges, settles and folds (or discards) one arrived
-// reply at once: the device's model delta, damped by its staleness
-// alpha/(1+s)^p, enters the aggregation buffer; the model advances one
-// version per flush; every roundSize folds is a milestone, evaluated on
-// the sync cadence.
-func (c *Coordinator) handleAsyncReply(in *pendingDispatch, wk []float64, up int64, done int, rel float64, lost bool) ([]Command, error) {
-	if c.live[in.device] {
-		c.idle.add(in.device)
-	}
-	reason := c.judge(rel, lost, c.folded >= c.target, in.downBytes, up)
-	c.settle(in, reason, done, up, rel)
-	if c.timed() {
-		c.recordArrival(c.target, in, in.seq, c.now, reason, done)
-	}
-	var cmds []Command
-	if reason == ArrivalFolded {
-		delta := tensor.GetVec[float64](len(wk))
-		for i := range wk {
-			delta[i] = wk[i] - in.view[i]
-		}
-		c.buffer = append(c.buffer, StaleDelta{Delta: delta, Weight: c.foldWeight(c.sizes[in.device], done), Version: in.version})
-		c.folded++
-		if len(c.buffer) >= c.flushSize {
-			if foldStaleDeltas(c.w, c.buffer, c.version, c.cfg.Sampling, c.async.Alpha, c.async.StalenessExponent, &c.stats) {
-				c.version++
-				c.emit(obs.Event{Kind: obs.KindFold, Round: c.folded / c.roundSize, Version: c.version, N: len(c.buffer)})
-			}
-			// The fold copied everything it needed into c.w; the buffered
-			// deltas are dead.
-			for _, sd := range c.buffer {
-				tensor.PutVec(sd.Delta)
-			}
-			c.buffer = c.buffer[:0]
-		}
-		if c.folded%c.roundSize == 0 {
-			c.windowBytes = 0 // the byte-budget window is per milestone
-			milestone := c.folded / c.roundSize
-			c.emit(obs.Event{Kind: obs.KindRoundClose, Round: milestone, N: c.roundSize, Seconds: math.NaN()})
-			if milestone%c.cfg.EvalEvery == 0 || milestone == c.cfg.Rounds {
-				// A milestone always folds exactly roundSize replies —
-				// the async analogue of the sync per-round participant
-				// count.
-				more, err := c.beginEval(milestone, c.cfg.Mu, math.NaN(), c.roundSize, c.fillAsync)
-				if err != nil {
-					return nil, err
-				}
-				cmds = append(cmds, more...)
-			}
-		}
-	}
-	// Both the decoded solution and the frozen broadcast view are dead
-	// now (a fold copied what it needed into its delta); recycle them.
-	tensor.PutVec(wk)
-	tensor.PutVec(in.view)
-	if c.evalWait == nil {
-		more, err := c.fillAsync()
-		if err != nil {
-			return nil, err
-		}
-		cmds = append(cmds, more...)
-	}
-	return cmds, nil
-}
-
-// WorkerLost evicts devices whose worker died (asynchronous runs): their
-// in-flight work is charged as waste and aggregation continues on the
-// survivors. Losing the last device fails the run.
-func (c *Coordinator) WorkerLost(devices []int) ([]Command, error) {
-	if !c.isAsync {
-		return nil, errors.New("core: the synchronous protocol cannot continue without its workers")
-	}
-	for _, id := range devices {
-		if id < 0 || id >= c.n || !c.live[id] {
-			continue
-		}
-		c.live[id] = false
-		c.liveDevices--
-		c.idle.remove(id)
-		c.emit(obs.Event{Kind: obs.KindWorkerLost, Device: id})
-		if in, ok := c.pending[id]; ok {
-			// The expected (budget-clamped) epochs stay charged; whatever
-			// the dead worker computed is lost — waste. A dispatch whose
-			// send was never confirmed carries no charges to waste.
-			if in.charged {
-				c.cost.WastedEpochs += in.expected
-			}
-			tensor.PutVec(in.view)
-			delete(c.pending, id)
-		}
-	}
-	if c.liveDevices == 0 {
-		return nil, errors.New("core: aggregation lost every worker")
-	}
-	if c.evalWait != nil {
-		return nil, nil
-	}
-	return c.fillAsync()
 }
 
 // dispatch records one outstanding dispatch of device k, traces it, and
@@ -1539,14 +897,4 @@ func (c *Coordinator) foldWeight(nk float64, done int) float64 {
 		return float64(done)
 	}
 	return nk
-}
-
-// aggregate folds a synchronous round's updates into w in place.
-func aggregate(w []float64, params [][]float64, nks []float64, scheme SamplingScheme) {
-	switch scheme {
-	case WeightedSimpleAvg:
-		tensor.Mean(w, params)
-	default:
-		tensor.WeightedMean(w, params, nks)
-	}
 }
