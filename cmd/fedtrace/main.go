@@ -429,28 +429,30 @@ func cmdDiff(args []string) {
 	if len(args) != 2 {
 		usage()
 	}
-	a, b := readTrace(args[0]), readTrace(args[1])
-
-	divergent := false
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	if diffTraces(os.Stdout, args[0], args[1], readTrace(args[0]), readTrace(args[1])) {
+		os.Exit(1)
 	}
+}
+
+// diffTraces writes the comparison of traces a and b, named nameA and
+// nameB, to w — the first divergent event (or which trace runs longer)
+// and the per-round deltas — and reports whether they diverge.
+func diffTraces(w io.Writer, nameA, nameB string, a, b []obs.Event) (divergent bool) {
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if key := eventDiff(a[i], b[i], false); key != "" {
-			fmt.Printf("first divergent event: #%d, field %q\n  %s: %s\n  %s: %s\n",
-				i, key, args[0], render(a[i]), args[1], render(b[i]))
+			fmt.Fprintf(w, "first divergent event: #%d, field %q\n  %s: %s\n  %s: %s\n",
+				i, key, nameA, render(a[i]), nameB, render(b[i]))
 			divergent = true
 			break
 		}
 	}
 	if !divergent && len(a) != len(b) {
-		fmt.Printf("traces agree for %d events, then %s has %d more\n",
-			n, args[0], len(a)-len(b))
-		if len(b) > len(a) {
-			fmt.Printf("traces agree for %d events, then %s has %d more\n",
-				n, args[1], len(b)-len(a))
+		longer, more := nameA, len(a)-len(b)
+		if more < 0 {
+			longer, more = nameB, -more
 		}
+		fmt.Fprintf(w, "traces agree for %d events, then %s has %d more\n", n, longer, more)
 		divergent = true
 	}
 
@@ -493,23 +495,23 @@ func cmdDiff(args []string) {
 			continue
 		}
 		if !printed {
-			fmt.Printf("per-round deltas (%s minus %s):\n", args[1], args[0])
+			fmt.Fprintf(w, "per-round deltas (%s minus %s):\n", nameB, nameA)
 			printed = true
 		}
-		fmt.Printf("  round %-4d", r)
+		fmt.Fprintf(w, "  round %-4d", r)
 		if !math.IsNaN(ds) && ds != 0 {
-			fmt.Printf("  secs %+.4f", ds)
+			fmt.Fprintf(w, "  secs %+.4f", ds)
 		}
 		if !math.IsNaN(dl) && dl != 0 {
-			fmt.Printf("  loss %+.6f", dl)
+			fmt.Fprintf(w, "  loss %+.6f", dl)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	if divergent {
-		os.Exit(1)
+	if !divergent {
+		fmt.Fprintf(w, "traces identical: %d events\n", len(a))
 	}
-	fmt.Printf("traces identical: %d events\n", len(a))
+	return divergent
 }
 
 // ---- replay -----------------------------------------------------------

@@ -8,9 +8,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -126,6 +129,55 @@ func where(srcs []source, visit func(path string, n ast.Node) bool) []string {
 	return hits
 }
 
+// strayAssembly lists the assembly files that break the one-strip-set
+// rule: any .s file outside internal/tensor, and any there with a TEXT
+// symbol (the CPUID stub cpuAVX aside) not named in the oracle test's
+// table or with a fused multiply-add.
+func strayAssembly(t *testing.T) []string {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	read := func(rel string) string {
+		b, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	oracle := read("internal/tensor/strips_test.go")
+	var stray []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && p != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git, the benchmark's build cache
+		case d.IsDir() || !strings.HasSuffix(p, ".s"):
+			return nil
+		}
+		rel, _ := filepath.Rel(root, p)
+		rel = filepath.ToSlash(rel)
+		if path.Dir(rel) != "internal/tensor" {
+			stray = append(stray, rel)
+			return nil
+		}
+		src := read(rel)
+		for _, m := range regexp.MustCompile(`(?m)^TEXT ·(\w+)`).FindAllStringSubmatch(src, -1) {
+			if m[1] != "cpuAVX" && !strings.Contains(oracle, `"`+m[1]+`"`) {
+				stray = append(stray, rel)
+				return nil
+			}
+		}
+		if regexp.MustCompile(`(?i)VFN?M`).MatchString(src) {
+			stray = append(stray, rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stray
+}
+
 var commands = []string{"Dispatch", "Evaluate", "ObserveLoss", "AdvanceClock", "pause", "Done"}
 
 // coreAllowed is the closed list of fedprox packages internal/core may
@@ -236,6 +288,58 @@ moves beside its one user or goes. The two exceptions: internal/checkpoint until
 (ROADMAP item 8), and internal/archtest, these lints, test-only by design.`,
 		got:  unreachable,
 		want: []string{"internal/archtest", "internal/checkpoint"},
+	}, {
+		name: "one numeric path",
+		why: `Arithmetic width is a type parameter inside internal/tensor, model/{linear,mlp}, solver and comm, chosen
+once where a Precision is read; every interface between packages is float64. A func, method or type whose name
+ends in 32 is the float32 twin stack growing back beside it. The exceptions are the one width constraint
+(model.Model32 and its Grad32), a width alias (tensor.Vec32, or a Mat32 beside it), the assembly strips' names
+ending in F32 and the frame reader's u32.`,
+		got: where(all, func(_ string, n ast.Node) bool {
+			var id *ast.Ident
+			switch v := n.(type) {
+			case *ast.FuncDecl:
+				id = v.Name
+			case *ast.TypeSpec:
+				id = v.Name
+			}
+			return id != nil && strings.HasSuffix(id.Name, "32") && !strings.HasSuffix(id.Name, "F32") &&
+				!slices.Contains([]string{"Grad32", "Model32", "Vec32", "Mat32", "u32"}, id.Name)
+		}),
+	}, {
+		name: "one fleet-eval pass",
+		why: `An evaluation visits each shard once (metrics.FleetEval): on a lazy fleet a visit is a shard synthesis,
+the dominant cost of a large run. The accuracy-only passes (metrics.FleetAccuracy, metrics.TestAccuracy) exist
+for the benchmark ladder and tests; an executor that calls one is walking the fleet a second time beside its
+loss pass.`,
+		got: where(all, func(p string, n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			return ok && name(sel.X) == "metrics" && (sel.Sel.Name == "FleetAccuracy" || sel.Sel.Name == "TestAccuracy") &&
+				!strings.HasPrefix(p, "internal/metrics/")
+		}),
+	}, {
+		name: "no model-sized make on the frame path",
+		why: `fednet decodes dense, packed and sparse-value payloads into pooled slices the receiver hands back with
+comm.Update.Release (tensor.GetVec, comm.GetPacked), on the bulk and the portable path alike; a make sized by N
+on the receive path (internal/fednet/frame.go) is the 535 MB a run of garbage growing back.`,
+		got: where(all, func(p string, n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || p != "internal/fednet/frame.go" || name(call.Fun) != "make" || len(call.Args) != 2 {
+				return false
+			}
+			slice, ok := call.Args[0].(*ast.ArrayType)
+			return ok && slice.Len == nil && slices.Contains([]string{"float64", "float32", "byte"}, name(slice.Elt)) &&
+				slices.Contains([]string{"n", "u.N", "k"}, types.ExprString(call.Args[1]))
+		}),
+	}, {
+		name: "assembly stays in internal/tensor",
+		why: `The AVX strips under MatMulNT, AddOuterPanel and ProxStep and the AVX2 strips under the byte quantiser
+(MaxAbsDiff, QuantizeBytes, DequantizeBytes) are the only assembly in the tree, and each must reproduce its
+generic Go loop bit for bit: so no .s file outside internal/tensor, every TEXT symbol but the one CPUID stub
+(cpuAVX) named in the table of TestStripsMatchGenericBits (internal/tensor/strips_test.go, the oracle test),
+and no fused multiply-add (VFM…, VFNM…), which rounds once where the Go loop rounds twice. go vet's asmdecl
+checks the frames.`,
+		got: strayAssembly(t),
 	}} {
 		if !slices.Equal(rule.got, rule.want) {
 			t.Errorf("%s: found in %v, want exactly %v\n%s", rule.name, rule.got, rule.want, rule.why)

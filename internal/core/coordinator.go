@@ -1,14 +1,19 @@
 package core
 
-// This file is the sans-I/O coordinator: every server-side decision of
-// the FedProx protocol — device selection, straggler plans and policies,
-// synchronous aggregation, the staleness-damped asynchronous folds,
-// adaptive-μ control, codec link state, privacy hooks, and History/Cost
-// accounting — lives here, behind an event-driven API with no I/O, no
-// clocks, no serialization and no goroutines (internal/archtest holds the
-// package to it: no file here imports os, io, net, time or encoding/…; a
-// run's resumable state leaves as a typed Snapshot, config.go, for its
-// Checkpointer to encode).
+// This file, coord_sync.go and coord_async.go are the sans-I/O
+// coordinator: every server-side decision of the FedProx protocol —
+// device selection, straggler plans and policies, synchronous
+// aggregation, the staleness-damped asynchronous folds, adaptive-μ
+// control, codec link state, privacy hooks, and History/Cost accounting —
+// lives here, behind an event-driven API with no I/O, no clocks, no
+// serialization and no goroutines (internal/archtest holds the package to
+// it: no file here imports os, io, net, time or encoding/…; a run's
+// resumable state leaves as a typed Snapshot, config.go, for its
+// Checkpointer to encode). This file holds what both modes share: a
+// dispatch is built by dispatch and charged by DispatchSent, and a reply
+// is decoded and realized by HandleReply, judged by judge, and charged
+// and traced by settle — the sync round calls those at its cut and
+// completion, the async schedule at each arrival.
 //
 // The coordinator consumes events (RegisterWorker, HandleReply, Tick,
 // WorkerLost, EvalDone, LossObserved) and emits commands (Dispatch,

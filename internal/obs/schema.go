@@ -69,132 +69,96 @@ type FieldSpec struct {
 	id fieldID
 }
 
-// Int reads the spec's field from e. Valid only for FieldInt specs.
-func (f FieldSpec) Int(e *Event) int {
+// intField, int64Field, floatField and strField map the spec's id to its
+// Event field, one switch per wire type: adding an Event field is one
+// case here and one row in the table below. A spec of another type maps
+// to a scratch value, so a mismatched read is zero and a mismatched
+// write is lost.
+func (f FieldSpec) intField(e *Event) *int {
 	switch f.id {
 	case fRound:
-		return e.Round
+		return &e.Round
 	case fSeq:
-		return e.Seq
+		return &e.Seq
 	case fDevice:
-		return e.Device
+		return &e.Device
 	case fVersion:
-		return e.Version
+		return &e.Version
 	case fStaleness:
-		return e.Staleness
+		return &e.Staleness
 	case fEpochs:
-		return e.Epochs
+		return &e.Epochs
 	case fBudget:
-		return e.Budget
+		return &e.Budget
 	case fEpochsDone:
-		return e.EpochsDone
+		return &e.EpochsDone
 	case fN:
-		return e.N
+		return &e.N
 	case fTier:
-		return e.Tier
+		return &e.Tier
 	}
-	return 0
+	return new(int)
 }
 
-// SetInt writes the spec's field on e. Valid only for FieldInt specs.
-func (f FieldSpec) SetInt(e *Event, v int) {
-	switch f.id {
-	case fRound:
-		e.Round = v
-	case fSeq:
-		e.Seq = v
-	case fDevice:
-		e.Device = v
-	case fVersion:
-		e.Version = v
-	case fStaleness:
-		e.Staleness = v
-	case fEpochs:
-		e.Epochs = v
-	case fBudget:
-		e.Budget = v
-	case fEpochsDone:
-		e.EpochsDone = v
-	case fN:
-		e.N = v
-	case fTier:
-		e.Tier = v
-	}
-}
-
-// Int64 reads the spec's field from e. Valid only for FieldInt64 specs.
-func (f FieldSpec) Int64(e *Event) int64 {
+func (f FieldSpec) int64Field(e *Event) *int64 {
 	switch f.id {
 	case fBytesDown:
-		return e.BytesDown
+		return &e.BytesDown
 	case fBytesUp:
-		return e.BytesUp
+		return &e.BytesUp
 	}
-	return 0
+	return new(int64)
 }
+
+func (f FieldSpec) floatField(e *Event) *float64 {
+	switch f.id {
+	case fTime:
+		return &e.Time
+	case fLoss:
+		return &e.Loss
+	case fAcc:
+		return &e.Acc
+	case fSeconds:
+		return &e.Seconds
+	}
+	return new(float64)
+}
+
+func (f FieldSpec) strField(e *Event) *string {
+	switch f.id {
+	case fLabel:
+		return &e.Label
+	case fDisposition:
+		return &e.Disposition
+	}
+	return new(string)
+}
+
+// Int reads the spec's field from e. Valid only for FieldInt specs.
+func (f FieldSpec) Int(e *Event) int { return *f.intField(e) }
+
+// SetInt writes the spec's field on e. Valid only for FieldInt specs.
+func (f FieldSpec) SetInt(e *Event, v int) { *f.intField(e) = v }
+
+// Int64 reads the spec's field from e. Valid only for FieldInt64 specs.
+func (f FieldSpec) Int64(e *Event) int64 { return *f.int64Field(e) }
 
 // SetInt64 writes the spec's field on e. Valid only for FieldInt64
 // specs.
-func (f FieldSpec) SetInt64(e *Event, v int64) {
-	switch f.id {
-	case fBytesDown:
-		e.BytesDown = v
-	case fBytesUp:
-		e.BytesUp = v
-	}
-}
+func (f FieldSpec) SetInt64(e *Event, v int64) { *f.int64Field(e) = v }
 
 // Float reads the spec's field from e. Valid only for FieldFloat specs.
-func (f FieldSpec) Float(e *Event) float64 {
-	switch f.id {
-	case fTime:
-		return e.Time
-	case fLoss:
-		return e.Loss
-	case fAcc:
-		return e.Acc
-	case fSeconds:
-		return e.Seconds
-	}
-	return 0
-}
+func (f FieldSpec) Float(e *Event) float64 { return *f.floatField(e) }
 
 // SetFloat writes the spec's field on e. Valid only for FieldFloat
 // specs.
-func (f FieldSpec) SetFloat(e *Event, v float64) {
-	switch f.id {
-	case fTime:
-		e.Time = v
-	case fLoss:
-		e.Loss = v
-	case fAcc:
-		e.Acc = v
-	case fSeconds:
-		e.Seconds = v
-	}
-}
+func (f FieldSpec) SetFloat(e *Event, v float64) { *f.floatField(e) = v }
 
 // Str reads the spec's field from e. Valid only for FieldString specs.
-func (f FieldSpec) Str(e *Event) string {
-	switch f.id {
-	case fLabel:
-		return e.Label
-	case fDisposition:
-		return e.Disposition
-	}
-	return ""
-}
+func (f FieldSpec) Str(e *Event) string { return *f.strField(e) }
 
-// SetStr writes the spec's field on e. Valid only for FieldString
-// specs.
-func (f FieldSpec) SetStr(e *Event, v string) {
-	switch f.id {
-	case fLabel:
-		e.Label = v
-	case fDisposition:
-		e.Disposition = v
-	}
-}
+// SetStr writes the spec's field on e. Valid only for FieldString specs.
+func (f FieldSpec) SetStr(e *Event, v string) { *f.strField(e) = v }
 
 // Spec constructors — terse on purpose so the table below reads as the
 // schema itself.
