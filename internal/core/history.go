@@ -121,7 +121,7 @@ const (
 	ArrivalFolded DropReason = iota
 	// DropPolicy: a designated or capability straggler discarded under
 	// DropStragglers. Such devices never transmit a reply, so this
-	// reason marks their trace drop event but never appears in the
+	// reason marks their trace drop event and never appears in the
 	// Arrivals trace.
 	DropPolicy
 	// DropDeadline: the reply arrived after VTimeConfig.DeadlineSeconds.
