@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -367,19 +371,60 @@ func (r iotestErr) Read([]byte) (int, error) {
 	return 0, io.EOF
 }
 
+// goldenFrames is the committed FuzzFrame corpus by file name: a real
+// frame of each kind × codec × width (wireEnvelopes, "/" spelled "-"),
+// hostileHello, and a length prefix over any bound.
+func goldenFrames(t testing.TB) map[string][]byte {
+	out := map[string][]byte{
+		"hostile-hello":    hostileHello,
+		"oversized-prefix": {0xFF, 0xFF, 0xFF, 0xFF, kindTrainRequest},
+	}
+	for name, e := range wireEnvelopes(t) {
+		out[strings.ReplaceAll(name, "/", "-")] = appendFrame(nil, e)
+	}
+	return out
+}
+
+// TestFrameGolden: the socket's bytes are pinned. Every file of
+// testdata/fuzz/FuzzFrame — written once and never regenerated — is
+// byte for byte the frame its name says, re-encoded from the same
+// message, and every such frame has its file. A change to what goes on
+// the wire fails here, not in a peer built from another commit.
+func TestFrameGolden(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzFrame")
+	want := goldenFrames(t)
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		got, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, ok := want[f.Name()]
+		if !ok {
+			t.Errorf("%s: no message encodes to this golden frame", f.Name())
+			continue
+		}
+		delete(want, f.Name())
+		if string(got) != fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame) {
+			t.Errorf("%s: the frame no longer encodes to its golden bytes", f.Name())
+		}
+	}
+	for name := range want {
+		t.Errorf("%s: no golden frame in %s", name, dir)
+	}
+}
+
 // FuzzFrame feeds the frame reader arbitrary streams under a tight
 // bound: it must not panic, must answer ErrFrame (or the stream's own
 // EOF) or a message, must not allocate past the bound whatever
 // lengths and counts the bytes declare, and must hand back a message that
-// shares nothing with the read buffer. The seeds are a real frame of
-// each kind × codec × width (TestFrameRoundTrip holds each to
-// parse(append(e)) == e).
+// shares nothing with the read buffer. The seeds are testdata/fuzz's
+// golden frames (TestFrameGolden; TestFrameRoundTrip holds each message
+// to parse(append(e)) == e).
 func FuzzFrame(f *testing.F) {
-	for _, e := range wireEnvelopes(f) {
-		f.Add(appendFrame(nil, e))
-	}
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, kindTrainRequest})
-	f.Add(hostileHello)
 	const limit = 2 << 10 // every seed fits; hostile prefixes do not
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var before, after runtime.MemStats
