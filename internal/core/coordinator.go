@@ -28,8 +28,8 @@ package core
 //     of the asynchronous modes on the internal/vtime clock, and async
 //     replay,
 //   - internal/fednet: the TCP runtime (sync, async, a tier edge's
-//     children), where Dispatch becomes a TrainRequest and Evaluate an
-//     EvalRequest.
+//     children), which ships a Dispatch as a TrainRequest frame and an
+//     Evaluate as an EvalRequest.
 //
 // A tier edge is not a fourth executor but a device runtime (edge.go):
 // core.Edge owns a coordinator on one of the backends above and runs it a
@@ -49,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"fedprox/internal/comm"
 	"fedprox/internal/frand"
@@ -893,6 +894,31 @@ func (c *Coordinator) EvalDone(e EvalResult) ([]Command, error) {
 		cmds = append(cmds, more...)
 	}
 	return cmds, nil
+}
+
+// CombineEvals is the one rule that turns per-device evaluation rows (a
+// wire executor's, a tier edge's children's) into metrics under this
+// coordinator's p_k: rows in ascending device order, Σ p_k·loss_k, the
+// counts summed and the accuracy they give. Only missing rows (evicted
+// devices) rescale the loss by the mass that reported: a full roster's
+// weights sum to 1 only to within an ulp, and dividing would move its bits.
+func (c *Coordinator) CombineEvals(rows []DeviceEval) (sum DeviceEval, acc float64) {
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Device < rows[j].Device })
+	mass := 0.0
+	for _, r := range rows {
+		sum.TrainLoss += c.weights[r.Device] * r.TrainLoss
+		mass += c.weights[r.Device]
+		sum.TrainN += r.TrainN
+		sum.Correct += r.Correct
+		sum.TestN += r.TestN
+	}
+	if len(rows) < len(c.weights) && mass > 0 {
+		sum.TrainLoss /= mass
+	}
+	if sum.TestN > 0 {
+		acc = float64(sum.Correct) / float64(sum.TestN)
+	}
+	return sum, acc
 }
 
 // foldWeight resolves one update's aggregation weight under

@@ -22,8 +22,8 @@ package core
 //     Dispatch commands in parallel against it,
 //   - the virtual-time driver (vsim.go) solves each Dispatch eagerly on
 //     the same Device and defers only the reply's arrival,
-//   - fednet.Worker wraps one Device per hosted shard set and translates
-//     TrainRequest/EvalRequest wire messages into these events,
+//   - fednet.Worker wraps one Device per hosted shard set and hands it
+//     the Dispatch and EvalRequest each wire frame decodes into,
 //   - every leaf edge of RunTiered serves its windows on one Device shared
 //     across the tree.
 //

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"fedprox/internal/comm"
@@ -133,9 +132,9 @@ func (e *Edge) HandleDispatch(d Dispatch) (Reply, error) {
 // HandleEval forwards one evaluation broadcast down the tree: decode it
 // on the parent's eval chain, re-encode it on the child-facing one (the
 // inner coordinator's, which plans no evaluation of its own), gather every
-// child's rows, and fold them into a single row — the weighted mean loss
-// over the subtree plus its raw test counts, so the parent's combination
-// is exact.
+// child's rows, and fold them into a single row (CombineEvals) — the
+// weighted mean loss over the subtree plus its raw test counts, so the
+// parent's combination is exact.
 func (e *Edge) HandleEval(req EvalRequest) (EvalReply, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -159,13 +158,7 @@ func (e *Edge) HandleEval(req EvalRequest) (EvalReply, error) {
 	if err != nil {
 		return EvalReply{}, err
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Device < rows[j].Device })
-	sum := DeviceEval{Device: e.id}
-	for _, r := range rows {
-		sum.TrainLoss += e.coord.weights[r.Device] * r.TrainLoss
-		sum.TrainN += r.TrainN
-		sum.Correct += r.Correct
-		sum.TestN += r.TestN
-	}
+	sum, _ := e.coord.CombineEvals(rows)
+	sum.Device = e.id
 	return EvalReply{Seq: req.Seq, Devices: []DeviceEval{sum}}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -135,5 +136,43 @@ func TestHandleEvalMatchesShardEval(t *testing.T) {
 					name, ev.Device, ev, loss, correct, len(s.Train), len(s.Test))
 			}
 		}
+	}
+}
+
+// TestCombineEvalsRescalesOnlyMissingRows pins the rule that keeps a
+// synchronous run's loss on the simulator's bits: a full roster is summed
+// with its weights as they are, although they add up to 1 only to within
+// an ulp, and only a roster with rows missing is divided by the mass that
+// reported.
+func TestCombineEvalsRescalesOnlyMissingRows(t *testing.T) {
+	sizes := []float64{9, 28, 66, 129, 250, 13, 38, 55} // p_k sum to 1 - 1 ulp
+	total := 0.0
+	for _, n := range sizes {
+		total += n
+	}
+	weights := make([]float64, len(sizes))
+	rows := make([]DeviceEval, len(sizes))
+	for k, n := range sizes {
+		weights[k] = n / total
+		rows[k] = DeviceEval{Device: k, TrainLoss: 0.3 + float64(k)}
+	}
+	sum := func(rows []DeviceEval) (loss, mass float64) {
+		for _, ev := range rows {
+			loss += weights[ev.Device] * ev.TrainLoss
+			mass += weights[ev.Device]
+		}
+		return loss, mass
+	}
+	want, mass := sum(rows)
+	if mass == 1 || want/mass == want {
+		t.Fatalf("fixture cannot tell: the weights sum to %v and rescaling is a no-op", mass)
+	}
+	c := &Coordinator{weights: weights}
+	if got, _ := c.CombineEvals(rows); math.Float64bits(got.TrainLoss) != math.Float64bits(want) {
+		t.Errorf("full roster: loss %.17g, want the plain weighted sum %.17g (rescaled would be %.17g)", got.TrainLoss, want, want/mass)
+	}
+	part, mass := sum(rows[1:])
+	if got, _ := c.CombineEvals(rows[1:]); math.Float64bits(got.TrainLoss) != math.Float64bits(part/mass) {
+		t.Errorf("row missing: loss %.17g, want %.17g rescaled by the reporting mass %v", got.TrainLoss, part/mass, mass)
 	}
 }

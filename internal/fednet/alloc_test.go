@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/core"
 	"fedprox/internal/tensor"
 )
 
@@ -50,7 +51,7 @@ func TestSteadyStateFrameAllocatesNoPayload(t *testing.T) {
 			env, err := rx.recv()
 			if err == nil {
 				var view []float64
-				if view, err = codec.Decode(&env.TrainRequest.Update, nil); err == nil && view[n-1] != w[n-1] {
+				if view, err = codec.Decode(env.TrainRequest.Update, nil); err == nil && view[n-1] != w[n-1] {
 					err = errors.New("the payload arrived changed")
 				}
 				tensor.PutVec(view)
@@ -63,7 +64,7 @@ func TestSteadyStateFrameAllocatesNoPayload(t *testing.T) {
 		}
 	}()
 	trip := func() {
-		req := TrainRequest{Device: 3, Update: *codec.Encode(w, nil)}
+		req := core.Dispatch{Device: 3, Update: codec.Encode(w, nil)}
 		if err := tx.send(Envelope{TrainRequest: &req}); err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"fedprox/internal/core"
@@ -107,7 +108,6 @@ func (s *Server) serve(ln net.Listener) (*wireBackend, error) {
 			return nil, err
 		}
 	}
-	s.weights = s.deviceWeights()
 	if !s.cfg.Training.Async.Enabled() {
 		// A full synchronous roster (a tier edge's always is) never
 		// changes: a late or duplicate worker is refused at connect or
@@ -149,20 +149,17 @@ func (b *wireBackend) admit(reg regMsg) ([]core.Command, error) {
 	if msg := s.codecOfferError(reg.hello); msg != "" {
 		return refuse(msg)
 	}
-	regs := make([]core.DeviceReg, 0, len(reg.hello.Devices))
-	ids := make([]int, 0, len(reg.hello.Devices))
-	for _, dev := range reg.hello.Devices {
-		regs = append(regs, core.DeviceReg{ID: dev.ID, TrainSize: dev.TrainSize})
-		ids = append(ids, dev.ID)
-	}
-	cmds, err := s.coord.RegisterWorker(regs)
+	cmds, err := s.coord.RegisterWorker(reg.hello.Devices)
 	if err != nil {
 		return refuse("fednet: " + err.Error())
 	}
-	b.conns[reg.c] = &connState{c: reg.c, devices: ids}
-	for _, dev := range reg.hello.Devices {
-		s.devices[dev.ID] = &device{conn: reg.c, trainSize: dev.TrainSize}
+	ids := make([]int, len(reg.hello.Devices))
+	for i, dev := range reg.hello.Devices {
+		ids[i] = dev.ID
+		s.devices[dev.ID] = reg.c
 	}
+	slices.Sort(ids) // the order checkEvalRows holds a reply's rows to
+	b.conns[reg.c] = &connState{c: reg.c, devices: ids}
 	welcome := &Welcome{Downlink: s.downSpec, Uplink: s.upSpec, EvalPrev: s.coord.EvalResyncState()}
 	if err := reg.c.send(Envelope{Welcome: welcome}); err != nil {
 		// Admitted but unreachable: the next Wait evicts it like any other
@@ -200,30 +197,30 @@ func (b *wireBackend) startReader(c *conn) {
 func (*wireBackend) ObserveLoss(core.ObserveLoss) (float64, error) { return 0, errors.ErrUnsupported }
 func (*wireBackend) AdvanceClock(float64) error                    { return errors.ErrUnsupported }
 
-// Dispatch ships one TrainRequest per dispatch and returns no replies:
+// Dispatch ships each dispatch as a TrainRequest and returns no replies:
 // they reach the coordinator through Wait, as they arrive. A send that
 // fails loses the worker.
 func (b *wireBackend) Dispatch(ds []core.Dispatch) ([]core.Reply, error) {
-	for _, v := range ds {
-		cs := b.conns[b.s.devices[v.Device].conn]
+	for i := range ds {
+		d := &ds[i]
+		cs := b.conns[b.s.devices[d.Device]]
 		if cs.dead {
 			// Queued behind the dispatch whose send evicted this worker.
-			if err := b.provoked(b.s.coord.WorkerLost([]int{v.Device})); err != nil {
+			if err := b.provoked(b.s.coord.WorkerLost([]int{d.Device})); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		req := trainRequest(v)
-		b.inflight[v.Device] = sent{at: time.Now(), round: v.Round, version: v.Version}
-		if err := cs.c.send(Envelope{TrainRequest: &req}); err != nil {
+		b.inflight[d.Device] = sent{at: time.Now(), round: d.Round, version: d.Version}
+		if err := cs.c.send(Envelope{TrainRequest: d}); err != nil {
 			if err := b.provoked(b.failConn(cs, err)); err != nil {
 				return nil, err
 			}
 			continue
 		}
 		// Only a confirmed send is billed as traffic and device work.
-		req.Update.Release()
-		b.s.coord.DispatchSent(v.Device)
+		d.Update.Release()
+		b.s.coord.DispatchSent(d.Device)
 	}
 	return nil, nil
 }
@@ -235,15 +232,16 @@ func (b *wireBackend) provoked(cmds []core.Command, err error) error {
 }
 
 // Evaluate gathers distributed metrics for one Evaluate command and
-// combines them (combineEvals). A tier Edge's coordinator plans none: its
-// parent's evaluations reach the children through gather alone.
+// combines them as core.Edge does (Coordinator.CombineEvals). A tier
+// Edge's coordinator plans none: its parent's evaluations reach the
+// children through gather alone.
 func (b *wireBackend) Evaluate(v core.Evaluate) (core.EvalResult, error) {
 	rows, err := b.gather(v)
 	if err != nil {
 		return core.EvalResult{}, err
 	}
-	loss, acc := combineEvals(rows, b.s.weights)
-	res := core.EvalResult{Loss: loss, Acc: acc}
+	sum, acc := b.s.coord.CombineEvals(rows)
+	res := core.EvalResult{Loss: sum.TrainLoss, Acc: acc}
 	res.WireUplinkBytes, res.WireDownlinkBytes = b.s.BytesOnWire()
 	return res, nil
 }
@@ -328,7 +326,7 @@ func (b *wireBackend) waitEvent() ([]core.Command, error) {
 			now := time.Now()
 			for id, req := range b.inflight {
 				if now.Sub(req.at) >= s.cfg.RequestTimeout {
-					more, err := b.failConn(b.conns[s.devices[id].conn], errTimeout)
+					more, err := b.failConn(b.conns[s.devices[id]], errTimeout)
 					if err != nil {
 						return nil, err
 					}
@@ -352,7 +350,7 @@ func (b *wireBackend) waitEvent() ([]core.Command, error) {
 	case m.env.TrainReply != nil:
 		reply := m.env.TrainReply
 		req, ok := b.inflight[reply.Device]
-		if err := misrouted(reply, ok && s.devices[reply.Device].conn == m.c, req.version); err != nil {
+		if err := misrouted(reply, ok && s.devices[reply.Device] == m.c, req.version); err != nil {
 			// A live worker answering for a device it was not asked about
 			// cannot be trusted with the ones it was.
 			return b.failConn(cs, err)
@@ -361,7 +359,7 @@ func (b *wireBackend) waitEvent() ([]core.Command, error) {
 		if reply.Err != "" {
 			return nil, fmt.Errorf("fednet: round %d device %d: %s", req.round, reply.Device, reply.Err)
 		}
-		return s.coord.HandleReply(core.Reply{Device: reply.Device, Update: &reply.Update, EpochsDone: reply.EpochsDone})
+		return s.coord.HandleReply(reply.Reply)
 	default:
 		// Nothing else is owed outside an evaluation, which ends only once
 		// every connection has answered or been lost.
@@ -375,7 +373,7 @@ func (b *wireBackend) waitEvent() ([]core.Command, error) {
 // the shared eval link. A connection that fails on the way, answers with
 // rows it cannot have or stays silent for RequestTimeout is lost like any
 // other; what that provokes waits for the next Wait.
-func (b *wireBackend) gather(v core.Evaluate) ([]DeviceEval, error) {
+func (b *wireBackend) gather(v core.Evaluate) ([]core.DeviceEval, error) {
 	s := b.s
 	defer obs.StartSpan(s.trace, obs.Event{Label: "fednet-eval", Device: -1}).End()
 	waiting := make(map[*conn]bool)
@@ -383,18 +381,19 @@ func (b *wireBackend) gather(v core.Evaluate) ([]DeviceEval, error) {
 		delete(waiting, cs.c)
 		return b.provoked(b.failConn(cs, why))
 	}
+	q := evalRequest(v)
 	for _, cs := range b.conns {
 		if cs.dead {
 			continue
 		}
 		waiting[cs.c] = true
-		if err := cs.c.send(Envelope{EvalRequest: &EvalRequest{Seq: v.Seq, Update: *v.Update}}); err != nil {
+		if err := cs.c.send(Envelope{EvalRequest: q}); err != nil {
 			if err := fail(cs, err); err != nil {
 				return nil, err
 			}
 		}
 	}
-	var rows []DeviceEval
+	var rows []core.DeviceEval
 	var timeout <-chan time.Time
 	if s.cfg.RequestTimeout > 0 {
 		timeout = time.After(s.cfg.RequestTimeout)
@@ -413,7 +412,7 @@ func (b *wireBackend) gather(v core.Evaluate) ([]DeviceEval, error) {
 			case reply.Err != "":
 				err = errors.New(reply.Err)
 			default:
-				if why := s.checkEvalRows(m.c, reply, v.Seq); why != nil {
+				if why := checkEvalRows(cs, reply, v.Seq); why != nil {
 					err = fail(cs, why)
 				} else {
 					delete(waiting, m.c)

@@ -102,13 +102,7 @@ func TestDeviceDispatchParityWithWorker(t *testing.T) {
 				}
 				// The worker goes first: the sim device releases d.Update once
 				// it has decoded it (comm.Update.Release), and the two share it.
-				req := TrainRequest{
-					Round: d.Round, Version: d.Version, Device: d.Device,
-					Update: *d.Update, Epochs: d.Epochs, EpochBudget: d.EpochBudget,
-					Mu: d.Mu, LearningRate: d.LearningRate, BatchSize: d.BatchSize,
-					BatchSeed: d.BatchSeed,
-				}
-				if err := c.send(Envelope{TrainRequest: &req}); err != nil {
+				if err := c.send(Envelope{TrainRequest: &d}); err != nil {
 					t.Fatal(err)
 				}
 				renv, err := c.recv()
@@ -128,7 +122,7 @@ func TestDeviceDispatchParityWithWorker(t *testing.T) {
 				if simReply.EpochsDone != renv.TrainReply.EpochsDone {
 					t.Fatalf("round %d: EpochsDone %d != %d", round, simReply.EpochsDone, renv.TrainReply.EpochsDone)
 				}
-				if !reflect.DeepEqual(*simReply.Update, renv.TrainReply.Update) {
+				if !reflect.DeepEqual(*simReply.Update, *renv.TrainReply.Update) {
 					t.Fatalf("round %d: encoded uplink updates differ between the sim device and the worker", round)
 				}
 				// Perturb the model so the next broadcast exercises the chain.
@@ -198,8 +192,8 @@ func TestDeviceBudgetLoopbackMatchesSimulator(t *testing.T) {
 func TestWorkerPrivacyIsApplied(t *testing.T) {
 	fed, mdl := testWorkload()
 	shards := fed.Shards[:1]
-	req := func(tag int) *TrainRequest {
-		return &TrainRequest{
+	req := func(tag int) *core.Dispatch {
+		return &core.Dispatch{
 			Device: shards[0].ID,
 			Epochs: 1, Mu: 1, LearningRate: 0.01, BatchSize: 10,
 			BatchSeed:  frand.New(9).State(),
@@ -235,7 +229,7 @@ func TestWorkerEvalOrderDeterministic(t *testing.T) {
 	w := NewWorker(mdl, fed.Shards, nil)
 	params := mdl.InitParams(frand.New(3))
 	for trial := 0; trial < 3; trial++ {
-		reply := w.eval(&EvalRequest{Seq: trial, Update: rawUpdate(t, params)})
+		reply := w.eval(&core.EvalRequest{Seq: trial, Update: rawUpdate(t, params)})
 		if reply.Err != "" {
 			t.Fatal(reply.Err)
 		}

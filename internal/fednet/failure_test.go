@@ -31,6 +31,7 @@ const (
 	stubEvalTwice                   // report the first hosted device's evaluation twice
 	stubEvalNaN                     // report a NaN training loss
 	stubEvalSeq                     // answer evaluation n with the reply to n-1
+	stubEvalPartial                 // leave the first hosted device out of every evaluation
 	stubVanish                      // close the conn right after the Welcome, before round 0
 )
 
@@ -45,7 +46,7 @@ func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMod
 	defer c.close()
 	hello := Hello{}
 	for _, s := range shards {
-		hello.Devices = append(hello.Devices, DeviceInfo{ID: s.ID, TrainSize: len(s.Train)})
+		hello.Devices = append(hello.Devices, core.DeviceReg{ID: s.ID, TrainSize: len(s.Train)})
 	}
 	if err := c.send(Envelope{Hello: &hello}); err != nil {
 		t.Errorf("stub worker hello: %v", err)
@@ -68,7 +69,7 @@ func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMod
 			// The well-formed reply echoes the broadcast back as the
 			// "solution"; each mode then breaks one thing about it.
 			req := env.TrainRequest
-			reply := TrainReply{Round: req.Round, Version: req.Version, Device: req.Device, Update: req.Update, EpochsDone: req.Epochs}
+			reply := TrainReply{Round: req.Round, Version: req.Version, Reply: core.Reply{Device: req.Device, Update: req.Update, EpochsDone: req.Epochs}}
 			switch mode {
 			case stubDisconnect:
 				return // deferred close: vanish mid-round
@@ -94,9 +95,9 @@ func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMod
 		case env.EvalRequest != nil:
 			// Both stubs answer evals so the run reaches the training
 			// phase before the failure bites.
-			reply := EvalReply{Seq: env.EvalRequest.Seq}
+			reply := EvalReply{EvalReply: core.EvalReply{Seq: env.EvalRequest.Seq}}
 			for _, s := range shards {
-				reply.Devices = append(reply.Devices, DeviceEval{Device: s.ID, TrainN: len(s.Train), TestN: len(s.Test)})
+				reply.Devices = append(reply.Devices, core.DeviceEval{Device: s.ID, TrainN: len(s.Train), TestN: len(s.Test)})
 			}
 			if mode == stubSilent && env.EvalRequest.Seq > 1 {
 				continue // after round 0 the silent stub goes fully dark
@@ -112,6 +113,8 @@ func runStubWorker(t *testing.T, addr string, shards []*data.Shard, mode stubMod
 				row.TrainLoss = math.NaN()
 			case stubEvalSeq:
 				reply.Seq--
+			case stubEvalPartial:
+				reply.Devices = reply.Devices[1:]
 			}
 			if err := c.send(Envelope{EvalReply: &reply}); err != nil {
 				return
@@ -234,12 +237,13 @@ func TestAsyncBadReplyEvicted(t *testing.T) {
 // TestBadEvalRowsFailOrEvict: an EvalReply is a peer's word too. A row for
 // a device outside the roster (which used to index the weights and panic
 // the coordinator), for another worker's device, a duplicate, a NaN loss,
-// or rows that answer an earlier evaluation (metrics of a different
-// model, which used to be averaged in) fail a synchronous evaluation by
-// connection and device, and cost an asynchronous deployment that worker
-// only.
+// rows that answer an earlier evaluation (metrics of a different model,
+// which used to be averaged in) or rows missing for a hosted device (whose
+// loss used to be rescaled away as if it were evicted) fail a synchronous
+// evaluation by connection and device, and cost an asynchronous
+// deployment that worker only.
 func TestBadEvalRowsFailOrEvict(t *testing.T) {
-	for _, mode := range []stubMode{stubEvalRange, stubEvalForeign, stubEvalTwice, stubEvalNaN, stubEvalSeq} {
+	for _, mode := range []stubMode{stubEvalRange, stubEvalForeign, stubEvalTwice, stubEvalNaN, stubEvalSeq, stubEvalPartial} {
 		err := launchWithStub(t, syncCfg(), 0, mode)
 		if err == nil || !strings.Contains(err.Error(), "127.0.0.1:") || !strings.Contains(err.Error(), " device ") {
 			t.Errorf("stub mode %d: got %v, want an error naming the connection and device", mode, err)

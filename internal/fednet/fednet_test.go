@@ -173,19 +173,19 @@ func TestNewServerRejections(t *testing.T) {
 
 // rawUpdate encodes params with the raw codec, the form direct worker
 // tests feed into train().
-func rawUpdate(t *testing.T, params []float64) comm.Update {
+func rawUpdate(t *testing.T, params []float64) *comm.Update {
 	t.Helper()
 	c, err := comm.Spec{Name: "raw"}.ForDevice(comm.Downlink, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return *c.Encode(params, nil)
+	return c.Encode(params, nil)
 }
 
 func TestWorkerRejectsUnknownDevice(t *testing.T) {
 	fed, mdl := testWorkload()
 	w := NewWorker(mdl, fed.Shards[:1], nil)
-	reply := w.train(&TrainRequest{Device: 999, Update: rawUpdate(t, make([]float64, mdl.NumParams()))})
+	reply := w.train(&core.Dispatch{Device: 999, Update: rawUpdate(t, make([]float64, mdl.NumParams()))})
 	if reply.Err == "" {
 		t.Fatal("unknown device accepted")
 	}
@@ -194,11 +194,11 @@ func TestWorkerRejectsUnknownDevice(t *testing.T) {
 func TestWorkerRejectsBadParamLength(t *testing.T) {
 	fed, mdl := testWorkload()
 	w := NewWorker(mdl, fed.Shards[:1], nil)
-	reply := w.train(&TrainRequest{Device: fed.Shards[0].ID, Update: rawUpdate(t, []float64{1, 2})})
+	reply := w.train(&core.Dispatch{Device: fed.Shards[0].ID, Update: rawUpdate(t, []float64{1, 2})})
 	if reply.Err == "" {
 		t.Fatal("bad parameter length accepted for train")
 	}
-	ev := w.eval(&EvalRequest{Update: rawUpdate(t, []float64{1})})
+	ev := w.eval(&core.EvalRequest{Update: rawUpdate(t, []float64{1})})
 	if ev.Err == "" {
 		t.Fatal("bad parameter length accepted for eval")
 	}

@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/core"
 	"fedprox/internal/tensor"
 )
 
@@ -115,8 +116,12 @@ func appendSpec(b []byte, s comm.Spec) []byte {
 // payload, so its bytes are exactly u.WireBytes(): the scale and the
 // sparse count are the priced 8/4 and 4 bytes. A dense or packed payload
 // that lies in memory as the wire wants it is not copied: it is the tail
-// the caller writes after b.
+// the caller writes after b. A nil u, an errored reply's, is the zero
+// Update.
 func appendUpdate(b []byte, u *comm.Update) (head, tail []byte) {
+	if u == nil {
+		u = &comm.Update{}
+	}
 	b = appendInts(appendString(b, u.Codec), u.N)
 	switch {
 	case u.Packed != nil && u.F32:
@@ -166,16 +171,16 @@ func appendVectored(b []byte, e Envelope) (head, tail []byte) {
 	b = append(b, 0, 0, 0, 0)
 	switch {
 	case e.TrainRequest != nil:
-		r := e.TrainRequest
-		b = appendInts(append(b, kindTrainRequest), r.Round, r.Version, r.Device, r.Epochs, r.EpochBudget, r.BatchSize, r.PrivacyTag)
-		b = le.AppendUint64(appendFloats(b, r.Mu, r.LearningRate), r.BatchSeed)
-		b, tail = appendUpdate(b, &r.Update)
+		d := e.TrainRequest
+		b = appendInts(append(b, kindTrainRequest), d.Round, d.Version, d.Device, d.Epochs, d.EpochBudget, d.BatchSize, d.PrivacyTag)
+		b = le.AppendUint64(appendFloats(b, d.Mu, d.LearningRate), d.BatchSeed)
+		b, tail = appendUpdate(b, d.Update)
 	case e.TrainReply != nil:
 		r := e.TrainReply
 		b = appendInts(append(b, kindTrainReply), r.Round, r.Version, r.Device, r.EpochsDone)
-		b, tail = appendUpdate(appendString(b, r.Err), &r.Update)
+		b, tail = appendUpdate(appendString(b, r.Err), r.Update)
 	case e.EvalRequest != nil:
-		b, tail = appendUpdate(appendInts(append(b, kindEvalRequest), e.EvalRequest.Seq), &e.EvalRequest.Update)
+		b, tail = appendUpdate(appendInts(append(b, kindEvalRequest), e.EvalRequest.Seq), e.EvalRequest.Update)
 	case e.Hello != nil:
 		h := e.Hello
 		b = le.AppendUint32(append(b, kindHello, wireVersion), uint32(len(h.Devices)))
@@ -321,6 +326,18 @@ func (r *frameReader) update() (u comm.Update) {
 	return u
 }
 
+// framed is one parsed message whose core type points at its Update: the
+// two share one allocation.
+type framed[T any] struct {
+	msg T
+	u   comm.Update
+}
+
+// evalRequest is the EvalRequest frame of one evaluation broadcast.
+func evalRequest(v core.Evaluate) *core.EvalRequest {
+	return &core.EvalRequest{Seq: v.Seq, Update: v.Update}
+}
+
 // parseFrame decodes one frame payload (the bytes after the length
 // prefix). Any layout violation, bytes left over included, is ErrFrame.
 func parseFrame(p []byte) (Envelope, error) {
@@ -333,9 +350,9 @@ func parseFrame(p []byte) (Envelope, error) {
 		}
 		h := &Hello{}
 		if n := r.count(16); n > 0 {
-			h.Devices = make([]DeviceInfo, n)
+			h.Devices = make([]core.DeviceReg, n)
 			for i := range h.Devices {
-				h.Devices[i] = DeviceInfo{ID: r.int(), TrainSize: r.int()}
+				h.Devices[i] = core.DeviceReg{ID: r.int(), TrainSize: r.int()}
 			}
 		}
 		h.Codecs, h.Precisions = r.strs(), r.strs()
@@ -349,24 +366,29 @@ func parseFrame(p []byte) (Envelope, error) {
 		}
 		e.Welcome = w
 	case kindEvalReply:
-		q := &EvalReply{Seq: r.int(), Err: r.str()}
+		q := &EvalReply{EvalReply: core.EvalReply{Seq: r.int()}, Err: r.str()}
 		if n := r.count(40); n > 0 {
-			q.Devices = make([]DeviceEval, n)
+			q.Devices = make([]core.DeviceEval, n)
 			for i := range q.Devices {
-				q.Devices[i] = DeviceEval{Device: r.int(), TrainN: r.int(), Correct: r.int(), TestN: r.int(), TrainLoss: r.float()}
+				q.Devices[i] = core.DeviceEval{Device: r.int(), TrainN: r.int(), Correct: r.int(), TestN: r.int(), TrainLoss: r.float()}
 			}
 		}
 		e.EvalReply = q
 	case kindShutdown:
 		e.Shutdown = &Shutdown{}
 	case kindTrainRequest:
-		q := &TrainRequest{Round: r.int(), Version: r.int(), Device: r.int(), Epochs: r.int(), EpochBudget: r.int(), BatchSize: r.int(), PrivacyTag: r.int()}
-		q.Mu, q.LearningRate, q.BatchSeed, q.Update = r.float(), r.float(), r.u64(), r.update()
-		e.TrainRequest = q
+		f := &framed[core.Dispatch]{}
+		f.msg = core.Dispatch{Round: r.int(), Version: r.int(), Device: r.int(), Epochs: r.int(), EpochBudget: r.int(), BatchSize: r.int(),
+			PrivacyTag: r.int(), Mu: r.float(), LearningRate: r.float(), BatchSeed: r.u64(), Update: &f.u}
+		f.u, e.TrainRequest = r.update(), &f.msg
 	case kindTrainReply:
-		e.TrainReply = &TrainReply{Round: r.int(), Version: r.int(), Device: r.int(), EpochsDone: r.int(), Err: r.str(), Update: r.update()}
+		f := &framed[TrainReply]{}
+		f.msg = TrainReply{Round: r.int(), Version: r.int(), Reply: core.Reply{Device: r.int(), EpochsDone: r.int(), Update: &f.u}, Err: r.str()}
+		f.u, e.TrainReply = r.update(), &f.msg
 	case kindEvalRequest:
-		e.EvalRequest = &EvalRequest{Seq: r.int(), Update: r.update()}
+		f := &framed[core.EvalRequest]{}
+		f.msg = core.EvalRequest{Seq: r.int(), Update: &f.u}
+		f.u, e.EvalRequest = r.update(), &f.msg
 	default:
 		return Envelope{}, fmt.Errorf("%w: unknown kind %d", ErrFrame, kind)
 	}

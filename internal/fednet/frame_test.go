@@ -59,16 +59,18 @@ func wireEnvelopes(t testing.TB) map[string]Envelope {
 		"welcome":        {Welcome: &Welcome{Downlink: spec, Uplink: spec}},
 		"welcome/resync": {Welcome: &Welcome{Downlink: spec, Uplink: spec, EvalPrev: []float64{1, -2.5, 3e-9}}},
 		"welcome/err":    {Welcome: &Welcome{Err: "fednet: coordinator requires codec \"qsgd\""}},
-		"evalreply":      {EvalReply: &EvalReply{Seq: 4, Devices: []DeviceEval{{Device: 1, TrainLoss: 0.7, TrainN: 30, Correct: 4, TestN: 9}, {Device: 5, TrainLoss: 1.25, TrainN: 12, Correct: 1, TestN: 3}}}},
-		"evalreply/err":  {EvalReply: &EvalReply{Seq: 4, Err: "boom"}},
-		"shutdown":       {Shutdown: &Shutdown{}},
-		"trainreply/err": {TrainReply: &TrainReply{Round: 2, Version: 2, Device: 8, Err: "comm: update has 3 params, link state has 4"}},
+		"evalreply": {EvalReply: &EvalReply{EvalReply: core.EvalReply{Seq: 4, Devices: []core.DeviceEval{
+			{Device: 1, TrainLoss: 0.7, TrainN: 30, Correct: 4, TestN: 9}, {Device: 5, TrainLoss: 1.25, TrainN: 12, Correct: 1, TestN: 3}}}}},
+		"evalreply/err": {EvalReply: &EvalReply{EvalReply: core.EvalReply{Seq: 4}, Err: "boom"}},
+		"shutdown":      {Shutdown: &Shutdown{}},
+		// A worker's errored reply carries no Update; it parses as the zero one.
+		"trainreply/err": {TrainReply: &TrainReply{Round: 2, Version: 2, Reply: core.Reply{Device: 8, Update: &comm.Update{}}, Err: "comm: update has 3 params, link state has 4"}},
 	}
 	for name, u := range wireUpdates(t) {
-		out["trainrequest/"+name] = Envelope{TrainRequest: &TrainRequest{Round: 3, Version: 7, Device: 11, Update: *u, Epochs: 20, EpochBudget: 5,
+		out["trainrequest/"+name] = Envelope{TrainRequest: &core.Dispatch{Round: 3, Version: 7, Device: 11, Update: u, Epochs: 20, EpochBudget: 5,
 			Mu: 1, LearningRate: 0.03, BatchSize: 10, BatchSeed: 0xDEADBEEFCAFE, PrivacyTag: 3}}
-		out["trainreply/"+name] = Envelope{TrainReply: &TrainReply{Round: 3, Version: 7, Device: 11, Update: *u, EpochsDone: 5}}
-		out["evalrequest/"+name] = Envelope{EvalRequest: &EvalRequest{Seq: 2, Update: *u}}
+		out["trainreply/"+name] = Envelope{TrainReply: &TrainReply{Round: 3, Version: 7, Reply: core.Reply{Device: 11, Update: u, EpochsDone: 5}}}
+		out["evalrequest/"+name] = Envelope{EvalRequest: &core.EvalRequest{Seq: 2, Update: u}}
 	}
 	return out
 }
@@ -108,11 +110,11 @@ func TestFrameBytesArePricedBytes(t *testing.T) {
 		var u *comm.Update
 		switch {
 		case e.TrainRequest != nil:
-			kind, u = kindTrainRequest, &e.TrainRequest.Update
+			kind, u = kindTrainRequest, e.TrainRequest.Update
 		case e.TrainReply != nil && e.TrainReply.Err == "":
-			kind, u = kindTrainReply, &e.TrainReply.Update
+			kind, u = kindTrainReply, e.TrainReply.Update
 		case e.EvalRequest != nil:
-			kind, u = kindEvalRequest, &e.EvalRequest.Update
+			kind, u = kindEvalRequest, e.EvalRequest.Update
 		default:
 			continue
 		}
@@ -131,7 +133,7 @@ func TestLargestFramesFitTheirBounds(t *testing.T) {
 	const devices, params = 1000, 5000
 	long := string(bytes.Repeat([]byte("x"), 5000))
 	spec := comm.Spec{Name: "delta+qsgd", Bits: 8, Seed: 5, Precision: tensor.F32}
-	hello := Hello{Devices: make([]DeviceInfo, devices), Codecs: comm.Names(), Precisions: tensor.Precisions()}
+	hello := Hello{Devices: make([]core.DeviceReg, devices), Codecs: comm.Names(), Precisions: tensor.Precisions()}
 	for name, tc := range map[string]struct {
 		e     Envelope
 		limit int
@@ -139,7 +141,7 @@ func TestLargestFramesFitTheirBounds(t *testing.T) {
 		"hello":          {Envelope{Hello: &hello}, frameLimit(16 * devices)},
 		"welcome/resync": {Envelope{Welcome: &Welcome{Downlink: spec, Uplink: spec, EvalPrev: make([]float64, params)}}, frameLimit(8 * params)},
 		"welcome/err":    {Envelope{Welcome: &Welcome{Err: long}}, frameLimit(0)},
-		"evalreply":      {Envelope{EvalReply: &EvalReply{Devices: make([]DeviceEval, devices)}}, frameLimit(40 * devices)},
+		"evalreply":      {Envelope{EvalReply: &EvalReply{EvalReply: core.EvalReply{Devices: make([]core.DeviceEval, devices)}}}, frameLimit(40 * devices)},
 		"evalreply/err":  {Envelope{EvalReply: &EvalReply{Err: long}}, frameLimit(0)},
 		"trainreply/err": {Envelope{TrainReply: &TrainReply{Err: long}}, frameLimit(0)},
 	} {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,9 +50,9 @@ type ServerConfig struct {
 // connections and the wire protocol, and never sees training data. All
 // protocol decisions — selection, straggler policies, aggregation and
 // the staleness-damped folds, accounting — happen in the shared
-// core.Coordinator; this package only translates its Dispatch/Evaluate
-// commands into TrainRequest/EvalRequest exchanges and feeds worker
-// replies, losses, and (re-)registrations back as events. Cross-executor
+// core.Coordinator; this package only ships its Dispatch and Evaluate
+// commands as TrainRequest/EvalRequest frames and feeds worker replies,
+// losses, and (re-)registrations back as events. Cross-executor
 // equivalence with the simulator therefore holds by construction.
 type Server struct {
 	mdl   model.Model
@@ -70,19 +69,13 @@ type Server struct {
 	// connections.
 	bytesIn, bytesOut atomic.Int64
 
-	devices map[int]*device // device ID -> hosting connection + size
-	weights []float64       // p_k, for combining distributed evaluations
+	devices map[int]*conn // device ID -> the connection hosting it
 
 	// trace mirrors Training.Trace for transport-level events the
 	// coordinator core never sees: worker registration and the distributed
 	// evaluation span. Server events are always untimed (Time NaN) — a
 	// deployment wraps the sink in obs.WallClock for wall-clock stamps.
 	trace obs.Sink
-}
-
-type device struct {
-	conn      *conn
-	trainSize int
 }
 
 // NewServer builds a coordinator for the given model and configuration.
@@ -141,7 +134,7 @@ func NewServer(mdl model.Model, cfg ServerConfig) (*Server, error) {
 		coord:    coord,
 		downSpec: down,
 		upSpec:   up,
-		devices:  make(map[int]*device),
+		devices:  make(map[int]*conn),
 		trace:    cfg.Training.Trace,
 	}, nil
 }
@@ -249,9 +242,11 @@ func (s *Server) handshake(c *conn) (*Hello, error) {
 		wait = 30 * time.Second
 	}
 	c.limit = frameLimit(16 * int64(s.cfg.ExpectDevices))
-	c.armRecvDeadline(wait)
+	// A read deadline for the Hello alone: a session's requests are timed
+	// from their send (backend.go).
+	_ = c.raw.SetReadDeadline(time.Now().Add(wait))
 	env, err := c.recv()
-	c.armRecvDeadline(0)
+	_ = c.raw.SetReadDeadline(time.Time{})
 	if err != nil {
 		return nil, err
 	}
@@ -294,39 +289,6 @@ func (s *Server) codecOfferError(hello *Hello) string {
 	return ""
 }
 
-// deviceWeights returns p_k = n_k/n over the registered devices, the
-// combination weights for distributed evaluation.
-func (s *Server) deviceWeights() []float64 {
-	weights := make([]float64, s.cfg.ExpectDevices)
-	total := 0
-	for id, d := range s.devices {
-		weights[id] = float64(d.trainSize)
-		total += d.trainSize
-	}
-	for i := range weights {
-		weights[i] /= float64(total)
-	}
-	return weights
-}
-
-// trainRequest is the wire form of a Dispatch — the one place a Dispatch
-// field is wired to the network.
-func trainRequest(d core.Dispatch) TrainRequest {
-	return TrainRequest{
-		Round:        d.Round,
-		Version:      d.Version,
-		Device:       d.Device,
-		Update:       *d.Update,
-		Epochs:       d.Epochs,
-		EpochBudget:  d.EpochBudget,
-		Mu:           d.Mu,
-		LearningRate: d.LearningRate,
-		BatchSize:    d.BatchSize,
-		BatchSeed:    d.BatchSeed,
-		PrivacyTag:   d.PrivacyTag,
-	}
-}
-
 // misrouted reports why r cannot answer a request in flight: outstanding
 // says whether r.Device has one on the connection r arrived on, version
 // is that request's stamp. Folding such a reply would credit one device
@@ -343,45 +305,26 @@ func misrouted(r *TrainReply, outstanding bool, version int) error {
 
 // checkEvalRows is the one ingest point of a worker's evaluation rows.
 // Combining them acts on a peer's word; what makes that unsafe is a reply
-// to another evaluation than seq (its rows measure a different model), a
-// device outside the roster (combineEvals indexes weights by it) or not
-// hosted by c, the connection the reply came on, a repeated device (rows
-// ascend, as core.EvalReply says), a non-finite loss, or a correct count
-// outside [0, TestN].
-func (s *Server) checkEvalRows(c *conn, r *EvalReply, seq int) error {
-	last := -1
-	for _, ev := range r.Devices {
-		if d, ok := s.devices[ev.Device]; r.Seq != seq || !ok || d.conn != c || ev.Device <= last ||
-			math.IsNaN(ev.TrainLoss) || math.IsInf(ev.TrainLoss, 0) || ev.Correct < 0 || ev.Correct > ev.TestN {
-			return fmt.Errorf("fednet: %v answered evaluation %d with one it cannot have of device %d: seq %d, %+v", c.raw.RemoteAddr(), seq, ev.Device, r.Seq, ev)
+// to another evaluation than seq (its rows measure a different model),
+// rows other than one per device cs hosts, ascending (as core.EvalReply
+// says) — a device outside the roster or another connection's, a repeat,
+// or a missing one, whose loss the combination would rescale away as if
+// the device were evicted — a non-finite loss, or a correct count outside
+// [0, TestN].
+func checkEvalRows(cs *connState, r *EvalReply, seq int) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("fednet: %v answered evaluation %d (seq %d) with "+format, append([]any{cs.c.raw.RemoteAddr(), seq, r.Seq}, args...)...)
+	}
+	for i := range max(len(cs.devices), len(r.Devices)) {
+		switch {
+		case i >= len(cs.devices):
+			return bad("an extra row, for device %d", r.Devices[i].Device)
+		case i >= len(r.Devices) || r.Devices[i].Device != cs.devices[i]:
+			return bad("no row for its device %d in place %d", cs.devices[i], i)
 		}
-		last = ev.Device
+		if ev := r.Devices[i]; r.Seq != seq || math.IsNaN(ev.TrainLoss) || math.IsInf(ev.TrainLoss, 0) || ev.Correct < 0 || ev.Correct > ev.TestN {
+			return bad("a row it cannot have of device %d: %+v", ev.Device, ev)
+		}
 	}
 	return nil
-}
-
-// combineEvals folds per-device metric contributions into the global
-// training loss and test accuracy, in ascending device order so the
-// float summation matches internal/metrics exactly. When rows are missing
-// (evicted workers) the loss is rescaled by the reporting weight mass,
-// which keeps it meaningful; a full roster never is — its weights sum to
-// 1 only to within an ulp, and the division would perturb the
-// bit-reproducible trajectory.
-func combineEvals(all []DeviceEval, weights []float64) (loss, acc float64) {
-	sort.Slice(all, func(i, j int) bool { return all[i].Device < all[j].Device })
-	correct, testN := 0, 0
-	wsum := 0.0
-	for _, ev := range all {
-		loss += weights[ev.Device] * ev.TrainLoss
-		wsum += weights[ev.Device]
-		correct += ev.Correct
-		testN += ev.TestN
-	}
-	if len(all) < len(weights) && wsum > 0 {
-		loss /= wsum
-	}
-	if testN > 0 {
-		acc = float64(correct) / float64(testN)
-	}
-	return loss, acc
 }

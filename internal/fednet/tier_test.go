@@ -312,11 +312,11 @@ func TestEdgeEvalRequestMidWindow(t *testing.T) {
 	send(Envelope{Welcome: &Welcome{Downlink: raw, Uplink: raw}})
 	w0 := make([]float64, mdl.NumParams())
 	down, _ := raw.ForDevice(comm.Downlink, 5)
-	send(Envelope{TrainRequest: &TrainRequest{Device: 5, Update: *down.Encode(w0, nil), Epochs: 1, Mu: 1, LearningRate: 0.01, BatchSize: 10}})
+	send(Envelope{TrainRequest: &core.Dispatch{Device: 5, Update: down.Encode(w0, nil), Epochs: 1, Mu: 1, LearningRate: 0.01, BatchSize: 10}})
 	<-entered
 	evalLink, _ := comm.NewEvalLink(raw)
 	u, _, _ := evalLink.Broadcast(w0)
-	send(Envelope{EvalRequest: &EvalRequest{Seq: 1, Update: *u}}) // returns once the edge has read it
+	send(Envelope{EvalRequest: &core.EvalRequest{Seq: 1, Update: u}}) // returns once the edge has read it
 	close(release)
 	var trained, evaluated bool
 	for i := 0; i < 2; i++ {

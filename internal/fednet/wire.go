@@ -11,7 +11,8 @@
 // with the round's subproblem hyperparameters and a batch-order seed, and
 // aggregates the decoded returned models. Evaluation is also distributed:
 // workers report per-device loss and accuracy sums and the coordinator
-// combines them, so the server never touches data.
+// combines them (core.Coordinator.CombineEvals), so the server never
+// touches data.
 //
 // A frame is [u32 payload length][u8 kind][header][payload], all
 // little-endian: ints and floats are 8 bytes, a string is a u16 length
@@ -22,44 +23,54 @@
 // Update.WireBytes() of them — so the bytes on the socket are the bytes
 // Cost prices plus a header that is constant per kind and codec name:
 //
-//	kind            header, then payload                 frame − WireBytes  receiver's bound (+ 4 KiB)
-//	1 Hello         version byte 0xF1; list of (ID,      —                  16·ExpectDevices
-//	                TrainSize); lists of codec and
-//	                precision names
-//	2 Welcome       Downlink and Uplink specs (Name      —                  8·N
-//	                Bits TopK Seed Precision), Err, a
-//	                byte: 1 = EvalPrev's floats follow
-//	3 TrainRequest  Round Version Device Epochs          96 + len(codec)    max(downlink, f64 eval
-//	                EpochBudget BatchSize PrivacyTag                        link) WireSize(N)
-//	                Mu LearningRate BatchSeed; Update
-//	4 TrainReply    Round Version Device EpochsDone      50 + len(codec)    max(uplink WireSize(N),
-//	                Err; Update                          (+ 8 if packed)    40·ExpectDevices)
-//	5 EvalRequest   Seq; Update                          24 + len(codec)    as TrainRequest
-//	6 EvalReply     Seq Err; list of (Device TrainN      —                  as TrainReply
-//	                Correct TestN TrainLoss)
-//	7 Shutdown      nothing                              —                  any
+//	kind            message: header fields, then payload      frame − WireBytes  receiver's bound (+ 4 KiB)
+//	1 Hello         Hello: version byte 0xF1; list of         —                  16·ExpectDevices
+//	                core.DeviceReg (ID TrainSize); lists
+//	                of codec and precision names
+//	2 Welcome       Welcome: Downlink and Uplink specs        —                  8·N
+//	                (Name Bits TopK Seed Precision), Err,
+//	                a byte: 1 = EvalPrev's floats follow
+//	3 TrainRequest  core.Dispatch: Round Version Device       96 + len(codec)    max(downlink, f64 eval
+//	                Epochs EpochBudget BatchSize                                 link) WireSize(N)
+//	                PrivacyTag Mu LearningRate BatchSeed;
+//	                Update
+//	4 TrainReply    core.Reply + Round Version Err: Round     50 + len(codec)    max(uplink WireSize(N),
+//	                Version Device EpochsDone Err; Update     (+ 8 if packed)    40·ExpectDevices)
+//	5 EvalRequest   core.EvalRequest: Seq; Update             24 + len(codec)    as TrainRequest
+//	6 EvalReply     core.EvalReply + Err: Seq Err; list of    —                  as TrainReply
+//	                core.DeviceEval (Device TrainN Correct
+//	                TestN TrainLoss)
+//	7 Shutdown      nothing                                   —                  any
+//
+// The messages are core's own: a TrainRequest decodes into the
+// core.Dispatch a worker hands its device runtime as it is, and a reply
+// adds to core.Reply or core.EvalReply only what core lacks (the
+// Round/Version echo, a worker-side Err). One rule keeps it so: only
+// frame.go builds a core message field by field (internal/archtest holds
+// it), so a new dispatch field is an edit to frame.go alone. Fields the
+// wire does not carry (a Dispatch's Seq, View, DownBytes; a Reply's
+// Params, Gamma, clock fields; an EvalRequest's Params) arrive zero.
 //
 // A receiver checks the declared length against its bound before it
 // reads or allocates the body, and every payload length and list count
 // against the bytes left in the frame before it sizes anything; an over-long
 // frame, an unknown kind or version, a short or inconsistent body or
 // trailing bytes is ErrFrame, which loses the worker like any connection
-// error (backend.go: a synchronous run fails, an asynchronous one evicts). The version byte is the only
-// negotiation: a peer from before the framed wire fails registration on
-// its first frame.
+// error (backend.go: a synchronous run fails, an asynchronous one
+// evicts). The version byte is the only negotiation: a peer from before
+// the framed wire fails registration on its first frame.
 //
 // No model-sized payload is allocated or copied in user space beyond one
 // copy in: send writes the header from a per-connection buffer and the
 // payload from the Update's own memory (one writev), recv decodes into
-// pooled slices. One rule says who hands them back (comm.Update.Release).
-// An Update has one owner at a time: the endpoint that decodes it releases
-// it right after the decode (core.Device.HandleDispatch and Edge.train a
-// request, Coordinator.decodeReply a reply), and the endpoint that encoded
-// it for a socket once the write has returned (the server a TrainRequest,
-// a worker or edge a TrainReply). An eval broadcast's Update is every
-// connection's and is left to the garbage collector, as is everything on
-// an error, eviction or timeout path: only a second Release, or a read
-// after the first, is unsafe.
+// pooled slices. An Update has one owner at a time (comm.Update.Release):
+// the endpoint that decodes it releases it right after the decode (a
+// device runtime's HandleDispatch a request, Coordinator.decodeReply a
+// reply), and the endpoint that encoded it for a socket once the write
+// has returned (the server a TrainRequest, a worker a TrainReply). An
+// eval broadcast's Update is every connection's and is left to the
+// garbage collector, as is everything on an error, eviction or timeout
+// path: only a second Release, or a read after the first, is unsafe.
 //
 // The environment streams (selection, stragglers, batch order, init)
 // come from the shared core.Coordinator — this package is a transport
@@ -67,16 +78,11 @@
 // seed and configuration reproduces the simulator's trajectory bit for
 // bit by construction (asserted in fednet_test.go).
 //
-// Both aggregation disciplines pipeline over the one backend
-// (backend.go): several TrainRequests may be outstanding on one
-// connection (never more than one per device, and workers serve each in
-// its own goroutine), a per-conn reader feeds the coordinator as replies
-// arrive, and every reply is routed by TrainReply.Device and checked
-// against the request it answers — device outstanding on that
-// connection, Version echoed. A synchronous coordinator slots replies by
-// selection index, so its trajectory does not depend on arrival order;
-// under core.AsyncTotal / core.Buffered the version stamp lets it damp
-// stale contributions. Evaluation is one request and one reply per
+// Both aggregation disciplines pipeline over the one backend (backend.go):
+// several TrainRequests may be outstanding per connection (one per
+// device, each served in its own worker goroutine), and every reply is
+// checked against the request it answers — device outstanding on that
+// connection, Version echoed. Evaluation is one request and one reply per
 // connection, the reply echoing the request's Seq.
 package fednet
 
@@ -92,18 +98,10 @@ import (
 	"fedprox/internal/core"
 )
 
-// DeviceInfo describes one shard a worker hosts.
-type DeviceInfo struct {
-	// ID is the global device index (shard ID).
-	ID int
-	// TrainSize is n_k, used for sampling weights and aggregation.
-	TrainSize int
-}
-
 // Hello is the worker's registration message.
 type Hello struct {
-	// Devices lists every shard this worker hosts.
-	Devices []DeviceInfo
+	// Devices lists every shard this worker hosts, with its n_k.
+	Devices []core.DeviceReg
 	// Codecs lists the update codecs this worker supports. The
 	// coordinator refuses the deployment (via Welcome.Err) if its
 	// configured codec is not offered. An empty list offers only "raw".
@@ -134,96 +132,35 @@ type Welcome struct {
 	Err string
 }
 
-// TrainRequest asks a worker to run one local solve.
-type TrainRequest struct {
-	// Round is the communication round index. Under asynchronous
-	// aggregation it is the model-version milestone in effect at
-	// dispatch (versions elapsed / versions-per-round).
-	Round int
-	// Version stamps the global model version the broadcast was encoded
-	// at. The asynchronous coordinator computes each reply's staleness as
-	// the difference between its current version and this stamp; the
-	// synchronous coordinator stamps the round index (one version per
-	// round).
-	Version int
-	// Device is the shard to train on.
-	Device int
-	// Update is the encoded broadcast global model wᵗ for this device's
-	// downlink, decoded against the device's last decoded broadcast.
-	Update comm.Update
-	// Epochs is the device's epoch target for this round.
-	Epochs int
-	// EpochBudget is the device-side compute budget in epochs (0 =
-	// unlimited): the worker's device runtime truncates its solve to
-	// min(Epochs, EpochBudget) and reports the realized work in
-	// TrainReply.EpochsDone (core.Config.DeviceBudget).
-	EpochBudget int
-	// Mu, LearningRate, BatchSize parameterize the local subproblem.
-	Mu           float64
-	LearningRate float64
-	BatchSize    int
-	// BatchSeed is the state of the device's batch-order stream.
-	BatchSeed uint64
-	// PrivacyTag seeds the device-side DP noise stream for this
-	// dispatch: the round (synchronous) or the dispatch sequence
-	// (asynchronous). Without it a worker's mechanism would reuse one
-	// noise vector every round, letting an observer difference two
-	// uplinks to cancel the noise exactly.
-	PrivacyTag int
-}
-
-// TrainReply returns the local solution.
+// TrainReply is a device's core.Reply on the wire, plus what core does
+// not carry: the Round and Version of the dispatch it answers, echoed so
+// the coordinator can tell it answers the request in flight (misrouted),
+// and Err, a worker-side failure ("" on success).
 type TrainReply struct {
-	Round int
-	// Version echoes TrainRequest.Version: the model version the local
-	// solve started from.
-	Version int
-	Device  int
-	// Update is the encoded local solution for the device's uplink,
-	// decoded against the broadcast view the device trained from.
-	Update comm.Update
-	// EpochsDone is the local epochs the device actually ran — less
-	// than Epochs when TrainRequest.EpochBudget truncated the solve.
-	EpochsDone int
-	// Err carries a worker-side failure description ("" on success).
-	Err string
+	core.Reply
+	Round, Version int
+	Err            string
 }
 
-// EvalRequest asks a worker to evaluate the global model on every shard
-// it hosts. The parameters travel encoded on the deployment's shared
-// eval link (downlink codec, direction comm.Eval): every worker decodes
-// the same chained stream, so all evaluators hold the identical view —
-// and so does the simulator under the same seed.
-type EvalRequest struct {
-	// Seq matches replies to requests. Eval broadcasts are strictly
-	// sequential per deployment; the chained eval link depends on it.
-	Seq int
-	// Update is the encoded global model on the shared eval link.
-	Update comm.Update
-}
-
-// DeviceEval is one shard's contribution to the global metrics — the
-// core device runtime's type, shared so the wire and the runtime cannot
-// disagree on what an evaluation reports.
-type DeviceEval = core.DeviceEval
-
-// EvalReply returns per-device metric contributions.
+// EvalReply is a worker's core.EvalReply on the wire, plus Err.
 type EvalReply struct {
-	Seq     int
-	Devices []DeviceEval
-	Err     string
+	core.EvalReply
+	Err string
 }
 
 // Shutdown tells a worker to exit its serve loop.
 type Shutdown struct{}
 
-// Envelope is the single wire type; exactly one field is non-nil.
+// Envelope is the single wire type; exactly one field is non-nil. A
+// TrainRequest is a core.Dispatch and an EvalRequest a core.EvalRequest:
+// the wire carries core's messages, and frame.go is the one place their
+// fields meet bytes.
 type Envelope struct {
 	Hello        *Hello
 	Welcome      *Welcome
-	TrainRequest *TrainRequest
+	TrainRequest *core.Dispatch
 	TrainReply   *TrainReply
-	EvalRequest  *EvalRequest
+	EvalRequest  *core.EvalRequest
 	EvalReply    *EvalReply
 	Shutdown     *Shutdown
 }
@@ -317,17 +254,6 @@ func (c *conn) recv() (Envelope, error) {
 		return Envelope{}, fmt.Errorf("fednet: recv: %w", err)
 	}
 	return e, nil
-}
-
-// armRecvDeadline sets (d > 0) or clears (d <= 0) the connection's read
-// deadline — the coordinator's guard against a dialer that never says
-// Hello (a session's requests are timed from their send, backend.go).
-func (c *conn) armRecvDeadline(d time.Duration) {
-	if d <= 0 {
-		_ = c.raw.SetReadDeadline(time.Time{})
-		return
-	}
-	_ = c.raw.SetReadDeadline(time.Now().Add(d))
 }
 
 func (c *conn) close() error { return c.raw.Close() }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/core"
 	"fedprox/internal/frand"
 )
 
@@ -43,7 +44,7 @@ func TestBulkMatchesPortable(t *testing.T) {
 			"f64": {Codec: "raw", N: n, Dense: d64},
 			"f32": {Codec: "raw", N: n, Dense32: d32},
 		} {
-			e := Envelope{TrainReply: &TrainReply{Round: 1, Device: 2, Update: u}}
+			e := Envelope{TrainReply: &TrainReply{Round: 1, Reply: core.Reply{Device: 2, Update: &u}}}
 			bulk := appendFrame(nil, e)
 			head, tail := appendVectored(nil, e)
 			var spec []byte
@@ -86,11 +87,11 @@ func TestVectoredMatchesContiguous(t *testing.T) {
 		var u *comm.Update
 		switch {
 		case e.TrainRequest != nil:
-			u = &e.TrainRequest.Update
+			u = e.TrainRequest.Update
 		case e.TrainReply != nil:
-			u = &e.TrainReply.Update
+			u = e.TrainReply.Update
 		case e.EvalRequest != nil:
-			u = &e.EvalRequest.Update
+			u = e.EvalRequest.Update
 		}
 		if hostLE && u != nil && (u.Dense != nil || u.Dense32 != nil || u.Packed != nil) && int64(len(tail)) < u.WireBytes()-8 {
 			t.Errorf("%s: %d of the update's %d bytes left in place", name, len(tail), u.WireBytes())

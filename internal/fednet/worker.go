@@ -17,9 +17,9 @@ import (
 )
 
 // Worker is the transport shell around one device runtime: it registers
-// what the runtime hosts, completes the codec negotiation, and translates
-// TrainRequest/EvalRequest wire messages into the runtime's
-// HandleDispatch/HandleEval events. All device-side protocol — downlink
+// what the runtime hosts, completes the codec negotiation, and hands each
+// decoded core.Dispatch and core.EvalRequest to the runtime's
+// HandleDispatch/HandleEval as it is. All device-side protocol — downlink
 // decode and link state, the local solve with compute-budget truncation,
 // the uplink encode, the eval receive chain — lives in the runtime,
 // which is the same type the simulator drives in process, so worker
@@ -131,9 +131,7 @@ func (w *Worker) hello() Hello {
 			}
 		}
 	}
-	for _, reg := range w.dev.Hosted() {
-		hello.Devices = append(hello.Devices, DeviceInfo{ID: reg.ID, TrainSize: reg.TrainSize})
-	}
+	hello.Devices = w.dev.Hosted()
 	return hello
 }
 
@@ -211,13 +209,15 @@ func (w *Worker) Serve(c *conn) error {
 		}
 		switch {
 		case env.TrainRequest != nil:
-			req := env.TrainRequest
+			d := env.TrainRequest
 			handlers.Add(1)
 			go func() {
 				defer handlers.Done()
-				reply := w.train(req)
+				reply := w.train(d)
 				_ = c.send(Envelope{TrainReply: &reply})
-				reply.Update.Release()
+				if reply.Update != nil {
+					reply.Update.Release()
+				}
 			}()
 		case env.EvalRequest != nil:
 			// Eval broadcasts are strictly sequential per deployment and
@@ -235,40 +235,23 @@ func (w *Worker) Serve(c *conn) error {
 	}
 }
 
-// train translates one TrainRequest into a device dispatch.
-func (w *Worker) train(req *TrainRequest) TrainReply {
-	defer obs.StartSpan(w.trace, obs.Event{Label: "worker-solve", Device: req.Device}).End()
-	reply := TrainReply{Round: req.Round, Version: req.Version, Device: req.Device}
-	r, err := w.dev.HandleDispatch(core.Dispatch{
-		Round:        req.Round,
-		Version:      req.Version,
-		Device:       req.Device,
-		Epochs:       req.Epochs,
-		EpochBudget:  req.EpochBudget,
-		Mu:           req.Mu,
-		LearningRate: req.LearningRate,
-		BatchSize:    req.BatchSize,
-		BatchSeed:    req.BatchSeed,
-		PrivacyTag:   req.PrivacyTag,
-		Update:       &req.Update,
-	})
-	if err != nil {
-		reply.Err = err.Error()
-		return reply
+// train serves one dispatch; its reply echoes the Round and Version.
+func (w *Worker) train(d *core.Dispatch) TrainReply {
+	defer obs.StartSpan(w.trace, obs.Event{Label: "worker-solve", Device: d.Device}).End()
+	reply := TrainReply{Round: d.Round, Version: d.Version}
+	var err error
+	if reply.Reply, err = w.dev.HandleDispatch(*d); err != nil {
+		reply.Device, reply.Err = d.Device, err.Error()
 	}
-	reply.Update = *r.Update
-	reply.EpochsDone = r.EpochsDone
 	return reply
 }
 
-// eval translates one EvalRequest into a device eval receive.
-func (w *Worker) eval(req *EvalRequest) EvalReply {
-	reply := EvalReply{Seq: req.Seq}
-	r, err := w.dev.HandleEval(core.EvalRequest{Seq: req.Seq, Update: &req.Update})
-	if err != nil {
-		reply.Err = err.Error()
-		return reply
+// eval serves one evaluation broadcast.
+func (w *Worker) eval(q *core.EvalRequest) EvalReply {
+	var reply EvalReply
+	var err error
+	if reply.EvalReply, err = w.dev.HandleEval(*q); err != nil {
+		reply.Seq, reply.Err = q.Seq, err.Error()
 	}
-	reply.Devices = r.Devices
 	return reply
 }
