@@ -281,6 +281,31 @@ conn with a round-trip lock (rtMu) is the serial per-device exchange growing bac
 			return path.Dir(p) == "internal/fednet" && (imported(n) == "encoding/gob" || id != nil && id.Name == "rtMu")
 		}),
 	}, {
+		name: "the wire carries core's messages",
+		why: `A TrainRequest frame decodes into the core.Dispatch a Worker hands its device runtime as it is, a reply is a
+core.Reply or core.EvalReply plus only what core lacks, and a Hello lists core.DeviceReg: internal/fednet/frame.go
+is the one place their fields meet bytes. A composite literal of core.Dispatch, Reply, EvalRequest, EvalReply or
+DeviceReg in another fednet file is a translation layer growing back — core's messages copied field by field
+into and out of a mirror, which every new dispatch field must then be threaded through.`,
+		got: where(all, func(p string, n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok || path.Dir(p) != "internal/fednet" || p == "internal/fednet/frame.go" {
+				return false
+			}
+			typ := lit.Type // a slice or map literal's elements may elide theirs
+			switch v := typ.(type) {
+			case *ast.ArrayType:
+				typ = v.Elt
+			case *ast.MapType:
+				typ = v.Value
+			}
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			sel, ok := typ.(*ast.SelectorExpr)
+			return ok && name(sel.X) == "core" && slices.Contains([]string{"Dispatch", "Reply", "EvalRequest", "EvalReply", "DeviceReg"}, sel.Sel.Name)
+		}),
+	}, {
 		name: "internal/ is reachable",
 		why: `internal/ holds what a binary, an example or another internal package uses: every package under it is a
 dependency of ./cmd/... or ./examples/.... A package only its own tests import is a subsystem nobody runs; it
