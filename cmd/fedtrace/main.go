@@ -133,8 +133,17 @@ func cmdSummary(args []string) {
 		fail(err)
 	}
 	defer f.Close()
+	if err := summarize(os.Stdout, f); err != nil {
+		fail(err)
+	}
+}
 
-	d := tracefile.NewDecoder(f)
+// summarize streams one pass over the trace r holds and writes to w, per
+// recorded run, the per-round table, the per-tier rollup of a tiered run,
+// straggler attribution (with the slow edge of a tiered one) and byte
+// accounting. A malformed line is its error.
+func summarize(w io.Writer, r io.Reader) error {
+	d := tracefile.NewDecoder(r)
 	newRound := func() *roundStats {
 		return &roundStats{round: -1, secs: math.NaN(), loss: math.NaN(), acc: math.NaN(), dispo: map[string]int{}}
 	}
@@ -157,11 +166,11 @@ func cmdSummary(args []string) {
 			return
 		}
 		if runNodes > 1 {
-			fmt.Printf("\n== run %d: %q (%d devices at the root, %d tree nodes)\n", run, runLabel, runN, runNodes)
+			fmt.Fprintf(w, "\n== run %d: %q (%d devices at the root, %d tree nodes)\n", run, runLabel, runN, runNodes)
 		} else {
-			fmt.Printf("\n== run %d: %q (%d devices)\n", run, runLabel, runN)
+			fmt.Fprintf(w, "\n== run %d: %q (%d devices)\n", run, runLabel, runN)
 		}
-		fmt.Printf("\n%-6s %5s %6s %6s %8s %8s %8s %11s %11s %8s %9s\n",
+		fmt.Fprintf(w, "\n%-6s %5s %6s %6s %8s %8s %8s %11s %11s %8s %9s\n",
 			"round", "disp", "folded", "drop", "p50", "p90", "p99", "bytes-down", "bytes-up", "secs", "loss")
 		for _, r := range rows {
 			sort.Float64s(r.rels)
@@ -176,12 +185,12 @@ func cmdSummary(args []string) {
 				loss = fmt.Sprintf("%.4f", r.loss)
 			}
 			q := core.Quantiles(r.rels, 0.5, 0.9, 0.99)
-			fmt.Printf("%-6d %5d %6d %6d %8s %8s %8s %11d %11d %8s %9s\n",
+			fmt.Fprintf(w, "%-6d %5d %6d %6d %8s %8s %8s %11d %11d %8s %9s\n",
 				r.round, r.dispatches, r.dispo["folded"], dropped,
 				fmtSecs(q[0]), fmtSecs(q[1]), fmtSecs(q[2]),
 				r.bytesDown, r.bytesUp, fmtSecs(r.secs), loss)
 		}
-		fmt.Printf("totals: %d bytes down, %d bytes up, %d evals\n", totDown, totUp, totEvals)
+		fmt.Fprintf(w, "totals: %d bytes down, %d bytes up, %d evals\n", totDown, totUp, totEvals)
 
 		// Per-tier rollup: present whenever the run carried tier stamps
 		// (a tiered simulation interleaves every node's events; a fednet
@@ -193,8 +202,8 @@ func cmdSummary(args []string) {
 			}
 		}
 		if maxTier >= 0 {
-			fmt.Println("per-tier rollup (tier 0 = root; its devices are edge aggregators):")
-			fmt.Printf("%-6s %5s %6s %6s %6s %8s %8s %8s %11s %11s\n",
+			fmt.Fprintln(w, "per-tier rollup (tier 0 = root; its devices are edge aggregators):")
+			fmt.Fprintf(w, "%-6s %5s %6s %6s %6s %8s %8s %8s %11s %11s\n",
 				"tier", "disp", "folded", "drop", "folds", "p50", "p90", "p99", "bytes-down", "bytes-up")
 			for t := 0; t <= maxTier; t++ {
 				ts := tiers[t]
@@ -203,7 +212,7 @@ func cmdSummary(args []string) {
 				}
 				sort.Float64s(ts.rels)
 				q := core.Quantiles(ts.rels, 0.5, 0.9, 0.99)
-				fmt.Printf("%-6d %5d %6d %6d %6d %8s %8s %8s %11d %11d\n",
+				fmt.Fprintf(w, "%-6d %5d %6d %6d %6d %8s %8s %8s %11d %11d\n",
 					t, ts.dispatches, ts.folded, ts.dropped, ts.folds,
 					fmtSecs(q[0]), fmtSecs(q[1]), fmtSecs(q[2]),
 					ts.bytesDown, ts.bytesUp)
@@ -225,9 +234,9 @@ func cmdSummary(args []string) {
 			top = top[:5]
 		}
 		if len(top) > 0 && top[0].total > 0 {
-			fmt.Println("stragglers (by cumulative reply latency):")
+			fmt.Fprintln(w, "stragglers (by cumulative reply latency):")
 			for _, ds := range top {
-				fmt.Printf("  device %-4d %8.3fs over %d replies, %d dropped\n",
+				fmt.Fprintf(w, "  device %-4d %8.3fs over %d replies, %d dropped\n",
 					ds.device, ds.total, ds.replies, ds.dropped)
 			}
 		}
@@ -242,7 +251,7 @@ func cmdSummary(args []string) {
 				}
 			}
 			if slow != nil && slow.total > 0 {
-				fmt.Printf("slow edge: edge %d held the root longest — %.3fs cumulative reply latency over %d replies, %d dropped\n",
+				fmt.Fprintf(w, "slow edge: edge %d held the root longest — %.3fs cumulative reply latency over %d replies, %d dropped\n",
 					slow.device, slow.total, slow.replies, slow.dropped)
 			}
 		}
@@ -278,7 +287,7 @@ func cmdSummary(args []string) {
 			break
 		}
 		if err != nil {
-			fail(err)
+			return err
 		}
 		switch e.Kind {
 		case obs.KindRunStart:
@@ -373,7 +382,8 @@ func cmdSummary(args []string) {
 		}
 	}
 	flushRun()
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
 // ---- diff -------------------------------------------------------------
@@ -632,7 +642,9 @@ func cmdReplay(args []string) {
 	sweep := len(ds)+len(bs)+len(as)+len(ses)+len(ks) > 0
 
 	if !sweep {
-		verifyReplay(cases, segments)
+		if err := verifyReplay(os.Stdout, cases, segments); err != nil {
+			fail(err)
+		}
 		return
 	}
 
@@ -746,28 +758,30 @@ func cmdReplay(args []string) {
 
 // verifyReplay re-runs every recorded case under its recorded policy and
 // checks event-stream equivalence — the replay counterpart of the
-// decoder's round-trip guarantee, runnable against any trace artifact.
-func verifyReplay(cases []experiments.ReplayCase, segments [][]obs.Event) {
+// decoder's round-trip guarantee, runnable against any trace artifact. It
+// writes the verdict to w and returns the first divergence.
+func verifyReplay(w io.Writer, cases []experiments.ReplayCase, segments [][]obs.Event) error {
 	total := 0
 	for i, c := range cases {
 		var got collector
 		cfg := c.Config
 		cfg.Trace = &got
 		if _, err := core.Replay(c.Model, c.Fleet, cfg, segments[i]); err != nil {
-			fail(fmt.Errorf("replay %s: %w", c.Name, err))
+			return fmt.Errorf("replay %s: %w", c.Name, err)
 		}
 		want := segments[i]
 		if len(got.evs) != len(want) {
-			fail(fmt.Errorf("replay %s: %d events recorded, %d replayed", c.Name, len(want), len(got.evs)))
+			return fmt.Errorf("replay %s: %d events recorded, %d replayed", c.Name, len(want), len(got.evs))
 		}
 		for j := range want {
 			if key := eventDiff(want[j], got.evs[j], true); key != "" {
-				fail(fmt.Errorf("replay %s: event #%d diverges on %q\n  recorded: %s\n  replayed: %s",
-					c.Name, j, key, render(want[j]), render(got.evs[j])))
+				return fmt.Errorf("replay %s: event #%d diverges on %q\n  recorded: %s\n  replayed: %s",
+					c.Name, j, key, render(want[j]), render(got.evs[j]))
 			}
 		}
 		total += len(want)
 	}
-	fmt.Printf("replay equivalence OK: %d cases, %d events reproduced under recorded policies (0 solver calls)\n",
+	fmt.Fprintf(w, "replay equivalence OK: %d cases, %d events reproduced under recorded policies (0 solver calls)\n",
 		len(cases), total)
+	return nil
 }
