@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -373,7 +375,7 @@ func (r iotestErr) Read([]byte) (int, error) {
 	return 0, io.EOF
 }
 
-// goldenFrames is the committed FuzzFrame corpus by file name: a real
+// goldenFrames is the committed FuzzFrame corpus by message name: a real
 // frame of each kind × codec × width (wireEnvelopes, "/" spelled "-"),
 // hostileHello, and a length prefix over any bound.
 func goldenFrames(t testing.TB) map[string][]byte {
@@ -387,35 +389,26 @@ func goldenFrames(t testing.TB) map[string][]byte {
 	return out
 }
 
-// TestFrameGolden: the socket's bytes are pinned. Every file of
-// testdata/fuzz/FuzzFrame — written once and never regenerated — is
-// byte for byte the frame its name says, re-encoded from the same
-// message, and every such frame has its file. A change to what goes on
-// the wire fails here, not in a peer built from another commit.
+// TestFrameGolden: the socket's bytes are pinned. testdata/fuzz/FuzzFrame
+// — written once and never regenerated — holds in seed#i the frame of the
+// i-th goldenFrames message by name (the names FuzzFrame's seeds always
+// had), and holds nothing else; each message must still encode to its
+// file byte for byte. A change to what goes on the wire fails here, not
+// in a peer built from another commit.
 func TestFrameGolden(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzFrame")
-	want := goldenFrames(t)
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		got, err := os.ReadFile(filepath.Join(dir, f.Name()))
+	frames := goldenFrames(t)
+	names := slices.Sorted(maps.Keys(frames))
+	for i, name := range names {
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("seed#%d", i)))
 		if err != nil {
-			t.Fatal(err)
-		}
-		frame, ok := want[f.Name()]
-		if !ok {
-			t.Errorf("%s: no message encodes to this golden frame", f.Name())
-			continue
-		}
-		delete(want, f.Name())
-		if string(got) != fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame) {
-			t.Errorf("%s: the frame no longer encodes to its golden bytes", f.Name())
+			t.Errorf("%s: %v", name, err)
+		} else if string(got) != fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frames[name]) {
+			t.Errorf("%s no longer encodes to its golden bytes, seed#%d", name, i)
 		}
 	}
-	for name := range want {
-		t.Errorf("%s: no golden frame in %s", name, dir)
+	if files, err := os.ReadDir(dir); err != nil || len(files) != len(names) {
+		t.Errorf("%s holds %d files (%v), want the %d golden frames", dir, len(files), err, len(names))
 	}
 }
 
