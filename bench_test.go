@@ -353,6 +353,6 @@ func BenchmarkLocalSolverGD(b *testing.B) {
 	cfg := solver.Config{LearningRate: 0.01, BatchSize: 10, Mu: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		solver.GD(mdl, train, w0, cfg, 5)
+		solver.GDSolver{}.Solve(mdl, train, w0, cfg, 5, nil)
 	}
 }

@@ -127,12 +127,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
 		csvFile = f
 	}
 
 	var entries []experiments.BenchEntry
-	for _, id := range ids {
+	for i, id := range ids {
 		res, err := experiments.Run(id, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fedbench: %s: %v\n", id, err)
@@ -143,7 +142,7 @@ func main() {
 			fmt.Println(res.Series())
 		}
 		if csvFile != nil {
-			if err := res.WriteCSV(csvFile); err != nil {
+			if err := res.WriteCSV(csvFile, i == 0); err != nil {
 				fmt.Fprintf(os.Stderr, "fedbench: csv: %v\n", err)
 				os.Exit(1)
 			}
@@ -153,6 +152,12 @@ func main() {
 	if err := closeTrace(); err != nil {
 		fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
 		os.Exit(1)
+	}
+	if csvFile != nil {
+		if err := csvFile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "fedbench: csv: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	if *jsonPath != "" {

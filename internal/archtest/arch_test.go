@@ -178,6 +178,77 @@ func strayAssembly(t *testing.T) []string {
 	return stray
 }
 
+// unusedExports lists, as dir.Name, every exported top-level func, var and
+// const of a non-test file under internal/ that no non-test file of another
+// package directory names as pkg.Name. Exempt are Err… sentinels, every name
+// of a parenthesised const group one of whose names is used, and the
+// packages on the testOnly allowlist.
+func unusedExports(srcs []source) []string {
+	pkgName := map[string]string{} // package directory → package name
+	for _, s := range srcs {
+		pkgName[path.Dir(s.path)] = s.file.Name.Name
+	}
+	used := map[string]bool{}
+	for _, s := range srcs {
+		local := map[string]string{} // identifier in this file → package directory
+		for _, im := range s.file.Imports {
+			if dir, ok := strings.CutPrefix(imported(im), module); ok {
+				local[pkgName[dir]] = dir
+				if im.Name != nil {
+					local[im.Name.Name] = dir
+				}
+			}
+		}
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && local[id.Name] != "" {
+					used[local[id.Name]+"."+sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var unused []string
+	for _, s := range srcs {
+		dir := path.Dir(s.path)
+		if !strings.HasPrefix(dir, "internal/") || slices.Contains(testOnly, dir) {
+			continue
+		}
+		for _, decl := range s.file.Decls {
+			var names []*ast.Ident
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names = []*ast.Ident{d.Name}
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if v, ok := spec.(*ast.ValueSpec); ok {
+						names = append(names, v.Names...)
+					}
+				}
+				if d.Tok == token.CONST && d.Lparen.IsValid() &&
+					slices.ContainsFunc(names, func(id *ast.Ident) bool { return used[dir+"."+id.Name] }) {
+					names = nil
+				}
+			}
+			for _, id := range names {
+				if id.IsExported() && !strings.HasPrefix(id.Name, "Err") && !used[dir+"."+id.Name] {
+					unused = append(unused, dir+"."+id.Name)
+				}
+			}
+		}
+	}
+	return unused
+}
+
+// testOnly is the one allowlist of internal/ packages no binary or example
+// reaches; the exports rule skips them too.
+var testOnly = []string{
+	"internal/archtest",   // these rules: test-only by design
+	"internal/checkpoint", // until fedbench grows -checkpoint
+}
+
 var commands = []string{"Dispatch", "Evaluate", "ObserveLoss", "AdvanceClock", "pause", "Done"}
 
 // coreAllowed is the closed list of fedprox packages internal/core may
@@ -309,10 +380,18 @@ into and out of a mirror, which every new dispatch field must then be threaded t
 		name: "internal/ is reachable",
 		why: `internal/ holds what a binary, an example or another internal package uses: every package under it is a
 dependency of ./cmd/... or ./examples/.... A package only its own tests import is a subsystem nobody runs; it
-moves beside its one user or goes. The two exceptions: internal/checkpoint until fedbench grows -checkpoint
-(ROADMAP item 8), and internal/archtest, these lints, test-only by design.`,
+moves beside its one user or goes. The exceptions are the testOnly allowlist, each with its reason.`,
 		got:  unreachable,
-		want: []string{"internal/archtest", "internal/checkpoint"},
+		want: testOnly,
+	}, {
+		name: "exports are imported",
+		why: `An exported top-level func, var or const under internal/ is the surface the system uses: a non-test file of
+another package under internal/, cmd/, examples/ or benchmark/ names it as pkg.Name. One that only its own
+package calls is unexported; one that only tests call goes, and its tests check what it computed through
+what the system does call. Types and methods are exempt (inferred use and interface satisfaction do not name
+them), as are Err… sentinels (errors.Is is their contract), a parenthesised const group with any name used
+outside (one value set), and the testOnly packages.`,
+		got: unusedExports(append(parse(t, "benchmark"), all...)),
 	}, {
 		name: "one numeric path",
 		why: `Arithmetic width is a type parameter inside internal/tensor, model/{linear,mlp}, solver and comm, chosen
@@ -334,13 +413,11 @@ ending in F32 and the frame reader's u32.`,
 	}, {
 		name: "one fleet-eval pass",
 		why: `An evaluation visits each shard once (metrics.FleetEval): on a lazy fleet a visit is a shard synthesis,
-the dominant cost of a large run. The accuracy-only passes (metrics.FleetAccuracy, metrics.TestAccuracy) exist
-for the benchmark ladder and tests; an executor that calls one is walking the fleet a second time beside its
-loss pass.`,
+the dominant cost of a large run. The accuracy-only pass (metrics.FleetAccuracy) exists for the benchmark
+ladder and tests; an executor that calls it is walking the fleet a second time beside its loss pass.`,
 		got: where(all, func(p string, n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
-			return ok && name(sel.X) == "metrics" && (sel.Sel.Name == "FleetAccuracy" || sel.Sel.Name == "TestAccuracy") &&
-				!strings.HasPrefix(p, "internal/metrics/")
+			return ok && name(sel.X) == "metrics" && sel.Sel.Name == "FleetAccuracy" && !strings.HasPrefix(p, "internal/metrics/")
 		}),
 	}, {
 		name: "no model-sized make on the frame path",

@@ -63,11 +63,11 @@ import (
 
 // Default knob values filled in by Spec.WithDefaults.
 const (
-	// DefaultBits is the qsgd bit width (sign included) when Spec.Bits
+	// defaultBits is the qsgd bit width (sign included) when Spec.Bits
 	// is zero.
-	DefaultBits = 8
-	// DefaultTopK is the kept-coordinate fraction when Spec.TopK is zero.
-	DefaultTopK = 0.1
+	defaultBits = 8
+	// defaultTopK is the kept-coordinate fraction when Spec.TopK is zero.
+	defaultTopK = 0.1
 )
 
 // Spec selects and parameterizes a codec. The zero value means "no codec
@@ -78,10 +78,10 @@ type Spec struct {
 	// "topk". Empty disables compression entirely.
 	Name string
 	// Bits is the qsgd quantization width in bits per coordinate,
-	// including the sign, in [2, 16]. Zero selects DefaultBits.
+	// including the sign, in [2, 16]. Zero selects defaultBits, 8.
 	Bits int
 	// TopK is the fraction of coordinates the topk codec keeps, in
-	// (0, 1]. Zero selects DefaultTopK.
+	// (0, 1]. Zero selects defaultTopK, 0.1.
 	TopK float64
 	// Seed drives the stochastic-rounding streams. Callers that want
 	// codec randomness tied to the run seed leave this zero and let the
@@ -106,10 +106,10 @@ func (s Spec) Enabled() bool { return s.Name != "" }
 // defaults.
 func (s Spec) WithDefaults() Spec {
 	if s.Bits == 0 {
-		s.Bits = DefaultBits
+		s.Bits = defaultBits
 	}
 	if s.TopK == 0 {
-		s.TopK = DefaultTopK
+		s.TopK = defaultTopK
 	}
 	return s
 }

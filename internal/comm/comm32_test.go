@@ -103,7 +103,7 @@ func checkAgainstReference[T tensor.Float](t *testing.T, bits int, name string, 
 		spec.Precision = tensor.F32
 	}
 	c := mustCodec(t, spec)
-	before, err := SnapshotCodec(c)
+	before, err := snapshotCodec(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func checkAgainstReference[T tensor.Float](t *testing.T, bits int, name string, 
 	want, scale, decoded := referenceQSGD(tensor.Converted[T](v), bits, rng)
 
 	u := c.Encode(v, nil)
-	after, _ := SnapshotCodec(c)
+	after, _ := snapshotCodec(c)
 	if u.Scale != float64(scale) || !bytes.Equal(u.Packed, want) {
 		t.Errorf("%d bits, %T, %s: payload differs from the reference", bits, scale, name)
 	}
@@ -299,7 +299,7 @@ func deltaQSGDAgainstComposition[T tensor.Float](t *testing.T, bits int) {
 		spec.Precision = tensor.F32
 	}
 	c := mustCodec(t, spec)
-	st, err := SnapshotCodec(c)
+	st, err := snapshotCodec(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func deltaQSGDAgainstComposition[T tensor.Float](t *testing.T, bits int) {
 		}
 
 		u := c.Encode(v, prev)
-		after, _ := SnapshotCodec(c)
+		after, _ := snapshotCodec(c)
 		if u.Codec != "delta+qsgd" || u.N != n || u.Bits != bits || u.F32 != f32 || u.Scale != float64(scale) || !bytes.Equal(u.Packed, packed) {
 			t.Fatalf("%d bits, %T, transfer %d: update differs from the composition's (scale %v vs %v)", bits, scale, step, u.Scale, scale)
 		}

@@ -189,7 +189,7 @@ func (r *levelReader) next() uint32 {
 // byteBits is the width at which a level is exactly one payload byte:
 // encode and decode then run tensor's byte-quantiser loops straight over
 // Packed, with no level stream between them and the payload. It is the
-// default width (DefaultBits), so those are the loops a default deployment
+// default width (defaultBits), so those are the loops a default deployment
 // runs per coordinate — and the ones with AVX2 strips under them.
 const byteBits = 8
 

@@ -23,9 +23,9 @@ type CodecState struct {
 	Residual []float64
 }
 
-// SnapshotCodec captures a codec instance's mutable state. Stateless
+// snapshotCodec captures a codec instance's mutable state. Stateless
 // codecs (raw, delta) snapshot to the zero CodecState.
-func SnapshotCodec(c Codec) (CodecState, error) {
+func snapshotCodec(c Codec) (CodecState, error) {
 	switch v := c.(type) {
 	case *topkCodec:
 		var res []float64
@@ -43,9 +43,9 @@ func SnapshotCodec(c Codec) (CodecState, error) {
 	}
 }
 
-// RestoreCodec replays a snapshot into a freshly constructed instance of
+// restoreCodec replays a snapshot into a freshly constructed instance of
 // the same codec.
-func RestoreCodec(c Codec, st CodecState) error {
+func restoreCodec(c Codec, st CodecState) error {
 	switch v := c.(type) {
 	case *topkCodec:
 		if st.Residual == nil {
@@ -86,11 +86,11 @@ func (l *LinkState) Snapshot() (LinkSnapshot, error) {
 	defer l.mu.Unlock()
 	snap := LinkSnapshot{Devices: make(map[int]DeviceLinkState, len(l.down))}
 	for dev, down := range l.down {
-		ds, err := SnapshotCodec(down)
+		ds, err := snapshotCodec(down)
 		if err != nil {
 			return LinkSnapshot{}, err
 		}
-		us, err := SnapshotCodec(l.up[dev])
+		us, err := snapshotCodec(l.up[dev])
 		if err != nil {
 			return LinkSnapshot{}, err
 		}
@@ -120,10 +120,10 @@ func (l *LinkState) Restore(snap LinkSnapshot) error {
 		if err != nil {
 			return err
 		}
-		if err := RestoreCodec(down, st.Down); err != nil {
+		if err := restoreCodec(down, st.Down); err != nil {
 			return err
 		}
-		if err := RestoreCodec(up, st.Up); err != nil {
+		if err := restoreCodec(up, st.Up); err != nil {
 			return err
 		}
 		l.down[dev], l.up[dev] = down, up
@@ -155,7 +155,7 @@ type EvalLinkSnapshot struct {
 func (l *EvalLink) Snapshot() (EvalLinkSnapshot, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cs, err := SnapshotCodec(l.codec)
+	cs, err := snapshotCodec(l.codec)
 	if err != nil {
 		return EvalLinkSnapshot{}, err
 	}
@@ -170,7 +170,7 @@ func (l *EvalLink) Snapshot() (EvalLinkSnapshot, error) {
 func (l *EvalLink) Restore(snap EvalLinkSnapshot) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := RestoreCodec(l.codec, snap.Codec); err != nil {
+	if err := restoreCodec(l.codec, snap.Codec); err != nil {
 		return err
 	}
 	l.prev = nil

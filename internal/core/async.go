@@ -47,12 +47,12 @@ func (m AggregationMode) String() string {
 
 // Default async knob values filled in by AsyncConfig.WithDefaults.
 const (
-	// DefaultAsyncAlpha is the base mixing rate for a fresh (staleness 0)
+	// defaultAsyncAlpha is the base mixing rate for a fresh (staleness 0)
 	// reply: its full local delta (the synchronous aggregation weight).
-	DefaultAsyncAlpha = 1.0
-	// DefaultStalenessExponent is the polynomial damping power p in
+	defaultAsyncAlpha = 1.0
+	// defaultStalenessExponent is the polynomial damping power p in
 	// alpha_k = Alpha/(1+s)^p.
-	DefaultStalenessExponent = 0.5
+	defaultStalenessExponent = 0.5
 )
 
 // AsyncConfig parameterizes the asynchronous aggregation modes of the
@@ -64,12 +64,12 @@ type AsyncConfig struct {
 	// Alpha is the base mixing rate in (0, 1]: a staleness-0 reply
 	// applies Alpha times the device's local model delta. At Alpha = 1 a
 	// Buffered flush of fresh replies reproduces the synchronous round
-	// update exactly. Zero selects DefaultAsyncAlpha.
+	// update exactly. Zero selects defaultAsyncAlpha, 1.
 	Alpha float64
 	// StalenessExponent is the damping power p >= 0 in
 	// alpha_k = Alpha/(1+s)^p; larger p discounts stale replies harder.
-	// Zero selects DefaultStalenessExponent (set it negative to request
-	// exactly 0, i.e. no damping).
+	// Zero selects defaultStalenessExponent, 0.5 (set it negative to
+	// request exactly 0, i.e. no damping).
 	StalenessExponent float64
 	// BufferK is the replies-per-flush buffer size of the Buffered mode.
 	// Zero selects ClientsPerRound.
@@ -88,10 +88,10 @@ func (a AsyncConfig) Enabled() bool { return a.Mode != SyncRounds }
 // defaults, resolving BufferK and MaxInFlight against clientsPerRound.
 func (a AsyncConfig) WithDefaults(clientsPerRound int) AsyncConfig {
 	if a.Alpha == 0 {
-		a.Alpha = DefaultAsyncAlpha
+		a.Alpha = defaultAsyncAlpha
 	}
 	if a.StalenessExponent == 0 {
-		a.StalenessExponent = DefaultStalenessExponent
+		a.StalenessExponent = defaultStalenessExponent
 	} else if a.StalenessExponent < 0 {
 		a.StalenessExponent = 0
 	}

@@ -529,15 +529,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// DefaultConfig returns the paper's baseline configuration, fully
-// normalized: FedAvg at the synthetic-suite scale (200 rounds, 10
-// clients per round, 20 local epochs, lr 0.01) with every optional knob
-// resolved by WithDefaults. It validates as-is; experiments override
-// fields from here instead of re-stating the defaults.
-func DefaultConfig() Config {
-	return FedAvg(200, 10, 20, 0.01).WithDefaults()
-}
-
 // FedAvg returns a configuration implementing Algorithm 1: μ = 0, SGD
 // local solver, stragglers dropped.
 func FedAvg(rounds, clients, epochs int, lr float64) Config {

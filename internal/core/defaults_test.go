@@ -36,7 +36,7 @@ func TestWithDefaultsValidates(t *testing.T) {
 			c.VTime = VTimeConfig{Model: vtimeModel(20, 1)}
 			return c
 		}},
-		{"default-config", DefaultConfig},
+		{"default-config", paperBaseline},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,17 +86,19 @@ func TestWithDefaultsResolvedValues(t *testing.T) {
 	}
 }
 
-// TestDefaultConfigIsPaperBaseline: DefaultConfig is a valid, fully
-// normalized FedAvg at the synthetic-suite scale.
+// paperBaseline is the paper's baseline configuration: FedAvg at the
+// synthetic-suite scale (200 rounds, 10 clients per round, 20 local
+// epochs, lr 0.01), normalized.
+func paperBaseline() Config { return FedAvg(200, 10, 20, 0.01).WithDefaults() }
+
+// TestDefaultConfigIsPaperBaseline: the paper's baseline validates as-is
+// and is Algorithm 1 — μ = 0, stragglers dropped, batch size 10.
 func TestDefaultConfigIsPaperBaseline(t *testing.T) {
-	c := DefaultConfig()
+	c := paperBaseline()
 	if err := c.Validate(); err != nil {
-		t.Fatalf("DefaultConfig does not validate: %v", err)
+		t.Fatalf("the paper baseline does not validate: %v", err)
 	}
-	if c.Rounds != 200 || c.ClientsPerRound != 10 || c.LocalEpochs != 20 || c.LearningRate != 0.01 {
-		t.Errorf("DefaultConfig scale drifted: %+v", c)
-	}
-	if c.Mu != 0 {
-		t.Errorf("DefaultConfig must be FedAvg (mu 0), got mu %g", c.Mu)
+	if c.Mu != 0 || c.Straggler != DropStragglers || c.BatchSize != 10 {
+		t.Errorf("FedAvg is not Algorithm 1: %+v", c)
 	}
 }

@@ -211,12 +211,12 @@ func mustRunAt(p tensor.Precision, mdl model.Model, local solver.LocalSolver, pr
 	}
 }
 
-// NewFleetDevice builds a device runtime hosting every device of a lazy
+// newFleetDevice builds a device runtime hosting every device of a lazy
 // fleet. Unlike NewDevice it keeps no per-device example storage: each
 // HandleDispatch materializes its device's shard from the fleet and
 // releases it before returning, so resident data is bounded by the
 // number of concurrent dispatches, not the population.
-func NewFleetDevice(mdl model.Model, fl data.Fleet, opts DeviceOptions) *Device {
+func newFleetDevice(mdl model.Model, fl data.Fleet, opts DeviceOptions) *Device {
 	if mdl == nil || fl == nil || fl.NumDevices() == 0 {
 		panic("core: fleet device runtime needs a model and a non-empty fleet")
 	}

@@ -119,7 +119,7 @@ func TestHandleEvalMatchesShardEval(t *testing.T) {
 	w := mdl.InitParams(frand.New(5))
 	for name, dev := range map[string]*Device{
 		"shards": NewDevice(mdl, fed.Shards, DeviceOptions{}),
-		"fleet":  NewFleetDevice(mdl, synthetic.NewFleet(cfg), DeviceOptions{}),
+		"fleet":  newFleetDevice(mdl, synthetic.NewFleet(cfg), DeviceOptions{}),
 	} {
 		reply, err := dev.HandleEval(EvalRequest{Seq: 1, Params: w})
 		if err != nil {

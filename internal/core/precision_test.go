@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/data"
 	"fedprox/internal/model"
 	"fedprox/internal/model/lstm"
 	"fedprox/internal/privacy"
@@ -113,7 +114,7 @@ func TestF32ConfigRejections(t *testing.T) {
 // Hello offer.
 func TestF32DeviceConstructorPanics(t *testing.T) {
 	mdl, fed := tinyWorkload()
-	seq := lstm.New(lstm.Config{Vocab: 5, Embed: 2, Hidden: 2, Layers: 1, Classes: 2})
+	seq := lstm.ForDataset(&data.Federated{VocabSize: 5, NumClasses: 2}, 2, 2, 1)
 	for _, tc := range []struct {
 		name string
 		mdl  model.Model
@@ -128,7 +129,7 @@ func TestF32DeviceConstructorPanics(t *testing.T) {
 			opts32.Precision = tensor.F32
 			for name, build := range map[string]func(){
 				"NewDevice":      func() { NewDevice(tc.mdl, fed.Shards[:1], opts32) },
-				"NewFleetDevice": func() { NewFleetDevice(tc.mdl, fed.Fleet(), opts32) },
+				"newFleetDevice": func() { newFleetDevice(tc.mdl, fed.Fleet(), opts32) },
 			} {
 				func() {
 					defer func() {

@@ -151,7 +151,7 @@ func (b *inProcess) AdvanceClock(seconds float64) error {
 // both endpoints are in hand, so snapshots carry the device's half too:
 // the coordinator never learns a Device exists.
 func newSimPair(m model.Model, fl Fleet, cfg Config) (*Coordinator, *Device, error) {
-	dev := NewFleetDevice(m, fl, DeviceOptions{
+	dev := newFleetDevice(m, fl, DeviceOptions{
 		Solver:     cfg.Solver,
 		Privacy:    cfg.Privacy,
 		TrackGamma: cfg.TrackGamma,

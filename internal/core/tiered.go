@@ -66,7 +66,7 @@ func RunTiered(m model.Model, fl Fleet, cfg Config, topo tier.Topology) (*Histor
 	cfg = cfg.WithDefaults()
 
 	d := &tieredRun{m: m, fl: fl, cfg: cfg, topo: topo, timed: cfg.VTime.Enabled()}
-	d.dev = NewFleetDevice(m, fl, DeviceOptions{Solver: cfg.Solver, Privacy: cfg.Privacy, Precision: cfg.Precision})
+	d.dev = newFleetDevice(m, fl, DeviceOptions{Solver: cfg.Solver, Privacy: cfg.Privacy, Precision: cfg.Precision})
 	if cfg.Codec.Enabled() {
 		down, up := cfg.CommSpecs()
 		if err := d.dev.InstallLinks(down, up); err != nil {

@@ -209,7 +209,7 @@ func TestSteppedCoordinatorPauseResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := NewFleetDevice(m, fed.Fleet(), DeviceOptions{})
+	dev := newFleetDevice(m, fed.Fleet(), DeviceOptions{})
 	if _, err := coord.RegisterWorker(dev.Hosted()); err != nil {
 		t.Fatal(err)
 	}

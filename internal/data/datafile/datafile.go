@@ -11,7 +11,6 @@ package datafile
 
 import (
 	"fmt"
-	"io"
 
 	"fedprox/internal/data"
 	"fedprox/internal/gobfile"
@@ -24,18 +23,6 @@ func wrap(err error) error {
 		return fmt.Errorf("datafile: %w", err)
 	}
 	return nil
-}
-
-// Write serializes the dataset to w.
-func Write(w io.Writer, fed *data.Federated) error { return wrap(format.Encode(w, fed)) }
-
-// Read deserializes a dataset from r, verifying header and structure.
-func Read(r io.Reader) (*data.Federated, error) {
-	var fed data.Federated
-	if err := format.Decode(r, &fed); err != nil {
-		return nil, wrap(err)
-	}
-	return &fed, nil
 }
 
 // WriteFile writes the dataset to path atomically (temp file + rename).

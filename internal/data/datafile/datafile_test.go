@@ -16,16 +16,23 @@ func sample() *data.Federated {
 	return synthetic.Generate(synthetic.Default(0.5, 0.5).Scaled(0.12))
 }
 
-func TestRoundTrip(t *testing.T) {
-	want := sample()
-	var buf bytes.Buffer
-	if err := Write(&buf, want); err != nil {
+// roundTrip writes fed to a file and reads it back.
+func roundTrip(t *testing.T, fed *data.Federated) *data.Federated {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ds.fed")
+	if err := WriteFile(path, fed); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return got
+}
+
+func TestRoundTrip(t *testing.T) {
+	want := sample()
+	got := roundTrip(t, want)
 	if got.Name != want.Name || got.NumDevices() != want.NumDevices() {
 		t.Fatalf("metadata lost: %s/%d vs %s/%d", got.Name, got.NumDevices(), want.Name, want.NumDevices())
 	}
@@ -50,27 +57,23 @@ func TestSequenceRoundTrip(t *testing.T) {
 		Name: "seq", NumClasses: 4, VocabSize: 9, SeqLen: 3,
 		Shards: []*data.Shard{{ID: 0, Train: []data.Example{{Seq: []int{1, 2, 3}, Y: 2}}}},
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, want)
 	if got.SeqLen != 3 || got.Shards[0].Train[0].Seq[2] != 3 {
 		t.Fatal("sequence payload lost")
 	}
 }
 
 func TestWriteRejectsInvalid(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, &data.Federated{Name: "broken"}); err == nil {
+	path := filepath.Join(t.TempDir(), "ds.fed")
+	if err := WriteFile(path, &data.Federated{Name: "broken"}); err == nil {
 		t.Fatal("invalid dataset written")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a refused write left %s behind: %v", path, err)
 	}
 }
 
-// TestReadRejectsGarbage: Read hands back the container's refusal of
+// TestReadRejectsGarbage: ReadFile hands back the container's refusal of
 // bytes that are no file of this format, and adds its own of a
 // well-formed file whose dataset is not valid.
 func TestReadRejectsGarbage(t *testing.T) {
@@ -82,7 +85,11 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"read header":   []byte("garbage bytes here"),
 		"invalid value": invalid.Bytes(),
 	} {
-		if _, err := Read(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
+		path := filepath.Join(t.TempDir(), "ds.fed")
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("want a %q refusal, got %v", want, err)
 		}
 	}
@@ -117,18 +124,19 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
-// FuzzRead: whatever the bytes, Read answers an error or a dataset that
-// passes Validate — never a panic. The committed seeds
-// (testdata/fuzz/FuzzRead) are a valid file, the same cut at the header
-// boundary, and a header followed by a message that declares 1 GiB.
+// FuzzRead: whatever the bytes, the format's decoder (the one ReadFile
+// runs) answers an error or a dataset that passes Validate — never a
+// panic. The committed seeds (testdata/fuzz/FuzzRead) are a valid file,
+// the same cut at the header boundary, and a header followed by a message
+// that declares 1 GiB.
 func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fed, err := Read(bytes.NewReader(b))
-		if err != nil {
+		var fed data.Federated
+		if err := format.Decode(bytes.NewReader(b), &fed); err != nil {
 			return
 		}
 		if err := fed.Validate(); err != nil {
-			t.Fatalf("Read returned a dataset that fails Validate: %v", err)
+			t.Fatalf("Decode returned a dataset that fails Validate: %v", err)
 		}
 	})
 }

@@ -14,9 +14,9 @@ import (
 	"fedprox/internal/data/imagesim"
 )
 
-// Default returns the paper-shape configuration: 200 devices, 28×28 inputs,
-// 5 of 10 classes per device, ~92 samples per device on average.
-func Default() imagesim.Config {
+// defaultConfig returns the paper-shape configuration: 200 devices, 28×28
+// inputs, 5 of 10 classes per device, ~92 samples per device on average.
+func defaultConfig() imagesim.Config {
 	return imagesim.Config{
 		Name:             "FEMNIST",
 		Devices:          200,
@@ -36,12 +36,12 @@ func Default() imagesim.Config {
 }
 
 // Generate builds the FEMNIST surrogate at paper scale.
-func Generate() *data.Federated { return imagesim.Generate(Default()) }
+func Generate() *data.Federated { return imagesim.Generate(defaultConfig()) }
 
 // GenerateScaled builds the FEMNIST surrogate with device count and sample
 // bounds scaled by f, for fast experiment runs.
 func GenerateScaled(f float64) *data.Federated {
-	c := Default().Scaled(f)
+	c := defaultConfig().Scaled(f)
 	c.Devices = scaleDevices(c.Devices, f)
 	return imagesim.Generate(c)
 }

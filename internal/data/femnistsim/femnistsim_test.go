@@ -32,7 +32,7 @@ func TestFiveClassesPerDevice(t *testing.T) {
 }
 
 func TestDefaultMatchesPaperScale(t *testing.T) {
-	c := Default()
+	c := defaultConfig()
 	if c.Devices != 200 || c.ClassesPerDevice != 5 {
 		t.Fatalf("paper-scale config drifted: %+v", c)
 	}

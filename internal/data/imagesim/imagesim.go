@@ -83,7 +83,7 @@ func Generate(c Config) *data.Federated {
 	splitRng := root.Split("split")
 
 	dim := c.Side * c.Side
-	protos := Prototypes(protoRng, c.Classes, c.Side, c.BlobsPerClass)
+	protos := prototypes(protoRng, c.Classes, c.Side, c.BlobsPerClass)
 	sizes := data.PowerLawSizes(sizeRng, c.Devices, c.MinSamples, c.MaxSamples, c.PowerAlpha)
 	classSets := data.LabelSkewAssign(assignRng, c.Devices, c.Classes, c.ClassesPerDevice)
 
@@ -152,10 +152,10 @@ func styleField(rng *frand.Source, side, blobs int) []float64 {
 	return img
 }
 
-// Prototypes builds one prototype image per class: blobs 2-D Gaussian bumps
+// prototypes builds one prototype image per class: blobs 2-D Gaussian bumps
 // with random centers, widths, and intensities on a side×side grid,
 // normalized to peak at 1.
-func Prototypes(rng *frand.Source, classes, side, blobs int) [][]float64 {
+func prototypes(rng *frand.Source, classes, side, blobs int) [][]float64 {
 	out := make([][]float64, classes)
 	for c := 0; c < classes; c++ {
 		crng := rng.SplitIndex(c)

@@ -70,7 +70,7 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestPrototypesDistinct(t *testing.T) {
-	protos := Prototypes(frand.New(3), 4, 8, 3)
+	protos := prototypes(frand.New(3), 4, 8, 3)
 	if len(protos) != 4 {
 		t.Fatalf("got %d prototypes", len(protos))
 	}

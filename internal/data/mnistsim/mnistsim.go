@@ -15,9 +15,9 @@ import (
 	"fedprox/internal/data/imagesim"
 )
 
-// Default returns the paper-shape configuration: 1,000 devices, 28×28
+// defaultConfig returns the paper-shape configuration: 1,000 devices, 28×28
 // inputs, 2 of 10 classes per device, ~69 samples per device on average.
-func Default() imagesim.Config {
+func defaultConfig() imagesim.Config {
 	return imagesim.Config{
 		Name:             "MNIST",
 		Devices:          1000,
@@ -37,12 +37,12 @@ func Default() imagesim.Config {
 }
 
 // Generate builds the MNIST surrogate at paper scale.
-func Generate() *data.Federated { return imagesim.Generate(Default()) }
+func Generate() *data.Federated { return imagesim.Generate(defaultConfig()) }
 
 // GenerateScaled builds the MNIST surrogate with device count and sample
 // bounds scaled by f, for fast experiment runs.
 func GenerateScaled(f float64) *data.Federated {
-	c := Default().Scaled(f)
+	c := defaultConfig().Scaled(f)
 	c.Devices = scaleDevices(c.Devices, f)
 	return imagesim.Generate(c)
 }

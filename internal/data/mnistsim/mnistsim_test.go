@@ -35,7 +35,7 @@ func TestTwoDigitsPerDevice(t *testing.T) {
 }
 
 func TestDefaultMatchesPaperScale(t *testing.T) {
-	c := Default()
+	c := defaultConfig()
 	if c.Devices != 1000 || c.Classes != 10 || c.ClassesPerDevice != 2 || c.Side != 28 {
 		t.Fatalf("paper-scale config drifted: %+v", c)
 	}

@@ -100,11 +100,15 @@ func (r *Result) Series() string {
 	return b.String()
 }
 
-// WriteCSV streams every evaluated point of every run as CSV with the
-// header experiment,section,method,round,train_loss,test_acc,grad_var,mu.
-func (r *Result) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "experiment,section,method,round,train_loss,test_acc,grad_var,mu"); err != nil {
-		return err
+// WriteCSV streams every evaluated point of every run as CSV rows,
+// preceded, when header is set, by the header
+// experiment,section,method,round,train_loss,test_acc,grad_var,mu: a file
+// of several results carries it once, before the first.
+func (r *Result) WriteCSV(w io.Writer, header bool) error {
+	if header {
+		if _, err := fmt.Fprintln(w, "experiment,section,method,round,train_loss,test_acc,grad_var,mu"); err != nil {
+			return err
+		}
 	}
 	for _, sec := range r.Sections {
 		for _, h := range sec.Runs {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/csv"
+	"math"
 	"strings"
 	"testing"
 
@@ -267,7 +269,7 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := res.WriteCSV(&sb); err != nil {
+	if err := res.WriteCSV(&sb, true); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -280,6 +282,43 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "figure5,") {
 		t.Fatalf("csv row = %q", lines[1])
+	}
+}
+
+// TestWriteCSVOneHeaderPerFile: two results written to one file, as
+// fedbench -exp a,b -csv does, parse with encoding/csv as one header and
+// then only data rows, every one of the header's width.
+func TestWriteCSVOneHeaderPerFile(t *testing.T) {
+	run := func(label string, rounds ...int) *core.History {
+		h := &core.History{Label: label}
+		for _, r := range rounds {
+			h.Points = append(h.Points, core.Point{Round: r, TrainLoss: 1, TestAcc: 0.5, GradVar: math.NaN(), Mu: 1})
+		}
+		return h
+	}
+	var b strings.Builder
+	for i, res := range []*Result{
+		{ID: "ext-precision", Sections: []Section{{Name: "f64, f32", Runs: []*core.History{run("FedProx", 0, 5)}}}},
+		{ID: "ext-partialwork", Sections: []Section{{Name: "drop", Runs: []*core.History{run("FedAvg", 0, 5, 10)}}}},
+	} {
+		if err := res.WriteCSV(&b, i == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1+5 {
+		t.Fatalf("%d records, want a header and 5 rows:\n%s", len(rows), b.String())
+	}
+	for i, row := range rows[1:] {
+		if row[0] == rows[0][0] || len(row) != len(rows[0]) {
+			t.Errorf("record %d is not a data row of %d fields: %q", i+1, len(rows[0]), row)
+		}
+	}
+	if rows[5][0] != "ext-partialwork" || rows[5][3] != "10" {
+		t.Errorf("last row = %q", rows[5])
 	}
 }
 

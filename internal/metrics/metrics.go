@@ -68,7 +68,7 @@ func ShardEval(m model.Model, w []float64, s *data.Shard) (loss float64, correct
 	return loss, correct
 }
 
-// Eval returns FleetLoss and TestAccuracy from one pass over the shards.
+// Eval returns FleetLoss and FleetAccuracy from one pass over the shards.
 func Eval(m model.Model, fed *data.Federated, w []float64) (loss, acc float64) {
 	return FleetEval(m, fed.Fleet(), w)
 }
@@ -101,13 +101,8 @@ func FleetEval(m model.Model, fl data.Fleet, w []float64) (loss, acc float64) {
 	return loss, float64(correct.Load()) / float64(total.Load())
 }
 
-// TestAccuracy returns the network-wide test accuracy: total correct
+// FleetAccuracy returns the network-wide test accuracy: total correct
 // predictions over total test examples across every device.
-func TestAccuracy(m model.Model, fed *data.Federated, w []float64) float64 {
-	return FleetAccuracy(m, fed.Fleet(), w)
-}
-
-// FleetAccuracy is TestAccuracy over a lazy fleet.
 func FleetAccuracy(m model.Model, fl data.Fleet, w []float64) float64 {
 	n := fl.NumDevices()
 	correct := make([]int, n)

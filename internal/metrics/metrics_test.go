@@ -90,13 +90,13 @@ func TestTestAccuracyPerfectAndZero(t *testing.T) {
 	// gets +x0 weight.
 	w := make([]float64, m.NumParams())
 	w[4] = 100 // W[1][0]
-	acc := TestAccuracy(m, fed, w)
+	acc := FleetAccuracy(m, fed.Fleet(), w)
 	if acc < 0.99 {
 		t.Fatalf("constructed classifier accuracy = %g, want ~1", acc)
 	}
 	// Inverted classifier: accuracy ~0.
 	w[4] = -100
-	if acc := TestAccuracy(m, fed, w); acc > 0.01 {
+	if acc := FleetAccuracy(m, fed.Fleet(), w); acc > 0.01 {
 		t.Fatalf("inverted classifier accuracy = %g, want ~0", acc)
 	}
 }
@@ -105,7 +105,7 @@ func TestTestAccuracyEmptyNetwork(t *testing.T) {
 	fed := &data.Federated{Name: "e", NumClasses: 2, FeatureDim: 1,
 		Shards: []*data.Shard{{Train: []data.Example{{X: []float64{1}, Y: 0}}}}}
 	m := linear.ForDataset(fed)
-	if acc := TestAccuracy(m, fed, make([]float64, m.NumParams())); acc != 0 {
+	if acc := FleetAccuracy(m, fed.Fleet(), make([]float64, m.NumParams())); acc != 0 {
 		t.Fatalf("accuracy with no test data = %g, want 0", acc)
 	}
 }
@@ -238,13 +238,13 @@ func TestFleetEvalMatchesSeparatePasses(t *testing.T) {
 }
 
 // TestEvalMatchesEagerPair: the *data.Federated wrapper is the fused
-// form of FleetLoss + TestAccuracy.
+// form of FleetLoss + FleetAccuracy.
 func TestEvalMatchesEagerPair(t *testing.T) {
 	fed := skewedShards()
 	m := linear.ForDataset(fed)
 	w := frand.New(31).NormVec(make([]float64, m.NumParams()), 0, 0.5)
 	loss, acc := Eval(m, fed, w)
-	if loss != FleetLoss(m, fed.Fleet(), w) || acc != TestAccuracy(m, fed, w) {
-		t.Fatalf("Eval = (%v, %v), want (%v, %v)", loss, acc, FleetLoss(m, fed.Fleet(), w), TestAccuracy(m, fed, w))
+	if loss != FleetLoss(m, fed.Fleet(), w) || acc != FleetAccuracy(m, fed.Fleet(), w) {
+		t.Fatalf("Eval = (%v, %v), want (%v, %v)", loss, acc, FleetLoss(m, fed.Fleet(), w), FleetAccuracy(m, fed.Fleet(), w))
 	}
 }

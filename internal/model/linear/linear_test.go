@@ -6,7 +6,7 @@ import (
 
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
-	"fedprox/internal/model"
+	"fedprox/internal/metrics"
 	"fedprox/internal/tensor"
 )
 
@@ -78,7 +78,7 @@ func TestGradMatchesNumerical(t *testing.T) {
 }
 
 // TestGradReturnsLoss: the loss Grad returns is the loss of the batch at
-// w — at both widths, since solver.SubproblemGrad reports it.
+// w — at both widths, since the solver's subproblem loss is built on it.
 func TestGradReturnsLoss(t *testing.T) {
 	rng := frand.New(9)
 	m := New(4, 3)
@@ -150,8 +150,8 @@ func TestGradientDescentReducesLoss(t *testing.T) {
 		}
 		prev = cur
 	}
-	if acc := model.Accuracy(m, w, batch); acc < 0.95 {
-		t.Fatalf("separable accuracy = %g, want >= 0.95", acc)
+	if _, c := metrics.ShardEval(m, w, &data.Shard{Test: batch}); float64(c) < 0.95*float64(len(batch)) {
+		t.Fatalf("separable: %d of %d correct, want >= 95%%", c, len(batch))
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func benchModel(hidden int) (*Model, []float64) {
-	m := New(Config{Vocab: 80, Embed: 8, Hidden: hidden, Layers: 2, Classes: 80})
+	m := newModel(Config{Vocab: 80, Embed: 8, Hidden: hidden, Layers: 2, Classes: 80})
 	return m, m.InitParams(frand.New(1))
 }
 

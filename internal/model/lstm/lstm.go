@@ -62,8 +62,8 @@ type layerOffsets struct {
 
 var _ model.Model = (*Model)(nil)
 
-// New returns an LSTM model for the given configuration.
-func New(cfg Config) *Model {
+// newModel returns an LSTM model for the given configuration.
+func newModel(cfg Config) *Model {
 	if cfg.Vocab <= 1 || cfg.Embed <= 0 || cfg.Hidden <= 0 || cfg.Layers <= 0 || cfg.Classes <= 1 {
 		panic("lstm: invalid config")
 	}
@@ -97,7 +97,7 @@ func ForDataset(f *data.Federated, embed, hidden, layers int) *Model {
 	if f.VocabSize == 0 {
 		panic("lstm: dataset is not a sequence task")
 	}
-	return New(Config{
+	return newModel(Config{
 		Vocab:   f.VocabSize,
 		Embed:   embed,
 		Hidden:  hidden,

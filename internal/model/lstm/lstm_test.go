@@ -9,7 +9,7 @@ import (
 )
 
 func smallModel() *Model {
-	return New(Config{Vocab: 7, Embed: 3, Hidden: 4, Layers: 2, Classes: 5})
+	return newModel(Config{Vocab: 7, Embed: 3, Hidden: 4, Layers: 2, Classes: 5})
 }
 
 func randSeqBatch(rng *frand.Source, n, seqLen, vocab, classes int) []data.Example {
@@ -46,10 +46,10 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("case %d: New(%+v) did not panic", i, cfg)
+					t.Errorf("case %d: newModel(%+v) did not panic", i, cfg)
 				}
 			}()
-			New(cfg)
+			newModel(cfg)
 		}()
 	}
 }
@@ -159,7 +159,7 @@ func TestEmptyBatch(t *testing.T) {
 // hundred SGD steps.
 func TestLearnsMajorityToken(t *testing.T) {
 	rng := frand.New(29)
-	m := New(Config{Vocab: 4, Embed: 4, Hidden: 8, Layers: 1, Classes: 2})
+	m := newModel(Config{Vocab: 4, Embed: 4, Hidden: 8, Layers: 1, Classes: 2})
 	var batch []data.Example
 	for i := 0; i < 60; i++ {
 		y := i % 2

@@ -35,9 +35,9 @@ type layerOffsets struct {
 
 var _ model.Model32 = (*Model)(nil)
 
-// New returns an MLP with the given layer sizes: input dimension, one or
+// newModel returns an MLP with the given layer sizes: input dimension, one or
 // more hidden widths, and the class count last.
-func New(sizes ...int) *Model {
+func newModel(sizes ...int) *Model {
 	if len(sizes) < 2 {
 		panic("mlp: need at least input and output sizes")
 	}
@@ -70,7 +70,7 @@ func ForDataset(f *data.Federated, hidden ...int) *Model {
 	}
 	sizes := append([]int{f.FeatureDim}, hidden...)
 	sizes = append(sizes, f.NumClasses)
-	return New(sizes...)
+	return newModel(sizes...)
 }
 
 // NumParams returns the flat parameter count.

@@ -6,7 +6,7 @@ import (
 
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
-	"fedprox/internal/model"
+	"fedprox/internal/metrics"
 	"fedprox/internal/tensor"
 )
 
@@ -20,7 +20,7 @@ func randBatch(rng *frand.Source, n, dim, classes int) []data.Example {
 }
 
 func TestNumParamsLayout(t *testing.T) {
-	m := New(5, 7, 3)
+	m := newModel(5, 7, 3)
 	// layer0: 7*5 + 7; layer1: 3*7 + 3.
 	if got, want := m.NumParams(), 35+7+21+3; got != want {
 		t.Fatalf("NumParams = %d, want %d", got, want)
@@ -33,10 +33,10 @@ func TestNewPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("case %d: New(%v) did not panic", i, sizes)
+					t.Errorf("case %d: newModel(%v) did not panic", i, sizes)
 				}
 			}()
-			New(sizes...)
+			newModel(sizes...)
 		}()
 	}
 }
@@ -47,7 +47,7 @@ func TestNewPanics(t *testing.T) {
 // remainder (5).
 func TestGradMatchesNumerical(t *testing.T) {
 	rng := frand.New(71)
-	m := New(5, 6, 4, 3)
+	m := newModel(5, 6, 4, 3)
 	for _, n := range []int{1, 3, 5} {
 		batch := randBatch(rng, n, 5, 3)
 		w := m.InitParams(rng)
@@ -70,10 +70,10 @@ func TestGradMatchesNumerical(t *testing.T) {
 }
 
 // TestGradReturnsLoss: the loss Grad returns is the loss of the batch at
-// w — at both widths, since solver.SubproblemGrad reports it.
+// w — at both widths, since the solver's subproblem loss is built on it.
 func TestGradReturnsLoss(t *testing.T) {
 	rng := frand.New(73)
-	m := New(4, 5, 3)
+	m := newModel(4, 5, 3)
 	batch := randBatch(rng, 6, 4, 3)
 	w := m.InitParams(rng)
 	l := m.Loss(w, batch)
@@ -87,7 +87,7 @@ func TestGradReturnsLoss(t *testing.T) {
 }
 
 func TestEmptyBatch(t *testing.T) {
-	m := New(3, 4, 2)
+	m := newModel(3, 4, 2)
 	w := m.InitParams(frand.New(1))
 	grad := make([]float64, m.NumParams())
 	grad[0] = 5
@@ -102,7 +102,7 @@ func TestEmptyBatch(t *testing.T) {
 // TestSolvesXOR: the canonical non-convex sanity check no linear model can
 // pass.
 func TestSolvesXOR(t *testing.T) {
-	m := New(2, 8, 2)
+	m := newModel(2, 8, 2)
 	batch := []data.Example{
 		{X: []float64{0, 0}, Y: 0},
 		{X: []float64{0, 1}, Y: 1},
@@ -117,8 +117,8 @@ func TestSolvesXOR(t *testing.T) {
 			w[i] -= 0.5 * grad[i]
 		}
 	}
-	if acc := model.Accuracy(m, w, batch); acc != 1 {
-		t.Fatalf("XOR accuracy = %g, want 1", acc)
+	if _, c := metrics.ShardEval(m, w, &data.Shard{Test: batch}); c != len(batch) {
+		t.Fatalf("XOR: %d of %d correct, want all", c, len(batch))
 	}
 }
 
@@ -138,7 +138,7 @@ func TestForDataset(t *testing.T) {
 }
 
 func TestDeterministicInit(t *testing.T) {
-	m := New(4, 5, 3)
+	m := newModel(4, 5, 3)
 	a := m.InitParams(frand.New(9))
 	b := m.InitParams(frand.New(9))
 	for i := range a {

@@ -56,18 +56,3 @@ func Grad[T tensor.Float](m Model, dst, w []T, batch []data.Example) T {
 	}
 	return T(m.Grad(any(dst).([]float64), any(w).([]float64), batch))
 }
-
-// Accuracy returns the fraction of examples in batch that m predicts
-// correctly under parameters w. It returns 0 for an empty batch.
-func Accuracy(m Model, w []float64, batch []data.Example) float64 {
-	if len(batch) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, ex := range batch {
-		if m.Predict(w, ex) == ex.Y {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(batch))
-}

@@ -185,17 +185,6 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Discard is the explicit no-op sink: every event is dropped. Emitters
-// treat a nil Sink the same way without the interface call; Discard
-// exists for call sites that want a non-nil sink unconditionally (and
-// for measuring the cost of emission itself, see the no-op overhead
-// benchmark).
-var Discard Sink = discard{}
-
-type discard struct{}
-
-func (discard) Emit(Event) {}
-
 // Multi fans every event out to each non-nil sink, in order. Nil
 // arguments are skipped; with zero live sinks it returns nil (tracing
 // off), with one it returns that sink unwrapped.

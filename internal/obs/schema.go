@@ -218,15 +218,6 @@ func Fields(k Kind) []FieldSpec {
 	return nil
 }
 
-// Kinds lists every valid kind in wire order.
-func Kinds() []Kind {
-	ks := make([]Kind, 0, int(KindRunDone))
-	for k := KindRunStart; k <= KindRunDone; k++ {
-		ks = append(ks, k)
-	}
-	return ks
-}
-
 var kindByName = func() map[string]Kind {
 	m := make(map[string]Kind, int(KindRunDone))
 	for k := KindRunStart; k <= KindRunDone; k++ {

@@ -52,7 +52,7 @@ func (m *Mechanism) Apply(w, w0 []float64, round, device int) {
 		panic("privacy: parameter length mismatch")
 	}
 	if m.ClipNorm > 0 {
-		ClipDelta(w, w0, m.ClipNorm)
+		clipDelta(w, w0, m.ClipNorm)
 	}
 	if m.NoiseStd > 0 {
 		rng := frand.New(m.Seed).SplitIndex(round).SplitIndex(device)
@@ -62,9 +62,9 @@ func (m *Mechanism) Apply(w, w0 []float64, round, device int) {
 	}
 }
 
-// ClipDelta rescales w in place so that ‖w − w0‖₂ ≤ bound, leaving w
+// clipDelta rescales w in place so that ‖w − w0‖₂ ≤ bound, leaving w
 // unchanged when already inside the ball.
-func ClipDelta(w, w0 []float64, bound float64) {
+func clipDelta(w, w0 []float64, bound float64) {
 	if bound <= 0 {
 		panic("privacy: non-positive clip bound")
 	}

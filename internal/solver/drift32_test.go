@@ -6,6 +6,7 @@ import (
 
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
+	"fedprox/internal/model"
 	"fedprox/internal/model/linear"
 	"fedprox/internal/tensor"
 )
@@ -101,6 +102,13 @@ func TestF32GammaZeroGradient(t *testing.T) {
 	}
 }
 
+// grad32 is subproblemGrad at float32 on w and w0 narrowed, widened.
+func grad32(m model.Model, train []data.Example, w, w0 []float64, cfg Config) []float64 {
+	g := make([]float32, len(w))
+	subproblemGrad(g, m, train, tensor.Converted[float32](w), tensor.Converted[float32](w0), cfg)
+	return tensor.Converted[float64](g)
+}
+
 // TestF32SubproblemGradMatches checks the h_k gradient — data gradient
 // plus prox pull — agrees between widths coordinate-wise, including
 // when the prox term is the only non-zero part (zero data gradient,
@@ -115,10 +123,8 @@ func TestF32SubproblemGradMatches(t *testing.T) {
 	for _, mu := range []float64{0, 1e-8, 1, 10} {
 		cfg := Config{Mu: mu}
 		g64 := make([]float64, len(w))
-		SubproblemGrad(g64, m, train, w, w0, cfg)
-		g32 := make([]float64, len(w))
-		SubproblemGrad(g32, m, train, w, w0, at32(cfg))
-		if d := relDrift(g32, g64); d > 1e-5 {
+		subproblemGrad(g64, m, train, w, w0, cfg)
+		if d := relDrift(grad32(m, train, w, w0, cfg), g64); d > 1e-5 {
 			t.Fatalf("mu=%g: subproblem gradient drifted %.2e", mu, d)
 		}
 	}
@@ -130,10 +136,8 @@ func TestF32SubproblemGradMatches(t *testing.T) {
 	sym := []data.Example{{X: zeroX, Y: 0}, {X: zeroX, Y: 1}}
 	cfg := Config{Mu: 2}
 	g64 := make([]float64, len(w))
-	SubproblemGrad(g64, m, sym, w, w0, cfg)
-	g32 := make([]float64, len(w))
-	SubproblemGrad(g32, m, sym, w, w0, at32(cfg))
-	if d := relDrift(g32, g64); d > 1e-5 {
+	subproblemGrad(g64, m, sym, w, w0, cfg)
+	if d := relDrift(grad32(m, sym, w, w0, cfg), g64); d > 1e-5 {
 		t.Fatalf("prox-only gradient drifted %.2e", d)
 	}
 }

@@ -34,8 +34,8 @@ type Config struct {
 	// stochastic gradient (the FedDane gradient-correction term). It must
 	// have the model's parameter length.
 	Correction []float64
-	// Precision selects the arithmetic width SGD, GD, SubproblemGrad and
-	// Gamma compute at. Their signatures are float64 either way: under
+	// Precision selects the arithmetic width SGD, GDSolver and Gamma
+	// compute at. Their signatures are float64 either way: under
 	// tensor.F32 they narrow their inputs, run the same generic body at
 	// float32 and widen the result, provided the model is a model.Model32
 	// and Correction is nil (FedDane stays full-width); otherwise they
@@ -116,19 +116,6 @@ func sgd[T tensor.Float](m model.Model, train []data.Example, w0 []T, cfg Config
 	return w
 }
 
-// GD runs steps iterations of full-batch gradient descent on the device
-// subproblem and returns the resulting parameters. It is the deterministic
-// local solver used to exercise the framework's solver-agnosticism.
-func GD(m model.Model, train []data.Example, w0 []float64, cfg Config, steps int) []float64 {
-	if cfg.narrow(m) {
-		n0 := tensor.Converted[float32](w0)
-		w := gd(m, train, n0, cfg, steps)
-		tensor.PutVec(n0)
-		return widened(w)
-	}
-	return gd(m, train, w0, cfg, steps)
-}
-
 func gd[T tensor.Float](m model.Model, train []data.Example, w0 []T, cfg Config, steps int) []T {
 	w := tensor.GetVec[T](len(w0))
 	copy(w, w0)
@@ -162,22 +149,9 @@ func applyStep[T tensor.Float](w, grad, w0 []T, cfg Config) {
 	}
 }
 
-// SubproblemGrad writes ∇h(w; w0) = ∇F(w) + μ(w − w0) + correction over the
+// subproblemGrad writes ∇h(w; w0) = ∇F(w) + μ(w − w0) + correction over the
 // full local training set into dst and returns the subproblem loss
 // F(w) + (μ/2)‖w − w0‖² (+ ⟨correction, w⟩ when present).
-func SubproblemGrad(dst []float64, m model.Model, train []data.Example, w, w0 []float64, cfg Config) float64 {
-	if cfg.narrow(m) {
-		d, nw, nw0 := tensor.GetVec[float32](len(dst)), tensor.Converted[float32](w), tensor.Converted[float32](w0)
-		loss := subproblemGrad(d, m, train, nw, nw0, cfg)
-		tensor.Convert(dst, d)
-		tensor.PutVec(d)
-		tensor.PutVec(nw)
-		tensor.PutVec(nw0)
-		return float64(loss)
-	}
-	return subproblemGrad(dst, m, train, w, w0, cfg)
-}
-
 func subproblemGrad[T tensor.Float](dst []T, m model.Model, train []data.Example, w, w0 []T, cfg Config) T {
 	loss := model.Grad(m, dst, w, train)
 	if mu := T(cfg.Mu); mu != 0 {

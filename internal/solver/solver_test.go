@@ -93,7 +93,7 @@ func TestGDConvergesOnConvexProblem(t *testing.T) {
 	train := trainSet(rng, 60)
 	w0 := make([]float64, m.NumParams())
 	cfg := Config{LearningRate: 0.5, BatchSize: 10}
-	w := GD(m, train, w0, cfg, 100)
+	w := GDSolver{}.Solve(m, train, w0, cfg, 100, nil)
 	grad := make([]float64, m.NumParams())
 	m.Grad(grad, w, train)
 	if n := tensor.Norm2(grad); n > 0.05 {
@@ -112,7 +112,7 @@ func TestGammaBounds(t *testing.T) {
 		t.Fatalf("Gamma(no work) = %g, want 1", g)
 	}
 	// Substantial work: γ should drop well below 1.
-	w := GD(m, train, w0, cfg, 200)
+	w := GDSolver{}.Solve(m, train, w0, cfg, 200, nil)
 	if g := Gamma(m, train, w, w0, cfg); g > 0.5 {
 		t.Fatalf("Gamma after 200 GD steps = %g, want < 0.5", g)
 	}
@@ -124,8 +124,8 @@ func TestGammaMonotoneInWork(t *testing.T) {
 	train := trainSet(rng, 60)
 	w0 := make([]float64, m.NumParams())
 	cfg := Config{LearningRate: 0.1, BatchSize: 10, Mu: 1}
-	g5 := Gamma(m, train, GD(m, train, w0, cfg, 5), w0, cfg)
-	g50 := Gamma(m, train, GD(m, train, w0, cfg, 50), w0, cfg)
+	g5 := Gamma(m, train, GDSolver{}.Solve(m, train, w0, cfg, 5, nil), w0, cfg)
+	g50 := Gamma(m, train, GDSolver{}.Solve(m, train, w0, cfg, 50, nil), w0, cfg)
 	if g50 >= g5 {
 		t.Fatalf("more local work did not reduce gamma: 5 steps %g, 50 steps %g", g5, g50)
 	}
@@ -142,7 +142,7 @@ func TestGammaStationaryStart(t *testing.T) {
 	}
 	w0 := make([]float64, m.NumParams())
 	g := make([]float64, m.NumParams())
-	SubproblemGrad(g, m, train, w0, w0, Config{})
+	subproblemGrad(g, m, train, w0, w0, Config{})
 	if tensor.Norm2(g) > 1e-12 {
 		t.Skipf("construction not stationary (|g|=%g); skip", tensor.Norm2(g))
 	}
@@ -161,7 +161,7 @@ func TestSubproblemGradIncludesProx(t *testing.T) {
 	gPlain := make([]float64, m.NumParams())
 	m.Grad(gPlain, w, train)
 	gProx := make([]float64, m.NumParams())
-	lossProx := SubproblemGrad(gProx, m, train, w, w0, Config{Mu: 2})
+	lossProx := subproblemGrad(gProx, m, train, w, w0, Config{Mu: 2})
 	for i := range gProx {
 		want := gPlain[i] + 2*(w[i]-w0[i])
 		if math.Abs(gProx[i]-want) > 1e-12 {
@@ -183,8 +183,8 @@ func TestCorrectionTermApplied(t *testing.T) {
 	// One GD step with a correction equals one plain step minus η·corr.
 	cfgPlain := Config{LearningRate: 0.1, BatchSize: 1}
 	cfgCorr := Config{LearningRate: 0.1, BatchSize: 1, Correction: corr}
-	wPlain := GD(m, train, w0, cfgPlain, 1)
-	wCorr := GD(m, train, w0, cfgCorr, 1)
+	wPlain := GDSolver{}.Solve(m, train, w0, cfgPlain, 1, nil)
+	wCorr := GDSolver{}.Solve(m, train, w0, cfgCorr, 1, nil)
 	for i := range wCorr {
 		want := wPlain[i] - 0.1*corr[i]
 		if math.Abs(wCorr[i]-want) > 1e-12 {

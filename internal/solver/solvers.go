@@ -27,7 +27,7 @@ type LocalSolver interface {
 }
 
 // HonoursPrecision reports whether s solves at Config.Precision. SGD and
-// GD run the width-generic bodies; every other solver computes in
+// GDSolver run the width-generic bodies; every other solver computes in
 // float64 whatever the config says, so the device runtime refuses to
 // pair one with an f32 deployment.
 func HonoursPrecision(s LocalSolver) bool {
@@ -51,9 +51,9 @@ func (SGDSolver) Solve(m model.Model, train []data.Example, w0 []float64, cfg Co
 	return SGD(m, train, w0, cfg, epochs, rng)
 }
 
-// GDSolver is full-batch gradient descent with StepsPerEpoch descent steps
-// per nominal epoch, the deterministic solver used to exercise
-// γ-inexactness bounds exactly.
+// GDSolver is full-batch gradient descent on the device subproblem with
+// StepsPerEpoch descent steps per nominal epoch, the deterministic solver
+// used to exercise γ-inexactness bounds exactly.
 type GDSolver struct {
 	// StepsPerEpoch converts the epoch budget into descent steps; 0 means
 	// 1 step per epoch.
@@ -69,7 +69,13 @@ func (s GDSolver) Solve(m model.Model, train []data.Example, w0 []float64, cfg C
 	if per <= 0 {
 		per = 1
 	}
-	return GD(m, train, w0, cfg, epochs*per)
+	if cfg.narrow(m) {
+		n0 := tensor.Converted[float32](w0)
+		w := gd(m, train, n0, cfg, epochs*per)
+		tensor.PutVec(n0)
+		return widened(w)
+	}
+	return gd(m, train, w0, cfg, epochs*per)
 }
 
 // MomentumSolver is SGD with classical (heavy-ball) momentum.

@@ -133,10 +133,10 @@ func TestGDSolverStepsPerEpochDefault(t *testing.T) {
 	w0 := make([]float64, m.NumParams())
 	cfg := Config{LearningRate: 0.1, BatchSize: 10}
 	a := GDSolver{}.Solve(m, train, w0, cfg, 4, nil)
-	b := GD(m, train, w0, cfg, 4)
+	b := GDSolver{StepsPerEpoch: 4}.Solve(m, train, w0, cfg, 1, nil)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("GDSolver default differs from GD with steps=epochs")
+			t.Fatal("GDSolver default is not one descent step per epoch")
 		}
 	}
 }
@@ -169,7 +169,7 @@ func TestNegativeEpochsPanicAcrossSolvers(t *testing.T) {
 	m := linear.New(2, 2)
 	for _, s := range allSolvers() {
 		if s.Name() == "gd" {
-			continue // GD takes a step count derived from epochs*per, guarded in GD
+			continue // gd takes a step count derived from epochs*per
 		}
 		func() {
 			defer func() {

@@ -125,9 +125,6 @@ func (p Precision) String() string {
 	return string(p)
 }
 
-// NewVec returns a zero vector of length n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
 // Clone returns a copy of v.
 func Clone(v Vec) Vec {
 	out := make(Vec, len(v))
@@ -139,13 +136,6 @@ func Clone(v Vec) Vec {
 func Zero[T Float](v []T) {
 	for i := range v {
 		v[i] = 0
-	}
-}
-
-// Fill sets every element of v to c.
-func Fill(v Vec, c float64) {
-	for i := range v {
-		v[i] = c
 	}
 }
 
@@ -252,15 +242,6 @@ func Axpy[T Float](alpha T, x, y []T) {
 func Scale(alpha float64, v Vec) {
 	for i := range v {
 		v[i] *= alpha
-	}
-}
-
-// Add computes dst ← a + b. dst may alias a or b.
-func Add(dst, a, b Vec) {
-	mustSameLen(a, b)
-	mustSameLen(dst, a)
-	for i := range a {
-		dst[i] = a[i] + b[i]
 	}
 }
 
@@ -419,7 +400,7 @@ type Mat = Matrix[float64]
 
 // NewMat returns a zero matrix of the given shape backed by fresh storage.
 func NewMat(rows, cols int) Mat {
-	return Mat{Rows: rows, Cols: cols, Data: NewVec(rows * cols)}
+	return Mat{Rows: rows, Cols: cols, Data: make(Vec, rows*cols)}
 }
 
 // MatView wraps an existing slice as a rows×cols matrix. It panics if the
@@ -475,24 +456,6 @@ func MatVec(dst Vec, m Mat, x Vec) {
 func MatVecAdd(dst Vec, m Mat, x, b Vec) {
 	MatVec(dst, m, x)
 	Axpy(1, b, dst)
-}
-
-// MatTVec computes dst ← Mᵀ·y (accumulating from zero).
-func MatTVec(dst Vec, m Mat, y Vec) {
-	if len(y) != m.Rows || len(dst) != m.Cols {
-		panic("tensor: MatTVec shape mismatch")
-	}
-	Zero(dst)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		yi := y[i]
-		if yi == 0 {
-			continue
-		}
-		for j, v := range row {
-			dst[j] += v * yi
-		}
-	}
 }
 
 // AddOuter computes M ← M + alpha·(y xᵀ), the rank-one update that backs

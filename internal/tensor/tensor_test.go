@@ -11,7 +11,7 @@ import (
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func randVec(rng *frand.Source, n int) Vec {
-	return rng.NormVec(NewVec(n), 0, 1)
+	return rng.NormVec(make(Vec, n), 0, 1)
 }
 
 func TestDotBasics(t *testing.T) {
@@ -58,7 +58,7 @@ func TestSqDistMatchesNorm(t *testing.T) {
 	f := func(n uint8) bool {
 		m := int(n%20) + 1
 		a, b := randVec(rng, m), randVec(rng, m)
-		d := NewVec(m)
+		d := make(Vec, m)
 		Sub(d, a, b)
 		return almostEq(SqDist(a, b), Dot(d, d), 1e-9)
 	}
@@ -77,11 +77,7 @@ func TestAxpyScaleAddSub(t *testing.T) {
 	if y[0] != 1.5 || y[2] != 2.5 {
 		t.Fatalf("Scale: %v", y)
 	}
-	dst := NewVec(3)
-	Add(dst, Vec{1, 2, 3}, Vec{4, 5, 6})
-	if dst[2] != 9 {
-		t.Fatalf("Add: %v", dst)
-	}
+	dst := Vec{5, 7, 9}
 	Sub(dst, dst, dst)
 	if dst[0] != 0 || dst[1] != 0 {
 		t.Fatalf("aliased Sub: %v", dst)
@@ -103,7 +99,7 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestMeanAndWeightedMean(t *testing.T) {
 	vs := []Vec{{1, 2}, {3, 4}, {5, 6}}
-	dst := NewVec(2)
+	dst := make(Vec, 2)
 	Mean(dst, vs)
 	if dst[0] != 3 || dst[1] != 4 {
 		t.Fatalf("Mean: %v", dst)
@@ -128,7 +124,7 @@ func TestWeightedMeanEqualWeightsIsMean(t *testing.T) {
 			vs[i] = randVec(rng, 4)
 			ws[i] = 2.5
 		}
-		m1, m2 := NewVec(4), NewVec(4)
+		m1, m2 := make(Vec, 4), make(Vec, 4)
 		Mean(m1, vs)
 		WeightedMean(m2, vs, ws)
 		for j := range m1 {
@@ -149,7 +145,7 @@ func TestMeanPanicsOnEmpty(t *testing.T) {
 			t.Fatal("Mean of nothing did not panic")
 		}
 	}()
-	Mean(NewVec(1), nil)
+	Mean(make(Vec, 1), nil)
 }
 
 func TestWeightedMeanPanics(t *testing.T) {
@@ -169,7 +165,7 @@ func TestWeightedMeanPanics(t *testing.T) {
 					t.Errorf("case %d did not panic", i)
 				}
 			}()
-			WeightedMean(NewVec(1), tc.vs, tc.ws)
+			WeightedMean(make(Vec, 1), tc.vs, tc.ws)
 		}()
 	}
 }
@@ -180,7 +176,7 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 		m := int(n%10) + 2
 		logits := randVec(rng, m)
 		Scale(50, logits) // stress stability
-		p := NewVec(m)
+		p := make(Vec, m)
 		Softmax(p, logits)
 		sum := 0.0
 		for _, v := range p {
@@ -199,7 +195,7 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 func TestSoftmaxShiftInvariance(t *testing.T) {
 	a := Vec{1, 2, 3}
 	b := Vec{101, 102, 103}
-	pa, pb := NewVec(3), NewVec(3)
+	pa, pb := make(Vec, 3), make(Vec, 3)
 	Softmax(pa, a)
 	Softmax(pb, b)
 	for i := range pa {
@@ -277,7 +273,7 @@ func TestMatVecAgainstNaive(t *testing.T) {
 		m := NewMat(r, c)
 		rng.NormVec(m.Data, 0, 1)
 		x := randVec(rng, c)
-		got := NewVec(r)
+		got := make(Vec, r)
 		MatVec(got, m, x)
 		for i := 0; i < r; i++ {
 			want := 0.0
@@ -292,24 +288,6 @@ func TestMatVecAgainstNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMatTVecIsTranspose(t *testing.T) {
-	rng := frand.New(13)
-	m := NewMat(3, 4)
-	rng.NormVec(m.Data, 0, 1)
-	y := randVec(rng, 3)
-	got := NewVec(4)
-	MatTVec(got, m, y)
-	for j := 0; j < 4; j++ {
-		want := 0.0
-		for i := 0; i < 3; i++ {
-			want += m.At(i, j) * y[i]
-		}
-		if !almostEq(got[j], want, 1e-9) {
-			t.Fatalf("MatTVec[%d] = %g, want %g", j, got[j], want)
-		}
 	}
 }
 
@@ -329,10 +307,9 @@ func TestAddOuterRankOne(t *testing.T) {
 func TestMatShapePanics(t *testing.T) {
 	m := NewMat(2, 3)
 	for i, fn := range []func(){
-		func() { MatVec(NewVec(3), m, NewVec(3)) },
-		func() { MatVec(NewVec(2), m, NewVec(2)) },
-		func() { MatTVec(NewVec(2), m, NewVec(2)) },
-		func() { AddOuter(m, 1, NewVec(3), NewVec(3)) },
+		func() { MatVec(make(Vec, 3), m, make(Vec, 3)) },
+		func() { MatVec(make(Vec, 2), m, make(Vec, 2)) },
+		func() { AddOuter(m, 1, make(Vec, 3), make(Vec, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -347,7 +324,7 @@ func TestMatShapePanics(t *testing.T) {
 
 func TestMatVecAddCombines(t *testing.T) {
 	m := MatView(Vec{1, 0, 0, 1}, 2, 2)
-	dst := NewVec(2)
+	dst := make(Vec, 2)
 	MatVecAdd(dst, m, Vec{3, 4}, Vec{10, 20})
 	if dst[0] != 13 || dst[1] != 24 {
 		t.Fatalf("MatVecAdd: %v", dst)
@@ -356,12 +333,8 @@ func TestMatVecAddCombines(t *testing.T) {
 
 func TestZeroFill(t *testing.T) {
 	v := Vec{1, 2, 3}
-	Fill(v, 7)
-	if v[0] != 7 || v[2] != 7 {
-		t.Fatalf("Fill: %v", v)
-	}
 	Zero(v)
-	if v[1] != 0 {
+	if v[0] != 0 || v[1] != 0 || v[2] != 0 {
 		t.Fatalf("Zero: %v", v)
 	}
 }
@@ -380,7 +353,7 @@ func BenchmarkMatVec128(b *testing.B) {
 	m := NewMat(128, 128)
 	rng.NormVec(m.Data, 0, 1)
 	x := randVec(rng, 128)
-	dst := NewVec(128)
+	dst := make(Vec, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatVec(dst, m, x)

@@ -1,9 +1,7 @@
 // Package theory implements the paper's convergence analysis (Section 4)
 // as executable code: the sufficient-decrease coefficient ρ of Theorem 4,
-// the Remark 5 conditions, Corollary 7's convex-case constants, Corollary
-// 10's bounded-variance bound on B, and empirical estimators for the
-// quantities the theory is stated in terms of (B-dissimilarity, Lipschitz
-// smoothness).
+// the Remark 5 conditions, and empirical estimators for the quantities the
+// theory is stated in terms of (B-dissimilarity, Lipschitz smoothness).
 //
 // The point of this module is the paper's own validation loop
 // (Section 5.3.3): the theory predicts that smaller dissimilarity means
@@ -65,13 +63,13 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Rho evaluates the sufficient-decrease coefficient of Theorem 4:
+// rho evaluates the sufficient-decrease coefficient of Theorem 4:
 //
 //	ρ = 1/μ − γB/μ − B(1+γ)√2/(μ̄√K) − LB(1+γ)/(μ̄μ)
 //	    − L(1+γ)²B²/(2μ̄²) − LB²(1+γ)²(2√(2K)+2)/(μ̄²K)
 //
 // Theorem 4 guarantees E[f(wᵗ⁺¹)] ≤ f(wᵗ) − ρ‖∇f(wᵗ)‖² whenever ρ > 0.
-func Rho(p Params) (float64, error) {
+func rho(p Params) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
@@ -87,57 +85,21 @@ func Rho(p Params) (float64, error) {
 	return one - t1 - t2 - t3 - t4 - t5, nil
 }
 
-// RemarkFiveHolds reports the Remark 5 necessary structure for ρ > 0:
+// remarkFiveHolds reports the Remark 5 necessary structure for ρ > 0:
 // γB < 1 and B/√K < 1. These quantify the trade-off between dissimilarity
 // and the algorithm parameters.
-func RemarkFiveHolds(p Params) bool {
+func remarkFiveHolds(p Params) bool {
 	return p.Gamma*p.B < 1 && p.B/math.Sqrt(float64(p.K)) < 1
 }
 
-// ConvexMu returns Corollary 7's recommended penalty μ ≈ 6LB² for convex
-// losses solved exactly, and the resulting decrease coefficient
-// ρ ≈ 1/(24LB²).
-func ConvexMu(l, b float64) (mu, rho float64) {
-	mu = 6 * l * b * b
-	rho = 1 / (24 * l * b * b)
-	return mu, rho
-}
-
-// BoundedVarianceB returns Corollary 10's bound B ≤ sqrt(1 + σ²/ε): the
-// dissimilarity implied by a gradient-variance bound σ² at gradient-norm
-// threshold ε.
-func BoundedVarianceB(sigma2, eps float64) float64 {
-	if eps <= 0 {
-		panic("theory: eps must be positive")
-	}
-	return math.Sqrt(1 + sigma2/eps)
-}
-
-// IterationComplexity returns Theorem 6's round count T = Δ/(ρ·ε) to reach
-// (1/T)Σ E‖∇f(wᵗ)‖² ≤ ε from initial gap Δ = f(w⁰) − f*.
-func IterationComplexity(delta, rho, eps float64) float64 {
-	if rho <= 0 || eps <= 0 {
-		panic("theory: rho and eps must be positive")
-	}
-	return delta / (rho * eps)
-}
-
-// EstimateB measures B(w) (Definition 3) on a federated dataset at the
-// given parameters. It is a thin naming wrapper over
-// metrics.Dissimilarity for symmetry with the analysis.
-func EstimateB(m model.Model, fed *data.Federated, w []float64) float64 {
-	_, b := metrics.Dissimilarity(m, fed, w)
-	return b
-}
-
-// EstimateL estimates the Lipschitz-smoothness constant of the global
+// estimateL estimates the Lipschitz-smoothness constant of the global
 // objective by probing gradient differences along random directions:
 //
 //	L ≳ max over probes of ‖∇f(w + δu) − ∇f(w)‖ / δ
 //
 // The estimate is a lower bound that tightens with more probes; it is the
 // standard practical stand-in for an analytic constant.
-func EstimateL(m model.Model, fed *data.Federated, w []float64, probes int, delta float64, rng *frand.Source) float64 {
+func estimateL(m model.Model, fed *data.Federated, w []float64, probes int, delta float64, rng *frand.Source) float64 {
 	if probes <= 0 || delta <= 0 {
 		panic("theory: probes and delta must be positive")
 	}
@@ -185,22 +147,22 @@ type SufficientDecreaseReport struct {
 // Analyze measures B and L at the given parameters and evaluates ρ for the
 // run configuration. It is the entry point the "theory" experiment uses.
 func Analyze(m model.Model, fed *data.Federated, w []float64, mu, gamma float64, k int, rng *frand.Source) (SufficientDecreaseReport, error) {
-	b := EstimateB(m, fed, w)
+	_, b := metrics.Dissimilarity(m, fed, w)
 	if b < 1 {
 		b = 1 // Definition 3: B(w) >= 1 up to measurement noise
 	}
-	l := EstimateL(m, fed, w, 5, 1e-3, rng)
+	l := estimateL(m, fed, w, 5, 1e-3, rng)
 	if l <= 0 {
 		l = 1e-6
 	}
 	p := Params{Mu: mu, Gamma: gamma, B: b, K: k, L: l, LMinus: 0}
-	rho, err := Rho(p)
+	r, err := rho(p)
 	if err != nil {
 		return SufficientDecreaseReport{}, err
 	}
 	return SufficientDecreaseReport{
-		Rho:     rho,
-		Remark5: RemarkFiveHolds(p),
+		Rho:     r,
+		Remark5: remarkFiveHolds(p),
 		B:       b,
 		L:       l,
 	}, nil

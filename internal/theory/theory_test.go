@@ -7,6 +7,7 @@ import (
 
 	"fedprox/internal/data/synthetic"
 	"fedprox/internal/frand"
+	"fedprox/internal/metrics"
 	"fedprox/internal/model/linear"
 )
 
@@ -48,12 +49,12 @@ func TestMuBar(t *testing.T) {
 // large μ and K — the regime the theory says must give decrease.
 func TestRhoPositiveInGoodRegime(t *testing.T) {
 	p := Params{Mu: 50, Gamma: 0, B: 1.2, K: 100, L: 1, LMinus: 0}
-	rho, err := Rho(p)
+	r, err := rho(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rho <= 0 {
-		t.Fatalf("rho = %g in a benign regime, want > 0", rho)
+	if r <= 0 {
+		t.Fatalf("rho = %g in a benign regime, want > 0", r)
 	}
 }
 
@@ -61,14 +62,14 @@ func TestRhoPositiveInGoodRegime(t *testing.T) {
 // guarantee (Remark 5).
 func TestRhoNegativeUnderExtremeDissimilarity(t *testing.T) {
 	p := Params{Mu: 50, Gamma: 0, B: 50, K: 10, L: 1, LMinus: 0}
-	rho, err := Rho(p)
+	r, err := rho(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rho > 0 {
-		t.Fatalf("rho = %g despite B/sqrt(K) = %g >> 1", rho, 50/math.Sqrt(10))
+	if r > 0 {
+		t.Fatalf("rho = %g despite B/sqrt(K) = %g >> 1", r, 50/math.Sqrt(10))
 	}
-	if RemarkFiveHolds(p) {
+	if remarkFiveHolds(p) {
 		t.Fatal("Remark 5 claimed to hold at B=50, K=10")
 	}
 }
@@ -81,14 +82,14 @@ func TestRhoMonotoneInGamma(t *testing.T) {
 	for _, g := range []float64{0, 0.1, 0.3, 0.6, 0.9} {
 		p := base
 		p.Gamma = g
-		rho, err := Rho(p)
+		r, err := rho(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rho >= prev {
-			t.Fatalf("rho not decreasing in gamma at %g: %g >= %g", g, rho, prev)
+		if r >= prev {
+			t.Fatalf("rho not decreasing in gamma at %g: %g >= %g", g, r, prev)
 		}
-		prev = rho
+		prev = r
 	}
 }
 
@@ -100,8 +101,8 @@ func TestRhoMonotoneInBProperty(t *testing.T) {
 		base := Params{Mu: 80, Gamma: 0.05, K: 100, L: 1, LMinus: 0}
 		pa, pb := base, base
 		pa.B, pb.B = b1, b2
-		r1, err1 := Rho(pa)
-		r2, err2 := Rho(pb)
+		r1, err1 := rho(pa)
+		r2, err2 := rho(pb)
 		return err1 == nil && err2 == nil && r2 < r1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -113,59 +114,18 @@ func TestRhoMonotoneInBProperty(t *testing.T) {
 // terms.
 func TestRhoImprovesWithK(t *testing.T) {
 	base := Params{Mu: 50, Gamma: 0.05, B: 2, K: 10, L: 1, LMinus: 0}
-	small, err := Rho(base)
+	small, err := rho(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.K = 1000
-	big, err := Rho(base)
+	big, err := rho(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if big <= small {
 		t.Fatalf("rho did not improve with K: K=10 %g, K=1000 %g", small, big)
 	}
-}
-
-func TestConvexMu(t *testing.T) {
-	mu, rho := ConvexMu(1, 2)
-	if mu != 24 {
-		t.Fatalf("ConvexMu mu = %g, want 6LB^2 = 24", mu)
-	}
-	if math.Abs(rho-1.0/96) > 1e-15 {
-		t.Fatalf("ConvexMu rho = %g, want 1/(24LB^2) = %g", rho, 1.0/96)
-	}
-}
-
-func TestBoundedVarianceB(t *testing.T) {
-	if got := BoundedVarianceB(0, 1); got != 1 {
-		t.Fatalf("B with zero variance = %g, want 1", got)
-	}
-	if got := BoundedVarianceB(3, 1); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("B = %g, want 2", got)
-	}
-	// Smaller eps (higher accuracy) inflates B, as Corollary 7 discusses.
-	if BoundedVarianceB(1, 0.1) <= BoundedVarianceB(1, 1) {
-		t.Fatal("B must grow as eps shrinks")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("eps <= 0 did not panic")
-		}
-	}()
-	BoundedVarianceB(1, 0)
-}
-
-func TestIterationComplexity(t *testing.T) {
-	if got := IterationComplexity(10, 0.5, 0.1); got != 200 {
-		t.Fatalf("T = %g, want 200", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rho <= 0 did not panic")
-		}
-	}()
-	IterationComplexity(1, 0, 1)
 }
 
 func TestEstimateBOnSyntheticLadder(t *testing.T) {
@@ -178,7 +138,8 @@ func TestEstimateBOnSyntheticLadder(t *testing.T) {
 		fed := synthetic.Generate(cfg)
 		m := linear.ForDataset(fed)
 		w := rng.NormVec(make([]float64, m.NumParams()), 0, 0.1)
-		return EstimateB(m, fed, w)
+		_, b := metrics.Dissimilarity(m, fed, w)
+		return b
 	}
 	bIID, bHet := measure(true), measure(false)
 	if bIID < 1-1e-9 || bHet < 1-1e-9 {
@@ -193,14 +154,14 @@ func TestEstimateLPositiveAndStable(t *testing.T) {
 	fed := synthetic.Generate(synthetic.Default(0, 0).Scaled(0.15))
 	m := linear.ForDataset(fed)
 	w := make([]float64, m.NumParams())
-	l := EstimateL(m, fed, w, 4, 1e-3, frand.New(7))
+	l := estimateL(m, fed, w, 4, 1e-3, frand.New(7))
 	if l <= 0 || math.IsNaN(l) {
-		t.Fatalf("EstimateL = %g", l)
+		t.Fatalf("estimateL = %g", l)
 	}
 	// Logistic loss curvature is bounded by ~max ‖x‖²/4 per class block;
 	// the estimate must land in a plausible range, not explode.
 	if l > 1e4 {
-		t.Fatalf("EstimateL = %g, implausibly large", l)
+		t.Fatalf("estimateL = %g, implausibly large", l)
 	}
 }
 

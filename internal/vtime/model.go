@@ -133,11 +133,9 @@ type Model struct {
 	upRoot, downRoot, dropRoot *frand.Source
 }
 
-// NewModel builds a Model. compute may be nil, making computation
-// instantaneous (a pure network model). The seed drives jitter and loss
-// only; it is independent of the run seed so the same deployment can be
-// replayed under different environment randomness.
-func NewModel(compute ComputeModel, net Net, seed uint64) (*Model, error) {
+// newModel builds a Model, or returns the error of a net that fails
+// Validate.
+func newModel(compute ComputeModel, net Net, seed uint64) (*Model, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
@@ -151,9 +149,13 @@ func NewModel(compute ComputeModel, net Net, seed uint64) (*Model, error) {
 	}, nil
 }
 
-// MustModel is NewModel for static configurations known valid.
+// MustModel builds a Model for a static configuration known valid; it
+// panics on a net that fails Validate. compute may be nil, making
+// computation instantaneous (a pure network model). The seed drives jitter
+// and loss only; it is independent of the run seed so the same deployment
+// can be replayed under different environment randomness.
 func MustModel(compute ComputeModel, net Net, seed uint64) *Model {
-	m, err := NewModel(compute, net, seed)
+	m, err := newModel(compute, net, seed)
 	if err != nil {
 		panic(err)
 	}

@@ -146,7 +146,7 @@ func TestNetDefaultsAndValidation(t *testing.T) {
 		t.Fatal("DropProb 0 dropped a reply")
 	}
 	for _, bad := range []Net{{Latency: -1}, {JitterStd: -0.1}, {DropProb: 1}, {DropProb: -0.5}} {
-		if _, err := NewModel(nil, bad, 0); err == nil {
+		if _, err := newModel(nil, bad, 0); err == nil {
 			t.Fatalf("invalid net %+v accepted", bad)
 		}
 	}
