@@ -115,8 +115,11 @@ func (a AsyncConfig) Validate() error {
 	if !a.Enabled() {
 		return nil
 	}
-	if a.Alpha < 0 || a.Alpha > 1 {
+	if !(a.Alpha >= 0 && a.Alpha <= 1) {
 		return fmt.Errorf("core: async Alpha must be in (0,1] (0 selects the default), got %g", a.Alpha)
+	}
+	if !finite(a.StalenessExponent) {
+		return fmt.Errorf("core: async StalenessExponent must be finite, got %g", a.StalenessExponent)
 	}
 	if a.BufferK < 0 {
 		return fmt.Errorf("core: async BufferK must be non-negative, got %d", a.BufferK)

@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"fedprox/internal/comm"
@@ -226,22 +227,17 @@ type Config struct {
 	// server-side and lets DropStragglers discard the short devices —
 	// the budget is enforced by the device: the server only learns the
 	// realized work after the fact, so partial solutions must be
-	// aggregated (or wasted), never pre-dropped. It applies to every
-	// executor (sync, virtual-time async, fednet: the budget rides the
-	// wire as TrainRequest.EpochBudget) and composes with Capability,
-	// codecs, and the clock policies. syshet.Fleet implements the
-	// interface.
+	// aggregated (or wasted), never pre-dropped. On the wire it rides
+	// TrainRequest.EpochBudget. syshet.Fleet implements the interface.
 	DeviceBudget CapabilityModel
 	// Async selects the coordinator's aggregation discipline. The zero
 	// value is the paper's synchronous round protocol. AsyncTotal and
 	// Buffered are executed by the fednet runtime against the real
-	// clock, or by the simulator against the virtual clock when
-	// VTime.Model is set (core.Run rejects async configs without a
-	// latency model — simulated time needs a clock for replies to race
-	// on). In the async modes Rounds counts model-version milestones
-	// (ClientsPerRound folds each for AsyncTotal, one BufferK-reply
-	// flush each for Buffered), so the total device work matches a sync
-	// run of the same Rounds.
+	// clock, or by the simulator against the virtual clock of
+	// VTime.Model. In the async modes Rounds counts model-version
+	// milestones (ClientsPerRound folds each for AsyncTotal, one
+	// BufferK-reply flush each for Buffered), so the total device work
+	// matches a sync run of the same Rounds.
 	Async AsyncConfig
 	// Trace, when non-nil, receives one obs.Event at every coordinator
 	// decision point: run start/done, round open/close, each dispatch,
@@ -331,8 +327,8 @@ func (v VTimeConfig) Validate() error {
 		}
 		return nil
 	}
-	if v.DeadlineSeconds < 0 {
-		return fmt.Errorf("core: VTime.DeadlineSeconds must be non-negative, got %g", v.DeadlineSeconds)
+	if !finite(v.DeadlineSeconds) || v.DeadlineSeconds < 0 {
+		return fmt.Errorf("core: VTime.DeadlineSeconds must be non-negative and finite, got %g", v.DeadlineSeconds)
 	}
 	if v.RoundBytes < 0 {
 		return fmt.Errorf("core: VTime.RoundBytes must be non-negative, got %d", v.RoundBytes)
@@ -404,7 +400,8 @@ type CapabilityModel interface {
 	EpochBudget(round, device, requested int) int
 }
 
-// Validate reports the first configuration error, or nil.
+// Validate reports the first configuration error, or nil. Which executor
+// runs which option is the support table's (support.go).
 func (c Config) Validate() error {
 	switch {
 	case c.Rounds <= 0:
@@ -413,40 +410,26 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ClientsPerRound must be positive, got %d", c.ClientsPerRound)
 	case c.LocalEpochs <= 0:
 		return fmt.Errorf("core: LocalEpochs must be positive, got %d", c.LocalEpochs)
-	case c.LearningRate <= 0:
-		return fmt.Errorf("core: LearningRate must be positive, got %g", c.LearningRate)
+	case !finite(c.LearningRate) || c.LearningRate <= 0:
+		return fmt.Errorf("core: LearningRate must be positive and finite, got %g", c.LearningRate)
 	case c.BatchSize <= 0:
 		return fmt.Errorf("core: BatchSize must be positive, got %d", c.BatchSize)
-	case c.Mu < 0:
-		return fmt.Errorf("core: Mu must be non-negative, got %g", c.Mu)
-	case c.StragglerFraction < 0 || c.StragglerFraction > 1:
+	case !finite(c.Mu) || c.Mu < 0:
+		return fmt.Errorf("core: Mu must be non-negative and finite, got %g", c.Mu)
+	case !(c.StragglerFraction >= 0 && c.StragglerFraction <= 1):
 		return fmt.Errorf("core: StragglerFraction must be in [0,1], got %g", c.StragglerFraction)
+	case c.Sampling != UniformWeightedAvg && c.Sampling != WeightedSimpleAvg:
+		return fmt.Errorf("core: unknown Sampling scheme %d", int(c.Sampling))
+	case c.Straggler != DropStragglers && c.Straggler != AggregatePartial:
+		return fmt.Errorf("core: unknown Straggler policy %d", int(c.Straggler))
 	case c.FoldWeight != WeightBySize && c.FoldWeight != WeightByEpochs:
 		return fmt.Errorf("core: unknown FoldWeight scheme %d", int(c.FoldWeight))
 	}
 	if err := c.Async.Validate(); err != nil {
 		return err
 	}
-	if c.Async.Enabled() {
-		// Neither executor of the async modes implements these knobs:
-		// fednet rejects them outright, and the virtual-time path's
-		// per-dispatch schedule has no place for round-scoped capability
-		// budgets, loss-driven mu control, or per-round gamma probes.
-		// Reject rather than silently ignore.
-		switch {
-		case c.Capability != nil:
-			return fmt.Errorf("core: capability models apply only to synchronous rounds (model compute heterogeneity with VTime.Model instead)")
-		case c.AdaptiveMu:
-			return fmt.Errorf("core: adaptive mu applies only to synchronous rounds")
-		case c.TrackGamma:
-			return fmt.Errorf("core: gamma tracking applies only to synchronous rounds")
-		}
-	}
 	if err := c.VTime.Validate(); err != nil {
 		return err
-	}
-	if c.VTime.Enabled() && c.Checkpointer != nil {
-		return fmt.Errorf("core: virtual-time runs and checkpointing cannot be combined (the clock and arrival trace are not checkpointed)")
 	}
 	if c.Privacy != nil {
 		if err := c.Privacy.Validate(); err != nil {
@@ -455,9 +438,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Precision.Validate(); err != nil {
 		return err
-	}
-	if c.Precision == tensor.F32 && c.Privacy != nil {
-		return fmt.Errorf("core: Precision f32 cannot be combined with a privacy mechanism (the DP hook runs at full width)")
 	}
 	if c.Codec.Enabled() {
 		// Specs are validated at the run's precision (CommSpecs stamps it
@@ -480,6 +460,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // CommSpecs returns the per-direction codec specs with defaults applied
 // and rounding seeds derived from the run seed when unset — the resolved

@@ -1,21 +1,18 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"fedprox/internal/comm"
 )
 
-// fullBudget is a trivial CapabilityModel for rejection tests.
-type fullBudget struct{}
-
-func (fullBudget) EpochBudget(_, _, requested int) int { return requested }
-
 // TestConfigValidateRejections is the table-driven sweep of
-// Config.Validate's rejection paths — one row per illegal knob
-// combination, plus the combinations that must stay accepted (notably
-// Codec+Checkpointer, legal since link state became checkpointable).
+// Config.Validate's rejection paths — one row per illegal value, plus
+// the combinations that must stay accepted (notably Codec+Checkpointer,
+// legal since link state became checkpointable). Which executor refuses
+// which option is TestSupportMatrix's (internal/fednet).
 func TestConfigValidateRejections(t *testing.T) {
 	valid := FedProx(4, 5, 2, 0.01, 1)
 	cases := []struct {
@@ -31,30 +28,29 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"zero batch size", func(c *Config) { c.BatchSize = 0 }, "BatchSize"},
 		{"negative mu", func(c *Config) { c.Mu = -1 }, "Mu"},
 		{"straggler fraction above 1", func(c *Config) { c.StragglerFraction = 1.5 }, "StragglerFraction"},
+		{"NaN mu", func(c *Config) { c.Mu = math.NaN() }, "Mu"},
+		{"infinite mu", func(c *Config) { c.Mu = math.Inf(1) }, "Mu"},
+		{"NaN learning rate", func(c *Config) { c.LearningRate = math.NaN() }, "LearningRate"},
+		{"NaN straggler fraction", func(c *Config) { c.StragglerFraction = math.NaN() }, "StragglerFraction"},
+		{"unknown sampling scheme", func(c *Config) { c.Sampling = SamplingScheme(7) }, "Sampling"},
+		{"unknown straggler policy", func(c *Config) { c.Straggler = StragglerPolicy(5) }, "Straggler"},
 
 		{"unknown aggregation mode", func(c *Config) { c.Async.Mode = AggregationMode(99) }, "aggregation mode"},
 		{"async alpha above 1", func(c *Config) {
 			c.Async = AsyncConfig{Mode: AsyncTotal, Alpha: 1.5}
 		}, "Alpha"},
-		{"async with capability model", func(c *Config) {
-			c.Async = AsyncConfig{Mode: AsyncTotal}
-			c.Capability = fullBudget{}
-		}, "capability"},
-		{"async with adaptive mu", func(c *Config) {
-			c.Async = AsyncConfig{Mode: Buffered}
-			c.AdaptiveMu = true
-		}, "adaptive mu"},
-		{"async with gamma tracking", func(c *Config) {
-			c.Async = AsyncConfig{Mode: AsyncTotal}
-			c.TrackGamma = true
-		}, "gamma"},
+		{"NaN async alpha", func(c *Config) {
+			c.Async = AsyncConfig{Mode: AsyncTotal, Alpha: math.NaN()}
+		}, "Alpha"},
+		{"infinite staleness exponent", func(c *Config) {
+			c.Async = AsyncConfig{Mode: Buffered, StalenessExponent: math.Inf(1)}
+		}, "StalenessExponent"},
 
-		{"vtime with checkpointer", func(c *Config) {
-			c.VTime = VTimeConfig{Model: fakeLatency{}}
-			c.Checkpointer = &nopCheckpointer{}
-		}, "checkpoint"},
 		{"negative deadline", func(c *Config) {
 			c.VTime = VTimeConfig{Model: fakeLatency{}, DeadlineSeconds: -1}
+		}, "DeadlineSeconds"},
+		{"NaN deadline", func(c *Config) {
+			c.VTime = VTimeConfig{Model: fakeLatency{}, DeadlineSeconds: math.NaN()}
 		}, "DeadlineSeconds"},
 		{"negative byte budget", func(c *Config) {
 			c.VTime = VTimeConfig{Model: fakeLatency{}, RoundBytes: -10}

@@ -83,7 +83,8 @@ type CoordinatorOptions struct {
 	// a tiered coordinator carry Tier-1 in obs.Event.Tier, so traces
 	// distinguish root decisions (tier 0) from edge decisions (tier ≥ 1)
 	// while untiered runs keep emitting the field's absent value (-1).
-	Tier int
+	Tier   int
+	replay bool // Replay's coordinator, for the support table
 }
 
 // Command is one instruction the coordinator asks its driver to execute.
@@ -369,6 +370,9 @@ func NewCoordinator(mdl model.Model, cfg Config, opts CoordinatorOptions) (*Coor
 	}
 	if opts.Tier < 0 {
 		return nil, fmt.Errorf("core: Tier must be non-negative, got %d", opts.Tier)
+	}
+	if err := checkSupport(cfg, opts); err != nil {
+		return nil, err
 	}
 	cfg = cfg.WithDefaults()
 	root := frand.New(cfg.Seed)

@@ -37,12 +37,11 @@ type Edge struct {
 // the edge that is pseudo-device id to its parent. From here the
 // coordinator is windowed: it opens a round only when the parent
 // dispatches one, and plans no evaluation — its parent owns measurement.
+// coord must have been built with a Tier of at least 2, so the support
+// table has refused what an edge cannot run.
 func NewEdge(coord *Coordinator, id int) (*Edge, error) {
-	switch {
-	case coord.isAsync:
-		return nil, errors.New("core: a tier edge folds one synchronous round per parent dispatch; asynchronous aggregation is root-only")
-	case coord.cfg.Checkpointer != nil:
-		return nil, errors.New("core: a tier edge cannot checkpoint: its model is re-based by its parent every window")
+	if coord.opts.Tier < 2 {
+		return nil, fmt.Errorf("core: a tier edge's coordinator needs Tier >= 2, got %d", coord.opts.Tier)
 	}
 	coord.windowed = true
 	return &Edge{coord: coord, id: id}, nil

@@ -77,8 +77,9 @@ func TestF32CodecRunConverges(t *testing.T) {
 }
 
 // TestF32ConfigRejections: every configuration the f32 path cannot
-// execute is refused up front — precision is part of the negotiated
-// wire format, so there is no silent fall back to f64.
+// execute is refused up front, before a device is built — precision is
+// part of the negotiated wire format, so there is no silent fall back to
+// f64.
 func TestF32ConfigRejections(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -96,9 +97,10 @@ func TestF32ConfigRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			mdl, fed := tinyWorkload()
 			cfg := FedProx(4, 3, 2, 0.01, 1)
 			tc.mutate(&cfg)
-			if err := cfg.Validate(); err == nil {
+			if _, err := Run(mdl, fed, cfg); err == nil {
 				t.Fatal("invalid f32 config accepted")
 			}
 		})

@@ -141,21 +141,6 @@ func workerEvents(events []obs.Event) ([]replayWorkerEvent, error) {
 	return out, nil
 }
 
-// replayReject returns the reason cfg cannot drive a replay, or nil.
-func replayReject(cfg Config) error {
-	switch {
-	case !cfg.VTime.Enabled():
-		return errors.New("core: Replay requires Config.VTime.Model — recorded arrivals re-enact on the virtual clock")
-	case cfg.Codec.Enabled() || cfg.DownlinkCodec.Enabled():
-		return errors.New("core: Replay cannot re-enact codec runs — encoded uplinks need the recorded payloads, which traces do not carry")
-	case cfg.AdaptiveMu:
-		return errors.New("core: Replay cannot drive adaptive-mu — the controller observes losses, which replay does not recompute")
-	case cfg.TrackGamma:
-		return errors.New("core: Replay cannot track gamma — inexactness probes need real local solves")
-	}
-	return nil
-}
-
 // Replay re-runs one recorded trace's arrivals through a fresh
 // coordinator configured with cfg — the recorded policy for an exact
 // re-derivation, or an alternative (DeadlineSeconds, RoundBytes, Async
@@ -165,12 +150,6 @@ func replayReject(cfg Config) error {
 // returned History's Loss/Acc columns are NaN and everything else is
 // re-derived under cfg.
 func Replay(mdl model.Model, fl Fleet, cfg Config, recorded []obs.Event) (*History, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := replayReject(cfg); err != nil {
-		return nil, err
-	}
 	for _, e := range recorded {
 		if e.Kind == obs.KindRunStart && e.N != fl.NumDevices() {
 			return nil, fmt.Errorf("core: trace was recorded over %d devices but the replay fleet has %d", e.N, fl.NumDevices())
@@ -185,7 +164,7 @@ func Replay(mdl model.Model, fl Fleet, cfg Config, recorded []obs.Event) (*Histo
 		return nil, err
 	}
 
-	coord, err := NewCoordinator(mdl, cfg, CoordinatorOptions{NumDevices: fl.NumDevices()})
+	coord, err := NewCoordinator(mdl, cfg, CoordinatorOptions{NumDevices: fl.NumDevices(), replay: true})
 	if err != nil {
 		return nil, err
 	}

@@ -293,8 +293,8 @@ func TestReplayRejections(t *testing.T) {
 		})
 	}
 	reject("no-vtime", "VTime.Model", func(c *Config) { c.VTime = VTimeConfig{} })
-	reject("adaptive-mu", "adaptive-mu", func(c *Config) { c.AdaptiveMu = true })
-	reject("track-gamma", "gamma", func(c *Config) { c.TrackGamma = true })
+	reject("adaptive-mu", "AdaptiveMu", func(c *Config) { c.AdaptiveMu = true })
+	reject("track-gamma", "TrackGamma", func(c *Config) { c.TrackGamma = true })
 
 	t.Run("fleet-size-mismatch", func(t *testing.T) {
 		mdl, fed := tinyWorkload()

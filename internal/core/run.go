@@ -44,13 +44,7 @@ func Run(m model.Model, fed *data.Federated, cfg Config) (*History, error) {
 // O(cohort): shards are materialized per dispatch and evaluation streams
 // over the fleet.
 func RunFleet(m model.Model, fl Fleet, cfg Config) (*History, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Async.Enabled() {
-		if !cfg.VTime.Enabled() {
-			return nil, fmt.Errorf("core: %s aggregation in the simulator requires a virtual-time latency model (set Config.VTime.Model, see internal/vtime); the fednet runtime executes it against the real clock", cfg.Async.Mode)
-		}
 		return runAsyncVTime(m, fl, cfg)
 	}
 
@@ -145,12 +139,17 @@ func (b *inProcess) AdvanceClock(seconds float64) error {
 // with every fleet device registered as one in-process worker, and one
 // core.Device hosting the whole fleet lazily — the same device runtime
 // the fednet workers wrap, so device-side behavior cannot drift between
-// the simulator and the deployment. With a codec configured the device
-// gets its own link endpoint (the simulator's link state lives where the
-// deployment's does), and a configured Checkpointer is wrapped here, where
-// both endpoints are in hand, so snapshots carry the device's half too:
-// the coordinator never learns a Device exists.
+// the simulator and the deployment. The coordinator, built first, refuses
+// what the simulator cannot run. With a codec configured the device gets
+// its own link endpoint (the simulator's link state lives where the
+// deployment's does), and a configured Checkpointer is wrapped here,
+// where both endpoints are in hand, so snapshots carry the device's half
+// too: the coordinator never learns a Device exists.
 func newSimPair(m model.Model, fl Fleet, cfg Config) (*Coordinator, *Device, error) {
+	coord, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: fl.NumDevices()})
+	if err != nil {
+		return nil, nil, err
+	}
 	dev := newFleetDevice(m, fl, DeviceOptions{
 		Solver:     cfg.Solver,
 		Privacy:    cfg.Privacy,
@@ -163,12 +162,8 @@ func newSimPair(m model.Model, fl Fleet, cfg Config) (*Coordinator, *Device, err
 			return nil, nil, err
 		}
 		if cfg.Checkpointer != nil {
-			cfg.Checkpointer = pairCheckpointer{cfg.Checkpointer, dev.links}
+			coord.cfg.Checkpointer = pairCheckpointer{cfg.Checkpointer, dev.links}
 		}
-	}
-	coord, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: fl.NumDevices()})
-	if err != nil {
-		return nil, nil, err
 	}
 	if _, err := coord.RegisterWorker(dev.Hosted()); err != nil {
 		return nil, nil, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 
 	"fedprox/internal/model"
@@ -29,16 +28,13 @@ import (
 // delay.
 //
 // A disabled topology delegates to RunFleet — bit-identical to the flat
-// run per seed. An enabled one rejects the config axes whose semantics
-// are inherently single-coordinator (async modes, adaptive-μ,
-// γ-tracking, checkpointing, capability re-planning, device budgets);
-// codecs, privacy, straggler policies, sampling schemes, fold weights,
-// and virtual time all compose. Note the returned Cost is the root
-// link's alone: its bytes are what crossed between the root and its
-// tier-1 edges, and its DeviceEpochs the root's pseudo-epoch charge for
-// them (one LocalEpochs target per edge per window) — the leaves' device
-// epochs and the lower hops' bytes are accounted inside the edges and
-// reported nowhere.
+// run per seed. The options an enabled one refuses are the support
+// table's (support.go; README "What runs where"). Note the returned Cost
+// is the root link's alone: its bytes are what crossed between the root
+// and its tier-1 edges, and its DeviceEpochs the root's pseudo-epoch
+// charge for them (one LocalEpochs target per edge per window) — the
+// leaves' device epochs and the lower hops' bytes are accounted inside
+// the edges and reported nowhere.
 func RunTiered(m model.Model, fl Fleet, cfg Config, topo tier.Topology) (*History, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -49,34 +45,21 @@ func RunTiered(m model.Model, fl Fleet, cfg Config, topo tier.Topology) (*Histor
 	if !topo.Enabled() {
 		return RunFleet(m, fl, cfg)
 	}
-	switch {
-	case cfg.Async.Enabled():
-		return nil, errors.New("core: tiered aggregation is synchronous; async modes have no windowed fold")
-	case cfg.AdaptiveMu:
-		return nil, errors.New("core: tiered aggregation does not support adaptive mu (per-tier controllers would diverge)")
-	case cfg.TrackGamma:
-		return nil, errors.New("core: tiered aggregation does not support TrackGamma")
-	case cfg.Checkpointer != nil:
-		return nil, errors.New("core: tiered aggregation does not support checkpointing")
-	case cfg.Capability != nil:
-		return nil, errors.New("core: tiered aggregation does not support capability re-planning")
-	case cfg.DeviceBudget != nil:
-		return nil, errors.New("core: tiered aggregation does not support device budgets")
-	}
 	cfg = cfg.WithDefaults()
 
 	d := &tieredRun{m: m, fl: fl, cfg: cfg, topo: topo, timed: cfg.VTime.Enabled()}
+	root, err := d.build(0, 0)
+	if err != nil {
+		return nil, err
+	}
+	// The device follows the tree, whose coordinators refuse what a tier
+	// cannot run first.
 	d.dev = newFleetDevice(m, fl, DeviceOptions{Solver: cfg.Solver, Privacy: cfg.Privacy, Precision: cfg.Precision})
 	if cfg.Codec.Enabled() {
 		down, up := cfg.CommSpecs()
 		if err := d.dev.InstallLinks(down, up); err != nil {
 			return nil, err
 		}
-	}
-
-	root, err := d.build(0, 0)
-	if err != nil {
-		return nil, err
 	}
 	if d.timed {
 		root.coord.Tick(root.vt.eng.Now())

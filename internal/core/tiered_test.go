@@ -166,23 +166,11 @@ func TestTieredCodecComposesPerHop(t *testing.T) {
 	}
 }
 
+// TestTieredRejectsUnsupportedAxes: a topology the cohort or the fleet
+// cannot fill is refused (the config options RunTiered refuses are
+// TestSupportMatrix's, in internal/fednet).
 func TestTieredRejectsUnsupportedAxes(t *testing.T) {
 	m, fed := tinyWorkload()
-	topo := tier.Topology{FanOut: 2, Depth: 1}
-	for name, prep := range map[string]func(*Config){
-		"async": func(c *Config) {
-			c.Async = AsyncConfig{Mode: AsyncTotal}
-			c.VTime = VTimeConfig{Model: vtimeModel(30, 3)}
-		},
-		"adaptive mu": func(c *Config) { c.AdaptiveMu = true },
-		"track gamma": func(c *Config) { c.TrackGamma = true },
-	} {
-		cfg := tieredConfig(3)
-		prep(&cfg)
-		if _, err := RunTiered(m, fed.Fleet(), cfg, topo); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
 	// Topology validation: K must be divisible by FanOut^Depth, and the
 	// fleet must host the cohort.
 	cfg := tieredConfig(3)
@@ -201,7 +189,7 @@ func TestTieredRejectsUnsupportedAxes(t *testing.T) {
 func TestSteppedCoordinatorPauseResume(t *testing.T) {
 	m, fed := tinyWorkload()
 	cfg := tieredConfig(2)
-	coord, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: fed.NumDevices()})
+	coord, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: fed.NumDevices(), Tier: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,16 +252,14 @@ func TestSteppedCoordinatorPauseResume(t *testing.T) {
 	if _, err := coord.window(view); err == nil {
 		t.Fatal("second window opened while one is outstanding")
 	}
-	// An edge is windowed by its parent's rounds: synchronous only.
-	async := cfg
-	async.Async = AsyncConfig{Mode: AsyncTotal}
-	async.VTime = VTimeConfig{Model: vtimeModel(fed.NumDevices(), 3)}
-	ac, err := NewCoordinator(m, async, CoordinatorOptions{NumDevices: 4})
+	// An edge's coordinator is built as one, so the support table has
+	// refused what an edge cannot run.
+	root, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: 4, Tier: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEdge(ac, 0); err == nil || !strings.Contains(err.Error(), "root-only") {
-		t.Fatalf("asynchronous edge: %v, want a root-only refusal", err)
+	if _, err := NewEdge(root, 0); err == nil || !strings.Contains(err.Error(), "Tier >= 2") {
+		t.Fatalf("edge over a root coordinator: %v, want the Tier named", err)
 	}
 }
 

@@ -29,7 +29,6 @@ package core
 // which happens only after its solve was joined.
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -95,9 +94,6 @@ func (p *solvePool) close() {
 // arrives, and Rounds counts model milestones of roundSize replies each,
 // evaluated on the sync cadence.
 func runAsyncVTime(m model.Model, fl Fleet, cfg Config) (*History, error) {
-	if fl.NumDevices() == 0 {
-		return nil, errors.New("core: vtime async run on an empty network")
-	}
 	coord, dev, err := newSimPair(m, fl, cfg)
 	if err != nil {
 		return nil, err

@@ -80,18 +80,7 @@ func TestAsyncRequiresLatencyModel(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("deadline without VTime.Model accepted")
 	}
-	ck := FedProx(4, 5, 3, 0.01, 1)
-	ck.VTime = VTimeConfig{Model: vtimeModel(fed.NumDevices(), 1)}
-	ck.Checkpointer = &nullCheckpointer{}
-	if err := ck.Validate(); err == nil {
-		t.Fatal("vtime + checkpointer accepted")
-	}
 }
-
-type nullCheckpointer struct{}
-
-func (nullCheckpointer) Load() (*Snapshot, error) { return nil, nil }
-func (nullCheckpointer) Save(*Snapshot) error     { return nil }
 
 // TestVTimeAsyncDeterministic is the tentpole's reproducibility
 // criterion: two virtual-time async runs under the same seed produce

@@ -20,8 +20,8 @@ type EdgeConfig struct {
 	// is tier.NodeSeed(run seed, this node's uid) for the tree to
 	// reproduce core.RunTiered. ClientsPerRound is overridden to FanOut;
 	// EvalEvery is moot (the parent owns evaluation and the edge plans
-	// none). Asynchronous aggregation is rejected — an edge folds one
-	// round per parent dispatch.
+	// none). The options an edge refuses are core's support table (README
+	// "What runs where").
 	Training core.Config
 	// ExpectDevices is how many devices must register with this edge
 	// (the edge's slice of the fleet), with edge-local IDs

@@ -1,7 +1,6 @@
 package fednet
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -18,12 +17,12 @@ import (
 
 // ServerConfig parameterizes a coordinator.
 type ServerConfig struct {
-	// Training carries the federated hyperparameters. TrackDissimilarity,
-	// TrackGamma, AdaptiveMu, and Solver are simulator-only features and
-	// must be unset (workers choose their own local solver).
-	// Training.Async selects the aggregation discipline: the default
-	// synchronous rounds reproduce the simulator bit for bit; AsyncTotal
-	// and Buffered trade that determinism for straggler tolerance.
+	// Training carries the federated hyperparameters; the options a
+	// fednet coordinator refuses are core's support table (README "What
+	// runs where"). Training.Async selects the aggregation discipline:
+	// the default synchronous rounds reproduce the simulator bit for bit;
+	// AsyncTotal and Buffered trade that determinism for straggler
+	// tolerance.
 	Training core.Config
 	// ExpectDevices is the total number of devices that must register
 	// (across all workers) before training starts. Device IDs must cover
@@ -80,37 +79,6 @@ type Server struct {
 
 // NewServer builds a coordinator for the given model and configuration.
 func NewServer(mdl model.Model, cfg ServerConfig) (*Server, error) {
-	if err := cfg.Training.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Training.TrackDissimilarity || cfg.Training.TrackGamma {
-		return nil, errors.New("fednet: dissimilarity/gamma tracking is simulator-only")
-	}
-	if cfg.Training.AdaptiveMu {
-		return nil, errors.New("fednet: adaptive mu is simulator-only")
-	}
-	if cfg.Training.Solver != nil {
-		return nil, errors.New("fednet: local solvers are chosen by workers")
-	}
-	if cfg.Training.Privacy != nil {
-		// The mechanism is client-side state (it runs between the local
-		// solve and the uplink encode, inside core.Device); a server
-		// config cannot install it on remote workers. Reject rather than
-		// silently train without privacy.
-		return nil, errors.New("fednet: update-level privacy is device-side state; configure it on the workers (fednet.NewWorkerWithOptions / fedworker privacy flags)")
-	}
-	if cfg.Training.Checkpointer != nil {
-		return nil, errors.New("fednet: checkpointing is simulator-only")
-	}
-	if cfg.Training.VTime.Enabled() {
-		// The deadline/byte-budget policies are clock-native: they need
-		// the virtual engine's reply latencies, which a real transport
-		// does not have. Reject rather than half-apply them.
-		return nil, errors.New("fednet: virtual-time models are simulator-only")
-	}
-	if cfg.ExpectDevices <= 0 {
-		return nil, errors.New("fednet: ExpectDevices must be positive")
-	}
 	suffix := " [fednet]"
 	if cfg.Tier > 1 { // the child-facing half of a tier Edge
 		suffix = " [fednet edge]"

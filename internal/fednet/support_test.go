@@ -1,7 +1,7 @@
 package fednet
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"fedprox/internal/comm"
@@ -116,20 +116,20 @@ func TestSupportMatrix(t *testing.T) {
 			}
 			cfg := e.base
 			o.set(&cfg)
-			err := func() (err error) {
-				defer func() {
-					if p := recover(); p != nil {
-						err = fmt.Errorf("panicked: %v", p)
-						t.Errorf("%s × %s: %v", e.name, o.name, err)
-					}
-				}()
+			var panicked any
+			err := func() error {
+				defer func() { panicked = recover() }()
 				return e.run(cfg)
 			}()
 			switch {
+			case panicked != nil:
+				t.Errorf("%s × %s: panicked: %v", e.name, o.name, panicked)
 			case want == '.' && err != nil:
 				t.Errorf("%s × %s: refused, want accepted: %v", e.name, o.name, err)
 			case want == 'x' && err == nil:
 				t.Errorf("%s × %s: accepted, want refused", e.name, o.name)
+			case want == 'x' && !strings.Contains(err.Error(), o.name):
+				t.Errorf("%s × %s: refusal %q does not name the option", e.name, o.name, err)
 			}
 		}
 	}

@@ -339,19 +339,17 @@ func TestEdgeEvalRequestMidWindow(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNewEdgeRejections pins the edge's configuration guard rails.
+// TestNewEdgeRejections pins the edge's topology guard rails (the
+// config options an edge refuses are TestSupportMatrix's).
 func TestNewEdgeRejections(t *testing.T) {
 	_, mdl := testWorkload()
 	good := core.FedProx(2, 4, 1, 0.01, 0)
-	async := good
-	async.Async = core.AsyncConfig{Mode: core.AsyncTotal}
 	cases := []struct {
 		name string
 		cfg  EdgeConfig
 		want string
 	}{
 		{"fanout", EdgeConfig{Training: good, ExpectDevices: 8, FanOut: 1}, "FanOut"},
-		{"async", EdgeConfig{Training: async, ExpectDevices: 8, FanOut: 4}, "root-only"},
 	}
 	for _, tc := range cases {
 		if _, err := NewEdge(mdl, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -36,11 +36,11 @@ type Mechanism struct {
 
 // Validate reports configuration errors.
 func (m *Mechanism) Validate() error {
-	if m.ClipNorm < 0 {
-		return fmt.Errorf("privacy: negative clip norm %g", m.ClipNorm)
+	if !(m.ClipNorm >= 0) || math.IsInf(m.ClipNorm, 1) {
+		return fmt.Errorf("privacy: clip norm must be non-negative and finite, got %g", m.ClipNorm)
 	}
-	if m.NoiseStd < 0 {
-		return fmt.Errorf("privacy: negative noise std %g", m.NoiseStd)
+	if !(m.NoiseStd >= 0) || math.IsInf(m.NoiseStd, 1) {
+		return fmt.Errorf("privacy: noise std must be non-negative and finite, got %g", m.NoiseStd)
 	}
 	return nil
 }

@@ -85,11 +85,17 @@ func TestValidate(t *testing.T) {
 	if err := (&privacy.Mechanism{ClipNorm: 1, NoiseStd: 0.1}).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (&privacy.Mechanism{ClipNorm: -1}).Validate(); err == nil {
-		t.Fatal("negative clip accepted")
-	}
-	if err := (&privacy.Mechanism{NoiseStd: -1}).Validate(); err == nil {
-		t.Fatal("negative noise accepted")
+	for name, m := range map[string]privacy.Mechanism{
+		"negative clip":  {ClipNorm: -1},
+		"NaN clip":       {ClipNorm: math.NaN()},
+		"infinite clip":  {ClipNorm: math.Inf(1)},
+		"negative noise": {NoiseStd: -1},
+		"NaN noise":      {NoiseStd: math.NaN()},
+		"infinite noise": {NoiseStd: math.Inf(1)},
+	} {
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
