@@ -8,11 +8,12 @@ import (
 	"fedprox/internal/comm"
 )
 
-// TestConfigValidateRejections is the table-driven sweep of
-// Config.Validate's rejection paths — one row per illegal value, plus
-// the combinations that must stay accepted (notably Codec+Checkpointer,
-// legal since link state became checkpointable). Which executor refuses
-// which option is TestSupportMatrix's (internal/fednet).
+// TestConfigValidateRejections is the table-driven sweep of the configs
+// RunFleet's coordinator refuses — Config.Validate's illegal values and
+// the support table's refusals for the simulator — plus the combinations
+// that must stay accepted (notably Codec+Checkpointer, legal since link
+// state became checkpointable). Which other executor refuses which
+// option is TestSupportMatrix's (internal/fednet).
 func TestConfigValidateRejections(t *testing.T) {
 	valid := FedProx(4, 5, 2, 0.01, 1)
 	cases := []struct {
@@ -39,6 +40,21 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"async alpha above 1", func(c *Config) {
 			c.Async = AsyncConfig{Mode: AsyncTotal, Alpha: 1.5}
 		}, "Alpha"},
+		{"async with capability model", func(c *Config) {
+			c.Async = AsyncConfig{Mode: AsyncTotal}
+			c.VTime = VTimeConfig{Model: fakeLatency{}}
+			c.Capability = fullBudget{}
+		}, "Capability"},
+		{"async with adaptive mu", func(c *Config) {
+			c.Async = AsyncConfig{Mode: Buffered}
+			c.VTime = VTimeConfig{Model: fakeLatency{}}
+			c.AdaptiveMu = true
+		}, "AdaptiveMu"},
+		{"async with gamma tracking", func(c *Config) {
+			c.Async = AsyncConfig{Mode: AsyncTotal}
+			c.VTime = VTimeConfig{Model: fakeLatency{}}
+			c.TrackGamma = true
+		}, "TrackGamma"},
 		{"NaN async alpha", func(c *Config) {
 			c.Async = AsyncConfig{Mode: AsyncTotal, Alpha: math.NaN()}
 		}, "Alpha"},
@@ -46,6 +62,10 @@ func TestConfigValidateRejections(t *testing.T) {
 			c.Async = AsyncConfig{Mode: Buffered, StalenessExponent: math.Inf(1)}
 		}, "StalenessExponent"},
 
+		{"vtime with checkpointer", func(c *Config) {
+			c.VTime = VTimeConfig{Model: fakeLatency{}}
+			c.Checkpointer = &nopCheckpointer{}
+		}, "Checkpointer with VTime"},
 		{"negative deadline", func(c *Config) {
 			c.VTime = VTimeConfig{Model: fakeLatency{}, DeadlineSeconds: -1}
 		}, "DeadlineSeconds"},
@@ -81,6 +101,9 @@ func TestConfigValidateRejections(t *testing.T) {
 			cfg := valid
 			tc.mutate(&cfg)
 			err := cfg.Validate()
+			if err == nil {
+				err = checkSupport(cfg, CoordinatorOptions{})
+			}
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpectedly rejected: %v", err)
@@ -96,6 +119,11 @@ func TestConfigValidateRejections(t *testing.T) {
 		})
 	}
 }
+
+// fullBudget is a trivial CapabilityModel for rejection tests.
+type fullBudget struct{}
+
+func (fullBudget) EpochBudget(_, _, requested int) int { return requested }
 
 // fakeLatency is the minimal LatencyModel for Validate tests (never
 // executed).
