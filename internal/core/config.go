@@ -168,10 +168,13 @@ type Config struct {
 	Seed uint64
 	// Parallelism bounds the concurrent per-device work of a synchronous
 	// round — the in-process local solves and, under a codec, the
-	// coordinator's downlink encodes (on every executor, fednet included);
-	// 0 selects GOMAXPROCS. History, Cost and the trace are identical at
-	// any value: each device's work reads and advances only that device's
-	// seeded streams, and results are consumed in selection order.
+	// coordinator's downlink encodes (on every executor, fednet included),
+	// with the calling goroutine counted as one of the workers — and the
+	// size of the asynchronous virtual-time run's solve pool; 0 selects
+	// GOMAXPROCS. It does not bound evaluation, which fans out on
+	// GOMAXPROCS. History, Cost and the trace are identical at any value:
+	// each device's work reads and advances only that device's seeded
+	// streams, and results are consumed in selection order.
 	Parallelism int
 	// Solver is the local solver devices run on their subproblems; nil
 	// selects mini-batch SGD (the paper's choice). The framework is

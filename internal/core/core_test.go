@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fedprox/internal/data"
 	"fedprox/internal/data/synthetic"
@@ -472,14 +475,31 @@ func TestCostAccounting(t *testing.T) {
 	}
 }
 
+// TestParallelForCoversAll: every index runs exactly once, and no more
+// than limit calls of fn are ever in flight — the calling goroutine is
+// one of the limit workers, not an extra one.
 func TestParallelForCoversAll(t *testing.T) {
-	hits := make([]int, 37)
-	parallelFor(37, 4, func(i int) { hits[i]++ })
-	for i, c := range hits {
-		if c != 1 {
-			t.Fatalf("index %d hit %d times", i, c)
-		}
+	for _, tc := range []struct{ n, limit int }{{0, 4}, {1, 4}, {3, 8}, {37, 1}, {37, 2}, {37, 4}} {
+		t.Run(fmt.Sprintf("n=%d,limit=%d", tc.n, tc.limit), func(t *testing.T) {
+			hits := make([]atomic.Int64, tc.n)
+			var inFlight, peak atomic.Int64
+			parallelFor(tc.n, tc.limit, func(i int) {
+				now := inFlight.Add(1)
+				for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+				}
+				// Hold the slot long enough for the other workers to overlap.
+				time.Sleep(100 * time.Microsecond)
+				hits[i].Add(1)
+				inFlight.Add(-1)
+			})
+			for i := range hits {
+				if c := hits[i].Load(); c != 1 {
+					t.Errorf("index %d ran %d times", i, c)
+				}
+			}
+			if p := peak.Load(); p > int64(tc.limit) {
+				t.Errorf("%d calls in flight at once, limit %d", p, tc.limit)
+			}
+		})
 	}
-	// Zero work is a no-op.
-	parallelFor(0, 4, func(i int) { t.Fatal("called for n=0") })
 }

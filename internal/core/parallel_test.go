@@ -58,7 +58,8 @@ func TestVTimeParallelismParity(t *testing.T) {
 
 // TestSyncParallelismParity: the synchronous driver's bounded fan-out
 // keeps the same contract — replies land in selection order regardless
-// of solve completion order.
+// of solve completion order. At 2 the calling goroutine is one of two
+// workers; 16 is above the cohort of 5, so the worker count is clamped.
 func TestSyncParallelismParity(t *testing.T) {
 	run := func(par int) (*History, []byte) {
 		mdl, fed := tinyWorkload()
@@ -75,7 +76,7 @@ func TestSyncParallelismParity(t *testing.T) {
 		return h, buf.Bytes()
 	}
 	serialH, serialTrace := run(1)
-	for _, par := range []int{4, runtime.GOMAXPROCS(0)} {
+	for _, par := range []int{2, 4, 16, runtime.GOMAXPROCS(0)} {
 		h, trace := run(par)
 		if !historiesEqual(serialH, h) {
 			t.Errorf("Parallelism=%d sync history differs from serial", par)

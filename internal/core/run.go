@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"fedprox/internal/data"
 	"fedprox/internal/metrics"
@@ -295,35 +296,27 @@ func (v *vtimer) chargeEval(bytes int64) {
 }
 
 // parallelFor runs fn(i) for i in [0, n) on at most limit workers
-// (GOMAXPROCS when limit <= 0).
+// (GOMAXPROCS when limit <= 0), the calling goroutine among them: every
+// worker takes the next index from one shared counter until none is left.
 func parallelFor(n, limit int, fn func(i int)) {
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
 	}
-	if limit > n {
-		limit = n
-	}
-	if limit <= 1 {
-		for i := 0; i < n; i++ {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			fn(i)
 		}
-		return
 	}
 	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < limit; w++ {
+	for w := 1; w < min(limit, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
+	work()
 	wg.Wait()
 }
 

@@ -40,7 +40,6 @@ func (o Options) base(w workload) core.Config {
 		BatchSize:       10,
 		EvalEvery:       o.EvalEvery,
 		Seed:            o.Seed,
-		Parallelism:     o.Parallelism,
 		Trace:           o.Trace,
 	}
 	if o.Codec != "" {

@@ -85,7 +85,6 @@ func extHier(o Options) (*Result, error) {
 	base := core.FedProx(o.Rounds, hierClientsPerRound, o.LocalEpochs, 0.01, 1)
 	base.EvalEvery = o.Rounds // full-fleet measurement at round 0 and the end
 	base.Seed = o.Seed
-	base.Parallelism = o.Parallelism
 	base.Trace = o.Trace
 	base.VTime = core.VTimeConfig{Model: deviceLegs}
 

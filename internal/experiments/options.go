@@ -32,8 +32,6 @@ type Options struct {
 	Datasets []string
 	// Seed drives every environment draw.
 	Seed uint64
-	// Parallelism bounds concurrent local solves (0 = GOMAXPROCS).
-	Parallelism int
 	// Codec names a model-update codec (see internal/comm) applied to
 	// every run's transfers; empty keeps the uncompressed wire.
 	Codec string
