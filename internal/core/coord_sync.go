@@ -145,7 +145,7 @@ func (c *Coordinator) beginRound() ([]Command, error) {
 	var casts []downcast
 	if c.links != nil {
 		casts = make([]downcast, len(selected))
-		parallelFor(len(selected), c.cfg.Parallelism, func(i int) {
+		tensor.ParallelFor(len(selected), c.cfg.Parallelism, func(i int) {
 			if !c.policyDropped(r, i) {
 				b := &casts[i]
 				b.u, b.view, b.db, b.err = c.links.broadcast(selected[i], c.w)
@@ -215,7 +215,7 @@ func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64) {
 		if occ > duration {
 			duration = occ
 		}
-		c.recordArrival(c.cfg.Rounds*len(r.selected), rep.in, rep.seq, rep.in.sentAt+rep.rel, rep.verdict, rep.done)
+		c.recordArrival(c.cfg.Rounds*len(r.selected), rep.in, rep.seq, rep.in.sentAt+rep.rel, rep.verdict)
 	}
 	return duration
 }

@@ -258,7 +258,6 @@ type pendingDispatch struct {
 	// returns is still billed what the device could have run, matching
 	// the sync path's budget-clamped counterfactual.
 	expected int
-	budget   int // the raw EpochBudget on the dispatch (0 = unlimited)
 	version  int
 	// view is the decoded broadcast view, the uplink decode base. Under
 	// codec links (and for every async dispatch) it is a pooled vector this
@@ -614,7 +613,7 @@ type downcast struct {
 func (c *Coordinator) dispatch(seq, tag, round, k, epochs int, mu float64, b downcast) Dispatch {
 	budget := c.deviceBudget(tag, k, epochs)
 	c.pending[k] = &pendingDispatch{device: k, seq: seq, epochs: epochs, expected: expectedEpochs(budget, epochs),
-		budget: budget, version: c.version, view: b.view, downBytes: b.db, sentAt: c.now}
+		version: c.version, view: b.view, downBytes: b.db, sentAt: c.now}
 	c.emit(obs.Event{
 		Kind: obs.KindDispatch, Round: round, Seq: seq, Device: k, Version: c.version,
 		Epochs: epochs, Budget: budget, BytesDown: b.db,
@@ -728,12 +727,12 @@ func (c *Coordinator) settle(in *pendingDispatch, reason DropReason, done int, u
 // at. The first contact sizes the trace to planned, the number of
 // contacts the configuration fixes for a run that loses no reply, so such
 // a run never regrows it; re-dispatched losses overflow through append.
-func (c *Coordinator) recordArrival(planned int, in *pendingDispatch, seq int, arrived float64, reason DropReason, done int) {
+func (c *Coordinator) recordArrival(planned int, in *pendingDispatch, seq int, arrived float64, reason DropReason) {
 	if c.hist.Arrivals == nil {
 		c.hist.Arrivals = make([]Arrival, 0, planned)
 	}
-	c.hist.Arrivals = append(c.hist.Arrivals, Arrival{Device: in.device, Seq: seq, Sent: in.sentAt, Arrived: arrived,
-		Staleness: c.staleness(in, reason), Drop: reason, EpochBudget: in.budget, EpochsDone: done})
+	c.hist.Arrivals = append(c.hist.Arrivals, Arrival{Device: int32(in.device), Seq: int32(seq), Sent: in.sentAt, Arrived: arrived,
+		Staleness: int32(c.staleness(in, reason)), Drop: reason})
 }
 
 // decodeReply recovers the device's solution from a Reply: encoded

@@ -88,33 +88,33 @@ type Cost struct {
 // straggler-policy analysis offline. Devices that never transmit — the
 // designated stragglers discarded under DropStragglers — do not appear;
 // their discarded work is visible in Cost.WastedEpochs instead.
+//
+// A History holds one Arrival per contact for the life of the run, so
+// the record is kept to 32 bytes: device ids, sequence numbers and
+// staleness are 32-bit. Per-reply work (budget, epochs run, bytes) is
+// not repeated here; it lives in the trace's obs.KindReply events, which
+// is what Replay prices partial work from.
 type Arrival struct {
 	// Device is the contacted device index.
-	Device int
+	Device int32
 	// Seq is the reply's transfer sequence number: the dispatch sequence
 	// in the asynchronous modes, the driver's per-transfer counter in the
 	// synchronous protocol (the arrival race's tiebreak). Unique within a
 	// run, but the trace is in arrival order, not Seq order.
-	Seq int
+	Seq int32
 	// Sent is the virtual time the broadcast left the coordinator.
 	Sent float64
 	// Arrived is the virtual time the reply reached the coordinator.
 	Arrived float64
 	// Staleness is the model-version staleness at fold time (0 in the
 	// synchronous protocol; -1 when the reply was not folded).
-	Staleness int
+	Staleness int32
 	// Drop records why the reply was discarded, or ArrivalFolded.
 	Drop DropReason
-	// EpochBudget is the device-side compute budget that rode the
-	// dispatch (0 = unlimited) and EpochsDone the local epochs the
-	// device actually ran — together they price partial work when a
-	// recorded run is replayed under a different policy.
-	EpochBudget int
-	EpochsDone  int
 }
 
 // DropReason classifies the fate of a virtual-time reply.
-type DropReason int
+type DropReason int8
 
 const (
 	// ArrivalFolded: the reply was aggregated.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // nanPoint returns a Point with every optional float NaN, as the
@@ -105,7 +106,7 @@ func TestReplyLatencyQuantiles(t *testing.T) {
 	}
 	// Latencies 1..5 in scrambled arrival order.
 	for i, lat := range []float64{3, 1, 5, 2, 4} {
-		h.Arrivals = append(h.Arrivals, Arrival{Seq: i, Sent: 10, Arrived: 10 + lat})
+		h.Arrivals = append(h.Arrivals, Arrival{Seq: int32(i), Sent: 10, Arrived: 10 + lat})
 	}
 	got := h.ReplyLatencyQuantiles(0, 0.5, 0.75, 1)
 	want := []float64{1, 3, 4, 5}
@@ -116,5 +117,15 @@ func TestReplyLatencyQuantiles(t *testing.T) {
 	}
 	if q := h.ReplyLatencyQuantiles(1.5)[0]; !math.IsNaN(q) {
 		t.Errorf("out-of-range quantile must be NaN, got %v", q)
+	}
+}
+
+// TestArrivalSize pins the trace record at 32 bytes. A History keeps one
+// Arrival per contact for the life of the run: the benchmark retains one
+// History per repetition, and a scale run holds one record per contact of
+// 10^5–10^6 devices, so a wider field is paid for in resident memory.
+func TestArrivalSize(t *testing.T) {
+	if got := unsafe.Sizeof(Arrival{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Arrival{}) = %d, want 32", got)
 	}
 }

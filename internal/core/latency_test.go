@@ -32,7 +32,7 @@ func TestReplyLatencyQuantilesEdgeCases(t *testing.T) {
 	t.Run("all-equal", func(t *testing.T) {
 		h := &History{}
 		for i := 0; i < 7; i++ {
-			h.Arrivals = append(h.Arrivals, Arrival{Seq: i, Sent: 1, Arrived: 3})
+			h.Arrivals = append(h.Arrivals, Arrival{Seq: int32(i), Sent: 1, Arrived: 3})
 		}
 		for _, q := range h.ReplyLatencyQuantiles(0, 0.1, 0.5, 0.9, 1) {
 			if q != 2 {
@@ -47,7 +47,7 @@ func TestReplyLatencyQuantilesEdgeCases(t *testing.T) {
 		// be the order statistics themselves, bit-exact.
 		h := &History{}
 		for i, lat := range []float64{30, 10, 50, 20, 40} {
-			h.Arrivals = append(h.Arrivals, Arrival{Seq: i, Sent: 0, Arrived: lat})
+			h.Arrivals = append(h.Arrivals, Arrival{Seq: int32(i), Sent: 0, Arrived: lat})
 		}
 		got := h.ReplyLatencyQuantiles(0, 0.25, 0.5, 0.75, 1)
 		want := []float64{10, 20, 30, 40, 50}

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fedprox/internal/data"
 	"fedprox/internal/metrics"
@@ -235,7 +232,7 @@ func nanEval(Evaluate) EvalResult {
 func runDispatches(dev *Device, parallelism int, vt *vtimer, ds []Dispatch) ([]Reply, error) {
 	replies := make([]Reply, len(ds))
 	errs := make([]error, len(ds))
-	parallelFor(len(ds), parallelism, func(i int) {
+	tensor.ParallelFor(len(ds), parallelism, func(i int) {
 		replies[i], errs[i] = dev.HandleDispatch(ds[i])
 	})
 	for _, err := range errs {
@@ -293,31 +290,6 @@ func (v *vtimer) uplinkBytes(r Reply) int64 {
 func (v *vtimer) chargeEval(bytes int64) {
 	v.eng.Advance(v.cfg.Model.DownlinkSeconds(v.evalSeq, vtime.EvalDevice, bytes))
 	v.evalSeq++
-}
-
-// parallelFor runs fn(i) for i in [0, n) on at most limit workers
-// (GOMAXPROCS when limit <= 0), the calling goroutine among them: every
-// worker takes the next index from one shared counter until none is left.
-func parallelFor(n, limit int, fn func(i int)) {
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(limit, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // Label renders the conventional method name for a configuration, e.g.

@@ -5,9 +5,11 @@
 //
 // All quantities are exact sums over every device in the network (not just
 // the sampled subset), matching "we report all metrics based on the global
-// objective f(w)" (Section 5.1). Evaluation fans out across shards with a
-// bounded worker pool because it is by far the most expensive part of a
-// simulated round.
+// objective f(w)" (Section 5.1). Evaluation fans out across shards on
+// tensor.ParallelFor at GOMAXPROCS, the calling goroutine among the
+// workers, because it is by far the most expensive part of a simulated
+// round. Every floating-point sum runs in ascending device order after the
+// fan-out, so the results are bit-identical at any worker count.
 //
 // Every metric is defined over a data.Fleet, the lazy population view:
 // workers materialize a shard, measure it, and release it, so peak memory
@@ -25,8 +27,6 @@ package metrics
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fedprox/internal/data"
@@ -42,7 +42,7 @@ import (
 func FleetLoss(m model.Model, fl data.Fleet, w []float64) float64 {
 	weights := data.FleetWeights(fl)
 	losses := make([]float64, fl.NumDevices())
-	forEachShard(len(losses), func(k int) {
+	tensor.ParallelFor(len(losses), 0, func(k int) {
 		s := fl.Shard(k)
 		losses[k] = m.Loss(w, s.Train)
 		fl.Release(k)
@@ -84,7 +84,7 @@ func FleetEval(m model.Model, fl data.Fleet, w []float64) (loss, acc float64) {
 	// Integer sums are order-independent, so the accuracy counts need no
 	// per-device slot: the pass holds one float per device, as FleetLoss.
 	var correct, total atomic.Int64
-	forEachShard(len(losses), func(k int) {
+	tensor.ParallelFor(len(losses), 0, func(k int) {
 		s := fl.Shard(k)
 		l, c := ShardEval(m, w, s)
 		losses[k] = l
@@ -107,7 +107,7 @@ func FleetAccuracy(m model.Model, fl data.Fleet, w []float64) float64 {
 	n := fl.NumDevices()
 	correct := make([]int, n)
 	counts := make([]int, n)
-	forEachShard(n, func(k int) {
+	tensor.ParallelFor(n, 0, func(k int) {
 		s := fl.Shard(k)
 		for _, ex := range s.Test {
 			if m.Predict(w, ex) == ex.Y {
@@ -138,7 +138,7 @@ func PerClassAccuracy(m model.Model, fed *data.Federated, w []float64) (acc []fl
 	classes := fed.NumClasses
 	correct := make([][]int, len(fed.Shards))
 	total := make([][]int, len(fed.Shards))
-	forEachShard(len(fed.Shards), func(k int) {
+	tensor.ParallelFor(len(fed.Shards), 0, func(k int) {
 		c := make([]int, classes)
 		n := make([]int, classes)
 		for _, ex := range fed.Shards[k].Test {
@@ -189,7 +189,7 @@ func FleetDissimilarity(m model.Model, fl data.Fleet, w []float64) (variance, b 
 	weights := data.FleetWeights(fl)
 	n := fl.NumDevices()
 	grads := make([][]float64, n)
-	forEachShard(n, func(k int) {
+	tensor.ParallelFor(n, 0, func(k int) {
 		g := make([]float64, m.NumParams())
 		s := fl.Shard(k)
 		m.Grad(g, w, s.Train)
@@ -217,34 +217,4 @@ func FleetDissimilarity(m model.Model, fl data.Fleet, w []float64) (variance, b 
 		b = math.Sqrt(exp2 / normF2)
 	}
 	return variance, b
-}
-
-// forEachShard runs fn(k) for k in [0, n) on a bounded worker pool.
-func forEachShard(n int, fn func(k int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for k := 0; k < n; k++ {
-			fn(k)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range next {
-				fn(k)
-			}
-		}()
-	}
-	for k := 0; k < n; k++ {
-		next <- k
-	}
-	close(next)
-	wg.Wait()
 }

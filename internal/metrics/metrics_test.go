@@ -11,6 +11,7 @@ import (
 	"fedprox/internal/frand"
 	"fedprox/internal/model"
 	"fedprox/internal/model/linear"
+	"fedprox/internal/tensor"
 )
 
 // identicalShards builds a network whose devices all hold the same data,
@@ -179,19 +180,57 @@ func TestVarianceIdentity(t *testing.T) {
 	}
 }
 
-func TestForEachShardSmallN(t *testing.T) {
-	// n=1 exercises the sequential path.
-	hit := 0
-	forEachShard(1, func(k int) { hit++ })
-	if hit != 1 {
-		t.Fatalf("forEachShard(1) ran %d times", hit)
+// TestFleetEvalParallelParity holds the package's "bit-identical at any
+// worker count" claim: on a lazy fleet of 300 devices, every fleet
+// evaluator equals — compared with ==, not a tolerance — a serial loop
+// that visits the shards in ascending order and sums as it goes.
+func TestFleetEvalParallelParity(t *testing.T) {
+	cfg := synthetic.Default(1, 1).Scaled(0.02)
+	cfg.Devices = 300
+	fl := synthetic.NewFleet(cfg)
+	m := linear.New(cfg.Dim, cfg.Classes)
+	w := frand.New(37).NormVec(make([]float64, m.NumParams()), 0, 0.1)
+
+	weights := data.FleetWeights(fl)
+	var loss float64
+	var correct, total int
+	grads := make([][]float64, fl.NumDevices())
+	for k := range grads {
+		s := fl.Shard(k)
+		l, c := ShardEval(m, w, s)
+		loss += weights[k] * l
+		correct += c
+		total += len(s.Test)
+		grads[k] = make([]float64, m.NumParams())
+		m.Grad(grads[k], w, s.Train)
+		fl.Release(k)
 	}
-	// Large n exercises the pool; every index exactly once.
-	var mu = make([]int, 100)
-	forEachShard(100, func(k int) { mu[k]++ })
-	for k, c := range mu {
-		if c != 1 {
-			t.Fatalf("index %d ran %d times", k, c)
+	acc := float64(correct) / float64(total)
+	gf := make([]float64, m.NumParams())
+	for k, g := range grads {
+		tensor.Axpy(weights[k], g, gf)
+	}
+	var variance, exp2 float64
+	for k, g := range grads {
+		exp2 += weights[k] * tensor.Dot(g, g)
+		variance += weights[k] * tensor.SqDist(g, gf)
+	}
+	b := math.Sqrt(exp2 / tensor.Dot(gf, gf))
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if gl, ga := FleetEval(m, fl, w); gl != loss || ga != acc {
+			t.Errorf("procs=%d: FleetEval = (%v, %v), serial (%v, %v)", procs, gl, ga, loss, acc)
+		}
+		if got := FleetLoss(m, fl, w); got != loss {
+			t.Errorf("procs=%d: FleetLoss = %v, serial %v", procs, got, loss)
+		}
+		if got := FleetAccuracy(m, fl, w); got != acc {
+			t.Errorf("procs=%d: FleetAccuracy = %v, serial %v", procs, got, acc)
+		}
+		if gv, gb := FleetDissimilarity(m, fl, w); gv != variance || gb != b {
+			t.Errorf("procs=%d: FleetDissimilarity = (%v, %v), serial (%v, %v)", procs, gv, gb, variance, b)
 		}
 	}
 }
