@@ -242,8 +242,8 @@ func unusedExports(srcs []source) []string {
 	return unused
 }
 
-// testOnly is the one allowlist of internal/ packages no binary or example
-// reaches; the exports rule skips them too.
+// testOnly is the one allowlist of internal/ packages no binary reaches;
+// the exports rule skips them too.
 var testOnly = []string{
 	"internal/archtest",   // these rules: test-only by design
 	"internal/checkpoint", // until fedbench grows -checkpoint
@@ -259,12 +259,12 @@ var coreAllowed = []string{
 }
 
 func TestArchitecture(t *testing.T) {
-	all := parse(t, "internal", "cmd", "examples")
+	all := parse(t, "internal", "cmd")
 	coreDeps := reach(all, "internal/core")
 	// Every directory of internal/ holding Go files, tests included, that
-	// no binary or example reaches.
+	// no binary reaches.
 	var unreachable []string
-	used := reach(all, "cmd", "examples")
+	used := reach(all, "cmd")
 	goFiles(t, []string{"internal"}, func(rel, _ string) error {
 		if dir := path.Dir(rel); !used[dir] && !slices.Contains(unreachable, dir) {
 			unreachable = append(unreachable, dir)
@@ -378,15 +378,15 @@ into and out of a mirror, which every new dispatch field must then be threaded t
 		}),
 	}, {
 		name: "internal/ is reachable",
-		why: `internal/ holds what a binary, an example or another internal package uses: every package under it is a
-dependency of ./cmd/... or ./examples/.... A package only its own tests import is a subsystem nobody runs; it
+		why: `internal/ holds what a binary or another internal package uses: every package under it is a
+dependency of ./cmd/.... A package only its own tests import is a subsystem nobody runs; it
 moves beside its one user or goes. The exceptions are the testOnly allowlist, each with its reason.`,
 		got:  unreachable,
 		want: testOnly,
 	}, {
 		name: "exports are imported",
 		why: `An exported top-level func, var or const under internal/ is the surface the system uses: a non-test file of
-another package under internal/, cmd/, examples/ or benchmark/ names it as pkg.Name. One that only its own
+another package under internal/, cmd/ or benchmark/ names it as pkg.Name. One that only its own
 package calls is unexported; one that only tests call goes, and its tests check what it computed through
 what the system does call. Types and methods are exempt (inferred use and interface satisfaction do not name
 them), as are Err… sentinels (errors.Is is their contract), a parenthesised const group with any name used

@@ -77,15 +77,3 @@ func clipDelta(w, w0 []float64, bound float64) {
 		w[i] = w0[i] + scale*(w[i]-w0[i])
 	}
 }
-
-// NoiseMultiplier returns the Gaussian-mechanism noise multiplier
-// z = σ/clip for a single release at (ε, δ) via the classical analytic
-// bound z = sqrt(2·ln(1.25/δ))/ε. Callers multiply by the clip bound to
-// get the per-coordinate σ. Composition accounting across rounds is out
-// of scope.
-func NoiseMultiplier(epsilon, delta float64) float64 {
-	if epsilon <= 0 || delta <= 0 || delta >= 1 {
-		panic("privacy: epsilon must be positive and delta in (0,1)")
-	}
-	return math.Sqrt(2*math.Log(1.25/delta)) / epsilon
-}

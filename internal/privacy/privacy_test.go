@@ -63,24 +63,6 @@ func TestNoiseStatistics(t *testing.T) {
 	}
 }
 
-func TestNoiseMultiplier(t *testing.T) {
-	z := privacy.NoiseMultiplier(1, 1e-5)
-	want := math.Sqrt(2 * math.Log(1.25e5))
-	if math.Abs(z-want) > 1e-12 {
-		t.Fatalf("z = %g, want %g", z, want)
-	}
-	// Stronger privacy (smaller epsilon) needs more noise.
-	if privacy.NoiseMultiplier(0.5, 1e-5) <= z {
-		t.Fatal("noise multiplier not decreasing in epsilon")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad (eps, delta) did not panic")
-		}
-	}()
-	privacy.NoiseMultiplier(0, 0.1)
-}
-
 func TestValidate(t *testing.T) {
 	if err := (&privacy.Mechanism{ClipNorm: 1, NoiseStd: 0.1}).Validate(); err != nil {
 		t.Fatal(err)
