@@ -33,6 +33,7 @@ var hotPaths = []struct {
 	{"CoordinatorFold", foldStep, 0},
 	{"DeviceDispatchF64", dispatchStepF64, 3},
 	{"DeviceDispatchF32", dispatchStepF32, 3},
+	{"DeviceEval", evalStep, 2},
 	{"SolveEpochF64", solveEpochStepF64, 0},
 	{"SolveEpochF32", solveEpochStepF32, 0},
 }
@@ -46,7 +47,9 @@ func solveEpochStepF32(tb testing.TB, _ int) func() { return solveEpochStep(tb, 
 // at its floor: the fold and a solver epoch allocate nothing, a device
 // dispatch under delta+qsgd allocates three small objects (update headers;
 // every model-sized vector and payload comes from a pool, and the decoder
-// applies the link base itself, with no re-labelled header copy). One
+// applies the link base itself, with no re-labelled header copy), and a
+// device eval two: the reply's row slice and the shard's label slice, its
+// logits being pooled (per-example logits made it 18 here). One
 // tensor.GetVec turned back into a make is one more object per iteration
 // and fails here by name.
 func TestHotPathAllocFloors(t *testing.T) {
@@ -77,6 +80,7 @@ func benchHotPath(b *testing.B, setup func(testing.TB, int) func()) {
 func BenchmarkCoordinatorFold(b *testing.B)   { benchHotPath(b, foldStep) }
 func BenchmarkDeviceDispatchF64(b *testing.B) { benchHotPath(b, dispatchStepF64) }
 func BenchmarkDeviceDispatchF32(b *testing.B) { benchHotPath(b, dispatchStepF32) }
+func BenchmarkDeviceEval(b *testing.B)        { benchHotPath(b, evalStep) }
 func BenchmarkSolveEpochF64(b *testing.B)     { benchHotPath(b, solveEpochStepF64) }
 func BenchmarkSolveEpochF32(b *testing.B)     { benchHotPath(b, solveEpochStepF32) }
 
@@ -182,6 +186,29 @@ func dispatchStep(tb testing.TB, prec tensor.Precision, n int) func() {
 			tb.Fatal("device dispatch produced no encoded update")
 		}
 		i++
+	}
+}
+
+// evalStep is one device's share of a fleet evaluation, what every
+// executor's eval reaches through metrics.ShardEval: Device.HandleEval
+// of a decoded broadcast over one MNIST-shaped shard (784 features, 10
+// classes, 64 train and 16 test examples) — the mean training loss and
+// the batched test predictions.
+func evalStep(tb testing.TB, _ int) func() {
+	fed := synthetic.Generate(synthetic.Config{
+		Alpha: 1, Beta: 1, Devices: 1, Dim: 784, Classes: 10,
+		MinSamples: 80, MaxSamples: 80, PowerAlpha: 1.55, TrainFrac: 0.8, Seed: 42,
+	})
+	mdl := linear.ForDataset(fed)
+	dev := NewDevice(mdl, fed.Shards, DeviceOptions{})
+	w := frand.New(5).NormVec(make([]float64, mdl.NumParams()), 0, 0.01)
+	seq := 0
+	return func() {
+		seq++
+		r, err := dev.HandleEval(EvalRequest{Seq: seq, Params: w})
+		if err != nil || len(r.Devices) != 1 || r.Devices[0].TestN != 16 {
+			tb.Fatalf("eval reply %+v, %v", r, err)
+		}
 	}
 }
 

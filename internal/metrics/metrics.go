@@ -59,13 +59,25 @@ func FleetLoss(m model.Model, fl data.Fleet, w []float64) float64 {
 // evaluator runs per device — FleetEval in process, core.Device.HandleEval
 // behind the wire — so the two cannot drift.
 func ShardEval(m model.Model, w []float64, s *data.Shard) (loss float64, correct int) {
-	loss = m.Loss(w, s.Train)
-	for _, ex := range s.Test {
-		if m.Predict(w, ex) == ex.Y {
+	return m.Loss(w, s.Train), countCorrect(m, w, s.Test)
+}
+
+// predictions is m's label for every example of test, from one Predict
+// call.
+func predictions(m model.Model, w []float64, test []data.Example) []int {
+	labels := make([]int, len(test))
+	m.Predict(w, test, labels)
+	return labels
+}
+
+// countCorrect is the number of examples of test that m labels right.
+func countCorrect(m model.Model, w []float64, test []data.Example) (correct int) {
+	for e, y := range predictions(m, w, test) {
+		if y == test[e].Y {
 			correct++
 		}
 	}
-	return loss, correct
+	return correct
 }
 
 // Eval returns FleetLoss and FleetAccuracy from one pass over the shards.
@@ -109,11 +121,7 @@ func FleetAccuracy(m model.Model, fl data.Fleet, w []float64) float64 {
 	counts := make([]int, n)
 	tensor.ParallelFor(n, 0, func(k int) {
 		s := fl.Shard(k)
-		for _, ex := range s.Test {
-			if m.Predict(w, ex) == ex.Y {
-				correct[k]++
-			}
-		}
+		correct[k] = countCorrect(m, w, s.Test)
 		counts[k] = len(s.Test)
 		fl.Release(k)
 	})
@@ -141,10 +149,11 @@ func PerClassAccuracy(m model.Model, fed *data.Federated, w []float64) (acc []fl
 	tensor.ParallelFor(len(fed.Shards), 0, func(k int) {
 		c := make([]int, classes)
 		n := make([]int, classes)
-		for _, ex := range fed.Shards[k].Test {
-			n[ex.Y]++
-			if m.Predict(w, ex) == ex.Y {
-				c[ex.Y]++
+		test := fed.Shards[k].Test
+		for e, y := range predictions(m, w, test) {
+			n[test[e].Y]++
+			if y == test[e].Y {
+				c[y]++
 			}
 		}
 		correct[k], total[k] = c, n

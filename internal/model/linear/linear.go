@@ -57,18 +57,35 @@ func split[T tensor.Float](m *Model, w []T) (tensor.Matrix[T], []T) {
 	return W, w[m.Classes*m.Dim:]
 }
 
+// forward hands fn each example's logits in batch order, computed four
+// examples at a time by tensor.MatVecAdd4 with every X read in place;
+// logits is pooled scratch, valid until fn returns.
+func (m *Model) forward(w []float64, batch []data.Example, fn func(e int, logits []float64)) {
+	W, b := split(m, w)
+	buf := tensor.GetVec[float64](4 * m.Classes)
+	var xs [4][]float64
+	for e := 0; e < len(batch); e += 4 {
+		blk := batch[e:min(e+4, len(batch))]
+		for k, ex := range blk {
+			xs[k] = ex.X
+		}
+		tensor.MatVecAdd4(buf[:len(blk)*m.Classes], W, xs[:len(blk)], b)
+		for k := range blk {
+			fn(e+k, buf[k*m.Classes:(k+1)*m.Classes])
+		}
+	}
+	tensor.PutVec(buf)
+}
+
 // Loss returns mean cross-entropy over the batch.
 func (m *Model) Loss(w []float64, batch []data.Example) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	W, b := split(m, w)
-	logits := make([]float64, m.Classes)
 	total := 0.0
-	for _, ex := range batch {
-		tensor.MatVecAdd(logits, W, ex.X, b)
-		total += tensor.LogSumExp(logits) - logits[ex.Y]
-	}
+	m.forward(w, batch, func(e int, logits []float64) {
+		total += tensor.LogSumExp(logits) - logits[batch[e].Y]
+	})
 	return total / float64(len(batch))
 }
 
@@ -125,10 +142,10 @@ func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	return total * inv
 }
 
-// Predict returns argmax over class logits.
-func (m *Model) Predict(w []float64, ex data.Example) int {
-	W, b := split(m, w)
-	logits := make([]float64, m.Classes)
-	tensor.MatVecAdd(logits, W, ex.X, b)
-	return tensor.ArgMax(logits)
+// Predict writes each example's argmax over class logits into dst.
+func (m *Model) Predict(w []float64, batch []data.Example, dst []int) {
+	if len(dst) != len(batch) {
+		panic("linear: Predict needs one label slot per example")
+	}
+	m.forward(w, batch, func(e int, logits []float64) { dst[e] = tensor.ArgMax(logits) })
 }

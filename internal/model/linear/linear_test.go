@@ -2,9 +2,12 @@ package linear
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"fedprox/internal/data"
+	"fedprox/internal/data/mnistsim"
+	"fedprox/internal/data/synthetic"
 	"fedprox/internal/frand"
 	"fedprox/internal/metrics"
 	"fedprox/internal/tensor"
@@ -161,11 +164,89 @@ func TestPredictArgmax(t *testing.T) {
 	// W rows: class 0 = [1,0], class 1 = [0,1], class 2 = [0,0].
 	w[0] = 1 // W[0][0]
 	w[3] = 1 // W[1][1]
-	if got := m.Predict(w, data.Example{X: []float64{5, 1}}); got != 0 {
-		t.Fatalf("Predict = %d, want 0", got)
+	got := make([]int, 2)
+	m.Predict(w, []data.Example{{X: []float64{5, 1}}, {X: []float64{1, 5}}}, got)
+	if got[0] != 0 || got[1] != 1 {
+		t.Fatalf("Predict = %v, want [0 1]", got)
 	}
-	if got := m.Predict(w, data.Example{X: []float64{1, 5}}); got != 1 {
-		t.Fatalf("Predict = %d, want 1", got)
+}
+
+// TestForwardMatchesPerExampleMatVecAdd: Loss and Predict, four examples
+// abreast, give the bits of the one-example-at-a-time forward pass —
+// tensor.MatVecAdd per example, LogSumExp − logit summed in order — on
+// every prefix of every split of every shard, so every ragged last block
+// is covered: at MNIST's 784×10 and at the lazy fleet's 10×5.
+func TestForwardMatchesPerExampleMatVecAdd(t *testing.T) {
+	lazy := synthetic.NewFleet(synthetic.Config{
+		Alpha: 1, Beta: 1, Devices: 40, Dim: 10, Classes: 5,
+		MinSamples: 10, MaxSamples: 20, PowerAlpha: 1.55, TrainFrac: 0.8, Seed: 43,
+	})
+	for _, tc := range []struct {
+		name string
+		fl   data.Fleet
+		m    *Model
+	}{
+		{"mnist", mnistsim.GenerateScaled(0.2).Fleet(), New(784, 10)},
+		{"lazy", lazy, New(10, 5)},
+	} {
+		w := frand.New(21).NormVec(make([]float64, tc.m.NumParams()), 0, 0.05)
+		W, b := split(tc.m, w)
+		logits := make([]float64, tc.m.Classes)
+		for k := 0; k < tc.fl.NumDevices(); k++ {
+			s := tc.fl.Shard(k)
+			for _, batch := range [][]data.Example{s.Train, s.Test} {
+				total, labels := 0.0, make([]int, len(batch))
+				for p, ex := range batch {
+					tensor.MatVecAdd(logits, W, ex.X, b)
+					total += tensor.LogSumExp(logits) - logits[ex.Y]
+					if got, want := tc.m.Loss(w, batch[:p+1]), total/float64(p+1); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s device %d: Loss of %d examples = %v, per-example MatVecAdd gives %v", tc.name, k, p+1, got, want)
+					}
+					tc.m.Predict(w, batch[:p+1], labels[:p+1])
+					if want := tensor.ArgMax(logits); labels[p] != want {
+						t.Fatalf("%s device %d: Predict of %d examples labels the last %d, per-example MatVecAdd %d", tc.name, k, p+1, labels[p], want)
+					}
+				}
+			}
+			tc.fl.Release(k)
+		}
+	}
+}
+
+// TestForwardRejectsWrongLengthX: an X of the wrong length panics with a
+// shape message before the kernel reads it — nothing of its block of four
+// is written — wherever it sits in the batch.
+func TestForwardRejectsWrongLengthX(t *testing.T) {
+	const dim = 6
+	m := New(dim, 5)
+	w := frand.New(3).NormVec(make([]float64, m.NumParams()), 0, 1)
+	for _, at := range []int{0, 3, 9} {
+		for _, n := range []int{dim - 1, dim + 1} {
+			batch := randBatch(frand.New(4), 10, dim, 5)
+			batch[at].X = make([]float64, n)
+			labels := make([]int, len(batch))
+			for e := range labels {
+				labels[e] = -1
+			}
+			for name, call := range map[string]func(){
+				"Loss":    func() { m.Loss(w, batch) },
+				"Predict": func() { m.Predict(w, batch, labels) },
+			} {
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, "shape mismatch") {
+							t.Errorf("%s with a %d-feature X at %d: recovered %q, want a shape mismatch panic", name, n, at, msg)
+						}
+					}()
+					call()
+				}()
+			}
+			for e := at / 4 * 4; e < len(labels); e++ {
+				if labels[e] != -1 {
+					t.Fatalf("Predict with a %d-feature X at %d wrote label %d of its block", n, at, e)
+				}
+			}
+		}
 	}
 }
 

@@ -270,12 +270,17 @@ func (m *Model) Loss(w []float64, batch []data.Example) float64 {
 	return total / float64(len(batch))
 }
 
-// Predict returns the argmax class for one example.
-func (m *Model) Predict(w []float64, ex data.Example) int {
+// Predict writes each example's argmax class into dst.
+func (m *Model) Predict(w []float64, batch []data.Example, dst []int) {
+	if len(dst) != len(batch) {
+		panic("lstm: Predict needs one label slot per example")
+	}
 	v := m.view(w)
 	logits := make([]float64, m.cfg.Classes)
-	m.forward(v, ex.Seq, nil, logits)
-	return tensor.ArgMax(logits)
+	for e, ex := range batch {
+		m.forward(v, ex.Seq, nil, logits)
+		dst[e] = tensor.ArgMax(logits)
+	}
 }
 
 // Grad writes the mean cross-entropy gradient over the batch into dst and

@@ -187,8 +187,10 @@ func TestLearnsMajorityToken(t *testing.T) {
 		t.Fatalf("loss barely moved: %g -> %g", first, last)
 	}
 	correct := 0
-	for _, ex := range batch {
-		if m.Predict(w, ex) == ex.Y {
+	labels := make([]int, len(batch))
+	m.Predict(w, batch, labels)
+	for e, ex := range batch {
+		if labels[e] == ex.Y {
 			correct++
 		}
 	}

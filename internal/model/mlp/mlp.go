@@ -220,9 +220,14 @@ func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	return total * inv
 }
 
-// Predict returns the argmax class for one example.
-func (m *Model) Predict(w []float64, ex data.Example) int {
+// Predict writes each example's argmax class into dst.
+func (m *Model) Predict(w []float64, batch []data.Example, dst []int) {
+	if len(dst) != len(batch) {
+		panic("mlp: Predict needs one label slot per example")
+	}
 	logits := make([]float64, m.sizes[len(m.sizes)-1])
-	m.forward(w, ex.X, logits)
-	return tensor.ArgMax(logits)
+	for e, ex := range batch {
+		m.forward(w, ex.X, logits)
+		dst[e] = tensor.ArgMax(logits)
+	}
 }

@@ -31,8 +31,11 @@ type Model interface {
 	// (overwriting it) and returns the mean loss. len(dst) must equal
 	// NumParams.
 	Grad(dst, w []float64, batch []data.Example) float64
-	// Predict returns the predicted label for a single example.
-	Predict(w []float64, ex data.Example) int
+	// Predict writes the predicted label of batch[e] into dst[e]; len(dst)
+	// must equal len(batch). One call covers a shard's whole test split,
+	// so a model can share its forward pass's scratch, or its kernel,
+	// between examples.
+	Predict(w []float64, batch []data.Example, dst []int)
 }
 
 // Model32 is the one width constraint left in the repository: a Model

@@ -37,6 +37,9 @@ func addOuter2x4F32(r0, r1, x unsafe.Pointer, d int, c unsafe.Pointer)
 func addOuter2x1F32(r0, r1, x unsafe.Pointer, d int, c0, c1 float32)
 
 //go:noescape
+func matVec4x5F64(out unsafe.Pointer, stride int, x0, x1, x2, x3, w unsafe.Pointer, d int, b unsafe.Pointer, n int)
+
+//go:noescape
 func proxStepF64(w, grad, w0 unsafe.Pointer, n int, eta, mu float64)
 
 //go:noescape
@@ -91,6 +94,14 @@ func addOuter2x1[T Float](size int, r0, r1, x []T, c0, c1 T) {
 	} else {
 		addOuter2x1F32(ptr(r0), ptr(r1), ptr(x), len(r0), float32(c0), float32(c1))
 	}
+}
+
+// matVec4x5 is float64 only (MatVecAdd4 asks for size 8): w is five rows
+// of the examples' length back to back, b their biases, and the first n
+// of the four examples are stored, example e's logits stride elements
+// after example e−1's.
+func matVec4x5[T Float](out []T, stride int, x *[4][]T, w, b []T, n int) {
+	matVec4x5F64(ptr(out), stride, ptr(x[0]), ptr(x[1]), ptr(x[2]), ptr(x[3]), ptr(w), len(x[0]), ptr(b), n)
 }
 
 func proxStep[T Float](size int, w, g, w0 []T, eta, mu T) {

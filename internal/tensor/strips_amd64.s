@@ -1,6 +1,6 @@
-// AVX strips under MatMulNT, AddOuterPanel and ProxStep, and AVX2 strips
-// under the byte quantiser's three loops (see the package comment in
-// tensor.go for the contract). Every strip performs, per
+// AVX strips under MatMulNT, AddOuterPanel, MatVecAdd4 and ProxStep, and
+// AVX2 strips under the byte quantiser's three loops (see the package
+// comment in tensor.go for the contract). Every strip performs, per
 // element, exactly the multiplies, adds and subtracts of the Go loop it
 // replaces, in that loop's order, each rounded on its own: packed and
 // scalar AVX arithmetic only, never a fused multiply-add. Each loop body
@@ -504,6 +504,135 @@ ao1f32tail:
 	JMP  ao1f32tail
 
 ao1f32done:
+	VZEROUPPER
+	RET
+
+// ---- MatVecAdd4: five weight rows against four examples, float64 ----
+//
+// The four examples sit in the four lanes, so each weight element is
+// broadcast and every lane's sum runs from +0 left to right, as MatVec's
+// one scalar chain per row does. Register use through the loops: SI, R11,
+// R12, R13 the example rows, R9, R10, BX, DI, R8 the weight rows, AX the
+// element index, CX d, DX d rounded down to a multiple of four; Y0-Y4 the
+// five rows' accumulators, Y5-Y9 the examples' elements, Y10-Y14 products.
+
+// MAC is one step of row W's sums in every lane: ACC += W[k]·COL.
+#define MAC(W, OFF, COL, T, ACC) \
+	VBROADCASTSD OFF(W)(AX*8), T \
+	VMULPD       COL, T, T       \
+	VADDPD       T, ACC, ACC
+
+// COL5 folds one element of the four examples, (x0[k], x1[k], x2[k],
+// x3[k]) in COL, into all five rows; OFF is k's byte offset from AX.
+#define COL5(OFF, COL) \
+	MAC(R9, OFF, COL, Y10, Y0)  \
+	MAC(R10, OFF, COL, Y11, Y1) \
+	MAC(BX, OFF, COL, Y12, Y2)  \
+	MAC(DI, OFF, COL, Y13, Y3)  \
+	MAC(R8, OFF, COL, Y14, Y4)
+
+// STORE5 writes one lane of the five accumulators, the low (VMOVSD) or
+// high (VMOVHPD) half of X0-X4, as one example's five logits at DI.
+#define STORE5(MOV) \
+	MOV X0, 0(DI)  \
+	MOV X1, 8(DI)  \
+	MOV X2, 16(DI) \
+	MOV X3, 24(DI) \
+	MOV X4, 32(DI)
+
+// func matVec4x5F64(out unsafe.Pointer, stride int, x0, x1, x2, x3, w unsafe.Pointer, d int, b unsafe.Pointer, n int)
+TEXT ·matVec4x5F64(SB), NOSPLIT, $0-80
+	MOVQ   x0+16(FP), SI
+	MOVQ   x1+24(FP), R11
+	MOVQ   x2+32(FP), R12
+	MOVQ   x3+40(FP), R13
+	MOVQ   w+48(FP), R9
+	MOVQ   d+56(FP), CX
+	LEAQ   (R9)(CX*8), R10
+	LEAQ   (R10)(CX*8), BX
+	LEAQ   (BX)(CX*8), DI
+	LEAQ   (DI)(CX*8), R8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	XORQ   AX, AX
+	MOVQ   CX, DX
+	ANDQ   $-4, DX
+
+mv4loop:
+	CMPQ AX, DX
+	JGE  mv4tail
+	// Four elements of each example, transposed in registers: Y9, Y6,
+	// Y5, Y8 end up holding elements k, k+1, k+2, k+3 of all four.
+	VMOVUPD     (SI)(AX*8), X5
+	VINSERTF128 $1, (R12)(AX*8), Y5, Y5
+	VMOVUPD     (R11)(AX*8), X6
+	VINSERTF128 $1, (R13)(AX*8), Y6, Y6
+	VMOVUPD     16(SI)(AX*8), X7
+	VINSERTF128 $1, 16(R12)(AX*8), Y7, Y7
+	VMOVUPD     16(R11)(AX*8), X8
+	VINSERTF128 $1, 16(R13)(AX*8), Y8, Y8
+	VUNPCKLPD   Y6, Y5, Y9
+	VUNPCKHPD   Y6, Y5, Y6
+	VUNPCKLPD   Y8, Y7, Y5
+	VUNPCKHPD   Y8, Y7, Y8
+	COL5(0, Y9)
+	COL5(8, Y6)
+	COL5(16, Y5)
+	COL5(24, Y8)
+	ADDQ        $4, AX
+	JMP         mv4loop
+
+mv4tail:
+	CMPQ        AX, CX
+	JGE         mv4bias
+	VMOVSD      (SI)(AX*8), X5
+	VMOVHPD     (R11)(AX*8), X5, X5
+	VMOVSD      (R12)(AX*8), X6
+	VMOVHPD     (R13)(AX*8), X6, X6
+	VINSERTF128 $1, X6, Y5, Y5
+	COL5(0, Y5)
+	INCQ        AX
+	JMP         mv4tail
+
+mv4bias:
+	MOVQ         b+64(FP), SI
+	VBROADCASTSD 0(SI), Y10
+	VBROADCASTSD 8(SI), Y11
+	VBROADCASTSD 16(SI), Y12
+	VBROADCASTSD 24(SI), Y13
+	VBROADCASTSD 32(SI), Y14
+	VADDPD       Y10, Y0, Y0
+	VADDPD       Y11, Y1, Y1
+	VADDPD       Y12, Y2, Y2
+	VADDPD       Y13, Y3, Y3
+	VADDPD       Y14, Y4, Y4
+	MOVQ         out+0(FP), DI
+	MOVQ         stride+8(FP), R8
+	SHLQ         $3, R8
+	MOVQ         n+72(FP), CX
+	STORE5(VMOVSD)
+	CMPQ         CX, $2
+	JLT          mv4done
+	ADDQ         R8, DI
+	STORE5(VMOVHPD)
+	CMPQ         CX, $3
+	JLT          mv4done
+	ADDQ         R8, DI
+	VEXTRACTF128 $1, Y0, X0
+	VEXTRACTF128 $1, Y1, X1
+	VEXTRACTF128 $1, Y2, X2
+	VEXTRACTF128 $1, Y3, X3
+	VEXTRACTF128 $1, Y4, X4
+	STORE5(VMOVSD)
+	CMPQ         CX, $4
+	JLT          mv4done
+	ADDQ         R8, DI
+	STORE5(VMOVHPD)
+
+mv4done:
 	VZEROUPPER
 	RET
 

@@ -103,6 +103,7 @@ var stripTable = []struct {
 		matMulNTBits[float64, ref64], matMulNTBits[float32, ref32]},
 	{"AddOuterPanel", []string{"addOuter2x4F64", "addOuter2x1F64", "addOuter2x4F32", "addOuter2x1F32"},
 		addOuterPanelBits[float64, ref64], addOuterPanelBits[float32, ref32]},
+	{"MatVecAdd4", []string{"matVec4x5F64"}, matVecAdd4Bits[float64, ref64], nil},
 	{"ProxStep", []string{"proxStepF64", "proxStepF32"},
 		proxStepBits[float64, ref64], proxStepBits[float32, ref32]},
 	{"ByteQuantizer", []string{"maxAbsDiffF64", "quantizeBytesF64", "dequantizeBytesF64"}, byteQuantizerBits, nil},
@@ -170,6 +171,40 @@ func addOuterPanelBits[T, R Float](t *testing.T) {
 					AddOuterPanel(MatView(mt, rows, d), T(0.1), MatView(yt, bn, rows), MatView(xt, bn, d))
 					AddOuterPanel(MatView(mr, rows, d), R(0.1), MatView(yr, bn, rows), MatView(xr, bn, d))
 					if !sameBits(t, "AddOuterPanel", at.buf, ar.buf) {
+						t.Fatalf("at d=%d batch=%d rows=%d kind=%d", d, bn, rows, kind)
+					}
+				}
+			}
+		}
+	}
+}
+
+// matVecAdd4Bits walks a batch of examples, each its own operand in the
+// arena, through MatVecAdd4 four at a time as linear's Loss does, so the
+// ragged last block and the row counts that make the last five-row strip
+// overlap (9, 11) or leave the Go loop alone (< 5) are all covered.
+func matVecAdd4Bits[T, R Float](t *testing.T) {
+	rng := frand.New(13)
+	for _, d := range stripDims {
+		for _, bn := range append([]int{0}, stripBatches...) {
+			for _, rows := range append([]int{4, 9, 11}, stripRows...) {
+				for kind := 0; kind < 3; kind++ {
+					n := bn*(d+4) + rows*d + rows + bn*rows + 32
+					at, ar := newArena[T](n), newArena[R](n)
+					xt, xr := make([][]T, bn), make([][]R, bn)
+					for e := range xt {
+						x := operand(rng, d, kind)
+						xt[e], xr[e] = at.take(x), ar.take(x)
+					}
+					w, b, out := operand(rng, rows*d, kind), operand(rng, rows, kind), make([]float64, bn*rows)
+					wt, bt, ot := at.take(w), at.take(b), at.take(out)
+					wr, br, or := ar.take(w), ar.take(b), ar.take(out)
+					for e := 0; e < bn; e += 4 {
+						k := min(e+4, bn)
+						MatVecAdd4(ot[e*rows:k*rows], MatView(wt, rows, d), xt[e:k], bt)
+						MatVecAdd4(or[e*rows:k*rows], MatView(wr, rows, d), xr[e:k], br)
+					}
+					if !sameBits(t, "MatVecAdd4", at.buf, ar.buf) {
 						t.Fatalf("at d=%d batch=%d rows=%d kind=%d", d, bn, rows, kind)
 					}
 				}
@@ -360,23 +395,39 @@ func quantizeStreamContinuity(t *testing.T) {
 
 // TestMatVecMatchesSequential: the four-row MatVec gives every row the
 // bits of a plain left-to-right dot product, through the four-row block
-// and its remainder.
+// and its remainder, and MatVecAdd4 gives every logit of one to four
+// examples that dot plus the bias, on whichever path this machine runs.
 func TestMatVecMatchesSequential(t *testing.T) {
 	rng := frand.New(10)
-	for rows := 1; rows <= 9; rows++ {
+	for rows := 1; rows <= 11; rows++ {
 		for _, d := range []int{1, 3, 4, 7, 60} {
 			for kind := 0; kind < 3; kind++ {
 				m := MatView(operand(rng, rows*d, kind), rows, d)
-				x := operand(rng, d, kind)
-				dst := make(Vec, rows)
-				MatVec(dst, m, x)
-				for i := range dst {
-					want := 0.0
+				b := operand(rng, rows, kind)
+				xs := [][]float64{operand(rng, d, kind), operand(rng, d, kind), operand(rng, d, kind), operand(rng, d, kind)}
+				dot := func(i int, x Vec) float64 {
+					s := 0.0
 					for j, v := range m.Row(i) {
-						want += v * x[j]
+						s += v * x[j]
 					}
-					if math.Float64bits(dst[i]) != math.Float64bits(want) {
+					return s
+				}
+				dst := make(Vec, rows)
+				MatVec(dst, m, xs[0])
+				for i := range dst {
+					if want := dot(i, xs[0]); math.Float64bits(dst[i]) != math.Float64bits(want) {
 						t.Fatalf("MatVec %dx%d kind %d row %d = %v, sequential dot is %v", rows, d, kind, i, dst[i], want)
+					}
+				}
+				for n := 1; n <= 4; n++ {
+					logits := make(Vec, n*rows)
+					MatVecAdd4(logits, m, xs[:n], b)
+					for e, x := range xs[:n] {
+						for i := 0; i < rows; i++ {
+							if got, want := logits[e*rows+i], dot(i, x)+b[i]; math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("MatVecAdd4 %dx%d kind %d, %d examples: logit %d of example %d = %v, sequential dot plus bias is %v", rows, d, kind, n, i, e, got, want)
+							}
+						}
 					}
 				}
 			}

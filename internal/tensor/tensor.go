@@ -15,14 +15,17 @@
 //
 // # Assembly strips
 //
-// Three loops — the ones a profile of a local solve names — also exist as
-// hand-written AVX assembly on amd64 (strips_amd64.s), at both widths:
-// the two-weight-row inner loops of MatMulNT (against four examples and
-// against one), the two-destination-row inner loops of AddOuterPanel
-// (four examples and one), and ProxStep. Three more — the ones a profile
-// of a codec round names — exist as AVX2 assembly at float64 only, against
-// a non-nil base: quant.go's MaxAbsDiff, QuantizeBytes and DequantizeBytes.
-// Nothing else has assembly, and no assembly lives outside this package.
+// Four loops also exist as hand-written AVX assembly on amd64
+// (strips_amd64.s). Three are the ones a profile of a local solve names,
+// at both widths: the two-weight-row inner loops of MatMulNT (against four
+// examples and against one), the two-destination-row inner loops of
+// AddOuterPanel (four examples and one), and ProxStep. The fourth is the
+// one a profile of an evaluation names, at float64 only: MatVecAdd4's
+// five weight rows against four examples, one example per lane. Three
+// more — the ones a profile of a codec round names — exist as AVX2
+// assembly at float64 only, against a non-nil base: quant.go's
+// MaxAbsDiff, QuantizeBytes and DequantizeBytes. Nothing else has
+// assembly, and no assembly lives outside this package.
 //
 // The generic Go bodies are the specification. A strip performs, element
 // by element, exactly the multiplies, adds and subtracts its Go loop
@@ -456,6 +459,50 @@ func MatVec(dst Vec, m Mat, x Vec) {
 func MatVecAdd(dst Vec, m Mat, x, b Vec) {
 	MatVec(dst, m, x)
 	Axpy(1, b, dst)
+}
+
+// MatVecAdd4 is MatVecAdd for up to four examples at once, each read in
+// place: dst[e·M.Rows+i] ← (Σ_j M[i][j]·xs[e][j]) + b[i] for every e <
+// len(xs), each sum from +0 left to right with every product and add
+// rounded on its own — MatVecAdd's bits exactly. Every shape, each
+// example's length included, is checked before any example is read.
+func MatVecAdd4[T Float](dst []T, m Matrix[T], xs [][]T, b []T) {
+	n, d := len(xs), m.Cols
+	if n > 4 || len(dst) != n*m.Rows || len(b) != m.Rows {
+		panic(fmt.Sprintf("tensor: MatVecAdd4 shape mismatch: %d examples, %d outputs, %d biases for %dx%d", n, len(dst), len(b), m.Rows, d))
+	}
+	if n == 0 {
+		return
+	}
+	// A ragged block repeats its last example in the lanes nobody stores.
+	var x [4][]T
+	for e := range x {
+		x[e] = xs[min(e, n-1)]
+		if len(x[e]) != d {
+			panic(fmt.Sprintf("tensor: MatVecAdd4 shape mismatch: example %d has %d features, want %d", e, len(x[e]), d))
+		}
+	}
+	if stripSize(m.Data, d) == 8 && m.Rows >= 5 { // five rows a strip
+		for i := 0; i < m.Rows; i += 5 {
+			s := min(i, m.Rows-5) // the last strip may redo rows, to the same bits
+			matVec4x5(dst[s:], m.Rows, &x, m.Data[s*d:(s+5)*d], b[s:s+5], n)
+		}
+		return
+	}
+	x0, x1, x2, x3 := x[0][:d], x[1][:d], x[2][:d], x[3][:d]
+	for i := 0; i < m.Rows; i++ {
+		var s0, s1, s2, s3 T
+		for j, v := range m.Row(i)[:d] {
+			s0 += v * x0[j]
+			s1 += v * x1[j]
+			s2 += v * x2[j]
+			s3 += v * x3[j]
+		}
+		sums := [4]T{s0, s1, s2, s3}
+		for e := 0; e < n; e++ {
+			dst[e*m.Rows+i] = sums[e] + b[i]
+		}
+	}
 }
 
 // AddOuter computes M ← M + alpha·(y xᵀ), the rank-one update that backs
