@@ -99,6 +99,27 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+// TestNormGolden pins the first deviates of New(1) by their bits, so a
+// change to the stream or to Box–Muller's arithmetic fails by name.
+func TestNormGolden(t *testing.T) {
+	want := []uint64{
+		0xbfa18b7c84d5c3b6, // -0.034267321791851144
+		0xc004002362ce87bd, // -2.5000674933698677
+		0x3fb674facc896de5, // 0.08772246831488635
+		0xc000379279a48e07, // -2.0271348479598177
+		0x3fcca56e94386ddc, // 0.2237985824329901
+		0xbfe9ad5854bf4fec, // -0.8024102835865938
+		0xbff15027b0bec018, // -1.0820691017252155
+		0x3fe10ddd22f8278a, // 0.5329423602099592
+	}
+	s := New(1)
+	for i, w := range want {
+		if got := math.Float64bits(s.Norm()); got != w {
+			t.Errorf("deviate %d = %#016x, want %#016x", i, got, w)
+		}
+	}
+}
+
 func TestNormMeanStd(t *testing.T) {
 	s := New(17)
 	const n = 100000
