@@ -1,12 +1,12 @@
 // Package fedprox_bench regenerates every table and figure of the paper's
-// evaluation as a testing.B benchmark, plus ablation benches for the
-// design choices called out in DESIGN.md §5.
+// evaluation as a testing.B benchmark, plus ablation benches
+// (BenchmarkAblation*) for this implementation's own design choices.
 //
 // Each benchmark executes its experiment at the miniature preset (the
-// comparisons' qualitative shape is preserved; see EXPERIMENTS.md for
-// paper-scale numbers) and reports the headline scalar of the figure as a
-// custom metric so regressions in *outcome*, not just runtime, are
-// visible in benchstat output.
+// comparisons' qualitative shape is preserved; fedbench without -fast runs
+// the paper-scale configurations) and reports the headline scalar of the
+// figure as a custom metric so regressions in *outcome*, not just
+// runtime, are visible in benchstat output.
 //
 //	go test -bench=. -benchmem
 package fedprox_bench
@@ -193,7 +193,7 @@ func BenchmarkExtGamma(b *testing.B) {
 	})
 }
 
-// --- ablation benches (DESIGN.md §5) ---
+// --- ablation benches: μ, the straggler policy and the epoch budget ---
 
 func BenchmarkAblationMu(b *testing.B) {
 	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.1))

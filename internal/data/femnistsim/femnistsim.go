@@ -4,7 +4,7 @@
 // train multinomial logistic regression (Appendix C.1).
 //
 // Real EMNIST images are replaced by class-conditional Gaussian prototype
-// images (internal/data/imagesim; DESIGN.md §4). FEMNIST's prototypes use
+// images (see imagesim's package comment for why). FEMNIST's prototypes use
 // more blobs and higher noise than the MNIST surrogate so the task is
 // harder, mirroring the real datasets' relative difficulty.
 package femnistsim

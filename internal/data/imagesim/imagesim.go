@@ -1,7 +1,10 @@
 // Package imagesim generates class-conditional Gaussian "image" datasets
 // with label-skew federated partitions. It is the shared substrate behind
-// the MNIST and FEMNIST surrogates (see DESIGN.md §4 for the substitution
-// argument).
+// the MNIST and FEMNIST surrogates. The repository runs offline, with no
+// dataset downloads or pretrained embeddings, so every dataset of Section
+// 5.1 is generated: a surrogate keeps what the experiments exercise, the
+// statistical heterogeneity described below, and replaces only the data
+// itself (and, for Sent140, the GloVe embeddings, which the LSTM learns).
 //
 // Each class c gets a prototype image: a sum of a few smooth 2-D Gaussian
 // blobs on a side×side grid, giving classes distinct but overlapping
@@ -17,6 +20,7 @@ import (
 
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
+	"fedprox/internal/tensor"
 )
 
 // Config parameterizes the generator.
@@ -108,9 +112,10 @@ func Generate(c Config) *data.Federated {
 		for i := range examples {
 			y := classes[devRng.Intn(len(classes))]
 			x := make([]float64, dim)
+			tensor.Normals(x, devRng)
 			proto := protos[y]
 			for j := range x {
-				v := proto[j] + devRng.NormMeanStd(0, c.Noise)
+				v := proto[j] + (0 + c.Noise*x[j]) // NormMeanStd(0, c.Noise)'s expression
 				if style != nil {
 					v += c.DeviceSkew * style[j]
 				}

@@ -4,7 +4,7 @@
 // (Section 5.1 and Appendix C.1).
 //
 // Real MNIST images are replaced by class-conditional Gaussian prototype
-// images (see internal/data/imagesim and DESIGN.md §4); the optimization
+// images (see imagesim's package comment for why); the optimization
 // structure that the paper's experiments exercise — convex local
 // objectives with heavy label skew and power-law device sizes — is
 // preserved exactly.

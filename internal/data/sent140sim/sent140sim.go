@@ -10,7 +10,7 @@
 // on) and its own positivity rate. A tweet's label is the sign of its net
 // lexicon polarity, with token-level noise so the task is learnable but
 // not trivial. Embeddings are learned by the model instead of loaded from
-// GloVe (offline constraint; DESIGN.md §4).
+// GloVe (the offline constraint of imagesim's package comment).
 package sent140sim
 
 import (

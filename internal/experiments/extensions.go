@@ -20,7 +20,8 @@ import (
 // The ext-* experiments go beyond the paper's figures: they validate the
 // theory on measured constants, replace the designated-straggler shortcut
 // with an emergent capability model, demonstrate solver-agnosticism, and
-// measure achieved γ-inexactness. DESIGN.md §5 lists them as ablations.
+// measure achieved γ-inexactness; bench_test.go's BenchmarkAblation* are
+// the ablations beside them.
 func init() {
 	register("ext-theory", "theory validation: measured B/L/rho across the synthetic ladder", extTheory)
 	register("ext-syshet", "capability-driven systems heterogeneity (global clock + device tiers)", extSyshet)

@@ -90,6 +90,8 @@ func (s *Source) IntRange(lo, hi int) int {
 }
 
 // Norm returns a standard normal deviate via the Box-Muller transform.
+// tensor.Normals is its batched twin: it fills a slice with the values
+// successive Norm calls return, bit for bit, four at a time on AVX2.
 func (s *Source) Norm() float64 {
 	// Draw u1 in (0,1] so Log never sees zero.
 	u1 := 1.0 - s.Float64()
@@ -215,6 +217,9 @@ func (s *Source) PowerLaw(min, max int, alpha float64) int {
 	lo := math.Pow(float64(min), 1-alpha)
 	hi := math.Pow(float64(max), 1-alpha)
 	v := math.Pow(lo+u*(hi-lo), 1/(1-alpha))
+	if alpha == 1 { // density 1/v: log-uniform, where the above is 1^+Inf = 1
+		v = float64(min) * math.Pow(float64(max)/float64(min), u)
+	}
 	n := int(v)
 	if n < min {
 		n = min

@@ -2,6 +2,7 @@ package frand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -312,6 +313,28 @@ func TestPowerLawSkew(t *testing.T) {
 	}
 	if small < 10*large {
 		t.Fatalf("power law not heavy near the minimum: small=%d large=%d", small, large)
+	}
+}
+
+// TestPowerLawAlphaOne: at alpha = 1 the draws are log-uniform over
+// [min, max], so they span the range and their median is near
+// √(min·max), where the Pareto form returned min on every draw.
+func TestPowerLawAlphaOne(t *testing.T) {
+	s := New(54)
+	const n = 10000
+	v := make([]int, n)
+	for i := range v {
+		v[i] = s.PowerLaw(10, 1000, 1)
+		if v[i] < 10 || v[i] > 1000 {
+			t.Fatalf("PowerLaw(10, 1000, 1) = %d", v[i])
+		}
+	}
+	slices.Sort(v)
+	if v[0] > 11 || v[n-1] < 950 {
+		t.Fatalf("draws span %d…%d, want about 10…1000", v[0], v[n-1])
+	}
+	if med := v[n/2]; med < 90 || med > 110 {
+		t.Fatalf("median %d, want about √(10·1000) = 100", med)
 	}
 }
 

@@ -32,7 +32,7 @@ type Config struct {
 	Vocab int
 	// Embed is the embedding dimension (D). The paper uses 8 for
 	// Shakespeare and pretrained 300-d GloVe for Sent140; here both are
-	// learned (DESIGN.md §4).
+	// learned (the offline constraint; see imagesim's package comment).
 	Embed int
 	// Hidden is the per-layer hidden size (H). Paper: 100 (Shakespeare),
 	// 256 (Sent140).

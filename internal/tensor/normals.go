@@ -1,0 +1,36 @@
+package tensor
+
+import "fedprox/internal/frand"
+
+// Normals writes the next len(dst) values of rng.Norm() into dst, bit for
+// bit, and leaves rng where those calls would. On amd64 with AVX2 it draws
+// Norm's uniform pairs, in Norm's order, into stack blocks, and the strip
+// computes Norm's formula four deviates at a time with math.Log's and
+// math.Cos's own operations; the len(dst)%4 tail and other machines call Norm.
+func Normals(dst []float64, rng *frand.Source) {
+	if hasAVX2 {
+		var a, b [256]float64
+		for len(dst) >= 4 {
+			k := min(len(dst), len(a)) &^ 3
+			drawPairs(a[:k], b[:k], rng)
+			boxMullerF64(dst[:k], a[:k], b[:k])
+			dst = dst[k:]
+		}
+	}
+	for i := range dst {
+		dst[i] = rng.Norm()
+	}
+}
+
+// drawPairs fills a and b with Norm's uniforms, pair by pair: a loop of
+// its own, where the stream state stays in a register (in Normals' loop it
+// is spilled on every draw, 6% slower).
+func drawPairs(a, b []float64, rng *frand.Source) {
+	b = b[:len(a)]
+	r := *rng
+	for i := range a {
+		a[i] = 1 - r.Float64()
+		b[i] = r.Float64()
+	}
+	*rng = r
+}

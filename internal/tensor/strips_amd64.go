@@ -57,6 +57,13 @@ func quantizeBytesF64(dst []byte, v, base []float64, invUnit float64, s int, sta
 //go:noescape
 func dequantizeBytesF64(out []float64, q []byte, base []float64, unit float64, s int)
 
+// boxMullerF64 stores Sqrt(−2·Log(a[i]))·Cos(2π·b[i]) in dst[i], with
+// math's bits, for slices of one length, a positive multiple of four, with
+// every a in [2⁻⁵³, 1] and every b in [0, 1) (AVX2; Normals' strip).
+//
+//go:noescape
+func boxMullerF64(dst, a, b []float64)
+
 // The wrappers below pick a strip by element size (see stripSize, which
 // has already established that T is exactly float64 or float32, so the
 // scalar conversions are identities). Slices are rows of at least the

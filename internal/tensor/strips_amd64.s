@@ -1,11 +1,13 @@
 // AVX strips under MatMulNT, AddOuterPanel, MatVecAdd4 and ProxStep, and
-// AVX2 strips under the byte quantiser's three loops (see the package
-// comment in tensor.go for the contract). Every strip performs, per
-// element, exactly the multiplies, adds and subtracts of the Go loop it
-// replaces, in that loop's order, each rounded on its own: packed and
-// scalar AVX arithmetic only, never a fused multiply-add. Each loop body
-// is written once as a macro and instantiated for the vector step and
-// for the scalar tail at both widths, so the four cannot drift apart.
+// AVX2 strips under the byte quantiser's three loops and under Normals
+// (see the package comment in tensor.go for the contract). Every strip
+// performs, per element, exactly the multiplies, adds and subtracts of the
+// Go code it replaces (Normals': math.Log's and math.Cos's, and their one
+// divide and one square root), in that code's order, each rounded on its
+// own: packed and scalar AVX arithmetic only, never a fused multiply-add.
+// Each loop body is written once as a macro and instantiated for the
+// vector step and for the scalar tail at both widths, so the four cannot
+// drift apart.
 //
 // Go operand order: OP src2, src1, dst computes dst = src1 OP src2.
 
@@ -867,5 +869,197 @@ dequantloop:
 	ADDQ      $4, AX
 	CMPQ      AX, CX
 	JLT       dequantloop
+	VZEROUPPER
+	RET
+
+// ---- Normals: Box–Muller, Sqrt(−2·Log(a))·Cos(2π·b), four lanes ----
+//
+// AVX2, float64 slices of one length n, a positive multiple of four, with
+// a in [2⁻⁵³, 1] and b in [0, 1) as frand.Source.Norm draws them: no
+// zero, subnormal, negative, infinite or NaN a, and 2π·b below Cos's
+// Payne–Hanek threshold, so neither function's special cases can arise.
+// Log is math.Log's amd64 body (log_amd64.s), step for step; Cos is
+// math.cos's Go body for 0 ≤ x < 2π, with both of its polynomials
+// computed and one chosen per lane. Register use: DI dst, SI a, DX b, AX
+// the index, CX n; Y15 the constant of the step at hand.
+
+DATA bm<>+0(SB)/8, $0x000fffffffffffff   // the mantissa bits
+DATA bm<>+8(SB)/8, $0x3fe0000000000000   // 0.5
+DATA bm<>+16(SB)/8, $0x4330000000000000  // 2⁵², whose low mantissa bits then hold an integer
+DATA bm<>+24(SB)/8, $0x43300000000003fe  // 2⁵² + 1022, the exponent bias minus one
+DATA bm<>+32(SB)/8, $0x3fe6a09e667f3bcd  // √2/2
+DATA bm<>+40(SB)/8, $0x3ff0000000000000  // 1
+DATA bm<>+48(SB)/8, $0x4000000000000000  // 2
+DATA bm<>+56(SB)/8, $0x3fe5555555555593  // L1
+DATA bm<>+64(SB)/8, $0x3fd999999997fa04  // L2
+DATA bm<>+72(SB)/8, $0x3fd2492494229359  // L3
+DATA bm<>+80(SB)/8, $0x3fcc71c51d8e78af  // L4
+DATA bm<>+88(SB)/8, $0x3fc7466496cb03de  // L5
+DATA bm<>+96(SB)/8, $0x3fc39a09d078c69f  // L6
+DATA bm<>+104(SB)/8, $0x3fc2f112df3e5244 // L7
+DATA bm<>+112(SB)/8, $0x3fe62e42fee00000 // Ln2Hi
+DATA bm<>+120(SB)/8, $0x3dea39ef35793c76 // Ln2Lo
+DATA bm<>+128(SB)/8, $0xc000000000000000 // −2
+DATA bm<>+136(SB)/8, $0x401921fb54442d18 // 2π
+DATA bm<>+144(SB)/8, $0x3ff45f306dc9c883 // 4/π
+DATA bm<>+152(SB)/8, $0x3fe921fb40000000 // PI4A, π/4 in three parts
+DATA bm<>+160(SB)/8, $0x3e64442d00000000 // PI4B
+DATA bm<>+168(SB)/8, $0x3ce8469898cc5170 // PI4C
+DATA bm<>+176(SB)/8, $0x3de5d8fd1fd19ccd // _sin[0]
+DATA bm<>+184(SB)/8, $0xbe5ae5e5a9291f5d // _sin[1]
+DATA bm<>+192(SB)/8, $0x3ec71de3567d48a1 // _sin[2]
+DATA bm<>+200(SB)/8, $0xbf2a01a019bfdf03 // _sin[3]
+DATA bm<>+208(SB)/8, $0x3f8111111110f7d0 // _sin[4]
+DATA bm<>+216(SB)/8, $0xbfc5555555555548 // _sin[5]
+DATA bm<>+224(SB)/8, $0xbda8fa49a0861a9b // _cos[0]
+DATA bm<>+232(SB)/8, $0x3e21ee9d7b4e3f05 // _cos[1]
+DATA bm<>+240(SB)/8, $0xbe927e4f7eac4bc6 // _cos[2]
+DATA bm<>+248(SB)/8, $0x3efa01a019c844f5 // _cos[3]
+DATA bm<>+256(SB)/8, $0xbf56c16c16c14f91 // _cos[4]
+DATA bm<>+264(SB)/8, $0x3fa555555555554b // _cos[5]
+DATA bm<>+272(SB)/8, $0x0000000000000002 // 2, as an integer
+DATA bm<>+280(SB)/8, $0x8000000000000000 // the sign bit
+GLOBL bm<>(SB), RODATA|NOPTR, $288
+
+// BM is the constant at byte offset OFF of the table, in every lane of Y15.
+#define BM(OFF) VBROADCASTSD bm<>+OFF(SB), Y15
+
+// HORNER is one step of a polynomial in X: ACC = ACC·X + the constant at OFF.
+#define HORNER(X, OFF, ACC) \
+	VMULPD X, ACC, ACC \
+	BM(OFF)            \
+	VADDPD Y15, ACC, ACC
+
+// func boxMullerF64(dst, a, b []float64)
+TEXT ·boxMullerF64(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	XORQ AX, AX
+
+bmloop:
+	// Log(a). Frexp by the bits: f1 = a's mantissa under 0.5's exponent,
+	// k = a's exponent − 1022, converted through 2⁵²'s mantissa.
+	VMOVUPD (SI)(AX*8), Y0
+	BM(0)
+	VANDPD  Y15, Y0, Y1
+	BM(8)
+	VORPD   Y15, Y1, Y1
+	VPSRLQ  $52, Y0, Y0
+	BM(16)
+	VPOR    Y15, Y0, Y0
+	BM(24)
+	VSUBPD  Y15, Y0, Y0
+	// if !(√2/2 < f1) { k −= 1; f1 *= 2 }; f = f1 − 1
+	BM(32)
+	VCMPPD  $5, Y1, Y15, Y2
+	BM(40)
+	VANDPD  Y15, Y2, Y2
+	VSUBPD  Y2, Y0, Y0
+	VADDPD  Y15, Y2, Y2
+	VMULPD  Y2, Y1, Y1
+	VSUBPD  Y15, Y1, Y1
+	// s = f/(2 + f), s2 = s·s, s4 = s2·s2
+	BM(48)
+	VADDPD  Y1, Y15, Y2
+	VDIVPD  Y2, Y1, Y2
+	VMULPD  Y2, Y2, Y3
+	VMULPD  Y3, Y3, Y4
+	// t1 = s2·(L1 + s4·(L3 + s4·(L5 + s4·L7))), t2 = s4·(L2 + s4·(L4 + s4·L6))
+	VBROADCASTSD bm<>+104(SB), Y5
+	HORNER(Y4, 88, Y5)
+	HORNER(Y4, 72, Y5)
+	HORNER(Y4, 56, Y5)
+	VMULPD  Y5, Y3, Y3
+	VBROADCASTSD bm<>+96(SB), Y5
+	HORNER(Y4, 80, Y5)
+	HORNER(Y4, 64, Y5)
+	VMULPD  Y5, Y4, Y4
+	// R = t1 + t2, hfsq = 0.5·f·f
+	VADDPD  Y4, Y3, Y3
+	BM(8)
+	VMULPD  Y1, Y15, Y4
+	VMULPD  Y1, Y4, Y4
+	// k·Ln2Hi − ((hfsq − (s·(hfsq + R) + k·Ln2Lo)) − f)
+	VADDPD  Y4, Y3, Y3
+	VMULPD  Y3, Y2, Y2
+	BM(120)
+	VMULPD  Y0, Y15, Y3
+	VADDPD  Y3, Y2, Y2
+	VSUBPD  Y2, Y4, Y4
+	VSUBPD  Y1, Y4, Y4
+	BM(112)
+	VMULPD  Y15, Y0, Y0
+	VSUBPD  Y4, Y0, Y0
+	// the radius, Sqrt(−2·Log(a))
+	BM(128)
+	VMULPD  Y15, Y0, Y0
+	VSQRTPD Y0, Y0
+
+	// Cos(x), x = 2π·b. j = trunc(x·4/π), bumped to the next even
+	// octant as y = 2·ceil(j/2); z = ((x − y·PI4A) − y·PI4B) − y·PI4C.
+	VMOVUPD  (DX)(AX*8), Y1
+	BM(136)
+	VMULPD   Y15, Y1, Y1
+	BM(144)
+	VMULPD   Y15, Y1, Y2
+	VROUNDPD $3, Y2, Y2
+	BM(8)
+	VMULPD   Y15, Y2, Y2
+	VROUNDPD $2, Y2, Y2
+	VADDPD   Y2, Y2, Y2
+	BM(152)
+	VMULPD   Y2, Y15, Y3
+	VSUBPD   Y3, Y1, Y1
+	BM(160)
+	VMULPD   Y2, Y15, Y3
+	VSUBPD   Y3, Y1, Y1
+	BM(168)
+	VMULPD   Y2, Y15, Y3
+	VSUBPD   Y3, Y1, Y1
+	// y + 2⁵² has y's octant in its low bits; zz = z·z
+	BM(16)
+	VADDPD   Y15, Y2, Y2
+	VMULPD   Y1, Y1, Y3
+	// sin: z + z·zz·((((((s0·zz + s1)·zz + s2)·zz + s3)·zz + s4)·zz + s5)
+	VBROADCASTSD bm<>+176(SB), Y4
+	HORNER(Y3, 184, Y4)
+	HORNER(Y3, 192, Y4)
+	HORNER(Y3, 200, Y4)
+	HORNER(Y3, 208, Y4)
+	HORNER(Y3, 216, Y4)
+	VMULPD   Y3, Y1, Y5
+	VMULPD   Y4, Y5, Y5
+	VADDPD   Y5, Y1, Y5
+	// cos: 1 − 0.5·zz + zz·zz·((((((c0·zz + c1)·zz + c2)·zz + c3)·zz + c4)·zz + c5)
+	VBROADCASTSD bm<>+224(SB), Y4
+	HORNER(Y3, 232, Y4)
+	HORNER(Y3, 240, Y4)
+	HORNER(Y3, 248, Y4)
+	HORNER(Y3, 256, Y4)
+	HORNER(Y3, 264, Y4)
+	VMULPD   Y3, Y3, Y6
+	VMULPD   Y4, Y6, Y6
+	BM(8)
+	VMULPD   Y3, Y15, Y4
+	BM(40)
+	VSUBPD   Y4, Y15, Y4
+	VADDPD   Y6, Y4, Y4
+	// The sine where the octant's bit 1 is set (2 and 6), negated where
+	// bit 2 of octant + 2 is (2 and 4): the bit moved to the sign.
+	VPSLLQ       $62, Y2, Y6
+	VBLENDVPD    Y6, Y5, Y4, Y4
+	VPBROADCASTQ bm<>+272(SB), Y15
+	VPADDQ       Y15, Y2, Y2
+	VPSLLQ       $61, Y2, Y2
+	BM(280)
+	VANDPD       Y15, Y2, Y2
+	VXORPD       Y2, Y4, Y4
+	VMULPD       Y4, Y0, Y0
+	VMOVUPD      Y0, (DI)(AX*8)
+	ADDQ         $4, AX
+	CMPQ         AX, CX
+	JLT          bmloop
 	VZEROUPPER
 	RET

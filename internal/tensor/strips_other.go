@@ -15,6 +15,7 @@ func matVec4x5[T Float](out []T, stride int, x *[4][]T, w, b []T, n int)        
 func proxStep[T Float](size int, w, g, w0 []T, eta, mu T)                             {}
 func maxAbsDiffF64(v, base []float64) float64                                         { return 0 }
 func dequantizeBytesF64(out []float64, q []byte, base []float64, unit float64, s int) {}
+func boxMullerF64(dst, a, b []float64)                                                {}
 func quantizeBytesF64(dst []byte, v, base []float64, invUnit float64, s int, state uint64) uint64 {
 	return 0
 }

@@ -107,6 +107,7 @@ var stripTable = []struct {
 	{"ProxStep", []string{"proxStepF64", "proxStepF32"},
 		proxStepBits[float64, ref64], proxStepBits[float32, ref32]},
 	{"ByteQuantizer", []string{"maxAbsDiffF64", "quantizeBytesF64", "dequantizeBytesF64"}, byteQuantizerBits, nil},
+	{"Normals", []string{"boxMullerF64"}, normalsBits, nil},
 }
 
 // TestStripsMatchGenericBits runs every kernel that has assembly strips
@@ -391,6 +392,66 @@ func quantizeStreamContinuity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// normalPairs returns the (a, b) pairs the Box–Muller strip is held to:
+// every a that steers Log's frexp and √2/2 fold (1, the two smallest
+// powers of two Norm can draw, 0.5, √2/2 and its neighbours, 1 − 2⁻⁵³)
+// against every b within 8 ulps of an octant edge k/8 of Cos, and then
+// random pairs as Norm draws them, half with a scaled down by a random
+// power of two so that every exponent Log can see is reached.
+func normalPairs(rng *frand.Source) (as, bs []float64) {
+	edgeA := []float64{1, 0x1p-53, 0x1p-52, 0.5, math.Sqrt2 / 2, math.Nextafter(math.Sqrt2/2, 0), math.Nextafter(math.Sqrt2/2, 1), 1 - 0x1p-53}
+	edgeB := []float64{1 - 0x1p-53}
+	for k := 0; k <= 8; k++ {
+		for d := -8; d <= 8; d++ {
+			if k == 0 && d < 0 {
+				continue
+			}
+			if b := math.Float64frombits(math.Float64bits(float64(k)/8) + uint64(d)); b < 1 {
+				edgeB = append(edgeB, b)
+			}
+		}
+	}
+	for _, a := range edgeA {
+		for _, b := range edgeB {
+			as, bs = append(as, a), append(bs, b)
+		}
+	}
+	for i := 0; i < 100000; i++ {
+		a := 1 - rng.Float64()
+		if i%2 == 1 {
+			a = max(math.Ldexp(a, -rng.Intn(53)), 0x1p-53)
+		}
+		as, bs = append(as, a), append(bs, rng.Float64())
+	}
+	for len(as)%4 != 0 { // the strip's lengths are multiples of four
+		as, bs = append(as, 1), append(bs, 0)
+	}
+	return as, bs
+}
+
+// normalsBits holds boxMullerF64 to frand.Source.Norm's formula, computed
+// by package math in Go, on normalPairs in canaried arenas.
+func normalsBits(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2 on this machine: Norm is Normals' only path")
+	}
+	as, bs := normalPairs(frand.New(14))
+	n := len(as)
+	at, ar := newArena[float64](3*n+32), newArena[float64](3*n+32)
+	at1, bt, dt := at.take(as), at.take(bs), at.take(make([]float64, n))
+	ar1, br, dr := ar.take(as), ar.take(bs), ar.take(make([]float64, n))
+	boxMullerF64(dt, at1, bt)
+	for i := range dr {
+		dr[i] = math.Sqrt(-2*math.Log(ar1[i])) * math.Cos(2*math.Pi*br[i])
+	}
+	for i := range dt {
+		if bitsOf(dt[i]) != bitsOf(dr[i]) {
+			t.Fatalf("a = %v (%#x), b = %v (%#x): strip %v (%#x), math %v (%#x)", as[i], bitsOf(as[i]), bs[i], bitsOf(bs[i]), dt[i], bitsOf(dt[i]), dr[i], bitsOf(dr[i]))
+		}
+	}
+	sameBits(t, "Normals", at.buf, ar.buf)
 }
 
 // TestMatVecMatchesSequential: the four-row MatVec gives every row the

@@ -24,8 +24,11 @@
 // five weight rows against four examples, one example per lane. Three
 // more — the ones a profile of a codec round names — exist as AVX2
 // assembly at float64 only, against a non-nil base: quant.go's
-// MaxAbsDiff, QuantizeBytes and DequantizeBytes. Nothing else has
-// assembly, and no assembly lives outside this package.
+// MaxAbsDiff, QuantizeBytes and DequantizeBytes. The one a profile of the
+// image surrogates' set-up names is AVX2 too: Normals (normals.go), whose
+// Go body is a loop of frand.Source.Norm and whose strip follows math.Log's
+// amd64 assembly and math.Cos's Go body step for step, four lanes at once.
+// Nothing else has assembly, and no assembly lives outside this package.
 //
 // The generic Go bodies are the specification. A strip performs, element
 // by element, exactly the multiplies, adds and subtracts its Go loop
@@ -49,14 +52,16 @@
 //
 // Which path runs is decided inside the generic function: stripSize
 // asserts the slice to []float64 or []float32 and consults hasAVX (and
-// quantPrefix hasAVX2), set once at init from CPUID and XGETBV. There is
-// no flag, environment variable, build tag or exported switch; other
-// architectures, and amd64 parts without AVX (AVX2), run the Go bodies
-// alone. The oracle test needs no switch either: TestStripsMatchGenericBits
-// instantiates the same generic functions over locally defined float64-
-// and float32-based types, which fail that assertion and so take the Go
-// loop, and compares the two paths' whole operand arenas (canaries around
-// every operand included) with math.Float64bits and math.Float32bits.
+// quantPrefix and Normals hasAVX2), set once at init from CPUID and
+// XGETBV. There is no flag, environment variable, build tag or exported
+// switch; other architectures, and amd64 parts without AVX (AVX2), run
+// the Go bodies alone. The oracle test needs no switch either:
+// TestStripsMatchGenericBits instantiates the same generic functions over
+// locally defined float64- and float32-based types, which fail that
+// assertion and so take the Go loop, and compares the two paths' whole
+// operand arenas (canaries around every operand included) with
+// math.Float64bits and math.Float32bits (Normals' row: the strip against
+// Norm's formula computed by package math, in the same arenas).
 //
 // The Go bodies round every product and sum separately only as long as
 // the compiler does not fuse them itself. On amd64 that is the default
