@@ -439,19 +439,19 @@ func normalsBits(t *testing.T) {
 	}
 	as, bs := normalPairs(frand.New(14))
 	n := len(as)
-	at, ar := newArena[float64](3*n+32), newArena[float64](3*n+32)
-	at1, bt, dt := at.take(as), at.take(bs), at.take(make([]float64, n))
-	ar1, br, dr := ar.take(as), ar.take(bs), ar.take(make([]float64, n))
-	boxMullerF64(dt, at1, bt)
+	st, sr := newArena[float64](3*n+32), newArena[float64](3*n+32) // strip, reference
+	at, bt, dt := st.take(as), st.take(bs), st.take(make([]float64, n))
+	ar, br, dr := sr.take(as), sr.take(bs), sr.take(make([]float64, n))
+	boxMullerF64(dt, at, bt)
 	for i := range dr {
-		dr[i] = math.Sqrt(-2*math.Log(ar1[i])) * math.Cos(2*math.Pi*br[i])
+		dr[i] = math.Sqrt(-2*math.Log(ar[i])) * math.Cos(2*math.Pi*br[i])
 	}
 	for i := range dt {
 		if bitsOf(dt[i]) != bitsOf(dr[i]) {
 			t.Fatalf("a = %v (%#x), b = %v (%#x): strip %v (%#x), math %v (%#x)", as[i], bitsOf(as[i]), bs[i], bitsOf(bs[i]), dt[i], bitsOf(dt[i]), dr[i], bitsOf(dr[i]))
 		}
 	}
-	sameBits(t, "Normals", at.buf, ar.buf)
+	sameBits(t, "Normals", st.buf, sr.buf) // the canaries
 }
 
 // TestMatVecMatchesSequential: the four-row MatVec gives every row the
