@@ -435,9 +435,11 @@ on the receive path (internal/fednet/frame.go) is the 535 MB a run of garbage gr
 		}),
 	}, {
 		name: "assembly stays in internal/tensor",
-		why: `The AVX strips under MatMulNT, AddOuterPanel, MatVecAdd4 and ProxStep and the AVX2 strips under the byte
-quantiser (MaxAbsDiff, QuantizeBytes, DequantizeBytes) and under Normals (boxMullerF64, frand.Source.Norm's Box–Muller)
-are the only assembly in the tree, and each must reproduce its Go code bit for bit: so no .s file outside
+		why: `The AVX strips under MatMulNT and AddOuterPanel (examples as rows read in place, four abreast; AddOuterPanel's
+first block written over the gradient, added to +0, and its one to three leftover examples in one sequential pass),
+MatVecAdd4 and ProxStep and the AVX2 strips under the byte quantiser (MaxAbsDiff, QuantizeBytes, DequantizeBytes) and
+under Normals (boxMullerF64, frand.Source.Norm's Box–Muller) are the only assembly in the tree, and each must
+reproduce its Go code bit for bit: so no .s file outside
 internal/tensor, every TEXT symbol but the one CPUID stub
 (cpuAVX) named in the table of TestStripsMatchGenericBits (internal/tensor/strips_test.go, the oracle test),
 and no fused multiply-add (VFM…, VFNM…), which rounds once where the Go loop rounds twice. go vet's asmdecl

@@ -253,6 +253,17 @@ func (dv *Device) shardFor(id int) (shard *data.Shard, release func(), err error
 	return s, nil, nil
 }
 
+// trainSize is device id's train-set size, read without materializing
+// its shard (0 for a device this runtime does not host).
+func (dv *Device) trainSize(id int) int {
+	if dv.fleet != nil && id >= 0 && id < dv.fleet.NumDevices() {
+		return dv.fleet.TrainSize(id)
+	} else if s := dv.shards[id]; s != nil {
+		return len(s.Train)
+	}
+	return 0
+}
+
 // emit sends one event to the device's trace sink. Device events carry
 // no clock (Time NaN): the runtime is sans-I/O, so any timestamp is the
 // wrapping driver's business (obs.WallClock on wire runtimes).

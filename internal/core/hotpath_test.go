@@ -36,12 +36,14 @@ var hotPaths = []struct {
 	{"DeviceEval", evalStep, 2},
 	{"SolveEpochF64", solveEpochStepF64, 0},
 	{"SolveEpochF32", solveEpochStepF32, 0},
+	{"SolveResultEscapes", solveEscapeStep, 1},
 }
 
 func dispatchStepF64(tb testing.TB, n int) func()   { return dispatchStep(tb, tensor.F64, n) }
 func dispatchStepF32(tb testing.TB, n int) func()   { return dispatchStep(tb, tensor.F32, n) }
-func solveEpochStepF64(tb testing.TB, _ int) func() { return solveEpochStep(tb, tensor.F64) }
-func solveEpochStepF32(tb testing.TB, _ int) func() { return solveEpochStep(tb, tensor.F32) }
+func solveEpochStepF64(tb testing.TB, _ int) func() { return solveEpochStep(tb, tensor.F64, true) }
+func solveEpochStepF32(tb testing.TB, _ int) func() { return solveEpochStep(tb, tensor.F32, true) }
+func solveEscapeStep(tb testing.TB, _ int) func()   { return solveEpochStep(tb, tensor.F64, false) }
 
 // TestHotPathAllocFloors pins each hot path's allocations per iteration
 // at its floor: the fold and a solver epoch allocate nothing, a device
@@ -49,9 +51,11 @@ func solveEpochStepF32(tb testing.TB, _ int) func() { return solveEpochStep(tb, 
 // every model-sized vector and payload comes from a pool, and the decoder
 // applies the link base itself, with no re-labelled header copy), and a
 // device eval two: the reply's row slice and the shard's label slice, its
-// logits being pooled (per-example logits made it 18 here). One
-// tensor.GetVec turned back into a make is one more object per iteration
-// and fails here by name.
+// logits being pooled (per-example logits made it 18 here). A solve whose
+// result escapes, as a raw-wire Reply.Params does, allocates that result
+// and nothing else: a pooled vector too short for a request stays pooled
+// (it once cost a second allocation). One tensor.GetVec turned back into
+// a make is one more object per iteration and fails here by name.
 func TestHotPathAllocFloors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -215,8 +219,9 @@ func evalStep(tb testing.TB, _ int) func() {
 // solveEpochStep is one local SGD epoch of an MNIST-shaped multinomial
 // regression (784 features, 10 classes) over 256 synthetic examples —
 // large enough that gradient arithmetic, not bookkeeping, dominates each
-// step. The two widths run the same batched body.
-func solveEpochStep(tb testing.TB, prec tensor.Precision) func() {
+// step. The two widths run the same batched body. With recycle false the
+// solution is dropped to the garbage collector instead of the pool.
+func solveEpochStep(tb testing.TB, prec tensor.Precision, recycle bool) func() {
 	const dim, classes, n = 784, 10, 256
 	mdl := linear.New(dim, classes)
 	rng := frand.New(17)
@@ -236,6 +241,8 @@ func solveEpochStep(tb testing.TB, prec tensor.Precision) func() {
 		if len(w) != len(w0) {
 			tb.Fatal("solve returned wrong length")
 		}
-		tensor.PutVec(w)
+		if recycle {
+			tensor.PutVec(w)
+		}
 	}
 }

@@ -4,13 +4,20 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/data"
 	"fedprox/internal/data/mnistsim"
+	"fedprox/internal/data/synthetic"
+	"fedprox/internal/frand"
+	"fedprox/internal/model"
 	"fedprox/internal/model/linear"
 	"fedprox/internal/obs"
+	"fedprox/internal/solver"
 	"fedprox/internal/tensor"
 )
 
@@ -224,5 +231,105 @@ func syncCodecRoundRecycles(t *testing.T) {
 	if perDispatch >= vector {
 		t.Errorf("a sync codec dispatch allocates %.0f B, %.2f model vectors of %.0f B: the round's decoded vectors are not going back to the pool",
 			perDispatch, perDispatch/vector, vector)
+	}
+}
+
+// solveRecorder is SGD that records, in the order the solves start, each
+// one's train set and epoch count.
+type solveRecorder struct {
+	solver.SGDSolver
+	mu    sync.Mutex
+	calls []recordedSolve
+}
+
+type recordedSolve struct {
+	first        *data.Example // identifies the device's shard
+	epochs, size int
+}
+
+func (r *solveRecorder) Solve(m model.Model, train []data.Example, w0 []float64, cfg solver.Config, epochs int, rng *frand.Source) []float64 {
+	r.mu.Lock()
+	r.calls = append(r.calls, recordedSolve{&train[0], epochs, len(train)})
+	r.mu.Unlock()
+	return r.SGDSolver.Solve(m, train, w0, cfg, epochs, rng)
+}
+
+// roundBudget grants a dispatch 1 to requested epochs by round and device.
+type roundBudget struct{}
+
+func (roundBudget) EpochBudget(round, device, requested int) int {
+	return 1 + (3*round+device)%requested
+}
+
+// dispatchRecorder keeps the coordinator's dispatch events: each round's
+// devices in selection order.
+type dispatchRecorder struct{ rounds [][]int }
+
+func (d *dispatchRecorder) Emit(e obs.Event) {
+	if e.Kind != obs.KindDispatch {
+		return
+	}
+	for len(d.rounds) <= e.Round {
+		d.rounds = append(d.rounds, nil)
+	}
+	d.rounds[e.Round] = append(d.rounds[e.Round], e.Device)
+}
+
+// TestSyncParallelFanOutLongestFirst: a synchronous round hands its solves
+// to the workers longest first. At Parallelism 1 the solves run in exactly
+// that order: descending min(Epochs, EpochBudget) × train size, ties in
+// selection order, over a round of stragglers (random 1–E epoch targets)
+// under a device-side budget, on shards of three sizes so both orderings
+// and ties occur.
+func TestSyncParallelFanOutLongestFirst(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Config{
+		Alpha: 1, Beta: 1, Devices: 12, Dim: 10, Classes: 5,
+		MinSamples: 10, MaxSamples: 13, PowerAlpha: 1.55, TrainFrac: 0.8, Seed: 5,
+	})
+	device := make(map[*data.Example]int)
+	for _, s := range fed.Shards {
+		device[&s.Train[0]] = s.ID
+	}
+	rec, sel := &solveRecorder{}, &dispatchRecorder{}
+	cfg := FedProx(8, 6, 5, 0.01, 1)
+	cfg.StragglerFraction = 0.5
+	cfg.DeviceBudget = roundBudget{}
+	cfg.Solver = rec
+	cfg.Trace = sel
+	cfg.Parallelism = 1
+	if _, err := Run(linear.ForDataset(fed), fed, cfg); err != nil {
+		t.Fatal(err)
+	}
+	reordered, ties := 0, 0
+	calls := rec.calls
+	for r, selected := range sel.rounds {
+		if len(calls) < len(selected) {
+			t.Fatalf("round %d selected %d devices, %d solves left", r, len(selected), len(calls))
+		}
+		ran, work := make([]int, len(selected)), make(map[int]int)
+		for i, c := range calls[:len(selected)] {
+			ran[i] = device[c.first]
+			work[ran[i]] = c.epochs * c.size
+		}
+		calls = calls[len(selected):]
+		want := slices.Clone(selected)
+		slices.SortStableFunc(want, func(a, b int) int { return work[b] - work[a] })
+		if !slices.Equal(ran, want) {
+			t.Fatalf("round %d: solves ran for devices %v, want %v (selection %v, work %v)", r, ran, want, selected, work)
+		}
+		if !slices.Equal(ran, selected) {
+			reordered++
+		}
+		for i := 1; i < len(want); i++ {
+			if work[want[i]] == work[want[i-1]] {
+				ties++
+			}
+		}
+	}
+	if len(calls) != 0 || len(sel.rounds) != cfg.Rounds {
+		t.Fatalf("%d rounds of dispatches, %d solves unaccounted for", len(sel.rounds), len(calls))
+	}
+	if reordered == 0 || ties == 0 {
+		t.Fatalf("%d rounds reordered, %d ties: the config does not exercise the ordering", reordered, ties)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"fedprox/internal/data"
 	"fedprox/internal/metrics"
@@ -223,16 +224,24 @@ func nanEval(Evaluate) EvalResult {
 
 // runDispatches serves one synchronous round's dispatches in parallel on
 // the shared device runtime (the decode → solve → probe → encode path
-// lives entirely in core.Device) and, when a latency model is attached,
-// stamps each reply with its virtual transfer timing (sequence numbers
-// allocated in selection order, the ordering rule the arrival race
-// uses). The compute leg is charged for the epochs the device actually
-// ran — a device-side budget that truncates the solve also shortens the
-// round's critical path.
+// lives entirely in core.Device), longest first — work is min(Epochs,
+// EpochBudget) × train size, ties in selection order — so no worker starts
+// a long solve while the others idle; at Parallelism 1 the trace's
+// device-dispatch events come in that work order. Replies land in
+// selection order, and with a latency model each is stamped with its
+// virtual transfer timing (sequence numbers allocated in selection order,
+// the ordering rule the arrival race uses). The compute leg is charged
+// for the epochs the device actually ran — a device-side budget that
+// truncates the solve also shortens the round's critical path.
 func runDispatches(dev *Device, parallelism int, vt *vtimer, ds []Dispatch) ([]Reply, error) {
-	replies := make([]Reply, len(ds))
-	errs := make([]error, len(ds))
-	tensor.ParallelFor(len(ds), parallelism, func(i int) {
+	replies, errs := make([]Reply, len(ds)), make([]error, len(ds))
+	work, order := make([]int, len(ds)), make([]int, len(ds))
+	for i, d := range ds {
+		work[i], order[i] = min(d.Epochs, expectedEpochs(d.EpochBudget, d.Epochs))*dev.trainSize(d.Device), i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return work[b] - work[a] })
+	tensor.ParallelFor(len(ds), parallelism, func(j int) {
+		i := order[j]
 		replies[i], errs[i] = dev.HandleDispatch(ds[i])
 	})
 	for _, err := range errs {

@@ -100,32 +100,31 @@ func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
 	return grad(m, dst, w, batch)
 }
 
-// grad is the batched gradient at either width: the minibatch is gathered
-// into a row-major B×Dim panel once, the forward pass is one panel·Wᵀ
-// multiply, softmax and loss share a single exp pass per example, and
-// the weight gradient accumulates each of its rows across the whole
-// batch while the row is hot (AddOuterPanel).
+// grad is the batched gradient at either width: the forward pass is one
+// X·Wᵀ multiply over the examples read in place (at float32, over their
+// narrowed copies), softmax and loss share a single exp pass per example,
+// and the weight gradient takes each of its rows across the whole batch
+// while the row is hot (AddOuterPanel). AddOuterPanel writes the weight
+// block, so only the bias block is zeroed, and nothing of dst is written
+// before every example's length has been checked.
 func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	if len(dst) != m.NumParams() {
 		panic("linear: gradient buffer size mismatch")
 	}
-	tensor.Zero(dst)
 	if len(batch) == 0 {
+		tensor.Zero(dst)
 		return 0
 	}
 	B := len(batch)
 	W, b := split(m, w)
 	gW, gb := split(m, dst)
 
-	xbuf := tensor.GetVec[T](B * m.Dim)
-	X := tensor.MatView(xbuf, B, m.Dim)
-	for e, ex := range batch {
-		tensor.Convert(X.Row(e), ex.X)
-	}
+	var rows [64][]T // up to 64 examples' row headers live on the stack
+	xs, panel := model.ExampleRows(rows[:0], batch, m.Dim)
 	pbuf := tensor.GetVec[T](B * m.Classes)
 	P := tensor.MatView(pbuf, B, m.Classes)
 
-	tensor.MatMulNT(P, X, W, b) // logits panel
+	tensor.MatMulNT(P, xs, W, b) // logits panel
 	var total T
 	for e, ex := range batch {
 		row := P.Row(e)
@@ -133,12 +132,13 @@ func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 		row[ex.Y] -= 1 // p − onehot(y)
 	}
 	inv := 1 / T(B)
-	tensor.AddOuterPanel(gW, inv, P, X)
+	tensor.AddOuterPanel(gW, inv, P, xs)
+	tensor.Zero(gb)
 	for e := 0; e < B; e++ {
 		tensor.Axpy(inv, P.Row(e), gb)
 	}
 	tensor.PutVec(pbuf)
-	tensor.PutVec(xbuf)
+	tensor.PutVec(panel)
 	return total * inv
 }
 

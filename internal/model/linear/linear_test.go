@@ -1,6 +1,7 @@
 package linear
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -258,4 +259,130 @@ func TestGradBufferSizePanics(t *testing.T) {
 		}
 	}()
 	m.Grad(make([]float64, 3), make([]float64, m.NumParams()), nil)
+}
+
+// ref64 and ref32 are float64 and float32 under other names: the tensor
+// kernels run their generic Go bodies for them, never an assembly strip.
+type (
+	ref64 float64
+	ref32 float32
+)
+
+// refGrad is the gradient by the formula that gathered the batch into a
+// B×Dim panel, zeroed the whole gradient and then ran the batch kernels
+// over the panel's rows; at a ref type every kernel is its Go body.
+func refGrad[R tensor.Float](m *Model, dst, w []R, batch []data.Example) R {
+	tensor.Zero(dst)
+	B := len(batch)
+	W, b := split(m, w)
+	gW, gb := split(m, dst)
+	X := tensor.MatView(make([]R, B*m.Dim), B, m.Dim)
+	xs := make([][]R, B)
+	for e, ex := range batch {
+		tensor.Convert(X.Row(e), ex.X)
+		xs[e] = X.Row(e)
+	}
+	P := tensor.MatView(make([]R, B*m.Classes), B, m.Classes)
+	tensor.MatMulNT(P, xs, W, b)
+	var total R
+	for e, ex := range batch {
+		row := P.Row(e)
+		total += tensor.CrossEntropySoftmax(row, row, ex.Y)
+		row[ex.Y] -= 1
+	}
+	inv := 1 / R(B)
+	tensor.AddOuterPanel(gW, inv, P, xs)
+	for e := 0; e < B; e++ {
+		tensor.Axpy(inv, P.Row(e), gb)
+	}
+	return total * inv
+}
+
+// sameGrad fails t unless got and want, the gradients and their losses,
+// agree bit for bit.
+func sameGrad[T, R tensor.Float](t *testing.T, what string, got []T, gotLoss T, want []R, wantLoss R) {
+	t.Helper()
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	if bits(float64(gotLoss)) != bits(float64(wantLoss)) {
+		t.Fatalf("%s: loss %v, reference %v", what, gotLoss, wantLoss)
+	}
+	for i := range got {
+		if bits(float64(got[i])) != bits(float64(want[i])) {
+			t.Fatalf("%s: grad[%d] = %v, reference %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestGradMatchesGatheredReference: Grad and Grad32, reading the examples
+// in place (Grad32 their narrowed rows) and writing the weight block
+// without zeroing it, give the reference's bits at every batch size from
+// one example to three blocks and a leftover — at MNIST's 784×10 and at
+// an odd 13×5. dst starts out NaN, so an element left unwritten shows.
+func TestGradMatchesGatheredReference(t *testing.T) {
+	rng := frand.New(17)
+	for _, shape := range [][2]int{{13, 5}, {784, 10}} {
+		m := New(shape[0], shape[1])
+		w := rng.NormVec(make([]float64, m.NumParams()), 0, 0.1)
+		w32 := tensor.Converted[float32](w)
+		for B := 1; B <= 13; B++ {
+			batch := randBatch(rng, B, m.Dim, m.Classes)
+			what := fmt.Sprintf("%dx%d batch %d", m.Dim, m.Classes, B)
+
+			got, want := make([]float64, m.NumParams()), make([]ref64, m.NumParams())
+			for i := range got {
+				got[i] = math.NaN()
+			}
+			loss := m.Grad(got, w, batch)
+			wr := make([]ref64, len(w))
+			tensor.Convert(wr, w)
+			sameGrad(t, "Grad "+what, got, loss, want, refGrad(m, want, wr, batch))
+
+			got32, want32 := make([]float32, m.NumParams()), make([]ref32, m.NumParams())
+			for i := range got32 {
+				got32[i] = float32(math.NaN())
+			}
+			loss32 := m.Grad32(got32, w32, batch)
+			wr32 := make([]ref32, len(w32))
+			tensor.Convert(wr32, w32)
+			sameGrad(t, "Grad32 "+what, got32, loss32, want32, refGrad(m, want32, wr32, batch))
+		}
+	}
+}
+
+// TestGradRejectsWrongLengthX: an X of the wrong length panics with a
+// shape message at either width, wherever it sits in the batch, before
+// anything of dst is written.
+func TestGradRejectsWrongLengthX(t *testing.T) {
+	const dim, classes, sentinel = 6, 5, 7
+	m := New(dim, classes)
+	w := frand.New(3).NormVec(make([]float64, m.NumParams()), 0, 1)
+	w32 := tensor.Converted[float32](w)
+	for _, at := range []int{0, 3, 9} {
+		for _, n := range []int{dim - 1, dim + 1} {
+			batch := randBatch(frand.New(4), 10, dim, classes)
+			batch[at].X = make([]float64, n)
+			d64, d32 := make([]float64, m.NumParams()), make([]float32, m.NumParams())
+			for i := range d64 {
+				d64[i], d32[i] = sentinel, sentinel
+			}
+			for name, call := range map[string]func(){
+				"Grad":   func() { m.Grad(d64, w, batch) },
+				"Grad32": func() { m.Grad32(d32, w32, batch) },
+			} {
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, "shape mismatch") {
+							t.Errorf("%s with a %d-feature X at %d: recovered %q, want a shape mismatch panic", name, n, at, msg)
+						}
+					}()
+					call()
+				}()
+			}
+			for i := range d64 {
+				if d64[i] != sentinel || d32[i] != sentinel {
+					t.Fatalf("a %d-feature X at %d: gradient element %d written (%v, %v) before the panic", n, at, i, d64[i], d32[i])
+				}
+			}
+		}
+	}
 }

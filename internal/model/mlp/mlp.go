@@ -141,34 +141,43 @@ func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
 }
 
 // grad is the batched backpropagation at either width: one activation
-// panel per layer (B×width, pooled), forward as panel·Wᵀ multiplies, and
+// panel per layer (B×width, pooled; the input layer is the examples
+// themselves, read in place at float64), forward as X·Wᵀ multiplies, and
 // the backward pass pushing a whole B×width delta panel through each
 // layer — so every weight row is streamed against the full minibatch.
+// AddOuterPanel writes each weight block, so only the biases are zeroed.
 func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	if len(dst) != m.nParams {
 		panic("mlp: gradient buffer size mismatch")
 	}
-	tensor.Zero(dst)
 	if len(batch) == 0 {
+		tensor.Zero(dst)
 		return 0
 	}
 	B := len(batch)
 	L := len(m.offsets)
 
-	// A[l] holds the layer-l activations for the whole batch: A[0] the
-	// inputs, A[1..L-1] tanh outputs, A[L] logits-then-probs.
+	// A[l] holds the layer-l activations for the whole batch and rows[l]
+	// its rows, the next layer's inputs: rows[0] the examples,
+	// A[1..L-1] tanh outputs, A[L] logits-then-probs.
+	rows := make([][][]T, L)
+	var panel []T
+	rows[0], panel = model.ExampleRows[T](nil, batch, m.sizes[0])
 	bufs := make([][]T, L+1)
 	A := make([]tensor.Matrix[T], L+1)
-	for l := 0; l <= L; l++ {
+	for l := 1; l <= L; l++ {
 		bufs[l] = tensor.GetVec[T](B * m.sizes[l])
 		A[l] = tensor.MatView(bufs[l], B, m.sizes[l])
-	}
-	for e, ex := range batch {
-		tensor.Convert(A[0].Row(e), ex.X)
+		if l < L {
+			rows[l] = make([][]T, B)
+			for e := range rows[l] {
+				rows[l][e] = A[l].Row(e)
+			}
+		}
 	}
 	for l := 0; l < L; l++ {
 		W, b := layer(m, w, l)
-		tensor.MatMulNT(A[l+1], A[l], W, b)
+		tensor.MatMulNT(A[l+1], rows[l], W, b)
 		if l < L-1 {
 			out := bufs[l+1]
 			for i, v := range out {
@@ -190,7 +199,8 @@ func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	for l := L - 1; l >= 0; l-- {
 		W, _ := layer(m, w, l)
 		gW, gb := layer(m, dst, l)
-		tensor.AddOuterPanel(gW, inv, delta, A[l])
+		tensor.AddOuterPanel(gW, inv, delta, rows[l])
+		tensor.Zero(gb)
 		for e := 0; e < B; e++ {
 			tensor.Axpy(inv, delta.Row(e), gb)
 		}
@@ -217,6 +227,7 @@ func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	for l := range bufs {
 		tensor.PutVec(bufs[l])
 	}
+	tensor.PutVec(panel)
 	return total * inv
 }
 

@@ -155,3 +155,102 @@ func TestDeterministicInit(t *testing.T) {
 		}
 	}
 }
+
+// ref64 and ref32 are float64 and float32 under other names: the tensor
+// kernels run their generic Go bodies for them, never an assembly strip.
+type (
+	ref64 float64
+	ref32 float32
+)
+
+// refGrad is the backpropagation by the formula that gathered the batch
+// into an input panel, zeroed the whole gradient and then ran the batch
+// kernels over every activation panel's rows; at a ref type every kernel
+// is its Go body.
+func refGrad[R tensor.Float](m *Model, dst, w []R, batch []data.Example) R {
+	tensor.Zero(dst)
+	B, L := len(batch), len(m.offsets)
+	A := make([]tensor.Matrix[R], L+1)
+	rows := make([][][]R, L+1)
+	for l := range A {
+		A[l] = tensor.MatView(make([]R, B*m.sizes[l]), B, m.sizes[l])
+		rows[l] = make([][]R, B)
+		for e := range rows[l] {
+			rows[l][e] = A[l].Row(e)
+		}
+	}
+	for e, ex := range batch {
+		tensor.Convert(A[0].Row(e), ex.X)
+	}
+	for l := 0; l < L; l++ {
+		W, b := layer(m, w, l)
+		tensor.MatMulNT(A[l+1], rows[l], W, b)
+		if l < L-1 {
+			for i, v := range A[l+1].Data {
+				A[l+1].Data[i] = tensor.Tanh(v)
+			}
+		}
+	}
+	var total R
+	for e, ex := range batch {
+		row := A[L].Row(e)
+		total += tensor.CrossEntropySoftmax(row, row, ex.Y)
+		row[ex.Y] -= 1
+	}
+	inv := 1 / R(B)
+	delta := A[L]
+	for l := L - 1; l >= 0; l-- {
+		W, _ := layer(m, w, l)
+		gW, gb := layer(m, dst, l)
+		tensor.AddOuterPanel(gW, inv, delta, rows[l])
+		for e := 0; e < B; e++ {
+			tensor.Axpy(inv, delta.Row(e), gb)
+		}
+		if l == 0 {
+			break
+		}
+		D := tensor.MatView(make([]R, B*m.offsets[l].in), B, m.offsets[l].in)
+		tensor.MatMul(D, delta, W)
+		h := A[l].Data
+		for i, v := range D.Data {
+			D.Data[i] = v * (1 - h[i]*h[i])
+		}
+		delta = D
+	}
+	return total * inv
+}
+
+// TestGradMatchesGatheredReference: Grad and Grad32 — the input layer read
+// in place (at float32, its narrowed rows), every weight block written
+// without zeroing — give the reference's bits at every batch size from one
+// example to three blocks and a leftover, on layers of odd and even
+// widths. dst starts out NaN, so an element left unwritten shows.
+func TestGradMatchesGatheredReference(t *testing.T) {
+	rng := frand.New(23)
+	for _, sizes := range [][]int{{13, 7, 5}, {64, 10, 6, 3}} {
+		m := newModel(sizes...)
+		w := m.InitParams(rng)
+		w32 := tensor.Converted[float32](w)
+		wr, wr32 := make([]ref64, len(w)), make([]ref32, len(w))
+		tensor.Convert(wr, w)
+		tensor.Convert(wr32, w32)
+		for B := 1; B <= 13; B++ {
+			batch := randBatch(rng, B, sizes[0], sizes[len(sizes)-1])
+			got, got32 := make([]float64, m.NumParams()), make([]float32, m.NumParams())
+			for i := range got {
+				got[i], got32[i] = math.NaN(), float32(math.NaN())
+			}
+			want, want32 := make([]ref64, m.NumParams()), make([]ref32, m.NumParams())
+			loss, wantLoss := m.Grad(got, w, batch), refGrad(m, want, wr, batch)
+			loss32, wantLoss32 := m.Grad32(got32, w32, batch), refGrad(m, want32, wr32, batch)
+			if math.Float64bits(loss) != math.Float64bits(float64(wantLoss)) || math.Float32bits(loss32) != math.Float32bits(float32(wantLoss32)) {
+				t.Fatalf("%v batch %d: losses %v, %v, reference %v, %v", sizes, B, loss, loss32, wantLoss, wantLoss32)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(float64(want[i])) || math.Float32bits(got32[i]) != math.Float32bits(float32(want32[i])) {
+					t.Fatalf("%v batch %d: grad[%d] = %v, %v (f32), reference %v, %v", sizes, B, i, got[i], got32[i], want[i], want32[i])
+				}
+			}
+		}
+	}
+}

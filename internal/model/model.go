@@ -10,6 +10,8 @@
 package model
 
 import (
+	"fmt"
+
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
 	"fedprox/internal/tensor"
@@ -58,4 +60,30 @@ func Grad[T tensor.Float](m Model, dst, w []T, batch []data.Example) T {
 		return T(m.(Model32).Grad32(d32, any(w).([]float32), batch))
 	}
 	return T(m.Grad(any(dst).([]float64), any(w).([]float64), batch))
+}
+
+// ExampleRows appends the batch's examples at width T to rows and returns
+// it — the rows a batch kernel (tensor.MatMulNT, tensor.AddOuterPanel)
+// reads — with the pooled panel behind them: at float64 each row is the
+// example's X itself, read in place, and panel is nil; at float32 each X
+// is narrowed into its row of panel, a len(batch)·dim vector the caller
+// hands back with tensor.PutVec. An X that is not dim long panics, before
+// the caller has run a kernel or written a gradient.
+func ExampleRows[T tensor.Float](rows [][]T, batch []data.Example, dim int) (_ [][]T, panel []T) {
+	for e, ex := range batch {
+		if len(ex.X) != dim {
+			panic(fmt.Sprintf("model: shape mismatch: example %d has %d features, want %d", e, len(ex.X), dim))
+		}
+		if x, ok := any(ex.X).([]T); ok {
+			rows = append(rows, x)
+			continue
+		}
+		if panel == nil {
+			panel = tensor.GetVec[T](len(batch) * dim)
+		}
+		row := panel[e*dim : (e+1)*dim]
+		tensor.Convert(row, ex.X)
+		rows = append(rows, row)
+	}
+	return rows, panel
 }

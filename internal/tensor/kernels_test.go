@@ -56,14 +56,14 @@ func kernelsMatchNaive[T Float](t *testing.T, tol float64) {
 
 		for rows := 1; rows <= 3; rows++ {
 			for batch := 1; batch <= 9; batch++ {
-				X := MatView(randT[T](rng, batch*dim), batch, dim) // example panel
+				X := MatView(randT[T](rng, batch*dim), batch, dim) // examples, one per row
 				W := MatView(randT[T](rng, rows*dim), rows, dim)   // weights
 				P := MatView(randT[T](rng, batch*rows), batch, rows)
 				bias := randT[T](rng, rows)
 
 				for _, bs := range [][]T{nil, bias} {
 					out := MatView(make([]T, batch*rows), batch, rows)
-					MatMulNT(out, X, W, bs)
+					MatMulNT(out, rowsOf(X), W, bs)
 					for e := 0; e < batch; e++ {
 						for r := 0; r < rows; r++ {
 							want := 0.0
@@ -94,11 +94,11 @@ func kernelsMatchNaive[T Float](t *testing.T, tol float64) {
 					}
 				}
 
-				G := MatView(append([]T(nil), W.Data...), rows, dim)
-				AddOuterPanel(G, T(0.25), P, X)
+				G := MatView(append([]T(nil), W.Data...), rows, dim) // written over, not added to
+				AddOuterPanel(G, T(0.25), P, rowsOf(X))
 				for r := 0; r < rows; r++ {
 					for k := 0; k < dim; k++ {
-						want := float64(W.At(r, k))
+						want := 0.0
 						for e := 0; e < batch; e++ {
 							want += 0.25 * float64(P.At(e, r)) * float64(X.At(e, k))
 						}
@@ -134,6 +134,15 @@ func kernelsMatchNaive[T Float](t *testing.T, tol float64) {
 			}
 		}
 	}
+}
+
+// rowsOf returns m's rows, the examples of a batch kernel.
+func rowsOf[T Float](m Matrix[T]) [][]T {
+	xs := make([][]T, m.Rows)
+	for e := range xs {
+		xs[e] = m.Row(e)
+	}
+	return xs
 }
 
 // TestConvertRoundTrip: widening is exact, and narrowing a widened

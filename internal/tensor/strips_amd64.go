@@ -13,28 +13,22 @@ func cpuAVX() (avx, avx2 bool)
 // checks nothing: shapes, d == 0 and empty batches are the callers'.
 
 //go:noescape
-func matMulNT2x4F64(out unsafe.Pointer, stride int, a, w0, w1 unsafe.Pointer, d int, off0, off1 float64)
+func matMulNT2x4F64(out unsafe.Pointer, stride int, x0, x1, x2, x3, w0, w1 unsafe.Pointer, d int, off0, off1 float64, n int)
 
 //go:noescape
-func matMulNT2x1F64(out, a, w0, w1 unsafe.Pointer, d int, off0, off1 float64)
+func matMulNT2x4F32(out unsafe.Pointer, stride int, x0, x1, x2, x3, w0, w1 unsafe.Pointer, d int, off0, off1 float32, n int)
 
 //go:noescape
-func matMulNT2x4F32(out unsafe.Pointer, stride int, a, w0, w1 unsafe.Pointer, d int, off0, off1 float32)
+func addOuter2x4F64(r0, r1, x0, x1, x2, x3 unsafe.Pointer, d int, c unsafe.Pointer, write bool)
 
 //go:noescape
-func matMulNT2x1F32(out, a, w0, w1 unsafe.Pointer, d int, off0, off1 float32)
+func addOuter2x4F32(r0, r1, x0, x1, x2, x3 unsafe.Pointer, d int, c unsafe.Pointer, write bool)
 
 //go:noescape
-func addOuter2x4F64(r0, r1, x unsafe.Pointer, d int, c unsafe.Pointer)
+func addOuter2xNF64(r0, r1, x0, x1, x2 unsafe.Pointer, d int, c unsafe.Pointer, n int)
 
 //go:noescape
-func addOuter2x1F64(r0, r1, x unsafe.Pointer, d int, c0, c1 float64)
-
-//go:noescape
-func addOuter2x4F32(r0, r1, x unsafe.Pointer, d int, c unsafe.Pointer)
-
-//go:noescape
-func addOuter2x1F32(r0, r1, x unsafe.Pointer, d int, c0, c1 float32)
+func addOuter2xNF32(r0, r1, x0, x1, x2 unsafe.Pointer, d int, c unsafe.Pointer, n int)
 
 //go:noescape
 func matVec4x5F64(out unsafe.Pointer, stride int, x0, x1, x2, x3, w unsafe.Pointer, d int, b unsafe.Pointer, n int)
@@ -67,39 +61,39 @@ func boxMullerF64(dst, a, b []float64)
 // The wrappers below pick a strip by element size (see stripSize, which
 // has already established that T is exactly float64 or float32, so the
 // scalar conversions are identities). Slices are rows of at least the
-// length the strip walks; a 2x4 strip's a or x is four rows back to back.
+// length the strip walks; x holds a block's four example rows, a ragged
+// block's last one repeated, and c its coefficients, row 0's four then
+// row 1's.
 
 func ptr[T Float](s []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(s)) }
 
-func matMulNT2x4[T Float](size int, out []T, stride int, a, w0, w1 []T, off0, off1 T) {
+// matMulNT2x4 stores the first n of the block's four examples' outputs,
+// example e's stride elements after example e−1's.
+func matMulNT2x4[T Float](size int, out []T, stride int, x *[4][]T, w0, w1 []T, off0, off1 T, n int) {
 	if size == 8 {
-		matMulNT2x4F64(ptr(out), stride, ptr(a), ptr(w0), ptr(w1), len(w0), float64(off0), float64(off1))
+		matMulNT2x4F64(ptr(out), stride, ptr(x[0]), ptr(x[1]), ptr(x[2]), ptr(x[3]), ptr(w0), ptr(w1), len(w0), float64(off0), float64(off1), n)
 	} else {
-		matMulNT2x4F32(ptr(out), stride, ptr(a), ptr(w0), ptr(w1), len(w0), float32(off0), float32(off1))
+		matMulNT2x4F32(ptr(out), stride, ptr(x[0]), ptr(x[1]), ptr(x[2]), ptr(x[3]), ptr(w0), ptr(w1), len(w0), float32(off0), float32(off1), n)
 	}
 }
 
-func matMulNT2x1[T Float](size int, out, a, w0, w1 []T, off0, off1 T) {
+// addOuter2x4 adds a full block to the two rows, or with write set
+// stores it over them, added to +0.
+func addOuter2x4[T Float](size int, r0, r1 []T, x *[4][]T, c *[8]T, write bool) {
 	if size == 8 {
-		matMulNT2x1F64(ptr(out), ptr(a), ptr(w0), ptr(w1), len(w0), float64(off0), float64(off1))
+		addOuter2x4F64(ptr(r0), ptr(r1), ptr(x[0]), ptr(x[1]), ptr(x[2]), ptr(x[3]), len(r0), unsafe.Pointer(c), write)
 	} else {
-		matMulNT2x1F32(ptr(out), ptr(a), ptr(w0), ptr(w1), len(w0), float32(off0), float32(off1))
+		addOuter2x4F32(ptr(r0), ptr(r1), ptr(x[0]), ptr(x[1]), ptr(x[2]), ptr(x[3]), len(r0), unsafe.Pointer(c), write)
 	}
 }
 
-func addOuter2x4[T Float](size int, r0, r1, x []T, c *[8]T) {
+// addOuter2xN adds the block's first n < 4 examples to the two rows, one
+// after another.
+func addOuter2xN[T Float](size int, r0, r1 []T, x *[4][]T, c *[8]T, n int) {
 	if size == 8 {
-		addOuter2x4F64(ptr(r0), ptr(r1), ptr(x), len(r0), unsafe.Pointer(c))
+		addOuter2xNF64(ptr(r0), ptr(r1), ptr(x[0]), ptr(x[1]), ptr(x[2]), len(r0), unsafe.Pointer(c), n)
 	} else {
-		addOuter2x4F32(ptr(r0), ptr(r1), ptr(x), len(r0), unsafe.Pointer(c))
-	}
-}
-
-func addOuter2x1[T Float](size int, r0, r1, x []T, c0, c1 T) {
-	if size == 8 {
-		addOuter2x1F64(ptr(r0), ptr(r1), ptr(x), len(r0), float64(c0), float64(c1))
-	} else {
-		addOuter2x1F32(ptr(r0), ptr(r1), ptr(x), len(r0), float32(c0), float32(c1))
+		addOuter2xNF32(ptr(r0), ptr(r1), ptr(x[0]), ptr(x[1]), ptr(x[2]), len(r0), unsafe.Pointer(c), n)
 	}
 }
 

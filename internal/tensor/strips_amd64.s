@@ -43,7 +43,7 @@ TEXT ·cpuAVX(SB), NOSPLIT, $0-2
 cpudone:
 	RET
 
-// ---- MatMulNT: two weight rows against four examples, or one ----
+// ---- MatMulNT: two weight rows against four examples ----
 //
 // Register use: R9, R10 the weight rows, SI, R11, R12, R13 the example
 // rows, AX the element index k, CX d, DX d rounded down to a multiple of
@@ -51,7 +51,8 @@ cpudone:
 // holds both rows' accumulator pairs, (s0, t0 | s1, t1); the split after
 // the loop moves row 1's pair to the odd register beside it, and the tail
 // and the final sums work on a row's (s, t) in the two low lanes of its
-// own register.
+// own register. A block of fewer than four examples repeats its last one
+// in the lanes past n, whose sums are never stored.
 
 // DOT4F64 folds one four-element block of example row P into ACC: the two
 // 256-bit products are (p0, p1, p2, p3) and (q0, q1, q2, q3), regrouped
@@ -106,17 +107,15 @@ cpudone:
 	VMOVSS    X10, (OUT)    \
 	VMOVSS    X11, 4(OUT)
 
-// func matMulNT2x4F64(out unsafe.Pointer, stride int, a, w0, w1 unsafe.Pointer, d int, off0, off1 float64)
-TEXT ·matMulNT2x4F64(SB), NOSPLIT, $0-64
-	MOVQ   out+0(FP), DI
-	MOVQ   stride+8(FP), R8
-	MOVQ   a+16(FP), SI
-	MOVQ   w0+24(FP), R9
-	MOVQ   w1+32(FP), R10
-	MOVQ   d+40(FP), CX
-	LEAQ   (SI)(CX*8), R11
-	LEAQ   (R11)(CX*8), R12
-	LEAQ   (R12)(CX*8), R13
+// func matMulNT2x4F64(out unsafe.Pointer, stride int, x0, x1, x2, x3, w0, w1 unsafe.Pointer, d int, off0, off1 float64, n int)
+TEXT ·matMulNT2x4F64(SB), NOSPLIT, $0-96
+	MOVQ   x0+16(FP), SI
+	MOVQ   x1+24(FP), R11
+	MOVQ   x2+32(FP), R12
+	MOVQ   x3+40(FP), R13
+	MOVQ   w0+48(FP), R9
+	MOVQ   w1+56(FP), R10
+	MOVQ   d+64(FP), CX
 	VXORPD Y0, Y0, Y0
 	VXORPD Y2, Y2, Y2
 	VXORPD Y4, Y4, Y4
@@ -124,6 +123,9 @@ TEXT ·matMulNT2x4F64(SB), NOSPLIT, $0-64
 	XORQ   AX, AX
 	MOVQ   CX, DX
 	ANDQ   $-4, DX
+	MOVQ   n+88(FP), BX
+	CMPQ   BX, $2
+	JLE    nt2f64loop
 
 nt4f64loop:
 	CMPQ    AX, DX
@@ -136,6 +138,18 @@ nt4f64loop:
 	DOT4F64(R13, Y6)
 	ADDQ    $4, AX
 	JMP     nt4f64loop
+
+// A block of one or two examples runs the loop for the first two; the
+// other two sums stay +0 through it and are never stored.
+nt2f64loop:
+	CMPQ    AX, DX
+	JGE     nt4f64split
+	VMOVUPD (R9)(AX*8), Y8
+	VMOVUPD (R10)(AX*8), Y9
+	DOT4F64(SI, Y0)
+	DOT4F64(R11, Y2)
+	ADDQ    $4, AX
+	JMP     nt2f64loop
 
 nt4f64split:
 	VEXTRACTF128 $1, Y0, X1
@@ -156,73 +170,41 @@ nt4f64tail:
 	JMP    nt4f64tail
 
 nt4f64done:
-	VMOVSD off0+48(FP), X14
-	VMOVSD off1+56(FP), X15
-	SHLQ   $3, R8
-	FIN64(X0, X1, DI)
-	ADDQ   R8, DI
-	FIN64(X2, X3, DI)
-	ADDQ   R8, DI
-	FIN64(X4, X5, DI)
-	ADDQ   R8, DI
-	FIN64(X6, X7, DI)
-	VZEROUPPER
-	RET
-
-// func matMulNT2x1F64(out, a, w0, w1 unsafe.Pointer, d int, off0, off1 float64)
-TEXT ·matMulNT2x1F64(SB), NOSPLIT, $0-56
-	MOVQ   out+0(FP), DI
-	MOVQ   a+8(FP), SI
-	MOVQ   w0+16(FP), R9
-	MOVQ   w1+24(FP), R10
-	MOVQ   d+32(FP), CX
-	VXORPD Y0, Y0, Y0
-	XORQ   AX, AX
-	MOVQ   CX, DX
-	ANDQ   $-4, DX
-
-nt1f64loop:
-	CMPQ    AX, DX
-	JGE     nt1f64split
-	VMOVUPD (R9)(AX*8), Y8
-	VMOVUPD (R10)(AX*8), Y9
-	DOT4F64(SI, Y0)
-	ADDQ    $4, AX
-	JMP     nt1f64loop
-
-nt1f64split:
-	VEXTRACTF128 $1, Y0, X1
-
-nt1f64tail:
-	CMPQ   AX, CX
-	JGE    nt1f64done
-	VMOVSD (R9)(AX*8), X8
-	VMOVSD (R10)(AX*8), X9
-	DOT1(VMOVSD, VMULSD, VADDSD, 8, SI, X0, X1)
-	INCQ   AX
-	JMP    nt1f64tail
-
-nt1f64done:
-	VMOVSD off0+40(FP), X14
-	VMOVSD off1+48(FP), X15
-	FIN64(X0, X1, DI)
-	VZEROUPPER
-	RET
-
-// The float32 MatMulNT strips use 128-bit registers only (VEX encoded, so
-// the upper halves stay clean and there is nothing for VZEROUPPER to do).
-
-// func matMulNT2x4F32(out unsafe.Pointer, stride int, a, w0, w1 unsafe.Pointer, d int, off0, off1 float32)
-TEXT ·matMulNT2x4F32(SB), NOSPLIT, $0-56
 	MOVQ   out+0(FP), DI
 	MOVQ   stride+8(FP), R8
-	MOVQ   a+16(FP), SI
-	MOVQ   w0+24(FP), R9
-	MOVQ   w1+32(FP), R10
-	MOVQ   d+40(FP), CX
-	LEAQ   (SI)(CX*4), R11
-	LEAQ   (R11)(CX*4), R12
-	LEAQ   (R12)(CX*4), R13
+	SHLQ   $3, R8
+	VMOVSD off0+72(FP), X14
+	VMOVSD off1+80(FP), X15
+	FIN64(X0, X1, DI)
+	CMPQ   BX, $2
+	JLT    nt4f64out
+	ADDQ   R8, DI
+	FIN64(X2, X3, DI)
+	CMPQ   BX, $3
+	JLT    nt4f64out
+	ADDQ   R8, DI
+	FIN64(X4, X5, DI)
+	CMPQ   BX, $4
+	JLT    nt4f64out
+	ADDQ   R8, DI
+	FIN64(X6, X7, DI)
+
+nt4f64out:
+	VZEROUPPER
+	RET
+
+// The float32 MatMulNT strip uses 128-bit registers only (VEX encoded, so
+// the upper halves stay clean and there is nothing for VZEROUPPER to do).
+
+// func matMulNT2x4F32(out unsafe.Pointer, stride int, x0, x1, x2, x3, w0, w1 unsafe.Pointer, d int, off0, off1 float32, n int)
+TEXT ·matMulNT2x4F32(SB), NOSPLIT, $0-88
+	MOVQ   x0+16(FP), SI
+	MOVQ   x1+24(FP), R11
+	MOVQ   x2+32(FP), R12
+	MOVQ   x3+40(FP), R13
+	MOVQ   w0+48(FP), R9
+	MOVQ   w1+56(FP), R10
+	MOVQ   d+64(FP), CX
 	VXORPS X0, X0, X0
 	VXORPS X2, X2, X2
 	VXORPS X4, X4, X4
@@ -230,6 +212,9 @@ TEXT ·matMulNT2x4F32(SB), NOSPLIT, $0-56
 	XORQ   AX, AX
 	MOVQ   CX, DX
 	ANDQ   $-4, DX
+	MOVQ   n+80(FP), BX
+	CMPQ   BX, $2
+	JLE    nt2f32loop
 
 nt4f32loop:
 	CMPQ    AX, DX
@@ -242,6 +227,18 @@ nt4f32loop:
 	DOT4F32(R13, X6)
 	ADDQ    $4, AX
 	JMP     nt4f32loop
+
+// A block of one or two examples runs the loop for the first two; the
+// other two sums stay +0 through it and are never stored.
+nt2f32loop:
+	CMPQ    AX, DX
+	JGE     nt4f32split
+	VMOVUPS (R9)(AX*4), X8
+	VMOVUPS (R10)(AX*4), X9
+	DOT4F32(SI, X0)
+	DOT4F32(R11, X2)
+	ADDQ    $4, AX
+	JMP     nt2f32loop
 
 nt4f32split:
 	VMOVHLPS X0, X0, X1
@@ -262,109 +259,119 @@ nt4f32tail:
 	JMP    nt4f32tail
 
 nt4f32done:
-	VMOVSS off0+48(FP), X14
-	VMOVSS off1+52(FP), X15
+	MOVQ   out+0(FP), DI
+	MOVQ   stride+8(FP), R8
 	SHLQ   $2, R8
+	VMOVSS off0+72(FP), X14
+	VMOVSS off1+76(FP), X15
 	FIN32(X0, X1, DI)
+	CMPQ   BX, $2
+	JLT    nt4f32out
 	ADDQ   R8, DI
 	FIN32(X2, X3, DI)
+	CMPQ   BX, $3
+	JLT    nt4f32out
 	ADDQ   R8, DI
 	FIN32(X4, X5, DI)
+	CMPQ   BX, $4
+	JLT    nt4f32out
 	ADDQ   R8, DI
 	FIN32(X6, X7, DI)
+
+nt4f32out:
 	RET
 
-// func matMulNT2x1F32(out, a, w0, w1 unsafe.Pointer, d int, off0, off1 float32)
-TEXT ·matMulNT2x1F32(SB), NOSPLIT, $0-48
-	MOVQ   out+0(FP), DI
-	MOVQ   a+8(FP), SI
-	MOVQ   w0+16(FP), R9
-	MOVQ   w1+24(FP), R10
-	MOVQ   d+32(FP), CX
-	VXORPS X0, X0, X0
-	XORQ   AX, AX
-	MOVQ   CX, DX
-	ANDQ   $-4, DX
-
-nt1f32loop:
-	CMPQ    AX, DX
-	JGE     nt1f32split
-	VMOVUPS (R9)(AX*4), X8
-	VMOVUPS (R10)(AX*4), X9
-	DOT4F32(SI, X0)
-	ADDQ    $4, AX
-	JMP     nt1f32loop
-
-nt1f32split:
-	VMOVHLPS X0, X0, X1
-
-nt1f32tail:
-	CMPQ   AX, CX
-	JGE    nt1f32done
-	VMOVSS (R9)(AX*4), X8
-	VMOVSS (R10)(AX*4), X9
-	DOT1(VMOVSS, VMULSS, VADDSS, 4, SI, X0, X1)
-	INCQ   AX
-	JMP    nt1f32tail
-
-nt1f32done:
-	VMOVSS off0+40(FP), X14
-	VMOVSS off1+44(FP), X15
-	FIN32(X0, X1, DI)
-	RET
-
-// ---- AddOuterPanel: two destination rows, four examples or one ----
+// ---- AddOuterPanel: two destination rows, four examples or the rest ----
 //
 // Register use: DI, SI the destination rows r0, r1; R8..R11 the example
 // rows; AX the element index k, CX d, BX d rounded down to the lane count.
-// Registers 0-3 hold row 0's coefficients in every lane, 4-7 row 1's.
+// In the four-example strip registers 0-3 hold row 0's coefficients in
+// every lane and 4-7 row 1's; register 14 is +0.
 
-// OUTER4 is one step of r0[k] += ((c00·x0 + c01·x1) + c02·x2) + c03·x3
-// and the same for r1; the register arguments pick the lane count.
-#define OUTER4(MOV, MUL, ADD, SZ, C00, C01, C02, C03, C10, C11, C12, C13, V0, V1, V2, V3, S, T) \
-	MOV (R8)(AX*SZ), V0     \
-	MOV (R9)(AX*SZ), V1     \
-	MOV (R10)(AX*SZ), V2    \
-	MOV (R11)(AX*SZ), V3    \
-	MUL V0, C00, S          \
-	MUL V1, C01, T          \
-	ADD T, S, S             \
-	MUL V2, C02, T          \
-	ADD T, S, S             \
-	MUL V3, C03, T          \
-	ADD T, S, S             \
-	ADD (DI)(AX*SZ), S, S   \
-	MOV S, (DI)(AX*SZ)      \
-	MUL V0, C10, S          \
-	MUL V1, C11, T          \
-	ADD T, S, S             \
-	MUL V2, C12, T          \
-	ADD T, S, S             \
-	MUL V3, C13, T          \
-	ADD T, S, S             \
-	ADD (SI)(AX*SZ), S, S   \
+// OUTER4 is one step of r0[k] = B0 + (((c00·x0 + c01·x1) + c02·x2) + c03·x3)
+// and the same for r1 with B1: B0 and B1 are the rows themselves when the
+// block adds to them, and the +0 register when it writes them, so that the
+// first block's sums land as they would on zeroed rows (+0 + −0 is +0).
+// The register arguments pick the lane count. The writing loops prefetch
+// the rows they store to, which they never read: a store that misses L1
+// holds up the stores behind it, where a load that misses, as the adding
+// loops' does, overlaps with the work around it.
+#define OUTER4(MOV, MUL, ADD, SZ, C00, C01, C02, C03, C10, C11, C12, C13, V0, V1, V2, V3, S, T, B0, B1) \
+	MOV (R8)(AX*SZ), V0  \
+	MOV (R9)(AX*SZ), V1  \
+	MOV (R10)(AX*SZ), V2 \
+	MOV (R11)(AX*SZ), V3 \
+	MUL V0, C00, S       \
+	MUL V1, C01, T       \
+	ADD T, S, S          \
+	MUL V2, C02, T       \
+	ADD T, S, S          \
+	MUL V3, C03, T       \
+	ADD T, S, S          \
+	ADD B0, S, S         \
+	MOV S, (DI)(AX*SZ)   \
+	MUL V0, C10, S       \
+	MUL V1, C11, T       \
+	ADD T, S, S          \
+	MUL V2, C12, T       \
+	ADD T, S, S          \
+	MUL V3, C13, T       \
+	ADD T, S, S          \
+	ADD B1, S, S         \
 	MOV S, (SI)(AX*SZ)
 
-// OUTER1 is one step of r0[k] += c0·x, r1[k] += c1·x.
-#define OUTER1(MOV, MUL, ADD, SZ, C0, C1, V, S, T) \
+// The leftover strip adds one, two or three examples to the rows in one
+// pass, one example after another — r[k] = ((r[k] + c0·x0) + c1·x1) +
+// c2·x2, the sums adding the examples in separate passes would leave.
+// Registers 0 and 1 hold example 0's coefficients for rows 0 and 1, 2 and
+// 3 example 1's, 4 and 5 example 2's.
+
+// SEQ1 starts both rows' sums with the first example: S = c0·x0 + r0[k],
+// T = c1·x0 + r1[k].
+#define SEQ1(MOV, MUL, ADD, SZ, C0, C1, V, S, T) \
 	MOV (R8)(AX*SZ), V    \
 	MUL V, C0, S          \
 	MUL V, C1, T          \
 	ADD (DI)(AX*SZ), S, S \
-	ADD (SI)(AX*SZ), T, T \
-	MOV S, (DI)(AX*SZ)    \
+	ADD (SI)(AX*SZ), T, T
+
+// SEQ adds the example at P: S = c0·x + S, T = c1·x + T.
+#define SEQ(MOV, MUL, ADD, SZ, P, C0, C1, V, U, S, T) \
+	MOV (P)(AX*SZ), V \
+	MUL V, C0, U      \
+	ADD S, U, S       \
+	MUL V, C1, U      \
+	ADD T, U, T
+
+#define STORE2(MOV, SZ, S, T) \
+	MOV S, (DI)(AX*SZ) \
 	MOV T, (SI)(AX*SZ)
 
-// func addOuter2x4F64(r0, r1, x unsafe.Pointer, d int, c unsafe.Pointer)
-TEXT ·addOuter2x4F64(SB), NOSPLIT, $0-40
-	MOVQ r0+0(FP), DI
-	MOVQ r1+8(FP), SI
-	MOVQ x+16(FP), R8
-	MOVQ d+24(FP), CX
-	MOVQ c+32(FP), DX
-	LEAQ (R8)(CX*8), R9
-	LEAQ (R9)(CX*8), R10
-	LEAQ (R10)(CX*8), R11
+#define LEFT1(MOV, MUL, ADD, SZ, A0, A1, B0, B1, C0, C1, V, U, S, T) \
+	SEQ1(MOV, MUL, ADD, SZ, A0, A1, V, S, T) \
+	STORE2(MOV, SZ, S, T)
+
+#define LEFT2(MOV, MUL, ADD, SZ, A0, A1, B0, B1, C0, C1, V, U, S, T) \
+	SEQ1(MOV, MUL, ADD, SZ, A0, A1, V, S, T)       \
+	SEQ(MOV, MUL, ADD, SZ, R9, B0, B1, V, U, S, T) \
+	STORE2(MOV, SZ, S, T)
+
+#define LEFT3(MOV, MUL, ADD, SZ, A0, A1, B0, B1, C0, C1, V, U, S, T) \
+	SEQ1(MOV, MUL, ADD, SZ, A0, A1, V, S, T)        \
+	SEQ(MOV, MUL, ADD, SZ, R9, B0, B1, V, U, S, T)  \
+	SEQ(MOV, MUL, ADD, SZ, R10, C0, C1, V, U, S, T) \
+	STORE2(MOV, SZ, S, T)
+
+// func addOuter2x4F64(r0, r1, x0, x1, x2, x3 unsafe.Pointer, d int, c unsafe.Pointer, write bool)
+TEXT ·addOuter2x4F64(SB), NOSPLIT, $0-65
+	MOVQ         r0+0(FP), DI
+	MOVQ         r1+8(FP), SI
+	MOVQ         x0+16(FP), R8
+	MOVQ         x1+24(FP), R9
+	MOVQ         x2+32(FP), R10
+	MOVQ         x3+40(FP), R11
+	MOVQ         d+48(FP), CX
+	MOVQ         c+56(FP), DX
 	VBROADCASTSD 0(DX), Y0
 	VBROADCASTSD 8(DX), Y1
 	VBROADCASTSD 16(DX), Y2
@@ -373,68 +380,129 @@ TEXT ·addOuter2x4F64(SB), NOSPLIT, $0-40
 	VBROADCASTSD 40(DX), Y5
 	VBROADCASTSD 48(DX), Y6
 	VBROADCASTSD 56(DX), Y7
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-4, BX
+	VXORPD       Y14, Y14, Y14
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-4, BX
+	CMPB         write+64(FP), $0
+	JNE          ao4wf64loop
 
 ao4f64loop:
 	CMPQ AX, BX
 	JGE  ao4f64tail
-	OUTER4(VMOVUPD, VMULPD, VADDPD, 8, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13)
+	OUTER4(VMOVUPD, VMULPD, VADDPD, 8, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, (DI)(AX*8), (SI)(AX*8))
 	ADDQ $4, AX
 	JMP  ao4f64loop
 
 ao4f64tail:
 	CMPQ AX, CX
 	JGE  ao4f64done
-	OUTER4(VMOVSD, VMULSD, VADDSD, 8, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13)
+	OUTER4(VMOVSD, VMULSD, VADDSD, 8, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13, (DI)(AX*8), (SI)(AX*8))
 	INCQ AX
 	JMP  ao4f64tail
+
+ao4wf64loop:
+	CMPQ AX, BX
+	JGE  ao4wf64tail
+	PREFETCHT0 (DI)(AX*8)
+	PREFETCHT0 (SI)(AX*8)
+	OUTER4(VMOVUPD, VMULPD, VADDPD, 8, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y14)
+	ADDQ $4, AX
+	JMP  ao4wf64loop
+
+ao4wf64tail:
+	CMPQ AX, CX
+	JGE  ao4f64done
+	OUTER4(VMOVSD, VMULSD, VADDSD, 8, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13, X14, X14)
+	INCQ AX
+	JMP  ao4wf64tail
 
 ao4f64done:
 	VZEROUPPER
 	RET
 
-// func addOuter2x1F64(r0, r1, x unsafe.Pointer, d int, c0, c1 float64)
-TEXT ·addOuter2x1F64(SB), NOSPLIT, $0-48
-	MOVQ r0+0(FP), DI
-	MOVQ r1+8(FP), SI
-	MOVQ x+16(FP), R8
-	MOVQ d+24(FP), CX
-	VBROADCASTSD c0+32(FP), Y0
-	VBROADCASTSD c1+40(FP), Y1
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-4, BX
+// func addOuter2xNF64(r0, r1, x0, x1, x2 unsafe.Pointer, d int, c unsafe.Pointer, n int)
+TEXT ·addOuter2xNF64(SB), NOSPLIT, $0-64
+	MOVQ         r0+0(FP), DI
+	MOVQ         r1+8(FP), SI
+	MOVQ         x0+16(FP), R8
+	MOVQ         x1+24(FP), R9
+	MOVQ         x2+32(FP), R10
+	MOVQ         d+40(FP), CX
+	MOVQ         c+48(FP), DX
+	MOVQ         n+56(FP), R11
+	VBROADCASTSD 0(DX), Y0
+	VBROADCASTSD 32(DX), Y1
+	VBROADCASTSD 8(DX), Y2
+	VBROADCASTSD 40(DX), Y3
+	VBROADCASTSD 16(DX), Y4
+	VBROADCASTSD 48(DX), Y5
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-4, BX
+	CMPQ         R11, $2
+	JLT          al1f64loop
+	JEQ          al2f64loop
 
-ao1f64loop:
+al3f64loop:
 	CMPQ AX, BX
-	JGE  ao1f64tail
-	OUTER1(VMOVUPD, VMULPD, VADDPD, 8, Y0, Y1, Y8, Y12, Y13)
+	JGE  al3f64tail
+	LEFT3(VMOVUPD, VMULPD, VADDPD, 8, Y0, Y1, Y2, Y3, Y4, Y5, Y8, Y9, Y12, Y13)
 	ADDQ $4, AX
-	JMP  ao1f64loop
+	JMP  al3f64loop
 
-ao1f64tail:
+al3f64tail:
 	CMPQ AX, CX
-	JGE  ao1f64done
-	OUTER1(VMOVSD, VMULSD, VADDSD, 8, X0, X1, X8, X12, X13)
+	JGE  alf64done
+	LEFT3(VMOVSD, VMULSD, VADDSD, 8, X0, X1, X2, X3, X4, X5, X8, X9, X12, X13)
 	INCQ AX
-	JMP  ao1f64tail
+	JMP  al3f64tail
 
-ao1f64done:
+al2f64loop:
+	CMPQ AX, BX
+	JGE  al2f64tail
+	LEFT2(VMOVUPD, VMULPD, VADDPD, 8, Y0, Y1, Y2, Y3, Y4, Y5, Y8, Y9, Y12, Y13)
+	ADDQ $4, AX
+	JMP  al2f64loop
+
+al2f64tail:
+	CMPQ AX, CX
+	JGE  alf64done
+	LEFT2(VMOVSD, VMULSD, VADDSD, 8, X0, X1, X2, X3, X4, X5, X8, X9, X12, X13)
+	INCQ AX
+	JMP  al2f64tail
+
+al1f64loop:
+	CMPQ AX, BX
+	JGE  al1f64tail
+	LEFT1(VMOVUPD, VMULPD, VADDPD, 8, Y0, Y1, Y2, Y3, Y4, Y5, Y8, Y9, Y12, Y13)
+	ADDQ $4, AX
+	JMP  al1f64loop
+
+al1f64tail:
+	CMPQ AX, CX
+	JGE  alf64done
+	LEFT1(VMOVSD, VMULSD, VADDSD, 8, X0, X1, X2, X3, X4, X5, X8, X9, X12, X13)
+	INCQ AX
+	JMP  al1f64tail
+
+alf64done:
 	VZEROUPPER
 	RET
 
-// func addOuter2x4F32(r0, r1, x unsafe.Pointer, d int, c unsafe.Pointer)
-TEXT ·addOuter2x4F32(SB), NOSPLIT, $0-40
-	MOVQ r0+0(FP), DI
-	MOVQ r1+8(FP), SI
-	MOVQ x+16(FP), R8
-	MOVQ d+24(FP), CX
-	MOVQ c+32(FP), DX
-	LEAQ (R8)(CX*4), R9
-	LEAQ (R9)(CX*4), R10
-	LEAQ (R10)(CX*4), R11
+// The float32 strips take eight lanes at a time, then one four-lane half
+// step, then single elements.
+
+// func addOuter2x4F32(r0, r1, x0, x1, x2, x3 unsafe.Pointer, d int, c unsafe.Pointer, write bool)
+TEXT ·addOuter2x4F32(SB), NOSPLIT, $0-65
+	MOVQ         r0+0(FP), DI
+	MOVQ         r1+8(FP), SI
+	MOVQ         x0+16(FP), R8
+	MOVQ         x1+24(FP), R9
+	MOVQ         x2+32(FP), R10
+	MOVQ         x3+40(FP), R11
+	MOVQ         d+48(FP), CX
+	MOVQ         c+56(FP), DX
 	VBROADCASTSS 0(DX), Y0
 	VBROADCASTSS 4(DX), Y1
 	VBROADCASTSS 8(DX), Y2
@@ -443,14 +511,17 @@ TEXT ·addOuter2x4F32(SB), NOSPLIT, $0-40
 	VBROADCASTSS 20(DX), Y5
 	VBROADCASTSS 24(DX), Y6
 	VBROADCASTSS 28(DX), Y7
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-8, BX
+	VXORPS       Y14, Y14, Y14
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-8, BX
+	CMPB         write+64(FP), $0
+	JNE          ao4wf32loop
 
 ao4f32loop:
 	CMPQ AX, BX
 	JGE  ao4f32half
-	OUTER4(VMOVUPS, VMULPS, VADDPS, 4, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13)
+	OUTER4(VMOVUPS, VMULPS, VADDPS, 4, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, (DI)(AX*4), (SI)(AX*4))
 	ADDQ $8, AX
 	JMP  ao4f32loop
 
@@ -458,54 +529,130 @@ ao4f32half:
 	LEAQ 4(AX), BX
 	CMPQ BX, CX
 	JGT  ao4f32tail
-	OUTER4(VMOVUPS, VMULPS, VADDPS, 4, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13)
+	OUTER4(VMOVUPS, VMULPS, VADDPS, 4, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13, (DI)(AX*4), (SI)(AX*4))
 	MOVQ BX, AX
 
 ao4f32tail:
 	CMPQ AX, CX
 	JGE  ao4f32done
-	OUTER4(VMOVSS, VMULSS, VADDSS, 4, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13)
+	OUTER4(VMOVSS, VMULSS, VADDSS, 4, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13, (DI)(AX*4), (SI)(AX*4))
 	INCQ AX
 	JMP  ao4f32tail
+
+ao4wf32loop:
+	CMPQ AX, BX
+	JGE  ao4wf32half
+	PREFETCHT0 (DI)(AX*4)
+	PREFETCHT0 (SI)(AX*4)
+	OUTER4(VMOVUPS, VMULPS, VADDPS, 4, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y14)
+	ADDQ $8, AX
+	JMP  ao4wf32loop
+
+ao4wf32half:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  ao4wf32tail
+	OUTER4(VMOVUPS, VMULPS, VADDPS, 4, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13, X14, X14)
+	MOVQ BX, AX
+
+ao4wf32tail:
+	CMPQ AX, CX
+	JGE  ao4f32done
+	OUTER4(VMOVSS, VMULSS, VADDSS, 4, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13, X14, X14)
+	INCQ AX
+	JMP  ao4wf32tail
 
 ao4f32done:
 	VZEROUPPER
 	RET
 
-// func addOuter2x1F32(r0, r1, x unsafe.Pointer, d int, c0, c1 float32)
-TEXT ·addOuter2x1F32(SB), NOSPLIT, $0-40
-	MOVQ r0+0(FP), DI
-	MOVQ r1+8(FP), SI
-	MOVQ x+16(FP), R8
-	MOVQ d+24(FP), CX
-	VBROADCASTSS c0+32(FP), Y0
-	VBROADCASTSS c1+36(FP), Y1
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-8, BX
+// func addOuter2xNF32(r0, r1, x0, x1, x2 unsafe.Pointer, d int, c unsafe.Pointer, n int)
+TEXT ·addOuter2xNF32(SB), NOSPLIT, $0-64
+	MOVQ         r0+0(FP), DI
+	MOVQ         r1+8(FP), SI
+	MOVQ         x0+16(FP), R8
+	MOVQ         x1+24(FP), R9
+	MOVQ         x2+32(FP), R10
+	MOVQ         d+40(FP), CX
+	MOVQ         c+48(FP), DX
+	MOVQ         n+56(FP), R11
+	VBROADCASTSS 0(DX), Y0
+	VBROADCASTSS 16(DX), Y1
+	VBROADCASTSS 4(DX), Y2
+	VBROADCASTSS 20(DX), Y3
+	VBROADCASTSS 8(DX), Y4
+	VBROADCASTSS 24(DX), Y5
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-8, BX
+	CMPQ         R11, $2
+	JLT          al1f32loop
+	JEQ          al2f32loop
 
-ao1f32loop:
+al3f32loop:
 	CMPQ AX, BX
-	JGE  ao1f32half
-	OUTER1(VMOVUPS, VMULPS, VADDPS, 4, Y0, Y1, Y8, Y12, Y13)
+	JGE  al3f32half
+	LEFT3(VMOVUPS, VMULPS, VADDPS, 4, Y0, Y1, Y2, Y3, Y4, Y5, Y8, Y9, Y12, Y13)
 	ADDQ $8, AX
-	JMP  ao1f32loop
+	JMP  al3f32loop
 
-ao1f32half:
+al3f32half:
 	LEAQ 4(AX), BX
 	CMPQ BX, CX
-	JGT  ao1f32tail
-	OUTER1(VMOVUPS, VMULPS, VADDPS, 4, X0, X1, X8, X12, X13)
+	JGT  al3f32tail
+	LEFT3(VMOVUPS, VMULPS, VADDPS, 4, X0, X1, X2, X3, X4, X5, X8, X9, X12, X13)
 	MOVQ BX, AX
 
-ao1f32tail:
+al3f32tail:
 	CMPQ AX, CX
-	JGE  ao1f32done
-	OUTER1(VMOVSS, VMULSS, VADDSS, 4, X0, X1, X8, X12, X13)
+	JGE  alf32done
+	LEFT3(VMOVSS, VMULSS, VADDSS, 4, X0, X1, X2, X3, X4, X5, X8, X9, X12, X13)
 	INCQ AX
-	JMP  ao1f32tail
+	JMP  al3f32tail
 
-ao1f32done:
+al2f32loop:
+	CMPQ AX, BX
+	JGE  al2f32half
+	LEFT2(VMOVUPS, VMULPS, VADDPS, 4, Y0, Y1, Y2, Y3, Y4, Y5, Y8, Y9, Y12, Y13)
+	ADDQ $8, AX
+	JMP  al2f32loop
+
+al2f32half:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  al2f32tail
+	LEFT2(VMOVUPS, VMULPS, VADDPS, 4, X0, X1, X2, X3, X4, X5, X8, X9, X12, X13)
+	MOVQ BX, AX
+
+al2f32tail:
+	CMPQ AX, CX
+	JGE  alf32done
+	LEFT2(VMOVSS, VMULSS, VADDSS, 4, X0, X1, X2, X3, X4, X5, X8, X9, X12, X13)
+	INCQ AX
+	JMP  al2f32tail
+
+al1f32loop:
+	CMPQ AX, BX
+	JGE  al1f32half
+	LEFT1(VMOVUPS, VMULPS, VADDPS, 4, Y0, Y1, Y2, Y3, Y4, Y5, Y8, Y9, Y12, Y13)
+	ADDQ $8, AX
+	JMP  al1f32loop
+
+al1f32half:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  al1f32tail
+	LEFT1(VMOVUPS, VMULPS, VADDPS, 4, X0, X1, X2, X3, X4, X5, X8, X9, X12, X13)
+	MOVQ BX, AX
+
+al1f32tail:
+	CMPQ AX, CX
+	JGE  alf32done
+	LEFT1(VMOVSS, VMULSS, VADDSS, 4, X0, X1, X2, X3, X4, X5, X8, X9, X12, X13)
+	INCQ AX
+	JMP  al1f32tail
+
+alf32done:
 	VZEROUPPER
 	RET
 

@@ -7,10 +7,10 @@ package tensor
 // are never called.
 const hasAVX, hasAVX2 = false, false
 
-func matMulNT2x4[T Float](size int, out []T, stride int, a, w0, w1 []T, off0, off1 T) {}
-func matMulNT2x1[T Float](size int, out, a, w0, w1 []T, off0, off1 T)                 {}
-func addOuter2x4[T Float](size int, r0, r1, x []T, c *[8]T)                           {}
-func addOuter2x1[T Float](size int, r0, r1, x []T, c0, c1 T)                          {}
+func matMulNT2x4[T Float](size int, out []T, stride int, x *[4][]T, w0, w1 []T, off0, off1 T, n int) {
+}
+func addOuter2x4[T Float](size int, r0, r1 []T, x *[4][]T, c *[8]T, write bool)       {}
+func addOuter2xN[T Float](size int, r0, r1 []T, x *[4][]T, c *[8]T, n int)            {}
 func matVec4x5[T Float](out []T, stride int, x *[4][]T, w, b []T, n int)              {}
 func proxStep[T Float](size int, w, g, w0 []T, eta, mu T)                             {}
 func maxAbsDiffF64(v, base []float64) float64                                         { return 0 }

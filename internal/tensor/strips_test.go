@@ -71,9 +71,16 @@ func sameBits[T, R Float](t *testing.T, what string, got []T, want []R) bool {
 
 // operand draws n values for a strip test. kind 0 is standard normals;
 // kind 1 mixes in ±0 and subnormals of both widths; kind 2 adds ±Inf
-// (and with them the NaNs that Inf − Inf and 0·Inf produce downstream).
+// (and with them the NaNs that Inf − Inf and 0·Inf produce downstream);
+// kind 3 is negative normals, which times a +0 coefficient give −0.
 func operand(rng *frand.Source, n, kind int) []float64 {
 	v := rng.NormVec(make([]float64, n), 0, 1)
+	if kind == 3 {
+		for i := range v {
+			v[i] = -math.Abs(v[i])
+		}
+		return v
+	}
 	specials := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, 1e-40, -1e-45, math.Inf(1), math.Inf(-1)}
 	if kind == 1 {
 		specials = specials[:6]
@@ -88,6 +95,9 @@ var (
 	stripDims    = []int{1, 3, 4, 5, 7, 8, 9, 13, 784}
 	stripBatches = []int{1, 3, 4, 5, 8, 10}
 	stripRows    = []int{1, 2, 3, 10}
+	// outerBatches leave one, two and three examples over, both as the
+	// whole batch (the rows' first block) and after full blocks.
+	outerBatches = []int{1, 2, 3, 4, 5, 7, 8, 10}
 )
 
 // stripTable names, per kernel, the assembly strips its case drives (CI
@@ -99,9 +109,9 @@ var stripTable = []struct {
 	strips   []string
 	f64, f32 func(*testing.T)
 }{
-	{"MatMulNT", []string{"matMulNT2x4F64", "matMulNT2x1F64", "matMulNT2x4F32", "matMulNT2x1F32"},
+	{"MatMulNT", []string{"matMulNT2x4F64", "matMulNT2x4F32"},
 		matMulNTBits[float64, ref64], matMulNTBits[float32, ref32]},
-	{"AddOuterPanel", []string{"addOuter2x4F64", "addOuter2x1F64", "addOuter2x4F32", "addOuter2x1F32"},
+	{"AddOuterPanel", []string{"addOuter2x4F64", "addOuter2xNF64", "addOuter2x4F32", "addOuter2xNF32"},
 		addOuterPanelBits[float64, ref64], addOuterPanelBits[float32, ref32]},
 	{"MatVecAdd4", []string{"matVec4x5F64"}, matVecAdd4Bits[float64, ref64], nil},
 	{"ProxStep", []string{"proxStepF64", "proxStepF32"},
@@ -131,6 +141,19 @@ func TestStripsMatchGenericBits(t *testing.T) {
 	}
 }
 
+// exampleRows takes bn examples of d values from both arenas, each its
+// own operand with canaries either side, and returns them last taken
+// first: no example sits where the one before it in the batch ends, or
+// even after it, so a kernel must read every row through its own pointer.
+func exampleRows[T, R Float](at *arena[T], ar *arena[R], rng *frand.Source, bn, d, kind int) ([][]T, [][]R) {
+	xt, xr := make([][]T, bn), make([][]R, bn)
+	for e := bn - 1; e >= 0; e-- {
+		x := operand(rng, d, kind)
+		xt[e], xr[e] = at.take(x), ar.take(x)
+	}
+	return xt, xr
+}
+
 func matMulNTBits[T, R Float](t *testing.T) {
 	rng := frand.New(7)
 	for _, d := range stripDims {
@@ -138,16 +161,17 @@ func matMulNTBits[T, R Float](t *testing.T) {
 			for _, rows := range stripRows {
 				for kind := 0; kind < 3; kind++ {
 					for _, withBias := range []bool{false, true} {
-						n := bn*d + rows*d + rows + bn*rows + 32
+						n := bn*(d+4) + rows*d + rows + bn*rows + 32
 						at, ar := newArena[T](n), newArena[R](n)
-						x, w, b, out := operand(rng, bn*d, kind), operand(rng, rows*d, kind), operand(rng, rows, kind), make([]float64, bn*rows)
-						xt, wt, bt, ot := at.take(x), at.take(w), at.take(b), at.take(out)
-						xr, wr, br, or := ar.take(x), ar.take(w), ar.take(b), ar.take(out)
+						xt, xr := exampleRows(at, ar, rng, bn, d, kind)
+						w, b, out := operand(rng, rows*d, kind), operand(rng, rows, kind), make([]float64, bn*rows)
+						wt, bt, ot := at.take(w), at.take(b), at.take(out)
+						wr, br, or := ar.take(w), ar.take(b), ar.take(out)
 						if !withBias {
 							bt, br = nil, nil
 						}
-						MatMulNT(MatView(ot, bn, rows), MatView(xt, bn, d), MatView(wt, rows, d), bt)
-						MatMulNT(MatView(or, bn, rows), MatView(xr, bn, d), MatView(wr, rows, d), br)
+						MatMulNT(MatView(ot, bn, rows), xt, MatView(wt, rows, d), bt)
+						MatMulNT(MatView(or, bn, rows), xr, MatView(wr, rows, d), br)
 						if !sameBits(t, "MatMulNT", at.buf, ar.buf) {
 							t.Fatalf("at d=%d batch=%d rows=%d kind=%d bias=%v", d, bn, rows, kind, withBias)
 						}
@@ -158,21 +182,35 @@ func matMulNTBits[T, R Float](t *testing.T) {
 	}
 }
 
+// addOuterPanelBits: AddOuterPanel writes the rows — the arena's old
+// values there are random, never zeroed — over every full block and every
+// leftover group. Kind 3 makes every term −0 (a +0 coefficient times a
+// negative example), so each sum the first block computes is −0, and the
+// rows must come out +0, as on rows zeroed first.
 func addOuterPanelBits[T, R Float](t *testing.T) {
 	rng := frand.New(8)
 	for _, d := range stripDims {
-		for _, bn := range stripBatches {
+		for _, bn := range outerBatches {
 			for _, rows := range stripRows {
-				for kind := 0; kind < 3; kind++ {
-					n := bn*d + rows*d + bn*rows + 32
+				for kind := 0; kind < 4; kind++ {
+					n := bn*(d+4) + rows*d + bn*rows + 32
 					at, ar := newArena[T](n), newArena[R](n)
-					x, m, y := operand(rng, bn*d, kind), operand(rng, rows*d, kind), operand(rng, bn*rows, kind)
-					xt, mt, yt := at.take(x), at.take(m), at.take(y)
-					xr, mr, yr := ar.take(x), ar.take(m), ar.take(y)
-					AddOuterPanel(MatView(mt, rows, d), T(0.1), MatView(yt, bn, rows), MatView(xt, bn, d))
-					AddOuterPanel(MatView(mr, rows, d), R(0.1), MatView(yr, bn, rows), MatView(xr, bn, d))
+					xt, xr := exampleRows(at, ar, rng, bn, d, kind)
+					m, y := operand(rng, rows*d, min(kind, 2)), operand(rng, bn*rows, kind)
+					if kind == 3 {
+						y = make([]float64, bn*rows)
+					}
+					mt, yt := at.take(m), at.take(y)
+					mr, yr := ar.take(m), ar.take(y)
+					AddOuterPanel(MatView(mt, rows, d), T(0.1), MatView(yt, bn, rows), xt)
+					AddOuterPanel(MatView(mr, rows, d), R(0.1), MatView(yr, bn, rows), xr)
 					if !sameBits(t, "AddOuterPanel", at.buf, ar.buf) {
 						t.Fatalf("at d=%d batch=%d rows=%d kind=%d", d, bn, rows, kind)
+					}
+					for i := range mt {
+						if kind == 3 && bitsOf(mt[i]) != 0 {
+							t.Fatalf("d=%d batch=%d rows=%d: element %d of a −0 sum is %v (%#x), want +0", d, bn, rows, i, mt[i], bitsOf(mt[i]))
+						}
 					}
 				}
 			}

@@ -7,7 +7,7 @@
 // and the representation the proximal term ‖w − wᵗ‖² is computed over.
 //
 // The kernels on the solve and wire hot path (Dot, SqDist, Axpy, the
-// panel kernels, CrossEntropySoftmax, the vector pool) are written once
+// batch kernels, CrossEntropySoftmax, the vector pool) are written once
 // over [T Float]; Go stencils one copy per width, so float32 and
 // float64 run the same loops in the same accumulation order. Everything
 // the protocol itself computes with — aggregation, evaluation, the
@@ -17,13 +17,18 @@
 //
 // Four loops also exist as hand-written AVX assembly on amd64
 // (strips_amd64.s). Three are the ones a profile of a local solve names,
-// at both widths: the two-weight-row inner loops of MatMulNT (against four
-// examples and against one), the two-destination-row inner loops of
-// AddOuterPanel (four examples and one), and ProxStep. The fourth is the
-// one a profile of an evaluation names, at float64 only: MatVecAdd4's
-// five weight rows against four examples, one example per lane. Three
-// more — the ones a profile of a codec round names — exist as AVX2
-// assembly at float64 only, against a non-nil base: quant.go's
+// at both widths: the two-weight-row inner loop of MatMulNT against a
+// block of four examples (one or two of them in a narrower loop), the
+// two-destination-row inner loops of AddOuterPanel — a block of four,
+// written over the rows on a batch's first block, and the one to three
+// examples left over, added one after another in one pass — and
+// ProxStep. The batch kernels take their examples as rows, each read in
+// place through its own pointer, so a gradient gathers nothing into a
+// panel and, since AddOuterPanel writes, zeroes nothing but its biases.
+// The fourth is the one a profile of an evaluation names, at float64
+// only: MatVecAdd4's five weight rows against four examples, one example
+// per lane. Three more — the ones a profile of a codec round names —
+// exist as AVX2 assembly at float64 only, against a non-nil base: quant.go's
 // MaxAbsDiff, QuantizeBytes and DequantizeBytes. The one a profile of the
 // image surrogates' set-up names is AVX2 too: Normals (normals.go), whose
 // Go body is a loop of frand.Source.Norm and whose strip follows math.Log's
@@ -74,6 +79,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"unsafe"
 )
@@ -160,9 +166,9 @@ func Convert[D, S Float](dst []D, src []S) {
 		copy(dst, same)
 		return
 	}
-	// Unrolled: the convert sits on the panel-gather path of every batched
-	// gradient, where the loop-carried bounds checks otherwise cost as
-	// much as the conversions.
+	// Unrolled: the convert narrows every example of an f32 batched
+	// gradient into its panel, where the loop-carried bounds checks
+	// otherwise cost as much as the conversions.
 	i := 0
 	for ; i+4 <= len(src); i += 4 {
 		s := src[i : i+4 : i+4]
@@ -528,47 +534,69 @@ func AddOuter(m Mat, alpha float64, y, x Vec) {
 	}
 }
 
-// The panel kernels below are what let the linear and mlp gradients walk
-// a whole minibatch per call: examples are gathered into a row-major B×D
-// panel and every weight row streams through the panel once, instead of
-// re-entering a per-example GEMV with cold accumulators.
+// The batch kernels below are what let the linear and mlp gradients walk
+// a whole minibatch per call: every weight row streams past the batch's
+// examples four at a time, instead of re-entering a per-example GEMV with
+// cold accumulators. Each example is a row of its own, read in place
+// wherever it lives, so nothing is gathered into a panel first; every
+// row's length is checked before any row is read.
 
-// MatMulNT computes dst ← a·bᵀ (+ bias broadcast over rows when bias
-// is non-nil): dst is B×C, a is the B×D example panel, b is the C×D
-// weight matrix. This is the batched forward pass — each weight row is
-// streamed against every example before moving on, so it is read from
-// cache C·B times but fetched once.
-func MatMulNT[T Float](dst, a, b Matrix[T], bias []T) {
-	if dst.Rows != a.Rows || dst.Cols != b.Rows || a.Cols != b.Cols {
+// checkRows panics unless every example in xs is d long.
+func checkRows[T Float](kernel string, xs [][]T, d int) {
+	for e, x := range xs {
+		if len(x) != d {
+			panic(fmt.Sprintf("tensor: %s shape mismatch: example %d has %d features, want %d", kernel, e, len(x), d))
+		}
+	}
+}
+
+// block fills x with the four examples from e on and returns how many of
+// them are the batch's: a ragged last block repeats its last example in
+// the lanes nobody stores.
+func block[T Float](x *[4][]T, xs [][]T, e int) int {
+	n := min(4, len(xs)-e)
+	for k := range x {
+		x[k] = xs[e+min(k, n-1)]
+	}
+	return n
+}
+
+// MatMulNT computes dst ← X·Wᵀ (+ bias broadcast over rows when bias is
+// non-nil): dst is B×C, xs holds the B examples, each w.Cols long, and w
+// is the C×D weight matrix. This is the batched forward pass — each pair
+// of weight rows is streamed against every example before moving on, so
+// it is read from cache once per block of four examples but fetched once.
+func MatMulNT[T Float](dst Matrix[T], xs [][]T, w Matrix[T], bias []T) {
+	d := w.Cols
+	if dst.Rows != len(xs) || dst.Cols != w.Rows {
 		panic("tensor: MatMulNT shape mismatch")
 	}
-	if bias != nil && len(bias) != b.Rows {
+	if bias != nil && len(bias) != w.Rows {
 		panic("tensor: MatMulNT bias length mismatch")
 	}
-	d := a.Cols
-	size := stripSize(a.Data, d)
+	checkRows("MatMulNT", xs, d)
+	size := stripSize(w.Data, d)
 	i := 0
 	// Register-block two weight rows per pass: each example element is
-	// loaded once and feeds both rows' accumulators, halving the panel
+	// loaded once and feeds both rows' accumulators, halving the example
 	// traffic per output relative to row-at-a-time dots.
-	for ; i+2 <= b.Rows; i += 2 {
-		w0, w1 := b.Row(i)[:d], b.Row(i + 1)[:d]
+	for ; i+2 <= w.Rows; i += 2 {
+		w0, w1 := w.Row(i)[:d], w.Row(i + 1)[:d]
 		var off0, off1 T
 		if bias != nil {
 			off0, off1 = bias[i], bias[i+1]
 		}
-		e := 0
 		if size != 0 { // assembly strips: the loop below, four examples abreast
-			for ; e+4 <= a.Rows; e += 4 {
-				out := dst.Data[e*dst.Cols+i : (e+3)*dst.Cols+i+2] // first to last element written
-				matMulNT2x4(size, out, dst.Cols, a.Data[e*d:(e+4)*d], w0, w1, off0, off1)
+			var x [4][]T
+			for e := 0; e < len(xs); e += 4 {
+				n := block(&x, xs, e)
+				out := dst.Data[e*dst.Cols+i : (e+n-1)*dst.Cols+i+2] // first to last element written
+				matMulNT2x4(size, out, dst.Cols, &x, w0, w1, off0, off1, n)
 			}
-			for ; e < a.Rows; e++ {
-				matMulNT2x1(size, dst.Row(e)[i:], a.Row(e), w0, w1, off0, off1)
-			}
+			continue
 		}
-		for ; e < a.Rows; e++ {
-			ar := a.Row(e)[:d]
+		for e, x := range xs {
+			ar := x[:d]
 			var s0, s1, t0, t1 T
 			k := 0
 			for ; k+4 <= d; k += 4 {
@@ -588,14 +616,14 @@ func MatMulNT[T Float](dst, a, b Matrix[T], bias []T) {
 			out[i+1] = s1 + t1 + off1
 		}
 	}
-	if i < b.Rows {
-		w := b.Row(i)
+	if i < w.Rows {
+		wr := w.Row(i)
 		var off T
 		if bias != nil {
 			off = bias[i]
 		}
-		for e := 0; e < a.Rows; e++ {
-			dst.Data[e*dst.Cols+i] = Dot(a.Row(e), w) + off
+		for e, x := range xs {
+			dst.Data[e*dst.Cols+i] = Dot(x, wr) + off
 		}
 	}
 }
@@ -619,16 +647,23 @@ func MatMul[T Float](dst, a, b Matrix[T]) {
 	}
 }
 
-// AddOuterPanel computes m ← m + alpha·(yᵀ·x), the batched rank-B
+// AddOuterPanel writes m ← alpha·(yᵀ·X), the batched rank-B
 // generalization of AddOuter: m is C×D, y is the B×C coefficient panel
-// (one softmax/delta row per example), x is the B×D example panel. Each
-// destination row accumulates across the whole batch while it is hot.
-func AddOuterPanel[T Float](m Matrix[T], alpha T, y, x Matrix[T]) {
-	if y.Rows != x.Rows || m.Rows != y.Cols || m.Cols != x.Cols {
+// (one softmax/delta row per example) and xs holds the B examples, each D
+// long. m's old contents are never read, yet every element has the bits
+// it would have had if m were zeroed and the examples' terms then added
+// to it — the first block's sum is added to +0, which turns a −0 sum into
+// +0 as a zeroed element would — so a gradient needs no Zero pass first.
+func AddOuterPanel[T Float](m Matrix[T], alpha T, y Matrix[T], xs [][]T) {
+	bn, d := len(xs), m.Cols
+	if y.Rows != bn || m.Rows != y.Cols {
 		panic("tensor: AddOuterPanel shape mismatch")
 	}
-	d := m.Cols
-	bn := y.Rows
+	checkRows("AddOuterPanel", xs, d)
+	if bn == 0 {
+		Zero(m.Data)
+		return
+	}
 	yc := y.Cols
 	size := stripSize(m.Data, d)
 	i := 0
@@ -637,48 +672,56 @@ func AddOuterPanel[T Float](m Matrix[T], alpha T, y, x Matrix[T]) {
 	// store per multiply-add, which is what bounds the kernel. Folding
 	// four examples' contributions into each destination element before it
 	// is written back cuts the store traffic 4x while every stream (both
-	// rows, all four example rows) stays sequential.
+	// rows, all four example rows) stays sequential. The one to three
+	// examples a batch leaves over take one more pass, added one after
+	// another in batch order.
+	var x [4][]T
+	var c [8]T // a block's coefficients, row 0's four then row 1's
 	for ; i+2 <= m.Rows; i += 2 {
 		r0, r1 := m.Row(i)[:d], m.Row(i + 1)[:d]
-		e := 0
-		for ; e+4 <= bn; e += 4 {
-			c00, c01 := alpha*y.Data[e*yc+i], alpha*y.Data[(e+1)*yc+i]
-			c02, c03 := alpha*y.Data[(e+2)*yc+i], alpha*y.Data[(e+3)*yc+i]
-			c10, c11 := alpha*y.Data[e*yc+i+1], alpha*y.Data[(e+1)*yc+i+1]
-			c12, c13 := alpha*y.Data[(e+2)*yc+i+1], alpha*y.Data[(e+3)*yc+i+1]
-			if size != 0 {
-				addOuter2x4(size, r0, r1, x.Data[e*d:(e+4)*d], &[8]T{c00, c01, c02, c03, c10, c11, c12, c13})
+		for e := 0; e < bn; e += 4 {
+			n := block(&x, xs, e)
+			for k := 0; k < n; k++ {
+				c[k], c[4+k] = alpha*y.Data[(e+k)*yc+i], alpha*y.Data[(e+k)*yc+i+1]
+			}
+			if size != 0 && n == 4 {
+				addOuter2x4(size, r0, r1, &x, &c, e == 0)
 				continue
 			}
-			x0, x1 := x.Row(e)[:d], x.Row(e + 1)[:d]
-			x2, x3 := x.Row(e + 2)[:d], x.Row(e + 3)[:d]
-			for k := 0; k < d; k++ {
-				xv0, xv1, xv2, xv3 := x0[k], x1[k], x2[k], x3[k]
-				r0[k] += c00*xv0 + c01*xv1 + c02*xv2 + c03*xv3
-				r1[k] += c10*xv0 + c11*xv1 + c12*xv2 + c13*xv3
+			if e == 0 { // the loops below add to the rows
+				Zero(r0)
+				Zero(r1)
 			}
-		}
-		for ; e < bn; e++ {
-			c0 := alpha * y.Data[e*yc+i]
-			c1 := alpha * y.Data[e*yc+i+1]
-			xr := x.Row(e)[:d]
-			if size != 0 {
-				addOuter2x1(size, r0, r1, xr, c0, c1)
-				continue
-			}
-			for k := 0; k < d; k++ {
-				x0 := xr[k]
-				r0[k] += c0 * x0
-				r1[k] += c1 * x0
+			switch {
+			case size != 0:
+				addOuter2xN(size, r0, r1, &x, &c, n)
+			case n == 4:
+				x0, x1, x2, x3 := x[0][:d], x[1][:d], x[2][:d], x[3][:d]
+				c00, c01, c02, c03 := c[0], c[1], c[2], c[3]
+				c10, c11, c12, c13 := c[4], c[5], c[6], c[7]
+				for k := 0; k < d; k++ {
+					xv0, xv1, xv2, xv3 := x0[k], x1[k], x2[k], x3[k]
+					r0[k] += c00*xv0 + c01*xv1 + c02*xv2 + c03*xv3
+					r1[k] += c10*xv0 + c11*xv1 + c12*xv2 + c13*xv3
+				}
+			default:
+				for k := 0; k < d; k++ {
+					v0, v1 := r0[k], r1[k]
+					for j, xj := range x[:n] {
+						v0 += c[j] * xj[k]
+						v1 += c[4+j] * xj[k]
+					}
+					r0[k], r1[k] = v0, v1
+				}
 			}
 		}
 	}
 	if i < m.Rows {
 		row := m.Row(i)
-		for e := 0; e < bn; e++ {
-			c := alpha * y.Data[e*yc+i]
-			if c != 0 {
-				Axpy(c, x.Row(e), row)
+		Zero(row)
+		for e, x := range xs {
+			if c := alpha * y.Data[e*yc+i]; c != 0 {
+				Axpy(c, x, row)
 			}
 		}
 	}
@@ -716,14 +759,19 @@ func stripSize[T Float](v []T, d int) int {
 	return 0
 }
 
-// vecPool recycles parameter-length scratch across the hot per-dispatch
-// paths (solver gradients, panel and codec scratch, decoded views,
-// broadcast copies). Within one run every vector is model-sized, so a
-// pool converges on a small set of buffers and steady-state allocation
-// becomes O(model), independent of how many dispatches a run serves —
-// the property the DeviceDispatch allocs/op gate holds.
+// vecPool recycles scratch across the hot per-dispatch paths (solver
+// parameters and gradients, the f32 example panel, logits, codec scratch,
+// decoded views, broadcast copies). Those vectors come in a few sizes per
+// run — model-sized ones and much smaller ones — so the pool keeps one
+// sync.Pool per power-of-two capacity class: GetVec(n) takes from the
+// class of the smallest power of two ≥ n, and a fresh vector has that
+// power's capacity; PutVec files a vector under the largest power of two
+// ≤ its capacity. Whatever GetVec finds is long enough, and no request
+// drops a vector that was too short for it. Steady-state allocation is
+// then O(model), independent of how many dispatches a run serves — the
+// property the DeviceDispatch allocs/op gate holds.
 type vecPool struct {
-	vecs sync.Pool // *[]T boxes holding a pooled vector
+	vecs [bits.UintSize]sync.Pool // *[]T boxes, by capacity class
 	// boxes recycles the *[]T boxes themselves: storing a slice in a
 	// sync.Pool needs a heap box for the header, and allocating a fresh
 	// box per PutVec would put one allocation right back on the path the
@@ -745,16 +793,15 @@ func poolOf[T Float]() *vecPool {
 // be handed to PutVec when the caller is done; never Put a vector that
 // something else still references.
 func GetVec[T Float](n int) []T {
+	class := bits.Len(uint(max(n, 1) - 1)) // 2^class ≥ n
 	pool := poolOf[T]()
-	if p, ok := pool.vecs.Get().(*[]T); ok {
+	if p, ok := pool.vecs[class].Get().(*[]T); ok {
 		v := *p
 		*p = nil
 		pool.boxes.Put(p)
-		if cap(v) >= n {
-			return v[:n]
-		}
+		return v[:n]
 	}
-	return make([]T, n)
+	return make([]T, n, 1<<class)
 }
 
 // poisonPuts is a test mode (go test -tags poolpoison sets it): PutVec
@@ -782,5 +829,5 @@ func PutVec[T Float](v []T) {
 		p = new([]T)
 	}
 	*p = v
-	pool.vecs.Put(p)
+	pool.vecs[bits.Len(uint(cap(v)))-1].Put(p) // 2^class ≤ cap(v)
 }
