@@ -244,7 +244,8 @@ func (dv *Device) shardFor(id int) (shard *data.Shard, release func(), err error
 		if id < 0 || id >= dv.fleet.NumDevices() {
 			return nil, nil, fmt.Errorf("core: device %d not hosted on this runtime", id)
 		}
-		return dv.fleet.Shard(id), func() { dv.fleet.Release(id) }, nil
+		s := dv.fleet.Shard(id)
+		return s, func() { dv.fleet.Release(s) }, nil
 	}
 	s, ok := dv.shards[id]
 	if !ok {

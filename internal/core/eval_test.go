@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -14,35 +15,55 @@ import (
 )
 
 // countingFleet counts every device's shard materializations and
-// releases, those of dispatches and those of evaluations alike.
+// releases, those of dispatches and those of evaluations alike, and
+// counts as a stray every Release of a pointer that no outstanding Shard
+// call returned.
 type countingFleet struct {
 	data.Fleet
 	shards, releases []atomic.Int64
+	strays           atomic.Int64
+
+	mu  sync.Mutex
+	out map[*data.Shard]int // shards handed out and not yet released
 }
 
 func newCountingFleet(fl data.Fleet) *countingFleet {
 	n := fl.NumDevices()
-	return &countingFleet{Fleet: fl, shards: make([]atomic.Int64, n), releases: make([]atomic.Int64, n)}
+	return &countingFleet{Fleet: fl, shards: make([]atomic.Int64, n), releases: make([]atomic.Int64, n), out: map[*data.Shard]int{}}
 }
 
 func (c *countingFleet) Shard(device int) *data.Shard {
 	c.shards[device].Add(1)
-	return c.Fleet.Shard(device)
+	s := c.Fleet.Shard(device)
+	c.mu.Lock()
+	c.out[s]++
+	c.mu.Unlock()
+	return s
 }
 
-func (c *countingFleet) Release(device int) {
-	c.releases[device].Add(1)
-	c.Fleet.Release(device)
+func (c *countingFleet) Release(s *data.Shard) {
+	c.mu.Lock()
+	if c.out[s] == 0 {
+		c.strays.Add(1)
+	} else if c.out[s]--; c.out[s] == 0 {
+		delete(c.out, s)
+	}
+	c.mu.Unlock()
+	c.releases[s.ID].Add(1)
+	c.Fleet.Release(s)
 }
 
 // TestEvaluateVisitsEachShardOnce: an Evaluate costs exactly one Shard
 // and one Release per device on every in-process executor — on a lazy
 // fleet a visit is a shard synthesis, and the two-pass evaluation paid
 // two. A dispatch is one visit of its device, so device k's visits must
-// equal its contacts plus the number of evaluated points; the counted
-// run's History must equal the uncounted run's.
+// equal its contacts plus the number of evaluated points, and every
+// Release must name a shard Shard returned. The counted runs, over the
+// eager dataset and over the lazy fleet that recycles released shards,
+// must give the uncounted run's History.
 func TestEvaluateVisitsEachShardOnce(t *testing.T) {
 	m, fed := tinyWorkload()
+	lazy := synthetic.Default(1, 1).Scaled(0.12) // tinyWorkload's config
 	n := fed.NumDevices()
 	// Full participation: every device is contacted once per round.
 	syncAll := FedProx(4, n, 2, 0.01, 1)
@@ -88,20 +109,26 @@ func TestEvaluateVisitsEachShardOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fl := newCountingFleet(fed.Fleet())
-			got, err := tc.run(fl, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !historiesEqual(got, want) {
-				t.Fatal("counting the fleet's calls changed the History")
-			}
-			contacts := tc.contacts(got)
-			for k := 0; k < n; k++ {
-				visits := int64(contacts[k] + len(got.Points))
-				if s, r := fl.shards[k].Load(), fl.releases[k].Load(); s != visits || r != visits {
-					t.Fatalf("device %d: %d Shard / %d Release calls, want %d each (%d contacts + %d evaluations)",
-						k, s, r, visits, contacts[k], len(got.Points))
+			for name, under := range map[string]Fleet{"eager": fed.Fleet(), "lazy": synthetic.NewFleet(lazy)} {
+				fl := newCountingFleet(under)
+				got, err := tc.run(fl, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !historiesEqual(got, want) {
+					t.Fatalf("%s: counting the fleet's calls changed the History", name)
+				}
+				contacts := tc.contacts(got)
+				for k := 0; k < n; k++ {
+					visits := int64(contacts[k] + len(got.Points))
+					if s, r := fl.shards[k].Load(), fl.releases[k].Load(); s != visits || r != visits {
+						t.Fatalf("%s device %d: %d Shard / %d Release calls, want %d each (%d contacts + %d evaluations)",
+							name, k, s, r, visits, contacts[k], len(got.Points))
+					}
+				}
+				if fl.strays.Load() != 0 || len(fl.out) != 0 {
+					t.Fatalf("%s: %d Release calls of a pointer Shard had not returned, %d shards never released",
+						name, fl.strays.Load(), len(fl.out))
 				}
 			}
 		})

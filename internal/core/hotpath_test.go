@@ -8,6 +8,7 @@ import (
 	"fedprox/internal/data"
 	"fedprox/internal/data/synthetic"
 	"fedprox/internal/frand"
+	"fedprox/internal/metrics"
 	"fedprox/internal/model/linear"
 	"fedprox/internal/solver"
 	"fedprox/internal/tensor"
@@ -34,6 +35,7 @@ var hotPaths = []struct {
 	{"DeviceDispatchF64", dispatchStepF64, 3},
 	{"DeviceDispatchF32", dispatchStepF32, 3},
 	{"DeviceEval", evalStep, 2},
+	{"LazyShardVisit", lazyVisitStep, 1},
 	{"SolveEpochF64", solveEpochStepF64, 0},
 	{"SolveEpochF32", solveEpochStepF32, 0},
 	{"SolveResultEscapes", solveEscapeStep, 1},
@@ -51,7 +53,10 @@ func solveEscapeStep(tb testing.TB, _ int) func()   { return solveEpochStep(tb, 
 // every model-sized vector and payload comes from a pool, and the decoder
 // applies the link base itself, with no re-labelled header copy), and a
 // device eval two: the reply's row slice and the shard's label slice, its
-// logits being pooled (per-example logits made it 18 here). A solve whose
+// logits being pooled (per-example logits made it 18 here). A lazy
+// fleet's shard visit allocates that label slice alone: the shard's
+// storage comes off the fleet's free list (a fresh synthesis per visit
+// was 24 objects). A solve whose
 // result escapes, as a raw-wire Reply.Params does, allocates that result
 // and nothing else: a pooled vector too short for a request stays pooled
 // (it once cost a second allocation). One tensor.GetVec turned back into
@@ -85,6 +90,7 @@ func BenchmarkCoordinatorFold(b *testing.B)   { benchHotPath(b, foldStep) }
 func BenchmarkDeviceDispatchF64(b *testing.B) { benchHotPath(b, dispatchStepF64) }
 func BenchmarkDeviceDispatchF32(b *testing.B) { benchHotPath(b, dispatchStepF32) }
 func BenchmarkDeviceEval(b *testing.B)        { benchHotPath(b, evalStep) }
+func BenchmarkLazyShardVisit(b *testing.B)    { benchHotPath(b, lazyVisitStep) }
 func BenchmarkSolveEpochF64(b *testing.B)     { benchHotPath(b, solveEpochStepF64) }
 func BenchmarkSolveEpochF32(b *testing.B)     { benchHotPath(b, solveEpochStepF32) }
 
@@ -213,6 +219,33 @@ func evalStep(tb testing.TB, _ int) func() {
 		if err != nil || len(r.Devices) != 1 || r.Devices[0].TestN != 16 {
 			tb.Fatalf("eval reply %+v, %v", r, err)
 		}
+	}
+}
+
+// lazyVisitStep is one device of a fleet evaluation on a lazy fleet —
+// synthesize the shard, measure it with metrics.ShardEval, release it —
+// cycling over the benchmark's 10-feature, 5-class Synthetic(1,1) shape.
+// Its one allocation is ShardEval's label slice: the shard's storage
+// comes off the fleet's free list.
+func lazyVisitStep(tb testing.TB, _ int) func() {
+	fl := synthetic.NewFleet(synthetic.Config{
+		Alpha: 1, Beta: 1, Devices: 64, Dim: 10, Classes: 5,
+		MinSamples: 10, MaxSamples: 20, PowerAlpha: 1.55, TrainFrac: 0.8, Seed: 42,
+	})
+	mdl := linear.New(10, 5)
+	w := frand.New(5).NormVec(make([]float64, mdl.NumParams()), 0, 0.01)
+	// Grow the one buffer to the largest shard, so no visit reallocates.
+	for k := range fl.NumDevices() {
+		fl.Release(fl.Shard(k))
+	}
+	k := 0
+	return func() {
+		s := fl.Shard(k)
+		if _, c := metrics.ShardEval(mdl, w, s); c > len(s.Test) {
+			tb.Fatalf("device %d: %d correct of %d", k, c, len(s.Test))
+		}
+		fl.Release(s)
+		k = (k + 1) % fl.NumDevices()
 	}
 }
 

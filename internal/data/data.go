@@ -132,19 +132,8 @@ func (st Stats) String() string {
 // training fraction, after a deterministic shuffle driven by rng. The paper
 // uses trainFrac = 0.8 on every device.
 func SplitTrainTest(examples []Example, trainFrac float64, rng *frand.Source) (train, test []Example) {
-	if trainFrac < 0 || trainFrac > 1 {
-		panic("data: trainFrac out of [0,1]")
-	}
+	nTrain := TrainCount(len(examples), trainFrac)
 	idx := rng.Perm(len(examples))
-	nTrain := int(math.Round(trainFrac * float64(len(examples))))
-	// Keep at least one example on each side when possible so every device
-	// contributes to both global training loss and test accuracy.
-	if nTrain == len(examples) && len(examples) > 1 {
-		nTrain--
-	}
-	if nTrain == 0 && len(examples) > 1 {
-		nTrain = 1
-	}
 	train = make([]Example, 0, nTrain)
 	test = make([]Example, 0, len(examples)-nTrain)
 	for i, j := range idx {
@@ -155,6 +144,21 @@ func SplitTrainTest(examples []Example, trainFrac float64, rng *frand.Source) (t
 		}
 	}
 	return train, test
+}
+
+// TrainCount is how many of a device's n examples go to its training set
+// at the given fraction: round(trainFrac·n), kept to at least one example
+// on each side when n > 1 so every device contributes to both the global
+// training loss and test accuracy.
+func TrainCount(n int, trainFrac float64) int {
+	if trainFrac < 0 || trainFrac > 1 {
+		panic("data: trainFrac out of [0,1]")
+	}
+	nTrain := int(math.Round(trainFrac * float64(n)))
+	if n > 1 {
+		nTrain = min(max(nTrain, 1), n-1)
+	}
+	return nTrain
 }
 
 // Batches partitions indices of a training set into mini-batches of size

@@ -8,11 +8,11 @@ package data
 // active — can then hold per-round state that is O(cohort) while the
 // population is 10^5–10^6.
 //
-// Shard must be safe for concurrent calls with distinct device indices
+// Shard must be safe for concurrent calls, two of one device included
 // (parallel solvers materialize their own shards). Release declares the
-// caller is done with the shard from the matching Shard call; lazy
-// implementations may recycle buffers, eager ones ignore it. After
-// Release the shard must no longer be read.
+// caller is done with a shard Shard returned; lazy implementations may
+// recycle its storage, eager ones ignore it. After Release the shard
+// must no longer be read.
 type Fleet interface {
 	// NumDevices returns the population size N.
 	NumDevices() int
@@ -21,8 +21,8 @@ type Fleet interface {
 	TrainSize(device int) int
 	// Shard materializes device k's local dataset.
 	Shard(device int) *Shard
-	// Release returns the shard obtained from Shard(device).
-	Release(device int)
+	// Release returns a shard obtained from Shard.
+	Release(s *Shard)
 }
 
 // eagerFleet adapts a fully materialized Federated dataset to the Fleet
@@ -38,7 +38,7 @@ func (f *Federated) Fleet() Fleet { return eagerFleet{fed: f} }
 func (e eagerFleet) NumDevices() int          { return len(e.fed.Shards) }
 func (e eagerFleet) TrainSize(device int) int { return len(e.fed.Shards[device].Train) }
 func (e eagerFleet) Shard(device int) *Shard  { return e.fed.Shards[device] }
-func (e eagerFleet) Release(int)              {}
+func (e eagerFleet) Release(*Shard)           {}
 
 // FleetWeights returns the normalized objective weights p_k = n_k/n for
 // a fleet, computed from training sizes alone (no shards are

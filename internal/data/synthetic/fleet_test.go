@@ -1,7 +1,9 @@
 package synthetic
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"fedprox/internal/data"
@@ -44,30 +46,49 @@ func shardsEqual(a, b *data.Shard) bool {
 	return eq(a.Train, b.Train) && eq(a.Test, b.Test)
 }
 
-// TestFleetMatchesGenerate is the lazy fleet's defining contract: for
-// every device index, Shard(k) synthesized on demand is bit-identical
-// to the shard the eager Generate produces at the same index, TrainSize
-// predicts the split without materializing, and FleetWeights equals
-// Federated.Weights.
+// TestFleetMatchesGenerate is the free list's contract: a shard
+// synthesized into storage that a released shard left behind — larger
+// and stale, or too small and grown — is bit-identical to the fresh one
+// Generate keeps, TrainSize predicts its split without materializing,
+// and FleetWeights equals Federated.Weights.
 func TestFleetMatchesGenerate(t *testing.T) {
 	for _, iid := range []bool{false, true} {
 		c := fleetTestConfig()
 		c.IID = iid
 		t.Run(c.Name(), func(t *testing.T) {
-			fed := Generate(c)
+			fed := Generate(c) // never released: fresh storage per shard
 			fl := NewFleet(c)
-			if fl.NumDevices() != fed.NumDevices() {
-				t.Fatalf("NumDevices %d != %d", fl.NumDevices(), fed.NumDevices())
+			large, small := 0, 0
+			for k := range fl.sizes {
+				if fl.sizes[k] > fl.sizes[large] {
+					large = k
+				}
+				if fl.sizes[k] < fl.sizes[small] {
+					small = k
+				}
+			}
+			// The free list now holds the large device's buffer under the
+			// small one's: the large device next grows the small buffer,
+			// and the small device reuses the large one, stale.
+			a, b := fl.Shard(large), fl.Shard(small)
+			fl.Release(a)
+			fl.Release(b)
+			a, b = fl.Shard(large), fl.Shard(small)
+			for _, s := range []*data.Shard{a, b} {
+				if !shardsEqual(s, fed.Shards[s.ID]) {
+					t.Errorf("Shard(%d) in recycled storage differs from a fresh one", s.ID)
+				}
+				fl.Release(s)
 			}
 			for k := 0; k < fl.NumDevices(); k++ {
 				if got, want := fl.TrainSize(k), len(fed.Shards[k].Train); got != want {
 					t.Errorf("TrainSize(%d) = %d, want %d", k, got, want)
 				}
-				sh := fl.Shard(k)
-				if !shardsEqual(sh, fed.Shards[k]) {
-					t.Errorf("Shard(%d) differs from Generate", k)
+				s := fl.Shard(k)
+				if !shardsEqual(s, fed.Shards[k]) {
+					t.Errorf("Shard(%d) differs from a fresh one", k)
 				}
-				fl.Release(k)
+				fl.Release(s)
 			}
 			fw, ew := data.FleetWeights(fl), fed.Weights()
 			for k := range ew {
@@ -76,6 +97,63 @@ func TestFleetMatchesGenerate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFleetConcurrentShardRelease runs Shard and Release from four
+// goroutines at once — two on one device, two walking every device — and
+// holds every shard to a fresh synthesis: under -race this is the free
+// list's data-race check.
+func TestFleetConcurrentShardRelease(t *testing.T) {
+	c := fleetTestConfig()
+	fed := Generate(c)
+	fl := NewFleet(c)
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 3 * c.Devices {
+				k := 5
+				if g >= 2 {
+					k = (i + g*7) % c.Devices
+				}
+				s := fl.Shard(k)
+				if !shardsEqual(s, fed.Shards[k]) {
+					errs <- fmt.Sprintf("goroutine %d: Shard(%d) differs from a fresh one", g, k)
+					return
+				}
+				fl.Release(s)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if len(fl.free) > 4 {
+		t.Errorf("free list holds %d buffers, more than the 4 shards ever live at once", len(fl.free))
+	}
+}
+
+// TestReleaseRejectsUnknownShard: a second Release of one shard, or a
+// shard another fleet handed out, panics instead of putting one buffer
+// on the free list twice.
+func TestReleaseRejectsUnknownShard(t *testing.T) {
+	fl := NewFleet(fleetTestConfig())
+	s := fl.Shard(2)
+	fl.Release(s)
+	for name, s := range map[string]*data.Shard{"released": s, "foreign": NewFleet(fleetTestConfig()).Shard(2)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Release of a %s shard did not panic", name)
+				}
+			}()
+			fl.Release(s)
+		}()
 	}
 }
 

@@ -24,8 +24,6 @@ import (
 	"math"
 
 	"fedprox/internal/data"
-	"fedprox/internal/frand"
-	"fedprox/internal/tensor"
 )
 
 // Config parameterizes the generator. The zero value is not useful; start
@@ -102,72 +100,18 @@ func (c Config) Name() string {
 	return fmt.Sprintf("Synthetic(%g,%g)", c.Alpha, c.Beta)
 }
 
-// Generate builds the federated dataset described by c.
+// Generate builds the federated dataset described by c: the lazy fleet's
+// shards, none released, so each keeps storage of its own.
 func Generate(c Config) *data.Federated {
-	if c.Devices <= 0 || c.Dim <= 0 || c.Classes <= 1 {
-		panic("synthetic: invalid config")
-	}
-	root := frand.New(c.Seed)
-	sizeRng := root.Split("sizes")
-	modelRng := root.Split("models")
-	dataRng := root.Split("data")
-	splitRng := root.Split("split")
-
-	sizes := data.PowerLawSizes(sizeRng, c.Devices, c.MinSamples, c.MaxSamples, c.PowerAlpha)
-
-	// Diagonal input covariance Σ_jj = j^{-1.2} (1-indexed as in the paper).
-	sigma := make([]float64, c.Dim)
-	for j := range sigma {
-		sigma[j] = math.Pow(float64(j+1), -1.2)
-	}
-
-	// Shared model for the IID dataset.
-	var sharedW tensor.Mat
-	var sharedB []float64
-	if c.IID {
-		sharedW = tensor.NewMat(c.Classes, c.Dim)
-		modelRng.NormVec(sharedW.Data, 0, 1)
-		sharedB = modelRng.NormVec(make([]float64, c.Classes), 0, 1)
-	}
-
+	fl := NewFleet(c)
 	fed := &data.Federated{
 		Name:       c.Name(),
+		Shards:     make([]*data.Shard, c.Devices),
 		NumClasses: c.Classes,
 		FeatureDim: c.Dim,
 	}
-
-	logits := make([]float64, c.Classes)
-	for k := 0; k < c.Devices; k++ {
-		devModel := modelRng.SplitIndex(k)
-		devData := dataRng.SplitIndex(k)
-
-		W := sharedW
-		b := sharedB
-		var mean []float64
-		if c.IID {
-			mean = make([]float64, c.Dim) // v = 0 for every device
-		} else {
-			// u_k ~ N(0, α); W_k, b_k ~ N(u_k, 1).
-			uk := devModel.NormMeanStd(0, math.Sqrt(c.Alpha))
-			W = tensor.NewMat(c.Classes, c.Dim)
-			devModel.NormVec(W.Data, uk, 1)
-			b = devModel.NormVec(make([]float64, c.Classes), uk, 1)
-			// B_k ~ N(0, β); (v_k)_j ~ N(B_k, 1).
-			Bk := devModel.NormMeanStd(0, math.Sqrt(c.Beta))
-			mean = devModel.NormVec(make([]float64, c.Dim), Bk, 1)
-		}
-
-		examples := make([]data.Example, sizes[k])
-		for i := range examples {
-			x := make([]float64, c.Dim)
-			for j := range x {
-				x[j] = devData.NormMeanStd(mean[j], math.Sqrt(sigma[j]))
-			}
-			tensor.MatVecAdd(logits, W, x, b)
-			examples[i] = data.Example{X: x, Y: tensor.ArgMax(logits)}
-		}
-		train, test := data.SplitTrainTest(examples, c.TrainFrac, splitRng.SplitIndex(k))
-		fed.Shards = append(fed.Shards, &data.Shard{ID: k, Train: train, Test: test})
+	for k := range fed.Shards {
+		fed.Shards[k] = fl.Shard(k)
 	}
 	if err := fed.Validate(); err != nil {
 		panic(err)

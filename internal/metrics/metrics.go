@@ -45,7 +45,7 @@ func FleetLoss(m model.Model, fl data.Fleet, w []float64) float64 {
 	tensor.ParallelFor(len(losses), 0, func(k int) {
 		s := fl.Shard(k)
 		losses[k] = m.Loss(w, s.Train)
-		fl.Release(k)
+		fl.Release(s)
 	})
 	total := 0.0
 	for k, l := range losses {
@@ -102,7 +102,7 @@ func FleetEval(m model.Model, fl data.Fleet, w []float64) (loss, acc float64) {
 		losses[k] = l
 		correct.Add(int64(c))
 		total.Add(int64(len(s.Test)))
-		fl.Release(k)
+		fl.Release(s)
 	})
 	for k, l := range losses {
 		loss += weights[k] * l
@@ -123,7 +123,7 @@ func FleetAccuracy(m model.Model, fl data.Fleet, w []float64) float64 {
 		s := fl.Shard(k)
 		correct[k] = countCorrect(m, w, s.Test)
 		counts[k] = len(s.Test)
-		fl.Release(k)
+		fl.Release(s)
 	})
 	c, total := 0, 0
 	for k := range correct {
@@ -202,7 +202,7 @@ func FleetDissimilarity(m model.Model, fl data.Fleet, w []float64) (variance, b 
 		g := make([]float64, m.NumParams())
 		s := fl.Shard(k)
 		m.Grad(g, w, s.Train)
-		fl.Release(k)
+		fl.Release(s)
 		grads[k] = g
 	})
 	// ∇f(w) = Σ p_k ∇F_k(w).

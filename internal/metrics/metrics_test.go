@@ -203,7 +203,7 @@ func TestFleetEvalParallelParity(t *testing.T) {
 		total += len(s.Test)
 		grads[k] = make([]float64, m.NumParams())
 		m.Grad(grads[k], w, s.Train)
-		fl.Release(k)
+		fl.Release(s)
 	}
 	acc := float64(correct) / float64(total)
 	gf := make([]float64, m.NumParams())

@@ -209,7 +209,7 @@ func TestForwardMatchesPerExampleMatVecAdd(t *testing.T) {
 					}
 				}
 			}
-			tc.fl.Release(k)
+			tc.fl.Release(s)
 		}
 	}
 }

@@ -17,8 +17,10 @@ import (
 // over a lazily synthesized Synthetic(1,1) fleet with a 10x-slow 10%
 // tail, 2000 dispatches at 128 in flight and one final fleet
 // evaluation. Every device-indexed structure in the run is O(1) per
-// device and shards exist only while a dispatch or the evaluation reads
-// them, which is what the callers' memory bounds pin. The run is fully
+// device, and a shard lives only while a dispatch or the evaluation reads
+// it: its storage then goes back to the fleet's free list, which holds no
+// more buffers than shards were ever live at once. That is what the
+// callers' memory bounds pin. The run is fully
 // seeded, so the loss is compared by bits. These tests live in the root
 // package because its test binary runs nothing else before them: Sys
 // never shrinks, and beside a memory-hungry neighbour the bound would
@@ -69,16 +71,17 @@ func checkScale(tb testing.TB, devices int, wantLoss float64, sysBound uint64) u
 	return sys
 }
 
-// TestScale100k is the 10^5-device point. The run measures about 21 MiB;
-// state allocated eagerly per device, or a fleet that retains the shards
-// it synthesizes, is a jump of 10-100x, not the 3x the bound leaves.
+// TestScale100k is the 10^5-device point. The run measures about 17 MiB;
+// state allocated eagerly per device, or a fleet that keeps a buffer per
+// shard it synthesizes, is a jump of 10-100x, not the 4x the bound leaves.
 func TestScale100k(t *testing.T) {
 	checkScale(t, 100_000, 1.6149061606315247, 64<<20)
 }
 
 // BenchmarkScaleMillion is the 10^6-device point under the design's hard
 // ceiling: a million-device virtual-time run fits in 2 GiB. It takes
-// tens of seconds, so CI runs it (-benchtime 1x) and tier-1 does not.
+// about 8 s on two cores, so CI runs it (-benchtime 1x) and tier-1 does
+// not.
 func BenchmarkScaleMillion(b *testing.B) {
 	const devices = 1_000_000
 	for i := 0; i < b.N; i++ {
