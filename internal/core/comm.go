@@ -83,9 +83,7 @@ func (l *commLinks) broadcast(k int, wt []float64) (*comm.Update, []float64, int
 
 // uplinkDecode reconstructs a device's uplink reply against the
 // broadcast view it trained from. Decoding is stateless. The result is a
-// pooled vector the caller owns: a synchronous round holds it until its
-// fold and recycles it there, the asynchronous path once the reply's
-// disposition is settled.
+// pooled vector that either fold mode recycles, as it does a raw reply's.
 func (l *commLinks) uplinkDecode(k int, u *comm.Update, view []float64) ([]float64, error) {
 	_, dec, err := l.state.Link(k)
 	if err != nil {

@@ -18,9 +18,8 @@ import (
 // round completes so aggregation order stays the selection order.
 type syncReply struct {
 	in      *pendingDispatch // its view is dead once the reply is decoded
-	wk      []float64
-	pooled  bool // wk came from uplinkDecode (not the caller's Reply.Params): recycled after the fold
-	done    int  // realized local epochs (== dispatched without a budget)
+	wk      []float64        // owned: recycled after the round's fold
+	done    int              // realized local epochs (== dispatched without a budget)
 	gamma   float64
 	upBytes int64
 	seq     int     // the transfer sequence of a timed reply
@@ -276,9 +275,9 @@ func (c *Coordinator) completeRound() ([]Command, error) {
 		aggregate(c.w, params, nks, c.cfg.Sampling)
 		c.emit(obs.Event{Kind: obs.KindFold, Round: r.t, Version: r.t + 1, N: len(params)})
 	}
-	// Folded or cut, every decoded solution of the round is dead now.
+	// Folded or cut, every solution of the round is dead now.
 	for _, rep := range r.replies {
-		if rep != nil && rep.pooled {
+		if rep != nil {
 			tensor.PutVec(rep.wk)
 		}
 	}

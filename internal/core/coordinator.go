@@ -189,7 +189,8 @@ func (Done) isCommand() {}
 // Reply delivers one device's training result to the coordinator.
 // Exactly one of Update (encoded uplink, wire runtimes) or Params (raw
 // local solution, in-process runtimes without links) is set — both are
-// produced by core.Device.HandleDispatch.
+// produced by core.Device.HandleDispatch. Either one is handed over:
+// HandleReply releases the Update and recycles the Params after the fold.
 type Reply struct {
 	Device int
 	Update *comm.Update
@@ -735,9 +736,9 @@ func (c *Coordinator) recordArrival(planned int, in *pendingDispatch, seq int, a
 		Staleness: int32(c.staleness(in, reason)), Drop: reason})
 }
 
-// decodeReply recovers the device's solution from a Reply: encoded
-// uplinks decode against the exact broadcast view the device trained
-// from; raw Params pass through.
+// decodeReply takes the device's solution from a Reply, for the caller to
+// recycle after its fold: an encoded uplink decodes against the broadcast
+// view the device trained from, raw Params pass through length-checked.
 func (c *Coordinator) decodeReply(in *pendingDispatch, r Reply) (wk []float64, upWire int64, err error) {
 	if r.Update != nil {
 		if c.links == nil {
@@ -750,6 +751,9 @@ func (c *Coordinator) decodeReply(in *pendingDispatch, r Reply) (wk []float64, u
 		}
 		r.Update.Release() // the decoding endpoint is the owner (comm.Update.Release)
 		return wk, upWire, nil
+	}
+	if len(r.Params) != len(c.w) {
+		return nil, 0, fmt.Errorf("core: reply from device %d has %d params, model has %d", in.device, len(r.Params), len(c.w))
 	}
 	return r.Params, c.paramBytes, nil
 }
@@ -795,7 +799,7 @@ func (c *Coordinator) HandleReply(r Reply) ([]Command, error) {
 		// the fold reads wk only. (Without links view is c.w itself.)
 		tensor.PutVec(in.view)
 	}
-	c.round.replies[in.seq] = &syncReply{in: in, wk: wk, pooled: r.Update != nil, done: done, gamma: r.Gamma,
+	c.round.replies[in.seq] = &syncReply{in: in, wk: wk, done: done, gamma: r.Gamma,
 		upBytes: up, seq: r.Seq, rel: rel, lost: r.Lost}
 	c.round.outstanding--
 	if c.round.outstanding > 0 {

@@ -404,9 +404,8 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 		})
 	}
 	// Recycle per-dispatch scratch. A locally decoded view is dead here
-	// (SetPrev copied it into the link's own shadow); the raw solution is
-	// dead once it left as an encoded Update. When the Reply carries
-	// Params instead, ownership of wk moves to the caller.
+	// (SetPrev copied it into the link's own shadow); wk is dead once it
+	// left as an encoded Update, and a raw Reply hands it to the caller.
 	if d.Update != nil {
 		tensor.PutVec(view)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"fedprox/internal/data"
 	"fedprox/internal/data/synthetic"
 	"fedprox/internal/frand"
+	"fedprox/internal/model"
 	"fedprox/internal/model/linear"
 	"fedprox/internal/solver"
 )
@@ -204,6 +207,47 @@ func TestDeviceChecksNBeforeDecode(t *testing.T) {
 	}
 	if _, err := dev.HandleEval(EvalRequest{Seq: 1, Update: hostile()}); err == nil {
 		t.Error("HandleEval decoded an update declaring 2^40 parameters")
+	}
+}
+
+// resizedSolver is SGD whose result is off the model's length by words:
+// a faulty Config.Solver.
+type resizedSolver struct {
+	solver.SGDSolver
+	words int
+}
+
+func (s resizedSolver) Solve(m model.Model, train []data.Example, w0 []float64, cfg solver.Config, epochs int, rng *frand.Source) []float64 {
+	w := s.SGDSolver.Solve(m, train, w0, cfg, epochs, rng)
+	if s.words < 0 {
+		return w[:len(w)+s.words]
+	}
+	return append(w, make([]float64, s.words)...)
+}
+
+// TestReplyLengthChecked: a raw reply one word short or long fails the run
+// with an error naming its device before either fold reads it — not a
+// panic in the sync fold, not a silent partial fold of the async delta.
+func TestReplyLengthChecked(t *testing.T) {
+	mdl, fed := tinyWorkload()
+	n := mdl.NumParams()
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"sync", FedProx(3, 5, 2, 0.01, 1)},
+		{"async-total", vtimeAsyncConfig(AsyncTotal, fed.NumDevices())},
+	}
+	for _, c := range configs {
+		for _, words := range []int{-1, 1} {
+			cfg := c.cfg
+			cfg.Solver = resizedSolver{words: words}
+			_, err := Run(mdl, fed, cfg)
+			want := regexp.MustCompile(fmt.Sprintf(`^core: reply from device \d+ has %d params, model has %d$`, n+words, n))
+			if err == nil || !want.MatchString(err.Error()) {
+				t.Errorf("%s, solver %+d words: error %v, want one matching %s", c.name, words, err, want)
+			}
+		}
 	}
 }
 

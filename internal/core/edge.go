@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"fedprox/internal/comm"
@@ -119,7 +118,7 @@ func (e *Edge) HandleDispatch(d Dispatch) (Reply, error) {
 	}
 	fold := e.coord.w
 	if e.links == nil {
-		fold = slices.Clone(fold) // the parent holds a raw reply until its own fold
+		fold = tensor.Converted[float64](fold) // a pooled copy: the parent's fold recycles a raw reply
 	}
 	r, err := uplinkReply(e.links, e.id, d.Epochs, fold, view)
 	if d.Update != nil {

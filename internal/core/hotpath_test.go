@@ -57,10 +57,11 @@ func solveEscapeStep(tb testing.TB, _ int) func()   { return solveEpochStep(tb, 
 // fleet's shard visit allocates that label slice alone: the shard's
 // storage comes off the fleet's free list (a fresh synthesis per visit
 // was 24 objects). A solve whose
-// result escapes, as a raw-wire Reply.Params does, allocates that result
-// and nothing else: a pooled vector too short for a request stays pooled
-// (it once cost a second allocation). One tensor.GetVec turned back into
-// a make is one more object per iteration and fails here by name.
+// result is never handed back allocates that result and nothing else —
+// the one row that pins the pool's capacity-class rule: a pooled vector
+// too short for a request stays pooled (it once cost a second
+// allocation). One tensor.GetVec turned back into a make is one more
+// object per iteration and fails here by name.
 func TestHotPathAllocFloors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")

@@ -100,11 +100,12 @@ func TestSyncParallelismParity(t *testing.T) {
 // Point's Cost included) and the JSONL trace are those of the serial run
 // byte for byte — each device's encode advances only that device's link
 // state, and everything observable is built afterwards in selection
-// order. The same holds for a failing round's error, and the sync codec
-// path's allocation is pinned beside it (the two subtests at the end).
+// order. The same holds for a failing round's error, and a sync round's
+// allocation, with a codec and without, is pinned beside it (the first
+// two subtests).
 func TestBroadcastParallelismParity(t *testing.T) {
 	t.Run("first error in selection order", broadcastFirstError)
-	t.Run("round recycles its vectors", syncCodecRoundRecycles)
+	t.Run("round recycles its vectors", syncRoundRecycles)
 	qsgd := comm.Spec{Name: "delta+qsgd", Bits: 8}
 	for _, tc := range []struct {
 		name string
@@ -196,41 +197,45 @@ func broadcastFirstError(t *testing.T) {
 	}
 }
 
-// syncCodecRoundRecycles pins the sync codec path's steady-state
-// allocation at Parallelism 1: a round hands its decoded vectors (each
-// dispatch's broadcast view, each reply's decoded solution) back to the
-// tensor pool, so a dispatch allocates well under one model vector —
-// payload bytes and small structs. Dropping either hand-off costs a full
-// vector per dispatch (2.5 vectors before both existed). The marginal
-// cost is the difference of two runs' TotalAlloc, so one-time state (the
-// per-device broadcast shadows, the History) cancels.
-func syncCodecRoundRecycles(t *testing.T) {
+// syncRoundRecycles pins a sync round's steady-state allocation at
+// Parallelism 1, under a codec and without one: a round hands its vectors
+// (each dispatch's decoded broadcast view, each reply's solution, decoded
+// or raw) back to the tensor pool, so a dispatch allocates well under one
+// model vector — payload bytes and small structs. Dropping any hand-off
+// costs a full vector per dispatch (2.5 vectors under the codec before
+// the views and decoded solutions were recycled; 1.05 without one while a
+// raw solution was left to the collector). The marginal cost is the
+// difference of two runs' TotalAlloc, so one-time state (the per-device
+// broadcast shadows, the History) cancels.
+func syncRoundRecycles(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	const clients, short, long = 10, 4, 24
 	fed := mnistsim.GenerateScaled(0.02)
 	mdl := linear.ForDataset(fed)
-	allocated := func(rounds int) uint64 {
-		cfg := FedProx(rounds, clients, 1, 0.03, 1)
-		cfg.Codec = comm.Spec{Name: "delta+qsgd", Bits: 8}
-		cfg.EvalEvery = rounds
-		cfg.Parallelism = 1
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := Run(mdl, fed, cfg); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	allocated(short) // warm the pool
-	perDispatch := float64(allocated(long)-allocated(short)) / float64((long-short)*clients)
 	vector := float64(8 * mdl.NumParams())
-	t.Logf("%.0f B per dispatch, %.2f model vectors", perDispatch, perDispatch/vector)
-	if perDispatch >= vector {
-		t.Errorf("a sync codec dispatch allocates %.0f B, %.2f model vectors of %.0f B: the round's decoded vectors are not going back to the pool",
-			perDispatch, perDispatch/vector, vector)
+	for _, codec := range []comm.Spec{{Name: "delta+qsgd", Bits: 8}, {}} {
+		allocated := func(rounds int) uint64 {
+			cfg := FedProx(rounds, clients, 1, 0.03, 1)
+			cfg.Codec = codec
+			cfg.EvalEvery = rounds
+			cfg.Parallelism = 1
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(mdl, fed, cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		allocated(short) // warm the pool
+		perDispatch := float64(allocated(long)-allocated(short)) / float64((long-short)*clients)
+		t.Logf("codec %q: %.0f B per dispatch, %.2f model vectors", codec.Name, perDispatch, perDispatch/vector)
+		if perDispatch >= vector {
+			t.Errorf("codec %q: a sync dispatch allocates %.0f B, %.2f model vectors of %.0f B: the round's vectors are not going back to the pool",
+				codec.Name, perDispatch, perDispatch/vector, vector)
+		}
 	}
 }
 

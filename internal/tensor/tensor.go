@@ -811,8 +811,10 @@ var poisonPuts bool
 
 // PutVec returns a vector to the pool. The caller must not touch v
 // afterwards. Put only vectors with exclusive ownership — a slice that
-// escaped into a retained structure (a Reply, a link's prev shadow)
-// must be dropped to the garbage collector instead.
+// escaped into a retained structure (a link's prev shadow, a caller's
+// parameters) must be dropped to the garbage collector instead. A vector
+// handed over, as a Reply hands its solution to the coordinator, is the
+// receiver's to Put.
 func PutVec[T Float](v []T) {
 	if cap(v) == 0 {
 		return
