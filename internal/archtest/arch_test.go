@@ -115,6 +115,25 @@ func name(e ast.Expr) string {
 	return ""
 }
 
+// coreLit is the core type a composite literal builds — Dispatch for
+// core.Dispatch{…}, &core.Dispatch{…} and []core.Dispatch{…} — or "".
+func coreLit(lit *ast.CompositeLit) string {
+	typ := lit.Type // a slice or map literal's elements may elide theirs
+	switch v := typ.(type) {
+	case *ast.ArrayType:
+		typ = v.Elt
+	case *ast.MapType:
+		typ = v.Value
+	}
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if sel, ok := typ.(*ast.SelectorExpr); ok && name(sel.X) == "core" {
+		return sel.Sel.Name
+	}
+	return ""
+}
+
 // where lists, once per hit, the files in which visit reports one.
 func where(srcs []source, visit func(path string, n ast.Node) bool) []string {
 	var hits []string
@@ -260,6 +279,7 @@ var coreAllowed = []string{
 
 func TestArchitecture(t *testing.T) {
 	all := parse(t, "internal", "cmd")
+	withBench := append(parse(t, "benchmark"), all...)
 	coreDeps := reach(all, "internal/core")
 	// Every directory of internal/ holding Go files, tests included, that
 	// no binary reaches.
@@ -360,21 +380,19 @@ DeviceReg in another fednet file is a translation layer growing back — core's 
 into and out of a mirror, which every new dispatch field must then be threaded through.`,
 		got: where(all, func(p string, n ast.Node) bool {
 			lit, ok := n.(*ast.CompositeLit)
-			if !ok || path.Dir(p) != "internal/fednet" || p == "internal/fednet/frame.go" {
-				return false
-			}
-			typ := lit.Type // a slice or map literal's elements may elide theirs
-			switch v := typ.(type) {
-			case *ast.ArrayType:
-				typ = v.Elt
-			case *ast.MapType:
-				typ = v.Value
-			}
-			if star, ok := typ.(*ast.StarExpr); ok {
-				typ = star.X
-			}
-			sel, ok := typ.(*ast.SelectorExpr)
-			return ok && name(sel.X) == "core" && slices.Contains([]string{"Dispatch", "Reply", "EvalRequest", "EvalReply", "DeviceReg"}, sel.Sel.Name)
+			return ok && path.Dir(p) == "internal/fednet" && p != "internal/fednet/frame.go" &&
+				slices.Contains([]string{"Dispatch", "Reply", "EvalRequest", "EvalReply", "DeviceReg"}, coreLit(lit))
+		}),
+	}, {
+		name: "one driver loop",
+		why: `A run's trajectory is assembled in one place: the core.Coordinator records every core.Point of a
+core.History as its evaluations complete, whichever backend drives it (the simulator, virtual time, fednet,
+FedDane). A core.History or core.Point composite literal in a non-test file outside internal/core is a
+hand-written driver loop growing back beside core.Drive — its own selection, aggregation and evaluation
+cadence, drifting from the coordinator's (FedDane's did: it ignored the codec and wrote 0 for NaN).`,
+		got: where(withBench, func(p string, n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			return ok && path.Dir(p) != "internal/core" && slices.Contains([]string{"History", "Point"}, coreLit(lit))
 		}),
 	}, {
 		name: "internal/ is reachable",
@@ -391,7 +409,7 @@ package calls is unexported; one that only tests call goes, and its tests check 
 what the system does call. Types and methods are exempt (inferred use and interface satisfaction do not name
 them), as are Err… sentinels (errors.Is is their contract), a parenthesised const group with any name used
 outside (one value set), and the testOnly packages.`,
-		got: unusedExports(append(parse(t, "benchmark"), all...)),
+		got: unusedExports(withBench),
 	}, {
 		name: "one numeric path",
 		why: `Arithmetic width is a type parameter inside internal/tensor, model/{linear,mlp}, solver and comm, chosen

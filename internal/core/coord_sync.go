@@ -91,15 +91,56 @@ func (c *Coordinator) nextRound() ([]Command, error) {
 	return c.beginRound()
 }
 
-// selectDevices and stragglerPlan share the Env draw implementations
-// (env.go), so the coordinator and Env-driven baselines see identical
-// environments under the same seed.
+// selectDevices draws the K devices of one round under the configured
+// sampling scheme. Every draw of the environment — selection, straggler
+// plans, batch order, init — is a pure function of (Config.Seed, round,
+// device), so two methods compared under the same seed face identical
+// environments: the paper's "fix the randomly selected devices, the
+// stragglers, and mini-batch orders across all runs" protocol.
 func (c *Coordinator) selectDevices(round int) []int {
-	return drawSelection(c.cfg, c.selRoot.SplitIndex(round), c.weights, c.n)
+	rng := c.selRoot.SplitIndex(round)
+	k := min(c.cfg.ClientsPerRound, c.n)
+	if c.cfg.Sampling == WeightedSimpleAvg {
+		return rng.WeightedChoice(c.weights, k)
+	}
+	return rng.Choice(c.n, k)
 }
 
+// stragglerPlan returns, for each selected device, its epoch budget and
+// whether it straggles this round.
+//
+// With the default model, a StragglerFraction of the selected devices are
+// designated stragglers and draw a budget uniformly from [1, E]
+// (Section 5.2); everyone else gets the full E epochs. When
+// Config.Capability is set, each device's budget instead comes from its
+// simulated hardware against the round's global clock cycle, and a device
+// straggles exactly when its budget falls short of E; the round's
+// straggler stream is then never drawn.
 func (c *Coordinator) stragglerPlan(round int, selected []int) (epochs []int, straggler []bool) {
-	return drawStragglerPlan(c.cfg, c.stragRoot.SplitIndex(round), round, selected)
+	cfg := c.cfg
+	n := len(selected)
+	epochs = make([]int, n)
+	straggler = make([]bool, n)
+	if cfg.Capability != nil {
+		for i, k := range selected {
+			epochs[i] = min(max(cfg.Capability.EpochBudget(round, k, cfg.LocalEpochs), 0), cfg.LocalEpochs)
+			straggler[i] = epochs[i] < cfg.LocalEpochs
+		}
+		return epochs, straggler
+	}
+	for i := range epochs {
+		epochs[i] = cfg.LocalEpochs
+	}
+	nStrag := int(cfg.StragglerFraction*float64(n) + 0.5)
+	if nStrag == 0 {
+		return epochs, straggler
+	}
+	rng := c.stragRoot.SplitIndex(round)
+	for _, i := range rng.Choice(n, nStrag) {
+		straggler[i] = true
+		epochs[i] = rng.IntRange(1, cfg.LocalEpochs)
+	}
+	return epochs, straggler
 }
 
 // policyDropped reports whether the round's i-th selected device is a

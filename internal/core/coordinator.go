@@ -29,7 +29,9 @@ package core
 //     replay,
 //   - internal/fednet: the TCP runtime (sync, async, a tier edge's
 //     children), which ships a Dispatch as a TrainRequest frame and an
-//     Evaluate as an EvalRequest.
+//     Evaluate as an EvalRequest,
+//   - internal/feddane: the Appendix B baseline, which solves a round's
+//     cohort in process with the gradient-correction term.
 //
 // A tier edge is not a fourth executor but a device runtime (edge.go):
 // core.Edge owns a coordinator on one of the backends above and runs it a

@@ -67,22 +67,37 @@ func TestLabelNames(t *testing.T) {
 	}
 }
 
+// startedCoordinator is a simulator coordinator for cfg over fed, every
+// device registered and the run started: its selectDevices and
+// stragglerPlan are the environment draws every executor runs.
+func startedCoordinator(t *testing.T, fed *data.Federated, cfg Config) *Coordinator {
+	t.Helper()
+	coord, _, err := newSimPair(linear.ForDataset(fed), fed.Fleet(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return coord
+}
+
 func TestEnvDeterministicAcrossMethods(t *testing.T) {
 	_, fed := tinyWorkload()
 	avg := FedAvg(5, 4, 3, 0.01)
 	avg.StragglerFraction = 0.5
 	prox := FedProx(5, 4, 3, 0.01, 1)
 	prox.StragglerFraction = 0.5
-	ea, ep := NewEnv(fed, avg), NewEnv(fed, prox)
+	ea, ep := startedCoordinator(t, fed, avg), startedCoordinator(t, fed, prox)
 	for round := 0; round < 5; round++ {
-		sa, sp := ea.SelectDevices(round), ep.SelectDevices(round)
+		sa, sp := ea.selectDevices(round), ep.selectDevices(round)
 		for i := range sa {
 			if sa[i] != sp[i] {
 				t.Fatalf("round %d: selection differs across methods", round)
 			}
 		}
-		eaE, eaS := ea.StragglerPlan(round, sa)
-		epE, epS := ep.StragglerPlan(round, sp)
+		eaE, eaS := ea.stragglerPlan(round, sa)
+		epE, epS := ep.stragglerPlan(round, sp)
 		for i := range eaE {
 			if eaE[i] != epE[i] || eaS[i] != epS[i] {
 				t.Fatalf("round %d: straggler plan differs across methods", round)
@@ -93,11 +108,11 @@ func TestEnvDeterministicAcrossMethods(t *testing.T) {
 
 func TestEnvSelectionChangesPerRound(t *testing.T) {
 	_, fed := tinyWorkload()
-	env := NewEnv(fed, FedAvg(10, 10, 3, 0.01))
+	coord := startedCoordinator(t, fed, FedAvg(10, 10, 3, 0.01))
 	same := true
-	first := env.SelectDevices(0)
+	first := coord.selectDevices(0)
 	for r := 1; r < 5 && same; r++ {
-		sel := env.SelectDevices(r)
+		sel := coord.selectDevices(r)
 		for i := range sel {
 			if sel[i] != first[i] {
 				same = false
@@ -114,9 +129,9 @@ func TestStragglerPlanCounts(t *testing.T) {
 	_, fed := tinyWorkload()
 	cfg := FedProx(3, 10, 20, 0.01, 0)
 	cfg.StragglerFraction = 0.9
-	env := NewEnv(fed, cfg)
-	sel := env.SelectDevices(0)
-	epochs, strag := env.StragglerPlan(0, sel)
+	coord := startedCoordinator(t, fed, cfg)
+	sel := coord.selectDevices(0)
+	epochs, strag := coord.stragglerPlan(0, sel)
 	n := 0
 	for i := range strag {
 		if strag[i] {
@@ -135,8 +150,8 @@ func TestStragglerPlanCounts(t *testing.T) {
 
 func TestStragglerPlanZeroFraction(t *testing.T) {
 	_, fed := tinyWorkload()
-	env := NewEnv(fed, FedProx(3, 10, 20, 0.01, 0))
-	epochs, strag := env.StragglerPlan(0, env.SelectDevices(0))
+	coord := startedCoordinator(t, fed, FedProx(3, 10, 20, 0.01, 0))
+	epochs, strag := coord.stragglerPlan(0, coord.selectDevices(0))
 	for i := range strag {
 		if strag[i] || epochs[i] != 20 {
 			t.Fatal("stragglers designated at fraction 0")

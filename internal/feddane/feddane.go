@@ -12,16 +12,32 @@
 // participate — destabilizes under federated sampling because ĝ is a
 // stale, inexact estimate; FedProx drops the correction term and is the
 // stabler method. This package exists to regenerate that comparison.
+//
+// A FedDane run is a core.Backend under core.Drive over the shared
+// core.Coordinator, so selection, stragglers, aggregation, evaluation
+// cadence, Cost, trace events and the History are a FedProx run's under
+// the same seed: only the local objective differs. Two consequences:
+//
+//   - Cost charges the training dispatches the coordinator issues, not the
+//     gradient-estimation exchange (ĝ's broadcast and the c devices'
+//     gradient uploads), which has no dispatch of its own.
+//   - The gradient set is built from the devices the round contacts. Under
+//     core.DropStragglers a designated straggler is never contacted, so it
+//     supplies no gradient; the set is widened to c from the lowest-index
+//     devices outside the contacted cohort.
 package feddane
 
 import (
+	"errors"
 	"fmt"
-	"math"
+	"slices"
 
 	"fedprox/internal/core"
 	"fedprox/internal/data"
+	"fedprox/internal/frand"
 	"fedprox/internal/metrics"
 	"fedprox/internal/model"
+	"fedprox/internal/obs"
 	"fedprox/internal/solver"
 	"fedprox/internal/tensor"
 )
@@ -38,132 +54,191 @@ type Config struct {
 // Run executes one FedDane run and returns its trajectory. The environment
 // (selection, stragglers, batch order, init) is identical to a core.Run
 // under the same seed, so FedDane and FedProx trajectories are directly
-// comparable.
+// comparable. Options the FedDane solve does not implement are refused.
 func Run(m model.Model, fed *data.Federated, cfg Config) (*core.History, error) {
-	if err := cfg.Config.Validate(); err != nil {
+	b, cmds, err := start(m, fed, cfg)
+	if err != nil {
 		return nil, err
+	}
+	if _, err := core.Drive(b.coord, b, cmds); err != nil {
+		return nil, err
+	}
+	h := b.coord.History()
+	h.Label = b.label
+	return h, nil
+}
+
+// start builds a run's coordinator, every device registered, and its
+// backend, and starts the run: the returned commands are round 0's.
+func start(m model.Model, fed *data.Federated, cfg Config) (*backend, []core.Command, error) {
+	if err := refuse(cfg.Config); err != nil {
+		return nil, nil, err
 	}
 	c := cfg.GradClients
 	if c <= 0 {
 		c = cfg.ClientsPerRound
 	}
-	if c > fed.NumDevices() {
-		c = fed.NumDevices()
+	label := fmt.Sprintf("FedDane(mu=%g,c=%d)", cfg.Mu, c)
+	if cfg.Trace != nil {
+		cfg.Trace = relabel{cfg.Trace, label}
 	}
-	env := core.NewEnv(fed, cfg.Config)
-	ecfg := env.Config()
-	w := m.InitParams(env.InitRNG())
-
-	hist := &core.History{Label: labelFor(cfg)}
-	record := func(round, participants int) {
-		p := core.Point{
-			Round:          round,
-			GradVar:        math.NaN(),
-			B:              math.NaN(),
-			Mu:             ecfg.Mu,
-			MeanGamma:      math.NaN(),
-			Participants:   participants,
-			MeanStaleness:  math.NaN(),
-			MaxStaleness:   math.NaN(),
-			VirtualSeconds: math.NaN(),
-		}
-		p.TrainLoss, p.TestAcc = metrics.Eval(m, fed, w)
-		if ecfg.TrackDissimilarity {
-			p.GradVar, p.B = metrics.Dissimilarity(m, fed, w)
-		}
-		hist.Points = append(hist.Points, p)
+	n := fed.NumDevices()
+	coord, err := core.NewCoordinator(m, cfg.Config, core.CoordinatorOptions{NumDevices: n})
+	if err != nil {
+		return nil, nil, err
 	}
-	record(0, 0)
-
-	weights := env.Weights()
-	scratch := make([]float64, m.NumParams())
-	for t := 0; t < ecfg.Rounds; t++ {
-		selected := env.SelectDevices(t)
-		epochs, straggler := env.StragglerPlan(t, selected)
-
-		// Gradient-estimation set: the selected devices, widened with the
-		// lowest-index unselected devices when c > K. Sampling more devices
-		// narrows the gap between ĝ and the true full gradient (the
-		// bottom-row sweep of Figure 4).
-		gradSet := widen(selected, c, fed.NumDevices())
-
-		// ĝ = Σ_{k∈gradSet} p_k ∇F_k(wᵗ) / Σ_{k∈gradSet} p_k.
-		ghat := make([]float64, m.NumParams())
-		totalP := 0.0
-		localGrads := make(map[int][]float64, len(gradSet))
-		for _, k := range gradSet {
-			g := make([]float64, m.NumParams())
-			m.Grad(g, w, fed.Shards[k].Train)
-			localGrads[k] = g
-			tensor.Axpy(weights[k], g, ghat)
-			totalP += weights[k]
-		}
-		if totalP > 0 {
-			tensor.Scale(1/totalP, ghat)
-		}
-
-		var params [][]float64
-		var nks []float64
-		for i, k := range selected {
-			if ecfg.Straggler == core.DropStragglers && straggler[i] {
-				continue
-			}
-			gk, ok := localGrads[k]
-			if !ok {
-				gk = make([]float64, m.NumParams())
-				m.Grad(gk, w, fed.Shards[k].Train)
-			}
-			// correction = ĝ − ∇F_k(wᵗ).
-			corr := scratch
-			tensor.Sub(corr, ghat, gk)
-			scfg := solver.Config{
-				LearningRate: ecfg.LearningRate,
-				BatchSize:    ecfg.BatchSize,
-				Mu:           ecfg.Mu,
-				Correction:   tensor.Clone(corr),
-			}
-			wk := solver.SGD(m, fed.Shards[k].Train, w, scfg, epochs[i], env.BatchRNG(t, k))
-			params = append(params, wk)
-			nks = append(nks, float64(len(fed.Shards[k].Train)))
-		}
-		if len(params) > 0 {
-			switch ecfg.Sampling {
-			case core.WeightedSimpleAvg:
-				tensor.Mean(w, params)
-			default:
-				tensor.WeightedMean(w, params, nks)
-			}
-		}
-		if (t+1)%ecfg.EvalEvery == 0 || t == ecfg.Rounds-1 {
-			record(t+1, len(params))
-		}
+	regs := make([]core.DeviceReg, n)
+	for k, s := range fed.Shards {
+		regs[k] = core.DeviceReg{ID: k, TrainSize: len(s.Train)}
 	}
-	return hist, nil
+	if _, err := coord.RegisterWorker(regs); err != nil {
+		return nil, nil, err
+	}
+	cmds, err := coord.Start()
+	if err != nil {
+		return nil, nil, err
+	}
+	b := &backend{coord: coord, label: label, m: m, fed: fed, weights: fed.Weights(), c: min(c, n), parallelism: cfg.Parallelism}
+	return b, cmds, nil
+}
+
+// refuse names the first option set in cfg that the FedDane solve does
+// not implement: it runs full-width SGD with the correction term on raw
+// parameters, one synchronous round at a time.
+func refuse(cfg core.Config) error {
+	var option string
+	switch {
+	case cfg.Codec.Enabled():
+		option = "Codec"
+	case cfg.DownlinkCodec.Enabled():
+		option = "DownlinkCodec"
+	case cfg.Precision == tensor.F32:
+		option = "Precision f32"
+	case cfg.Solver != nil:
+		option = "Solver"
+	case cfg.Privacy != nil:
+		option = "Privacy"
+	case cfg.TrackGamma:
+		option = "TrackGamma"
+	case cfg.DeviceBudget != nil:
+		option = "DeviceBudget"
+	case cfg.AdaptiveMu:
+		option = "AdaptiveMu"
+	case cfg.Async.Enabled():
+		option = "Async"
+	case cfg.VTime.Enabled():
+		option = "VTime"
+	default:
+		return nil
+	}
+	return fmt.Errorf("feddane: cannot run %s", option)
+}
+
+// backend executes the coordinator's commands in process: a round's
+// cohort is solved against the broadcast with the gradient correction,
+// and the model is measured over the whole network.
+type backend struct {
+	coord       *core.Coordinator
+	label       string
+	m           model.Model
+	fed         *data.Federated
+	weights     []float64 // p_k = n_k/n
+	c           int       // gradient-estimation sample size, at most N
+	parallelism int
+}
+
+// Dispatch serves one round's cohort. ĝ is estimated at the broadcast over
+// the contacted devices widened to c, and each device solves its corrected
+// subproblem; the replies carry raw solutions, which the coordinator owns.
+func (b *backend) Dispatch(ds []core.Dispatch) ([]core.Reply, error) {
+	contacted := make([]int, len(ds))
+	for i, d := range ds {
+		if d.Round != ds[0].Round {
+			return nil, fmt.Errorf("feddane: one dispatch batch spans rounds %d and %d", ds[0].Round, d.Round)
+		}
+		b.coord.DispatchSent(d.Device)
+		contacted[i] = d.Device
+	}
+	w, n := ds[0].View, b.m.NumParams()
+
+	// Gradient-estimation set: the contacted devices, widened with the
+	// lowest-index others when c exceeds the cohort. Sampling more devices
+	// narrows the gap between ĝ and the true full gradient (the
+	// bottom-row sweep of Figure 4). devs lists the cohort first, then
+	// the widening, so grads[i] is ds[i]'s and the set is devs[:c].
+	devs := widen(contacted, max(b.c, len(ds)), b.fed.NumDevices())
+	grads := make([][]float64, len(devs))
+	tensor.ParallelFor(len(devs), b.parallelism, func(i int) {
+		grads[i] = make([]float64, n)
+		b.m.Grad(grads[i], w, b.fed.Shards[devs[i]].Train)
+	})
+
+	// ĝ = Σ_{k∈gradSet} p_k ∇F_k(wᵗ) / Σ_{k∈gradSet} p_k.
+	ghat := make([]float64, n)
+	totalP := 0.0
+	for i, k := range devs[:b.c] {
+		tensor.Axpy(b.weights[k], grads[i], ghat)
+		totalP += b.weights[k]
+	}
+	if totalP > 0 {
+		tensor.Scale(1/totalP, ghat)
+	}
+
+	replies := make([]core.Reply, len(ds))
+	tensor.ParallelFor(len(ds), b.parallelism, func(i int) {
+		d := ds[i]
+		scfg := d.SolverConfig()
+		scfg.Correction = make([]float64, n) // ĝ − ∇F_k(wᵗ)
+		tensor.Sub(scfg.Correction, ghat, grads[i])
+		wk := solver.SGD(b.m, b.fed.Shards[d.Device].Train, w, scfg, d.Epochs, frand.New(d.BatchSeed))
+		replies[i] = core.Reply{Device: d.Device, Params: wk, EpochsDone: d.Epochs}
+	})
+	return replies, nil
+}
+
+func (b *backend) Evaluate(v core.Evaluate) (res core.EvalResult, err error) {
+	fl := b.fed.Fleet()
+	res.Loss, res.Acc = metrics.FleetEval(b.m, fl, v.Params)
+	if v.TrackDissimilarity {
+		res.GradVar, res.B = metrics.FleetDissimilarity(b.m, fl, v.Params)
+	}
+	return res, nil
+}
+
+func (b *backend) ObserveLoss(core.ObserveLoss) (float64, error) { return 0, errors.ErrUnsupported }
+
+func (b *backend) AdvanceClock(float64) error { return errors.ErrUnsupported }
+
+// Wait has nothing to wait for: a round's replies are in hand when
+// Dispatch returns.
+func (b *backend) Wait() ([]core.Command, error) { return nil, nil }
+
+// relabel names the run FedDane in its trace, where the coordinator
+// stamps the run-start event with core.Label.
+type relabel struct {
+	obs.Sink
+	label string
+}
+
+func (r relabel) Emit(e obs.Event) {
+	if e.Kind == obs.KindRunStart {
+		e.Label = r.label
+	}
+	r.Sink.Emit(e)
 }
 
 // widen extends selected to size c with the smallest-index devices not
-// already present. Order carries no meaning for gradient estimation.
+// already present, after selected's own; a c below len(selected)
+// truncates it.
 func widen(selected []int, c, numDevices int) []int {
 	if len(selected) >= c {
 		return selected[:c]
 	}
-	out := append([]int(nil), selected...)
-	in := make(map[int]bool, len(selected))
-	for _, k := range selected {
-		in[k] = true
-	}
+	out := slices.Clone(selected)
 	for k := 0; k < numDevices && len(out) < c; k++ {
-		if !in[k] {
+		if !slices.Contains(selected, k) {
 			out = append(out, k)
 		}
 	}
 	return out
-}
-
-func labelFor(cfg Config) string {
-	c := cfg.GradClients
-	if c <= 0 {
-		c = cfg.ClientsPerRound
-	}
-	return fmt.Sprintf("FedDane(mu=%g,c=%d)", cfg.Mu, c)
 }

@@ -1,11 +1,19 @@
 package feddane
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"fedprox/internal/comm"
 	"fedprox/internal/core"
 	"fedprox/internal/data/synthetic"
+	"fedprox/internal/frand"
 	"fedprox/internal/model/linear"
+	"fedprox/internal/obs"
+	"fedprox/internal/privacy"
+	"fedprox/internal/solver"
+	"fedprox/internal/tensor"
 )
 
 func TestRunProducesHistory(t *testing.T) {
@@ -110,5 +118,183 @@ func TestStragglersRespectedByFedDane(t *testing.T) {
 	}
 	if h.Final().Participants != 1 {
 		t.Fatalf("participants = %d, want 1 of 10 under 90%% drop", h.Final().Participants)
+	}
+}
+
+// fullBudget lets every device run every requested epoch.
+type fullBudget struct{}
+
+func (fullBudget) EpochBudget(_, _, requested int) int { return requested }
+
+// zeroLatency is a latency model under which nothing takes time.
+type zeroLatency struct{}
+
+func (zeroLatency) ComputeSeconds(_, _, _ int) float64        { return 0 }
+func (zeroLatency) UplinkSeconds(_, _ int, _ int64) float64   { return 0 }
+func (zeroLatency) DownlinkSeconds(_, _ int, _ int64) float64 { return 0 }
+func (zeroLatency) Dropped(_, _ int) bool                     { return false }
+
+// events records a run's trace.
+type events []obs.Event
+
+func (e *events) Emit(ev obs.Event) { *e = append(*e, ev) }
+
+// TestRunRefusesWhatItCannotRun: every option the FedDane solve does not
+// implement is refused up front by name, and every option the shared
+// coordinator runs for it is accepted.
+func TestRunRefusesWhatItCannotRun(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	m := linear.ForDataset(fed)
+	for _, o := range []struct {
+		name   string // the option a refusal must name; "" accepts
+		set    func(*core.Config)
+		accept bool
+	}{
+		{"Codec", func(c *core.Config) { c.Codec = comm.Spec{Name: "qsgd"} }, false},
+		{"DownlinkCodec", func(c *core.Config) { c.DownlinkCodec = comm.Spec{Name: "qsgd"} }, false},
+		{"Precision f32", func(c *core.Config) { c.Precision = tensor.F32 }, false},
+		{"Solver", func(c *core.Config) { c.Solver = solver.GDSolver{} }, false},
+		{"Privacy", func(c *core.Config) { c.Privacy = &privacy.Mechanism{ClipNorm: 1, NoiseStd: 0.01, Seed: 1} }, false},
+		{"TrackGamma", func(c *core.Config) { c.TrackGamma = true }, false},
+		{"DeviceBudget", func(c *core.Config) { c.DeviceBudget = fullBudget{} }, false},
+		{"AdaptiveMu", func(c *core.Config) { c.AdaptiveMu = true }, false},
+		{"Async", func(c *core.Config) { c.Async = core.AsyncConfig{Mode: core.AsyncTotal} }, false},
+		{"VTime", func(c *core.Config) { c.VTime = core.VTimeConfig{Model: zeroLatency{}} }, false},
+		{"Trace", func(c *core.Config) { c.Trace = &events{} }, true},
+		{"Capability", func(c *core.Config) { c.Capability = fullBudget{} }, true},
+		{"EvalEvery", func(c *core.Config) { c.EvalEvery = 2 }, true},
+		{"Sampling", func(c *core.Config) { c.Sampling = core.WeightedSimpleAvg }, true},
+		{"TrackDissimilarity", func(c *core.Config) { c.TrackDissimilarity = true }, true},
+	} {
+		cfg := Config{Config: core.FedProx(2, 5, 2, 0.01, 1)}
+		o.set(&cfg.Config)
+		_, err := Run(m, fed, cfg)
+		switch {
+		case o.accept && err != nil:
+			t.Errorf("%s: refused: %v", o.name, err)
+		case !o.accept && (err == nil || !strings.Contains(err.Error(), "feddane: cannot run "+o.name)):
+			t.Errorf("%s: err = %v, want a refusal naming it", o.name, err)
+		}
+	}
+}
+
+// TestHistoryTracksNoWorkOrStaleness: a FedDane run has no device budget
+// and no asynchronous folds, so its points carry NaN in those columns and
+// a renderer shows none of them.
+func TestHistoryTracksNoWorkOrStaleness(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	cfg := Config{Config: core.FedProx(3, 5, 2, 0.01, 1)}
+	cfg.StragglerFraction = 0.5
+	h, err := Run(linear.ForDataset(fed), fed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.TracksWork() || h.TracksStaleness() {
+		t.Fatalf("TracksWork = %v, TracksStaleness = %v, want both false", h.TracksWork(), h.TracksStaleness())
+	}
+}
+
+// TestTraceNamesFedDane: the trace's run-start event carries the
+// History's label, not the FedProx label of the shared coordinator.
+func TestTraceNamesFedDane(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	var trace events
+	cfg := Config{Config: core.FedProx(1, 5, 2, 0.01, 0), GradClients: 7}
+	cfg.Trace = &trace
+	h, err := Run(linear.ForDataset(fed), fed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trace) == 0 || trace[0].Kind != obs.KindRunStart || trace[0].Label != h.Label {
+		t.Fatalf("first event %+v, want a run start labelled %q", trace[0], h.Label)
+	}
+}
+
+// TestDropStragglersGradientSet pins the gradient-set rule: ĝ is estimated
+// over the devices the round contacts, widened to c. Under
+// DropStragglers a designated straggler is never contacted, so it supplies
+// no gradient even though the round selected it.
+func TestDropStragglersGradientSet(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	m := linear.ForDataset(fed)
+	cfg := Config{Config: core.FedAvg(1, 10, 3, 0.01)}
+	cfg.StragglerFraction = 0.5
+	var trace events
+	cfg.Trace = &trace
+	b, cmds, err := start(m, fed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Evaluate(cmds[0].(core.Evaluate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmds, err = b.coord.EvalDone(res); err != nil {
+		t.Fatal(err)
+	}
+	var ds []core.Dispatch
+	var contacted, selected []int
+	for _, cmd := range cmds {
+		d := cmd.(core.Dispatch)
+		ds = append(ds, d)
+		contacted = append(contacted, d.Device)
+	}
+	for _, e := range trace {
+		if e.Kind == obs.KindDispatch || e.Kind == obs.KindDrop {
+			selected = append(selected, e.Device)
+		}
+	}
+	if len(contacted) != 5 || len(selected) != 10 {
+		t.Fatalf("contacted %v of selected %v, want 5 of 10", contacted, selected)
+	}
+	replies, err := b.Dispatch(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// solve is device d's corrected local solve with ĝ over gradSet.
+	weights := fed.Weights()
+	solve := func(d core.Dispatch, gradSet []int) []float64 {
+		grad := func(k int) []float64 {
+			g := make([]float64, m.NumParams())
+			m.Grad(g, d.View, fed.Shards[k].Train)
+			return g
+		}
+		ghat := make([]float64, m.NumParams())
+		total := 0.0
+		for _, k := range gradSet {
+			tensor.Axpy(weights[k], grad(k), ghat)
+			total += weights[k]
+		}
+		tensor.Scale(1/total, ghat)
+		scfg := d.SolverConfig()
+		scfg.Correction = make([]float64, m.NumParams())
+		tensor.Sub(scfg.Correction, ghat, grad(d.Device))
+		return solver.SGD(m, fed.Shards[d.Device].Train, d.View, scfg, d.Epochs, frand.New(d.BatchSeed))
+	}
+	fromContacted, fromSelection := widen(contacted, 10, fed.NumDevices()), selected
+	if slices.Equal(slices.Sorted(slices.Values(fromContacted)), slices.Sorted(slices.Values(fromSelection))) {
+		t.Fatalf("gradient sets coincide (%v): the test cannot tell the rules apart", fromContacted)
+	}
+	for i, d := range ds {
+		if !slices.Equal(replies[i].Params, solve(d, fromContacted)) {
+			t.Errorf("device %d: reply is not the solve with ĝ over the contacted devices %v", d.Device, fromContacted)
+		}
+		if slices.Equal(replies[i].Params, solve(d, fromSelection)) {
+			t.Errorf("device %d: reply is the solve with ĝ over the full selection %v", d.Device, fromSelection)
+		}
+	}
+}
+
+// TestDispatchRefusesBatchSpanningRounds: ĝ is one round's estimate, so
+// a batch whose dispatches belong to two rounds is an error, not a solve.
+func TestDispatchRefusesBatchSpanningRounds(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	b, _, err := start(linear.ForDataset(fed), fed, Config{Config: core.FedProx(2, 5, 2, 0.01, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Dispatch([]core.Dispatch{{Round: 0, Device: 1}, {Round: 1, Device: 2}}); err == nil || !strings.Contains(err.Error(), "spans rounds 0 and 1") {
+		t.Fatalf("err = %v, want a batch spanning rounds refused", err)
 	}
 }

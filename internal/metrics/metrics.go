@@ -15,8 +15,7 @@
 // workers materialize a shard, measure it, and release it, so peak memory
 // during evaluation is O(workers × shard), not O(population) — the
 // property that lets a 10^6-device run afford its milestone evaluations.
-// The *data.Federated forms delegate through the eager Fleet adapter and
-// return bit-identical results.
+// A *data.Federated is measured through its eager Fleet adapter.
 //
 // An evaluation is one visit per shard: on a lazy fleet a visit is a
 // shard synthesis, the dominant cost, so FleetEval measures loss and
@@ -78,11 +77,6 @@ func countCorrect(m model.Model, w []float64, test []data.Example) (correct int)
 		}
 	}
 	return correct
-}
-
-// Eval returns FleetLoss and FleetAccuracy from one pass over the shards.
-func Eval(m model.Model, fed *data.Federated, w []float64) (loss, acc float64) {
-	return FleetEval(m, fed.Fleet(), w)
 }
 
 // FleetEval is FleetLoss and FleetAccuracy fused into one visit per
@@ -175,7 +169,7 @@ func PerClassAccuracy(m model.Model, fed *data.Federated, w []float64) (acc []fl
 	return acc, counts
 }
 
-// Dissimilarity returns the gradient variance E_k‖∇F_k(w) − ∇f(w)‖² (E_k
+// FleetDissimilarity returns the gradient variance E_k‖∇F_k(w) − ∇f(w)‖² (E_k
 // weighted by p_k = n_k/n), the empirical dissimilarity measure the paper
 // plots (Figures 2, 6, 8, 12) and a lower bound on the B-dissimilarity
 // via Corollary 10, and the B(w) estimate of Definition 3,
@@ -185,15 +179,11 @@ func PerClassAccuracy(m model.Model, fed *data.Federated, w []float64) (acc []fl
 // with B(w) defined as 1 at points where the two coincide (the paper's
 // stationarity convention) and 0 reported when ‖∇f(w)‖ is numerically
 // zero without agreement.
-func Dissimilarity(m model.Model, fed *data.Federated, w []float64) (variance, b float64) {
-	return FleetDissimilarity(m, fed.Fleet(), w)
-}
-
-// FleetDissimilarity is Dissimilarity over a lazy fleet. Shards are
-// transient, but the per-device gradients are not: ∇f(w) needs every
-// ∇F_k(w), so this holds O(N × params) floats and is meant for the
-// tracked-dissimilarity configurations (tens to hundreds of devices),
-// not million-device sweeps — which reject TrackGamma anyway.
+//
+// Shards are transient, but the per-device gradients are not: ∇f(w)
+// needs every ∇F_k(w), so this holds O(N × params) floats and is meant
+// for the tracked-dissimilarity configurations (tens to hundreds of
+// devices), not million-device sweeps — which reject TrackGamma anyway.
 func FleetDissimilarity(m model.Model, fl data.Fleet, w []float64) (variance, b float64) {
 	weights := data.FleetWeights(fl)
 	n := fl.NumDevices()

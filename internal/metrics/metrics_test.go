@@ -116,7 +116,7 @@ func TestDissimilarityIdenticalDevices(t *testing.T) {
 	m := linear.ForDataset(fed)
 	rng := frand.New(27)
 	w := rng.NormVec(make([]float64, m.NumParams()), 0, 0.5)
-	variance, b := Dissimilarity(m, fed, w)
+	variance, b := FleetDissimilarity(m, fed.Fleet(), w)
 	if variance > 1e-18 {
 		t.Fatalf("identical devices have gradient variance %g, want 0", variance)
 	}
@@ -130,7 +130,7 @@ func TestDissimilarityGrowsWithSkew(t *testing.T) {
 	m := linear.ForDataset(fed)
 	rng := frand.New(29)
 	w := rng.NormVec(make([]float64, m.NumParams()), 0, 0.5)
-	vSkew, bSkew := Dissimilarity(m, fed, w)
+	vSkew, bSkew := FleetDissimilarity(m, fed.Fleet(), w)
 	if vSkew <= 0 {
 		t.Fatalf("skewed variance = %g, want > 0", vSkew)
 	}
@@ -146,7 +146,7 @@ func TestVarianceIdentity(t *testing.T) {
 	m := linear.ForDataset(fed)
 	rng := frand.New(31)
 	w := rng.NormVec(make([]float64, m.NumParams()), 0, 0.3)
-	variance, b := Dissimilarity(m, fed, w)
+	variance, b := FleetDissimilarity(m, fed.Fleet(), w)
 
 	// Recompute the two sides by hand.
 	weights := fed.Weights()
@@ -236,15 +236,16 @@ func TestFleetEvalParallelParity(t *testing.T) {
 }
 
 // TestFleetEvalMatchesSeparatePasses: the fused pass returns exactly
-// (FleetLoss, FleetAccuracy) — compared with ==, not a tolerance — on an
-// eager fleet, a lazy one, and a fleet with no test examples (accuracy
+// (FleetLoss, FleetAccuracy) — compared with ==, not a tolerance — on two
+// eager fleets, a lazy one, and a fleet with no test examples (accuracy
 // 0), sequentially and on the worker pool.
 func TestFleetEvalMatchesSeparatePasses(t *testing.T) {
 	mnist := mnistsim.GenerateScaled(0.05)
 	lazyCfg := synthetic.Default(1, 1).Scaled(0.05)
 	lazyCfg.Devices = 64
+	skewed := skewedShards()
 	noTest := &data.Federated{Name: "no-test", NumClasses: 2, FeatureDim: 4}
-	for _, s := range skewedShards().Shards {
+	for _, s := range skewed.Shards {
 		noTest.Shards = append(noTest.Shards, &data.Shard{ID: s.ID, Train: s.Train})
 	}
 	cases := []struct {
@@ -254,6 +255,7 @@ func TestFleetEvalMatchesSeparatePasses(t *testing.T) {
 		zeroAcc bool
 	}{
 		{"eager-mnistsim", linear.ForDataset(mnist), mnist.Fleet(), false},
+		{"eager-skewed", linear.ForDataset(skewed), skewed.Fleet(), false},
 		{"lazy-synthetic", linear.New(lazyCfg.Dim, lazyCfg.Classes), synthetic.NewFleet(lazyCfg), false},
 		{"no-test-examples", linear.ForDataset(noTest), noTest.Fleet(), true},
 	}
@@ -273,17 +275,5 @@ func TestFleetEvalMatchesSeparatePasses(t *testing.T) {
 				t.Errorf("%s procs=%d: acc = %v, want zero: %v", tc.name, procs, acc, tc.zeroAcc)
 			}
 		}
-	}
-}
-
-// TestEvalMatchesEagerPair: the *data.Federated wrapper is the fused
-// form of FleetLoss + FleetAccuracy.
-func TestEvalMatchesEagerPair(t *testing.T) {
-	fed := skewedShards()
-	m := linear.ForDataset(fed)
-	w := frand.New(31).NormVec(make([]float64, m.NumParams()), 0, 0.5)
-	loss, acc := Eval(m, fed, w)
-	if loss != FleetLoss(m, fed.Fleet(), w) || acc != FleetAccuracy(m, fed.Fleet(), w) {
-		t.Fatalf("Eval = (%v, %v), want (%v, %v)", loss, acc, FleetLoss(m, fed.Fleet(), w), FleetAccuracy(m, fed.Fleet(), w))
 	}
 }

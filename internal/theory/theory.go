@@ -147,7 +147,7 @@ type SufficientDecreaseReport struct {
 // Analyze measures B and L at the given parameters and evaluates ρ for the
 // run configuration. It is the entry point the "theory" experiment uses.
 func Analyze(m model.Model, fed *data.Federated, w []float64, mu, gamma float64, k int, rng *frand.Source) (SufficientDecreaseReport, error) {
-	_, b := metrics.Dissimilarity(m, fed, w)
+	_, b := metrics.FleetDissimilarity(m, fed.Fleet(), w)
 	if b < 1 {
 		b = 1 // Definition 3: B(w) >= 1 up to measurement noise
 	}

@@ -138,7 +138,7 @@ func TestEstimateBOnSyntheticLadder(t *testing.T) {
 		fed := synthetic.Generate(cfg)
 		m := linear.ForDataset(fed)
 		w := rng.NormVec(make([]float64, m.NumParams()), 0, 0.1)
-		_, b := metrics.Dissimilarity(m, fed, w)
+		_, b := metrics.FleetDissimilarity(m, fed.Fleet(), w)
 		return b
 	}
 	bIID, bHet := measure(true), measure(false)
