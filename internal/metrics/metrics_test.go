@@ -236,16 +236,15 @@ func TestFleetEvalParallelParity(t *testing.T) {
 }
 
 // TestFleetEvalMatchesSeparatePasses: the fused pass returns exactly
-// (FleetLoss, FleetAccuracy) — compared with ==, not a tolerance — on two
-// eager fleets, a lazy one, and a fleet with no test examples (accuracy
+// (FleetLoss, FleetAccuracy) — compared with ==, not a tolerance — on an
+// eager fleet, a lazy one, and a fleet with no test examples (accuracy
 // 0), sequentially and on the worker pool.
 func TestFleetEvalMatchesSeparatePasses(t *testing.T) {
 	mnist := mnistsim.GenerateScaled(0.05)
 	lazyCfg := synthetic.Default(1, 1).Scaled(0.05)
 	lazyCfg.Devices = 64
-	skewed := skewedShards()
 	noTest := &data.Federated{Name: "no-test", NumClasses: 2, FeatureDim: 4}
-	for _, s := range skewed.Shards {
+	for _, s := range skewedShards().Shards {
 		noTest.Shards = append(noTest.Shards, &data.Shard{ID: s.ID, Train: s.Train})
 	}
 	cases := []struct {
@@ -255,7 +254,6 @@ func TestFleetEvalMatchesSeparatePasses(t *testing.T) {
 		zeroAcc bool
 	}{
 		{"eager-mnistsim", linear.ForDataset(mnist), mnist.Fleet(), false},
-		{"eager-skewed", linear.ForDataset(skewed), skewed.Fleet(), false},
 		{"lazy-synthetic", linear.New(lazyCfg.Dim, lazyCfg.Classes), synthetic.NewFleet(lazyCfg), false},
 		{"no-test-examples", linear.ForDataset(noTest), noTest.Fleet(), true},
 	}
@@ -275,5 +273,17 @@ func TestFleetEvalMatchesSeparatePasses(t *testing.T) {
 				t.Errorf("%s procs=%d: acc = %v, want zero: %v", tc.name, procs, acc, tc.zeroAcc)
 			}
 		}
+	}
+}
+
+// TestEvalMatchesEagerPair: on a *data.Federated measured through its
+// eager Fleet adapter, the fused pass is exactly FleetLoss + FleetAccuracy.
+func TestEvalMatchesEagerPair(t *testing.T) {
+	fed := skewedShards()
+	m := linear.ForDataset(fed)
+	w := frand.New(31).NormVec(make([]float64, m.NumParams()), 0, 0.5)
+	loss, acc := FleetEval(m, fed.Fleet(), w)
+	if loss != FleetLoss(m, fed.Fleet(), w) || acc != FleetAccuracy(m, fed.Fleet(), w) {
+		t.Fatalf("FleetEval = (%v, %v), want (%v, %v)", loss, acc, FleetLoss(m, fed.Fleet(), w), FleetAccuracy(m, fed.Fleet(), w))
 	}
 }
