@@ -43,9 +43,9 @@ var hotPaths = []struct {
 
 func dispatchStepF64(tb testing.TB, n int) func()   { return dispatchStep(tb, tensor.F64, n) }
 func dispatchStepF32(tb testing.TB, n int) func()   { return dispatchStep(tb, tensor.F32, n) }
-func solveEpochStepF64(tb testing.TB, _ int) func() { return solveEpochStep(tb, tensor.F64, true) }
-func solveEpochStepF32(tb testing.TB, _ int) func() { return solveEpochStep(tb, tensor.F32, true) }
-func solveEscapeStep(tb testing.TB, _ int) func()   { return solveEpochStep(tb, tensor.F64, false) }
+func solveEpochStepF64(tb testing.TB, _ int) func() { return solveEpochStep(tb, tensor.F64, 1, true) }
+func solveEpochStepF32(tb testing.TB, _ int) func() { return solveEpochStep(tb, tensor.F32, 1, true) }
+func solveEscapeStep(tb testing.TB, _ int) func()   { return solveEpochStep(tb, tensor.F64, 1, false) }
 
 // TestHotPathAllocFloors pins each hot path's allocations per iteration
 // at its floor: the fold and a solver epoch allocate nothing, a device
@@ -94,6 +94,13 @@ func BenchmarkDeviceEval(b *testing.B)        { benchHotPath(b, evalStep) }
 func BenchmarkLazyShardVisit(b *testing.B)    { benchHotPath(b, lazyVisitStep) }
 func BenchmarkSolveEpochF64(b *testing.B)     { benchHotPath(b, solveEpochStepF64) }
 func BenchmarkSolveEpochF32(b *testing.B)     { benchHotPath(b, solveEpochStepF32) }
+
+// BenchmarkSolveF32 is a whole float32 solve of SolveEpochF32's shape at
+// 20 epochs, the sim-solve workloads' E: work a solve does once rather
+// than once per epoch shows here and not in one epoch.
+func BenchmarkSolveF32(b *testing.B) {
+	benchHotPath(b, func(tb testing.TB, _ int) func() { return solveEpochStep(tb, tensor.F32, 20, true) })
+}
 
 // foldStep is the coordinator's staleness-damped fold (FoldStaleDeltas),
 // the arithmetic every asynchronous reply crosses on its way into the
@@ -250,12 +257,13 @@ func lazyVisitStep(tb testing.TB, _ int) func() {
 	}
 }
 
-// solveEpochStep is one local SGD epoch of an MNIST-shaped multinomial
-// regression (784 features, 10 classes) over 256 synthetic examples —
-// large enough that gradient arithmetic, not bookkeeping, dominates each
-// step. The two widths run the same batched body. With recycle false the
-// solution is dropped to the garbage collector instead of the pool.
-func solveEpochStep(tb testing.TB, prec tensor.Precision, recycle bool) func() {
+// solveEpochStep is a local SGD solve of epochs epochs of an MNIST-shaped
+// multinomial regression (784 features, 10 classes) over 256 synthetic
+// examples — large enough that gradient arithmetic, not bookkeeping,
+// dominates each step. The two widths run the same batched body. With
+// recycle false the solution is dropped to the garbage collector instead
+// of the pool.
+func solveEpochStep(tb testing.TB, prec tensor.Precision, epochs int, recycle bool) func() {
 	const dim, classes, n = 784, 10, 256
 	mdl := linear.New(dim, classes)
 	rng := frand.New(17)
@@ -271,7 +279,7 @@ func solveEpochStep(tb testing.TB, prec tensor.Precision, recycle bool) func() {
 	seed := uint64(0)
 	return func() {
 		seed++
-		w := solver.SGD(mdl, train, w0, cfg, 1, frand.New(seed))
+		w := solver.SGD(mdl, train, w0, cfg, epochs, frand.New(seed))
 		if len(w) != len(w0) {
 			tb.Fatal("solve returned wrong length")
 		}

@@ -92,22 +92,26 @@ func (m *Model) Loss(w []float64, batch []data.Example) float64 {
 // Grad writes the mean cross-entropy gradient into dst and returns the
 // mean loss.
 func (m *Model) Grad(dst, w []float64, batch []data.Example) float64 {
-	return grad(m, dst, w, batch)
+	var rows [64][]float64 // up to 64 examples' row headers live on the stack
+	return grad(m, dst, w, batch, model.ExampleRows(rows[:0], batch, m.Dim))
 }
+
+// InputDim implements model.Model32.
+func (m *Model) InputDim() int { return m.Dim }
 
 // Grad32 implements model.Model32.
-func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
-	return grad(m, dst, w, batch)
+func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example, xs [][]float32) float32 {
+	return grad(m, dst, w, batch, xs)
 }
 
-// grad is the batched gradient at either width: the forward pass is one
-// X·Wᵀ multiply over the examples read in place (at float32, over their
-// narrowed copies), softmax and loss share a single exp pass per example,
-// and the weight gradient takes each of its rows across the whole batch
-// while the row is hot (AddOuterPanel). AddOuterPanel writes the weight
-// block, so only the bias block is zeroed, and nothing of dst is written
-// before every example's length has been checked.
-func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
+// grad is the batched gradient at either width over xs, the batch's
+// feature rows (at float64 the examples' X read in place, at float32
+// their narrowed copies): the forward pass is one X·Wᵀ multiply, softmax
+// and loss share a single exp pass per example, and the weight gradient
+// takes each of its rows across the whole batch while the row is hot
+// (AddOuterPanel). AddOuterPanel writes the weight block, so only the
+// bias block is zeroed.
+func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example, xs [][]T) T {
 	if len(dst) != m.NumParams() {
 		panic("linear: gradient buffer size mismatch")
 	}
@@ -119,8 +123,6 @@ func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	W, b := split(m, w)
 	gW, gb := split(m, dst)
 
-	var rows [64][]T // up to 64 examples' row headers live on the stack
-	xs, panel := model.ExampleRows(rows[:0], batch, m.Dim)
 	pbuf := tensor.GetVec[T](B * m.Classes)
 	P := tensor.MatView(pbuf, B, m.Classes)
 
@@ -138,7 +140,6 @@ func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 		tensor.Axpy(inv, P.Row(e), gb)
 	}
 	tensor.PutVec(pbuf)
-	tensor.PutVec(panel)
 	return total * inv
 }
 

@@ -3,6 +3,7 @@ package linear
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,8 @@ import (
 	"fedprox/internal/data/synthetic"
 	"fedprox/internal/frand"
 	"fedprox/internal/metrics"
+	"fedprox/internal/model"
+	"fedprox/internal/solver"
 	"fedprox/internal/tensor"
 )
 
@@ -93,7 +96,8 @@ func TestGradReturnsLoss(t *testing.T) {
 		t.Fatalf("Grad loss %g != Loss %g", gl, l)
 	}
 	w32 := tensor.Converted[float32](w)
-	if gl := m.Grad32(make([]float32, m.NumParams()), w32, batch); math.Abs(float64(gl)-l) > 1e-5*l {
+	xs, _ := model.Narrow(nil, batch, m.Dim)
+	if gl := m.Grad32(make([]float32, m.NumParams()), w32, batch, xs); math.Abs(float64(gl)-l) > 1e-5*l {
 		t.Fatalf("Grad32 loss %g != Loss %g", gl, l)
 	}
 }
@@ -341,7 +345,8 @@ func TestGradMatchesGatheredReference(t *testing.T) {
 			for i := range got32 {
 				got32[i] = float32(math.NaN())
 			}
-			loss32 := m.Grad32(got32, w32, batch)
+			xs, _ := model.Narrow(nil, batch, m.Dim)
+			loss32 := m.Grad32(got32, w32, batch, xs)
 			wr32 := make([]ref32, len(w32))
 			tensor.Convert(wr32, w32)
 			sameGrad(t, "Grad32 "+what, got32, loss32, want32, refGrad(m, want32, wr32, batch))
@@ -351,12 +356,17 @@ func TestGradMatchesGatheredReference(t *testing.T) {
 
 // TestGradRejectsWrongLengthX: an X of the wrong length panics with a
 // shape message at either width, wherever it sits in the batch, before
-// anything of dst is written.
+// anything of dst is written. At float32 the check sits where the
+// features are narrowed (model.Narrow), so a float32 SGD, GDSolver or
+// Gamma panics with it wherever the X sits in train, before a step: no
+// vector comes back and w0 is untouched.
 func TestGradRejectsWrongLengthX(t *testing.T) {
 	const dim, classes, sentinel = 6, 5, 7
 	m := New(dim, classes)
 	w := frand.New(3).NormVec(make([]float64, m.NumParams()), 0, 1)
 	w32 := tensor.Converted[float32](w)
+	start := slices.Clone(w)
+	cfg := solver.Config{LearningRate: 0.1, BatchSize: 4, Mu: 1, Precision: tensor.F32}
 	for _, at := range []int{0, 3, 9} {
 		for _, n := range []int{dim - 1, dim + 1} {
 			batch := randBatch(frand.New(4), 10, dim, classes)
@@ -365,9 +375,16 @@ func TestGradRejectsWrongLengthX(t *testing.T) {
 			for i := range d64 {
 				d64[i], d32[i] = sentinel, sentinel
 			}
+			var solved []float64
 			for name, call := range map[string]func(){
-				"Grad":   func() { m.Grad(d64, w, batch) },
-				"Grad32": func() { m.Grad32(d32, w32, batch) },
+				"Grad": func() { m.Grad(d64, w, batch) },
+				"Grad32": func() {
+					xs, _ := model.Narrow(nil, batch, m.Dim)
+					m.Grad32(d32, w32, batch, xs)
+				},
+				"f32 SGD":      func() { solved = solver.SGD(m, batch, w, cfg, 2, frand.New(5)) },
+				"f32 GDSolver": func() { solved = solver.GDSolver{StepsPerEpoch: 2}.Solve(m, batch, w, cfg, 2, nil) },
+				"f32 Gamma":    func() { solver.Gamma(m, batch, w, w, cfg) },
 			} {
 				func() {
 					defer func() {
@@ -382,6 +399,9 @@ func TestGradRejectsWrongLengthX(t *testing.T) {
 				if d64[i] != sentinel || d32[i] != sentinel {
 					t.Fatalf("a %d-feature X at %d: gradient element %d written (%v, %v) before the panic", n, at, i, d64[i], d32[i])
 				}
+			}
+			if solved != nil || !slices.Equal(w, start) {
+				t.Fatalf("a %d-feature X at %d: a solve returned %v or stepped w0 before the panic", n, at, solved)
 			}
 		}
 	}

@@ -132,21 +132,25 @@ func (m *Model) Loss(w []float64, batch []data.Example) float64 {
 
 // Grad writes the mean gradient into dst and returns the mean loss.
 func (m *Model) Grad(dst, w []float64, batch []data.Example) float64 {
-	return grad(m, dst, w, batch)
+	return grad(m, dst, w, batch, model.ExampleRows(nil, batch, m.sizes[0]))
 }
 
+// InputDim implements model.Model32.
+func (m *Model) InputDim() int { return m.sizes[0] }
+
 // Grad32 implements model.Model32.
-func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
-	return grad(m, dst, w, batch)
+func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example, xs [][]float32) float32 {
+	return grad(m, dst, w, batch, xs)
 }
 
 // grad is the batched backpropagation at either width: one activation
-// panel per layer (B×width, pooled; the input layer is the examples
-// themselves, read in place at float64), forward as X·Wᵀ multiplies, and
+// panel per layer (B×width, pooled; the input layer is xs, the examples'
+// X read in place at float64 and their narrowed rows at float32),
+// forward as X·Wᵀ multiplies, and
 // the backward pass pushing a whole B×width delta panel through each
 // layer — so every weight row is streamed against the full minibatch.
 // AddOuterPanel writes each weight block, so only the biases are zeroed.
-func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
+func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example, xs [][]T) T {
 	if len(dst) != m.nParams {
 		panic("mlp: gradient buffer size mismatch")
 	}
@@ -161,8 +165,7 @@ func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	// its rows, the next layer's inputs: rows[0] the examples,
 	// A[1..L-1] tanh outputs, A[L] logits-then-probs.
 	rows := make([][][]T, L)
-	var panel []T
-	rows[0], panel = model.ExampleRows[T](nil, batch, m.sizes[0])
+	rows[0] = xs
 	bufs := make([][]T, L+1)
 	A := make([]tensor.Matrix[T], L+1)
 	for l := 1; l <= L; l++ {
@@ -227,7 +230,6 @@ func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example) T {
 	for l := range bufs {
 		tensor.PutVec(bufs[l])
 	}
-	tensor.PutVec(panel)
 	return total * inv
 }
 

@@ -7,6 +7,7 @@ import (
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
 	"fedprox/internal/metrics"
+	"fedprox/internal/model"
 	"fedprox/internal/tensor"
 )
 
@@ -81,7 +82,8 @@ func TestGradReturnsLoss(t *testing.T) {
 		t.Fatalf("Grad loss %g != Loss %g", gl, l)
 	}
 	w32 := tensor.Converted[float32](w)
-	if gl := m.Grad32(make([]float32, m.NumParams()), w32, batch); math.Abs(float64(gl)-l) > 1e-5*l {
+	xs, _ := model.Narrow(nil, batch, m.InputDim())
+	if gl := m.Grad32(make([]float32, m.NumParams()), w32, batch, xs); math.Abs(float64(gl)-l) > 1e-5*l {
 		t.Fatalf("Grad32 loss %g != Loss %g", gl, l)
 	}
 }
@@ -242,7 +244,8 @@ func TestGradMatchesGatheredReference(t *testing.T) {
 			}
 			want, want32 := make([]ref64, m.NumParams()), make([]ref32, m.NumParams())
 			loss, wantLoss := m.Grad(got, w, batch), refGrad(m, want, wr, batch)
-			loss32, wantLoss32 := m.Grad32(got32, w32, batch), refGrad(m, want32, wr32, batch)
+			xs, _ := model.Narrow(nil, batch, m.InputDim())
+			loss32, wantLoss32 := m.Grad32(got32, w32, batch, xs), refGrad(m, want32, wr32, batch)
 			if math.Float64bits(loss) != math.Float64bits(float64(wantLoss)) || math.Float32bits(loss32) != math.Float32bits(float32(wantLoss32)) {
 				t.Fatalf("%v batch %d: losses %v, %v, reference %v, %v", sizes, B, loss, loss32, wantLoss, wantLoss32)
 			}

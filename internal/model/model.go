@@ -47,43 +47,56 @@ type Model interface {
 // it is refused up front.
 type Model32 interface {
 	Model
+	// InputDim is the length of every example's X.
+	InputDim() int
 	// Grad32 is Grad in float32: same batch, same mean gradient and
-	// loss, up to float32 rounding.
-	Grad32(dst, w tensor.Vec32, batch []data.Example) float32
+	// loss, up to float32 rounding. It reads the features from xs, xs[e]
+	// being batch[e].X already narrowed (Narrow), and the labels from
+	// batch, so a solve converts each example once, not once per epoch.
+	Grad32(dst, w tensor.Vec32, batch []data.Example, xs [][]float32) float32
 }
 
 // Grad calls m's gradient at the width of dst and w: Grad for float64,
-// Grad32 for float32 (m must then be a Model32). It is how the
+// which reads each X in place, and Grad32 over xs, the batch's narrowed
+// rows, for float32 (m must then be a Model32). It is how the
 // width-generic solver bodies reach a model.
-func Grad[T tensor.Float](m Model, dst, w []T, batch []data.Example) T {
+func Grad[T tensor.Float](m Model, dst, w []T, batch []data.Example, xs [][]float32) T {
 	if d32, ok := any(dst).([]float32); ok {
-		return T(m.(Model32).Grad32(d32, any(w).([]float32), batch))
+		return T(m.(Model32).Grad32(d32, any(w).([]float32), batch, xs))
 	}
 	return T(m.Grad(any(dst).([]float64), any(w).([]float64), batch))
 }
 
-// ExampleRows appends the batch's examples at width T to rows and returns
-// it — the rows a batch kernel (tensor.MatMulNT, tensor.AddOuterPanel)
-// reads — with the pooled panel behind them: at float64 each row is the
-// example's X itself, read in place, and panel is nil; at float32 each X
-// is narrowed into its row of panel, a len(batch)·dim vector the caller
-// hands back with tensor.PutVec. An X that is not dim long panics, before
-// the caller has run a kernel or written a gradient.
-func ExampleRows[T tensor.Float](rows [][]T, batch []data.Example, dim int) (_ [][]T, panel []T) {
+// ExampleRows appends each example's X to rows and returns it: the rows
+// a float64 batch kernel (tensor.MatMulNT, tensor.AddOuterPanel) reads
+// in place. An X that is not dim long panics, before the caller has run
+// a kernel or written a gradient.
+func ExampleRows(rows [][]float64, batch []data.Example, dim int) [][]float64 {
 	for e, ex := range batch {
-		if len(ex.X) != dim {
-			panic(fmt.Sprintf("model: shape mismatch: example %d has %d features, want %d", e, len(ex.X), dim))
-		}
-		if x, ok := any(ex.X).([]T); ok {
-			rows = append(rows, x)
-			continue
-		}
-		if panel == nil {
-			panel = tensor.GetVec[T](len(batch) * dim)
-		}
+		checkShape(e, ex, dim)
+		rows = append(rows, ex.X)
+	}
+	return rows
+}
+
+// Narrow converts the examples' features to float32 into panel, a pooled
+// len(examples)·dim vector the caller hands back with tensor.PutVec, and
+// appends each example's row of it to rows: the xs Grad32 reads. A
+// float32 solve narrows its training set once, here. An X that is not
+// dim long panics, before the caller has stepped or written anything.
+func Narrow(rows [][]float32, examples []data.Example, dim int) (_ [][]float32, panel []float32) {
+	panel = tensor.GetVec[float32](len(examples) * dim)
+	for e, ex := range examples {
+		checkShape(e, ex, dim)
 		row := panel[e*dim : (e+1)*dim]
 		tensor.Convert(row, ex.X)
 		rows = append(rows, row)
 	}
 	return rows, panel
+}
+
+func checkShape(e int, ex data.Example, dim int) {
+	if len(ex.X) != dim {
+		panic(fmt.Sprintf("model: shape mismatch: example %d has %d features, want %d", e, len(ex.X), dim))
+	}
 }
