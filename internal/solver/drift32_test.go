@@ -105,7 +105,8 @@ func TestF32GammaZeroGradient(t *testing.T) {
 // grad32 is subproblemGrad at float32 on w and w0 narrowed, widened.
 func grad32(m model.Model, train []data.Example, w, w0 []float64, cfg Config) []float64 {
 	g := make([]float32, len(w))
-	subproblemGrad(g, m, train, narrowed(m, train), tensor.Converted[float32](w), tensor.Converted[float32](w0), cfg)
+	rows, _ := narrowed(m, train, 0)
+	subproblemGrad(g, m, train, rows, tensor.Converted[float32](w), tensor.Converted[float32](w0), cfg)
 	return tensor.Converted[float64](g)
 }
 
@@ -123,7 +124,7 @@ func TestF32SubproblemGradMatches(t *testing.T) {
 	for _, mu := range []float64{0, 1e-8, 1, 10} {
 		cfg := Config{Mu: mu}
 		g64 := make([]float64, len(w))
-		subproblemGrad(g64, m, train, features{}, w, w0, cfg)
+		subproblemGrad(g64, m, train, nil, w, w0, cfg)
 		if d := relDrift(grad32(m, train, w, w0, cfg), g64); d > 1e-5 {
 			t.Fatalf("mu=%g: subproblem gradient drifted %.2e", mu, d)
 		}
@@ -136,7 +137,7 @@ func TestF32SubproblemGradMatches(t *testing.T) {
 	sym := []data.Example{{X: zeroX, Y: 0}, {X: zeroX, Y: 1}}
 	cfg := Config{Mu: 2}
 	g64 := make([]float64, len(w))
-	subproblemGrad(g64, m, sym, features{}, w, w0, cfg)
+	subproblemGrad(g64, m, sym, nil, w, w0, cfg)
 	if d := relDrift(grad32(m, sym, w, w0, cfg), g64); d > 1e-5 {
 		t.Fatalf("prox-only gradient drifted %.2e", d)
 	}

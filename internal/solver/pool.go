@@ -46,8 +46,5 @@ func (sp *slicePool[T]) put(v []T) {
 var (
 	permPool  slicePool[int]
 	batchPool slicePool[data.Example]
-	// A float32 solve's row headers into its narrowed panel: one per
-	// training example (rowPool) and one per minibatch slot
-	// (batchRowPool). Two pools, so each sees one size within a run.
-	rowPool, batchRowPool slicePool[[]float32]
+	rowPool   slicePool[[]float32] // a float32 solve's rows (narrowed)
 )

@@ -49,26 +49,13 @@ func (c Config) narrow(m model.Model) bool {
 	return ok && c.Precision == tensor.F32 && c.Correction == nil
 }
 
-// features is a float32 solve's training set as its gradient reads it:
-// every X narrowed once per solve into a pooled n×dim panel
-// (model.Narrow), and rows, a pooled header per example into it, in train
-// order. A float64 solve's is the zero value: its model reads each X in
-// place.
-type features struct {
-	rows  [][]float32
-	panel []float32
-}
-
-// narrowed returns train's features for a float32 solve of m. An X of the
-// wrong length panics here, before anything is stepped.
-func narrowed(m model.Model, train []data.Example) features {
-	rows, panel := model.Narrow(rowPool.get(len(train))[:0], train, m.(model.Model32).InputDim())
-	return features{rows, panel}
-}
-
-func (f features) release() {
-	rowPool.put(f.rows)
-	tensor.PutVec(f.panel)
+// narrowed returns train's features as a float32 solve of m reads them:
+// every X converted once per solve into panel (model.Narrow), and rows, a
+// header per example into it in train order, pooled with room for spare
+// more. The caller recycles both. An X of the wrong length panics here,
+// before anything is stepped. A float64 solve passes nil rows instead.
+func narrowed(m model.Model, train []data.Example, spare int) (rows [][]float32, panel []float32) {
+	return model.Narrow(rowPool.get(len(train) + spare)[:0], train, m.(model.Model32).InputDim())
 }
 
 // widened returns v at float64 in a pooled vector and recycles v.
@@ -89,32 +76,30 @@ func widened(v []float32) []float64 {
 // tensor pool, and callers that do not retain it should hand it back
 // with tensor.PutVec.
 func SGD(m model.Model, train []data.Example, w0 []float64, cfg Config, epochs int, rng *frand.Source) []float64 {
-	if cfg.narrow(m) {
-		f := narrowed(m, train)
-		n0 := tensor.Converted[float32](w0)
-		w := sgd(m, train, f, n0, cfg, epochs, rng)
-		tensor.PutVec(n0)
-		f.release()
-		return widened(w)
-	}
-	return sgd(m, train, features{}, w0, cfg, epochs, rng)
-}
-
-func sgd[T tensor.Float](m model.Model, train []data.Example, f features, w0 []T, cfg Config, epochs int, rng *frand.Source) []T {
 	if epochs < 0 {
 		panic("solver: negative epochs")
 	}
 	if cfg.BatchSize <= 0 {
 		panic("data: non-positive batch size")
 	}
+	if cfg.narrow(m) {
+		rows, panel := narrowed(m, train, cfg.BatchSize)
+		n0 := tensor.Converted[float32](w0)
+		w := sgd(m, train, rows, n0, cfg, epochs, rng)
+		rowPool.put(rows)
+		tensor.PutVec(panel)
+		tensor.PutVec(n0)
+		return widened(w)
+	}
+	return sgd(m, train, nil, w0, cfg, epochs, rng)
+}
+
+func sgd[T tensor.Float](m model.Model, train []data.Example, rows [][]float32, w0 []T, cfg Config, epochs int, rng *frand.Source) []T {
 	w := tensor.GetVec[T](len(w0))
 	copy(w, w0)
 	grad := tensor.GetVec[T](m.NumParams())
 	batch := batchPool.get(cfg.BatchSize)[:0]
-	var xs [][]float32 // the batch's rows of f, at float32
-	if f.rows != nil {
-		xs = batchRowPool.get(cfg.BatchSize)[:0]
-	}
+	xs := rows[len(rows):] // a float32 batch's rows, in the room left after rows
 	perm := permPool.get(len(train))
 	// Batch windows are sliced straight off the epoch permutation —
 	// identical draws and batches as data.Batches, without materializing
@@ -133,8 +118,8 @@ func sgd[T tensor.Float](m model.Model, train []data.Example, f features, w0 []T
 			batch, xs = batch[:0], xs[:0]
 			for _, i := range perm[start:end] {
 				batch = append(batch, train[i])
-				if f.rows != nil {
-					xs = append(xs, f.rows[i])
+				if rows != nil {
+					xs = append(xs, rows[i])
 				}
 			}
 			model.Grad(m, grad, w, batch, xs)
@@ -143,17 +128,16 @@ func sgd[T tensor.Float](m model.Model, train []data.Example, f features, w0 []T
 	}
 	permPool.put(perm)
 	batchPool.put(batch)
-	batchRowPool.put(xs)
 	tensor.PutVec(grad)
 	return w
 }
 
-func gd[T tensor.Float](m model.Model, train []data.Example, f features, w0 []T, cfg Config, steps int) []T {
+func gd[T tensor.Float](m model.Model, train []data.Example, rows [][]float32, w0 []T, cfg Config, steps int) []T {
 	w := tensor.GetVec[T](len(w0))
 	copy(w, w0)
 	grad := tensor.GetVec[T](m.NumParams())
 	for s := 0; s < steps; s++ {
-		model.Grad(m, grad, w, train, f.rows)
+		model.Grad(m, grad, w, train, rows)
 		applyStep(w, grad, w0, cfg)
 	}
 	tensor.PutVec(grad)
@@ -182,10 +166,10 @@ func applyStep[T tensor.Float](w, grad, w0 []T, cfg Config) {
 }
 
 // subproblemGrad writes ∇h(w; w0) = ∇F(w) + μ(w − w0) + correction over the
-// full local training set, with its features f, into dst and returns the
+// full local training set, with its float32 rows, into dst and returns the
 // subproblem loss F(w) + (μ/2)‖w − w0‖² (+ ⟨correction, w⟩ when present).
-func subproblemGrad[T tensor.Float](dst []T, m model.Model, train []data.Example, f features, w, w0 []T, cfg Config) T {
-	loss := model.Grad(m, dst, w, train, f.rows)
+func subproblemGrad[T tensor.Float](dst []T, m model.Model, train []data.Example, rows [][]float32, w, w0 []T, cfg Config) T {
+	loss := model.Grad(m, dst, w, train, rows)
 	if mu := T(cfg.Mu); mu != 0 {
 		for i := range dst {
 			dst[i] += mu * (w[i] - w0[i])
@@ -211,25 +195,26 @@ func subproblemGrad[T tensor.Float](dst []T, m model.Model, train []data.Example
 // denominator guard keeps one scale.
 func Gamma(m model.Model, train []data.Example, w, w0 []float64, cfg Config) float64 {
 	if cfg.narrow(m) {
-		f := narrowed(m, train)
+		rows, panel := narrowed(m, train, 0)
 		nw, nw0 := tensor.Converted[float32](w), tensor.Converted[float32](w0)
-		g := gamma(m, train, f, nw, nw0, cfg)
+		g := gamma(m, train, rows, nw, nw0, cfg)
+		rowPool.put(rows)
+		tensor.PutVec(panel)
 		tensor.PutVec(nw)
 		tensor.PutVec(nw0)
-		f.release()
 		return g
 	}
-	return gamma(m, train, features{}, w, w0, cfg)
+	return gamma(m, train, nil, w, w0, cfg)
 }
 
-func gamma[T tensor.Float](m model.Model, train []data.Example, f features, w, w0 []T, cfg Config) float64 {
+func gamma[T tensor.Float](m model.Model, train []data.Example, rows [][]float32, w, w0 []T, cfg Config) float64 {
 	grad := tensor.GetVec[T](m.NumParams())
 	defer tensor.PutVec(grad)
-	subproblemGrad(grad, m, train, f, w0, w0, cfg)
+	subproblemGrad(grad, m, train, rows, w0, w0, cfg)
 	denom := tensor.Norm2(grad)
 	if denom < 1e-12 {
 		return 0
 	}
-	subproblemGrad(grad, m, train, f, w, w0, cfg)
+	subproblemGrad(grad, m, train, rows, w, w0, cfg)
 	return tensor.Norm2(grad) / denom
 }

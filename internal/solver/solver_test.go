@@ -142,7 +142,7 @@ func TestGammaStationaryStart(t *testing.T) {
 	}
 	w0 := make([]float64, m.NumParams())
 	g := make([]float64, m.NumParams())
-	subproblemGrad(g, m, train, features{}, w0, w0, Config{})
+	subproblemGrad(g, m, train, nil, w0, w0, Config{})
 	if tensor.Norm2(g) > 1e-12 {
 		t.Skipf("construction not stationary (|g|=%g); skip", tensor.Norm2(g))
 	}
@@ -161,7 +161,7 @@ func TestSubproblemGradIncludesProx(t *testing.T) {
 	gPlain := make([]float64, m.NumParams())
 	m.Grad(gPlain, w, train)
 	gProx := make([]float64, m.NumParams())
-	lossProx := subproblemGrad(gProx, m, train, features{}, w, w0, Config{Mu: 2})
+	lossProx := subproblemGrad(gProx, m, train, nil, w, w0, Config{Mu: 2})
 	for i := range gProx {
 		want := gPlain[i] + 2*(w[i]-w0[i])
 		if math.Abs(gProx[i]-want) > 1e-12 {

@@ -70,14 +70,15 @@ func (s GDSolver) Solve(m model.Model, train []data.Example, w0 []float64, cfg C
 		per = 1
 	}
 	if cfg.narrow(m) {
-		f := narrowed(m, train)
+		rows, panel := narrowed(m, train, 0)
 		n0 := tensor.Converted[float32](w0)
-		w := gd(m, train, f, n0, cfg, epochs*per)
+		w := gd(m, train, rows, n0, cfg, epochs*per)
+		rowPool.put(rows)
+		tensor.PutVec(panel)
 		tensor.PutVec(n0)
-		f.release()
 		return widened(w)
 	}
-	return gd(m, train, features{}, w0, cfg, epochs*per)
+	return gd(m, train, nil, w0, cfg, epochs*per)
 }
 
 // MomentumSolver is SGD with classical (heavy-ball) momentum.
