@@ -415,7 +415,7 @@ outside (one value set), and the testOnly packages.`,
 		why: `Arithmetic width is a type parameter inside internal/tensor, model/{linear,mlp}, solver and comm, chosen
 once where a Precision is read; every interface between packages is float64. A func, method or type whose name
 ends in 32 is the float32 twin stack growing back beside it. The exceptions are the one width constraint
-(model.Model32 and its Grad32), a width alias (tensor.Vec32, or a Mat32 beside it), the assembly strips' names
+(model.Model32, its Grad32 and the rows model.Narrow builds for it), a width alias (tensor.Vec32, or a Mat32 beside it), the assembly strips' names
 ending in F32 and the frame reader's u32.`,
 		got: where(all, func(_ string, n ast.Node) bool {
 			var id *ast.Ident

@@ -146,9 +146,9 @@ func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example, xs [][]float32
 // grad is the batched backpropagation at either width: one activation
 // panel per layer (B×width, pooled; the input layer is xs, the examples'
 // X read in place at float64 and their narrowed rows at float32),
-// forward as X·Wᵀ multiplies, and
-// the backward pass pushing a whole B×width delta panel through each
-// layer — so every weight row is streamed against the full minibatch.
+// forward as X·Wᵀ multiplies, and the backward pass pushing a whole
+// B×width delta panel through each layer — so every weight row is
+// streamed against the full minibatch.
 // AddOuterPanel writes each weight block, so only the biases are zeroed.
 func grad[T tensor.Float](m *Model, dst, w []T, batch []data.Example, xs [][]T) T {
 	if len(dst) != m.nParams {
