@@ -233,20 +233,22 @@ func (f *Federated) Validate() error {
 		if len(s.Train) == 0 {
 			return fmt.Errorf("data: %s device %d has empty training set", f.Name, s.ID)
 		}
-		for _, ex := range append(append([]Example{}, s.Train...), s.Test...) {
-			if ex.Y < 0 || ex.Y >= f.NumClasses {
-				return fmt.Errorf("data: %s device %d label %d out of range", f.Name, s.ID, ex.Y)
-			}
-			if dense && len(ex.X) != f.FeatureDim {
-				return fmt.Errorf("data: %s device %d feature dim %d != %d", f.Name, s.ID, len(ex.X), f.FeatureDim)
-			}
-			if seq {
-				if len(ex.Seq) != f.SeqLen {
-					return fmt.Errorf("data: %s device %d seq len %d != %d", f.Name, s.ID, len(ex.Seq), f.SeqLen)
+		for _, part := range [][]Example{s.Train, s.Test} {
+			for _, ex := range part {
+				if ex.Y < 0 || ex.Y >= f.NumClasses {
+					return fmt.Errorf("data: %s device %d label %d out of range", f.Name, s.ID, ex.Y)
 				}
-				for _, t := range ex.Seq {
-					if t < 0 || t >= f.VocabSize {
-						return fmt.Errorf("data: %s device %d token %d out of range", f.Name, s.ID, t)
+				if dense && len(ex.X) != f.FeatureDim {
+					return fmt.Errorf("data: %s device %d feature dim %d != %d", f.Name, s.ID, len(ex.X), f.FeatureDim)
+				}
+				if seq {
+					if len(ex.Seq) != f.SeqLen {
+						return fmt.Errorf("data: %s device %d seq len %d != %d", f.Name, s.ID, len(ex.Seq), f.SeqLen)
+					}
+					for _, t := range ex.Seq {
+						if t < 0 || t >= f.VocabSize {
+							return fmt.Errorf("data: %s device %d token %d out of range", f.Name, s.ID, t)
+						}
 					}
 				}
 			}
