@@ -74,9 +74,12 @@ func scaleFloor(n int, f float64, floor int) int {
 	return v
 }
 
-// Generate builds the federated dataset described by c.
+// Generate builds the federated dataset described by c. Each device's
+// examples come from streams keyed by its index alone, so the devices are
+// built in parallel and the bits do not depend on GOMAXPROCS.
 func Generate(c Config) *data.Federated {
-	if c.Devices <= 0 || c.Classes <= 1 || c.ClassesPerDevice <= 0 || c.Side <= 1 {
+	if c.Devices <= 0 || c.Classes <= 1 || c.ClassesPerDevice <= 0 || c.Side <= 1 ||
+		c.TrainFrac < 0 || c.TrainFrac > 1 {
 		panic("imagesim: invalid config")
 	}
 	root := frand.New(c.Seed)
@@ -93,11 +96,12 @@ func Generate(c Config) *data.Federated {
 
 	fed := &data.Federated{
 		Name:       c.Name,
+		Shards:     make([]*data.Shard, c.Devices),
 		NumClasses: c.Classes,
 		FeatureDim: dim,
 	}
 	styleRng := root.Split("styles")
-	for k := 0; k < c.Devices; k++ {
+	tensor.ParallelFor(c.Devices, 0, func(k int) {
 		devRng := sampleRng.SplitIndex(k)
 		classes := classSets[k]
 		var style []float64
@@ -129,8 +133,8 @@ func Generate(c Config) *data.Federated {
 			examples[i] = data.Example{X: x, Y: y}
 		}
 		train, test := data.SplitTrainTest(examples, c.TrainFrac, splitRng.SplitIndex(k))
-		fed.Shards = append(fed.Shards, &data.Shard{ID: k, Train: train, Test: test})
-	}
+		fed.Shards[k] = &data.Shard{ID: k, Train: train, Test: test}
+	})
 	if err := fed.Validate(); err != nil {
 		panic(err)
 	}

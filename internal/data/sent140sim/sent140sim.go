@@ -18,6 +18,7 @@ import (
 
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
+	"fedprox/internal/tensor"
 )
 
 // Config parameterizes the generator.
@@ -89,9 +90,10 @@ func scaleFloor(n int, f float64, floor int) int {
 	return v
 }
 
-// Generate builds the federated dataset described by c.
+// Generate builds the federated dataset described by c, its accounts in
+// parallel: each one's streams are keyed by its index alone.
 func Generate(c Config) *data.Federated {
-	if c.Devices <= 0 || c.Vocab <= 2*c.LexiconSize || c.SeqLen <= 0 {
+	if c.Devices <= 0 || c.Vocab <= 2*c.LexiconSize || c.SeqLen <= 0 || c.TrainFrac < 0 || c.TrainFrac > 1 {
 		panic("sent140sim: invalid config")
 	}
 	root := frand.New(c.Seed)
@@ -105,11 +107,12 @@ func Generate(c Config) *data.Federated {
 
 	fed := &data.Federated{
 		Name:       "Sent140",
+		Shards:     make([]*data.Shard, c.Devices),
 		NumClasses: 2,
 		VocabSize:  c.Vocab,
 		SeqLen:     c.SeqLen,
 	}
-	for k := 0; k < c.Devices; k++ {
+	tensor.ParallelFor(c.Devices, 0, func(k int) {
 		arng := accountRng.SplitIndex(k)
 		topics := topicWeights(arng.Split("topics"), numNeutral, c.TopicConcentration)
 		// Account-level class balance in [0.25, 0.75]: accounts lean
@@ -142,8 +145,8 @@ func Generate(c Config) *data.Federated {
 			examples[i] = data.Example{Seq: seq, Y: y}
 		}
 		train, test := data.SplitTrainTest(examples, c.TrainFrac, splitRng.SplitIndex(k))
-		fed.Shards = append(fed.Shards, &data.Shard{ID: k, Train: train, Test: test})
-	}
+		fed.Shards[k] = &data.Shard{ID: k, Train: train, Test: test}
+	})
 	if err := fed.Validate(); err != nil {
 		panic(err)
 	}

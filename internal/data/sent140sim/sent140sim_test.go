@@ -130,15 +130,28 @@ func TestScaledAdjustsEverything(t *testing.T) {
 	}
 }
 
+// TestPanicsOnInvalidConfig holds every config check to Generate's own
+// goroutine, ahead of the parallel per-device loop, where a panic could
+// not be recovered.
 func TestPanicsOnInvalidConfig(t *testing.T) {
-	c := testConfig()
-	c.Vocab = c.LexiconSize // vocab must exceed 2×lexicon
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid config did not panic")
-		}
-	}()
-	Generate(c)
+	for _, tc := range []struct {
+		name string
+		edit func(c *Config)
+	}{
+		{"vocab-within-lexicons", func(c *Config) { c.Vocab = c.LexiconSize }}, // vocab must exceed 2×lexicon
+		{"train-frac-1.5", func(c *Config) { c.TrainFrac = 1.5 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testConfig()
+			tc.edit(&c)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("invalid config did not panic")
+				}
+			}()
+			Generate(c)
+		})
+	}
 }
 
 func TestTopicWeightsNormalized(t *testing.T) {

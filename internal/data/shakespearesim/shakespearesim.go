@@ -18,6 +18,7 @@ import (
 
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
+	"fedprox/internal/tensor"
 )
 
 // Config parameterizes the generator.
@@ -82,9 +83,11 @@ func scaleFloor(n int, f float64, floor int) int {
 	return v
 }
 
-// Generate builds the federated dataset described by c.
+// Generate builds the federated dataset described by c, its roles in
+// parallel: each one's streams are keyed by its index alone, and the base
+// chain they share is built first.
 func Generate(c Config) *data.Federated {
-	if c.Devices <= 0 || c.Vocab <= 1 || c.SeqLen <= 0 {
+	if c.Devices <= 0 || c.Vocab <= 1 || c.SeqLen <= 0 || c.TrainFrac < 0 || c.TrainFrac > 1 {
 		panic("shakespearesim: invalid config")
 	}
 	root := frand.New(c.Seed)
@@ -98,11 +101,12 @@ func Generate(c Config) *data.Federated {
 
 	fed := &data.Federated{
 		Name:       "Shakespeare",
+		Shards:     make([]*data.Shard, c.Devices),
 		NumClasses: c.Vocab,
 		VocabSize:  c.Vocab,
 		SeqLen:     c.SeqLen,
 	}
-	for k := 0; k < c.Devices; k++ {
+	tensor.ParallelFor(c.Devices, 0, func(k int) {
 		rrng := roleRng.SplitIndex(k)
 		private := transitionMatrix(rrng.Split("chain"), c.Vocab, c.BranchFactor)
 		// Role transition = (1−skew)·base + skew·private.
@@ -125,8 +129,8 @@ func Generate(c Config) *data.Federated {
 			}
 		}
 		train, test := data.SplitTrainTest(examples, c.TrainFrac, splitRng.SplitIndex(k))
-		fed.Shards = append(fed.Shards, &data.Shard{ID: k, Train: train, Test: test})
-	}
+		fed.Shards[k] = &data.Shard{ID: k, Train: train, Test: test}
+	})
 	if err := fed.Validate(); err != nil {
 		panic(err)
 	}

@@ -49,7 +49,7 @@ type shardBuf struct {
 // sequential draws — the power-law size allocation and (for IID) the
 // shared model — so it is O(N) ints, not O(total samples).
 func NewFleet(c Config) *Fleet {
-	if c.Devices <= 0 || c.Dim <= 0 || c.Classes <= 1 {
+	if c.Devices <= 0 || c.Dim <= 0 || c.Classes <= 1 || c.TrainFrac < 0 || c.TrainFrac > 1 {
 		panic("synthetic: invalid config")
 	}
 	root := frand.New(c.Seed)

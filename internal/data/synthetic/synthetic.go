@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"fedprox/internal/data"
+	"fedprox/internal/tensor"
 )
 
 // Config parameterizes the generator. The zero value is not useful; start
@@ -101,7 +102,8 @@ func (c Config) Name() string {
 }
 
 // Generate builds the federated dataset described by c: the lazy fleet's
-// shards, none released, so each keeps storage of its own.
+// shards, built in parallel and none released, so each keeps storage of
+// its own.
 func Generate(c Config) *data.Federated {
 	fl := NewFleet(c)
 	fed := &data.Federated{
@@ -110,9 +112,7 @@ func Generate(c Config) *data.Federated {
 		NumClasses: c.Classes,
 		FeatureDim: c.Dim,
 	}
-	for k := range fed.Shards {
-		fed.Shards[k] = fl.Shard(k)
-	}
+	tensor.ParallelFor(c.Devices, 0, func(k int) { fed.Shards[k] = fl.Shard(k) })
 	if err := fed.Validate(); err != nil {
 		panic(err)
 	}

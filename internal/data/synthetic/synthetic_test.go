@@ -122,15 +122,28 @@ func TestHeterogeneityOrdering(t *testing.T) {
 	}
 }
 
+// TestPanicsOnInvalidConfig holds every config check to Generate's own
+// goroutine, ahead of the parallel per-device loop, where a panic could
+// not be recovered.
 func TestPanicsOnInvalidConfig(t *testing.T) {
-	cfg := Default(1, 1)
-	cfg.Devices = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid config did not panic")
-		}
-	}()
-	Generate(cfg)
+	for _, tc := range []struct {
+		name string
+		edit func(c *Config)
+	}{
+		{"no-devices", func(c *Config) { c.Devices = 0 }},
+		{"train-frac-1.5", func(c *Config) { c.TrainFrac = 1.5 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Default(1, 1)
+			tc.edit(&c)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("invalid config did not panic")
+				}
+			}()
+			Generate(c)
+		})
+	}
 }
 
 func TestPowerLawSampleSkew(t *testing.T) {
