@@ -7,8 +7,9 @@ import (
 )
 
 // LinkState is one endpoint's per-device codec state: lazily created
-// downlink/uplink codec instances plus the last decoded broadcast per
-// device. The simulator's network model and both fednet endpoints
+// downlink/uplink codec instances plus, on a prev-relative downlink, the
+// last decoded broadcast per device — the endpoint's only copy of it,
+// adopted from the decode rather than copied (SetPrev). The simulator's network model and both fednet endpoints
 // (coordinator and worker) share this type, so the three state machines
 // that must stay in lockstep for decoding to work cannot drift apart.
 //
@@ -78,27 +79,24 @@ func (l *LinkState) Prev(device int) []float64 {
 
 // SetPrev records the decoded broadcast after a downlink transfer. Both
 // endpoints of a link must call it with the same decoded value to stay
-// in lockstep. The view is copied into a per-device buffer the link
-// retains, so callers keep ownership of the slice they pass (and may
-// recycle it). On an f32 link the decoded value is float32-representable,
-// so this float64 shadow holds the link's f32 chain exactly.
-//
-// The lock guards the map only: a device's shadow is single-owner like
-// its codecs, so the model-sized copy runs outside it and goroutines
-// advancing distinct devices do not queue on each other's copies.
-func (l *LinkState) SetPrev(device int, view []float64) {
+// in lockstep. A link that keeps a shadow adopts view as it is — it must
+// be a pooled vector (tensor.GetVec) nothing writes or recycles after
+// this call — recycles the shadow it replaces, and reports true; a
+// caller may still read view until the device's next broadcast, which is
+// the only thing that replaces it. Raw and non-delta links keep no
+// shadow and report false: view stays the caller's. On an f32 link the
+// decoded value is float32-representable, so this float64 shadow holds
+// the link's f32 chain exactly.
+func (l *LinkState) SetPrev(device int, view []float64) bool {
 	if !l.trackPrev {
-		return
+		return false
 	}
-	p := l.Prev(device)
-	if cap(p) < len(view) {
-		p = make([]float64, len(view))
-	}
-	p = p[:len(view)]
-	copy(p, view)
 	l.mu.Lock()
-	l.prev[device] = p
+	old := l.prev[device]
+	l.prev[device] = view
 	l.mu.Unlock()
+	tensor.PutVec(old)
+	return true
 }
 
 // EvalLink is the shared evaluation-broadcast link: a single chained

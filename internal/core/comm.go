@@ -60,13 +60,16 @@ func (l *commLinks) evalPrev() []float64 { return l.eval.PrevView() }
 // maps. Safe to call concurrently for distinct devices (a round's cohort
 // is; beginRound does): LinkState guards its maps, and the codecs, the
 // rounding stream and the broadcast shadow it advances are device k's
-// alone. wt is only read. The returned view is a pooled vector the caller
-// owns: the coordinator keeps it as the uplink decode base and hands it
-// back with tensor.PutVec once the device's reply has been decoded.
-func (l *commLinks) broadcast(k int, wt []float64) (*comm.Update, []float64, int64, error) {
+// alone. wt is only read. On a prev-relative downlink the view becomes
+// the device's shadow (SetPrev adopts it), which the coordinator borrows
+// as the uplink decode base: it stays put until k's next broadcast, and
+// a device has at most one dispatch outstanding. On any other link the
+// view is a pooled vector the coordinator owns and recycles once the
+// device's reply has been decoded.
+func (l *commLinks) broadcast(k int, wt []float64) downcast {
 	enc, _, err := l.state.Link(k)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: device %d: %w", k, err)
+		return downcast{err: fmt.Errorf("core: device %d: %w", k, err)}
 	}
 	// On an f32 deployment the codec narrows wt on its way in and the view
 	// it decodes is float32-representable, so the pendingDispatch view the
@@ -75,10 +78,9 @@ func (l *commLinks) broadcast(k int, wt []float64) (*comm.Update, []float64, int
 	u := enc.Encode(wt, prev)
 	view, err := enc.Decode(u, prev)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: downlink decode for device %d: %w", k, err)
+		return downcast{err: fmt.Errorf("core: downlink decode for device %d: %w", k, err)}
 	}
-	l.state.SetPrev(k, view)
-	return u, view, u.WireBytes(), nil
+	return downcast{u: u, view: view, owned: !l.state.SetPrev(k, view), db: u.WireBytes()}
 }
 
 // uplinkDecode reconstructs a device's uplink reply against the

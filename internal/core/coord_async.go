@@ -129,7 +129,7 @@ func (c *Coordinator) asyncDispatch() (Dispatch, error) {
 	c.dispatchSeq++
 	var b downcast
 	if c.links != nil {
-		if b.u, b.view, b.db, b.err = c.links.broadcast(id, c.w); b.err != nil {
+		if b = c.links.broadcast(id, c.w); b.err != nil {
 			return Dispatch{}, b.err
 		}
 	} else {
@@ -137,7 +137,7 @@ func (c *Coordinator) asyncDispatch() (Dispatch, error) {
 		// concurrently with later model folds, so the device must see the
 		// version it was dispatched, not a racing c.w. Pooled — the copy
 		// is recycled when the reply resolves (or the worker is lost).
-		b = downcast{view: tensor.GetVec[float64](len(c.w)), db: c.paramBytes}
+		b = downcast{view: tensor.GetVec[float64](len(c.w)), owned: true, db: c.paramBytes}
 		copy(b.view, c.w)
 	}
 	c.idle.remove(id)
@@ -215,10 +215,10 @@ func (c *Coordinator) handleAsyncReply(in *pendingDispatch, wk []float64, up int
 			}
 		}
 	}
-	// Both the decoded solution and the frozen broadcast view are dead
-	// now (a fold copied what it needed into its delta); recycle them.
+	// Both the decoded solution and the broadcast view are dead now (a
+	// fold copied what it needed into its delta); recycle them.
 	tensor.PutVec(wk)
-	tensor.PutVec(in.view)
+	in.release()
 	if c.evalWait == nil {
 		more, err := c.fillAsync()
 		if err != nil {
@@ -251,7 +251,7 @@ func (c *Coordinator) WorkerLost(devices []int) ([]Command, error) {
 			if in.charged {
 				c.cost.WastedEpochs += in.expected
 			}
-			tensor.PutVec(in.view)
+			in.release()
 			delete(c.pending, id)
 		}
 	}

@@ -156,10 +156,10 @@ func (c *Coordinator) policyDropped(r *syncRound, i int) bool {
 // broadcast shadow) into its own slot; pending records, events and
 // commands are then built serially in selection order, so the History and
 // the trace do not depend on Parallelism, and a failing round reports the
-// error of its lowest selection index. Each pendingDispatch owns its
-// decoded view (a pooled vector) until HandleReply has decoded the reply
-// against it. A round whose every device is policy-dropped completes
-// immediately.
+// error of its lowest selection index. Each pendingDispatch holds its
+// decoded view, the device's broadcast shadow or a vector it owns, until
+// HandleReply has decoded the reply against it. A round whose every
+// device is policy-dropped completes immediately.
 func (c *Coordinator) beginRound() ([]Command, error) {
 	if c.t >= c.cfg.Rounds {
 		return []Command{c.finish()}, nil
@@ -187,8 +187,7 @@ func (c *Coordinator) beginRound() ([]Command, error) {
 		casts = make([]downcast, len(selected))
 		tensor.ParallelFor(len(selected), c.cfg.Parallelism, func(i int) {
 			if !c.policyDropped(r, i) {
-				b := &casts[i]
-				b.u, b.view, b.db, b.err = c.links.broadcast(selected[i], c.w)
+				casts[i] = c.links.broadcast(selected[i], c.w)
 			}
 		})
 	}

@@ -262,11 +262,14 @@ type pendingDispatch struct {
 	// the sync path's budget-clamped counterfactual.
 	expected int
 	version  int
-	// view is the decoded broadcast view, the uplink decode base. Under
-	// codec links (and for every async dispatch) it is a pooled vector this
-	// record owns, recycled when the reply resolves; on a sync run without
-	// links it is c.w itself and never recycled.
+	// view is the decoded broadcast view, the uplink decode base. When
+	// owned it is a pooled vector this record recycles once the reply
+	// resolves (release): a frozen copy of c.w for an async dispatch
+	// without links, a view no link adopted under codec links. Otherwise
+	// it is borrowed: device's broadcast shadow on a prev-relative
+	// downlink, or c.w itself on a sync run without links.
 	view      []float64
+	owned     bool
 	downBytes int64
 	sentAt    float64 // clock at dispatch: the Arrival's Sent
 	charged   bool    // DispatchSent confirmed the transfer
@@ -598,13 +601,22 @@ func expectedEpochs(budget, epochs int) int {
 	return epochs
 }
 
+// release recycles the record's view if it owns it.
+func (in *pendingDispatch) release() {
+	if in.owned {
+		tensor.PutVec(in.view)
+	}
+}
+
 // downcast is one contacted device's encoded broadcast: what
-// commLinks.broadcast returned for it.
+// commLinks.broadcast returned for it. owned says the view is the
+// dispatch's to recycle (see pendingDispatch.view).
 type downcast struct {
-	u    *comm.Update
-	view []float64
-	db   int64
-	err  error
+	u     *comm.Update
+	view  []float64
+	owned bool
+	db    int64
+	err   error
 }
 
 // dispatch records one outstanding dispatch of device k, traces it, and
@@ -616,7 +628,7 @@ type downcast struct {
 func (c *Coordinator) dispatch(seq, tag, round, k, epochs int, mu float64, b downcast) Dispatch {
 	budget := c.deviceBudget(tag, k, epochs)
 	c.pending[k] = &pendingDispatch{device: k, seq: seq, epochs: epochs, expected: expectedEpochs(budget, epochs),
-		version: c.version, view: b.view, downBytes: b.db, sentAt: c.now}
+		version: c.version, view: b.view, owned: b.owned, downBytes: b.db, sentAt: c.now}
 	c.emit(obs.Event{
 		Kind: obs.KindDispatch, Round: round, Seq: seq, Device: k, Version: c.version,
 		Epochs: epochs, Budget: budget, BytesDown: b.db,
@@ -796,11 +808,9 @@ func (c *Coordinator) HandleReply(r Reply) ([]Command, error) {
 	if c.isAsync {
 		return c.handleAsyncReply(in, wk, up, done, rel, r.Lost)
 	}
-	if c.links != nil {
-		// The broadcast view was this reply's decode base and nothing else:
-		// the fold reads wk only. (Without links view is c.w itself.)
-		tensor.PutVec(in.view)
-	}
+	// The broadcast view was this reply's decode base and nothing else:
+	// the fold reads wk only.
+	in.release()
 	c.round.replies[in.seq] = &syncReply{in: in, wk: wk, done: done, gamma: r.Gamma,
 		upBytes: up, seq: r.Seq, rel: rel, lost: r.Lost}
 	c.round.outstanding--

@@ -365,7 +365,7 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 	if releaseShard != nil {
 		defer releaseShard()
 	}
-	view, err := receiveBroadcast(dv.links, &d, dv.mdl.NumParams())
+	view, owned, err := receiveBroadcast(dv.links, &d, dv.mdl.NumParams())
 	if err != nil {
 		return Reply{}, err
 	}
@@ -403,10 +403,11 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 			EpochsDone: epochs, BytesUp: up, BytesDown: d.DownBytes,
 		})
 	}
-	// Recycle per-dispatch scratch. A locally decoded view is dead here
-	// (SetPrev copied it into the link's own shadow); wk is dead once it
-	// left as an encoded Update, and a raw Reply hands it to the caller.
-	if d.Update != nil {
+	// Recycle per-dispatch scratch. A view this endpoint owns is dead
+	// here; a link's shadow or an in-process View is not ours. wk is dead
+	// once it left as an encoded Update, and a raw Reply hands it to the
+	// caller.
+	if owned {
 		tensor.PutVec(view)
 	}
 	if dv.links != nil {
@@ -416,42 +417,48 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 }
 
 // receiveBroadcast is the one decode rule of a device runtime, Device and
-// Edge alike. An encoded broadcast is checked against the model's size
-// (before the decode: a first-contact topk decode allocates N words),
-// decoded against this endpoint's shadow of device d.Device's downlink
-// chain, priced into d.DownBytes, released — the decoding endpoint is the
-// owner (comm.Update.Release) — and recorded as the chain's new base; the
-// view is then a pooled vector the caller recycles. Without one the
-// dispatch's decoded View is what the device trains from.
-func receiveBroadcast(links *commLinks, d *Dispatch, n int) ([]float64, error) {
-	view := d.View
+// Edge alike. An encoded broadcast is priced into d.DownBytes and
+// released — the receiving endpoint is the owner (comm.Update.Release).
+// A dispatch that also carries the decoded View (in process, where it is
+// the coordinator's own view, bit for bit what a decode here would give)
+// is trained from as it is, and this endpoint keeps no shadow of its own.
+// Without one (always, on the wire) the update is checked against the
+// model's size (before the decode: a first-contact topk decode allocates
+// N words), decoded against this endpoint's shadow of device d.Device's
+// downlink chain, and handed to the link as the chain's new base. owned
+// reports a view the caller must recycle: a decoded one no link adopted.
+func receiveBroadcast(links *commLinks, d *Dispatch, n int) (view []float64, owned bool, err error) {
+	view = d.View
 	if d.Update != nil {
 		if links == nil {
-			return nil, fmt.Errorf("core: encoded dispatch for device %d on a runtime without links", d.Device)
+			return nil, false, fmt.Errorf("core: encoded dispatch for device %d on a runtime without links", d.Device)
 		}
-		if d.Update.N != n {
-			return nil, fmt.Errorf("core: parameter length %d != model %d", d.Update.N, n)
-		}
-		dec, _, err := links.state.Link(d.Device)
-		if err != nil {
-			return nil, err
-		}
-		if view, err = dec.Decode(d.Update, links.state.Prev(d.Device)); err != nil {
-			return nil, err
+		if view == nil {
+			if d.Update.N != n {
+				return nil, false, fmt.Errorf("core: parameter length %d != model %d", d.Update.N, n)
+			}
+			dec, _, err := links.state.Link(d.Device)
+			if err != nil {
+				return nil, false, err
+			}
+			if view, err = dec.Decode(d.Update, links.state.Prev(d.Device)); err != nil {
+				return nil, false, err
+			}
+			owned = !links.state.SetPrev(d.Device, view)
 		}
 		d.DownBytes = d.Update.WireBytes()
 		d.Update.Release()
 	}
 	if view == nil {
-		return nil, errors.New("core: dispatch carries neither an encoded update nor a decoded view")
+		return nil, false, errors.New("core: dispatch carries neither an encoded update nor a decoded view")
 	}
 	if len(view) != n {
-		return nil, fmt.Errorf("core: parameter length %d != model %d", len(view), n)
+		if owned {
+			tensor.PutVec(view)
+		}
+		return nil, false, fmt.Errorf("core: parameter length %d != model %d", len(view), n)
 	}
-	if d.Update != nil {
-		links.state.SetPrev(d.Device, view)
-	}
-	return view, nil
+	return view, owned, nil
 }
 
 // uplinkReply is the other half: device k's reply carrying wk, the

@@ -105,7 +105,7 @@ func (e *Edge) HandleDispatch(d Dispatch) (Reply, error) {
 	if d.Device != e.id {
 		return Reply{}, fmt.Errorf("core: device %d not hosted on this runtime", d.Device)
 	}
-	view, err := receiveBroadcast(e.links, &d, e.coord.mdl.NumParams())
+	view, owned, err := receiveBroadcast(e.links, &d, e.coord.mdl.NumParams())
 	if err != nil {
 		return Reply{}, err
 	}
@@ -121,8 +121,8 @@ func (e *Edge) HandleDispatch(d Dispatch) (Reply, error) {
 		fold = tensor.Converted[float64](fold) // a pooled copy: the parent's fold recycles a raw reply
 	}
 	r, err := uplinkReply(e.links, e.id, d.Epochs, fold, view)
-	if d.Update != nil {
-		tensor.PutVec(view) // decoded here, and SetPrev kept its own copy
+	if owned {
+		tensor.PutVec(view) // decoded here, and no link adopted it
 	}
 	return r, err
 }
