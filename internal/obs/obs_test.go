@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -166,5 +168,38 @@ func TestRegistry(t *testing.T) {
 	// Deterministic rendering.
 	if out != r.Render() {
 		t.Fatal("Render is not deterministic")
+	}
+}
+
+// TestDebugHandler: the handler the binaries mount on -debug-addr serves
+// the registry at /metrics as Prometheus text, exactly Render's output,
+// and the runtime profiles under /debug/pprof/; without a registry it
+// serves pprof only.
+func TestDebugHandler(t *testing.T) {
+	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	r := NewRegistry()
+	r.Emit(Event{Kind: KindRunStart, N: 30})
+	r.Emit(Event{Kind: KindDispatch, BytesDown: 800})
+	rec := get(Debug(r), "/metrics")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d, want 200", rec.Code)
+	}
+	if ct, want := rec.Header().Get("Content-Type"), "text/plain; version=0.0.4; charset=utf-8"; ct != want {
+		t.Errorf("GET /metrics: Content-Type %q, want %q", ct, want)
+	}
+	if body := rec.Body.String(); body != r.Render() {
+		t.Errorf("GET /metrics body differs from Render:\n%s", body)
+	}
+	if rec := get(Debug(nil), "/metrics"); rec.Code != http.StatusNotFound {
+		t.Errorf("Debug(nil) GET /metrics: status %d, want 404", rec.Code)
+	}
+	for _, h := range []http.Handler{Debug(r), Debug(nil)} {
+		if rec := get(h, "/debug/pprof/"); rec.Code != http.StatusOK {
+			t.Errorf("GET /debug/pprof/: status %d, want 200", rec.Code)
+		}
 	}
 }
