@@ -311,8 +311,7 @@ func (c *Coordinator) completeRound() ([]Command, error) {
 	if gammaN > 0 {
 		gamma = gammaSum / float64(gammaN)
 	}
-	if len(params) > 0 {
-		aggregate(c.w, params, nks, c.cfg.Sampling)
+	if len(params) > 0 && aggregate(c.w, params, nks, c.cfg.Sampling) {
 		c.emit(obs.Event{Kind: obs.KindFold, Round: r.t, Version: r.t + 1, N: len(params)})
 	}
 	// Folded or cut, every solution of the round is dead now.
@@ -435,12 +434,18 @@ func (c *Coordinator) restore(s *Snapshot) error {
 	return nil
 }
 
-// aggregate folds a synchronous round's updates into w in place.
-func aggregate(w []float64, params [][]float64, nks []float64, scheme SamplingScheme) {
-	switch scheme {
-	case WeightedSimpleAvg:
+// aggregate folds a synchronous round's updates into w in place and
+// reports whether it moved w: a fold whose weights sum to zero (every
+// folded reply ran 0 epochs under WeightByEpochs) leaves the model as it
+// is, as foldStaleDeltas does.
+func aggregate(w []float64, params [][]float64, nks []float64, scheme SamplingScheme) bool {
+	switch {
+	case scheme == WeightedSimpleAvg:
 		tensor.Mean(w, params)
+	case slices.Max(nks) == 0: // weights are never negative
+		return false
 	default:
 		tensor.WeightedMean(w, params, nks)
 	}
+	return true
 }

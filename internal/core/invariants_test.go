@@ -77,3 +77,56 @@ func TestWeightedAggregateBiasesTowardHeavy(t *testing.T) {
 	}
 	_ = tensor.Norm2(dst)
 }
+
+// TestZeroWeightFoldKeepsModel: a synchronous fold whose weights sum to
+// zero leaves the model as it is, as the asynchronous fold does, rather
+// than panicking the coordinator. Both rows fold only 0-epoch replies
+// under WeightByEpochs: a capability model that grants no epochs (its
+// partial stragglers are kept at 0 epochs), and replies that report
+// EpochsDone 0 under a device budget, as a wire worker may.
+func TestZeroWeightFoldKeepsModel(t *testing.T) {
+	m, fed := tinyWorkload()
+	base := FedProx(4, 5, 3, 0.01, 1)
+	base.FoldWeight = WeightByEpochs
+	for _, c := range []struct {
+		name string
+		run  func(Config) (*History, error)
+	}{
+		{"capability-grants-no-epochs", func(cfg Config) (*History, error) {
+			cfg.Capability = fixedBudget(0)
+			return Run(m, fed, cfg)
+		}},
+		{"replies-report-no-epochs", func(cfg Config) (*History, error) {
+			cfg.DeviceBudget = fixedBudget(1)
+			coord, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: fed.NumDevices()})
+			if err != nil {
+				return nil, err
+			}
+			if _, err := coord.RegisterWorker(NewDevice(m, fed.Shards, DeviceOptions{}).Hosted()); err != nil {
+				return nil, err
+			}
+			b := &simBackend{inProcess: inProcess{
+				coord: coord,
+				eval:  func(v Evaluate) EvalResult { return simEval(m, fed.Fleet(), v) },
+			}}
+			b.serve = func(ds []Dispatch) ([]Reply, error) {
+				rs := make([]Reply, len(ds))
+				for i, d := range ds {
+					rs[i] = Reply{Device: d.Device, Params: tensor.Converted[float64](d.View)}
+				}
+				return rs, nil
+			}
+			return runToDone(coord, b)
+		}},
+	} {
+		h, err := c.run(base)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, p := range h.Points {
+			if p.TrainLoss != h.Points[0].TrainLoss {
+				t.Errorf("%s: round %d loss %v, want the initial model's %v", c.name, p.Round, p.TrainLoss, h.Points[0].TrainLoss)
+			}
+		}
+	}
+}
