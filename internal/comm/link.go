@@ -7,11 +7,11 @@ import (
 )
 
 // LinkState is one endpoint's per-device codec state: lazily created
-// downlink/uplink codec instances plus, on a prev-relative downlink, the
-// last decoded broadcast per device — the endpoint's only copy of it,
-// adopted from the decode rather than copied (SetPrev). The simulator's network model and both fednet endpoints
-// (coordinator and worker) share this type, so the three state machines
-// that must stay in lockstep for decoding to work cannot drift apart.
+// downlink/uplink codec instances plus the last decoded broadcast per
+// device, adopted rather than copied (SetPrev). The simulator's network
+// model and both fednet endpoints (coordinator and worker) share this
+// type, so the three state machines that must stay in lockstep for
+// decoding to work cannot drift apart.
 //
 // LinkState is safe for concurrent use by goroutines handling distinct
 // devices: the internal maps are mutex-guarded, while the per-device

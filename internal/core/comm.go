@@ -60,12 +60,10 @@ func (l *commLinks) evalPrev() []float64 { return l.eval.PrevView() }
 // maps. Safe to call concurrently for distinct devices (a round's cohort
 // is; beginRound does): LinkState guards its maps, and the codecs, the
 // rounding stream and the broadcast shadow it advances are device k's
-// alone. wt is only read. On a prev-relative downlink the view becomes
-// the device's shadow (SetPrev adopts it), which the coordinator borrows
-// as the uplink decode base: it stays put until k's next broadcast, and
-// a device has at most one dispatch outstanding. On any other link the
-// view is a pooled vector the coordinator owns and recycles once the
-// device's reply has been decoded.
+// alone. wt is only read. The view is the uplink decode base: a link that
+// adopts it as k's shadow lends it to the coordinator until k's next
+// broadcast, which waits for k's one outstanding reply; otherwise it is a
+// pooled vector the coordinator owns (downcast.owned).
 func (l *commLinks) broadcast(k int, wt []float64) downcast {
 	enc, _, err := l.state.Link(k)
 	if err != nil {

@@ -262,12 +262,10 @@ type pendingDispatch struct {
 	// the sync path's budget-clamped counterfactual.
 	expected int
 	version  int
-	// view is the decoded broadcast view, the uplink decode base. When
-	// owned it is a pooled vector this record recycles once the reply
-	// resolves (release): a frozen copy of c.w for an async dispatch
-	// without links, a view no link adopted under codec links. Otherwise
-	// it is borrowed: device's broadcast shadow on a prev-relative
-	// downlink, or c.w itself on a sync run without links.
+	// view is the decoded broadcast view, the uplink decode base: a link's
+	// shadow of it, or c.w itself on a sync run without links, is
+	// borrowed; otherwise it is owned, a pooled vector release recycles
+	// once the reply resolves.
 	view      []float64
 	owned     bool
 	downBytes int64
@@ -609,8 +607,7 @@ func (in *pendingDispatch) release() {
 }
 
 // downcast is one contacted device's encoded broadcast: what
-// commLinks.broadcast returned for it. owned says the view is the
-// dispatch's to recycle (see pendingDispatch.view).
+// commLinks.broadcast returned for it.
 type downcast struct {
 	u     *comm.Update
 	view  []float64

@@ -144,9 +144,10 @@ type Device struct {
 
 	// links, when installed, is the device side of the codec link state:
 	// downlink decoders with the last decoded broadcast per device,
-	// stateful uplink encoders, and the shared eval receive chain. Nil
-	// runs in-process: dispatches carry decoded views and replies carry
-	// raw parameters.
+	// stateful uplink encoders, and the shared eval receive chain (in
+	// process it keeps no broadcast shadow: receiveBroadcast). Nil runs
+	// in-process: dispatches carry decoded views and replies carry raw
+	// parameters.
 	links *commLinks
 }
 
@@ -350,8 +351,9 @@ func (d Dispatch) SolverConfig() solver.Config {
 	}
 }
 
-// HandleDispatch serves one training dispatch: decode the broadcast
-// (advancing this endpoint's downlink chain), run the local solve —
+// HandleDispatch serves one training dispatch: take the broadcast view
+// (receiveBroadcast: the in-process View as it is, or a decode that
+// advances this endpoint's downlink chain), run the local solve —
 // truncated to the dispatch's device-side epoch budget — apply the
 // privacy hook, and encode the uplink reply on the device's stateful
 // encoder. The returned Reply carries the encoded update on wire
@@ -403,10 +405,8 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 			EpochsDone: epochs, BytesUp: up, BytesDown: d.DownBytes,
 		})
 	}
-	// Recycle per-dispatch scratch. A view this endpoint owns is dead
-	// here; a link's shadow or an in-process View is not ours. wk is dead
-	// once it left as an encoded Update, and a raw Reply hands it to the
-	// caller.
+	// Recycle per-dispatch scratch: a view no link adopted, and wk once it
+	// left as an encoded Update (a raw Reply hands it to the caller).
 	if owned {
 		tensor.PutVec(view)
 	}
@@ -452,10 +452,7 @@ func receiveBroadcast(links *commLinks, d *Dispatch, n int) (view []float64, own
 	if view == nil {
 		return nil, false, errors.New("core: dispatch carries neither an encoded update nor a decoded view")
 	}
-	if len(view) != n {
-		if owned {
-			tensor.PutVec(view)
-		}
+	if len(view) != n { // only a View can be: a decode returns Update.N values
 		return nil, false, fmt.Errorf("core: parameter length %d != model %d", len(view), n)
 	}
 	return view, owned, nil
