@@ -83,10 +83,10 @@ func (l *LinkState) Prev(device int) []float64 {
 // be a pooled vector (tensor.GetVec) nothing writes or recycles after
 // this call — recycles the shadow it replaces, and reports true; a
 // caller may still read view until the device's next broadcast, which is
-// the only thing that replaces it. Raw and non-delta links keep no
-// shadow and report false: view stays the caller's. On an f32 link the
-// decoded value is float32-representable, so this float64 shadow holds
-// the link's f32 chain exactly.
+// the only thing that replaces it. A downlink that does not chain
+// (Spec.UsesPrev) keeps no shadow and reports false: view stays the
+// caller's. On an f32 link the decoded value is float32-representable,
+// so this float64 shadow holds the link's f32 chain exactly.
 func (l *LinkState) SetPrev(device int, view []float64) bool {
 	if !l.trackPrev {
 		return false
