@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fedprox/internal/comm"
-	"fedprox/internal/metrics"
 )
 
 // shadows counts the devices whose broadcast shadow an endpoint's link
@@ -47,7 +46,6 @@ func TestBroadcastViewHasOneOwner(t *testing.T) {
 	b := &simBackend{inProcess: inProcess{
 		coord: coord,
 		eval:  func(v Evaluate) EvalResult { return simEval(m, fed.Fleet(), v) },
-		loss:  func(params []float64) float64 { return metrics.FleetLoss(m, fed.Fleet(), params) },
 	}}
 	b.serve = func(ds []Dispatch) ([]Reply, error) {
 		for _, d := range ds {
