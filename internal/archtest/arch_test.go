@@ -264,8 +264,7 @@ func unusedExports(srcs []source) []string {
 // testOnly is the one allowlist of internal/ packages no binary reaches;
 // the exports rule skips them too.
 var testOnly = []string{
-	"internal/archtest",   // these rules: test-only by design
-	"internal/checkpoint", // until fedbench grows -checkpoint
+	"internal/archtest", // these rules: test-only by design
 }
 
 var commands = []string{"Dispatch", "Evaluate", "ObserveLoss", "AdvanceClock", "pause", "Done"}
@@ -355,8 +354,8 @@ depends on — is layering leaking into the kernel and must be argued into this 
 	}, {
 		name: "core is sans-I/O, no clocks",
 		why: `internal/core decides; its drivers move bytes and tell time. No file of it imports os, io, net, time or
-encoding/…: a run's resumable state leaves as a typed core.Snapshot for its Checkpointer to encode (once,
-internal/checkpoint), wire messages are fednet's, and the only clock is the driver's Tick.`,
+encoding/…: a run's resumable state leaves as a typed core.Snapshot for its Checkpointer to encode (once),
+wire messages are fednet's, and the only clock is the driver's Tick.`,
 		got: where(all, func(p string, n ast.Node) bool {
 			root, _, _ := strings.Cut(imported(n), "/")
 			return path.Dir(p) == "internal/core" && slices.Contains([]string{"os", "io", "net", "time", "encoding"}, root)

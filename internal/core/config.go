@@ -185,12 +185,8 @@ type Config struct {
 	Privacy *privacy.Mechanism
 	// Checkpointer, when non-nil, enables crash-safe persistence: the run
 	// resumes from the checkpointer's saved Snapshot if one exists and
-	// saves one every CheckpointEvery rounds (see internal/checkpoint for
-	// the file implementation).
+	// saves one after every round.
 	Checkpointer Checkpointer
-	// CheckpointEvery is the checkpoint interval in rounds; 0 selects
-	// EvalEvery.
-	CheckpointEvery int
 	// Codec, when enabled (non-empty Name), compresses every model
 	// transfer: each contacted device trains from the decoded broadcast
 	// and the server aggregates decoded uplink updates, with
@@ -341,9 +337,10 @@ func (v VTimeConfig) Validate() error {
 
 // Checkpointer persists and restores a run's resumable state. The
 // coordinator hands Save a Snapshot as a typed value and does no encoding
-// of its own: whoever persists the snapshot encodes it, once
-// (internal/checkpoint writes it as one gob value). Implementations live
-// outside this package so the core stays free of I/O.
+// of its own: whoever persists the snapshot encodes it, once. The
+// coordinator checks what Load returns itself, so another run's snapshot
+// is refused whatever the storage. Implementations live outside this
+// package so the core stays free of I/O.
 type Checkpointer interface {
 	// Load returns the saved snapshot, or nil when nothing is saved yet
 	// and the run starts fresh.
@@ -357,6 +354,10 @@ type Checkpointer interface {
 // next — the environment draws are pure functions of (seed, round,
 // device), so this is all of it.
 type Snapshot struct {
+	// Label and Seed name the run that saved the snapshot (its History
+	// label and Config.Seed); a run under another label or seed refuses it.
+	Label string
+	Seed  uint64
 	// NextRound is the first round that has not yet executed.
 	NextRound int
 	// Params is the global model wᵗ at NextRound.
@@ -367,13 +368,14 @@ type Snapshot struct {
 	// Points continue the same counters instead of restarting at zero.
 	Cost Cost
 	// Work is the realized-work accumulator since the last evaluated point
-	// (Config.DeviceBudget runs): a checkpoint cadence misaligned with
-	// EvalEvery must not lose the rounds before the save from the next
-	// Point's MeanEpochsDone/PartialFraction.
+	// (Config.DeviceBudget runs): a save between two evaluations must not
+	// lose the rounds before it from the next Point's
+	// MeanEpochsDone/PartialFraction.
 	Work workStats
 	// AdaptiveMu is the adaptive-μ controller's state (nil unless
 	// Config.AdaptiveMu), so a resumed run continues the controller's
-	// streak instead of restarting at Config.Mu.
+	// streak instead of restarting at Config.Mu; an adaptive run refuses
+	// a snapshot without it.
 	AdaptiveMu *muState
 	// Links is the coordinator endpoint's codec link state and
 	// DeviceLinks the device endpoint's (both nil without a codec). The

@@ -70,10 +70,6 @@ func (c *Coordinator) startSync() ([]Command, error) {
 			startRound = saved.NextRound
 		}
 	}
-	c.ckptEvery = c.cfg.CheckpointEvery
-	if c.ckptEvery <= 0 {
-		c.ckptEvery = c.cfg.EvalEvery
-	}
 	c.t = startRound
 	if startRound == 0 && !c.windowed {
 		return c.beginEval(0, c.cfg.Mu, math.NaN(), 0, c.nextRound)
@@ -368,10 +364,10 @@ func (c *Coordinator) afterObserve(out *roundOutcome) ([]Command, error) {
 	return c.afterRecord(t)
 }
 
-// afterRecord finishes round t: persists a checkpoint when due and opens
-// the next round.
+// afterRecord finishes round t: persists a checkpoint (every round, when
+// the run has a Checkpointer) and opens the next round.
 func (c *Coordinator) afterRecord(t int) ([]Command, error) {
-	if c.cfg.Checkpointer != nil && ((t+1)%c.ckptEvery == 0 || t == c.cfg.Rounds-1) {
+	if c.cfg.Checkpointer != nil {
 		snap, err := c.snapshot(t + 1)
 		if err != nil {
 			return nil, err
@@ -390,6 +386,8 @@ func (c *Coordinator) afterRecord(t int) ([]Command, error) {
 // keep.
 func (c *Coordinator) snapshot(nextRound int) (*Snapshot, error) {
 	s := &Snapshot{
+		Label:     c.hist.Label,
+		Seed:      c.cfg.Seed,
 		NextRound: nextRound,
 		Params:    slices.Clone(c.w),
 		Points:    slices.Clone(c.hist.Points),
@@ -409,18 +407,27 @@ func (c *Coordinator) snapshot(nextRound int) (*Snapshot, error) {
 	return s, nil
 }
 
-// restore resumes from a snapshot. A codec run refuses one without link
-// state: its rounding streams and residuals cannot be reconstructed.
+// restore resumes from a snapshot. It refuses another run's snapshot, a
+// NextRound outside [0, Rounds], and one without the state this run
+// cannot reconstruct: a codec run's rounding streams and residuals, an
+// adaptive run's controller.
 func (c *Coordinator) restore(s *Snapshot) error {
-	if len(s.Params) != len(c.w) {
+	switch {
+	case s.Label != c.hist.Label || s.Seed != c.cfg.Seed:
+		return fmt.Errorf("core: checkpoint is run %q seed %d, this is %q seed %d", s.Label, s.Seed, c.hist.Label, c.cfg.Seed)
+	case s.NextRound < 0 || s.NextRound > c.cfg.Rounds:
+		return fmt.Errorf("core: checkpoint resumes at round %d, outside [0, %d]", s.NextRound, c.cfg.Rounds)
+	case len(s.Params) != len(c.w):
 		return fmt.Errorf("core: checkpoint has %d params, model has %d", len(s.Params), len(c.w))
+	case c.muc != nil && s.AdaptiveMu == nil:
+		return errors.New("core: checkpoint carries no adaptive-mu state")
 	}
 	copy(c.w, s.Params)
 	c.hist.Points = append(c.hist.Points, s.Points...)
 	c.cost = s.Cost
 	c.cost.WireUplinkBytes, c.cost.WireDownlinkBytes = 0, 0
 	c.work = s.Work
-	if c.muc != nil && s.AdaptiveMu != nil {
+	if c.muc != nil {
 		c.muc.restore(*s.AdaptiveMu)
 	}
 	if c.links != nil {

@@ -337,10 +337,9 @@ type Coordinator struct {
 	windowBytes int64
 
 	// synchronous state
-	t         int
-	round     *syncRound
-	outcome   *roundOutcome
-	ckptEvery int
+	t       int
+	round   *syncRound
+	outcome *roundOutcome
 	// windowed marks an Edge's inner coordinator: it opens a round only
 	// when window is called, measures nothing (its parent owns evaluation)
 	// and pauses between rounds; paused says it is waiting for a window.

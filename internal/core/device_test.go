@@ -296,15 +296,14 @@ func TestDeviceBudgetCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: stop after the first save, then resume. The
-	// checkpoint cadence is deliberately misaligned with EvalEvery so
-	// the resume crosses an evaluation window boundary: the partially
+	// Interrupted run: stop after the first save, then resume. Saves
+	// follow every round, so the first one falls between two evaluations
+	// and the resume crosses an evaluation window boundary: the partially
 	// accumulated work counters must ride the checkpoint for the next
 	// Point's MeanEpochsDone to match.
 	ck := &memCheckpointer{failAfterSaves: 1}
 	interrupted := base
 	interrupted.Checkpointer = ck
-	interrupted.CheckpointEvery = 1
 	if _, err := Run(mdl, fed, interrupted); err == nil {
 		t.Fatal("expected the interrupted run to fail at the injected stop")
 	}
@@ -330,15 +329,15 @@ func TestDeviceBudgetCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestCodecResumeRefusesMissingLinkState: the one resume that must stay
-// refused — a codec run provided a snapshot that is missing a part. Either
-// endpoint's link state gone is named, never silently restarted.
+// TestCodecResumeRefusesMissingLinkState: the resumes that must stay
+// refused — a codec run provided a snapshot that is missing a part, is
+// another run's, or opens a round outside the run. Either endpoint's link
+// state gone is named, never silently restarted.
 func TestCodecResumeRefusesMissingLinkState(t *testing.T) {
 	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
 	mdl := linear.ForDataset(fed)
 	cfg := FedProx(4, 5, 2, 0.01, 1)
 	cfg.Codec = comm.Spec{Name: "qsgd", Bits: 8}
-	cfg.CheckpointEvery = 1
 	ck := &memCheckpointer{failAfterSaves: 1}
 	cfg.Checkpointer = ck
 	if _, err := Run(mdl, fed, cfg); err == nil {
@@ -346,9 +345,13 @@ func TestCodecResumeRefusesMissingLinkState(t *testing.T) {
 	}
 	ck.failAfterSaves = 0
 	for want, strip := range map[string]func(*Snapshot){
-		"no codec link state":     func(s *Snapshot) { s.Links = nil },
-		"no device link state":    func(s *Snapshot) { s.DeviceLinks = nil },
-		"checkpoint has 1 params": func(s *Snapshot) { s.Params = s.Params[:1] },
+		"no codec link state":        func(s *Snapshot) { s.Links = nil },
+		"no device link state":       func(s *Snapshot) { s.DeviceLinks = nil },
+		"checkpoint has 1 params":    func(s *Snapshot) { s.Params = s.Params[:1] },
+		`checkpoint is run "FedAvg"`: func(s *Snapshot) { s.Label = "FedAvg" },
+		"seed 8, this is":            func(s *Snapshot) { s.Seed++ },
+		"resumes at round -1":        func(s *Snapshot) { s.NextRound = -1 },
+		"resumes at round 5":         func(s *Snapshot) { s.NextRound = 5 },
 	} {
 		saved := *ck.snap
 		strip(ck.snap)

@@ -53,8 +53,8 @@ func TestOptionsCodecAppliesToFigures(t *testing.T) {
 }
 
 func TestOptionsCodecSkipsBiasExperiment(t *testing.T) {
-	// ext-bias uses a capture checkpointer, which cannot combine with
-	// codec link state; a global -codec must not abort it.
+	// ext-bias measures per-class accuracy, not bytes, so it runs
+	// uncompressed and notes it; a global -codec must not abort it.
 	o := micro()
 	o.Codec = "qsgd"
 	res, err := Run("ext-bias", o)

@@ -1,6 +1,6 @@
 // Package gobfile is the repository's one file container: a gob stream of
-// two messages, a Format header and one Payload value. internal/checkpoint
-// and internal/data/datafile are each a Format and a Payload.
+// two messages, a Format header and one Payload value. Its user,
+// internal/data/datafile, is a Format and a Payload.
 //
 // The reader needs no size cap: gob grows its buffer in chunks as bytes
 // arrive and checks declared lengths against the bytes present, so a short
