@@ -354,7 +354,7 @@ depends on — is layering leaking into the kernel and must be argued into this 
 	}, {
 		name: "core is sans-I/O, no clocks",
 		why: `internal/core decides; its drivers move bytes and tell time. No file of it imports os, io, net, time or
-encoding/…: a run's resumable state leaves as a typed core.Snapshot for its Checkpointer to encode (once),
+encoding/…: a run's resumable state leaves as a typed core.Snapshot that its Checkpointer encodes once,
 wire messages are fednet's, and the only clock is the driver's Tick.`,
 		got: where(all, func(p string, n ast.Node) bool {
 			root, _, _ := strings.Cut(imported(n), "/")
