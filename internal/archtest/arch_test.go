@@ -264,7 +264,8 @@ func unusedExports(srcs []source) []string {
 // testOnly is the one allowlist of internal/ packages no binary reaches;
 // the exports rule skips them too.
 var testOnly = []string{
-	"internal/archtest", // these rules: test-only by design
+	"internal/archtest",   // these rules: test-only by design
+	"internal/checkpoint", // core.Checkpointer's resume tests over a gob store: test-only by design
 }
 
 var commands = []string{"Dispatch", "Evaluate", "ObserveLoss", "AdvanceClock", "pause", "Done"}

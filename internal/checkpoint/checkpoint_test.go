@@ -1,10 +1,15 @@
+// Package checkpoint tests core's checkpoint/resume path end to end, over
+// a store that persists as a file would: every Snapshot a run saves is
+// gob-encoded, and every Load decodes a fresh one. It holds no non-test
+// code — core.Checkpointer is the interface, and core's restore checks
+// what Load returns.
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,23 +17,44 @@ import (
 	"fedprox/internal/comm"
 	"fedprox/internal/core"
 	"fedprox/internal/data/synthetic"
-	"fedprox/internal/gobfile"
 	"fedprox/internal/model/linear"
 )
 
-var sampleFP = Fingerprint{Dataset: "Synthetic(1,1)", NumParams: 3, Label: "FedProx(mu=1)", Seed: 7}
+// gobCheckpointer persists as storage would: Save gob-encodes the
+// snapshot and Load decodes a fresh one, so a resumed run reads nothing
+// the saving run handed over, only what survived reflection encoding.
+type gobCheckpointer struct{ saved []byte }
 
-func sampleSnapshot() *core.Snapshot {
-	nan := math.NaN()
-	return &core.Snapshot{
-		NextRound: 42,
-		Params:    []float64{0.1, -2.5, math.Pi},
-		Points: []core.Point{
-			{Round: 0, TrainLoss: 2.3, TestAcc: 0.1, GradVar: nan, B: nan, MeanGamma: nan},
-			{Round: 40, TrainLoss: 0.5, TestAcc: 0.8, GradVar: nan, B: nan, MeanGamma: nan},
-		},
-		Cost: core.Cost{UplinkBytes: 11, DeviceEpochs: 5},
+func (g *gobCheckpointer) Load() (*core.Snapshot, error) {
+	if g.saved == nil {
+		return nil, nil
 	}
+	s := new(core.Snapshot)
+	return s, gob.NewDecoder(bytes.NewReader(g.saved)).Decode(s)
+}
+
+func (g *gobCheckpointer) Save(s *core.Snapshot) error {
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(s); err != nil {
+		return err
+	}
+	g.saved = b.Bytes()
+	return nil
+}
+
+// sampleRun is a completed 4-round run's configuration and the store
+// holding its last snapshot.
+func sampleRun(t testing.TB) (*gobCheckpointer, core.Config) {
+	t.Helper()
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	cfg := core.FedProx(4, 5, 2, 0.01, 1)
+	cfg.EvalEvery = 2
+	ck := &gobCheckpointer{}
+	cfg.Checkpointer = ck
+	if _, err := core.Run(linear.ForDataset(fed), fed, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return ck, cfg
 }
 
 // diff walks two values of one type and names the first place they
@@ -95,8 +121,8 @@ type budget int
 
 func (b budget) EpochBudget(_, _, _ int) int { return int(b) }
 
-// TestRoundTrip: what a run hands its Checkpointer comes back from the
-// file field for field — both endpoints' delta+qsgd link state (broadcast
+// TestRoundTrip: what a run hands its Checkpointer survives a gob round
+// trip field for field — both endpoints' delta+qsgd link state (broadcast
 // shadows, rounding-stream positions), a work accumulator caught between
 // two evaluations and the NaN columns of the evaluated points included.
 func TestRoundTrip(t *testing.T) {
@@ -104,7 +130,6 @@ func TestRoundTrip(t *testing.T) {
 	mdl := linear.ForDataset(fed)
 	cfg := core.FedProx(2, 5, 4, 0.01, 1)
 	cfg.EvalEvery = 2
-	cfg.CheckpointEvery = 1
 	cfg.Codec = comm.Spec{Name: "delta+qsgd", Bits: 8}
 	cfg.DeviceBudget = budget(3)
 	var k keep
@@ -117,12 +142,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("the run's snapshot is missing state the test is about: %+v", want)
 	}
 
-	fp := Fingerprint{Dataset: fed.Name, NumParams: mdl.NumParams(), Label: core.Label(cfg), Seed: cfg.Seed}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := File(path, fp).Save(want); err != nil {
+	var g gobCheckpointer
+	if err := g.Save(want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := File(path, fp).Load()
+	got, err := g.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,104 +155,99 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestValidate: a snapshot that cannot be the fingerprinted run's is
-// refused before it reaches the disk.
+// TestValidate: a stored snapshot that cannot be this run's is refused at
+// resume by name, and the refused run saves nothing over it. (Load's nil
+// is no refusal: it is a fresh start, TestFreshRunWithCheckpointerStartsAtZero.)
 func TestValidate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	mutated := func(mutate func(*core.Snapshot)) *core.Snapshot {
-		s := sampleSnapshot()
-		mutate(s)
-		return s
-	}
-	for name, s := range map[string]*core.Snapshot{
-		"negative round":         mutated(func(s *core.Snapshot) { s.NextRound = -1 }),
-		"no parameters":          mutated(func(s *core.Snapshot) { s.Params = nil }),
-		"NumParams disagreement": mutated(func(s *core.Snapshot) { s.Params = append(s.Params, 0) }),
-		"no snapshot":            nil,
+	ck, cfg := sampleRun(t)
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	mdl := linear.ForDataset(fed)
+	intact := ck.saved
+	for want, mutate := range map[string]func(*core.Snapshot){
+		"resumes at round -1": func(s *core.Snapshot) { s.NextRound = -1 },
+		"has 0 params":        func(s *core.Snapshot) { s.Params = nil },
+		fmt.Sprintf("has %d params", mdl.NumParams()+1): func(s *core.Snapshot) { s.Params = append(s.Params, 0) },
 	} {
-		if err := File(path, sampleFP).Save(s); err == nil {
-			t.Errorf("%s: saved", name)
-		}
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("a refused save left a file behind: %v", err)
-	}
-}
-
-// TestCompatible: a checkpoint loads under the fingerprint that wrote it
-// and under no other.
-func TestCompatible(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := File(path, sampleFP).Save(sampleSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if s, err := File(path, sampleFP).Load(); err != nil || s.NextRound != 42 {
-		t.Fatalf("matching fingerprint: %+v, %v", s, err)
-	}
-	other := sampleFP
-	other.Seed = 99
-	if _, err := File(path, other).Load(); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
-		t.Fatalf("mismatched fingerprint: %v", err)
-	}
-}
-
-// TestLoadFileMissing: no file yet means "start fresh", not an error.
-func TestLoadFileMissing(t *testing.T) {
-	s, err := File(filepath.Join(t.TempDir(), "nope.ckpt"), sampleFP).Load()
-	if s != nil || err != nil {
-		t.Fatalf("missing file: %+v, %v", s, err)
-	}
-}
-
-// TestLoadRejectsGarbage: only a missing file is a fresh start. A file that
-// exists and cannot be read is an error — a run handed (nil, nil) for it
-// would overwrite it at its first save.
-func TestLoadRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if s, err := File(path, sampleFP).Load(); err == nil {
-		t.Fatalf("garbage loaded as %+v", s)
-	}
-}
-
-// TestLoadRejectsWrongMagic: the container is shared, so the header is all
-// that keeps another format's file (a dataset's, here) and a version-1
-// checkpoint, whose state was nested opaque bytes, out of this reader.
-// Each is refused by name.
-func TestLoadRejectsWrongMagic(t *testing.T) {
-	for want, f := range map[string]gobfile.Format{
-		"bad magic": {Magic: "FEDPROXDATA", Version: format.Version},
-		"version 1": {Magic: format.Magic, Version: 1},
-	} {
-		path := filepath.Join(t.TempDir(), "run.ckpt")
-		if err := f.WriteFile(path, &state{Fingerprint: sampleFP, Snapshot: sampleSnapshot()}); err != nil {
+		s, err := ck.Load()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := File(path, sampleFP).Load(); err == nil || !strings.Contains(err.Error(), want) {
+		mutate(s)
+		if err := ck.Save(s); err != nil {
+			t.Fatal(err)
+		}
+		stored := ck.saved
+		if _, err := core.Run(mdl, fed, cfg); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("want a %q refusal, got %v", want, err)
 		}
+		if !bytes.Equal(ck.saved, stored) {
+			t.Errorf("%s: a refused resume saved over the stored snapshot", want)
+		}
+		ck.saved = intact
+	}
+	if _, err := core.Run(mdl, fed, cfg); err != nil {
+		t.Fatalf("the intact snapshot does not resume: %v", err)
 	}
 }
 
-// FuzzLoad: whatever bytes the file holds, Load answers an error or a
-// snapshot that passes the package's own validation — never a panic, and
-// never "start fresh" for a file that exists. The committed seeds
-// (testdata/fuzz/FuzzLoad) are a valid file, the same cut at the header
-// boundary, and a header followed by a message that declares 1 GiB.
+// TestCompatible: a snapshot resumes under the run that saved it and
+// under no other seed.
+func TestCompatible(t *testing.T) {
+	ck, cfg := sampleRun(t)
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	mdl := linear.ForDataset(fed)
+	if s, err := ck.Load(); err != nil || s.NextRound != cfg.Rounds {
+		t.Fatalf("stored snapshot: %+v, %v", s, err)
+	}
+	if _, err := core.Run(mdl, fed, cfg); err != nil {
+		t.Fatalf("the saving run's own config: %v", err)
+	}
+	other := cfg
+	other.Seed = 99
+	if _, err := core.Run(mdl, fed, other); err == nil || !strings.Contains(err.Error(), "this is \"FedProx(mu=1)\" seed 99") {
+		t.Fatalf("another seed: %v", err)
+	}
+}
+
+// TestLoadRejectsGarbage: only a nil Load is a fresh start. Stored bytes
+// that do not decode fail the run before its first save — a run that
+// started fresh over them would overwrite them.
+func TestLoadRejectsGarbage(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	cfg := core.FedProx(4, 5, 2, 0.01, 1)
+	ck := &gobCheckpointer{saved: []byte("not a checkpoint")}
+	cfg.Checkpointer = ck
+	if h, err := core.Run(linear.ForDataset(fed), fed, cfg); err == nil {
+		t.Fatalf("garbage resumed as %+v", h.Final())
+	}
+	if string(ck.saved) != "not a checkpoint" {
+		t.Fatal("the failed run saved over the stored bytes")
+	}
+}
+
+// FuzzLoad: whatever bytes the store holds, a run resuming from them
+// answers an error or a history — never a panic, never a fresh start over
+// bytes that exist, and never a resume from a snapshot of another run,
+// round range or model size. The committed seeds (testdata/fuzz/FuzzLoad)
+// are a valid store of sampleRun, the same cut after its type definitions,
+// and those definitions followed by a message that declares 1 GiB.
 func FuzzLoad(f *testing.F) {
-	path := filepath.Join(f.TempDir(), "fuzz.ckpt")
+	_, cfg := sampleRun(f)
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	mdl := linear.ForDataset(fed)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if err := os.WriteFile(path, b, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := File(path, sampleFP).Load()
-		if err != nil {
+		ck := &gobCheckpointer{saved: append([]byte{}, b...)}
+		cfg := cfg
+		cfg.Checkpointer = ck
+		if _, err := core.Run(mdl, fed, cfg); err != nil {
 			return
 		}
-		if err := (&state{Fingerprint: sampleFP, Snapshot: snap}).Validate(); err != nil {
-			t.Fatalf("Load returned a snapshot it would refuse to save: %v", err)
+		var s core.Snapshot
+		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
+			t.Fatalf("a run resumed from bytes that do not decode: %v", err)
+		}
+		if s.Label != core.Label(cfg) || s.Seed != cfg.Seed || s.NextRound < 0 || s.NextRound > cfg.Rounds || len(s.Params) != mdl.NumParams() {
+			t.Fatalf("a run resumed from a snapshot it should refuse: %+v", s)
 		}
 	})
 }

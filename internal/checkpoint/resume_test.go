@@ -1,127 +1,14 @@
-package core
+package checkpoint
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"math"
-	"reflect"
 	"strings"
 	"testing"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/core"
 	"fedprox/internal/data/synthetic"
 	"fedprox/internal/model/linear"
 )
-
-// gobCheckpointer persists as storage would: Save gob-encodes the
-// snapshot and Load decodes a fresh one, so a resumed run reads nothing
-// the saving run handed over, only what survived reflection encoding.
-type gobCheckpointer struct{ saved []byte }
-
-func (g *gobCheckpointer) Load() (*Snapshot, error) {
-	if g.saved == nil {
-		return nil, nil
-	}
-	s := new(Snapshot)
-	return s, gob.NewDecoder(bytes.NewReader(g.saved)).Decode(s)
-}
-
-func (g *gobCheckpointer) Save(s *Snapshot) error {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(s); err != nil {
-		return err
-	}
-	g.saved = b.Bytes()
-	return nil
-}
-
-// diff walks two values of one type and names the first place they
-// differ, comparing floats by bits (NaN equals NaN) and, as gob does,
-// treating an empty slice or map as a nil one.
-func diff(path string, a, b reflect.Value) string {
-	switch a.Kind() {
-	case reflect.Float64:
-		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
-			return fmt.Sprintf("%s: %v != %v", path, a, b)
-		}
-	case reflect.Pointer:
-		if a.IsNil() || b.IsNil() {
-			if a.IsNil() != b.IsNil() {
-				return path + ": nil on one side only"
-			}
-			return ""
-		}
-		return diff(path, a.Elem(), b.Elem())
-	case reflect.Struct:
-		for i := 0; i < a.NumField(); i++ {
-			if d := diff(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
-				return d
-			}
-		}
-	case reflect.Slice:
-		if a.Len() != b.Len() {
-			return fmt.Sprintf("%s: len %d != %d", path, a.Len(), b.Len())
-		}
-		for i := 0; i < a.Len(); i++ {
-			if d := diff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
-				return d
-			}
-		}
-	case reflect.Map:
-		if a.Len() != b.Len() {
-			return fmt.Sprintf("%s: len %d != %d", path, a.Len(), b.Len())
-		}
-		for _, k := range a.MapKeys() {
-			bv := b.MapIndex(k)
-			if !bv.IsValid() {
-				return fmt.Sprintf("%s[%v]: missing", path, k)
-			}
-			if d := diff(fmt.Sprintf("%s[%v]", path, k), a.MapIndex(k), bv); d != "" {
-				return d
-			}
-		}
-	default:
-		if !a.Equal(b) {
-			return fmt.Sprintf("%s: %v != %v", path, a, b)
-		}
-	}
-	return ""
-}
-
-// TestRoundTrip: what a run hands its Checkpointer survives a gob round
-// trip field for field — both endpoints' delta+qsgd link state (broadcast
-// shadows, rounding-stream positions), a work accumulator caught between
-// two evaluations and the NaN columns of the evaluated points included.
-func TestRoundTrip(t *testing.T) {
-	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
-	mdl := linear.ForDataset(fed)
-	cfg := FedProx(2, 5, 4, 0.01, 1)
-	cfg.EvalEvery = 2
-	cfg.Codec = comm.Spec{Name: "delta+qsgd", Bits: 8}
-	cfg.DeviceBudget = fixedBudget(3)
-	ck := &memCheckpointer{failAfterSaves: 1}
-	cfg.Checkpointer = ck
-	if _, err := Run(mdl, fed, cfg); err == nil {
-		t.Fatal("expected the run to stop at the injected failure")
-	}
-	want := ck.snap // after round 0, which no evaluation follows
-	if want.Links == nil || want.DeviceLinks == nil || len(want.DeviceLinks.State.Devices) == 0 || want.Work.N == 0 {
-		t.Fatalf("the run's snapshot is missing state the test is about: %+v", want)
-	}
-
-	var g gobCheckpointer
-	if err := g.Save(want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diff("Snapshot", reflect.ValueOf(want), reflect.ValueOf(got)); d != "" {
-		t.Fatal(d)
-	}
-}
 
 // TestResumeMatchesUninterruptedRun is the integration guarantee: running
 // 10 rounds straight equals running 5 rounds, "crashing", and resuming
@@ -129,10 +16,10 @@ func TestRoundTrip(t *testing.T) {
 func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
 	mdl := linear.ForDataset(fed)
-	base := FedProx(10, 5, 3, 0.01, 1)
+	base := core.FedProx(10, 5, 3, 0.01, 1)
 	base.EvalEvery = 5
 
-	straight, err := Run(mdl, fed, base)
+	straight, err := core.Run(mdl, fed, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +29,14 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	half := base
 	half.Rounds = 5
 	half.Checkpointer = ck
-	if _, err := Run(mdl, fed, half); err != nil {
+	if _, err := core.Run(mdl, fed, half); err != nil {
 		t.Fatal(err)
 	}
 
 	// Phase 2: resume to the full 10 rounds.
 	full := base
 	full.Checkpointer = ck
-	resumed, err := Run(mdl, fed, full)
+	resumed, err := core.Run(mdl, fed, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +52,33 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsWrongFingerprint: a snapshot names the run that saved
+// it, and a run under another label refuses it by name rather than
+// silently training on.
+func TestResumeRejectsWrongFingerprint(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	mdl := linear.ForDataset(fed)
+	cfg := core.FedProx(4, 5, 2, 0.01, 1)
+	cfg.EvalEvery = 2
+	ck := &gobCheckpointer{}
+	cfg.Checkpointer = ck
+	if _, err := core.Run(mdl, fed, cfg); err != nil {
+		t.Fatal(err)
+	}
+	wrong := core.FedAvg(4, 5, 2, 0.01)
+	wrong.EvalEvery = 2
+	wrong.Checkpointer = ck
+	if _, err := core.Run(mdl, fed, wrong); err == nil || !strings.Contains(err.Error(), `this is "FedAvg"`) {
+		t.Fatalf("want another run's snapshot refused, got %v", err)
+	}
+}
+
 func TestFreshRunWithCheckpointerStartsAtZero(t *testing.T) {
 	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
 	mdl := linear.ForDataset(fed)
-	cfg := FedProx(3, 5, 2, 0.01, 0)
+	cfg := core.FedProx(3, 5, 2, 0.01, 0)
 	cfg.Checkpointer = &gobCheckpointer{}
-	h, err := Run(mdl, fed, cfg)
+	h, err := core.Run(mdl, fed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +92,14 @@ func TestFreshRunWithCheckpointerStartsAtZero(t *testing.T) {
 func TestCompletedRunResumesAsNoOp(t *testing.T) {
 	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
 	mdl := linear.ForDataset(fed)
-	cfg := FedProx(4, 5, 2, 0.01, 0)
+	cfg := core.FedProx(4, 5, 2, 0.01, 0)
 	cfg.EvalEvery = 2
 	cfg.Checkpointer = &gobCheckpointer{}
-	first, err := Run(mdl, fed, cfg)
+	first, err := core.Run(mdl, fed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run(mdl, fed, cfg)
+	again, err := core.Run(mdl, fed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +124,14 @@ func TestCodecResumeMatchesUninterruptedRun(t *testing.T) {
 		{Name: "delta"},            // chained broadcast shadows
 	} {
 		t.Run(spec.Name, func(t *testing.T) {
-			base := FedProx(10, 5, 3, 0.01, 1)
+			base := core.FedProx(10, 5, 3, 0.01, 1)
 			base.EvalEvery = 5
 			base.Codec = spec
 			if spec.Name == "topk" {
 				base.DownlinkCodec = comm.Spec{Name: "raw"}
 			}
 
-			straight, err := Run(mdl, fed, base)
+			straight, err := core.Run(mdl, fed, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,12 +139,12 @@ func TestCodecResumeMatchesUninterruptedRun(t *testing.T) {
 			half := base
 			half.Rounds = 5
 			half.Checkpointer = ck
-			if _, err := Run(mdl, fed, half); err != nil {
+			if _, err := core.Run(mdl, fed, half); err != nil {
 				t.Fatal(err)
 			}
 			full := base
 			full.Checkpointer = ck
-			resumed, err := Run(mdl, fed, full)
+			resumed, err := core.Run(mdl, fed, full)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,6 +169,39 @@ func TestCodecResumeMatchesUninterruptedRun(t *testing.T) {
 	}
 }
 
+// TestCodecRefusesLinklessCheckpoint: a codec run resumed from a snapshot
+// stripped of the coordinator's link state fails instead of restarting
+// its rounding streams and residuals from scratch.
+func TestCodecRefusesLinklessCheckpoint(t *testing.T) {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
+	mdl := linear.ForDataset(fed)
+	base := core.FedProx(6, 5, 2, 0.01, 1)
+	base.EvalEvery = 3
+	base.Codec = comm.Spec{Name: "qsgd", Bits: 8}
+
+	ck := &gobCheckpointer{}
+	half := base
+	half.Rounds = 3
+	half.Checkpointer = ck
+	if _, err := core.Run(mdl, fed, half); err != nil {
+		t.Fatal(err)
+	}
+	// Strip the coordinator's link state.
+	snap, err := ck.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Links = nil
+	if err := ck.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	full := base
+	full.Checkpointer = ck
+	if _, err := core.Run(mdl, fed, full); err == nil {
+		t.Fatal("codec run resumed from a checkpoint without link state")
+	}
+}
+
 // TestAdaptiveMuResumeMatchesUninterruptedRun: the adaptive-mu
 // controller's state (current mu, loss memory, decrease streak) rides in
 // the coordinator checkpoint, so a crash-resume cycle reproduces the
@@ -269,13 +210,13 @@ func TestCodecResumeMatchesUninterruptedRun(t *testing.T) {
 func TestAdaptiveMuResumeMatchesUninterruptedRun(t *testing.T) {
 	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.12))
 	mdl := linear.ForDataset(fed)
-	base := FedProx(10, 5, 3, 0.01, 1)
+	base := core.FedProx(10, 5, 3, 0.01, 1)
 	base.EvalEvery = 5
 	base.AdaptiveMu = true
 	base.MuStep = 0.5
 	base.MuPatience = 1 // aggressive controller so divergence would show
 
-	straight, err := Run(mdl, fed, base)
+	straight, err := core.Run(mdl, fed, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +224,12 @@ func TestAdaptiveMuResumeMatchesUninterruptedRun(t *testing.T) {
 	half := base
 	half.Rounds = 5
 	half.Checkpointer = ck
-	if _, err := Run(mdl, fed, half); err != nil {
+	if _, err := core.Run(mdl, fed, half); err != nil {
 		t.Fatal(err)
 	}
 	full := base
 	full.Checkpointer = ck
-	resumed, err := Run(mdl, fed, full)
+	resumed, err := core.Run(mdl, fed, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +246,7 @@ func TestAdaptiveMuResumeMatchesUninterruptedRun(t *testing.T) {
 
 	ck = &gobCheckpointer{}
 	half.Checkpointer = ck
-	if _, err := Run(mdl, fed, half); err != nil {
+	if _, err := core.Run(mdl, fed, half); err != nil {
 		t.Fatal(err)
 	}
 	s, err := ck.Load()
@@ -317,7 +258,7 @@ func TestAdaptiveMuResumeMatchesUninterruptedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	full.Checkpointer = ck
-	if _, err := Run(mdl, fed, full); err == nil || !strings.Contains(err.Error(), "no adaptive-mu state") {
+	if _, err := core.Run(mdl, fed, full); err == nil || !strings.Contains(err.Error(), "no adaptive-mu state") {
 		t.Fatalf("want a %q refusal, got %v", "no adaptive-mu state", err)
 	}
 }

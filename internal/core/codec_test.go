@@ -155,8 +155,8 @@ func TestLossyCodecsCompressWithoutDivergence(t *testing.T) {
 
 // TestCodecAcceptsCheckpointing: link state (residuals, rounding
 // streams, broadcast shadows) rides the coordinator's Snapshot, so
-// synchronous codec runs may checkpoint (resume_test.go holds them to
-// the uninterrupted run).
+// synchronous codec runs may checkpoint (internal/checkpoint's resume
+// tests hold them to the uninterrupted run).
 func TestCodecAcceptsCheckpointing(t *testing.T) {
 	cfg := FedProx(2, 2, 1, 0.01, 1)
 	cfg.Codec = comm.Spec{Name: "qsgd"}
