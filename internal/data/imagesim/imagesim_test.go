@@ -1,8 +1,10 @@
 package imagesim
 
 import (
+	"math"
 	"testing"
 
+	"fedprox/internal/data"
 	"fedprox/internal/frand"
 )
 
@@ -33,13 +35,21 @@ func TestGenerateShape(t *testing.T) {
 	}
 }
 
+// TestPixelsInUnitRange: with and without a device style, every pixel
+// lies in [0, 1] and none is NaN or −0, the one input on which the
+// clamp's two forms (branches, or min and max) differ.
 func TestPixelsInUnitRange(t *testing.T) {
-	fed := Generate(testConfig())
-	for _, s := range fed.Shards {
-		for _, ex := range s.Train {
-			for _, v := range ex.X {
-				if v < 0 || v > 1 {
-					t.Fatalf("pixel %g outside [0,1]", v)
+	for _, skew := range []float64{0, 0.45} {
+		c := testConfig()
+		c.DeviceSkew = skew
+		for _, s := range Generate(c).Shards {
+			for _, set := range [][]data.Example{s.Train, s.Test} {
+				for _, ex := range set {
+					for _, v := range ex.X {
+						if !(v >= 0 && v <= 1) || v == 0 && math.Signbit(v) {
+							t.Fatalf("DeviceSkew %g: pixel %g outside [0,1] or −0", skew, v)
+						}
+					}
 				}
 			}
 		}

@@ -40,3 +40,11 @@ func TestDefaultMatchesPaperScale(t *testing.T) {
 		t.Fatalf("paper-scale config drifted: %+v", c)
 	}
 }
+
+// BenchmarkGenerateScaled times the MNIST surrogate at the scale the
+// benchmark of record's MNIST-shaped workloads build (0.2).
+func BenchmarkGenerateScaled(b *testing.B) {
+	for range b.N {
+		GenerateScaled(0.2)
+	}
+}

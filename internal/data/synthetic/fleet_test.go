@@ -187,3 +187,23 @@ func TestEagerFleetAdapter(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNewFleet times the lazy fleet's construction at the config
+// and population of the benchmark of record's vtime-fleet-eval workload:
+// 12 500 devices of 10 to 20 samples, power-law exponent 1.55.
+func BenchmarkNewFleet(b *testing.B) {
+	c := Config{
+		Alpha: 1, Beta: 1,
+		Devices:    12500,
+		Dim:        10,
+		Classes:    5,
+		MinSamples: 10,
+		MaxSamples: 20,
+		PowerAlpha: 1.55,
+		TrainFrac:  0.8,
+		Seed:       43,
+	}
+	for range b.N {
+		NewFleet(c)
+	}
+}

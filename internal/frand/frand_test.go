@@ -402,3 +402,55 @@ func BenchmarkNorm(b *testing.B) {
 		s.Norm()
 	}
 }
+
+// powerLawPerDraw is the per-draw Pareto inverse CDF the generators'
+// sizes came from before the batch form: both endpoints' powers and the
+// exponent recomputed on every draw, the Pareto form evaluated even at
+// alpha = 1. The batch form must reproduce it bit for bit.
+func powerLawPerDraw(s *Source, min, max int, alpha float64) int {
+	u := s.Float64()
+	lo := math.Pow(float64(min), 1-alpha)
+	hi := math.Pow(float64(max), 1-alpha)
+	v := math.Pow(lo+u*(hi-lo), 1/(1-alpha))
+	if alpha == 1 {
+		v = float64(min) * math.Pow(float64(max)/float64(min), u)
+	}
+	n := int(v)
+	if n < min {
+		n = min
+	}
+	if n > max {
+		n = max
+	}
+	return n
+}
+
+// TestPowerLawBatchMatchesPerDraw holds a batch of sizes and PowerLaw's
+// single draws to the per-draw formula, value for value, and the stream
+// to the state the per-draw calls leave it in.
+func TestPowerLawBatchMatchesPerDraw(t *testing.T) {
+	for _, alpha := range []float64{0.5, 1, 1.55, 2.12} {
+		for _, r := range [][2]int{{10, 20}, {18, 1100}, {7, 7}} {
+			for _, n := range []int{0, 1, 1000} {
+				batch, single, want := New(71), New(71), New(71)
+				sizes := make([]int, n)
+				for i := range sizes {
+					sizes[i] = batch.PowerLaw(r[0], r[1], alpha)
+				}
+				for i, got := range sizes {
+					w := powerLawPerDraw(want, r[0], r[1], alpha)
+					if got != w {
+						t.Fatalf("alpha %g, [%d, %d], n %d: size %d = %d, per-draw formula %d", alpha, r[0], r[1], n, i, got, w)
+					}
+					if s := single.PowerLaw(r[0], r[1], alpha); s != w {
+						t.Fatalf("alpha %g, [%d, %d]: PowerLaw draw %d = %d, per-draw formula %d", alpha, r[0], r[1], i, s, w)
+					}
+				}
+				if batch.State() != want.State() || single.State() != want.State() {
+					t.Fatalf("alpha %g, [%d, %d], n %d: stream state %x / %x, per-draw calls leave %x",
+						alpha, r[0], r[1], n, batch.State(), single.State(), want.State())
+				}
+			}
+		}
+	}
+}
