@@ -186,11 +186,7 @@ func Batches(n, batchSize int, rng *frand.Source) [][]int {
 // Sizes are drawn i.i.d. from a discrete Pareto on [min, max] with the
 // given exponent.
 func PowerLawSizes(rng *frand.Source, devices, min, max int, alpha float64) []int {
-	out := make([]int, devices)
-	for i := range out {
-		out[i] = rng.PowerLaw(min, max, alpha)
-	}
-	return out
+	return rng.PowerLawVec(make([]int, devices), min, max, alpha)
 }
 
 // LabelSkewAssign assigns classesPerDevice distinct class labels to each of

@@ -101,6 +101,7 @@ func Generate(c Config) *data.Federated {
 		FeatureDim: dim,
 	}
 	styleRng := root.Split("styles")
+	noise, skew := c.Noise, c.DeviceSkew
 	tensor.ParallelFor(c.Devices, 0, func(k int) {
 		devRng := sampleRng.SplitIndex(k)
 		classes := classSets[k]
@@ -117,18 +118,17 @@ func Generate(c Config) *data.Federated {
 			y := classes[devRng.Intn(len(classes))]
 			x := make([]float64, dim)
 			tensor.Normals(x, devRng)
-			proto := protos[y]
-			for j := range x {
-				v := proto[j] + (0 + c.Noise*x[j]) // NormMeanStd(0, c.Noise)'s expression
-				if style != nil {
-					v += c.DeviceSkew * style[j]
+			// 0 + noise·z is NormMeanStd(0, c.Noise)'s expression.
+			proto := protos[y][:dim]
+			if style == nil {
+				for j, z := range x {
+					x[j] = clamp01(proto[j] + (0 + noise*z))
 				}
-				if v < 0 {
-					v = 0
-				} else if v > 1 {
-					v = 1
+			} else {
+				style := style[:dim]
+				for j, z := range x {
+					x[j] = clamp01(proto[j] + (0 + noise*z) + skew*style[j])
 				}
-				x[j] = v
 			}
 			examples[i] = data.Example{X: x, Y: y}
 		}
@@ -140,6 +140,12 @@ func Generate(c Config) *data.Federated {
 	}
 	return fed
 }
+
+// clamp01 clamps v to [0, 1] without a branch. It equals "v < 0: 0,
+// v > 1: 1, else v" on every input but −0, which it maps to +0. No pixel
+// is −0: a prototype pixel is ≥ +0, and the noise term is added to 0
+// first, which turns a −0 into +0.
+func clamp01(v float64) float64 { return min(max(v, 0), 1) }
 
 // styleField draws a smooth signed field in roughly [−1, 1]: a handful of
 // positive and negative Gaussian bumps, the per-device rendering style.

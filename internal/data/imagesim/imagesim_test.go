@@ -199,3 +199,29 @@ func TestPanicsOnInvalidConfig(t *testing.T) {
 		})
 	}
 }
+
+// TestClampMatchesBranches holds clamp01 to the two branches it replaced
+// on the inputs where min and max have special rules. They differ only at
+// −0, which TestPixelsInUnitRange shows no pixel takes.
+func TestClampMatchesBranches(t *testing.T) {
+	branches := func(v float64) float64 {
+		if v < 0 {
+			v = 0
+		} else if v > 1 {
+			v = 1
+		}
+		return v
+	}
+	negZero := math.Copysign(0, -1)
+	for _, v := range []float64{0, negZero, math.NaN(), math.Inf(1), math.Inf(-1),
+		0.5, 1, math.Nextafter(1, 2), math.Nextafter(0, -1)} {
+		got, want := clamp01(v), branches(v)
+		same := math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+		if isNegZero := v == 0 && math.Signbit(v); same == isNegZero {
+			t.Errorf("clamp01(%g) = %g, branches give %g: want them to differ at −0 only", v, got, want)
+		}
+	}
+	if got := clamp01(negZero); math.Signbit(got) {
+		t.Errorf("clamp01(−0) = −0, want +0")
+	}
+}

@@ -209,25 +209,42 @@ func (s *Source) WeightedChoice(weights []float64, k int) []int {
 // The paper allocates "samples per device following a power law"; this is
 // the sampler the dataset generators share.
 func (s *Source) PowerLaw(min, max int, alpha float64) int {
+	var n [1]int
+	return s.PowerLawVec(n[:], min, max, alpha)[0]
+}
+
+// PowerLawVec fills dst with successive PowerLaw draws and returns it. The
+// inverse CDF's constants are computed once per call, so a draw costs one
+// Pow.
+func (s *Source) PowerLawVec(dst []int, min, max int, alpha float64) []int {
 	if min <= 0 || max < min {
 		panic("frand: PowerLaw with invalid range")
 	}
 	// Inverse-CDF on the continuous Pareto, then clamp to the integer range.
-	u := s.Float64()
-	lo := math.Pow(float64(min), 1-alpha)
-	hi := math.Pow(float64(max), 1-alpha)
-	v := math.Pow(lo+u*(hi-lo), 1/(1-alpha))
-	if alpha == 1 { // density 1/v: log-uniform, where the above is 1^+Inf = 1
-		v = float64(min) * math.Pow(float64(max)/float64(min), u)
+	// At alpha = 1 (density 1/v) the Pareto form is 1^+Inf = 1, so the draw
+	// is log-uniform instead.
+	fmin, fmax, logUniform := float64(min), float64(max), alpha == 1
+	lo := math.Pow(fmin, 1-alpha)
+	span := math.Pow(fmax, 1-alpha) - lo
+	exp, ratio := 1/(1-alpha), fmax/fmin
+	for i := range dst {
+		u := s.Float64()
+		var v float64
+		if logUniform {
+			v = fmin * math.Pow(ratio, u)
+		} else {
+			v = math.Pow(lo+u*span, exp)
+		}
+		n := int(v)
+		if n < min {
+			n = min
+		}
+		if n > max {
+			n = max
+		}
+		dst[i] = n
 	}
-	n := int(v)
-	if n < min {
-		n = min
-	}
-	if n > max {
-		n = max
-	}
-	return n
+	return dst
 }
 
 // Bernoulli returns true with probability p.

@@ -433,10 +433,7 @@ func TestPowerLawBatchMatchesPerDraw(t *testing.T) {
 		for _, r := range [][2]int{{10, 20}, {18, 1100}, {7, 7}} {
 			for _, n := range []int{0, 1, 1000} {
 				batch, single, want := New(71), New(71), New(71)
-				sizes := make([]int, n)
-				for i := range sizes {
-					sizes[i] = batch.PowerLaw(r[0], r[1], alpha)
-				}
+				sizes := batch.PowerLawVec(make([]int, n), r[0], r[1], alpha)
 				for i, got := range sizes {
 					w := powerLawPerDraw(want, r[0], r[1], alpha)
 					if got != w {
