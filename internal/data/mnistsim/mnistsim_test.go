@@ -1,6 +1,10 @@
 package mnistsim
 
-import "testing"
+import (
+	"testing"
+
+	"fedprox/internal/data"
+)
 
 func TestScaledShape(t *testing.T) {
 	fed := GenerateScaled(0.03)
@@ -45,6 +49,8 @@ func TestDefaultMatchesPaperScale(t *testing.T) {
 // benchmark of record's MNIST-shaped workloads build (0.2).
 func BenchmarkGenerateScaled(b *testing.B) {
 	for range b.N {
-		GenerateScaled(0.2)
+		benchFed = GenerateScaled(0.2)
 	}
 }
+
+var benchFed *data.Federated

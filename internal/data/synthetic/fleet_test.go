@@ -204,6 +204,8 @@ func BenchmarkNewFleet(b *testing.B) {
 		Seed:       43,
 	}
 	for range b.N {
-		NewFleet(c)
+		benchFleet = NewFleet(c)
 	}
 }
+
+var benchFleet *Fleet
