@@ -35,8 +35,8 @@ func digest(fed *data.Federated) string {
 
 // TestSurrogateDigests pins the image surrogates' bits: every pixel, label
 // and split of a scaled MNIST and a small FEMNIST set, and of an
-// MNIST-shaped set with DeviceSkew 0, the one config whose pixels take the
-// style-free path. A change that moves one pixel of any fails here by
+// MNIST-shaped set with DeviceSkew 0, the one config whose devices draw no
+// style field and add a zero one. A change that moves one pixel of any fails here by
 // name; TestDeterministic only compares the generator with itself.
 func TestSurrogateDigests(t *testing.T) {
 	for _, c := range []struct {

@@ -101,18 +101,25 @@ func Generate(c Config) *data.Federated {
 		FeatureDim: dim,
 	}
 	styleRng := root.Split("styles")
-	noise, skew := c.Noise, c.DeviceSkew
+	// Without a style, every device renders a read-only zero field with
+	// skew 0: a pixel is then a + 0·0 = a, since a is never −0 (see clamp01).
+	var noStyle []float64
+	if !(c.DeviceSkew > 0) {
+		noStyle = make([]float64, dim)
+	}
 	tensor.ParallelFor(c.Devices, 0, func(k int) {
 		devRng := sampleRng.SplitIndex(k)
 		classes := classSets[k]
-		var style []float64
+		noise, skew, style := c.Noise, 0.0, noStyle
 		if c.DeviceSkew > 0 {
+			skew = c.DeviceSkew
 			blobs := c.StyleBlobs
 			if blobs <= 0 {
 				blobs = 3
 			}
 			style = styleField(styleRng.SplitIndex(k), c.Side, blobs)
 		}
+		style = style[:dim]
 		examples := make([]data.Example, sizes[k])
 		for i := range examples {
 			y := classes[devRng.Intn(len(classes))]
@@ -120,15 +127,8 @@ func Generate(c Config) *data.Federated {
 			tensor.Normals(x, devRng)
 			// 0 + noise·z is NormMeanStd(0, c.Noise)'s expression.
 			proto := protos[y][:dim]
-			if style == nil {
-				for j, z := range x {
-					x[j] = clamp01(proto[j] + (0 + noise*z))
-				}
-			} else {
-				style := style[:dim]
-				for j, z := range x {
-					x[j] = clamp01(proto[j] + (0 + noise*z) + skew*style[j])
-				}
+			for j, z := range x {
+				x[j] = clamp01(proto[j] + (0 + noise*z) + skew*style[j])
 			}
 			examples[i] = data.Example{X: x, Y: y}
 		}
@@ -144,7 +144,7 @@ func Generate(c Config) *data.Federated {
 // clamp01 clamps v to [0, 1] without a branch. It equals "v < 0: 0,
 // v > 1: 1, else v" on every input but −0, which it maps to +0. No pixel
 // is −0: a prototype pixel is ≥ +0, and the noise term is added to 0
-// first, which turns a −0 into +0.
+// first, which turns a −0 into +0, so their sum is not −0 either.
 func clamp01(v float64) float64 { return min(max(v, 0), 1) }
 
 // styleField draws a smooth signed field in roughly [−1, 1]: a handful of

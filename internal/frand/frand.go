@@ -204,18 +204,18 @@ func (s *Source) WeightedChoice(weights []float64, k int) []int {
 	return out
 }
 
-// PowerLaw draws an integer sample count from a discrete power-law-like
-// distribution over [min, max]: value v is proportional to v^(-alpha).
-// The paper allocates "samples per device following a power law"; this is
-// the sampler the dataset generators share.
+// PowerLaw draws one integer sample count: PowerLawVec's one-draw case.
 func (s *Source) PowerLaw(min, max int, alpha float64) int {
 	var n [1]int
 	return s.PowerLawVec(n[:], min, max, alpha)[0]
 }
 
-// PowerLawVec fills dst with successive PowerLaw draws and returns it. The
-// inverse CDF's constants are computed once per call, so a draw costs one
-// Pow.
+// PowerLawVec fills dst with integer sample counts drawn from a discrete
+// power-law-like distribution over [min, max] (value v is proportional to
+// v^(-alpha)) and returns it. The paper allocates "samples per device
+// following a power law"; this is the sampler the dataset generators share,
+// through data.PowerLawSizes. The inverse CDF's constants are computed once
+// per call, so a draw costs one Pow.
 func (s *Source) PowerLawVec(dst []int, min, max int, alpha float64) []int {
 	if min <= 0 || max < min {
 		panic("frand: PowerLaw with invalid range")
