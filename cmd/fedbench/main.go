@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,20 +25,27 @@ import (
 	"fedprox/internal/experiments"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it writes the tables to stdout.
+var run = cli.Command("fedbench", bench)
+
+func bench(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("fedbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "", "experiment id or comma-separated ids (see -list), or \"all\"")
-		list      = flag.Bool("list", false, "list available experiments")
-		fast      = flag.Bool("fast", false, "use the miniature preset (seconds per figure)")
-		series    = flag.Bool("series", false, "print full per-round series, not just the summary")
-		csvPath   = flag.String("csv", "", "also write every evaluated point as CSV to this file")
-		jsonPath  = flag.String("json", "", "write machine-readable run summaries (BENCH_*.json) to this file")
-		baseline  = flag.String("baseline", "", "compare against a committed BENCH_*.json and exit non-zero on loss regressions")
-		tolerance = flag.Float64("tolerance", 0.05, "relative final-loss budget for -baseline (0.05 = 5%)")
-		datasets  = flag.String("datasets", "", "comma-separated subset of synthetic,mnist,femnist,shakespeare,sent140")
-		rounds    = flag.Int("rounds", 0, "override communication rounds for convex workloads")
-		seed      = flag.Uint64("seed", 0, "override environment seed")
-		scale     = flag.Float64("scale", 0, "override dataset scale factor")
+		exp       = fs.String("exp", "", "experiment id or comma-separated ids (see -list), or \"all\"")
+		list      = fs.Bool("list", false, "list available experiments")
+		fast      = fs.Bool("fast", false, "use the miniature preset (seconds per figure)")
+		series    = fs.Bool("series", false, "print full per-round series, not just the summary")
+		csvPath   = fs.String("csv", "", "also write every evaluated point as CSV to this file")
+		jsonPath  = fs.String("json", "", "write machine-readable run summaries (BENCH_*.json) to this file")
+		baseline  = fs.String("baseline", "", "compare against a committed BENCH_*.json and exit non-zero on loss regressions")
+		tolerance = fs.Float64("tolerance", 0.05, "relative final-loss budget for -baseline (0.05 = 5%)")
+		datasets  = fs.String("datasets", "", "comma-separated subset of synthetic,mnist,femnist,shakespeare,sent140")
+		rounds    = fs.Int("rounds", 0, "override communication rounds for convex workloads")
+		seed      = fs.Uint64("seed", 0, "override environment seed")
+		scale     = fs.Float64("scale", 0, "override dataset scale factor")
 
 		codecFlags cli.Codec
 		precFlags  cli.Precision
@@ -45,25 +54,26 @@ func main() {
 		vtimeFlags cli.VTime
 		traceFlags cli.Trace
 	)
-	codecFlags.Register(flag.CommandLine)
-	precFlags.Register(flag.CommandLine)
-	asyncFlags.RegisterOverrides(flag.CommandLine)
-	tierFlags.Register(flag.CommandLine)
-	vtimeFlags.Register(flag.CommandLine)
-	traceFlags.Register(flag.CommandLine)
-	flag.Parse()
+	codecFlags.Register(fs)
+	precFlags.Register(fs)
+	asyncFlags.RegisterOverrides(fs)
+	tierFlags.Register(fs)
+	vtimeFlags.Register(fs)
+	traceFlags.Register(fs)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, id := range experiments.IDs() {
 			e, _ := experiments.Lookup(id)
-			fmt.Printf("  %-10s %s\n", id, e.Title)
+			fmt.Fprintf(stdout, "  %-10s %s\n", id, e.Title)
 		}
-		return
+		return nil
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "fedbench: -exp is required (try -list)")
-		os.Exit(2)
+		return cli.Usage(errors.New("-exp is required (try -list)"))
 	}
 
 	opts := experiments.Full()
@@ -83,8 +93,7 @@ func main() {
 		opts.Scale = *scale
 	}
 	if err := codecFlags.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-		os.Exit(2)
+		return cli.Usage(err)
 	}
 	opts.Codec = codecFlags.Name
 	opts.DownlinkCodec = codecFlags.Downlink
@@ -96,104 +105,69 @@ func main() {
 	opts.AsyncBufferK = asyncFlags.BufferK
 	opts.VTimeDeadline = vtimeFlags.Deadline
 	opts.VTimeRoundBytes = vtimeFlags.RoundBytes
-	tierFan, tierLatency, err := tierFlags.SimOverride()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-		os.Exit(2)
+	if opts.TierFanOut, opts.TierLatency, err = tierFlags.SimOverride(); err != nil {
+		return cli.Usage(err)
 	}
-	opts.TierFanOut = tierFan
-	opts.TierLatency = tierLatency
 
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
 
-	// closeTrace finalizes the -trace file; main's os.Exit error paths
-	// bypass defers, so it runs explicitly once the runs are done.
 	trace, closeTrace, err := traceFlags.Open()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-		os.Exit(1)
+		return err
 	}
+	defer closeTrace(&err)
 	if trace != nil {
 		opts.Trace = trace
 	}
 
 	var csvFile *os.File
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
+		if csvFile, err = os.Create(*csvPath); err != nil {
+			return err
 		}
-		csvFile = f
+		defer csvFile.Close() // for the error paths; success closes it below
 	}
 
 	var entries []experiments.BenchEntry
 	for i, id := range ids {
 		res, err := experiments.Run(id, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Println(res.Summary())
+		fmt.Fprintln(stdout, res.Summary())
 		if *series {
-			fmt.Println(res.Series())
+			fmt.Fprintln(stdout, res.Series())
 		}
 		if csvFile != nil {
 			if err := res.WriteCSV(csvFile, i == 0); err != nil {
-				fmt.Fprintf(os.Stderr, "fedbench: csv: %v\n", err)
-				os.Exit(1)
+				return fmt.Errorf("csv: %w", err)
 			}
 		}
 		entries = append(entries, res.BenchEntries()...)
 	}
-	if err := closeTrace(); err != nil {
-		fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-		os.Exit(1)
-	}
 	if csvFile != nil {
 		if err := csvFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: csv: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("csv: %w", err)
 		}
 	}
 
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
-		}
-		err = experiments.WriteBench(f, entries)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: json: %v\n", err)
-			os.Exit(1)
+		if err := experiments.WriteBench(*jsonPath, entries); err != nil {
+			return fmt.Errorf("json: %w", err)
 		}
 	}
 	if *baseline != "" {
-		f, err := os.Open(*baseline)
+		base, err := experiments.ReadBench(*baseline)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
-		}
-		base, err := experiments.ReadBench(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		if regressions := experiments.CompareBench(entries, base, *tolerance); len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "fedbench: %d loss regression(s) vs %s:\n", len(regressions), *baseline)
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			os.Exit(1)
+			return fmt.Errorf("%d loss regression(s) vs %s:\n  %s", len(regressions), *baseline, strings.Join(regressions, "\n  "))
 		}
-		fmt.Printf("baseline gate passed: no regressions vs %s (tolerance %.0f%%)\n", *baseline, 100**tolerance)
+		fmt.Fprintf(stdout, "baseline gate passed: no regressions vs %s (tolerance %.0f%%)\n", *baseline, 100**tolerance)
 	}
+	return nil
 }

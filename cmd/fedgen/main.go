@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"fedprox/internal/cli"
@@ -23,62 +25,72 @@ import (
 	"fedprox/internal/syshet"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it writes its report to stdout.
+var run = cli.Command("fedgen", generate)
+
+func generate(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("fedgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload = flag.String("workload", "synthetic", "workload key: synthetic, synthetic-iid, mnist, femnist, shakespeare, sent140")
-		scale    = flag.Float64("scale", 1.0, "dataset scale factor")
-		out      = flag.String("out", "", "output path (required unless -verify or -vtime)")
-		verify   = flag.String("verify", "", "verify an existing dataset file and print its stats")
-		vtimeP   = flag.Bool("vtime", false, "print the workload's virtual-time latency profile instead of writing a file")
-		epochs   = flag.Int("epochs", 20, "-vtime: local epoch budget E to profile")
-		seed     = flag.Uint64("seed", 7, "-vtime: fleet assignment seed")
+		workload = fs.String("workload", "synthetic", "workload key: synthetic, synthetic-iid, mnist, femnist, shakespeare, sent140")
+		scale    = fs.Float64("scale", 1.0, "dataset scale factor")
+		out      = fs.String("out", "", "output path (required unless -verify or -vtime)")
+		verify   = fs.String("verify", "", "verify an existing dataset file and print its stats")
+		vtimeP   = fs.Bool("vtime", false, "print the workload's virtual-time latency profile instead of writing a file")
+		epochs   = fs.Int("epochs", 20, "-vtime: local epoch budget E to profile")
+		seed     = fs.Uint64("seed", 7, "-vtime: fleet assignment seed")
 
 		debugFlags cli.Debug
 	)
-	debugFlags.Register(flag.CommandLine)
-	flag.Parse()
+	debugFlags.Register(fs)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	// fedgen has no event stream to aggregate; the endpoint serves pprof
 	// only (profile large -scale generations).
-	debugFlags.Serve("fedgen", false)
+	debugFlags.Serve("fedgen", false, stderr)
 
 	if *verify != "" {
 		fed, err := datafile.ReadFile(*verify)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("ok: %s\n", fed.ComputeStats())
-		return
+		fmt.Fprintf(stdout, "ok: %s\n", fed.ComputeStats())
+		return nil
 	}
 	if *out == "" && !*vtimeP {
-		fail(fmt.Errorf("-out is required (or -vtime for a latency profile)"))
+		return errors.New("-out is required (or -vtime for a latency profile)")
 	}
 	opts := experiments.Full()
 	opts.Scale = *scale
 	w, err := opts.NamedWorkload(*workload)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if *vtimeP {
-		printVTimeProfile(w, *epochs, *seed)
-		return
+		printVTimeProfile(stdout, w, *epochs, *seed)
+		return nil
 	}
 	if err := datafile.WriteFile(*out, w.Fed); err != nil {
-		fail(err)
+		return err
 	}
 	info, err := os.Stat(*out)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("wrote %s (%.1f MB)\n%s\n", *out, float64(info.Size())/(1<<20), w.Fed.ComputeStats())
+	fmt.Fprintf(stdout, "wrote %s (%.1f MB)\n%s\n", *out, float64(info.Size())/(1<<20), w.Fed.ComputeStats())
+	return nil
 }
 
 // printVTimeProfile builds the default syshet fleet over the workload
-// and reports the numbers a virtual-time experiment is tuned with: how
+// and writes to out the numbers a virtual-time experiment is tuned with: how
 // long each hardware tier needs for E epochs on the mean shard, what the
 // uncompressed model transfer costs, and the straggler rate a given
 // deadline induces.
-func printVTimeProfile(w experiments.Workload, epochs int, seed uint64) {
+func printVTimeProfile(out io.Writer, w experiments.Workload, epochs int, seed uint64) {
 	sizes := w.Fed.TrainSizes()
 	mean := 0
 	for _, n := range sizes {
@@ -94,12 +106,12 @@ func printVTimeProfile(w experiments.Workload, epochs int, seed uint64) {
 		Seed:      seed,
 	}, sizes)
 
-	fmt.Printf("virtual-time profile: %s — %d devices, mean shard %d, E=%d, batch %d\n",
+	fmt.Fprintf(out, "virtual-time profile: %s — %d devices, mean shard %d, E=%d, batch %d\n",
 		w.Fed.Name, w.Fed.NumDevices(), mean, epochs, batch)
-	fmt.Printf("model: %d params, %.1f KB uncompressed per transfer\n",
+	fmt.Fprintf(out, "model: %d params, %.1f KB uncompressed per transfer\n",
 		w.Model.NumParams(), float64(w.Model.NumParams()*8)/1024)
-	fmt.Printf("fleet tiers (mid-tier deadline %.1fs): %v\n", deadline, fleet.TierCounts())
-	fmt.Printf("%10s %8s %18s %18s\n", "tier", "speed", "secs/E-epochs", "budget@deadline")
+	fmt.Fprintf(out, "fleet tiers (mid-tier deadline %.1fs): %v\n", deadline, fleet.TierCounts())
+	fmt.Fprintf(out, "%10s %8s %18s %18s\n", "tier", "speed", "secs/E-epochs", "budget@deadline")
 	for _, tier := range syshet.DefaultTiers() {
 		// A representative device of this tier over the mean shard.
 		batches := float64((mean + batch - 1) / batch)
@@ -108,15 +120,10 @@ func printVTimeProfile(w experiments.Workload, epochs int, seed uint64) {
 		if budget > epochs {
 			budget = epochs
 		}
-		fmt.Printf("%10s %8.1f %18.1f %18d\n", tier.Name, tier.Speed, secs, budget)
+		fmt.Fprintf(out, "%10s %8.1f %18.1f %18d\n", tier.Name, tier.Speed, secs, budget)
 	}
-	fmt.Printf("emergent straggler rate over 10 rounds at E=%d: %.2f\n",
+	fmt.Fprintf(out, "emergent straggler rate over 10 rounds at E=%d: %.2f\n",
 		epochs, fleet.StragglerRate(10, epochs))
-	fmt.Printf("suggested ext-vtime knobs: -vtime-deadline %.1f (mid-tier fit), -vtime-round-bytes %d (70%% of a 10-client round)\n",
+	fmt.Fprintf(out, "suggested ext-vtime knobs: -vtime-deadline %.1f (mid-tier fit), -vtime-round-bytes %d (70%% of a 10-client round)\n",
 		deadline, int64(0.7*10*2*float64(w.Model.NumParams()*8)))
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "fedgen: %v\n", err)
-	os.Exit(1)
 }

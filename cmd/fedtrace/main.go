@@ -40,43 +40,43 @@ import (
 	"strconv"
 	"strings"
 
+	"fedprox/internal/cli"
 	"fedprox/internal/core"
 	"fedprox/internal/experiments"
 	"fedprox/internal/obs"
 	"fedprox/internal/obs/tracefile"
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `fedtrace: analyze and replay fedprox JSONL run traces
+// errUsage answers a call without a known subcommand or with the wrong
+// number of trace files: the usage text, exit status 2.
+var errUsage = cli.Usage(errors.New(`analyze and replay fedprox JSONL run traces
 subcommands:
   summary <trace.jsonl>           per-round breakdown, stragglers, bytes
   diff <a.jsonl> <b.jsonl>        first divergent event + per-round deltas
   replay [flags] <trace.jsonl>    re-enact recorded arrivals under the
                                   recorded policy (verify) or -vtime-*/
-                                  -async-* alternatives (what-if sweep)`)
-	os.Exit(2)
-}
+                                  -async-* alternatives (what-if sweep)`))
 
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "fedtrace: %v\n", err)
-	os.Exit(1)
-}
+// errDivergent is diff's verdict on two traces that differ, exit status 1.
+var errDivergent = errors.New("the traces differ")
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: the subcommand args[0] writes its report to stdout.
+var run = cli.Command("fedtrace", func(args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 {
+		return errUsage
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "summary":
-		cmdSummary(os.Args[2:])
+		return cmdSummary(args[1:], stdout)
 	case "diff":
-		cmdDiff(os.Args[2:])
+		return cmdDiff(args[1:], stdout)
 	case "replay":
-		cmdReplay(os.Args[2:])
-	default:
-		usage()
+		return cmdReplay(args[1:], stdout, stderr)
 	}
-}
+	return errUsage
+})
 
 // ---- summary ----------------------------------------------------------
 
@@ -124,18 +124,16 @@ func fmtSecs(s float64) string {
 	return fmt.Sprintf("%.3f", s)
 }
 
-func cmdSummary(args []string) {
+func cmdSummary(args []string, stdout io.Writer) error {
 	if len(args) != 1 {
-		usage()
+		return errUsage
 	}
 	f, err := os.Open(args[0])
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer f.Close()
-	if err := summarize(os.Stdout, f); err != nil {
-		fail(err)
-	}
+	return summarize(stdout, f)
 }
 
 // summarize streams one pass over the trace r holds and writes to w, per
@@ -422,26 +420,35 @@ func render(e obs.Event) string {
 	return strings.TrimRight(string(obs.AppendEvent(nil, e)), "\n")
 }
 
-func readTrace(path string) []obs.Event {
+func readTrace(path string) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	defer f.Close()
 	evs, err := tracefile.ReadAll(f)
 	if err != nil {
-		fail(fmt.Errorf("%s: %w", path, err))
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return evs
+	return evs, nil
 }
 
-func cmdDiff(args []string) {
+func cmdDiff(args []string, stdout io.Writer) error {
 	if len(args) != 2 {
-		usage()
+		return errUsage
 	}
-	if diffTraces(os.Stdout, args[0], args[1], readTrace(args[0]), readTrace(args[1])) {
-		os.Exit(1)
+	a, err := readTrace(args[0])
+	if err != nil {
+		return err
 	}
+	b, err := readTrace(args[1])
+	if err != nil {
+		return err
+	}
+	if diffTraces(stdout, args[0], args[1], a, b) {
+		return errDivergent
+	}
+	return nil
 }
 
 // diffTraces writes the comparison of traces a and b, named nameA and
@@ -548,18 +555,6 @@ func floatList(s string) ([]float64, error) {
 	return out, nil
 }
 
-func intList(s string) ([]int64, error) {
-	fs, err := floatList(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(fs))
-	for i, f := range fs {
-		out[i] = int64(f)
-	}
-	return out, nil
-}
-
 // recordedFinalLoss extracts the segment's last evaluated loss — the
 // value replay itself cannot recompute. Zero (never NaN: BenchEntry
 // marshals through encoding/json) when the recording has no finite eval.
@@ -575,8 +570,9 @@ func recordedFinalLoss(seg []obs.Event) (loss, acc float64) {
 	return loss, acc
 }
 
-func cmdReplay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+func cmdReplay(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		exp       = fs.String("exp", "ext-vtime", "experiment the trace was recorded by (case configs are rebuilt from it)")
 		fast      = fs.Bool("fast", false, "the recording used fedbench -fast (miniature preset)")
@@ -590,9 +586,11 @@ func cmdReplay(args []string) {
 		bufferKs  = fs.String("async-buffer-k", "", "comma-separated buffered flush-size sweep (buffered cases only)")
 		jsonPath  = fs.String("json", "", "write BenchEntry JSON (same schema as fedbench -json) to this file")
 	)
-	fs.Parse(args)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
-		usage()
+		return errUsage
 	}
 
 	opts := experiments.Full()
@@ -610,97 +608,61 @@ func cmdReplay(args []string) {
 	}
 	cases, err := experiments.ReplayCases(*exp, opts)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
-	segments := tracefile.Runs(readTrace(fs.Arg(0)))
+	evs, err := readTrace(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	segments := tracefile.Runs(evs)
 	if len(segments) != len(cases) {
-		fail(fmt.Errorf("trace has %d run segments but %s runs %d cases — record with `fedbench -exp %s -trace ...` and matching options",
-			len(segments), *exp, len(cases), *exp))
-	}
-
-	ds, err := floatList(*deadlines)
-	if err != nil {
-		fail(err)
-	}
-	bs, err := intList(*budgets)
-	if err != nil {
-		fail(err)
-	}
-	as, err := floatList(*alphas)
-	if err != nil {
-		fail(err)
-	}
-	ses, err := floatList(*stales)
-	if err != nil {
-		fail(err)
-	}
-	ks, err := intList(*bufferKs)
-	if err != nil {
-		fail(err)
-	}
-	sweep := len(ds)+len(bs)+len(as)+len(ses)+len(ks) > 0
-
-	if !sweep {
-		if err := verifyReplay(os.Stdout, cases, segments); err != nil {
-			fail(err)
-		}
-		return
+		return fmt.Errorf("trace has %d run segments but %s runs %d cases — record with `fedbench -exp %s -trace ...` and matching options",
+			len(segments), *exp, len(cases), *exp)
 	}
 
 	// What-if sweep: one override axis at a time, recorded policy as the
 	// base. Async knobs apply only to cases already in an async mode.
 	type override struct {
-		label  string
-		apply  func(*core.Config)
-		wants  func(core.Config) bool
-		always bool
+		label string
+		apply func(*core.Config)
+		wants func(core.Config) bool
+	}
+	every := func(core.Config) bool { return true }
+	async := func(c core.Config) bool { return c.Async.Enabled() }
+	axes := []struct {
+		list  string
+		label func(float64) string
+		set   func(*core.Config, float64)
+		wants func(core.Config) bool
+	}{
+		{*deadlines, func(v float64) string { return fmt.Sprintf("deadline=%gs", v) },
+			func(c *core.Config, v float64) { c.VTime.DeadlineSeconds = v }, every},
+		{*budgets, func(v float64) string { return fmt.Sprintf("round-bytes=%d", int64(v)) },
+			func(c *core.Config, v float64) { c.VTime.RoundBytes = int64(v) }, every},
+		{*alphas, func(v float64) string { return fmt.Sprintf("alpha=%g", v) },
+			func(c *core.Config, v float64) { c.Async.Alpha = v }, async},
+		{*stales, func(v float64) string { return fmt.Sprintf("staleness-exp=%g", v) },
+			func(c *core.Config, v float64) { c.Async.StalenessExponent = v }, async},
+		{*bufferKs, func(v float64) string { return fmt.Sprintf("buffer-k=%d", int(v)) },
+			func(c *core.Config, v float64) { c.Async.BufferK = int(v) }, func(c core.Config) bool { return c.Async.Mode == core.Buffered }},
 	}
 	var overrides []override
-	every := func(core.Config) bool { return true }
-	for _, d := range ds {
-		d := d
-		overrides = append(overrides, override{
-			label: fmt.Sprintf("deadline=%gs", d),
-			apply: func(c *core.Config) { c.VTime.DeadlineSeconds = d },
-			wants: every,
-		})
+	for _, ax := range axes {
+		vs, err := floatList(ax.list)
+		if err != nil {
+			return err
+		}
+		for _, v := range vs {
+			overrides = append(overrides, override{ax.label(v), func(c *core.Config) { ax.set(c, v) }, ax.wants})
+		}
 	}
-	for _, b := range bs {
-		b := b
-		overrides = append(overrides, override{
-			label: fmt.Sprintf("round-bytes=%d", b),
-			apply: func(c *core.Config) { c.VTime.RoundBytes = b },
-			wants: every,
-		})
-	}
-	for _, a := range as {
-		a := a
-		overrides = append(overrides, override{
-			label: fmt.Sprintf("alpha=%g", a),
-			apply: func(c *core.Config) { c.Async.Alpha = a },
-			wants: func(c core.Config) bool { return c.Async.Enabled() },
-		})
-	}
-	for _, s := range ses {
-		s := s
-		overrides = append(overrides, override{
-			label: fmt.Sprintf("staleness-exp=%g", s),
-			apply: func(c *core.Config) { c.Async.StalenessExponent = s },
-			wants: func(c core.Config) bool { return c.Async.Enabled() },
-		})
-	}
-	for _, k := range ks {
-		k := int(k)
-		overrides = append(overrides, override{
-			label: fmt.Sprintf("buffer-k=%d", k),
-			apply: func(c *core.Config) { c.Async.BufferK = k },
-			wants: func(c core.Config) bool { return c.Async.Mode == core.Buffered },
-		})
+	if len(overrides) == 0 {
+		return verifyReplay(stdout, cases, segments)
 	}
 
 	var entries []experiments.BenchEntry
-	fmt.Printf("%-14s %-22s %10s %7s %7s %8s %8s %8s\n",
+	fmt.Fprintf(stdout, "%-14s %-22s %10s %7s %7s %8s %8s %8s\n",
 		"case", "override", "virtual-s", "folded", "dropped", "p50", "p90", "p99")
 	for i, c := range cases {
 		loss, acc := recordedFinalLoss(segments[i])
@@ -712,7 +674,7 @@ func cmdReplay(args []string) {
 			ov.apply(&cfg)
 			h, err := core.Replay(c.Model, c.Fleet, cfg, segments[i])
 			if err != nil {
-				fail(fmt.Errorf("replay %s under %s: %w", c.Name, ov.label, err))
+				return fmt.Errorf("replay %s under %s: %w", c.Name, ov.label, err)
 			}
 			fin := h.Final()
 			folded, dropped := 0, 0
@@ -724,7 +686,7 @@ func cmdReplay(args []string) {
 				}
 			}
 			q := h.ReplyLatencyQuantiles(0.5, 0.9, 0.99)
-			fmt.Printf("%-14s %-22s %10.1f %7d %7d %8s %8s %8s\n",
+			fmt.Fprintf(stdout, "%-14s %-22s %10.1f %7d %7d %8s %8s %8s\n",
 				c.Name, ov.label, fin.VirtualSeconds, folded, dropped,
 				fmtSecs(q[0]), fmtSecs(q[1]), fmtSecs(q[2]))
 			entries = append(entries, experiments.BenchEntry{
@@ -742,18 +704,9 @@ func cmdReplay(args []string) {
 		}
 	}
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fail(err)
-		}
-		err = experiments.WriteBench(f, entries)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fail(err)
-		}
+		return experiments.WriteBench(*jsonPath, entries)
 	}
+	return nil
 }
 
 // verifyReplay re-runs every recorded case under its recorded policy and

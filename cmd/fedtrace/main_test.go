@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -57,10 +59,17 @@ func TestDiffTraces(t *testing.T) {
 	}
 }
 
+// recorded holds each trace record has made, so the tests that read the
+// same experiment's trace run it once.
+var recorded = map[string][]byte{}
+
 // record runs one experiment at the -fast preset and returns the JSONL
 // trace `fedbench -exp id -fast -trace` would have written.
 func record(t *testing.T, id string) []byte {
 	t.Helper()
+	if b, ok := recorded[id]; ok {
+		return b
+	}
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
 	opts := experiments.Fast()
@@ -71,6 +80,7 @@ func record(t *testing.T, id string) []byte {
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
+	recorded[id] = buf.Bytes()
 	return buf.Bytes()
 }
 
@@ -118,5 +128,72 @@ func TestTieredTraceSummary(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("the tiered summary lacks %q", want)
 		}
+	}
+}
+
+// fedtrace runs the command and returns its status, stdout and stderr.
+func fedtrace(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// TestRun holds each subcommand, over a recorded ext-vtime trace on disk,
+// to its exit status and output: 2 and the usage text for a call without
+// a known subcommand or its trace files, 1 for a failure or a divergent
+// diff.
+func TestRun(t *testing.T) {
+	dir := t.TempDir()
+	trace := record(t, "ext-vtime")
+	path, changed, torn, twice := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "changed.jsonl"), filepath.Join(dir, "torn.jsonl"), filepath.Join(dir, "twice.jsonl")
+	missing := filepath.Join(dir, "missing.jsonl")
+	js := filepath.Join(dir, "replay.json")
+	for name, b := range map[string][]byte{
+		path:    trace,
+		changed: bytes.Replace(trace, []byte(`"device":`), []byte(`"device":1`), 1),
+		torn:    trace[:len(trace)-2],
+		twice:   bytes.Repeat(trace, 2),
+	} {
+		if err := os.WriteFile(name, b, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	usage := "fedtrace: analyze and replay fedprox JSONL run traces\nsubcommands:\n"
+	for _, tc := range []struct {
+		args           []string
+		code           int
+		stdout, stderr string
+	}{
+		{[]string{"summary", path}, 0, "== run 5: \"FedProx(mu=1) [buffered a=1 p=0.5 K=10] [vtime]\" (30 devices)", ""},
+		{[]string{"diff", path, path}, 0, "traces identical", ""},
+		{[]string{"diff", path, changed}, 1, "first divergent event", "fedtrace: the traces differ"},
+		{[]string{"replay", "-fast", path}, 0, "replay equivalence OK", ""},
+		{[]string{"replay", "-fast", "-vtime-deadline", "1.5", "-vtime-round-bytes", "100000", "-async-alpha", "0.5", "-async-staleness-exp", "1", "-async-buffer-k", "2", "-json", js, path}, 0, "deadline=1.5s", ""},
+		{nil, 2, "", usage},
+		{[]string{"-h"}, 2, "", usage},
+		{[]string{"summary"}, 2, "", usage},
+		{[]string{"diff", path}, 2, "", usage},
+		{[]string{"replay", "-fast"}, 2, "", usage},
+		{[]string{"replay", "-no-such-flag", path}, 2, "", "flag provided but not defined: -no-such-flag"},
+		{[]string{"summary", missing}, 1, "", "fedtrace: open " + missing},
+		{[]string{"summary", torn}, 1, "", "fedtrace: trace line "},
+		{[]string{"diff", path, missing}, 1, "", "fedtrace: open " + missing},
+		{[]string{"diff", torn, path}, 1, "", "fedtrace: " + torn + ": trace line "},
+		{[]string{"replay", "-fast", missing}, 1, "", "fedtrace: open " + missing},
+		{[]string{"replay", "-exp", "no-such-exp", path}, 1, "", `fedtrace: experiments: "no-such-exp" does not record`},
+		{[]string{"replay", "-exp", "ext-async", "-fast", path}, 1, "", `fedtrace: experiments: "ext-async" does not record replayable virtual-time traces`},
+		{[]string{"replay", "-fast", twice}, 1, "", "fedtrace: trace has 12 run segments but ext-vtime runs 6 cases"},
+		{[]string{"replay", "-fast", "-vtime-deadline", "soon", path}, 1, "", `fedtrace: bad list element "soon"`},
+		{[]string{"replay", "-fast", "-vtime-round-bytes", "many", path}, 1, "", `fedtrace: bad list element "many"`},
+		{[]string{"replay", "-fast", "-json", filepath.Join(dir, "no", "such.json"), "-vtime-deadline", "1", path}, 1, "", "fedtrace: open "},
+	} {
+		code, stdout, stderr := fedtrace(tc.args...)
+		if code != tc.code || !strings.Contains(stdout, tc.stdout) || !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("fedtrace %s: exit %d, stdout %q, stderr %q; want exit %d, stdout containing %q, stderr containing %q",
+				strings.Join(tc.args, " "), code, stdout, stderr, tc.code, tc.stdout, tc.stderr)
+		}
+	}
+	if entries, err := experiments.ReadBench(js); err != nil || len(entries) == 0 || entries[0].Experiment != "replay:ext-vtime" {
+		t.Fatalf("replay -json wrote %+v, %v", entries, err)
 	}
 }

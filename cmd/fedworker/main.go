@@ -7,162 +7,13 @@
 package main
 
 import (
-	"flag"
-	"fmt"
 	"os"
-	"strings"
 
 	"fedprox/internal/cli"
-	"fedprox/internal/comm"
-	"fedprox/internal/core"
-	"fedprox/internal/data"
-	"fedprox/internal/data/datafile"
-	"fedprox/internal/experiments"
-	"fedprox/internal/fednet"
-	"fedprox/internal/obs"
-	"fedprox/internal/privacy"
-	"fedprox/internal/solver"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", "localhost:7070", "coordinator address")
-		workload = flag.String("workload", "synthetic", "workload key (must match the server)")
-		scale    = flag.Float64("scale", 0.25, "dataset scale factor (must match the server)")
-		dataPath = flag.String("data", "", "load the federated dataset from a fedgen file instead of regenerating")
-		workers  = flag.Int("workers", 1, "total number of workers in the deployment")
-		index    = flag.Int("index", 0, "this worker's index in [0, workers)")
-		local    = flag.String("solver", "sgd", "local solver: sgd, momentum, adagrad, adam, gd")
-		codec    = flag.String("codec", "", "restrict the offered update codecs to this comma-separated list (default: all of "+strings.Join(comm.Names(), ", ")+")")
-		privClip = flag.Float64("privacy-clip", 0, "update-level DP: L2 clip bound on each local update delta (0 disables clipping)")
-		privStd  = flag.Float64("privacy-noise", 0, "update-level DP: Gaussian noise std added per coordinate of the delta (0 disables noise)")
-		privSeed = flag.Uint64("privacy-seed", 0, "seed of the DP noise streams (with -privacy-noise)")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		tierFlags  cli.Tier
-		traceFlags cli.Trace
-		debugFlags cli.Debug
-	)
-	tierFlags.Register(flag.CommandLine)
-	traceFlags.Register(flag.CommandLine)
-	debugFlags.Register(flag.CommandLine)
-	flag.Parse()
-	if err := tierFlags.Validate(); err != nil {
-		fail(err)
-	}
-	if *index < 0 || *index >= *workers {
-		fail(fmt.Errorf("index %d outside [0,%d)", *index, *workers))
-	}
-
-	opts := experiments.Full()
-	opts.Scale = *scale
-	w, err := opts.NamedWorkload(*workload)
-	if err != nil {
-		fail(err)
-	}
-	fed := w.Fed
-	if *dataPath != "" {
-		// A prepared data file (cmd/fedgen) replaces local regeneration —
-		// the deployment mode where devices already hold their data.
-		fed, err = datafile.ReadFile(*dataPath)
-		if err != nil {
-			fail(err)
-		}
-	}
-
-	var shards []*data.Shard
-	if tierFlags.Enabled() {
-		// Under -tier edge, -workers counts the tree's edges and -index
-		// names which edge this worker serves: it hosts that edge's
-		// contiguous fleet slice under edge-local device IDs, matching
-		// the edge coordinator's 0-based view of its subtree.
-		lo, hi, err := tierFlags.WorkerSlice(fed.NumDevices(), *workers, *index)
-		if err != nil {
-			fail(err)
-		}
-		for g := lo; g < hi; g++ {
-			s := *fed.Shards[g]
-			s.ID = g - lo
-			shards = append(shards, &s)
-		}
-	} else {
-		// Round-robin shard assignment: worker i hosts devices i, i+W, i+2W...
-		for k := *index; k < fed.NumDevices(); k += *workers {
-			shards = append(shards, fed.Shards[k])
-		}
-	}
-
-	ls, err := pickSolver(*local)
-	if err != nil {
-		fail(err)
-	}
-	devOpts := core.DeviceOptions{Solver: ls}
-	// Observability: the device runtime's per-request events (and the
-	// worker shell's solve spans) stream to the -trace JSONL file and
-	// aggregate into the -debug-addr /metrics registry. Device events are
-	// always untimed; WallClock stamps seconds since process start.
-	var sinks []obs.Sink
-	trace, closeTrace, err := traceFlags.Open()
-	if err != nil {
-		fail(err)
-	}
-	if trace != nil {
-		sinks = append(sinks, trace)
-	}
-	if reg := debugFlags.Serve("fedworker", true); reg != nil {
-		sinks = append(sinks, reg)
-	}
-	devOpts.Trace = obs.WallClock(obs.Multi(sinks...))
-	if *privClip > 0 || *privStd > 0 {
-		// Update-level DP is device-side state: the mechanism clips and
-		// noises each local solution before the uplink encode, so the
-		// server never sees a raw update.
-		devOpts.Privacy = &privacy.Mechanism{ClipNorm: *privClip, NoiseStd: *privStd, Seed: *privSeed}
-		if err := devOpts.Privacy.Validate(); err != nil {
-			fail(err)
-		}
-	}
-	fmt.Printf("fedworker %d/%d: hosting %d devices of %s, solver %s\n",
-		*index, *workers, len(shards), fed.Name, ls.Name())
-	wk := fednet.NewWorkerWithOptions(w.Model, shards, devOpts)
-	if *codec != "" {
-		for _, name := range strings.Split(*codec, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				wk.Offer = append(wk.Offer, name)
-			}
-		}
-		if len(wk.Offer) == 0 {
-			// A nil Offer advertises every codec — the opposite of what a
-			// non-empty (if malformed) -codec asked for.
-			fail(fmt.Errorf("-codec %q names no codecs", *codec))
-		}
-	}
-	if err := wk.Run(*addr); err != nil {
-		fail(err)
-	}
-	if err := closeTrace(); err != nil {
-		fail(err)
-	}
-	fmt.Printf("fedworker %d: shut down cleanly\n", *index)
-}
-
-func pickSolver(name string) (solver.LocalSolver, error) {
-	switch name {
-	case "sgd":
-		return solver.SGDSolver{}, nil
-	case "momentum":
-		return solver.MomentumSolver{Beta: 0.9}, nil
-	case "adagrad":
-		return solver.AdagradSolver{}, nil
-	case "adam":
-		return solver.AdamSolver{}, nil
-	case "gd":
-		return solver.GDSolver{StepsPerEpoch: 1}, nil
-	default:
-		return nil, fmt.Errorf("unknown solver %q", name)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "fedworker: %v\n", err)
-	os.Exit(1)
-}
+// run is the command. It lives in internal/cli beside fedserver's, so one
+// test process can run a whole deployment.
+var run = cli.Worker

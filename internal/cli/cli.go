@@ -5,7 +5,12 @@
 // fedbench "-async-*" override spellings), the hierarchical-aggregation
 // group (-tier, -fanout, -tier-latency), the virtual-time policy
 // overrides (-vtime-deadline, -vtime-round-bytes), the -trace JSONL
-// sink, and the -debug-addr metrics/pprof endpoint.
+// sink, and the -debug-addr metrics/pprof endpoint. It also holds the
+// commands' one exit path (Parse, Usage and Command map a run's error
+// to its message on stderr and the process status) and the two roles of a
+// fednet deployment, Server and Worker: fedserver and fedworker run
+// them, and so does a test that starts a whole deployment in one
+// process.
 //
 // Before this package, cmd/fedbench and cmd/fedserver each re-declared
 // the codec flags with their own help strings and their own "-bits
@@ -18,8 +23,10 @@ package cli
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -56,9 +63,6 @@ func (c *Codec) Validate() error {
 	}
 	return nil
 }
-
-// Enabled reports whether a codec was selected.
-func (c *Codec) Enabled() bool { return c.Name != "" }
 
 // Apply validates the group and writes the selected codec specs into
 // cfg (a no-op when no codec is selected).
@@ -301,13 +305,14 @@ func (t *Trace) Register(fs *flag.FlagSet) {
 	fs.StringVar(&t.Path, "trace", "", "stream a JSONL event trace to this file (see internal/obs)")
 }
 
-// Open creates the trace file and returns its sink plus a close
-// function that flushes and reports the first write error — call it
-// explicitly once the runs are done (os.Exit paths bypass defers).
-// With no -trace, the sink is nil and close is a no-op.
-func (t *Trace) Open() (obs.Sink, func() error, error) {
+// Open creates the trace file and returns its sink plus a close that
+// flushes and closes the file and, unless *err already holds an error,
+// stores the first write error in *err. A command defers the close, so
+// a run that fails still leaves every event it emitted in the file. With
+// no -trace, the sink is nil and close is a no-op.
+func (t *Trace) Open() (obs.Sink, func(err *error), error) {
 	if t.Path == "" {
-		return nil, func() error { return nil }, nil
+		return nil, func(*error) {}, nil
 	}
 	f, err := os.Create(t.Path)
 	if err != nil {
@@ -315,18 +320,17 @@ func (t *Trace) Open() (obs.Sink, func() error, error) {
 	}
 	w := bufio.NewWriterSize(f, 1<<16)
 	j := obs.NewJSONL(w)
-	return j, func() error {
-		err := j.Err()
-		if ferr := w.Flush(); err == nil {
-			err = ferr
+	return j, func(err *error) {
+		first := j.Err()
+		if ferr := w.Flush(); first == nil {
+			first = ferr
 		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		if cerr := f.Close(); first == nil {
+			first = cerr
 		}
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
+		if first != nil && *err == nil {
+			*err = fmt.Errorf("trace: %w", first)
 		}
-		return nil
 	}, nil
 }
 
@@ -342,10 +346,10 @@ func (d *Debug) Register(fs *flag.FlagSet) {
 }
 
 // Serve starts the debug endpoint in the background when -debug-addr
-// was given and returns the registry sink to feed it (nil otherwise —
-// also pass nil to serve pprof without metrics). name prefixes the
-// listen-failure message.
-func (d *Debug) Serve(name string, withMetrics bool) *obs.Registry {
+// was given and returns the registry sink to feed it (nil otherwise, and
+// nil without metrics: the endpoint then serves pprof only). A listen
+// failure is reported on stderr, prefixed by name.
+func (d *Debug) Serve(name string, withMetrics bool, stderr io.Writer) *obs.Registry {
 	if d.Addr == "" {
 		return nil
 	}
@@ -355,8 +359,51 @@ func (d *Debug) Serve(name string, withMetrics bool) *obs.Registry {
 	}
 	go func() {
 		if err := http.ListenAndServe(d.Addr, obs.Debug(reg)); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: debug server: %v\n", name, err)
+			fmt.Fprintf(stderr, "%s: debug server: %v\n", name, err)
 		}
 	}()
 	return reg
+}
+
+// usageError is a mistake on the command line; a nil err is one the flag
+// package has already printed, with the usage text.
+type usageError struct{ err error }
+
+func (u usageError) Error() string { return fmt.Sprint(u.err) }
+
+// Usage marks err as a command-line mistake, which Command answers with
+// status 2.
+func Usage(err error) error { return usageError{err} }
+
+// Parse parses args into fs, a ContinueOnError set writing to the
+// command's stderr. A flag the set rejects comes back as a usage error
+// whose message the flag package has already printed; -h is
+// flag.ErrHelp.
+func Parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return usageError{}
+	}
+	return err
+}
+
+// Command returns a command's entry point: it calls run, writes run's
+// error to stderr, prefixed by the command's name, and returns the process
+// status — 0 for no error or -h, 2 for a usage error, 1 for any other
+// failure.
+func Command(name string, run func(args []string, stdout, stderr io.Writer) error) func(args []string, stdout, stderr io.Writer) int {
+	return func(args []string, stdout, stderr io.Writer) int {
+		err := run(args, stdout, stderr)
+		var u usageError
+		switch {
+		case err == nil, errors.Is(err, flag.ErrHelp):
+			return 0
+		case !errors.As(err, &u):
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			return 1
+		case u.err != nil:
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+		}
+		return 2
+	}
 }

@@ -1,13 +1,18 @@
 package cli
 
 import (
+	"errors"
 	"flag"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"fedprox/internal/core"
+	"fedprox/internal/obs"
 )
 
 // parse registers the groups on a throwaway FlagSet and parses args —
@@ -236,7 +241,7 @@ func TestTraceOpen(t *testing.T) {
 	if err != nil || sink != nil {
 		t.Fatalf("empty -trace: want nil sink, got %v, %v", sink, err)
 	}
-	if err := closeFn(); err != nil {
+	if closeFn(&err); err != nil {
 		t.Fatalf("no-op close errored: %v", err)
 	}
 
@@ -250,17 +255,81 @@ func TestTraceOpen(t *testing.T) {
 	if sink == nil {
 		t.Fatal("want a sink for a real path")
 	}
-	if err := closeFn(); err != nil {
-		t.Fatal(err)
+	sink.Emit(obs.NewEvent(obs.KindDispatch))
+	// The close keeps a run's own error, and still flushes.
+	err = errors.New("the run failed")
+	if closeFn(&err); err == nil || err.Error() != "the run failed" {
+		t.Fatalf("close replaced the run's error: %v", err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("trace file missing: %v", err)
+	if b, err := os.ReadFile(path); err != nil || !strings.HasPrefix(string(b), `{"kind":"dispatch"`) {
+		t.Fatalf("trace %q, %v: want the event flushed", b, err)
 	}
 }
 
 func TestDebugServeDisabled(t *testing.T) {
 	var d Debug
-	if reg := d.Serve("test", true); reg != nil {
+	if reg := d.Serve("test", true, io.Discard); reg != nil {
 		t.Fatal("no -debug-addr must not build a registry")
+	}
+}
+
+// TestCommand: every command's one report maps an error to its status and
+// its stderr line — nothing for success and -h, the message and 2 for a
+// usage error (nothing more for a flag the flag package has printed), the
+// message and 1 for anything else.
+func TestCommand(t *testing.T) {
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.Int("n", 0, "")
+	for _, tc := range []struct {
+		err    error
+		code   int
+		stderr string
+	}{
+		{nil, 0, ""},
+		{Parse(fs, []string{"-h"}), 0, ""},
+		{Parse(fs, []string{"-n", "x"}), 2, ""},
+		{Parse(fs, []string{"-n", "3"}), 0, ""},
+		{Usage(errors.New("-x is required")), 2, "cmd: -x is required\n"},
+		{fmt.Errorf("reading: %w", Usage(errors.New("no file"))), 2, "cmd: reading: no file\n"},
+		{errors.New("it broke"), 1, "cmd: it broke\n"},
+	} {
+		var stderr strings.Builder
+		run := Command("cmd", func([]string, io.Writer, io.Writer) error { return tc.err })
+		if code := run(nil, io.Discard, &stderr); code != tc.code || stderr.String() != tc.stderr {
+			t.Errorf("error %v: status %d, stderr %q; want %d, %q", tc.err, code, stderr.String(), tc.code, tc.stderr)
+		}
+	}
+}
+
+// TestObserve: with neither flag there is no sink and the close is a
+// no-op; with -trace an untimed event lands in the file stamped with
+// wall-clock seconds.
+func TestObserve(t *testing.T) {
+	sink, closeFn, err := observe("test", &Trace{}, &Debug{}, io.Discard)
+	if err != nil || sink != nil {
+		t.Fatalf("no flags: sink %v, %v; want none", sink, err)
+	}
+	if closeFn(&err); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if sink, closeFn, err = observe("test", &Trace{Path: path}, &Debug{}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	e := obs.NewEvent(obs.KindDispatch)
+	e.Time = math.NaN()
+	sink.Emit(e)
+	if closeFn(&err); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil || !strings.Contains(string(b), `{"kind":"dispatch","t":`) {
+		t.Fatalf("trace %q, %v: want one stamped dispatch", b, err)
+	}
+
+	if _, _, err := observe("test", &Trace{Path: filepath.Join(t.TempDir(), "no", "such", "dir")}, &Debug{}, io.Discard); err == nil {
+		t.Fatal("an unwritable -trace opened")
 	}
 }

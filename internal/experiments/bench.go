@@ -3,8 +3,8 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
+	"os"
 )
 
 // BenchEntry is one run's machine-readable summary, the unit of the CI
@@ -77,18 +77,24 @@ func (r *Result) BenchEntries() []BenchEntry {
 	return out
 }
 
-// WriteBench serializes entries as indented JSON (the BENCH_*.json
+// WriteBench writes entries to path as indented JSON (the BENCH_*.json
 // format).
-func WriteBench(w io.Writer, entries []BenchEntry) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(entries)
+func WriteBench(path string, entries []BenchEntry) error {
+	b, err := json.MarshalIndent(entries, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o666)
 }
 
-// ReadBench parses a BENCH_*.json file.
-func ReadBench(r io.Reader) ([]BenchEntry, error) {
+// ReadBench parses the BENCH_*.json file at path.
+func ReadBench(path string) ([]BenchEntry, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
 	var entries []BenchEntry
-	if err := json.NewDecoder(r).Decode(&entries); err != nil {
+	if err := json.Unmarshal(b, &entries); err != nil {
 		return nil, fmt.Errorf("experiments: parse bench json: %w", err)
 	}
 	return entries, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -195,5 +196,56 @@ func TestExtAsyncComparesDisciplines(t *testing.T) {
 		if e.Seconds <= 0 {
 			t.Fatalf("entry %s missing wall-clock: %+v", e.Method, e)
 		}
+	}
+}
+
+// TestExtPrecisionMicro holds ext-precision to what it states: every f32
+// run ends within 2% of its same-seed f64 partner's final loss, and on the
+// raw wire the f32 run moves at most 1/1.9 of the f64 run's uplink bytes.
+func TestExtPrecisionMicro(t *testing.T) {
+	res, err := Run("ext-precision", micro())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := res.Sections[0].Runs
+	if len(runs) != 6 {
+		t.Fatalf("runs = %d, want bare, raw wire and qsgd8 wire at f64 and f32", len(runs))
+	}
+	for i := 0; i < len(runs); i += 2 {
+		h64, h32 := runs[i], runs[i+1]
+		if !strings.Contains(h64.Label, " f64 ") || !strings.Contains(h32.Label, " f32 ") {
+			t.Fatalf("pair %d is %q, %q: want f64 then f32", i/2, h64.Label, h32.Label)
+		}
+		l64, l32 := h64.Final().TrainLoss, h32.Final().TrainLoss
+		if math.Abs(l32-l64) > 0.02*l64 {
+			t.Errorf("%s: final loss %v, f64 partner %v: more than 2%% apart", h32.Label, l32, l64)
+		}
+	}
+	up64, up32 := runs[2].Final().Cost.UplinkBytes, runs[3].Final().Cost.UplinkBytes
+	if !strings.HasPrefix(runs[3].Label, "raw wire f32") || up32 <= 0 || 1.9*float64(up32) > float64(up64) {
+		t.Errorf("%s moved %d uplink bytes, f64 %d: want at most 1/1.9 of it", runs[3].Label, up32, up64)
+	}
+}
+
+// TestExtPartialWorkMicro holds ext-partialwork to what it states: every
+// run under a device-side budget spends fewer device-epochs than the same
+// schedule at full work, in process and on the virtual clock.
+func TestExtPartialWorkMicro(t *testing.T) {
+	res, err := Run("ext-partialwork", micro())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := res.Sections[0].Runs
+	if len(runs) != 7 {
+		t.Fatalf("runs = %d, want full work, four budget runs and the vtime pair", len(runs))
+	}
+	epochs := func(i int) int { return runs[i].Final().Cost.DeviceEpochs }
+	for i := 1; i <= 4; i++ {
+		if epochs(i) >= epochs(0) {
+			t.Errorf("%s: %d device-epochs, full work %d", runs[i].Label, epochs(i), epochs(0))
+		}
+	}
+	if epochs(6) >= epochs(5) {
+		t.Errorf("%s: %d device-epochs, %s %d", runs[6].Label, epochs(6), runs[5].Label, epochs(5))
 	}
 }

@@ -230,7 +230,7 @@ func TestWorkerRefusesUnofferedCodec(t *testing.T) {
 
 	client, server := net.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- w.ServeConn(server) }()
+	go func() { done <- w.Serve(newConn(server)) }()
 
 	c := newConn(client)
 	if _, err := c.recv(); err != nil { // the worker's Hello

@@ -89,16 +89,12 @@ func NewEdge(mdl model.Model, cfg EdgeConfig) (*Edge, error) {
 // BytesOnWire reports the child-facing wire traffic, as Server's does.
 func (e *Edge) BytesOnWire() (read, written int64) { return e.srv.BytesOnWire() }
 
-// Run listens for children on addr and, once they have all registered,
-// dials the parent coordinator and serves both sides until the parent
-// shuts the deployment down. The parent is dialed late because its
-// handshake window opens at connect, and the Hello cannot be sent before
-// the children are counted.
-func (e *Edge) Run(addr, parent string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("fednet: listen %s: %w", addr, err)
-	}
+// RunWithListener serves children from ln, which it closes, and, once
+// they have all registered, dials the parent coordinator at parent and
+// serves both sides until the parent shuts the deployment down. The
+// parent is dialed late because its handshake window opens at connect,
+// and the Hello cannot be sent before the children are counted.
+func (e *Edge) RunWithListener(ln net.Listener, parent string) error {
 	return e.run(ln, func() (*conn, error) {
 		raw, err := net.Dial("tcp", parent)
 		if err != nil {
@@ -108,16 +104,10 @@ func (e *Edge) Run(addr, parent string) error {
 	})
 }
 
-// RunWithConns is Run over caller-provided connections (tests use
-// loopback listeners and pipes).
-func (e *Edge) RunWithConns(ln net.Listener, parent *conn) error {
-	return e.run(ln, func() (*conn, error) { return parent, nil })
-}
-
-// run serves children from ln (closed on return) and the parent from
-// dialParent's connection. Order matters: the children must all register
-// before the edge says Hello upstream, because the Hello carries the
-// subtree's total sample count.
+// run serves children from ln and the parent from dialParent's
+// connection, which tests hand a pipe. Order matters: the children must
+// all register before the edge says Hello upstream, because the Hello
+// carries the subtree's total sample count.
 func (e *Edge) run(ln net.Listener, dialParent func() (*conn, error)) error {
 	b, err := e.srv.serve(ln)
 	if err != nil {

@@ -81,7 +81,7 @@ func TestAsyncWorkerReadmission(t *testing.T) {
 	}}
 	victim := NewWorker(mdl, parts[1], victimSolver)
 	wg.Add(1)
-	go func() { defer wg.Done(); _ = victim.ServeConn(rawVictim) }() // dies with the conn
+	go func() { defer wg.Done(); _ = victim.Serve(newConn(rawVictim)) }() // dies with the conn
 
 	// The revival: a fresh worker hosting the victim's shards reconnects
 	// mid-run. Re-admission can race the eviction (the coordinator
@@ -166,7 +166,7 @@ func TestAsyncReadmissionWithChainedCodec(t *testing.T) {
 		close(killed)
 	}})
 	wg.Add(1)
-	go func() { defer wg.Done(); _ = victim.ServeConn(rawVictim) }()
+	go func() { defer wg.Done(); _ = victim.Serve(newConn(rawVictim)) }()
 
 	revived := &hookedSolver{inner: solver.SGDSolver{}}
 	wg.Add(1)

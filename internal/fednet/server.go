@@ -126,22 +126,12 @@ func (s *Server) BytesOnWire() (read, written int64) {
 	return s.bytesIn.Load(), s.bytesOut.Load()
 }
 
-// Run listens on addr, waits for every device to register, executes the
-// training schedule, shuts the workers down, and returns the trajectory.
-func (s *Server) Run(addr string) (*core.History, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("fednet: listen %s: %w", addr, err)
-	}
-	defer ln.Close()
-	return s.RunWithListener(ln)
-}
-
-// RunWithListener is Run over a caller-provided listener (tests use an
-// ephemeral loopback listener), which it closes: a synchronous run once
-// every device has registered, an asynchronous one when it ends — it
-// keeps admitting for the whole run, so an evicted worker can reconnect
-// and be re-admitted. Workers that registered are always shut down.
+// RunWithListener serves ln, which it closes: it waits for every device
+// to register, executes the training schedule, shuts the workers down,
+// and returns the trajectory. A synchronous run closes ln once every
+// device has registered, an asynchronous one when it ends — it keeps
+// admitting for the whole run, so an evicted worker can reconnect and be
+// re-admitted. Workers that registered are always shut down.
 func (s *Server) RunWithListener(ln net.Listener) (*core.History, error) {
 	b, err := s.serve(ln)
 	if err != nil {

@@ -59,10 +59,6 @@ func launchTree(t *testing.T, fed *data.Federated, mdl *linear.Model, cfg core.C
 		if err != nil {
 			return nil, err
 		}
-		parentRaw, err := net.Dial("tcp", rootLn.Addr().String())
-		if err != nil {
-			return nil, err
-		}
 		// The worker hosts the edge's fleet slice under edge-local IDs,
 		// as `fedworker -tier edge` does.
 		var shards []*data.Shard
@@ -75,10 +71,7 @@ func launchTree(t *testing.T, fed *data.Federated, mdl *linear.Model, cfg core.C
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			pc := newConn(parentRaw)
-			defer pc.close()
-			edgeErrs[i] = edge.RunWithConns(edgeLn, pc)
-			edgeLn.Close()
+			edgeErrs[i] = edge.RunWithListener(edgeLn, rootLn.Addr().String())
 		}(i)
 		go func(i int, addr string) {
 			defer wg.Done()
@@ -284,7 +277,7 @@ func TestEdgeEvalRequestMidWindow(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if err := edge.RunWithConns(ln, newConn(edgeSide)); err != nil {
+		if err := edge.run(ln, func() (*conn, error) { return newConn(edgeSide), nil }); err != nil {
 			t.Errorf("edge: %v", err)
 		}
 	}()

@@ -104,14 +104,6 @@ func (w *Worker) Run(addr string) error {
 	return w.Serve(c)
 }
 
-// ServeConn serves an already-established connection (used by in-process
-// tests and custom transports).
-func (w *Worker) ServeConn(raw net.Conn) error {
-	c := newConn(raw)
-	defer c.close()
-	return w.Serve(c)
-}
-
 // hello is this worker's registration: the shards it hosts and the
 // codecs and widths it offers.
 func (w *Worker) hello() Hello {

@@ -204,12 +204,6 @@ func (s *Source) WeightedChoice(weights []float64, k int) []int {
 	return out
 }
 
-// PowerLaw draws one integer sample count: PowerLawVec's one-draw case.
-func (s *Source) PowerLaw(min, max int, alpha float64) int {
-	var n [1]int
-	return s.PowerLawVec(n[:], min, max, alpha)[0]
-}
-
 // PowerLawVec fills dst with integer sample counts drawn from a discrete
 // power-law-like distribution over [min, max] (value v is proportional to
 // v^(-alpha)) and returns it. The paper allocates "samples per device
@@ -218,7 +212,7 @@ func (s *Source) PowerLaw(min, max int, alpha float64) int {
 // per call, so a draw costs one Pow.
 func (s *Source) PowerLawVec(dst []int, min, max int, alpha float64) []int {
 	if min <= 0 || max < min {
-		panic("frand: PowerLaw with invalid range")
+		panic("frand: PowerLawVec with invalid range")
 	}
 	// Inverse-CDF on the continuous Pareto, then clamp to the integer range.
 	// At alpha = 1 (density 1/v) the Pareto form is 1^+Inf = 1, so the draw

@@ -289,9 +289,10 @@ func TestWeightedChoicePanics(t *testing.T) {
 
 func TestPowerLawBounds(t *testing.T) {
 	s := New(47)
+	var v [1]int
 	f := func(seed uint16) bool {
-		v := s.PowerLaw(10, 500, 1.5)
-		return v >= 10 && v <= 500
+		s.PowerLawVec(v[:], 10, 500, 1.5)
+		return v[0] >= 10 && v[0] <= 500
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -302,8 +303,9 @@ func TestPowerLawSkew(t *testing.T) {
 	s := New(53)
 	const n = 50000
 	small, large := 0, 0
+	var draw [1]int
 	for i := 0; i < n; i++ {
-		v := s.PowerLaw(10, 1000, 2.0)
+		v := s.PowerLawVec(draw[:], 10, 1000, 2.0)[0]
 		if v < 50 {
 			small++
 		}
@@ -324,9 +326,9 @@ func TestPowerLawAlphaOne(t *testing.T) {
 	const n = 10000
 	v := make([]int, n)
 	for i := range v {
-		v[i] = s.PowerLaw(10, 1000, 1)
+		s.PowerLawVec(v[i:i+1], 10, 1000, 1)
 		if v[i] < 10 || v[i] > 1000 {
-			t.Fatalf("PowerLaw(10, 1000, 1) = %d", v[i])
+			t.Fatalf("PowerLawVec(10, 1000, 1) = %d", v[i])
 		}
 	}
 	slices.Sort(v)
@@ -425,8 +427,8 @@ func powerLawPerDraw(s *Source, min, max int, alpha float64) int {
 	return n
 }
 
-// TestPowerLawBatchMatchesPerDraw holds a batch of sizes and PowerLaw's
-// single draws to the per-draw formula, value for value, and the stream
+// TestPowerLawBatchMatchesPerDraw holds a batch of sizes and one-element
+// draws to the per-draw formula, value for value, and the stream
 // to the state the per-draw calls leave it in.
 func TestPowerLawBatchMatchesPerDraw(t *testing.T) {
 	for _, alpha := range []float64{0.5, 1, 1.55, 2.12} {
@@ -439,8 +441,8 @@ func TestPowerLawBatchMatchesPerDraw(t *testing.T) {
 					if got != w {
 						t.Fatalf("alpha %g, [%d, %d], n %d: size %d = %d, per-draw formula %d", alpha, r[0], r[1], n, i, got, w)
 					}
-					if s := single.PowerLaw(r[0], r[1], alpha); s != w {
-						t.Fatalf("alpha %g, [%d, %d]: PowerLaw draw %d = %d, per-draw formula %d", alpha, r[0], r[1], i, s, w)
+					if s := single.PowerLawVec(make([]int, 1), r[0], r[1], alpha)[0]; s != w {
+						t.Fatalf("alpha %g, [%d, %d]: one-element draw %d = %d, per-draw formula %d", alpha, r[0], r[1], i, s, w)
 					}
 				}
 				if batch.State() != want.State() || single.State() != want.State() {

@@ -103,10 +103,6 @@ func NewDecoder(r io.Reader) *Decoder {
 	}
 }
 
-// Line returns the number of lines consumed so far — after a
-// successful Next, the line the returned event came from.
-func (d *Decoder) Line() int { return d.line }
-
 // Next returns the next event. At clean end of input it returns io.EOF;
 // any other error is a *LineError and latches (subsequent calls return
 // it again).
