@@ -6,7 +6,7 @@
 //
 //	fedbench -list
 //	fedbench -exp figure1 [-fast] [-datasets synthetic,mnist] [-csv out.csv] [-series]
-//	fedbench -exp ext-async,ext-vtime -fast -json BENCH_ci.json -baseline BENCH_baseline.json
+//	fedbench -exp ext-async,ext-vtime -fast -json BENCH_run.json
 //	fedbench -exp all -fast
 //
 // By default experiments run at the "full" preset (minutes); -fast runs
@@ -34,18 +34,16 @@ func bench(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("fedbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "", "experiment id or comma-separated ids (see -list), or \"all\"")
-		list      = fs.Bool("list", false, "list available experiments")
-		fast      = fs.Bool("fast", false, "use the miniature preset (seconds per figure)")
-		series    = fs.Bool("series", false, "print full per-round series, not just the summary")
-		csvPath   = fs.String("csv", "", "also write every evaluated point as CSV to this file")
-		jsonPath  = fs.String("json", "", "write machine-readable run summaries (BENCH_*.json) to this file")
-		baseline  = fs.String("baseline", "", "compare against a committed BENCH_*.json and exit non-zero on loss regressions")
-		tolerance = fs.Float64("tolerance", 0.05, "relative final-loss budget for -baseline (0.05 = 5%)")
-		datasets  = fs.String("datasets", "", "comma-separated subset of synthetic,mnist,femnist,shakespeare,sent140")
-		rounds    = fs.Int("rounds", 0, "override communication rounds for convex workloads")
-		seed      = fs.Uint64("seed", 0, "override environment seed")
-		scale     = fs.Float64("scale", 0, "override dataset scale factor")
+		exp      = fs.String("exp", "", "experiment id or comma-separated ids (see -list), or \"all\"")
+		list     = fs.Bool("list", false, "list available experiments")
+		fast     = fs.Bool("fast", false, "use the miniature preset (seconds per figure)")
+		series   = fs.Bool("series", false, "print full per-round series, not just the summary")
+		csvPath  = fs.String("csv", "", "also write every evaluated point as CSV to this file")
+		jsonPath = fs.String("json", "", "write machine-readable run summaries (BENCH_*.json) to this file")
+		datasets = fs.String("datasets", "", "comma-separated subset of synthetic,mnist,femnist,shakespeare,sent140")
+		rounds   = fs.Int("rounds", 0, "override communication rounds for convex workloads")
+		seed     = fs.Uint64("seed", 0, "override environment seed")
+		scale    = fs.Float64("scale", 0, "override dataset scale factor")
 
 		codecFlags cli.Codec
 		precFlags  cli.Precision
@@ -158,16 +156,6 @@ func bench(args []string, stdout, stderr io.Writer) (err error) {
 		if err := experiments.WriteBench(*jsonPath, entries); err != nil {
 			return fmt.Errorf("json: %w", err)
 		}
-	}
-	if *baseline != "" {
-		base, err := experiments.ReadBench(*baseline)
-		if err != nil {
-			return err
-		}
-		if regressions := experiments.CompareBench(entries, base, *tolerance); len(regressions) > 0 {
-			return fmt.Errorf("%d loss regression(s) vs %s:\n  %s", len(regressions), *baseline, strings.Join(regressions, "\n  "))
-		}
-		fmt.Fprintf(stdout, "baseline gate passed: no regressions vs %s (tolerance %.0f%%)\n", *baseline, 100**tolerance)
 	}
 	return nil
 }

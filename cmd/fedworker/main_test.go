@@ -54,6 +54,9 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-data", missing}, 1, "fedworker: datafile: open " + missing},
 		{[]string{"-solver", "newton"}, 1, `fedworker: unknown solver "newton"`},
 		{[]string{"-privacy-clip", "Inf"}, 1, "fedworker: privacy: clip norm must be non-negative and finite"},
+		{[]string{"-addr", closed, "-privacy-clip", "-1", "-privacy-noise", "-0.5"}, 1, "fedworker: privacy: clip norm must be non-negative and finite, got -1"},
+		{[]string{"-addr", closed, "-privacy-clip", "NaN"}, 1, "fedworker: privacy: clip norm must be non-negative and finite, got NaN"},
+		{[]string{"-addr", closed, "-privacy-noise", "-0.5"}, 1, "fedworker: privacy: noise std must be non-negative and finite, got -0.5"},
 		{[]string{"-codec", " , "}, 1, `fedworker: -codec " , " names no codecs`},
 		{[]string{"-trace", missing}, 1, "fedworker: open " + missing},
 		{[]string{"-addr", closed}, 1, dial},

@@ -269,10 +269,11 @@ func worker(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("unknown solver %q", *local)
 	}
 	devOpts := core.DeviceOptions{Solver: ls}
-	if *privClip > 0 || *privStd > 0 {
+	if *privClip != 0 || *privStd != 0 {
 		// Update-level DP is device-side state: the mechanism clips and
 		// noises each local solution before the uplink encode, so the
-		// server never sees a raw update.
+		// server never sees a raw update. Any value but zero builds it,
+		// so Validate, not this guard, refuses a negative or NaN flag.
 		devOpts.Privacy = &privacy.Mechanism{ClipNorm: *privClip, NoiseStd: *privStd, Seed: *privSeed}
 		if err := devOpts.Privacy.Validate(); err != nil {
 			return err

@@ -17,8 +17,8 @@ package core
 // re-derive under the new policy — while the expensive half of the
 // simulator (solves, evals) is skipped entirely. Replaying under the
 // recorded policy reproduces the original fold schedule and every
-// arrival-derived History column exactly (asserted by the
-// replay-equivalence test and the CI bench-smoke step); loss and
+// arrival-derived History column exactly (asserted by
+// TestReplayEquivalence here and by cmd/fedtrace's replay tests); loss and
 // accuracy are the one thing replay cannot know, so evaluated points
 // carry NaN.
 

@@ -28,8 +28,9 @@ func init() {
 // Both synchronous modes pay the slow worker's latency every round it is
 // selected in; the asynchronous modes keep folding fast replies while
 // the slow devices finish in their own time. Wall-clock, final loss, and
-// staleness land in the section notes and in BenchEntries for the CI
-// bench-smoke gate.
+// staleness land in the section notes and in BenchEntries; the two
+// asynchronous runs fold replies in arrival order, so TestBaseline
+// compares only the synchronous pair.
 func extAsync(o Options) (*Result, error) {
 	w := o.syntheticWorkload(1, 1, false)
 	base := o.base(w)

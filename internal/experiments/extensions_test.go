@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -153,15 +152,15 @@ func TestExtGammaMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Claim (g-gamma) holds gamma to falling with E.
 	runs := res.Sections[0].Runs
 	if len(runs) != 3 {
 		t.Fatalf("runs = %d, want 3 epoch budgets", len(runs))
 	}
-	// Gamma at E=20 must be below gamma at E=1: more work, more exact.
-	g1 := runs[0].Final().MeanGamma
-	g20 := runs[2].Final().MeanGamma
-	if !(g20 < g1) {
-		t.Fatalf("gamma not decreasing in work: E=1 %g, E=20 %g", g1, g20)
+	for _, h := range runs {
+		if g := h.Final().MeanGamma; !(g >= 0) {
+			t.Fatalf("%s: mean gamma %g not tracked", h.Label, g)
+		}
 	}
 }
 
@@ -199,9 +198,9 @@ func TestExtAsyncComparesDisciplines(t *testing.T) {
 	}
 }
 
-// TestExtPrecisionMicro holds ext-precision to what it states: every f32
-// run ends within 2% of its same-seed f64 partner's final loss, and on the
-// raw wire the f32 run moves at most 1/1.9 of the f64 run's uplink bytes.
+// TestExtPrecisionMicro holds ext-precision's shape: three f64/f32 pairs,
+// the raw-wire pair second. Claims (i-precision-drift) and
+// (i-precision-shrink) hold its numbers.
 func TestExtPrecisionMicro(t *testing.T) {
 	res, err := Run("ext-precision", micro())
 	if err != nil {
@@ -216,20 +215,15 @@ func TestExtPrecisionMicro(t *testing.T) {
 		if !strings.Contains(h64.Label, " f64 ") || !strings.Contains(h32.Label, " f32 ") {
 			t.Fatalf("pair %d is %q, %q: want f64 then f32", i/2, h64.Label, h32.Label)
 		}
-		l64, l32 := h64.Final().TrainLoss, h32.Final().TrainLoss
-		if math.Abs(l32-l64) > 0.02*l64 {
-			t.Errorf("%s: final loss %v, f64 partner %v: more than 2%% apart", h32.Label, l32, l64)
-		}
 	}
-	up64, up32 := runs[2].Final().Cost.UplinkBytes, runs[3].Final().Cost.UplinkBytes
-	if !strings.HasPrefix(runs[3].Label, "raw wire f32") || up32 <= 0 || 1.9*float64(up32) > float64(up64) {
-		t.Errorf("%s moved %d uplink bytes, f64 %d: want at most 1/1.9 of it", runs[3].Label, up32, up64)
+	if !strings.HasPrefix(runs[3].Label, "raw wire f32") {
+		t.Errorf("run 3 is %q, want the raw-wire f32 run", runs[3].Label)
 	}
 }
 
-// TestExtPartialWorkMicro holds ext-partialwork to what it states: every
-// run under a device-side budget spends fewer device-epochs than the same
-// schedule at full work, in process and on the virtual clock.
+// TestExtPartialWorkMicro holds ext-partialwork's shape: full work, four
+// budget runs and the vtime pair, each with its device-epochs counted.
+// Claim (i-partialwork) holds the budget runs below full work.
 func TestExtPartialWorkMicro(t *testing.T) {
 	res, err := Run("ext-partialwork", micro())
 	if err != nil {
@@ -239,13 +233,9 @@ func TestExtPartialWorkMicro(t *testing.T) {
 	if len(runs) != 7 {
 		t.Fatalf("runs = %d, want full work, four budget runs and the vtime pair", len(runs))
 	}
-	epochs := func(i int) int { return runs[i].Final().Cost.DeviceEpochs }
-	for i := 1; i <= 4; i++ {
-		if epochs(i) >= epochs(0) {
-			t.Errorf("%s: %d device-epochs, full work %d", runs[i].Label, epochs(i), epochs(0))
+	for _, h := range runs {
+		if h.Final().Cost.DeviceEpochs <= 0 {
+			t.Errorf("%s counted no device-epochs", h.Label)
 		}
-	}
-	if epochs(6) >= epochs(5) {
-		t.Errorf("%s: %d device-epochs, %s %d", runs[6].Label, epochs(6), runs[5].Label, epochs(5))
 	}
 }

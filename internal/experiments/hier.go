@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"fedprox/internal/comm"
@@ -34,12 +33,9 @@ var hierFanOuts = [...]int{1, 8, 32}
 // under virtual time: device legs on the access network (10x-slow 10%
 // tail), aggregator legs on a faster backbone, so the virtual
 // wall-clock shows what the extra hop costs while the root's ingress
-// bytes show what the fold saves.
-//
-// The run itself asserts the payoff the bench gate rides on: at
-// fan-out 32 the root ingress must shrink at least 4x versus flat with
-// a final loss no more than 5% worse — a violated bound fails the
-// experiment (and bench-smoke) outright.
+// bytes show what the fold saves. The claims table (claims_test.go)
+// judges the payoff: at least 4x less root ingress at fan-out 32 than
+// flat, at a final loss within 5% of flat's.
 func extHier(o Options) (*Result, error) {
 	devices := int(100000 * o.Scale)
 	if devices < 8*hierClientsPerRound {
@@ -80,7 +76,7 @@ func extHier(o Options) (*Result, error) {
 	if o.TierFanOut > 1 {
 		fans = []int{1, o.TierFanOut}
 	}
-	gateFan := fans[len(fans)-1]
+	deepest := fans[len(fans)-1]
 
 	base := core.FedProx(o.Rounds, hierClientsPerRound, o.LocalEpochs, 0.01, 1)
 	base.EvalEvery = o.Rounds // full-fleet measurement at round 0 and the end
@@ -130,24 +126,10 @@ func extHier(o Options) (*Result, error) {
 				"%s: root ingress %.2f MB, %.1f virtual-s, final loss %.4f",
 				name, float64(fin.Cost.UplinkBytes)/1e6, fin.VirtualSeconds, fin.TrainLoss))
 		}
-		// The acceptance gate, enforced where the numbers are made: the
-		// fold shrinks root ingress by ~F analytically, so demand at
-		// least min(4, 0.9*F) — which for the default sweep's fan-out 32
-		// is the hard >= 4x bound the bench suite gates on.
-		flat, deep := byFan[1], byFan[gateFan]
-		ratio := float64(flat.ingress) / float64(deep.ingress)
-		want := math.Min(4, 0.9*float64(gateFan))
-		if ratio < want {
-			return nil, fmt.Errorf("ext-hier %s: fan-out %d shrank root ingress only %.2fx vs flat (want >= %.1fx)",
-				codec.name, gateFan, ratio, want)
-		}
-		if deep.loss > 1.05*flat.loss {
-			return nil, fmt.Errorf("ext-hier %s: fan-out %d final loss %.4f is worse than 105%% of flat's %.4f",
-				codec.name, gateFan, deep.loss, flat.loss)
-		}
+		flat, deep := byFan[1], byFan[deepest]
 		sec.Notes = append(sec.Notes, fmt.Sprintf(
 			"fan-out %d vs flat: %.0fx less root ingress, %+.1f%% virtual time, loss %.4f vs %.4f",
-			gateFan, ratio, 100*(deep.vs/flat.vs-1), deep.loss, flat.loss))
+			deepest, float64(flat.ingress)/float64(deep.ingress), 100*(deep.vs/flat.vs-1), deep.loss, flat.loss))
 		res.Sections = append(res.Sections, sec)
 	}
 	res.Notes = append(res.Notes,

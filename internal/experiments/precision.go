@@ -10,14 +10,8 @@ import (
 )
 
 func init() {
-	register("ext-precision", "float32 precision: same-seed f64 vs f32 runs, loss parity gated at 2%, raw wire traffic halved", extPrecision)
+	register("ext-precision", "float32 precision: same-seed f64 vs f32 runs, loss parity within 2%, raw wire traffic halved", extPrecision)
 }
-
-// precisionLossTol is the in-experiment acceptance bound: a float32 run
-// must land within this relative distance of the same-seed float64
-// run's final loss, in every pairing. Precision f32 exists to make
-// updates smaller — not to change what is learned.
-const precisionLossTol = 0.02
 
 // extPrecision exercises Precision f32 end to end against the
 // full-width reference, on Synthetic(1,1) with FedProx's tuned μ. Each
@@ -36,10 +30,10 @@ const precisionLossTol = 0.02
 //     with the compression stack (the level stream is width-exact, so
 //     the payload does not change; the solve feeding it does).
 //
-// The experiment fails (rather than noting) when a f32 final loss
-// drifts more than precisionLossTol from its f64 partner, or when the
-// raw-wire f32 run fails to cut uplink traffic by at least 1.9x —
-// these are the acceptance bounds the f32 path was built against.
+// Precision f32 exists to make updates smaller, not to change what is
+// learned: the claims table (claims_test.go) holds every f32 final loss
+// within 2% of its f64 partner's and the raw-wire f32 uplink to at most
+// 1/1.9 of f64's, the bounds the f32 path was built against.
 func extPrecision(o Options) (*Result, error) {
 	w := o.syntheticWorkload(1, 1, false)
 	base := o.base(w)
@@ -88,11 +82,6 @@ func extPrecision(o Options) (*Result, error) {
 
 		l64, l32 := h64.Final().TrainLoss, h32.Final().TrainLoss
 		drift := math.Abs(l32-l64) / l64
-		if drift > precisionLossTol {
-			return nil, fmt.Errorf(
-				"ext-precision %s: f32 final loss %.4f drifted %.2f%% from f64's %.4f (bound %.0f%%)",
-				p.name, l32, 100*drift, l64, 100*precisionLossTol)
-		}
 		note := fmt.Sprintf("%s: f64 loss %.4f, f32 loss %.4f (drift %.2f%%)", p.name, l64, l32, 100*drift)
 		if c := h32.Final().Cost; c.UplinkBytes > 0 {
 			note += fmt.Sprintf(", uplink %d KiB f64 / %d KiB f32",
@@ -103,13 +92,6 @@ func extPrecision(o Options) (*Result, error) {
 			rawUp64 = h64.Final().Cost.UplinkBytes
 			rawUp32 = h32.Final().Cost.UplinkBytes
 		}
-	}
-	if rawUp32 <= 0 {
-		return nil, fmt.Errorf("ext-precision: raw-wire f32 run recorded no uplink bytes")
-	}
-	if shrink := float64(rawUp64) / float64(rawUp32); shrink < 1.9 {
-		return nil, fmt.Errorf(
-			"ext-precision: raw f32 wire only %.2fx smaller than f64 (want >= 1.9x: 4-byte coordinates)", shrink)
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("raw uncompressed wire: %.2fx less uplink traffic at f32 (4-byte coordinates)",

@@ -127,8 +127,8 @@ func TestAsyncWithCodec(t *testing.T) {
 // evaluation layout, and the asynchronous History carries staleness
 // columns. The claim itself (>=2x faster, final loss within 5%) is
 // asserted bit-deterministically on the virtual clock by the core test
-// of the same name, and nowhere on the wall clock: bench-smoke's
-// ext-async prints these runs but gates none of them.
+// of the same name, and nowhere on the wall clock: ext-async prints
+// these runs, and experiments.TestBaseline excludes them by name.
 func TestAsyncOutpacesSyncUnderStraggler(t *testing.T) {
 	fed, mdl := testWorkload()
 
