@@ -212,7 +212,8 @@ type Config struct {
 	// device's epoch budget is derived from its simulated hardware and the
 	// round's global clock cycle, and a device is a straggler exactly when
 	// its budget falls short of LocalEpochs. StragglerFraction is ignored
-	// when set.
+	// when set. Budgets are clamped to [0, LocalEpochs] server-side, before
+	// dispatch: a device with 0 is a straggler DropStragglers never contacts.
 	Capability CapabilityModel
 	// DeviceBudget, when non-nil, models device-side variable local work
 	// — the paper's partial-solution axis. Each Dispatch carries the
@@ -228,6 +229,10 @@ type Config struct {
 	// realized work after the fact, so partial solutions must be
 	// aggregated (or wasted), never pre-dropped. On the wire it rides
 	// TrainRequest.EpochBudget. syshet.Fleet implements the interface.
+	// The support table differs too: Capability is refused on the
+	// asynchronous executors and RunTiered, DeviceBudget on RunTiered
+	// alone. One merged field would need an option saying which side
+	// enforces it.
 	DeviceBudget CapabilityModel
 	// Async selects the coordinator's aggregation discipline. The zero
 	// value is the paper's synchronous round protocol. AsyncTotal and

@@ -19,17 +19,18 @@ package core
 // WorkerLost, EvalDone, LossObserved) and emits commands (Dispatch,
 // Evaluate, ObserveLoss, AdvanceClock, Done). One interpreter, core.Drive
 // (drive.go), executes them against a Backend; the executors are its
-// backends:
+// backends, each with the abilities (drive.go) its commands need:
 //
 //   - simBackend (run.go): the in-process synchronous simulator (parallel
-//     local solves, optional virtual-time accounting) — also sync replay
-//     and every node of RunTiered, by swapping its reply source,
+//     local solves, AdvanceClock on the optional virtual clock) — also
+//     sync replay and every node of RunTiered, by swapping its reply
+//     source; RunFleet's fleetBackend adds ObserveLoss,
 //   - vtimeBackend (vsim.go): the deterministic discrete-event executor
 //     of the asynchronous modes on the internal/vtime clock, and async
-//     replay,
+//     replay; Wait steps the event queue,
 //   - internal/fednet: the TCP runtime (sync, async, a tier edge's
 //     children), which ships a Dispatch as a TrainRequest frame and an
-//     Evaluate as an EvalRequest,
+//     Evaluate as an EvalRequest, and Waits on its sockets,
 //   - internal/feddane: the Appendix B baseline, which solves a round's
 //     cohort in process with the gradient-correction term.
 //

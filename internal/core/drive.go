@@ -5,18 +5,19 @@ import (
 	"fmt"
 )
 
-// Backend is what differs between executors of the one protocol loop:
-// how a dispatch is shipped, how the model is measured, what the clock
-// is, and where replies come from. Everything else — the order commands
-// run in, which event answers which command, when the run ends — is
-// Drive's.
+// Backend is what every executor of the one protocol loop runs: how a
+// dispatch is shipped and how the model is measured. Everything else —
+// the order commands run in, which event answers which command, when the
+// run ends — is Drive's. Wait, ObserveLoss and AdvanceClock are
+// abilities only some backends have (waiter, lossObserver, clock): a type
+// has one exactly where the support table (support.go) lets an executor
+// that builds it receive the command, and Drive fails a command whose
+// method b lacks by naming both, wrapping errors.ErrUnsupported.
 //
 // A backend owns the coordinator's inbound events that originate outside
 // the command stream (late replies, WorkerLost, mid-run RegisterWorker,
 // Tick, DispatchSent): it feeds them itself and hands the commands they
-// provoke to Drive through Wait. A method whose command the executor
-// cannot run returns errors.ErrUnsupported; Drive turns that into an
-// error naming the backend and the command.
+// provoke to Drive through Wait.
 type Backend interface {
 	// Dispatch ships a run of consecutive Dispatch commands — a
 	// synchronous round's cohort, or what one asynchronous fill issued —
@@ -30,16 +31,22 @@ type Backend interface {
 	Dispatch([]Dispatch) ([]Reply, error)
 	// Evaluate measures the model; Drive delivers the result as EvalDone.
 	Evaluate(Evaluate) (EvalResult, error)
-	// ObserveLoss measures the training loss; Drive delivers it as
-	// LossObserved.
-	ObserveLoss(ObserveLoss) (float64, error)
-	// AdvanceClock charges a synchronous round's critical path.
-	AdvanceClock(seconds float64) error
-	// Wait is called when the command queue is empty: block for (or step
-	// to) the next arrival, feed it, and return the commands it provoked.
-	// Returning none means nothing is in flight either — the run stalled.
-	Wait() ([]Command, error)
 }
+
+type (
+	// waiter's replies arrive after Dispatch returns. Wait is called when
+	// the command queue is empty: block for (or step to) the next arrival,
+	// feed it, and return the commands it provoked. Returning none means
+	// nothing is in flight either — the run stalled.
+	waiter interface{ Wait() ([]Command, error) }
+	// lossObserver measures the training loss for the adaptive-μ
+	// controller; Drive delivers it as LossObserved.
+	lossObserver interface {
+		ObserveLoss(ObserveLoss) (float64, error)
+	}
+	// clock charges a synchronous round's critical path to a virtual clock.
+	clock interface{ AdvanceClock(seconds float64) error }
+)
 
 // errStalled reports a coordinator that wants nothing run while its
 // backend has nothing in flight — a protocol bug, never a normal end.
@@ -52,14 +59,17 @@ var errStalled = errors.New("core: coordinator stalled: no commands queued and n
 // calls Drive again with its next window's commands. The ending command
 // is returned; commands queued behind it are not run.
 func Drive(coord *Coordinator, b Backend, cmds []Command) (end Command, err error) {
+	w, _ := b.(waiter)
+	lo, _ := b.(lossObserver)
+	clk, _ := b.(clock)
 	for {
-		for len(cmds) == 0 {
-			if cmds, err = b.Wait(); err != nil {
+		if len(cmds) == 0 && w != nil {
+			if cmds, err = w.Wait(); err != nil {
 				return nil, err
 			}
-			if len(cmds) == 0 {
-				return nil, errStalled
-			}
+		}
+		if len(cmds) == 0 {
+			return nil, errStalled
 		}
 		cmd := cmds[0]
 		cmds = cmds[1:]
@@ -88,20 +98,21 @@ func Drive(coord *Coordinator, b Backend, cmds []Command) (end Command, err erro
 			}
 		case ObserveLoss:
 			var loss float64
-			if loss, err = b.ObserveLoss(v); err == nil {
+			if lo == nil {
+				err = fmt.Errorf("core: backend %T cannot execute a %T command: %w", b, cmd, errors.ErrUnsupported)
+			} else if loss, err = lo.ObserveLoss(v); err == nil {
 				more, err = coord.LossObserved(loss)
 			}
 		case AdvanceClock:
-			err = b.AdvanceClock(v.Seconds)
+			if clk == nil {
+				err = fmt.Errorf("core: backend %T cannot execute a %T command: %w", b, cmd, errors.ErrUnsupported)
+			} else {
+				err = clk.AdvanceClock(v.Seconds)
+			}
 		case pause, Done:
 			return cmd, nil
 		default:
 			err = fmt.Errorf("core: Drive: unknown command %T", cmd)
-		}
-		// Only the bare sentinel: a transport error that merely wraps
-		// ErrUnsupported (ENOTSUP from a socket) is the backend's own.
-		if err == errors.ErrUnsupported {
-			err = fmt.Errorf("core: backend %T cannot execute a %T command: %w", b, cmd, err)
 		}
 		if err != nil {
 			return nil, err

@@ -44,8 +44,6 @@ func (b *scriptBackend) Evaluate(Evaluate) (EvalResult, error) {
 	return EvalResult{Loss: math.NaN(), Acc: math.NaN()}, b.call("eval")
 }
 
-func (b *scriptBackend) ObserveLoss(ObserveLoss) (float64, error) { return 0, b.call("loss") }
-
 func (b *scriptBackend) AdvanceClock(s float64) error { return b.call(fmt.Sprint("clock ", s)) }
 
 func (b *scriptBackend) Wait() ([]Command, error) {
@@ -77,15 +75,28 @@ func TestDriveRunsFIFO(t *testing.T) {
 	}
 }
 
-// TestDriveStalls: an empty queue whose Wait yields nothing is the stall
-// error, not a spin.
+// bareBackend has only what every executor runs, Dispatch and Evaluate:
+// embedding the interface hides the script's other methods.
+type bareBackend struct{ Backend }
+
+// TestDriveStalls: an empty queue whose Wait yields nothing, or on a
+// backend with no Wait, is the stall error, not a spin.
 func TestDriveStalls(t *testing.T) {
-	b := &scriptBackend{}
-	if _, err := Drive(nil, b, []Command{Dispatch{}}); !errors.Is(err, errStalled) {
-		t.Fatalf("err = %v, want the stall error", err)
-	}
-	if want := []string{"dispatch [0]", "wait"}; !reflect.DeepEqual(b.log, want) {
-		t.Fatalf("call order %q, want %q", b.log, want)
+	for _, tc := range []struct {
+		name string
+		b    func(*scriptBackend) Backend
+		want []string
+	}{
+		{"Wait yields nothing", func(s *scriptBackend) Backend { return s }, []string{"dispatch [0]", "wait"}},
+		{"no Wait", func(s *scriptBackend) Backend { return bareBackend{s} }, []string{"dispatch [0]"}},
+	} {
+		s := &scriptBackend{}
+		if _, err := Drive(nil, tc.b(s), []Command{Dispatch{}}); !errors.Is(err, errStalled) {
+			t.Fatalf("%s: err = %v, want the stall error", tc.name, err)
+		}
+		if !reflect.DeepEqual(s.log, tc.want) {
+			t.Fatalf("%s: call order %q, want %q", tc.name, s.log, tc.want)
+		}
 	}
 }
 
@@ -128,17 +139,18 @@ func (bogusCommand) isCommand() {}
 // TestDriveUnsupportedCommand: a command the backend cannot execute, or
 // one Drive does not know, is an error naming it — never skipped.
 func TestDriveUnsupportedCommand(t *testing.T) {
-	b := &scriptBackend{failOn: "loss", fail: errors.ErrUnsupported}
-	_, err := Drive(nil, b, []Command{ObserveLoss{}, Done{}})
-	if !errors.Is(err, errors.ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
-	}
-	for _, name := range []string{"*core.scriptBackend", "core.ObserveLoss"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not name %s", err, name)
+	for _, cmd := range []Command{ObserveLoss{}, AdvanceClock{Seconds: 1}} {
+		_, err := Drive(nil, bareBackend{&scriptBackend{}}, []Command{cmd, Done{}})
+		if !errors.Is(err, errors.ErrUnsupported) {
+			t.Fatalf("%T: err = %v, want ErrUnsupported", cmd, err)
+		}
+		for _, name := range []string{"core.bareBackend", fmt.Sprintf("%T", cmd)} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not name %s", err, name)
+			}
 		}
 	}
-	if _, err := Drive(nil, b, []Command{bogusCommand{}, Done{}}); err == nil || !strings.Contains(err.Error(), "core.bogusCommand") {
+	if _, err := Drive(nil, &scriptBackend{}, []Command{bogusCommand{}, Done{}}); err == nil || !strings.Contains(err.Error(), "core.bogusCommand") {
 		t.Fatalf("unknown command: err = %v", err)
 	}
 }

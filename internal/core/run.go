@@ -36,7 +36,7 @@ func Run(m model.Model, fed *data.Federated, cfg Config) (*History, error) {
 // core.Device: the coordinator makes every server-side decision
 // (selection, straggler policies, aggregation, accounting) and one
 // Device hosting every fleet device serves the device side (decode,
-// solve, privacy, encode). The simBackend under core.Drive only moves
+// solve, privacy, encode). The fleetBackend under core.Drive only moves
 // events between the two — parallel HandleDispatch calls for Dispatch,
 // metric passes for Evaluate/ObserveLoss, and virtual-clock charges for
 // AdvanceClock when a latency model is attached. Per-round memory is
@@ -51,11 +51,10 @@ func RunFleet(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &simBackend{inProcess: inProcess{
+	b := &fleetBackend{simBackend: simBackend{inProcess: inProcess{
 		coord: coord,
 		eval:  func(v Evaluate) EvalResult { return simEval(m, fl, v) },
-		loss:  func(params []float64) float64 { return metrics.FleetLoss(m, fl, params) },
-	}}
+	}}, m: m, fl: fl}
 	// With a virtual-time model the synchronous protocol gains duration
 	// semantics: every round charges its critical path to the clock and
 	// the clock-native straggler policies apply.
@@ -67,10 +66,10 @@ func RunFleet(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	return runToDone(coord, b)
 }
 
-// simBackend is the synchronous in-process Backend: sim, sync replay and
-// every node of RunTiered are this type with a different reply source. A
+// simBackend is the synchronous in-process Backend: sync replay and every
+// node of RunTiered are this type with a different reply source. A
 // round's replies are in hand as soon as its cohort was served, so
-// nothing is ever in flight between commands.
+// nothing is ever in flight between commands and there is no Wait.
 type simBackend struct {
 	inProcess
 	// serve is the reply source: it answers one round's dispatches, in
@@ -87,25 +86,37 @@ func (b *simBackend) Dispatch(ds []Dispatch) ([]Reply, error) {
 	return b.serve(ds)
 }
 
-func (b *simBackend) Wait() ([]Command, error) { return nil, nil }
+// AdvanceClock is only ever emitted for timed replies, which only a
+// backend with a clock produces.
+func (b *simBackend) AdvanceClock(seconds float64) error {
+	b.vt.eng.Advance(seconds)
+	b.coord.Tick(b.vt.eng.Now())
+	return nil
+}
+
+// fleetBackend is RunFleet's synchronous backend, the one the support
+// table admits adaptive-μ on: the sim backend plus the controller's loss.
+type fleetBackend struct {
+	simBackend
+	m  model.Model
+	fl Fleet
+}
+
+func (b *fleetBackend) ObserveLoss(v ObserveLoss) (float64, error) {
+	return metrics.FleetLoss(b.m, b.fl, v.Params), nil
+}
 
 // inProcess is the half of Backend the in-process backends (simBackend,
-// vtimeBackend) share: the evaluators and the virtual clock.
+// vtimeBackend) share: the evaluator and the virtual clock.
 type inProcess struct {
 	coord *Coordinator
 	vt    *vtimer // nil without a latency model
 	// eval is the evaluator; nil under a tier edge, whose windowed
-	// coordinator plans no evaluation.
+	// coordinator plans no evaluation, so Evaluate is never called there.
 	eval func(Evaluate) EvalResult
-	// loss answers ObserveLoss; nil where adaptive-μ cannot run (replay,
-	// tiers, asynchronous schedules).
-	loss func(params []float64) float64
 }
 
 func (b *inProcess) Evaluate(v Evaluate) (EvalResult, error) {
-	if b.eval == nil {
-		return EvalResult{}, errors.ErrUnsupported
-	}
 	if b.vt != nil {
 		// Eval traffic is charged on the virtual clock too, so eval
 		// cadence affects deadlines consistently with the analytic byte
@@ -114,24 +125,6 @@ func (b *inProcess) Evaluate(v Evaluate) (EvalResult, error) {
 		b.coord.Tick(b.vt.eng.Now())
 	}
 	return b.eval(v), nil
-}
-
-func (b *inProcess) ObserveLoss(v ObserveLoss) (float64, error) {
-	if b.loss == nil {
-		return 0, errors.ErrUnsupported
-	}
-	return b.loss(v.Params), nil
-}
-
-// AdvanceClock is only ever emitted for timed replies, which only a
-// backend with a clock produces.
-func (b *inProcess) AdvanceClock(seconds float64) error {
-	if b.vt == nil {
-		return errors.ErrUnsupported
-	}
-	b.vt.eng.Advance(seconds)
-	b.coord.Tick(b.vt.eng.Now())
-	return nil
 }
 
 // newSimPair builds the two halves of an in-process run: a coordinator

@@ -207,10 +207,14 @@ func figure4(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		var dane0 *core.History // FedDane(mu=0) at the default c, ClientsPerRound
 		for _, mu := range []float64{0, 1} {
 			dh, err := feddane.Run(w.mdl, w.fed, feddane.Config{Config: fedprox(base, mu)})
 			if err != nil {
 				return nil, err
+			}
+			if mu == 0 {
+				dane0 = dh
 			}
 			runs = append(runs, dh)
 		}
@@ -218,6 +222,11 @@ func figure4(o Options) (*Result, error) {
 
 		var cRuns []*core.History
 		for _, c := range []int{10, 20, 30} {
+			if c == base.ClientsPerRound {
+				// The same config as the mu sweep's FedDane(mu=0): the same run.
+				cRuns = append(cRuns, dane0)
+				continue
+			}
 			dh, err := feddane.Run(w.mdl, w.fed, feddane.Config{Config: fedprox(base, 0), GradClients: c})
 			if err != nil {
 				return nil, err

@@ -28,7 +28,6 @@
 package feddane
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -136,7 +135,8 @@ func refuse(cfg core.Config) error {
 
 // backend executes the coordinator's commands in process: a round's
 // cohort is solved against the broadcast with the gradient correction,
-// and the model is measured over the whole network.
+// and the model is measured over the whole network. Nothing else: refuse
+// keeps out every run that would need a Wait, a loss or a clock.
 type backend struct {
 	coord       *core.Coordinator
 	label       string
@@ -204,14 +204,6 @@ func (b *backend) Evaluate(v core.Evaluate) (res core.EvalResult, err error) {
 	}
 	return res, nil
 }
-
-func (b *backend) ObserveLoss(core.ObserveLoss) (float64, error) { return 0, errors.ErrUnsupported }
-
-func (b *backend) AdvanceClock(float64) error { return errors.ErrUnsupported }
-
-// Wait has nothing to wait for: a round's replies are in hand when
-// Dispatch returns.
-func (b *backend) Wait() ([]core.Command, error) { return nil, nil }
 
 // relabel names the run FedDane in its trace, where the coordinator
 // stamps the run-start event with core.Label.

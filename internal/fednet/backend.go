@@ -58,7 +58,8 @@ type connState struct {
 
 // wireBackend owns the transport state of one run: core.Drive executes
 // the coordinator's commands on it, and Wait blocks for the next
-// transport event and translates it.
+// transport event and translates it. It has no ObserveLoss or
+// AdvanceClock: the support table refuses adaptive-μ and virtual time.
 type wireBackend struct {
 	s        *Server
 	conns    map[*conn]*connState
@@ -191,11 +192,6 @@ func (b *wireBackend) startReader(c *conn) {
 		}
 	}()
 }
-
-// ObserveLoss and AdvanceClock belong to configurations NewServer rejects
-// (adaptive mu, virtual time): no wire backend can execute them.
-func (*wireBackend) ObserveLoss(core.ObserveLoss) (float64, error) { return 0, errors.ErrUnsupported }
-func (*wireBackend) AdvanceClock(float64) error                    { return errors.ErrUnsupported }
 
 // Dispatch ships each dispatch as a TrainRequest and returns no replies:
 // they reach the coordinator through Wait, as they arrive. A send that
