@@ -1,26 +1,23 @@
-// Command fedgen generates a federated dataset to a file, prints its
-// Table-1 statistics, and optionally verifies an existing file — the
-// data-preparation step of the reproduction pipeline (the role LEAF's
-// preprocessing scripts play for the paper). With -vtime it instead
-// prints the workload's virtual-time infrastructure profile (per-tier
-// compute times, transfer times for the model size, emergent straggler
-// rate) — the planning step for choosing ext-vtime deadlines and byte
-// budgets.
+// Command fedgen prints a workload's Table-1 statistics (devices,
+// samples, mean and stdev per device) at a scale, building one device at
+// a time: a dataset is regenerated from (workload, scale) wherever it is
+// needed, so there is no file to prepare. With -vtime it instead prints
+// the workload's virtual-time infrastructure profile (per-tier compute
+// times, transfer times for the model size, emergent straggler rate) —
+// the planning step for choosing ext-vtime deadlines and byte budgets.
 //
-//	fedgen -workload mnist -scale 0.5 -out mnist.fed
-//	fedgen -verify mnist.fed
+//	fedgen -workload mnist -scale 0.5
 //	fedgen -workload synthetic -vtime -epochs 20
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"fedprox/internal/cli"
-	"fedprox/internal/data/datafile"
+	"fedprox/internal/data"
 	"fedprox/internal/experiments"
 	"fedprox/internal/syshet"
 )
@@ -36,9 +33,7 @@ func generate(args []string, stdout, stderr io.Writer) error {
 	var (
 		workload = fs.String("workload", "synthetic", "workload key: synthetic, synthetic-iid, mnist, femnist, shakespeare, sent140")
 		scale    = fs.Float64("scale", 1.0, "dataset scale factor")
-		out      = fs.String("out", "", "output path (required unless -verify or -vtime)")
-		verify   = fs.String("verify", "", "verify an existing dataset file and print its stats")
-		vtimeP   = fs.Bool("vtime", false, "print the workload's virtual-time latency profile instead of writing a file")
+		vtimeP   = fs.Bool("vtime", false, "print the workload's virtual-time latency profile instead of its statistics")
 		epochs   = fs.Int("epochs", 20, "-vtime: local epoch budget E to profile")
 		seed     = fs.Uint64("seed", 7, "-vtime: fleet assignment seed")
 
@@ -53,17 +48,6 @@ func generate(args []string, stdout, stderr io.Writer) error {
 	// only (profile large -scale generations).
 	debugFlags.Serve("fedgen", false, stderr)
 
-	if *verify != "" {
-		fed, err := datafile.ReadFile(*verify)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "ok: %s\n", fed.ComputeStats())
-		return nil
-	}
-	if *out == "" && !*vtimeP {
-		return errors.New("-out is required (or -vtime for a latency profile)")
-	}
 	opts := experiments.Full()
 	opts.Scale = *scale
 	w, err := opts.NamedWorkload(*workload)
@@ -74,14 +58,7 @@ func generate(args []string, stdout, stderr io.Writer) error {
 		printVTimeProfile(stdout, w, *epochs, *seed)
 		return nil
 	}
-	if err := datafile.WriteFile(*out, w.Fed); err != nil {
-		return err
-	}
-	info, err := os.Stat(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s (%.1f MB)\n%s\n", *out, float64(info.Size())/(1<<20), w.Fed.ComputeStats())
+	fmt.Fprintln(stdout, data.FleetStats(w.Fleet.Header().Name, w.Fleet))
 	return nil
 }
 
@@ -91,10 +68,12 @@ func generate(args []string, stdout, stderr io.Writer) error {
 // uncompressed model transfer costs, and the straggler rate a given
 // deadline induces.
 func printVTimeProfile(out io.Writer, w experiments.Workload, epochs int, seed uint64) {
-	sizes := w.Fed.TrainSizes()
+	fl := w.Fleet
+	sizes := make([]int, fl.NumDevices())
 	mean := 0
-	for _, n := range sizes {
-		mean += n
+	for k := range sizes {
+		sizes[k] = fl.TrainSize(k)
+		mean += sizes[k]
 	}
 	mean /= len(sizes)
 	const batch = 10
@@ -107,7 +86,7 @@ func printVTimeProfile(out io.Writer, w experiments.Workload, epochs int, seed u
 	}, sizes)
 
 	fmt.Fprintf(out, "virtual-time profile: %s — %d devices, mean shard %d, E=%d, batch %d\n",
-		w.Fed.Name, w.Fed.NumDevices(), mean, epochs, batch)
+		fl.Header().Name, len(sizes), mean, epochs, batch)
 	fmt.Fprintf(out, "model: %d params, %.1f KB uncompressed per transfer\n",
 		w.Model.NumParams(), float64(w.Model.NumParams()*8)/1024)
 	fmt.Fprintf(out, "fleet tiers (mid-tier deadline %.1fs): %v\n", deadline, fleet.TierCounts())

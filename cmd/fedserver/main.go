@@ -5,7 +5,8 @@
 //
 // Workers and server must agree on -workload and -scale so every
 // process derives the same dataset partition and model shape; the
-// server uses the dataset only to size the model and count devices.
+// server builds no device: it sizes the model from the workload's
+// header and counts the fleet's devices.
 //
 // Under -async/-async buffered a worker that disconnects or times out is
 // evicted and the run continues on the survivors; re-running the same

@@ -14,6 +14,7 @@ import (
 
 	"fedprox/internal/cli"
 	"fedprox/internal/core"
+	"fedprox/internal/data"
 	"fedprox/internal/experiments"
 	"fedprox/internal/tier"
 )
@@ -128,7 +129,7 @@ func TestDeploymentMatchesSimulator(t *testing.T) {
 	w := simWorkload(t)
 	cfg := core.FedProx(6, 6, 3, w.LR, 1)
 	cfg.StragglerFraction, cfg.EvalEvery, cfg.Seed = 0.5, 3, 7
-	sim, err := core.Run(w.Model, w.Fed, cfg)
+	sim, err := core.Run(w.Model, data.Generate(w.Fleet), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestTieredDeploymentMatchesRunTiered(t *testing.T) {
 	w := simWorkload(t)
 	cfg := core.FedProx(6, 8, 3, w.LR, 1)
 	cfg.StragglerFraction, cfg.EvalEvery, cfg.Seed = 0.5, 2, 7
-	sim, err := core.RunTiered(w.Model, w.Fed.Fleet(), cfg, tier.Topology{FanOut: 4, Depth: 1})
+	sim, err := core.RunTiered(w.Model, w.Fleet, cfg, tier.Topology{FanOut: 4, Depth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

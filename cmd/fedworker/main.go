@@ -1,7 +1,8 @@
 // Command fedworker runs one worker of the fednet distributed runtime.
-// Each worker regenerates the shared synthetic federated dataset locally
-// (standing in for the on-device data a real deployment would have) and
-// hosts the shard range assigned by -index of -workers.
+// Each worker regenerates, from -workload and -scale, only the devices it
+// hosts (standing in for the on-device data a real deployment would
+// have): devices -index, -index + -workers, … or, under -tier edge, the
+// slice of edge -index.
 //
 // See cmd/fedserver for a full launch recipe.
 package main

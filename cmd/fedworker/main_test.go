@@ -7,9 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"fedprox/internal/data/datafile"
-	"fedprox/internal/experiments"
 )
 
 // TestRefusals holds each way a fedworker command line goes wrong to its
@@ -24,18 +21,7 @@ func TestRefusals(t *testing.T) {
 	closed := ln.Addr().String()
 	ln.Close()
 
-	dir := t.TempDir()
-	opts := experiments.Full()
-	opts.Scale = 0.05
-	w, err := opts.NamedWorkload("synthetic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := filepath.Join(dir, "synthetic.fed")
-	if err := datafile.WriteFile(fed, w.Fed); err != nil {
-		t.Fatal(err)
-	}
-	missing := filepath.Join(dir, "no", "such", "dir")
+	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
 	dial := "fedworker: fednet: dial " + closed
 	for _, tc := range []struct {
 		args   []string
@@ -51,7 +37,7 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-tier", "root", "-fanout", "4"}, 1, "fedworker: -tier root: a fedworker can only serve under an edge (-tier edge)"},
 		{[]string{"-tier", "edge", "-fanout", "4", "-tier-latency", "0.1"}, 1, "fedworker: -tier-latency applies to aggregator legs, not workers"},
 		{[]string{"-workload", "no-such-workload"}, 1, `fedworker: experiments: unknown workload "no-such-workload"`},
-		{[]string{"-data", missing}, 1, "fedworker: datafile: open " + missing},
+		{[]string{"-data", missing}, 2, "flag provided but not defined: -data"},
 		{[]string{"-solver", "newton"}, 1, `fedworker: unknown solver "newton"`},
 		{[]string{"-privacy-clip", "Inf"}, 1, "fedworker: privacy: clip norm must be non-negative and finite"},
 		{[]string{"-addr", closed, "-privacy-clip", "-1", "-privacy-noise", "-0.5"}, 1, "fedworker: privacy: clip norm must be non-negative and finite, got -1"},
@@ -60,7 +46,7 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-codec", " , "}, 1, `fedworker: -codec " , " names no codecs`},
 		{[]string{"-trace", missing}, 1, "fedworker: open " + missing},
 		{[]string{"-addr", closed}, 1, dial},
-		{[]string{"-addr", closed, "-data", fed, "-workers", "2", "-index", "1"}, 1, dial},
+		{[]string{"-addr", closed, "-workers", "2", "-index", "1"}, 1, dial},
 		{[]string{"-addr", closed, "-tier", "edge", "-fanout", "4", "-workers", "2", "-index", "1"}, 1, dial},
 		{[]string{"-addr", closed, "-codec", "raw,qsgd", "-privacy-noise", "0.1"}, 1, dial},
 		{[]string{"-addr", closed, "-solver", "momentum"}, 1, dial},

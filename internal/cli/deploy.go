@@ -12,7 +12,6 @@ import (
 	"fedprox/internal/comm"
 	"fedprox/internal/core"
 	"fedprox/internal/data"
-	"fedprox/internal/data/datafile"
 	"fedprox/internal/experiments"
 	"fedprox/internal/fednet"
 	"fedprox/internal/obs"
@@ -114,7 +113,8 @@ func server(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	defer ln.Close()
 
-	expect := w.Fed.NumDevices()
+	// The server hosts no device: it reads the fleet's size and name only.
+	expect := w.Fleet.NumDevices()
 	switch tierFlags.Role {
 	case "edge":
 		// An edge aggregator: accept this edge's slice of the fleet as a
@@ -126,7 +126,7 @@ func server(args []string, stdout, stderr io.Writer) (err error) {
 		if *index < 0 || *index >= edges {
 			return fmt.Errorf("-index %d outside [0,%d)", *index, edges)
 		}
-		lo, hi := tier.Partition(w.Fed.NumDevices(), edges, *index)
+		lo, hi := tier.Partition(expect, edges, *index)
 		// Each edge runs its own selection streams, seeded as the simulator
 		// seeds the same node: the root is node 0, so edge i is node i+1.
 		cfg.Seed = tier.NodeSeed(*seed, *index+1)
@@ -142,7 +142,7 @@ func server(args []string, stdout, stderr io.Writer) (err error) {
 			return err
 		}
 		fmt.Fprintf(stdout, "fedserver: edge %d/%d on %s — devices [%d,%d) of %s, folding %d per window into %s\n",
-			*index, edges, ln.Addr(), lo, hi, w.Fed.Name, tierFlags.FanOut, *parent)
+			*index, edges, ln.Addr(), lo, hi, w.Fleet.Header().Name, tierFlags.FanOut, *parent)
 		if err := edge.RunWithListener(ln, *parent); err != nil {
 			return err
 		}
@@ -201,7 +201,6 @@ func worker(args []string, stdout, stderr io.Writer) (err error) {
 		addr     = fs.String("addr", "localhost:7070", "coordinator address")
 		workload = fs.String("workload", "synthetic", "workload key (must match the server)")
 		scale    = fs.Float64("scale", 0.25, "dataset scale factor (must match the server)")
-		dataPath = fs.String("data", "", "load the federated dataset from a fedgen file instead of regenerating")
 		workers  = fs.Int("workers", 1, "total number of workers in the deployment")
 		index    = fs.Int("index", 0, "this worker's index in [0, workers)")
 		local    = fs.String("solver", "sgd", "local solver: sgd, momentum, adagrad, adam, gd")
@@ -233,35 +232,9 @@ func worker(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	fed := w.Fed
-	if *dataPath != "" {
-		// A prepared data file (cmd/fedgen) replaces local regeneration —
-		// the deployment mode where devices already hold their data.
-		if fed, err = datafile.ReadFile(*dataPath); err != nil {
-			return err
-		}
-	}
-
-	var shards []*data.Shard
-	if tierFlags.Enabled() {
-		// Under -tier edge, -workers counts the tree's edges and -index
-		// names which edge this worker serves: it hosts that edge's
-		// contiguous fleet slice under edge-local device IDs, matching
-		// the edge coordinator's 0-based view of its subtree.
-		lo, hi, err := tierFlags.WorkerSlice(fed.NumDevices(), *workers, *index)
-		if err != nil {
-			return err
-		}
-		for g := lo; g < hi; g++ {
-			s := *fed.Shards[g]
-			s.ID = g - lo
-			shards = append(shards, &s)
-		}
-	} else {
-		// Round-robin shard assignment: worker i hosts devices i, i+W, i+2W...
-		for k := *index; k < fed.NumDevices(); k += *workers {
-			shards = append(shards, fed.Shards[k])
-		}
+	shards, err := hosted(w.Fleet, &tierFlags, *workers, *index)
+	if err != nil {
+		return err
 	}
 
 	ls, ok := solvers[*local]
@@ -302,7 +275,7 @@ func worker(args []string, stdout, stderr io.Writer) (err error) {
 	defer closeTrace(&err)
 	devOpts.Trace = sink
 	fmt.Fprintf(stdout, "fedworker %d/%d: hosting %d devices of %s, solver %s\n",
-		*index, *workers, len(shards), fed.Name, ls.Name())
+		*index, *workers, len(shards), w.Fleet.Header().Name, ls.Name())
 	wk := fednet.NewWorkerWithOptions(w.Model, shards, devOpts)
 	wk.Offer = offer
 	if err := wk.Run(*addr); err != nil {
@@ -310,6 +283,36 @@ func worker(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	fmt.Fprintf(stdout, "fedworker %d: shut down cleanly\n", *index)
 	return nil
+}
+
+// hosted builds the devices a worker hosts, and no other. Under -tier
+// edge, -workers counts the tree's edges and -index names the edge this
+// worker serves: it hosts that edge's contiguous fleet slice under
+// edge-local device IDs, matching the edge coordinator's 0-based view of
+// its subtree. Otherwise worker index of workers hosts devices index,
+// index+workers, index+2·workers, …
+func hosted(fl data.Fleet, t *Tier, workers, index int) ([]*data.Shard, error) {
+	var devices []int
+	lo := 0 // the global ID of local device 0
+	if t.Enabled() {
+		var hi int
+		var err error
+		if lo, hi, err = t.WorkerSlice(fl.NumDevices(), workers, index); err != nil {
+			return nil, err
+		}
+		for g := lo; g < hi; g++ {
+			devices = append(devices, g)
+		}
+	} else {
+		for k := index; k < fl.NumDevices(); k += workers {
+			devices = append(devices, k)
+		}
+	}
+	shards := data.Shards(fl, devices)
+	for _, s := range shards {
+		s.ID -= lo
+	}
+	return shards, nil
 }
 
 // solvers are -solver's choices.

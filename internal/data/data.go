@@ -103,23 +103,31 @@ type Stats struct {
 }
 
 // ComputeStats returns the Table 1 row for f.
-func (f *Federated) ComputeStats() Stats {
-	n := len(f.Shards)
+func (f *Federated) ComputeStats() Stats { return FleetStats(f.Name, f.Fleet()) }
+
+// FleetStats returns the Table 1 row of the dataset named name whose
+// devices fl builds, one shard at a time.
+func FleetStats(name string, fl Fleet) Stats {
+	counts := make([]int, fl.NumDevices())
 	total := 0
-	for _, s := range f.Shards {
-		total += s.NumSamples()
+	for k := range counts {
+		s := fl.Shard(k)
+		counts[k] = s.NumSamples()
+		fl.Release(s)
+		total += counts[k]
 	}
+	n := len(counts)
 	mean := float64(total) / float64(n)
 	varSum := 0.0
-	for _, s := range f.Shards {
-		d := float64(s.NumSamples()) - mean
+	for _, c := range counts {
+		d := float64(c) - mean
 		varSum += d * d
 	}
 	std := 0.0
 	if n > 1 {
 		std = math.Sqrt(varSum / float64(n-1))
 	}
-	return Stats{Name: f.Name, Devices: n, Samples: total, MeanPerDev: mean, StdevPerDev: std}
+	return Stats{Name: name, Devices: n, Samples: total, MeanPerDev: mean, StdevPerDev: std}
 }
 
 // String renders the stats as a Table 1 row.
@@ -180,6 +188,12 @@ func Batches(n, batchSize int, rng *frand.Source) [][]int {
 	return out
 }
 
+// ScaleCount returns round(n·f), at least floor: how every generator's
+// Scaled shrinks its sample bounds.
+func ScaleCount(n int, f float64, floor int) int {
+	return max(int(math.Round(float64(n)*f)), floor)
+}
+
 // PowerLawSizes allocates per-device sample counts following a power law,
 // the allocation scheme shared by every dataset generator in this
 // repository ("the number of samples per device follows a power law").
@@ -225,7 +239,10 @@ func (f *Federated) Validate() error {
 	if dense == seq {
 		return fmt.Errorf("data: %s must be exactly one of dense or sequence", f.Name)
 	}
-	for _, s := range f.Shards {
+	for k, s := range f.Shards {
+		if s.ID != k {
+			return fmt.Errorf("data: %s shard %d has ID %d", f.Name, k, s.ID)
+		}
 		if len(s.Train) == 0 {
 			return fmt.Errorf("data: %s device %d has empty training set", f.Name, s.ID)
 		}

@@ -215,6 +215,7 @@ func TestValidateCatchesViolations(t *testing.T) {
 		func(f *Federated) { f.Shards[0].Train[0].X = []float64{1} },        // dim
 		func(f *Federated) { f.Shards[1].Test[0].Y = -1 },                   // test label
 		func(f *Federated) { f.Shards[1].Test[0].X = make([]float64, 400) }, // test dim
+		func(f *Federated) { f.Shards[1].ID = 0 },                           // ID not its index
 	}
 	for i, mutate := range cases {
 		f := buildFed(2, 10)
@@ -223,6 +224,22 @@ func TestValidateCatchesViolations(t *testing.T) {
 			t.Errorf("case %d: corrupted dataset passed validation", i)
 		}
 	}
+}
+
+// TestEagerReleaseRefusesForeignShard: the eager fleet takes back its
+// own shards and refuses another dataset's, as a lazy fleet refuses a
+// shard it did not hand out.
+func TestEagerReleaseRefusesForeignShard(t *testing.T) {
+	fl := buildFed(3, 10).Fleet()
+	for k := range fl.NumDevices() {
+		fl.Release(fl.Shard(k))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Release of another dataset's shard was accepted")
+		}
+	}()
+	fl.Release(buildFed(3, 10).Shards[1])
 }
 
 func TestValidateSequenceChecks(t *testing.T) {

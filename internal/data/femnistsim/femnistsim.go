@@ -35,21 +35,10 @@ func defaultConfig() imagesim.Config {
 	}
 }
 
-// Generate builds the FEMNIST surrogate at paper scale.
-func Generate() *data.Federated { return imagesim.Generate(defaultConfig()) }
+// Scaled returns the FEMNIST surrogate's configuration with device count
+// and sample bounds scaled by f, for fast experiment runs.
+func Scaled(f float64) imagesim.Config { return defaultConfig().Scaled(f) }
 
-// GenerateScaled builds the FEMNIST surrogate with device count and sample
-// bounds scaled by f, for fast experiment runs.
-func GenerateScaled(f float64) *data.Federated {
-	c := defaultConfig().Scaled(f)
-	c.Devices = scaleDevices(c.Devices, f)
-	return imagesim.Generate(c)
-}
-
-func scaleDevices(n int, f float64) int {
-	v := int(float64(n) * f)
-	if v < 20 {
-		v = 20
-	}
-	return v
-}
+// GenerateScaled builds the FEMNIST surrogate at Scaled(f); at f = 1 it
+// is the paper-scale dataset.
+func GenerateScaled(f float64) *data.Federated { return imagesim.Generate(Scaled(f)) }

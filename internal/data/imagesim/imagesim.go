@@ -59,87 +59,93 @@ type Config struct {
 	Seed uint64
 }
 
-// Scaled returns a copy of c with sample bounds scaled by f (floored at 5).
+// Scaled returns a copy of c for a fast run: the device count scaled by f
+// and truncated (at least 20), the sample bounds scaled by f and rounded
+// (at least 5).
 func (c Config) Scaled(f float64) Config {
-	c.MinSamples = scaleFloor(c.MinSamples, f, 5)
-	c.MaxSamples = scaleFloor(c.MaxSamples, f, c.MinSamples)
+	c.Devices = max(int(float64(c.Devices)*f), 20)
+	c.MinSamples = data.ScaleCount(c.MinSamples, f, 5)
+	c.MaxSamples = data.ScaleCount(c.MaxSamples, f, c.MinSamples)
 	return c
 }
 
-func scaleFloor(n int, f float64, floor int) int {
-	v := int(math.Round(float64(n) * f))
-	if v < floor {
-		v = floor
-	}
-	return v
+// Fleet is the lazy view of the dataset c describes. It holds the draws
+// every device shares — the class prototypes, the power-law sizes and
+// the label-skew class sets — and builds a device's shard on demand from
+// streams keyed by its index alone.
+type Fleet struct {
+	data.Sizes
+	cfg       Config
+	protos    [][]float64
+	classSets [][]int
+	noStyle   []float64 // the zero field every device renders without a style
+	// Device k's streams are SplitIndex(k) of these.
+	sampleRng, styleRng, splitRng *frand.Source
 }
 
-// Generate builds the federated dataset described by c. Each device's
-// examples come from streams keyed by its index alone, so the devices are
-// built in parallel and the bits do not depend on GOMAXPROCS.
-func Generate(c Config) *data.Federated {
+// NewFleet checks c and makes the shared draws.
+func NewFleet(c Config) *Fleet {
 	if c.Devices <= 0 || c.Classes <= 1 || c.ClassesPerDevice <= 0 || c.Side <= 1 ||
 		c.TrainFrac < 0 || c.TrainFrac > 1 {
 		panic("imagesim: invalid config")
 	}
 	root := frand.New(c.Seed)
-	protoRng := root.Split("prototypes")
-	sizeRng := root.Split("sizes")
-	assignRng := root.Split("assign")
-	sampleRng := root.Split("samples")
-	splitRng := root.Split("split")
-
-	dim := c.Side * c.Side
-	protos := prototypes(protoRng, c.Classes, c.Side, c.BlobsPerClass)
-	sizes := data.PowerLawSizes(sizeRng, c.Devices, c.MinSamples, c.MaxSamples, c.PowerAlpha)
-	classSets := data.LabelSkewAssign(assignRng, c.Devices, c.Classes, c.ClassesPerDevice)
-
-	fed := &data.Federated{
-		Name:       c.Name,
-		Shards:     make([]*data.Shard, c.Devices),
-		NumClasses: c.Classes,
-		FeatureDim: dim,
+	f := &Fleet{
+		Sizes:     data.Sizes{Samples: data.PowerLawSizes(root.Split("sizes"), c.Devices, c.MinSamples, c.MaxSamples, c.PowerAlpha), TrainFrac: c.TrainFrac},
+		cfg:       c,
+		protos:    prototypes(root.Split("prototypes"), c.Classes, c.Side, c.BlobsPerClass),
+		classSets: data.LabelSkewAssign(root.Split("assign"), c.Devices, c.Classes, c.ClassesPerDevice),
+		sampleRng: root.Split("samples"),
+		styleRng:  root.Split("styles"),
+		splitRng:  root.Split("split"),
 	}
-	styleRng := root.Split("styles")
 	// Without a style, every device renders a read-only zero field with
 	// skew 0: a pixel is then a + 0·0 = a, since a is never −0 (see clamp01).
-	var noStyle []float64
 	if !(c.DeviceSkew > 0) {
-		noStyle = make([]float64, dim)
+		f.noStyle = make([]float64, c.Side*c.Side)
 	}
-	tensor.ParallelFor(c.Devices, 0, func(k int) {
-		devRng := sampleRng.SplitIndex(k)
-		classes := classSets[k]
-		noise, skew, style := c.Noise, 0.0, noStyle
-		if c.DeviceSkew > 0 {
-			skew = c.DeviceSkew
-			blobs := c.StyleBlobs
-			if blobs <= 0 {
-				blobs = 3
-			}
-			style = styleField(styleRng.SplitIndex(k), c.Side, blobs)
-		}
-		style = style[:dim]
-		examples := make([]data.Example, sizes[k])
-		for i := range examples {
-			y := classes[devRng.Intn(len(classes))]
-			x := make([]float64, dim)
-			tensor.Normals(x, devRng)
-			// 0 + noise·z is NormMeanStd(0, c.Noise)'s expression.
-			proto := protos[y][:dim]
-			for j, z := range x {
-				x[j] = clamp01(proto[j] + (0 + noise*z) + skew*style[j])
-			}
-			examples[i] = data.Example{X: x, Y: y}
-		}
-		train, test := data.SplitTrainTest(examples, c.TrainFrac, splitRng.SplitIndex(k))
-		fed.Shards[k] = &data.Shard{ID: k, Train: train, Test: test}
-	})
-	if err := fed.Validate(); err != nil {
-		panic(err)
-	}
-	return fed
+	return f
 }
+
+// Header returns the dataset's metadata.
+func (f *Fleet) Header() data.Federated {
+	return data.Federated{Name: f.cfg.Name, NumClasses: f.cfg.Classes, FeatureDim: f.cfg.Side * f.cfg.Side}
+}
+
+// Shard builds device k's shard.
+func (f *Fleet) Shard(k int) *data.Shard {
+	c, dim := f.cfg, f.cfg.Side*f.cfg.Side
+	devRng := f.sampleRng.SplitIndex(k)
+	classes := f.classSets[k]
+	noise, skew, style := c.Noise, 0.0, f.noStyle
+	if c.DeviceSkew > 0 {
+		skew = c.DeviceSkew
+		blobs := c.StyleBlobs
+		if blobs <= 0 {
+			blobs = 3
+		}
+		style = styleField(f.styleRng.SplitIndex(k), c.Side, blobs)
+	}
+	style = style[:dim]
+	examples := make([]data.Example, f.Samples[k])
+	for i := range examples {
+		y := classes[devRng.Intn(len(classes))]
+		x := make([]float64, dim)
+		tensor.Normals(x, devRng)
+		// 0 + noise·z is NormMeanStd(0, c.Noise)'s expression.
+		proto := f.protos[y][:dim]
+		for j, z := range x {
+			x[j] = clamp01(proto[j] + (0 + noise*z) + skew*style[j])
+		}
+		examples[i] = data.Example{X: x, Y: y}
+	}
+	train, test := data.SplitTrainTest(examples, c.TrainFrac, f.splitRng.SplitIndex(k))
+	return &data.Shard{ID: k, Train: train, Test: test}
+}
+
+// Generate builds the federated dataset described by c: the fleet's
+// shards, built in parallel.
+func Generate(c Config) *data.Federated { return data.Generate(NewFleet(c)) }
 
 // clamp01 clamps v to [0, 1] without a branch. It equals "v < 0: 0,
 // v > 1: 1, else v" on every input but −0, which it maps to +0. No pixel

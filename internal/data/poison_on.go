@@ -1,5 +1,5 @@
 //go:build poolpoison
 
-package synthetic
+package data
 
 func init() { poisonRelease = true }

@@ -18,7 +18,6 @@ import (
 
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
-	"fedprox/internal/tensor"
 )
 
 // Config parameterizes the generator.
@@ -73,85 +72,87 @@ func Default() Config {
 // Scaled returns a copy of c sized for fast runs: device count and sample
 // bounds scaled by f and sequence length capped at maxSeq (0 keeps SeqLen).
 func (c Config) Scaled(f float64, maxSeq int) Config {
-	c.Devices = scaleFloor(c.Devices, f, 20)
-	c.MinSamples = scaleFloor(c.MinSamples, f, 5)
-	c.MaxSamples = scaleFloor(c.MaxSamples, f, c.MinSamples)
+	c.Devices = data.ScaleCount(c.Devices, f, 20)
+	c.MinSamples = data.ScaleCount(c.MinSamples, f, 5)
+	c.MaxSamples = data.ScaleCount(c.MaxSamples, f, c.MinSamples)
 	if maxSeq > 0 && c.SeqLen > maxSeq {
 		c.SeqLen = maxSeq
 	}
 	return c
 }
 
-func scaleFloor(n int, f float64, floor int) int {
-	v := int(math.Round(float64(n) * f))
-	if v < floor {
-		v = floor
-	}
-	return v
+// Fleet is the lazy view of the dataset c describes: the power-law sizes,
+// and each account's shard built on demand from streams keyed by its
+// index alone.
+type Fleet struct {
+	data.Sizes
+	cfg Config
+	// Account k's streams are SplitIndex(k) of these.
+	accountRng, splitRng *frand.Source
 }
 
-// Generate builds the federated dataset described by c, its accounts in
-// parallel: each one's streams are keyed by its index alone.
-func Generate(c Config) *data.Federated {
+// NewFleet checks c and draws the sizes.
+func NewFleet(c Config) *Fleet {
 	if c.Devices <= 0 || c.Vocab <= 2*c.LexiconSize || c.SeqLen <= 0 || c.TrainFrac < 0 || c.TrainFrac > 1 {
 		panic("sent140sim: invalid config")
 	}
 	root := frand.New(c.Seed)
-	sizeRng := root.Split("sizes")
-	accountRng := root.Split("accounts")
-	splitRng := root.Split("split")
-
-	sizes := data.PowerLawSizes(sizeRng, c.Devices, c.MinSamples, c.MaxSamples, c.PowerAlpha)
-	neutralLo := 2 * c.LexiconSize // tokens [0,L) positive, [L,2L) negative
-	numNeutral := c.Vocab - neutralLo
-
-	fed := &data.Federated{
-		Name:       "Sent140",
-		Shards:     make([]*data.Shard, c.Devices),
-		NumClasses: 2,
-		VocabSize:  c.Vocab,
-		SeqLen:     c.SeqLen,
+	return &Fleet{
+		Sizes:      data.Sizes{Samples: data.PowerLawSizes(root.Split("sizes"), c.Devices, c.MinSamples, c.MaxSamples, c.PowerAlpha), TrainFrac: c.TrainFrac},
+		cfg:        c,
+		accountRng: root.Split("accounts"),
+		splitRng:   root.Split("split"),
 	}
-	tensor.ParallelFor(c.Devices, 0, func(k int) {
-		arng := accountRng.SplitIndex(k)
-		topics := topicWeights(arng.Split("topics"), numNeutral, c.TopicConcentration)
-		// Account-level class balance in [0.25, 0.75]: accounts lean
-		// positive or negative, another axis of heterogeneity.
-		posRate := 0.25 + 0.5*arng.Float64()
-
-		gen := arng.Split("tweets")
-		examples := make([]data.Example, sizes[k])
-		for i := range examples {
-			y := 0
-			if gen.Bernoulli(posRate) {
-				y = 1
-			}
-			seq := make([]int, c.SeqLen)
-			for t := range seq {
-				if gen.Bernoulli(c.PolarityRate) {
-					lex := y // 1 → positive lexicon, 0 → negative
-					if gen.Bernoulli(c.NoiseRate) {
-						lex = 1 - lex
-					}
-					if lex == 1 {
-						seq[t] = gen.Intn(c.LexiconSize)
-					} else {
-						seq[t] = c.LexiconSize + gen.Intn(c.LexiconSize)
-					}
-				} else {
-					seq[t] = neutralLo + gen.Categorical(topics)
-				}
-			}
-			examples[i] = data.Example{Seq: seq, Y: y}
-		}
-		train, test := data.SplitTrainTest(examples, c.TrainFrac, splitRng.SplitIndex(k))
-		fed.Shards[k] = &data.Shard{ID: k, Train: train, Test: test}
-	})
-	if err := fed.Validate(); err != nil {
-		panic(err)
-	}
-	return fed
 }
+
+// Header returns the dataset's metadata.
+func (f *Fleet) Header() data.Federated {
+	return data.Federated{Name: "Sent140", NumClasses: 2, VocabSize: f.cfg.Vocab, SeqLen: f.cfg.SeqLen}
+}
+
+// Shard builds account k's shard: its topics and positivity rate, then
+// its tweets.
+func (f *Fleet) Shard(k int) *data.Shard {
+	c := f.cfg
+	neutralLo := 2 * c.LexiconSize // tokens [0,L) positive, [L,2L) negative
+	arng := f.accountRng.SplitIndex(k)
+	topics := topicWeights(arng.Split("topics"), c.Vocab-neutralLo, c.TopicConcentration)
+	// Account-level class balance in [0.25, 0.75]: accounts lean
+	// positive or negative, another axis of heterogeneity.
+	posRate := 0.25 + 0.5*arng.Float64()
+
+	gen := arng.Split("tweets")
+	examples := make([]data.Example, f.Samples[k])
+	for i := range examples {
+		y := 0
+		if gen.Bernoulli(posRate) {
+			y = 1
+		}
+		seq := make([]int, c.SeqLen)
+		for t := range seq {
+			if gen.Bernoulli(c.PolarityRate) {
+				lex := y // 1 → positive lexicon, 0 → negative
+				if gen.Bernoulli(c.NoiseRate) {
+					lex = 1 - lex
+				}
+				if lex == 1 {
+					seq[t] = gen.Intn(c.LexiconSize)
+				} else {
+					seq[t] = c.LexiconSize + gen.Intn(c.LexiconSize)
+				}
+			} else {
+				seq[t] = neutralLo + gen.Categorical(topics)
+			}
+		}
+		examples[i] = data.Example{Seq: seq, Y: y}
+	}
+	train, test := data.SplitTrainTest(examples, c.TrainFrac, f.splitRng.SplitIndex(k))
+	return &data.Shard{ID: k, Train: train, Test: test}
+}
+
+// Generate builds the federated dataset described by c: the fleet's
+// accounts, built in parallel.
+func Generate(c Config) *data.Federated { return data.Generate(NewFleet(c)) }
 
 // topicWeights draws a spiky categorical distribution over n neutral
 // tokens. Smaller concentration produces spikier (more account-specific)

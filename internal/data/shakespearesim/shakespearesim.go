@@ -14,11 +14,8 @@
 package shakespearesim
 
 import (
-	"math"
-
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
-	"fedprox/internal/tensor"
 )
 
 // Config parameterizes the generator.
@@ -67,75 +64,77 @@ func Default() Config {
 // Scaled returns a copy of c sized for fast experiment runs: sample bounds
 // scaled by f and sequence length capped at maxSeq (0 keeps SeqLen).
 func (c Config) Scaled(f float64, maxSeq int) Config {
-	c.MinSamples = scaleFloor(c.MinSamples, f, 5)
-	c.MaxSamples = scaleFloor(c.MaxSamples, f, c.MinSamples)
+	c.MinSamples = data.ScaleCount(c.MinSamples, f, 5)
+	c.MaxSamples = data.ScaleCount(c.MaxSamples, f, c.MinSamples)
 	if maxSeq > 0 && c.SeqLen > maxSeq {
 		c.SeqLen = maxSeq
 	}
 	return c
 }
 
-func scaleFloor(n int, f float64, floor int) int {
-	v := int(math.Round(float64(n) * f))
-	if v < floor {
-		v = floor
-	}
-	return v
+// Fleet is the lazy view of the dataset c describes: the base chain every
+// role shares and the power-law sizes, and each role's shard built on
+// demand from streams keyed by its index alone.
+type Fleet struct {
+	data.Sizes
+	cfg  Config
+	base [][]float64
+	// Role k's streams are SplitIndex(k) of these.
+	roleRng, splitRng *frand.Source
 }
 
-// Generate builds the federated dataset described by c, its roles in
-// parallel: each one's streams are keyed by its index alone, and the base
-// chain they share is built first.
-func Generate(c Config) *data.Federated {
+// NewFleet checks c and draws the base chain and the sizes.
+func NewFleet(c Config) *Fleet {
 	if c.Devices <= 0 || c.Vocab <= 1 || c.SeqLen <= 0 || c.TrainFrac < 0 || c.TrainFrac > 1 {
 		panic("shakespearesim: invalid config")
 	}
 	root := frand.New(c.Seed)
-	baseRng := root.Split("base-chain")
-	sizeRng := root.Split("sizes")
-	roleRng := root.Split("roles")
-	splitRng := root.Split("split")
-
-	base := transitionMatrix(baseRng, c.Vocab, c.BranchFactor)
-	sizes := data.PowerLawSizes(sizeRng, c.Devices, c.MinSamples, c.MaxSamples, c.PowerAlpha)
-
-	fed := &data.Federated{
-		Name:       "Shakespeare",
-		Shards:     make([]*data.Shard, c.Devices),
-		NumClasses: c.Vocab,
-		VocabSize:  c.Vocab,
-		SeqLen:     c.SeqLen,
+	return &Fleet{
+		Sizes:    data.Sizes{Samples: data.PowerLawSizes(root.Split("sizes"), c.Devices, c.MinSamples, c.MaxSamples, c.PowerAlpha), TrainFrac: c.TrainFrac},
+		cfg:      c,
+		base:     transitionMatrix(root.Split("base-chain"), c.Vocab, c.BranchFactor),
+		roleRng:  root.Split("roles"),
+		splitRng: root.Split("split"),
 	}
-	tensor.ParallelFor(c.Devices, 0, func(k int) {
-		rrng := roleRng.SplitIndex(k)
-		private := transitionMatrix(rrng.Split("chain"), c.Vocab, c.BranchFactor)
-		// Role transition = (1−skew)·base + skew·private.
-		chain := mixChains(base, private, c.RoleSkew)
-
-		// Emit one character stream long enough to cut sizes[k] examples.
-		streamLen := sizes[k] + c.SeqLen
-		stream := make([]int, streamLen)
-		state := rrng.Intn(c.Vocab)
-		gen := rrng.Split("stream")
-		for i := range stream {
-			stream[i] = state
-			state = gen.Categorical(chain[state])
-		}
-		examples := make([]data.Example, sizes[k])
-		for i := range examples {
-			examples[i] = data.Example{
-				Seq: stream[i : i+c.SeqLen],
-				Y:   stream[i+c.SeqLen],
-			}
-		}
-		train, test := data.SplitTrainTest(examples, c.TrainFrac, splitRng.SplitIndex(k))
-		fed.Shards[k] = &data.Shard{ID: k, Train: train, Test: test}
-	})
-	if err := fed.Validate(); err != nil {
-		panic(err)
-	}
-	return fed
 }
+
+// Header returns the dataset's metadata.
+func (f *Fleet) Header() data.Federated {
+	return data.Federated{Name: "Shakespeare", NumClasses: f.cfg.Vocab, VocabSize: f.cfg.Vocab, SeqLen: f.cfg.SeqLen}
+}
+
+// Shard builds role k's shard: its chain, one character stream, and the
+// examples cut from it.
+func (f *Fleet) Shard(k int) *data.Shard {
+	c := f.cfg
+	rrng := f.roleRng.SplitIndex(k)
+	private := transitionMatrix(rrng.Split("chain"), c.Vocab, c.BranchFactor)
+	// Role transition = (1−skew)·base + skew·private.
+	chain := mixChains(f.base, private, c.RoleSkew)
+
+	// Emit one character stream long enough to cut Samples[k] examples.
+	n := f.Samples[k]
+	stream := make([]int, n+c.SeqLen)
+	state := rrng.Intn(c.Vocab)
+	gen := rrng.Split("stream")
+	for i := range stream {
+		stream[i] = state
+		state = gen.Categorical(chain[state])
+	}
+	examples := make([]data.Example, n)
+	for i := range examples {
+		examples[i] = data.Example{
+			Seq: stream[i : i+c.SeqLen],
+			Y:   stream[i+c.SeqLen],
+		}
+	}
+	train, test := data.SplitTrainTest(examples, c.TrainFrac, f.splitRng.SplitIndex(k))
+	return &data.Shard{ID: k, Train: train, Test: test}
+}
+
+// Generate builds the federated dataset described by c: the fleet's
+// roles, built in parallel.
+func Generate(c Config) *data.Federated { return data.Generate(NewFleet(c)) }
 
 // transitionMatrix draws a sparse-ish row-stochastic matrix: each character
 // strongly favors branch successors and keeps a small uniform floor so

@@ -85,6 +85,11 @@ func NewFleet(c Config) *Fleet {
 // Config returns the generator configuration the fleet was built from.
 func (f *Fleet) Config() Config { return f.cfg }
 
+// Header returns the dataset's metadata.
+func (f *Fleet) Header() data.Federated {
+	return data.Federated{Name: f.cfg.Name(), NumClasses: f.cfg.Classes, FeatureDim: f.cfg.Dim}
+}
+
 // NumDevices returns the population size.
 func (f *Fleet) NumDevices() int { return f.cfg.Devices }
 
@@ -155,13 +160,9 @@ func affine(v []float64, mean, std float64) {
 	}
 }
 
-// poisonRelease is a test mode (go test -tags poolpoison sets it):
-// Release fills a shard's features with NaNs and its labels with −1, so
-// a read after Release fails the test running over it.
-var poisonRelease bool
-
-// Release puts s's storage on the free list. It panics on a shard this
-// fleet did not hand out or already has back.
+// Release puts s's storage on the free list, poisoned under the
+// poolpoison build tag (data.Poison). It panics on a shard this fleet did
+// not hand out or already has back.
 func (f *Fleet) Release(s *data.Shard) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -170,11 +171,6 @@ func (f *Fleet) Release(s *data.Shard) {
 		panic("synthetic: Release of a shard that is not live on this fleet")
 	}
 	delete(f.live, s)
-	if poisonRelease {
-		tensor.Scale(math.NaN(), b.x)
-		for i := range b.ex {
-			b.ex[i].Y = -1
-		}
-	}
+	data.Poison(s)
 	f.free = append(f.free, b)
 }

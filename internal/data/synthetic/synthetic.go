@@ -21,10 +21,8 @@ package synthetic
 
 import (
 	"fmt"
-	"math"
 
 	"fedprox/internal/data"
-	"fedprox/internal/tensor"
 )
 
 // Config parameterizes the generator. The zero value is not useful; start
@@ -80,17 +78,9 @@ func DefaultIID() Config {
 // (floored at 10 samples). Experiments use this to trade fidelity for
 // runtime without changing the heterogeneity structure.
 func (c Config) Scaled(f float64) Config {
-	c.MinSamples = scaleFloor(c.MinSamples, f, 10)
-	c.MaxSamples = scaleFloor(c.MaxSamples, f, c.MinSamples)
+	c.MinSamples = data.ScaleCount(c.MinSamples, f, 10)
+	c.MaxSamples = data.ScaleCount(c.MaxSamples, f, c.MinSamples)
 	return c
-}
-
-func scaleFloor(n int, f float64, floor int) int {
-	v := int(math.Round(float64(n) * f))
-	if v < floor {
-		v = floor
-	}
-	return v
 }
 
 // Name returns the dataset's display name, matching the paper's figures.
@@ -102,19 +92,5 @@ func (c Config) Name() string {
 }
 
 // Generate builds the federated dataset described by c: the lazy fleet's
-// shards, built in parallel and none released, so each keeps storage of
-// its own.
-func Generate(c Config) *data.Federated {
-	fl := NewFleet(c)
-	fed := &data.Federated{
-		Name:       c.Name(),
-		Shards:     make([]*data.Shard, c.Devices),
-		NumClasses: c.Classes,
-		FeatureDim: c.Dim,
-	}
-	tensor.ParallelFor(c.Devices, 0, func(k int) { fed.Shards[k] = fl.Shard(k) })
-	if err := fed.Validate(); err != nil {
-		panic(err)
-	}
-	return fed
-}
+// shards, none released, so each keeps storage of its own.
+func Generate(c Config) *data.Federated { return data.Generate(NewFleet(c)) }

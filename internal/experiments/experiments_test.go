@@ -3,10 +3,15 @@ package experiments
 import (
 	"encoding/csv"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"fedprox/internal/core"
+	"fedprox/internal/data"
+	"fedprox/internal/model"
+	"fedprox/internal/model/linear"
+	"fedprox/internal/model/lstm"
 )
 
 // micro returns options small enough that any single experiment runs in
@@ -343,12 +348,51 @@ func TestNamedWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
-		if w.Fed == nil || w.Model == nil || w.LR <= 0 || w.Rounds <= 0 {
+		if w.Fleet == nil || w.Model == nil || w.LR <= 0 || w.Rounds <= 0 {
 			t.Fatalf("%s: incomplete workload %+v", key, w)
 		}
 	}
 	if _, err := o.NamedWorkload("nope"); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestNamedWorkloadBuildsNoShard: NamedWorkload makes a fleet's shared
+// draws and sizes the model, and builds no device. At Full() scale it
+// allocates under a fiftieth of what building every device allocates,
+// and its model has the shape the built dataset asks for.
+func TestNamedWorkloadBuildsNoShard(t *testing.T) {
+	o := Full()
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, key := range []string{"synthetic", "synthetic-iid", "mnist", "femnist", "shakespeare", "sent140"} {
+		var w Workload
+		lazy := allocated(func() {
+			var err error
+			if w, err = o.NamedWorkload(key); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var fed *data.Federated
+		eager := allocated(func() { fed = data.Generate(w.Fleet) })
+		t.Logf("%s: NamedWorkload %d B, every device %d B", key, lazy, eager)
+		if lazy*50 > eager {
+			t.Errorf("%s: NamedWorkload allocated %d B, building every device %d B: it builds devices", key, lazy, eager)
+		}
+		var want model.Model
+		if fed.FeatureDim > 0 {
+			want = linear.ForDataset(fed)
+		} else {
+			want = lstm.ForDataset(fed, o.Embed, o.Hidden, o.Layers)
+		}
+		if w.Model.NumParams() != want.NumParams() || fed.NumDevices() != w.Fleet.NumDevices() {
+			t.Errorf("%s: model of %d params over %d devices, want %d params over %d", key, w.Model.NumParams(), w.Fleet.NumDevices(), want.NumParams(), fed.NumDevices())
+		}
 	}
 }
 

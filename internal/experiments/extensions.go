@@ -42,7 +42,7 @@ func init() {
 func extBias(o Options) (*Result, error) {
 	fed := biasedDataset(o)
 	mdl := linear.ForDataset(fed)
-	w := workload{key: "biased", fed: fed, mdl: mdl, lr: 0.01, bestMu: 1, rounds: o.Rounds}
+	w := workload{fed: fed, mdl: mdl, lr: 0.01, bestMu: 1, rounds: o.Rounds}
 
 	base := o.base(w)
 	// Uniform-speed fleet with a deadline calibrated so a device with a
@@ -181,7 +181,7 @@ func extNonconvex(o Options) (*Result, error) {
 		ID:    "ext-nonconvex",
 		Title: "FedAvg vs FedProx with a tanh MLP (non-convex F_k, Theorem 4's regime)",
 	}
-	w := o.mnistWorkload()
+	w := o.workload("mnist")
 	w.mdl = mlp.ForDataset(w.fed, 32)
 	w.lr = 0.05 // MLP tolerates a slightly larger step than the paper's mclr rate
 	for _, frac := range []float64{0, 0.9} {

@@ -92,8 +92,8 @@ func table1(o Options) (*Result, error) {
 		},
 	}
 	stats := []data.Stats{
-		mnistsim.Generate().ComputeStats(),
-		femnistsim.Generate().ComputeStats(),
+		mnistsim.GenerateScaled(1).ComputeStats(),
+		femnistsim.GenerateScaled(1).ComputeStats(),
 		shakespearesim.Generate(shakespearesim.Default()).ComputeStats(),
 		sent140sim.Generate(sent140sim.Default()).ComputeStats(),
 	}

@@ -5,6 +5,7 @@ import (
 
 	"fedprox/internal/data"
 	"fedprox/internal/data/femnistsim"
+	"fedprox/internal/data/imagesim"
 	"fedprox/internal/data/mnistsim"
 	"fedprox/internal/data/sent140sim"
 	"fedprox/internal/data/shakespearesim"
@@ -17,7 +18,6 @@ import (
 // workload bundles a federated dataset with its model and the paper's
 // tuned hyperparameters for it.
 type workload struct {
-	key string // registry name used by Options.Datasets
 	fed *data.Federated
 	mdl model.Model
 	// lr is the learning rate the paper tuned on FedAvg for this dataset
@@ -31,104 +31,14 @@ type workload struct {
 	rounds int
 }
 
-func (o Options) syntheticWorkload(alpha, beta float64, iid bool) workload {
-	cfg := synthetic.Default(alpha, beta)
-	if iid {
-		cfg = synthetic.DefaultIID()
-	}
-	cfg = cfg.Scaled(o.Scale)
-	fed := synthetic.Generate(cfg)
-	return workload{
-		key:    "synthetic",
-		fed:    fed,
-		mdl:    linear.ForDataset(fed),
-		lr:     0.01,
-		bestMu: 1,
-		rounds: o.Rounds,
-	}
-}
-
-func (o Options) mnistWorkload() workload {
-	fed := mnistsim.GenerateScaled(o.Scale)
-	return workload{
-		key:    "mnist",
-		fed:    fed,
-		mdl:    linear.ForDataset(fed),
-		lr:     0.03,
-		bestMu: 1,
-		rounds: o.Rounds,
-	}
-}
-
-func (o Options) femnistWorkload() workload {
-	fed := femnistsim.GenerateScaled(o.Scale)
-	return workload{
-		key:    "femnist",
-		fed:    fed,
-		mdl:    linear.ForDataset(fed),
-		lr:     0.003,
-		bestMu: 1,
-		rounds: o.Rounds,
-	}
-}
-
-func (o Options) shakespeareWorkload() workload {
-	// Sequence volume is the runtime driver; scale harder than the convex
-	// datasets (the paper itself runs Shakespeare for only ~20 rounds).
-	cfg := shakespearesim.Default().Scaled(o.Scale*0.05, o.MaxSeqLen)
-	fed := shakespearesim.Generate(cfg)
-	return workload{
-		key:    "shakespeare",
-		fed:    fed,
-		mdl:    lstm.ForDataset(fed, o.Embed, o.Hidden, o.Layers),
-		lr:     0.8,
-		bestMu: 0.001,
-		rounds: o.SeqRounds,
-	}
-}
-
-func (o Options) sent140Workload() workload {
-	cfg := sent140sim.Default().Scaled(o.Scale, o.MaxSeqLen)
-	fed := sent140sim.Generate(cfg)
-	return workload{
-		key:    "sent140",
-		fed:    fed,
-		mdl:    lstm.ForDataset(fed, o.Embed, o.Hidden, o.Layers),
-		lr:     0.3,
-		bestMu: 0.01,
-		rounds: o.SeqRounds,
-	}
-}
-
-// figure1Workloads returns the five federated datasets of Figures 1, 7, 8,
-// 9, and 10 in paper order, filtered by Options.Datasets.
-func (o Options) figure1Workloads() []workload {
-	var out []workload
-	if o.wantDataset("synthetic") {
-		out = append(out, o.syntheticWorkload(1, 1, false))
-	}
-	if o.wantDataset("mnist") {
-		out = append(out, o.mnistWorkload())
-	}
-	if o.wantDataset("femnist") {
-		out = append(out, o.femnistWorkload())
-	}
-	if o.wantDataset("shakespeare") {
-		out = append(out, o.shakespeareWorkload())
-	}
-	if o.wantDataset("sent140") {
-		out = append(out, o.sent140Workload())
-	}
-	return out
-}
-
-// Workload is the exported view of a standard workload, used by the
-// distributed binaries (cmd/fedserver, cmd/fedworker) so both sides of a
-// deployment agree on dataset, model shape, and tuned hyperparameters.
+// Workload is a standard workload before any device is built: what the
+// distributed binaries (cmd/fedserver, cmd/fedworker) agree on, so that
+// each process materializes only the devices it hosts.
 type Workload struct {
-	// Fed is the federated dataset.
-	Fed *data.Federated
-	// Model is sized for Fed.
+	// Fleet is the dataset, lazily: a device's shard is built when asked
+	// for, from the workload's key and Options alone.
+	Fleet data.Source
+	// Model is sized from Fleet's header.
 	Model model.Model
 	// LR is the paper's tuned learning rate for this dataset.
 	LR float64
@@ -138,28 +48,88 @@ type Workload struct {
 	Rounds int
 }
 
-// NamedWorkload builds one of the standard workloads by key: "synthetic"
+// lazy pairs src with its model, sized from src's header: logistic
+// regression on a dense task, the LSTM of Options on a sequence task.
+func (o Options) lazy(src data.Source, lr, bestMu float64, rounds int) Workload {
+	hdr := src.Header()
+	var m model.Model
+	if hdr.FeatureDim > 0 {
+		m = linear.ForDataset(&hdr)
+	} else {
+		m = lstm.ForDataset(&hdr, o.Embed, o.Hidden, o.Layers)
+	}
+	return Workload{Fleet: src, Model: m, LR: lr, BestMu: bestMu, Rounds: rounds}
+}
+
+// over is w with every device built: fed is the dataset w.Fleet
+// describes. The experiments run over whole datasets.
+func (w Workload) over(fed *data.Federated) workload {
+	return workload{fed: fed, mdl: w.Model, lr: w.LR, bestMu: w.BestMu, rounds: w.Rounds}
+}
+
+// syntheticConfig is Synthetic(α,β), or Synthetic-IID, at o's scale.
+func (o Options) syntheticConfig(alpha, beta float64, iid bool) synthetic.Config {
+	cfg := synthetic.Default(alpha, beta)
+	if iid {
+		cfg = synthetic.DefaultIID()
+	}
+	return cfg.Scaled(o.Scale)
+}
+
+func (o Options) synthetic(c synthetic.Config) Workload {
+	return o.lazy(synthetic.NewFleet(c), 0.01, 1, o.Rounds)
+}
+
+func (o Options) syntheticWorkload(alpha, beta float64, iid bool) workload {
+	c := o.syntheticConfig(alpha, beta, iid)
+	return o.synthetic(c).over(synthetic.Generate(c))
+}
+
+// NamedWorkload returns one of the standard workloads by key: "synthetic"
 // (Synthetic(1,1)), "synthetic-iid", "mnist", "femnist", "shakespeare",
-// or "sent140".
+// or "sent140". It makes the fleet's shared draws and builds no shard.
 func (o Options) NamedWorkload(key string) (Workload, error) {
-	var w workload
 	switch key {
 	case "synthetic":
-		w = o.syntheticWorkload(1, 1, false)
+		return o.synthetic(o.syntheticConfig(1, 1, false)), nil
 	case "synthetic-iid":
-		w = o.syntheticWorkload(0, 0, true)
+		return o.synthetic(o.syntheticConfig(0, 0, true)), nil
 	case "mnist":
-		w = o.mnistWorkload()
+		return o.lazy(imagesim.NewFleet(mnistsim.Scaled(o.Scale)), 0.03, 1, o.Rounds), nil
 	case "femnist":
-		w = o.femnistWorkload()
+		return o.lazy(imagesim.NewFleet(femnistsim.Scaled(o.Scale)), 0.003, 1, o.Rounds), nil
 	case "shakespeare":
-		w = o.shakespeareWorkload()
+		// Sequence volume is the runtime driver; scale harder than the
+		// convex datasets (the paper itself runs Shakespeare for only ~20
+		// rounds).
+		cfg := shakespearesim.Default().Scaled(o.Scale*0.05, o.MaxSeqLen)
+		return o.lazy(shakespearesim.NewFleet(cfg), 0.8, 0.001, o.SeqRounds), nil
 	case "sent140":
-		w = o.sent140Workload()
-	default:
-		return Workload{}, fmt.Errorf("experiments: unknown workload %q", key)
+		cfg := sent140sim.Default().Scaled(o.Scale, o.MaxSeqLen)
+		return o.lazy(sent140sim.NewFleet(cfg), 0.3, 0.01, o.SeqRounds), nil
 	}
-	return Workload{Fed: w.fed, Model: w.mdl, LR: w.lr, BestMu: w.bestMu, Rounds: w.rounds}, nil
+	return Workload{}, fmt.Errorf("experiments: unknown workload %q", key)
+}
+
+// workload builds every device of the standard workload key.
+func (o Options) workload(key string) workload {
+	w, err := o.NamedWorkload(key)
+	if err != nil {
+		panic(err)
+	}
+	return w.over(data.Generate(w.Fleet))
+}
+
+// figure1Workloads returns the five federated datasets of Figures 1, 7, 8,
+// 9, and 10 in paper order, filtered by Options.Datasets.
+func (o Options) figure1Workloads() []workload {
+	var out []workload
+	for _, key := range []string{"synthetic", "mnist", "femnist", "shakespeare", "sent140"} {
+		if o.wantDataset(key) {
+			out = append(out, o.workload(key))
+		}
+	}
+	return out
 }
 
 // syntheticLadder returns the four synthetic datasets of Figure 2 in

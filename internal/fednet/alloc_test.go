@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"fedprox/internal/comm"
@@ -16,8 +17,9 @@ import (
 // TestSteadyStateFrameAllocatesNoPayload: one hot frame's whole trip —
 // encode, send, recv, decode, both Releases — of the benchmark's 7 850-word
 // model allocates under 1 KB (the message structs), where the payload
-// alone is 62.8 KB and used to be allocated three times over. Not under
-// the race detector, whose sync.Pool drops a share of what it is handed.
+// alone is 62.8 KB and used to be allocated three times over. The GC is
+// off for the measured frames. Not under the race detector, whose
+// sync.Pool drops a share of what it is handed.
 func TestSteadyStateFrameAllocatesNoPayload(t *testing.T) {
 	const n, frames = 7850, 200
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -76,6 +78,10 @@ func TestSteadyStateFrameAllocatesNoPayload(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		trip() // fill the pools and the connections' buffers
 	}
+	// A GC in the window would empty the sync.Pools and charge the
+	// payload buffers they refill to these frames: no GC runs in it (the
+	// window ends the test, so the deferred restore ends it too).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < frames; i++ {
