@@ -11,6 +11,11 @@
 //
 // By default experiments run at the "full" preset (minutes); -fast runs
 // the miniature preset used by the benchmark suite (seconds).
+//
+// Ids given together share their runs: each distinct configuration
+// executes once, and every figure that shows it prints a view of it
+// (Figure 7 is Figure 1's runs, Figure 8 tracks Figure 1's no-straggler
+// runs), so a -trace records each run once.
 package main
 
 import (
@@ -129,6 +134,7 @@ func bench(args []string, stdout, stderr io.Writer) (err error) {
 		defer csvFile.Close() // for the error paths; success closes it below
 	}
 
+	opts = experiments.Together(opts, ids...)
 	var entries []experiments.BenchEntry
 	for i, id := range ids {
 		res, err := experiments.Run(id, opts)

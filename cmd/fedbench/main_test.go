@@ -139,3 +139,61 @@ func TestRunsShareNoFlagState(t *testing.T) {
 		t.Fatalf("a second run inherited the first's -exp: exit %d, %q", code, stderr)
 	}
 }
+
+// TestIDsShareRuns: ids given together execute each distinct run once —
+// figure7 and figure10 show figure1's and figure9's runs, and figure8's
+// are figure1's no-straggler FedProx runs, tracked for it — while every
+// id prints, in the summary, the series and the CSV, the bytes it prints
+// alone.
+func TestIDsShareRuns(t *testing.T) {
+	dir := t.TempDir()
+	ids := []string{"figure1", "figure7", "figure8", "figure9", "figure10"}
+	flags := []string{"-fast", "-datasets", "synthetic", "-series"}
+	trace, csv := filepath.Join(dir, "together.jsonl"), filepath.Join(dir, "together.csv")
+	code, together, stderr := fedbench(append([]string{"-exp", strings.Join(ids, ","), "-trace", trace, "-csv", csv}, flags...)...)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	evs, err := tracefile.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := 0
+	for _, ev := range evs {
+		if ev.Kind == obs.KindRunStart {
+			starts++
+		}
+	}
+	if starts != 15 {
+		t.Errorf("the trace records %d runs, want figure1's 9 and figure9's 6", starts)
+	}
+
+	var alone, aloneCSV strings.Builder
+	for i, id := range ids {
+		one := filepath.Join(dir, id+".csv")
+		code, stdout, stderr := fedbench(append([]string{"-exp", id, "-csv", one}, flags...)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", id, code, stderr)
+		}
+		alone.WriteString(stdout)
+		b, err := os.ReadFile(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 { // a file of several results carries the header once
+			b = b[bytes.IndexByte(b, '\n')+1:]
+		}
+		aloneCSV.Write(b)
+	}
+	if together != alone.String() {
+		t.Errorf("stdout of the ids together differs from each id's alone:\n%s\nalone:\n%s", together, alone.String())
+	}
+	if b, err := os.ReadFile(csv); err != nil || string(b) != aloneCSV.String() {
+		t.Errorf("the CSV of the ids together differs from each id's alone (%v)", err)
+	}
+}

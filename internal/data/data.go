@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"fedprox/internal/frand"
+	"fedprox/internal/tensor"
 )
 
 // Example is a single labeled training example. Exactly one of X and Seq is
@@ -106,15 +107,17 @@ type Stats struct {
 func (f *Federated) ComputeStats() Stats { return FleetStats(f.Name, f.Fleet()) }
 
 // FleetStats returns the Table 1 row of the dataset named name whose
-// devices fl builds, one shard at a time.
+// devices fl builds, in parallel, each released once it is counted.
 func FleetStats(name string, fl Fleet) Stats {
 	counts := make([]int, fl.NumDevices())
-	total := 0
-	for k := range counts {
+	tensor.ParallelFor(len(counts), 0, func(k int) {
 		s := fl.Shard(k)
 		counts[k] = s.NumSamples()
 		fl.Release(s)
-		total += counts[k]
+	})
+	total := 0
+	for _, c := range counts {
+		total += c
 	}
 	n := len(counts)
 	mean := float64(total) / float64(n)

@@ -53,8 +53,8 @@ func generators(seed uint64) map[string]generator {
 		"mnist":         images(mnist),
 		"femnist":       images(femnist),
 		"style-free":    images(styleFree),
-		"sent140":       {func() data.Source { return sent140sim.NewFleet(sent) }, func() *data.Federated { return sent140sim.Generate(sent) }},
-		"shakespeare":   {func() data.Source { return shakespearesim.NewFleet(shake) }, func() *data.Federated { return shakespearesim.Generate(shake) }},
+		"sent140":       {func() data.Source { return sent140sim.NewFleet(sent) }, func() *data.Federated { return data.Generate(sent140sim.NewFleet(sent)) }},
+		"shakespeare":   {func() data.Source { return shakespearesim.NewFleet(shake) }, func() *data.Federated { return data.Generate(shakespearesim.NewFleet(shake)) }},
 	}
 }
 

@@ -9,10 +9,7 @@
 // harder, mirroring the real datasets' relative difficulty.
 package femnistsim
 
-import (
-	"fedprox/internal/data"
-	"fedprox/internal/data/imagesim"
-)
+import "fedprox/internal/data/imagesim"
 
 // defaultConfig returns the paper-shape configuration: 200 devices, 28×28
 // inputs, 5 of 10 classes per device, ~92 samples per device on average.
@@ -38,7 +35,3 @@ func defaultConfig() imagesim.Config {
 // Scaled returns the FEMNIST surrogate's configuration with device count
 // and sample bounds scaled by f, for fast experiment runs.
 func Scaled(f float64) imagesim.Config { return defaultConfig().Scaled(f) }
-
-// GenerateScaled builds the FEMNIST surrogate at Scaled(f); at f = 1 it
-// is the paper-scale dataset.
-func GenerateScaled(f float64) *data.Federated { return imagesim.Generate(Scaled(f)) }

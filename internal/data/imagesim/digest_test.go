@@ -46,7 +46,7 @@ func TestSurrogateDigests(t *testing.T) {
 	}{
 		{"mnistsim.GenerateScaled(0.2)", func() *data.Federated { return mnistsim.GenerateScaled(0.2) },
 			"68d4e3a21835fee1fe772e0d801be377cdd975ae94587282bc9b7c7d703e3f48"},
-		{"femnistsim.GenerateScaled(0.05)", func() *data.Federated { return femnistsim.GenerateScaled(0.05) },
+		{"imagesim.Generate(femnistsim.Scaled(0.05))", func() *data.Federated { return imagesim.Generate(femnistsim.Scaled(0.05)) },
 			"8d7207ef39c2c11b2f29bd7457101d26ef43f10788f941354d6c43095b91b761"},
 		{"imagesim.Generate(DeviceSkew 0)", func() *data.Federated { return imagesim.Generate(styleFree) },
 			"5c510645dcc1584c80bd38a0677931cb535bc180e2f5cd970c3e1e84702fd509"},

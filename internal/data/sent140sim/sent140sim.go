@@ -150,10 +150,6 @@ func (f *Fleet) Shard(k int) *data.Shard {
 	return &data.Shard{ID: k, Train: train, Test: test}
 }
 
-// Generate builds the federated dataset described by c: the fleet's
-// accounts, built in parallel.
-func Generate(c Config) *data.Federated { return data.Generate(NewFleet(c)) }
-
 // topicWeights draws a spiky categorical distribution over n neutral
 // tokens. Smaller concentration produces spikier (more account-specific)
 // distributions; weights are samples from a symmetric Dirichlet

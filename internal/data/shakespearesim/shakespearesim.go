@@ -132,10 +132,6 @@ func (f *Fleet) Shard(k int) *data.Shard {
 	return &data.Shard{ID: k, Train: train, Test: test}
 }
 
-// Generate builds the federated dataset described by c: the fleet's
-// roles, built in parallel.
-func Generate(c Config) *data.Federated { return data.Generate(NewFleet(c)) }
-
 // transitionMatrix draws a sparse-ish row-stochastic matrix: each character
 // strongly favors branch successors and keeps a small uniform floor so
 // every transition has support.

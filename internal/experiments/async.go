@@ -5,12 +5,14 @@ import (
 	"time"
 
 	"fedprox/internal/core"
+	"fedprox/internal/data/synthetic"
 	"fedprox/internal/fednet"
+	"fedprox/internal/model/linear"
 	"fedprox/internal/solver"
 )
 
 func init() {
-	register("ext-async", "async/buffered aggregation under a 10x wall-clock straggler (fednet deployment)", extAsync)
+	register("ext-async", "async/buffered aggregation under a 10x wall-clock straggler (fednet deployment)", finishOnly(extAsync))
 }
 
 // extAsync reproduces the paper's straggler scenario on the real
@@ -31,9 +33,10 @@ func init() {
 // staleness land in the section notes and in BenchEntries; the two
 // asynchronous runs fold replies in arrival order, so TestBaseline
 // compares only the synchronous pair.
-func extAsync(o Options) (*Result, error) {
-	w := o.syntheticWorkload(1, 1, false)
-	base := o.base(w)
+func extAsync(o Options, res *Result) error {
+	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(o.Scale))
+	mdl := linear.ForDataset(fed)
+	base := o.base(Workload{LR: 0.01, Rounds: o.Rounds})
 	// The paper's systems-heterogeneity knob (partial epoch budgets)
 	// stays on so sync-drop vs sync-partial reproduces Section 5.2's
 	// comparison inside the same sweep.
@@ -65,27 +68,23 @@ func extAsync(o Options) (*Result, error) {
 		cfg  core.Config
 	}{
 		{"sync-drop", fedavg(base)},
-		{"sync-partial", fedprox(base, w.bestMu)},
-		{"async", withAsync(fedprox(base, w.bestMu), async)},
-		{"buffered", withAsync(fedprox(base, w.bestMu), buffered)},
+		{"sync-partial", fedprox(base, 1)},
+		{"async", withAsync(fedprox(base, 1), async)},
+		{"buffered", withAsync(fedprox(base, 1), buffered)},
 	}
 
-	res := &Result{
-		ID: "ext-async",
-		Title: fmt.Sprintf("aggregation disciplines under a %dx straggler worker (%d workers, fednet over loopback)",
-			slowFactor, workers),
-	}
-	sec := Section{Name: w.fed.Name + " + 10x straggler worker"}
-	var syncSecs, asyncSecs float64
+	res.Title = fmt.Sprintf("aggregation disciplines under a %dx straggler worker (%d workers, fednet over loopback)",
+		slowFactor, workers)
+	sec := Section{Name: fed.Name + " + 10x straggler worker"}
 	for _, tc := range cases {
 		start := time.Now()
-		h, err := fednet.RunLoopback(w.mdl, w.fed, fednet.ServerConfig{
+		h, err := fednet.RunLoopback(mdl, fed, fednet.ServerConfig{
 			Training:      tc.cfg,
-			ExpectDevices: w.fed.NumDevices(),
+			ExpectDevices: fed.NumDevices(),
 		}, solvers)
 		secs := time.Since(start).Seconds()
 		if err != nil {
-			return nil, fmt.Errorf("ext-async %s: %w", tc.name, err)
+			return fmt.Errorf("ext-async %s: %w", tc.name, err)
 		}
 		h.Label = tc.name + " " + h.Label
 		sec.Runs = append(sec.Runs, h)
@@ -96,14 +95,8 @@ func extAsync(o Options) (*Result, error) {
 			note += fmt.Sprintf(", staleness mean %.2f max %.0f", fin.MeanStaleness, fin.MaxStaleness)
 		}
 		sec.Notes = append(sec.Notes, note)
-		switch tc.name {
-		case "sync-partial":
-			syncSecs = secs
-		case "async":
-			asyncSecs = secs
-		}
 	}
-	if asyncSecs > 0 {
+	if syncSecs, asyncSecs := sec.Seconds[1], sec.Seconds[2]; asyncSecs > 0 { // sync-partial, async
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"async completed the same device work %.1fx faster than sync-partial", syncSecs/asyncSecs))
 	}
@@ -112,7 +105,7 @@ func extAsync(o Options) (*Result, error) {
 		"async ends at or below sync-partial's loss, buffered trades a little",
 		"loss for bounded staleness")
 	res.Sections = append(res.Sections, sec)
-	return res, nil
+	return nil
 }
 
 func withAsync(cfg core.Config, a core.AsyncConfig) core.Config {

@@ -349,26 +349,49 @@ func (c claim) run(t *testing.T) {
 	}
 }
 
-// results memoizes one run per experiment id and options, so the rows
-// and TestBaseline that read the same run execute it once per test
-// binary. A cached Result is shared: readers must not modify it.
-var results sync.Map // string → *cachedRun
-
-type cachedRun struct {
-	once sync.Once
-	res  *Result
-	err  error
+// testRuns is the one run set of the test binary: TestClaims and
+// TestBaseline read their results from it. Every claim row's experiment
+// is planned into it before the first executes, so a run that several
+// rows show executes once, tracking what any of them asks for; an
+// experiment no row names is planned when first asked for. A Result is
+// shared: readers must not modify it.
+var testRuns struct {
+	sync.Mutex
+	set     *runSet
+	results map[string]*Result // by experiment id and options
+	decls   map[string]*Result
 }
 
 func result(t *testing.T, id string, o Options) *Result {
 	t.Helper()
-	v, _ := results.LoadOrStore(fmt.Sprintf("%s %#v", id, o), new(cachedRun))
-	c := v.(*cachedRun)
-	c.once.Do(func() { c.res, c.err = Run(id, o) })
-	if c.err != nil {
-		t.Fatalf("%s: %v", id, c.err)
+	testRuns.Lock()
+	defer testRuns.Unlock()
+	key := func(id string, o Options) string { return fmt.Sprintf("%s %#v", id, o) }
+	plan := func(id string, o Options) {
+		if _, ok := testRuns.decls[key(id, o)]; !ok {
+			decl, err := testRuns.set.plan(id, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testRuns.decls[key(id, o)] = decl
+		}
 	}
-	return c.res
+	if testRuns.set == nil {
+		testRuns.set, testRuns.results, testRuns.decls = newRunSet(), map[string]*Result{}, map[string]*Result{}
+		for _, c := range claims {
+			plan(c.exp, c.opts)
+		}
+	}
+	if res, ok := testRuns.results[key(id, o)]; ok {
+		return res
+	}
+	plan(id, o)
+	res, err := testRuns.set.result(testRuns.decls[key(id, o)])
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	testRuns.results[key(id, o)] = res
+	return res
 }
 
 // section returns r's section named name.

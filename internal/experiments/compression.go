@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fedprox/internal/comm"
-	"fedprox/internal/core"
 )
 
 func init() {
@@ -17,8 +16,8 @@ func init() {
 // dominant cost) that the paper's figures leave implicit. All runs share
 // the environment seed, so differences are attributable to the codec
 // alone.
-func extCodecs(o Options) (*Result, error) {
-	w := o.syntheticWorkload(1, 1, false)
+func extCodecs(o Options) *Result {
+	w := o.load("synthetic")
 	base := o.base(w)
 	base.StragglerFraction = 0.5
 
@@ -35,38 +34,36 @@ func extCodecs(o Options) (*Result, error) {
 		// downlink starves devices of coordinate updates.
 		{codec: comm.Spec{Name: "topk", TopK: 0.1}, down: comm.Spec{Name: "raw"}},
 	}
-
-	res := &Result{
-		ID:    "ext-codecs",
-		Title: "update codecs: uplink/downlink bytes vs convergence at 50% stragglers",
-	}
-	sec := Section{Name: w.fed.Name + " 50% stragglers"}
-	var rawUp int64
+	sec := Section{Name: w.name() + " 50% stragglers"}
 	for _, sw := range sweep {
-		cfg := fedprox(base, w.bestMu)
+		cfg := fedprox(base, w.BestMu)
 		cfg.Codec = sw.codec
 		cfg.DownlinkCodec = sw.down
-		h, err := core.Run(w.mdl, w.fed, cfg)
-		if err != nil {
-			return nil, err
-		}
-		sec.Runs = append(sec.Runs, h)
-		c := h.Final().Cost
-		if sw.codec.Name == "raw" {
-			rawUp = c.UplinkBytes
-		}
-		ratio := "1.0x"
-		if rawUp > 0 && c.UplinkBytes > 0 {
-			ratio = fmt.Sprintf("%.1fx", float64(rawUp)/float64(c.UplinkBytes))
-		}
-		sec.Notes = append(sec.Notes, fmt.Sprintf(
-			"%-28s up=%6.1fKB (%s less) down=%6.1fKB final-loss=%.4f best-acc=%.4f",
-			h.Label, float64(c.UplinkBytes)/1024, ratio, float64(c.DownlinkBytes)/1024,
-			h.Final().TrainLoss, h.BestAccuracy()))
+		sec.requests = append(sec.requests, o.request("synthetic", cfg))
 	}
-	res.Sections = append(res.Sections, sec)
-	res.Notes = append(res.Notes,
-		"expected shape: qsgd-8 and uplink topk-10% sit within a few percent of the",
-		"uncompressed loss at 4-13x fewer uplink bytes; qsgd-4 trades more accuracy")
-	return res, nil
+
+	return &Result{
+		Title:    "update codecs: uplink/downlink bytes vs convergence at 50% stragglers",
+		Sections: []Section{sec},
+		Notes: []string{
+			"expected shape: qsgd-8 and uplink topk-10% sit within a few percent of the",
+			"uncompressed loss at 4-13x fewer uplink bytes; qsgd-4 trades more accuracy",
+		},
+		finish: func(res *Result) error {
+			sec := &res.Sections[0]
+			rawUp := sec.Runs[0].Final().Cost.UplinkBytes // the raw codec's
+			for _, h := range sec.Runs {
+				c := h.Final().Cost
+				ratio := "1.0x"
+				if rawUp > 0 && c.UplinkBytes > 0 {
+					ratio = fmt.Sprintf("%.1fx", float64(rawUp)/float64(c.UplinkBytes))
+				}
+				sec.Notes = append(sec.Notes, fmt.Sprintf(
+					"%-28s up=%6.1fKB (%s less) down=%6.1fKB final-loss=%.4f best-acc=%.4f",
+					h.Label, float64(c.UplinkBytes)/1024, ratio, float64(c.DownlinkBytes)/1024,
+					h.Final().TrainLoss, h.BestAccuracy()))
+			}
+			return nil
+		},
+	}
 }

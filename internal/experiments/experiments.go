@@ -1,14 +1,17 @@
 // Package experiments maps every table and figure in the paper's
 // evaluation (Section 5 and Appendices B-C) to a runnable experiment.
 //
-// Each experiment builds its workloads, runs every method in the paper's
+// Each experiment declares the runs of every method in the paper's
 // comparison under the shared-environment protocol (same seed ⇒ same
 // device selection, stragglers, batch order, and initial model), and
 // returns the same series the paper plots: per-round training loss, test
 // accuracy, and — where the figure shows it — the gradient-variance
-// dissimilarity.
+// dissimilarity. A figure is a view over runs: experiments run together
+// (see Together) share one run set, in which each distinct configuration
+// runs once, so Figure 7 prints Figure 1's runs and Figure 8 tracks the
+// dissimilarity of Figure 1's no-straggler runs.
 //
-// Use Registry to look experiments up by their paper artifact id
+// Use Lookup to look experiments up by their paper artifact id
 // ("figure1" … "figure12", "table1") and Run to execute one.
 package experiments
 
@@ -30,12 +33,13 @@ type Section struct {
 	// Runs are the compared trajectories, in the paper's legend order.
 	Runs []*core.History
 	// Seconds, when non-nil, is the measured wall-clock of each run,
-	// parallel to Runs (filled by the wall-clock experiments, e.g.
-	// ext-async).
+	// parallel to Runs.
 	Seconds []float64
 	// Notes carries derived scalars (e.g. the Figure 7 improvement
 	// accounting) rendered after the table.
 	Notes []string
+	// requests declares Runs: a run set fills Runs with their views.
+	requests []request
 }
 
 // Result is the output of one experiment.
@@ -48,6 +52,9 @@ type Result struct {
 	Sections []Section
 	// Notes carries experiment-level commentary.
 	Notes []string
+	// finish, when set, completes a declared result: it derives notes
+	// from the sections' runs, or adds what a run set cannot key.
+	finish func(res *Result) error
 }
 
 // Summary renders the result as aligned text: per section, one row per
@@ -65,7 +72,7 @@ func (r *Result) Summary() string {
 				continue
 			}
 			div := ""
-			if h.Diverged(1.0, minInt(10, len(h.Points)-1)) {
+			if h.Diverged(1.0, min(10, len(h.Points)-1)) {
 				div = "yes"
 			}
 			gv := "-"
@@ -133,14 +140,14 @@ type Experiment struct {
 	ID string
 	// Title restates the paper artifact.
 	Title string
-	// Run executes the experiment.
-	Run func(Options) (*Result, error)
+	// plan declares the experiment's Result under the options given.
+	plan func(Options) *Result
 }
 
 var registry = map[string]Experiment{}
 
-func register(id, title string, run func(Options) (*Result, error)) {
-	registry[id] = Experiment{ID: id, Title: title, Run: run}
+func register(id, title string, p func(Options) *Result) {
+	registry[id] = Experiment{ID: id, Title: title, plan: p}
 }
 
 // Lookup returns the experiment registered under id.
@@ -157,20 +164,4 @@ func IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Run looks up and executes the experiment registered under id.
-func Run(id string, o Options) (*Result, error) {
-	e, ok := Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
-	}
-	return e.Run(o)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -47,7 +47,7 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	for _, id := range got {
 		e, ok := Lookup(id)
-		if !ok || e.Title == "" || e.Run == nil {
+		if !ok || e.Title == "" || e.plan == nil {
 			t.Fatalf("experiment %q incompletely registered", id)
 		}
 	}
@@ -398,8 +398,7 @@ func TestNamedWorkloadBuildsNoShard(t *testing.T) {
 
 func TestBaseConfigUsesWorkloadHyperparams(t *testing.T) {
 	o := micro()
-	w := o.syntheticWorkload(1, 1, false)
-	c := o.base(w)
+	c := o.base(o.load("synthetic"))
 	if c.LearningRate != 0.01 {
 		t.Fatalf("synthetic lr = %g, want paper 0.01", c.LearningRate)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	register("ext-hier", "hierarchical aggregation: edge tiers fold device replies before the root, at equal device count and work", extHier)
+	register("ext-hier", "hierarchical aggregation: edge tiers fold device replies before the root, at equal device count and work", finishOnly(extHier))
 }
 
 // The ext-hier cohort: 64 devices per window, divisible by every swept
@@ -36,7 +36,7 @@ var hierFanOuts = [...]int{1, 8, 32}
 // bytes show what the fold saves. The claims table (claims_test.go)
 // judges the payoff: at least 4x less root ingress at fan-out 32 than
 // flat, at a final loss within 5% of flat's.
-func extHier(o Options) (*Result, error) {
+func extHier(o Options, res *Result) error {
 	devices := int(100000 * o.Scale)
 	if devices < 8*hierClientsPerRound {
 		devices = 8 * hierClientsPerRound
@@ -84,16 +84,8 @@ func extHier(o Options) (*Result, error) {
 	base.Trace = o.Trace
 	base.VTime = core.VTimeConfig{Model: deviceLegs}
 
-	res := &Result{
-		ID: "ext-hier",
-		Title: fmt.Sprintf("hierarchical aggregation over %d devices (%d-device windows, fan-outs %v)",
-			devices, hierClientsPerRound, fans),
-	}
-	type outcome struct {
-		ingress int64
-		loss    float64
-		vs      float64
-	}
+	res.Title = fmt.Sprintf("hierarchical aggregation over %d devices (%d-device windows, fan-outs %v)",
+		devices, hierClientsPerRound, fans)
 	for _, codec := range []struct {
 		name string
 		spec comm.Spec
@@ -102,7 +94,6 @@ func extHier(o Options) (*Result, error) {
 		{"qsgd links", comm.Spec{Name: "qsgd", Bits: 8}},
 	} {
 		sec := Section{Name: fmt.Sprintf("synthetic(1,1) x %d + %s", devices, codec.name)}
-		byFan := map[int]outcome{}
 		for _, fan := range fans {
 			cfg := base
 			cfg.Codec = codec.spec
@@ -110,7 +101,7 @@ func extHier(o Options) (*Result, error) {
 			start := time.Now()
 			h, err := core.RunTiered(mdl, fl, cfg, topo)
 			if err != nil {
-				return nil, fmt.Errorf("ext-hier f=%d %s: %w", fan, codec.name, err)
+				return fmt.Errorf("ext-hier f=%d %s: %w", fan, codec.name, err)
 			}
 			secs := time.Since(start).Seconds()
 			name := "flat"
@@ -121,15 +112,15 @@ func extHier(o Options) (*Result, error) {
 			sec.Runs = append(sec.Runs, h)
 			sec.Seconds = append(sec.Seconds, secs)
 			fin := h.Final()
-			byFan[fan] = outcome{ingress: fin.Cost.UplinkBytes, loss: fin.TrainLoss, vs: fin.VirtualSeconds}
 			sec.Notes = append(sec.Notes, fmt.Sprintf(
 				"%s: root ingress %.2f MB, %.1f virtual-s, final loss %.4f",
 				name, float64(fin.Cost.UplinkBytes)/1e6, fin.VirtualSeconds, fin.TrainLoss))
 		}
-		flat, deep := byFan[1], byFan[deepest]
+		flat, deep := sec.Runs[0].Final(), sec.Runs[len(fans)-1].Final()
 		sec.Notes = append(sec.Notes, fmt.Sprintf(
 			"fan-out %d vs flat: %.0fx less root ingress, %+.1f%% virtual time, loss %.4f vs %.4f",
-			deepest, float64(flat.ingress)/float64(deep.ingress), 100*(deep.vs/flat.vs-1), deep.loss, flat.loss))
+			deepest, float64(flat.Cost.UplinkBytes)/float64(deep.Cost.UplinkBytes),
+			100*(deep.VirtualSeconds/flat.VirtualSeconds-1), deep.TrainLoss, flat.TrainLoss))
 		res.Sections = append(res.Sections, sec)
 	}
 	res.Notes = append(res.Notes,
@@ -137,5 +128,5 @@ func extHier(o Options) (*Result, error) {
 		"expected shape: root ingress shrinks ~F-fold at equal device count and",
 		"cohort (the fold happens at the edge), codecs compose per hop, and the",
 		"extra backbone hop costs little virtual time on a fast backbone")
-	return res, nil
+	return nil
 }

@@ -1,6 +1,10 @@
 package experiments
 
-import "fedprox/internal/obs"
+import (
+	"slices"
+
+	"fedprox/internal/obs"
+)
 
 // Options scales an experiment between bench-friendly miniatures and
 // paper-scale runs. The heterogeneity structure (device counts where
@@ -69,6 +73,9 @@ type Options struct {
 	// stamp virtual seconds; clockless cases emit untimed events. Nil
 	// (the default) keeps tracing off.
 	Trace obs.Sink
+	// runs, set by Together, is the run set Run shares; nil gives each
+	// Run a set of its own.
+	runs *runSet
 }
 
 // Fast returns miniature settings for benchmarks and CI: every experiment
@@ -110,13 +117,5 @@ func Full() Options {
 
 // wantDataset reports whether the named dataset is enabled by o.Datasets.
 func (o Options) wantDataset(name string) bool {
-	if len(o.Datasets) == 0 {
-		return true
-	}
-	for _, d := range o.Datasets {
-		if d == name {
-			return true
-		}
-	}
-	return false
+	return len(o.Datasets) == 0 || slices.Contains(o.Datasets, name)
 }

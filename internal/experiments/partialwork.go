@@ -38,13 +38,9 @@ func init() {
 // SAME fleet as the compute model, so a device that stops at its budget
 // also returns early: the budget run finishes in less virtual time
 // because the compute leg charges the epochs actually run.
-func extPartialWork(o Options) (*Result, error) {
-	w := o.syntheticWorkload(1, 1, false)
-	mean := 0
-	for _, n := range w.fed.TrainSizes() {
-		mean += n
-	}
-	mean /= w.fed.NumDevices()
+func extPartialWork(o Options) *Result {
+	w := o.load("synthetic")
+	sizes, mean := trainSizes(w.Fleet)
 	// Deadline calibrated so a mid-tier device completes about half of E
 	// epochs on the mean shard: a strongly work-limited fleet.
 	fleet := syshet.NewFleet(syshet.Config{
@@ -52,7 +48,7 @@ func extPartialWork(o Options) (*Result, error) {
 		JitterStd: 0.3,
 		BatchSize: 10,
 		Seed:      o.Seed + 5,
-	}, w.fed.TrainSizes())
+	}, sizes)
 
 	base := o.base(w)
 	budget := func(cfg core.Config) core.Config {
@@ -82,56 +78,50 @@ func extPartialWork(o Options) (*Result, error) {
 		name string
 		cfg  core.Config
 	}{
-		{"full-work", fedprox(base, w.bestMu)},
+		{"full-work", fedprox(base, w.BestMu)},
 		{"budget mu=0", budget(fedprox(base, 0))},
-		{"budget prox", budget(fedprox(base, w.bestMu))},
+		{"budget prox", budget(fedprox(base, w.BestMu))},
 		{"budget mu=0", byEpochs(budget(fedprox(base, 0)))},
-		{"budget prox", byEpochs(budget(fedprox(base, w.bestMu)))},
-		{"vtime-full", vtimed(fedprox(base, w.bestMu))},
-		{"vtime-budget", vtimed(budget(fedprox(base, w.bestMu)))},
+		{"budget prox", byEpochs(budget(fedprox(base, w.BestMu)))},
+		{"vtime-full", vtimed(fedprox(base, w.BestMu))},
+		{"vtime-budget", vtimed(budget(fedprox(base, w.BestMu)))},
+	}
+	sec := Section{Name: w.name() + " + tiered compute budgets"}
+	for _, tc := range cases {
+		sec.requests = append(sec.requests, o.request("synthetic", tc.cfg).labelled(tc.name+" "+core.Label(tc.cfg)))
 	}
 
-	res := &Result{
-		ID:    "ext-partialwork",
-		Title: "variable local work under a device-side compute budget (enforced in core.Device)",
+	return &Result{
+		Title:    "variable local work under a device-side compute budget (enforced in core.Device)",
+		Sections: []Section{sec},
+		finish: func(res *Result) error {
+			sec := &res.Sections[0]
+			for i, tc := range cases {
+				h := sec.Runs[i]
+				fin := h.Final()
+				note := fmt.Sprintf("%s: final loss %.4f, device-epochs %d", tc.name, fin.TrainLoss, fin.Cost.DeviceEpochs)
+				if h.TracksWork() {
+					note += fmt.Sprintf(", mean epochs done %.2f/%d (%.0f%% partial)",
+						fin.MeanEpochsDone, o.LocalEpochs, 100*fin.PartialFraction)
+				}
+				if h.TracksVirtualTime() {
+					note += fmt.Sprintf(", %.1f virtual-s", fin.VirtualSeconds)
+				}
+				sec.Notes = append(sec.Notes, note)
+			}
+			fullVT, budgetVT := sec.Runs[5].Final().VirtualSeconds, sec.Runs[6].Final().VirtualSeconds // vtime-full, vtime-budget
+			if budgetVT > 0 {
+				res.Notes = append(res.Notes, fmt.Sprintf(
+					"the budget run finished %.1fx faster in virtual time: devices that stop at their budget also return early", fullVT/budgetVT))
+			}
+			res.Notes = append(res.Notes,
+				"deterministic: the same seed reproduces every number above bit for bit;",
+				"expected shape: budget runs spend far fewer device epochs at a modest loss",
+				"penalty, and the proximal term recovers part of the gap (Theorem 4's",
+				"gamma-inexact regime); the [w=epochs] ablation re-weights the fold by",
+				"realized epochs instead of n_k and lands far behind — the paper's",
+				"full-n_k fold with prox absorbing inexactness is the better estimator")
+			return nil
+		},
 	}
-	sec := Section{Name: w.fed.Name + " + tiered compute budgets"}
-	var fullVT, budgetVT float64
-	for _, tc := range cases {
-		h, err := core.Run(w.mdl, w.fed, tc.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ext-partialwork %s: %w", tc.name, err)
-		}
-		h.Label = tc.name + " " + h.Label
-		sec.Runs = append(sec.Runs, h)
-		fin := h.Final()
-		note := fmt.Sprintf("%s: final loss %.4f, device-epochs %d", tc.name, fin.TrainLoss, fin.Cost.DeviceEpochs)
-		if h.TracksWork() {
-			note += fmt.Sprintf(", mean epochs done %.2f/%d (%.0f%% partial)",
-				fin.MeanEpochsDone, o.LocalEpochs, 100*fin.PartialFraction)
-		}
-		if h.TracksVirtualTime() {
-			note += fmt.Sprintf(", %.1f virtual-s", fin.VirtualSeconds)
-		}
-		sec.Notes = append(sec.Notes, note)
-		switch tc.name {
-		case "vtime-full":
-			fullVT = fin.VirtualSeconds
-		case "vtime-budget":
-			budgetVT = fin.VirtualSeconds
-		}
-	}
-	if budgetVT > 0 {
-		res.Notes = append(res.Notes, fmt.Sprintf(
-			"the budget run finished %.1fx faster in virtual time: devices that stop at their budget also return early", fullVT/budgetVT))
-	}
-	res.Notes = append(res.Notes,
-		"deterministic: the same seed reproduces every number above bit for bit;",
-		"expected shape: budget runs spend far fewer device epochs at a modest loss",
-		"penalty, and the proximal term recovers part of the gap (Theorem 4's",
-		"gamma-inexact regime); the [w=epochs] ablation re-weights the fold by",
-		"realized epochs instead of n_k and lands far behind — the paper's",
-		"full-n_k fold with prox absorbing inexactness is the better estimator")
-	res.Sections = append(res.Sections, sec)
-	return res, nil
 }

@@ -34,18 +34,9 @@ func init() {
 // learned: the claims table (claims_test.go) holds every f32 final loss
 // within 2% of its f64 partner's and the raw-wire f32 uplink to at most
 // 1/1.9 of f64's, the bounds the f32 path was built against.
-func extPrecision(o Options) (*Result, error) {
-	w := o.syntheticWorkload(1, 1, false)
+func extPrecision(o Options) *Result {
+	w := o.load("synthetic")
 	base := o.base(w)
-	f32 := func(cfg core.Config) core.Config {
-		cfg.Precision = tensor.F32
-		return cfg
-	}
-	coded := func(cfg core.Config, spec comm.Spec) core.Config {
-		cfg.Codec = spec
-		return cfg
-	}
-
 	pairs := []struct {
 		name string
 		spec comm.Spec // zero Name = no codec
@@ -54,53 +45,45 @@ func extPrecision(o Options) (*Result, error) {
 		{"raw wire", comm.Spec{Name: "raw"}},
 		{"qsgd8 wire", comm.Spec{Name: "delta+qsgd", Bits: 8}},
 	}
-
-	res := &Result{
-		ID:    "ext-precision",
-		Title: "Precision f32 end to end vs the float64 reference (same seed, same schedule)",
-	}
-	sec := Section{Name: w.fed.Name + " f64 vs f32"}
-	var rawUp64, rawUp32 int64
+	sec := Section{Name: w.name() + " f64 vs f32"}
 	for _, p := range pairs {
-		cfg64 := fedprox(base, w.bestMu)
+		cfg64 := fedprox(base, w.BestMu)
 		if p.spec.Name != "" {
-			cfg64 = coded(cfg64, p.spec)
+			cfg64.Codec = p.spec
 		}
-		cfg32 := f32(cfg64)
-
-		h64, err := core.Run(w.mdl, w.fed, cfg64)
-		if err != nil {
-			return nil, fmt.Errorf("ext-precision %s f64: %w", p.name, err)
-		}
-		h32, err := core.Run(w.mdl, w.fed, cfg32)
-		if err != nil {
-			return nil, fmt.Errorf("ext-precision %s f32: %w", p.name, err)
-		}
-		h64.Label = p.name + " f64 " + h64.Label
-		h32.Label = p.name + " f32 " + h32.Label
-		sec.Runs = append(sec.Runs, h64, h32)
-
-		l64, l32 := h64.Final().TrainLoss, h32.Final().TrainLoss
-		drift := math.Abs(l32-l64) / l64
-		note := fmt.Sprintf("%s: f64 loss %.4f, f32 loss %.4f (drift %.2f%%)", p.name, l64, l32, 100*drift)
-		if c := h32.Final().Cost; c.UplinkBytes > 0 {
-			note += fmt.Sprintf(", uplink %d KiB f64 / %d KiB f32",
-				h64.Final().Cost.UplinkBytes/1024, c.UplinkBytes/1024)
-		}
-		sec.Notes = append(sec.Notes, note)
-		if p.spec.Name == "raw" {
-			rawUp64 = h64.Final().Cost.UplinkBytes
-			rawUp32 = h32.Final().Cost.UplinkBytes
-		}
+		cfg32 := cfg64
+		cfg32.Precision = tensor.F32
+		sec.requests = append(sec.requests,
+			o.request("synthetic", cfg64).labelled(p.name+" f64 "+core.Label(cfg64)),
+			o.request("synthetic", cfg32).labelled(p.name+" f32 "+core.Label(cfg32)))
 	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("raw uncompressed wire: %.2fx less uplink traffic at f32 (4-byte coordinates)",
-			float64(rawUp64)/float64(rawUp32)),
-		"deterministic: the same seed reproduces every number above bit for bit;",
-		"expected shape: every f32 run tracks its f64 partner within the 2% bound —",
-		"the device hot loop (batched kernels, prox term, gamma probe) runs at half",
-		"width, solver and codec widen exactly at their own boundaries, and evaluation",
-		"always runs at full width so the losses compare like for like")
-	res.Sections = append(res.Sections, sec)
-	return res, nil
+
+	return &Result{
+		Title:    "Precision f32 end to end vs the float64 reference (same seed, same schedule)",
+		Sections: []Section{sec},
+		finish: func(res *Result) error {
+			sec := &res.Sections[0]
+			for i, p := range pairs {
+				h64, h32 := sec.Runs[2*i], sec.Runs[2*i+1]
+				l64, l32 := h64.Final().TrainLoss, h32.Final().TrainLoss
+				drift := math.Abs(l32-l64) / l64
+				note := fmt.Sprintf("%s: f64 loss %.4f, f32 loss %.4f (drift %.2f%%)", p.name, l64, l32, 100*drift)
+				if c := h32.Final().Cost; c.UplinkBytes > 0 {
+					note += fmt.Sprintf(", uplink %d KiB f64 / %d KiB f32",
+						h64.Final().Cost.UplinkBytes/1024, c.UplinkBytes/1024)
+				}
+				sec.Notes = append(sec.Notes, note)
+			}
+			rawUp64, rawUp32 := sec.Runs[2].Final().Cost.UplinkBytes, sec.Runs[3].Final().Cost.UplinkBytes // raw wire
+			res.Notes = append(res.Notes,
+				fmt.Sprintf("raw uncompressed wire: %.2fx less uplink traffic at f32 (4-byte coordinates)",
+					float64(rawUp64)/float64(rawUp32)),
+				"deterministic: the same seed reproduces every number above bit for bit;",
+				"expected shape: every f32 run tracks its f64 partner within the 2% bound —",
+				"the device hot loop (batched kernels, prox term, gamma probe) runs at half",
+				"width, solver and codec widen exactly at their own boundaries, and evaluation",
+				"always runs at full width so the losses compare like for like")
+			return nil
+		},
+	}
 }

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"fedprox/internal/core"
+	"fedprox/internal/data"
 	"fedprox/internal/model"
 	"fedprox/internal/vtime"
 )
@@ -34,14 +34,14 @@ type vtimeCase struct {
 // source of truth for what ext-vtime runs, shared by the experiment
 // itself and by ReplayCases (cmd/fedtrace must rebuild the exact
 // configuration a recorded case executed under).
-func extVTimeCases(o Options) (workload, []vtimeCase) {
-	w := o.syntheticWorkload(1, 1, false)
+func extVTimeCases(o Options) (Workload, []vtimeCase) {
+	w := o.load("synthetic")
 	base := o.base(w)
 	// The paper's systems-heterogeneity knob (partial epoch budgets)
 	// stays on, as in ext-async.
 	base.StragglerFraction = 0.5
 
-	n := w.fed.NumDevices()
+	n := w.Fleet.NumDevices()
 	lat := vtime.MustModel(
 		vtime.UniformCompute{SecondsPerEpoch: vtimeSecondsPerEpoch, Speed: vtime.SlowTail(n, vtimeTailFrac, vtimeSlowFactor)},
 		vtimeNet,
@@ -53,7 +53,7 @@ func extVTimeCases(o Options) (workload, []vtimeCase) {
 	// nominal round-trip with ~2x headroom (the 10x tail cannot make
 	// it); the byte budget pays for ~70% of a full round's traffic, so
 	// the latest ~30% of arrivals are dropped by bytes.
-	paramBytes := float64(w.mdl.NumParams() * 8)
+	paramBytes := float64(w.Model.NumParams() * 8)
 	deadline := o.VTimeDeadline
 	if deadline == 0 {
 		nominal := paramBytes/vtimeNet.DownlinkBps + float64(o.LocalEpochs)*vtimeSecondsPerEpoch + paramBytes/vtimeNet.UplinkBps + 2*vtimeNet.Latency
@@ -83,11 +83,11 @@ func extVTimeCases(o Options) (workload, []vtimeCase) {
 	}
 	return w, []vtimeCase{
 		{"sync-drop", vtimed(fedavg(base), vt)},
-		{"sync-partial", vtimed(fedprox(base, w.bestMu), vt)},
-		{"sync-deadline", vtimed(fedprox(base, w.bestMu), withDeadline)},
-		{"sync-budget", vtimed(fedprox(base, w.bestMu), withBudget)},
-		{"async", vtimed(withAsync(fedprox(base, w.bestMu), async), vt)},
-		{"buffered", vtimed(withAsync(fedprox(base, w.bestMu), buffered), vt)},
+		{"sync-partial", vtimed(fedprox(base, w.BestMu), vt)},
+		{"sync-deadline", vtimed(fedprox(base, w.BestMu), withDeadline)},
+		{"sync-budget", vtimed(fedprox(base, w.BestMu), withBudget)},
+		{"async", vtimed(withAsync(fedprox(base, w.BestMu), async), vt)},
+		{"buffered", vtimed(withAsync(fedprox(base, w.BestMu), buffered), vt)},
 	}
 }
 
@@ -113,9 +113,10 @@ func ReplayCases(id string, o Options) ([]ReplayCase, error) {
 	}
 	o.Trace = nil
 	w, cases := extVTimeCases(o)
+	fleet := data.Generate(w.Fleet).Fleet()
 	out := make([]ReplayCase, len(cases))
 	for i, tc := range cases {
-		out[i] = ReplayCase{Name: tc.name, Model: w.mdl, Fleet: w.fed.Fleet(), Config: tc.cfg}
+		out[i] = ReplayCase{Name: tc.name, Model: w.Model, Fleet: fleet, Config: tc.cfg}
 	}
 	return out, nil
 }
@@ -147,57 +148,46 @@ func ReplayCases(id string, o Options) ([]ReplayCase, error) {
 // All six runs perform the same total device work (Rounds milestones of
 // ClientsPerRound folds — minus what a policy deliberately drops), so
 // virtual-duration differences are pure scheduling.
-func extVTime(o Options) (*Result, error) {
+func extVTime(o Options) *Result {
 	w, cases := extVTimeCases(o)
-	n := w.fed.NumDevices()
-
-	res := &Result{
-		ID: "ext-vtime",
-		Title: fmt.Sprintf("virtual-time disciplines under a %dx-slow %.0f%% tail (%d devices, deterministic clock)",
-			vtimeSlowFactor, vtimeTailFrac*100, n),
-	}
-	sec := Section{Name: w.fed.Name + fmt.Sprintf(" + %dx-slow tail", vtimeSlowFactor)}
-	var syncVT, asyncVT float64
+	sec := Section{Name: w.name() + fmt.Sprintf(" + %dx-slow tail", vtimeSlowFactor)}
 	for _, tc := range cases {
-		start := time.Now()
-		h, err := core.Run(w.mdl, w.fed, tc.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ext-vtime %s: %w", tc.name, err)
-		}
-		secs := time.Since(start).Seconds()
-		h.Label = tc.name + " " + h.Label
-		sec.Runs = append(sec.Runs, h)
-		sec.Seconds = append(sec.Seconds, secs)
-		fin := h.Final()
-		dropped := 0
-		for _, a := range h.Arrivals {
-			if a.Drop != core.ArrivalFolded {
-				dropped++
+		sec.requests = append(sec.requests, o.request("synthetic", tc.cfg).labelled(tc.name+" "+core.Label(tc.cfg)))
+	}
+	return &Result{
+		Title: fmt.Sprintf("virtual-time disciplines under a %dx-slow %.0f%% tail (%d devices, deterministic clock)",
+			vtimeSlowFactor, vtimeTailFrac*100, w.Fleet.NumDevices()),
+		Sections: []Section{sec},
+		finish: func(res *Result) error {
+			sec := &res.Sections[0]
+			for i, tc := range cases {
+				h := sec.Runs[i]
+				fin := h.Final()
+				dropped := 0
+				for _, a := range h.Arrivals {
+					if a.Drop != core.ArrivalFolded {
+						dropped++
+					}
+				}
+				note := fmt.Sprintf("%s: %.1f virtual-s, final loss %.4f", tc.name, fin.VirtualSeconds, fin.TrainLoss)
+				if dropped > 0 {
+					note += fmt.Sprintf(", %d replies cut by the clock policy", dropped)
+				}
+				if h.TracksStaleness() {
+					note += fmt.Sprintf(", staleness mean %.2f max %.0f", fin.MeanStaleness, fin.MaxStaleness)
+				}
+				sec.Notes = append(sec.Notes, note)
 			}
-		}
-		note := fmt.Sprintf("%s: %.1f virtual-s, final loss %.4f", tc.name, fin.VirtualSeconds, fin.TrainLoss)
-		if dropped > 0 {
-			note += fmt.Sprintf(", %d replies cut by the clock policy", dropped)
-		}
-		if h.TracksStaleness() {
-			note += fmt.Sprintf(", staleness mean %.2f max %.0f", fin.MeanStaleness, fin.MaxStaleness)
-		}
-		sec.Notes = append(sec.Notes, note)
-		switch tc.name {
-		case "sync-partial":
-			syncVT = fin.VirtualSeconds
-		case "async":
-			asyncVT = fin.VirtualSeconds
-		}
+			syncVT, asyncVT := sec.Runs[1].Final().VirtualSeconds, sec.Runs[4].Final().VirtualSeconds // sync-partial, async
+			if asyncVT > 0 {
+				res.Notes = append(res.Notes, fmt.Sprintf(
+					"async completed the same device work %.1fx faster in virtual time than sync-partial", syncVT/asyncVT))
+			}
+			res.Notes = append(res.Notes,
+				"deterministic: the same seed reproduces every number above bit for bit;",
+				"expected shape: both async modes and both clock policies finish well under",
+				"the sync virtual time; async ends at or below FedAvg's loss")
+			return nil
+		},
 	}
-	if asyncVT > 0 {
-		res.Notes = append(res.Notes, fmt.Sprintf(
-			"async completed the same device work %.1fx faster in virtual time than sync-partial", syncVT/asyncVT))
-	}
-	res.Notes = append(res.Notes,
-		"deterministic: the same seed reproduces every number above bit for bit;",
-		"expected shape: both async modes and both clock policies finish well under",
-		"the sync virtual time; async ends at or below FedAvg's loss")
-	res.Sections = append(res.Sections, sec)
-	return res, nil
 }

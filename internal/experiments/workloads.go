@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"fedprox/internal/data"
 	"fedprox/internal/data/femnistsim"
@@ -13,23 +14,8 @@ import (
 	"fedprox/internal/model"
 	"fedprox/internal/model/linear"
 	"fedprox/internal/model/lstm"
+	"fedprox/internal/model/mlp"
 )
-
-// workload bundles a federated dataset with its model and the paper's
-// tuned hyperparameters for it.
-type workload struct {
-	fed *data.Federated
-	mdl model.Model
-	// lr is the learning rate the paper tuned on FedAvg for this dataset
-	// (Appendix C.2): synthetic 0.01, MNIST 0.03, FEMNIST 0.003,
-	// Shakespeare 0.8, Sent140 0.3.
-	lr float64
-	// bestMu is the best μ from the paper's candidate set for this
-	// dataset (Section 5.3.2): 1, 1, 1, 0.001, 0.01.
-	bestMu float64
-	// rounds is the communication-round budget.
-	rounds int
-}
 
 // Workload is a standard workload before any device is built: what the
 // distributed binaries (cmd/fedserver, cmd/fedworker) agree on, so that
@@ -40,13 +26,19 @@ type Workload struct {
 	Fleet data.Source
 	// Model is sized from Fleet's header.
 	Model model.Model
-	// LR is the paper's tuned learning rate for this dataset.
+	// LR is the paper's tuned learning rate for this dataset (Appendix
+	// C.2): synthetic 0.01, MNIST 0.03, FEMNIST 0.003, Shakespeare 0.8,
+	// Sent140 0.3.
 	LR float64
-	// BestMu is the paper's best proximal coefficient for this dataset.
+	// BestMu is the paper's best proximal coefficient for this dataset
+	// (Section 5.3.2): 1, 1, 1, 0.001, 0.01.
 	BestMu float64
 	// Rounds is the round budget under the options used.
 	Rounds int
 }
+
+// name is the dataset's name, e.g. "Synthetic(1,1)".
+func (w Workload) name() string { return w.Fleet.Header().Name }
 
 // lazy pairs src with its model, sized from src's header: logistic
 // regression on a dense task, the LSTM of Options on a sequence task.
@@ -61,28 +53,13 @@ func (o Options) lazy(src data.Source, lr, bestMu float64, rounds int) Workload 
 	return Workload{Fleet: src, Model: m, LR: lr, BestMu: bestMu, Rounds: rounds}
 }
 
-// over is w with every device built: fed is the dataset w.Fleet
-// describes. The experiments run over whole datasets.
-func (w Workload) over(fed *data.Federated) workload {
-	return workload{fed: fed, mdl: w.Model, lr: w.LR, bestMu: w.BestMu, rounds: w.Rounds}
-}
-
-// syntheticConfig is Synthetic(α,β), or Synthetic-IID, at o's scale.
-func (o Options) syntheticConfig(alpha, beta float64, iid bool) synthetic.Config {
+// synthetic is Synthetic(α,β), or Synthetic-IID, at o's scale.
+func (o Options) synthetic(alpha, beta float64, iid bool) Workload {
 	cfg := synthetic.Default(alpha, beta)
 	if iid {
 		cfg = synthetic.DefaultIID()
 	}
-	return cfg.Scaled(o.Scale)
-}
-
-func (o Options) synthetic(c synthetic.Config) Workload {
-	return o.lazy(synthetic.NewFleet(c), 0.01, 1, o.Rounds)
-}
-
-func (o Options) syntheticWorkload(alpha, beta float64, iid bool) workload {
-	c := o.syntheticConfig(alpha, beta, iid)
-	return o.synthetic(c).over(synthetic.Generate(c))
+	return o.lazy(synthetic.NewFleet(cfg.Scaled(o.Scale)), 0.01, 1, o.Rounds)
 }
 
 // NamedWorkload returns one of the standard workloads by key: "synthetic"
@@ -91,9 +68,9 @@ func (o Options) syntheticWorkload(alpha, beta float64, iid bool) workload {
 func (o Options) NamedWorkload(key string) (Workload, error) {
 	switch key {
 	case "synthetic":
-		return o.synthetic(o.syntheticConfig(1, 1, false)), nil
+		return o.synthetic(1, 1, false), nil
 	case "synthetic-iid":
-		return o.synthetic(o.syntheticConfig(0, 0, true)), nil
+		return o.synthetic(0, 0, true), nil
 	case "mnist":
 		return o.lazy(imagesim.NewFleet(mnistsim.Scaled(o.Scale)), 0.03, 1, o.Rounds), nil
 	case "femnist":
@@ -111,34 +88,48 @@ func (o Options) NamedWorkload(key string) (Workload, error) {
 	return Workload{}, fmt.Errorf("experiments: unknown workload %q", key)
 }
 
-// workload builds every device of the standard workload key.
-func (o Options) workload(key string) workload {
+// load returns the workload the experiments name key: a NamedWorkload
+// key, one of the two middle rungs of the synthetic ladder,
+// "synthetic(0,0)" and "synthetic(0.5,0.5)", or "mnist-mlp", MNIST under
+// ext-nonconvex's tanh MLP.
+func (o Options) load(key string) Workload {
+	switch key {
+	case "synthetic(0,0)":
+		return o.synthetic(0, 0, false)
+	case "synthetic(0.5,0.5)":
+		return o.synthetic(0.5, 0.5, false)
+	case "mnist-mlp":
+		w := o.load("mnist")
+		hdr := w.Fleet.Header()
+		w.Model = mlp.ForDataset(&hdr, 32)
+		w.LR = 0.05 // MLP tolerates a slightly larger step than the paper's mclr rate
+		return w
+	}
 	w, err := o.NamedWorkload(key)
 	if err != nil {
 		panic(err)
 	}
-	return w.over(data.Generate(w.Fleet))
+	return w
 }
 
-// figure1Workloads returns the five federated datasets of Figures 1, 7, 8,
-// 9, and 10 in paper order, filtered by Options.Datasets.
-func (o Options) figure1Workloads() []workload {
-	var out []workload
-	for _, key := range []string{"synthetic", "mnist", "femnist", "shakespeare", "sent140"} {
-		if o.wantDataset(key) {
-			out = append(out, o.workload(key))
-		}
-	}
-	return out
+// ladder is the four synthetic datasets of Figure 2 in increasing
+// heterogeneity order: IID, (0,0), (0.5,0.5), (1,1).
+var ladder = []string{"synthetic-iid", "synthetic(0,0)", "synthetic(0.5,0.5)", "synthetic"}
+
+// fiveDatasets returns the federated datasets of Figures 1, 7, 8, 9 and
+// 10 in paper order, filtered by Options.Datasets.
+func (o Options) fiveDatasets() []string {
+	return slices.DeleteFunc([]string{"synthetic", "mnist", "femnist", "shakespeare", "sent140"},
+		func(key string) bool { return !o.wantDataset(key) })
 }
 
-// syntheticLadder returns the four synthetic datasets of Figure 2 in
-// increasing heterogeneity order: IID, (0,0), (0.5,0.5), (1,1).
-func (o Options) syntheticLadder() []workload {
-	return []workload{
-		o.syntheticWorkload(0, 0, true),
-		o.syntheticWorkload(0, 0, false),
-		o.syntheticWorkload(0.5, 0.5, false),
-		o.syntheticWorkload(1, 1, false),
+// trainSizes returns every device's training-set size and their integer
+// mean, building no device.
+func trainSizes(fl data.Fleet) (sizes []int, mean int) {
+	sizes = make([]int, fl.NumDevices())
+	for k := range sizes {
+		sizes[k] = fl.TrainSize(k)
+		mean += sizes[k]
 	}
+	return sizes, mean / len(sizes)
 }
