@@ -37,6 +37,11 @@ func TestSpecValidate(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%+v: unexpected error %v", s, err)
 		}
+		if s.Enabled() {
+			if got := mustCodec(t, s).Name(); got != s.Name {
+				t.Errorf("%+v: codec named %q", s, got)
+			}
+		}
 	}
 	bad := []Spec{
 		{Name: "gzip"},

@@ -48,6 +48,11 @@ func TestStringers(t *testing.T) {
 			t.Fatal("empty StragglerPolicy string")
 		}
 	}
+	for _, f := range []FoldWeightScheme{WeightBySize, WeightByEpochs, FoldWeightScheme(9)} {
+		if f.String() == "" {
+			t.Fatal("empty FoldWeightScheme string")
+		}
+	}
 }
 
 func TestLabelNames(t *testing.T) {

@@ -115,6 +115,13 @@ func FleetStats(name string, fl Fleet) Stats {
 		counts[k] = s.NumSamples()
 		fl.Release(s)
 	})
+	return CountStats(name, counts)
+}
+
+// CountStats returns the Table 1 row of the dataset named name whose
+// device k holds counts[k] samples: a generator's Sizes.Samples give it
+// without building a device.
+func CountStats(name string, counts []int) Stats {
 	total := 0
 	for _, c := range counts {
 		total += c

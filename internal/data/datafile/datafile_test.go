@@ -80,9 +80,24 @@ func sameShard(got, want *data.Shard) string {
 	return ""
 }
 
+// samples returns the per-device sample counts fl's generator draws, for
+// the generators that keep them as data.Sizes, and nil for the others.
+func samples(fl data.Source) []int {
+	switch f := fl.(type) {
+	case *imagesim.Fleet:
+		return f.Samples
+	case *sent140sim.Fleet:
+		return f.Samples
+	case *shakespearesim.Fleet:
+		return f.Samples
+	}
+	return nil
+}
+
 // sameDataset holds fl to fed: its header is fed's metadata, and every
 // device it builds, last first and each released before the next, is
-// fed's device bit for bit, of fed's training size.
+// fed's device bit for bit, of fed's training size and, where the
+// generator keeps its sizes, of the sample count they give it.
 func sameDataset(t *testing.T, name string, fl data.Source, fed *data.Federated) {
 	t.Helper()
 	hdr := fl.Header()
@@ -100,6 +115,9 @@ func sameDataset(t *testing.T, name string, fl data.Source, fed *data.Federated)
 		s := fl.Shard(k)
 		if diff := sameShard(s, fed.Shards[k]); diff != "" {
 			t.Fatalf("%s: device %d: %s", name, k, diff)
+		}
+		if n := samples(fl); n != nil && n[k] != s.NumSamples() {
+			t.Fatalf("%s: Sizes.Samples[%d] = %d, device %d holds %d", name, k, n[k], k, s.NumSamples())
 		}
 		fl.Release(s)
 	}

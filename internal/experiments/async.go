@@ -100,10 +100,6 @@ func extAsync(o Options, res *Result) error {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"async completed the same device work %.1fx faster than sync-partial", syncSecs/asyncSecs))
 	}
-	res.Notes = append(res.Notes,
-		"expected shape: both async modes finish well under the sync wall-clock;",
-		"async ends at or below sync-partial's loss, buffered trades a little",
-		"loss for bounded staleness")
 	res.Sections = append(res.Sections, sec)
 	return nil
 }

@@ -14,6 +14,10 @@ var wallClock = map[string]bool{
 	"ext-async | buffered FedProx(mu=1) [buffered a=1 p=0.5 K=10] [fednet]": true,
 }
 
+// baselineIDs are the experiments TestBaseline holds to
+// BENCH_baseline.json.
+var baselineIDs = []string{"ext-async", "ext-vtime", "ext-partialwork", "ext-hier", "ext-precision"}
+
 // TestBaseline holds the five extension sweeps at Fast() to
 // BENCH_baseline.json, every field of every entry but the wall-clock
 // seconds: each of those runs is bit-deterministic, so an entry that
@@ -37,7 +41,7 @@ func TestBaseline(t *testing.T) {
 			want[key(e)] = e
 		}
 	}
-	for _, id := range []string{"ext-async", "ext-vtime", "ext-partialwork", "ext-hier", "ext-precision"} {
+	for _, id := range baselineIDs {
 		for _, got := range result(t, id, Fast()).BenchEntries() {
 			if wallClock[got.Experiment+" | "+got.Method] {
 				continue

@@ -45,10 +45,6 @@ func extCodecs(o Options) *Result {
 	return &Result{
 		Title:    "update codecs: uplink/downlink bytes vs convergence at 50% stragglers",
 		Sections: []Section{sec},
-		Notes: []string{
-			"expected shape: qsgd-8 and uplink topk-10% sit within a few percent of the",
-			"uncompressed loss at 4-13x fewer uplink bytes; qsgd-4 trades more accuracy",
-		},
 		finish: func(res *Result) error {
 			sec := &res.Sections[0]
 			rawUp := sec.Runs[0].Final().Cost.UplinkBytes // the raw codec's

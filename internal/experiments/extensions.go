@@ -84,8 +84,6 @@ func extBias(o Options, res *Result) error {
 			policy, mean01, rest, acc[:min(4, len(acc))]))
 	}
 	res.Sections = append(res.Sections, sec)
-	res.Notes = append(res.Notes,
-		"expected shape: under drop, classes 0-1 lag the others; aggregation closes the gap")
 	return nil
 }
 
@@ -142,15 +140,11 @@ func extPrivacy(o Options) *Result {
 	return &Result{
 		Title:    "DP clipping+noise composes with FedProx (footnote 1): graceful degradation",
 		Sections: []Section{sec},
-		Notes:    []string{"expected shape: accuracy degrades smoothly with noise; small noise is near-free"},
 	}
 }
 
 func extNonconvex(o Options) *Result {
-	res := Result{
-		Title: "FedAvg vs FedProx with a tanh MLP (non-convex F_k, Theorem 4's regime)",
-		Notes: []string{"expected shape: same ordering as Figure 1 — the analysis covers non-convex F_k"},
-	}
+	res := Result{Title: "FedAvg vs FedProx with a tanh MLP (non-convex F_k, Theorem 4's regime)"}
 	w := o.load("mnist-mlp")
 	for _, frac := range []float64{0, 0.9} {
 		base := o.base(w)
@@ -173,10 +167,6 @@ func extComm(o Options) *Result {
 			Name:     w.name() + " 90% stragglers",
 			requests: o.requests("synthetic", fedavg(base), fedprox(base, 0), fedprox(base, w.BestMu)),
 		}},
-		Notes: []string{
-			"expected shape: FedAvg discards most straggler work; FedProx converts the same",
-			"device computation (and slightly more uplink) into convergence progress",
-		},
 		finish: func(res *Result) error {
 			sec := &res.Sections[0]
 			for _, h := range sec.Runs {
@@ -213,9 +203,6 @@ func extTheory(o Options, res *Result) error {
 			},
 		})
 	}
-	res.Notes = append(res.Notes,
-		"expected shape: B grows along the ladder; rho shrinks (and can go negative),",
-		"matching Section 5.3.3's claim that dissimilarity predicts convergence quality")
 	return nil
 }
 
@@ -251,7 +238,7 @@ func extSolvers(o Options) *Result {
 	w := o.load("synthetic")
 	sec := Section{Name: w.name()}
 	for _, ls := range []solver.LocalSolver{
-		solver.SGDSolver{},
+		nil, // the default, SGD
 		solver.MomentumSolver{Beta: 0.9},
 		solver.AdagradSolver{},
 		solver.AdamSolver{},
@@ -259,7 +246,8 @@ func extSolvers(o Options) *Result {
 	} {
 		cfg := fedprox(o.base(w), w.BestMu)
 		cfg.Solver = ls
-		if ls.Name() == "adagrad" || ls.Name() == "adam" {
+		switch ls.(type) {
+		case solver.AdagradSolver, solver.AdamSolver:
 			cfg.LearningRate = w.LR * 3 // adaptive methods renormalize steps
 		}
 		sec.requests = append(sec.requests, o.request("synthetic", cfg))

@@ -79,18 +79,20 @@ func (o Options) requests(key string, cfgs ...core.Config) []request {
 	return out
 }
 
-// table1 counts every device of the four real-data surrogates at paper
-// scale, building one device at a time.
+// table1 counts the samples of the four real-data surrogates at paper
+// scale from the per-device sizes each fleet draws, building no device.
 func table1(o Options, res *Result) error {
 	res.Title = "dataset statistics at paper scale (surrogate generators)"
 	sec := Section{Name: "Table 1"}
-	for _, src := range []data.Source{
-		imagesim.NewFleet(mnistsim.Scaled(1)),
-		imagesim.NewFleet(femnistsim.Scaled(1)),
-		shakespearesim.NewFleet(shakespearesim.Default()),
-		sent140sim.NewFleet(sent140sim.Default()),
+	mnist, femnist := imagesim.NewFleet(mnistsim.Scaled(1)), imagesim.NewFleet(femnistsim.Scaled(1))
+	shakespeare, sent140 := shakespearesim.NewFleet(shakespearesim.Default()), sent140sim.NewFleet(sent140sim.Default())
+	for _, st := range []data.Stats{
+		data.CountStats(mnist.Header().Name, mnist.Samples),
+		data.CountStats(femnist.Header().Name, femnist.Samples),
+		data.CountStats(shakespeare.Header().Name, shakespeare.Samples),
+		data.CountStats(sent140.Header().Name, sent140.Samples),
 	} {
-		sec.Notes = append(sec.Notes, data.FleetStats(src.Header().Name, src).String())
+		sec.Notes = append(sec.Notes, st.String())
 	}
 	res.Sections = append(res.Sections, sec)
 	res.Notes = append(res.Notes,
@@ -127,10 +129,6 @@ func figure1(o Options) *Result {
 	return &Result{
 		Title:    "training loss, five datasets x {0,50,90}% stragglers, E=20",
 		Sections: o.stragglerGrid(o.LocalEpochs, true),
-		Notes: []string{
-			"expected shape: FedProx(mu=0) beats FedAvg under stragglers;",
-			"FedProx(best mu) is the most stable and converges everywhere",
-		},
 	}
 }
 
@@ -151,7 +149,6 @@ func figure2(o Options) *Result {
 	return &Result{
 		Title:    "heterogeneity ladder: loss (top row) and gradient variance (bottom row)",
 		Sections: o.dissimilarity(ladder),
-		Notes:    []string{"expected shape: convergence degrades left to right for mu=0; mu>0 combats it"},
 	}
 }
 
@@ -185,10 +182,7 @@ func figure3(o Options) *Result {
 }
 
 func figure4(o Options) *Result {
-	res := Result{
-		Title: "FedDane vs FedProx on the synthetic suite (top: mu sweep; bottom: c sweep)",
-		Notes: []string{"expected shape: FedDane matches on IID, degrades on non-IID; larger c helps only partially"},
-	}
+	res := Result{Title: "FedDane vs FedProx on the synthetic suite (top: mu sweep; bottom: c sweep)"}
 	for _, key := range ladder {
 		w := o.load(key)
 		base := o.base(w)
@@ -231,7 +225,6 @@ func figure6(o Options) *Result {
 func figure7(o Options) *Result {
 	p := figure1(o)
 	p.Title = "testing accuracy for the Figure 1 grid + improvement accounting"
-	p.Notes = nil
 	p.finish = settledImprovement
 	return p
 }

@@ -123,10 +123,6 @@ func extHier(o Options, res *Result) error {
 			100*(deep.VirtualSeconds/flat.VirtualSeconds-1), deep.TrainLoss, flat.TrainLoss))
 		res.Sections = append(res.Sections, sec)
 	}
-	res.Notes = append(res.Notes,
-		"deterministic: the same seed reproduces every number above bit for bit;",
-		"expected shape: root ingress shrinks ~F-fold at equal device count and",
-		"cohort (the fold happens at the edge), codecs compose per hop, and the",
-		"extra backbone hop costs little virtual time on a fast backbone")
+	res.Notes = append(res.Notes, "deterministic: the same seed reproduces every number above bit for bit;")
 	return nil
 }

@@ -96,10 +96,9 @@ func extPartialWork(o Options) *Result {
 		Sections: []Section{sec},
 		finish: func(res *Result) error {
 			sec := &res.Sections[0]
-			for i, tc := range cases {
-				h := sec.Runs[i]
+			for _, h := range sec.Runs {
 				fin := h.Final()
-				note := fmt.Sprintf("%s: final loss %.4f, device-epochs %d", tc.name, fin.TrainLoss, fin.Cost.DeviceEpochs)
+				note := fmt.Sprintf("%s: final loss %.4f, device-epochs %d", h.Label, fin.TrainLoss, fin.Cost.DeviceEpochs)
 				if h.TracksWork() {
 					note += fmt.Sprintf(", mean epochs done %.2f/%d (%.0f%% partial)",
 						fin.MeanEpochsDone, o.LocalEpochs, 100*fin.PartialFraction)
@@ -114,13 +113,7 @@ func extPartialWork(o Options) *Result {
 				res.Notes = append(res.Notes, fmt.Sprintf(
 					"the budget run finished %.1fx faster in virtual time: devices that stop at their budget also return early", fullVT/budgetVT))
 			}
-			res.Notes = append(res.Notes,
-				"deterministic: the same seed reproduces every number above bit for bit;",
-				"expected shape: budget runs spend far fewer device epochs at a modest loss",
-				"penalty, and the proximal term recovers part of the gap (Theorem 4's",
-				"gamma-inexact regime); the [w=epochs] ablation re-weights the fold by",
-				"realized epochs instead of n_k and lands far behind — the paper's",
-				"full-n_k fold with prox absorbing inexactness is the better estimator")
+			res.Notes = append(res.Notes, "deterministic: the same seed reproduces every number above bit for bit;")
 			return nil
 		},
 	}

@@ -78,11 +78,7 @@ func extPrecision(o Options) *Result {
 			res.Notes = append(res.Notes,
 				fmt.Sprintf("raw uncompressed wire: %.2fx less uplink traffic at f32 (4-byte coordinates)",
 					float64(rawUp64)/float64(rawUp32)),
-				"deterministic: the same seed reproduces every number above bit for bit;",
-				"expected shape: every f32 run tracks its f64 partner within the 2% bound —",
-				"the device hot loop (batched kernels, prox term, gamma probe) runs at half",
-				"width, solver and codec widen exactly at their own boundaries, and evaluation",
-				"always runs at full width so the losses compare like for like")
+				"deterministic: the same seed reproduces every number above bit for bit;")
 			return nil
 		},
 	}

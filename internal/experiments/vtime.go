@@ -183,10 +183,7 @@ func extVTime(o Options) *Result {
 				res.Notes = append(res.Notes, fmt.Sprintf(
 					"async completed the same device work %.1fx faster in virtual time than sync-partial", syncVT/asyncVT))
 			}
-			res.Notes = append(res.Notes,
-				"deterministic: the same seed reproduces every number above bit for bit;",
-				"expected shape: both async modes and both clock policies finish well under",
-				"the sync virtual time; async ends at or below FedAvg's loss")
+			res.Notes = append(res.Notes, "deterministic: the same seed reproduces every number above bit for bit;")
 			return nil
 		},
 	}
