@@ -31,6 +31,8 @@ package core
 //   - internal/fednet: the TCP runtime (sync, async, a tier edge's
 //     children), which ships a Dispatch as a TrainRequest frame and an
 //     Evaluate as an EvalRequest, and Waits on its sockets,
+//   - tapeBackend (replay.go): Reexecute's re-run of a fednet trace,
+//     whose Wait feeds the recorded arrival order,
 //   - internal/feddane: the Appendix B baseline, which solves a round's
 //     cohort in process with the gradient-correction term.
 //

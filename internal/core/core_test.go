@@ -77,7 +77,7 @@ func TestLabelNames(t *testing.T) {
 // stragglerPlan are the environment draws every executor runs.
 func startedCoordinator(t *testing.T, fed *data.Federated, cfg Config) *Coordinator {
 	t.Helper()
-	coord, _, err := newSimPair(linear.ForDataset(fed), fed.Fleet(), cfg)
+	coord, _, err := newSimPair(linear.ForDataset(fed), fed.Fleet(), cfg, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestBroadcastViewHasOneOwner(t *testing.T) {
 	cfg.Codec = comm.Spec{Name: "delta+qsgd", Bits: 8}
 	cfg.DownlinkCodec = cfg.Codec
 
-	coord, dev, err := newSimPair(m, fed.Fleet(), cfg)
+	coord, dev, err := newSimPair(m, fed.Fleet(), cfg, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

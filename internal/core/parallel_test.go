@@ -167,7 +167,7 @@ func broadcastFirstError(t *testing.T) {
 		cfg := FedProx(2, 6, 1, 0.01, 1)
 		cfg.Codec = comm.Spec{Name: "delta+qsgd", Bits: 8}
 		cfg.Parallelism = par
-		coord, dev, err := newSimPair(mdl, fed.Fleet(), cfg)
+		coord, dev, err := newSimPair(mdl, fed.Fleet(), cfg, CoordinatorOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

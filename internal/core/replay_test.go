@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -342,3 +343,71 @@ type truncatedFleet struct {
 }
 
 func (f truncatedFleet) NumDevices() int { return f.n }
+
+// tapeConfigs are the two recorded policies FuzzTape reads its tapes
+// under, a synchronous and an asynchronous virtual-time run, and the
+// asynchronous one as the fednet coordinator runs it (no clock), which
+// Reexecute re-executes.
+func tapeConfigs(n int) (sync, async, wire Config) {
+	sync, async = replaySyncConfig(n), vtimeAsyncConfig(AsyncTotal, n)
+	sync.Rounds, async.Rounds = 2, 2
+	wire = async
+	wire.VTime = VTimeConfig{}
+	return sync, async, wire
+}
+
+// withEvent returns tape with e inserted after its first reply.
+func withEvent(tape []obs.Event, e obs.Event) []obs.Event {
+	i := slices.IndexFunc(tape, func(e obs.Event) bool { return e.Kind == obs.KindReply }) + 1
+	return slices.Insert(slices.Clone(tape), i, e)
+}
+
+// TestTapeRefusesReadmitOutsideFleet: a worker-readmit event of a device
+// outside the fleet is an error for both readers of a tape, never an
+// index out of range. The asynchronous recording re-executes cleanly
+// without it, so the error is the event's.
+func TestTapeRefusesReadmitOutsideFleet(t *testing.T) {
+	mdl, fed := tinyWorkload()
+	n := fed.NumDevices()
+	_, async, wire := tapeConfigs(n)
+	_, tape, _ := recordTraced(t, async)
+	if _, err := Reexecute(mdl, fed.Fleet(), wire, tape); err != nil {
+		t.Fatalf("re-executing the recorded tape: %v", err)
+	}
+	for _, device := range []int{n + 5, -1} {
+		bad := withEvent(tape, obs.Event{Kind: obs.KindWorkerReadmit, Device: device})
+		if _, err := Replay(mdl, fed.Fleet(), async, bad); err == nil || !strings.Contains(err.Error(), "worker-readmit") {
+			t.Errorf("device %d: Replay: %v, want a refusal of worker-readmit events", device, err)
+		}
+		if _, err := Reexecute(mdl, fed.Fleet(), wire, bad); err == nil || !strings.Contains(err.Error(), "unknown device") {
+			t.Errorf("device %d: Reexecute: %v, want a re-admission of an unknown device", device, err)
+		}
+	}
+}
+
+// FuzzTape: a trace is untrusted input (a file fedtrace is handed). For
+// any tape, both readers — Replay under a synchronous and an asynchronous
+// policy, Reexecute under the asynchronous one as fednet runs it — return
+// an error or a History: never a panic, never a block. The seeds
+// (testdata/fuzz/FuzzTape) are the two recordings of tapeConfigs and the
+// asynchronous one with a worker lost and re-admitted after its first
+// reply.
+func FuzzTape(f *testing.F) {
+	mdl, fed := tinyWorkload()
+	sync, async, wire := tapeConfigs(fed.NumDevices())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		tape, err := tracefile.ReadAll(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		for i, read := range []func() (*History, error){
+			func() (*History, error) { return Replay(mdl, fed.Fleet(), sync, tape) },
+			func() (*History, error) { return Replay(mdl, fed.Fleet(), async, tape) },
+			func() (*History, error) { return Reexecute(mdl, fed.Fleet(), wire, tape) },
+		} {
+			if h, err := read(); err == nil && h == nil {
+				t.Fatalf("reader %d returned neither a History nor an error", i)
+			}
+		}
+	})
+}

@@ -47,7 +47,7 @@ func RunFleet(m model.Model, fl Fleet, cfg Config) (*History, error) {
 		return runAsyncVTime(m, fl, cfg)
 	}
 
-	coord, dev, err := newSimPair(m, fl, cfg)
+	coord, dev, err := newSimPair(m, fl, cfg, CoordinatorOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -131,14 +131,17 @@ func (b *inProcess) Evaluate(v Evaluate) (EvalResult, error) {
 // with every fleet device registered as one in-process worker, and one
 // core.Device hosting the whole fleet lazily — the same device runtime
 // the fednet workers wrap, so device-side behavior cannot drift between
-// the simulator and the deployment. The coordinator, built first, refuses
-// what the simulator cannot run. With a codec configured the device gets
-// its own link endpoint (the simulator's link state lives where the
-// deployment's does), and a configured Checkpointer is wrapped here,
-// where both endpoints are in hand, so snapshots carry the device's half
-// too: the coordinator never learns a Device exists.
-func newSimPair(m model.Model, fl Fleet, cfg Config) (*Coordinator, *Device, error) {
-	coord, err := NewCoordinator(m, cfg, CoordinatorOptions{NumDevices: fl.NumDevices()})
+// the simulator and the deployment. The coordinator, built first with
+// opts (Replay's and Reexecute's executors; NumDevices is the fleet's),
+// refuses what its executor cannot run. With codec links (a configured
+// codec, or a WireEncoded coordinator's raw one) the device gets its own
+// endpoint (the simulator's link state lives where the deployment's
+// does), and a configured Checkpointer is wrapped here, where both
+// endpoints are in hand, so snapshots carry the device's half too: the
+// coordinator never learns a Device exists.
+func newSimPair(m model.Model, fl Fleet, cfg Config, opts CoordinatorOptions) (*Coordinator, *Device, error) {
+	opts.NumDevices = fl.NumDevices()
+	coord, err := NewCoordinator(m, cfg, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -148,8 +151,7 @@ func newSimPair(m model.Model, fl Fleet, cfg Config) (*Coordinator, *Device, err
 		TrackGamma: cfg.TrackGamma,
 		Precision:  cfg.Precision,
 	})
-	if cfg.Codec.Enabled() {
-		down, up := cfg.CommSpecs()
+	if down, up := coord.CommSpecs(); up.Enabled() {
 		if err := dev.InstallLinks(down, up); err != nil {
 			return nil, nil, err
 		}

@@ -90,6 +90,7 @@ func TestBackendAbilitiesMatchSupport(t *testing.T) {
 		{Config{Async: total, VTime: timed}, runReplay, (*vtimeBackend)(nil)},
 		{Config{}, runTiered, (*simBackend)(nil)},
 		{Config{Async: total}, runTiered, (*simBackend)(nil)},
+		{Config{Async: total}, []CoordinatorOptions{{WireEncoded: true}}, (*tapeBackend)(nil)},
 	} {
 		admits := func(set func(*Config)) bool {
 			cfg := e.cfg

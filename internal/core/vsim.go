@@ -97,7 +97,7 @@ func (p *solvePool) close() {
 // arrives, and Rounds counts model milestones of roundSize replies each,
 // evaluated on the sync cadence.
 func runAsyncVTime(m model.Model, fl Fleet, cfg Config) (*History, error) {
-	coord, dev, err := newSimPair(m, fl, cfg)
+	coord, dev, err := newSimPair(m, fl, cfg, CoordinatorOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ type vtimeBackend struct {
 	inProcess
 	// launch starts one dispatch's round trip at the current virtual time
 	// and returns when its reply arrives and how to join it (already
-	// stamped Timed/Seq/Rel/Lost). A nil join means no reply ever comes.
+	// stamped Timed/Seq/Rel/Lost).
 	launch func(Dispatch) (arrive float64, join func() (Reply, error))
 	// arrived and err collect what fired events provoked, for Wait to
 	// hand to Drive.
@@ -178,28 +178,20 @@ func (b *vtimeBackend) Dispatch(ds []Dispatch) ([]Reply, error) {
 		// immediately.
 		b.coord.DispatchSent(v.Device)
 		arrive, join := b.launch(v)
-		if join == nil {
-			continue
-		}
 		b.vt.eng.Schedule(arrive, func() {
 			r, err := join()
-			if err != nil {
-				b.deliver(nil, err)
-				return
+			var more []Command
+			if err == nil {
+				b.coord.Tick(b.vt.eng.Now())
+				more, err = b.coord.HandleReply(r)
 			}
-			b.coord.Tick(b.vt.eng.Now())
-			b.deliver(b.coord.HandleReply(r))
+			if b.err == nil {
+				b.err = err
+			}
+			b.arrived = append(b.arrived, more...)
 		})
 	}
 	return nil, nil
-}
-
-// deliver records the outcome of one fired event's coordinator call.
-func (b *vtimeBackend) deliver(more []Command, err error) {
-	if b.err == nil {
-		b.err = err
-	}
-	b.arrived = append(b.arrived, more...)
 }
 
 // Wait steps the event queue until an arrival provokes commands. Drain

@@ -8,6 +8,7 @@ import (
 	"fedprox/internal/data/synthetic"
 	"fedprox/internal/fednet"
 	"fedprox/internal/model/linear"
+	"fedprox/internal/obs"
 	"fedprox/internal/solver"
 )
 
@@ -32,7 +33,10 @@ func init() {
 // the slow devices finish in their own time. Wall-clock, final loss, and
 // staleness land in the section notes and in BenchEntries; the two
 // asynchronous runs fold replies in arrival order, so TestBaseline
-// compares only the synchronous pair.
+// compares only the synchronous pair, and each re-executes from its
+// trace (core.Reexecute): its note reports whether every input and every
+// evaluation on the tape was reproduced bit for bit, or the first tape
+// entry that was not.
 func extAsync(o Options, res *Result) error {
 	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(o.Scale))
 	mdl := linear.ForDataset(fed)
@@ -77,23 +81,31 @@ func extAsync(o Options, res *Result) error {
 		slowFactor, workers)
 	sec := Section{Name: fed.Name + " + 10x straggler worker"}
 	for _, tc := range cases {
+		var tape tape
+		cfg := tc.cfg
+		cfg.Trace = obs.Multi(cfg.Trace, &tape)
 		start := time.Now()
 		h, err := fednet.RunLoopback(mdl, fed, fednet.ServerConfig{
-			Training:      tc.cfg,
+			Training:      cfg,
 			ExpectDevices: fed.NumDevices(),
 		}, solvers)
 		secs := time.Since(start).Seconds()
 		if err != nil {
 			return fmt.Errorf("ext-async %s: %w", tc.name, err)
 		}
-		h.Label = tc.name + " " + h.Label
-		sec.Runs = append(sec.Runs, h)
-		sec.Seconds = append(sec.Seconds, secs)
 		fin := h.Final()
 		note := fmt.Sprintf("%s: %.2fs wall, final loss %.4f", tc.name, secs, fin.TrainLoss)
 		if h.TracksStaleness() {
-			note += fmt.Sprintf(", staleness mean %.2f max %.0f", fin.MeanStaleness, fin.MaxStaleness)
+			cfg.Trace = nil
+			reexec := "bit-identical"
+			if _, err := core.Reexecute(mdl, fed.Fleet(), cfg, tape); err != nil {
+				reexec = err.Error()
+			}
+			note += fmt.Sprintf(", staleness mean %.2f max %.0f, re-executed: %s", fin.MeanStaleness, fin.MaxStaleness, reexec)
 		}
+		h.Label = tc.name + " " + h.Label
+		sec.Runs = append(sec.Runs, h)
+		sec.Seconds = append(sec.Seconds, secs)
 		sec.Notes = append(sec.Notes, note)
 	}
 	if syncSecs, asyncSecs := sec.Seconds[1], sec.Seconds[2]; asyncSecs > 0 { // sync-partial, async
@@ -103,6 +115,12 @@ func extAsync(o Options, res *Result) error {
 	res.Sections = append(res.Sections, sec)
 	return nil
 }
+
+// tape records a fednet run's trace in memory: its coordinator emits from
+// one goroutine.
+type tape []obs.Event
+
+func (t *tape) Emit(e obs.Event) { *t = append(*t, e) }
 
 func withAsync(cfg core.Config, a core.AsyncConfig) core.Config {
 	cfg.Async = a

@@ -8,7 +8,9 @@ import (
 
 // wallClock names the runs whose numbers depend on the order in which
 // replies reach a real socket: ext-async's asynchronous and buffered
-// fednet runs fold each reply as it arrives.
+// fednet runs fold each reply as it arrives. What holds them instead is
+// claim row i-async-reexec: each re-executes from its own trace bit for
+// bit.
 var wallClock = map[string]bool{
 	"ext-async | async FedProx(mu=1) [async a=1 p=0.5] [fednet]":            true,
 	"ext-async | buffered FedProx(mu=1) [buffered a=1 p=0.5 K=10] [fednet]": true,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -585,6 +586,25 @@ var claims = []claim{{
 		}
 		ev = append(ev, fmt.Sprintf("async loss %.4f vs FedAvg %.4f", async.TrainLoss, drop.TrainLoss))
 		return strings.Join(ev, ", "), judge(ok)
+	},
+	want: holds,
+}, {
+	id: "i-async-reexec", cite: "ext-async, Sec. 5.2",
+	sentence: "an asynchronous run over real sockets folds its replies in an arrival order no seed decides, and its trace is the tape that order is read back from: both async runs re-execute from their traces bit for bit",
+	exp:      "ext-async", opts: fast(),
+	check: func(t *testing.T, r *Result) (string, verdict) {
+		var ev []string
+		ok := true
+		for _, name := range []string{"async: ", "buffered: "} {
+			i := slices.IndexFunc(r.Sections[0].Notes, func(n string) bool { return strings.HasPrefix(n, name) })
+			if i < 0 {
+				t.Fatalf("ext-async has no %q note", name)
+			}
+			_, got, _ := strings.Cut(r.Sections[0].Notes[i], "re-executed: ")
+			ok = ok && got == "bit-identical"
+			ev = append(ev, fmt.Sprintf("%sre-executed %s", name, got))
+		}
+		return strings.Join(ev, "; "), judge(ok)
 	},
 	want: holds,
 }}

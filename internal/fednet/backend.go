@@ -31,8 +31,8 @@ import (
 // synchronous coordinator slots each by its selection index and folds at
 // round completion, so its trajectory reproduces the simulator's bit for
 // bit whatever that order was; an asynchronous one folds as it is fed,
-// trading reproducibility for liveness (the simulator runs the same
-// coordinator on the internal/vtime clock, where it is reproducible).
+// and its trace is the record of that order (core.Reexecute re-executes
+// the run from it bit for bit).
 //
 // Registration before and during a run is one function (admit). While an
 // asynchronous run lasts the accept loop keeps serving, so an evicted

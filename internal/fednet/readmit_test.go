@@ -41,14 +41,20 @@ func (h *hookedSolver) Solve(m model.Model, train []data.Example, w0 []float64, 
 // connection is killed after its first local solve), evicts its devices,
 // and later re-admits a reconnecting worker hosting the same shards —
 // whose devices demonstrably return to the schedule (its solver runs)
-// before the run completes cleanly for every surviving endpoint.
+// before the run completes cleanly for every surviving endpoint. The
+// run's trace re-executes it (core.Reexecute) with the eviction and the
+// re-admission at their tape positions: final parameters and every
+// point's loss and accuracy bit for bit.
 func TestAsyncWorkerReadmission(t *testing.T) {
 	fed, mdl := testWorkload()
 	cfg := core.FedProx(10, 4, 2, 0.01, 1)
 	cfg.EvalEvery = 5
 	cfg.Async = core.AsyncConfig{Mode: core.AsyncTotal}
 
-	srv, err := NewServer(mdl, ServerConfig{Training: cfg, ExpectDevices: fed.NumDevices()})
+	var tape eventLog
+	rec := cfg
+	rec.Trace = &tape
+	srv, err := NewServer(mdl, ServerConfig{Training: rec, ExpectDevices: fed.NumDevices()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,73 +133,89 @@ func TestAsyncWorkerReadmission(t *testing.T) {
 	if len(hist.Points) == 0 || !(hist.Final().TrainLoss < hist.Points[0].TrainLoss) {
 		t.Fatalf("run did not improve across the failure: %+v", hist.Points)
 	}
+	if err := reexecution(mdl, fed, cfg, hist, tape, false); err != nil {
+		t.Fatalf("re-executing the kill/revive cycle from its tape: %v", err)
+	}
 }
 
 // TestAsyncReadmissionWithChainedCodec: re-admission composes with
 // stateful codec link state — the coordinator resets the rejoining
 // devices' links and ships the eval chain base, so a delta-chained
-// downlink keeps decoding in lockstep after the reconnect.
+// downlink keeps decoding in lockstep after the reconnect. The run
+// re-executes from its trace as TestAsyncWorkerReadmission's does; under
+// delta+qsgd only if the re-execution resets the revived devices' uplink
+// rounding streams, as the fresh worker's are.
 func TestAsyncReadmissionWithChainedCodec(t *testing.T) {
-	fed, mdl := testWorkload()
-	cfg := core.FedProx(8, 4, 2, 0.01, 1)
-	cfg.EvalEvery = 2 // frequent evals exercise the seeded eval chain
-	cfg.Async = core.AsyncConfig{Mode: core.AsyncTotal}
-	cfg.Codec = comm.Spec{Name: "delta"}
+	for _, spec := range []comm.Spec{{Name: "delta"}, {Name: "delta+qsgd", Bits: 8}} {
+		t.Run(spec.Name, func(t *testing.T) {
+			fed, mdl := testWorkload()
+			cfg := core.FedProx(8, 4, 2, 0.01, 1)
+			cfg.EvalEvery = 2 // frequent evals exercise the seeded eval chain
+			cfg.Async = core.AsyncConfig{Mode: core.AsyncTotal}
+			cfg.Codec = spec
 
-	srv, err := NewServer(mdl, ServerConfig{Training: cfg, ExpectDevices: fed.NumDevices()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	parts := splitShards(fed, 2)
-
-	survivor := NewWorker(mdl, parts[0], solver.Delayed{Inner: solver.SGDSolver{}, Delay: 3 * time.Millisecond})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = survivor.Run(addr) }()
-
-	rawVictim, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	killed := make(chan struct{})
-	victim := NewWorker(mdl, parts[1], &hookedSolver{inner: solver.SGDSolver{}, onFirst: func() {
-		_ = rawVictim.Close()
-		close(killed)
-	}})
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = victim.Serve(newConn(rawVictim)) }()
-
-	revived := &hookedSolver{inner: solver.SGDSolver{}}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-killed
-		replacement := NewWorker(mdl, parts[1], revived)
-		for attempt := 0; attempt < 100; attempt++ {
-			if err := replacement.Run(addr); err == nil || !strings.Contains(err.Error(), "still live") {
-				return
+			var tape eventLog
+			rec := cfg
+			rec.Trace = &tape
+			srv, err := NewServer(mdl, ServerConfig{Training: rec, ExpectDevices: fed.NumDevices()})
+			if err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			parts := splitShards(fed, 2)
 
-	hist, runErr := srv.RunWithListener(ln)
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	select {
-	case <-finished:
-	case <-time.After(30 * time.Second):
-		t.Fatal("workers still blocked after the coordinator returned")
-	}
-	if runErr != nil {
-		t.Fatalf("chained-codec run did not survive the kill/revive cycle: %v", runErr)
-	}
-	if len(hist.Points) == 0 || !(hist.Final().TrainLoss < hist.Points[0].TrainLoss) {
-		t.Fatalf("chained-codec run did not improve across the failure: %+v", hist.Points)
+			survivor := NewWorker(mdl, parts[0], solver.Delayed{Inner: solver.SGDSolver{}, Delay: 3 * time.Millisecond})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() { defer wg.Done(); _ = survivor.Run(addr) }()
+
+			rawVictim, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			killed := make(chan struct{})
+			victim := NewWorker(mdl, parts[1], &hookedSolver{inner: solver.SGDSolver{}, onFirst: func() {
+				_ = rawVictim.Close()
+				close(killed)
+			}})
+			wg.Add(1)
+			go func() { defer wg.Done(); _ = victim.Serve(newConn(rawVictim)) }()
+
+			revived := &hookedSolver{inner: solver.SGDSolver{}}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-killed
+				replacement := NewWorker(mdl, parts[1], revived)
+				for attempt := 0; attempt < 100; attempt++ {
+					if err := replacement.Run(addr); err == nil || !strings.Contains(err.Error(), "still live") {
+						return
+					}
+					time.Sleep(20 * time.Millisecond)
+				}
+			}()
+
+			hist, runErr := srv.RunWithListener(ln)
+			finished := make(chan struct{})
+			go func() { wg.Wait(); close(finished) }()
+			select {
+			case <-finished:
+			case <-time.After(30 * time.Second):
+				t.Fatal("workers still blocked after the coordinator returned")
+			}
+			if runErr != nil {
+				t.Fatalf("chained-codec run did not survive the kill/revive cycle: %v", runErr)
+			}
+			if len(hist.Points) == 0 || !(hist.Final().TrainLoss < hist.Points[0].TrainLoss) {
+				t.Fatalf("chained-codec run did not improve across the failure: %+v", hist.Points)
+			}
+			if err := reexecution(mdl, fed, cfg, hist, tape, false); err != nil {
+				t.Fatalf("re-executing the kill/revive cycle from its tape: %v", err)
+			}
+		})
 	}
 }

@@ -83,6 +83,17 @@ func TestSupportMatrix(t *testing.T) {
 			_, err := NewEdge(mdl, EdgeConfig{Training: c, ExpectDevices: n, FanOut: 2})
 			return err
 		}},
+		// Re-execution is fednet's executor: the tape is a fednet async
+		// run of the same config, and where fednet refuses that config the
+		// refusal held to the grid is still Reexecute's own.
+		{"Reexecute", wireAsync, func(c core.Config) error {
+			var tape eventLog
+			rec := c
+			rec.Trace = &tape
+			_, _ = launch(t, fed, mdl, rec, 2)
+			_, err := core.Reexecute(mdl, fed.Fleet(), c, tape)
+			return err
+		}},
 	}
 	dp := &privacy.Mechanism{ClipNorm: 1, NoiseStd: 0.01, Seed: 1}
 	// want has one cell per entry: '.' accepts, 'x' refuses, '-' is not
@@ -92,23 +103,26 @@ func TestSupportMatrix(t *testing.T) {
 		set  func(*core.Config)
 		want string
 	}{
-		{"AdaptiveMu", func(c *core.Config) { c.AdaptiveMu = true }, ".xxxxxxx"},
-		{"TrackGamma", func(c *core.Config) { c.TrackGamma = true }, ".xxxxxxx"},
-		{"TrackDissimilarity", func(c *core.Config) { c.TrackDissimilarity = true }, ".....xxx"},
-		{"Capability", func(c *core.Config) { c.Capability = fullBudget{} }, ".xx.x.x."},
-		{"DeviceBudget", func(c *core.Config) { c.DeviceBudget = fullBudget{} }, "..x....."},
-		{"Checkpointer", func(c *core.Config) { c.Checkpointer = nopCheckpointer{} }, ".xxxxxxx"},
-		{"Checkpointer", func(c *core.Config) { c.Checkpointer, c.VTime = nopCheckpointer{}, timed.VTime }, "x-------"},
-		{"Privacy", func(c *core.Config) { c.Privacy = dp }, ".....xxx"},
-		{"Privacy", func(c *core.Config) { c.Privacy, c.Precision = dp, tensor.F32 }, "xxxxxxxx"},
-		{"Solver", func(c *core.Config) { c.Solver = solver.GDSolver{} }, ".....xxx"},
-		{"VTime", func(c *core.Config) { c.VTime = timed.VTime }, ".....xxx"},
-		{"VTime", func(c *core.Config) { c.VTime = core.VTimeConfig{} }, "-x-xx---"},
-		{"Codec", func(c *core.Config) { c.Codec = comm.Spec{Name: "qsgd"} }, "...xx..."},
-		{"Precision", func(c *core.Config) { c.Precision = tensor.F32 }, "........"},
-		{"Async", func(c *core.Config) { c.Async = async.Async }, "--x----x"},
+		{"AdaptiveMu", func(c *core.Config) { c.AdaptiveMu = true }, ".xxxxxxxx"},
+		{"TrackGamma", func(c *core.Config) { c.TrackGamma = true }, ".xxxxxxxx"},
+		{"TrackDissimilarity", func(c *core.Config) { c.TrackDissimilarity = true }, ".....xxxx"},
+		{"Capability", func(c *core.Config) { c.Capability = fullBudget{} }, ".xx.x.x.x"},
+		{"DeviceBudget", func(c *core.Config) { c.DeviceBudget = fullBudget{} }, "..x......"},
+		{"Checkpointer", func(c *core.Config) { c.Checkpointer = nopCheckpointer{} }, ".xxxxxxxx"},
+		{"Checkpointer", func(c *core.Config) { c.Checkpointer, c.VTime = nopCheckpointer{}, timed.VTime }, "x--------"},
+		{"Privacy", func(c *core.Config) { c.Privacy = dp }, ".....xxxx"},
+		{"Privacy", func(c *core.Config) { c.Privacy, c.Precision = dp, tensor.F32 }, "xxxxxxxxx"},
+		{"Solver", func(c *core.Config) { c.Solver = solver.GDSolver{} }, ".....xxxx"},
+		{"VTime", func(c *core.Config) { c.VTime = timed.VTime }, ".....xxxx"},
+		{"VTime", func(c *core.Config) { c.VTime = core.VTimeConfig{} }, "-x-xx----"},
+		{"Codec", func(c *core.Config) { c.Codec = comm.Spec{Name: "qsgd"} }, "...xx...."},
+		{"Precision", func(c *core.Config) { c.Precision = tensor.F32 }, "........."},
+		{"Async", func(c *core.Config) { c.Async = async.Async }, "--x----x-"},
 	}
 	for _, o := range options {
+		if o.want[8] != o.want[6] {
+			t.Errorf("%s: Reexecute's cell %q is not fednet async's %q", o.name, o.want[8], o.want[6])
+		}
 		for i, e := range entries {
 			want := o.want[i]
 			if want == '-' {
