@@ -8,14 +8,16 @@ import (
 	"testing"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/obs"
 	"fedprox/internal/tensor"
 	"fedprox/internal/tier"
 )
 
 // historyDigest is a SHA-256 over a whole History by bits: its label,
 // every field of every point (Cost included), every arrival, and the
-// final parameters.
-func historyDigest(h *History) string {
+// final parameters, then the seq and staleness of each reply event in
+// replies (nil for a run with no trace).
+func historyDigest(h *History, replies replyTape) string {
 	hash := sha256.New()
 	word := func(v uint64) { hash.Write(binary.LittleEndian.AppendUint64(nil, v)) }
 	float := func(v float64) { word(math.Float64bits(v)) }
@@ -35,16 +37,28 @@ func historyDigest(h *History) string {
 	}
 	for _, a := range h.Arrivals {
 		word(uint64(a.Device))
-		word(uint64(a.Seq))
 		float(a.Sent)
 		float(a.Arrived)
-		word(uint64(a.Staleness))
 		word(uint64(a.Drop))
 	}
 	for _, v := range h.FinalParams {
 		float(v)
 	}
+	for _, e := range replies {
+		word(uint64(e.Seq))
+		word(uint64(e.Staleness))
+	}
 	return fmt.Sprintf("%x", hash.Sum(nil))
+}
+
+// replyTape is a trace sink that keeps the coordinator's reply events,
+// in emission order.
+type replyTape []obs.Event
+
+func (r *replyTape) Emit(e obs.Event) {
+	if e.Kind == obs.KindReply {
+		*r = append(*r, e)
+	}
 }
 
 // TestCodecRunDigests pins whole codec-run trajectories bit for bit: the
@@ -84,13 +98,13 @@ func TestCodecRunDigests(t *testing.T) {
 		{"sync", delta, comm.Spec{}, tensor.F32,
 			"36633aa6ceb6b2ebbd11b4524d68eaa4fa2114e3b0ba31f2c51049bf8502f0af"},
 		{"async", qsgd8, qsgd8, tensor.F64,
-			"f0ab162209e4f33d7b9280ba136185af0b3d73d17925fece1552d57a830f9771"},
+			"0979587683ebd9f7aedfe72c6c8c4a19a588134ef1e3470ca05ec6edd8661ffd"},
 		{"async", qsgd8, qsgd8, tensor.F32,
-			"6046a24fce44bb7d98dce172c8821e97c98d2982e9adba62d9d442b7f4d01984"},
+			"18cb90defb2d8f8b5b1cc4b32465f5ca6d94ccacfe701ea772535d2acefdcd96"},
 		{"async", delta, comm.Spec{}, tensor.F64,
-			"22c311789a4f8d979c7c3819d2805e28cddf769663550f5dc8c1caad8d993894"},
+			"4c69a26aabacd0864fa198dcc1b5824eba2700d3ce6e3070802298b120163b64"},
 		{"async", delta, comm.Spec{}, tensor.F32,
-			"dc509589900ef4bf89cf19f58da95cd2b6b342e6cad6c49bab503a544ebdd7bf"},
+			"212a3075fdc39e3ac43bca784c2b4a7e9aec64afa836e317129e0ef67468d8c6"},
 		{"tiered", qsgd8, qsgd8, tensor.F64,
 			"e61e54255f9529bdb3c0367bfa901e0ef2eec9e904bbd3126ce329c596c40f26"},
 		{"tiered", qsgd8, qsgd8, tensor.F32,
@@ -105,11 +119,16 @@ func TestCodecRunDigests(t *testing.T) {
 		cfg.StragglerFraction = 0.5
 		cfg.EvalEvery = 2
 		cfg.Codec, cfg.DownlinkCodec, cfg.Precision = c.codec, c.down, c.prec
+		// An async run's per-reply seq and staleness live in its trace.
+		var replies replyTape
+		if c.exec == "async" {
+			cfg.Trace = &replies
+		}
 		h, err := run[c.exec](cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := historyDigest(h); got != c.want {
+		if got := historyDigest(h, replies); got != c.want {
 			t.Errorf("%s: digest %s, want %s", name, got, c.want)
 		}
 	}

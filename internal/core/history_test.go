@@ -105,8 +105,8 @@ func TestReplyLatencyQuantiles(t *testing.T) {
 		}
 	}
 	// Latencies 1..5 in scrambled arrival order.
-	for i, lat := range []float64{3, 1, 5, 2, 4} {
-		h.Arrivals = append(h.Arrivals, Arrival{Seq: int32(i), Sent: 10, Arrived: 10 + lat})
+	for _, lat := range []float64{3, 1, 5, 2, 4} {
+		h.Arrivals = append(h.Arrivals, Arrival{Sent: 10, Arrived: 10 + lat})
 	}
 	got := h.ReplyLatencyQuantiles(0, 0.5, 0.75, 1)
 	want := []float64{1, 3, 4, 5}

@@ -31,8 +31,8 @@ func TestReplyLatencyQuantilesEdgeCases(t *testing.T) {
 
 	t.Run("all-equal", func(t *testing.T) {
 		h := &History{}
-		for i := 0; i < 7; i++ {
-			h.Arrivals = append(h.Arrivals, Arrival{Seq: int32(i), Sent: 1, Arrived: 3})
+		for range 7 {
+			h.Arrivals = append(h.Arrivals, Arrival{Sent: 1, Arrived: 3})
 		}
 		for _, q := range h.ReplyLatencyQuantiles(0, 0.1, 0.5, 0.9, 1) {
 			if q != 2 {
@@ -46,8 +46,8 @@ func TestReplyLatencyQuantilesEdgeCases(t *testing.T) {
 		// 0.5, 0.75, 1 land exactly on indices 0..4 — the results must
 		// be the order statistics themselves, bit-exact.
 		h := &History{}
-		for i, lat := range []float64{30, 10, 50, 20, 40} {
-			h.Arrivals = append(h.Arrivals, Arrival{Seq: int32(i), Sent: 0, Arrived: lat})
+		for _, lat := range []float64{30, 10, 50, 20, 40} {
+			h.Arrivals = append(h.Arrivals, Arrival{Sent: 0, Arrived: lat})
 		}
 		got := h.ReplyLatencyQuantiles(0, 0.25, 0.5, 0.75, 1)
 		want := []float64{10, 20, 30, 40, 50}
@@ -60,7 +60,7 @@ func TestReplyLatencyQuantilesEdgeCases(t *testing.T) {
 
 	t.Run("interpolated", func(t *testing.T) {
 		// Two arrivals, q=0.5: midpoint of the two order statistics.
-		h := &History{Arrivals: []Arrival{{Sent: 0, Arrived: 1}, {Seq: 1, Sent: 0, Arrived: 2}}}
+		h := &History{Arrivals: []Arrival{{Sent: 0, Arrived: 1}, {Sent: 0, Arrived: 2}}}
 		if q := h.ReplyLatencyQuantiles(0.5)[0]; math.Abs(q-1.5) > 1e-15 {
 			t.Fatalf("median of {1,2} = %v, want 1.5", q)
 		}

@@ -177,11 +177,14 @@ func TestFreshFoldReproducesSyncUpdate(t *testing.T) {
 }
 
 // TestVTimeAsyncMatchesWorkBudget: the async schedule folds exactly
-// Rounds*roundSize replies, milestones evaluate on the sync cadence, and
-// every fold shows up in the arrival trace.
+// Rounds*roundSize replies, milestones evaluate on the sync cadence,
+// every fold shows up in the arrival trace, and no folded reply's event
+// reports a negative staleness.
 func TestVTimeAsyncMatchesWorkBudget(t *testing.T) {
 	mdl, fed := tinyWorkload()
 	cfg := vtimeAsyncConfig(AsyncTotal, fed.NumDevices())
+	var replies replyTape
+	cfg.Trace = &replies
 	h, err := Run(mdl, fed, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -191,12 +194,14 @@ func TestVTimeAsyncMatchesWorkBudget(t *testing.T) {
 		t.Fatalf("points = %d, want %d", len(h.Points), wantPoints)
 	}
 	folded := 0
+	for _, e := range replies {
+		if e.Disposition == ArrivalFolded.String() && e.Staleness < 0 {
+			t.Fatalf("folded reply with negative staleness: %+v", e)
+		}
+	}
 	for _, a := range h.Arrivals {
 		if a.Drop == ArrivalFolded {
 			folded++
-			if a.Staleness < 0 {
-				t.Fatalf("folded arrival with negative staleness: %+v", a)
-			}
 		}
 		if a.Arrived < a.Sent {
 			t.Fatalf("arrival precedes dispatch: %+v", a)

@@ -170,6 +170,82 @@ func TestFleetShardIsPure(t *testing.T) {
 	}
 }
 
+// scaleShapeConfig is the benchmark of record's vtime-fleet-eval fleet
+// shape (10 features, 5 classes, 10 to 20 samples) at devices devices.
+func scaleShapeConfig(devices int) Config {
+	return Config{
+		Alpha: 1, Beta: 1,
+		Devices:    devices,
+		Dim:        10,
+		Classes:    5,
+		MinSamples: 10,
+		MaxSamples: 20,
+		PowerAlpha: 1.55,
+		TrainFrac:  0.8,
+		Seed:       43,
+	}
+}
+
+// TestFleetSecondShardMatchesFresh: a device's second Shard, on a fleet
+// that already synthesized it once, is bit for bit the first Shard of a
+// fresh fleet — for the heterogeneous and the IID generator at paper
+// scale, and at vtime-fleet-eval's shape over 2 000 devices.
+func TestFleetSecondShardMatchesFresh(t *testing.T) {
+	for name, c := range map[string]Config{
+		"Synthetic(1,1)":   Default(1, 1),
+		"Synthetic-IID":    DefaultIID(),
+		"vtime-fleet-eval": scaleShapeConfig(2000),
+	} {
+		t.Run(name, func(t *testing.T) {
+			seen, fresh := NewFleet(c), NewFleet(c)
+			for k := range c.Devices {
+				seen.Release(seen.Shard(k))
+			}
+			for k := range c.Devices {
+				a, b := seen.Shard(k), fresh.Shard(k)
+				if !shardsEqual(a, b) {
+					t.Fatalf("device %d: the second Shard differs from a fresh fleet's first", k)
+				}
+				seen.Release(a)
+				fresh.Release(b)
+			}
+		})
+	}
+}
+
+// TestFleetLabelsParallel: four goroutines Shard and Release the same
+// devices in the same order, so the first synthesis of each device is
+// contended, and every shard any of them sees is a fresh fleet's bit
+// for bit. Under -race this races the fleet's per-device state.
+func TestFleetLabelsParallel(t *testing.T) {
+	c := scaleShapeConfig(300)
+	fed := Generate(c)
+	fl := NewFleet(c)
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 2 {
+				for k := range c.Devices {
+					s := fl.Shard(k)
+					if !shardsEqual(s, fed.Shards[k]) {
+						errs <- fmt.Sprintf("goroutine %d: Shard(%d) differs from a fresh one", g, k)
+						return
+					}
+					fl.Release(s)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
 // TestEagerFleetAdapter: a materialized Federated viewed through Fleet
 // reports the same sizes and shards by identity.
 func TestEagerFleetAdapter(t *testing.T) {
@@ -192,17 +268,7 @@ func TestEagerFleetAdapter(t *testing.T) {
 // and population of the benchmark of record's vtime-fleet-eval workload:
 // 12 500 devices of 10 to 20 samples, power-law exponent 1.55.
 func BenchmarkNewFleet(b *testing.B) {
-	c := Config{
-		Alpha: 1, Beta: 1,
-		Devices:    12500,
-		Dim:        10,
-		Classes:    5,
-		MinSamples: 10,
-		MaxSamples: 20,
-		PowerAlpha: 1.55,
-		TrainFrac:  0.8,
-		Seed:       43,
-	}
+	c := scaleShapeConfig(12500)
 	for range b.N {
 		benchFleet = NewFleet(c)
 	}
