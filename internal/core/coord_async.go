@@ -177,7 +177,7 @@ func (c *Coordinator) handleAsyncReply(in *pendingDispatch, wk []float64, up int
 	reason := c.judge(rel, lost, c.folded >= c.target, in.downBytes, up)
 	c.settle(in, reason, done, up, rel)
 	if c.timed() {
-		c.recordArrival(c.target, in, in.seq, c.now, reason)
+		c.recordArrival(c.target, in, c.now, reason)
 	}
 	var cmds []Command
 	if reason == ArrivalFolded {

@@ -250,7 +250,7 @@ func (c *Coordinator) cutSyncRound(r *syncRound) (duration float64) {
 		if occ > duration {
 			duration = occ
 		}
-		c.recordArrival(c.cfg.Rounds*len(r.selected), rep.in, rep.seq, rep.in.sentAt+rep.rel, rep.verdict)
+		c.recordArrival(c.cfg.Rounds*len(r.selected), rep.in, rep.in.sentAt+rep.rel, rep.verdict)
 	}
 	return duration
 }

@@ -47,8 +47,9 @@ package core
 //
 // Event methods return the commands Drive must execute, in order.
 // At most one "waiting" command (Evaluate, ObserveLoss) is in flight at a
-// time; replies delivered while an evaluation is pending are queued and
-// processed after EvalDone, mirroring the fednet aggregator's stash.
+// time, and Drive answers an Evaluate before it delivers another reply:
+// a reply that arrives while an evaluation is pending is an error. A
+// backend that can receive one then (fednet's) holds it until EvalDone.
 
 import (
 	"errors"
@@ -362,7 +363,6 @@ type Coordinator struct {
 
 	// wait states
 	evalWait *evalPending
-	queued   []Reply
 }
 
 // NewCoordinator builds a coordinator for one run of cfg on mdl.
@@ -736,17 +736,16 @@ func (c *Coordinator) settle(in *pendingDispatch, reason DropReason, done int, u
 	}
 }
 
-// recordArrival appends one transmitted reply to the Arrivals trace: seq
-// is its transfer sequence and arrived the clock it reached the server
-// at. The first contact sizes the trace to planned, the number of
-// contacts the configuration fixes for a run that loses no reply, so such
-// a run never regrows it; re-dispatched losses overflow through append.
-func (c *Coordinator) recordArrival(planned int, in *pendingDispatch, seq int, arrived float64, reason DropReason) {
+// recordArrival appends one transmitted reply to the Arrivals trace:
+// arrived is the clock it reached the server at. The first contact sizes
+// the trace to planned, the number of contacts the configuration fixes
+// for a run that loses no reply, so such a run never regrows it;
+// re-dispatched losses overflow through append.
+func (c *Coordinator) recordArrival(planned int, in *pendingDispatch, arrived float64, reason DropReason) {
 	if c.hist.Arrivals == nil {
 		c.hist.Arrivals = make([]Arrival, 0, planned)
 	}
-	c.hist.Arrivals = append(c.hist.Arrivals, Arrival{Device: int32(in.device), Seq: int32(seq), Sent: in.sentAt, Arrived: arrived,
-		Staleness: int32(c.staleness(in, reason)), Drop: reason})
+	c.hist.Arrivals = append(c.hist.Arrivals, Arrival{Device: int32(in.device), Drop: reason, Sent: in.sentAt, Arrived: arrived})
 }
 
 // decodeReply takes the device's solution from a Reply, for the caller to
@@ -771,16 +770,15 @@ func (c *Coordinator) decodeReply(in *pendingDispatch, r Reply) (wk []float64, u
 	return r.Params, c.paramBytes, nil
 }
 
-// HandleReply delivers one device's training result. Replies arriving
-// while an evaluation is pending are queued and processed after
-// EvalDone, in arrival order.
+// HandleReply delivers one device's training result. A reply that
+// arrives between an Evaluate command and its EvalDone is an error: the
+// backend holds it until the evaluation is answered.
 func (c *Coordinator) HandleReply(r Reply) ([]Command, error) {
 	if !c.started {
 		return nil, errors.New("core: reply before Start")
 	}
 	if c.evalWait != nil {
-		c.queued = append(c.queued, r)
-		return nil, nil
+		return nil, fmt.Errorf("core: reply from device %d while an evaluation is pending", r.Device)
 	}
 	in, ok := c.pending[r.Device]
 	if !ok {
@@ -854,7 +852,7 @@ func (c *Coordinator) beginEval(round int, mu, gamma float64, participants int, 
 
 // EvalDone answers an Evaluate command: the point is recorded with the
 // coordinator's cumulative cost and staleness statistics, then the run
-// continues (queued replies first, in arrival order).
+// continues.
 func (c *Coordinator) EvalDone(e EvalResult) ([]Command, error) {
 	ew := c.evalWait
 	if ew == nil {
@@ -898,20 +896,7 @@ func (c *Coordinator) EvalDone(e EvalResult) ([]Command, error) {
 	c.hist.Points = append(c.hist.Points, p)
 	c.emit(obs.Event{Kind: obs.KindEval, Round: ew.round, Loss: e.Loss, Acc: e.Acc})
 
-	cmds, err := ew.after()
-	if err != nil {
-		return nil, err
-	}
-	for len(c.queued) > 0 && c.evalWait == nil {
-		r := c.queued[0]
-		c.queued = c.queued[1:]
-		more, err := c.HandleReply(r)
-		if err != nil {
-			return nil, err
-		}
-		cmds = append(cmds, more...)
-	}
-	return cmds, nil
+	return ew.after()
 }
 
 // CombineEvals is the one rule that turns per-device evaluation rows (a

@@ -186,3 +186,36 @@ func TestDriveFeedsCoordinator(t *testing.T) {
 		t.Fatalf("history %+v", hist.Points)
 	}
 }
+
+// TestReplyDuringEvaluationRefused: Drive answers an Evaluate before it
+// delivers another reply, so a reply handed to the coordinator between
+// an Evaluate command and its EvalDone is an error that names the
+// device, and the evaluation is still answered as if it never came.
+func TestReplyDuringEvaluationRefused(t *testing.T) {
+	mdl, fed := tinyWorkload()
+	coord, _, err := newSimPair(mdl, fed.Fleet(), FedProx(2, 3, 1, 0.01, 1), CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds, err := coord.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cmds) != 1 {
+		t.Fatalf("Start returned %d commands, want round 0's Evaluate alone", len(cmds))
+	}
+	if _, ok := cmds[0].(Evaluate); !ok {
+		t.Fatalf("Start returned %T, want Evaluate", cmds[0])
+	}
+	_, err = coord.HandleReply(Reply{Device: 4, Params: make([]float64, mdl.NumParams())})
+	if err == nil || !strings.Contains(err.Error(), "device 4") || !strings.Contains(err.Error(), "evaluation is pending") {
+		t.Fatalf("reply during a pending evaluation: error %v, want one naming device 4", err)
+	}
+	next, err := coord.EvalDone(EvalResult{Loss: 1, Acc: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next) == 0 {
+		t.Fatal("EvalDone after the refused reply returned no command")
+	}
+}

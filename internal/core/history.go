@@ -90,27 +90,19 @@ type Cost struct {
 // their discarded work is visible in Cost.WastedEpochs instead.
 //
 // A History holds one Arrival per contact for the life of the run, so
-// the record is kept to 32 bytes: device ids, sequence numbers and
-// staleness are 32-bit. Per-reply work (budget, epochs run, bytes) is
-// not repeated here; it lives in the trace's obs.KindReply events, which
-// is what Replay prices partial work from.
+// the record is kept to 24 bytes: the device id is 32-bit, and the
+// reply's transfer sequence, its staleness and its work (budget, epochs
+// run, bytes) are not repeated here. They live in the trace's
+// obs.KindReply events, which is what Replay prices partial work from.
 type Arrival struct {
 	// Device is the contacted device index.
 	Device int32
-	// Seq is the reply's transfer sequence number: the dispatch sequence
-	// in the asynchronous modes, the driver's per-transfer counter in the
-	// synchronous protocol (the arrival race's tiebreak). Unique within a
-	// run, but the trace is in arrival order, not Seq order.
-	Seq int32
+	// Drop records why the reply was discarded, or ArrivalFolded.
+	Drop DropReason
 	// Sent is the virtual time the broadcast left the coordinator.
 	Sent float64
 	// Arrived is the virtual time the reply reached the coordinator.
 	Arrived float64
-	// Staleness is the model-version staleness at fold time (0 in the
-	// synchronous protocol; -1 when the reply was not folded).
-	Staleness int32
-	// Drop records why the reply was discarded, or ArrivalFolded.
-	Drop DropReason
 }
 
 // DropReason classifies the fate of a virtual-time reply.

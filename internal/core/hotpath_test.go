@@ -34,8 +34,8 @@ var hotPaths = []struct {
 	{"CoordinatorFold", foldStep, 0},
 	{"DeviceDispatchF64", dispatchStepF64, 3},
 	{"DeviceDispatchF32", dispatchStepF32, 3},
-	{"DeviceEval", evalStep, 2},
-	{"LazyShardVisit", lazyVisitStep, 1},
+	{"DeviceEval", evalStep, 1},
+	{"LazyShardVisit", lazyVisitStep, 0},
 	{"SolveEpochF64", solveEpochStepF64, 0},
 	{"SolveEpochF32", solveEpochStepF32, 0},
 	{"SolveResultEscapes", solveEscapeStep, 1},
@@ -52,9 +52,9 @@ func solveEscapeStep(tb testing.TB, _ int) func()   { return solveEpochStep(tb, 
 // dispatch under delta+qsgd allocates three small objects (update headers;
 // every model-sized vector and payload comes from a pool, and the decoder
 // applies the link base itself, with no re-labelled header copy), and a
-// device eval two: the reply's row slice and the shard's label slice, its
-// logits being pooled (per-example logits made it 18 here). A lazy
-// fleet's shard visit allocates that label slice alone: the shard's
+// device eval one: the reply's row slice, its logits and predicted labels
+// being pooled (per-example logits made it 18 here, and a label slice per
+// shard 2). A lazy fleet's shard visit allocates nothing: the shard's
 // storage comes off the fleet's free list (a fresh synthesis per visit
 // was 24 objects). A solve whose
 // result is never handed back allocates that result and nothing else —
@@ -233,8 +233,8 @@ func evalStep(tb testing.TB, _ int) func() {
 // lazyVisitStep is one device of a fleet evaluation on a lazy fleet —
 // synthesize the shard, measure it with metrics.ShardEval, release it —
 // cycling over the benchmark's 10-feature, 5-class Synthetic(1,1) shape.
-// Its one allocation is ShardEval's label slice: the shard's storage
-// comes off the fleet's free list.
+// It allocates nothing: the shard's storage comes off the fleet's free
+// list and ShardEval's predicted labels from a pool.
 func lazyVisitStep(tb testing.TB, _ int) func() {
 	fl := synthetic.NewFleet(synthetic.Config{
 		Alpha: 1, Beta: 1, Devices: 64, Dim: 10, Classes: 5,

@@ -3,6 +3,7 @@ package synthetic
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
@@ -10,10 +11,17 @@ import (
 )
 
 // Fleet is the lazy data.Fleet view of a synthetic population: it holds
-// only the O(N) sample-size allocation plus the generator's stream
+// each device's sample count and label memo plus the generator's stream
 // seeds, and synthesizes a device's shard on demand. Peak memory for a
-// run over the fleet is O(active cohort), not O(population), which is
-// what lets virtual-time sweeps reach 10^5–10^6 devices.
+// run over the fleet is O(active cohort) shards plus a byte per example
+// and 12 per device, not O(population) shards, which is what lets
+// virtual-time sweeps reach 10^5–10^6 devices.
+//
+// The label memo is what a re-synthesis saves: the first Shard(k) records
+// each example's label in slot order, and a later one draws only the
+// features, skipping the device model's W_k and b_k and the per-example
+// logits. The labels are the ones a full synthesis computes, so the memo
+// moves no bit of any shard.
 //
 // A shard's bits are a pure function of (config, device index), so
 // concurrent calls are safe, for one device or many. Release puts its
@@ -21,7 +29,7 @@ import (
 // buffers than shards were ever live at once.
 type Fleet struct {
 	cfg      Config
-	sizes    []int
+	start    []int     // device k's examples are [start[k], start[k+1]) of labels
 	sigmaStd []float64 // sqrt(Σ_jj), Σ_jj = j^{-1.2} 1-indexed as in the paper
 	// Shared model and zero input mean for the IID dataset.
 	sharedW tensor.Mat
@@ -32,10 +40,25 @@ type Fleet struct {
 	// Device k's streams are SplitIndex(k) of these states.
 	modelState, dataState, splitState uint64
 
+	// labels is the memo, one byte per example in slot order, allocated
+	// by the first Shard; device k's are valid once known[k] reads
+	// labelsKnown. One synthesis of k claims the slot by compare-and-swap
+	// and publishes it with a store.
+	memo   sync.Once
+	labels []uint8
+	known  []atomic.Uint32
+
 	mu   sync.Mutex
 	free []*shardBuf
 	live map[*data.Shard]*shardBuf // handed out, not yet released
 }
+
+// A device's label memo state.
+const (
+	labelsUnknown uint32 = iota
+	labelsWriting
+	labelsKnown
+)
 
 // shardBuf is a shard and the storage it points into.
 type shardBuf struct {
@@ -49,7 +72,7 @@ type shardBuf struct {
 // sequential draws — the power-law size allocation and (for IID) the
 // shared model — so it is O(N) ints, not O(total samples).
 func NewFleet(c Config) *Fleet {
-	if c.Devices <= 0 || c.Dim <= 0 || c.Classes <= 1 || c.TrainFrac < 0 || c.TrainFrac > 1 {
+	if c.Devices <= 0 || c.Dim <= 0 || c.Classes <= 1 || c.Classes > 256 || c.TrainFrac < 0 || c.TrainFrac > 1 {
 		panic("synthetic: invalid config")
 	}
 	root := frand.New(c.Seed)
@@ -60,10 +83,15 @@ func NewFleet(c Config) *Fleet {
 
 	f := &Fleet{
 		cfg:      c,
-		sizes:    data.PowerLawSizes(sizeRng, c.Devices, c.MinSamples, c.MaxSamples, c.PowerAlpha),
+		start:    make([]int, c.Devices+1),
 		sigmaStd: make([]float64, c.Dim),
 		zero:     make([]float64, c.Dim),
 		live:     map[*data.Shard]*shardBuf{},
+	}
+	// The sizes are drawn into start[1:] and summed in place.
+	sizeRng.PowerLawVec(f.start[1:], c.MinSamples, c.MaxSamples, c.PowerAlpha)
+	for k := 1; k < c.Devices; k++ {
+		f.start[k+1] += f.start[k]
 	}
 	for j := range f.sigmaStd {
 		f.sigmaStd[j] = math.Sqrt(math.Pow(float64(j+1), -1.2))
@@ -95,14 +123,18 @@ func (f *Fleet) NumDevices() int { return f.cfg.Devices }
 
 // TrainSize returns device k's training-set size without synthesizing
 // its examples.
-func (f *Fleet) TrainSize(k int) int { return data.TrainCount(f.sizes[k], f.cfg.TrainFrac) }
+func (f *Fleet) TrainSize(k int) int { return data.TrainCount(f.size(k), f.cfg.TrainFrac) }
+
+// size is device k's sample count.
+func (f *Fleet) size(k int) int { return f.start[k+1] - f.start[k] }
 
 // Shard synthesizes device k's shard: one tensor.Normals call for the
 // device model, one for every feature, each deviate then shifted and
 // scaled as NormMeanStd does, and each example written straight into its
-// train/test slot.
+// train/test slot. Once k's labels are in the memo, the model call draws
+// only B_k and v_k and each example takes its label from the memo.
 func (f *Fleet) Shard(k int) *data.Shard {
-	c, n := f.cfg, f.sizes[k]
+	c, n := f.cfg, f.size(k)
 	f.mu.Lock()
 	var b *shardBuf
 	if last := len(f.free) - 1; last >= 0 {
@@ -116,22 +148,40 @@ func (f *Fleet) Shard(k int) *data.Shard {
 		b.ex, b.x, b.perm = make([]data.Example, n), make([]float64, n*c.Dim), make([]int, n)
 	}
 
+	// The first synthesis of k records its labels; a caller that loses the
+	// claim to a concurrent one synthesizes in full and records nothing.
+	f.memo.Do(func() {
+		f.labels, f.known = make([]uint8, f.start[c.Devices]), make([]atomic.Uint32, c.Devices)
+	})
+	labels := f.labels[f.start[k]:f.start[k+1]]
+	known := f.known[k].Load() == labelsKnown
+	record := !known && f.known[k].CompareAndSwap(labelsUnknown, labelsWriting)
+
 	// Pooled, not in the buffer: a shard Generate keeps holds no scratch.
 	scratch := tensor.GetVec[float64](f.modelLen + c.Classes)
 	logits := scratch[f.modelLen:]
 	W, bias, mean := f.sharedW, f.sharedB, f.zero
 	if !c.IID {
 		// In draw order: u_k ~ N(0, α); W_k, b_k ~ N(u_k, 1);
-		// B_k ~ N(0, β); (v_k)_j ~ N(B_k, 1).
-		z := scratch[:f.modelLen]
-		tensor.Normals(z, frand.New(f.modelState).SplitIndex(k))
+		// B_k ~ N(0, β); (v_k)_j ~ N(B_k, 1). Only the labels read u_k,
+		// W_k and b_k: with the labels known, their deviates (two draws
+		// each) are skipped.
+		z, rng := scratch[:f.modelLen], frand.New(f.modelState).SplitIndex(k)
 		cd := c.Classes * c.Dim
-		wb, Bk, v := z[1:1+cd+c.Classes], z[1+cd+c.Classes:2+cd+c.Classes], z[2+cd+c.Classes:]
-		affine(z[:1], 0, math.Sqrt(c.Alpha))
-		affine(wb, z[0], 1)
+		lead := 1 + cd + c.Classes
+		if known {
+			rng.Skip(2 * lead)
+			tensor.Normals(z[lead:], rng)
+		} else {
+			tensor.Normals(z, rng)
+			affine(z[:1], 0, math.Sqrt(c.Alpha))
+			affine(z[1:lead], z[0], 1)
+			W, bias = tensor.Mat{Rows: c.Classes, Cols: c.Dim, Data: z[1 : 1+cd]}, z[1+cd:lead]
+		}
+		Bk, v := z[lead:lead+1], z[lead+1:]
 		affine(Bk, 0, math.Sqrt(c.Beta))
 		affine(v, Bk[0], 1)
-		W, bias, mean = tensor.Mat{Rows: c.Classes, Cols: c.Dim, Data: wb[:cd]}, wb[cd:], v
+		mean = v
 	}
 	x, perm, ex := b.x[:n*c.Dim], b.perm[:n], b.ex[:n]
 	tensor.Normals(x, frand.New(f.dataState).SplitIndex(k))
@@ -144,8 +194,20 @@ func (f *Fleet) Shard(k int) *data.Shard {
 		for j := range xi {
 			xi[j] = mean[j] + f.sigmaStd[j]*xi[j]
 		}
-		tensor.MatVecAdd(logits, W, xi, bias)
-		ex[s] = data.Example{X: xi, Y: tensor.ArgMax(logits)}
+		var y int
+		if known {
+			y = int(labels[s])
+		} else {
+			tensor.MatVecAdd(logits, W, xi, bias)
+			y = tensor.ArgMax(logits)
+			if record {
+				labels[s] = uint8(y)
+			}
+		}
+		ex[s] = data.Example{X: xi, Y: y}
+	}
+	if record {
+		f.known[k].Store(labelsKnown)
 	}
 	tensor.PutVec(scratch)
 	nTrain := data.TrainCount(n, c.TrainFrac)

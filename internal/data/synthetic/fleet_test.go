@@ -59,11 +59,11 @@ func TestFleetMatchesGenerate(t *testing.T) {
 			fed := Generate(c) // never released: fresh storage per shard
 			fl := NewFleet(c)
 			large, small := 0, 0
-			for k := range fl.sizes {
-				if fl.sizes[k] > fl.sizes[large] {
+			for k := range c.Devices {
+				if fl.size(k) > fl.size(large) {
 					large = k
 				}
-				if fl.sizes[k] < fl.sizes[small] {
+				if fl.size(k) < fl.size(small) {
 					small = k
 				}
 			}

@@ -58,6 +58,13 @@ func (s *Source) Uint64() uint64 {
 	return mix(s.state)
 }
 
+// Skip advances the stream past n values without computing them: the
+// state moves by one constant per Uint64, so n of them are one multiply.
+// A Norm takes two values, so skipping n deviates is Skip(2n).
+func (s *Source) Skip(n int) {
+	s.state += 0x9e3779b97f4a7c15 * uint64(n)
+}
+
 // mix is the SplitMix64 output function.
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -208,7 +215,8 @@ func (s *Source) WeightedChoice(weights []float64, k int) []int {
 // power-law-like distribution over [min, max] (value v is proportional to
 // v^(-alpha)) and returns it. The paper allocates "samples per device
 // following a power law"; this is the sampler the dataset generators share,
-// through data.PowerLawSizes. The inverse CDF's constants are computed once
+// through data.PowerLawSizes (synthetic's fleet draws straight into its
+// offset table). The inverse CDF's constants are computed once
 // per call, so a draw costs one Pow.
 func (s *Source) PowerLawVec(dst []int, min, max int, alpha float64) []int {
 	if min <= 0 || max < min {

@@ -121,6 +121,28 @@ func TestNormGolden(t *testing.T) {
 	}
 }
 
+// TestSkip: Skip(n) then Uint64 returns the (n+1)-th Uint64 of the
+// stream, and two deviates skipped are the third Norm.
+func TestSkip(t *testing.T) {
+	for _, n := range []int{0, 1, 1000} {
+		s, want := New(7), New(7)
+		s.Skip(n)
+		for range n {
+			want.Uint64()
+		}
+		if got, w := s.Uint64(), want.Uint64(); got != w {
+			t.Errorf("Skip(%d) then Uint64 = %#x, want the next value %#x", n, got, w)
+		}
+	}
+	s, want := New(1), New(1)
+	s.Skip(2 * 2)
+	want.Norm()
+	want.Norm()
+	if got, w := s.Norm(), want.Norm(); math.Float64bits(got) != math.Float64bits(w) {
+		t.Errorf("Norm after Skip(4) = %v, want the third deviate %v", got, w)
+	}
+}
+
 func TestNormMeanStd(t *testing.T) {
 	s := New(17)
 	const n = 100000

@@ -26,6 +26,8 @@ package metrics
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"fedprox/internal/data"
@@ -61,21 +63,30 @@ func ShardEval(m model.Model, w []float64, s *data.Shard) (loss float64, correct
 	return m.Loss(w, s.Train), countCorrect(m, w, s.Test)
 }
 
-// predictions is m's label for every example of test, from one Predict
-// call.
-func predictions(m model.Model, w []float64, test []data.Example) []int {
-	labels := make([]int, len(test))
+// labelBufs recycles the label buffers Predict writes into, so scoring a
+// shard allocates nothing once the pool holds a buffer per worker.
+var labelBufs = sync.Pool{New: func() any { return new([]int) }}
+
+// eachPrediction calls visit with each example of test and m's label for
+// it, from one Predict call into a pooled buffer.
+func eachPrediction(m model.Model, w []float64, test []data.Example, visit func(ex data.Example, y int)) {
+	box := labelBufs.Get().(*[]int)
+	labels := slices.Grow((*box)[:0], len(test))[:len(test)]
 	m.Predict(w, test, labels)
-	return labels
+	for e, y := range labels {
+		visit(test[e], y)
+	}
+	*box = labels
+	labelBufs.Put(box)
 }
 
 // countCorrect is the number of examples of test that m labels right.
 func countCorrect(m model.Model, w []float64, test []data.Example) (correct int) {
-	for e, y := range predictions(m, w, test) {
-		if y == test[e].Y {
+	eachPrediction(m, w, test, func(ex data.Example, y int) {
+		if y == ex.Y {
 			correct++
 		}
-	}
+	})
 	return correct
 }
 
@@ -143,13 +154,12 @@ func PerClassAccuracy(m model.Model, fed *data.Federated, w []float64) (acc []fl
 	tensor.ParallelFor(len(fed.Shards), 0, func(k int) {
 		c := make([]int, classes)
 		n := make([]int, classes)
-		test := fed.Shards[k].Test
-		for e, y := range predictions(m, w, test) {
-			n[test[e].Y]++
-			if y == test[e].Y {
+		eachPrediction(m, w, fed.Shards[k].Test, func(ex data.Example, y int) {
+			n[ex.Y]++
+			if y == ex.Y {
 				c[y]++
 			}
-		}
+		})
 		correct[k], total[k] = c, n
 	})
 	acc = make([]float64, classes)

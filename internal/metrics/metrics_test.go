@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"fedprox/internal/data"
@@ -273,6 +274,31 @@ func TestFleetEvalMatchesSeparatePasses(t *testing.T) {
 				t.Errorf("%s procs=%d: acc = %v, want zero: %v", tc.name, procs, acc, tc.zeroAcc)
 			}
 		}
+	}
+}
+
+// TestFleetEvalAllocsPerShardFloor: a fleet evaluation over a lazy fleet
+// allocates nothing per shard — the same count at 500 devices and at
+// 5 000. The shard's storage comes from the fleet's free list, its model
+// scratch and the model's logits from tensor's pool, and its predicted
+// labels from this package's. One worker and no collection during the
+// runs keep each pool's contents, and so the count, deterministic.
+func TestFleetEvalAllocsPerShardFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(devices int) float64 {
+		c := synthetic.Default(1, 1)
+		c.Devices, c.MinSamples, c.MaxSamples = devices, 15, 15 // one shard size: no buffer regrows
+		fl := synthetic.NewFleet(c)
+		m := linear.New(c.Dim, c.Classes)
+		w := frand.New(41).NormVec(make([]float64, m.NumParams()), 0, 0.1)
+		return testing.AllocsPerRun(3, func() { FleetEval(m, fl, w) })
+	}
+	if small, large := allocs(500), allocs(5000); small != large {
+		t.Fatalf("FleetEval allocates %v times at 500 devices and %v at 5 000: something is allocated per shard", small, large)
 	}
 }
 
