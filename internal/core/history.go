@@ -90,9 +90,9 @@ type Cost struct {
 // their discarded work is visible in Cost.WastedEpochs instead.
 //
 // A History holds one Arrival per contact for the life of the run, so
-// the record is kept to 24 bytes: the device id is 32-bit, and the
-// reply's transfer sequence, its staleness and its work (budget, epochs
-// run, bytes) are not repeated here. They live in the trace's
+// the record is kept to 24 bytes: the device id is 32-bit, and nothing
+// else about the reply is repeated here. Its dispatch seq, its staleness
+// and its work (budget, epochs run, bytes) live in the trace's
 // obs.KindReply events, which is what Replay prices partial work from.
 type Arrival struct {
 	// Device is the contacted device index.

@@ -124,8 +124,8 @@ func TestReplyLatencyQuantiles(t *testing.T) {
 // Arrival per contact for the life of the run: the benchmark retains one
 // History per repetition, and a scale run holds one record per contact of
 // 10^5–10^6 devices, so a wider field is paid for in resident memory. A
-// reply's transfer sequence and staleness are in its obs.KindReply event,
-// not here, and Drop sits beside Device so the two share one word.
+// reply's seq and staleness are in its obs.KindReply event, not here,
+// and Drop sits beside Device so the two share one word.
 func TestArrivalSize(t *testing.T) {
 	if got := unsafe.Sizeof(Arrival{}); got != 24 {
 		t.Fatalf("unsafe.Sizeof(Arrival{}) = %d, want 24", got)

@@ -39,7 +39,8 @@ type Config struct {
 	Devices int
 	// Dim is the input dimension (paper: 60).
 	Dim int
-	// Classes is the number of labels (paper: 10).
+	// Classes is the number of labels (paper: 10; at most 256, since the
+	// fleet's label memo keeps a label in a byte).
 	Classes int
 	// MinSamples and MaxSamples bound the power-law sample allocation.
 	MinSamples, MaxSamples int

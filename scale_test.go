@@ -17,10 +17,11 @@ import (
 // over a lazily synthesized Synthetic(1,1) fleet with a 10x-slow 10%
 // tail, 2000 dispatches at 128 in flight and one final fleet
 // evaluation. Every device-indexed structure in the run is O(1) per
-// device, and a shard lives only while a dispatch or the evaluation reads
-// it: its storage then goes back to the fleet's free list, which holds no
-// more buffers than shards were ever live at once. That is what the
-// callers' memory bounds pin. The run is fully
+// device but the fleet's label memo, one byte per example, and a shard
+// lives only while a dispatch or the evaluation reads it: its storage
+// then goes back to the fleet's free list, which holds no more buffers
+// than shards were ever live at once. That is what the callers' memory
+// bounds pin. The run is fully
 // seeded, so the loss is compared by bits. These tests live in the root
 // package because its test binary runs nothing else before them: Sys
 // never shrinks, and beside a memory-hungry neighbour the bound would
