@@ -159,11 +159,12 @@ func (s Spec) UsesPrev() bool {
 // WireSize returns the exact WireBytes of any n-parameter transfer this
 // codec encodes. Every registered codec's encoded size is a pure
 // function of the parameter count — qsgd packs a fixed bit width, topk
-// keeps a fixed coordinate fraction, the dense codecs ship 8·n — which
-// is what lets the virtual-time driver charge a reply's uplink leg and
-// schedule its arrival before the solve has produced the payload
-// (core/vsim.go). A test asserts WireSize against realized encodes for
-// every codec.
+// keeps a fixed coordinate fraction, the dense codecs ship one word (8
+// or 4 bytes) per coordinate — which is what lets the virtual-time
+// driver charge a reply's uplink leg and schedule its arrival before the
+// solve has produced the payload (core/vsim.go), and core prices an
+// uncoded transfer as raw's (core.Cost). A test asserts WireSize against
+// realized encodes for every codec.
 func (s Spec) WireSize(n int) int64 {
 	d := s.WithDefaults()
 	// A float32 link halves the dense word and the quantizer's scale.

@@ -10,9 +10,8 @@ import (
 
 // TestRawCodecMatchesUncompressed is half of the subsystem's defining
 // guarantee: the raw codec is a pure pass-through, so enabling it must
-// reproduce the no-codec trajectory bit for bit — and, under
-// AggregatePartial (every selected device contacted), the byte and epoch
-// accounting too.
+// reproduce the no-codec trajectory bit for bit — and the byte and epoch
+// accounting too, evaluation broadcasts included (Cost's one rule).
 func TestRawCodecMatchesUncompressed(t *testing.T) {
 	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.15))
 	mdl := linear.ForDataset(fed)
@@ -46,29 +45,22 @@ func TestRawCodecMatchesUncompressed(t *testing.T) {
 		if p.Participants != q.Participants {
 			t.Fatalf("round %d: participants %d != %d", p.Round, p.Participants, q.Participants)
 		}
-		// AggregatePartial contacts every selected device, so the raw
-		// codec's contacted-only accounting coincides with the legacy
-		// accounting exactly — except EvalBytes, which only the explicit
-		// codec link model charges (legacy accounting predates eval
-		// encoding and keeps it at zero).
+		// Every point follows at least one evaluation broadcast, which
+		// both runs bill.
 		pc, qc := p.Cost, q.Cost
-		if pc.EvalBytes != 0 {
-			t.Fatalf("round %d: legacy accounting charged eval bytes: %+v", p.Round, pc)
+		if pc.EvalBytes == 0 {
+			t.Fatalf("round %d: uncoded run billed no eval bytes: %+v", p.Round, pc)
 		}
-		if q.Round > 0 && qc.EvalBytes == 0 {
-			t.Fatalf("round %d: codec accounting missed eval bytes: %+v", q.Round, qc)
-		}
-		qc.EvalBytes = 0
 		if pc != qc {
 			t.Fatalf("round %d: cost %+v != %+v", p.Round, pc, qc)
 		}
 	}
 }
 
-// TestRawCodecMatchesUnderDrop covers the DropStragglers corner: the
-// trajectory (loss/accuracy/participants) must still match bit for bit
-// even though the codec path skips contacting dropped stragglers and so
-// accounts fewer bytes and epochs.
+// TestRawCodecMatchesUnderDrop covers the DropStragglers corner: neither
+// run contacts a dropped straggler, and both charge its planned epochs as
+// wasted, so the trajectory (loss/accuracy/participants) and the Cost
+// must match.
 func TestRawCodecMatchesUnderDrop(t *testing.T) {
 	fed := synthetic.Generate(synthetic.Default(1, 1).Scaled(0.15))
 	mdl := linear.ForDataset(fed)
@@ -94,11 +86,11 @@ func TestRawCodecMatchesUnderDrop(t *testing.T) {
 		}
 	}
 	fp, fq := plain.Final().Cost, withRaw.Final().Cost
-	if fq.WastedEpochs != 0 {
-		t.Fatalf("codec path charged %d wasted epochs; it never contacts dropped stragglers", fq.WastedEpochs)
+	if fp.WastedEpochs == 0 {
+		t.Fatal("FedAvg at 90% stragglers wasted no epochs")
 	}
-	if fq.DownlinkBytes >= fp.DownlinkBytes {
-		t.Fatalf("codec path should charge fewer downloads under drop: %d vs %d", fq.DownlinkBytes, fp.DownlinkBytes)
+	if fp != fq {
+		t.Fatalf("cost under drop: uncoded %+v != raw %+v", fp, fq)
 	}
 }
 

@@ -4,7 +4,15 @@ import (
 	"fmt"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/tensor"
 )
+
+// rawBytes prices an uncoded transfer of n parameters at width p: what
+// the raw codec would put on the wire (comm.Spec.WireSize), so switching
+// raw on changes no byte count (Cost).
+func rawBytes(n int, p tensor.Precision) int64 {
+	return comm.Spec{Name: "raw", Precision: p}.WireSize(n)
+}
 
 // commLinks is the coordinator's view of the network codec state: one
 // comm.LinkState holding, per device, the downlink and uplink codec

@@ -42,9 +42,12 @@ const (
 	// sample counts n_k. This is the scheme of McMahan et al. that the
 	// paper's main experiments use.
 	UniformWeightedAvg SamplingScheme = iota
-	// WeightedSimpleAvg samples K devices with probability proportional to
-	// p_k = n_k/n (without replacement) and takes the unweighted average,
-	// as written in Algorithms 1 and 2.
+	// WeightedSimpleAvg draws K distinct devices one at a time, each with
+	// probability proportional to p_k = n_k/n among the devices not yet
+	// drawn (frand.WeightedChoice), and takes the unweighted average.
+	// Algorithms 1 and 2 draw K devices independently by p_k, with
+	// replacement, so their simple mean's expectation is Σ p_k w_k; a draw
+	// without replacement's is not (ROADMAP items 3 and 37).
 	WeightedSimpleAvg
 )
 
@@ -189,14 +192,9 @@ type Config struct {
 	Checkpointer Checkpointer
 	// Codec, when enabled (non-empty Name), compresses every model
 	// transfer: each contacted device trains from the decoded broadcast
-	// and the server aggregates decoded uplink updates, with
-	// UplinkBytes/DownlinkBytes recording the encoded wire sizes. The
-	// zero value keeps today's uncompressed path and byte accounting.
-	//
-	// With a codec the link model is explicit — only contacted devices
-	// move bytes or spend epochs, so under DropStragglers the
-	// coordinator skips stragglers outright (as the fednet runtime
-	// does) instead of charging them a download and wasted epochs.
+	// and the server aggregates decoded uplink updates. The zero value
+	// moves models uncoded. Either way Cost prices each transfer by one
+	// rule (see Cost), so the raw codec changes no number.
 	// Codec.Seed zero derives the rounding streams from Seed.
 	Codec comm.Spec
 	// DownlinkCodec, when enabled, overrides Codec for the broadcast

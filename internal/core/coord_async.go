@@ -136,9 +136,16 @@ func (c *Coordinator) asyncDispatch() (Dispatch, error) {
 		// Freeze the broadcast at dispatch time: the solve may run
 		// concurrently with later model folds, so the device must see the
 		// version it was dispatched, not a racing c.w. Pooled — the copy
-		// is recycled when the reply resolves (or the worker is lost).
+		// is recycled when the reply resolves (or the worker is lost). At
+		// f32 it is narrowed as raw's link narrows it: the stale-delta
+		// fold subtracts the same base with or without one.
 		b = downcast{view: tensor.GetVec[float64](len(c.w)), owned: true, db: c.paramBytes}
 		copy(b.view, c.w)
+		if c.cfg.Precision == tensor.F32 {
+			for i, x := range b.view {
+				b.view[i] = float64(float32(x))
+			}
+		}
 	}
 	c.idle.remove(id)
 	return c.dispatch(seq, seq, c.folded/c.roundSize, id, epochs, c.cfg.Mu, b), nil

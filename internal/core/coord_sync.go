@@ -270,16 +270,13 @@ func (c *Coordinator) completeRound() ([]Command, error) {
 		pre = append(pre, AdvanceClock{Seconds: roundSecs})
 	}
 
-	// Under the legacy (no-codec) accounting a never-contacted straggler
-	// is still charged a full-model download and its epochs, all wasted:
-	// real devices can't know in advance they'll be dropped. The
-	// counterfactual follows the realized-work rule — a device modeled as
-	// running anyway would still have stopped at its compute budget.
-	// Contacted devices were charged by DispatchSent and realize.
+	// A policy-dropped straggler moved no bytes, but its planned epochs
+	// are charged, all wasted (Cost): the work a deployment would lose.
+	// A device modeled as running anyway still stops at its compute
+	// budget. Contacted devices were charged by DispatchSent and realize.
 	for i := range r.selected {
-		if c.legacy && c.policyDropped(r, i) {
+		if c.policyDropped(r, i) {
 			ep := expectedEpochs(c.deviceBudget(r.t, r.selected[i], r.epochs[i]), r.epochs[i])
-			c.cost.DownlinkBytes += c.paramBytes
 			c.cost.DeviceEpochs += ep
 			c.cost.WastedEpochs += ep
 		}

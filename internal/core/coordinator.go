@@ -80,7 +80,7 @@ type CoordinatorOptions struct {
 	// WireEncoded forces every transfer through a codec link even when
 	// Config.Codec is disabled: the raw codec is installed so Dispatch
 	// and Evaluate carry encoded comm.Updates (the fednet wire always
-	// moves Updates). Byte accounting keeps the legacy semantics.
+	// moves Updates). Cost prices it as the uncoded run (see Cost).
 	WireEncoded bool
 	// LabelSuffix is appended to the History label (fednet: " [fednet]").
 	LabelSuffix string
@@ -299,11 +299,7 @@ type Coordinator struct {
 	opts  CoordinatorOptions
 	mdl   model.Model
 
-	// legacy keeps the pre-codec byte accounting (no Config.Codec):
-	// every selected device is charged a full-model download and its
-	// epochs, dropped stragglers included.
-	legacy     bool
-	paramBytes int64
+	paramBytes int64 // one uncoded model transfer at the run's width
 
 	n           int
 	sizes       []float64
@@ -381,19 +377,11 @@ func NewCoordinator(mdl model.Model, cfg Config, opts CoordinatorOptions) (*Coor
 	}
 	cfg = cfg.WithDefaults()
 	root := frand.New(cfg.Seed)
-	// Nominal per-transfer cost of an uncoded model: one machine word
-	// per coordinate at the deployment's precision — an f32 deployment
-	// ships 4-byte coordinates even before any codec.
-	wordBytes := 8
-	if cfg.Precision == tensor.F32 {
-		wordBytes = 4
-	}
 	c := &Coordinator{
 		cfg:        cfg,
 		opts:       opts,
 		mdl:        mdl,
-		legacy:     !cfg.Codec.Enabled(),
-		paramBytes: int64(mdl.NumParams() * wordBytes),
+		paramBytes: rawBytes(mdl.NumParams(), cfg.Precision),
 		n:          opts.NumDevices,
 		sizes:      make([]float64, opts.NumDevices),
 		registered: make([]bool, opts.NumDevices),
@@ -557,8 +545,7 @@ func (c *Coordinator) Start() ([]Command, error) {
 
 	c.w = c.mdl.InitParams(c.initRoot.Split("params"))
 
-	if c.cfg.Codec.Enabled() || c.opts.WireEncoded {
-		down, up := c.CommSpecs()
+	if down, up := c.CommSpecs(); up.Enabled() {
 		links, err := newCommLinks(down, up)
 		if err != nil {
 			return nil, err
@@ -669,7 +656,7 @@ func (c *Coordinator) DispatchSent(device int) {
 
 // realize resolves the epochs a reply's device actually ran and moves a
 // confirmed dispatch's epoch charge to them. Without a budget model the
-// dispatched work is authoritative (legacy replies need not report
+// dispatched work is authoritative (a reply need not report
 // EpochsDone); with one, the device's report is, clamped to [0, expected].
 func (c *Coordinator) realize(in *pendingDispatch, reported int) int {
 	done := in.expected
@@ -825,7 +812,7 @@ func (c *Coordinator) beginEval(round int, mu, gamma float64, participants int, 
 	c.evalSeq++
 	params := c.w
 	var u *comm.Update
-	wire := c.paramBytes
+	wire := rawBytes(len(c.w), tensor.F64) // evaluation is at full width (comm.NewEvalLink)
 	if c.links != nil {
 		var err error
 		u, params, err = c.links.evalBroadcast(c.w)
@@ -833,12 +820,8 @@ func (c *Coordinator) beginEval(round int, mu, gamma float64, participants int, 
 			return nil, err
 		}
 		wire = u.WireBytes()
-		// Analytic eval accounting exists only under the explicit codec
-		// link model (legacy accounting predates eval encoding).
-		if !c.legacy {
-			c.cost.EvalBytes += wire
-		}
 	}
+	c.cost.EvalBytes += wire
 	c.evalWait = &evalPending{round: round, mu: mu, gamma: gamma, participants: participants, after: after}
 	return []Command{Evaluate{
 		Round:              round,

@@ -6,6 +6,7 @@ import (
 	"fedprox/internal/data"
 	"fedprox/internal/data/synthetic"
 	"fedprox/internal/model/linear"
+	"fedprox/internal/tensor"
 )
 
 func tinyWorkload() (*linear.Model, *data.Federated) {
@@ -481,10 +482,14 @@ func TestCostAccounting(t *testing.T) {
 	if drop.WastedEpochs == 0 || agg.WastedEpochs != 0 {
 		t.Fatalf("waste accounting wrong: drop=%d agg=%d", drop.WastedEpochs, agg.WastedEpochs)
 	}
-	paramBytes := int64(m.NumParams() * 8)
-	// 5 rounds x 10 selected devices download each round.
-	if want := 5 * 10 * paramBytes; drop.DownlinkBytes != want {
-		t.Fatalf("downlink = %d, want %d", drop.DownlinkBytes, want)
+	paramBytes := rawBytes(m.NumParams(), tensor.F64)
+	// Only contacted devices download: 5 rounds x 10 selected devices
+	// under aggregation, the 5 non-stragglers of each round under drop.
+	if want := 5 * 10 * paramBytes; agg.DownlinkBytes != want {
+		t.Fatalf("aggregate downlink = %d, want %d", agg.DownlinkBytes, want)
+	}
+	if want := 5 * 5 * paramBytes; drop.DownlinkBytes != want {
+		t.Fatalf("drop downlink = %d, want %d", drop.DownlinkBytes, want)
 	}
 	// Aggregate uploads from all 10; drop only from the 5 non-stragglers.
 	if agg.UplinkBytes != 2*drop.UplinkBytes {

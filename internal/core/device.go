@@ -396,7 +396,7 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 		r.Gamma = solver.Gamma(dv.mdl, shard.Train, wk, view, scfg)
 	}
 	if dv.trace != nil {
-		var up int64
+		up := rawBytes(len(wk), dv.prec)
 		if r.Update != nil {
 			up = r.Update.WireBytes()
 		}

@@ -13,7 +13,9 @@ import (
 	"fedprox/internal/frand"
 	"fedprox/internal/model"
 	"fedprox/internal/model/linear"
+	"fedprox/internal/obs"
 	"fedprox/internal/solver"
+	"fedprox/internal/tensor"
 )
 
 // fixedBudget grants every dispatch the same epoch allowance.
@@ -115,9 +117,8 @@ func TestDeviceBudgetMatchesReducedEpochs(t *testing.T) {
 	}
 }
 
-// TestDeviceBudgetClampsLegacyDropCharge: under the legacy (no-codec)
-// accounting, never-contacted dropped stragglers are charged a
-// counterfactual full run — but a device-side budget bounds that
+// TestDeviceBudgetClampsLegacyDropCharge: never-contacted dropped
+// stragglers are charged a counterfactual full run — but a device-side budget bounds that
 // counterfactual too, so a drop-vs-aggregate cost comparison under the
 // same fleet stays fair.
 func TestDeviceBudgetClampsLegacyDropCharge(t *testing.T) {
@@ -145,6 +146,42 @@ func TestDeviceBudgetClampsLegacyDropCharge(t *testing.T) {
 	}
 	if cc.DeviceEpochs >= uc.DeviceEpochs {
 		t.Fatalf("budgeted drop run charged %d device epochs, unbudgeted %d", cc.DeviceEpochs, uc.DeviceEpochs)
+	}
+}
+
+// TestDeviceUplinkCounterMatchesCoordinator: the device runtime prices
+// an uncoded reply as the coordinator does, so on a lossless sync run
+// with no codec /metrics' device-side uplink counter equals the
+// coordinator's, at both widths.
+func TestDeviceUplinkCounterMatchesCoordinator(t *testing.T) {
+	m, fed := tinyWorkload()
+	for _, prec := range []tensor.Precision{tensor.F64, tensor.F32} {
+		cfg := FedProx(3, 6, 2, 0.01, 1)
+		cfg.StragglerFraction, cfg.Precision = 0.5, prec
+		reg := obs.NewRegistry()
+		cfg.Trace = reg
+		coord, dev, err := newSimPair(m, fed.Fleet(), cfg, CoordinatorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.trace = reg
+		b := &simBackend{inProcess: inProcess{coord: coord, eval: nanEval}, serve: func(ds []Dispatch) ([]Reply, error) {
+			return runDispatches(dev, cfg.Parallelism, nil, ds)
+		}}
+		if _, err := runToDone(coord, b); err != nil {
+			t.Fatal(err)
+		}
+		counter := func(name string) string {
+			m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(reg.Render())
+			if m == nil {
+				t.Fatalf("%s: no %s in /metrics", prec, name)
+			}
+			return m[1]
+		}
+		up, devUp := counter("fedprox_uplink_bytes_total"), counter("fedprox_device_uplink_bytes_total")
+		if up != devUp || up == "0" {
+			t.Fatalf("%s: device uplink bytes %s, coordinator %s", prec, devUp, up)
+		}
 	}
 }
 

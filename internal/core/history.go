@@ -56,11 +56,19 @@ type Point struct {
 // quantifies the paper's systems motivation: dropping stragglers
 // (FedAvg) wastes the computation they performed before the deadline,
 // while FedProx converts the same device work into progress.
+//
+// One rule prices every executor at both widths, so the pass-through raw
+// codec changes no field but the Wire* counters:
+//   - epochs come from the plan: a straggler dropped by policy is never
+//     contacted, but its planned, budget-clamped epochs are charged as
+//     wasted — the work a deployment would lose;
+//   - bytes come from the wire: only contacted devices download, only
+//     replies that reach the server upload, and every evaluation
+//     broadcast is billed at full width, as comm.NewEvalLink encodes it;
+//   - a transfer costs its encoded size (comm.Update.WireBytes), an
+//     uncoded one what raw would put on the wire (comm.Spec.WireSize).
 type Cost struct {
-	// UplinkBytes and DownlinkBytes count model transfers: every selected
-	// device downloads wᵗ; only aggregated devices upload a model. With a
-	// Config.Codec these are the encoded wire sizes (comm.Update.WireBytes)
-	// of the transfers that actually happened.
+	// UplinkBytes and DownlinkBytes count model transfers.
 	UplinkBytes, DownlinkBytes int64
 	// WireUplinkBytes and WireDownlinkBytes are actual serialized bytes
 	// measured on the transport, including protocol framing and
@@ -69,12 +77,10 @@ type Cost struct {
 	WireUplinkBytes, WireDownlinkBytes int64
 	// EvalBytes is the analytic size of the evaluation broadcasts:
 	// the encoded global model, charged once per evaluation (broadcast
-	// semantics — the eval link is shared, not per-device). Filled only
-	// when a codec is configured; the legacy (no-codec) accounting
-	// predates eval encoding and keeps it at zero.
+	// semantics — the eval link is shared, not per-device).
 	EvalBytes int64
-	// DeviceEpochs is the total local epochs executed across all devices,
-	// including work the server later discarded.
+	// DeviceEpochs is the total local epochs across all devices, dropped
+	// stragglers' planned epochs and discarded work included.
 	DeviceEpochs int
 	// WastedEpochs is the subset of DeviceEpochs whose results were
 	// dropped (straggler updates under DropStragglers).

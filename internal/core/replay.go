@@ -158,7 +158,7 @@ func Replay(mdl model.Model, fl Fleet, cfg Config, recorded []obs.Event) (*Histo
 	if err != nil {
 		return nil, err
 	}
-	vt := newVtimer(cfg.VTime, int64(mdl.NumParams()*8))
+	vt := newVtimer(cfg.VTime, coord)
 	coord.Tick(vt.eng.Now())
 
 	if !cfg.Async.Enabled() {

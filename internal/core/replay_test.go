@@ -13,6 +13,7 @@ import (
 	"fedprox/internal/obs"
 	"fedprox/internal/obs/tracefile"
 	"fedprox/internal/solver"
+	"fedprox/internal/tensor"
 )
 
 // panicSolver fails the test the moment any local solve runs — the
@@ -173,7 +174,7 @@ func TestReplayEquivalence(t *testing.T) {
 	mdl, fed := tinyWorkload()
 	n := fed.NumDevices()
 	// A per-round wire budget worth ~3 of the 5 cohort replies.
-	roundBytes := int64(3 * 2 * mdl.NumParams() * 8)
+	roundBytes := 3 * 2 * rawBytes(mdl.NumParams(), tensor.F64)
 	cases := []struct {
 		name     string
 		cfg      Config
@@ -223,7 +224,7 @@ func TestReplayEquivalence(t *testing.T) {
 func TestReplayWhatIf(t *testing.T) {
 	mdl, fed := tinyWorkload()
 	n := fed.NumDevices()
-	roundBytes := int64(3 * 2 * mdl.NumParams() * 8)
+	roundBytes := 3 * 2 * rawBytes(mdl.NumParams(), tensor.F64)
 	rec, evs, _ := recordTraced(t, replaySyncConfig(n))
 
 	alternatives := []struct {

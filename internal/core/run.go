@@ -59,7 +59,7 @@ func RunFleet(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	// semantics: every round charges its critical path to the clock and
 	// the clock-native straggler policies apply.
 	if cfg.VTime.Enabled() {
-		b.vt = newVtimer(cfg.VTime, int64(m.NumParams()*8))
+		b.vt = newVtimer(cfg.VTime, coord)
 		coord.Tick(b.vt.eng.Now())
 	}
 	b.serve = func(ds []Dispatch) ([]Reply, error) { return runDispatches(dev, cfg.Parallelism, b.vt, ds) }
@@ -265,26 +265,33 @@ func runDispatches(dev *Device, parallelism int, vt *vtimer, ds []Dispatch) ([]R
 // (deadline, byte budget) live in the coordinator; this type only turns
 // bytes and epochs into seconds.
 type vtimer struct {
-	cfg        VTimeConfig
-	eng        *vtime.Engine
-	paramBytes int64
-	seq        int // per-dispatch jitter/loss stream index
-	evalSeq    int // per-eval-broadcast stream index
+	cfg     VTimeConfig
+	eng     *vtime.Engine
+	upBytes int64 // one reply's uplink price
+	seq     int   // per-dispatch jitter/loss stream index
+	evalSeq int   // per-eval-broadcast stream index
 }
 
-func newVtimer(cfg VTimeConfig, paramBytes int64) *vtimer {
-	return &vtimer{cfg: cfg, eng: vtime.NewEngine(), paramBytes: paramBytes}
+// newVtimer builds the clock of a run that coord decides. A reply is
+// priced at its uplink codec's WireSize, a function of the parameter
+// count alone, so a driver can time it before the device has produced
+// it; an uncoded reply at what Cost charges it.
+func newVtimer(cfg VTimeConfig, coord *Coordinator) *vtimer {
+	up := coord.paramBytes
+	if _, spec := coord.CommSpecs(); spec.Enabled() {
+		up = spec.WireSize(coord.mdl.NumParams())
+	}
+	return &vtimer{cfg: cfg, eng: vtime.NewEngine(), upBytes: up}
 }
 
-// uplinkBytes returns a reply's encoded uplink size, falling back to the
-// uncompressed parameter bytes for raw in-process replies — shared by
-// the synchronous and asynchronous virtual-time drivers so the two
-// transfer charges cannot drift.
+// uplinkBytes returns a reply's encoded uplink size, or for a raw
+// in-process reply the price Cost charges it — shared by every
+// virtual-time driver so the transfer charges cannot drift.
 func (v *vtimer) uplinkBytes(r Reply) int64 {
 	if r.Update != nil {
 		return r.Update.WireBytes()
 	}
-	return v.paramBytes
+	return v.upBytes
 }
 
 // chargeEval advances the clock by the evaluation broadcast's transfer

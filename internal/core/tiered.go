@@ -55,8 +55,7 @@ func RunTiered(m model.Model, fl Fleet, cfg Config, topo tier.Topology) (*Histor
 	// The device follows the tree, whose coordinators refuse what a tier
 	// cannot run first.
 	d.dev = newFleetDevice(m, fl, DeviceOptions{Solver: cfg.Solver, Privacy: cfg.Privacy, Precision: cfg.Precision})
-	if cfg.Codec.Enabled() {
-		down, up := cfg.CommSpecs()
+	if down, up := cfg.CommSpecs(); up.Enabled() {
 		if err := d.dev.InstallLinks(down, up); err != nil {
 			return nil, err
 		}
@@ -158,7 +157,7 @@ func (d *tieredRun) build(depth, id int) (*tierNode, error) {
 		return nil, err
 	}
 	if d.timed {
-		nd.vt = newVtimer(nc.VTime, int64(d.m.NumParams()*8))
+		nd.vt = newVtimer(nc.VTime, nd.coord)
 	}
 	if depth == 0 {
 		return nd, nil
@@ -222,11 +221,7 @@ func (d *tieredRun) serveChild(parent *tierNode, v Dispatch) (Reply, error) {
 		dur := child.vt.eng.Now() - start
 		up, lost := 0.0, false
 		if d.topo.Model != nil {
-			bytes := parent.coord.paramBytes
-			if r.Update != nil {
-				bytes = r.Update.WireBytes()
-			}
-			up = d.topo.Model.UplinkSeconds(seq, child.uid, bytes)
+			up = d.topo.Model.UplinkSeconds(seq, child.uid, parent.vt.uplinkBytes(r))
 			lost = d.topo.Model.Dropped(seq, child.uid)
 		}
 		r.Timed, r.Seq, r.Rel, r.Lost = true, seq, down+dur+up, lost

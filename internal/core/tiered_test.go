@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/tensor"
 	"fedprox/internal/tier"
 )
 
@@ -104,7 +105,7 @@ func TestTieredDepthTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paramBytes := int64(m.NumParams() * 8)
+	paramBytes := rawBytes(m.NumParams(), tensor.F64)
 	want := int64(3) * 2 * paramBytes // rounds × root cohort × raw reply
 	if got := h.Points[len(h.Points)-1].Cost.UplinkBytes; got != want {
 		t.Fatalf("depth-2 root ingress %d, want %d", got, want)
@@ -155,7 +156,7 @@ func TestTieredCodecComposesPerHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paramBytes := int64(m.NumParams() * 8)
+	paramBytes := rawBytes(m.NumParams(), tensor.F64)
 	raw := int64(3) * 4 * paramBytes // what raw edge→root replies would cost
 	got := h.Points[len(h.Points)-1].Cost.UplinkBytes
 	if got == 0 || got >= raw {

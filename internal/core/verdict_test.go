@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fedprox/internal/tensor"
 	"fedprox/internal/vtime"
 )
 
@@ -48,7 +49,7 @@ func TestJudgePrecedenceAndWindow(t *testing.T) {
 func TestVTimeSyncLostReplyWindow(t *testing.T) {
 	mdl, fed := tinyWorkload()
 	n := fed.NumDevices()
-	paramBytes := int64(mdl.NumParams() * 8)
+	paramBytes := rawBytes(mdl.NumParams(), tensor.F64)
 	cfg := FedProx(6, 5, 3, 0.01, 1)
 	cfg.VTime = VTimeConfig{
 		Model: vtime.MustModel(

@@ -101,7 +101,7 @@ func runAsyncVTime(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	if err != nil {
 		return nil, err
 	}
-	vt := newVtimer(cfg.VTime, int64(m.NumParams()*8))
+	vt := newVtimer(cfg.VTime, coord)
 	coord.Tick(vt.eng.Now())
 	lat := cfg.VTime.Model
 
@@ -109,11 +109,7 @@ func runAsyncVTime(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	// only sound because every codec's encoded size is a pure function
 	// of the parameter count (asserted against the realized reply at
 	// arrival below).
-	up := vt.paramBytes
-	if cfg.Codec.Enabled() {
-		_, spec := cfg.CommSpecs()
-		up = spec.WireSize(m.NumParams())
-	}
+	up := vt.upBytes
 
 	workers := cfg.Parallelism
 	if workers <= 0 {

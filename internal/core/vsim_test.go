@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/tensor"
 	"fedprox/internal/vtime"
 )
 
@@ -326,7 +327,7 @@ func TestVTimeSyncDeadlineDropsTail(t *testing.T) {
 func TestVTimeSyncByteBudgetDropsTail(t *testing.T) {
 	mdl, fed := tinyWorkload()
 	n := fed.NumDevices()
-	paramBytes := int64(mdl.NumParams() * 8)
+	paramBytes := rawBytes(mdl.NumParams(), tensor.F64)
 	cfg := FedProx(4, 6, 3, 0.01, 1)
 	cfg.EvalEvery = 4
 	cfg.VTime = VTimeConfig{

@@ -86,8 +86,11 @@ func TestExtCommAccounting(t *testing.T) {
 	if prox.UplinkBytes <= avg.UplinkBytes {
 		t.Fatal("FedProx must upload more models than dropping FedAvg")
 	}
-	if avg.DownlinkBytes != prox.DownlinkBytes {
-		t.Fatal("both methods broadcast to the same selected devices")
+	// Only contacted devices download, and each contacted device uploads
+	// once: FedAvg never contacts its dropped stragglers.
+	if avg.DownlinkBytes != avg.UplinkBytes || prox.DownlinkBytes != prox.UplinkBytes {
+		t.Fatalf("downloads must match uploads: FedAvg %d/%d, FedProx %d/%d",
+			avg.DownlinkBytes, avg.UplinkBytes, prox.DownlinkBytes, prox.UplinkBytes)
 	}
 }
 

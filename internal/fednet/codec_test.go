@@ -150,9 +150,9 @@ func TestUncompressedDeploymentMeasuresWire(t *testing.T) {
 }
 
 // TestUncompressedAccountingMatchesSimulator: without a configured
-// codec, fednet keeps the simulator's historical Cost semantics — every
-// selected device is charged a download and its epochs, dropped
-// stragglers' epochs count as waste.
+// codec, fednet's raw wire is priced as the simulator's uncoded run
+// (core.Cost) — only contacted devices download, and dropped
+// stragglers' planned epochs count as waste.
 func TestUncompressedAccountingMatchesSimulator(t *testing.T) {
 	fed, mdl := testWorkload()
 	cfg := core.FedAvg(4, 6, 3, 0.01)

@@ -60,7 +60,7 @@ type Server struct {
 
 	// downSpec/upSpec are the negotiated codec specs ("raw" when the
 	// training config carries no codec, so the wire always moves
-	// comm.Updates).
+	// comm.Updates; core.Cost prices either the same).
 	downSpec comm.Spec
 	upSpec   comm.Spec
 
@@ -88,7 +88,7 @@ func NewServer(mdl model.Model, cfg ServerConfig) (*Server, error) {
 		Tier:       cfg.Tier,
 		// The wire protocol always carries encoded updates; no codec
 		// means raw, which reproduces the uncompressed trajectory bit
-		// for bit.
+		// for bit and, by core.Cost's one rule, its Cost.
 		WireEncoded: true,
 		LabelSuffix: suffix,
 	})

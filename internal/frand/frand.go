@@ -157,11 +157,12 @@ func (s *Source) Choice(n, k int) []int {
 	return p[:k]
 }
 
-// WeightedChoice samples k distinct indices without replacement where index
-// i is drawn with probability proportional to weights[i], matching the
-// device-sampling distribution p_k = n_k/n in Algorithms 1 and 2. It panics
-// if k > len(weights), or if the remaining total weight is not positive
-// while draws remain.
+// WeightedChoice samples k distinct indices without replacement: each
+// draw picks index i with probability proportional to weights[i] among the
+// indices not yet drawn. Only the first draw follows weights exactly; the
+// paper's Algorithms 1 and 2 draw independently, with replacement
+// (ROADMAP items 3 and 37). It panics if k > len(weights), or if the
+// remaining total weight is not positive while draws remain.
 func (s *Source) WeightedChoice(weights []float64, k int) []int {
 	n := len(weights)
 	if k < 0 || k > n {
