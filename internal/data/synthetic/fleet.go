@@ -24,9 +24,9 @@ import (
 // moves no bit of any shard.
 //
 // A shard's bits are a pure function of (config, device index), so
-// concurrent calls are safe, for one device or many. Release puts its
-// storage on a free list for the next Shard: the fleet holds no more
-// buffers than shards were ever live at once.
+// concurrent calls are safe, for one device or many. Shard claims a buffer
+// by compare-and-swap, taking no lock, and makes one only when it finds
+// every buffer live: the fleet holds no more than shards were live at once.
 type Fleet struct {
 	cfg      Config
 	start    []int     // device k's examples are [start[k], start[k+1]) of labels
@@ -48,20 +48,21 @@ type Fleet struct {
 	labels []uint8
 	known  []atomic.Uint32
 
-	mu   sync.Mutex
-	free []*shardBuf
-	live map[*data.Shard]*shardBuf // handed out, not yet released
+	bufs atomic.Pointer[shardBuf] // every buffer made, newest first
 }
 
-// A device's label memo state.
+// A device's label memo state, and a shard buffer's: Shard moves a buffer
+// from free to live, Release to releasing and, once poisoned, to free.
 const (
-	labelsUnknown uint32 = iota
-	labelsWriting
-	labelsKnown
+	labelsUnknown, bufFree uint32 = iota, iota
+	labelsWriting, bufLive
+	labelsKnown, bufReleasing
 )
 
 // shardBuf is a shard and the storage it points into.
 type shardBuf struct {
+	state atomic.Uint32
+	next  *shardBuf // the buffer made before it
 	shard data.Shard
 	ex    []data.Example // Train, then Test
 	x     []float64      // the features, in draw order
@@ -76,17 +77,13 @@ func NewFleet(c Config) *Fleet {
 		panic("synthetic: invalid config")
 	}
 	root := frand.New(c.Seed)
-	sizeRng := root.Split("sizes")
-	modelRng := root.Split("models")
-	dataRng := root.Split("data")
-	splitRng := root.Split("split")
+	sizeRng, modelRng, dataRng, splitRng := root.Split("sizes"), root.Split("models"), root.Split("data"), root.Split("split")
 
 	f := &Fleet{
 		cfg:      c,
 		start:    make([]int, c.Devices+1),
 		sigmaStd: make([]float64, c.Dim),
 		zero:     make([]float64, c.Dim),
-		live:     map[*data.Shard]*shardBuf{},
 	}
 	// The sizes are drawn into start[1:] and summed in place.
 	sizeRng.PowerLawVec(f.start[1:], c.MinSamples, c.MaxSamples, c.PowerAlpha)
@@ -104,9 +101,7 @@ func NewFleet(c Config) *Fleet {
 	} else {
 		f.modelLen = 2 + c.Classes*c.Dim + c.Classes + c.Dim
 	}
-	f.modelState = modelRng.State()
-	f.dataState = dataRng.State()
-	f.splitState = splitRng.State()
+	f.modelState, f.dataState, f.splitState = modelRng.State(), dataRng.State(), splitRng.State()
 	return f
 }
 
@@ -134,16 +129,7 @@ func (f *Fleet) size(k int) int { return f.start[k+1] - f.start[k] }
 // train/test slot. Once k's labels are in the memo, the model call draws
 // only B_k and v_k and each example takes its label from the memo.
 func (f *Fleet) Shard(k int) *data.Shard {
-	c, n := f.cfg, f.size(k)
-	f.mu.Lock()
-	var b *shardBuf
-	if last := len(f.free) - 1; last >= 0 {
-		b, f.free = f.free[last], f.free[:last]
-	} else {
-		b = new(shardBuf)
-	}
-	f.live[&b.shard] = b
-	f.mu.Unlock()
+	c, n, b := f.cfg, f.size(k), f.claim()
 	if len(b.ex) < n {
 		b.ex, b.x, b.perm = make([]data.Example, n), make([]float64, n*c.Dim), make([]int, n)
 	}
@@ -178,10 +164,9 @@ func (f *Fleet) Shard(k int) *data.Shard {
 			affine(z[1:lead], z[0], 1)
 			W, bias = tensor.Mat{Rows: c.Classes, Cols: c.Dim, Data: z[1 : 1+cd]}, z[1+cd:lead]
 		}
-		Bk, v := z[lead:lead+1], z[lead+1:]
-		affine(Bk, 0, math.Sqrt(c.Beta))
-		affine(v, Bk[0], 1)
-		mean = v
+		affine(z[lead:lead+1], 0, math.Sqrt(c.Beta)) // B_k
+		mean = z[lead+1:]
+		affine(mean, z[lead], 1)
 	}
 	x, perm, ex := b.x[:n*c.Dim], b.perm[:n], b.ex[:n]
 	tensor.Normals(x, frand.New(f.dataState).SplitIndex(k))
@@ -191,8 +176,9 @@ func (f *Fleet) Shard(k int) *data.Shard {
 	frand.New(f.splitState).SplitIndex(k).Shuffle(perm) // data.SplitTrainTest's order
 	for s, i := range perm {
 		xi := x[i*c.Dim : (i+1)*c.Dim : (i+1)*c.Dim]
+		mu, sd := mean[:len(xi)], f.sigmaStd[:len(xi)]
 		for j := range xi {
-			xi[j] = mean[j] + f.sigmaStd[j]*xi[j]
+			xi[j] = mu[j] + sd[j]*xi[j]
 		}
 		var y int
 		if known {
@@ -215,6 +201,20 @@ func (f *Fleet) Shard(k int) *data.Shard {
 	return &b.shard
 }
 
+// claim returns a buffer it moved from free to live. A scan that finds
+// every buffer live pushes a free one, unless another Shard pushed first.
+func (f *Fleet) claim() *shardBuf {
+	for {
+		head := f.bufs.Load()
+		for b := head; b != nil; b = b.next {
+			if b.state.Load() == bufFree && b.state.CompareAndSwap(bufFree, bufLive) {
+				return b
+			}
+		}
+		f.bufs.CompareAndSwap(head, &shardBuf{next: head})
+	}
+}
+
 // affine maps each z of v to mean + std·z, NormMeanStd's arithmetic.
 func affine(v []float64, mean, std float64) {
 	for i := range v {
@@ -222,17 +222,17 @@ func affine(v []float64, mean, std float64) {
 	}
 }
 
-// Release puts s's storage on the free list, poisoned under the
-// poolpoison build tag (data.Poison). It panics on a shard this fleet did
-// not hand out or already has back.
+// Release frees s's buffer, poisoned under the poolpoison build tag
+// (data.Poison). It panics on a shard this fleet did not hand out (or a
+// copy of one: the buffer is found by the shard's address) or already has
+// back; of two concurrent Releases of one shard, exactly one returns.
 func (f *Fleet) Release(s *data.Shard) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	b, ok := f.live[s]
-	if !ok {
-		panic("synthetic: Release of a shard that is not live on this fleet")
+	for b := f.bufs.Load(); b != nil; b = b.next {
+		if &b.shard == s && b.state.CompareAndSwap(bufLive, bufReleasing) {
+			data.Poison(s)
+			b.state.Store(bufFree)
+			return
+		}
 	}
-	delete(f.live, s)
-	data.Poison(s)
-	f.free = append(f.free, b)
+	panic("synthetic: Release of a shard that is not live on this fleet")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fedprox/internal/data"
@@ -46,7 +47,7 @@ func shardsEqual(a, b *data.Shard) bool {
 	return eq(a.Train, b.Train) && eq(a.Test, b.Test)
 }
 
-// TestFleetMatchesGenerate is the free list's contract: a shard
+// TestFleetMatchesGenerate is the buffer registry's contract: a shard
 // synthesized into storage that a released shard left behind — larger
 // and stale, or too small and grown — is bit-identical to the fresh one
 // Generate keeps, TrainSize predicts its split without materializing,
@@ -67,9 +68,10 @@ func TestFleetMatchesGenerate(t *testing.T) {
 					small = k
 				}
 			}
-			// The free list now holds the large device's buffer under the
-			// small one's: the large device next grows the small buffer,
-			// and the small device reuses the large one, stale.
+			// The registry, newest first, now holds the small device's
+			// buffer before the large one's: the large device next grows
+			// the small buffer, and the small device reuses the large one,
+			// stale.
 			a, b := fl.Shard(large), fl.Shard(small)
 			fl.Release(a)
 			fl.Release(b)
@@ -102,8 +104,8 @@ func TestFleetMatchesGenerate(t *testing.T) {
 
 // TestFleetConcurrentShardRelease runs Shard and Release from four
 // goroutines at once — two on one device, two walking every device — and
-// holds every shard to a fresh synthesis: under -race this is the free
-// list's data-race check.
+// holds every shard to a fresh synthesis: under -race this is the buffer
+// registry's data-race check.
 func TestFleetConcurrentShardRelease(t *testing.T) {
 	c := fleetTestConfig()
 	fed := Generate(c)
@@ -133,27 +135,68 @@ func TestFleetConcurrentShardRelease(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if len(fl.free) > 4 {
-		t.Errorf("free list holds %d buffers, more than the 4 shards ever live at once", len(fl.free))
+	n := 0
+	for b := fl.bufs.Load(); b != nil; b = b.next {
+		n++
+	}
+	if n > 4 {
+		t.Errorf("the registry holds %d buffers, more than the 4 shards ever live at once", n)
 	}
 }
 
-// TestReleaseRejectsUnknownShard: a second Release of one shard, or a
-// shard another fleet handed out, panics instead of putting one buffer
-// on the free list twice.
+// TestReleaseRejectsUnknownShard: a second or third Release of one
+// shard, a shard another fleet handed out, or a copy of a live shard
+// panics instead of freeing one buffer twice.
 func TestReleaseRejectsUnknownShard(t *testing.T) {
 	fl := NewFleet(fleetTestConfig())
-	s := fl.Shard(2)
+	s, live := fl.Shard(2), fl.Shard(3)
 	fl.Release(s)
-	for name, s := range map[string]*data.Shard{"released": s, "foreign": NewFleet(fleetTestConfig()).Shard(2)} {
+	cp := *live
+	for _, tc := range []struct {
+		name string
+		s    *data.Shard
+	}{
+		{"released", s},
+		{"twice-released", s},
+		{"foreign", NewFleet(fleetTestConfig()).Shard(2)},
+		{"copied", &cp},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Release of a %s shard did not panic", name)
+					t.Errorf("Release of a %s shard did not panic", tc.name)
 				}
 			}()
-			fl.Release(s)
+			fl.Release(tc.s)
 		}()
+	}
+	fl.Release(live) // the original is still live: its copy freed nothing
+}
+
+// TestReleaseRaceOnePanics: two goroutines Release one shard at once;
+// exactly one of them returns and the other panics, every time.
+func TestReleaseRaceOnePanics(t *testing.T) {
+	fl := NewFleet(fleetTestConfig())
+	for i := range 200 {
+		s := fl.Shard(i % 17)
+		var panics atomic.Int32
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if recover() != nil {
+						panics.Add(1)
+					}
+				}()
+				fl.Release(s)
+			}()
+		}
+		wg.Wait()
+		if n := panics.Load(); n != 1 {
+			t.Fatalf("round %d: %d of two concurrent Releases of one shard panicked, want exactly 1", i, n)
+		}
 	}
 }
 

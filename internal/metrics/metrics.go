@@ -28,7 +28,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"fedprox/internal/data"
 	"fedprox/internal/model"
@@ -96,26 +95,32 @@ func countCorrect(m model.Model, w []float64, test []data.Example) (correct int)
 // accuracy is total correct over total test examples, so both results are
 // bit-identical to the separate passes at any worker count.
 func FleetEval(m model.Model, fl data.Fleet, w []float64) (loss, acc float64) {
-	weights := data.FleetWeights(fl)
-	losses := make([]float64, fl.NumDevices())
-	// Integer sums are order-independent, so the accuracy counts need no
-	// per-device slot: the pass holds one float per device, as FleetLoss.
-	var correct, total atomic.Int64
-	tensor.ParallelFor(len(losses), 0, func(k int) {
+	// Each device writes only its own slot, shared with another worker's
+	// only at a block's edge. The slots are summed afterwards, each loss
+	// weighted by FleetWeights' p_k = n_k/n computed in place.
+	rows := make([]struct {
+		loss          float64
+		correct, test int32
+	}, fl.NumDevices())
+	tensor.ParallelFor(len(rows), 0, func(k int) {
 		s := fl.Shard(k)
 		l, c := ShardEval(m, w, s)
-		losses[k] = l
-		correct.Add(int64(c))
-		total.Add(int64(len(s.Test)))
+		rows[k].loss, rows[k].correct, rows[k].test = l, int32(c), int32(len(s.Test))
 		fl.Release(s)
 	})
-	for k, l := range losses {
-		loss += weights[k] * l
+	n, correct, total := 0, 0, 0
+	for k := range rows {
+		n += fl.TrainSize(k)
 	}
-	if total.Load() == 0 {
+	for k, r := range rows {
+		loss += float64(fl.TrainSize(k)) / float64(n) * r.loss
+		correct += int(r.correct)
+		total += int(r.test)
+	}
+	if total == 0 {
 		return loss, 0
 	}
-	return loss, float64(correct.Load()) / float64(total.Load())
+	return loss, float64(correct) / float64(total)
 }
 
 // FleetAccuracy returns the network-wide test accuracy: total correct

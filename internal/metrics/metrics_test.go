@@ -302,6 +302,28 @@ func TestFleetEvalAllocsPerShardFloor(t *testing.T) {
 	}
 }
 
+// BenchmarkFleetEval is the unit price of one fleet evaluation on
+// vtime-fleet-eval's fleet shape (12 500 devices, 10 features, 5 classes,
+// 10 to 20 samples) with the label memo full, as at every evaluation of
+// a run after its first: per op, 12 500 shard re-syntheses, each scored
+// and released.
+func BenchmarkFleetEval(b *testing.B) {
+	fl := synthetic.NewFleet(synthetic.Config{
+		Alpha: 1, Beta: 1, Devices: 12500, Dim: 10, Classes: 5,
+		MinSamples: 10, MaxSamples: 20, PowerAlpha: 1.55, TrainFrac: 0.8, Seed: 43,
+	})
+	m := linear.New(10, 5)
+	w := frand.New(41).NormVec(make([]float64, m.NumParams()), 0, 0.1)
+	FleetEval(m, fl, w) // fills the label memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		benchLoss, benchAcc = FleetEval(m, fl, w)
+	}
+}
+
+var benchLoss, benchAcc float64
+
 // TestEvalMatchesEagerPair: on a *data.Federated measured through its
 // eager Fleet adapter, the fused pass is exactly FleetLoss + FleetAccuracy.
 func TestEvalMatchesEagerPair(t *testing.T) {

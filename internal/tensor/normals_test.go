@@ -10,10 +10,11 @@ import (
 // TestNormalsMatchNorm: Normals writes exactly the values successive Norm
 // calls return, by their bits, touches nothing either side of dst, and
 // leaves the stream where those calls would, at every length around the
-// strip's four-lane step and its stack block, on whichever path this
+// strip's four-lane step (its padded tail included; 11 is the Dim-10
+// fleet's model block) and its stack block, on whichever path this
 // machine runs.
 func TestNormalsMatchNorm(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 4, 5, 63, 64, 65, 784, 1000} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 11, 63, 64, 65, 255, 256, 257, 258, 259, 784, 1000} {
 		buf := make([]float64, n+2)
 		for seed := uint64(0); seed < 2000; seed++ {
 			buf[0], buf[n+1] = canary, canary

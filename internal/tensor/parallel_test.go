@@ -41,3 +41,21 @@ func TestParallelForCoversAll(t *testing.T) {
 		})
 	}
 }
+
+// TestParallelForChunksRunEachIndexOnce: with indices claimed in blocks
+// of max(1, n/(64·limit)), every index still runs exactly once — below
+// the block threshold, at it, past it with a ragged last block, and at
+// vtime-fleet-eval's 12 500 devices — at limits 1 to 4.
+func TestParallelForChunksRunEachIndexOnce(t *testing.T) {
+	for limit := 1; limit <= 4; limit++ {
+		for _, n := range []int{0, 1, limit, 127, 128*limit + 3, 12500} {
+			hits := make([]atomic.Int32, n)
+			ParallelFor(n, limit, func(i int) { hits[i].Add(1) })
+			for i := range hits {
+				if c := hits[i].Load(); c != 1 {
+					t.Fatalf("limit %d, n %d: index %d ran %d times", limit, n, i, c)
+				}
+			}
+		}
+	}
+}

@@ -331,7 +331,9 @@ func Softmax(dst, logits Vec) {
 	}
 }
 
-// LogSumExp returns log Σ exp(v_i), stabilized.
+// LogSumExp returns log Σ exp(v_i), stabilized. A term whose x − max is
+// 0 adds exactly math.Exp(0) = 1 without the call; ±Inf and NaN terms
+// (Inf − Inf is NaN, not 0) still go through Exp.
 func LogSumExp(v Vec) float64 {
 	max := v[0]
 	for _, x := range v[1:] {
@@ -341,7 +343,11 @@ func LogSumExp(v Vec) float64 {
 	}
 	sum := 0.0
 	for _, x := range v {
-		sum += math.Exp(x - max)
+		if d := x - max; d == 0 {
+			sum++
+		} else {
+			sum += math.Exp(d)
+		}
 	}
 	return max + math.Log(sum)
 }

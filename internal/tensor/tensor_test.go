@@ -216,6 +216,50 @@ func TestLogSumExpStable(t *testing.T) {
 	}
 }
 
+// TestLogSumExpBits holds LogSumExp to the two-pass formula that calls
+// Exp on every term, bit for bit: on random vectors, with ties at the
+// maximum, single elements, −Inf entries, +Inf and NaN. The skipped call
+// is Exp(0), which is exactly 1.
+func TestLogSumExpBits(t *testing.T) {
+	if math.Exp(0) != 1 {
+		t.Fatalf("math.Exp(0) = %v, want exactly 1", math.Exp(0))
+	}
+	twoPass := func(v Vec) float64 {
+		max := v[0]
+		for _, x := range v[1:] {
+			if x > max {
+				max = x
+			}
+		}
+		sum := 0.0
+		for _, x := range v {
+			sum += math.Exp(x - max)
+		}
+		return max + math.Log(sum)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []Vec{
+		{0}, {-3.5}, {inf}, {-inf}, {nan},
+		{2, 2}, {1, 3, 3, -1}, {-1000, -1000, -1000},
+		{-inf, 0.5, -inf}, {-inf, -inf}, {1, inf, 2}, {inf, inf}, {-2, nan, 4}, {nan, 1}, {inf, -inf},
+	}
+	rng := frand.New(3)
+	for n := 1; n <= 40; n++ {
+		for range 50 {
+			v := randVec(rng, n)
+			if rng.Float64() < 0.5 { // a tie at the maximum
+				v[rng.Intn(n)] = v[ArgMax(v)]
+			}
+			cases = append(cases, v)
+		}
+	}
+	for _, v := range cases {
+		if got, want := LogSumExp(v), twoPass(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("LogSumExp(%v) = %v (%#x), two-pass %v (%#x)", v, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestArgMax(t *testing.T) {
 	if got := ArgMax(Vec{1, 5, 3}); got != 1 {
 		t.Fatalf("ArgMax = %d", got)

@@ -18,9 +18,9 @@ import (
 // tail, 2000 dispatches at 128 in flight and one final fleet
 // evaluation. Every device-indexed structure in the run is O(1) per
 // device but the fleet's label memo, one byte per example, and a shard
-// lives only while a dispatch or the evaluation reads it: its storage
-// then goes back to the fleet's free list, which holds no more buffers
-// than shards were ever live at once. That is what the callers' memory
+// lives only while a dispatch or the evaluation reads it: its buffer
+// then goes back to the fleet, which holds no more buffers than shards
+// were live at once. That is what the callers' memory
 // bounds pin. The run is fully
 // seeded, so the loss is compared by bits. These tests live in the root
 // package because its test binary runs nothing else before them: Sys
