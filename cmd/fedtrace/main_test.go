@@ -14,52 +14,6 @@ import (
 	"fedprox/internal/obs/tracefile"
 )
 
-// TestDiffTraces: identical traces agree; a divergent field is named with
-// both events; a trace that runs longer is named once, with a positive
-// count, whichever side it is on.
-func TestDiffTraces(t *testing.T) {
-	trace := func() []obs.Event {
-		var evs []obs.Event
-		for r := 0; r < 3; r++ {
-			d := obs.NewEvent(obs.KindDispatch)
-			d.Round, d.Device, d.BytesDown = r, 4, 800
-			c := obs.NewEvent(obs.KindRoundClose)
-			c.Round, c.N, c.Seconds = r, 1, 0.5
-			evs = append(evs, d, c)
-		}
-		return evs
-	}
-	changed := trace()
-	changed[2].Device = 5
-	for _, tc := range []struct {
-		name          string
-		a, b          []obs.Event
-		divergent     bool
-		want, notWant []string
-	}{
-		{"identical", trace(), trace(), false, []string{"traces identical: 6 events"}, []string{"more"}},
-		{"divergent field", trace(), changed, true,
-			[]string{`first divergent event: #2, field "device"`, `a.jsonl: {"kind":"dispatch"`, `"device":5`}, []string{"identical"}},
-		{"a longer", trace(), trace()[:2], true, []string{"traces agree for 2 events, then a.jsonl has 4 more"}, []string{"b.jsonl has", "-"}},
-		{"b longer", trace()[:5], trace(), true, []string{"traces agree for 5 events, then b.jsonl has 1 more"}, []string{"a.jsonl has", "-"}},
-	} {
-		var out strings.Builder
-		if got := diffTraces(&out, "a.jsonl", "b.jsonl", tc.a, tc.b); got != tc.divergent {
-			t.Errorf("%s: divergent = %v, want %v", tc.name, got, tc.divergent)
-		}
-		for _, s := range tc.want {
-			if !strings.Contains(out.String(), s) {
-				t.Errorf("%s: report lacks %q:\n%s", tc.name, s, out.String())
-			}
-		}
-		for _, s := range tc.notWant {
-			if strings.Contains(out.String(), s) {
-				t.Errorf("%s: report has %q:\n%s", tc.name, s, out.String())
-			}
-		}
-	}
-}
-
 // recorded holds each trace record has made, so the tests that read the
 // same experiment's trace run it once.
 var recorded = map[string][]byte{}
@@ -93,7 +47,7 @@ func record(t *testing.T, id string) []byte {
 // cannot recompute).
 func TestVTimeTraceSummarizesAndReplays(t *testing.T) {
 	trace := record(t, "ext-vtime")
-	if err := summarize(io.Discard, bytes.NewReader(trace)); err != nil {
+	if err := tracefile.Summarize(io.Discard, bytes.NewReader(trace)); err != nil {
 		t.Fatalf("summary: %v", err)
 	}
 	evs, err := tracefile.ReadAll(bytes.NewReader(trace))
@@ -122,7 +76,7 @@ func TestVTimeTraceSummarizesAndReplays(t *testing.T) {
 // round structure, rolls it up by tier and names the slow edge.
 func TestTieredTraceSummary(t *testing.T) {
 	var out strings.Builder
-	if err := summarize(&out, bytes.NewReader(record(t, "ext-hier"))); err != nil {
+	if err := tracefile.Summarize(&out, bytes.NewReader(record(t, "ext-hier"))); err != nil {
 		t.Fatalf("summary: %v", err)
 	}
 	for _, want := range []string{"per-tier rollup", "slow edge"} {

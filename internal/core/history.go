@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"fedprox/internal/obs"
 )
 
 // Point is one evaluated round of a run.
@@ -275,26 +277,7 @@ func (h *History) ReplyLatencyQuantiles(qs ...float64) []float64 {
 		lat[i] = a.Arrived - a.Sent
 	}
 	sort.Float64s(lat)
-	return Quantiles(lat, qs...)
-}
-
-// Quantiles returns the given quantiles (each in [0,1]) of an ascending
-// sample, interpolating linearly between order statistics: q = 1 is the
-// largest value. A quantile of an empty sample, or outside [0,1], is NaN.
-func Quantiles(sorted []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if len(sorted) == 0 || math.IsNaN(q) || q < 0 || q > 1 {
-			out[i] = math.NaN()
-			continue
-		}
-		pos := q * float64(len(sorted)-1)
-		lo := int(pos)
-		hi := min(lo+1, len(sorted)-1)
-		frac := pos - float64(lo)
-		out[i] = sorted[lo]*(1-frac) + sorted[hi]*frac
-	}
-	return out
+	return obs.Quantiles(lat, qs...)
 }
 
 // histColumn is one column of the String table: the header and every

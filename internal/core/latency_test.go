@@ -75,31 +75,3 @@ func TestReplyLatencyQuantilesEdgeCases(t *testing.T) {
 		}
 	})
 }
-
-// TestQuantiles pins the one quantile kernel (History.ReplyLatencyQuantiles,
-// `fedtrace replay`, `fedbench -json` and `fedtrace summary` all print
-// it). On a K = 10 round the top quantiles must reach toward the slowest
-// reply: a floor-rank form, sorted[int(q·(n−1))], reads sorted[8] — the
-// second-slowest — for p90 and p99 alike, in a table whose job is
-// straggler attribution.
-func TestQuantiles(t *testing.T) {
-	ten := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 100}
-	for _, tc := range []struct {
-		sorted []float64
-		want   [4]float64 // q = 0, 0.5, 0.99, 1
-	}{
-		{[]float64{7}, [4]float64{7, 7, 7, 7}},
-		{[]float64{1, 3}, [4]float64{1, 2, 2.98, 3}},
-		{ten, [4]float64{1, 5.5, 9*0.09 + 100*0.91, 100}},
-	} {
-		got := Quantiles(tc.sorted, 0, 0.5, 0.99, 1)
-		for i, want := range tc.want {
-			if math.Abs(got[i]-want) > 1e-12 {
-				t.Errorf("n=%d quantile[%d] = %v, want %v", len(tc.sorted), i, got[i], want)
-			}
-		}
-	}
-	if q := Quantiles(ten, 0.9)[0]; q <= ten[8] {
-		t.Errorf("p90 of a 10-reply round = %v: no more than the second-slowest reply", q)
-	}
-}

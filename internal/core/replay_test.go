@@ -137,32 +137,9 @@ func assertTraceEquivalence(t *testing.T, recRaw, repRaw []byte) {
 	if len(rec) != len(rep) {
 		t.Fatalf("trace length: %d recorded, %d replayed", len(rec), len(rep))
 	}
-	for i := range rec {
-		a, b := rec[i], rep[i]
-		if a.Kind != b.Kind {
-			t.Fatalf("event %d: kind %v replayed as %v", i, a.Kind, b.Kind)
-		}
-		for _, f := range obs.Fields(a.Kind) {
-			if a.Kind == obs.KindEval && (f.Key == "loss" || f.Key == "acc") {
-				continue
-			}
-			var eq bool
-			switch f.Type {
-			case obs.FieldInt:
-				eq = f.Int(&a) == f.Int(&b)
-			case obs.FieldInt64:
-				eq = f.Int64(&a) == f.Int64(&b)
-			case obs.FieldFloat:
-				eq = math.Float64bits(f.Float(&a)) == math.Float64bits(f.Float(&b))
-			case obs.FieldString:
-				eq = f.Str(&a) == f.Str(&b)
-			}
-			if !eq {
-				t.Fatalf("event %d (%v): field %q diverges\nrecorded %s\nreplayed %s",
-					i, a.Kind, f.Key,
-					obs.AppendEvent(nil, a), obs.AppendEvent(nil, b))
-			}
-		}
+	if i, key := tracefile.FirstDifference(rec, rep, true); key != "" {
+		t.Fatalf("event %d (%v): field %q diverges\nrecorded %s\nreplayed %s",
+			i, rec[i].Kind, key, obs.AppendEvent(nil, rec[i]), obs.AppendEvent(nil, rep[i]))
 	}
 }
 

@@ -273,3 +273,22 @@ func (s *Span) End() {
 	s.Event.Seconds = time.Since(s.start).Seconds()
 	s.sink.Emit(s.Event)
 }
+
+// Quantiles returns the given quantiles (each in [0,1]) of an ascending
+// sample, interpolating linearly between order statistics: q = 1 is the
+// largest value. A quantile of an empty sample, or outside [0,1], is NaN.
+func Quantiles(sorted []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		if len(sorted) == 0 || math.IsNaN(q) || q < 0 || q > 1 {
+			out[i] = math.NaN()
+			continue
+		}
+		pos := q * float64(len(sorted)-1)
+		lo := int(pos)
+		hi := min(lo+1, len(sorted)-1)
+		frac := pos - float64(lo)
+		out[i] = sorted[lo]*(1-frac) + sorted[hi]*frac
+	}
+	return out
+}

@@ -1,5 +1,8 @@
 // Package tracefile reads the JSONL run traces internal/obs writes
-// (the `-trace out.jsonl` files of the cmds) back into obs.Events.
+// (the `-trace out.jsonl` files of the cmds) back into obs.Events, and
+// is the one reader that analyzes them: Summarize and Diff fold a run's
+// events into rows through one tally, and FirstDifference is the event
+// comparator every equivalence check (diff, replay verification) uses.
 //
 // The decoder is not a generic JSON parser: it walks the same per-kind
 // field table the encoder walks (obs.Fields), expecting exactly the
@@ -34,8 +37,8 @@ import (
 	"fedprox/internal/obs"
 )
 
-// Sentinel error classes; match with errors.Is. Every error returned
-// by Decoder.Next (except io.EOF) wraps one of these inside a
+// Sentinel error classes; match with errors.Is. Every error ReadAll
+// or Summarize returns for malformed input wraps one of these inside a
 // *LineError.
 var (
 	// ErrSyntax marks a line that is not a well-formed trace object
@@ -73,9 +76,9 @@ func (e *LineError) Error() string { return fmt.Sprintf("trace line %d: %v", e.L
 // Unwrap exposes the wrapped sentinel to errors.Is/As.
 func (e *LineError) Unwrap() error { return e.Err }
 
-// Decoder streams events out of one trace. Not safe for concurrent
+// decoder streams events out of one trace. Not safe for concurrent
 // use.
-type Decoder struct {
+type decoder struct {
 	r    *bufio.Reader
 	line int    // lines consumed so far (1-based for errors)
 	long []byte // spill buffer for lines longer than the read buffer
@@ -93,10 +96,10 @@ type Decoder struct {
 	lastRound map[int]int
 }
 
-// NewDecoder returns a Decoder reading r. Wrap files in the Decoder
+// newDecoder returns a decoder reading r. Wrap files in the decoder
 // directly — it buffers internally.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{
+func newDecoder(r io.Reader) *decoder {
+	return &decoder{
 		r:         bufio.NewReaderSize(r, 64<<10),
 		strs:      make(map[string]string),
 		lastRound: make(map[int]int),
@@ -106,7 +109,7 @@ func NewDecoder(r io.Reader) *Decoder {
 // Next returns the next event. At clean end of input it returns io.EOF;
 // any other error is a *LineError and latches (subsequent calls return
 // it again).
-func (d *Decoder) Next() (obs.Event, error) {
+func (d *decoder) Next() (obs.Event, error) {
 	if d.err != nil {
 		return obs.Event{}, d.err
 	}
@@ -138,7 +141,7 @@ func (d *Decoder) Next() (obs.Event, error) {
 // readLine returns the next line without its trailing newline, valid
 // until the following readLine call. Lines longer than the reader's
 // buffer spill into d.long; EOF mid-line is ErrTruncated.
-func (d *Decoder) readLine() ([]byte, error) {
+func (d *decoder) readLine() ([]byte, error) {
 	d.long = d.long[:0]
 	for {
 		chunk, err := d.r.ReadSlice('\n')
@@ -165,7 +168,7 @@ func (d *Decoder) readLine() ([]byte, error) {
 }
 
 // parse decodes one line against the shared schema table.
-func (d *Decoder) parse(b []byte) (obs.Event, error) {
+func (d *decoder) parse(b []byte) (obs.Event, error) {
 	var e obs.Event
 	rest, ok := cut(b, `{"kind":"`)
 	if !ok {
@@ -304,7 +307,7 @@ func scanValue(b []byte) (tok, rest []byte) {
 }
 
 // scanString consumes a quoted string value, interning the result.
-func (d *Decoder) scanString(b []byte) (string, []byte, error) {
+func (d *decoder) scanString(b []byte) (string, []byte, error) {
 	if len(b) == 0 || b[0] != '"' {
 		return "", nil, errors.New("value is not a string")
 	}
@@ -327,7 +330,7 @@ func (d *Decoder) scanString(b []byte) (string, []byte, error) {
 // strconv.Unquote — the exact inverse of the strconv quoting
 // AppendEvent uses, including its \xNN and \uNNNN forms — so every
 // string the encoder can write decodes.
-func (d *Decoder) unquoteSlow(b []byte) (string, []byte, error) {
+func (d *decoder) unquoteSlow(b []byte) (string, []byte, error) {
 	for i := 0; i < len(b); {
 		switch b[i] {
 		case '\\':
@@ -348,7 +351,7 @@ func (d *Decoder) unquoteSlow(b []byte) (string, []byte, error) {
 // intern returns the canonical string for b, allocating only on first
 // sight. The map lookup with a converted key is recognized by the
 // compiler and does not allocate.
-func (d *Decoder) intern(b []byte) string {
+func (d *decoder) intern(b []byte) string {
 	if s, ok := d.strs[string(b)]; ok {
 		return s
 	}
@@ -421,18 +424,24 @@ func parseFloat(b []byte) (float64, error) {
 
 // ReadAll decodes every event in r. On error it returns the events
 // decoded so far alongside the *LineError.
-func ReadAll(r io.Reader) ([]obs.Event, error) {
-	d := NewDecoder(r)
-	var evs []obs.Event
+func ReadAll(r io.Reader) (evs []obs.Event, err error) {
+	err = each(r, func(e obs.Event) { evs = append(evs, e) })
+	return evs, err
+}
+
+// each decodes r, handing fn every event in order; the first malformed
+// line is its error.
+func each(r io.Reader, fn func(obs.Event)) error {
+	d := newDecoder(r)
 	for {
 		e, err := d.Next()
 		if errors.Is(err, io.EOF) {
-			return evs, nil
+			return nil
 		}
 		if err != nil {
-			return evs, err
+			return err
 		}
-		evs = append(evs, e)
+		fn(e)
 	}
 }
 

@@ -175,7 +175,7 @@ func TestRunStartResetsRoundOrder(t *testing.T) {
 }
 
 func TestDecoderErrorLatches(t *testing.T) {
-	d := NewDecoder(strings.NewReader("garbage\n"))
+	d := newDecoder(strings.NewReader("garbage\n"))
 	_, err1 := d.Next()
 	_, err2 := d.Next()
 	if err1 == nil || err1 != err2 {
@@ -212,7 +212,7 @@ func TestDecodeInternsStrings(t *testing.T) {
 		e.Disposition = "folded"
 		j.Emit(e)
 	}
-	d := NewDecoder(&buf)
+	d := newDecoder(&buf)
 	for {
 		e, err := d.Next()
 		if errors.Is(err, io.EOF) {
@@ -230,7 +230,7 @@ func TestDecodeInternsStrings(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		line := obs.AppendEvent(nil, obs.Event{Kind: obs.KindRunDone, Time: 1.5})
-		d := NewDecoder(bytes.NewReader(line))
+		d := newDecoder(bytes.NewReader(line))
 		if _, err := d.Next(); err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestDecodeInternsStrings(t *testing.T) {
 // then the documented failure shapes.
 func FuzzDecoder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
-		d := NewDecoder(bytes.NewReader(in))
+		d := newDecoder(bytes.NewReader(in))
 		for {
 			e, err := d.Next()
 			if err != nil {
