@@ -255,7 +255,11 @@ func (r *run) print(w io.Writer, i int) {
 			FormatSeconds(q[0]), FormatSeconds(q[1]), FormatSeconds(q[2]),
 			row.bytesDown, row.bytesUp, FormatSeconds(row.secs), loss)
 	}
-	fmt.Fprintf(w, "totals: %d bytes down, %d bytes up, %d evals\n", r.all.bytesDown, r.all.bytesUp, r.evals)
+	fmt.Fprintf(w, "totals: %d bytes down, %d bytes up, %d evals", r.all.bytesDown, r.all.bytesUp, r.evals)
+	if !math.IsNaN(r.open.loss) { // the evaluation after the last round-close
+		fmt.Fprintf(w, ", final loss %.4f (round %d)", r.open.loss, r.open.round)
+	}
+	fmt.Fprintln(w)
 
 	// Per-tier rollup: present whenever the run carried tier stamps (a
 	// tiered simulation interleaves every node's events; a fednet root
