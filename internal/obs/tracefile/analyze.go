@@ -371,44 +371,37 @@ func Diff(w io.Writer, nameA, nameB string, a, b []obs.Event) (divergent bool) {
 		fmt.Fprintf(w, "traces identical: %d events\n", len(a))
 	}
 
-	// Per-round deltas, keyed by round; a later run's round overwrites
-	// an earlier one's.
-	byRound := func(evs []obs.Event) map[int]*row {
-		m := map[int]*row{}
-		for _, r := range runs(evs) {
-			for _, x := range r.rounds() {
-				m[x.round] = x
-			}
-		}
-		return m
-	}
-	ra, rb := byRound(a), byRound(b)
-	var rounds []int
-	for r := range ra {
-		if rb[r] != nil {
-			rounds = append(rounds, r)
-		}
-	}
-	sort.Ints(rounds)
+	// Per-round deltas, run by run (numbered as Summarize numbers them),
+	// over the rounds both runs hold.
+	ra, rb := runs(a), runs(b)
 	printed := false
-	for _, r := range rounds {
-		ds := rb[r].secs - ra[r].secs
-		dl := rb[r].loss - ra[r].loss
-		if (math.IsNaN(ds) || ds == 0) && (math.IsNaN(dl) || dl == 0) {
-			continue
+	for i := range min(len(ra), len(rb)) {
+		rows := map[int]*row{}
+		for _, x := range ra[i].rounds() {
+			rows[x.round] = x
 		}
-		if !printed {
-			fmt.Fprintf(w, "per-round deltas (%s minus %s):\n", nameB, nameA)
-			printed = true
+		for _, y := range rb[i].rounds() {
+			x := rows[y.round]
+			if x == nil {
+				continue
+			}
+			ds, dl := y.secs-x.secs, y.loss-x.loss
+			if (math.IsNaN(ds) || ds == 0) && (math.IsNaN(dl) || dl == 0) {
+				continue
+			}
+			if !printed {
+				fmt.Fprintf(w, "per-round deltas (%s minus %s):\n", nameB, nameA)
+				printed = true
+			}
+			fmt.Fprintf(w, "  run %d round %-4d", i, y.round)
+			if !math.IsNaN(ds) && ds != 0 {
+				fmt.Fprintf(w, "  secs %+.4f", ds)
+			}
+			if !math.IsNaN(dl) && dl != 0 {
+				fmt.Fprintf(w, "  loss %+.6f", dl)
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintf(w, "  round %-4d", r)
-		if !math.IsNaN(ds) && ds != 0 {
-			fmt.Fprintf(w, "  secs %+.4f", ds)
-		}
-		if !math.IsNaN(dl) && dl != 0 {
-			fmt.Fprintf(w, "  loss %+.6f", dl)
-		}
-		fmt.Fprintln(w)
 	}
 	return key != "" || len(a) != len(b)
 }
