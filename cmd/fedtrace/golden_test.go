@@ -13,7 +13,9 @@ import (
 //   - vtime.jsonl is `fedbench -exp ext-vtime -fast -rounds 2 -trace`:
 //     six runs, sync with policy drops, async and buffered;
 //   - tiered.jsonl is the first tree run (fan-out 8, depth 1) of
-//     `fedbench -exp ext-hier -fast -rounds 2 -trace`.
+//     `fedbench -exp ext-hier -fast -rounds 2 -trace`;
+//   - ties.jsonl is written by hand: one round of 8 devices, each with
+//     one reply 1 s long, so the straggler list is all ties.
 //
 // Each diff compares a trace with a copy that has one field changed.
 // A golden is edited by hand, with the change that moves it.
@@ -29,6 +31,7 @@ func TestGoldens(t *testing.T) {
 	}{
 		{golden: "vtime.summary", args: []string{"summary", "testdata/vtime.jsonl"}},
 		{golden: "tiered.summary", args: []string{"summary", "testdata/tiered.jsonl"}},
+		{golden: "ties.summary", args: []string{"summary", "testdata/ties.jsonl"}},
 		{golden: "vtime.diff", args: []string{"diff", "testdata/vtime.jsonl", changed}, code: 1,
 			trace: "testdata/vtime.jsonl", old: `"secs":10.047193777733813`, new: `"secs":10.5`},
 		{golden: "tiered.diff", args: []string{"diff", "testdata/tiered.jsonl", changed}, code: 1,

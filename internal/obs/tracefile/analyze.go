@@ -2,10 +2,11 @@ package tracefile
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"fedprox/internal/obs"
 )
@@ -56,7 +57,7 @@ func (t *tally) add(o *tally) {
 
 // quantiles returns the p50, p90 and p99 of the tally's reply latencies.
 func (t *tally) quantiles() []float64 {
-	sort.Float64s(t.rels)
+	slices.Sort(t.rels)
 	return obs.Quantiles(t.rels, 0.5, 0.9, 0.99)
 }
 
@@ -303,7 +304,7 @@ func (r *run) print(w io.Writer, i int) {
 }
 
 // ranked returns the (tier, device) keys of the devices that replied at
-// tier t, the largest cumulative reply latency first.
+// tier t, the largest cumulative reply latency first and ties by device.
 func (r *run) ranked(t int) [][2]int {
 	var keys [][2]int
 	for k := range r.devices {
@@ -311,7 +312,9 @@ func (r *run) ranked(t int) [][2]int {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return r.devices[keys[i]].latency > r.devices[keys[j]].latency })
+	slices.SortFunc(keys, func(x, y [2]int) int {
+		return cmp.Or(cmp.Compare(r.devices[y].latency, r.devices[x].latency), cmp.Compare(x[1], y[1]))
+	})
 	return keys
 }
 
