@@ -134,22 +134,3 @@ func (e eagerFleet) Release(s *Shard) {
 		panic("data: Release of a shard this dataset does not hold")
 	}
 }
-
-// FleetWeights returns the normalized objective weights p_k = n_k/n for
-// a fleet, computed from training sizes alone (no shards are
-// materialized). For an eager fleet this matches Federated.Weights
-// exactly.
-func FleetWeights(fl Fleet) []float64 {
-	n := fl.NumDevices()
-	sizes := make([]int, n)
-	total := 0
-	for k := range sizes {
-		sizes[k] = fl.TrainSize(k)
-		total += sizes[k]
-	}
-	out := make([]float64, n)
-	for k, s := range sizes {
-		out[k] = float64(s) / float64(total)
-	}
-	return out
-}

@@ -50,8 +50,8 @@ func shardsEqual(a, b *data.Shard) bool {
 // TestFleetMatchesGenerate is the buffer registry's contract: a shard
 // synthesized into storage that a released shard left behind — larger
 // and stale, or too small and grown — is bit-identical to the fresh one
-// Generate keeps, TrainSize predicts its split without materializing,
-// and FleetWeights equals Federated.Weights.
+// Generate keeps, and TrainSize predicts its split without
+// materializing.
 func TestFleetMatchesGenerate(t *testing.T) {
 	for _, iid := range []bool{false, true} {
 		c := fleetTestConfig()
@@ -91,12 +91,6 @@ func TestFleetMatchesGenerate(t *testing.T) {
 					t.Errorf("Shard(%d) differs from a fresh one", k)
 				}
 				fl.Release(s)
-			}
-			fw, ew := data.FleetWeights(fl), fed.Weights()
-			for k := range ew {
-				if math.Float64bits(fw[k]) != math.Float64bits(ew[k]) {
-					t.Errorf("FleetWeights[%d] = %v, want %v", k, fw[k], ew[k])
-				}
 			}
 		})
 	}

@@ -40,16 +40,18 @@ import (
 // accumulated in ascending device order, so the result is bit-identical
 // across worker counts and to the eager path.
 func FleetLoss(m model.Model, fl data.Fleet, w []float64) float64 {
-	weights := data.FleetWeights(fl)
 	losses := make([]float64, fl.NumDevices())
 	tensor.ParallelFor(len(losses), 0, func(k int) {
 		s := fl.Shard(k)
 		losses[k] = m.Loss(w, s.Train)
 		fl.Release(s)
 	})
-	total := 0.0
+	n, total := 0, 0.0
+	for k := range losses {
+		n += fl.TrainSize(k)
+	}
 	for k, l := range losses {
-		total += weights[k] * l
+		total += float64(fl.TrainSize(k)) / float64(n) * l
 	}
 	return total
 }
@@ -97,7 +99,7 @@ func countCorrect(m model.Model, w []float64, test []data.Example) (correct int)
 func FleetEval(m model.Model, fl data.Fleet, w []float64) (loss, acc float64) {
 	// Each device writes only its own slot, shared with another worker's
 	// only at a block's edge. The slots are summed afterwards, each loss
-	// weighted by FleetWeights' p_k = n_k/n computed in place.
+	// weighted by p_k = n_k/n computed in place.
 	rows := make([]struct {
 		loss          float64
 		correct, test int32
@@ -200,26 +202,29 @@ func PerClassAccuracy(m model.Model, fed *data.Federated, w []float64) (acc []fl
 // for the tracked-dissimilarity configurations (tens to hundreds of
 // devices), not million-device sweeps — which reject TrackGamma anyway.
 func FleetDissimilarity(m model.Model, fl data.Fleet, w []float64) (variance, b float64) {
-	weights := data.FleetWeights(fl)
-	n := fl.NumDevices()
-	grads := make([][]float64, n)
-	tensor.ParallelFor(n, 0, func(k int) {
+	grads := make([][]float64, fl.NumDevices())
+	tensor.ParallelFor(len(grads), 0, func(k int) {
 		g := make([]float64, m.NumParams())
 		s := fl.Shard(k)
 		m.Grad(g, w, s.Train)
 		fl.Release(s)
 		grads[k] = g
 	})
+	n := 0
+	for k := range grads {
+		n += fl.TrainSize(k)
+	}
+	p := func(k int) float64 { return float64(fl.TrainSize(k)) / float64(n) }
 	// ∇f(w) = Σ p_k ∇F_k(w).
 	gf := make([]float64, m.NumParams())
 	for k, g := range grads {
-		tensor.Axpy(weights[k], g, gf)
+		tensor.Axpy(p(k), g, gf)
 	}
 	normF2 := tensor.Dot(gf, gf)
 	exp2 := 0.0 // E_k‖∇F_k‖²
 	for k, g := range grads {
-		exp2 += weights[k] * tensor.Dot(g, g)
-		variance += weights[k] * tensor.SqDist(g, gf)
+		exp2 += p(k) * tensor.Dot(g, g)
+		variance += p(k) * tensor.SqDist(g, gf)
 	}
 	const eps = 1e-18
 	switch {

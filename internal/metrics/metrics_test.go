@@ -192,7 +192,14 @@ func TestFleetEvalParallelParity(t *testing.T) {
 	m := linear.New(cfg.Dim, cfg.Classes)
 	w := frand.New(37).NormVec(make([]float64, m.NumParams()), 0, 0.1)
 
-	weights := data.FleetWeights(fl)
+	n := 0
+	for k := range fl.NumDevices() {
+		n += fl.TrainSize(k)
+	}
+	weights := make([]float64, fl.NumDevices())
+	for k := range weights {
+		weights[k] = float64(fl.TrainSize(k)) / float64(n)
+	}
 	var loss float64
 	var correct, total int
 	grads := make([][]float64, fl.NumDevices())
