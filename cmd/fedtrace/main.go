@@ -123,11 +123,6 @@ func cmdDiff(args []string, stdout io.Writer) error {
 
 // ---- replay -----------------------------------------------------------
 
-// collector buffers replayed events in memory for comparison.
-type collector struct{ evs []obs.Event }
-
-func (c *collector) Emit(e obs.Event) { c.evs = append(c.evs, e) }
-
 // floatList parses a comma-separated -flag value list.
 func floatList(s string) ([]float64, error) {
 	if s == "" {
@@ -213,11 +208,6 @@ func cmdReplay(args []string, stdout, stderr io.Writer) error {
 
 	// What-if sweep: one override axis at a time, recorded policy as the
 	// base. Async knobs apply only to cases already in an async mode.
-	type override struct {
-		label string
-		apply func(*core.Config)
-		wants func(core.Config) bool
-	}
 	every := func(core.Config) bool { return true }
 	async := func(c core.Config) bool { return c.Async.Enabled() }
 	axes := []struct {
@@ -225,29 +215,27 @@ func cmdReplay(args []string, stdout, stderr io.Writer) error {
 		label func(float64) string
 		set   func(*core.Config, float64)
 		wants func(core.Config) bool
+		vs    []float64
 	}{
-		{*deadlines, func(v float64) string { return fmt.Sprintf("deadline=%gs", v) },
-			func(c *core.Config, v float64) { c.VTime.DeadlineSeconds = v }, every},
-		{*budgets, func(v float64) string { return fmt.Sprintf("round-bytes=%d", int64(v)) },
-			func(c *core.Config, v float64) { c.VTime.RoundBytes = int64(v) }, every},
-		{*alphas, func(v float64) string { return fmt.Sprintf("alpha=%g", v) },
-			func(c *core.Config, v float64) { c.Async.Alpha = v }, async},
-		{*stales, func(v float64) string { return fmt.Sprintf("staleness-exp=%g", v) },
-			func(c *core.Config, v float64) { c.Async.StalenessExponent = v }, async},
-		{*bufferKs, func(v float64) string { return fmt.Sprintf("buffer-k=%d", int(v)) },
-			func(c *core.Config, v float64) { c.Async.BufferK = int(v) }, func(c core.Config) bool { return c.Async.Mode == core.Buffered }},
+		{list: *deadlines, label: func(v float64) string { return fmt.Sprintf("deadline=%gs", v) },
+			set: func(c *core.Config, v float64) { c.VTime.DeadlineSeconds = v }, wants: every},
+		{list: *budgets, label: func(v float64) string { return fmt.Sprintf("round-bytes=%d", int64(v)) },
+			set: func(c *core.Config, v float64) { c.VTime.RoundBytes = int64(v) }, wants: every},
+		{list: *alphas, label: func(v float64) string { return fmt.Sprintf("alpha=%g", v) },
+			set: func(c *core.Config, v float64) { c.Async.Alpha = v }, wants: async},
+		{list: *stales, label: func(v float64) string { return fmt.Sprintf("staleness-exp=%g", v) },
+			set: func(c *core.Config, v float64) { c.Async.StalenessExponent = v }, wants: async},
+		{list: *bufferKs, label: func(v float64) string { return fmt.Sprintf("buffer-k=%d", int(v)) },
+			set: func(c *core.Config, v float64) { c.Async.BufferK = int(v) }, wants: func(c core.Config) bool { return c.Async.Mode == core.Buffered }},
 	}
-	var overrides []override
-	for _, ax := range axes {
-		vs, err := floatList(ax.list)
-		if err != nil {
+	sweep := false
+	for i := range axes {
+		if axes[i].vs, err = floatList(axes[i].list); err != nil {
 			return err
 		}
-		for _, v := range vs {
-			overrides = append(overrides, override{ax.label(v), func(c *core.Config) { ax.set(c, v) }, ax.wants})
-		}
+		sweep = sweep || len(axes[i].vs) > 0
 	}
-	if len(overrides) == 0 {
+	if !sweep {
 		return verifyReplay(stdout, cases, segments)
 	}
 
@@ -256,41 +244,41 @@ func cmdReplay(args []string, stdout, stderr io.Writer) error {
 		"case", "override", "virtual-s", "folded", "dropped", "p50", "p90", "p99")
 	for i, c := range cases {
 		loss, acc := recordedFinalLoss(segments[i])
-		for _, ov := range overrides {
-			if !ov.wants(c.Config) {
+		for _, ax := range axes {
+			if !ax.wants(c.Config) {
 				continue
 			}
-			cfg := c.Config
-			ov.apply(&cfg)
-			h, err := core.Replay(c.Model, c.Fleet, cfg, segments[i])
-			if err != nil {
-				return fmt.Errorf("replay %s under %s: %w", c.Name, ov.label, err)
-			}
-			fin := h.Final()
-			folded, dropped := 0, 0
-			for _, a := range h.Arrivals {
-				if a.Drop == core.ArrivalFolded {
-					folded++
-				} else {
-					dropped++
+			for _, v := range ax.vs {
+				cfg, label := c.Config, ax.label(v)
+				ax.set(&cfg, v)
+				h, err := core.Replay(c.Model, c.Fleet, cfg, segments[i])
+				if err != nil {
+					return fmt.Errorf("replay %s under %s: %w", c.Name, label, err)
 				}
+				fin := h.Final()
+				dropped := 0
+				for _, a := range h.Arrivals {
+					if a.Drop != core.ArrivalFolded {
+						dropped++
+					}
+				}
+				q := h.ReplyLatencyQuantiles(0.5, 0.9, 0.99)
+				fmt.Fprintf(stdout, "%-14s %-22s %10.1f %7d %7d %8s %8s %8s\n",
+					c.Name, label, fin.VirtualSeconds, len(h.Arrivals)-dropped, dropped,
+					tracefile.FormatSeconds(q[0]), tracefile.FormatSeconds(q[1]), tracefile.FormatSeconds(q[2]))
+				entries = append(entries, experiments.BenchEntry{
+					Experiment:      "replay:" + *exp,
+					Section:         c.Name,
+					Method:          label,
+					Rounds:          fin.Round,
+					FinalLoss:       loss, // recorded, not replayed: replay never evaluates
+					FinalAcc:        acc,
+					VirtualSeconds:  fin.VirtualSeconds,
+					ReplyLatencyP50: q[0],
+					ReplyLatencyP90: q[1],
+					ReplyLatencyP99: q[2],
+				})
 			}
-			q := h.ReplyLatencyQuantiles(0.5, 0.9, 0.99)
-			fmt.Fprintf(stdout, "%-14s %-22s %10.1f %7d %7d %8s %8s %8s\n",
-				c.Name, ov.label, fin.VirtualSeconds, folded, dropped,
-				tracefile.FormatSeconds(q[0]), tracefile.FormatSeconds(q[1]), tracefile.FormatSeconds(q[2]))
-			entries = append(entries, experiments.BenchEntry{
-				Experiment:      "replay:" + *exp,
-				Section:         c.Name,
-				Method:          ov.label,
-				Rounds:          fin.Round,
-				FinalLoss:       loss, // recorded, not replayed: replay never evaluates
-				FinalAcc:        acc,
-				VirtualSeconds:  fin.VirtualSeconds,
-				ReplyLatencyP50: q[0],
-				ReplyLatencyP90: q[1],
-				ReplyLatencyP99: q[2],
-			})
 		}
 	}
 	if *jsonPath != "" {
@@ -306,19 +294,19 @@ func cmdReplay(args []string, stdout, stderr io.Writer) error {
 func verifyReplay(w io.Writer, cases []experiments.ReplayCase, segments [][]obs.Event) error {
 	total := 0
 	for i, c := range cases {
-		var got collector
+		var got obs.Tape
 		cfg := c.Config
 		cfg.Trace = &got
 		if _, err := core.Replay(c.Model, c.Fleet, cfg, segments[i]); err != nil {
 			return fmt.Errorf("replay %s: %w", c.Name, err)
 		}
 		want := segments[i]
-		if len(got.evs) != len(want) {
-			return fmt.Errorf("replay %s: %d events recorded, %d replayed", c.Name, len(want), len(got.evs))
+		if len(got) != len(want) {
+			return fmt.Errorf("replay %s: %d events recorded, %d replayed", c.Name, len(want), len(got))
 		}
-		if j, key := tracefile.FirstDifference(want, got.evs, true); key != "" {
+		if j, key := tracefile.FirstDifference(want, got, true); key != "" {
 			return fmt.Errorf("replay %s: event #%d diverges on %q\n  recorded: %s\n  replayed: %s",
-				c.Name, j, key, bytes.TrimSpace(obs.AppendEvent(nil, want[j])), bytes.TrimSpace(obs.AppendEvent(nil, got.evs[j])))
+				c.Name, j, key, bytes.TrimSpace(obs.AppendEvent(nil, want[j])), bytes.TrimSpace(obs.AppendEvent(nil, got[j])))
 		}
 		total += len(want)
 	}

@@ -81,7 +81,7 @@ func extAsync(o Options, res *Result) error {
 		slowFactor, workers)
 	sec := Section{Name: fed.Name + " + 10x straggler worker"}
 	for _, tc := range cases {
-		var tape tape
+		var tape obs.Tape
 		cfg := tc.cfg
 		cfg.Trace = obs.Multi(cfg.Trace, &tape)
 		start := time.Now()
@@ -115,12 +115,6 @@ func extAsync(o Options, res *Result) error {
 	res.Sections = append(res.Sections, sec)
 	return nil
 }
-
-// tape records a fednet run's trace in memory: its coordinator emits from
-// one goroutine.
-type tape []obs.Event
-
-func (t *tape) Emit(e obs.Event) { *t = append(*t, e) }
 
 func withAsync(cfg core.Config, a core.AsyncConfig) core.Config {
 	cfg.Async = a

@@ -13,6 +13,7 @@ import (
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
 	"fedprox/internal/model"
+	"fedprox/internal/obs"
 	"fedprox/internal/solver"
 )
 
@@ -51,7 +52,7 @@ func TestAsyncWorkerReadmission(t *testing.T) {
 	cfg.EvalEvery = 5
 	cfg.Async = core.AsyncConfig{Mode: core.AsyncTotal}
 
-	var tape eventLog
+	var tape obs.Tape
 	rec := cfg
 	rec.Trace = &tape
 	srv, err := NewServer(mdl, ServerConfig{Training: rec, ExpectDevices: fed.NumDevices()})
@@ -154,7 +155,7 @@ func TestAsyncReadmissionWithChainedCodec(t *testing.T) {
 			cfg.Async = core.AsyncConfig{Mode: core.AsyncTotal}
 			cfg.Codec = spec
 
-			var tape eventLog
+			var tape obs.Tape
 			rec := cfg
 			rec.Trace = &tape
 			srv, err := NewServer(mdl, ServerConfig{Training: rec, ExpectDevices: fed.NumDevices()})

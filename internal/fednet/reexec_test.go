@@ -71,7 +71,7 @@ func TestAsyncReexecutes(t *testing.T) {
 				cfg.Async.BufferK = 3
 			}
 			orders := map[string]bool{}
-			var tape eventLog
+			var tape obs.Tape
 			var h *core.History
 			for run := 0; run < 20; run++ {
 				tape = nil

@@ -25,11 +25,6 @@ type nopCheckpointer struct{}
 func (nopCheckpointer) Load() (*core.Snapshot, error) { return nil, nil }
 func (nopCheckpointer) Save(*core.Snapshot) error     { return nil }
 
-// eventLog is an in-memory trace sink.
-type eventLog []obs.Event
-
-func (l *eventLog) Emit(e obs.Event) { *l = append(*l, e) }
-
 // TestSupportMatrix tries every config option against every entry point
 // that runs FedProx and holds each to accept or refuse, as recorded in
 // the grid below. An accepted run goes to completion (the constructors
@@ -50,7 +45,7 @@ func TestSupportMatrix(t *testing.T) {
 	wireAsync := sync
 	wireAsync.Async = async.Async
 
-	var recorded eventLog
+	var recorded obs.Tape
 	rec := timed
 	rec.Trace = &recorded
 	if _, err := core.Run(mdl, fed, rec); err != nil {
@@ -87,7 +82,7 @@ func TestSupportMatrix(t *testing.T) {
 		// run of the same config, and where fednet refuses that config the
 		// refusal held to the grid is still Reexecute's own.
 		{"Reexecute", wireAsync, func(c core.Config) error {
-			var tape eventLog
+			var tape obs.Tape
 			rec := c
 			rec.Trace = &tape
 			_, _ = launch(t, fed, mdl, rec, 2)

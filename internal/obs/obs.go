@@ -206,6 +206,14 @@ func Multi(sinks ...Sink) Sink {
 
 type multi []Sink
 
+// Tape is a Sink that keeps every event in memory, in emission order.
+// It takes no lock: hand it to a run whose coordinator is its only
+// emitter (a replay, a re-execution's recording, a test).
+type Tape []Event
+
+// Emit appends e to the tape.
+func (t *Tape) Emit(e Event) { *t = append(*t, e) }
+
 func (m multi) Emit(e Event) {
 	for _, s := range m {
 		s.Emit(e)

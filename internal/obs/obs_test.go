@@ -10,36 +10,32 @@ import (
 	"testing"
 )
 
-type capture struct{ events []Event }
-
-func (c *capture) Emit(e Event) { c.events = append(c.events, e) }
-
 func TestMulti(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Fatal("Multi of no live sinks must be nil (tracing off)")
 	}
-	c := &capture{}
+	c := &Tape{}
 	if Multi(nil, c) != Sink(c) {
 		t.Fatal("Multi of one live sink must unwrap it")
 	}
-	c2 := &capture{}
+	c2 := &Tape{}
 	m := Multi(c, nil, c2)
 	m.Emit(Event{Kind: KindRunDone})
-	if len(c.events) != 1 || len(c2.events) != 1 {
-		t.Fatalf("fan-out reached %d/%d sinks, want 1/1", len(c.events), len(c2.events))
+	if len(*c) != 1 || len(*c2) != 1 {
+		t.Fatalf("fan-out reached %d/%d sinks, want 1/1", len(*c), len(*c2))
 	}
 }
 
 func TestWallClockStampsOnlyUntimed(t *testing.T) {
-	c := &capture{}
+	c := &Tape{}
 	w := WallClock(c)
 	w.Emit(Event{Kind: KindEval, Time: math.NaN()})
 	w.Emit(Event{Kind: KindEval, Time: 42})
-	if math.IsNaN(c.events[0].Time) || c.events[0].Time < 0 {
-		t.Fatalf("untimed event not stamped: t=%v", c.events[0].Time)
+	if math.IsNaN((*c)[0].Time) || (*c)[0].Time < 0 {
+		t.Fatalf("untimed event not stamped: t=%v", (*c)[0].Time)
 	}
-	if c.events[1].Time != 42 {
-		t.Fatalf("timed event clobbered: t=%v", c.events[1].Time)
+	if (*c)[1].Time != 42 {
+		t.Fatalf("timed event clobbered: t=%v", (*c)[1].Time)
 	}
 	if WallClock(nil) != nil {
 		t.Fatal("WallClock(nil) must stay nil")
@@ -47,11 +43,11 @@ func TestWallClockStampsOnlyUntimed(t *testing.T) {
 }
 
 func TestSpan(t *testing.T) {
-	c := &capture{}
+	c := &Tape{}
 	sp := StartSpan(c, Event{Label: "solve", Device: 3})
 	sp.Event.N = 7
 	sp.End()
-	e := c.events[0]
+	e := (*c)[0]
 	if e.Kind != KindSpan || e.Label != "solve" || e.Device != 3 || e.N != 7 {
 		t.Fatalf("span event = %+v", e)
 	}

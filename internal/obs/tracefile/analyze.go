@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"slices"
 
@@ -15,7 +16,7 @@ import (
 // device's replies, one tier's rollup or the whole run. Each report
 // prints the counts that mean something for its slice.
 type tally struct {
-	dispatches, folds, replies, folded int
+	dispatches, folds, folded int
 	// dropped counts replies not folded and, in a round's row, the
 	// devices a policy cut without contacting them (KindDrop).
 	dropped            int
@@ -30,7 +31,6 @@ func (t *tally) dispatch(e obs.Event) {
 }
 
 func (t *tally) reply(e obs.Event) {
-	t.replies++
 	t.bytesUp += e.BytesUp
 	if !math.IsNaN(e.Seconds) {
 		t.rels = append(t.rels, e.Seconds)
@@ -46,7 +46,6 @@ func (t *tally) reply(e obs.Event) {
 func (t *tally) add(o *tally) {
 	t.dispatches += o.dispatches
 	t.folds += o.folds
-	t.replies += o.replies
 	t.folded += o.folded
 	t.dropped += o.dropped
 	t.bytesDown += o.bytesDown
@@ -55,20 +54,20 @@ func (t *tally) add(o *tally) {
 	t.latency += o.latency
 }
 
-// quantiles returns the p50, p90 and p99 of the tally's reply latencies.
-func (t *tally) quantiles() []float64 {
+// quantiles formats the p50, p90 and p99 of the tally's reply
+// latencies as three table columns.
+func (t *tally) quantiles() string {
 	slices.Sort(t.rels)
-	return obs.Quantiles(t.rels, 0.5, 0.9, 0.99)
+	q := obs.Quantiles(t.rels, 0.5, 0.9, 0.99)
+	return fmt.Sprintf("%8s %8s %8s", FormatSeconds(q[0]), FormatSeconds(q[1]), FormatSeconds(q[2]))
 }
 
 // at returns m's tally for k, adding an empty one if m has none.
 func at[K comparable](m map[K]*tally, k K) *tally {
-	t := m[k]
-	if t == nil {
-		t = &tally{}
-		m[k] = t
+	if m[k] == nil {
+		m[k] = &tally{}
 	}
-	return t
+	return m[k]
 }
 
 // row is one round (sync) or milestone window (async): everything
@@ -84,13 +83,12 @@ func newRow() *row { return &row{round: -1, secs: math.NaN(), loss: math.NaN(), 
 
 // run is one recorded run folded into rows.
 type run struct {
-	label      string
-	n, nodes   int
-	dispatched bool
-	rows       []*row
-	open       *row // the window after the last round-close
-	all        tally
-	evals      int
+	label    string
+	n, nodes int
+	rows     []*row
+	open     *row // the window after the last round-close
+	all      tally
+	evals    int
 	// devices attributes replies to (tier, device): in a tiered trace
 	// edge-local device numbers recur at every tier. tiers rolls the run
 	// up by the emitting coordinator's tier (0 = the root, whose devices
@@ -107,7 +105,6 @@ func (r *run) add(e obs.Event) {
 		r.label, r.n = e.Label, e.N
 		r.nodes++
 	case obs.KindDispatch:
-		r.dispatched = true
 		r.open.dispatch(e)
 		r.all.dispatch(e)
 		if e.Tier >= 0 {
@@ -162,50 +159,32 @@ func (r *run) add(e obs.Event) {
 	}
 }
 
-// rounds returns the run's rows and, when the stream ended on one, the
-// evaluation after its last round-close.
-func (r *run) rounds() []*row {
-	if math.IsNaN(r.open.loss) {
-		return r.rows
+// fold folds events into runs and hands each to done once the next run
+// starts or the events end. A hierarchical run interleaves every tree
+// node's events, and each node announces itself with a run-start before
+// the root opens round 0: a run-start before the run's first dispatch
+// joins the run. Events before the first run-start belong to no run.
+func fold(events iter.Seq[obs.Event], done func(*run)) {
+	var r *run
+	for e := range events {
+		if e.Kind == obs.KindRunStart && (r == nil || r.all.dispatches > 0) {
+			if r != nil {
+				done(r)
+			}
+			r = &run{open: newRow(), devices: map[[2]int]*tally{}, tiers: map[int]*tally{}}
+		}
+		if r != nil {
+			r.add(e)
+		}
 	}
-	return append(r.rows[:len(r.rows):len(r.rows)], r.open)
-}
-
-// folder cuts an event stream into runs and hands each to done once
-// the next run starts or the stream is flushed. A hierarchical run
-// interleaves every tree node's events, and each node announces itself
-// with a run-start before the root opens round 0: a run-start before
-// the run's first dispatch joins the run. Events before the first
-// run-start belong to no run.
-type folder struct {
-	r    *run
-	done func(*run)
-}
-
-func (f *folder) add(e obs.Event) {
-	if e.Kind == obs.KindRunStart && (f.r == nil || f.r.dispatched) {
-		f.flush()
-		f.r = &run{open: newRow(), devices: map[[2]int]*tally{}, tiers: map[int]*tally{}}
-	}
-	if f.r != nil {
-		f.r.add(e)
-	}
-}
-
-func (f *folder) flush() {
-	if f.r != nil {
-		f.done(f.r)
-		f.r = nil
+	if r != nil {
+		done(r)
 	}
 }
 
 // runs folds a decoded event stream into its runs.
 func runs(evs []obs.Event) (out []*run) {
-	f := folder{done: func(r *run) { out = append(out, r) }}
-	for _, e := range evs {
-		f.add(e)
-	}
-	f.flush()
+	fold(slices.Values(evs), func(r *run) { out = append(out, r) })
 	return out
 }
 
@@ -223,14 +202,15 @@ func FormatSeconds(s float64) string {
 // straggler attribution (with the slow edge of a tiered one) and byte
 // accounting. A malformed line is its error.
 func Summarize(w io.Writer, r io.Reader) error {
+	var err error
 	i := 0
-	f := folder{done: func(run *run) {
-		run.print(w, i)
-		i++
-	}}
-	err := each(r, f.add)
+	fold(func(yield func(obs.Event) bool) { err = each(r, func(e obs.Event) { yield(e) }) }, func(run *run) {
+		if err == nil { // a malformed line cut the last run short: print none of it
+			run.print(w, i)
+			i++
+		}
+	})
 	if err == nil {
-		f.flush()
 		fmt.Fprintln(w)
 	}
 	return err
@@ -250,11 +230,8 @@ func (r *run) print(w io.Writer, i int) {
 		if !math.IsNaN(row.loss) {
 			loss = fmt.Sprintf("%.4f", row.loss)
 		}
-		q := row.quantiles()
-		fmt.Fprintf(w, "%-6d %5d %6d %6d %8s %8s %8s %11d %11d %8s %9s\n",
-			row.round, row.dispatches, row.folded, row.dropped,
-			FormatSeconds(q[0]), FormatSeconds(q[1]), FormatSeconds(q[2]),
-			row.bytesDown, row.bytesUp, FormatSeconds(row.secs), loss)
+		fmt.Fprintf(w, "%-6d %5d %6d %6d %s %11d %11d %8s %9s\n", row.round, row.dispatches, row.folded, row.dropped,
+			row.quantiles(), row.bytesDown, row.bytesUp, FormatSeconds(row.secs), loss)
 	}
 	fmt.Fprintf(w, "totals: %d bytes down, %d bytes up, %d evals", r.all.bytesDown, r.all.bytesUp, r.evals)
 	if !math.IsNaN(r.open.loss) { // the evaluation after the last round-close
@@ -275,11 +252,8 @@ func (r *run) print(w io.Writer, i int) {
 			"tier", "disp", "folded", "drop", "folds", "p50", "p90", "p99", "bytes-down", "bytes-up")
 		for t := 0; t <= maxTier; t++ {
 			if ts := r.tiers[t]; ts != nil {
-				q := ts.quantiles()
-				fmt.Fprintf(w, "%-6d %5d %6d %6d %6d %8s %8s %8s %11d %11d\n",
-					t, ts.dispatches, ts.folded, ts.dropped, ts.folds,
-					FormatSeconds(q[0]), FormatSeconds(q[1]), FormatSeconds(q[2]),
-					ts.bytesDown, ts.bytesUp)
+				fmt.Fprintf(w, "%-6d %5d %6d %6d %6d %s %11d %11d\n",
+					t, ts.dispatches, ts.folded, ts.dropped, ts.folds, ts.quantiles(), ts.bytesDown, ts.bytesUp)
 			}
 		}
 	}
@@ -293,13 +267,13 @@ func (r *run) print(w io.Writer, i int) {
 		fmt.Fprintln(w, "stragglers (by cumulative reply latency):")
 		for _, k := range top[:min(5, len(top))] {
 			ds := r.devices[k]
-			fmt.Fprintf(w, "  device %-4d %8.3fs over %d replies, %d dropped\n", k[1], ds.latency, ds.replies, ds.dropped)
+			fmt.Fprintf(w, "  device %-4d %8.3fs over %d replies, %d dropped\n", k[1], ds.latency, ds.folded+ds.dropped, ds.dropped)
 		}
 	}
 	if edges := r.ranked(0); maxTier > 0 && len(edges) > 0 && r.devices[edges[0]].latency > 0 {
 		ds := r.devices[edges[0]]
 		fmt.Fprintf(w, "slow edge: edge %d held the root longest — %.3fs cumulative reply latency over %d replies, %d dropped\n",
-			edges[0][1], ds.latency, ds.replies, ds.dropped)
+			edges[0][1], ds.latency, ds.folded+ds.dropped, ds.dropped)
 	}
 }
 
@@ -364,26 +338,26 @@ func Diff(w io.Writer, nameA, nameB string, a, b []obs.Event) (divergent bool) {
 	case key != "":
 		fmt.Fprintf(w, "first divergent event: #%d, field %q\n  %s: %s\n  %s: %s\n", i, key,
 			nameA, bytes.TrimSpace(obs.AppendEvent(nil, a[i])), nameB, bytes.TrimSpace(obs.AppendEvent(nil, b[i])))
-	case len(a) != len(b):
-		longer, more := nameA, len(a)-len(b)
-		if more < 0 {
-			longer, more = nameB, -more
-		}
-		fmt.Fprintf(w, "traces agree for %d events, then %s has %d more\n", i, longer, more)
+	case len(a) > len(b):
+		fmt.Fprintf(w, "traces agree for %d events, then %s has %d more\n", i, nameA, len(a)-len(b))
+	case len(a) < len(b):
+		fmt.Fprintf(w, "traces agree for %d events, then %s has %d more\n", i, nameB, len(b)-len(a))
 	default:
 		fmt.Fprintf(w, "traces identical: %d events\n", len(a))
 	}
 
 	// Per-round deltas, run by run (numbered as Summarize numbers them),
-	// over the rounds both runs hold.
+	// over the rounds both runs hold: the rows and the open window, which
+	// holds the evaluation after the last round-close when the run has
+	// one (and has round -1 when not).
 	ra, rb := runs(a), runs(b)
 	printed := false
 	for i := range min(len(ra), len(rb)) {
 		rows := map[int]*row{}
-		for _, x := range ra[i].rounds() {
+		for _, x := range append(ra[i].rows, ra[i].open) {
 			rows[x.round] = x
 		}
-		for _, y := range rb[i].rounds() {
+		for _, y := range append(rb[i].rows, rb[i].open) {
 			x := rows[y.round]
 			if x == nil {
 				continue
